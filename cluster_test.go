@@ -22,20 +22,20 @@ func clusterGroups(n int) []GroupID {
 // clusterScenario drives one group through a script that varies with
 // the group ordinal k (so per-group digests differ) and returns the
 // group's sorted membership digest: joins, a handoff, a leave, a
-// failure, settling between phases.
-func clusterScenario(t *testing.T, svc *Service, k int) []string {
+// failure, settling between phases. Changes enter at access proxies
+// that process 0 of a three-process deployment hosts, so the script
+// runs unchanged on one process and on three.
+func clusterScenario(t *testing.T, svc *Service, k int, settle func()) []string {
 	t.Helper()
 	ctx := context.Background()
-	aps := svc.APs()
+	aps := slot0APs(svc, 3)
 	n := 4 + k%3
 	for g := 1; g <= n; g++ {
 		if err := svc.JoinAt(ctx, GUID(g), aps[(g*2+k)%len(aps)]); err != nil {
 			t.Fatalf("group %d join %d: %v", k, g, err)
 		}
 	}
-	if err := svc.Settle(ctx); err != nil {
-		t.Fatalf("group %d settle: %v", k, err)
-	}
+	settle()
 	if err := svc.Handoff(ctx, GUID(1), aps[k%len(aps)]); err != nil {
 		t.Fatalf("group %d handoff: %v", k, err)
 	}
@@ -45,9 +45,7 @@ func clusterScenario(t *testing.T, svc *Service, k int) []string {
 	if err := svc.Fail(ctx, GUID(3)); err != nil {
 		t.Fatalf("group %d fail: %v", k, err)
 	}
-	if err := svc.Settle(ctx); err != nil {
-		t.Fatalf("group %d settle: %v", k, err)
-	}
+	settle()
 	members, err := svc.Members(ctx)
 	if err != nil {
 		t.Fatalf("group %d members: %v", k, err)
@@ -55,24 +53,33 @@ func clusterScenario(t *testing.T, svc *Service, k int) []string {
 	return renderMembers(members)
 }
 
-// runClusterScenario opens every group on the cluster and drives each
-// through its scenario, returning per-group digests. Groups run
-// concurrently — on a sharded cluster that exercises real parallelism
-// across shards.
-func runClusterScenario(t *testing.T, c *Cluster, gids []GroupID) map[GroupID][]string {
+// runClusterScenario opens every group on each cluster of one
+// deployment (one cluster, or one per process of a networked one) and
+// drives each group through its scenario on the first, returning
+// per-group digests. Groups run concurrently — on a sharded cluster
+// that exercises real parallelism across shards.
+func runClusterScenario(t *testing.T, gids []GroupID, clusters ...*Cluster) map[GroupID][]string {
 	t.Helper()
 	digests := make(map[GroupID][]string, len(gids))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for k, gid := range gids {
-		svc, err := c.Open(gid)
-		if err != nil {
-			t.Fatalf("Open(%v): %v", gid, err)
+		procs := make([]*Service, len(clusters))
+		for i, c := range clusters {
+			svc, err := c.Open(gid)
+			if err != nil {
+				t.Fatalf("Open(%v) on cluster %d: %v", gid, i, err)
+			}
+			procs[i] = svc
+		}
+		settle := settleOf(t, procs[0])
+		if len(procs) > 1 {
+			settle = func() { awaitQuiet(t, procs) }
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := clusterScenario(t, svc, k)
+			d := clusterScenario(t, procs[0], k, settle)
 			mu.Lock()
 			digests[gid] = d
 			mu.Unlock()
@@ -96,7 +103,7 @@ func TestClusterShardCountInvariance(t *testing.T) {
 		if got := c.Shards(); got != shards {
 			t.Fatalf("Shards() = %d, want %d", got, shards)
 		}
-		return runClusterScenario(t, c, gids)
+		return runClusterScenario(t, gids, c)
 	}
 	one, four := run(1), run(4)
 	if !reflect.DeepEqual(one, four) {
@@ -116,9 +123,9 @@ func TestClusterShardCountInvariance(t *testing.T) {
 // TestClusterCrossRuntimeEquivalence is the acceptance check of the
 // multi-group engine: the same 8-group scenario with the same seed,
 // run on the sharded simulator, the shared live in-process plane, and
-// a loopback-UDP networked cluster (every message crossing the shared
-// socket with its group tag), must converge to identical per-group
-// membership digests.
+// a three-process loopback-UDP networked cluster (every hop between two
+// processes crossing their shared sockets with its group tag), must
+// converge to identical per-group membership digests.
 func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	gids := clusterGroups(8)
 	const seed = 17
@@ -128,7 +135,7 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	simDigests := runClusterScenario(t, sim, gids)
+	simDigests := runClusterScenario(t, gids, sim)
 
 	live, err := NewCluster(WithHierarchy(2, 3), WithSeed(seed), WithShards(4),
 		WithLiveRuntime(LiveConfig{Latency: ConstantLatency(50 * time.Microsecond)}))
@@ -136,14 +143,19 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	liveDigests := runClusterScenario(t, live, gids)
+	liveDigests := runClusterScenario(t, gids, live)
 
-	netc, err := ListenCluster("127.0.0.1:0", WithHierarchy(2, 3), WithSeed(seed), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
+	addrs := reservePorts(t, 3)
+	netcs := make([]*Cluster, len(addrs))
+	for i := range netcs {
+		netcs[i], err = ListenCluster(addrs[i], WithHierarchy(2, 3), WithSeed(seed), WithShards(4),
+			WithCluster(i, addrs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer netcs[i].Close()
 	}
-	defer netc.Close()
-	netDigests := runClusterScenario(t, netc, gids)
+	netDigests := runClusterScenario(t, gids, netcs...)
 
 	for _, gid := range gids {
 		if len(simDigests[gid]) == 0 {
@@ -158,16 +170,18 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	}
 
 	// The networked run only proves something if the group-tagged
-	// datagrams really crossed the shared socket and decoded cleanly.
-	ns, ok := netc.NetStats()
-	if !ok {
-		t.Fatal("networked cluster reports no NetStats")
-	}
-	if ns.Received == 0 {
-		t.Fatal("networked cluster exchanged no datagrams")
-	}
-	if ns.DecodeErrors != 0 || ns.UnknownVersion != 0 || ns.UnknownGroup != 0 {
-		t.Fatalf("wire errors during equivalence run: %+v", ns)
+	// datagrams really crossed the shared sockets and decoded cleanly.
+	for i, netc := range netcs {
+		ns, ok := netc.NetStats()
+		if !ok {
+			t.Fatalf("networked cluster %d reports no NetStats", i)
+		}
+		if ns.Received == 0 {
+			t.Fatalf("networked cluster %d exchanged no datagrams", i)
+		}
+		if ns.DecodeErrors != 0 || ns.UnknownVersion != 0 || ns.UnknownGroup != 0 {
+			t.Fatalf("cluster %d wire errors during equivalence run: %+v", i, ns)
+		}
 	}
 }
 

@@ -120,21 +120,7 @@ func TestThreeProcessSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	// Reserve three loopback ports (released just before the daemons
-	// bind them).
-	peers := make([]string, 3)
-	conns := make([]*net.UDPConn, 3)
-	for i := range peers {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-		peers[i] = c.LocalAddr().String()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	peers := reservePeers(t, 3)
 
 	procs := make([]*nodeProc, 3)
 	for i := range procs {
@@ -226,19 +212,7 @@ func TestSeedJoinNode(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	peers := make([]string, 3)
-	conns := make([]*net.UDPConn, 3)
-	for i := range peers {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-		peers[i] = c.LocalAddr().String()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
+	peers := reservePeers(t, 3)
 
 	procs := make([]*nodeProc, 3)
 	for i := range procs {
@@ -339,70 +313,96 @@ func TestSeedJoinNode(t *testing.T) {
 	}
 }
 
-// TestMultiGroupNode: one rgbnode process hosting two groups over one
-// socket (-groups 2). Memberships must stay group-isolated, and the
-// shared-socket wire counters must stay clean — group-tagged frames
-// route to the right engine shard.
+// TestMultiGroupNode: two rgbnode processes each hosting two groups
+// over one socket (-groups 2). Memberships must stay group-isolated on
+// both, and the shared-socket wire counters must stay clean — the
+// group-tagged frames that cross between the processes route to the
+// right engine shard. Every change enters at process 0, at an access
+// proxy it hosts (top-ring nodes 0 and 2, so AP indexes 0-2 and 6-8).
 func TestMultiGroupNode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping multi-group smoke")
 	}
 
-	bin := filepath.Join(t.TempDir(), "rgbnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := c.LocalAddr().String()
-	c.Close()
+	bin := buildNode(t)
+	peers := reservePeers(t, 2)
 
-	p := startNode(t, bin, 0, []string{addr}, 2, 3, "-groups", "2")
-	p.expect("ready", 15*time.Second)
-
-	if line := p.do("groups"); !strings.Contains(line, "n=2") {
-		t.Fatalf("groups = %q", line)
+	procs := make([]*nodeProc, 2)
+	for i := range procs {
+		procs[i] = startNode(t, bin, i, peers, 2, 3, "-groups", "2")
+	}
+	for _, p := range procs {
+		p.expect("ready", 15*time.Second)
+		if line := p.do("groups"); !strings.Contains(line, "n=2") {
+			t.Fatalf("groups = %q", line)
+		}
 	}
 
 	// Group 1 gets members 1 and 2; group 2 gets member 3 only.
-	p.do("join 1 0")
-	p.do("join 2 4")
-	p.do("use 2")
-	p.do("join 3 1")
+	procs[0].do("join 1 0")
+	procs[0].do("join 2 6")
+	procs[0].do("use 2")
+	procs[0].do("join 3 1")
 
-	query := func(want string) bool {
-		p.send("query")
-		return strings.HasSuffix(p.expect("ok query", 10*time.Second), want)
-	}
-	awaitQuery := func(want string) {
+	awaitQuery := func(p *nodeProc, want string) {
 		deadline := time.Now().Add(20 * time.Second)
-		for !query(want) {
+		for {
+			p.send("query")
+			line := p.expect("ok query", 10*time.Second)
+			if strings.HasSuffix(line, want) {
+				return
+			}
 			if time.Now().After(deadline) {
-				p.send("query")
-				t.Fatalf("group view did not converge to %q: %s", want, p.expect("ok query", 5*time.Second))
+				t.Fatalf("group view did not converge to %q: %s", want, line)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
 	}
-	awaitQuery("members=mh-3")
-	p.do("use 1")
-	awaitQuery("members=mh-1,mh-2")
-
-	p.send("stats")
-	stats := p.expect("ok stats", 10*time.Second)
-	if strings.Contains(stats, "received=0 ") ||
-		!strings.Contains(stats, "decode_errors=0") ||
-		!strings.Contains(stats, "unknown_group=0") {
-		t.Fatalf("suspicious multi-group stats: %s", stats)
+	procs[1].do("use 2")
+	for _, p := range procs {
+		awaitQuery(p, "members=mh-3")
+		p.do("use 1")
+		awaitQuery(p, "members=mh-1,mh-2")
 	}
 
-	p.do("quit")
-	if err := p.cmd.Wait(); err != nil {
-		t.Fatalf("rgbnode exit: %v", err)
+	for i, p := range procs {
+		p.send("stats")
+		stats := p.expect("ok stats", 10*time.Second)
+		if strings.Contains(stats, "received=0 ") ||
+			!strings.Contains(stats, "decode_errors=0") ||
+			!strings.Contains(stats, "unknown_group=0") {
+			t.Fatalf("proc %d suspicious multi-group stats: %s", i, stats)
+		}
 	}
+
+	for _, p := range procs {
+		p.do("quit")
+	}
+	for i, p := range procs {
+		if err := p.cmd.Wait(); err != nil {
+			t.Fatalf("rgbnode[%d] exit: %v", i, err)
+		}
+	}
+}
+
+// reservePeers reserves n loopback UDP ports and returns their
+// addresses, released just before the daemons bind them.
+func reservePeers(t *testing.T, n int) []string {
+	t.Helper()
+	peers := make([]string, n)
+	conns := make([]*net.UDPConn, n)
+	for i := range peers {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+		peers[i] = c.LocalAddr().String()
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	return peers
 }
 
 // buildNode compiles the rgbnode binary into the test's temp dir.

@@ -9,19 +9,16 @@ import (
 )
 
 // TestFaultsNetworkedLiveGroup is the adversarial-network acceptance
-// check: a live loopback-UDP group runs with every datagram fault
-// armed at 5% — corrupt, duplicate/replay, misroute, reorder — and
-// must still admit every member with zero panics. The injected-fault
-// counters in NetStats prove the gauntlet actually fired.
+// check: a live three-process loopback-UDP group runs with every
+// datagram fault armed at 5% on every process — corrupt,
+// duplicate/replay, misroute, reorder — and must still admit every
+// member with zero panics. The injected-fault counters in NetStats
+// prove the gauntlet actually fired on the hops between processes.
 func TestFaultsNetworkedLiveGroup(t *testing.T) {
 	ctx := context.Background()
-	svc, err := Listen("127.0.0.1:0", WithHierarchy(2, 4), WithSeed(7),
+	procs := listenProcs(t, 3, WithHierarchy(2, 4), WithSeed(7),
 		WithFaults(FaultPlan{Seed: 7, Corrupt: 0.05, Duplicate: 0.05, Misroute: 0.05, Reorder: 0.05}))
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	aps := svc.APs()
+	svc, aps := procs[0], slot0APs(procs[0], 3)
 
 	const joins = 6
 	for g := 1; g <= joins; g++ {
@@ -37,12 +34,17 @@ func TestFaultsNetworkedLiveGroup(t *testing.T) {
 		return err == nil && len(members) == joins
 	})
 
-	ns := svc.Runtime().(*NetRuntime).NetStats()
-	if ns.Received == 0 {
+	var received, faults uint64
+	for _, p := range procs {
+		ns := p.Runtime().(*NetRuntime).NetStats()
+		received += ns.Received
+		faults += ns.FaultCorrupt + ns.FaultReplay + ns.FaultMisroute + ns.FaultReorder
+	}
+	if received == 0 {
 		t.Fatal("faulted run exchanged no datagrams")
 	}
-	if total := ns.FaultCorrupt + ns.FaultReplay + ns.FaultMisroute + ns.FaultReorder; total == 0 {
-		t.Fatalf("no faults were injected — the gauntlet never fired: %+v", ns)
+	if faults == 0 {
+		t.Fatal("no faults were injected — the gauntlet never fired")
 	}
 }
 

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +58,16 @@ type engineCore struct {
 	// socket idle time; see NetRuntime.Run).
 	pending atomic.Int64
 
+	// local is the FIFO of networked messages for endpoints of this very
+	// engine (netTransport.Send appends, loop drains after every work
+	// item); spare is its double buffer, so the steady state appends into
+	// capacity, bounded by what is in flight at once. Engine-only.
+	local, spare []localHop
+
+	// waits are the RunUntil calls parked on this engine (await).
+	// Engine-only.
+	waits []*engineWait
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
@@ -80,6 +91,8 @@ func (e *engineCore) loop() {
 		select {
 		case fn := <-e.exec:
 			fn()
+			e.drainLocal()
+			e.wake()
 		case <-e.closed:
 			// Drain whatever is already queued so pending work items
 			// settle their accounting, then stop.
@@ -87,12 +100,80 @@ func (e *engineCore) loop() {
 				select {
 				case fn := <-e.exec:
 					fn()
+					e.drainLocal()
 				default:
 					return
 				}
 			}
 		}
 	}
+}
+
+// drainLocal delivers the co-hosted hops the last work item queued, and
+// the ones those deliveries queue, in send order until none is left.
+func (e *engineCore) drainLocal() {
+	for len(e.local) > 0 {
+		batch := e.local
+		e.local = e.spare[:0]
+		for i := range batch {
+			h := batch[i]
+			batch[i] = localHop{} // the payload must not outlive its delivery
+			h.t.deliverLocal(h.msg)
+		}
+		e.spare = batch[:0]
+	}
+}
+
+// engineWait is one await parked on the engine.
+type engineWait struct {
+	pred func() bool
+	met  chan struct{} // closed by wake once pred holds
+}
+
+// wake releases the parked waits whose predicate the last work item
+// made true.
+func (e *engineCore) wake() {
+	e.waits = slices.DeleteFunc(e.waits, func(w *engineWait) bool {
+		met := w.pred()
+		if met {
+			close(w.met)
+		}
+		return met
+	})
+}
+
+// await blocks until pred holds and reports true, or until giveUp says
+// that nothing more is coming and reports pred's last word. pred runs in
+// engine context, once now and then after every work item, so the
+// caller resumes when the state changes and not on a polling grid;
+// giveUp runs on the calling goroutine, now and then every tick.
+func (e *engineCore) await(pred func() bool, tick time.Duration, giveUp func() bool) bool {
+	w := &engineWait{pred: pred, met: make(chan struct{})}
+	ok := false
+	e.do(func() {
+		if ok = pred(); !ok {
+			e.waits = append(e.waits, w)
+		}
+	})
+	if ok {
+		return true
+	}
+	t := time.NewTicker(tick)
+	defer t.Stop()
+	for !giveUp() {
+		select {
+		case <-w.met:
+			return true
+		case <-e.closed:
+			return false
+		case <-t.C:
+		}
+	}
+	e.do(func() {
+		ok = pred()
+		e.waits = slices.DeleteFunc(e.waits, func(x *engineWait) bool { return x == w })
+	})
+	return ok
 }
 
 // submit enqueues fn for the engine goroutine. After close the work is
@@ -244,34 +325,16 @@ func (rt *LiveRuntime) RunFor(d time.Duration) {
 	}
 }
 
-// RunUntil implements Runtime: it polls pred in engine context until
-// it reports true or the runtime quiesces without it (bounded by the
-// settle timeout on a LiveMux view, whose pending counter is
-// shard-wide).
+// RunUntil implements Runtime: it waits until pred, evaluated in engine
+// context, reports true or the runtime quiesces without it (bounded by
+// the settle timeout on a LiveMux view, whose pending counter is
+// shard-wide), matching the simulator's drained-queue behaviour.
 func (rt *LiveRuntime) RunUntil(pred func() bool) bool {
-	var deadline time.Time
-	if rt.settleBound > 0 {
-		deadline = time.Now().Add(rt.settleBound)
-	}
-	for {
-		var ok bool
-		rt.Do(func() { ok = pred() })
-		if ok {
-			return true
-		}
-		if rt.eng.pending.Load() == 0 ||
-			(rt.settleBound > 0 && !time.Now().Before(deadline)) {
-			// Quiescent (or out of budget) and pred still false: give
-			// up, matching the simulator's drained-queue behaviour.
-			rt.Do(func() { ok = pred() })
-			return ok
-		}
-		select {
-		case <-rt.eng.closed:
-			return false
-		case <-time.After(200 * time.Microsecond):
-		}
-	}
+	deadline := time.Now().Add(rt.settleBound)
+	return rt.eng.await(pred, 200*time.Microsecond, func() bool {
+		return rt.eng.pending.Load() == 0 ||
+			(rt.settleBound > 0 && !time.Now().Before(deadline))
+	})
 }
 
 // Close implements Runtime: it stops the engine and the mailbox

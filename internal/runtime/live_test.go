@@ -192,6 +192,43 @@ func TestLiveRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineAwaitWakesOnWork: a parked await resumes with the work item
+// that makes its predicate true, not on its polling tick (an hour here),
+// and one that gives up leaves nothing parked on the engine.
+func TestEngineAwaitWakesOnWork(t *testing.T) {
+	rt := newTestLive(t)
+	e := rt.eng
+	var n int
+	woke := make(chan bool)
+	go func() {
+		woke <- e.await(func() bool { return n == 2 }, time.Hour, func() bool { return false })
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-woke:
+			t.Fatalf("await returned after %d of 2 work items", i)
+		case <-time.After(5 * time.Millisecond):
+		}
+		e.do(func() { n++ })
+	}
+	select {
+	case ok := <-woke:
+		if !ok {
+			t.Fatal("await reported false for a predicate that holds")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("await slept through the work item that met its predicate")
+	}
+	if e.await(func() bool { return false }, time.Hour, func() bool { return true }) {
+		t.Fatal("await reported an unsatisfiable predicate")
+	}
+	e.do(func() {
+		if len(e.waits) != 0 {
+			t.Errorf("%d waits left parked", len(e.waits))
+		}
+	})
+}
+
 func TestLiveCloseIdempotent(t *testing.T) {
 	rt := NewLiveRuntime(LiveConfig{})
 	rt.Do(func() {

@@ -29,7 +29,7 @@ import (
 //     set's engine shards.
 //   - NetMux: many groups sharing one UDP socket; inbound frames are
 //     demultiplexed to the owning group's shard by the wire envelope's
-//     group tag, and outbound encode buffers are shared per shard.
+//     group tag, and the outbound encode buffer is shared per shard.
 //
 // Errors are sentinel values matched with errors.Is.
 var (
@@ -72,7 +72,7 @@ func NewShardSet(n int) *ShardSet {
 		set.shards[i] = &muxShard{
 			eng:   eng,
 			clock: &liveClock{eng: eng},
-			bufs:  newNetBufs(),
+			bufs:  new(netBufs),
 		}
 	}
 	return set
@@ -215,11 +215,11 @@ func (m *LiveMux) Close() error {
 // demultiplexes each inbound frame to the owning group's engine shard
 // by the envelope's group tag (an untagged — wire version 1 or group 0
 // — frame goes to the default group, the first one opened), and all
-// groups of a shard share that shard's encode buffers, so the
-// steady-state multi-group send path allocates nothing beyond the
-// single-group one. The peer address book is resolved once and shared
-// read-only by every group: all groups of a deployment see the same
-// hierarchy partition.
+// groups of a shard share that shard's encode buffer and local-hop
+// FIFO, so the steady-state multi-group send path allocates nothing
+// beyond the single-group one. The peer address book is resolved once
+// and shared read-only by every group: all groups of a deployment see
+// the same hierarchy partition.
 type NetMux struct {
 	cfg  NetConfig
 	set  *ShardSet

@@ -85,6 +85,63 @@ func TestNetMuxGroupDemux(t *testing.T) {
 	}
 }
 
+// TestNetMuxLocalHopsStayInGroup: two groups pinned to one shard share
+// that shard's local-hop FIFO; hops of both queued by one work item
+// reach only their own group's endpoint, tagged and counted per group,
+// and none of them touches the socket.
+func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
+	set := NewShardSet(1)
+	defer set.Close()
+	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0", Seed: 1}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+
+	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
+	rtA, err := mux.Open(gidA, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtB, err := mux.Open(gidB, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trA, trB := rtA.Transport(), rtB.Transport()
+
+	target := ids.MakeNodeID(ids.TierAP, 0)
+	src := ids.MakeNodeID(ids.TierAP, 1)
+	epA, epB := newCollect(), newCollect()
+	set.Do(0, func() {
+		trA.Register(target, epA)
+		trB.Register(target, epB)
+		trA.Send(Message{From: src, To: target, Kind: KindControl, Body: wire.Probe{Seq: 1}})
+		trB.Send(Message{From: src, To: target, Kind: KindControl, Body: wire.Probe{Seq: 2}})
+		trA.Send(Message{From: src, To: target, Kind: KindControl, Body: wire.Probe{Seq: 3}})
+	})
+	for _, want := range []uint64{1, 3} {
+		if got := awaitMessage(t, epA.ch); got.Group != gidA || got.Body.(wire.Probe).Seq != want {
+			t.Fatalf("group A delivery = %+v, want seq %d tagged %v", got, want, gidA)
+		}
+	}
+	if got := awaitMessage(t, epB.ch); got.Group != gidB || got.Body.(wire.Probe).Seq != 2 {
+		t.Fatalf("group B delivery = %+v, want seq 2 tagged %v", got, gidB)
+	}
+	rtA.Run()
+	rtB.Run()
+	if len(epA.ch) != 0 || len(epB.ch) != 0 {
+		t.Fatalf("stray deliveries: A=%d B=%d", len(epA.ch), len(epB.ch))
+	}
+	var statsA, statsB Stats
+	set.Do(0, func() { statsA, statsB = trA.Stats(), trB.Stats() })
+	if statsA.Delivered != 2 || statsB.Delivered != 1 {
+		t.Fatalf("stats not group-scoped: A=%+v B=%+v", statsA, statsB)
+	}
+	if ns := mux.NetStats(); ns.Received != 0 {
+		t.Fatalf("co-hosted hops reached the shared socket: %+v", ns)
+	}
+}
+
 // TestNetMuxUntaggedFrameRoutesToDefaultGroup: a wire-v1 (untagged)
 // datagram written straight to the shared socket lands in the first
 // group opened — the compatibility contract for pre-group peers.

@@ -15,15 +15,16 @@ import (
 
 var _ Runtime = (*NetRuntime)(nil)
 
-// bookLimit bounds the per-destination maps a long-running networked
-// process accretes (learned return addresses, reusable encode
-// buffers): past it the map is simply cleared — learning re-warms on
-// the next packet, buffers on the next send.
+// bookLimit bounds the per-endpoint maps a long-running networked
+// process accretes (learned return addresses, relay dedup keys): past
+// it the map is simply cleared — learning re-warms on the next packet.
 const bookLimit = 4096
 
 // NetConfig parameterizes a NetRuntime — the networked substrate where
-// each process hosts a subset of the hierarchy's entities and every
-// message crosses a real UDP socket through the wire codec.
+// each process hosts a subset of the hierarchy's entities. A message
+// for an entity of another process crosses a real UDP socket through
+// the wire codec; one for an entity of the same process is handed over
+// in memory (see netTransport.Send).
 type NetConfig struct {
 	// Bind is the local UDP listen address (e.g. "127.0.0.1:7001";
 	// port 0 picks a free port). Required.
@@ -116,8 +117,10 @@ type NetConfig struct {
 
 	// Faults configures adversarial egress fault injection (corrupt,
 	// duplicate/replay, misroute, reorder) on the encoded datagrams —
-	// the networked twin of the engine-level FaultTransport. A zero
-	// Faults.Seed derives from Seed. Inactive by default.
+	// the networked twin of the engine-level FaultTransport. A hop
+	// between two entities of one process never becomes a datagram and
+	// is not subject to them. A zero Faults.Seed derives from Seed.
+	// Inactive by default.
 	Faults FaultPlan
 
 	// TTL is the relay hop budget stamped on egress frames (default 8).
@@ -141,7 +144,7 @@ type NetConfig struct {
 // maintained once per socket; the routing counters are per group and
 // aggregated by NetMux.NetStats.
 type NetStats struct {
-	Received       uint64 // datagrams read from the socket
+	Received       uint64 // datagrams read from the socket (co-hosted hops are not datagrams)
 	DecodeErrors   uint64 // frames rejected by the codec
 	UnknownVersion uint64 // frames from a different wire version
 	UnknownGroup   uint64 // group-tagged frames for a group not hosted here
@@ -331,17 +334,13 @@ func (b *netBook) slotAddr(slot int) *net.UDPAddr {
 	return b.table.AddrOf(slot)
 }
 
-// netBufs holds the reusable encode buffers of one engine shard, so
-// the steady-state send path allocates nothing. All groups of a shard
-// share one set (their sends are serialized on the shard's engine
-// goroutine); sharing across shards would put a lock on the hot path.
+// netBufs holds the reusable encode buffer of one engine shard, so the
+// steady-state send path allocates nothing. The socket write copies the
+// datagram before it returns, so one buffer serves every destination,
+// relay and group of the shard (their sends are serialized on its
+// engine goroutine); sharing across shards would need a lock.
 type netBufs struct {
-	peerBuf  map[ids.NodeID][]byte
-	relayBuf []byte
-}
-
-func newNetBufs() *netBufs {
-	return &netBufs{peerBuf: make(map[ids.NodeID][]byte)}
+	frame []byte
 }
 
 // resolveNetBook resolves and validates the address-book parts of a
@@ -524,7 +523,7 @@ func NewNetRuntime(cfg NetConfig) (*NetRuntime, error) {
 		quiesceIdle:   cfg.QuiesceIdle,
 	}
 	rt.clock = &liveClock{eng: rt.eng}
-	rt.tr = newNetTransport(rt.eng, rt.clock, sock, book, newNetBufs(), cfg, cfg.Group)
+	rt.tr = newNetTransport(rt.eng, rt.clock, sock, book, new(netBufs), cfg, cfg.Group)
 	// The discovery plane runs whenever there is anything to discover:
 	// a static peer set to keep fresh, or seeds to bootstrap from.
 	if len(cfg.Peers) > 1 || len(cfg.Seeds) > 0 {
@@ -698,27 +697,14 @@ func (rt *NetRuntime) RunFor(d time.Duration) {
 	}
 }
 
-// RunUntil implements Runtime: it polls pred in engine context until
-// it reports true, giving up at local quiescence or the settle
+// RunUntil implements Runtime: it waits until pred, evaluated in engine
+// context, reports true, giving up at local quiescence or the settle
 // timeout.
 func (rt *NetRuntime) RunUntil(pred func() bool) bool {
 	deadline := time.Now().Add(rt.settleTimeout)
-	for {
-		var ok bool
-		rt.Do(func() { ok = pred() })
-		if ok {
-			return true
-		}
-		if rt.quiescent() || !time.Now().Before(deadline) {
-			rt.Do(func() { ok = pred() })
-			return ok
-		}
-		select {
-		case <-rt.eng.closed:
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
+	return rt.eng.await(pred, time.Millisecond, func() bool {
+		return rt.quiescent() || !time.Now().Before(deadline)
+	})
 }
 
 // Close implements Runtime: it closes the socket (stopping the read
@@ -745,7 +731,8 @@ func (rt *NetRuntime) Close() error {
 // shared) UDP socket. All mutable state is owned by the transport's
 // engine goroutine; the socket itself and its counters are shared
 // (netSock), and the routing book is immutable. The read loop decodes
-// off-engine and re-enters through the engine's submit.
+// off-engine and re-enters through the engine's submit; hops between
+// two local endpoints never leave the engine (localHop).
 type netTransport struct {
 	eng   *engineCore
 	clock *liveClock
@@ -838,9 +825,8 @@ func newNetTransport(eng *engineCore, clock *liveClock, sock *netSock, book *net
 
 // block installs (or, with nil, clears) the blocked-peer set: the
 // slots' addresses are cut in both directions. The self slot is never
-// blocked — on this substrate even node-local messages cross the
-// socket via the loopback address, so blocking self would sever a
-// process from itself rather than partition it from peers.
+// blocked — a partition separates a process from its peers, and its
+// own entities reach one another without the socket anyway.
 func (t *netTransport) block(slots []int) {
 	if slots == nil {
 		t.blocked = nil
@@ -891,25 +877,51 @@ func (t *netTransport) dispatch(f wire.Frame, src *net.UDPAddr) {
 			t.learned[f.From] = src
 		}
 	}
-	ep, ok := t.local[f.To]
-	if !ok {
-		t.relay(f)
-		return
-	}
-	if t.crashed[f.To] {
-		t.stats.Dropped++
-		return
-	}
-	t.stats.Delivered++
-	t.stats.ByKind[Kind(f.Class)]++
-	ep.HandleMessage(Message{
+	msg := Message{
 		From:  f.From,
 		To:    f.To,
 		Group: f.Group,
 		Kind:  Kind(f.Class),
 		Body:  f.Payload,
 		Sent:  t.clock.Now(),
-	})
+	}
+	if !t.deliver(msg) {
+		t.relay(f)
+	}
+}
+
+// deliver runs the destination-side checks and the handler; it reports
+// false, having done nothing, when msg.To is not registered here.
+func (t *netTransport) deliver(msg Message) bool {
+	ep, ok := t.local[msg.To]
+	if !ok {
+		return false
+	}
+	if t.crashed[msg.To] {
+		t.stats.Dropped++
+		return true
+	}
+	t.stats.Delivered++
+	t.stats.ByKind[msg.Kind]++
+	ep.HandleMessage(msg)
+	return true
+}
+
+// localHop is one message between two endpoints of the same process,
+// queued on the engine's FIFO between its Send and its delivery.
+type localHop struct {
+	t   *netTransport
+	msg Message
+}
+
+// deliverLocal is dispatch for a localHop: the destination is looked up
+// again, because the endpoint may have crashed or gone since the Send.
+func (t *netTransport) deliverLocal(msg Message) {
+	defer t.eng.pending.Add(-1)
+	t.touch()
+	if !t.deliver(msg) {
+		t.stats.Dropped++
+	}
 }
 
 // relay forwards a frame addressed to an entity this process does not
@@ -929,8 +941,9 @@ func (t *netTransport) relay(f wire.Frame) {
 		return
 	}
 	f.TTL--
-	t.bufs.relayBuf = wire.AppendFrame(t.bufs.relayBuf[:0], f)
-	if len(t.bufs.relayBuf) > wire.MaxDatagram {
+	buf := wire.AppendFrame(t.bufs.frame[:0], f)
+	t.bufs.frame = buf
+	if len(buf) > wire.MaxDatagram {
 		t.nstats.Oversize++
 		t.stats.Dropped++
 		return
@@ -939,12 +952,12 @@ func (t *netTransport) relay(f wire.Frame) {
 	// relay loop) is forwarded once per TTL window. The hash skips the
 	// envelope's TTL byte so the same frame arriving over paths of
 	// different length still collapses to one key.
-	if !t.dedup.Add(relayKey(t.bufs.relayBuf)) {
+	if !t.dedup.Add(relayKey(buf)) {
 		t.nstats.DupDropped++
 		t.stats.Dropped++
 		return
 	}
-	if !t.writeDatagram(t.bufs.relayBuf, addr) {
+	if !t.writeDatagram(buf, addr) {
 		return
 	}
 	t.nstats.Relayed++
@@ -969,7 +982,7 @@ func relayKey(b []byte) uint64 {
 	return h
 }
 
-// route resolves a destination: local endpoints to self, hierarchy
+// route resolves a destination that is not a local endpoint: hierarchy
 // entities through the ownership partition and the live peer table,
 // cluster-resident mobile-host endpoints by ownership block, external
 // transient endpoints through the learned addresses, everything else
@@ -977,9 +990,6 @@ func relayKey(b []byte) uint64 {
 // resolves to nil — the send is dropped and counted as UnknownPeer
 // until the peer is heard from again.
 func (t *netTransport) route(id ids.NodeID) *net.UDPAddr {
-	if _, ok := t.local[id]; ok {
-		return t.book.loopback
-	}
 	if slot, ok := t.book.ownerOf(id); ok {
 		return t.book.slotAddr(slot)
 	}
@@ -1010,10 +1020,10 @@ func (t *netTransport) Register(id ids.NodeID, ep Endpoint) {
 // Unregister implements Transport.
 func (t *netTransport) Unregister(id ids.NodeID) { delete(t.local, id) }
 
-// Send implements Transport: encode into the destination's reusable
-// buffer and write the datagram. Every message — including one for an
-// endpoint of this very process — crosses the socket, so the wire
-// codec is exercised on every hop.
+// Send implements Transport. A message for an endpoint of this process
+// is queued, payload by reference, on the engine's FIFO and delivered
+// when the current work item returns: no codec, no socket. Anything
+// else is encoded into the shard's buffer and written as a datagram.
 func (t *netTransport) Send(msg Message) {
 	msg.Sent = t.clock.Now()
 	t.stats.Sent++
@@ -1029,32 +1039,29 @@ func (t *netTransport) Send(msg Message) {
 		t.stats.Dropped++
 		return
 	}
+	if msg.Group == 0 {
+		msg.Group = t.group
+	}
+	if _, ok := t.local[msg.To]; ok {
+		t.eng.pending.Add(1)
+		t.eng.local = append(t.eng.local, localHop{t: t, msg: msg})
+		return
+	}
 	addr := t.route(msg.To)
 	if addr == nil {
 		t.nstats.UnknownPeer++
 		t.stats.Dropped++
 		return
 	}
-	group := msg.Group
-	if group == 0 {
-		group = t.group
-	}
-	prev, known := t.bufs.peerBuf[msg.To]
-	buf := wire.AppendFrame(prev[:0], wire.Frame{
+	buf := wire.AppendFrame(t.bufs.frame[:0], wire.Frame{
 		From:    msg.From,
 		To:      msg.To,
-		Group:   group,
+		Group:   msg.Group,
 		Class:   uint8(msg.Kind),
 		TTL:     t.ttl,
 		Payload: msg.Body,
 	})
-	if !known && len(t.bufs.peerBuf) >= bookLimit {
-		// Transient destinations (query apps, dial clients) would
-		// otherwise grow the buffer map without bound over a daemon's
-		// lifetime; dropping the warm buffers only costs re-growth.
-		clear(t.bufs.peerBuf)
-	}
-	t.bufs.peerBuf[msg.To] = buf
+	t.bufs.frame = buf
 	if len(buf) > wire.MaxDatagram {
 		// An aggregated batch or snapshot past one datagram cannot be
 		// shipped; dropping it surfaces in the counters instead of
@@ -1097,8 +1104,8 @@ func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
 
 // sendFaulted runs one encoded datagram through the reorder gate (hold
 // it back, release it after the next send) and everything else through
-// writeFaulted. The held datagram is copied: buf aliases a reusable
-// per-peer encode buffer that the next send overwrites.
+// writeFaulted. The held datagram is copied: buf aliases the shard's
+// encode buffer, which the next send overwrites.
 func (t *netTransport) sendFaulted(buf []byte, addr *net.UDPAddr) {
 	heldBuf, heldAddr := t.heldBuf, t.heldAddr
 	t.heldBuf, t.heldAddr = nil, nil

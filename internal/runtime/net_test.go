@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,8 +46,10 @@ func (e *countingEndpoint) HandleMessage(msg Message) {
 	}
 }
 
-// TestNetTransportLoopbackDelivery: messages between two endpoints of
-// one process cross the real socket and arrive decoded.
+// TestNetTransportLoopbackDelivery is the local-path contract: messages
+// between two endpoints of one process are delivered and accounted like
+// any other, but never become datagrams, and a steady-state local send
+// plus its delivery allocates nothing.
 func TestNetTransportLoopbackDelivery(t *testing.T) {
 	rt := newTestNet(t, NetConfig{})
 	a := ids.MakeNodeID(ids.TierAP, 1)
@@ -69,11 +72,210 @@ func TestNetTransportLoopbackDelivery(t *testing.T) {
 	}
 	var st Stats
 	rt.Do(func() { st = rt.Transport().Stats() })
-	if st.Sent != 20 || st.Delivered != 20 {
+	if st.Sent != 20 || st.Delivered != 20 || st.Dropped != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.DeliveredOf(KindToken) != 10 || st.DeliveredOf(KindControl) != 10 {
 		t.Fatalf("per-kind stats = %+v", st.ByKind)
+	}
+	if ns := rt.NetStats(); ns.Received != 0 {
+		t.Fatalf("co-hosted hops reached the socket: %+v", ns)
+	}
+
+	// One send and the echo it provokes, drained on the engine goroutine
+	// itself so that nothing but the local path is measured.
+	msg := Message{From: a, To: b, Kind: KindToken, Body: wire.Probe{Seq: 1}}
+	var allocs float64
+	rt.Do(func() {
+		allocs = testing.AllocsPerRun(200, func() {
+			rt.Transport().Send(msg)
+			rt.eng.drainLocal()
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("local send+deliver allocates %.1f objects per hop pair, want 0", allocs)
+	}
+	if got := epA.got.Load(); got != 10+201 {
+		t.Fatalf("a received %d echoes after the alloc run, want 211", got)
+	}
+}
+
+// orderEndpoint appends the Probe.Seq of everything it receives to a
+// log shared with its siblings, and sends what it was told to on the
+// first delivery.
+type orderEndpoint struct {
+	log    *[]uint64
+	onRecv func()
+}
+
+func (e *orderEndpoint) HandleMessage(msg Message) {
+	*e.log = append(*e.log, msg.Body.(wire.Probe).Seq)
+	if fn := e.onRecv; fn != nil {
+		e.onRecv = nil
+		fn()
+	}
+}
+
+// TestNetLocalFIFO: local messages are delivered in send order across
+// endpoints, and what a handler sends queues behind what was already
+// waiting.
+func TestNetLocalFIFO(t *testing.T) {
+	rt := newTestNet(t, NetConfig{})
+	tr := rt.Transport()
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	c := ids.MakeNodeID(ids.TierAP, 3)
+	var log []uint64
+	send := func(to ids.NodeID, seq uint64) {
+		tr.Send(Message{From: a, To: to, Kind: KindControl, Body: wire.Probe{Seq: seq}})
+	}
+	rt.Do(func() {
+		tr.Register(b, &orderEndpoint{log: &log})
+		tr.Register(c, &orderEndpoint{log: &log, onRecv: func() { send(b, 5); send(c, 6) }})
+		send(b, 1)
+		send(c, 2)
+		send(b, 3)
+		send(c, 4)
+	})
+	rt.Run()
+	var got []uint64
+	rt.Do(func() { got = append(got, log...) })
+	if want := []uint64{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivery order = %v, want %v", got, want)
+	}
+}
+
+// TestNetLocalDropsGoneDestination: a local message whose destination
+// crashes or unregisters between the Send and the drain is dropped and
+// counted, never delivered.
+func TestNetLocalDropsGoneDestination(t *testing.T) {
+	rt := newTestNet(t, NetConfig{})
+	tr := rt.Transport()
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	c := ids.MakeNodeID(ids.TierAP, 3)
+	epB := &countingEndpoint{rt: rt, id: b}
+	epC := &countingEndpoint{rt: rt, id: c}
+	rt.Do(func() {
+		tr.Register(b, epB)
+		tr.Register(c, epC)
+		tr.Send(Message{From: a, To: b, Kind: KindToken, Body: wire.Probe{}})
+		tr.Send(Message{From: a, To: c, Kind: KindToken, Body: wire.Probe{}})
+		tr.Crash(b)
+		tr.Unregister(c)
+	})
+	rt.Run()
+	var st Stats
+	rt.Do(func() { st = tr.Stats() })
+	if st.Sent != 2 || st.Dropped != 2 || st.Delivered != 0 {
+		t.Fatalf("stats = %+v, want 2 sent, 2 dropped, 0 delivered", st)
+	}
+	if epB.got.Load() != 0 || epC.got.Load() != 0 {
+		t.Fatalf("gone destinations were delivered to: b=%d c=%d", epB.got.Load(), epC.got.Load())
+	}
+	if ns := rt.NetStats(); ns.Received != 0 || ns.UnknownPeer != 0 {
+		t.Fatalf("dropped local hops leaked to the socket: %+v", ns)
+	}
+}
+
+// burstEndpoint sends n local messages from inside one handler call.
+type burstEndpoint struct {
+	rt   *NetRuntime
+	id   ids.NodeID
+	to   ids.NodeID
+	n    int
+	done atomic.Bool
+}
+
+func (e *burstEndpoint) HandleMessage(Message) {
+	for i := 0; i < e.n; i++ {
+		e.rt.Transport().Send(Message{From: e.id, To: e.to, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
+	}
+	e.done.Store(true)
+}
+
+// TestNetLocalBurstFromHandler: a handler that sends far more local
+// messages than the engine's work queue holds neither blocks on its own
+// engine nor loses one.
+func TestNetLocalBurstFromHandler(t *testing.T) {
+	const burst = 10000 // the engine's exec channel holds 4096
+	rt := newTestNet(t, NetConfig{})
+	tr := rt.Transport()
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	epA := &burstEndpoint{rt: rt, id: a, to: b, n: burst}
+	epB := &countingEndpoint{rt: rt, id: b}
+	rt.Do(func() {
+		tr.Register(a, epA)
+		tr.Register(b, epB)
+		tr.Send(Message{From: b, To: a, Kind: KindControl, Body: wire.Probe{}})
+	})
+	waitFor(t, func() bool { return epB.got.Load() == burst })
+	if epB.last.Load() != burst-1 {
+		t.Fatalf("last delivered seq = %d, want %d", epB.last.Load(), burst-1)
+	}
+	var st Stats
+	rt.Do(func() { st = tr.Stats() })
+	if st.Delivered != burst+1 || st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want %d delivered and none dropped", st, burst+1)
+	}
+}
+
+// gateEndpoint blocks its first delivery until released.
+type gateEndpoint struct {
+	entered chan struct{}
+	release chan struct{}
+	got     atomic.Int64
+}
+
+func (e *gateEndpoint) HandleMessage(Message) {
+	if e.got.Add(1) == 1 {
+		close(e.entered)
+		<-e.release
+	}
+}
+
+// TestNetLocalHoldsQuiescence: a queued or in-delivery local hop counts
+// as pending work, so Run and RunUntil do not report quiescence before
+// its handler has returned, however long the group has been silent.
+func TestNetLocalHoldsQuiescence(t *testing.T) {
+	const idle = 10 * time.Millisecond
+	rt := newTestNet(t, NetConfig{QuiesceIdle: idle})
+	tr := rt.Transport()
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	ep := &gateEndpoint{entered: make(chan struct{}), release: make(chan struct{})}
+	rt.Do(func() {
+		tr.Register(b, ep)
+		tr.Send(Message{From: a, To: b, Kind: KindToken, Body: wire.Probe{}})
+		tr.Send(Message{From: a, To: b, Kind: KindToken, Body: wire.Probe{}})
+		if rt.quiescent() {
+			t.Error("quiescent with two local hops queued")
+		}
+	})
+	<-ep.entered // first hop in its handler, second still queued
+
+	ran := make(chan struct{})
+	go func() {
+		rt.Run()
+		close(ran)
+	}()
+	select {
+	case <-ran:
+		t.Fatal("Run returned while a local hop was undelivered")
+	case <-time.After(5 * idle):
+	}
+	if rt.quiescent() {
+		t.Fatal("quiescent after a silent idle window with a local hop undelivered")
+	}
+	close(ep.release)
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after the hops were delivered")
+	}
+	if !rt.RunUntil(func() bool { return ep.got.Load() == 2 }) {
+		t.Fatalf("RunUntil gave up with %d of 2 local hops delivered", ep.got.Load())
 	}
 }
 
@@ -253,8 +455,10 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 	rtS.Do(func() { rtS.Transport().Register(a, epA) })
 	rt1.Do(func() { rt1.Transport().Register(b, epB) })
 
-	// Flood in paced batches so loopback buffers never overflow: every
-	// egress datagram is written twice by the replay fault.
+	// Flood in batches paced by the receiver catching up, so loopback
+	// buffers never overflow however slow the read loops are (under the
+	// race detector a fixed sleep is not enough): every egress datagram
+	// is written twice by the replay fault.
 	const total = 1500
 	for sent := 0; sent < total; sent += 100 {
 		lo, hi := sent, sent+100
@@ -263,7 +467,7 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 				rtS.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
 			}
 		})
-		time.Sleep(2 * time.Millisecond)
+		waitFor(t, func() bool { return epB.got.Load() >= int64(hi) })
 	}
 
 	// Every frame arrives exactly once despite the 2x flood.

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/topology"
 )
 
 // renderMembers renders a membership snapshot into a sorted,
@@ -43,20 +45,106 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// netScenario drives the shared equivalence script: joins, a handoff,
-// a leave and a failure, settling between phases.
-func netScenario(t *testing.T, svc *Service) []string {
+// slot0APs lists the access proxies that process 0 of an n-process
+// deployment hosts. A scenario meant to run unchanged on deployments of
+// different widths submits every change there, on process 0: changes
+// that climb through different processes run concurrent top-ring rounds
+// (benchmark/README.md, trap 2).
+func slot0APs(svc *Service, n int) []NodeID {
+	top := svc.Topology()
+	owners := topology.NewRingHierarchy(top.Levels, top.RingSize).SubtreeOwners(n)
+	var out []NodeID
+	for _, ap := range svc.APs() {
+		if owners[ap] == 0 {
+			out = append(out, ap)
+		}
+	}
+	return out
+}
+
+// listenProcs starts an n-process networked deployment of one group
+// inside this process: n Listen services on loopback UDP.
+func listenProcs(t *testing.T, n int, opts ...Option) []*Service {
+	t.Helper()
+	addrs := reservePorts(t, n)
+	procs := make([]*Service, n)
+	for i := range procs {
+		svc, err := Listen(addrs[i], append(opts[:len(opts):len(opts)], WithCluster(i, addrs...))...)
+		if err != nil {
+			t.Fatalf("Listen[%d]: %v", i, err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		procs[i] = svc
+	}
+	return procs
+}
+
+// awaitQuiet waits until the processes serving one group have gone
+// quiet together: every message sent anywhere was delivered or dropped
+// somewhere, and nothing moved for a few polls. Each process only sees
+// its own quiescence, so Settle alone cannot tell. It does not hold
+// under datagram faults, which duplicate deliveries.
+func awaitQuiet(t *testing.T, procs []*Service) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	var last Stats
+	for calm := 0; calm < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("deployment did not go quiet within 15s: %+v", last)
+		}
+		time.Sleep(20 * time.Millisecond)
+		sum := sumStats(procs)
+		if sum.Sent == sum.Delivered+sum.Dropped && sum == last {
+			calm++
+		} else {
+			calm, last = 0, sum
+		}
+	}
+}
+
+// sumStats adds up the transport counters of one group's processes.
+func sumStats(procs []*Service) Stats {
+	var sum Stats
+	for _, p := range procs {
+		st := p.Stats()
+		sum.Sent += st.Sent
+		sum.Delivered += st.Delivered
+		sum.Dropped += st.Dropped
+		for k, n := range st.ByKind {
+			sum.ByKind[k] += n
+		}
+	}
+	return sum
+}
+
+// assertDatagramsFlowed fails unless every process received datagrams
+// from its peers and decoded all of them: a networked run proves the
+// codec only on hops that really crossed a socket.
+func assertDatagramsFlowed(t *testing.T, procs []*Service) {
+	t.Helper()
+	for i, svc := range procs {
+		ns := svc.Runtime().(*NetRuntime).NetStats()
+		if ns.Received == 0 {
+			t.Fatalf("proc %d exchanged no datagrams", i)
+		}
+		if ns.DecodeErrors != 0 || ns.UnknownVersion != 0 {
+			t.Fatalf("proc %d wire errors: %+v", i, ns)
+		}
+	}
+}
+
+// netScenario drives the shared equivalence script on svc, entering at
+// the given access proxies: joins, a handoff, a leave and a failure,
+// settling between phases.
+func netScenario(t *testing.T, svc *Service, aps []NodeID, settle func()) []string {
 	t.Helper()
 	ctx := context.Background()
-	aps := svc.APs()
 	for g := 1; g <= 8; g++ {
 		if err := svc.JoinAt(ctx, GUID(g), aps[(g*3)%len(aps)]); err != nil {
 			t.Fatalf("join %d: %v", g, err)
 		}
 	}
-	if err := svc.Settle(ctx); err != nil {
-		t.Fatalf("settle: %v", err)
-	}
+	settle()
 	if err := svc.Handoff(ctx, GUID(2), aps[0]); err != nil {
 		t.Fatalf("handoff: %v", err)
 	}
@@ -66,9 +154,7 @@ func netScenario(t *testing.T, svc *Service) []string {
 	if err := svc.Fail(ctx, GUID(4)); err != nil {
 		t.Fatalf("fail: %v", err)
 	}
-	if err := svc.Settle(ctx); err != nil {
-		t.Fatalf("settle: %v", err)
-	}
+	settle()
 	members, err := svc.Members(ctx)
 	if err != nil {
 		t.Fatalf("members: %v", err)
@@ -76,21 +162,29 @@ func netScenario(t *testing.T, svc *Service) []string {
 	return renderMembers(members)
 }
 
+// settleOf adapts Service.Settle to netScenario.
+func settleOf(t *testing.T, svc *Service) func() {
+	return func() {
+		t.Helper()
+		if err := svc.Settle(context.Background()); err != nil {
+			t.Fatalf("settle: %v", err)
+		}
+	}
+}
+
 // TestCrossRuntimeEquivalenceNet is the acceptance check of the wire
 // redesign: the same scenario driven through the deterministic
-// simulator and through a networked runtime on loopback UDP — where
-// every message crosses a real socket through the wire codec —
-// converges to the identical membership.
+// simulator and through a three-process networked deployment on
+// loopback UDP — where every hop between two processes crosses a real
+// socket through the wire codec — converges to the identical
+// membership.
 func TestCrossRuntimeEquivalenceNet(t *testing.T) {
 	sim := openTest(t, WithHierarchy(2, 4), WithSeed(9))
-	simMembers := netScenario(t, sim)
+	aps := slot0APs(sim, 3)
+	simMembers := netScenario(t, sim, aps, settleOf(t, sim))
 
-	netSvc, err := Listen("127.0.0.1:0", WithHierarchy(2, 4), WithSeed(9))
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { netSvc.Close() })
-	netMembers := netScenario(t, netSvc)
+	procs := listenProcs(t, 3, WithHierarchy(2, 4), WithSeed(9))
+	netMembers := netScenario(t, procs[0], aps, func() { awaitQuiet(t, procs) })
 
 	if len(simMembers) == 0 {
 		t.Fatal("scenario left no members — not a meaningful equivalence check")
@@ -99,14 +193,54 @@ func TestCrossRuntimeEquivalenceNet(t *testing.T) {
 		t.Fatalf("membership diverged across runtimes:\nsim: %v\nnet: %v", simMembers, netMembers)
 	}
 	// The equivalence only means something if the datagrams really
-	// flowed: every delivery crossed the socket and decoded cleanly.
-	nrt := netSvc.Runtime().(*NetRuntime)
-	ns := nrt.NetStats()
-	if ns.Received == 0 {
-		t.Fatal("networked run exchanged no datagrams")
+	// flowed and decoded cleanly.
+	assertDatagramsFlowed(t, procs)
+}
+
+// TestListenerCountInvariance is the msgs-per-op identity: how many
+// processes a deployment is spread over decides which hops become
+// datagrams, never how many hops there are. The same changes, one at a
+// time, on one listener and on three end with the identical membership
+// and the identical delivery counts, total and per kind.
+func TestListenerCountInvariance(t *testing.T) {
+	ctx := context.Background()
+	run := func(n int) ([]string, Stats) {
+		procs := listenProcs(t, n, WithHierarchy(2, 3), WithSeed(5))
+		svc, aps := procs[0], slot0APs(procs[0], 3)
+		step := func(what string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%d listeners, %s: %v", n, what, err)
+			}
+			awaitQuiet(t, procs)
+		}
+		step("join 1", svc.JoinAt(ctx, GUID(1), aps[0]))
+		step("join 2", svc.JoinAt(ctx, GUID(2), aps[1]))
+		step("join 3", svc.JoinAt(ctx, GUID(3), aps[2]))
+		step("handoff 1", svc.Handoff(ctx, GUID(1), aps[1]))
+		step("leave 2", svc.Leave(ctx, GUID(2)))
+		step("fail 3", svc.Fail(ctx, GUID(3)))
+		members, err := svc.Members(ctx)
+		if err != nil {
+			t.Fatalf("%d listeners, members: %v", n, err)
+		}
+		if n > 1 {
+			assertDatagramsFlowed(t, procs)
+		} else if ns := svc.Runtime().(*NetRuntime).NetStats(); ns.Received != 0 {
+			t.Fatalf("a lone listener sent itself %d datagrams", ns.Received)
+		}
+		return renderMembers(members), sumStats(procs)
 	}
-	if ns.DecodeErrors != 0 || ns.UnknownVersion != 0 {
-		t.Fatalf("wire errors during equivalence run: %+v", ns)
+	oneMembers, one := run(1)
+	threeMembers, three := run(3)
+	if len(oneMembers) == 0 || one.Delivered == 0 {
+		t.Fatalf("scenario too weak: members %v, stats %+v", oneMembers, one)
+	}
+	if !reflect.DeepEqual(oneMembers, threeMembers) {
+		t.Fatalf("membership differs with the listener count:\n1: %v\n3: %v", oneMembers, threeMembers)
+	}
+	if one.Delivered != three.Delivered || one.ByKind != three.ByKind {
+		t.Fatalf("delivery counts differ with the listener count:\n1: %+v\n3: %+v", one, three)
 	}
 }
 
@@ -130,19 +264,7 @@ func clusterSettle(t *testing.T, pred func() bool) {
 // process converges to the same membership via queries.
 func TestThreeListenerCluster(t *testing.T) {
 	ctx := context.Background()
-	addrs := reservePorts(t, 3)
-
-	procs := make([]*Service, 3)
-	for i := range procs {
-		svc, err := Listen(addrs[i],
-			WithHierarchy(2, 3), WithSeed(7),
-			WithCluster(i, addrs...))
-		if err != nil {
-			t.Fatalf("Listen[%d]: %v", i, err)
-		}
-		t.Cleanup(func() { svc.Close() })
-		procs[i] = svc
-	}
+	procs := listenProcs(t, 3, WithHierarchy(2, 3), WithSeed(7))
 
 	// Every process derives the same topology; each drives joins at
 	// access proxies it may or may not own.
@@ -204,13 +326,7 @@ func TestThreeListenerCluster(t *testing.T) {
 	}
 
 	// Cross-process traffic really happened on every node.
-	for i, svc := range procs {
-		if ns := svc.Runtime().(*NetRuntime).NetStats(); ns.Received == 0 {
-			t.Fatalf("proc %d exchanged no datagrams", i)
-		} else if ns.DecodeErrors != 0 || ns.UnknownVersion != 0 {
-			t.Fatalf("proc %d wire errors: %+v", i, ns)
-		}
-	}
+	assertDatagramsFlowed(t, procs)
 }
 
 // TestDialClient: a pure client joins members and queries membership
