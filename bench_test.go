@@ -343,8 +343,8 @@ func convergenceRounds(sys *System, firstGUID, changes, spread int, spacing time
 // absorbing a 1% churn burst — 100 joins trickling in 5ms apart, the
 // arrival pattern of a flash crowd. rounds/change is the convergence
 // cost; the batched run must come in at least 5x under the unbatched
-// one (rgbbench diffs this in CI, and TestViewChangeConvergenceGuard
-// pins the ratio deterministically at smaller scale).
+// one (TestViewChangeConvergenceGuard pins the ratio deterministically
+// at smaller scale).
 func BenchmarkViewChangeConvergence(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
@@ -501,7 +501,7 @@ func wireBenchPayloads() []struct {
 }
 
 // BenchmarkWireEncode: framed encode per payload kind. B/op must be 0
-// (append-style with buffer reuse; rgbbench diffs this in CI).
+// (append-style with buffer reuse).
 func BenchmarkWireEncode(b *testing.B) {
 	from, to := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1)
 	for _, tc := range wireBenchPayloads() {

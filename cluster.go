@@ -25,28 +25,32 @@ import (
 // group's engine sees exactly the same events in the same order no
 // matter how many shards the cluster runs or which shard it lands on.
 //
-// The substrate is shared per mode:
+// Every real-time group runs on one host, shards → mux → group view:
 //
-//   - simulated (default): each group is its own deterministic
-//     simulator, bound to its shard's worker;
-//   - live (WithLiveRuntime): all groups of a shard share that shard's
-//     engine goroutine and timer arena;
-//   - networked (ListenCluster): additionally one UDP socket and the
-//     per-shard encode buffers are shared by every group, and inbound
-//     frames are demultiplexed to the owning shard by the wire
-//     envelope's group tag.
+//   - live (WithLiveRuntime): a live mux gives each group its own
+//     mailboxes on its shard's engine goroutine and timer arena;
+//   - networked (Listen, Dial, ListenCluster): a net mux additionally
+//     shares one UDP socket and the per-shard encode buffers between
+//     all groups, and demultiplexes inbound frames to the owning shard
+//     by the wire envelope's group tag.
+//
+// The deterministic simulator (the default) is the one exception: each
+// group is its own single-threaded simulator, bound to its shard's
+// worker — or, under rgb.Open, run inline on the caller.
 //
 // Open returns each group as an ordinary *Service — the entire Service
 // API (Join/Leave/Handoff/Query/Watch/Settle/...) works per group,
-// concurrently across groups. rgb.Open is the one-group special case
-// of a cluster.
+// concurrently across groups. rgb.Open, rgb.Listen and rgb.Dial are the
+// one-group special case: the same host with one shard and one group.
 type Cluster struct {
 	base serviceOptions
 
-	// single marks the inline one-group cluster built by rgb.Open: no
-	// shard workers, the group runs directly on the caller (preserving
-	// the simulator's single-threaded discipline and allocation
-	// profile) and may use any substrate Open supports.
+	// single marks the one-group cluster built by rgb.Open: one shard,
+	// the group keeps the caller's seed, and closing its Service closes
+	// the cluster. Without a real-time substrate it has no shard worker
+	// at all (set is nil): the group runs inline on the caller — a
+	// caller-supplied runtime, or the simulator with its single-threaded
+	// discipline and allocation profile intact.
 	single bool
 
 	set     *rgbruntime.ShardSet
@@ -75,25 +79,30 @@ type Cluster struct {
 // Groups are not declared up front: Open(gid) instantiates one on
 // demand. Close shuts down every group and the shared substrate.
 func NewCluster(opts ...Option) (*Cluster, error) {
-	o := defaultServiceOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if err := o.validate(); err != nil {
+	o, err := parseOptions(opts)
+	if err != nil {
 		return nil, err
 	}
 	if o.rt != nil {
 		return nil, fmt.Errorf("rgb: WithRuntime with NewCluster (a cluster shards its own substrate): %w", ErrOptionUnsupported)
 	}
+	return newCluster(o, false)
+}
+
+// newCluster builds the substrate host behind NewCluster (single
+// false) and Open (single true).
+func newCluster(o serviceOptions, single bool) (*Cluster, error) {
+	c := &Cluster{base: o, single: single, groups: make(map[GroupID]*Service)}
 	shards := o.shards
-	if shards <= 0 {
+	switch {
+	case single && (o.rt != nil || (o.netConfig == nil && o.liveConfig == nil)):
+		return c, nil // inline: no shard worker
+	case single:
+		shards = 1
+	case shards <= 0:
 		shards = runtime.GOMAXPROCS(0)
 	}
-	c := &Cluster{
-		base:   o,
-		set:    rgbruntime.NewShardSet(shards),
-		groups: make(map[GroupID]*Service),
-	}
+	c.set = rgbruntime.NewShardSet(shards)
 	switch {
 	case o.netConfig != nil:
 		nc, err := buildNetConfig(&c.base)
@@ -106,8 +115,12 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 			c.set.Close()
 			return nil, err
 		}
+		port := c.netMux.LocalAddr().Port
 		if boot, ok := c.netMux.BootstrapInfo(); ok {
-			adoptBootstrap(&c.base, boot, c.netMux.AdoptOwners, c.netMux.LocalAddr().Port)
+			adoptBootstrap(&c.base, boot, c.netMux.AdoptOwners, port)
+		}
+		if o.dialClient {
+			c.base.cfg.MHBase = clientMHBase(port)
 		}
 	case o.liveConfig != nil:
 		lc := *o.liveConfig
@@ -142,8 +155,9 @@ func ListenCluster(addr string, opts ...Option) (*Cluster, error) {
 // ring hierarchy and protocol engine on the cluster's substrate,
 // pinned to the shard ShardOf(gid). The returned Service is the same
 // type Open returns — every Service method works per group. Closing
-// the Service closes just that group; closing the Cluster closes all
-// of them.
+// the Service closes just that group (and, for the one-group cluster of
+// rgb.Open, the cluster with it); closing the Cluster closes all of
+// them.
 func (c *Cluster) Open(gid GroupID) (*Service, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -156,42 +170,54 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 
 	o := c.base // copy: per-group Config diverges (GID, Seed)
 	o.cfg.GID = gid
-	seed := o.cfg.Seed
 	if !c.single {
 		// Each group runs its own deterministic stream, derived so the
 		// same base seed reproduces the same per-group behaviour on
-		// any substrate and any shard count. The inline single-group
-		// cluster (rgb.Open) keeps the caller's seed untouched.
-		seed = seedForGroup(o.cfg.Seed, gid)
-		o.cfg.Seed = seed
+		// any substrate and any shard count. The one-group cluster
+		// (rgb.Open) keeps the caller's seed untouched.
+		o.cfg.Seed = seedForGroup(o.cfg.Seed, gid)
 	}
 
+	// A runtime the cluster builds is closed with the group's Service
+	// (a mux view's Close is scoped to the group).
 	var (
 		rt    rgbruntime.Runtime
-		owned bool
+		nrt   *rgbruntime.NetRuntime
+		owned = true
 		err   error
 	)
 	switch {
-	case c.single:
-		rt, owned, err = buildSingleRuntime(&o)
 	case c.netMux != nil:
 		// Faults ride in the mux's NetConfig (buildNetConfig), acting
 		// on the encoded datagrams; no engine-level wrapper here.
-		rt, err = c.netMux.Open(gid, c.ShardOf(gid), seed)
-		owned = true // view Close is scoped to the group
+		nrt, err = c.netMux.Open(gid, c.ShardOf(gid), o.cfg.Seed)
+		rt = nrt
 	case c.liveMux != nil:
-		rt, err = c.liveMux.Open(gid, c.ShardOf(gid), seed)
-		if err == nil {
-			rt = wrapFaults(rt, &o)
+		var lrt *rgbruntime.LiveRuntime
+		if lrt, err = c.liveMux.Open(gid, c.ShardOf(gid), o.cfg.Seed); err == nil {
+			rt = wrapFaults(lrt, &o)
 		}
-		owned = true // view Close shuts down only this group's mailboxes
+	case o.rt != nil:
+		// Caller-supplied substrate (rgb.Open only); the caller owns its
+		// lifecycle — and its message plane arrives already configured,
+		// so a loss probability requested here would be silently
+		// meaningless.
+		if o.cfg.Loss > 0 {
+			return nil, fmt.Errorf("rgb: WithLoss with a caller-supplied runtime (configure loss on the runtime itself): %w", ErrOptionUnsupported)
+		}
+		if o.faults != nil {
+			return nil, fmt.Errorf("rgb: WithFaults with a caller-supplied runtime (wrap the runtime's transport yourself): %w", ErrOptionUnsupported)
+		}
+		rt, owned = o.rt, false
 	default:
-		sim := simnet.NewSimRuntime(o.cfg.Latency, seed)
+		sim := simnet.NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
 		if o.cfg.Loss > 0 {
 			sim.Net().SetLoss(o.cfg.Loss)
 		}
-		rt, err = rgbruntime.BindShard(wrapFaults(sim, &o), c.set, c.ShardOf(gid))
-		owned = true
+		rt = wrapFaults(sim, &o)
+		if c.set != nil {
+			rt, err = rgbruntime.BindShard(rt, c.set, c.ShardOf(gid))
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -199,13 +225,12 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 
 	var sys *core.System
 	rt.Do(func() { sys = core.NewSystemOn(o.cfg, rt) })
-	if nrt, ok := rt.(*rgbruntime.NetRuntime); ok {
+	if nrt != nil {
 		// Discovery evictions feed the protocol's fail-out path: when
 		// the probe sweep declares a peer process dead, every ring that
 		// spans it excludes the dead entities immediately instead of
 		// waiting out the heartbeat silence window.
-		group := sys
-		nrt.OnPeerEvict(func(dead []NodeID) { group.FailOutRemote(dead...) })
+		nrt.OnPeerEvict(func(dead []NodeID) { sys.FailOutRemote(dead...) })
 	}
 	svc := newService(c, gid, rt, owned, sys, &o)
 	c.groups[gid] = svc
@@ -213,46 +238,6 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 		c.instrumentGroup(svc)
 	}
 	return svc, nil
-}
-
-// buildSingleRuntime is the substrate switch of the inline one-group
-// cluster (rgb.Open): caller-supplied, networked, live or simulated.
-func buildSingleRuntime(o *serviceOptions) (rgbruntime.Runtime, bool, error) {
-	switch {
-	case o.rt != nil:
-		// Caller-supplied substrate; the caller owns its lifecycle —
-		// and its message plane arrives already configured, so a loss
-		// probability requested here would be silently meaningless.
-		if o.cfg.Loss > 0 {
-			return nil, false, fmt.Errorf("rgb: WithLoss with a caller-supplied runtime (configure loss on the runtime itself): %w", ErrOptionUnsupported)
-		}
-		if o.faults != nil {
-			return nil, false, fmt.Errorf("rgb: WithFaults with a caller-supplied runtime (wrap the runtime's transport yourself): %w", ErrOptionUnsupported)
-		}
-		return o.rt, false, nil
-	case o.netConfig != nil:
-		nrt, err := buildNetRuntime(o)
-		if err != nil {
-			return nil, false, err
-		}
-		return nrt, true, nil
-	case o.liveConfig != nil:
-		lc := *o.liveConfig
-		if lc.Seed == 0 {
-			lc.Seed = o.cfg.Seed
-		}
-		if o.cfg.Loss > 0 && lc.Loss == 0 {
-			// WithLoss is emulated on the live in-process plane.
-			lc.Loss = o.cfg.Loss
-		}
-		return wrapFaults(rgbruntime.NewLiveRuntime(lc), o), true, nil
-	default:
-		sim := simnet.NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
-		if o.cfg.Loss > 0 {
-			sim.Net().SetLoss(o.cfg.Loss)
-		}
-		return wrapFaults(sim, o), true, nil
-	}
 }
 
 // wrapFaults decorates a runtime the service built itself with the
@@ -300,7 +285,7 @@ func (c *Cluster) Groups() []GroupID {
 // Shards returns the engine worker count.
 func (c *Cluster) Shards() int {
 	if c.set == nil {
-		return 1 // inline single-group cluster
+		return 1 // inline one-group cluster
 	}
 	return c.set.Len()
 }
@@ -320,30 +305,12 @@ func (c *Cluster) ShardOf(gid GroupID) int {
 
 // LocalAddr returns the bound UDP address of a networked cluster's
 // socket (useful with a ":0" bind), and false for non-networked
-// clusters. Works for both the shared-socket multi-group form
-// (ListenCluster) and the inline single-group form (rgb.Listen).
+// clusters.
 func (c *Cluster) LocalAddr() (*net.UDPAddr, bool) {
-	if c.netMux != nil {
-		return c.netMux.LocalAddr(), true
+	if c.netMux == nil {
+		return nil, false
 	}
-	if nrt := c.singleNetRuntime(); nrt != nil {
-		return nrt.LocalAddr(), true
-	}
-	return nil, false
-}
-
-// singleNetRuntime finds the networked substrate of an inline
-// single-group cluster (rgb.Listen/Dial build the group directly on a
-// NetRuntime instead of a NetMux), nil for non-networked clusters.
-func (c *Cluster) singleNetRuntime() *rgbruntime.NetRuntime {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, svc := range c.groups {
-		if nrt, ok := svc.rt.(*rgbruntime.NetRuntime); ok {
-			return nrt
-		}
-	}
-	return nil
+	return c.netMux.LocalAddr(), true
 }
 
 // Peers snapshots the live peer table of a networked cluster's
@@ -353,27 +320,46 @@ func (c *Cluster) singleNetRuntime() *rgbruntime.NetRuntime {
 // cluster (no peers, no seeds) runs no discovery plane and reports an
 // empty table.
 func (c *Cluster) Peers() ([]PeerInfo, bool) {
-	if c.netMux != nil {
-		return c.netMux.Peers(), true
+	if c.netMux == nil {
+		return nil, false
 	}
-	if nrt := c.singleNetRuntime(); nrt != nil {
-		return nrt.Peers(), true
-	}
-	return nil, false
+	return c.netMux.Peers(), true
 }
 
 // NetStats returns the wire-level counters of a networked cluster's
 // socket (aggregated over all groups), and false for non-networked
-// clusters. Works for both the shared-socket multi-group form and the
-// inline single-group form (rgb.Listen).
+// clusters.
 func (c *Cluster) NetStats() (NetStats, bool) {
-	if c.netMux != nil {
-		return c.netMux.NetStats(), true
+	if c.netMux == nil {
+		return NetStats{}, false
 	}
-	if nrt := c.singleNetRuntime(); nrt != nil {
-		return nrt.NetStats(), true
+	return c.netMux.NetStats(), true
+}
+
+// Block cuts all traffic between this process and the given peer slots
+// of a networked deployment until Unblock: datagrams to and from them —
+// every group's protocol frames and the discovery plane alike — are
+// dropped and counted in Stats.Cut. This is the networked substrate's
+// partition primitive, process-level and driven from outside the
+// protocol (the chaos harness; rgbnode's "block" command), where the
+// simulator has the entity-level Service.Partition. The process's own
+// slot is never blocked. On a non-networked cluster it returns an error
+// wrapping ErrOptionUnsupported.
+func (c *Cluster) Block(slots ...int) error {
+	if c.netMux == nil {
+		return fmt.Errorf("rgb: Block on a non-networked cluster: %w", ErrOptionUnsupported)
 	}
-	return NetStats{}, false
+	c.netMux.Block(slots...)
+	return nil
+}
+
+// Unblock removes the cut installed by Block.
+func (c *Cluster) Unblock() error {
+	if c.netMux == nil {
+		return fmt.Errorf("rgb: Unblock on a non-networked cluster: %w", ErrOptionUnsupported)
+	}
+	c.netMux.Unblock()
+	return nil
 }
 
 // Close shuts down every open group and then the shared substrate

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -348,14 +349,47 @@ func TestClusterClosedErrors(t *testing.T) {
 
 // TestOpenIsOneGroupCluster: the standalone Open carries its group
 // identity and keeps the exact caller seed (golden traces elsewhere
-// depend on it); a cluster derives distinct per-group streams.
+// depend on it) on every substrate, its cluster has one shard, and
+// closing the Service releases the whole substrate — the UDP port
+// re-binds and no goroutine is left behind. A cluster derives distinct
+// per-group streams.
 func TestOpenIsOneGroupCluster(t *testing.T) {
-	svc := openTest(t, WithHierarchy(1, 3), WithSeed(5), WithGroup(NewGroupID(12)))
-	if svc.Group() != NewGroupID(12) {
-		t.Fatalf("Group() = %v", svc.Group())
-	}
-	if got := svc.Config().Seed; got != 5 {
-		t.Fatalf("standalone Open changed the seed: %d", got)
+	addr := reservePorts(t, 1)[0]
+	opts := []Option{WithHierarchy(1, 3), WithSeed(5), WithGroup(NewGroupID(12))}
+	for name, open := range map[string]func() (*Service, error){
+		"sim":  func() (*Service, error) { return Open(opts...) },
+		"live": func() (*Service, error) { return Open(append(opts[:3:3], WithLiveRuntime(LiveConfig{}))...) },
+		"net":  func() (*Service, error) { return Listen(addr, opts...) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := goruntime.NumGoroutine()
+			// Twice: the second Listen binds the port the first released.
+			for pass := 0; pass < 2; pass++ {
+				svc, err := open()
+				if err != nil {
+					t.Fatalf("open (pass %d): %v", pass, err)
+				}
+				if svc.Group() != NewGroupID(12) {
+					t.Fatalf("Group() = %v", svc.Group())
+				}
+				if got := svc.Config().Seed; got != 5 {
+					t.Fatalf("standalone Open changed the seed: %d", got)
+				}
+				if got := svc.Cluster().Shards(); got != 1 {
+					t.Fatalf("Shards() = %d, want 1", got)
+				}
+				if err := svc.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for goruntime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before Open", goruntime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 
 	c, err := NewCluster(WithHierarchy(1, 3), WithSeed(5), WithShards(1))

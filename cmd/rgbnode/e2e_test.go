@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -373,6 +374,31 @@ func TestMultiGroupNode(t *testing.T) {
 			!strings.Contains(stats, "unknown_group=0") {
 			t.Fatalf("proc %d suspicious multi-group stats: %s", i, stats)
 		}
+	}
+
+	// block/unblock act on the shared socket, so they serve every group:
+	// with slot 1 blocked the discovery gossip between the two processes
+	// (one frame a second each way) is cut and counted within moments,
+	// well before the silence could raise a suspicion; after the unblock
+	// a join converges across the processes again.
+	procs[0].do("block 1")
+	cutRe := regexp.MustCompile(`\bcut=([1-9]\d*)`)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		procs[0].send("stats")
+		if stats := procs[0].expect("ok stats", 10*time.Second); cutRe.MatchString(stats) {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("block cut no datagram in multi-group mode: %s", stats)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	procs[0].do("unblock")
+	procs[0].do("use 2")
+	procs[0].do("join 4 1")
+	procs[1].do("use 2")
+	for _, p := range procs {
+		awaitQuery(p, "members=mh-3,mh-4")
 	}
 
 	for _, p := range procs {

@@ -25,7 +25,7 @@
 //	settle                  wait for local quiescence
 //	stats                   transport + wire counters
 //	peers                   live peer table (slot, address, state, age, frames)
-//	block <slot> [slot...]  drop all traffic to/from the given peer slots
+//	block <slot> [slot...]  drop all traffic to/from the given peer slots (every group)
 //	unblock                 clear the block rules (heal the partition)
 //	use <group>             switch the current group (multi-group mode)
 //	groups                  list hosted groups and the current one
@@ -147,11 +147,7 @@ func run(bind, advertise string, index int, peerList, httpAddr string, h, r int,
 
 	// One group keeps the classic single-Service daemon; more open an
 	// rgb.Cluster sharing the socket across group engines.
-	var (
-		svcs    []*rgb.Service
-		cluster *rgb.Cluster
-		nrt     *rgb.NetRuntime
-	)
+	var svcs []*rgb.Service
 	if groups <= 1 {
 		svc, err := rgb.Listen(bind, opts...)
 		if err != nil {
@@ -159,14 +155,12 @@ func run(bind, advertise string, index int, peerList, httpAddr string, h, r int,
 		}
 		defer svc.Close()
 		svcs = []*rgb.Service{svc}
-		nrt = svc.Runtime().(*rgb.NetRuntime)
 	} else {
 		c, err := rgb.ListenCluster(bind, opts...)
 		if err != nil {
 			return err
 		}
 		defer c.Close()
-		cluster = c
 		for i := 0; i < groups; i++ {
 			svc, err := c.Open(rgb.NewGroupID(uint32(i + 1)))
 			if err != nil {
@@ -178,20 +172,20 @@ func run(bind, advertise string, index int, peerList, httpAddr string, h, r int,
 	svc := svcs[0]
 
 	// Every mode has an owning cluster (single-group mode an implicit
-	// one): the handle for telemetry, health and the admin surface.
-	// Enabling telemetry before announcing readiness means the
+	// one): the handle for the socket, telemetry, health and the admin
+	// surface. Enabling telemetry before announcing readiness means the
 	// instrumentation observes every round and commit of the run.
 	opc := svc.Cluster()
 	reg := opc.Telemetry()
 
 	topo := svc.Topology()
-	if cluster != nil {
-		la, _ := cluster.LocalAddr()
+	la, _ := opc.LocalAddr()
+	if groups > 1 {
 		fmt.Printf("rgbnode: listening on %s index=%d groups=%d shards=%d entities=%d rings=%d aps=%d\n",
-			la, index, len(svcs), cluster.Shards(), topo.Entities, topo.Rings, topo.APs)
+			la, index, len(svcs), opc.Shards(), topo.Entities, topo.Rings, topo.APs)
 	} else {
 		fmt.Printf("rgbnode: listening on %s index=%d entities=%d rings=%d aps=%d\n",
-			nrt.LocalAddr(), index, topo.Entities, topo.Rings, topo.APs)
+			la, index, topo.Entities, topo.Rings, topo.APs)
 	}
 	if httpAddr != "" {
 		ln, err := net.Listen("tcp", httpAddr)
@@ -260,10 +254,6 @@ func run(bind, advertise string, index int, peerList, httpAddr string, h, r int,
 		case "groups":
 			fmt.Printf("ok groups n=%d current=%s\n", len(svcs), svc.Group())
 		case "block":
-			if nrt == nil {
-				fmt.Println("err block: single-group mode only")
-				continue
-			}
 			slots := make([]int, 0, len(args))
 			bad := false
 			for _, a := range args {
@@ -282,14 +272,16 @@ func run(bind, advertise string, index int, peerList, httpAddr string, h, r int,
 				fmt.Println("err usage: block <slot> [slot...]")
 				continue
 			}
-			nrt.Block(slots...)
-			fmt.Printf("ok block slots=%d\n", len(slots))
-		case "unblock":
-			if nrt == nil {
-				fmt.Println("err unblock: single-group mode only")
+			if err := opc.Block(slots...); err != nil {
+				fmt.Println("err block:", err)
 				continue
 			}
-			nrt.Unblock()
+			fmt.Printf("ok block slots=%d\n", len(slots))
+		case "unblock":
+			if err := opc.Unblock(); err != nil {
+				fmt.Println("err unblock:", err)
+				continue
+			}
 			fmt.Println("ok unblock")
 		case "settle":
 			if err := svc.Settle(ctx); err != nil {

@@ -12,9 +12,8 @@
 //   - health: every /healthz must report ok once converged
 //
 // The verdict — per-node maxima, churn op counts, final counters and
-// any SLO breaches — is written as SOAK_RGB.json (next to
-// BENCH_RGB.json when run from the repo root). A breach exits nonzero
-// so CI fails loudly.
+// any SLO breaches — is written as SOAK_RGB.json. A breach exits
+// nonzero so CI fails loudly.
 //
 //	go run ./cmd/rgbsoak -duration 60s            # builds rgbnode itself
 //	rgbsoak -rgbnode ./rgbnode -duration 30m      # overnight soak

@@ -38,31 +38,34 @@
 //	conference, _ := c.Open(rgb.NewGroupID(1)) // an ordinary *Service
 //	session, _ := c.Open(rgb.NewGroupID(2))    // runs concurrently
 //
-// rgb.Open is the one-group special case of a cluster. See
-// Example_cluster for a complete program.
+// rgb.Open (like rgb.Listen and rgb.Dial) is the one-group special case
+// of a cluster. See Example_cluster for a complete program.
 //
 // # Substrates
 //
 // The protocol engine talks only to the runtime substrate interfaces
 // (Clock, Transport), and every payload it sends is a typed member of
 // the wire union with a versioned binary encoding. By default it runs
-// on the deterministic discrete-event simulator (NewSimRuntime);
-// rgb.WithLiveRuntime / rgb.NewLiveRuntime run the identical engine
-// live in-process on real timers and mailbox goroutines; and
-// rgb.Listen / rgb.Dial run it networked over real UDP sockets, where
-// multiple processes (see cmd/rgbnode) each host a slice of the
-// hierarchy and exchange wire-encoded datagrams. rgb.ListenCluster
-// serves many groups over one socket: each datagram envelope carries
-// its group tag, and inbound frames are demultiplexed to the engine
-// shard owning that group.
+// on the deterministic discrete-event simulator (NewSimRuntime), inline
+// on the caller under rgb.Open. Everything on real time is one host —
+// engine shards, a mux over them, one runtime view per group —
+// whether it serves one group or many: rgb.WithLiveRuntime runs the
+// identical engine live in-process on real timers and mailbox
+// goroutines; rgb.Listen / rgb.Dial run it networked over real UDP
+// sockets, where multiple processes (see cmd/rgbnode) each host a
+// slice of the hierarchy and exchange wire-encoded datagrams; and
+// rgb.ListenCluster serves many groups over the same kind of socket:
+// each datagram envelope carries its group tag, and inbound frames are
+// demultiplexed to the engine shard owning that group. rgb.WithRuntime
+// accepts a caller-supplied substrate.
 //
 // # Layout
 //
 // The implementation packages underneath:
 //
-//   - the runtime substrate and its implementations, including the
-//     multi-group shard muxes (internal/runtime, internal/des,
-//     internal/simnet);
+//   - the runtime substrate and its implementations: the simulator
+//     and the real-time host of shards, muxes and group views
+//     (internal/runtime, internal/des, internal/simnet);
 //   - the ring-based hierarchy and the One-Round Token Passing
 //     Membership algorithm with failure detection, local repair, and
 //     the TMS/BMS/IMS Membership-Query schemes (internal/core and its

@@ -36,7 +36,7 @@ func TestFaultsNetworkedLiveGroup(t *testing.T) {
 
 	var received, faults uint64
 	for _, p := range procs {
-		ns := p.Runtime().(*NetRuntime).NetStats()
+		ns := netStatsOf(t, p)
 		received += ns.Received
 		faults += ns.FaultCorrupt + ns.FaultReplay + ns.FaultMisroute + ns.FaultReorder
 	}

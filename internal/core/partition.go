@@ -258,21 +258,29 @@ func (s *System) probeExcluded(leader *Node, ringNodes []ids.NodeID) {
 
 // FunctionWellRings counts rings whose every surviving node currently
 // reports RingOK — the protocol-level Function-Well census used by
-// tests and the failover example.
+// tests and the failover example. The census covers the entities this
+// process hosts: a ring with no local member is not counted.
 func (s *System) FunctionWellRings() (ok, total int) {
 	for _, rg := range s.hier.Rings() {
-		total++
-		well := true
+		hosted, well := false, true
 		for _, m := range rg.Nodes() {
+			n := s.nodes[m]
+			if n == nil {
+				continue // hosted by another process
+			}
+			hosted = true
 			if s.tr.Crashed(m) {
 				continue
 			}
-			n := s.nodes[m]
 			if !n.ringOK || !n.rosterContains(m) {
 				well = false
 				break
 			}
 		}
+		if !hosted {
+			continue
+		}
+		total++
 		if well {
 			ok++
 		}
@@ -280,19 +288,19 @@ func (s *System) FunctionWellRings() (ok, total int) {
 	return ok, total
 }
 
-// RosterAgreement checks that every live member of every ring agrees
-// on the roster and leader, returning the number of disagreeing
-// rings. Zero means the hierarchy's views converged.
+// RosterAgreement checks that every live member of every ring hosted
+// by this process agrees on the roster and leader, returning the number
+// of disagreeing rings. Zero means the hosted views converged.
 func (s *System) RosterAgreement() int {
 	disagree := 0
 	for _, rg := range s.hier.Rings() {
 		var ref *Node
 		bad := false
 		for _, m := range rg.Nodes() {
-			if s.tr.Crashed(m) {
+			n := s.nodes[m]
+			if n == nil || s.tr.Crashed(m) {
 				continue
 			}
-			n := s.nodes[m]
 			if ref == nil {
 				ref = n
 				continue

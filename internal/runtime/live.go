@@ -12,20 +12,17 @@ import (
 
 var _ Runtime = (*LiveRuntime)(nil)
 
-// LiveConfig parameterizes a LiveRuntime (and, through LiveMux, every
-// group of a live multi-group cluster).
+// LiveConfig parameterizes a LiveMux: every group of a live in-process
+// deployment. Each group's jitter/loss stream is seeded by its Open.
 type LiveConfig struct {
 	// Latency is the message delay model; nil selects a constant
 	// 200µs, which keeps in-process deployments snappy while still
-	// exercising genuinely asynchronous delivery. On a LiveMux the
-	// one model instance is shared by every group across all engine
-	// shards, so a caller-supplied model must be safe for concurrent
-	// Latency calls (the built-in models are: they keep no mutable
-	// state — the RNG is passed in per call).
+	// exercising genuinely asynchronous delivery. The one model
+	// instance is shared by every group across all engine shards, so a
+	// caller-supplied model must be safe for concurrent Latency calls
+	// (the built-in models are: they keep no mutable state — the RNG is
+	// passed in per call).
 	Latency LatencyModel
-
-	// Seed seeds the latency-jitter and loss RNG.
-	Seed uint64
 
 	// Loss is the independent per-message loss probability.
 	Loss float64
@@ -35,17 +32,16 @@ type LiveConfig struct {
 	// Zero selects 1024.
 	MailboxDepth int
 
-	// SettleTimeout bounds Run/RunUntil on LiveMux group views: the
-	// pending counter is shard-wide, so a busy sibling group could
-	// otherwise block a settled group's Run indefinitely. Zero selects
-	// 5s. A standalone LiveRuntime ignores it (its pending counter is
-	// exactly its own work, so Run waits for true quiescence).
+	// SettleTimeout bounds Run/RunUntil: the pending counter is
+	// shard-wide, so a busy sibling group could otherwise block a
+	// settled group's Run indefinitely. Zero selects 5s.
 	SettleTimeout time.Duration
 }
 
-// engineCore is the single-goroutine execution discipline shared by
-// the real-time runtimes (the in-process LiveRuntime and the UDP
-// NetRuntime): one engine goroutine owns all protocol state, a pending
+// engineCore is one engine shard's single-goroutine execution
+// discipline, shared by the real-time runtimes (the in-process
+// LiveRuntime and the UDP NetRuntime views pinned to the shard): one
+// engine goroutine owns all protocol state, a pending
 // counter tracks outstanding units of work (armed timers, in-flight
 // local deliveries), and close semantics drain the queue. It is the
 // live-side counterpart of the simulator kernel's event loop.
@@ -206,47 +202,39 @@ func (e *engineCore) do(fn func()) {
 	}
 }
 
-// stop shuts the engine down, running prep in engine context first.
-// Idempotent.
-func (e *engineCore) stop(prep func()) {
+// stop shuts the engine down. Idempotent.
+func (e *engineCore) stop() {
 	e.closeOnce.Do(func() {
-		if prep != nil {
-			e.do(prep)
-		}
 		close(e.closed)
 		e.wg.Wait()
 	})
 }
 
-// LiveRuntime runs the protocol engine in-process on real time: per-
-// node mailbox goroutines deliver messages after their model latency,
-// timers are real time.Timers, and a single engine goroutine
-// serializes every protocol callback — the same single-writer
-// discipline the simulator gets for free, enforced here with channels
-// instead of a virtual clock.
+// LiveRuntime is one group's view of a LiveMux: the protocol engine
+// in-process on real time. Per-node mailbox goroutines deliver messages
+// after their model latency, timers are real time.Timers, and the
+// group's engine shard serializes every protocol callback — the same
+// single-writer discipline the simulator gets for free, enforced here
+// with channels instead of a virtual clock.
 //
-// The engine goroutine owns all protocol state. External callers
-// reach it through Do; mailbox pumps and timer firings enqueue onto
-// the same serialization channel, so handlers never race.
+// The shard's engine goroutine owns all protocol state. External
+// callers reach it through Do; mailbox pumps and timer firings enqueue
+// onto the same serialization channel, so handlers never race.
 type LiveRuntime struct {
 	eng   *engineCore
 	clock *liveClock
 	tr    *liveTransport
 
-	// sharedEngine marks a view obtained from LiveMux.Open: the engine
-	// shard and clock belong to the mux, so Close only shuts down this
-	// group's mailboxes and deregisters the group (mux/muxGID) so the
-	// identity can be reopened. settleBound caps Run/RunUntil on such
-	// views — the shard-wide pending counter includes sibling groups'
-	// work, so waiting for it to hit zero must not be unbounded.
-	sharedEngine bool
-	mux          *LiveMux
-	muxGID       ids.GroupID
-	settleBound  time.Duration
+	mux *LiveMux
+	gid ids.GroupID
+
+	// settleBound caps Run/RunUntil: the shard-wide pending counter
+	// includes sibling groups' work, so waiting for it to hit zero must
+	// not be unbounded.
+	settleBound time.Duration
 }
 
-// liveDefaults fills the zero-value LiveConfig knobs (shared by the
-// standalone constructor and the mux).
+// liveDefaults fills the zero-value LiveConfig knobs.
 func liveDefaults(cfg *LiveConfig) {
 	if cfg.Latency == nil {
 		cfg.Latency = ConstantLatency(200 * time.Microsecond)
@@ -259,9 +247,8 @@ func liveDefaults(cfg *LiveConfig) {
 	}
 }
 
-// newLiveTransport builds the mailbox transport half of a live
-// runtime. eng/clock are the owning engine (a runtime's own, or a mux
-// shard's); seed seeds this transport's jitter/loss stream.
+// newLiveTransport builds one group's mailbox transport on an engine
+// shard; seed seeds the group's jitter/loss stream.
 func newLiveTransport(eng *engineCore, clock *liveClock, cfg LiveConfig, seed uint64) *liveTransport {
 	return &liveTransport{
 		eng:       eng,
@@ -275,15 +262,6 @@ func newLiveTransport(eng *engineCore, clock *liveClock, cfg LiveConfig, seed ui
 	}
 }
 
-// NewLiveRuntime starts a live runtime. The caller must Close it.
-func NewLiveRuntime(cfg LiveConfig) *LiveRuntime {
-	liveDefaults(&cfg)
-	rt := &LiveRuntime{eng: newEngineCore()}
-	rt.clock = &liveClock{eng: rt.eng}
-	rt.tr = newLiveTransport(rt.eng, rt.clock, cfg, cfg.Seed)
-	return rt
-}
-
 // Clock implements Runtime.
 func (rt *LiveRuntime) Clock() Clock { return rt.clock }
 
@@ -291,24 +269,17 @@ func (rt *LiveRuntime) Clock() Clock { return rt.clock }
 func (rt *LiveRuntime) Transport() Transport { return rt.tr }
 
 // Do implements Runtime: fn runs on the engine goroutine; Do returns
-// once it completed. After Close, Do returns without running fn.
+// once it completed. After the shard set closed, Do returns without
+// running fn.
 func (rt *LiveRuntime) Do(fn func()) { rt.eng.do(fn) }
 
 // Run implements Runtime: it blocks until no timers are armed and no
-// messages are in flight. The pending counter is monotone in the
-// sense that new work is registered before the work that created it
-// retires, so reading zero means true quiescence. On a LiveMux view
-// the counter is shard-wide (it includes sibling groups' work), so
-// the wait is additionally bounded by the settle timeout.
+// messages are in flight on the group's shard, or the settle timeout.
+// New work is registered before the work that created it retires, so
+// reading zero means true quiescence.
 func (rt *LiveRuntime) Run() {
-	var deadline time.Time
-	if rt.settleBound > 0 {
-		deadline = time.Now().Add(rt.settleBound)
-	}
-	for rt.eng.pending.Load() != 0 {
-		if rt.settleBound > 0 && !time.Now().Before(deadline) {
-			return
-		}
+	deadline := time.Now().Add(rt.settleBound)
+	for rt.eng.pending.Load() != 0 && time.Now().Before(deadline) {
 		select {
 		case <-rt.eng.closed:
 			return
@@ -326,32 +297,22 @@ func (rt *LiveRuntime) RunFor(d time.Duration) {
 }
 
 // RunUntil implements Runtime: it waits until pred, evaluated in engine
-// context, reports true or the runtime quiesces without it (bounded by
-// the settle timeout on a LiveMux view, whose pending counter is
-// shard-wide), matching the simulator's drained-queue behaviour.
+// context, reports true or the shard quiesces without it (bounded by
+// the settle timeout), matching the simulator's drained-queue
+// behaviour.
 func (rt *LiveRuntime) RunUntil(pred func() bool) bool {
 	deadline := time.Now().Add(rt.settleBound)
 	return rt.eng.await(pred, 200*time.Microsecond, func() bool {
-		return rt.eng.pending.Load() == 0 ||
-			(rt.settleBound > 0 && !time.Now().Before(deadline))
+		return rt.eng.pending.Load() == 0 || !time.Now().Before(deadline)
 	})
 }
 
-// Close implements Runtime: it stops the engine and the mailbox
-// pumps. In-flight work is dropped. On a LiveMux view the engine shard
-// belongs to the mux; Close shuts down only this group's mailboxes and
-// releases the group identity for reopening.
+// Close implements Runtime: it stops this group's mailbox pumps and
+// releases the group identity for reopening. In-flight work is dropped.
+// The engine shard belongs to the ShardSet and keeps running.
 func (rt *LiveRuntime) Close() error {
-	if rt.sharedEngine {
-		rt.eng.do(rt.tr.closeMailboxes)
-		if rt.mux != nil {
-			rt.mux.release(rt.muxGID)
-		}
-		return nil
-	}
-	// Close mailboxes from engine context so the map is stable, then
-	// stop the engine itself.
-	rt.eng.stop(rt.tr.closeMailboxes)
+	rt.eng.do(rt.tr.closeMailboxes)
+	rt.mux.release(rt.gid)
 	return nil
 }
 
@@ -371,7 +332,7 @@ type liveTimerSlot struct {
 
 // liveClock implements Clock on real time.Timers. All state is owned
 // by the engine goroutine; timer firings re-enter through eng.submit.
-// It serves every real-time runtime (LiveRuntime and NetRuntime).
+// One per engine shard, serving every group view pinned to it.
 type liveClock struct {
 	eng   *engineCore
 	slots []liveTimerSlot

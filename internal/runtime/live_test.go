@@ -9,10 +9,20 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
+// newTestLive opens one live group the way every caller gets one: a
+// one-shard set, a mux over it, one group view.
 func newTestLive(t *testing.T) *LiveRuntime {
 	t.Helper()
-	rt := NewLiveRuntime(LiveConfig{Latency: ConstantLatency(100 * time.Microsecond), Seed: 1})
-	t.Cleanup(func() { rt.Close() })
+	set := NewShardSet(1)
+	mux := NewLiveMux(LiveConfig{Latency: ConstantLatency(100 * time.Microsecond)}, set)
+	rt, err := mux.Open(ids.NewGroupID(1), 0, 1)
+	if err != nil {
+		t.Fatalf("LiveMux.Open: %v", err)
+	}
+	t.Cleanup(func() {
+		mux.Close()
+		set.Close()
+	})
 	return rt
 }
 
@@ -95,7 +105,7 @@ func TestLiveTicker(t *testing.T) {
 
 // echoEndpoint replies once to every message it receives.
 type echoEndpoint struct {
-	rt   *LiveRuntime
+	rt   Runtime
 	id   ids.NodeID
 	got  atomic.Int64
 	peer ids.NodeID
@@ -230,7 +240,7 @@ func TestEngineAwaitWakesOnWork(t *testing.T) {
 }
 
 func TestLiveCloseIdempotent(t *testing.T) {
-	rt := NewLiveRuntime(LiveConfig{})
+	rt := newTestLive(t)
 	rt.Do(func() {
 		rt.Transport().Register(ids.MakeNodeID(ids.TierAP, 1), EndpointFunc(func(Message) {}))
 	})

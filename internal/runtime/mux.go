@@ -12,24 +12,25 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// Multi-group sharding. A membership proxy in the mobile Internet
-// serves many concurrent groups (conferences, sessions) from one
-// process; running one engine goroutine — or one whole process — per
-// group is the opposite of scalable. The types here multiplex many
-// independent protocol engines over shared execution and transport
-// resources:
+// The real-time host. A membership proxy in the mobile Internet serves
+// many concurrent groups (conferences, sessions) from one process;
+// running one engine goroutine — or one whole process — per group is
+// the opposite of scalable. Every real-time group therefore runs on the
+// same three layers, shards → mux → group view, and a single group is
+// simply a one-shard set with one group open:
 //
 //   - ShardSet: a fixed pool of engine shards (one goroutine + one
 //     timer wheel each). Every group is pinned to one shard, so
 //     per-group state keeps the single-writer discipline while
 //     different shards run genuinely in parallel.
-//   - BindShard: runs any single-threaded Runtime (in practice the
-//     deterministic simulator) on a shard, serializing all access.
-//   - LiveMux: many groups of live in-process runtimes sharing the
-//     set's engine shards.
-//   - NetMux: many groups sharing one UDP socket; inbound frames are
+//   - LiveMux: groups of live in-process runtimes sharing the set's
+//     engine shards; Open hands out a *LiveRuntime view per group.
+//   - NetMux: groups sharing one UDP socket; inbound frames are
 //     demultiplexed to the owning group's shard by the wire envelope's
 //     group tag, and the outbound encode buffer is shared per shard.
+//     Open hands out a *NetRuntime view per group.
+//   - BindShard: runs any single-threaded Runtime (in practice the
+//     deterministic simulator) on a shard, serializing all access.
 //
 // Errors are sentinel values matched with errors.Is.
 var (
@@ -89,7 +90,7 @@ func (s *ShardSet) Do(shard int, fn func()) { s.shards[shard].eng.do(fn) }
 // dropped.
 func (s *ShardSet) Close() error {
 	for _, sh := range s.shards {
-		sh.eng.stop(nil)
+		sh.eng.stop()
 	}
 	return nil
 }
@@ -159,9 +160,9 @@ func NewLiveMux(cfg LiveConfig, set *ShardSet) *LiveMux {
 }
 
 // Open starts group gid on the given shard with its own seed and
-// returns its Runtime view. The view's Close shuts down only this
+// returns its runtime view. The view's Close shuts down only this
 // group's mailboxes; the engine shards stay up for the other groups.
-func (m *LiveMux) Open(gid ids.GroupID, shard int, seed uint64) (Runtime, error) {
+func (m *LiveMux) Open(gid ids.GroupID, shard int, seed uint64) (*LiveRuntime, error) {
 	if shard < 0 || shard >= len(m.set.shards) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, len(m.set.shards))
 	}
@@ -176,10 +177,10 @@ func (m *LiveMux) Open(gid ids.GroupID, shard int, seed uint64) (Runtime, error)
 	sh := m.set.shards[shard]
 	view := &LiveRuntime{
 		eng: sh.eng, clock: sh.clock,
-		sharedEngine: true, mux: m, muxGID: gid,
+		tr:  newLiveTransport(sh.eng, sh.clock, m.cfg, seed),
+		mux: m, gid: gid,
 		settleBound: m.cfg.SettleTimeout,
 	}
-	view.tr = newLiveTransport(sh.eng, sh.clock, m.cfg, seed)
 	m.groups[gid] = view
 	return view, nil
 }
@@ -213,13 +214,11 @@ func (m *LiveMux) Close() error {
 
 // NetMux hosts many groups over one UDP socket: the read loop
 // demultiplexes each inbound frame to the owning group's engine shard
-// by the envelope's group tag (an untagged — wire version 1 or group 0
-// — frame goes to the default group, the first one opened), and all
-// groups of a shard share that shard's encode buffer and local-hop
-// FIFO, so the steady-state multi-group send path allocates nothing
-// beyond the single-group one. The peer address book is resolved once
-// and shared read-only by every group: all groups of a deployment see
-// the same hierarchy partition.
+// by the envelope's group tag, and all groups of a shard share that
+// shard's encode buffer and local-hop FIFO, so the steady-state
+// multi-group send path allocates nothing beyond the one-group one. The
+// peer address book is resolved once and shared read-only by every
+// group: all groups of a deployment see the same hierarchy partition.
 type NetMux struct {
 	cfg  NetConfig
 	set  *ShardSet
@@ -238,10 +237,9 @@ type NetMux struct {
 	closedCh  chan struct{}
 	closeOnce sync.Once
 
-	mu       sync.RWMutex
-	closed   bool
-	groups   map[ids.GroupID]*NetRuntime
-	defGroup *NetRuntime
+	mu     sync.RWMutex
+	closed bool
+	groups map[ids.GroupID]*NetRuntime
 }
 
 // NewNetMux binds the shared socket and starts the demultiplexing read
@@ -304,7 +302,9 @@ func (m *NetMux) Peers() []discovery.PeerInfo { return m.book.table.Snapshot() }
 // resolve routes one inbound frame to the owning group's transport. It
 // runs on the read goroutine; discovery control frames are intercepted
 // (and liveness recorded) before the group table is consulted under
-// its read lock (writes only happen in Open/Close).
+// its read lock (writes only happen in Open/Close). A frame tagged for
+// a group this process does not host is dropped and counted instead of
+// being delivered into another group's engine.
 func (m *NetMux) resolve(f wire.Frame, src *net.UDPAddr) *netTransport {
 	if m.disc != nil {
 		m.book.table.Seen(src)
@@ -314,24 +314,17 @@ func (m *NetMux) resolve(f wire.Frame, src *net.UDPAddr) *netTransport {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if f.Group != 0 {
-		if view, ok := m.groups[f.Group]; ok {
-			return view.tr
-		}
-		m.sock.unknownGroup.Add(1)
-		return nil
-	}
-	if m.defGroup != nil {
-		return m.defGroup.tr
+	if view, ok := m.groups[f.Group]; ok {
+		return view.tr
 	}
 	m.sock.unknownGroup.Add(1)
 	return nil
 }
 
 // Open starts group gid on the given shard with its own loss-emulation
-// seed and returns its Runtime view (a *NetRuntime whose Close is a
-// no-op — the socket and shards belong to the mux).
-func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (Runtime, error) {
+// seed and returns its runtime view (whose Close only deregisters the
+// group — the socket and shards belong to the mux and its set).
+func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (*NetRuntime, error) {
 	if shard < 0 || shard >= len(m.set.shards) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, len(m.set.shards))
 	}
@@ -344,40 +337,51 @@ func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (Runtime, error) 
 		return nil, fmt.Errorf("%w: %v", ErrGroupOpen, gid)
 	}
 	sh := m.set.shards[shard]
-	cfg := m.cfg
-	cfg.Seed = seed
 	view := &NetRuntime{
 		eng:           sh.eng,
 		clock:         sh.clock,
-		settleTimeout: cfg.SettleTimeout,
-		quiesceIdle:   cfg.QuiesceIdle,
+		tr:            newNetTransport(m, sh, gid, seed),
+		settleTimeout: m.cfg.SettleTimeout,
+		quiesceIdle:   m.cfg.QuiesceIdle,
 		mux:           m,
-		muxGID:        gid,
+		gid:           gid,
 	}
-	view.tr = newNetTransport(sh.eng, sh.clock, m.sock, m.book, sh.bufs, cfg, gid)
-	view.disc = m.disc
-	view.tr.disc = m.disc
 	m.groups[gid] = view
-	if m.defGroup == nil {
-		m.defGroup = view
-	}
 	return view, nil
 }
 
 // release deregisters a group closed through its runtime view: its
 // frames stop being dispatched (counted as UnknownGroup instead) and
-// the identity can be opened again. If the default group closes,
-// untagged frames are dropped (and counted) until a new group opens.
+// the identity can be opened again.
 func (m *NetMux) release(gid ids.GroupID) {
 	m.mu.Lock()
-	if view, ok := m.groups[gid]; ok {
-		delete(m.groups, gid)
-		if m.defGroup == view {
-			m.defGroup = nil
-		}
-	}
+	delete(m.groups, gid)
 	m.mu.Unlock()
 }
+
+// Block cuts traffic to and from the given peer slots until Unblock:
+// egress datagrams to them and ingress datagrams from them — protocol
+// and discovery alike, for every group — are dropped and counted in
+// Stats.Cut. This is the networked substrate's partition primitive:
+// process-level, driven from outside the protocol (the chaos harness),
+// unlike the simulator's entity-level Partitionable cut. The self slot
+// is never blocked — a partition separates a process from its peers,
+// and its own entities reach one another without the socket anyway.
+func (m *NetMux) Block(slots ...int) {
+	blocked := make(map[string]bool, len(slots))
+	for _, s := range slots {
+		if s == m.book.selfIndex {
+			continue
+		}
+		if a := m.book.slotAddr(s); a != nil {
+			blocked[a.String()] = true
+		}
+	}
+	m.sock.blocked.Store(&blocked)
+}
+
+// Unblock removes the cut installed by Block.
+func (m *NetMux) Unblock() { m.sock.blocked.Store(nil) }
 
 // LocalAddr returns the address the shared socket actually bound.
 func (m *NetMux) LocalAddr() *net.UDPAddr {

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -38,7 +37,7 @@ func awaitMessage(t *testing.T, ch chan Message) Message {
 func TestNetMuxGroupDemux(t *testing.T) {
 	set := NewShardSet(2)
 	defer set.Close()
-	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0", Seed: 1}, set)
+	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0"}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +82,26 @@ func TestNetMuxGroupDemux(t *testing.T) {
 	if got := awaitMessage(t, epB.ch); got.Group != gidB {
 		t.Fatalf("default-stamped group = %v, want %v", got.Group, gidB)
 	}
+
+	// Frames tagged for a group nobody hosts — group 0 is no exception —
+	// are counted, not delivered.
+	conn, err := net.DialUDP("udp", nil, mux.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, stray := range []ids.GroupID{ids.NewGroupID(404), 0} {
+		if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{
+			From: src, To: target, Group: stray, Class: byte(KindControl), TTL: 4,
+			Payload: wire.Probe{Seq: 12},
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return mux.NetStats().UnknownGroup == 2 })
+	if len(epA.ch) != 0 || len(epB.ch) != 0 {
+		t.Fatalf("stray-group frames delivered: A=%d B=%d", len(epA.ch), len(epB.ch))
+	}
 }
 
 // TestNetMuxLocalHopsStayInGroup: two groups pinned to one shard share
@@ -92,7 +111,7 @@ func TestNetMuxGroupDemux(t *testing.T) {
 func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	set := NewShardSet(1)
 	defer set.Close()
-	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0", Seed: 1}, set)
+	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0"}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,71 +158,6 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	}
 	if ns := mux.NetStats(); ns.Received != 0 {
 		t.Fatalf("co-hosted hops reached the shared socket: %+v", ns)
-	}
-}
-
-// TestNetMuxUntaggedFrameRoutesToDefaultGroup: a wire-v1 (untagged)
-// datagram written straight to the shared socket lands in the first
-// group opened — the compatibility contract for pre-group peers.
-func TestNetMuxUntaggedFrameRoutesToDefaultGroup(t *testing.T) {
-	set := NewShardSet(1)
-	defer set.Close()
-	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0", Seed: 1}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mux.Close()
-
-	gid := ids.NewGroupID(9)
-	rt, err := mux.Open(gid, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := ids.MakeNodeID(ids.TierAP, 3)
-	ep := newCollect()
-	rt.Do(func() { rt.Transport().Register(target, ep) })
-
-	// Hand-encode the v1 envelope: no group word.
-	frame := []byte{'R', 'G', wire.VersionUntagged, byte(KindControl), 4}
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(ids.MakeNodeID(ids.TierAP, 4)))
-	frame = binary.LittleEndian.AppendUint64(frame, uint64(target))
-	frame = wire.AppendPayload(frame, wire.Probe{Seq: 11})
-
-	conn, err := net.DialUDP("udp", nil, mux.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-
-	got := awaitMessage(t, ep.ch)
-	if got.Group != 0 || got.Body.(wire.Probe).Seq != 11 {
-		t.Fatalf("untagged delivery = %+v", got)
-	}
-
-	// A tagged frame for a group nobody hosts is counted, not
-	// delivered.
-	stray := wire.AppendFrame(nil, wire.Frame{
-		From: ids.MakeNodeID(ids.TierAP, 4), To: target,
-		Group: ids.NewGroupID(404), Class: byte(KindControl), TTL: 4,
-		Payload: wire.Probe{Seq: 12},
-	})
-	if _, err := conn.Write(stray); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for mux.NetStats().UnknownGroup == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("UnknownGroup never counted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	select {
-	case m := <-ep.ch:
-		t.Fatalf("stray-group frame delivered: %+v", m)
-	default:
 	}
 }
 
@@ -256,9 +210,9 @@ func TestBindShardSerializes(t *testing.T) {
 	set := NewShardSet(2)
 	defer set.Close()
 
-	// A trivial single-threaded runtime stand-in: the LiveRuntime is
+	// A trivial single-threaded runtime stand-in: a live group view is
 	// convenient and closes cleanly.
-	inner := NewLiveRuntime(LiveConfig{Latency: ConstantLatency(time.Microsecond)})
+	inner := newTestLive(t)
 	bound, err := BindShard(inner, set, 1)
 	if err != nil {
 		t.Fatal(err)

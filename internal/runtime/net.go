@@ -20,8 +20,8 @@ var _ Runtime = (*NetRuntime)(nil)
 // it the map is simply cleared — learning re-warms on the next packet.
 const bookLimit = 4096
 
-// NetConfig parameterizes a NetRuntime — the networked substrate where
-// each process hosts a subset of the hierarchy's entities. A message
+// NetConfig parameterizes a NetMux — the networked substrate where each
+// process hosts a subset of the hierarchy's entities. A message
 // for an entity of another process crosses a real UDP socket through
 // the wire codec; one for an entity of the same process is handed over
 // in memory (see netTransport.Send).
@@ -91,14 +91,6 @@ type NetConfig struct {
 	EvictAfter     time.Duration
 	DedupTTL       time.Duration
 
-	// Group, when nonzero, is the single group this runtime hosts:
-	// inbound frames tagged with a different nonzero group are dropped
-	// and counted as UnknownGroup instead of being delivered into the
-	// wrong group's engine. Zero accepts any tag. Untagged (wire-v1 or
-	// group-0) frames are always accepted. Multi-group receivers use
-	// NetMux instead.
-	Group ids.GroupID
-
 	// MHSlotShift, when non-zero, routes mobile-host-tier endpoint IDs
 	// by ownership block: the Peers slot of an MH endpoint is its
 	// ordinal right-shifted by MHSlotShift. Processes mint their MH
@@ -108,19 +100,17 @@ type NetConfig struct {
 	// clients) fall back to learned/default routes.
 	MHSlotShift uint
 
-	// Seed seeds the loss-emulation RNG.
-	Seed uint64
-
 	// Loss is an emulated independent egress loss probability, so
 	// loss-model experiments run unchanged on the networked substrate.
+	// Each group's loss stream is seeded by its Open.
 	Loss float64
 
 	// Faults configures adversarial egress fault injection (corrupt,
 	// duplicate/replay, misroute, reorder) on the encoded datagrams —
 	// the networked twin of the engine-level FaultTransport. A hop
 	// between two entities of one process never becomes a datagram and
-	// is not subject to them. A zero Faults.Seed derives from Seed.
-	// Inactive by default.
+	// is not subject to them. A zero Faults.Seed derives from each
+	// group's own seed. Inactive by default.
 	Faults FaultPlan
 
 	// TTL is the relay hop budget stamped on egress frames (default 8).
@@ -139,15 +129,14 @@ type NetConfig struct {
 
 // NetStats counts wire-level events that the substrate-agnostic Stats
 // cannot see: decode failures, version mismatches, routing misses and
-// relays. On a multi-group runtime (NetMux) the socket-level counters
-// (Received, DecodeErrors, UnknownVersion, UnknownGroup) are
-// maintained once per socket; the routing counters are per group and
-// aggregated by NetMux.NetStats.
+// relays. The socket-level counters (Received, DecodeErrors,
+// UnknownVersion, UnknownGroup) are maintained once per socket; the
+// routing counters are per group and aggregated by NetMux.NetStats.
 type NetStats struct {
 	Received       uint64 // datagrams read from the socket (co-hosted hops are not datagrams)
 	DecodeErrors   uint64 // frames rejected by the codec
 	UnknownVersion uint64 // frames from a different wire version
-	UnknownGroup   uint64 // group-tagged frames for a group not hosted here
+	UnknownGroup   uint64 // frames tagged for a group not hosted here
 	UnknownPeer    uint64 // frames/sends with no route to the destination
 	Relayed        uint64 // frames forwarded toward their owner
 	TTLExpired     uint64 // relay candidates dropped at TTL exhaustion
@@ -160,19 +149,18 @@ type NetStats struct {
 	FaultReorder  uint64 // datagrams held back and released after the next send
 
 	// Discovery-plane counters. PeerJoined/PeerEvicted/GossipFrames
-	// are table-level (maintained once per socket on a NetMux);
-	// DupDropped is per group and aggregated like the routing counters.
+	// are table-level (maintained once per socket); DupDropped is per
+	// group and aggregated like the routing counters.
 	PeerJoined   uint64 // peers that joined, rejoined or moved address
 	PeerEvicted  uint64 // liveness evictions issued by the probe sweep
 	GossipFrames uint64 // discovery frames sent (hello/peer-list/probe)
 	DupDropped   uint64 // duplicate relayed frames dropped by the dedup map
 }
 
-// netSock is the shared socket of a networked runtime: the one UDP
-// connection, its activity clock and its socket-level counters. The
-// single-group NetRuntime owns one; a NetMux shares one across every
-// group it hosts. The counters are atomics because the read loop and
-// NetStats readers run off-engine.
+// netSock is the socket of a NetMux, shared by every group it hosts:
+// the one UDP connection, its activity clock and its socket-level
+// counters. The counters are atomics because the read loop and NetStats
+// readers run off-engine.
 type netSock struct {
 	conn         *net.UDPConn
 	lastActivity atomic.Int64 // UnixNano of the last send or receive
@@ -182,11 +170,13 @@ type netSock struct {
 	unknownVersion atomic.Uint64
 	unknownGroup   atomic.Uint64
 
-	// blocked mirrors the transport's blocked-peer cut for the paths
-	// that run off the engine goroutine: the ingress read loop and the
-	// discovery plane's egress. A partition that only cut protocol
-	// frames while discovery kept hearing the peer would never declare
-	// it dead — the cut must silence every datagram, like a real one.
+	// blocked, when non-nil, is the process-level partition cut
+	// (NetMux.Block), keyed by resolved peer address: the ingress read
+	// loop, every group's egress and the discovery plane's egress all
+	// drop datagrams from/to the listed addresses and count them in
+	// cut. A partition that only cut protocol frames while discovery
+	// kept hearing the peer would never declare it dead — the cut must
+	// silence every datagram, like a real one.
 	blocked atomic.Pointer[map[string]bool]
 	cut     atomic.Uint64
 }
@@ -218,9 +208,9 @@ func (s *netSock) stats() NetStats {
 }
 
 // readLoop runs off-engine: it blocks on the socket, decodes each
-// datagram (decoding shares no state), resolves the owning transport —
-// for a NetMux, by the frame's group tag — and hands the frame to that
-// transport's engine goroutine. resolve runs on the read goroutine with
+// datagram (decoding shares no state), resolves the owning transport by
+// the frame's group tag and hands the frame to that transport's engine
+// goroutine. resolve runs on the read goroutine with
 // the datagram's source address (the discovery plane intercepts its
 // control frames there, before any group demux) and must only touch
 // read-safe state; returning nil drops the frame (the resolver has
@@ -466,18 +456,15 @@ func netDefaults(cfg *NetConfig) {
 	}
 }
 
-// NetRuntime runs the protocol engine over real UDP sockets: the same
-// engineCore/liveClock discipline as LiveRuntime (one engine goroutine
-// owns all protocol state, timers are real time.Timers), with the
-// message plane replaced by a datagram socket and the wire codec. A
-// peer address book routes entity IDs to their owning process;
-// addresses of transient endpoints (mobile hosts, query apps) are
-// learned from packet sources, and frames for non-local entities are
-// relayed toward their owner with a TTL budget.
-//
-// A NetRuntime hosts one group. The multi-group form — one socket and
-// a set of engine shards serving many groups — is NetMux; its
-// per-group views reuse this type with a shared socket.
+// NetRuntime is one group's view of a NetMux: the protocol engine over
+// real UDP sockets, on the same engineCore/liveClock discipline as
+// LiveRuntime (the group's engine shard owns all its protocol state,
+// timers are real time.Timers), with the message plane replaced by the
+// mux's datagram socket and the wire codec. The mux's address book
+// routes entity IDs to their owning process; addresses of transient
+// endpoints (mobile hosts, query apps) are learned from packet sources,
+// and frames for non-local entities are relayed toward their owner with
+// a TTL budget.
 type NetRuntime struct {
 	eng   *engineCore
 	clock *liveClock
@@ -486,105 +473,8 @@ type NetRuntime struct {
 	settleTimeout time.Duration
 	quiesceIdle   time.Duration
 
-	// disc is the discovery plane (nil on a deployment with no peers
-	// and no seeds — a single process has nothing to discover). On a
-	// NetMux view it points at the mux's shared discoverer.
-	disc *discoverer
-
-	// boot holds what a seed bootstrap learned (bootOK false on a
-	// statically configured or single-process runtime).
-	boot   BootstrapInfo
-	bootOK bool
-
-	// mux/muxGID are set on views obtained from NetMux.Open: the mux
-	// owns the socket and the engine shards, so a view's Close only
-	// deregisters the group from the demux table.
-	mux    *NetMux
-	muxGID ids.GroupID
-}
-
-// NewNetRuntime binds the UDP socket and starts the runtime. The
-// caller must Close it.
-func NewNetRuntime(cfg NetConfig) (*NetRuntime, error) {
-	sock, err := bindNetSock(cfg)
-	if err != nil {
-		return nil, err
-	}
-	book, err := resolveNetBook(cfg, sock.conn)
-	if err != nil {
-		sock.conn.Close()
-		return nil, err
-	}
-	netDefaults(&cfg)
-
-	rt := &NetRuntime{
-		eng:           newEngineCore(),
-		settleTimeout: cfg.SettleTimeout,
-		quiesceIdle:   cfg.QuiesceIdle,
-	}
-	rt.clock = &liveClock{eng: rt.eng}
-	rt.tr = newNetTransport(rt.eng, rt.clock, sock, book, new(netBufs), cfg, cfg.Group)
-	// The discovery plane runs whenever there is anything to discover:
-	// a static peer set to keep fresh, or seeds to bootstrap from.
-	if len(cfg.Peers) > 1 || len(cfg.Seeds) > 0 {
-		disc, derr := newDiscoverer(sock, book, cfg)
-		if derr != nil {
-			sock.conn.Close()
-			rt.eng.stop(nil)
-			return nil, derr
-		}
-		rt.disc = disc
-		rt.tr.disc = disc
-	}
-	// A single-group runtime accepts untagged frames and (when it
-	// knows its group) its own tag; a mismatched nonzero tag would
-	// deliver another group's protocol state into this engine, so it
-	// is dropped and counted instead. Discovery control frames are
-	// intercepted on the read goroutine before any group filtering.
-	us, group, disc := rt.tr, cfg.Group, rt.disc
-	go sock.readLoop(rt.eng.closed, func(f wire.Frame, src *net.UDPAddr) *netTransport {
-		if disc != nil {
-			book.table.Seen(src)
-			if disc.intercept(f, src) {
-				return nil
-			}
-		}
-		if group != 0 && f.Group != 0 && f.Group != group {
-			sock.unknownGroup.Add(1)
-			return nil
-		}
-		return us
-	})
-	if rt.disc != nil {
-		if len(cfg.Seeds) > 0 && len(cfg.Peers) == 0 {
-			boot, berr := rt.disc.bootstrap()
-			if berr != nil {
-				rt.Close()
-				return nil, berr
-			}
-			rt.boot, rt.bootOK = boot, true
-		}
-		rt.disc.start()
-	}
-	return rt, nil
-}
-
-// BootstrapInfo reports what a seed bootstrap learned about the
-// deployment; ok is false on a statically configured runtime.
-func (rt *NetRuntime) BootstrapInfo() (info BootstrapInfo, ok bool) {
-	return rt.boot, rt.bootOK
-}
-
-// AdoptOwners swaps in the entity-ownership partition (derived by the
-// caller from the bootstrapped deployment shape).
-func (rt *NetRuntime) AdoptOwners(owners map[ids.NodeID]int) {
-	rt.tr.book.adopt(owners)
-}
-
-// Peers snapshots the live peer table (empty when the discovery plane
-// is off).
-func (rt *NetRuntime) Peers() []discovery.PeerInfo {
-	return rt.tr.book.table.Snapshot()
+	mux *NetMux
+	gid ids.GroupID
 }
 
 // OnPeerEvict registers a callback invoked in engine context with the
@@ -592,11 +482,11 @@ func (rt *NetRuntime) Peers() []discovery.PeerInfo {
 // feeding discovery's process-level verdicts into the protocol's
 // entity-level fail-out path. No-op when the discovery plane is off.
 func (rt *NetRuntime) OnPeerEvict(fn func(dead []ids.NodeID)) {
-	if rt.disc == nil {
+	if rt.mux.disc == nil {
 		return
 	}
 	eng, book := rt.eng, rt.tr.book
-	rt.disc.addOnEvict(func(slot int) {
+	rt.mux.disc.addOnEvict(func(slot int) {
 		dead := book.ownedBy(slot)
 		if len(dead) == 0 {
 			return
@@ -609,15 +499,6 @@ func (rt *NetRuntime) OnPeerEvict(fn func(dead []ids.NodeID)) {
 	})
 }
 
-// LocalAddr returns the address the socket actually bound (useful
-// with a ":0" Bind).
-func (rt *NetRuntime) LocalAddr() *net.UDPAddr {
-	return rt.tr.sock.conn.LocalAddr().(*net.UDPAddr)
-}
-
-// Advertise returns the address peers use to reach this runtime.
-func (rt *NetRuntime) Advertise() *net.UDPAddr { return rt.tr.book.self }
-
 // Clock implements Runtime.
 func (rt *NetRuntime) Clock() Clock { return rt.clock }
 
@@ -627,51 +508,12 @@ func (rt *NetRuntime) Transport() Transport { return rt.tr }
 // Do implements Runtime.
 func (rt *NetRuntime) Do(fn func()) { rt.eng.do(fn) }
 
-// NetStats returns a copy of the wire-level counters: the socket-level
-// counts plus this runtime's (group's) routing counters.
-func (rt *NetRuntime) NetStats() NetStats {
-	ns := rt.tr.sock.stats()
-	rt.eng.do(func() {
-		ns.UnknownPeer = rt.tr.nstats.UnknownPeer
-		ns.Relayed = rt.tr.nstats.Relayed
-		ns.TTLExpired = rt.tr.nstats.TTLExpired
-		ns.Oversize = rt.tr.nstats.Oversize
-		ns.FaultCorrupt = rt.tr.nstats.FaultCorrupt
-		ns.FaultReplay = rt.tr.nstats.FaultReplay
-		ns.FaultMisroute = rt.tr.nstats.FaultMisroute
-		ns.FaultReorder = rt.tr.nstats.FaultReorder
-		ns.DupDropped = rt.tr.nstats.DupDropped
-	})
-	ns.PeerJoined = rt.tr.book.table.Joined()
-	ns.PeerEvicted = rt.tr.book.table.Evicted()
-	if rt.disc != nil {
-		ns.GossipFrames = rt.disc.gossipFrames.Load()
-	}
-	return ns
-}
-
-// Block cuts traffic to and from the given peer slots until Unblock:
-// egress datagrams to them and ingress datagrams from them are dropped
-// and counted in Stats.Cut. This is the networked substrate's
-// partition primitive — process-level, driven from outside the
-// protocol (the chaos harness), unlike the simulator's entity-level
-// Partitionable cut. The runtime's own slot is never blocked.
-func (rt *NetRuntime) Block(slots ...int) {
-	rt.eng.do(func() { rt.tr.block(slots) })
-}
-
-// Unblock removes the blocked-peer cut installed by Block.
-func (rt *NetRuntime) Unblock() {
-	rt.eng.do(func() { rt.tr.block(nil) })
-}
-
 // quiescent reports local quiescence: no pending timers or queued
 // deliveries, and no activity for this runtime's own group for the
-// idle window (on a NetMux the socket is shared, so socket-wide
-// idleness would let busy sibling groups starve a quiet group's
-// Settle). Remote processes may still be working — networked
-// quiescence is a heuristic, which is why Run and RunUntil are
-// additionally bounded by the settle timeout.
+// idle window (the socket is shared, so socket-wide idleness would let
+// busy sibling groups starve a quiet group's Settle). Remote processes
+// may still be working — networked quiescence is a heuristic, which is
+// why Run and RunUntil are additionally bounded by the settle timeout.
 func (rt *NetRuntime) quiescent() bool {
 	return rt.eng.pending.Load() == 0 && rt.tr.idleFor(rt.quiesceIdle)
 }
@@ -707,30 +549,21 @@ func (rt *NetRuntime) RunUntil(pred func() bool) bool {
 	})
 }
 
-// Close implements Runtime: it closes the socket (stopping the read
-// loop) and then the engine. In-flight work is dropped. On a NetMux
-// view the socket and engines belong to the mux — Close only removes
-// the group from the demux table (later frames for it count as
-// UnknownGroup) and releases the identity for reopening.
+// Close implements Runtime: it removes the group from the mux's demux
+// table (later frames for it count as UnknownGroup) and releases the
+// identity for reopening. The socket and engine shards belong to the mux
+// and its ShardSet.
 func (rt *NetRuntime) Close() error {
-	if rt.mux != nil {
-		rt.mux.release(rt.muxGID)
-		return nil
-	}
-	if rt.disc != nil {
-		rt.disc.stop()
-	}
-	err := rt.tr.sock.conn.Close()
-	rt.eng.stop(nil)
-	return err
+	rt.mux.release(rt.gid)
+	return nil
 }
 
 // --- Transport --------------------------------------------------------
 
-// netTransport implements Transport for one group over a (possibly
-// shared) UDP socket. All mutable state is owned by the transport's
-// engine goroutine; the socket itself and its counters are shared
-// (netSock), and the routing book is immutable. The read loop decodes
+// netTransport implements Transport for one group over the mux's UDP
+// socket. All mutable state is owned by the transport's engine
+// goroutine; the socket itself and its counters are shared (netSock),
+// and the routing book is immutable. The read loop decodes
 // off-engine and re-enters through the engine's submit; hops between
 // two local endpoints never leave the engine (localHop).
 type netTransport struct {
@@ -756,12 +589,6 @@ type netTransport struct {
 	heldBuf    []byte
 	heldAddr   *net.UDPAddr
 
-	// blocked, when non-nil, cuts traffic to/from the listed peer
-	// addresses (the chaos harness's process-level partition: both
-	// egress writes and ingress dispatches are dropped and counted in
-	// Stats.Cut). Keyed by resolved address string.
-	blocked map[string]bool
-
 	// learned holds return addresses observed for transient endpoints
 	// (mobile hosts, query apps) that no ownership entry covers.
 	learned map[ids.NodeID]*net.UDPAddr
@@ -782,7 +609,7 @@ type netTransport struct {
 	nstats NetStats // routing counters only; socket counters live on sock
 
 	// lastActivity tracks this group's own traffic (dispatches, sends,
-	// relays), distinct from the possibly-shared socket's: per-group
+	// relays), distinct from the shared socket's: per-group
 	// quiescence must not be starved by busy sibling groups.
 	lastActivity atomic.Int64
 }
@@ -793,21 +620,22 @@ func (t *netTransport) idleFor(d time.Duration) bool {
 	return time.Since(time.Unix(0, t.lastActivity.Load())) > d
 }
 
-// newNetTransport builds the per-group transport half of a networked
-// runtime. sock, book and bufs may be shared (NetMux); eng/clock are
-// the owning engine shard.
-func newNetTransport(eng *engineCore, clock *liveClock, sock *netSock, book *netBook, bufs *netBufs, cfg NetConfig, group ids.GroupID) *netTransport {
+// newNetTransport builds one group's transport on engine shard sh over
+// the mux's socket, book and discovery plane; seed seeds the group's
+// loss stream (and, without an explicit Faults.Seed, its fault stream).
+func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64) *netTransport {
+	cfg := &m.cfg
 	fseed := cfg.Faults.Seed
 	if fseed == 0 {
-		fseed = cfg.Seed ^ 0xfa17fa17fa17fa17
+		fseed = seed ^ 0xfa17fa17fa17fa17
 	}
 	t := &netTransport{
-		eng:        eng,
-		clock:      clock,
-		sock:       sock,
-		book:       book,
-		bufs:       bufs,
-		rng:        mathx.NewRNG(cfg.Seed),
+		eng:        sh.eng,
+		clock:      sh.clock,
+		sock:       m.sock,
+		book:       m.book,
+		bufs:       sh.bufs,
+		rng:        mathx.NewRNG(seed),
 		loss:       cfg.Loss,
 		ttl:        cfg.TTL,
 		group:      group,
@@ -816,6 +644,7 @@ func newNetTransport(eng *engineCore, clock *liveClock, sock *netSock, book *net
 		faultSlots: len(cfg.Peers),
 		learned:    make(map[ids.NodeID]*net.UDPAddr),
 		dedup:      discovery.NewTmpMap(cfg.DedupTTL, bookLimit),
+		disc:       m.disc,
 		local:      make(map[ids.NodeID]Endpoint),
 		crashed:    make(map[ids.NodeID]bool),
 	}
@@ -823,46 +652,11 @@ func newNetTransport(eng *engineCore, clock *liveClock, sock *netSock, book *net
 	return t
 }
 
-// block installs (or, with nil, clears) the blocked-peer set: the
-// slots' addresses are cut in both directions. The self slot is never
-// blocked — a partition separates a process from its peers, and its
-// own entities reach one another without the socket anyway.
-func (t *netTransport) block(slots []int) {
-	if slots == nil {
-		t.blocked = nil
-		t.sock.blocked.Store(nil)
-		return
-	}
-	t.blocked = make(map[string]bool, len(slots))
-	for _, s := range slots {
-		if s == t.book.selfIndex {
-			continue
-		}
-		if a := t.book.slotAddr(s); a != nil {
-			t.blocked[a.String()] = true
-		}
-	}
-	// Publish the cut to the off-engine paths (ingress read loop,
-	// discovery egress): a partition silences every datagram, protocol
-	// and discovery alike — otherwise the liveness sweep keeps hearing
-	// the "partitioned" peer and never declares it dead.
-	mirror := make(map[string]bool, len(t.blocked))
-	for a := range t.blocked {
-		mirror[a] = true
-	}
-	t.sock.blocked.Store(&mirror)
-}
-
 // dispatch runs on the transport's engine goroutine: return-address
 // learning, local delivery or relay.
 func (t *netTransport) dispatch(f wire.Frame, src *net.UDPAddr) {
 	defer t.eng.pending.Add(-1)
 	t.touch()
-	if t.blocked != nil && src != nil && t.blocked[src.String()] {
-		t.stats.Dropped++
-		t.stats.Cut++
-		return
-	}
 	// Return-address learning: transient endpoints (MHs, query apps)
 	// are not in the ownership partition; remember where their traffic
 	// comes from so replies route back. Owned entities are never
@@ -1080,12 +874,11 @@ func (t *netTransport) Send(msg Message) {
 }
 
 // writeDatagram is the single egress point under the Send/relay
-// accounting: it applies the blocked-peer cut, writes the datagram and
-// refreshes the activity clocks, reporting whether the write happened.
+// accounting: it applies the blocked-peer cut (counted at the socket),
+// writes the datagram and refreshes the activity clocks, reporting
+// whether the write happened.
 func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
-	if t.blocked != nil && t.blocked[addr.String()] {
-		t.stats.Dropped++
-		t.stats.Cut++
+	if t.sock.cutAddr(addr) {
 		return false
 	}
 	if _, err := t.sock.conn.WriteToUDP(buf, addr); err != nil {
@@ -1159,9 +952,8 @@ func (t *netTransport) Crashed(id ids.NodeID) bool { return t.crashed[id] }
 // Stats implements Transport.
 func (t *netTransport) Stats() Stats {
 	s := t.stats
-	// Ingress frames cut on the read goroutine (before group demux)
-	// are accounted at the socket; fold them in so the cut counter
-	// reflects both directions of a partition.
+	// Datagrams cut by a partition are accounted at the socket, for
+	// both directions and before any group demux; fold them in.
 	cut := t.sock.cut.Load()
 	s.Cut += cut
 	s.Dropped += cut

@@ -11,7 +11,23 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-func newTestNet(t *testing.T, cfg NetConfig) *NetRuntime {
+// testGroup is the one group newTestNet opens; a hand-written frame
+// must carry its tag to be demultiplexed to it.
+var testGroup = ids.NewGroupID(1)
+
+// testNet is one networked group view together with the mux that owns
+// its socket, so a test can read the socket-level state next to it.
+type testNet struct {
+	*NetRuntime
+	mux *NetMux
+}
+
+func (n *testNet) NetStats() NetStats      { return n.mux.NetStats() }
+func (n *testNet) LocalAddr() *net.UDPAddr { return n.mux.LocalAddr() }
+
+// newTestNet opens one networked group the way every caller gets one: a
+// one-shard set, a mux binding the socket, one group view.
+func newTestNet(t *testing.T, cfg NetConfig) *testNet {
 	t.Helper()
 	if cfg.Bind == "" {
 		cfg.Bind = "127.0.0.1:0"
@@ -19,17 +35,26 @@ func newTestNet(t *testing.T, cfg NetConfig) *NetRuntime {
 	if cfg.QuiesceIdle == 0 {
 		cfg.QuiesceIdle = 20 * time.Millisecond
 	}
-	rt, err := NewNetRuntime(cfg)
+	set := NewShardSet(1)
+	mux, err := NewNetMux(cfg, set)
 	if err != nil {
-		t.Fatalf("NewNetRuntime: %v", err)
+		set.Close()
+		t.Fatalf("NewNetMux: %v", err)
 	}
-	t.Cleanup(func() { rt.Close() })
-	return rt
+	t.Cleanup(func() {
+		mux.Close()
+		set.Close()
+	})
+	rt, err := mux.Open(testGroup, 0, 1)
+	if err != nil {
+		t.Fatalf("NetMux.Open: %v", err)
+	}
+	return &testNet{NetRuntime: rt, mux: mux}
 }
 
 // countingEndpoint records deliveries and optionally replies.
 type countingEndpoint struct {
-	rt   *NetRuntime
+	rt   Runtime
 	id   ids.NodeID
 	got  atomic.Int64
 	last atomic.Uint64
@@ -180,7 +205,7 @@ func TestNetLocalDropsGoneDestination(t *testing.T) {
 
 // burstEndpoint sends n local messages from inside one handler call.
 type burstEndpoint struct {
-	rt   *NetRuntime
+	rt   Runtime
 	id   ids.NodeID
 	to   ids.NodeID
 	n    int
@@ -312,6 +337,63 @@ func TestNetTransportCrossProcess(t *testing.T) {
 	}
 }
 
+// TestNetMuxBlockCutsBothDirections: a blocked peer slot is silenced at
+// the socket — egress to it and ingress from it are both dropped and
+// counted in Stats.Cut — and Unblock restores the flow.
+func TestNetMuxBlockCutsBothDirections(t *testing.T) {
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	owners := map[ids.NodeID]int{a: 0, b: 1}
+	addr0, close0 := reserveUDP(t)
+	addr1, close1 := reserveUDP(t)
+	close0()
+	close1()
+	peers := []string{addr0, addr1}
+
+	// Long discovery intervals: only the test's own frames cross.
+	quiet := NetConfig{Peers: peers, Owners: owners, GossipInterval: time.Hour, ProbeInterval: time.Hour}
+	cfg0, cfg1 := quiet, quiet
+	cfg0.Bind, cfg0.Index = addr0, 0
+	cfg1.Bind, cfg1.Index = addr1, 1
+	rt0, rt1 := newTestNet(t, cfg0), newTestNet(t, cfg1)
+	epA := &countingEndpoint{rt: rt0, id: a}
+	epB := &countingEndpoint{rt: rt1, id: b}
+	rt0.Do(func() { rt0.Transport().Register(a, epA) })
+	rt1.Do(func() { rt1.Transport().Register(b, epB) })
+	send := func(rt *testNet, from, to ids.NodeID) {
+		rt.Do(func() { rt.Transport().Send(Message{From: from, To: to, Kind: KindNotify, Body: wire.Probe{}}) })
+	}
+	cut := func() (st Stats) {
+		rt0.Do(func() { st = rt0.Transport().Stats() })
+		return st
+	}
+
+	// One exchange before the cut (it also spends each side's one paced
+	// discovery hello, so every later send is exactly one datagram).
+	send(rt0, a, b)
+	send(rt1, b, a)
+	waitFor(t, func() bool { return epA.got.Load() == 1 && epB.got.Load() == 1 })
+
+	rt0.mux.Block(1, 0) // the self slot is ignored
+	send(rt0, a, b)     // egress, cut at rt0
+	if st := cut(); st.Cut != 1 || st.Dropped != 1 {
+		t.Fatalf("after a blocked send: %+v, want 1 cut", st)
+	}
+	send(rt1, b, a) // ingress, cut at rt0's read loop
+	waitFor(t, func() bool { return cut().Cut == 2 })
+	if epA.got.Load() != 1 || epB.got.Load() != 1 {
+		t.Fatalf("frames crossed the cut: a=%d b=%d", epA.got.Load(), epB.got.Load())
+	}
+
+	rt0.mux.Unblock()
+	send(rt0, a, b)
+	send(rt1, b, a)
+	waitFor(t, func() bool { return epA.got.Load() == 2 && epB.got.Load() == 2 })
+	if st := cut(); st.Cut != 2 {
+		t.Fatalf("cut counted after Unblock: %+v", st)
+	}
+}
+
 // TestNetTransportDecodeAccounting: garbage and wrong-version
 // datagrams are counted, not delivered, and never crash the runtime.
 func TestNetTransportDecodeAccounting(t *testing.T) {
@@ -328,10 +410,10 @@ func TestNetTransportDecodeAccounting(t *testing.T) {
 
 	// Garbage, then a frame with a hostile version byte.
 	conn.Write([]byte("not a frame at all"))
-	bad := wire.AppendFrame(nil, wire.Frame{From: a, To: a, Class: 0, TTL: 2, Payload: wire.Probe{}})
+	bad := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: a, To: a, Class: 0, TTL: 2, Payload: wire.Probe{}})
 	bad[2] = 42 // version
 	conn.Write(bad)
-	good := wire.AppendFrame(nil, wire.Frame{From: ids.MakeNodeID(ids.TierAP, 9), To: a, Class: 0, TTL: 2, Payload: wire.Probe{Seq: 7}})
+	good := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierAP, 9), To: a, Class: 0, TTL: 2, Payload: wire.Probe{Seq: 7}})
 	conn.Write(good)
 
 	waitFor(t, func() bool { return ep.got.Load() == 1 })
@@ -365,14 +447,14 @@ func TestNetTransportRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(wire.AppendFrame(nil, wire.Frame{From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}}))
+	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}}))
 	waitFor(t, func() bool { return epB.got.Load() == 1 })
 	if ns := rt0.NetStats(); ns.Relayed != 1 {
 		t.Fatalf("relay stats = %+v", ns)
 	}
 
 	// TTL 1 dies at the first relay hop.
-	conn.Write(wire.AppendFrame(nil, wire.Frame{From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 1, Payload: wire.Probe{}}))
+	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 1, Payload: wire.Probe{}}))
 	waitFor(t, func() bool { return rt0.NetStats().TTLExpired == 1 })
 	if epB.got.Load() != 1 {
 		t.Fatal("TTL-expired frame was delivered")
@@ -406,18 +488,18 @@ func TestNetTransportRelayDedup(t *testing.T) {
 	defer conn.Close()
 
 	from := ids.MakeNodeID(ids.TierMH, 5)
-	frame := wire.AppendFrame(nil, wire.Frame{From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}})
+	frame := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}})
 	conn.Write(frame)
 	waitFor(t, func() bool { return rt0.NetStats().Relayed == 1 })
 
 	// The identical datagram again, then a copy with a different TTL:
 	// both must hash to the relayed frame and be dropped.
 	conn.Write(frame)
-	conn.Write(wire.AppendFrame(nil, wire.Frame{From: from, To: b, Class: 0, TTL: 7, Payload: wire.Probe{Seq: 11}}))
+	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 7, Payload: wire.Probe{Seq: 11}}))
 	waitFor(t, func() bool { return rt0.NetStats().DupDropped == 2 })
 
 	// A genuinely new frame still relays.
-	conn.Write(wire.AppendFrame(nil, wire.Frame{From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 12}}))
+	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 12}}))
 	waitFor(t, func() bool { return epB.got.Load() == 2 })
 	if ns := rt0.NetStats(); ns.Relayed != 2 || ns.DupDropped != 2 {
 		t.Fatalf("relay dedup stats = %+v", ns)
@@ -491,7 +573,7 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	conn.Write(wire.AppendFrame(nil, wire.Frame{From: ids.MakeNodeID(ids.TierMH, 9), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 1 << 40}}))
+	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 9), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 1 << 40}}))
 	waitFor(t, func() bool { return rt0.NetStats().Relayed == total+1 })
 	if n := rt0.tr.dedup.Len(); n > 2 {
 		t.Fatalf("dedup map held %d entries after two idle TTL windows", n)

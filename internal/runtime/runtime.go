@@ -8,9 +8,10 @@
 //     des.Kernel + simnet.Network pair, bound by simnet.SimRuntime),
 //     which is what every experiment and golden determinism test
 //     drives, and
-//   - as a live in-process deployment (LiveRuntime in this package):
-//     real time.Timers, per-node mailbox goroutines, and a single
-//     engine goroutine serializing all protocol state access.
+//   - on real time, as a group view of this package's one host (see
+//     mux.go): a ShardSet of engine goroutines, a LiveMux (in-process
+//     mailboxes) or NetMux (one UDP socket, the wire codec) over it,
+//     and a LiveRuntime or NetRuntime per group — one group or many.
 //
 // The split mirrors the paper's own layering: the ring hierarchy and
 // one-round token protocol sit above an arbitrary mobile-Internet
@@ -162,7 +163,8 @@ func AsPartitionable(tr Transport) (Partitionable, bool) {
 
 // Runtime bundles a Clock and Transport with the drive operations the
 // engine and its callers need. The simulated implementation is
-// simnet.SimRuntime; the live one is LiveRuntime.
+// simnet.SimRuntime; the real-time ones are the LiveRuntime and
+// NetRuntime views the muxes hand out.
 type Runtime interface {
 	Clock() Clock
 	Transport() Transport

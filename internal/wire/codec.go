@@ -18,45 +18,32 @@ import (
 //
 //	[kind u8][bodyLen u32][body bodyLen bytes]
 //
-// Datagram envelope (the unit the UDP transport exchanges), version 2:
+// Datagram envelope (the unit the UDP transport exchanges):
 //
 //	['R']['G'][version u8][class u8][ttl u8][from u64][to u64][group u32][payload frame]
 //
-// Version 1 is the same envelope without the group word. A version-1
-// frame still decodes — as group 0, the untagged group, which a
-// multi-group receiver routes to its default group. The compatibility
-// is one-directional: AppendFrame always emits version 2, which a
-// version-1 peer drops as UnknownVersion. Upgraded receivers therefore
-// understand old senders, but a mixed-version deployment does not
-// converge — upgrade all processes of a deployment together.
-//
 // Version rules: the version byte covers the whole envelope including
 // every payload body layout. Any layout change bumps Version; a
-// receiver drops (and counts) datagrams with an unknown version,
-// except for the grandfathered version-1 envelope above. Payload kinds
-// are append-only — never renumbered.
+// receiver drops (and counts) datagrams with any other version, so all
+// processes of a deployment upgrade together. Payload kinds are
+// append-only — never renumbered.
 //
 // Optional trailing sections: a body layout may grow by appending a
 // length-prefixed section at its end (Snapshot/MergeRequest tombstones
 // use this). Encoders always emit the section; decoders read it only
 // when bytes remain after the legacy fields, so pre-extension frames
-// decode with the section empty. Like the v1 envelope, compatibility
-// is one-directional: a pre-extension receiver rejects the longer body
-// as malformed, so a mixed deployment must upgrade together.
+// decode with the section empty. The compatibility is one-directional:
+// a pre-extension receiver rejects the longer body as malformed, so a
+// mixed deployment must upgrade together.
 const (
 	// Version is the wire-format version emitted by this build.
 	Version = 2
-
-	// VersionUntagged is the pre-group envelope version, accepted on
-	// decode with an implied zero (untagged) group.
-	VersionUntagged = 1
 
 	magic0 = 'R'
 	magic1 = 'G'
 
 	payloadHeaderSize = 1 + 4
-	envelopeSizeV1    = 2 + 1 + 1 + 1 + 8 + 8
-	envelopeSize      = envelopeSizeV1 + 4
+	envelopeSize      = 2 + 1 + 1 + 1 + 8 + 8 + 4
 
 	// MaxDatagram bounds one encoded frame; the UDP transport sizes
 	// its receive buffers with it.
@@ -89,7 +76,7 @@ var (
 type Frame struct {
 	From    ids.NodeID
 	To      ids.NodeID
-	Group   ids.GroupID // owning group; 0 = untagged (pre-group wire v1)
+	Group   ids.GroupID // owning group
 	Class   uint8       // accounting class (runtime.Kind), carried opaquely
 	TTL     uint8       // relay hop budget
 	Payload Payload
@@ -107,15 +94,14 @@ func AppendFrame(b []byte, f Frame) []byte {
 
 // DecodeFrame decodes one datagram. It is strict: trailing bytes,
 // truncated layouts, unknown kinds and out-of-range lengths all error.
-// A version-1 (untagged) envelope decodes with Group 0.
 func DecodeFrame(b []byte) (Frame, error) {
-	if len(b) < envelopeSizeV1 {
+	if len(b) < envelopeSize {
 		return Frame{}, ErrTruncated
 	}
 	if b[0] != magic0 || b[1] != magic1 {
 		return Frame{}, ErrBadMagic
 	}
-	if b[2] != Version && b[2] != VersionUntagged {
+	if b[2] != Version {
 		return Frame{}, ErrUnknownVersion
 	}
 	f := Frame{
@@ -123,20 +109,13 @@ func DecodeFrame(b []byte) (Frame, error) {
 		TTL:   b[4],
 		From:  ids.NodeID(binary.LittleEndian.Uint64(b[5:])),
 		To:    ids.NodeID(binary.LittleEndian.Uint64(b[13:])),
+		Group: ids.GroupID(binary.LittleEndian.Uint32(b[21:])),
 	}
-	header := envelopeSizeV1
-	if b[2] == Version {
-		if len(b) < envelopeSize {
-			return Frame{}, ErrTruncated
-		}
-		f.Group = ids.GroupID(binary.LittleEndian.Uint32(b[21:]))
-		header = envelopeSize
-	}
-	p, n, err := DecodePayload(b[header:])
+	p, n, err := DecodePayload(b[envelopeSize:])
 	if err != nil {
 		return Frame{}, err
 	}
-	if header+n != len(b) {
+	if envelopeSize+n != len(b) {
 		return Frame{}, ErrMalformed
 	}
 	f.Payload = p

@@ -7,46 +7,6 @@ import (
 	"github.com/rgbproto/rgb/internal/ids"
 )
 
-// appendFrameV1 hand-encodes the pre-group version-1 envelope exactly
-// as a v1 build emitted it: no group word between the addressing and
-// the payload frame.
-func appendFrameV1(b []byte, f Frame) []byte {
-	b = append(b, magic0, magic1, VersionUntagged, f.Class, f.TTL)
-	b = appendU64(b, uint64(f.From))
-	b = appendU64(b, uint64(f.To))
-	return AppendPayload(b, f.Payload)
-}
-
-// TestV1FrameDecodesAsGroupZero is the wire-compatibility contract of
-// the group-tagged envelope: a version-1 (untagged) frame still
-// round-trips, decoding as group 0 so a multi-group receiver can route
-// it to its default group.
-func TestV1FrameDecodesAsGroupZero(t *testing.T) {
-	for _, p := range samplePayloads() {
-		old := appendFrameV1(nil, Frame{From: ap(3), To: ap(4), Class: 2, TTL: 6, Payload: p})
-		got, err := DecodeFrame(old)
-		if err != nil {
-			t.Fatalf("%s: v1 decode: %v", p.PayloadKind(), err)
-		}
-		if got.Group != 0 {
-			t.Fatalf("%s: v1 frame decoded as group %v, want 0", p.PayloadKind(), got.Group)
-		}
-		if got.From != ap(3) || got.To != ap(4) || got.Class != 2 || got.TTL != 6 {
-			t.Fatalf("%s: v1 envelope mismatch: %+v", p.PayloadKind(), got)
-		}
-		// Canonicalizing a v1 frame yields a v2 envelope that decodes
-		// to the same frame (the fixpoint property the fuzzer enforces).
-		canon := AppendFrame(nil, got)
-		again, err := DecodeFrame(canon)
-		if err != nil {
-			t.Fatalf("%s: re-decode of canonicalized v1 frame: %v", p.PayloadKind(), err)
-		}
-		if !bytes.Equal(AppendFrame(nil, again), canon) {
-			t.Fatalf("%s: canonicalized v1 frame is not a fixpoint", p.PayloadKind())
-		}
-	}
-}
-
 // TestPreTombstoneBodiesDecodeWithNilTombstones is the one-directional
 // compatibility contract of the optional trailing tombstone section: a
 // Snapshot or MergeRequest body emitted by a pre-tombstone build —
@@ -123,7 +83,7 @@ func TestTombstoneSectionTruncation(t *testing.T) {
 	}
 }
 
-// TestGroupTagRoundTrip: the v2 envelope carries the group word.
+// TestGroupTagRoundTrip: the envelope carries the group word.
 func TestGroupTagRoundTrip(t *testing.T) {
 	gid := ids.NewGroupID(42)
 	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: Probe{Seq: 9}})
@@ -135,7 +95,7 @@ func TestGroupTagRoundTrip(t *testing.T) {
 		t.Fatalf("group = %v, want %v", got.Group, gid)
 	}
 	// A truncated group word is a truncation error, not a misparse.
-	if _, err := DecodeFrame(b[:envelopeSizeV1+2]); err == nil {
-		t.Fatal("truncated v2 envelope decoded")
+	if _, err := DecodeFrame(b[:envelopeSize-2]); err == nil {
+		t.Fatal("truncated envelope decoded")
 	}
 }

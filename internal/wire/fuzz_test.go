@@ -29,7 +29,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// frames are the ones a mid-cut network mangles in practice: seed
 	// group-tagged MergeRequest/Snapshot/Probe frames whole, truncated
 	// at every interesting boundary, and with the group tag mutated
-	// (bytes 21..24 of a v2 envelope) so decode either routes the frame
+	// (bytes 21..24 of the envelope) so decode either routes the frame
 	// to the wrong group cleanly or rejects it — never panics.
 	gid := ids.NewGroupID(9)
 	mergeFrames := [][]byte{
@@ -48,13 +48,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		f.Add(b)
 		// Truncations: inside the envelope, at the payload header, at
 		// the tail, and the empty-roster boundary cases in between.
-		for _, cut := range []int{5, envelopeSizeV1, envelopeSize, envelopeSize + 1, envelopeSize + payloadHeaderSize, len(b) - 1} {
+		for _, cut := range []int{5, envelopeSize - 4, envelopeSize, envelopeSize + 1, envelopeSize + payloadHeaderSize, len(b) - 1} {
 			if cut >= 0 && cut < len(b) {
 				f.Add(append([]byte(nil), b[:cut]...))
 			}
 		}
 		// Group-tag mutations: flip each tag byte, and zero the whole
-		// tag (masquerading as the default group).
+		// tag (group 0, hosted by nobody unless opened).
 		for off := 21; off < 25; off++ {
 			mut := append([]byte(nil), b...)
 			mut[off] ^= 0xff
@@ -147,7 +147,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	for _, b := range discFrames {
 		f.Add(b)
-		for _, cut := range []int{5, envelopeSizeV1, envelopeSize, envelopeSize + 1, envelopeSize + payloadHeaderSize, len(b) - 1} {
+		for _, cut := range []int{5, envelopeSize - 4, envelopeSize, envelopeSize + 1, envelopeSize + payloadHeaderSize, len(b) - 1} {
 			if cut >= 0 && cut < len(b) {
 				f.Add(append([]byte(nil), b[:cut]...))
 			}

@@ -21,12 +21,9 @@
 // plane), while the networked UDP runtime encodes them through this
 // codec at every hop.
 //
-// Since wire version 2 the datagram envelope carries the owning
-// GroupID, so one socket can serve many concurrent groups: a
-// multi-group receiver demultiplexes each frame to the engine shard
-// owning the tagged group. Version-1 (untagged) frames still decode —
-// as group 0, which a multi-group receiver routes to its default
-// group.
+// The datagram envelope carries the owning GroupID, so one socket can
+// serve many concurrent groups: the receiver demultiplexes each frame
+// to the engine shard owning the tagged group.
 package wire
 
 import (

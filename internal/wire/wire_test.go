@@ -172,6 +172,11 @@ func TestDecodeErrors(t *testing.T) {
 		{"short envelope", good[:10], ErrTruncated},
 		{"bad magic", append([]byte("XX"), good[2:]...), ErrBadMagic},
 		{"unknown version", func() []byte { b := append([]byte(nil), good...); b[2] = 99; return b }(), ErrUnknownVersion},
+		{"pre-group version 1", func() []byte {
+			b := append([]byte(nil), good[:envelopeSize-4]...) // v1 had no group word
+			b[2] = 1
+			return append(b, good[envelopeSize:]...)
+		}(), ErrUnknownVersion},
 		{"unknown payload", func() []byte { b := append([]byte(nil), good...); b[envelopeSize] = byte(numPayloadKinds); return b }(), ErrUnknownPayload},
 		{"trailing bytes", append(append([]byte(nil), good...), 0xFF), ErrMalformed},
 		{"truncated body", good[:len(good)-2], ErrTruncated},

@@ -3,6 +3,7 @@ package rgb
 import (
 	"fmt"
 
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/topology"
 )
 
@@ -75,10 +76,10 @@ func Dial(addr string, opts ...Option) (*Service, error) {
 	return Open(opts...)
 }
 
-// buildNetConfig assembles the networked deployment configuration
-// shared by the single-group runtime and the multi-group mux: cluster
-// validation, deterministic hierarchy partition, address book, loss
-// emulation, and the per-process mobile-host ordinal block. It
+// buildNetConfig assembles the networked deployment configuration of a
+// cluster's net mux: cluster validation, deterministic hierarchy
+// partition, address book, loss emulation, and the per-process
+// mobile-host ordinal block. It
 // mutates o.cfg (Owns, MHBase) to match the computed partition.
 func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	nc := *o.netConfig
@@ -87,15 +88,6 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	}
 	if nc.Bind == "" {
 		return nc, fmt.Errorf("rgb: networked runtime needs a bind address (use Listen, or set NetConfig.Bind): %w", ErrBadCluster)
-	}
-	if nc.Seed == 0 {
-		nc.Seed = o.cfg.Seed
-	}
-	if nc.Group == 0 {
-		// A single-group runtime knows its group and rejects frames
-		// tagged for another one; the multi-group mux clears this and
-		// demultiplexes instead.
-		nc.Group = o.cfg.GID
 	}
 	if o.cfg.Loss > 0 && nc.Loss == 0 {
 		// WithLoss is emulated on the networked plane (egress drops),
@@ -154,9 +146,9 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 // configuration: the joiner derives the same deterministic ownership
 // partition every static process computed from its config, installs it
 // in the runtime's address book (adopt), and takes on its claimed
-// slot's entities — or, slotless, becomes a pure observer whose
-// transient-endpoint block is derived from its port like a Dial client.
-func adoptBootstrap(o *serviceOptions, boot BootstrapInfo, adopt func(map[NodeID]int), port int) {
+// slot's entities — or, slotless, becomes a pure observer with a
+// client's transient-endpoint block.
+func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(map[NodeID]int), port int) {
 	hier := topology.NewRingHierarchy(boot.H, boot.R)
 	owners := hier.SubtreeOwners(boot.Slots)
 	adopt(owners)
@@ -167,29 +159,12 @@ func adoptBootstrap(o *serviceOptions, boot BootstrapInfo, adopt func(map[NodeID
 		o.cfg.MHBase = slot << mhSlotShift
 	} else {
 		o.cfg.Owns = func(NodeID) bool { return false }
-		o.cfg.MHBase = (int(1)<<6 + port) << mhSlotShift
+		o.cfg.MHBase = clientMHBase(port)
 	}
 }
 
-// buildNetRuntime assembles the networked substrate for a single-group
-// Open.
-func buildNetRuntime(o *serviceOptions) (*NetRuntime, error) {
-	nc, err := buildNetConfig(o)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := NewNetRuntime(nc)
-	if err != nil {
-		return nil, err
-	}
-	if boot, ok := rt.BootstrapInfo(); ok {
-		adoptBootstrap(o, boot, rt.AdoptOwners, rt.LocalAddr().Port)
-	}
-	if o.dialClient {
-		// A client's transient-endpoint block must collide with no
-		// cluster slot and (almost always) no other client: derive it
-		// from the bound port, past every cluster block.
-		o.cfg.MHBase = (int(1)<<6 + rt.LocalAddr().Port) << mhSlotShift
-	}
-	return rt, nil
-}
+// clientMHBase is the transient-endpoint block of a process that owns
+// no cluster slot (a Dial client or slotless observer): it must collide
+// with no cluster slot and (almost always) no other client, so it is
+// derived from the bound port, past every cluster block.
+func clientMHBase(port int) int { return (1<<6 + port) << mhSlotShift }

@@ -117,13 +117,24 @@ func sumStats(procs []*Service) Stats {
 	return sum
 }
 
+// netStatsOf returns the wire-level counters of a networked service's
+// socket.
+func netStatsOf(t *testing.T, svc *Service) NetStats {
+	t.Helper()
+	ns, ok := svc.Cluster().NetStats()
+	if !ok {
+		t.Fatal("NetStats: not a networked service")
+	}
+	return ns
+}
+
 // assertDatagramsFlowed fails unless every process received datagrams
 // from its peers and decoded all of them: a networked run proves the
 // codec only on hops that really crossed a socket.
 func assertDatagramsFlowed(t *testing.T, procs []*Service) {
 	t.Helper()
 	for i, svc := range procs {
-		ns := svc.Runtime().(*NetRuntime).NetStats()
+		ns := netStatsOf(t, svc)
 		if ns.Received == 0 {
 			t.Fatalf("proc %d exchanged no datagrams", i)
 		}
@@ -226,7 +237,7 @@ func TestListenerCountInvariance(t *testing.T) {
 		}
 		if n > 1 {
 			assertDatagramsFlowed(t, procs)
-		} else if ns := svc.Runtime().(*NetRuntime).NetStats(); ns.Received != 0 {
+		} else if ns := netStatsOf(t, svc); ns.Received != 0 {
 			t.Fatalf("a lone listener sent itself %d datagrams", ns.Received)
 		}
 		return renderMembers(members), sumStats(procs)
@@ -329,6 +340,30 @@ func TestThreeListenerCluster(t *testing.T) {
 	assertDatagramsFlowed(t, procs)
 }
 
+// TestMetricsMultiProcess: Metrics works on every process of a
+// multi-process deployment. Each process censuses the rings it hosts a
+// piece of — here the topmost ring and its own AP ring — and skips the
+// entities other processes host.
+func TestMetricsMultiProcess(t *testing.T) {
+	ctx := context.Background()
+	procs := listenProcs(t, 3, WithHierarchy(2, 3), WithSeed(7))
+	if err := procs[0].JoinAt(ctx, GUID(1), slot0APs(procs[0], 3)[0]); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	awaitQuiet(t, procs)
+	var rounds uint64
+	for i, svc := range procs {
+		m := svc.Metrics()
+		if m.TotalRings != 2 || m.FunctionWellRings != 2 {
+			t.Fatalf("proc %d: %d of %d hosted rings function well, want 2 of 2", i, m.FunctionWellRings, m.TotalRings)
+		}
+		rounds += m.Rounds
+	}
+	if rounds == 0 {
+		t.Fatal("no token round completed anywhere")
+	}
+}
+
 // TestDialClient: a pure client joins members and queries membership
 // through a single contact address.
 func TestDialClient(t *testing.T) {
@@ -376,7 +411,7 @@ func TestDialClient(t *testing.T) {
 // caller-supplied runtime must fail loudly instead of silently
 // dropping the option.
 func TestWithLossUnsupportedOnCallerRuntime(t *testing.T) {
-	rt := NewLiveRuntime(LiveConfig{})
+	rt := newClosableSim()
 	defer rt.Close()
 	if _, err := Open(WithRuntime(rt), WithLoss(0.1)); !errors.Is(err, ErrOptionUnsupported) {
 		t.Fatalf("err = %v, want ErrOptionUnsupported", err)

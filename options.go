@@ -51,8 +51,8 @@ func WithHierarchy(h, r int) Option {
 }
 
 // WithSeed makes the deployment reproducible: it seeds the simulated
-// message plane, the AP-selection stream of Join, and (for a live
-// runtime the Service builds itself) the live latency jitter.
+// message plane, the AP-selection stream of Join, and the latency
+// jitter and loss emulation of the live and networked runtimes.
 func WithSeed(seed uint64) Option {
 	return func(o *serviceOptions) { o.cfg.Seed = seed }
 }
@@ -152,7 +152,7 @@ func WithRuntime(rt Runtime) Option {
 
 // WithLiveRuntime runs the service on a live in-process runtime the
 // Service builds (and closes) itself. The zero LiveConfig is a good
-// default; the service seed is used when cfg.Seed is zero.
+// default.
 func WithLiveRuntime(cfg LiveConfig) Option {
 	return func(o *serviceOptions) { c := cfg; o.liveConfig = &c }
 }

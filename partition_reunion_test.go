@@ -7,6 +7,22 @@ import (
 	"time"
 )
 
+// blockSlots cuts svc's process off from the given peer slots.
+func blockSlots(t *testing.T, svc *Service, slots ...int) {
+	t.Helper()
+	if err := svc.Cluster().Block(slots...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unblock removes svc's cut.
+func unblock(t *testing.T, svc *Service) {
+	t.Helper()
+	if err := svc.Cluster().Unblock(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAsymmetricPartitionReunion drives the organic (probe/merge)
 // reunion path over live sockets. Cutting one process away from the
 // other three is asymmetric: the isolated leader's token passes fail,
@@ -81,9 +97,9 @@ func TestAsymmetricPartitionReunion(t *testing.T) {
 	awaitMembers("steady", 30*time.Second)
 
 	// Asymmetric cut: [0] | [1 2 3], both directions.
-	procs[0].Runtime().(*NetRuntime).Block(1, 2, 3)
+	blockSlots(t, procs[0], 1, 2, 3)
 	for _, i := range []int{1, 2, 3} {
-		procs[i].Runtime().(*NetRuntime).Block(0)
+		blockSlots(t, procs[i], 0)
 	}
 	// Hold the cut until the isolated leader has repaired its ring all
 	// the way down to itself — the fully asymmetric state: one side
@@ -107,7 +123,7 @@ func TestAsymmetricPartitionReunion(t *testing.T) {
 		t.Logf("at heal: proc %d %+v", i, v)
 	}
 	for _, svc := range procs {
-		svc.Runtime().(*NetRuntime).Unblock()
+		unblock(t, svc)
 	}
 
 	// The ring must reunite promptly — full roster, one leader — via
@@ -229,9 +245,9 @@ func removalDuringCut(t *testing.T, fail bool) {
 
 	// Cut [0] | [1 2 3] and hold it until the isolated leader repaired
 	// down to a solo roster (its lists are now maximally stale).
-	procs[0].Runtime().(*NetRuntime).Block(1, 2, 3)
+	blockSlots(t, procs[0], 1, 2, 3)
 	for _, i := range []int{1, 2, 3} {
-		procs[i].Runtime().(*NetRuntime).Block(0)
+		blockSlots(t, procs[i], 0)
 	}
 	soloDeadline := time.Now().Add(10 * time.Second)
 	for {
@@ -263,7 +279,7 @@ func removalDuringCut(t *testing.T, fail bool) {
 	awaitMembers("majority post-removal", procs[1:], 30*time.Second)
 
 	for _, svc := range procs {
-		svc.Runtime().(*NetRuntime).Unblock()
+		unblock(t, svc)
 	}
 
 	// After the heal the ring reunites and — the point of the test —

@@ -8,15 +8,23 @@ import (
 
 // Runtime substrate: the Service runs the protocol engine over a
 // pluggable Clock (time and timers) and Transport (message delivery),
-// bundled as a Runtime. Two implementations ship with the package:
+// bundled as a Runtime. The package builds three:
 //
-//   - the deterministic discrete-event simulator (NewSimRuntime, the
-//     default), where protocol time is virtual and a fixed seed makes
-//     runs bit-reproducible; and
-//   - the live in-process runtime (NewLiveRuntime), where timers are
+//   - the deterministic discrete-event simulator (the default;
+//     NewSimRuntime for callers that want to hold one), where protocol
+//     time is virtual and a fixed seed makes runs bit-reproducible;
+//   - the live in-process runtime (WithLiveRuntime), where timers are
 //     real time.Timers and per-node mailbox goroutines deliver
 //     messages — the engine demonstrably does not depend on the
-//     simulator.
+//     simulator; and
+//   - the networked runtime (Listen, Dial, ListenCluster), the same
+//     engine discipline with the message plane replaced by real UDP
+//     datagrams through the wire codec.
+//
+// The two real-time ones exist only as group views of one host —
+// engine shards, a mux over them, one view per group — whether the
+// process serves one group (Open, Listen, Dial) or many (NewCluster,
+// ListenCluster). WithRuntime accepts any other implementation.
 type (
 	// Runtime bundles a Clock and Transport with drive operations.
 	Runtime = runtime.Runtime
@@ -26,10 +34,11 @@ type (
 	Transport = runtime.Transport
 	// Stats aggregates transport-level delivery counters.
 	Stats = runtime.Stats
-	// LiveConfig parameterizes a live in-process runtime.
+	// LiveConfig parameterizes the live in-process runtime
+	// (WithLiveRuntime).
 	LiveConfig = runtime.LiveConfig
 
-	// NetConfig parameterizes a networked UDP runtime (see Listen and
+	// NetConfig parameterizes the networked UDP runtime (see Listen and
 	// Dial; WithNetRuntime accepts one directly for full control).
 	NetConfig = runtime.NetConfig
 
@@ -46,16 +55,6 @@ type (
 	// FaultStats counts the faults a plan injected (engine-level
 	// substrates; the networked substrate counts into NetStats).
 	FaultStats = runtime.FaultStats
-
-	// NetRuntime is the networked UDP substrate. Most callers obtain
-	// one implicitly through Listen/Dial; the concrete type gives
-	// access to LocalAddr and NetStats.
-	NetRuntime = runtime.NetRuntime
-
-	// BootstrapInfo reports what a seed bootstrap (WithSeeds) learned
-	// about a deployment: hierarchy shape, slot count, and the slot
-	// this process claimed (negative for a slotless observer).
-	BootstrapInfo = runtime.BootstrapInfo
 
 	// PeerInfo is one entry of a networked deployment's live peer
 	// table: slot, address, liveness state, last-seen age and frame
@@ -111,21 +110,4 @@ func DefaultTierLatency() TierLatency { return runtime.DefaultTierLatency() }
 // bit-reproducible.
 func NewSimRuntime(latency LatencyModel, seed uint64) Runtime {
 	return simnet.NewSimRuntime(latency, seed)
-}
-
-// NewLiveRuntime starts a live in-process runtime: real timers,
-// per-node mailbox goroutines, and a single engine goroutine
-// serializing all protocol state access. The caller (or the Service
-// that owns it) must Close it.
-func NewLiveRuntime(cfg LiveConfig) Runtime {
-	return runtime.NewLiveRuntime(cfg)
-}
-
-// NewNetRuntime binds a UDP socket and starts a networked runtime:
-// the same engine discipline as NewLiveRuntime, with the message
-// plane replaced by real datagrams through the wire codec. Most
-// callers should use Listen/Dial, which also wire up the hierarchy
-// partition and address book.
-func NewNetRuntime(cfg NetConfig) (*NetRuntime, error) {
-	return runtime.NewNetRuntime(cfg)
 }

@@ -39,17 +39,16 @@ func TestSeedBootstrapObserver(t *testing.T) {
 	if top := joiner.Topology(); top.Levels != 2 || top.RingSize != 3 {
 		t.Fatalf("adopted topology = %dx%d, want 2x3", top.Levels, top.RingSize)
 	}
-	nrt := joiner.Runtime().(*NetRuntime)
-	boot, ok := nrt.BootstrapInfo()
-	if !ok {
-		t.Fatal("no bootstrap info on a seed-joined runtime")
-	}
-	if boot.H != 2 || boot.R != 3 || boot.Slots != 3 || boot.Slot >= 0 {
-		t.Fatalf("bootstrap info = %+v, want 2x3/3 slots, slotless", boot)
+	// It claimed no slot: a pure observer owns no hierarchy entity.
+	if owns := joiner.Config().Owns; owns == nil || owns(joiner.APs()[0]) {
+		t.Fatal("slotless seed joiner owns hierarchy entities")
 	}
 
 	// Its peer table knows every deployment member.
-	peers := nrt.Peers()
+	peers, ok := joiner.Cluster().Peers()
+	if !ok {
+		t.Fatal("no peer table on a seed-joined service")
+	}
 	up := 0
 	for _, p := range peers {
 		if p.Slot >= 0 && p.State == PeerUp {
@@ -95,14 +94,13 @@ func TestSeedBootstrapObserver(t *testing.T) {
 	// The static members learned the joiner through its hellos.
 	clusterSettle(t, func() bool {
 		for _, svc := range procs {
-			if len(svc.Runtime().(*NetRuntime).Peers()) < 4 {
+			if peers, _ := svc.Cluster().Peers(); len(peers) < 4 {
 				return false
 			}
 		}
 		return true
 	})
-	ns := nrt.NetStats()
-	if ns.GossipFrames == 0 {
+	if ns := netStatsOf(t, joiner); ns.GossipFrames == 0 {
 		t.Fatalf("joiner sent no discovery frames: %+v", ns)
 	}
 }

@@ -59,32 +59,45 @@ type watcher struct {
 // scheme, dissemination mode, and runtime selection.
 //
 // Open is the one-group special case of NewCluster: it builds a
-// single-group cluster in inline mode (no shard workers — the group
-// runs directly on the caller, preserving the simulator's
-// single-threaded discipline and allocation profile) and returns its
-// only Service. Use NewCluster to host many groups in one process.
+// one-group cluster, opens its group with the caller's seed untouched,
+// and returns that Service, whose Close closes the cluster with it. A
+// real-time substrate (WithLiveRuntime, Listen, Dial) is the same host
+// every cluster uses — one engine shard, a mux, one group view. The
+// simulator and a caller-supplied WithRuntime are the exception: they
+// run inline, with no shard worker — directly on the caller, preserving
+// the simulator's single-threaded discipline and allocation profile.
+// Use NewCluster to host many groups in one process.
 func Open(opts ...Option) (*Service, error) {
+	o, err := parseOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	c, err := newCluster(o, true)
+	if err != nil {
+		return nil, err
+	}
+	svc, err := c.Open(o.cfg.GID)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return svc, nil
+}
+
+// parseOptions applies opts over the defaults and rejects nonsensical
+// combinations, for Open and NewCluster alike.
+func parseOptions(opts []Option) (serviceOptions, error) {
 	o := defaultServiceOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	c := &Cluster{base: o, single: true, groups: make(map[GroupID]*Service)}
-	return c.Open(o.cfg.GID)
-}
-
-// validate rejects nonsensical option combinations shared by Open and
-// NewCluster.
-func (o *serviceOptions) validate() error {
 	if o.cfg.H < 1 || o.cfg.R < 2 {
-		return fmt.Errorf("%w (h=%d, r=%d)", ErrBadHierarchy, o.cfg.H, o.cfg.R)
+		return o, fmt.Errorf("%w (h=%d, r=%d)", ErrBadHierarchy, o.cfg.H, o.cfg.R)
 	}
 	if o.scheme.Level < 0 || o.scheme.Level >= o.cfg.H {
-		return fmt.Errorf("rgb: default scheme level %d of height-%d hierarchy: %w", o.scheme.Level, o.cfg.H, ErrQueryLevel)
+		return o, fmt.Errorf("rgb: default scheme level %d of height-%d hierarchy: %w", o.scheme.Level, o.cfg.H, ErrQueryLevel)
 	}
-	return nil
+	return o, nil
 }
 
 // newService wires a Service around an already-built runtime and
@@ -104,9 +117,11 @@ func newService(c *Cluster, gid GroupID, rt runtime.Runtime, owned bool, sys *co
 }
 
 // Close shuts the service down: subscribers' channels are closed, the
-// group is deregistered from its cluster, and a runtime the service
-// built itself is closed with it (for a cluster-shared substrate that
-// closes only this group's slice of it). Close is idempotent.
+// group is deregistered from its cluster, and a runtime the cluster
+// built for it is closed with it (a mux view, so only this group's
+// slice of the substrate). The Service of rgb.Open, Listen and Dial
+// then closes its one-group cluster too: socket, mux and shard worker
+// all go. Close is idempotent.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -121,22 +136,24 @@ func (s *Service) Close() error {
 
 	s.rt.Do(func() {
 		s.sys.SetEventSink(nil)
-		// On a cluster-shared engine the shard outlives this group;
-		// its periodic tickers must not keep firing into a closed
-		// System. (On a service-owned runtime the engine stops with
-		// Close anyway.)
+		// The engine shard may outlive this group; its periodic tickers
+		// must not keep firing into a closed System.
 		s.sys.StopHeartbeats()
 	})
 	for _, w := range watchers {
 		close(w.ch)
 	}
-	if s.cluster != nil {
-		s.cluster.forget(s.gid)
-	}
+	s.cluster.forget(s.gid)
+	var err error
 	if s.owned {
-		return s.rt.Close()
+		err = s.rt.Close()
 	}
-	return nil
+	if s.cluster.single {
+		if cerr := s.cluster.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // Group returns the group identity this service maintains membership
@@ -478,8 +495,8 @@ type ServiceMetrics struct {
 	Rounds            uint64 // completed token rounds
 	OpsCarried        uint64 // membership operations carried by rounds
 	Repairs           int    // local ring repairs performed
-	FunctionWellRings int    // rings currently reporting Function-Well
-	TotalRings        int    // total logical rings
+	FunctionWellRings int    // hosted rings currently reporting Function-Well
+	TotalRings        int    // logical rings this process hosts an entity of
 }
 
 // Metrics returns the service's protocol counters.

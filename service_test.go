@@ -252,12 +252,35 @@ func TestWatchUnsubscribe(t *testing.T) {
 	}
 }
 
+// closableSim is a caller-supplied runtime with a lifecycle of its own:
+// the simulator, whose Do drops work once the caller closed it (as any
+// real-time substrate does).
+type closableSim struct {
+	Runtime
+	closed bool
+}
+
+func newClosableSim() *closableSim {
+	return &closableSim{Runtime: NewSimRuntime(nil, 1)}
+}
+
+func (r *closableSim) Do(fn func()) {
+	if !r.closed {
+		r.Runtime.Do(fn)
+	}
+}
+
+func (r *closableSim) Close() error {
+	r.closed = true
+	return r.Runtime.Close()
+}
+
 // TestCallerOwnedRuntimeClosed: when a caller-supplied runtime is
 // closed underneath the service, operations report ErrClosed instead
 // of silently succeeding without running.
 func TestCallerOwnedRuntimeClosed(t *testing.T) {
 	ctx := context.Background()
-	rt := NewLiveRuntime(LiveConfig{Latency: ConstantLatency(50 * time.Microsecond)})
+	rt := newClosableSim()
 	svc, err := Open(WithHierarchy(2, 4), WithRuntime(rt))
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -46,7 +46,7 @@ func (s *Service) Telemetry() *Telemetry { return s.cluster.Telemetry() }
 // Cluster returns the container this service belongs to. For a
 // standalone rgb.Open/Listen service this is its implicit one-group
 // cluster — the handle to the shared-substrate surface (Telemetry,
-// Health, Peers, NetStats) that rgbnode's HTTP plane serves.
+// Health, LocalAddr, Peers, NetStats, Block) that rgbnode serves.
 func (s *Service) Cluster() *Cluster { return s.cluster }
 
 // ensureTelemetryLocked builds the registry on first use. Caller
