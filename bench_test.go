@@ -56,7 +56,7 @@ func BenchmarkTableI_Ring(b *testing.B) {
 	} {
 		name := fmt.Sprintf("n=%d/h=%d/r=%d", pow(cfg.r, cfg.h), cfg.h, cfg.r)
 		b.Run(name, func(b *testing.B) {
-			sys := New(fastConfig(cfg.h, cfg.r))
+			sys := core.NewSystem(fastConfig(cfg.h, cfg.r))
 			ap := sys.APs()[0]
 			var hops uint64
 			b.ResetTimer()
@@ -124,7 +124,7 @@ func BenchmarkAblationDissemination(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := fastConfig(3, 5)
 			cfg.Dissemination = mode
-			sys := New(cfg)
+			sys := core.NewSystem(cfg)
 			ap := sys.APs()[0]
 			var hops uint64
 			b.ResetTimer()
@@ -148,7 +148,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := fastConfig(2, 5)
 			cfg.Aggregate = aggregate
-			sys := New(cfg)
+			sys := core.NewSystem(cfg)
 			ap := sys.APs()[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -170,7 +170,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 // BenchmarkQuerySchemes measures Membership-Query cost per scheme
 // (E6): msgs/op and the virtual latency.
 func BenchmarkQuerySchemes(b *testing.B) {
-	sys := New(fastConfig(3, 5))
+	sys := core.NewSystem(fastConfig(3, 5))
 	aps := sys.APs()
 	for g := 1; g <= 50; g++ {
 		sys.JoinMemberAt(GUID(g), aps[(g*7)%len(aps)])
@@ -211,7 +211,7 @@ func BenchmarkHandoff(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := fastConfig(2, 5)
 			cfg.NeighborLists = neighbors
-			sys := New(cfg)
+			sys := core.NewSystem(cfg)
 			ring0 := sys.Node(sys.APs()[0]).Roster()
 			sys.JoinMemberAt(GUID(1), ring0[0])
 			sys.Run()
@@ -235,7 +235,7 @@ func BenchmarkHandoff(b *testing.B) {
 // round, NE-Join readmission.
 func BenchmarkRepair(b *testing.B) {
 	cfg := fastConfig(2, 5)
-	sys := New(cfg)
+	sys := core.NewSystem(cfg)
 	apNode := sys.Node(sys.APs()[0])
 	roster := apNode.Roster()
 	b.ResetTimer()
@@ -256,7 +256,7 @@ func BenchmarkRepair(b *testing.B) {
 func BenchmarkTokenRound(b *testing.B) {
 	for _, r := range []int{5, 10, 25, 50} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			sys := New(fastConfig(1, r))
+			sys := core.NewSystem(fastConfig(1, r))
 			ap := sys.APs()[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -357,7 +357,7 @@ func BenchmarkViewChangeConvergence(b *testing.B) {
 			cfg := fastConfig(4, 10)
 			cfg.Dissemination = DisseminatePathOnly
 			cfg.BatchWindow = tc.window
-			sys := New(cfg)
+			sys := core.NewSystem(cfg)
 			const changes = 100
 			var perChange float64
 			next := 1
@@ -383,7 +383,7 @@ func TestViewChangeConvergenceGuard(t *testing.T) {
 		cfg := fastConfig(3, 5)
 		cfg.Dissemination = DisseminatePathOnly
 		cfg.BatchWindow = window
-		return convergenceRounds(New(cfg), 1, changes, 4, 5*time.Millisecond)
+		return convergenceRounds(core.NewSystem(cfg), 1, changes, 4, 5*time.Millisecond)
 	}
 	unbatched := run(0)
 	batched := run(250 * time.Millisecond)

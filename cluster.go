@@ -25,14 +25,15 @@ import (
 // group's engine sees exactly the same events in the same order no
 // matter how many shards the cluster runs or which shard it lands on.
 //
-// Every real-time group runs on one host, shards → mux → group view:
-//
-//   - live (WithLiveRuntime): a live mux gives each group its own
-//     mailboxes on its shard's engine goroutine and timer arena;
-//   - networked (Listen, Dial, ListenCluster): a net mux additionally
-//     shares one UDP socket and the per-shard encode buffers between
-//     all groups, and demultiplexes inbound frames to the owning shard
-//     by the wire envelope's group tag.
+// Every real-time group runs on one host, shards → mux → group view,
+// with or without a socket: the mux gives each group its own endpoints,
+// timers and counters on its shard's engine goroutine and hands a
+// message between two entities of the process over in memory. Networked
+// (Listen, Dial, ListenCluster), it additionally shares one UDP socket
+// and the per-shard encode buffers between all groups and demultiplexes
+// inbound frames to the owning shard by the wire envelope's group tag;
+// in-process (WithLiveRuntime), it has no socket and the process is the
+// whole deployment.
 //
 // The deterministic simulator (the default) is the one exception: each
 // group is its own single-threaded simulator, bound to its shard's
@@ -53,9 +54,10 @@ type Cluster struct {
 	// discipline and allocation profile intact.
 	single bool
 
-	set     *rgbruntime.ShardSet
-	liveMux *rgbruntime.LiveMux
-	netMux  *rgbruntime.NetMux
+	// set and mux are the real-time host (both nil on the simulator
+	// under rgb.Open, mux nil on a simulator cluster).
+	set *rgbruntime.ShardSet
+	mux *rgbruntime.NetMux
 
 	mu     sync.Mutex
 	groups map[GroupID]*Service
@@ -71,9 +73,9 @@ type Cluster struct {
 // are the same as Open's and apply to every group (hierarchy shape,
 // seed, query scheme, dissemination, heartbeats, loss); WithShards
 // sets the engine worker count (default GOMAXPROCS). Substrate
-// selection: the deterministic simulator by default, a shared live
-// in-process plane with WithLiveRuntime; use ListenCluster for the
-// networked form. WithRuntime is not supported — a cluster must own
+// selection: the deterministic simulator by default, the real-time host
+// in-process with WithLiveRuntime; use ListenCluster for the networked
+// form. WithRuntime is not supported — a cluster must own
 // its substrate to shard it.
 //
 // Groups are not declared up front: Open(gid) instantiates one on
@@ -93,45 +95,48 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 // false) and Open (single true).
 func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 	c := &Cluster{base: o, single: single, groups: make(map[GroupID]*Service)}
+	realTime := o.netConfig != nil || o.inProcess
 	shards := o.shards
 	switch {
-	case single && (o.rt != nil || (o.netConfig == nil && o.liveConfig == nil)):
+	case single && (o.rt != nil || !realTime):
 		return c, nil // inline: no shard worker
 	case single:
 		shards = 1
 	case shards <= 0:
 		shards = runtime.GOMAXPROCS(0)
 	}
+	// The zero NetConfig, with no Bind, is the in-process mux; WithLoss
+	// is emulated on it as on the networked plane.
+	nc := NetConfig{Loss: o.cfg.Loss}
+	if o.netConfig != nil {
+		var err error
+		if nc, err = buildNetConfig(&c.base); err != nil {
+			return nil, err
+		}
+	}
 	c.set = rgbruntime.NewShardSet(shards)
-	switch {
-	case o.netConfig != nil:
-		nc, err := buildNetConfig(&c.base)
-		if err != nil {
-			c.set.Close()
-			return nil, err
-		}
-		c.netMux, err = rgbruntime.NewNetMux(nc, c.set)
-		if err != nil {
-			c.set.Close()
-			return nil, err
-		}
-		port := c.netMux.LocalAddr().Port
-		if boot, ok := c.netMux.BootstrapInfo(); ok {
-			adoptBootstrap(&c.base, boot, c.netMux.AdoptOwners, port)
+	if !realTime {
+		return c, nil // simulators bound to the shards
+	}
+	mux, err := rgbruntime.NewNetMux(nc, c.set)
+	if err != nil {
+		c.set.Close()
+		return nil, err
+	}
+	c.mux = mux
+	if addr := mux.LocalAddr(); addr != nil {
+		if boot, ok := mux.BootstrapInfo(); ok {
+			adoptBootstrap(&c.base, boot, mux.AdoptOwners, addr.Port)
 		}
 		if o.dialClient {
-			c.base.cfg.MHBase = clientMHBase(port)
+			c.base.cfg.MHBase = clientMHBase(addr.Port)
 		}
-	case o.liveConfig != nil:
-		lc := *o.liveConfig
-		if o.cfg.Loss > 0 && lc.Loss == 0 {
-			// WithLoss is emulated on the live in-process plane.
-			lc.Loss = o.cfg.Loss
-		}
-		c.liveMux = rgbruntime.NewLiveMux(lc, c.set)
 	}
 	return c, nil
 }
+
+// networked reports whether the cluster's mux has a socket.
+func (c *Cluster) networked() bool { return c.mux != nil && c.mux.LocalAddr() != nil }
 
 // ListenCluster starts a networked multi-group container: it binds
 // addr (UDP) once and serves every opened group over that socket, with
@@ -187,15 +192,14 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 		err   error
 	)
 	switch {
-	case c.netMux != nil:
-		// Faults ride in the mux's NetConfig (buildNetConfig), acting
-		// on the encoded datagrams; no engine-level wrapper here.
-		nrt, err = c.netMux.Open(gid, c.ShardOf(gid), o.cfg.Seed)
+	case c.mux != nil:
+		nrt, err = c.mux.Open(gid, c.ShardOf(gid), o.cfg.Seed)
 		rt = nrt
-	case c.liveMux != nil:
-		var lrt *rgbruntime.LiveRuntime
-		if lrt, err = c.liveMux.Open(gid, c.ShardOf(gid), o.cfg.Seed); err == nil {
-			rt = wrapFaults(lrt, &o)
+		if err == nil && !c.networked() {
+			// Networked, faults ride in the mux's NetConfig
+			// (buildNetConfig) and act on the encoded datagrams; with no
+			// datagrams to act on they wrap the engine-level transport.
+			rt = wrapFaults(nrt, &o)
 		}
 	case o.rt != nil:
 		// Caller-supplied substrate (rgb.Open only); the caller owns its
@@ -307,10 +311,10 @@ func (c *Cluster) ShardOf(gid GroupID) int {
 // socket (useful with a ":0" bind), and false for non-networked
 // clusters.
 func (c *Cluster) LocalAddr() (*net.UDPAddr, bool) {
-	if c.netMux == nil {
+	if !c.networked() {
 		return nil, false
 	}
-	return c.netMux.LocalAddr(), true
+	return c.mux.LocalAddr(), true
 }
 
 // Peers snapshots the live peer table of a networked cluster's
@@ -320,20 +324,20 @@ func (c *Cluster) LocalAddr() (*net.UDPAddr, bool) {
 // cluster (no peers, no seeds) runs no discovery plane and reports an
 // empty table.
 func (c *Cluster) Peers() ([]PeerInfo, bool) {
-	if c.netMux == nil {
+	if !c.networked() {
 		return nil, false
 	}
-	return c.netMux.Peers(), true
+	return c.mux.Peers(), true
 }
 
 // NetStats returns the wire-level counters of a networked cluster's
 // socket (aggregated over all groups), and false for non-networked
 // clusters.
 func (c *Cluster) NetStats() (NetStats, bool) {
-	if c.netMux == nil {
+	if !c.networked() {
 		return NetStats{}, false
 	}
-	return c.netMux.NetStats(), true
+	return c.mux.NetStats(), true
 }
 
 // Block cuts all traffic between this process and the given peer slots
@@ -346,24 +350,24 @@ func (c *Cluster) NetStats() (NetStats, bool) {
 // slot is never blocked. On a non-networked cluster it returns an error
 // wrapping ErrOptionUnsupported.
 func (c *Cluster) Block(slots ...int) error {
-	if c.netMux == nil {
+	if !c.networked() {
 		return fmt.Errorf("rgb: Block on a non-networked cluster: %w", ErrOptionUnsupported)
 	}
-	c.netMux.Block(slots...)
+	c.mux.Block(slots...)
 	return nil
 }
 
 // Unblock removes the cut installed by Block.
 func (c *Cluster) Unblock() error {
-	if c.netMux == nil {
+	if !c.networked() {
 		return fmt.Errorf("rgb: Unblock on a non-networked cluster: %w", ErrOptionUnsupported)
 	}
-	c.netMux.Unblock()
+	c.mux.Unblock()
 	return nil
 }
 
 // Close shuts down every open group and then the shared substrate
-// (muxes, socket, shard workers). Idempotent.
+// (mux, socket, shard workers). Idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -384,13 +388,8 @@ func (c *Cluster) Close() error {
 			err = cerr
 		}
 	}
-	if c.netMux != nil {
-		if cerr := c.netMux.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if c.liveMux != nil {
-		if cerr := c.liveMux.Close(); err == nil {
+	if c.mux != nil {
+		if cerr := c.mux.Close(); err == nil {
 			err = cerr
 		}
 	}

@@ -139,7 +139,7 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	simDigests := runClusterScenario(t, gids, sim)
 
 	live, err := NewCluster(WithHierarchy(2, 3), WithSeed(seed), WithShards(4),
-		WithLiveRuntime(LiveConfig{Latency: ConstantLatency(50 * time.Microsecond)}))
+		WithLiveRuntime())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestClusterGroupReopenOnMux(t *testing.T) {
 	}{
 		{"live", func() (*Cluster, error) {
 			return NewCluster(WithHierarchy(1, 3), WithSeed(4), WithShards(2),
-				WithLiveRuntime(LiveConfig{Latency: ConstantLatency(20 * time.Microsecond)}))
+				WithLiveRuntime())
 		}},
 		{"net", func() (*Cluster, error) {
 			return ListenCluster("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(4), WithShards(2))
@@ -358,7 +358,7 @@ func TestOpenIsOneGroupCluster(t *testing.T) {
 	opts := []Option{WithHierarchy(1, 3), WithSeed(5), WithGroup(NewGroupID(12))}
 	for name, open := range map[string]func() (*Service, error){
 		"sim":  func() (*Service, error) { return Open(opts...) },
-		"live": func() (*Service, error) { return Open(append(opts[:3:3], WithLiveRuntime(LiveConfig{}))...) },
+		"live": func() (*Service, error) { return Open(append(opts[:3:3], WithLiveRuntime())...) },
 		"net":  func() (*Service, error) { return Listen(addr, opts...) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -407,5 +407,60 @@ func TestOpenIsOneGroupCluster(t *testing.T) {
 	}
 	if g1.Config().Seed == g2.Config().Seed {
 		t.Fatal("cluster groups share one deterministic stream")
+	}
+}
+
+// TestInProcessOpensNoSocketNoPumps: the in-process real-time host is
+// the networked one without the socket — its only goroutines are the
+// shard workers, however many endpoints a group registers (h=3 r=5 has
+// 155) — and it keeps reporting "not networked".
+func TestInProcessOpensNoSocketNoPumps(t *testing.T) {
+	before := goruntime.NumGoroutine()
+	c, err := NewCluster(WithHierarchy(3, 5), WithLiveRuntime(), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	svc, err := c.Open(NewGroupID(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Join(context.Background(), GUID(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Polled: a firing timer borrows a goroutine for a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before: want only the 2 shard workers added", goruntime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := c.LocalAddr(); ok {
+		t.Error("LocalAddr reports a socket")
+	}
+	if _, ok := c.NetStats(); ok {
+		t.Error("NetStats reports a socket")
+	}
+	if _, ok := c.Peers(); ok {
+		t.Error("Peers reports a peer table")
+	}
+	if err := c.Block(1); !errors.Is(err, ErrOptionUnsupported) {
+		t.Errorf("Block err = %v, want ErrOptionUnsupported", err)
+	}
+}
+
+// TestEmptyBindIsNotInProcess: only WithLiveRuntime selects the
+// socketless host; a networked option with no bind address stays an
+// error instead of silently becoming an in-process group.
+func TestEmptyBindIsNotInProcess(t *testing.T) {
+	if _, err := Listen(""); !errors.Is(err, ErrBadCluster) {
+		t.Errorf(`Listen("") err = %v, want ErrBadCluster`, err)
+	}
+	if _, err := Open(WithNetRuntime(NetConfig{})); !errors.Is(err, ErrBadCluster) {
+		t.Errorf("WithNetRuntime(NetConfig{}) err = %v, want ErrBadCluster", err)
+	}
+	if _, err := ListenCluster("", WithLiveRuntime()); !errors.Is(err, ErrBadCluster) {
+		t.Errorf(`ListenCluster("", WithLiveRuntime()) err = %v, want ErrBadCluster`, err)
 	}
 }

@@ -49,12 +49,12 @@
 // on the deterministic discrete-event simulator (NewSimRuntime), inline
 // on the caller under rgb.Open. Everything on real time is one host —
 // engine shards, a mux over them, one runtime view per group —
-// whether it serves one group or many: rgb.WithLiveRuntime runs the
-// identical engine live in-process on real timers and mailbox
-// goroutines; rgb.Listen / rgb.Dial run it networked over real UDP
-// sockets, where multiple processes (see cmd/rgbnode) each host a
-// slice of the hierarchy and exchange wire-encoded datagrams; and
-// rgb.ListenCluster serves many groups over the same kind of socket:
+// whether it serves one group or many, with or without a socket:
+// rgb.WithLiveRuntime runs the identical engine in-process on real
+// timers, every hop handed over in memory; rgb.Listen / rgb.Dial add
+// real UDP sockets, so that multiple processes (see cmd/rgbnode) each
+// host a slice of the hierarchy and exchange wire-encoded datagrams;
+// and rgb.ListenCluster serves many groups over the same kind of socket:
 // each datagram envelope carries its group tag, and inbound frames are
 // demultiplexed to the engine shard owning that group. rgb.WithRuntime
 // accepts a caller-supplied substrate.

@@ -16,7 +16,7 @@ import (
 // pending maps, reused ring buffer) — so installing real callbacks
 // must not move the budget at all.
 func TestTokenRoundInstrumentedAllocs(t *testing.T) {
-	sys := New(fastConfig(1, 50))
+	sys := core.NewSystem(fastConfig(1, 50))
 	var rounds, views atomic.Uint64
 	sys.SetInstrumentation(&core.Instrumentation{
 		RoundDone:  func(level int, d time.Duration, ops int) { rounds.Add(1) },

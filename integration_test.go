@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/analytic"
+	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/simnet"
 )
 
@@ -21,7 +22,7 @@ func TestEndToEndTableIRingColumn(t *testing.T) {
 	for _, row := range rows {
 		cfg := DefaultConfig(row.h, row.r)
 		cfg.Latency = simnet.ConstantLatency(time.Millisecond)
-		sys := New(cfg)
+		sys := core.NewSystem(cfg)
 		got, err := sys.MeasureDisseminationHops(GUID(1), sys.APs()[0])
 		if err != nil {
 			t.Fatalf("MeasureDisseminationHops: %v", err)
@@ -57,7 +58,7 @@ func TestScenarioMembershipMatchesTraceExactly(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
 	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
 	cfg.Seed = 7
-	sys := New(cfg)
+	sys := core.NewSystem(cfg)
 	churn := ChurnConfig{
 		InitialMembers: 30,
 		JoinRate:       1.0,
@@ -66,13 +67,13 @@ func TestScenarioMembershipMatchesTraceExactly(t *testing.T) {
 		Duration:       90 * time.Second,
 		Seed:           7,
 	}
-	tr := Churn(sys, churn, 1)
-	grid := NewGrid(sys, 60)
+	tr := ChurnOver(sys.APs(), churn, 1)
+	grid := NewGridOver(sys.APs(), 60)
 	wp := DefaultWaypointConfig(30)
 	wp.Duration = churn.Duration
 	wp.Seed = 7
 	tr = WithMobility(tr, RandomWaypoint(grid, wp, 1))
-	ApplyTrace(sys, tr)
+	core.ApplyTrace(sys, tr)
 
 	// Note: no NE crashes here — a member attached to a crashed AP
 	// cannot deregister (its leave is lost with the AP), so exact
@@ -105,11 +106,11 @@ func TestScenarioMembershipMatchesTraceExactly(t *testing.T) {
 func TestQueryAgreesWithTopRingUnderChurn(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
 	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
-	sys := New(cfg)
-	tr := Churn(sys, ChurnConfig{
+	sys := core.NewSystem(cfg)
+	tr := ChurnOver(sys.APs(), ChurnConfig{
 		InitialMembers: 20, JoinRate: 1, LeaveRate: 0.7, Duration: time.Minute, Seed: 9,
 	}, 1)
-	ApplyTrace(sys, tr)
+	core.ApplyTrace(sys, tr)
 	sys.RunFor(2 * time.Minute)
 	for level := 0; level < 3; level++ {
 		res, err := sys.RunQuery(sys.APs()[level*7], IMS(level))
@@ -154,7 +155,7 @@ func TestPathOnlyMaintainsTopAccuracy(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
 	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
 	cfg.Dissemination = DisseminatePathOnly
-	sys := New(cfg)
+	sys := core.NewSystem(cfg)
 	aps := sys.APs()
 	for g := 1; g <= 30; g++ {
 		sys.JoinMemberAt(GUID(g), aps[(g*5)%len(aps)])
@@ -190,7 +191,7 @@ func TestScaleH4R5(t *testing.T) {
 	}
 	cfg := DefaultConfig(4, 5)
 	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
-	sys := New(cfg)
+	sys := core.NewSystem(cfg)
 	aps := sys.APs()
 	for g := 1; g <= 50; g++ {
 		sys.JoinMemberAt(GUID(g), aps[(g*13)%len(aps)])

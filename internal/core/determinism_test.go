@@ -30,9 +30,10 @@ func goldenScenarioDigest() string {
 	sys := NewSystem(cfg)
 
 	h := sha256.New()
-	sys.Net().SetTrace(func(msg simnet.Message, outcome string) {
+	sim := sys.Runtime().(*simnet.SimRuntime)
+	sim.Net().SetTrace(func(msg simnet.Message, outcome string) {
 		fmt.Fprintf(h, "%d %d %s %s %s %s\n",
-			int64(sys.Kernel().Now()), sys.Kernel().Executed(),
+			int64(sim.Kernel().Now()), sim.Kernel().Executed(),
 			msg.From, msg.To, msg.Kind, outcome)
 	})
 

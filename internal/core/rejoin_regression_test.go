@@ -35,7 +35,7 @@ func TestFailoverRejoinConvergence(t *testing.T) {
 			for _, m := range rg.Nodes() {
 				n := sys.Node(m)
 				t.Logf("ring %s node %s crashed=%v stale=%v leader=%s roster=%v",
-					rg.ID(), m, sys.Net().Crashed(m), sys.neStale(m), n.Leader(), n.Roster())
+					rg.ID(), m, sys.Transport().Crashed(m), sys.neStale(m), n.Leader(), n.Roster())
 			}
 		}
 		t.Fatalf("disagreements: %d", d)

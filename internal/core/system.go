@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/rgbproto/rgb/internal/des"
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mathx"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -67,12 +66,12 @@ type RepairEvent struct {
 //
 // The protocol state machine talks only to the runtime.Clock and
 // runtime.Transport interfaces, so the same System runs on the
-// deterministic simulator (simnet.SimRuntime, the default) or on the
-// live in-process runtime (runtime.LiveRuntime).
+// deterministic simulator (simnet.SimRuntime, the default) or on real
+// time (a runtime.NetRuntime group view).
 //
 // A System is not internally synchronized: every method that touches
 // protocol state must run in engine context. On the simulated runtime
-// that is any single-goroutine caller; on a live runtime, wrap calls
+// that is any single-goroutine caller; on a real-time one, wrap calls
 // in Runtime().Do (the rgb.Service facade does this).
 type System struct {
 	cfg   Config
@@ -265,33 +264,6 @@ func (s *System) Clock() runtime.Clock { return s.clock }
 
 // Transport returns the substrate message plane.
 func (s *System) Transport() runtime.Transport { return s.tr }
-
-// Kernel returns the simulation kernel when the System runs on the
-// simulated runtime, and nil otherwise.
-//
-// Deprecated: simulator-specific. Use Clock for time and timers, or
-// Runtime to drive the deployment; reach the kernel through
-// simnet.SimRuntime only for simulator-only concerns (trace hooks,
-// event counts).
-func (s *System) Kernel() *des.Kernel {
-	if rt, ok := s.rt.(*simnet.SimRuntime); ok {
-		return rt.Kernel()
-	}
-	return nil
-}
-
-// Net returns the simulated network when the System runs on the
-// simulated runtime, and nil otherwise.
-//
-// Deprecated: simulator-specific. Use Transport for the message
-// plane; reach the network through simnet.SimRuntime only for
-// simulator-only concerns (loss/trace configuration).
-func (s *System) Net() *simnet.Network {
-	if rt, ok := s.rt.(*simnet.SimRuntime); ok {
-		return rt.Net()
-	}
-	return nil
-}
 
 // Hierarchy returns the static topology.
 func (s *System) Hierarchy() *topology.RingHierarchy { return s.hier }

@@ -333,7 +333,7 @@ func TestDeterministicRuns(t *testing.T) {
 			sys.JoinMember(ids.GUID(g))
 		}
 		sys.Run()
-		st := sys.Net().Stats()
+		st := sys.Transport().Stats()
 		return st.Delivered, sys.Rounds()
 	}
 	d1, r1 := run()

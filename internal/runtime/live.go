@@ -5,53 +5,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/rgbproto/rgb/internal/ids"
-	"github.com/rgbproto/rgb/internal/mathx"
 )
 
-var _ Runtime = (*LiveRuntime)(nil)
-
-// LiveConfig parameterizes a LiveMux: every group of a live in-process
-// deployment. Each group's jitter/loss stream is seeded by its Open.
-type LiveConfig struct {
-	// Latency is the message delay model; nil selects a constant
-	// 200µs, which keeps in-process deployments snappy while still
-	// exercising genuinely asynchronous delivery. The one model
-	// instance is shared by every group across all engine shards, so a
-	// caller-supplied model must be safe for concurrent Latency calls
-	// (the built-in models are: they keep no mutable state — the RNG is
-	// passed in per call).
-	Latency LatencyModel
-
-	// Loss is the independent per-message loss probability.
-	Loss float64
-
-	// MailboxDepth bounds each node's mailbox; messages beyond it are
-	// dropped (and counted), like any real bounded ingress queue.
-	// Zero selects 1024.
-	MailboxDepth int
-
-	// SettleTimeout bounds Run/RunUntil: the pending counter is
-	// shard-wide, so a busy sibling group could otherwise block a
-	// settled group's Run indefinitely. Zero selects 5s.
-	SettleTimeout time.Duration
-}
-
 // engineCore is one engine shard's single-goroutine execution
-// discipline, shared by the real-time runtimes (the in-process
-// LiveRuntime and the UDP NetRuntime views pinned to the shard): one
-// engine goroutine owns all protocol state, a pending
+// discipline, shared by every real-time group view (NetRuntime) pinned
+// to the shard: one engine goroutine owns all protocol state, a pending
 // counter tracks outstanding units of work (armed timers, in-flight
-// local deliveries), and close semantics drain the queue. It is the
-// live-side counterpart of the simulator kernel's event loop.
+// local deliveries, decoded frames), and close semantics drain the
+// queue. It is the real-time counterpart of the simulator kernel's
+// event loop.
 type engineCore struct {
 	start time.Time
 	exec  chan func()
 
 	// pending counts outstanding units of protocol work. Zero means
-	// locally quiescent (a networked runtime additionally considers
-	// socket idle time; see NetRuntime.Run).
+	// locally quiescent (a view with a socket additionally waits out an
+	// idle window; see NetRuntime.quiescent).
 	pending atomic.Int64
 
 	// local is the FIFO of networked messages for endpoints of this very
@@ -210,112 +179,6 @@ func (e *engineCore) stop() {
 	})
 }
 
-// LiveRuntime is one group's view of a LiveMux: the protocol engine
-// in-process on real time. Per-node mailbox goroutines deliver messages
-// after their model latency, timers are real time.Timers, and the
-// group's engine shard serializes every protocol callback — the same
-// single-writer discipline the simulator gets for free, enforced here
-// with channels instead of a virtual clock.
-//
-// The shard's engine goroutine owns all protocol state. External
-// callers reach it through Do; mailbox pumps and timer firings enqueue
-// onto the same serialization channel, so handlers never race.
-type LiveRuntime struct {
-	eng   *engineCore
-	clock *liveClock
-	tr    *liveTransport
-
-	mux *LiveMux
-	gid ids.GroupID
-
-	// settleBound caps Run/RunUntil: the shard-wide pending counter
-	// includes sibling groups' work, so waiting for it to hit zero must
-	// not be unbounded.
-	settleBound time.Duration
-}
-
-// liveDefaults fills the zero-value LiveConfig knobs.
-func liveDefaults(cfg *LiveConfig) {
-	if cfg.Latency == nil {
-		cfg.Latency = ConstantLatency(200 * time.Microsecond)
-	}
-	if cfg.MailboxDepth <= 0 {
-		cfg.MailboxDepth = 1024
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 5 * time.Second
-	}
-}
-
-// newLiveTransport builds one group's mailbox transport on an engine
-// shard; seed seeds the group's jitter/loss stream.
-func newLiveTransport(eng *engineCore, clock *liveClock, cfg LiveConfig, seed uint64) *liveTransport {
-	return &liveTransport{
-		eng:       eng,
-		clock:     clock,
-		latency:   cfg.Latency,
-		loss:      cfg.Loss,
-		rng:       mathx.NewRNG(seed),
-		depth:     cfg.MailboxDepth,
-		endpoints: make(map[ids.NodeID]*mailbox),
-		crashed:   make(map[ids.NodeID]bool),
-	}
-}
-
-// Clock implements Runtime.
-func (rt *LiveRuntime) Clock() Clock { return rt.clock }
-
-// Transport implements Runtime.
-func (rt *LiveRuntime) Transport() Transport { return rt.tr }
-
-// Do implements Runtime: fn runs on the engine goroutine; Do returns
-// once it completed. After the shard set closed, Do returns without
-// running fn.
-func (rt *LiveRuntime) Do(fn func()) { rt.eng.do(fn) }
-
-// Run implements Runtime: it blocks until no timers are armed and no
-// messages are in flight on the group's shard, or the settle timeout.
-// New work is registered before the work that created it retires, so
-// reading zero means true quiescence.
-func (rt *LiveRuntime) Run() {
-	deadline := time.Now().Add(rt.settleBound)
-	for rt.eng.pending.Load() != 0 && time.Now().Before(deadline) {
-		select {
-		case <-rt.eng.closed:
-			return
-		case <-time.After(200 * time.Microsecond):
-		}
-	}
-}
-
-// RunFor implements Runtime: live protocol time is wall time.
-func (rt *LiveRuntime) RunFor(d time.Duration) {
-	select {
-	case <-rt.eng.closed:
-	case <-time.After(d):
-	}
-}
-
-// RunUntil implements Runtime: it waits until pred, evaluated in engine
-// context, reports true or the shard quiesces without it (bounded by
-// the settle timeout), matching the simulator's drained-queue
-// behaviour.
-func (rt *LiveRuntime) RunUntil(pred func() bool) bool {
-	deadline := time.Now().Add(rt.settleBound)
-	return rt.eng.await(pred, 200*time.Microsecond, func() bool {
-		return rt.eng.pending.Load() == 0 || !time.Now().Before(deadline)
-	})
-}
-
-// Close implements Runtime: it stops this group's mailbox pumps and
-// releases the group identity for reopening. In-flight work is dropped.
-// The engine shard belongs to the ShardSet and keeps running.
-func (rt *LiveRuntime) Close() error {
-	rt.eng.do(rt.tr.closeMailboxes)
-	rt.mux.release(rt.gid)
-	return nil
-}
-
 // --- Clock ------------------------------------------------------------
 
 // liveTimerSlot is one timer in the clock's arena. Slots are recycled
@@ -332,7 +195,8 @@ type liveTimerSlot struct {
 
 // liveClock implements Clock on real time.Timers. All state is owned
 // by the engine goroutine; timer firings re-enter through eng.submit.
-// One per engine shard, serving every group view pinned to it.
+// One per group view, so closing a group cancels exactly its own timers
+// (cancelAll); protocol time is the shard's (eng.start).
 type liveClock struct {
 	eng   *engineCore
 	slots []liveTimerSlot
@@ -368,6 +232,12 @@ func (c *liveClock) AfterCall(d time.Duration, fn func(any), arg any) TimerHandl
 	s.timer = time.AfterFunc(d, func() {
 		c.eng.submit(func() { c.fire(i, gen) })
 	})
+	return liveHandle(i, gen)
+}
+
+// liveHandle packs a slot index and generation (zero stays the null
+// handle).
+func liveHandle(i, gen uint32) TimerHandle {
 	return TimerHandle{W: uint64(i+1) | uint64(gen)<<32}
 }
 
@@ -419,6 +289,17 @@ func (c *liveClock) Cancel(h TimerHandle) bool {
 	return true
 }
 
+// cancelAll cancels every armed timer: the group that armed them is
+// closed, and its callbacks must neither run nor hold the shard's
+// pending count up. Engine context.
+func (c *liveClock) cancelAll() {
+	for i := range c.slots {
+		if c.slots[i].armed {
+			c.Cancel(liveHandle(uint32(i), c.slots[i].gen))
+		}
+	}
+}
+
 // liveTicker re-arms itself through the clock after every firing.
 type liveTicker struct {
 	clock    *liveClock
@@ -460,133 +341,3 @@ func (c *liveClock) Every(interval time.Duration, fn func()) Ticker {
 	t.arm()
 	return t
 }
-
-// --- Transport --------------------------------------------------------
-
-// inflightMsg is one message riding a mailbox with its delivery
-// deadline in protocol time.
-type inflightMsg struct {
-	msg Message
-	at  Time
-}
-
-// mailbox is one node's bounded ingress queue with its pump goroutine.
-type mailbox struct {
-	ch chan inflightMsg
-	ep Endpoint
-}
-
-// liveTransport implements Transport over per-node mailboxes. All
-// state is owned by the engine goroutine; only the pump goroutines
-// run outside it, and they touch nothing but their own channel.
-type liveTransport struct {
-	eng       *engineCore
-	clock     *liveClock
-	latency   LatencyModel
-	loss      float64
-	rng       *mathx.RNG
-	depth     int
-	endpoints map[ids.NodeID]*mailbox
-	crashed   map[ids.NodeID]bool
-	stats     Stats
-}
-
-func (t *liveTransport) Register(id ids.NodeID, ep Endpoint) {
-	if id.IsZero() {
-		panic("runtime: registering the zero NodeID")
-	}
-	if ep == nil {
-		panic("runtime: registering nil endpoint")
-	}
-	if old, ok := t.endpoints[id]; ok {
-		old.ep = ep // keep the existing mailbox and pump
-		return
-	}
-	mb := &mailbox{ch: make(chan inflightMsg, t.depth), ep: ep}
-	t.endpoints[id] = mb
-	go t.pump(mb)
-}
-
-// pump delivers one mailbox's messages after their latency deadline,
-// re-entering the engine for the handler call. The sleep is relative
-// to the message's own deadline, so a burst drains back to back.
-func (t *liveTransport) pump(mb *mailbox) {
-	for fl := range mb.ch {
-		if wait := time.Duration(fl.at - t.clock.Now()); wait > 0 {
-			time.Sleep(wait)
-		}
-		msg := fl.msg
-		t.eng.submit(func() { t.deliver(mb, msg) })
-	}
-}
-
-// deliver runs on the engine goroutine: destination-side checks, then
-// the handler.
-func (t *liveTransport) deliver(mb *mailbox, msg Message) {
-	defer t.eng.pending.Add(-1)
-	if cur, ok := t.endpoints[msg.To]; !ok || cur != mb {
-		// Unregistered (or replaced) while the message was in flight.
-		t.stats.Dropped++
-		return
-	}
-	if t.crashed[msg.To] {
-		t.stats.Dropped++
-		return
-	}
-	t.stats.Delivered++
-	t.stats.ByKind[msg.Kind]++
-	mb.ep.HandleMessage(msg)
-}
-
-func (t *liveTransport) Unregister(id ids.NodeID) {
-	if mb, ok := t.endpoints[id]; ok {
-		delete(t.endpoints, id)
-		close(mb.ch)
-	}
-}
-
-func (t *liveTransport) Send(msg Message) {
-	msg.Sent = t.clock.Now()
-	t.stats.Sent++
-	if t.crashed[msg.From] {
-		t.stats.Dropped++
-		return
-	}
-	if msg.To.IsZero() {
-		t.stats.Dropped++
-		return
-	}
-	if t.loss > 0 && t.rng.Bernoulli(t.loss) {
-		t.stats.Dropped++
-		return
-	}
-	mb, ok := t.endpoints[msg.To]
-	if !ok {
-		t.stats.Dropped++
-		return
-	}
-	delay := t.latency.Latency(msg.From, msg.To, t.rng)
-	t.eng.pending.Add(1)
-	select {
-	case mb.ch <- inflightMsg{msg: msg, at: msg.Sent.Add(delay)}:
-	default:
-		// Mailbox full: the bounded ingress queue drops, like any
-		// real receiver under overload.
-		t.stats.Dropped++
-		t.eng.pending.Add(-1)
-	}
-}
-
-// closeMailboxes stops every pump goroutine. Runs in engine context.
-func (t *liveTransport) closeMailboxes() {
-	for _, mb := range t.endpoints {
-		close(mb.ch)
-	}
-	t.endpoints = make(map[ids.NodeID]*mailbox)
-}
-
-func (t *liveTransport) Crash(id ids.NodeID)        { t.crashed[id] = true }
-func (t *liveTransport) Restore(id ids.NodeID)      { delete(t.crashed, id) }
-func (t *liveTransport) Crashed(id ids.NodeID) bool { return t.crashed[id] }
-func (t *liveTransport) Stats() Stats               { return t.stats }
-func (t *liveTransport) ResetStats()                { t.stats = Stats{} }

@@ -9,15 +9,18 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// newTestLive opens one live group the way every caller gets one: a
-// one-shard set, a mux over it, one group view.
-func newTestLive(t *testing.T) *LiveRuntime {
+// newTestLive opens one in-process group the way every caller gets one:
+// a one-shard set, a socketless mux over it, one group view.
+func newTestLive(t *testing.T) *NetRuntime {
 	t.Helper()
 	set := NewShardSet(1)
-	mux := NewLiveMux(LiveConfig{Latency: ConstantLatency(100 * time.Microsecond)}, set)
+	mux, err := NewNetMux(NetConfig{}, set)
+	if err != nil {
+		t.Fatalf("NewNetMux: %v", err)
+	}
 	rt, err := mux.Open(ids.NewGroupID(1), 0, 1)
 	if err != nil {
-		t.Fatalf("LiveMux.Open: %v", err)
+		t.Fatalf("NetMux.Open: %v", err)
 	}
 	t.Cleanup(func() {
 		mux.Close()

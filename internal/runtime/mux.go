@@ -19,16 +19,17 @@ import (
 // same three layers, shards → mux → group view, and a single group is
 // simply a one-shard set with one group open:
 //
-//   - ShardSet: a fixed pool of engine shards (one goroutine + one
-//     timer wheel each). Every group is pinned to one shard, so
-//     per-group state keeps the single-writer discipline while
-//     different shards run genuinely in parallel.
-//   - LiveMux: groups of live in-process runtimes sharing the set's
-//     engine shards; Open hands out a *LiveRuntime view per group.
-//   - NetMux: groups sharing one UDP socket; inbound frames are
-//     demultiplexed to the owning group's shard by the wire envelope's
-//     group tag, and the outbound encode buffer is shared per shard.
-//     Open hands out a *NetRuntime view per group.
+//   - ShardSet: a fixed pool of engine shards (one goroutine each).
+//     Every group is pinned to one shard, so per-group state keeps the
+//     single-writer discipline while different shards run genuinely in
+//     parallel. N groups cost one goroutine per shard, not per group and
+//     not per endpoint.
+//   - NetMux: the groups of one process. With a socket (NetConfig.Bind)
+//     they share it: inbound frames are demultiplexed to the owning
+//     group's shard by the wire envelope's group tag, and the outbound
+//     encode buffer is shared per shard. Without one the process is the
+//     whole deployment: every endpoint is local and every hop is handed
+//     over in memory. Open hands out a *NetRuntime view per group.
 //   - BindShard: runs any single-threaded Runtime (in practice the
 //     deterministic simulator) on a shard, serializing all access.
 //
@@ -45,12 +46,11 @@ var (
 )
 
 // muxShard is one engine shard: a single goroutine owning the protocol
-// state of every group pinned to it, plus that goroutine's timer
-// arena. It is the live-side analogue of one simulator kernel.
+// state of every group pinned to it, plus that goroutine's encode
+// buffer. It is the real-time analogue of one simulator kernel.
 type muxShard struct {
-	eng   *engineCore
-	clock *liveClock
-	bufs  *netBufs
+	eng  *engineCore
+	bufs *netBufs
 }
 
 // ShardSet is a fixed pool of engine shards. Groups are pinned to
@@ -69,12 +69,7 @@ func NewShardSet(n int) *ShardSet {
 	}
 	set := &ShardSet{shards: make([]*muxShard, n)}
 	for i := range set.shards {
-		eng := newEngineCore()
-		set.shards[i] = &muxShard{
-			eng:   eng,
-			clock: &liveClock{eng: eng},
-			bufs:  new(netBufs),
-		}
+		set.shards[i] = &muxShard{eng: newEngineCore(), bufs: new(netBufs)}
 	}
 	return set
 }
@@ -136,89 +131,19 @@ func (r *shardBound) Close() error {
 	return err
 }
 
-// --- LiveMux ----------------------------------------------------------
-
-// LiveMux hosts many groups of live in-process runtimes over one
-// ShardSet: each group's mailboxes, latency jitter and loss stream are
-// its own, but all groups pinned to a shard share that shard's engine
-// goroutine and timer arena — N groups cost GOMAXPROCS engine
-// goroutines, not N.
-type LiveMux struct {
-	cfg LiveConfig
-	set *ShardSet
-
-	mu     sync.Mutex
-	groups map[ids.GroupID]*LiveRuntime
-	closed bool
-}
-
-// NewLiveMux builds a multi-group live runtime over the set. The mux
-// does not own the set; close the mux first, then the set.
-func NewLiveMux(cfg LiveConfig, set *ShardSet) *LiveMux {
-	liveDefaults(&cfg)
-	return &LiveMux{cfg: cfg, set: set, groups: make(map[ids.GroupID]*LiveRuntime)}
-}
-
-// Open starts group gid on the given shard with its own seed and
-// returns its runtime view. The view's Close shuts down only this
-// group's mailboxes; the engine shards stay up for the other groups.
-func (m *LiveMux) Open(gid ids.GroupID, shard int, seed uint64) (*LiveRuntime, error) {
-	if shard < 0 || shard >= len(m.set.shards) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, len(m.set.shards))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrMuxClosed
-	}
-	if _, ok := m.groups[gid]; ok {
-		return nil, fmt.Errorf("%w: %v", ErrGroupOpen, gid)
-	}
-	sh := m.set.shards[shard]
-	view := &LiveRuntime{
-		eng: sh.eng, clock: sh.clock,
-		tr:  newLiveTransport(sh.eng, sh.clock, m.cfg, seed),
-		mux: m, gid: gid,
-		settleBound: m.cfg.SettleTimeout,
-	}
-	m.groups[gid] = view
-	return view, nil
-}
-
-// release deregisters a group closed through its runtime view, so the
-// identity can be opened again.
-func (m *LiveMux) release(gid ids.GroupID) {
-	m.mu.Lock()
-	delete(m.groups, gid)
-	m.mu.Unlock()
-}
-
-// Close shuts down every group's mailboxes. Idempotent.
-func (m *LiveMux) Close() error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	groups := m.groups
-	m.groups = make(map[ids.GroupID]*LiveRuntime)
-	m.mu.Unlock()
-	for _, view := range groups {
-		view.Close()
-	}
-	return nil
-}
-
 // --- NetMux -----------------------------------------------------------
 
-// NetMux hosts many groups over one UDP socket: the read loop
-// demultiplexes each inbound frame to the owning group's engine shard
-// by the envelope's group tag, and all groups of a shard share that
-// shard's encode buffer and local-hop FIFO, so the steady-state
-// multi-group send path allocates nothing beyond the one-group one. The
-// peer address book is resolved once and shared read-only by every
-// group: all groups of a deployment see the same hierarchy partition.
+// NetMux hosts the real-time groups of one process. Bound to a UDP
+// socket, the read loop demultiplexes each inbound frame to the owning
+// group's engine shard by the envelope's group tag, and all groups of a
+// shard share that shard's encode buffer and local-hop FIFO, so the
+// steady-state multi-group send path allocates nothing beyond the
+// one-group one. The peer address book is resolved once and shared
+// read-only by every group: all groups of a deployment see the same
+// hierarchy partition. Without a socket (an empty NetConfig.Bind) the
+// same mux is the in-process real-time runtime: the book knows nobody,
+// so every registered endpoint is local, and a send to anything else is
+// the counted UnknownPeer drop it is on any process with no route.
 type NetMux struct {
 	cfg  NetConfig
 	set  *ShardSet
@@ -243,9 +168,22 @@ type NetMux struct {
 }
 
 // NewNetMux binds the shared socket and starts the demultiplexing read
-// loop. The mux does not own the set; close the mux first, then the
-// set.
+// loop — or, with an empty cfg.Bind, builds the in-process host: no
+// socket, no read loop, no discovery plane. The mux does not own the
+// set; close the mux first, then the set.
 func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
+	netDefaults(&cfg)
+	m := &NetMux{
+		cfg:      cfg,
+		set:      set,
+		closedCh: make(chan struct{}),
+		groups:   make(map[ids.GroupID]*NetRuntime),
+	}
+	if cfg.Bind == "" {
+		m.sock = new(netSock)
+		m.book = &netBook{table: discovery.NewTable(0, 0)}
+		return m, nil
+	}
 	sock, err := bindNetSock(cfg)
 	if err != nil {
 		return nil, err
@@ -255,15 +193,7 @@ func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
 		sock.conn.Close()
 		return nil, err
 	}
-	netDefaults(&cfg)
-	m := &NetMux{
-		cfg:      cfg,
-		set:      set,
-		sock:     sock,
-		book:     book,
-		closedCh: make(chan struct{}),
-		groups:   make(map[ids.GroupID]*NetRuntime),
-	}
+	m.sock, m.book = sock, book
 	if len(cfg.Peers) > 1 || len(cfg.Seeds) > 0 {
 		m.disc, err = newDiscoverer(sock, book, cfg)
 		if err != nil {
@@ -322,8 +252,8 @@ func (m *NetMux) resolve(f wire.Frame, src *net.UDPAddr) *netTransport {
 }
 
 // Open starts group gid on the given shard with its own loss-emulation
-// seed and returns its runtime view (whose Close only deregisters the
-// group — the socket and shards belong to the mux and its set).
+// seed and returns its runtime view (whose Close ends only that group —
+// the socket and shards belong to the mux and its set).
 func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (*NetRuntime, error) {
 	if shard < 0 || shard >= len(m.set.shards) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, len(m.set.shards))
@@ -337,25 +267,21 @@ func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (*NetRuntime, err
 		return nil, fmt.Errorf("%w: %v", ErrGroupOpen, gid)
 	}
 	sh := m.set.shards[shard]
-	view := &NetRuntime{
-		eng:           sh.eng,
-		clock:         sh.clock,
-		tr:            newNetTransport(m, sh, gid, seed),
-		settleTimeout: m.cfg.SettleTimeout,
-		quiesceIdle:   m.cfg.QuiesceIdle,
-		mux:           m,
-		gid:           gid,
-	}
+	tr := newNetTransport(m, sh, gid, seed)
+	view := &NetRuntime{eng: sh.eng, clock: tr.clock, tr: tr, mux: m, gid: gid}
 	m.groups[gid] = view
 	return view, nil
 }
 
 // release deregisters a group closed through its runtime view: its
 // frames stop being dispatched (counted as UnknownGroup instead) and
-// the identity can be opened again.
-func (m *NetMux) release(gid ids.GroupID) {
+// the identity can be opened again. A view closed twice must not take a
+// reopened incarnation of its group with it.
+func (m *NetMux) release(view *NetRuntime) {
 	m.mu.Lock()
-	delete(m.groups, gid)
+	if m.groups[view.gid] == view {
+		delete(m.groups, view.gid)
+	}
 	m.mu.Unlock()
 }
 
@@ -383,8 +309,12 @@ func (m *NetMux) Block(slots ...int) {
 // Unblock removes the cut installed by Block.
 func (m *NetMux) Unblock() { m.sock.blocked.Store(nil) }
 
-// LocalAddr returns the address the shared socket actually bound.
+// LocalAddr returns the address the shared socket actually bound, nil
+// for the in-process mux (which has none).
 func (m *NetMux) LocalAddr() *net.UDPAddr {
+	if m.sock.conn == nil {
+		return nil
+	}
 	return m.sock.conn.LocalAddr().(*net.UDPAddr)
 }
 
@@ -422,8 +352,9 @@ func (m *NetMux) NetStats() NetStats {
 	return ns
 }
 
-// Close stops the read loop and closes the shared socket. The engine
-// shards belong to the ShardSet and keep running. Idempotent.
+// Close stops the read loop and closes the shared socket, if there is
+// one. The engine shards belong to the ShardSet and keep running.
+// Idempotent.
 func (m *NetMux) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
@@ -434,7 +365,9 @@ func (m *NetMux) Close() error {
 			m.disc.stop()
 		}
 		close(m.closedCh)
-		err = m.sock.conn.Close()
+		if m.sock.conn != nil {
+			err = m.sock.conn.Close()
+		}
 	})
 	return err
 }

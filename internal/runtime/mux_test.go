@@ -161,12 +161,15 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	}
 }
 
-// TestLiveMuxGroupIsolation: groups sharing a shard keep separate
-// endpoint spaces and stats.
+// TestLiveMuxGroupIsolation: groups of a socketless mux sharing a
+// shard keep separate endpoint spaces and stats.
 func TestLiveMuxGroupIsolation(t *testing.T) {
 	set := NewShardSet(1)
 	defer set.Close()
-	mux := NewLiveMux(LiveConfig{Latency: ConstantLatency(time.Microsecond)}, set)
+	mux, err := NewNetMux(NetConfig{}, set)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer mux.Close()
 
 	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
@@ -238,4 +241,81 @@ func TestBindShardSerializes(t *testing.T) {
 	if counter != 1000 {
 		t.Fatalf("counter = %d, want 1000 (lost updates => not serialized)", counter)
 	}
+}
+
+// TestNetRuntimeCloseEndsTheGroup: closing a group view ends that
+// incarnation on its shard. With a round in flight — x on process 0
+// retransmitting to y on process 1, as a token pass whose ack never
+// comes would — the peers' view of the group hears nothing more from
+// the closed incarnation once the group is reopened, the timers it left
+// armed do not hold a sibling group's Run, and a send on its transport
+// is a counted drop.
+func TestNetRuntimeCloseEndsTheGroup(t *testing.T) {
+	x := ids.MakeNodeID(ids.TierAP, 1)
+	y := ids.MakeNodeID(ids.TierAP, 2)
+	addr0, close0 := reserveUDP(t)
+	addr1, close1 := reserveUDP(t)
+	close0()
+	close1()
+	// Long discovery intervals: only the test's own frames cross.
+	cfg0 := NetConfig{
+		Bind: addr0, Peers: []string{addr0, addr1}, Owners: map[ids.NodeID]int{x: 0, y: 1},
+		GossipInterval: time.Hour, ProbeInterval: time.Hour, QuiesceIdle: 5 * time.Millisecond,
+	}
+	cfg1 := cfg0
+	cfg1.Bind, cfg1.Index = addr1, 1
+	a0, a1 := newTestNet(t, cfg0), newTestNet(t, cfg1)
+	b0, err := a0.mux.Open(ids.NewGroupID(2), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a1.Do(func() { a1.Transport().Register(y, EndpointFunc(func(Message) {})) })
+	delivered := func() (n uint64) {
+		a1.Do(func() { n = a1.Transport().Stats().Delivered })
+		return n
+	}
+	probe := Message{From: x, To: y, Kind: KindToken, Body: wire.Probe{}}
+	a0.Do(func() {
+		tr := a0.Transport()
+		tr.Register(x, EndpointFunc(func(Message) {}))
+		a0.Clock().Every(time.Millisecond, func() { tr.Send(probe) })
+	})
+	waitFor(t, func() bool { return delivered() > 0 })
+
+	if err := a0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := a0.mux.Open(testGroup, 0, 1)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	time.Sleep(20 * time.Millisecond) // datagrams written before the Close land
+	flat := delivered()
+	time.Sleep(50 * time.Millisecond)
+	if got := delivered(); got != flat {
+		t.Fatalf("process 1 heard %d frames from the closed incarnation", got-flat)
+	}
+
+	start := time.Now()
+	b0.Run()
+	if held := time.Since(start); held > time.Second {
+		t.Fatalf("sibling group's Run held %v by the closed group's timers", held)
+	}
+
+	var before, after Stats
+	a0.Do(func() {
+		before = a0.Transport().Stats()
+		a0.Transport().Send(probe)
+		after = a0.Transport().Stats()
+	})
+	if after.Sent != before.Sent+1 || after.Dropped != before.Dropped+1 {
+		t.Fatalf("send on a closed transport: %+v -> %+v, want one counted drop", before, after)
+	}
+
+	reopened.Do(func() {
+		reopened.Transport().Register(x, EndpointFunc(func(Message) {}))
+		reopened.Transport().Send(probe)
+	})
+	waitFor(t, func() bool { return delivered() == flat+1 })
 }

@@ -15,19 +15,31 @@ import (
 
 var _ Runtime = (*NetRuntime)(nil)
 
-// bookLimit bounds the per-endpoint maps a long-running networked
-// process accretes (learned return addresses, relay dedup keys): past
-// it the map is simply cleared — learning re-warms on the next packet.
-const bookLimit = 4096
+const (
+	// bookLimit bounds the per-endpoint maps a long-running networked
+	// process accretes (learned return addresses, relay dedup keys):
+	// past it the map is simply cleared — learning re-warms on the next
+	// packet.
+	bookLimit = 4096
 
-// NetConfig parameterizes a NetMux — the networked substrate where each
+	// netTTL is the relay hop budget stamped on egress frames.
+	netTTL = 8
+
+	// settleTimeout bounds Run/RunUntil: a networked runtime cannot
+	// prove global quiescence, and a shard's pending counter includes
+	// its sibling groups' work, so after this long the wait gives up.
+	settleTimeout = 5 * time.Second
+)
+
+// NetConfig parameterizes a NetMux — the real-time substrate where each
 // process hosts a subset of the hierarchy's entities. A message
 // for an entity of another process crosses a real UDP socket through
 // the wire codec; one for an entity of the same process is handed over
 // in memory (see netTransport.Send).
 type NetConfig struct {
 	// Bind is the local UDP listen address (e.g. "127.0.0.1:7001";
-	// port 0 picks a free port). Required.
+	// port 0 picks a free port). Empty builds the in-process mux: no
+	// socket, and every other address-book field is ignored.
 	Bind string
 
 	// Advertise is the address other processes use to reach this one.
@@ -113,14 +125,6 @@ type NetConfig struct {
 	// group's own seed. Inactive by default.
 	Faults FaultPlan
 
-	// TTL is the relay hop budget stamped on egress frames (default 8).
-	TTL uint8
-
-	// SettleTimeout bounds Run/RunUntil: a networked runtime cannot
-	// prove global quiescence, so after this long without pred
-	// becoming true it gives up (default 5s).
-	SettleTimeout time.Duration
-
 	// QuiesceIdle is how long the socket must stay silent (with no
 	// pending local work) before the runtime considers itself
 	// quiescent (default 50ms).
@@ -158,9 +162,10 @@ type NetStats struct {
 }
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
-// the one UDP connection, its activity clock and its socket-level
-// counters. The counters are atomics because the read loop and NetStats
-// readers run off-engine.
+// the one UDP connection (nil on the in-process mux, whose book routes
+// nothing to it), its activity clock and its socket-level counters. The
+// counters are atomics because the read loop and NetStats readers run
+// off-engine.
 type netSock struct {
 	conn         *net.UDPConn
 	lastActivity atomic.Int64 // UnixNano of the last send or receive
@@ -409,9 +414,6 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 
 // bindNetSock binds the configured UDP socket.
 func bindNetSock(cfg NetConfig) (*netSock, error) {
-	if cfg.Bind == "" {
-		return nil, errors.New("runtime: NetConfig.Bind required")
-	}
 	bind, err := net.ResolveUDPAddr("udp", cfg.Bind)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: bind %q: %w", cfg.Bind, err)
@@ -427,12 +429,6 @@ func bindNetSock(cfg NetConfig) (*netSock, error) {
 
 // netDefaults fills the zero-value NetConfig knobs.
 func netDefaults(cfg *NetConfig) {
-	if cfg.TTL == 0 {
-		cfg.TTL = 8
-	}
-	if cfg.SettleTimeout <= 0 {
-		cfg.SettleTimeout = 5 * time.Second
-	}
 	if cfg.QuiesceIdle <= 0 {
 		cfg.QuiesceIdle = 50 * time.Millisecond
 	}
@@ -456,12 +452,13 @@ func netDefaults(cfg *NetConfig) {
 	}
 }
 
-// NetRuntime is one group's view of a NetMux: the protocol engine over
-// real UDP sockets, on the same engineCore/liveClock discipline as
-// LiveRuntime (the group's engine shard owns all its protocol state,
-// timers are real time.Timers), with the message plane replaced by the
-// mux's datagram socket and the wire codec. The mux's address book
-// routes entity IDs to their owning process; addresses of transient
+// NetRuntime is one group's view of a NetMux: the protocol engine on
+// real time. The group's engine shard owns all its protocol state and
+// serializes every protocol callback — the single-writer discipline the
+// simulator gets for free — and timers are real time.Timers. Hops
+// between the process's own endpoints stay in memory; everything else
+// goes through the wire codec and the mux's datagram socket: the address
+// book routes entity IDs to their owning process, addresses of transient
 // endpoints (mobile hosts, query apps) are learned from packet sources,
 // and frames for non-local entities are relayed toward their owner with
 // a TTL budget.
@@ -469,9 +466,6 @@ type NetRuntime struct {
 	eng   *engineCore
 	clock *liveClock
 	tr    *netTransport
-
-	settleTimeout time.Duration
-	quiesceIdle   time.Duration
 
 	mux *NetMux
 	gid ids.GroupID
@@ -509,19 +503,23 @@ func (rt *NetRuntime) Transport() Transport { return rt.tr }
 func (rt *NetRuntime) Do(fn func()) { rt.eng.do(fn) }
 
 // quiescent reports local quiescence: no pending timers or queued
-// deliveries, and no activity for this runtime's own group for the
-// idle window (the socket is shared, so socket-wide idleness would let
-// busy sibling groups starve a quiet group's Settle). Remote processes
-// may still be working — networked quiescence is a heuristic, which is
-// why Run and RunUntil are additionally bounded by the settle timeout.
+// deliveries, and — with a socket — no activity for this runtime's own
+// group for the idle window (the socket is shared, so socket-wide
+// idleness would let busy sibling groups starve a quiet group's
+// Settle). Remote processes may still be working — networked quiescence
+// is a heuristic, which is why Run and RunUntil are additionally bounded
+// by the settle timeout. The in-process mux has no remote work to wait
+// for: new work is registered before the work that created it retires,
+// so reading zero there is true quiescence.
 func (rt *NetRuntime) quiescent() bool {
-	return rt.eng.pending.Load() == 0 && rt.tr.idleFor(rt.quiesceIdle)
+	return rt.eng.pending.Load() == 0 &&
+		(rt.mux.sock.conn == nil || rt.tr.idleFor(rt.mux.cfg.QuiesceIdle))
 }
 
 // Run implements Runtime: it blocks until local quiescence (or the
 // settle timeout, whichever comes first).
 func (rt *NetRuntime) Run() {
-	deadline := time.Now().Add(rt.settleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	for !rt.quiescent() && time.Now().Before(deadline) {
 		select {
 		case <-rt.eng.closed:
@@ -543,29 +541,37 @@ func (rt *NetRuntime) RunFor(d time.Duration) {
 // context, reports true, giving up at local quiescence or the settle
 // timeout.
 func (rt *NetRuntime) RunUntil(pred func() bool) bool {
-	deadline := time.Now().Add(rt.settleTimeout)
+	deadline := time.Now().Add(settleTimeout)
 	return rt.eng.await(pred, time.Millisecond, func() bool {
 		return rt.quiescent() || !time.Now().Before(deadline)
 	})
 }
 
 // Close implements Runtime: it removes the group from the mux's demux
-// table (later frames for it count as UnknownGroup) and releases the
-// identity for reopening. The socket and engine shards belong to the mux
-// and its ShardSet.
+// table (later frames for it count as UnknownGroup), releasing the
+// identity for reopening, and ends this incarnation on its shard — its
+// endpoints go, its armed timers are cancelled and whatever it still
+// sends is dropped — so nothing of it reaches the peers' view of a
+// reopened group or holds up a sibling's Run. The socket and engine
+// shards belong to the mux and its ShardSet.
 func (rt *NetRuntime) Close() error {
-	rt.mux.release(rt.gid)
+	rt.mux.release(rt)
+	rt.eng.do(func() {
+		rt.tr.close()
+		rt.clock.cancelAll()
+	})
 	return nil
 }
 
 // --- Transport --------------------------------------------------------
 
-// netTransport implements Transport for one group over the mux's UDP
-// socket. All mutable state is owned by the transport's engine
-// goroutine; the socket itself and its counters are shared (netSock),
-// and the routing book is immutable. The read loop decodes
-// off-engine and re-enters through the engine's submit; hops between
-// two local endpoints never leave the engine (localHop).
+// netTransport implements Transport for one group of a mux — the only
+// real-time Transport there is. All mutable state is owned by the
+// transport's engine goroutine; the socket itself and its counters are
+// shared (netSock), and the routing book is immutable. The read loop
+// decodes off-engine and re-enters through the engine's submit; hops
+// between two local endpoints never leave the engine (localHop), and on
+// a mux without a socket there are no others.
 type netTransport struct {
 	eng   *engineCore
 	clock *liveClock
@@ -574,8 +580,7 @@ type netTransport struct {
 	bufs  *netBufs
 
 	rng   *mathx.RNG
-	loss  float64
-	ttl   uint8
+	loss  float64     // 1 once closed: a dead group loses everything
 	group ids.GroupID // tag stamped on egress when the message has none
 
 	// Fault injection (NetConfig.Faults): a dedicated RNG so faults do
@@ -631,13 +636,12 @@ func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64) *n
 	}
 	t := &netTransport{
 		eng:        sh.eng,
-		clock:      sh.clock,
+		clock:      &liveClock{eng: sh.eng},
 		sock:       m.sock,
 		book:       m.book,
 		bufs:       sh.bufs,
 		rng:        mathx.NewRNG(seed),
 		loss:       cfg.Loss,
-		ttl:        cfg.TTL,
 		group:      group,
 		faults:     cfg.Faults,
 		frng:       mathx.NewRNG(fseed),
@@ -814,6 +818,15 @@ func (t *netTransport) Register(id ids.NodeID, ep Endpoint) {
 // Unregister implements Transport.
 func (t *netTransport) Unregister(id ids.NodeID) { delete(t.local, id) }
 
+// close ends the group on this transport: no endpoint is left to
+// deliver to, and every later Send is lost to the loss check Send
+// already makes (counted in Dropped), so the open path pays no closed
+// test. Engine context.
+func (t *netTransport) close() {
+	clear(t.local)
+	t.loss = 1
+}
+
 // Send implements Transport. A message for an endpoint of this process
 // is queued, payload by reference, on the engine's FIFO and delivered
 // when the current work item returns: no codec, no socket. Anything
@@ -852,7 +865,7 @@ func (t *netTransport) Send(msg Message) {
 		To:      msg.To,
 		Group:   msg.Group,
 		Class:   uint8(msg.Kind),
-		TTL:     t.ttl,
+		TTL:     netTTL,
 		Payload: msg.Body,
 	})
 	t.bufs.frame = buf

@@ -580,8 +580,7 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 	}
 }
 
-// TestNetRuntimeTimers: the clock shared with LiveRuntime works on the
-// networked substrate.
+// TestNetRuntimeTimers: a timer holds a socketed view's Run, too.
 func TestNetRuntimeTimers(t *testing.T) {
 	rt := newTestNet(t, NetConfig{})
 	var fired atomic.Bool

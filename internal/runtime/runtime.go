@@ -9,9 +9,10 @@
 //     which is what every experiment and golden determinism test
 //     drives, and
 //   - on real time, as a group view of this package's one host (see
-//     mux.go): a ShardSet of engine goroutines, a LiveMux (in-process
-//     mailboxes) or NetMux (one UDP socket, the wire codec) over it,
-//     and a LiveRuntime or NetRuntime per group — one group or many.
+//     mux.go): a ShardSet of engine goroutines, a NetMux over it — with
+//     one UDP socket and the wire codec, or with no socket when the
+//     process is the whole deployment — and a NetRuntime per group, one
+//     group or many.
 //
 // The split mirrors the paper's own layering: the ring hierarchy and
 // one-round token protocol sit above an arbitrary mobile-Internet
@@ -163,8 +164,8 @@ func AsPartitionable(tr Transport) (Partitionable, bool) {
 
 // Runtime bundles a Clock and Transport with the drive operations the
 // engine and its callers need. The simulated implementation is
-// simnet.SimRuntime; the real-time ones are the LiveRuntime and
-// NetRuntime views the muxes hand out.
+// simnet.SimRuntime; the real-time one is the NetRuntime view a NetMux
+// hands out.
 type Runtime interface {
 	Clock() Clock
 	Transport() Transport
@@ -195,7 +196,7 @@ type Runtime interface {
 	RunUntil(pred func() bool) bool
 
 	// Close releases the runtime's resources. The simulator's Close is
-	// a no-op; a live runtime stops its goroutines. Using a runtime
+	// a no-op; a real-time group view ends its group. Using a runtime
 	// after Close is undefined.
 	Close() error
 }

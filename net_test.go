@@ -212,11 +212,19 @@ func TestCrossRuntimeEquivalenceNet(t *testing.T) {
 // processes a deployment is spread over decides which hops become
 // datagrams, never how many hops there are. The same changes, one at a
 // time, on one listener and on three end with the identical membership
-// and the identical delivery counts, total and per kind.
+// and the identical delivery counts, total and per kind. No listener at
+// all (n == 0, the in-process runtime) is one listener without the
+// socket: the same code, so every transport counter is identical.
 func TestListenerCountInvariance(t *testing.T) {
 	ctx := context.Background()
 	run := func(n int) ([]string, Stats) {
-		procs := listenProcs(t, n, WithHierarchy(2, 3), WithSeed(5))
+		opts := []Option{WithHierarchy(2, 3), WithSeed(5)}
+		var procs []*Service
+		if n == 0 {
+			procs = []*Service{openTest(t, append(opts, WithLiveRuntime())...)}
+		} else {
+			procs = listenProcs(t, n, opts...)
+		}
 		svc, aps := procs[0], slot0APs(procs[0], 3)
 		step := func(what string, err error) {
 			t.Helper()
@@ -235,13 +243,17 @@ func TestListenerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d listeners, members: %v", n, err)
 		}
-		if n > 1 {
+		switch {
+		case n > 1:
 			assertDatagramsFlowed(t, procs)
-		} else if ns := netStatsOf(t, svc); ns.Received != 0 {
-			t.Fatalf("a lone listener sent itself %d datagrams", ns.Received)
+		case n == 1:
+			if ns := netStatsOf(t, svc); ns.Received != 0 {
+				t.Fatalf("a lone listener sent itself %d datagrams", ns.Received)
+			}
 		}
 		return renderMembers(members), sumStats(procs)
 	}
+	inMembers, in := run(0)
 	oneMembers, one := run(1)
 	threeMembers, three := run(3)
 	if len(oneMembers) == 0 || one.Delivered == 0 {
@@ -252,6 +264,9 @@ func TestListenerCountInvariance(t *testing.T) {
 	}
 	if one.Delivered != three.Delivered || one.ByKind != three.ByKind {
 		t.Fatalf("delivery counts differ with the listener count:\n1: %+v\n3: %+v", one, three)
+	}
+	if !reflect.DeepEqual(inMembers, oneMembers) || in != one {
+		t.Fatalf("in-process differs from one listener:\nin-process: %v %+v\n1: %v %+v", inMembers, in, oneMembers, one)
 	}
 }
 
@@ -418,13 +433,13 @@ func TestWithLossUnsupportedOnCallerRuntime(t *testing.T) {
 	}
 }
 
-// TestWithLossEmulatedOnLiveRuntime: on a service-built live runtime
+// TestWithLossEmulatedOnLiveRuntime: on the in-process real-time host
 // the loss option is honored by emulation — messages actually drop.
 func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 	ctx := context.Background()
 	svc := openTest(t, WithHierarchy(1, 3), WithSeed(5),
 		WithLoss(0.3),
-		WithLiveRuntime(LiveConfig{Latency: ConstantLatency(20 * time.Microsecond)}))
+		WithLiveRuntime())
 	for g := 1; g <= 10; g++ {
 		if _, err := svc.Join(ctx, GUID(g)); err != nil {
 			t.Fatalf("join: %v", err)

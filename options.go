@@ -9,12 +9,12 @@ import (
 // serviceOptions accumulates the functional options of Open and
 // NewCluster.
 type serviceOptions struct {
-	cfg        core.Config
-	scheme     core.QueryScheme
-	rt         Runtime
-	watchBuf   int
-	shards     int
-	liveConfig *LiveConfig
+	cfg       core.Config
+	scheme    core.QueryScheme
+	rt        Runtime
+	watchBuf  int
+	shards    int
+	inProcess bool // WithLiveRuntime
 
 	// Networked deployment (Listen/Dial/WithNetRuntime).
 	netConfig  *NetConfig
@@ -51,8 +51,8 @@ func WithHierarchy(h, r int) Option {
 }
 
 // WithSeed makes the deployment reproducible: it seeds the simulated
-// message plane, the AP-selection stream of Join, and the latency
-// jitter and loss emulation of the live and networked runtimes.
+// message plane, the AP-selection stream of Join, and the loss emulation
+// of the real-time runtimes.
 func WithSeed(seed uint64) Option {
 	return func(o *serviceOptions) { o.cfg.Seed = seed }
 }
@@ -136,9 +136,8 @@ func WithNeighborLists(on bool) Option {
 	return func(o *serviceOptions) { o.cfg.NeighborLists = on }
 }
 
-// WithConfig replaces the whole protocol configuration at once, for
-// callers migrating from the deprecated Config-based facade. Options
-// applied after it refine it.
+// WithConfig replaces the whole protocol configuration at once (start
+// from DefaultConfig). Options applied after it refine it.
 func WithConfig(cfg Config) Option {
 	return func(o *serviceOptions) { o.cfg = cfg }
 }
@@ -150,11 +149,13 @@ func WithRuntime(rt Runtime) Option {
 	return func(o *serviceOptions) { o.rt = rt }
 }
 
-// WithLiveRuntime runs the service on a live in-process runtime the
-// Service builds (and closes) itself. The zero LiveConfig is a good
-// default.
-func WithLiveRuntime(cfg LiveConfig) Option {
-	return func(o *serviceOptions) { c := cfg; o.liveConfig = &c }
+// WithLiveRuntime runs the service on real time inside this process, on
+// a host the Service builds (and closes) itself: the one Listen builds —
+// engine shards, a mux over them, a view per group — without the socket.
+// Real timers fire and every hop between two entities is handed over in
+// memory, so the process is the whole deployment.
+func WithLiveRuntime() Option {
+	return func(o *serviceOptions) { o.inProcess = true }
 }
 
 // WithNetRuntime runs the service on a networked UDP runtime built

@@ -11,14 +11,11 @@ import (
 	"github.com/rgbproto/rgb/internal/workload"
 )
 
-// Core protocol types. System remains exported for diagnostics
-// (Service.Inspect) and for callers migrating from the pre-Service
-// facade.
+// Core protocol types. System is exported for diagnostics: it is what
+// Service.Inspect hands its callback.
 type (
-	// System is a complete RGB deployment on some runtime substrate.
-	//
-	// Deprecated: use Open and the Service API; reach a System only
-	// through Service.Inspect.
+	// System is a complete RGB deployment on some runtime substrate,
+	// reached through Service.Inspect.
 	System = core.System
 	// Config parameterizes a deployment.
 	Config = core.Config
@@ -51,12 +48,6 @@ const (
 	DisseminateFull     = core.DisseminateFull
 	DisseminatePathOnly = core.DisseminatePathOnly
 )
-
-// New builds a deployment on a fresh simulated runtime.
-//
-// Deprecated: use Open with options (WithConfig for an existing
-// Config). New remains as a thin shim for the pre-Service facade.
-func New(cfg Config) *System { return core.NewSystem(cfg) }
 
 // DefaultConfig returns a ready-to-run configuration for a full
 // height-h hierarchy with r entities per ring.
@@ -159,25 +150,10 @@ func ChurnOver(aps []NodeID, cfg ChurnConfig, firstGUID GUID) Trace {
 	return workload.Churn(aps, cfg, firstGUID)
 }
 
-// Churn builds a churn trace over the system's access proxies.
-//
-// Deprecated: use ChurnOver with Service.APs.
-func Churn(sys *System, cfg ChurnConfig, firstGUID GUID) Trace {
-	return workload.Churn(sys.APs(), cfg, firstGUID)
-}
-
 // NewGridOver tiles the given access proxies (normally Service.APs)
 // into square cells of the given edge length (meters).
 func NewGridOver(aps []NodeID, cellSize float64) *Grid {
 	return mobility.NewGrid(aps, cellSize)
-}
-
-// NewGrid tiles the system's APs into square cells of the given edge
-// length (meters).
-//
-// Deprecated: use NewGridOver with Service.APs.
-func NewGrid(sys *System, cellSize float64) *Grid {
-	return mobility.NewGrid(sys.APs(), cellSize)
 }
 
 // DefaultWaypointConfig returns a standard random-waypoint profile.
@@ -224,13 +200,4 @@ func Sweep(g SweepGrid, opt SweepOptions) (*SweepReport, error) {
 // RunScenario executes one sweep cell with one seed.
 func RunScenario(sc SweepScenario, seed uint64) SweepRunResult {
 	return experiment.RunScenario(sc, seed)
-}
-
-// ApplyTrace schedules a scenario onto the system's clock. Run the
-// system afterwards to execute it. Events that have become invalid by
-// execution time are skipped.
-//
-// Deprecated: use Service.ApplyTrace.
-func ApplyTrace(sys *System, tr Trace) {
-	core.ApplyTrace(sys, tr)
 }

@@ -4,11 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/simnet"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
-	sys := New(DefaultConfig(2, 5))
+	sys := core.NewSystem(DefaultConfig(2, 5))
 	sys.JoinMember(GUID(1))
 	sys.JoinMember(GUID(2))
 	sys.Run()
@@ -33,7 +34,7 @@ func TestFacadeTables(t *testing.T) {
 }
 
 func TestFacadeQuery(t *testing.T) {
-	sys := New(DefaultConfig(2, 5))
+	sys := core.NewSystem(DefaultConfig(2, 5))
 	sys.JoinMember(GUID(1))
 	sys.Run()
 	res, err := sys.RunQuery(sys.APs()[0], TMS())
@@ -51,16 +52,16 @@ func TestFacadeQuery(t *testing.T) {
 func TestFacadeScenario(t *testing.T) {
 	cfg := DefaultConfig(2, 5)
 	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
-	sys := New(cfg)
+	sys := core.NewSystem(cfg)
 	churnCfg := DefaultChurnConfig()
 	churnCfg.InitialMembers = 20
 	churnCfg.Duration = 30 * time.Second
-	tr := Churn(sys, churnCfg, 1)
-	grid := NewGrid(sys, 100)
+	tr := ChurnOver(sys.APs(), churnCfg, 1)
+	grid := NewGridOver(sys.APs(), 100)
 	wp := DefaultWaypointConfig(10)
 	wp.Duration = 30 * time.Second
 	tr = WithMobility(tr, RandomWaypoint(grid, wp, 1))
-	ApplyTrace(sys, tr)
+	core.ApplyTrace(sys, tr)
 	sys.Run()
 	want := LiveAtEnd(tr)
 	got := sys.GlobalMembership()

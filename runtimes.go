@@ -8,23 +8,25 @@ import (
 
 // Runtime substrate: the Service runs the protocol engine over a
 // pluggable Clock (time and timers) and Transport (message delivery),
-// bundled as a Runtime. The package builds three:
+// bundled as a Runtime. The package builds two:
 //
 //   - the deterministic discrete-event simulator (the default;
 //     NewSimRuntime for callers that want to hold one), where protocol
-//     time is virtual and a fixed seed makes runs bit-reproducible;
-//   - the live in-process runtime (WithLiveRuntime), where timers are
-//     real time.Timers and per-node mailbox goroutines deliver
-//     messages — the engine demonstrably does not depend on the
-//     simulator; and
-//   - the networked runtime (Listen, Dial, ListenCluster), the same
-//     engine discipline with the message plane replaced by real UDP
-//     datagrams through the wire codec.
+//     time is virtual and a fixed seed makes runs bit-reproducible; and
+//   - the real-time runtime, where timers are real time.Timers, an
+//     engine goroutine per shard serializes the protocol, and a message
+//     between two entities of the process is handed over in memory —
+//     the engine demonstrably does not depend on the simulator.
+//     Networked (Listen, Dial, ListenCluster), a message for an entity
+//     of another process is a real UDP datagram through the wire codec;
+//     in-process (WithLiveRuntime), there is no socket and no other
+//     process.
 //
-// The two real-time ones exist only as group views of one host —
-// engine shards, a mux over them, one view per group — whether the
-// process serves one group (Open, Listen, Dial) or many (NewCluster,
-// ListenCluster). WithRuntime accepts any other implementation.
+// The real-time one exists only as a group view of one host — engine
+// shards, a mux over them, one view per group, with or without a socket
+// — whether the process serves one group (Open, Listen, Dial) or many
+// (NewCluster, ListenCluster). WithRuntime accepts any other
+// implementation.
 type (
 	// Runtime bundles a Clock and Transport with drive operations.
 	Runtime = runtime.Runtime
@@ -34,9 +36,6 @@ type (
 	Transport = runtime.Transport
 	// Stats aggregates transport-level delivery counters.
 	Stats = runtime.Stats
-	// LiveConfig parameterizes the live in-process runtime
-	// (WithLiveRuntime).
-	LiveConfig = runtime.LiveConfig
 
 	// NetConfig parameterizes the networked UDP runtime (see Listen and
 	// Dial; WithNetRuntime accepts one directly for full control).

@@ -62,7 +62,8 @@ type watcher struct {
 // one-group cluster, opens its group with the caller's seed untouched,
 // and returns that Service, whose Close closes the cluster with it. A
 // real-time substrate (WithLiveRuntime, Listen, Dial) is the same host
-// every cluster uses — one engine shard, a mux, one group view. The
+// every cluster uses — one engine shard, a mux (with or without a
+// socket), one group view. The
 // simulator and a caller-supplied WithRuntime are the exception: they
 // run inline, with no shard worker — directly on the caller, preserving
 // the simulator's single-threaded discipline and allocation profile.

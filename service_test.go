@@ -183,7 +183,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 	simMembers := scenarioScript(t, sim)
 
 	live := openTest(t, WithHierarchy(2, 4), WithSeed(9),
-		WithLiveRuntime(LiveConfig{Latency: ConstantLatency(50 * time.Microsecond)}))
+		WithLiveRuntime())
 	liveMembers := scenarioScript(t, live)
 
 	if len(simMembers) == 0 {
@@ -199,7 +199,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 func TestLiveRuntimeWatch(t *testing.T) {
 	ctx := context.Background()
 	svc := openTest(t, WithHierarchy(2, 4), WithSeed(2),
-		WithLiveRuntime(LiveConfig{Latency: ConstantLatency(50 * time.Microsecond)}))
+		WithLiveRuntime())
 	events, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
