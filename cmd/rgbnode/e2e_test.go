@@ -7,12 +7,13 @@ import (
 	"net"
 	"net/http"
 	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/chaos"
 )
 
 // nodeProc is one rgbnode process under test, driven over its stdin
@@ -115,12 +116,7 @@ func TestThreeProcessSmoke(t *testing.T) {
 		t.Skip("short mode: skipping multi-process smoke")
 	}
 
-	bin := filepath.Join(t.TempDir(), "rgbnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	bin := buildNode(t)
 	peers := reservePeers(t, 3)
 
 	procs := make([]*nodeProc, 3)
@@ -207,12 +203,7 @@ func TestSeedJoinNode(t *testing.T) {
 		t.Skip("short mode: skipping seed-join smoke")
 	}
 
-	bin := filepath.Join(t.TempDir(), "rgbnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	bin := buildNode(t)
 	peers := reservePeers(t, 3)
 
 	procs := make([]*nodeProc, 3)
@@ -434,10 +425,9 @@ func reservePeers(t *testing.T, n int) []string {
 // buildNode compiles the rgbnode binary into the test's temp dir.
 func buildNode(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "rgbnode")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	bin, err := chaos.BuildNode(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
 }

@@ -1,9 +1,9 @@
 // Command rgbsoak is the long-haul operability runner: it launches a
-// live multi-process rgbnode deployment (the same engine as rgbchaos
-// and the CI chaos suite, with the -http plane enabled on every
-// daemon), drives it through seeded join/leave/fail/partition churn
-// for a configurable duration, scrapes each process's /metrics the
-// whole time, and asserts the operator-facing SLOs at the end:
+// live multi-process rgbnode deployment (the same engine as the CI
+// chaos suite, with the -http plane enabled on every daemon), drives
+// it through seeded join/leave/fail/partition churn for a configurable
+// duration, scrapes each process's /metrics the whole time, and
+// asserts the operator-facing SLOs at the end:
 //
 //   - memory ceiling: max observed go_heap_alloc_bytes per process
 //   - goroutine ceiling: max observed go_goroutines per process
@@ -28,8 +28,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,11 +125,9 @@ func run(cfg soakConfig) (*report, error) {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		cfg.Bin = filepath.Join(dir, "rgbnode")
-		log.Printf("building rgbnode into %s", cfg.Bin)
-		build := exec.Command("go", "build", "-o", cfg.Bin, "github.com/rgbproto/rgb/cmd/rgbnode")
-		if out, err := build.CombinedOutput(); err != nil {
-			return nil, fmt.Errorf("go build rgbnode: %v\n%s", err, out)
+		log.Printf("building rgbnode into %s", dir)
+		if cfg.Bin, err = chaos.BuildNode(dir); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.Nodes < 3 {

@@ -96,9 +96,9 @@ func TestFaultsSimDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.members = renderMembers(members)
-		ft, ok := svc.Runtime().Transport().(*rgbruntime.FaultTransport)
+		ft, ok := svc.rt.Transport().(*rgbruntime.FaultTransport)
 		if !ok {
-			t.Fatalf("WithFaults did not install a fault transport (got %T)", svc.Runtime().Transport())
+			t.Fatalf("WithFaults did not install a fault transport (got %T)", svc.rt.Transport())
 		}
 		o.faults = ft.FaultStats()
 		return o

@@ -9,8 +9,7 @@
 // this harness exercises the full production path: real processes,
 // real sockets, real heartbeat-driven failure detection, and the
 // probe/merge protocol healing the fragments afterwards. The package
-// deliberately has no testing dependency so cmd/rgbchaos can drive the
-// same scenarios interactively.
+// deliberately has no testing dependency: cmd/rgbsoak links it.
 package chaos
 
 import (
@@ -18,6 +17,7 @@ import (
 	"fmt"
 	"net"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,6 +73,18 @@ func (c *Config) defaults() error {
 		c.Heartbeat = 250 * time.Millisecond
 	}
 	return nil
+}
+
+// BuildNode compiles the rgbnode daemon into dir and returns the
+// binary's path, ready for Config.Bin. It needs the go toolchain and
+// must run from inside this module.
+func BuildNode(dir string) (string, error) {
+	bin := filepath.Join(dir, "rgbnode")
+	build := exec.Command("go", "build", "-o", bin, "github.com/rgbproto/rgb/cmd/rgbnode")
+	if out, err := build.CombinedOutput(); err != nil {
+		return "", fmt.Errorf("go build rgbnode: %v\n%s", err, out)
+	}
+	return bin, nil
 }
 
 // Proc is one rgbnode process under chaos, driven over its stdin line

@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -14,10 +12,9 @@ import (
 // buildRgbnode compiles the real daemon binary the harness drives.
 func buildRgbnode(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "rgbnode")
-	build := exec.Command("go", "build", "-o", bin, "github.com/rgbproto/rgb/cmd/rgbnode")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build rgbnode: %v\n%s", err, out)
+	bin, err := BuildNode(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return bin
 }
@@ -106,6 +103,7 @@ func TestPartitionKillHeal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Logf("rgbnode[%d] %s", p.Index, line)
 		if !strings.Contains(line, "decode_errors=0") {
 			t.Fatalf("rgbnode[%d] decode errors: %s", p.Index, line)
 		}

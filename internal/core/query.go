@@ -222,7 +222,7 @@ func (s *System) ExpectedQueryReplies(level int) int {
 
 // VerifyQueryAnswer checks a query result against the authoritative
 // top-ring membership, returning the number of missing and extra
-// members. Used by tests and the rgbquery tool.
+// members. Used by tests and the experiment sweep.
 func (s *System) VerifyQueryAnswer(res QueryResult) (missing, extra int) {
 	truth := map[ids.GUID]bool{}
 	for _, m := range s.GlobalMembership() {

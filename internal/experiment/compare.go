@@ -71,7 +71,8 @@ type TableIICell struct {
 // CompareTableII estimates every Table II cell by fault injection,
 // one cell per worker-pool job. Each cell owns a fresh estimator
 // seeded from (seed, cell index), so — unlike the shared-trials
-// rgbtables path — cells are independent and order-insensitive.
+// reliability.MonteCarloTableII — cells are independent and
+// order-insensitive.
 func CompareTableII(trials, workers int, seed uint64) []TableIICell {
 	rows := analytic.TableII()
 	out := make([]TableIICell, len(rows))
@@ -91,12 +92,12 @@ func CompareTableII(trials, workers int, seed uint64) []TableIICell {
 
 // TableIText renders a Table I comparison as an aligned text table.
 func TableIText(cells []TableICell) string {
-	tb := metrics.NewTable("n", "r", "HCN_Tree", "meas_Tree", "dev", "HCN_Ring", "meas_Ring", "dev")
+	tb := metrics.NewTable("n", "r", "h(tree)", "HCN_Tree", "meas_Tree", "dev", "h(ring)", "HCN_Ring", "meas_Ring", "dev")
 	for _, c := range cells {
 		tb.AddRow(
 			c.Row.N, c.Row.R,
-			c.Row.HCNTree, c.MeasuredTree, fmt.Sprintf("%+.3f", c.DeviationTree),
-			c.Row.HCNRing, c.MeasuredRing, fmt.Sprintf("%+.3f", c.DeviationRing),
+			c.Row.TreeH, c.Row.HCNTree, c.MeasuredTree, fmt.Sprintf("%+.3f", c.DeviationTree),
+			c.Row.RingH, c.Row.HCNRing, c.MeasuredRing, fmt.Sprintf("%+.3f", c.DeviationRing),
 		)
 	}
 	return tb.String()

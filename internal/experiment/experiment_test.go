@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/mathx"
 )
@@ -225,5 +227,16 @@ func TestCompareDeterminism(t *testing.T) {
 			t.Errorf("MC estimate %.4f far from formula %.4f at n=%d f=%g k=%d",
 				cell.MC.FW, cell.Row.FW, cell.Row.N, cell.Row.F, cell.Row.K)
 		}
+	}
+
+	// The text renderer shows both hierarchy heights of a Table I row.
+	text := TableIText([]TableICell{{Row: analytic.TableI()[0]}})
+	lines := strings.Split(text, "\n")
+	wantHeader := []string{"n", "r", "h(tree)", "HCN_Tree", "meas_Tree", "dev", "h(ring)", "HCN_Ring", "meas_Ring", "dev"}
+	if got := strings.Fields(lines[0]); !reflect.DeepEqual(got, wantHeader) {
+		t.Errorf("TableIText header = %v, want %v", got, wantHeader)
+	}
+	if got := strings.Fields(lines[2]); len(got) != len(wantHeader) || got[2] != "3" || got[6] != "2" {
+		t.Errorf("TableIText row = %v, want h(tree)=3 and h(ring)=2", got)
 	}
 }

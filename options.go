@@ -125,17 +125,6 @@ func WithStabilityK(k int) Option {
 	return func(o *serviceOptions) { o.cfg.StabilityK = k }
 }
 
-// WithAggregation toggles MQ aggregation (on by default).
-func WithAggregation(on bool) Option {
-	return func(o *serviceOptions) { o.cfg.Aggregate = on }
-}
-
-// WithNeighborLists toggles ListOfNeighborMembers maintenance for
-// fast handoff (on by default).
-func WithNeighborLists(on bool) Option {
-	return func(o *serviceOptions) { o.cfg.NeighborLists = on }
-}
-
 // WithConfig replaces the whole protocol configuration at once (start
 // from DefaultConfig). Options applied after it refine it.
 func WithConfig(cfg Config) Option {

@@ -3,7 +3,6 @@ package rgb
 import (
 	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/core"
-	"github.com/rgbproto/rgb/internal/experiment"
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mobility"
 	"github.com/rgbproto/rgb/internal/reliability"
@@ -173,31 +172,3 @@ func WithMobility(tr Trace, handoffs []HandoffEvent) Trace {
 
 // LiveAtEnd returns the members a trace leaves in the group.
 func LiveAtEnd(tr Trace) []GUID { return workload.LiveAtEnd(tr) }
-
-// Experiment-sweep types (internal/experiment): declarative parameter
-// grids fanned out over a worker pool with deterministic per-seed
-// runs. See EXPERIMENTS.md and cmd/rgbsweep.
-type (
-	// SweepGrid is a declarative grid of scenario parameters.
-	SweepGrid = experiment.Grid
-	// SweepScenario is one fully specified grid cell.
-	SweepScenario = experiment.Scenario
-	// SweepOptions controls sweep execution (seeds, base seed, workers).
-	SweepOptions = experiment.Options
-	// SweepReport is a completed sweep with per-cell aggregates.
-	SweepReport = experiment.Report
-	// SweepRunResult is the raw outcome of one (scenario, seed) run.
-	SweepRunResult = experiment.RunResult
-)
-
-// Sweep expands the grid, runs every (cell, seed) pair over the
-// worker pool, and aggregates per-cell statistics. The report is
-// identical for any worker count.
-func Sweep(g SweepGrid, opt SweepOptions) (*SweepReport, error) {
-	return experiment.Sweep(g, opt)
-}
-
-// RunScenario executes one sweep cell with one seed.
-func RunScenario(sc SweepScenario, seed uint64) SweepRunResult {
-	return experiment.RunScenario(sc, seed)
-}

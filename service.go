@@ -161,9 +161,6 @@ func (s *Service) Close() error {
 // for.
 func (s *Service) Group() GroupID { return s.gid }
 
-// Runtime returns the substrate the service runs on.
-func (s *Service) Runtime() Runtime { return s.rt }
-
 // Config returns the active protocol configuration.
 func (s *Service) Config() Config { return s.sys.Config() }
 
@@ -198,6 +195,13 @@ func (s *Service) APs() []NodeID {
 	return out
 }
 
+// isClosed reports whether Close has run.
+func (s *Service) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // do runs fn in engine context after the usual liveness checks. The
 // error starts as ErrClosed and is overwritten by fn itself: if the
 // runtime was closed underneath the service (a caller-owned runtime's
@@ -207,10 +211,7 @@ func (s *Service) do(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
 	err := ErrClosed
@@ -308,10 +309,7 @@ func (s *Service) QueryWith(ctx context.Context, entry NodeID, scheme QuerySchem
 	if err := ctx.Err(); err != nil {
 		return QueryResult{}, err
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.isClosed() {
 		return QueryResult{}, ErrClosed
 	}
 	// RunQuery manages its own engine-context phases; wrapping it in
@@ -420,6 +418,9 @@ func (s *Service) unwatch(id int) {
 func (s *Service) Settle(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if s.isClosed() {
+		return ErrClosed
 	}
 	s.sys.Run()
 	return ctx.Err()

@@ -101,6 +101,15 @@ func TestServiceLifecycle(t *testing.T) {
 	if _, err := svc.Watch(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Watch err = %v", err)
 	}
+	live := openTest(t, WithHierarchy(2, 4), WithLiveRuntime())
+	if err := live.Close(); err != nil {
+		t.Fatalf("live Close: %v", err)
+	}
+	for name, s := range map[string]*Service{"sim": svc, "live": live} {
+		if err := s.Settle(ctx); !errors.Is(err, ErrClosed) {
+			t.Errorf("post-close Settle (%s) err = %v", name, err)
+		}
+	}
 }
 
 func TestServiceContextCancelled(t *testing.T) {
