@@ -168,34 +168,38 @@ func BenchmarkAblationAggregation(b *testing.B) {
 }
 
 // BenchmarkQuerySchemes measures Membership-Query cost per scheme
-// (E6): msgs/op and the virtual latency.
+// (E6): msgs/op, the virtual latency and, at a small and a large
+// population, the bytes a query allocates (-benchmem).
 func BenchmarkQuerySchemes(b *testing.B) {
-	sys := core.NewSystem(fastConfig(3, 5))
-	aps := sys.APs()
-	for g := 1; g <= 50; g++ {
-		sys.JoinMemberAt(GUID(g), aps[(g*7)%len(aps)])
-	}
-	sys.Run()
-	for level := 0; level < 3; level++ {
-		name := fmt.Sprintf("IMS-%d", level)
-		if level == 0 {
-			name = "TMS"
+	for _, members := range []int{50, 1000} {
+		sys := core.NewSystem(fastConfig(3, 5))
+		aps := sys.APs()
+		for g := 1; g <= members; g++ {
+			sys.JoinMemberAt(GUID(g), aps[(g*7)%len(aps)])
 		}
-		if level == 2 {
-			name = "BMS"
-		}
-		b.Run(name, func(b *testing.B) {
-			var msgs uint64
-			var lat time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, _ := sys.RunQuery(aps[i%len(aps)], IMS(level))
-				msgs = res.Messages
-				lat = res.Latency
+		sys.Run()
+		for level := 0; level < 3; level++ {
+			name := fmt.Sprintf("IMS-%d", level)
+			if level == 0 {
+				name = "TMS"
 			}
-			b.ReportMetric(float64(msgs), "msgs/op")
-			b.ReportMetric(float64(lat.Microseconds()), "vlat_us/op")
-		})
+			if level == 2 {
+				name = "BMS"
+			}
+			b.Run(fmt.Sprintf("n=%d/%s", members, name), func(b *testing.B) {
+				var msgs uint64
+				var lat time.Duration
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, _ := sys.RunQuery(aps[i%len(aps)], IMS(level))
+					msgs = res.Messages
+					lat = res.Latency
+				}
+				b.ReportMetric(float64(msgs), "msgs/op")
+				b.ReportMetric(float64(lat.Microseconds()), "vlat_us/op")
+			})
+		}
 	}
 }
 

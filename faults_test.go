@@ -116,3 +116,36 @@ func TestFaultsSimDeterminism(t *testing.T) {
 		t.Fatal("scenario left no members — not a meaningful check")
 	}
 }
+
+// TestDuplicatedFrameIsNotAnotherRing: a BMS query waits for one reply
+// per bottom ring. A replayed Query frame makes a ring answer twice and
+// a replayed QueryReply delivers one answer twice; neither is another
+// ring, so the answer must still hold every member and report exactly
+// the rings there are. Counted per reply, 77 of these 200 answers came
+// back short (as few as 24 of 54 members) while claiming Replies == 9.
+func TestDuplicatedFrameIsNotAnotherRing(t *testing.T) {
+	ctx := context.Background()
+	const members, queries = 54, 10
+	short := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		svc := openTest(t, WithHierarchy(3, 3), WithSeed(seed), WithFaults(FaultPlan{Seed: seed, Duplicate: 0.02}))
+		aps := svc.APs()
+		joinSettled(t, svc, members)
+		for q := 0; q < queries; q++ {
+			res, err := svc.QueryWith(ctx, aps[q%len(aps)], BMS(3))
+			if err != nil {
+				t.Fatalf("seed %d query %d: %v", seed, q, err)
+			}
+			if res.Replies != 9 {
+				t.Errorf("seed %d query %d: Replies = %d, want 9", seed, q, res.Replies)
+			}
+			if len(res.Members) != members {
+				short++
+				t.Logf("seed %d query %d: %d of %d members from %d replies", seed, q, len(res.Members), members, res.Replies)
+			}
+		}
+	}
+	if short != 0 {
+		t.Errorf("%d of %d answers short", short, 20*queries)
+	}
+}

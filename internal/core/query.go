@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -55,14 +56,49 @@ func (r QueryResult) GUIDs() []ids.GUID {
 	return out
 }
 
+// queryCollector assembles one query's answer: the members in
+// first-seen order (a later reply's record replaces an earlier one in
+// place) and the rings that have answered. RunQuery takes it from and
+// returns it to System.queryFree in engine context, so a System's
+// queries reuse the same few buffers.
+type queryCollector struct {
+	members []ids.MemberInfo
+	index   map[ids.GUID]int32 // position in members; unused by a one-ring query
+	rings   []ring.ID
+}
+
+// add merges one ring's reply and reports whether that ring had not
+// answered before: a replayed Query or QueryReply frame is not another
+// ring. A single ring's list is duplicate-free, so a query expecting
+// one reply appends without hashing.
+func (c *queryCollector) add(rep wire.QueryReply, dedup bool) bool {
+	if slices.Contains(c.rings, rep.From) {
+		return false
+	}
+	c.rings = append(c.rings, rep.From)
+	for _, m := range rep.Members {
+		if !m.Status.Operational() {
+			continue
+		}
+		if !dedup {
+			c.members = append(c.members, m)
+		} else if i, ok := c.index[m.GUID]; ok {
+			c.members[i] = m
+		} else {
+			c.index[m.GUID] = int32(len(c.members))
+			c.members = append(c.members, m)
+		}
+	}
+	return true
+}
+
 // queryApp is the ephemeral requesting-application endpoint.
 type queryApp struct {
 	sys      *System
 	node     ids.NodeID
 	id       uint64
 	expected int
-	members  *ids.MemberList
-	replies  int
+	col      *queryCollector
 	done     bool
 	doneAt   runtime.Time
 }
@@ -70,19 +106,26 @@ type queryApp struct {
 // HandleMessage collects replies.
 func (a *queryApp) HandleMessage(msg runtime.Message) {
 	rep, ok := msg.Body.(wire.QueryReply)
-	if !ok || rep.ID != a.id || a.done {
+	if !ok || rep.ID != a.id || a.done || !a.col.add(rep, a.expected > 1) {
 		return
 	}
-	a.replies++
-	for _, m := range rep.Members {
-		if m.Status.Operational() {
-			a.members.Put(m)
-		}
-	}
-	if a.replies >= a.expected {
+	if len(a.col.rings) >= a.expected {
 		a.done = true
 		a.doneAt = a.sys.clock.Now()
 	}
+}
+
+// Query apps take their endpoint ordinals from the top of the process's
+// mobile-host block (Config.MHBase; rgb.mhSlotShift carves the blocks),
+// above queryOrdinalBase, and wrap there: an ordinal past the block
+// would route every reply to the next process.
+const (
+	mhBlockSize      = 1 << 24
+	queryOrdinalBase = 1 << 20
+)
+
+func (s *System) queryAppID() ids.NodeID {
+	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+queryOrdinalBase+int(s.querySeq%(mhBlockSize-queryOrdinalBase)))
 }
 
 // RunQuery executes one Membership-Query from an application attached
@@ -115,10 +158,15 @@ func (s *System) RunQuery(entry ids.NodeID, scheme QueryScheme) (QueryResult, er
 		s.querySeq++
 		app = &queryApp{
 			sys:      s,
-			node:     ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+1<<20+int(s.querySeq)),
+			node:     s.queryAppID(),
 			id:       s.querySeq,
 			expected: len(s.hier.Level(scheme.Level)),
-			members:  ids.NewMemberList(),
+		}
+		if n := len(s.queryFree); n > 0 {
+			app.col, s.queryFree = s.queryFree[n-1], s.queryFree[:n-1]
+		} else {
+			// members non-nil: an empty answer stays [], as Snapshot gave it.
+			app.col = &queryCollector{members: []ids.MemberInfo{}, index: map[ids.GUID]int32{}}
 		}
 		s.tr.Register(app.node, app)
 		before = s.tr.Stats()
@@ -141,14 +189,20 @@ func (s *System) RunQuery(entry ids.NodeID, scheme QueryScheme) (QueryResult, er
 		after := s.tr.Stats()
 		latency := app.doneAt.Sub(start)
 		if !app.done {
+			// A straggler must not write into the collector handed back below.
+			app.done = true
 			latency = s.clock.Now().Sub(start)
 		}
+		col := app.col
 		res = QueryResult{
-			Members:  app.members.Snapshot(),
+			Members:  slices.Clone(col.members),
 			Messages: (after.DeliveredOf(runtime.KindQuery) - before.DeliveredOf(runtime.KindQuery)) + (after.DeliveredOf(runtime.KindReply) - before.DeliveredOf(runtime.KindReply)),
 			Latency:  latency,
-			Replies:  app.replies,
+			Replies:  len(col.rings),
 		}
+		col.members, col.rings = col.members[:0], col.rings[:0]
+		clear(col.index)
+		s.queryFree = append(s.queryFree, col)
 	})
 	return res, nil
 }

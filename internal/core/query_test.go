@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/ring"
 )
 
 // mustQuery runs a query that must not fail.
@@ -150,5 +152,136 @@ func TestQueryResultGUIDs(t *testing.T) {
 	res := mustQuery(t, sys, sys.APs()[0], TMS())
 	if len(res.GUIDs()) != 3 {
 		t.Fatalf("GUIDs = %v", res.GUIDs())
+	}
+}
+
+// TestQueryAppIDStaysInBlock: the networked runtime routes a reply to
+// process ordinal>>24 (rgb.mhSlotShift), so a query app's ordinal must
+// stay inside its own process's block however many queries have run.
+// Unwrapped, query 15 728 640 of a process landed in the next block and
+// every later query timed out.
+func TestQueryAppIDStaysInBlock(t *testing.T) {
+	cfg := quietConfig(2, 3)
+	cfg.MHBase = 2 * mhBlockSize
+	sys := NewSystem(cfg)
+	populate(t, sys, 6)
+	first := sys.queryAppID().Ordinal()
+	for _, seq := range []uint64{1, mhBlockSize - queryOrdinalBase - 2, 3*mhBlockSize + 5} {
+		sys.querySeq = seq
+		for i := 0; i < 4; i++ {
+			res := mustQuery(t, sys, sys.APs()[0], TMS())
+			if len(res.Members) != 6 {
+				t.Fatalf("query %d answered %d members, want 6", sys.querySeq, len(res.Members))
+			}
+			ord := sys.queryAppID().Ordinal()
+			if ord/mhBlockSize != 2 || ord%mhBlockSize < queryOrdinalBase {
+				t.Fatalf("query %d: app ordinal %#x is outside the query range of block 2", sys.querySeq, ord)
+			}
+		}
+	}
+	// The first 15 M ids are the ones the parent minted: the digests hold.
+	sys.querySeq = 7
+	if got := sys.queryAppID().Ordinal(); got != first+7 {
+		t.Fatalf("query 7 ordinal = %#x, want %#x", got, first+7)
+	}
+}
+
+// TestQueryAnswerOrderOverlappingRings: mid-handoff two bottom rings
+// list the same member, each with its own record. The answer keeps
+// ids.MemberList's contract, which the golden digests pin: a member
+// stands where it was first inserted and carries the later reply's
+// record.
+func TestQueryAnswerOrderOverlappingRings(t *testing.T) {
+	sys := NewSystem(quietConfig(3, 3))
+	populate(t, sys, 27)
+	x, _ := sys.Member(ids.GUID(14)) // second of three in its ring
+	oldRing := sys.Node(x.AP).ringID
+	moved := sys.infoOf(x)
+	for _, rg := range sys.hier.Level(2) {
+		if rg.ID() != oldRing {
+			moved.AP = rg.Leader()
+			for _, id := range rg.Nodes() {
+				sys.Node(id).ringMems.Put(moved)
+			}
+			break
+		}
+	}
+
+	res := mustQuery(t, sys, sys.APs()[4], BMS(3))
+	if res.Replies != 9 || len(res.Members) != 27 {
+		t.Fatalf("answer: %d members from %d replies, want 27 from 9", len(res.Members), res.Replies)
+	}
+	// The rings in the order they answered, read off the members only
+	// one ring lists; then the same replies through the reference.
+	home := map[ids.GUID]*Node{}
+	for _, rg := range sys.hier.Level(2) {
+		leader := sys.Node(rg.Leader())
+		leader.ringMems.Each(func(m ids.MemberInfo) {
+			if m.GUID != x.GUID {
+				home[m.GUID] = leader
+			}
+		})
+	}
+	var want ids.MemberList
+	seen := map[ring.ID]bool{}
+	for _, m := range res.Members {
+		if n := home[m.GUID]; n != nil && !seen[n.ringID] {
+			seen[n.ringID] = true
+			n.ringMems.Each(want.Put)
+		}
+	}
+	if !reflect.DeepEqual(res.Members, want.Snapshot()) {
+		t.Fatalf("answer differs from MemberList over the same replies:\n got %v\nwant %v", res.Members, want.Snapshot())
+	}
+	at := -1
+	for i, m := range res.Members {
+		if m.GUID == x.GUID {
+			at = i
+		}
+	}
+	// x is neither ring's first member, so its predecessor names the
+	// ring that answered first.
+	first, later := home[res.Members[at-1].GUID].ringID, x.AP
+	if first == oldRing {
+		later = moved.AP
+	}
+	if res.Members[at].AP != later {
+		t.Fatalf("%v stands in %v's block with record %v, want the later reply's (AP %v)", x.GUID, first, res.Members[at], later)
+	}
+}
+
+// TestQueryCollectorReused: consecutive queries of one System share one
+// collector, and what an earlier, wider query left in it never shows in
+// a later answer.
+func TestQueryCollectorReused(t *testing.T) {
+	sys := NewSystem(quietConfig(3, 3))
+	populate(t, sys, 27)
+	schemes := []QueryScheme{BMS(3), TMS(), IMS(1)}
+	var want [3][]ids.MemberInfo
+	for round := 0; round < 3; round++ {
+		for i, scheme := range schemes {
+			res := mustQuery(t, sys, sys.APs()[2], scheme)
+			if missing, extra := sys.VerifyQueryAnswer(res); missing != 0 || extra != 0 || len(res.Members) != 27 {
+				t.Fatalf("round %d %v: %d members, missing=%d extra=%d", round, scheme, len(res.Members), missing, extra)
+			}
+			if round == 0 {
+				want[i] = res.Members
+			} else if !reflect.DeepEqual(res.Members, want[i]) {
+				t.Fatalf("round %d %v: answer changed on a reused collector", round, scheme)
+			}
+		}
+	}
+	if len(sys.queryFree) != 1 {
+		t.Fatalf("%d collectors after sequential queries, want 1", len(sys.queryFree))
+	}
+	// A crashed bottom-ring leader leaves a query one reply short; the
+	// partial answer must not leak into the next query either.
+	dead := sys.hier.Level(2)[4].Leader()
+	sys.CrashNE(dead)
+	if res := mustQuery(t, sys, sys.APs()[2], BMS(3)); res.Replies >= 9 {
+		t.Fatalf("query past a crashed leader got %d replies", res.Replies)
+	}
+	if res := mustQuery(t, sys, sys.APs()[2], TMS()); !reflect.DeepEqual(res.Members, want[1]) {
+		t.Fatalf("TMS after a partial BMS: %d members, want the settled 27", len(res.Members))
 	}
 }

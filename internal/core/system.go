@@ -129,6 +129,7 @@ type System struct {
 	rounds     uint64
 	opsCarried uint64
 	querySeq   uint64
+	queryFree  []*queryCollector // idle reply collectors (query.go)
 	seqCounter uint64
 
 	eventSink  func(Event)

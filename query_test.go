@@ -1,0 +1,146 @@
+package rgb
+
+import (
+	"context"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/rgbproto/rgb/internal/topology"
+)
+
+// joinSettled joins members 1..n round-robin over the access proxies
+// and settles.
+func joinSettled(t *testing.T, svc *Service, n int) {
+	t.Helper()
+	ctx := context.Background()
+	aps := svc.APs()
+	for g := 1; g <= n; g++ {
+		if err := svc.JoinAt(ctx, GUID(g), aps[g%len(aps)]); err != nil {
+			t.Fatalf("join %d: %v", g, err)
+		}
+	}
+	if err := svc.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// queryStorm runs eight goroutines of fifty alternating TMS/BMS queries
+// against svc, entry access proxies rotating, and checks that every
+// answer holds exactly the members 1..n. The queries of one Service
+// take their reply collectors from one free list, in engine context;
+// the -race CI step is what makes this a test of that.
+func queryStorm(t *testing.T, svc *Service, aps []NodeID, n int) {
+	t.Helper()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := 0; q < 50; q++ {
+				scheme, replies := TMS(), 1
+				if (g+q)%2 == 1 {
+					scheme, replies = BMS(3), 9
+				}
+				res, err := svc.QueryWith(ctx, aps[(g*50+q)%len(aps)], scheme)
+				if err != nil {
+					t.Errorf("goroutine %d query %d: %v", g, q, err)
+					return
+				}
+				seen := make(map[GUID]bool, n)
+				for _, m := range res.Members {
+					if m.GUID < 1 || int(m.GUID) > n || seen[m.GUID] {
+						t.Errorf("goroutine %d query %d (%v): stray or repeated member %v", g, q, scheme, m)
+					}
+					seen[m.GUID] = true
+				}
+				if len(seen) != n || res.Replies != replies {
+					t.Errorf("goroutine %d query %d (%v): %d of %d members from %d replies", g, q, scheme, len(seen), n, res.Replies)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestConcurrentQueriesInProcess(t *testing.T) {
+	svc := openTest(t, WithLiveRuntime(), WithHierarchy(3, 3), WithSeed(5))
+	const members = 60
+	joinSettled(t, svc, members)
+	queryStorm(t, svc, svc.APs(), members)
+}
+
+// TestConcurrentQueriesBesideHandoffs storms process 1 of a
+// three-process loopback group while process 0 hands members off
+// between its bottom rings, so replies cross the socket and the codec
+// and overlapping ring lists reach the collectors. The writer keeps to
+// what benchmark/README.md "Traps" allows: every change on process 0,
+// one in flight, members moving through the bottom rings in the order
+// of their parents.
+func TestConcurrentQueriesBesideHandoffs(t *testing.T) {
+	ctx := context.Background()
+	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(11))
+	hier := topology.NewRingHierarchy(3, 3)
+	owners := hier.SubtreeOwners(3)
+	var entry []NodeID
+	for _, rg := range hier.Level(2) {
+		if owners[rg.Leader()] == 0 {
+			entry = append(entry, rg.Leader())
+		}
+	}
+	events, err := procs[1].Watch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// change submits one change on process 0 and waits until process 1
+	// has seen it commit.
+	change := func(guid GUID, submit func() error) {
+		t.Helper()
+		if err := submit(); err != nil {
+			t.Fatalf("change of %v: %v", guid, err)
+		}
+		timeout := time.After(10 * time.Second)
+		for {
+			select {
+			case ev := <-events:
+				if ev.Member.GUID == guid {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("change of %v never reached process 1", guid)
+			}
+		}
+	}
+	const members = 30
+	at := make([]int, members+1)
+	for g := 1; g <= members; g++ {
+		at[g] = g % len(entry)
+		change(GUID(g), func() error { return procs[0].JoinAt(ctx, GUID(g), entry[at[g]]) })
+	}
+
+	stormed := make(chan struct{})
+	go func() {
+		defer close(stormed)
+		queryStorm(t, procs[1], procs[1].APs(), members)
+	}()
+	handoffs := 0
+	for g := 1; ; g = g%members + 1 {
+		select {
+		case <-stormed:
+			if handoffs == 0 {
+				t.Fatal("no handoff ran beside the queries")
+			}
+			t.Logf("%d handoffs beside 400 queries", handoffs)
+			return
+		default:
+		}
+		// Handoff k goes to entry[k mod 3] and takes the next member
+		// standing at the entry before it.
+		if to := handoffs % len(entry); (at[g]+1)%len(entry) == to {
+			at[g] = to
+			handoffs++
+			change(GUID(g), func() error { return procs[0].Handoff(ctx, GUID(g), entry[to]) })
+		}
+	}
+}
