@@ -499,7 +499,7 @@ func wireBenchPayloads() []struct {
 		{"token", wire.TokenMsg{Tok: wireBenchToken()}},
 		{"member-change", wire.MemberChange{Op: mq.OpMemberJoin, Member: members[0]}},
 		{"notify", wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin, Member: members[1], Origin: ap}}, From: ring.ID{Tier: ids.TierAP, Index: 1}, Up: true, Seq: 7}},
-		{"pass-ack", wire.PassAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 42}},
+		{"pass-ack", wire.PassAck{Holder: ap, Round: 42}},
 		{"query-reply", wire.QueryReply{ID: 9, From: ring.ID{Tier: ids.TierBR}, Members: members}},
 	}
 }

@@ -24,7 +24,7 @@ import (
 // batch was already coalesced at the edge).
 
 // batchFlushCB is the shared closure-free timer callback arming a
-// node's batch-window flush (same pattern as passTimeoutCB).
+// node's batch-window flush.
 func batchFlushCB(a any) { a.(*Node).flushBatch() }
 
 // scheduleBatchedRound requests a FromLocal round at n, deferring it
@@ -40,7 +40,7 @@ func (s *System) scheduleBatchedRound(n *Node) {
 		return
 	}
 	n.batchArmed = true
-	n.batchTimer = s.clock.AfterCall(s.cfg.BatchWindow, batchFlushCB, n)
+	s.clock.AfterCall(s.cfg.BatchWindow, batchFlushCB, n)
 }
 
 // flushBatch closes a node's batch window: whatever the MQ aggregated

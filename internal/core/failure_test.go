@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -255,15 +256,43 @@ func TestLossyNetworkStillConverges(t *testing.T) {
 	}
 }
 
-// TestNoFalseRepairsOnHealthyRing: retransmission timers must not
-// fire spuriously on a healthy, low-latency network.
+// TestNoFalseRepairsOnHealthyRing: on a loss-free network a
+// retransmission timer never fires, so nothing is repaired and the
+// timeout is invisible — the run delivers the same number of messages
+// at the default RetransmitTimeout as at one no run ever reaches. (A
+// pass timer nobody cancelled used to fire into a later pass as a
+// spurious resend: 55 134 messages against 55 000 on seed 1.)
 func TestNoFalseRepairsOnHealthyRing(t *testing.T) {
-	sys := NewSystem(quietConfig(3, 5))
-	for g := 1; g <= 20; g++ {
-		sys.JoinMember(ids.GUID(g))
+	type healthy struct {
+		name  string
+		cfg   Config
+		joins int
 	}
-	sys.Run()
-	if len(sys.Repairs()) != 0 {
-		t.Fatalf("spurious repairs: %v", sys.Repairs())
+	cases := []healthy{{"constant latency", quietConfig(3, 5), 20}}
+	for seed := uint64(1); seed <= 6; seed++ {
+		cfg := DefaultConfig(3, 5)
+		cfg.Seed = seed
+		cases = append(cases, healthy{fmt.Sprintf("tier latency, seed %d", seed), cfg, 300})
+	}
+	for _, tc := range cases {
+		delivered := func(rto time.Duration) uint64 {
+			cfg := tc.cfg
+			cfg.RetransmitTimeout = rto
+			sys := NewSystem(cfg)
+			for g := 1; g <= tc.joins; g++ {
+				sys.JoinMember(ids.GUID(g))
+			}
+			sys.Run()
+			if len(sys.Repairs()) != 0 {
+				t.Errorf("%s, timeout %v: spurious repairs: %v", tc.name, rto, sys.Repairs())
+			}
+			if got := len(sys.GlobalMembership()); got != tc.joins {
+				t.Errorf("%s, timeout %v: membership = %d, want %d", tc.name, rto, got, tc.joins)
+			}
+			return sys.Transport().Stats().Delivered
+		}
+		if def, never := delivered(tc.cfg.RetransmitTimeout), delivered(time.Hour); def != never {
+			t.Errorf("%s: %d messages delivered at the default timeout, %d at 1h", tc.name, def, never)
+		}
 	}
 }

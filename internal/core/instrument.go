@@ -57,37 +57,24 @@ const instrPendingWindow = 4096
 // commit-dedup state shared with the event sink.
 func (s *System) SetInstrumentation(in *Instrumentation) {
 	s.instr = in
-	s.instrRoundStart = nil
 	s.instrPending = nil
 	s.instrPendingQ = nil
 	if in != nil {
-		s.instrRoundStart = make(map[ring.ID]runtime.Time, len(s.ringBusy))
 		s.instrPending = make(map[changeKey]runtime.Time, instrPendingWindow)
 		s.instrPendingQ = make([]changeKey, 0, 64)
 	}
 	s.resetEventDedup()
 }
 
-// noteRoundStart stamps the moment a ring's round began (the holder
-// took ownership). One map store per round, allocation-free in steady
-// state.
-func (s *System) noteRoundStart(id ring.ID) {
-	if s.instr == nil {
-		return
-	}
-	s.instrRoundStart[id] = s.clock.Now()
-}
-
 // observeRoundDone reports a completed round to the instrumentation.
+// A round this process did not start (adopted from a holder in another
+// process, or already written off by the token-loss watchdog) has no
+// start stamp here and is not reported.
 func (s *System) observeRoundDone(holder *Node, ops int) {
-	if s.instr == nil || s.instr.RoundDone == nil {
+	if s.instr == nil || s.instr.RoundDone == nil || !holder.ring.busy {
 		return
 	}
-	start, ok := s.instrRoundStart[holder.ringID]
-	if !ok {
-		return
-	}
-	s.instr.RoundDone(holder.level, s.clock.Now().Sub(start), ops)
+	s.instr.RoundDone(holder.level, s.clock.Now().Sub(holder.ring.roundStart), ops)
 }
 
 // noteSubmitted stamps a membership operation's entry into the
@@ -133,12 +120,5 @@ func (s *System) observeRepair(id ring.ID) {
 	if s.instr == nil || s.instr.Repair == nil {
 		return
 	}
-	var d time.Duration
-	if last, ok := s.ringLastTok[id]; ok {
-		d = s.clock.Now().Sub(last)
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.instr.Repair(d)
+	s.instr.Repair(s.clock.Now().Sub(s.rings[id].lastTok))
 }

@@ -19,6 +19,7 @@ type Node struct {
 	id     ids.NodeID
 	level  int     // ring level, 0 = topmost
 	ringID ring.ID // the logical ring this entity belongs to
+	ring   *ringState
 
 	// roster is the node's view of its ring in cycle order (every
 	// entity knows the full ring roster — required anyway to maintain
@@ -50,14 +51,13 @@ type Node struct {
 	// queue is the MQ of Section 4.2.
 	queue *mq.Queue
 
-	// Token engine state. inFlight is stored by value (inFlightSet
-	// marks occupancy) so arming a pass allocates nothing.
-	roundSeq    uint64
-	inFlight    token.PassState // outstanding pass awaiting wire.PassAck
-	inFlightSet bool
-	passTimer   runtime.TimerHandle
-	notifySeq   uint64
-	notifyWait  map[uint64]*notifyRetry // lazily allocated on first notify
+	// Token engine state. pass is the outstanding token pass awaiting
+	// its wire.PassAck; notifyWait the notifications awaiting their
+	// wire.NotifyAck, by sequence number.
+	roundSeq   uint64
+	pass       resend
+	notifySeq  uint64
+	notifyWait map[uint64]*resend // lazily allocated on first notify
 
 	// openRound retains the operations of this node's outstanding
 	// round as holder, so the token-loss watchdog can re-submit them if
@@ -80,14 +80,12 @@ type Node struct {
 	lastTokRound  uint64
 
 	// ackSent / rounds counters for tests and metrics.
-	roundsStarted   uint64
 	roundsCompleted uint64
 	repairsDone     uint64
 
 	// Batched view changes (batch.go): batchArmed marks an open batch
 	// window whose flush timer will circulate the queue's contents.
 	batchArmed bool
-	batchTimer runtime.TimerHandle
 
 	// Merge tombstones (tombstone.go): per-member removal counters,
 	// lazily allocated on the first removal this node applies, FIFO
@@ -95,22 +93,6 @@ type Node struct {
 	memVer  map[ids.GUID]uint64
 	memVerQ []ids.GUID
 }
-
-// notifyRetry tracks an unacknowledged notification. It carries its
-// owning node so the shared timeout callback needs no closure.
-type notifyRetry struct {
-	node    *Node
-	msg     wire.Notify
-	to      ids.NodeID
-	retries int
-	timer   runtime.TimerHandle
-}
-
-// Shared closure-free timer callbacks: the kernel invokes these with
-// the owning object, so arming a retransmission timer allocates
-// nothing.
-func passTimeoutCB(a any)   { a.(*Node).passTimedOut() }
-func notifyTimeoutCB(a any) { a.(*notifyRetry).timedOut() }
 
 // ID returns the node's identity.
 func (n *Node) ID() ids.NodeID { return n.id }
@@ -259,7 +241,7 @@ func (n *Node) HandleMessage(msg runtime.Message) {
 	case wire.NotifyAck:
 		n.receiveNotifyAck(body)
 	case wire.PassAck:
-		n.receivePassAck(body)
+		n.receivePassAck(body, msg.From)
 	case wire.Query:
 		n.receiveQuery(body)
 	case wire.JoinRequest:
@@ -311,7 +293,6 @@ func (n *Node) nextSeq() uint64 {
 // in when the direction allows it.
 func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch) {
 	n.roundSeq++
-	n.roundsStarted++
 	tok := token.Fresh(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, nil, dir, source)
 	if len(extra) > 0 {
 		tok.Ops = append(tok.Ops, extra...)
@@ -362,8 +343,8 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 		return
 	}
 	// Acknowledge the pass so the sender's retransmission timer stops.
-	n.sys.send(n.id, from, runtime.KindControl, wire.PassAck{Ring: tok.Ring, Round: tok.Round})
-	n.sys.noteTokenSeen(n.ringID)
+	n.sys.send(n.id, from, runtime.KindControl, wire.PassAck{Holder: tok.Holder, Round: tok.Round})
+	n.sys.noteTokenSeen(n.ring)
 
 	// Retransmission can deliver the same token twice (the first copy
 	// arrived but its acknowledgement was lost); execute only once.
@@ -511,28 +492,13 @@ func (n *Node) passToken(tok *token.Token) {
 		return
 	}
 	tok.Hops++
-	n.inFlight = token.PassState{Token: tok, To: next}
-	n.inFlightSet = true
-	n.sendTokenAttempt()
-}
-
-// sendTokenAttempt (re)sends the in-flight token and arms the
-// retransmission timer through the kernel's closure-free path.
-func (n *Node) sendTokenAttempt() {
-	if !n.inFlightSet {
-		return
-	}
-	n.sys.send(n.id, n.inFlight.To, runtime.KindToken, wire.TokenMsg{Tok: n.inFlight.Token})
-	n.passTimer = n.sys.clock.AfterCall(n.sys.cfg.RetransmitTimeout, passTimeoutCB, n)
+	n.pass.start(next, wire.TokenMsg{Tok: tok})
 }
 
 // passTimedOut implements the token retransmission scheme: resend up
 // to the policy budget, then declare the successor faulty, repair the
 // ring locally, and route around it.
 func (n *Node) passTimedOut() {
-	if !n.inFlightSet {
-		return
-	}
 	if n.sys.tr.Crashed(n.id) {
 		// A crashed carrier does no protocol work: in a live
 		// deployment the kill destroys the process and its timers, and
@@ -540,13 +506,10 @@ func (n *Node) passTimedOut() {
 		// simulated corpse ghost-walks the whole repair (excluding
 		// every ring-mate, completing the round and releasing the
 		// ring), masking exactly the loss the watchdog must recover.
-		n.clearInFlight()
+		n.pass.stop()
 		return
 	}
-	ps := &n.inFlight
-	if !ps.Exhausted(n.sys.cfg.Retransmit) {
-		ps.Retries++
-		n.sendTokenAttempt()
+	if n.pass.retry() {
 		return
 	}
 	// Local repair (§5.2): exclude the dead successor, tell the rest
@@ -555,8 +518,9 @@ func (n *Node) passTimedOut() {
 	// stability filter armed, the roster surgery waits until K distinct
 	// observers concur — but the token routes around the suspect either
 	// way, so an unconfirmed suspicion never wedges the round.
-	dead := ps.To
-	tok := ps.Token
+	dead := n.pass.to
+	tok := n.pass.body.(wire.TokenMsg).Tok
+	n.pass.stop()
 	if n.sys.confirmEviction(dead, n.id) {
 		n.repairsDone++
 		n.sys.noteRepair(n.ringID, dead)
@@ -570,34 +534,20 @@ func (n *Node) passTimedOut() {
 		// still terminates.
 		tok.Holder = n.id
 	}
-	if len(tok.Route) <= 1 {
-		n.clearInFlight()
-		n.completeRound(tok)
-		return
-	}
-	next := tok.NextOnRoute(n.id)
-	if next == n.id {
-		n.clearInFlight()
-		n.completeRound(tok)
-		return
-	}
-	n.inFlight = token.PassState{Token: tok, To: next}
-	n.inFlightSet = true
-	n.sendTokenAttempt()
+	n.passToken(tok)
 }
 
-// clearInFlight drops the outstanding pass (releasing the token
-// reference) without touching the timer.
-func (n *Node) clearInFlight() {
-	n.inFlight = token.PassState{}
-	n.inFlightSet = false
-}
-
-// receivePassAck clears the retransmission state.
-func (n *Node) receivePassAck(wire.PassAck) {
-	n.sys.clock.Cancel(n.passTimer)
-	n.passTimer = runtime.TimerHandle{}
-	n.clearInFlight()
+// receivePassAck stops the retransmission of the pass the ack names:
+// it must come from the successor the in-flight token went to and carry
+// that token's (Holder, Round). Anything else is the late ack of an
+// earlier pass (the next round already started here) and stops nothing.
+func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
+	if !n.pass.awaits(from) {
+		return
+	}
+	if tok := n.pass.body.(wire.TokenMsg).Tok; tok.Holder == a.Holder && tok.Round == a.Round {
+		n.pass.stop()
+	}
 }
 
 // completeRound closes the round at the holder: Holder-Acknowledgement
@@ -653,31 +603,23 @@ func (n *Node) receiveNotify(m wire.Notify, from ids.NodeID) {
 func (n *Node) sendNotify(to ids.NodeID, m wire.Notify) {
 	n.notifySeq++
 	m.Seq = n.notifySeq
-	retry := &notifyRetry{node: n, msg: m, to: to}
 	if n.notifyWait == nil {
-		n.notifyWait = make(map[uint64]*notifyRetry)
+		n.notifyWait = make(map[uint64]*resend)
 	}
-	n.notifyWait[m.Seq] = retry
-	n.sendNotifyAttempt(retry)
+	r := notifyResend(n)
+	n.notifyWait[m.Seq] = r
+	r.start(to, m)
 }
 
-func (n *Node) sendNotifyAttempt(retry *notifyRetry) {
-	n.sys.send(n.id, retry.to, runtime.KindNotify, retry.msg)
-	retry.timer = n.sys.clock.AfterCall(n.sys.cfg.RetransmitTimeout, notifyTimeoutCB, retry)
-}
-
-// timedOut is the notification retransmission timer body: resend up to
-// the policy budget, then give up and mark the failed direction.
-func (r *notifyRetry) timedOut() {
-	n := r.node
-	if r.retries < n.sys.cfg.Retransmit.MaxRetries {
-		r.retries++
-		n.sendNotifyAttempt(r)
+// notifyTimedOut is the notification retransmission timer body: resend
+// up to the policy budget, then give up and mark the failed direction.
+func (n *Node) notifyTimedOut(r *resend) {
+	if r.retry() {
 		return
 	}
-	delete(n.notifyWait, r.msg.Seq)
-	// Mark the failed direction.
-	if r.msg.Up {
+	m := r.body.(wire.Notify)
+	delete(n.notifyWait, m.Seq)
+	if m.Up {
 		n.parentOK = false
 	} else if r.to == n.childLeader {
 		n.childOK = false
@@ -685,8 +627,8 @@ func (r *notifyRetry) timedOut() {
 }
 
 func (n *Node) receiveNotifyAck(a wire.NotifyAck) {
-	if retry, ok := n.notifyWait[a.Seq]; ok {
-		n.sys.clock.Cancel(retry.timer)
+	if r, ok := n.notifyWait[a.Seq]; ok {
+		r.stop()
 		delete(n.notifyWait, a.Seq)
 	}
 }

@@ -1,0 +1,124 @@
+package core
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/ring"
+	"github.com/rgbproto/rgb/internal/runtime"
+	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/token"
+	"github.com/rgbproto/rgb/internal/wire"
+)
+
+// ringPair returns a bottom-ring node and its successor.
+func ringPair(sys *System) (p *Node, h ids.NodeID) {
+	p = sys.Node(sys.APs()[0])
+	return p, p.nextLive(p.ID())
+}
+
+// TestStaleAckLeavesPassArmed is the interleaving that used to leak a
+// pass timer: H closes its round k (the last hop came from its
+// predecessor P), P at once starts its own round — per-holder counters,
+// so also numbered k — and passes it to H, and only then does H's ack
+// of the earlier pass arrive. That ack is from the right sender with
+// the right round number and still names another token: it must leave
+// the new pass armed and its timer pending.
+func TestStaleAckLeavesPassArmed(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 3))
+	kernel := sys.Runtime().(*simnet.SimRuntime).Kernel()
+	p, h := ringPair(sys)
+
+	const k = 7
+	tok := token.Fresh(sys.cfg.GID, p.ringID, p.id, k, nil, token.FromLocal, ring.ID{})
+	tok.Route = p.Roster()
+	p.passToken(tok)
+	armed := kernel.Pending() // the token on its way to H, and the pass timer
+
+	ack := func(holder ids.NodeID, from ids.NodeID) {
+		p.HandleMessage(runtime.Message{From: from, To: p.id, Body: wire.PassAck{Holder: holder, Round: k}})
+	}
+	ack(h, h)                   // H's ack for its own round k
+	ack(p.id, p.prevLive(p.id)) // the right token, acknowledged by the wrong node
+	if !p.pass.awaits(h) || kernel.Pending() != armed {
+		t.Fatalf("stale ack disturbed the pass: awaiting H = %v, %d events pending (want %d)", p.pass.awaits(h), kernel.Pending(), armed)
+	}
+
+	ack(p.id, h)
+	if p.pass.awaits(h) || kernel.Pending() != armed-1 {
+		t.Fatalf("matching ack: awaiting H = %v, %d events pending (want %d: timer cancelled)", p.pass.awaits(h), kernel.Pending(), armed-1)
+	}
+
+	ack(p.id, h) // the duplicate a retransmitted token provokes
+	if p.pass.awaits(h) || kernel.Pending() != armed-1 {
+		t.Fatalf("duplicate ack was not a no-op: %d events pending (want %d)", kernel.Pending(), armed-1)
+	}
+}
+
+// TestResendBudget: an unacknowledged pass is sent once, resent exactly
+// MaxRetries times, and then given up exactly once — one repair, and
+// the round goes on without the dead successor.
+func TestResendBudget(t *testing.T) {
+	cfg := quietConfig(2, 5)
+	cfg.Retransmit.MaxRetries = 3
+	sys := NewSystem(cfg)
+	p, h := ringPair(sys)
+
+	sends := 0
+	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m simnet.Message, _ string) {
+		if m.Kind == runtime.KindToken && m.To == h {
+			if m.From != p.id {
+				t.Errorf("token for the dead %s from %s, not from its predecessor", h, m.From)
+			}
+			sends++
+		}
+	})
+	sys.CrashNE(h)
+	if _, err := sys.JoinMemberAt(1, p.id); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+
+	if want := 1 + cfg.Retransmit.MaxRetries; sends != want {
+		t.Errorf("token sent to the dead successor %d times, want %d", sends, want)
+	}
+	if r := sys.Repairs(); len(r) != 1 || r[0].Dead != h || p.Repairs() != 1 {
+		t.Errorf("repairs = %v (%d at the predecessor), want exactly one, of %s", r, p.Repairs(), h)
+	}
+	if p.pass.body != nil {
+		t.Error("pass still in flight after the run drained")
+	}
+	if got := len(sys.GlobalMembership()); got != 1 {
+		t.Errorf("global membership = %d, want 1", got)
+	}
+}
+
+// TestResendOwnsItsTimers pins timer ownership the way api_lock_test.go
+// pins the API: resend.go is the only non-test file of this package
+// that may cancel a timer or name a retransmission callback. A leaked
+// pass timer then fails here instead of in a benchmark sizing session.
+func TestResendOwnsItsTimers(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no source files found: %v", err)
+	}
+	for _, f := range files {
+		if f == "resend.go" || strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, banned := range []string{"clock.Cancel(", "passTimeoutCB", "notifyTimeoutCB"} {
+				if strings.Contains(line, banned) {
+					t.Errorf("%s:%d: %s outside resend.go: retransmission timers are armed and cancelled by resend's methods only", f, i+1, banned)
+				}
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
-	"github.com/rgbproto/rgb/internal/ring"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/wire"
 )
@@ -154,7 +153,7 @@ func (s *System) noteFlap(subject ids.NodeID, now runtime.Time) {
 // the NE-Failure through its next round, exactly like the pass-timeout
 // path. Only called with the filter armed, so compat traces are
 // untouched.
-func (s *System) suspectCrashedLeader(id ring.ID, acting *Node) {
+func (s *System) suspectCrashedLeader(acting *Node) {
 	dead := acting.leader
 	if dead == acting.id || !acting.rosterContains(dead) || !s.tr.Crashed(dead) {
 		return
@@ -162,7 +161,7 @@ func (s *System) suspectCrashedLeader(id ring.ID, acting *Node) {
 	if !s.confirmEviction(dead, acting.id) {
 		return
 	}
-	s.noteRepair(id, dead)
+	s.noteRepair(acting.ringID, dead)
 	acting.excludeFromRoster(dead)
 	acting.queue.Insert(mq.Change{Op: mq.OpNEFailure, NE: dead, Origin: acting.id, Seq: acting.nextSeq()})
 }

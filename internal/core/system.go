@@ -55,6 +55,36 @@ type pendingRound struct {
 	batch  mq.Batch
 }
 
+// ringState is the round state of one logical ring as this process
+// sees it. There is one record per ring of the hierarchy, built once in
+// NewSystemOn and shared by pointer with every locally-owned node of
+// the ring, so round admission is a property of the ring rather than
+// of whichever map a call site remembers to consult.
+type ringState struct {
+	// busy marks a locally-held round in circulation: the System
+	// brokers token ownership so that "at any time there is at most one
+	// membership change message propagated along a ring" (§4.3).
+	// pending queues the round starts deferred meanwhile.
+	busy    bool
+	pending []pendingRound
+
+	// lastTok is when a locally-owned node of the ring last saw a
+	// circulating token (the ring's creation before the first one). With
+	// heartbeats on, prolonged silence means this process's ring
+	// fragment has no reachable leader (killed or cut away in another
+	// process) — the trigger for leader suspicion.
+	lastTok runtime.Time
+
+	// roundStart is when this process last put the ring busy. The
+	// token-loss watchdog measures a round's age from here rather than
+	// from lastTok: on a ring spanning several processes, other holders'
+	// heartbeat tokens keep flowing through local members and refresh
+	// lastTok, so global token silence never occurs even when this
+	// process's own round died with its carrier. The timing observer
+	// reports the round's duration from the same stamp.
+	roundStart runtime.Time
+}
+
 // RepairEvent records one local ring repair for observability.
 type RepairEvent struct {
 	Ring ring.ID
@@ -99,23 +129,7 @@ type System struct {
 	// roster-excluded ring-mates.
 	probeSeq uint64
 
-	ringBusy    map[ring.ID]bool
-	ringPending map[ring.ID][]pendingRound
-
-	// ringLastTok tracks when a locally-owned node of each ring last saw
-	// a circulating token. With heartbeats on, prolonged silence means
-	// this process's ring fragment has no reachable leader (killed or
-	// cut away in another process) — the trigger for leader suspicion.
-	ringLastTok map[ring.ID]runtime.Time
-
-	// ringRoundStart stamps when this process last put a ring busy with
-	// a locally-held round. The token-loss watchdog measures a round's
-	// age from here rather than from ringLastTok: on a ring spanning
-	// several processes, other holders' heartbeat tokens keep flowing
-	// through local members and refresh ringLastTok, so global token
-	// silence never occurs even when this process's own round died
-	// with its carrier.
-	ringRoundStart map[ring.ID]runtime.Time
+	rings map[ring.ID]*ringState
 
 	mhOrdinal int
 	luidSeq   map[ids.NodeID]uint32
@@ -136,13 +150,12 @@ type System struct {
 	eventSeen  map[changeKey]struct{}
 	eventSeenQ []changeKey
 
-	// Timing observer (instrument.go). instrRoundStart stamps each
-	// ring's in-flight round; instrPending maps a locally-submitted
-	// change to its submit time until the topmost-ring commit.
-	instr           *Instrumentation
-	instrRoundStart map[ring.ID]runtime.Time
-	instrPending    map[changeKey]runtime.Time
-	instrPendingQ   []changeKey
+	// Timing observer (instrument.go). instrPending maps a
+	// locally-submitted change to its submit time until the
+	// topmost-ring commit.
+	instr         *Instrumentation
+	instrPending  map[changeKey]runtime.Time
+	instrPendingQ []changeKey
 
 	// K-observer stability filter state (stability.go); the maps are
 	// allocated only when Config.StabilityK arms the filter.
@@ -178,45 +191,43 @@ func NewSystem(cfg Config) *System {
 func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 	cfg.validate()
 	hier := topology.NewRingHierarchy(cfg.H, cfg.R)
-	// Count entities and index ring leaders up front: the arena below
-	// holds every Node in one allocation, and child-leader lookup drops
-	// from a per-node level scan to one map hit.
-	total := 0
-	leaderOf := make(map[ring.ID]ids.NodeID)
-	for _, rg := range hier.Rings() {
-		total += rg.Size()
-		leaderOf[rg.ID()] = rg.Leader()
-	}
+	allRings := hier.Rings()
 	s := &System{
-		cfg:            cfg,
-		rt:             rt,
-		clock:          rt.Clock(),
-		tr:             rt.Transport(),
-		hier:           hier,
-		rng:            mathx.NewRNG(cfg.Seed ^ 0x9b2e5f4ac3d17086),
-		nodes:          make(map[ids.NodeID]*Node, total),
-		members:        make(map[ids.GUID]*Member),
-		mhOwner:        make(map[ids.NodeID]*Member),
-		ringBusy:       make(map[ring.ID]bool, len(leaderOf)),
-		ringPending:    make(map[ring.ID][]pendingRound, len(leaderOf)),
-		ringLastTok:    make(map[ring.ID]runtime.Time, len(leaderOf)),
-		ringRoundStart: make(map[ring.ID]runtime.Time, len(leaderOf)),
-		luidSeq:        make(map[ids.NodeID]uint32),
-		staleNE:        make(map[ids.NodeID]bool),
+		cfg:     cfg,
+		rt:      rt,
+		clock:   rt.Clock(),
+		tr:      rt.Transport(),
+		hier:    hier,
+		rng:     mathx.NewRNG(cfg.Seed ^ 0x9b2e5f4ac3d17086),
+		members: make(map[ids.GUID]*Member),
+		mhOwner: make(map[ids.NodeID]*Member),
+		rings:   make(map[ring.ID]*ringState, len(allRings)),
+		luidSeq: make(map[ids.NodeID]uint32),
+		staleNE: make(map[ids.NodeID]bool),
 	}
 	if s.stabilityOn() {
 		s.suspects = make(map[ids.NodeID]*suspicion)
 		s.flapScore = make(map[ids.NodeID]int)
 		s.quarantined = make(map[ids.NodeID]runtime.Time)
 	}
+	// Count the owned entities and index ring leaders up front: the
+	// arena below holds every Node in one allocation, and child-leader
+	// lookup drops from a per-node level scan to one map hit.
 	owned := 0
-	for _, rg := range hier.Rings() {
+	leaderOf := make(map[ring.ID]ids.NodeID, len(allRings))
+	states := make([]ringState, len(allRings))
+	now := s.clock.Now()
+	for i, rg := range allRings {
+		leaderOf[rg.ID()] = rg.Leader()
+		states[i].lastTok = now
+		s.rings[rg.ID()] = &states[i]
 		for _, id := range rg.Nodes() {
 			if s.owns(id) {
 				owned++
 			}
 		}
 	}
+	s.nodes = make(map[ids.NodeID]*Node, owned)
 	arena := make([]Node, owned)
 	next := 0
 	for level := 0; level < s.hier.NumLevels(); level++ {
@@ -233,12 +244,14 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 					id:       id,
 					level:    level,
 					ringID:   rg.ID(),
+					ring:     s.rings[rg.ID()],
 					roster:   rg.Nodes(),
 					leader:   rg.Leader(),
 					parent:   parent,
 					ringOK:   true,
 					parentOK: !parent.IsZero(),
 					queue:    mq.New(cfg.Aggregate),
+					pass:     passResend(n),
 				}
 				if child, ok := s.hier.ChildRingOf(id); ok {
 					n.hasChild = true
@@ -341,20 +354,16 @@ func (s *System) requestRound(n *Node, dir token.Direction, source ring.ID) {
 // System brokers token ownership so that "at any time there is at most
 // one membership change message propagated along a ring" (§4.3).
 func (s *System) requestRoundWithBatch(n *Node, dir token.Direction, source ring.ID, batch mq.Batch) {
-	if s.tr.Crashed(n.id) {
-		// A crashed entity cannot start a round; park the request so
-		// it runs if the entity is restored.
-		s.ringPending[n.ringID] = append(s.ringPending[n.ringID], pendingRound{at: n.id, dir: dir, source: source, batch: batch})
-		return
-	}
-	if s.ringBusy[n.ringID] {
-		s.ringPending[n.ringID] = append(s.ringPending[n.ringID], pendingRound{at: n.id, dir: dir, source: source, batch: batch})
+	if s.tr.Crashed(n.id) || n.ring.busy {
+		// Park the request: a busy ring runs it when the current round
+		// completes, a crashed entity if it is restored.
+		n.ring.pending = append(n.ring.pending, pendingRound{at: n.id, dir: dir, source: source, batch: batch})
 		return
 	}
 	if dir == token.FromLocal && batch == nil && n.queue.Len() == 0 {
 		return // nothing to do
 	}
-	s.markRingBusy(n.ringID)
+	s.markRingBusy(n.ring)
 	n.startRound(dir, source, batch)
 }
 
@@ -366,7 +375,7 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 	s.rounds++
 	s.opsCarried += uint64(len(tok.Ops))
 	s.observeRoundDone(holder, len(tok.Ops))
-	s.ringBusy[holder.ringID] = false
+	holder.ring.busy = false
 	if repaired && len(tok.Ops) > 0 {
 		// A mid-round repair means some members executed the token
 		// before the exclusion was folded in — and, if the old leader
@@ -377,14 +386,14 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 		s.requestRoundWithBatch(holder, token.FromLocal, ring.ID{}, tok.Ops)
 		return
 	}
-	s.dispatchPending(holder.ringID)
+	s.dispatchPending(holder.ring)
 }
 
 // dispatchPending starts the next deferred round of a ring, if any.
 // Local requests whose queue was already drained by en-route folding
 // are skipped rather than run as empty rounds.
-func (s *System) dispatchPending(id ring.ID) {
-	queue := s.ringPending[id]
+func (s *System) dispatchPending(rs *ringState) {
+	queue := rs.pending
 	for len(queue) > 0 {
 		next := queue[0]
 		queue = queue[1:]
@@ -395,12 +404,12 @@ func (s *System) dispatchPending(id ring.ID) {
 		if next.dir == token.FromLocal && next.batch == nil && n.queue.Len() == 0 {
 			continue
 		}
-		s.ringPending[id] = queue
-		s.markRingBusy(id)
+		rs.pending = queue
+		s.markRingBusy(rs)
 		n.startRound(next.dir, next.source, next.batch)
 		return
 	}
-	s.ringPending[id] = queue
+	rs.pending = queue
 }
 
 // noteRepair records a repair event.
@@ -417,7 +426,6 @@ func (s *System) noteRepair(id ring.ID, dead ids.NodeID) {
 // processes with consistent views, each ring beats exactly once.
 func (s *System) startHeartbeats() {
 	for _, rg := range s.hier.Rings() {
-		id := rg.ID()
 		ringNodes := rg.Nodes()
 		anyOwned := false
 		for _, m := range ringNodes {
@@ -429,7 +437,7 @@ func (s *System) startHeartbeats() {
 		if !anyOwned {
 			continue
 		}
-		s.ringLastTok[id] = s.clock.Now()
+		rs := s.rings[rg.ID()]
 		// A round's token can die with its carrier (kill -9 of the
 		// process holding it after it acknowledged the pass): the local
 		// holder then waits forever and the ring stays busy. Declare the
@@ -442,25 +450,25 @@ func (s *System) startHeartbeats() {
 			lostAfter = w
 		}
 		t := s.clock.Every(s.cfg.HeartbeatInterval, func() {
-			if s.ringBusy[id] {
-				if s.clock.Now().Sub(s.ringRoundStart[id]) > lostAfter {
-					s.ringBusy[id] = false
-					s.noteTokenSeen(id)
-					s.requeueOpenRounds(id, ringNodes)
-					s.dispatchPending(id)
+			if rs.busy {
+				if s.clock.Now().Sub(rs.roundStart) > lostAfter {
+					rs.busy = false
+					s.noteTokenSeen(rs)
+					s.requeueOpenRounds(rs, ringNodes)
+					s.dispatchPending(rs)
 				}
 				return
 			}
 			leaderNode := s.currentLeaderOf(ringNodes)
 			if leaderNode == nil {
-				s.suspectSilentLeader(id, ringNodes)
+				s.suspectSilentLeader(ringNodes)
 				return
 			}
 			if s.stabilityOn() {
-				s.suspectCrashedLeader(id, leaderNode)
+				s.suspectCrashedLeader(leaderNode)
 			}
 			s.probeExcluded(leaderNode, ringNodes)
-			s.markRingBusy(id)
+			s.markRingBusy(rs)
 			leaderNode.startRound(token.FromLocal, ring.ID{}, nil)
 		})
 		s.heartbeats = append(s.heartbeats, t)
@@ -470,14 +478,13 @@ func (s *System) startHeartbeats() {
 // noteTokenSeen stamps ring liveness: a circulating token proves the
 // ring's current leader regime is functioning, so leader suspicion
 // starts its silence window over.
-func (s *System) noteTokenSeen(id ring.ID) { s.ringLastTok[id] = s.clock.Now() }
+func (s *System) noteTokenSeen(rs *ringState) { rs.lastTok = s.clock.Now() }
 
 // markRingBusy claims a ring for a locally-held round and stamps the
 // round's start time for the token-loss watchdog.
-func (s *System) markRingBusy(id ring.ID) {
-	s.ringBusy[id] = true
-	s.ringRoundStart[id] = s.clock.Now()
-	s.noteRoundStart(id)
+func (s *System) markRingBusy(rs *ringState) {
+	rs.busy = true
+	rs.roundStart = s.clock.Now()
 }
 
 // requeueOpenRounds re-submits the retained batch of any locally-owned
@@ -489,7 +496,7 @@ func (s *System) markRingBusy(id ring.ID) {
 // Membership operations are idempotent (the mid-round-repair
 // re-circulation in roundDone relies on the same property), so if the
 // round was merely slow rather than lost, the extra round is harmless.
-func (s *System) requeueOpenRounds(id ring.ID, ringNodes []ids.NodeID) {
+func (s *System) requeueOpenRounds(rs *ringState, ringNodes []ids.NodeID) {
 	for _, m := range ringNodes {
 		n := s.nodes[m]
 		if n == nil || !s.owns(m) || s.tr.Crashed(m) || s.neStale(m) || len(n.openRound) == 0 {
@@ -497,7 +504,7 @@ func (s *System) requeueOpenRounds(id ring.ID, ringNodes []ids.NodeID) {
 		}
 		batch := n.openRound
 		n.openRound = nil
-		s.ringPending[id] = append([]pendingRound{{at: n.id, dir: token.FromLocal, batch: batch}}, s.ringPending[id]...)
+		rs.pending = append([]pendingRound{{at: n.id, dir: token.FromLocal, batch: batch}}, rs.pending...)
 	}
 }
 
@@ -512,7 +519,7 @@ func (s *System) requeueOpenRounds(id ring.ID, ringNodes []ids.NodeID) {
 // leader; successive ticks walk the leadership to a live local node,
 // which resumes beating (and with it pass-timeout repair and the
 // probe/merge path).
-func (s *System) suspectSilentLeader(id ring.ID, ringNodes []ids.NodeID) {
+func (s *System) suspectSilentLeader(ringNodes []ids.NodeID) {
 	var n *Node
 	for _, m := range ringNodes {
 		if c := s.nodes[m]; c != nil && !s.tr.Crashed(m) && !s.neStale(m) {
@@ -523,16 +530,16 @@ func (s *System) suspectSilentLeader(id ring.ID, ringNodes []ids.NodeID) {
 	if n == nil || n.leader == n.id || !n.rosterContains(n.id) {
 		return
 	}
-	if s.clock.Now().Sub(s.ringLastTok[id]) < 5*s.cfg.HeartbeatInterval {
+	if s.clock.Now().Sub(n.ring.lastTok) < 5*s.cfg.HeartbeatInterval {
 		return
 	}
 	dead := n.leader
 	if !s.confirmEviction(dead, n.id) {
 		return // stability filter: await more observers before surgery
 	}
-	s.noteRepair(id, dead)
+	s.noteRepair(n.ringID, dead)
 	n.excludeFromRoster(dead)
-	s.noteTokenSeen(id)
+	s.noteTokenSeen(n.ring)
 }
 
 // FailOutRemote feeds a liveness verdict from outside the protocol —
@@ -569,7 +576,7 @@ func (s *System) FailOutRemote(dead ...ids.NodeID) {
 		}
 		if excluded {
 			s.noteRepair(rg.ID(), d)
-			s.noteTokenSeen(rg.ID())
+			s.noteTokenSeen(s.rings[rg.ID()])
 		}
 	}
 }

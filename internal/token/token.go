@@ -2,9 +2,9 @@
 // circulates around each logical ring carrying aggregated membership
 // operations — together with the round bookkeeping used by the
 // one-round algorithm of Figure 3: hop accounting, direction of entry
-// (needed to propagate changes up/down without echo), and the
-// retransmission state that implements the paper's "Token
-// retransmission schemes" for single-fault detection.
+// (needed to propagate changes up/down without echo), and the retry
+// budget of the paper's "Token retransmission schemes" for
+// single-fault detection.
 package token
 
 import (
@@ -145,15 +145,3 @@ type RetransmitPolicy struct {
 // DefaultRetransmitPolicy matches the paper's "detected quickly"
 // expectation: two retries then local repair.
 func DefaultRetransmitPolicy() RetransmitPolicy { return RetransmitPolicy{MaxRetries: 2} }
-
-// PassState tracks one in-flight token pass awaiting acknowledgement.
-type PassState struct {
-	Token   *Token
-	To      ids.NodeID
-	Retries int
-}
-
-// Exhausted reports whether the policy's retry budget is spent.
-func (p *PassState) Exhausted(policy RetransmitPolicy) bool {
-	return p.Retries >= policy.MaxRetries
-}

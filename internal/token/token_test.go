@@ -54,12 +54,4 @@ func TestRetransmitPolicy(t *testing.T) {
 	if p.MaxRetries != 2 {
 		t.Fatalf("default retries = %d", p.MaxRetries)
 	}
-	ps := &PassState{}
-	if ps.Exhausted(p) {
-		t.Fatal("fresh pass should not be exhausted")
-	}
-	ps.Retries = 2
-	if !ps.Exhausted(p) {
-		t.Fatal("pass at budget should be exhausted")
-	}
 }

@@ -37,7 +37,7 @@ import (
 // mixed deployment must upgrade together.
 const (
 	// Version is the wire-format version emitted by this build.
-	Version = 2
+	Version = 3
 
 	magic0 = 'R'
 	magic1 = 'G'
@@ -507,12 +507,12 @@ func decodeNotifyAck(r *reader) Payload { return NotifyAck{Seq: r.u64()} }
 
 // AppendTo implements Payload.
 func (m PassAck) AppendTo(b []byte) []byte {
-	b = appendRingID(b, m.Ring)
+	b = appendU64(b, uint64(m.Holder))
 	return appendU64(b, m.Round)
 }
 
 func decodePassAck(r *reader) Payload {
-	return PassAck{Ring: r.ringID(), Round: r.u64()}
+	return PassAck{Holder: r.nodeID(), Round: r.u64()}
 }
 
 // AppendTo implements Payload.

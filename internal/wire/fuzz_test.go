@@ -159,6 +159,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	}
 
+	// A pass-ack names its token by (Holder u64, Round u64). Seed one
+	// whole, cut between the two words, and with the 13-byte body it had
+	// when it carried a ring.ID (u8+u32) instead of the holder: a
+	// straggler in that layout must read as a truncation.
+	ack := AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: PassAck{Holder: ap(4), Round: 1 << 40}})
+	f.Add(ack)
+	f.Add(append([]byte(nil), ack[:len(ack)-8]...))
+	old := append([]byte(nil), ack[:len(ack)-3]...)
+	old[envelopeSize+1] = 13
+	f.Add(old)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeFrame(data)
 		if err != nil {

@@ -149,10 +149,12 @@ type NotifyAck struct {
 
 // PassAck acknowledges receipt of a token pass (control plane; this is
 // the signal whose absence triggers the paper's token retransmission
-// scheme).
+// scheme). It names the token it acknowledges by (Holder, Round):
+// round counters are per holder, so the round alone would let the ack
+// of one holder's round k stop the pass of another holder's round k.
 type PassAck struct {
-	Ring  ring.ID
-	Round uint64
+	Holder ids.NodeID
+	Round  uint64
 }
 
 // HolderAck is the Holder-Acknowledgement of Figure 3, sent by the

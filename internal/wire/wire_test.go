@@ -65,7 +65,7 @@ func samplePayloads() []Payload {
 			Seq:          12,
 		},
 		NotifyAck{Seq: 12},
-		PassAck{Ring: ring.ID{Tier: ids.TierBR, Index: 0}, Round: 3},
+		PassAck{Holder: ap(3), Round: 3},
 		HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 8, Count: 2},
 		JoinRequest{Node: ap(5)},
 		Snapshot{
