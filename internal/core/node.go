@@ -441,26 +441,32 @@ func (n *Node) applyMemberPut(c mq.Change, dir token.Direction) {
 	// ListOfRingMembers covers this ring's subtree: batches arriving
 	// from the parent concern other subtrees unless the member's AP is
 	// covered here.
-	covered := n.sys.covers(n.ringID, m.AP)
+	covered := n.sys.hier.Covers(n.ringID, m.AP)
 	if covered {
 		n.ringMems.Put(m)
 	} else if dir == token.FromParent {
 		// A handoff can move a member out of this ring's coverage.
 		n.ringMems.Remove(m.GUID)
 	}
-	// Bottom-tier bookkeeping.
-	if n.level == n.sys.cfg.H-1 {
-		if m.AP == n.id {
-			n.local.Put(m)
+	n.trackAtBottomTier(m)
+}
+
+// trackAtBottomTier files a present member under ListOfLocalMembers and
+// ListOfNeighborMembers, which only access proxies keep.
+func (n *Node) trackAtBottomTier(m ids.MemberInfo) {
+	if n.level != n.sys.cfg.H-1 {
+		return
+	}
+	if m.AP == n.id {
+		n.local.Put(m)
+	} else {
+		n.local.Remove(m.GUID) // handoff away from this AP
+	}
+	if n.sys.cfg.NeighborLists {
+		if m.AP == n.nextLive(n.id) || m.AP == n.prevLive(n.id) {
+			n.neighbors.Put(m)
 		} else {
-			n.local.Remove(m.GUID) // handoff away from this AP
-		}
-		if n.sys.cfg.NeighborLists {
-			if m.AP == n.nextLive(n.id) || m.AP == n.prevLive(n.id) {
-				n.neighbors.Put(m)
-			} else {
-				n.neighbors.Remove(m.GUID)
-			}
+			n.neighbors.Remove(m.GUID)
 		}
 	}
 }
@@ -688,9 +694,21 @@ func (n *Node) receiveSnapshot(s wire.Snapshot) {
 	// members' NE-Join application will place this node.
 	n.leader = s.Leader
 	n.insertIntoRoster(n.id)
+	// The snapshot is all this entity knows of the time it was away, so
+	// the other lists follow it: the bottom-tier ones are rebuilt from
+	// it, and what the full list holds under this ring's coverage that
+	// the snapshot no longer does has left.
 	n.ringMems.Clear()
+	n.local.Clear()
+	n.neighbors.Clear()
 	for _, m := range s.Members {
 		n.ringMems.Put(m)
+		n.trackAtBottomTier(m)
+	}
+	for _, m := range n.global.Snapshot() {
+		if !n.ringMems.Contains(m.GUID) && n.sys.hier.Covers(n.ringID, m.AP) {
+			n.global.Remove(m.GUID)
+		}
 	}
 	// The member list is authoritative; the view counters ride along so
 	// a later merge at THIS node compares removal histories correctly.

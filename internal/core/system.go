@@ -323,27 +323,6 @@ func (s *System) sameRing(a, b ids.NodeID) bool {
 	return ra != nil && rb != nil && ra.ID() == rb.ID()
 }
 
-// covers reports whether the access proxy ap lies under the coverage
-// of the given ring (the ring itself for bottom rings, or its subtree
-// for upper rings).
-func (s *System) covers(id ring.ID, ap ids.NodeID) bool {
-	rg := s.hier.RingOf(ap)
-	if rg == nil {
-		return false
-	}
-	cur := rg.ID()
-	for {
-		if cur == id {
-			return true
-		}
-		p := s.hier.ParentOf(cur)
-		if p.IsZero() {
-			return false
-		}
-		cur = s.hier.RingOf(p).ID()
-	}
-}
-
 // requestRound asks to start a round at node n fed from its own MQ.
 func (s *System) requestRound(n *Node, dir token.Direction, source ring.ID) {
 	s.requestRoundWithBatch(n, dir, source, nil)

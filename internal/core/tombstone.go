@@ -46,10 +46,11 @@ func (n *Node) noteMemberRemoved(g ids.GUID) {
 	if n.memVer == nil {
 		n.memVer = make(map[ids.GUID]uint64)
 	}
-	if _, known := n.memVer[g]; !known {
+	before := len(n.memVer)
+	n.memVer[g]++ // one probe: the increment finds or makes the entry
+	if len(n.memVer) != before {
 		n.trackVersioned(g)
 	}
-	n.memVer[g]++
 }
 
 // adoptVersion merges a peer's view counter for g (max-merge).

@@ -188,10 +188,20 @@ func (m MemberInfo) String() string {
 
 // MemberList is an ordered set of members keyed by GUID. It preserves
 // deterministic iteration order (insertion order) so that simulations
-// and tests are reproducible, while giving O(1) lookup.
+// and tests are reproducible, while giving O(1) lookup, insertion and
+// removal.
+//
+// The records sit in one dense slice in insertion order and an index
+// maps a GUID to its slot. Remove marks the slot dead in a side bitset
+// (a record's own fields cannot carry the mark: lists hold members
+// decoded from the wire verbatim, any Status byte included) and the
+// walks skip dead slots. Dead slots at the tail are dropped at once;
+// the others are squeezed out when they exceed a quarter of the slots.
 type MemberList struct {
-	order []GUID
-	byID  map[GUID]MemberInfo
+	slots []MemberInfo   // insertion order, dead slots included
+	dead  []uint64       // bit i set: slots[i] was removed
+	ndead int            // set bits in dead; the last slot is never dead
+	index map[GUID]int32 // live GUID -> slot
 }
 
 // NewMemberList returns an empty list. The zero MemberList is also
@@ -203,100 +213,134 @@ func NewMemberList() *MemberList {
 }
 
 // Len returns the number of members in the list.
-func (l *MemberList) Len() int { return len(l.order) }
+func (l *MemberList) Len() int { return len(l.slots) - l.ndead }
 
 // Get returns the record for id, if present.
 func (l *MemberList) Get(id GUID) (MemberInfo, bool) {
-	m, ok := l.byID[id]
-	return m, ok
+	i, ok := l.index[id]
+	if !ok {
+		return MemberInfo{}, false
+	}
+	return l.slots[i], true
 }
 
 // Contains reports whether id is in the list.
 func (l *MemberList) Contains(id GUID) bool {
-	_, ok := l.byID[id]
+	_, ok := l.index[id]
 	return ok
 }
 
-// Put inserts or updates a member record.
+// Put inserts or updates a member record. An update keeps the member's
+// place in the iteration order.
 func (l *MemberList) Put(m MemberInfo) {
-	if l.byID == nil {
-		l.byID = make(map[GUID]MemberInfo)
+	if i, ok := l.index[m.GUID]; ok {
+		l.slots[i] = m
+		return
 	}
-	if _, ok := l.byID[m.GUID]; !ok {
-		l.order = append(l.order, m.GUID)
-	}
-	l.byID[m.GUID] = m
+	l.add(m)
 }
+
+// add appends a member the index does not hold yet.
+func (l *MemberList) add(m MemberInfo) {
+	if l.index == nil {
+		l.index = make(map[GUID]int32)
+	}
+	i := len(l.slots)
+	if i>>6 == len(l.dead) {
+		l.dead = append(l.dead, 0)
+	}
+	l.slots = append(l.slots, m)
+	l.index[m.GUID] = int32(i)
+}
+
+func (l *MemberList) isDead(i int) bool { return l.dead[i>>6]&(1<<(i&63)) != 0 }
 
 // Remove deletes the member with the given GUID and reports whether it
 // was present.
 func (l *MemberList) Remove(id GUID) bool {
-	if _, ok := l.byID[id]; !ok {
+	i, ok := l.index[id]
+	if !ok {
 		return false
 	}
-	delete(l.byID, id)
-	for i, g := range l.order {
-		if g == id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
+	delete(l.index, id)
+	if n := int(i); n == len(l.slots)-1 {
+		// The tail goes at once, with any dead run it uncovers, so a
+		// join-then-leave of a fresh GUID leaves nothing behind.
+		for n > 0 && l.isDead(n-1) {
+			n--
+			l.dead[n>>6] &^= 1 << (n & 63)
+			l.ndead--
 		}
+		l.slots = l.slots[:n]
+		return true
+	}
+	l.dead[i>>6] |= 1 << (i & 63)
+	l.ndead++
+	if 4*l.ndead > len(l.slots) {
+		l.compact()
 	}
 	return true
 }
 
-// Each calls fn for every member in insertion order.
+// compact squeezes the dead slots out, keeping the order. At least a
+// quarter of the slots are dead when it runs, so its cost is a constant
+// per Remove; only the entries that move have their index rewritten.
+func (l *MemberList) compact() {
+	w := 0
+	for r, m := range l.slots {
+		if l.isDead(r) {
+			continue
+		}
+		if w != r {
+			l.slots[w] = m
+			l.index[m.GUID] = int32(w)
+		}
+		w++
+	}
+	l.slots = l.slots[:w]
+	clear(l.dead)
+	l.ndead = 0
+}
+
+// Each calls fn for every member in insertion order. fn must not
+// mutate the list it walks: a Remove may compact the slots under the
+// walk.
 func (l *MemberList) Each(fn func(MemberInfo)) {
-	for _, g := range l.order {
-		fn(l.byID[g])
+	for i, m := range l.slots {
+		if l.ndead > 0 && l.isDead(i) {
+			continue
+		}
+		fn(m)
 	}
 }
 
 // Snapshot returns the members as a fresh slice in insertion order.
 func (l *MemberList) Snapshot() []MemberInfo {
-	out := make([]MemberInfo, 0, len(l.order))
-	for _, g := range l.order {
-		out = append(out, l.byID[g])
-	}
+	out := make([]MemberInfo, 0, l.Len())
+	l.Each(func(m MemberInfo) { out = append(out, m) })
 	return out
-}
-
-// OperationalCount returns how many members are currently operational.
-func (l *MemberList) OperationalCount() int {
-	n := 0
-	for _, g := range l.order {
-		if l.byID[g].Status.Operational() {
-			n++
-		}
-	}
-	return n
 }
 
 // Clear removes all members.
 func (l *MemberList) Clear() {
-	l.order = l.order[:0]
-	for k := range l.byID {
-		delete(l.byID, k)
-	}
-}
-
-// Clone returns a deep copy of the list.
-func (l *MemberList) Clone() *MemberList {
-	c := NewMemberList()
-	for _, g := range l.order {
-		c.Put(l.byID[g])
-	}
-	return c
+	l.slots = l.slots[:0]
+	clear(l.dead)
+	l.ndead = 0
+	clear(l.index)
 }
 
 // MergeFrom inserts every member of other that is not already present
 // and returns how many were added. Existing entries are not
 // overwritten: during a ring merge the receiving side keeps its more
-// recent local knowledge.
+// recent local knowledge. Merging a list into itself adds nothing.
 func (l *MemberList) MergeFrom(other *MemberList) int {
+	if other == l {
+		return 0
+	}
 	added := 0
 	other.Each(func(m MemberInfo) {
 		if !l.Contains(m.GUID) {
-			l.Put(m)
+			l.add(m)
 			added++
 		}
 	})
@@ -305,8 +349,8 @@ func (l *MemberList) MergeFrom(other *MemberList) int {
 
 // GUIDs returns the member identities in insertion order.
 func (l *MemberList) GUIDs() []GUID {
-	out := make([]GUID, len(l.order))
-	copy(out, l.order)
+	out := make([]GUID, 0, l.Len())
+	l.Each(func(m MemberInfo) { out = append(out, m.GUID) })
 	return out
 }
 
@@ -314,12 +358,14 @@ func (l *MemberList) GUIDs() []GUID {
 func (l *MemberList) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d members [", l.Len())
-	for i, g := range l.order {
-		if i > 0 {
+	first := true
+	l.Each(func(m MemberInfo) {
+		if !first {
 			b.WriteByte(' ')
 		}
-		b.WriteString(g.String())
-	}
+		first = false
+		b.WriteString(m.GUID.String())
+	})
 	b.WriteByte(']')
 	return b.String()
 }

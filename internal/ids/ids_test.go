@@ -211,27 +211,6 @@ func TestMemberListDeterministicOrder(t *testing.T) {
 	})
 }
 
-func TestMemberListOperationalCount(t *testing.T) {
-	l := NewMemberList()
-	l.Put(member(1))
-	failed := member(2)
-	failed.Status = StatusFailed
-	l.Put(failed)
-	if got := l.OperationalCount(); got != 1 {
-		t.Fatalf("OperationalCount = %d", got)
-	}
-}
-
-func TestMemberListCloneIndependent(t *testing.T) {
-	l := NewMemberList()
-	l.Put(member(1))
-	c := l.Clone()
-	c.Put(member(2))
-	if l.Len() != 1 || c.Len() != 2 {
-		t.Fatal("clone not independent")
-	}
-}
-
 func TestMemberListMergeFrom(t *testing.T) {
 	a := NewMemberList()
 	b := NewMemberList()

@@ -37,7 +37,16 @@ type RingHierarchy struct {
 	ringParent map[ring.ID]ids.NodeID    // ring -> parent node in the level above
 	childRing  map[ids.NodeID]ring.ID    // non-bottom node -> its child ring
 	levelOf    map[ids.NodeID]int        // node -> ring level
+
+	// The breadth-first numbering, for Covers: by ring.ID.Index the
+	// ring's level and index within it, and per tier the first ring and
+	// the number of rings whose nodes carry that tier's ordinals (none
+	// for a tier the hierarchy lacks).
+	pos   []ringPos
+	tiers [ids.TierBR + 1]struct{ first, rings int }
 }
+
+type ringPos struct{ level, j int }
 
 // NewRingHierarchy builds the full hierarchy. h >= 1 and r >= 1;
 // r >= 2 for any hierarchy of interest (the paper analyses r >= 2).
@@ -67,6 +76,10 @@ func NewRingHierarchy(h, r int) *RingHierarchy {
 		tier := tierForLevel(level, h)
 		count := mathx.PowInt(r, level)
 		rh.levels[level] = make([]*ring.Ring, 0, count)
+		if rh.tiers[tier].rings == 0 {
+			rh.tiers[tier].first = ringIndex
+		}
+		rh.tiers[tier].rings += count
 		for j := 0; j < count; j++ {
 			nodes := make([]ids.NodeID, r)
 			for m := range nodes {
@@ -76,6 +89,7 @@ func NewRingHierarchy(h, r int) *RingHierarchy {
 			ringIndex++
 			rh.levels[level] = append(rh.levels[level], rg)
 			rh.rings = append(rh.rings, rg)
+			rh.pos = append(rh.pos, ringPos{level, j})
 			for _, n := range nodes {
 				rh.ringOf[n] = rg
 				rh.levelOf[n] = level
@@ -147,6 +161,22 @@ func (rh *RingHierarchy) LevelOf(n ids.NodeID) int {
 // level above that the ring's leader reports to), or NoNode for the
 // topmost ring.
 func (rh *RingHierarchy) ParentOf(id ring.ID) ids.NodeID { return rh.ringParent[id] }
+
+// Covers reports whether the entity n lies under the coverage of the
+// given ring: in the ring itself or in the subtree of rings below it.
+// It is arithmetic on the breadth-first numbering: the nodes of a tier
+// are numbered ring by ring, so an ordinal names its ring, and ring j of
+// a level hangs below ring j/r of the level above. Anything that is not
+// an entity or not a ring of this hierarchy is not covered.
+func (rh *RingHierarchy) Covers(id ring.ID, n ids.NodeID) bool {
+	t, ord := rh.tiers[n.Tier()], n.Ordinal()
+	if ord < 0 || ord >= t.rings*rh.R ||
+		id.Index < 0 || id.Index >= len(rh.rings) || rh.rings[id.Index].ID() != id {
+		return false
+	}
+	over, at := rh.pos[id.Index], rh.pos[t.first+ord/rh.R]
+	return at.level >= over.level && at.j/mathx.PowInt(rh.R, at.level-over.level) == over.j
+}
 
 // ChildRingOf returns the child ring of a non-bottom node and whether
 // it has one.

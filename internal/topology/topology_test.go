@@ -6,6 +6,7 @@ import (
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mathx"
+	"github.com/rgbproto/rgb/internal/ring"
 )
 
 func TestRingHierarchyShape(t *testing.T) {
@@ -111,6 +112,74 @@ func TestRingHierarchyLookups(t *testing.T) {
 	}
 	if rh.RingOf(ids.MakeNodeID(ids.TierBR, 9999)) != nil {
 		t.Fatal("unknown node should have nil ring")
+	}
+}
+
+// coversByWalk is what core computed before Covers existed: climb from
+// the node's ring through the parent links until the ring turns up or
+// the hierarchy ends. It stays as the oracle.
+func coversByWalk(rh *RingHierarchy, id ring.ID, n ids.NodeID) bool {
+	rg := rh.RingOf(n)
+	if rg == nil {
+		return false
+	}
+	cur := rg.ID()
+	for {
+		if cur == id {
+			return true
+		}
+		p := rh.ParentOf(cur)
+		if p.IsZero() {
+			return false
+		}
+		cur = rh.RingOf(p).ID()
+	}
+}
+
+func TestCoversMatchesParentWalk(t *testing.T) {
+	for h := 1; h <= 4; h++ {
+		for r := 2; r <= 5; r++ {
+			rh := NewRingHierarchy(h, r)
+			// Every entity, then what is no entity: the absent node, a
+			// mobile host, and in each tier the ordinals just outside it
+			// (a tier the hierarchy lacks is outside from ordinal 0).
+			entities := rh.NumNodes()
+			nodes := append(rh.AllNodes(), ids.NoNode, ids.MakeNodeID(ids.TierMH, 0),
+				ids.NodeID(uint64(ids.TierAP)<<62)) // a tier with no ordinal at all
+			for _, tier := range []ids.Tier{ids.TierAP, ids.TierAG, ids.TierBR} {
+				for _, ord := range []int{0, rh.NumAPs(), rh.NumNodes(), 1 << 40} {
+					nodes = append(nodes, ids.MakeNodeID(tier, ord))
+				}
+			}
+			// Every ring, then what is no ring: indices outside the
+			// hierarchy and a real index under the wrong tier.
+			var rings []ring.ID
+			for _, rg := range rh.Rings() {
+				rings = append(rings, rg.ID())
+			}
+			rings = append(rings, ring.ID{Tier: ids.TierAP, Index: -1}, ring.ID{Tier: ids.TierAP, Index: rh.NumRings()},
+				ring.ID{Tier: ids.TierMH, Index: 0}, ring.ID{Tier: ids.TierAG, Index: rh.NumRings() - 1})
+			covered := 0
+			for _, id := range rings {
+				for i, n := range nodes {
+					got, want := rh.Covers(id, n), coversByWalk(rh, id, n)
+					if got != want {
+						t.Fatalf("h=%d r=%d: Covers(%s, %s) = %v, the parent walk says %v", h, r, id, n, got, want)
+					}
+					if got && i < entities {
+						covered++
+					}
+				}
+			}
+			// A node at level l is covered by its own ring and the l above.
+			want := 0
+			for l := 0; l < h; l++ {
+				want += (l + 1) * r * mathx.PowInt(r, l)
+			}
+			if covered != want {
+				t.Errorf("h=%d r=%d: %d (ring, node) pairs covered, want %d", h, r, covered, want)
+			}
+		}
 	}
 }
 
