@@ -105,9 +105,8 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 	case shards <= 0:
 		shards = runtime.GOMAXPROCS(0)
 	}
-	// The zero NetConfig, with no Bind, is the in-process mux; WithLoss
-	// is emulated on it as on the networked plane.
-	nc := NetConfig{Loss: o.cfg.Loss}
+	// The zero NetConfig, with no Bind, is the in-process mux.
+	var nc NetConfig
 	if o.netConfig != nil {
 		var err error
 		if nc, err = buildNetConfig(&c.base); err != nil {
@@ -184,7 +183,9 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 	}
 
 	// A runtime the cluster builds is closed with the group's Service
-	// (a mux view's Close is scoped to the group).
+	// (a mux view's Close is scoped to the group). Loss is the
+	// substrate's own: a real-time group draws it at egress from its
+	// seeded stream, the simulator on its message plane.
 	var (
 		rt    rgbruntime.Runtime
 		nrt   *rgbruntime.NetRuntime
@@ -193,14 +194,8 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 	)
 	switch {
 	case c.mux != nil:
-		nrt, err = c.mux.Open(gid, c.ShardOf(gid), o.cfg.Seed)
+		nrt, err = c.mux.Open(gid, c.ShardOf(gid), o.cfg.Seed, o.cfg.Loss)
 		rt = nrt
-		if err == nil && !c.networked() {
-			// Networked, faults ride in the mux's NetConfig
-			// (buildNetConfig) and act on the encoded datagrams; with no
-			// datagrams to act on they wrap the engine-level transport.
-			rt = wrapFaults(nrt, &o)
-		}
 	case o.rt != nil:
 		// Caller-supplied substrate (rgb.Open only); the caller owns its
 		// lifecycle — and its message plane arrives already configured,
@@ -218,7 +213,7 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 		if o.cfg.Loss > 0 {
 			sim.Net().SetLoss(o.cfg.Loss)
 		}
-		rt = wrapFaults(sim, &o)
+		rt = sim
 		if c.set != nil {
 			rt, err = rgbruntime.BindShard(rt, c.set, c.ShardOf(gid))
 		}
@@ -226,6 +221,7 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	rt = wrapFaults(rt, &o)
 
 	var sys *core.System
 	rt.Do(func() { sys = core.NewSystemOn(o.cfg, rt) })
@@ -245,7 +241,9 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 }
 
 // wrapFaults decorates a runtime the service built itself with the
-// WithFaults injection plan (identity without one). A zero plan seed
+// WithFaults injection plan (identity without one): one per-message
+// injector over every substrate, so a hop between two entities of one
+// process is as exposed as one crossing the socket. A zero plan seed
 // derives from the group's own seed so fault streams stay per-group
 // deterministic.
 func wrapFaults(rt rgbruntime.Runtime, o *serviceOptions) rgbruntime.Runtime {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -110,32 +111,92 @@ func launchNode(t *testing.T, bin string, args []string) *nodeProc {
 // it builds the real rgbnode binary, launches three processes on
 // loopback forming one height-2 hierarchy, performs a join/leave/query
 // round across process boundaries, and asserts all three converge to
-// the identical membership before teardown. CI runs exactly this.
+// the identical membership before teardown. CI runs exactly this. The
+// faulted row repeats the round with every fault flag armed: the same
+// membership must result, the stats line must show the injected faults,
+// and no process may see a frame its codec rejects. It enters every
+// change through process 0, at the access proxies it hosts: changes
+// that climb through different processes run concurrent top-ring
+// rounds, which lose changes once retransmissions stretch them
+// (benchmark/README.md, trap 2).
 func TestThreeProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping multi-process smoke")
 	}
 
 	bin := buildNode(t)
-	peers := reservePeers(t, 3)
+	for _, row := range []struct {
+		name   string
+		flags  []string
+		script []smokeStep
+	}{
+		{"clean", nil, []smokeStep{
+			{0, "join 1 0"}, {0, "join 2 4"}, {1, "join 3 7"}, {1, "join 4 2"}, {2, "join 5 5"}, {1, "leave 4"},
+		}},
+		{"faulted", []string{"-corrupt", "0.02", "-replay", "0.02", "-misroute", "0.02", "-reorder", "0.02", "-faultseed", "3"}, []smokeStep{
+			{0, "join 1 0"}, {0, "join 2 1"}, {0, "join 3 2"}, {0, "join 4 0"}, {0, "join 5 1"}, {0, "leave 4"},
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			peers := reservePeers(t, 3)
+			procs := make([]*nodeProc, 3)
+			for i := range procs {
+				procs[i] = startNode(t, bin, i, peers, 2, 3, row.flags...)
+			}
+			for i, p := range procs {
+				p.expect("ready", 15*time.Second)
+				t.Logf("rgbnode[%d] ready", i)
+			}
+			smokeRound(t, procs, row.script)
 
-	procs := make([]*nodeProc, 3)
-	for i := range procs {
-		procs[i] = startNode(t, bin, i, peers, 2, 3)
-	}
-	for i, p := range procs {
-		p.expect("ready", 15*time.Second)
-		t.Logf("rgbnode[%d] ready", i)
-	}
+			// Wire sanity: traffic flowed, nothing failed to decode, and
+			// an armed fault plan fired.
+			var faults int
+			for i, p := range procs {
+				p.send("stats")
+				line := p.expect("ok stats", 10*time.Second)
+				if strings.Contains(line, "received=0 ") || !strings.Contains(line, "decode_errors=0") {
+					t.Fatalf("proc %d suspicious stats: %s", i, line)
+				}
+				for _, n := range strings.Split(statField(t, line, "faults"), "/") {
+					k, err := strconv.Atoi(n)
+					if err != nil {
+						t.Fatalf("proc %d bad faults= field: %s", i, line)
+					}
+					faults += k
+				}
+			}
+			t.Logf("%d faults injected", faults)
+			if armed := row.flags != nil; armed != (faults > 0) {
+				t.Fatalf("fault plan armed=%v but %d faults injected", armed, faults)
+			}
 
-	// Joins from different processes at APs spread across subtrees,
-	// a leave from the joining process, then convergence.
-	procs[0].do("join 1 0")
-	procs[0].do("join 2 4")
-	procs[1].do("join 3 7")
-	procs[1].do("join 4 2")
-	procs[2].do("join 5 5")
-	procs[1].do("leave 4")
+			for _, p := range procs {
+				p.do("quit")
+			}
+			for i, p := range procs {
+				if err := p.cmd.Wait(); err != nil {
+					t.Fatalf("rgbnode[%d] exit: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
+// smokeStep is one membership command and the process it is sent to.
+type smokeStep struct {
+	proc int
+	cmd  string
+}
+
+// smokeRound runs a script that joins members 1-5 and has the joining
+// process drop member 4 again, then waits until every process's query
+// and topmost-ring view show the remaining four.
+func smokeRound(t *testing.T, procs []*nodeProc, script []smokeStep) {
+	t.Helper()
+	for _, s := range script {
+		procs[s.proc].do(s.cmd)
+	}
 
 	const want = "members=mh-1,mh-2,mh-3,mh-5"
 	converged := func(p *nodeProc) bool {
@@ -171,24 +232,6 @@ func TestThreeProcessSmoke(t *testing.T) {
 		line := p.expect("ok members", 10*time.Second)
 		if !strings.HasSuffix(line, want) {
 			t.Fatalf("proc %d top view %q, want suffix %q", i, line, want)
-		}
-	}
-
-	// Wire sanity: traffic flowed, nothing failed to decode.
-	for i, p := range procs {
-		p.send("stats")
-		line := p.expect("ok stats", 10*time.Second)
-		if strings.Contains(line, "received=0 ") || !strings.Contains(line, "decode_errors=0") {
-			t.Fatalf("proc %d suspicious stats: %s", i, line)
-		}
-	}
-
-	for _, p := range procs {
-		p.do("quit")
-	}
-	for i, p := range procs {
-		if err := p.cmd.Wait(); err != nil {
-			t.Fatalf("rgbnode[%d] exit: %v", i, err)
 		}
 	}
 }

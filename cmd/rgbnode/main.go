@@ -96,10 +96,10 @@ func main() {
 	stability := flag.Int("stability", 0, "observers required to confirm an eviction (<2 disables the stability filter)")
 	groups := flag.Int("groups", 1, "independent groups hosted over this socket")
 	httpAddr := flag.String("http", "", "TCP address for /metrics, /healthz and the admin JSON API (empty disables)")
-	corrupt := flag.Float64("corrupt", 0, "fault injection: per-datagram corruption probability")
-	replay := flag.Float64("replay", 0, "fault injection: per-datagram duplicate/replay probability")
-	misroute := flag.Float64("misroute", 0, "fault injection: per-datagram misroute probability")
-	reorder := flag.Float64("reorder", 0, "fault injection: per-datagram reorder probability")
+	corrupt := flag.Float64("corrupt", 0, "fault injection: per-message corruption probability")
+	replay := flag.Float64("replay", 0, "fault injection: per-message duplicate/replay probability")
+	misroute := flag.Float64("misroute", 0, "fault injection: per-message misroute probability")
+	reorder := flag.Float64("reorder", 0, "fault injection: per-message reorder probability")
 	faultSeed := flag.Uint64("faultseed", 0, "fault injection seed (0 derives from -seed)")
 	flag.Parse()
 
@@ -403,12 +403,16 @@ func guidAndAP(args []string, aps []rgb.NodeID, wantAP bool) (rgb.GUID, rgb.Node
 
 // statsLine renders the classic "ok stats ..." line from the
 // telemetry registry — the same samples /metrics exposes, summed over
-// label sets (groups), so the stdin protocol, the exposition and
-// Cluster.NetStats can never disagree.
+// groups (the injected faults per kind), so the stdin protocol, the
+// exposition and Cluster.NetStats can never disagree.
 func statsLine(reg *rgb.Telemetry) string {
 	totals := make(map[string]float64)
 	for _, s := range reg.Gather() {
-		totals[s.Name] += s.Value
+		name := s.Name
+		if name == "rgb_faults_injected_total" {
+			name += "/" + s.Label("kind")
+		}
+		totals[name] += s.Value
 	}
 	u := func(name string) uint64 { return uint64(totals[name]) }
 	return fmt.Sprintf("ok stats sent=%d delivered=%d dropped=%d received=%d relayed=%d decode_errors=%d unknown_version=%d unknown_group=%d cut=%d faults=%d/%d/%d/%d joined=%d evicted=%d gossip=%d dup=%d",
@@ -416,8 +420,8 @@ func statsLine(reg *rgb.Telemetry) string {
 		u("rgb_net_received_total"), u("rgb_net_relayed_total"), u("rgb_net_decode_errors_total"),
 		u("rgb_net_unknown_version_total"), u("rgb_net_unknown_group_total"),
 		u("rgb_transport_cut_total"),
-		u("rgb_net_fault_corrupt_total"), u("rgb_net_fault_replay_total"),
-		u("rgb_net_fault_misroute_total"), u("rgb_net_fault_reorder_total"),
+		u("rgb_faults_injected_total/corrupt"), u("rgb_faults_injected_total/replay"),
+		u("rgb_faults_injected_total/misroute"), u("rgb_faults_injected_total/reorder"),
 		u("rgb_net_peer_joined_total"), u("rgb_net_peer_evicted_total"),
 		u("rgb_net_gossip_frames_total"), u("rgb_net_dup_dropped_total"))
 }

@@ -10,10 +10,11 @@ import (
 
 // TestFaultsNetworkedLiveGroup is the adversarial-network acceptance
 // check: a live three-process loopback-UDP group runs with every
-// datagram fault armed at 5% on every process — corrupt,
+// message fault armed at 5% on every process — corrupt,
 // duplicate/replay, misroute, reorder — and must still admit every
-// member with zero panics. The injected-fault counters in NetStats
-// prove the gauntlet actually fired on the hops between processes.
+// member with zero panics. Each process's FaultStats prove every kind
+// of fault fired, and no process saw a frame its codec rejected: a
+// corrupted message that no longer decodes is dropped at the sender.
 func TestFaultsNetworkedLiveGroup(t *testing.T) {
 	ctx := context.Background()
 	procs := listenProcs(t, 3, WithHierarchy(2, 4), WithSeed(7),
@@ -28,30 +29,85 @@ func TestFaultsNetworkedLiveGroup(t *testing.T) {
 	}
 	// Retransmission must push every join through the fault gauntlet;
 	// convergence is awaited rather than settled because a reordered
-	// datagram can be held across the local quiescence point.
+	// message can be held across the local quiescence point.
 	clusterSettle(t, func() bool {
 		members, err := svc.Members(ctx)
 		return err == nil && len(members) == joins
 	})
 
-	var received, faults uint64
-	for _, p := range procs {
+	var received uint64
+	var faults FaultStats
+	for i, p := range procs {
 		ns := netStatsOf(t, p)
+		if ns.DecodeErrors != 0 {
+			t.Errorf("proc %d: %d frames failed to decode under fault injection", i, ns.DecodeErrors)
+		}
 		received += ns.Received
-		faults += ns.FaultCorrupt + ns.FaultReplay + ns.FaultMisroute + ns.FaultReorder
+		fs := faultStatsOf(t, p)
+		faults.Corrupted += fs.Corrupted
+		faults.Duplicated += fs.Duplicated
+		faults.Misrouted += fs.Misrouted
+		faults.Reordered += fs.Reordered
 	}
 	if received == 0 {
 		t.Fatal("faulted run exchanged no datagrams")
 	}
-	if faults == 0 {
-		t.Fatal("no faults were injected — the gauntlet never fired")
+	if faults.Corrupted == 0 || faults.Duplicated == 0 || faults.Misrouted == 0 || faults.Reordered == 0 {
+		t.Fatalf("a fault kind never fired: %+v", faults)
 	}
 }
 
-// TestFaultsSimDeterminism: the engine-level fault injector draws from
-// its own seeded RNG, so two simulated runs with the same seeds replay
-// the identical faulted history — same event sequence, same final
-// membership, same fault counters.
+// faultStatsOf returns the counters of the one fault injector WithFaults
+// installs on a service's runtime, whatever the substrate.
+func faultStatsOf(t *testing.T, svc *Service) FaultStats {
+	t.Helper()
+	var (
+		ft *rgbruntime.FaultTransport
+		fs FaultStats
+	)
+	svc.rt.Do(func() {
+		if ft, _ = svc.rt.Transport().(*rgbruntime.FaultTransport); ft != nil {
+			fs = ft.FaultStats()
+		}
+	})
+	if ft == nil {
+		t.Fatalf("WithFaults did not install a fault transport (got %T)", svc.rt.Transport())
+	}
+	return fs
+}
+
+// gatheredFaults reads a service's rgb_faults_injected_total series back
+// into a FaultStats.
+func gatheredFaults(svc *Service) FaultStats {
+	var fs FaultStats
+	for _, s := range svc.Telemetry().Gather() {
+		if s.Name != "rgb_faults_injected_total" {
+			continue
+		}
+		n := uint64(s.Value)
+		switch s.Label("kind") {
+		case "corrupt":
+			fs.Corrupted += n
+		case "replay":
+			fs.Duplicated += n
+		case "misroute":
+			fs.Misrouted += n
+		case "reorder":
+			fs.Reordered += n
+		case "undecodable":
+			fs.Undecodable += n
+		}
+	}
+	return fs
+}
+
+// TestFaultsSimDeterminism: the fault injector draws from its own
+// seeded RNG, so two simulated runs with the same seeds replay the
+// identical faulted history — same event sequence, same final
+// membership, same fault counters. It is the one injector on every
+// substrate: the simulator, the in-process host and a Listen process
+// each run the same FaultTransport, and its counters are what
+// rgb_faults_injected_total reports.
 func TestFaultsSimDeterminism(t *testing.T) {
 	ctx := context.Background()
 	type outcome struct {
@@ -59,9 +115,13 @@ func TestFaultsSimDeterminism(t *testing.T) {
 		members []string
 		faults  FaultStats
 	}
-	run := func() outcome {
-		svc := openTest(t, WithHierarchy(2, 4), WithSeed(9),
+	run := func(t *testing.T, open func(...Option) (*Service, error)) outcome {
+		svc, err := open(WithHierarchy(2, 4), WithSeed(9),
 			WithFaults(FaultPlan{Seed: 7, Corrupt: 0.02, Duplicate: 0.02, Misroute: 0.02, Reorder: 0.02}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
 		events, err := svc.Watch(ctx)
 		if err != nil {
 			t.Fatalf("Watch: %v", err)
@@ -96,24 +156,37 @@ func TestFaultsSimDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		o.members = renderMembers(members)
-		ft, ok := svc.rt.Transport().(*rgbruntime.FaultTransport)
-		if !ok {
-			t.Fatalf("WithFaults did not install a fault transport (got %T)", svc.rt.Transport())
+		o.faults = faultStatsOf(t, svc)
+		if got := gatheredFaults(svc); got != o.faults {
+			t.Fatalf("rgb_faults_injected_total = %+v, FaultStats = %+v", got, o.faults)
 		}
-		o.faults = ft.FaultStats()
+		if total := o.faults.Corrupted + o.faults.Undecodable + o.faults.Duplicated +
+			o.faults.Misrouted + o.faults.Reordered; total == 0 {
+			t.Fatal("no faults were injected — the check is vacuous")
+		}
 		return o
 	}
 
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("faulted runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
-	}
-	if total := a.faults.Corrupted + a.faults.Undecodable + a.faults.Duplicated +
-		a.faults.Misrouted + a.faults.Reordered; total == 0 {
-		t.Fatal("no faults were injected — the determinism check is vacuous")
-	}
-	if len(a.members) == 0 {
-		t.Fatal("scenario left no members — not a meaningful check")
+	for _, row := range []struct {
+		name string
+		open func(...Option) (*Service, error)
+	}{
+		{"simulator", Open},
+		{"in-process", func(opts ...Option) (*Service, error) { return Open(append(opts, WithLiveRuntime())...) }},
+		{"listen", func(opts ...Option) (*Service, error) { return Listen("127.0.0.1:0", opts...) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			a := run(t, row.open)
+			if row.name != "simulator" {
+				return // real timers: the schedule, and so the history, varies
+			}
+			if b := run(t, row.open); !reflect.DeepEqual(a, b) {
+				t.Fatalf("faulted runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
+			}
+			if len(a.members) == 0 {
+				t.Fatal("scenario left no members — not a meaningful check")
+			}
+		})
 	}
 }
 

@@ -156,17 +156,17 @@ func TestQueryResultGUIDs(t *testing.T) {
 }
 
 // TestQueryAppIDStaysInBlock: the networked runtime routes a reply to
-// process ordinal>>24 (rgb.mhSlotShift), so a query app's ordinal must
+// process ordinal/ids.MHBlockSize, so a query app's ordinal must
 // stay inside its own process's block however many queries have run.
 // Unwrapped, query 15 728 640 of a process landed in the next block and
 // every later query timed out.
 func TestQueryAppIDStaysInBlock(t *testing.T) {
 	cfg := quietConfig(2, 3)
-	cfg.MHBase = 2 * mhBlockSize
+	cfg.MHBase = 2 * ids.MHBlockSize
 	sys := NewSystem(cfg)
 	populate(t, sys, 6)
 	first := sys.queryAppID().Ordinal()
-	for _, seq := range []uint64{1, mhBlockSize - queryOrdinalBase - 2, 3*mhBlockSize + 5} {
+	for _, seq := range []uint64{1, ids.MHBlockSize - queryOrdinalBase - 2, 3*ids.MHBlockSize + 5} {
 		sys.querySeq = seq
 		for i := 0; i < 4; i++ {
 			res := mustQuery(t, sys, sys.APs()[0], TMS())
@@ -174,7 +174,7 @@ func TestQueryAppIDStaysInBlock(t *testing.T) {
 				t.Fatalf("query %d answered %d members, want 6", sys.querySeq, len(res.Members))
 			}
 			ord := sys.queryAppID().Ordinal()
-			if ord/mhBlockSize != 2 || ord%mhBlockSize < queryOrdinalBase {
+			if ord/ids.MHBlockSize != 2 || ord%ids.MHBlockSize < queryOrdinalBase {
 				t.Fatalf("query %d: app ordinal %#x is outside the query range of block 2", sys.querySeq, ord)
 			}
 		}

@@ -94,6 +94,14 @@ func MakeNodeID(t Tier, ordinal int) NodeID {
 	return NodeID(uint64(t)<<62 | uint64(ordinal+1))
 }
 
+// MHBlockSize carves the mobile-host ordinal space into per-process
+// blocks: cluster process i mints the ordinals of its mobile hosts and
+// query apps in block i (core.Config.MHBase = i*MHBlockSize), so any
+// process routes a reply to one of them by ordinal/MHBlockSize alone,
+// without learning. Processes that own no cluster slot take blocks
+// past every slot.
+const MHBlockSize = 1 << 24
+
 // Tier extracts the tier of the node.
 func (n NodeID) Tier() Tier { return Tier(n >> 62) }
 

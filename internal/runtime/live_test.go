@@ -18,7 +18,7 @@ func newTestLive(t *testing.T) *NetRuntime {
 	if err != nil {
 		t.Fatalf("NewNetMux: %v", err)
 	}
-	rt, err := mux.Open(ids.NewGroupID(1), 0, 1)
+	rt, err := mux.Open(ids.NewGroupID(1), 0, 1, 0)
 	if err != nil {
 		t.Fatalf("NetMux.Open: %v", err)
 	}

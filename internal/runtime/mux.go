@@ -251,10 +251,11 @@ func (m *NetMux) resolve(f wire.Frame, src *net.UDPAddr) *netTransport {
 	return nil
 }
 
-// Open starts group gid on the given shard with its own loss-emulation
-// seed and returns its runtime view (whose Close ends only that group —
-// the socket and shards belong to the mux and its set).
-func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (*NetRuntime, error) {
+// Open starts group gid on the given shard and returns its runtime view
+// (whose Close ends only that group — the socket and shards belong to
+// the mux and its set). loss is the group's emulated independent egress
+// loss probability, drawn from a stream seeded by seed.
+func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64, loss float64) (*NetRuntime, error) {
 	if shard < 0 || shard >= len(m.set.shards) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadShard, shard, len(m.set.shards))
 	}
@@ -267,7 +268,7 @@ func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64) (*NetRuntime, err
 		return nil, fmt.Errorf("%w: %v", ErrGroupOpen, gid)
 	}
 	sh := m.set.shards[shard]
-	tr := newNetTransport(m, sh, gid, seed)
+	tr := newNetTransport(m, sh, gid, seed, loss)
 	view := &NetRuntime{eng: sh.eng, clock: tr.clock, tr: tr, mux: m, gid: gid}
 	m.groups[gid] = view
 	return view, nil
@@ -337,10 +338,6 @@ func (m *NetMux) NetStats() NetStats {
 			ns.Relayed += v.tr.nstats.Relayed
 			ns.TTLExpired += v.tr.nstats.TTLExpired
 			ns.Oversize += v.tr.nstats.Oversize
-			ns.FaultCorrupt += v.tr.nstats.FaultCorrupt
-			ns.FaultReplay += v.tr.nstats.FaultReplay
-			ns.FaultMisroute += v.tr.nstats.FaultMisroute
-			ns.FaultReorder += v.tr.nstats.FaultReorder
 			ns.DupDropped += v.tr.nstats.DupDropped
 		})
 	}

@@ -44,15 +44,15 @@ func TestNetMuxGroupDemux(t *testing.T) {
 	defer mux.Close()
 
 	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
-	rtA, err := mux.Open(gidA, 0, 1)
+	rtA, err := mux.Open(gidA, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := mux.Open(gidB, 1, 2)
+	rtB, err := mux.Open(gidB, 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mux.Open(gidA, 0, 1); !errors.Is(err, ErrGroupOpen) {
+	if _, err := mux.Open(gidA, 0, 1, 0); !errors.Is(err, ErrGroupOpen) {
 		t.Fatalf("duplicate Open err = %v, want ErrGroupOpen", err)
 	}
 
@@ -118,11 +118,11 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	defer mux.Close()
 
 	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
-	rtA, err := mux.Open(gidA, 0, 1)
+	rtA, err := mux.Open(gidA, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := mux.Open(gidB, 0, 2)
+	rtB, err := mux.Open(gidB, 0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestLiveMuxGroupIsolation(t *testing.T) {
 	defer mux.Close()
 
 	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
-	rtA, err := mux.Open(gidA, 0, 1)
+	rtA, err := mux.Open(gidA, 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtB, err := mux.Open(gidB, 0, 2)
+	rtB, err := mux.Open(gidB, 0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestNetRuntimeCloseEndsTheGroup(t *testing.T) {
 	cfg1 := cfg0
 	cfg1.Bind, cfg1.Index = addr1, 1
 	a0, a1 := newTestNet(t, cfg0), newTestNet(t, cfg1)
-	b0, err := a0.mux.Open(ids.NewGroupID(2), 0, 2)
+	b0, err := a0.mux.Open(ids.NewGroupID(2), 0, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestNetRuntimeCloseEndsTheGroup(t *testing.T) {
 	if err := a0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := a0.mux.Open(testGroup, 0, 1)
+	reopened, err := a0.mux.Open(testGroup, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

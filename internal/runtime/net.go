@@ -35,7 +35,9 @@ const (
 // process hosts a subset of the hierarchy's entities. A message
 // for an entity of another process crosses a real UDP socket through
 // the wire codec; one for an entity of the same process is handed over
-// in memory (see netTransport.Send).
+// in memory (see netTransport.Send). It describes the process and its
+// deployment only: loss and fault injection are per group (NetMux.Open
+// and FaultTransport), the same on every substrate.
 type NetConfig struct {
 	// Bind is the local UDP listen address (e.g. "127.0.0.1:7001";
 	// port 0 picks a free port). Empty builds the in-process mux: no
@@ -103,28 +105,6 @@ type NetConfig struct {
 	EvictAfter     time.Duration
 	DedupTTL       time.Duration
 
-	// MHSlotShift, when non-zero, routes mobile-host-tier endpoint IDs
-	// by ownership block: the Peers slot of an MH endpoint is its
-	// ordinal right-shifted by MHSlotShift. Processes mint their MH
-	// ordinals inside their own block (core.Config.MHBase), so replies
-	// to mobile hosts and query apps of any process route without
-	// learning. Ordinals whose block lies outside Peers (external
-	// clients) fall back to learned/default routes.
-	MHSlotShift uint
-
-	// Loss is an emulated independent egress loss probability, so
-	// loss-model experiments run unchanged on the networked substrate.
-	// Each group's loss stream is seeded by its Open.
-	Loss float64
-
-	// Faults configures adversarial egress fault injection (corrupt,
-	// duplicate/replay, misroute, reorder) on the encoded datagrams —
-	// the networked twin of the engine-level FaultTransport. A hop
-	// between two entities of one process never becomes a datagram and
-	// is not subject to them. A zero Faults.Seed derives from each
-	// group's own seed. Inactive by default.
-	Faults FaultPlan
-
 	// QuiesceIdle is how long the socket must stay silent (with no
 	// pending local work) before the runtime considers itself
 	// quiescent (default 50ms).
@@ -145,12 +125,6 @@ type NetStats struct {
 	Relayed        uint64 // frames forwarded toward their owner
 	TTLExpired     uint64 // relay candidates dropped at TTL exhaustion
 	Oversize       uint64 // frames larger than one UDP datagram, dropped
-
-	// Fault-injection counters (NetConfig.Faults; zero when inactive).
-	FaultCorrupt  uint64 // datagrams bit-flipped on egress
-	FaultReplay   uint64 // datagrams written twice
-	FaultMisroute uint64 // datagrams sent to a random peer
-	FaultReorder  uint64 // datagrams held back and released after the next send
 
 	// Discovery-plane counters. PeerJoined/PeerEvicted/GossipFrames
 	// are table-level (maintained once per socket); DupDropped is per
@@ -273,11 +247,8 @@ type netBook struct {
 	self     *net.UDPAddr // what peers are told (Advertise)
 	loopback *net.UDPAddr // how this process reaches itself
 
-	// selfIndex/mhShift route mobile-host-tier IDs by ownership block
-	// (see NetConfig.MHSlotShift); selfIndex is this process's slot
-	// (negative for slotless clients).
+	// selfIndex is this process's slot (negative for slotless clients).
 	selfIndex int
-	mhShift   uint
 
 	// owner maps entity IDs to their owning slot; table maps slots to
 	// live addresses. The two layers deliberately separate "who owns
@@ -398,7 +369,6 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		self:         self,
 		loopback:     loopback,
 		selfIndex:    selfIndex,
-		mhShift:      cfg.MHSlotShift,
 		table:        table,
 		defaultRoute: defaultRoute,
 	}
@@ -518,16 +488,7 @@ func (rt *NetRuntime) quiescent() bool {
 
 // Run implements Runtime: it blocks until local quiescence (or the
 // settle timeout, whichever comes first).
-func (rt *NetRuntime) Run() {
-	deadline := time.Now().Add(settleTimeout)
-	for !rt.quiescent() && time.Now().Before(deadline) {
-		select {
-		case <-rt.eng.closed:
-			return
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
+func (rt *NetRuntime) Run() { rt.RunUntil(func() bool { return false }) }
 
 // RunFor implements Runtime: networked protocol time is wall time.
 func (rt *NetRuntime) RunFor(d time.Duration) {
@@ -583,17 +544,6 @@ type netTransport struct {
 	loss  float64     // 1 once closed: a dead group loses everything
 	group ids.GroupID // tag stamped on egress when the message has none
 
-	// Fault injection (NetConfig.Faults): a dedicated RNG so faults do
-	// not perturb the loss-emulation stream, plus the one datagram held
-	// back by the reorder fault. faultSlots freezes the misroute target
-	// range at the configured deployment width: a seeded fault stream
-	// must not shift when the live peer table grows or shrinks.
-	faults     FaultPlan
-	frng       *mathx.RNG
-	faultSlots int
-	heldBuf    []byte
-	heldAddr   *net.UDPAddr
-
 	// learned holds return addresses observed for transient endpoints
 	// (mobile hosts, query apps) that no ownership entry covers.
 	learned map[ids.NodeID]*net.UDPAddr
@@ -626,31 +576,23 @@ func (t *netTransport) idleFor(d time.Duration) bool {
 }
 
 // newNetTransport builds one group's transport on engine shard sh over
-// the mux's socket, book and discovery plane; seed seeds the group's
-// loss stream (and, without an explicit Faults.Seed, its fault stream).
-func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64) *netTransport {
-	cfg := &m.cfg
-	fseed := cfg.Faults.Seed
-	if fseed == 0 {
-		fseed = seed ^ 0xfa17fa17fa17fa17
-	}
+// the mux's socket, book and discovery plane, emulating an independent
+// egress loss probability drawn from a stream seeded by seed.
+func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, loss float64) *netTransport {
 	t := &netTransport{
-		eng:        sh.eng,
-		clock:      &liveClock{eng: sh.eng},
-		sock:       m.sock,
-		book:       m.book,
-		bufs:       sh.bufs,
-		rng:        mathx.NewRNG(seed),
-		loss:       cfg.Loss,
-		group:      group,
-		faults:     cfg.Faults,
-		frng:       mathx.NewRNG(fseed),
-		faultSlots: len(cfg.Peers),
-		learned:    make(map[ids.NodeID]*net.UDPAddr),
-		dedup:      discovery.NewTmpMap(cfg.DedupTTL, bookLimit),
-		disc:       m.disc,
-		local:      make(map[ids.NodeID]Endpoint),
-		crashed:    make(map[ids.NodeID]bool),
+		eng:     sh.eng,
+		clock:   &liveClock{eng: sh.eng},
+		sock:    m.sock,
+		book:    m.book,
+		bufs:    sh.bufs,
+		rng:     mathx.NewRNG(seed),
+		loss:    loss,
+		group:   group,
+		learned: make(map[ids.NodeID]*net.UDPAddr),
+		dedup:   discovery.NewTmpMap(m.cfg.DedupTTL, bookLimit),
+		disc:    m.disc,
+		local:   make(map[ids.NodeID]Endpoint),
+		crashed: make(map[ids.NodeID]bool),
 	}
 	t.touch()
 	return t
@@ -782,17 +724,18 @@ func relayKey(b []byte) uint64 {
 
 // route resolves a destination that is not a local endpoint: hierarchy
 // entities through the ownership partition and the live peer table,
-// cluster-resident mobile-host endpoints by ownership block, external
-// transient endpoints through the learned addresses, everything else
-// to the default route (if any). An owned entity whose slot is evicted
-// resolves to nil — the send is dropped and counted as UnknownPeer
-// until the peer is heard from again.
+// cluster-resident mobile-host endpoints by their ordinal's block
+// (ids.MHBlockSize; each process mints its own in the block of its
+// slot), external transient endpoints through the learned addresses,
+// everything else to the default route (if any). An owned entity whose
+// slot is evicted resolves to nil — the send is dropped and counted as
+// UnknownPeer until the peer is heard from again.
 func (t *netTransport) route(id ids.NodeID) *net.UDPAddr {
 	if slot, ok := t.book.ownerOf(id); ok {
 		return t.book.slotAddr(slot)
 	}
-	if t.book.mhShift > 0 && id.Tier() == ids.TierMH {
-		if slot := id.Ordinal() >> t.book.mhShift; slot >= 0 && slot < t.book.table.Slots() {
+	if id.Tier() == ids.TierMH {
+		if slot := id.Ordinal() / ids.MHBlockSize; slot >= 0 && slot < t.book.table.Slots() {
 			if a := t.book.slotAddr(slot); a != nil {
 				return a
 			}
@@ -879,10 +822,6 @@ func (t *netTransport) Send(msg Message) {
 		t.stats.Dropped++
 		return
 	}
-	if t.faults.Active() {
-		t.sendFaulted(buf, addr)
-		return
-	}
 	t.writeDatagram(buf, addr)
 }
 
@@ -906,50 +845,6 @@ func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
 		t.disc.maybeGossip(addr)
 	}
 	return true
-}
-
-// sendFaulted runs one encoded datagram through the reorder gate (hold
-// it back, release it after the next send) and everything else through
-// writeFaulted. The held datagram is copied: buf aliases the shard's
-// encode buffer, which the next send overwrites.
-func (t *netTransport) sendFaulted(buf []byte, addr *net.UDPAddr) {
-	heldBuf, heldAddr := t.heldBuf, t.heldAddr
-	t.heldBuf, t.heldAddr = nil, nil
-	if t.faults.Reorder > 0 && t.frng.Bernoulli(t.faults.Reorder) {
-		t.heldBuf = append([]byte(nil), buf...)
-		t.heldAddr = addr
-		t.nstats.FaultReorder++
-	} else {
-		t.writeFaulted(buf, addr)
-	}
-	if heldBuf != nil {
-		t.writeFaulted(heldBuf, heldAddr)
-	}
-}
-
-// writeFaulted applies the corrupt/misroute/duplicate faults to one
-// encoded datagram and writes the result(s). Corruption flips a byte
-// in place — the receiver's codec sees exactly what a damaged wire
-// would hand it, and counts the reject in DecodeErrors.
-func (t *netTransport) writeFaulted(buf []byte, addr *net.UDPAddr) {
-	if t.faults.Corrupt > 0 && t.frng.Bernoulli(t.faults.Corrupt) {
-		buf[t.frng.Intn(len(buf))] ^= byte(1 + t.frng.Intn(255))
-		t.nstats.FaultCorrupt++
-	}
-	if t.faults.Misroute > 0 && t.faultSlots > 0 && t.frng.Bernoulli(t.faults.Misroute) {
-		if a := t.book.slotAddr(t.frng.Intn(t.faultSlots)); a != nil {
-			addr = a
-		}
-		t.nstats.FaultMisroute++
-	}
-	n := 1
-	if t.faults.Duplicate > 0 && t.frng.Bernoulli(t.faults.Duplicate) {
-		n = 2
-		t.nstats.FaultReplay++
-	}
-	for ; n > 0; n-- {
-		t.writeDatagram(buf, addr)
-	}
 }
 
 // Crash implements Transport (local fault emulation, as on the other

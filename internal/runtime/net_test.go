@@ -45,7 +45,7 @@ func newTestNet(t *testing.T, cfg NetConfig) *testNet {
 		mux.Close()
 		set.Close()
 	})
-	rt, err := mux.Open(testGroup, 0, 1)
+	rt, err := mux.Open(testGroup, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("NetMux.Open: %v", err)
 	}
@@ -507,9 +507,9 @@ func TestNetTransportRelayDedup(t *testing.T) {
 }
 
 // TestNetTransportReplayFloodBounded: a sender whose fault plan replays
-// every datagram floods a relay with duplicates; the relay forwards
-// each frame once, and the dedup map's two-generation rotation releases
-// the flood's memory once the TTL window passes.
+// every message floods a relay with duplicate datagrams; the relay
+// forwards each frame once, and the dedup map's two-generation rotation
+// releases the flood's memory once the TTL window passes.
 func TestNetTransportReplayFloodBounded(t *testing.T) {
 	a := ids.MakeNodeID(ids.TierAP, 1)
 	b := ids.MakeNodeID(ids.TierAP, 2)
@@ -529,24 +529,24 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 	rt1 := newTestNet(t, NetConfig{Bind: addr1, Peers: peers, Index: 1,
 		Owners: map[ids.NodeID]int{a: 2, b: 1}})
 	rtS := newTestNet(t, NetConfig{Bind: addr2, Peers: peers, Index: 2,
-		Owners: map[ids.NodeID]int{a: 2, b: 0},
-		Faults: FaultPlan{Seed: 1, Duplicate: 1}})
+		Owners: map[ids.NodeID]int{a: 2, b: 0}})
+	replay := NewFaultTransport(rtS.Transport(), FaultPlan{Seed: 1, Duplicate: 1})
 
 	epA := &countingEndpoint{rt: rtS, id: a}
 	epB := &countingEndpoint{rt: rt1, id: b}
-	rtS.Do(func() { rtS.Transport().Register(a, epA) })
+	rtS.Do(func() { replay.Register(a, epA) })
 	rt1.Do(func() { rt1.Transport().Register(b, epB) })
 
 	// Flood in batches paced by the receiver catching up, so loopback
 	// buffers never overflow however slow the read loops are (under the
-	// race detector a fixed sleep is not enough): every egress datagram
-	// is written twice by the replay fault.
+	// race detector a fixed sleep is not enough): the replay fault sends
+	// every message twice, and the two datagrams are byte-identical.
 	const total = 1500
 	for sent := 0; sent < total; sent += 100 {
 		lo, hi := sent, sent+100
 		rtS.Do(func() {
 			for i := lo; i < hi; i++ {
-				rtS.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
+				replay.Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
 			}
 		})
 		waitFor(t, func() bool { return epB.got.Load() >= int64(hi) })
@@ -558,8 +558,8 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 	if ns.Relayed != total || ns.DupDropped != total {
 		t.Fatalf("flood stats = %+v, want Relayed=DupDropped=%d", ns, total)
 	}
-	if fr := rtS.NetStats().FaultReplay; fr < total {
-		t.Fatalf("fault replays = %d, want >= %d", fr, total)
+	if dup := replay.FaultStats().Duplicated; dup != total {
+		t.Fatalf("fault replays = %d, want %d", dup, total)
 	}
 
 	// The flood pinned at most one TTL window of keys; after two quiet

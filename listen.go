@@ -3,17 +3,10 @@ package rgb
 import (
 	"fmt"
 
+	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/topology"
 )
-
-// mhSlotShift carves the mobile-host ordinal space into per-process
-// blocks: cluster process i mints MH/query-app endpoint ordinals in
-// block i, so every process can route a reply to any cluster-resident
-// transient endpoint without learning. Dial clients use blocks beyond
-// the peer count (derived from their bound port) and are reached
-// through return-address learning instead.
-const mhSlotShift = 24
 
 // Listen starts a networked membership service process: it binds addr
 // (UDP), instantiates the hierarchy entities its cluster slot owns,
@@ -78,9 +71,8 @@ func Dial(addr string, opts ...Option) (*Service, error) {
 
 // buildNetConfig assembles the networked deployment configuration of a
 // cluster's net mux: cluster validation, deterministic hierarchy
-// partition, address book, loss emulation, and the per-process
-// mobile-host ordinal block. It
-// mutates o.cfg (Owns, MHBase) to match the computed partition.
+// partition and address book. It mutates o.cfg (Owns, and MHBase to the
+// process's mobile-host ordinal block) to match the computed partition.
 func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	nc := *o.netConfig
 	if o.advertise != "" {
@@ -89,20 +81,6 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	if nc.Bind == "" {
 		return nc, fmt.Errorf("rgb: networked runtime needs a bind address (use Listen, or set NetConfig.Bind): %w", ErrBadCluster)
 	}
-	if o.cfg.Loss > 0 && nc.Loss == 0 {
-		// WithLoss is emulated on the networked plane (egress drops),
-		// so loss experiments run unchanged over real sockets.
-		nc.Loss = o.cfg.Loss
-	}
-	if o.faults != nil && nc.Faults == (FaultPlan{}) {
-		// WithFaults acts on the encoded datagrams of the networked
-		// plane; counters surface in NetStats. A zero plan seed stays
-		// zero here so each group's transport derives its own fault
-		// stream from its per-group seed.
-		nc.Faults = *o.faults
-	}
-	nc.MHSlotShift = mhSlotShift
-
 	nprocs := len(nc.Peers)
 	if nprocs > 0 && (nc.Index < 0 || nc.Index >= nprocs) {
 		return nc, fmt.Errorf("rgb: cluster index %d with %d peers: %w", nc.Index, nprocs, ErrBadCluster)
@@ -130,7 +108,7 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 		}
 		owners, idx := nc.Owners, nc.Index
 		o.cfg.Owns = func(id NodeID) bool { return owners[id] == idx }
-		o.cfg.MHBase = idx << mhSlotShift
+		o.cfg.MHBase = idx * ids.MHBlockSize
 		if nc.DefaultRoute == "" && idx != 0 {
 			// Frames for endpoints nobody can route statically
 			// (external dial clients) funnel through the seed
@@ -156,7 +134,7 @@ func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(ma
 	if boot.Slot >= 0 {
 		slot := boot.Slot
 		o.cfg.Owns = func(id NodeID) bool { return owners[id] == slot }
-		o.cfg.MHBase = slot << mhSlotShift
+		o.cfg.MHBase = slot * ids.MHBlockSize
 	} else {
 		o.cfg.Owns = func(NodeID) bool { return false }
 		o.cfg.MHBase = clientMHBase(port)
@@ -166,5 +144,7 @@ func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(ma
 // clientMHBase is the transient-endpoint block of a process that owns
 // no cluster slot (a Dial client or slotless observer): it must collide
 // with no cluster slot and (almost always) no other client, so it is
-// derived from the bound port, past every cluster block.
-func clientMHBase(port int) int { return (1<<6 + port) << mhSlotShift }
+// derived from the bound port, past every cluster block. Transient
+// endpoints in these blocks are reached through return-address
+// learning.
+func clientMHBase(port int) int { return (1<<6 + port) * ids.MHBlockSize }

@@ -83,7 +83,7 @@ func listenProcs(t *testing.T, n int, opts ...Option) []*Service {
 // quiet together: every message sent anywhere was delivered or dropped
 // somewhere, and nothing moved for a few polls. Each process only sees
 // its own quiescence, so Settle alone cannot tell. It does not hold
-// under datagram faults, which duplicate deliveries.
+// under injected faults, which duplicate deliveries.
 func awaitQuiet(t *testing.T, procs []*Service) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -433,20 +433,34 @@ func TestWithLossUnsupportedOnCallerRuntime(t *testing.T) {
 	}
 }
 
-// TestWithLossEmulatedOnLiveRuntime: on the in-process real-time host
-// the loss option is honored by emulation — messages actually drop.
+// TestWithLossEmulatedOnLiveRuntime: on the real-time host, in-process
+// and networked, the loss option is honored by emulation — messages
+// actually drop. Networked, loss reaches each group's transport only
+// through NetMux.Open, the same way its seed does.
 func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 	ctx := context.Background()
-	svc := openTest(t, WithHierarchy(1, 3), WithSeed(5),
-		WithLoss(0.3),
-		WithLiveRuntime())
-	for g := 1; g <= 10; g++ {
-		if _, err := svc.Join(ctx, GUID(g)); err != nil {
-			t.Fatalf("join: %v", err)
-		}
-	}
-	svc.Settle(ctx)
-	if st := svc.Stats(); st.Dropped == 0 {
-		t.Fatalf("no losses despite WithLoss(0.3): %+v", st)
+	for _, row := range []struct {
+		name string
+		open func(...Option) (*Service, error)
+	}{
+		{"in-process", func(opts ...Option) (*Service, error) { return Open(append(opts, WithLiveRuntime())...) }},
+		{"listen", func(opts ...Option) (*Service, error) { return Listen("127.0.0.1:0", opts...) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			svc, err := row.open(WithHierarchy(1, 3), WithSeed(5), WithLoss(0.3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			for g := 1; g <= 10; g++ {
+				if _, err := svc.Join(ctx, GUID(g)); err != nil {
+					t.Fatalf("join: %v", err)
+				}
+			}
+			svc.Settle(ctx)
+			if st := svc.Stats(); st.Dropped == 0 {
+				t.Fatalf("no losses despite WithLoss(0.3): %+v", st)
+			}
+		})
 	}
 }

@@ -80,8 +80,9 @@ func WithLatency(model LatencyModel) Option {
 	return func(o *serviceOptions) { o.cfg.Latency = model }
 }
 
-// WithLoss sets the independent per-message loss probability (applies
-// to the runtime the Service builds itself).
+// WithLoss sets the independent per-message loss probability: the one
+// loss knob of every runtime the Service builds itself (simulated,
+// in-process or networked).
 func WithLoss(p float64) Option {
 	return func(o *serviceOptions) { o.cfg.Loss = p }
 }
@@ -89,11 +90,14 @@ func WithLoss(p float64) Option {
 // WithFaults injects seeded, deterministic adversarial faults into the
 // message plane: each FaultPlan probability independently corrupts
 // (one byte flipped through the real wire codec), duplicates
-// (replays), misroutes or reorders messages. It applies to runtimes
-// the service builds itself — simulated, live, or networked (where the
-// faults act on the encoded datagrams and surface in NetStats); with a
-// caller-supplied WithRuntime it returns ErrOptionUnsupported. A zero
-// plan Seed derives from the service seed.
+// (replays), misroutes or reorders messages. It applies per message,
+// the same way on every runtime the service builds itself — simulated,
+// in-process or networked, hops between two entities of one process
+// included — and the injected faults surface as FaultStats in
+// rgb_faults_injected_total. A corrupted message that no longer decodes
+// is dropped at the sender, so no malformed frame reaches the wire.
+// With a caller-supplied WithRuntime it returns ErrOptionUnsupported. A
+// zero plan Seed derives from the group's seed.
 func WithFaults(plan FaultPlan) Option {
 	return func(o *serviceOptions) { p := plan; o.faults = &p }
 }
@@ -152,8 +156,8 @@ func WithLiveRuntime() Option {
 // hierarchy entities its Peers/Index slot owns, and exchanges every
 // protocol message as wire-encoded datagrams. Listen is the
 // convenience form (it fills Bind for you); use WithNetRuntime
-// directly for full control over the address book, loss emulation and
-// settle heuristics.
+// directly for full control over the address book, discovery timing
+// and settle heuristics.
 func WithNetRuntime(cfg NetConfig) Option {
 	return func(o *serviceOptions) { c := cfg; o.netConfig = &c }
 }

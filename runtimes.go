@@ -42,8 +42,8 @@ type (
 	NetConfig = runtime.NetConfig
 
 	// NetStats counts wire-level events of a networked runtime:
-	// decode errors, version mismatches, routing misses, relays, and
-	// injected faults.
+	// decode errors, version mismatches, routing misses, relays and
+	// discovery traffic.
 	NetStats = runtime.NetStats
 
 	// FaultPlan configures seeded adversarial fault injection
@@ -51,8 +51,8 @@ type (
 	// replay, misroute and reorder.
 	FaultPlan = runtime.FaultPlan
 
-	// FaultStats counts the faults a plan injected (engine-level
-	// substrates; the networked substrate counts into NetStats).
+	// FaultStats counts the faults a plan injected, per group and
+	// alike on every substrate (rgb_faults_injected_total).
 	FaultStats = runtime.FaultStats
 
 	// PeerInfo is one entry of a networked deployment's live peer

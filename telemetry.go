@@ -116,8 +116,8 @@ func (c *Cluster) registerClusterMetrics() {
 		return float64(c.Shards())
 	})
 
-	// Socket, discovery and fault counters of the networked substrate
-	// (one shared snapshot per scrape; zero-valued when not networked).
+	// Socket and discovery counters of the networked substrate (one
+	// shared snapshot per scrape; zero-valued when not networked).
 	var (
 		nmu sync.Mutex
 		ns  NetStats
@@ -144,10 +144,6 @@ func (c *Cluster) registerClusterMetrics() {
 	netCounter("rgb_net_unknown_peer_total", "frames or sends with no route to the destination", func(n *NetStats) uint64 { return n.UnknownPeer })
 	netCounter("rgb_net_ttl_expired_total", "relay candidates dropped at TTL exhaustion", func(n *NetStats) uint64 { return n.TTLExpired })
 	netCounter("rgb_net_oversize_total", "frames larger than one UDP datagram, dropped", func(n *NetStats) uint64 { return n.Oversize })
-	netCounter("rgb_net_fault_corrupt_total", "datagrams bit-flipped on egress by fault injection", func(n *NetStats) uint64 { return n.FaultCorrupt })
-	netCounter("rgb_net_fault_replay_total", "datagrams written twice by fault injection", func(n *NetStats) uint64 { return n.FaultReplay })
-	netCounter("rgb_net_fault_misroute_total", "datagrams sent to a random peer by fault injection", func(n *NetStats) uint64 { return n.FaultMisroute })
-	netCounter("rgb_net_fault_reorder_total", "datagrams held back and released late by fault injection", func(n *NetStats) uint64 { return n.FaultReorder })
 	netCounter("rgb_net_peer_joined_total", "peers that joined, rejoined or moved address", func(n *NetStats) uint64 { return n.PeerJoined })
 	netCounter("rgb_net_peer_evicted_total", "liveness evictions issued by the probe sweep", func(n *NetStats) uint64 { return n.PeerEvicted })
 	netCounter("rgb_net_gossip_frames_total", "discovery frames sent (hello, peer list, probe)", func(n *NetStats) uint64 { return n.GossipFrames })
