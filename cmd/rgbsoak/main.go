@@ -195,9 +195,9 @@ func run(cfg soakConfig) (*report, error) {
 	// topmost ring itself is whole again — every process reports a full
 	// roster under one leader (AwaitRingUnited). Identical member lists
 	// are not enough after a heal: while the ring is still split, any
-	// removal commits on one fragment only, and the union merge (no
-	// tombstones) resurrects it when the fragments reunite. Ring unity
-	// closes that window before the next op fires.
+	// removal commits on one fragment only, and reaches the other only
+	// through the merge's tombstones once the fragments reunite. Ring
+	// unity closes that window before the next op fires.
 	settle := func(timeout time.Duration) error {
 		want := wantOf()
 		if err := eng.AwaitConvergence(want, timeout); err != nil {

@@ -660,6 +660,16 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		}
 		return
 	}
+	var exclusion mq.Batch
+	if n.leader == req.Node && !n.isLeader() {
+		// A restored leader no round excluded: forwarding to it would
+		// bounce the request back here forever, so run that repair now.
+		// The NE-Failure rides as the round's own batch, since queued
+		// it would swallow the NE-Join (in mq, failure dominates).
+		n.sys.noteRepair(n.ringID, req.Node)
+		n.excludeFromRoster(req.Node)
+		exclusion = mq.Batch{{Op: mq.OpNEFailure, NE: req.Node, Origin: n.id, Seq: n.nextSeq()}}
+	}
 	if !n.isLeader() {
 		n.sys.send(n.id, n.leader, runtime.KindControl, req)
 		return
@@ -667,8 +677,12 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 	if left, held := n.sys.quarantineLeft(req.Node); held {
 		// A repeat-flapping entity serves out its quarantine before
 		// rejoining: deferred, never dropped, so the rejoin still
-		// completes once the hold expires.
+		// completes once the hold expires. The exclusion, if any, goes
+		// round now.
 		n.sys.deferJoin(n, req, left)
+		if exclusion != nil {
+			n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion)
+		}
 		return
 	}
 	n.queue.Insert(mq.Change{Op: mq.OpNEJoin, NE: req.Node, Origin: n.id, Seq: n.nextSeq()})
@@ -678,7 +692,7 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		Members:    n.ringMems.Snapshot(),
 		Tombstones: n.tombstoneList(),
 	})
-	n.sys.requestRound(n, token.FromLocal, ring.ID{})
+	n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion)
 }
 
 // receiveSnapshot initializes this node from a leader's state after

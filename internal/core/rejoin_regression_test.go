@@ -42,6 +42,53 @@ func TestFailoverRejoinConvergence(t *testing.T) {
 	}
 }
 
+// TestRestoredUnexcludedLeaderRejoins: a ring leader restored before any
+// round noticed its crash is still every ring-mate's leader. The
+// ring-mate its JoinRequest reached used to forward it to that leader,
+// whose stale state bounced it straight back, forever. The ring-mate now
+// runs the repair nobody ran and admits the leader like any rejoiner —
+// after its flap quarantine, if it is serving one.
+func TestRestoredUnexcludedLeaderRejoins(t *testing.T) {
+	for _, quarantined := range []bool{false, true} {
+		cfg := DefaultConfig(2, 3)
+		if quarantined {
+			cfg.StabilityK = 2
+			cfg.QuarantineBase = time.Second
+		}
+		sys := NewSystem(cfg)
+		ap := sys.APs()[0]
+		if l := sys.Node(ap).Leader(); l != ap {
+			t.Fatalf("%s should lead its ring, %s does", ap, l)
+		}
+		if quarantined {
+			sys.noteFlap(ap, sys.Clock().Now())
+			sys.noteFlap(ap, sys.Clock().Now())
+		}
+		sys.CrashNE(ap)
+		sys.RestoreNE(ap)
+		sys.RunFor(10 * time.Second)
+		if sent := sys.Transport().Stats().Sent; sent > 100 {
+			t.Fatalf("quarantined=%v: the rejoin took %d messages: its JoinRequest is going round in circles", quarantined, sent)
+		}
+		if sys.neStale(ap) {
+			t.Fatalf("quarantined=%v: %s never got its snapshot", quarantined, ap)
+		}
+		if d := sys.RosterAgreement(); d != 0 {
+			for _, m := range sys.Hierarchy().RingOf(ap).Nodes() {
+				t.Logf("%s leader=%s roster=%v", m, sys.Node(m).Leader(), sys.Node(m).Roster())
+			}
+			t.Fatalf("quarantined=%v: %d rings disagree after the rejoin", quarantined, d)
+		}
+		if _, err := sys.JoinMemberAt(1, ap); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		if got := sys.GlobalMembership(); len(got) != 1 || got[0].GUID != 1 {
+			t.Fatalf("quarantined=%v: a join at the rejoined %s did not commit: %v", quarantined, ap, got)
+		}
+	}
+}
+
 // TestRestoredEntityForgetsDepartedMembers: a snapshot refreshes every
 // list of the entity it restores, not ListOfRingMembers alone. A member
 // that left while a (non-leader) access proxy was down used to stay in

@@ -22,8 +22,9 @@ import (
 //
 // The bootstrap exchange is a correlated RPC in the taschain
 // NetCore/peerManager style: each request carries a fresh nonzero Seq,
-// the reply echoes it, and a pending map with expiration timeouts
-// matches the two (gossip traffic reuses the same payloads with Seq 0).
+// the reply echoes it, and a pending map matches the two (gossip traffic
+// reuses the same payloads with Seq 0). bootstrap removes its entry on
+// every return path, so nothing else expires one.
 
 // BootstrapInfo is what a seed bootstrap learned about the deployment:
 // the hierarchy shape to build locally and the slot this process ended
@@ -61,21 +62,13 @@ type discoverer struct {
 	buf       []byte // reusable encode buffer (sends serialize on mu)
 	shapeH    int    // hierarchy shape served to joiners
 	shapeR    int
-	pending   map[uint64]pendingList
+	pending   map[uint64]chan wire.PeerList // outstanding bootstrap RPCs by Seq
 	onEvict   []func(slot int)
 	gossipIdx int // round-robin cursor of the periodic gossip
 
 	closed    chan struct{}
 	closeOnce sync.Once
 	started   atomic.Bool
-}
-
-// pendingList is one outstanding bootstrap RPC: the reply channel and
-// when the correlation entry expires (taschain's pending discipline —
-// an unanswered request must not leak its entry).
-type pendingList struct {
-	ch      chan wire.PeerList
-	expires time.Time
 }
 
 // newDiscoverer resolves the seed addresses and builds the discovery
@@ -102,7 +95,7 @@ func newDiscoverer(sock *netSock, book *netBook, cfg NetConfig) (*discoverer, er
 		evictAfter:   cfg.EvictAfter,
 		shapeH:       cfg.H,
 		shapeR:       cfg.R,
-		pending:      make(map[uint64]pendingList),
+		pending:      make(map[uint64]chan wire.PeerList),
 		closed:       make(chan struct{}),
 	}, nil
 }
@@ -170,10 +163,10 @@ func (d *discoverer) onHello(p wire.PeerHello, src *net.UDPAddr) {
 func (d *discoverer) onPeerList(p wire.PeerList) {
 	if p.Seq != 0 {
 		d.mu.Lock()
-		if pend, ok := d.pending[p.Seq]; ok {
+		if ch, ok := d.pending[p.Seq]; ok {
 			delete(d.pending, p.Seq)
 			select {
-			case pend.ch <- p:
+			case ch <- p:
 			default:
 			}
 		}
@@ -274,7 +267,7 @@ func (d *discoverer) bootstrap() (BootstrapInfo, error) {
 		seq := d.seq.Add(1)
 		ch := make(chan wire.PeerList, 1)
 		d.mu.Lock()
-		d.pending[seq] = pendingList{ch: ch, expires: deadline}
+		d.pending[seq] = ch
 		d.mu.Unlock()
 		for _, s := range d.seeds {
 			d.sendPayload(s, wire.PeerHello{Seq: seq, Slot: int32(d.selfSlot), Addr: d.advertise})
@@ -324,8 +317,8 @@ func (d *discoverer) adopt(pl wire.PeerList) BootstrapInfo {
 }
 
 // loop is the periodic half of the plane: sweep the suspicion state
-// machine, probe the suspects, hand evictions to the registered sinks,
-// gossip the table round-robin and expire stale pending RPCs.
+// machine, probe the suspects, hand evictions to the registered sinks
+// and gossip the table round-robin.
 func (d *discoverer) loop() {
 	tick := time.NewTicker(d.probeEvery)
 	defer tick.Stop()
@@ -355,7 +348,6 @@ func (d *discoverer) tickOnce() {
 		}
 	}
 	d.gossipStep()
-	d.expirePending()
 }
 
 // gossipStep pushes the table at one routable peer per tick, round
@@ -389,15 +381,4 @@ func (d *discoverer) gossipStep() {
 			return
 		}
 	}
-}
-
-func (d *discoverer) expirePending() {
-	now := time.Now()
-	d.mu.Lock()
-	for seq, p := range d.pending {
-		if now.After(p.expires) {
-			delete(d.pending, seq)
-		}
-	}
-	d.mu.Unlock()
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/des"
 )
 
 // engineCore is one engine shard's single-goroutine execution
@@ -181,126 +183,94 @@ func (e *engineCore) stop() {
 
 // --- Clock ------------------------------------------------------------
 
-// liveTimerSlot is one timer in the clock's arena. Slots are recycled
-// through a free list with a generation counter, exactly like the
-// simulator kernel's event slots, so a TimerHandle can never touch a
-// newer occupant.
-type liveTimerSlot struct {
-	timer *time.Timer
-	gen   uint32
-	armed bool
-	fn    func(any)
-	arg   any
+// liveClock implements Clock for one group view over its own des.Kernel,
+// whose time is the shard's real time (eng.start). One time.Timer, the
+// alarm, is set for the kernel's earliest event; when it rings, the
+// engine runs the kernel up to now. All state but the alarm's callback is
+// engine-owned, and closing the group ends exactly its own timers.
+type liveClock struct {
+	eng     *engineCore
+	k       *des.Kernel
+	alarm   *time.Timer
+	due     Time // when the alarm rings; MaxTime while it is not set
+	counted int  // the kernel's events as last added to eng.pending
+	closed  bool
 }
 
-// liveClock implements Clock on real time.Timers. All state is owned
-// by the engine goroutine; timer firings re-enter through eng.submit.
-// One per group view, so closing a group cancels exactly its own timers
-// (cancelAll); protocol time is the shard's (eng.start).
-type liveClock struct {
-	eng   *engineCore
-	slots []liveTimerSlot
-	free  []uint32
+func newLiveClock(eng *engineCore) *liveClock {
+	c := &liveClock{eng: eng, k: des.NewKernel(), due: MaxTime}
+	ring := c.ring // bound once, so a ring allocates nothing
+	c.alarm = time.AfterFunc(time.Duration(MaxTime), func() { eng.submit(ring) })
+	c.alarm.Stop() // set by sync, for the kernel's first event
+	return c
 }
 
 func (c *liveClock) Now() Time { return Time(time.Since(c.eng.start)) }
 
+// at is d from now: a timer is due d after it was armed, however late
+// the shard runs the event that arms it.
+func (c *liveClock) at(d time.Duration) Time { return c.Now().Add(max(d, 0)) }
+
 func (c *liveClock) After(d time.Duration, fn func()) TimerHandle {
-	return c.AfterCall(d, func(any) { fn() }, nil)
+	h := c.k.At(c.at(d), fn)
+	c.sync()
+	return TimerHandle{W: h.Word()}
 }
 
 func (c *liveClock) AfterCall(d time.Duration, fn func(any), arg any) TimerHandle {
-	if fn == nil {
-		panic("runtime: scheduling nil callback")
-	}
-	if d < 0 {
-		d = 0
-	}
-	var i uint32
-	if n := len(c.free); n > 0 {
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		c.slots = append(c.slots, liveTimerSlot{})
-		i = uint32(len(c.slots) - 1)
-	}
-	s := &c.slots[i]
-	s.armed = true
-	s.fn, s.arg = fn, arg
-	gen := s.gen
-	c.eng.pending.Add(1)
-	s.timer = time.AfterFunc(d, func() {
-		c.eng.submit(func() { c.fire(i, gen) })
-	})
-	return liveHandle(i, gen)
+	h := c.k.AtCall(c.at(d), fn, arg)
+	c.sync()
+	return TimerHandle{W: h.Word()}
 }
 
-// liveHandle packs a slot index and generation (zero stays the null
-// handle).
-func liveHandle(i, gen uint32) TimerHandle {
-	return TimerHandle{W: uint64(i+1) | uint64(gen)<<32}
+// Cancel leaves the alarm alone: at worst it rings early, and an early
+// ring only re-arms it.
+func (c *liveClock) Cancel(h TimerHandle) bool {
+	ok := c.k.Cancel(des.HandleOfWord(h.W))
+	c.sync()
+	return ok
 }
 
-// fire runs on the engine goroutine when a timer elapses. A stale
-// generation means the timer was cancelled after its time.Timer had
-// already fired; only the pending accounting remains to settle.
-func (c *liveClock) fire(i uint32, gen uint32) {
-	defer c.eng.pending.Add(-1)
-	s := &c.slots[i]
-	if !s.armed || s.gen != gen {
+// sync follows the kernel after a clock operation: the shard's pending
+// count by its events, the alarm up to an earlier first one.
+func (c *liveClock) sync() {
+	if c.closed {
 		return
 	}
-	fn, arg := s.fn, s.arg
-	c.release(i)
-	fn(arg)
-}
-
-// release retires a slot and bumps its generation.
-func (c *liveClock) release(i uint32) {
-	s := &c.slots[i]
-	s.gen++
-	s.armed = false
-	s.fn, s.arg, s.timer = nil, nil, nil
-	c.free = append(c.free, i)
-}
-
-func (c *liveClock) Cancel(h TimerHandle) bool {
-	if h.W == 0 {
-		return false
-	}
-	i := uint32(h.W) - 1
-	gen := uint32(h.W >> 32)
-	if int(i) >= len(c.slots) {
-		return false
-	}
-	s := &c.slots[i]
-	if !s.armed || s.gen != gen {
-		return false
-	}
-	stopped := s.timer.Stop()
-	c.release(i)
-	if stopped {
-		// The fire closure will never run; settle its accounting here.
-		c.eng.pending.Add(-1)
-	}
-	// If Stop reported false the time.Timer already fired: its queued
-	// fire closure finds the stale generation, does nothing, and
-	// decrements pending itself.
-	return true
-}
-
-// cancelAll cancels every armed timer: the group that armed them is
-// closed, and its callbacks must neither run nor hold the shard's
-// pending count up. Engine context.
-func (c *liveClock) cancelAll() {
-	for i := range c.slots {
-		if c.slots[i].armed {
-			c.Cancel(liveHandle(uint32(i), c.slots[i].gen))
-		}
+	n := c.k.Pending()
+	c.eng.pending.Add(int64(n - c.counted))
+	c.counted = n
+	if next, ok := c.k.NextEventTime(); ok && next < c.due {
+		c.due = next
+		c.alarm.Reset(c.due.Sub(c.Now()))
 	}
 }
 
-// liveTicker re-arms itself through the clock after every firing.
+// ring runs on the engine when the alarm goes off: the kernel's events
+// up to now fire, then the alarm is set for the next. The ring holds the
+// shard busy meanwhile, so an event's follow-on work is counted before
+// the event stops being.
+func (c *liveClock) ring() {
+	if c.closed {
+		return
+	}
+	c.eng.pending.Add(1)
+	c.k.RunUntil(c.Now())
+	c.eng.pending.Add(-1)
+	c.due = MaxTime
+	c.sync()
+}
+
+// close ends the clock with its group: its timers never run and stop
+// holding the shard's pending count up. Engine context.
+func (c *liveClock) close() {
+	c.closed = true
+	c.alarm.Stop()
+	c.eng.pending.Add(int64(-c.counted))
+}
+
+// liveTicker re-arms itself through the clock after every firing, so a
+// late shard fires it once and not once per interval it missed.
 type liveTicker struct {
 	clock    *liveClock
 	interval time.Duration
@@ -310,11 +280,10 @@ type liveTicker struct {
 }
 
 // liveTickerFire is the shared closure-free callback of all tickers.
+// The kernel never runs a cancelled event, so only a Stop from fn itself
+// is left to check.
 func liveTickerFire(a any) {
 	t := a.(*liveTicker)
-	if t.stopped {
-		return
-	}
 	t.fn()
 	if !t.stopped {
 		t.arm()

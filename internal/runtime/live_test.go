@@ -106,6 +106,76 @@ func TestLiveTicker(t *testing.T) {
 	}
 }
 
+func nopTimer(any) {}
+
+// TestLiveTimerAllocs: arming and cancelling a timer on the closure-free
+// path allocates nothing once the clock is warm, as on the simulator.
+func TestLiveTimerAllocs(t *testing.T) {
+	rt := newTestLive(t)
+	c := rt.Clock()
+	var allocs float64
+	rt.Do(func() {
+		allocs = testing.AllocsPerRun(100, func() {
+			c.Cancel(c.AfterCall(time.Second, nopTimer, nil))
+		})
+	})
+	if allocs != 0 {
+		t.Fatalf("arm+cancel allocated %v times, want 0", allocs)
+	}
+}
+
+// TestLiveClockStalledShard: a timer is due its delay after it was
+// armed, whenever the shard gets to run the event that armed it. After a
+// 100ms stall, a callback re-arming itself every 10ms and a 10ms ticker
+// each catch up with one fire, not one per interval missed back to back
+// — a late shard must not burn a retransmission budget while the ack
+// waits in its queue.
+func TestLiveClockStalledShard(t *testing.T) {
+	const every = 10 * time.Millisecond
+	rt := newTestLive(t)
+	c := rt.Clock()
+	var stopped bool
+	var again, ticks []Time // fire times, engine-owned
+	var rearm func(any)
+	rearm = func(any) {
+		if !stopped {
+			again = append(again, c.Now())
+			c.AfterCall(every, rearm, nil)
+		}
+	}
+	var tick Ticker
+	var stallEnd Time
+	rt.Do(func() {
+		c.AfterCall(every, rearm, nil)
+		tick = c.Every(every, func() { ticks = append(ticks, c.Now()) })
+		time.Sleep(10 * every)
+		stallEnd = c.Now()
+	})
+	time.Sleep(3 * every)
+	rt.Do(func() {
+		stopped = true
+		tick.Stop()
+	})
+	for name, fires := range map[string][]Time{"re-arming callback": again, "ticker": ticks} {
+		var first Time = -1
+		n := 0
+		for _, at := range fires {
+			if at < stallEnd {
+				continue
+			}
+			if first < 0 {
+				first = at
+			}
+			if at < first.Add(3*time.Millisecond) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s fired %d times in the 3ms after the stall, want 1 (fires %v, stall ended %v)", name, n, fires, stallEnd)
+		}
+	}
+}
+
 // echoEndpoint replies once to every message it receives.
 type echoEndpoint struct {
 	rt   Runtime

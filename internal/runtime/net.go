@@ -137,12 +137,10 @@ type NetStats struct {
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
 // the one UDP connection (nil on the in-process mux, whose book routes
-// nothing to it), its activity clock and its socket-level counters. The
-// counters are atomics because the read loop and NetStats readers run
-// off-engine.
+// nothing to it) and its socket-level counters. The counters are atomics
+// because the read loop and NetStats readers run off-engine.
 type netSock struct {
-	conn         *net.UDPConn
-	lastActivity atomic.Int64 // UnixNano of the last send or receive
+	conn *net.UDPConn
 
 	received       atomic.Uint64
 	decodeErrors   atomic.Uint64
@@ -168,12 +166,6 @@ func (s *netSock) cutAddr(addr *net.UDPAddr) bool {
 	}
 	s.cut.Add(1)
 	return true
-}
-
-func (s *netSock) touch() { s.lastActivity.Store(time.Now().UnixNano()) }
-
-func (s *netSock) idleFor(d time.Duration) bool {
-	return time.Since(time.Unix(0, s.lastActivity.Load())) > d
 }
 
 // stats snapshots the socket-level counters into a NetStats value.
@@ -212,7 +204,6 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, *net
 		if s.cutAddr(src) {
 			continue // partitioned peer: drop before decode, like lost bytes
 		}
-		s.touch()
 		s.received.Add(1)
 		f, derr := wire.DecodeFrame(buf[:n])
 		if derr != nil {
@@ -392,9 +383,7 @@ func bindNetSock(cfg NetConfig) (*netSock, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runtime: listen %q: %w", cfg.Bind, err)
 	}
-	sock := &netSock{conn: conn}
-	sock.touch()
-	return sock, nil
+	return &netSock{conn: conn}, nil
 }
 
 // netDefaults fills the zero-value NetConfig knobs.
@@ -425,13 +414,13 @@ func netDefaults(cfg *NetConfig) {
 // NetRuntime is one group's view of a NetMux: the protocol engine on
 // real time. The group's engine shard owns all its protocol state and
 // serializes every protocol callback — the single-writer discipline the
-// simulator gets for free — and timers are real time.Timers. Hops
-// between the process's own endpoints stay in memory; everything else
-// goes through the wire codec and the mux's datagram socket: the address
-// book routes entity IDs to their owning process, addresses of transient
-// endpoints (mobile hosts, query apps) are learned from packet sources,
-// and frames for non-local entities are relayed toward their owner with
-// a TTL budget.
+// simulator gets for free — and timers are events of the view's own
+// des.Kernel, run on real time (liveClock). Hops between the process's
+// own endpoints stay in memory; everything else goes through the wire
+// codec and the mux's datagram socket: the address book routes entity
+// IDs to their owning process, addresses of transient endpoints (mobile
+// hosts, query apps) are learned from packet sources, and frames for
+// non-local entities are relayed toward their owner with a TTL budget.
 type NetRuntime struct {
 	eng   *engineCore
 	clock *liveClock
@@ -519,7 +508,7 @@ func (rt *NetRuntime) Close() error {
 	rt.mux.release(rt)
 	rt.eng.do(func() {
 		rt.tr.close()
-		rt.clock.cancelAll()
+		rt.clock.close()
 	})
 	return nil
 }
@@ -564,8 +553,8 @@ type netTransport struct {
 	nstats NetStats // routing counters only; socket counters live on sock
 
 	// lastActivity tracks this group's own traffic (dispatches, sends,
-	// relays), distinct from the shared socket's: per-group
-	// quiescence must not be starved by busy sibling groups.
+	// relays): quiescence is per group, so busy sibling groups on the
+	// shared socket cannot starve it.
 	lastActivity atomic.Int64
 }
 
@@ -581,7 +570,7 @@ func (t *netTransport) idleFor(d time.Duration) bool {
 func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, loss float64) *netTransport {
 	t := &netTransport{
 		eng:     sh.eng,
-		clock:   &liveClock{eng: sh.eng},
+		clock:   newLiveClock(sh.eng),
 		sock:    m.sock,
 		book:    m.book,
 		bufs:    sh.bufs,
@@ -827,8 +816,8 @@ func (t *netTransport) Send(msg Message) {
 
 // writeDatagram is the single egress point under the Send/relay
 // accounting: it applies the blocked-peer cut (counted at the socket),
-// writes the datagram and refreshes the activity clocks, reporting
-// whether the write happened.
+// writes the datagram and refreshes the group's activity clock,
+// reporting whether the write happened.
 func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
 	if t.sock.cutAddr(addr) {
 		return false
@@ -838,7 +827,6 @@ func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
 		return false
 	}
 	t.touch()
-	t.sock.touch()
 	if t.disc != nil {
 		// Endpoint-exchange gossip rides the active traffic edges: at
 		// most one paced hello alongside the protocol's own frames.

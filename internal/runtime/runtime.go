@@ -61,8 +61,8 @@ type Clock interface {
 
 	// AfterCall schedules fn(arg) to run d from now. This is the
 	// closure-free path: fn is typically a shared per-object function
-	// and arg a pointer, so arming the timer allocates nothing on the
-	// simulated clock.
+	// and arg a pointer, so arming the timer allocates nothing once the
+	// clock is warm, on every substrate.
 	AfterCall(d time.Duration, fn func(any), arg any) TimerHandle
 
 	// Cancel stops the timer so it will not fire, reporting whether it

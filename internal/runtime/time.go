@@ -1,27 +1,13 @@
 package runtime
 
-import (
-	"math"
-	"time"
-)
+import "github.com/rgbproto/rgb/internal/des"
 
 // Time is monotonic protocol time in nanoseconds since the runtime's
-// epoch. In the simulator it mirrors virtual kernel time; in a live
-// runtime it is wall-clock time since the runtime started. The zero
-// Time is the epoch.
-type Time int64
-
-// Add returns the time d after t.
-func (t Time) Add(d time.Duration) Time { return t + Time(d) }
-
-// Sub returns the duration between t and earlier.
-func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier) }
-
-// Before reports whether t precedes other.
-func (t Time) Before(other Time) bool { return t < other }
-
-// String renders the time as a duration since the epoch.
-func (t Time) String() string { return time.Duration(t).String() }
+// epoch: virtual kernel time in the simulator, wall-clock time since the
+// engine shard started in a live runtime. It is the kernel's own type,
+// because a live runtime's timers are kernel events too. The zero Time
+// is the epoch.
+type Time = des.Time
 
 // MaxTime is the largest representable protocol time.
-const MaxTime Time = math.MaxInt64
+const MaxTime = des.MaxTime

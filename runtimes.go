@@ -13,10 +13,10 @@ import (
 //   - the deterministic discrete-event simulator (the default;
 //     NewSimRuntime for callers that want to hold one), where protocol
 //     time is virtual and a fixed seed makes runs bit-reproducible; and
-//   - the real-time runtime, where timers are real time.Timers, an
-//     engine goroutine per shard serializes the protocol, and a message
-//     between two entities of the process is handed over in memory —
-//     the engine demonstrably does not depend on the simulator.
+//   - the real-time runtime, where timers run on wall time, an engine
+//     goroutine per shard serializes the protocol, and a message between
+//     two entities of the process is handed over in memory — the engine
+//     demonstrably does not depend on virtual time.
 //     Networked (Listen, Dial, ListenCluster), a message for an entity
 //     of another process is a real UDP datagram through the wire codec;
 //     in-process (WithLiveRuntime), there is no socket and no other
