@@ -2,12 +2,13 @@ package discovery
 
 import (
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 )
 
-func addr(port int) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port}
+func addr(port int) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(port))
 }
 
 // fakeClock is a manually advanced time source for table/map tests.
@@ -27,13 +28,13 @@ func newTestTable(selfSlot, slots int) (*Table, *fakeClock) {
 
 func TestTableHelloRoutesAndCounts(t *testing.T) {
 	tbl, _ := newTestTable(0, 3)
-	if got := tbl.AddrOf(1); got != nil {
+	if got := tbl.AddrOf(1); got.IsValid() {
 		t.Fatalf("unknown slot routed to %v", got)
 	}
 	if !tbl.Hello(1, addr(7001)) {
 		t.Fatal("first hello did not report a routing change")
 	}
-	if got := tbl.AddrOf(1); !udpEq(got, addr(7001)) {
+	if got := tbl.AddrOf(1); got != addr(7001) {
 		t.Fatalf("AddrOf(1) = %v, want 127.0.0.1:7001", got)
 	}
 	// Same address again: no change, no extra join count.
@@ -47,14 +48,14 @@ func TestTableHelloRoutesAndCounts(t *testing.T) {
 	if !tbl.Hello(1, addr(7099)) {
 		t.Fatal("address change did not report a routing change")
 	}
-	if got := tbl.AddrOf(1); !udpEq(got, addr(7099)) {
+	if got := tbl.AddrOf(1); got != addr(7099) {
 		t.Fatalf("AddrOf(1) after churn = %v, want 127.0.0.1:7099", got)
 	}
 	if tbl.Joined() != 2 {
 		t.Fatalf("Joined after churn = %d, want 2", tbl.Joined())
 	}
 	// Hellos never overwrite the self slot.
-	if tbl.Hello(0, addr(9999)) || tbl.AddrOf(0) != nil {
+	if tbl.Hello(0, addr(9999)) || tbl.AddrOf(0).IsValid() {
 		t.Fatal("hello overwrote the self slot")
 	}
 }
@@ -70,7 +71,7 @@ func TestTableSweepSuspectEvictRevive(t *testing.T) {
 	if len(evicted) != 0 {
 		t.Fatalf("evicted %v before the eviction window", evicted)
 	}
-	if len(probe) != 1 || !udpEq(probe[0], addr(7000)) {
+	if len(probe) != 1 || probe[0] != addr(7000) {
 		t.Fatalf("probe list = %v, want just 127.0.0.1:7000", probe)
 	}
 
@@ -79,13 +80,13 @@ func TestTableSweepSuspectEvictRevive(t *testing.T) {
 	if len(evicted) != 1 || evicted[0] != 0 {
 		t.Fatalf("evicted = %v, want [0]", evicted)
 	}
-	if tbl.AddrOf(0) != nil {
+	if tbl.AddrOf(0).IsValid() {
 		t.Fatal("evicted slot still routes")
 	}
-	if tbl.AddrOf(1) == nil {
+	if !tbl.AddrOf(1).IsValid() {
 		t.Fatal("suspect slot stopped routing")
 	}
-	if len(probe) != 1 || !udpEq(probe[0], addr(7001)) {
+	if len(probe) != 1 || probe[0] != addr(7001) {
 		t.Fatalf("probe list after eviction = %v, want just 127.0.0.1:7001", probe)
 	}
 	if tbl.Evicted() != 1 {
@@ -94,7 +95,7 @@ func TestTableSweepSuspectEvictRevive(t *testing.T) {
 
 	// Any traffic from the evicted peer revives it.
 	tbl.Seen(addr(7000))
-	if tbl.AddrOf(0) == nil {
+	if !tbl.AddrOf(0).IsValid() {
 		t.Fatal("revived peer does not route")
 	}
 	snap := tbl.Snapshot()
@@ -116,7 +117,7 @@ func TestTableLearnPrefersFresherRecords(t *testing.T) {
 	if tbl.Learn(0, addr(7050), 30*time.Second, StateUp) {
 		t.Fatal("stale gossip moved a fresher record")
 	}
-	if got := tbl.AddrOf(0); !udpEq(got, addr(7000)) {
+	if got := tbl.AddrOf(0); got != addr(7000) {
 		t.Fatalf("AddrOf(0) = %v, want 127.0.0.1:7000", got)
 	}
 	// A fresher rumor moves the address.
@@ -124,12 +125,40 @@ func TestTableLearnPrefersFresherRecords(t *testing.T) {
 	if !tbl.Learn(0, addr(7050), time.Second, StateUp) {
 		t.Fatal("fresher gossip was not adopted")
 	}
-	if got := tbl.AddrOf(0); !udpEq(got, addr(7050)) {
+	if got := tbl.AddrOf(0); got != addr(7050) {
 		t.Fatalf("AddrOf(0) = %v, want 127.0.0.1:7050", got)
 	}
 	// Evictions never propagate by gossip.
-	if tbl.Learn(1, addr(7001), 0, StateEvicted) || tbl.AddrOf(1) != nil {
+	if tbl.Learn(1, addr(7001), 0, StateEvicted) || tbl.AddrOf(1).IsValid() {
 		t.Fatal("gossiped eviction entry was adopted")
+	}
+}
+
+// TestTableResolvedAddressIsSeen: a slot set from a resolved address is
+// refreshed by a datagram from that address in the form a socket
+// reports it. net.ResolveUDPAddr yields an IPv4 address in 16 bytes,
+// which is != the socket's 4-byte form; a table that kept it would
+// never be refreshed, and would evict every configured peer once
+// EvictAfter passed.
+func TestTableResolvedAddressIsSeen(t *testing.T) {
+	for _, host := range []string{"127.0.0.1", "::1"} {
+		t.Run(host, func(t *testing.T) {
+			hostPort := net.JoinHostPort(host, "7001")
+			resolved, err := net.ResolveUDPAddr("udp", hostPort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, clk := newTestTable(-1, 1)
+			tbl.Set(0, resolved.AddrPort())
+			clk.advance(11 * time.Second)
+			tbl.Seen(netip.MustParseAddrPort(hostPort))
+			if _, evicted := tbl.Sweep(3*time.Second, 10*time.Second); len(evicted) != 0 {
+				t.Fatalf("a peer heard from just now was evicted (table holds %v)", tbl.AddrOf(0))
+			}
+			if snap := tbl.Snapshot(); snap[0].Frames != 1 || snap[0].Addr != hostPort {
+				t.Fatalf("snapshot = %+v, want one frame from %s", snap, hostPort)
+			}
+		})
 	}
 }
 

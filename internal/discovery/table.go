@@ -15,7 +15,7 @@
 package discovery
 
 import (
-	"net"
+	"net/netip"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,7 +65,7 @@ type PeerInfo struct {
 // peerRec is the mutable record behind one table entry.
 type peerRec struct {
 	slot     int // -1 = slotless
-	addr     *net.UDPAddr
+	addr     netip.AddrPort
 	state    State
 	lastSeen time.Time
 	frames   uint64
@@ -84,13 +84,13 @@ type Table struct {
 	mu       sync.Mutex
 	selfSlot int // never swept or overwritten by gossip; -1 = none
 	slots    []*peerRec
-	extras   map[string]*peerRec // slotless peers, keyed by address
-	byAddr   map[string]*peerRec // every record, keyed by address
+	extras   map[netip.AddrPort]*peerRec // slotless peers, keyed by address
+	byAddr   map[netip.AddrPort]*peerRec // every record, keyed by address
 
-	// routes is the lock-free routing view: routes[slot] is nil for
-	// unknown or evicted slots. Rebuilt under mu on every mutation
-	// that changes an address or an eviction state.
-	routes atomic.Pointer[[]*net.UDPAddr]
+	// routes is the lock-free routing view: routes[slot] is the zero
+	// AddrPort for unknown or evicted slots. Rebuilt under mu on every
+	// mutation that changes an address or an eviction state.
+	routes atomic.Pointer[[]netip.AddrPort]
 
 	joined  atomic.Uint64
 	evicted atomic.Uint64
@@ -106,8 +106,8 @@ func NewTable(selfSlot, slots int) *Table {
 	t := &Table{
 		selfSlot: selfSlot,
 		slots:    make([]*peerRec, slots),
-		extras:   make(map[string]*peerRec),
-		byAddr:   make(map[string]*peerRec),
+		extras:   make(map[netip.AddrPort]*peerRec),
+		byAddr:   make(map[netip.AddrPort]*peerRec),
 		now:      time.Now,
 	}
 	t.rebuildLocked()
@@ -116,7 +116,7 @@ func NewTable(selfSlot, slots int) *Table {
 
 // rebuildLocked swaps in a fresh routes view. Callers hold mu.
 func (t *Table) rebuildLocked() {
-	rs := make([]*net.UDPAddr, len(t.slots))
+	rs := make([]netip.AddrPort, len(t.slots))
 	for i, p := range t.slots {
 		if p != nil && p.state != StateEvicted {
 			rs[i] = p.addr
@@ -147,12 +147,12 @@ func (t *Table) SelfSlot() int {
 	return t.selfSlot
 }
 
-// AddrOf returns the routable address of a slot, or nil when the slot
-// is unknown or evicted. Lock-free.
-func (t *Table) AddrOf(slot int) *net.UDPAddr {
+// AddrOf returns the routable address of a slot, or the zero AddrPort
+// when the slot is unknown or evicted. Lock-free.
+func (t *Table) AddrOf(slot int) netip.AddrPort {
 	rs := *t.routes.Load()
 	if slot < 0 || slot >= len(rs) {
-		return nil
+		return netip.AddrPort{}
 	}
 	return rs[slot]
 }
@@ -164,8 +164,9 @@ func (t *Table) Slots() int { return len(*t.routes.Load()) }
 // Set installs a static slot entry (the WithCluster prefill), state
 // up. Unlike Hello it does not count a join: the deployment's initial
 // address book is configuration, not discovery.
-func (t *Table) Set(slot int, addr *net.UDPAddr) {
-	if addr == nil {
+func (t *Table) Set(slot int, addr netip.AddrPort) {
+	addr = Unmapped(addr)
+	if !addr.IsValid() {
 		return
 	}
 	t.mu.Lock()
@@ -180,20 +181,21 @@ func (t *Table) Set(slot int, addr *net.UDPAddr) {
 
 // replaceLocked swaps the record of a slot, keeping byAddr coherent.
 func (t *Table) replaceLocked(slot int, rec *peerRec) {
-	if old := t.slots[slot]; old != nil && old.addr != nil {
-		delete(t.byAddr, old.addr.String())
+	if old := t.slots[slot]; old != nil {
+		delete(t.byAddr, old.addr)
 		rec.frames = old.frames
 	}
 	t.slots[slot] = rec
-	t.byAddr[rec.addr.String()] = rec
+	t.byAddr[rec.addr] = rec
 }
 
 // Hello upserts a peer from a PeerHello: a new slot entry, a changed
 // address for a known slot, or a slotless extra. It reports whether
 // the routing view changed (a new peer, a moved address, or a revival
 // from eviction) — the signal the caller uses to broadcast the news.
-func (t *Table) Hello(slot int, addr *net.UDPAddr) bool {
-	if addr == nil {
+func (t *Table) Hello(slot int, addr netip.AddrPort) bool {
+	addr = Unmapped(addr)
+	if !addr.IsValid() {
 		return false
 	}
 	t.mu.Lock()
@@ -202,20 +204,19 @@ func (t *Table) Hello(slot int, addr *net.UDPAddr) bool {
 	if slot < 0 || slot >= len(t.slots) {
 		// Slotless peer (observer, dial-style client): track it for
 		// the operator's peer dump, bounded against hello floods.
-		key := addr.String()
-		if rec, ok := t.extras[key]; ok {
+		if rec, ok := t.extras[addr]; ok {
 			rec.lastSeen, rec.state = now, StateUp
 			return false
 		}
 		if len(t.extras) >= extrasLimit {
-			for k, rec := range t.extras {
-				delete(t.byAddr, rec.addr.String())
+			for k := range t.extras {
+				delete(t.byAddr, k)
 				delete(t.extras, k)
 			}
 		}
 		rec := &peerRec{slot: -1, addr: addr, lastSeen: now}
-		t.extras[key] = rec
-		t.byAddr[key] = rec
+		t.extras[addr] = rec
+		t.byAddr[addr] = rec
 		t.joined.Add(1)
 		return false
 	}
@@ -223,7 +224,7 @@ func (t *Table) Hello(slot int, addr *net.UDPAddr) bool {
 		return false
 	}
 	old := t.slots[slot]
-	if old != nil && udpEq(old.addr, addr) {
+	if old != nil && old.addr == addr {
 		revived := old.state == StateEvicted
 		old.lastSeen, old.state = now, StateUp
 		if revived {
@@ -242,8 +243,9 @@ func (t *Table) Hello(slot int, addr *net.UDPAddr) bool {
 // slot is unknown here, or when the sender heard from the peer more
 // recently than we did (smaller age). Evicted-state entries are never
 // adopted — evictions are local verdicts, not gossip.
-func (t *Table) Learn(slot int, addr *net.UDPAddr, age time.Duration, state State) bool {
-	if addr == nil || state == StateEvicted {
+func (t *Table) Learn(slot int, addr netip.AddrPort, age time.Duration, state State) bool {
+	addr = Unmapped(addr)
+	if !addr.IsValid() || state == StateEvicted {
 		return false
 	}
 	t.mu.Lock()
@@ -255,7 +257,7 @@ func (t *Table) Learn(slot int, addr *net.UDPAddr, age time.Duration, state Stat
 	theirLastSeen := now.Add(-age)
 	old := t.slots[slot]
 	if old != nil {
-		if udpEq(old.addr, addr) {
+		if old.addr == addr {
 			if theirLastSeen.After(old.lastSeen) {
 				old.lastSeen = theirLastSeen
 				if old.state != StateEvicted {
@@ -278,13 +280,10 @@ func (t *Table) Learn(slot int, addr *net.UDPAddr, age time.Duration, state Stat
 // traffic proves liveness (and revives an evicted peer). Unknown
 // sources are ignored — entries are only created by configuration,
 // hello or gossip, so a spoof flood cannot grow the table.
-func (t *Table) Seen(addr *net.UDPAddr) {
-	if addr == nil {
-		return
-	}
+func (t *Table) Seen(addr netip.AddrPort) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, ok := t.byAddr[addr.String()]
+	rec, ok := t.byAddr[Unmapped(addr)]
 	if !ok {
 		return
 	}
@@ -304,7 +303,7 @@ func (t *Table) Seen(addr *net.UDPAddr) {
 // probing), peers silent past evictAfter are evicted (their slots are
 // returned so the caller can feed the verdict into the protocol's
 // fail-out path). Slotless extras are simply dropped at evictAfter.
-func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []*net.UDPAddr, evicted []int) {
+func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []netip.AddrPort, evicted []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := t.now()
@@ -337,7 +336,7 @@ func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []*net.UDPA
 	}
 	for key, rec := range t.extras {
 		if now.Sub(rec.lastSeen) > evictAfter {
-			delete(t.byAddr, rec.addr.String())
+			delete(t.byAddr, key)
 			delete(t.extras, key)
 		}
 	}
@@ -377,7 +376,12 @@ func (t *Table) Joined() uint64 { return t.joined.Load() }
 // Evicted returns how many eviction verdicts the sweeps issued.
 func (t *Table) Evicted() uint64 { return t.evicted.Load() }
 
-// udpEq compares resolved UDP addresses.
-func udpEq(a, b *net.UDPAddr) bool {
-	return a != nil && b != nil && a.Port == b.Port && a.IP.Equal(b.IP)
+// Unmapped returns addr with an IPv4-mapped IPv6 address in its 4-byte
+// form, the form an IPv4 socket reports a source in. Addresses are map
+// keys and are compared with ==, and net.ResolveUDPAddr yields the
+// 16-byte form of an IPv4 address, which is != the 4-byte one: every
+// address is unmapped where it enters, or a configured peer would never
+// be recognised in its own datagrams.
+func Unmapped(addr netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(addr.Addr().Unmap(), addr.Port())
 }

@@ -3,7 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +46,7 @@ type discoverer struct {
 
 	advertise string // what we tell peers (book.self, pre-rendered)
 	selfSlot  int
-	seeds     []*net.UDPAddr
+	seeds     []netip.AddrPort
 
 	bootTimeout  time.Duration
 	gossipEvery  time.Duration
@@ -74,9 +74,9 @@ type discoverer struct {
 // newDiscoverer resolves the seed addresses and builds the discovery
 // plane for one socket (not yet started; bootstrap may run first).
 func newDiscoverer(sock *netSock, book *netBook, cfg NetConfig) (*discoverer, error) {
-	seeds := make([]*net.UDPAddr, 0, len(cfg.Seeds))
+	seeds := make([]netip.AddrPort, 0, len(cfg.Seeds))
 	for _, s := range cfg.Seeds {
-		a, err := net.ResolveUDPAddr("udp", s)
+		a, err := resolveUDP(s)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: seed %q: %w", s, err)
 		}
@@ -121,7 +121,7 @@ func (d *discoverer) addOnEvict(fn func(slot int)) {
 // reports whether the discovery plane consumed it. Protocol probes
 // (real From/To, core's probeExcluded path) pass through untouched;
 // only the addressless discovery liveness probe is answered here.
-func (d *discoverer) intercept(f wire.Frame, src *net.UDPAddr) bool {
+func (d *discoverer) intercept(f wire.Frame, src netip.AddrPort) bool {
 	switch p := f.Payload.(type) {
 	case wire.PeerHello:
 		d.onHello(p, src)
@@ -141,13 +141,14 @@ func (d *discoverer) intercept(f wire.Frame, src *net.UDPAddr) bool {
 // onHello upserts the announcing peer and answers: a nonzero Seq gets
 // the full PeerList (the bootstrap reply), and any routing change is
 // broadcast to the other peers so an address move heals cluster-wide
-// in one gossip round instead of one edge at a time.
-func (d *discoverer) onHello(p wire.PeerHello, src *net.UDPAddr) {
+// in one gossip round instead of one edge at a time. The announced
+// address is parsed, never resolved: this runs on the socket's only
+// reader, which a DNS lookup would stall for every group, and peers
+// announce numeric addresses. Anything else falls back to the source.
+func (d *discoverer) onHello(p wire.PeerHello, src netip.AddrPort) {
 	addr := src
-	if p.Addr != "" {
-		if a, err := net.ResolveUDPAddr("udp", p.Addr); err == nil {
-			addr = a
-		}
+	if a, err := netip.ParseAddrPort(p.Addr); err == nil {
+		addr = a
 	}
 	changed := d.book.table.Hello(int(p.Slot), addr)
 	if p.Seq != 0 {
@@ -176,10 +177,12 @@ func (d *discoverer) onPeerList(p wire.PeerList) {
 }
 
 // mergePeers folds gossiped entries into the table (evicted-state and
-// slotless entries are skipped by Learn; own slot is never touched).
+// slotless entries are skipped by Learn; own slot is never touched). A
+// row whose address is not numeric is ignored: like a hello, it is
+// parsed on the read goroutine, never resolved.
 func (d *discoverer) mergePeers(p wire.PeerList) {
 	for _, e := range p.Peers {
-		a, err := net.ResolveUDPAddr("udp", e.Addr)
+		a, err := netip.ParseAddrPort(e.Addr)
 		if err != nil {
 			continue
 		}
@@ -220,20 +223,20 @@ func (d *discoverer) broadcast() {
 		if slot == d.selfSlot {
 			continue
 		}
-		if a := d.book.table.AddrOf(slot); a != nil {
+		if a := d.book.table.AddrOf(slot); a.IsValid() {
 			d.sendPayload(a, pl)
 		}
 	}
 }
 
 // maybeGossip piggybacks one paced hello along an active traffic edge
-// (called from the transport's egress path; the fast path is a single
-// atomic load).
-func (d *discoverer) maybeGossip(addr *net.UDPAddr) {
-	if udpAddrEqual(addr, d.book.loopback) || udpAddrEqual(addr, d.book.self) {
+// (called from the transport's egress path with its work item's time;
+// the fast path is a single atomic load).
+func (d *discoverer) maybeGossip(addr netip.AddrPort, at time.Time) {
+	if addr == d.book.loopback || addr == d.book.self {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := at.UnixNano()
 	last := d.lastGossip.Load()
 	if now-last < int64(d.gossipEvery) || !d.lastGossip.CompareAndSwap(last, now) {
 		return
@@ -245,13 +248,13 @@ func (d *discoverer) maybeGossip(addr *net.UDPAddr) {
 // zero addressing, TTL 1 — discovery frames are never relayed). It
 // deliberately does not touch the transport activity clocks: discovery
 // chatter must not starve Settle's quiescence detection.
-func (d *discoverer) sendPayload(addr *net.UDPAddr, p wire.Payload) {
+func (d *discoverer) sendPayload(addr netip.AddrPort, p wire.Payload) {
 	if d.sock.cutAddr(addr) {
 		return // partition cut: discovery is as silent as the protocol
 	}
 	d.mu.Lock()
 	d.buf = wire.AppendFrame(d.buf[:0], wire.Frame{Class: uint8(KindControl), TTL: 1, Payload: p})
-	_, err := d.sock.conn.WriteToUDP(d.buf, addr)
+	_, err := d.sock.conn.WriteToUDPAddrPort(d.buf, addr)
 	d.mu.Unlock()
 	if err == nil {
 		d.gossipFrames.Add(1)
@@ -363,7 +366,7 @@ func (d *discoverer) gossipStep() {
 		if d.gossipIdx == d.selfSlot {
 			continue
 		}
-		if a := d.book.table.AddrOf(d.gossipIdx); a != nil {
+		if a := d.book.table.AddrOf(d.gossipIdx); a.IsValid() {
 			if d.selfSlot < 0 {
 				// A slotless process has nothing first-hand to serve,
 				// and appears in nobody's PeerList (slotless entries are

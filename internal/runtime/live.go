@@ -20,6 +20,12 @@ type engineCore struct {
 	start time.Time
 	exec  chan func()
 
+	// now is when the running work item was dequeued, as time since
+	// start: the one clock read per work item, and the protocol time
+	// (liveClock.Now) and activity time (netTransport.touch) of
+	// everything the item does. Engine-only.
+	now Time
+
 	// pending counts outstanding units of protocol work. Zero means
 	// locally quiescent (a view with a socket additionally waits out an
 	// idle window; see NetRuntime.quiescent).
@@ -57,8 +63,7 @@ func (e *engineCore) loop() {
 	for {
 		select {
 		case fn := <-e.exec:
-			fn()
-			e.drainLocal()
+			e.run(fn)
 			e.wake()
 		case <-e.closed:
 			// Drain whatever is already queued so pending work items
@@ -66,14 +71,21 @@ func (e *engineCore) loop() {
 			for {
 				select {
 				case fn := <-e.exec:
-					fn()
-					e.drainLocal()
+					e.run(fn)
 				default:
 					return
 				}
 			}
 		}
 	}
+}
+
+// run runs one work item, and the co-hosted hops it queues, at one
+// clock read.
+func (e *engineCore) run(fn func()) {
+	e.now = Time(time.Since(e.start))
+	fn()
+	e.drainLocal()
 }
 
 // drainLocal delivers the co-hosted hops the last work item queued, and
@@ -184,10 +196,11 @@ func (e *engineCore) stop() {
 // --- Clock ------------------------------------------------------------
 
 // liveClock implements Clock for one group view over its own des.Kernel,
-// whose time is the shard's real time (eng.start). One time.Timer, the
-// alarm, is set for the kernel's earliest event; when it rings, the
-// engine runs the kernel up to now. All state but the alarm's callback is
-// engine-owned, and closing the group ends exactly its own timers.
+// whose time is the shard's real time since eng.start, read once per
+// work item (engineCore.now). One time.Timer, the alarm, is set for the
+// kernel's earliest event; when it rings, the engine runs the kernel up
+// to now. All state but the alarm's callback is engine-owned, and
+// closing the group ends exactly its own timers.
 type liveClock struct {
 	eng     *engineCore
 	k       *des.Kernel
@@ -205,10 +218,12 @@ func newLiveClock(eng *engineCore) *liveClock {
 	return c
 }
 
-func (c *liveClock) Now() Time { return Time(time.Since(c.eng.start)) }
+// Now is the time the shard dequeued the current work item: every read
+// within one item agrees, and replaying the item needs only that stamp.
+func (c *liveClock) Now() Time { return c.eng.now }
 
-// at is d from now: a timer is due d after it was armed, however late
-// the shard runs the event that arms it.
+// at is d from now: a timer is due d after the stamp of the work item
+// that armed it, however late the shard runs that item.
 func (c *liveClock) at(d time.Duration) Time { return c.Now().Add(max(d, 0)) }
 
 func (c *liveClock) After(d time.Duration, fn func()) TimerHandle {

@@ -176,6 +176,28 @@ func TestLiveClockStalledShard(t *testing.T) {
 	}
 }
 
+// TestLiveClockOneReadPerWorkItem: Now is the time the shard dequeued
+// the work item, the same however long the item runs, and the next item
+// reads the clock again.
+func TestLiveClockOneReadPerWorkItem(t *testing.T) {
+	const nap = 2 * time.Millisecond
+	rt := newTestLive(t)
+	c := rt.Clock()
+	var first, second, next Time
+	rt.Do(func() {
+		first = c.Now()
+		time.Sleep(nap)
+		second = c.Now()
+	})
+	rt.Do(func() { next = c.Now() })
+	if second != first {
+		t.Fatalf("Now moved within one work item: %v, then %v", first, second)
+	}
+	if next < first.Add(nap) {
+		t.Fatalf("next work item read %v, want at least %v after %v", next, nap, first)
+	}
+}
+
 // echoEndpoint replies once to every message it receives.
 type echoEndpoint struct {
 	rt   Runtime

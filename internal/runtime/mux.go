@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
@@ -235,7 +236,7 @@ func (m *NetMux) Peers() []discovery.PeerInfo { return m.book.table.Snapshot() }
 // its read lock (writes only happen in Open/Close). A frame tagged for
 // a group this process does not host is dropped and counted instead of
 // being delivered into another group's engine.
-func (m *NetMux) resolve(f wire.Frame, src *net.UDPAddr) *netTransport {
+func (m *NetMux) resolve(f wire.Frame, src netip.AddrPort) *netTransport {
 	if m.disc != nil {
 		m.book.table.Seen(src)
 		if m.disc.intercept(f, src) {
@@ -295,13 +296,13 @@ func (m *NetMux) release(view *NetRuntime) {
 // is never blocked — a partition separates a process from its peers,
 // and its own entities reach one another without the socket anyway.
 func (m *NetMux) Block(slots ...int) {
-	blocked := make(map[string]bool, len(slots))
+	blocked := make(map[netip.AddrPort]bool, len(slots))
 	for _, s := range slots {
 		if s == m.book.selfIndex {
 			continue
 		}
-		if a := m.book.slotAddr(s); a != nil {
-			blocked[a.String()] = true
+		if a := m.book.slotAddr(s); a.IsValid() {
+			blocked[a] = true
 		}
 	}
 	m.sock.blocked.Store(&blocked)
@@ -318,9 +319,6 @@ func (m *NetMux) LocalAddr() *net.UDPAddr {
 	}
 	return m.sock.conn.LocalAddr().(*net.UDPAddr)
 }
-
-// Advertise returns the address peers use to reach this mux.
-func (m *NetMux) Advertise() *net.UDPAddr { return m.book.self }
 
 // NetStats aggregates the wire-level counters: the socket-level counts
 // once, plus the routing counters of every group.

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,10 +139,14 @@ type NetStats struct {
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
 // the one UDP connection (nil on the in-process mux, whose book routes
-// nothing to it) and its socket-level counters. The counters are atomics
-// because the read loop and NetStats readers run off-engine.
+// nothing to it), its socket-level counters and the free list of the
+// records the read loop hands frames to the engines in. The counters are
+// atomics because the read loop and NetStats readers run off-engine.
 type netSock struct {
 	conn *net.UDPConn
+
+	freeMu sync.Mutex
+	free   []*inbound
 
 	received       atomic.Uint64
 	decodeErrors   atomic.Uint64
@@ -148,20 +154,20 @@ type netSock struct {
 	unknownGroup   atomic.Uint64
 
 	// blocked, when non-nil, is the process-level partition cut
-	// (NetMux.Block), keyed by resolved peer address: the ingress read
+	// (NetMux.Block), keyed by peer address: the ingress read
 	// loop, every group's egress and the discovery plane's egress all
 	// drop datagrams from/to the listed addresses and count them in
 	// cut. A partition that only cut protocol frames while discovery
 	// kept hearing the peer would never declare it dead — the cut must
 	// silence every datagram, like a real one.
-	blocked atomic.Pointer[map[string]bool]
+	blocked atomic.Pointer[map[netip.AddrPort]bool]
 	cut     atomic.Uint64
 }
 
 // cutAddr reports (and counts) whether traffic with addr is blocked.
-func (s *netSock) cutAddr(addr *net.UDPAddr) bool {
+func (s *netSock) cutAddr(addr netip.AddrPort) bool {
 	m := s.blocked.Load()
-	if m == nil || addr == nil || !(*m)[addr.String()] {
+	if m == nil || !(*m)[addr] {
 		return false
 	}
 	s.cut.Add(1)
@@ -181,15 +187,15 @@ func (s *netSock) stats() NetStats {
 // readLoop runs off-engine: it blocks on the socket, decodes each
 // datagram (decoding shares no state), resolves the owning transport by
 // the frame's group tag and hands the frame to that transport's engine
-// goroutine. resolve runs on the read goroutine with
-// the datagram's source address (the discovery plane intercepts its
-// control frames there, before any group demux) and must only touch
-// read-safe state; returning nil drops the frame (the resolver has
-// already accounted it).
-func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, *net.UDPAddr) *netTransport) {
+// goroutine in a recycled inbound record. resolve runs on the read
+// goroutine with the datagram's source address (the discovery plane
+// intercepts its control frames there, before any group demux) and must
+// only touch read-safe state; returning nil drops the frame (the
+// resolver has already accounted it).
+func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, netip.AddrPort) *netTransport) {
 	buf := make([]byte, wire.MaxDatagram)
 	for {
-		n, src, err := s.conn.ReadFromUDP(buf)
+		n, src, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-closed:
@@ -201,6 +207,8 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, *net
 			}
 			continue
 		}
+		// A dual-stack socket reports an IPv4 peer in its 16-byte form.
+		src = discovery.Unmapped(src)
 		if s.cutAddr(src) {
 			continue // partitioned peer: drop before decode, like lost bytes
 		}
@@ -222,9 +230,55 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, *net
 		if t == nil {
 			continue
 		}
+		in := s.take()
+		in.t, in.f, in.src = t, f, src
 		t.eng.pending.Add(1)
-		t.eng.submit(func() { t.dispatch(f, src) })
+		t.eng.submit(in.fn)
 	}
+}
+
+// inbound is one decoded datagram on its way from the read loop to its
+// group's engine. Records are recycled through the socket's free list
+// and run is bound once per record (fn), so the hand-off allocates
+// nothing; the engine's work queue still carries one word per item. (A
+// sync.Pool would drop records at every GC, and at random under the
+// race detector.)
+type inbound struct {
+	sock *netSock
+	fn   func()
+
+	t   *netTransport
+	f   wire.Frame
+	src netip.AddrPort
+}
+
+// take pops a record off the free list, or makes one. Read goroutine.
+func (s *netSock) take() *inbound {
+	s.freeMu.Lock()
+	n := len(s.free)
+	if n == 0 {
+		s.freeMu.Unlock()
+		in := &inbound{sock: s}
+		in.fn = in.run
+		return in
+	}
+	in := s.free[n-1]
+	s.free = s.free[:n-1]
+	s.freeMu.Unlock()
+	return in
+}
+
+// run is the engine's half of the hand-off: the record goes back to the
+// free list before the frame is dispatched, so it is free again however
+// long the handler runs, and the payload does not outlive it.
+func (in *inbound) run() {
+	t, f, src := in.t, in.f, in.src
+	in.t, in.f = nil, wire.Frame{}
+	s := in.sock
+	s.freeMu.Lock()
+	s.free = append(s.free, in)
+	s.freeMu.Unlock()
+	t.dispatch(f, src)
 }
 
 // netBook is the routing state of a networked deployment: the identity
@@ -235,8 +289,8 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, *net
 // NetMux shares one; all mutation goes through atomics or the table's
 // own lock, so readers stay lock-free on the send hot path.
 type netBook struct {
-	self     *net.UDPAddr // what peers are told (Advertise)
-	loopback *net.UDPAddr // how this process reaches itself
+	self     netip.AddrPort // what peers are told (Advertise)
+	loopback netip.AddrPort // how this process reaches itself
 
 	// selfIndex is this process's slot (negative for slotless clients).
 	selfIndex int
@@ -248,7 +302,7 @@ type netBook struct {
 	owner atomic.Pointer[map[ids.NodeID]int]
 	table *discovery.Table
 
-	defaultRoute *net.UDPAddr
+	defaultRoute netip.AddrPort // the zero AddrPort when there is none
 }
 
 // ownerOf resolves the owning slot of an entity ID.
@@ -282,9 +336,9 @@ func (b *netBook) ownedBy(slot int) []ids.NodeID {
 func (b *netBook) adopt(owners map[ids.NodeID]int) { b.owner.Store(&owners) }
 
 // slotAddr resolves a slot to a routable address: self routes over the
-// loopback, everything else through the live peer table (nil when the
-// slot is unknown or evicted).
-func (b *netBook) slotAddr(slot int) *net.UDPAddr {
+// loopback, everything else through the live peer table (the zero
+// AddrPort when the slot is unknown or evicted).
+func (b *netBook) slotAddr(slot int) netip.AddrPort {
 	if slot == b.selfIndex && slot >= 0 {
 		return b.loopback
 	}
@@ -310,14 +364,14 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 	// with an unspecified host rewritten to 127.0.0.1. self is what
 	// peers are told (Advertise may be a NAT'd or load-balanced name
 	// that does not hairpin, so local traffic never uses it).
-	loopback := conn.LocalAddr().(*net.UDPAddr)
-	if loopback.IP == nil || loopback.IP.IsUnspecified() {
-		loopback = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: loopback.Port}
+	loopback := discovery.Unmapped(conn.LocalAddr().(*net.UDPAddr).AddrPort())
+	if !loopback.Addr().IsValid() || loopback.Addr().IsUnspecified() {
+		loopback = netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), loopback.Port())
 	}
 	self := loopback
 	var err error
 	if cfg.Advertise != "" {
-		if self, err = net.ResolveUDPAddr("udp", cfg.Advertise); err != nil {
+		if self, err = resolveUDP(cfg.Advertise); err != nil {
 			return nil, fmt.Errorf("runtime: advertise %q: %w", cfg.Advertise, err)
 		}
 	}
@@ -339,7 +393,7 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 			table.Set(i, loopback)
 			continue
 		}
-		a, err := net.ResolveUDPAddr("udp", p)
+		a, err := resolveUDP(p)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: peer %q: %w", p, err)
 		}
@@ -349,9 +403,9 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		table.Set(selfIndex, loopback)
 	}
 
-	var defaultRoute *net.UDPAddr
+	var defaultRoute netip.AddrPort
 	if cfg.DefaultRoute != "" {
-		if defaultRoute, err = net.ResolveUDPAddr("udp", cfg.DefaultRoute); err != nil {
+		if defaultRoute, err = resolveUDP(cfg.DefaultRoute); err != nil {
 			return nil, fmt.Errorf("runtime: default route %q: %w", cfg.DefaultRoute, err)
 		}
 	}
@@ -371,6 +425,16 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		b.adopt(owners)
 	}
 	return b, nil
+}
+
+// resolveUDP resolves a configured address, host names included, once
+// at start-up, into the unmapped form the socket reports sources in.
+func resolveUDP(hostPort string) (netip.AddrPort, error) {
+	a, err := net.ResolveUDPAddr("udp", hostPort)
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	return discovery.Unmapped(a.AddrPort()), nil
 }
 
 // bindNetSock binds the configured UDP socket.
@@ -535,7 +599,7 @@ type netTransport struct {
 
 	// learned holds return addresses observed for transient endpoints
 	// (mobile hosts, query apps) that no ownership entry covers.
-	learned map[ids.NodeID]*net.UDPAddr
+	learned map[ids.NodeID]netip.AddrPort
 
 	// dedup drops duplicate relayed frames (replayed or routed here
 	// twice) inside a TTL window, so a relay loop or replay fault
@@ -552,16 +616,18 @@ type netTransport struct {
 	stats  Stats
 	nstats NetStats // routing counters only; socket counters live on sock
 
-	// lastActivity tracks this group's own traffic (dispatches, sends,
-	// relays): quiescence is per group, so busy sibling groups on the
-	// shared socket cannot starve it.
+	// lastActivity is the shard time (engineCore.now) of this group's
+	// latest traffic (dispatches, sends, relays): quiescence is per
+	// group, so busy sibling groups on the shared socket cannot starve
+	// it.
 	lastActivity atomic.Int64
 }
 
-func (t *netTransport) touch() { t.lastActivity.Store(time.Now().UnixNano()) }
+// touch marks activity at the current work item's stamp. Engine context.
+func (t *netTransport) touch() { t.lastActivity.Store(int64(t.eng.now)) }
 
 func (t *netTransport) idleFor(d time.Duration) bool {
-	return time.Since(time.Unix(0, t.lastActivity.Load())) > d
+	return time.Since(t.eng.start)-time.Duration(t.lastActivity.Load()) > d
 }
 
 // newNetTransport builds one group's transport on engine shard sh over
@@ -577,19 +643,20 @@ func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, lo
 		rng:     mathx.NewRNG(seed),
 		loss:    loss,
 		group:   group,
-		learned: make(map[ids.NodeID]*net.UDPAddr),
+		learned: make(map[ids.NodeID]netip.AddrPort),
 		dedup:   discovery.NewTmpMap(m.cfg.DedupTTL, bookLimit),
 		disc:    m.disc,
 		local:   make(map[ids.NodeID]Endpoint),
 		crashed: make(map[ids.NodeID]bool),
 	}
-	t.touch()
+	// Open runs off the engine, whose stamp is not ours to read here.
+	t.lastActivity.Store(int64(time.Since(sh.eng.start)))
 	return t
 }
 
 // dispatch runs on the transport's engine goroutine: return-address
 // learning, local delivery or relay.
-func (t *netTransport) dispatch(f wire.Frame, src *net.UDPAddr) {
+func (t *netTransport) dispatch(f wire.Frame, src netip.AddrPort) {
 	defer t.eng.pending.Add(-1)
 	t.touch()
 	// Return-address learning: transient endpoints (MHs, query apps)
@@ -600,10 +667,12 @@ func (t *netTransport) dispatch(f wire.Frame, src *net.UDPAddr) {
 	// without limit.
 	if _, owned := t.book.ownerOf(f.From); !owned && !f.From.IsZero() {
 		if _, isLocal := t.local[f.From]; !isLocal {
-			if _, known := t.learned[f.From]; !known && len(t.learned) >= bookLimit {
-				clear(t.learned)
+			if old, known := t.learned[f.From]; !known || old != src {
+				if !known && len(t.learned) >= bookLimit {
+					clear(t.learned)
+				}
+				t.learned[f.From] = src
 			}
-			t.learned[f.From] = src
 		}
 	}
 	msg := Message{
@@ -664,7 +733,7 @@ func (t *netTransport) relay(f wire.Frame) {
 		return
 	}
 	addr := t.route(f.To)
-	if addr == nil || udpAddrEqual(addr, t.book.self) || udpAddrEqual(addr, t.book.loopback) {
+	if !addr.IsValid() || addr == t.book.self || addr == t.book.loopback {
 		t.nstats.UnknownPeer++
 		t.stats.Dropped++
 		return
@@ -717,15 +786,15 @@ func relayKey(b []byte) uint64 {
 // (ids.MHBlockSize; each process mints its own in the block of its
 // slot), external transient endpoints through the learned addresses,
 // everything else to the default route (if any). An owned entity whose
-// slot is evicted resolves to nil — the send is dropped and counted as
-// UnknownPeer until the peer is heard from again.
-func (t *netTransport) route(id ids.NodeID) *net.UDPAddr {
+// slot is evicted resolves to the zero AddrPort — the send is dropped
+// and counted as UnknownPeer until the peer is heard from again.
+func (t *netTransport) route(id ids.NodeID) netip.AddrPort {
 	if slot, ok := t.book.ownerOf(id); ok {
 		return t.book.slotAddr(slot)
 	}
 	if id.Tier() == ids.TierMH {
 		if slot := id.Ordinal() / ids.MHBlockSize; slot >= 0 && slot < t.book.table.Slots() {
-			if a := t.book.slotAddr(slot); a != nil {
+			if a := t.book.slotAddr(slot); a.IsValid() {
 				return a
 			}
 		}
@@ -787,7 +856,7 @@ func (t *netTransport) Send(msg Message) {
 		return
 	}
 	addr := t.route(msg.To)
-	if addr == nil {
+	if !addr.IsValid() {
 		t.nstats.UnknownPeer++
 		t.stats.Dropped++
 		return
@@ -818,11 +887,11 @@ func (t *netTransport) Send(msg Message) {
 // accounting: it applies the blocked-peer cut (counted at the socket),
 // writes the datagram and refreshes the group's activity clock,
 // reporting whether the write happened.
-func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
+func (t *netTransport) writeDatagram(buf []byte, addr netip.AddrPort) bool {
 	if t.sock.cutAddr(addr) {
 		return false
 	}
-	if _, err := t.sock.conn.WriteToUDP(buf, addr); err != nil {
+	if _, err := t.sock.conn.WriteToUDPAddrPort(buf, addr); err != nil {
 		t.stats.Dropped++
 		return false
 	}
@@ -830,7 +899,7 @@ func (t *netTransport) writeDatagram(buf []byte, addr *net.UDPAddr) bool {
 	if t.disc != nil {
 		// Endpoint-exchange gossip rides the active traffic edges: at
 		// most one paced hello alongside the protocol's own frames.
-		t.disc.maybeGossip(addr)
+		t.disc.maybeGossip(addr, t.eng.start.Add(time.Duration(t.eng.now)))
 	}
 	return true
 }
@@ -858,8 +927,3 @@ func (t *netTransport) Stats() Stats {
 
 // ResetStats implements Transport.
 func (t *netTransport) ResetStats() { t.stats = Stats{} }
-
-// udpAddrEqual compares resolved UDP addresses.
-func udpAddrEqual(a, b *net.UDPAddr) bool {
-	return a != nil && b != nil && a.Port == b.Port && a.IP.Equal(b.IP)
-}

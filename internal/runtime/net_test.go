@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"net"
+	"net/netip"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -339,23 +341,26 @@ func TestNetTransportCrossProcess(t *testing.T) {
 
 // TestNetMuxBlockCutsBothDirections: a blocked peer slot is silenced at
 // the socket — egress to it and ingress from it are both dropped and
-// counted in Stats.Cut — and Unblock restores the flow.
+// counted in Stats.Cut — and Unblock restores the flow. The cut holds
+// the peer's address as configured; it must match the form the socket
+// reports the peer's datagrams in, which on a dual-stack socket (a
+// wildcard bind where IPv6 is on) is the IPv4-mapped IPv6 form.
 func TestNetMuxBlockCutsBothDirections(t *testing.T) {
+	for _, tc := range []struct{ name, bindHost string }{
+		{"ipv4", "127.0.0.1"},
+		{"dual-stack", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBlockCutsBothDirections(t, tc.bindHost) })
+	}
+}
+
+func testBlockCutsBothDirections(t *testing.T, bindHost string) {
 	a := ids.MakeNodeID(ids.TierAP, 1)
 	b := ids.MakeNodeID(ids.TierAP, 2)
-	owners := map[ids.NodeID]int{a: 0, b: 1}
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	close0()
-	close1()
-	peers := []string{addr0, addr1}
-
-	// Long discovery intervals: only the test's own frames cross.
-	quiet := NetConfig{Peers: peers, Owners: owners, GossipInterval: time.Hour, ProbeInterval: time.Hour}
-	cfg0, cfg1 := quiet, quiet
-	cfg0.Bind, cfg0.Index = addr0, 0
-	cfg1.Bind, cfg1.Index = addr1, 1
-	rt0, rt1 := newTestNet(t, cfg0), newTestNet(t, cfg1)
+	rt0, rt1 := newQuietPeers(t, map[ids.NodeID]int{a: 0, b: 1}, bindHost)
+	if bindHost == "" && rt0.LocalAddr().IP.To4() != nil {
+		t.Skip("the wildcard bind is an IPv4 socket here: no dual stack")
+	}
 	epA := &countingEndpoint{rt: rt0, id: a}
 	epB := &countingEndpoint{rt: rt1, id: b}
 	rt0.Do(func() { rt0.Transport().Register(a, epA) })
@@ -369,10 +374,15 @@ func TestNetMuxBlockCutsBothDirections(t *testing.T) {
 	}
 
 	// One exchange before the cut (it also spends each side's one paced
-	// discovery hello, so every later send is exactly one datagram).
+	// discovery hello, so every later send is exactly one datagram). The
+	// hello follows the frame: wait until it is read too, or the cut
+	// would count it.
 	send(rt0, a, b)
 	send(rt1, b, a)
-	waitFor(t, func() bool { return epA.got.Load() == 1 && epB.got.Load() == 1 })
+	waitFor(t, func() bool {
+		return epA.got.Load() == 1 && epB.got.Load() == 1 &&
+			rt0.NetStats().Received == 2 && rt1.NetStats().Received == 2
+	})
 
 	rt0.mux.Block(1, 0) // the self slot is ignored
 	send(rt0, a, b)     // egress, cut at rt0
@@ -391,6 +401,89 @@ func TestNetMuxBlockCutsBothDirections(t *testing.T) {
 	waitFor(t, func() bool { return epA.got.Load() == 2 && epB.got.Load() == 2 })
 	if st := cut(); st.Cut != 2 {
 		t.Fatalf("cut counted after Unblock: %+v", st)
+	}
+}
+
+// TestInboundDatagramAllocs: a datagram from the socket reaches its
+// endpoint without allocating — source address, hand-off to the engine,
+// liveness lookup, return-address learning and dispatch — once the
+// free list and the maps are warm.
+func TestInboundDatagramAllocs(t *testing.T) {
+	const n, batch = 2000, 100
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	rt0, _ := newQuietPeers(t, map[ids.NodeID]int{a: 0, b: 1}, "127.0.0.1")
+	ep := &countingEndpoint{rt: rt0, id: a}
+	rt0.Do(func() { rt0.Transport().Register(a, ep) })
+
+	// The sender is in no peer table: it is learned as a transient
+	// endpoint's return address, and the liveness lookup misses.
+	conn, err := net.DialUDP("udp", nil, rt0.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: 7}})
+	// Batches paced on delivery, so the socket buffer never overflows.
+	send := func(total int) {
+		deadline := time.Now().Add(5 * time.Second)
+		for sent := 0; sent < total; sent += batch {
+			want := ep.got.Load() + batch
+			for i := 0; i < batch; i++ {
+				if _, err := conn.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for ep.got.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d datagrams delivered", ep.got.Load(), want)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+	send(n) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(n)
+	runtime.ReadMemStats(&after)
+	if perDatagram := float64(after.Mallocs-before.Mallocs) / n; perDatagram > 0.05 {
+		t.Fatalf("%.2f mallocs per inbound datagram, want 0", perDatagram)
+	}
+}
+
+// TestGossipAddressesAreParsedNotResolved: an address a peer supplies is
+// parsed, never resolved — the discovery plane runs on the socket's only
+// reader, which a DNS lookup would stall for every group. A PeerList row
+// naming a host is ignored, and a hello naming one falls back to the
+// datagram's source; numeric addresses are adopted as before.
+func TestGossipAddressesAreParsedNotResolved(t *testing.T) {
+	addr0, close0 := reserveUDP(t)
+	addr1, close1 := reserveUDP(t)
+	moved, closeMoved := reserveUDP(t)
+	close0()
+	close1()
+	closeMoved()
+	_, movedPort, _ := net.SplitHostPort(moved)
+	named := net.JoinHostPort("localhost", movedPort)
+	rt := newTestNet(t, NetConfig{Bind: addr0, Peers: []string{addr0, addr1}, Index: 0,
+		GossipInterval: time.Hour, ProbeInterval: time.Hour})
+	d, table := rt.mux.disc, rt.mux.book.table
+	configured := table.AddrOf(1)
+
+	d.mergePeers(wire.PeerList{Peers: []wire.PeerEntry{{Slot: 1, Addr: named}}})
+	if got := table.AddrOf(1); got != configured {
+		t.Fatalf("a row naming a host moved slot 1 from %v to %v", configured, got)
+	}
+	d.mergePeers(wire.PeerList{Peers: []wire.PeerEntry{{Slot: 1, Addr: moved}}})
+	if got := table.AddrOf(1); got.String() != moved {
+		t.Fatalf("slot 1 = %v after a numeric row, want %s", got, moved)
+	}
+
+	src := netip.MustParseAddrPort(addr1)
+	d.onHello(wire.PeerHello{Slot: 1, Addr: named}, src)
+	if got := table.AddrOf(1); got != src {
+		t.Fatalf("slot 1 = %v after a hello naming a host, want its source %v", got, src)
 	}
 }
 
@@ -591,6 +684,25 @@ func TestNetRuntimeTimers(t *testing.T) {
 	if !fired.Load() {
 		t.Fatal("timer did not fire")
 	}
+}
+
+// newQuietPeers opens a two-process deployment on loopback with the
+// given ownership: two peers turn the discovery plane on, and hour-long
+// intervals keep it quiet, so only a test's own frames cross (plus one
+// paced hello with each side's first datagram). Process 0 binds
+// bindHost0 ("" is the wildcard); both are configured as 127.0.0.1.
+func newQuietPeers(t *testing.T, owners map[ids.NodeID]int, bindHost0 string) (rt0, rt1 *testNet) {
+	t.Helper()
+	addr0, close0 := reserveUDP(t)
+	addr1, close1 := reserveUDP(t)
+	close0()
+	close1()
+	_, port0, _ := net.SplitHostPort(addr0)
+	quiet := NetConfig{Peers: []string{addr0, addr1}, Owners: owners, GossipInterval: time.Hour, ProbeInterval: time.Hour}
+	cfg0, cfg1 := quiet, quiet
+	cfg0.Bind, cfg0.Index = net.JoinHostPort(bindHost0, port0), 0
+	cfg1.Bind, cfg1.Index = addr1, 1
+	return newTestNet(t, cfg0), newTestNet(t, cfg1)
 }
 
 func waitFor(t *testing.T, pred func() bool) {

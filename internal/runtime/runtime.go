@@ -53,7 +53,10 @@ type Ticker interface {
 // loop, or inside Runtime.Do for a live runtime); callbacks are
 // always invoked in engine context.
 type Clock interface {
-	// Now returns the current protocol time.
+	// Now returns the current protocol time. On the simulator that is
+	// the virtual time of the running event; on a real-time runtime it
+	// is the time the current work item was dequeued, so every read
+	// within one callback or Do agrees however long the item runs.
 	Now() Time
 
 	// After schedules fn to run d from now.
