@@ -44,6 +44,26 @@ func BenchmarkMemberListChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkMemberListCold does one remove+put on each of 780 lists of
+// 2 000 members in turn: the shape of the full-membership lists the
+// simulator keeps at every entity of an h=4 r=5 hierarchy, where a
+// change reaches each list long after the others have pushed it out of
+// cache. An operation is one list's remove+put.
+func BenchmarkMemberListCold(b *testing.B) {
+	const lists, n = 780, 2000
+	ls := make([]*MemberList, lists)
+	next := make([]*GUID, lists)
+	for i := range ls {
+		ls[i], next[i] = churnList(n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % lists
+		churn(ls[j], n, next[j], 1)
+	}
+}
+
 func TestMemberListChurnAllocs(t *testing.T) {
 	for _, n := range []int{100, 1000, 10000} {
 		l, next := churnList(n)

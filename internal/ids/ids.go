@@ -9,6 +9,8 @@ package ids
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 )
@@ -200,32 +202,87 @@ func (m MemberInfo) String() string {
 // removal.
 //
 // The records sit in one dense slice in insertion order and an index
-// maps a GUID to its slot. Remove marks the slot dead in a side bitset
+// finds a GUID's slot. Remove marks the slot dead in a side bitset
 // (a record's own fields cannot carry the mark: lists hold members
 // decoded from the wire verbatim, any Status byte included) and the
 // walks skip dead slots. Dead slots at the tail are dropped at once;
 // the others are squeezed out when they exceed a quarter of the slots.
+//
+// The index is a flat open-addressing table the list owns: a
+// power-of-two []uint64 in which each live member has one entry, its
+// GUID's 32-bit keyed hash (hashGUID) in the high half and its slot
+// position + 1 in the low half; 0 is an empty entry. A lookup probes
+// linearly from the hash's home entry, compares hashes inside the
+// index and reads a slot only to confirm a match, so it touches one
+// index cache line besides the record it returns. The table doubles
+// before it reaches ¾ load, and a removal shifts the entries of its
+// probe run back into the hole, so there are no tombstones.
 type MemberList struct {
-	slots []MemberInfo   // insertion order, dead slots included
-	dead  []uint64       // bit i set: slots[i] was removed
-	ndead int            // set bits in dead; the last slot is never dead
-	index map[GUID]int32 // live GUID -> slot
+	slots []MemberInfo // insertion order, dead slots included
+	dead  []uint64     // bit i set: slots[i] was removed
+	ndead int          // set bits in dead; the last slot is never dead
+	index []uint64     // hash<<32 | slot+1 per live member; len 0 or a power of two
 }
 
 // NewMemberList returns an empty list. The zero MemberList is also
-// ready to use: the index map is created on first Put, so the many
-// lists that stay empty for a node's whole lifetime (most entities
-// never see a neighbor or global entry) cost nothing.
+// ready to use: the index is allocated on first Put, so the many lists
+// that stay empty for a node's whole lifetime (most entities never see
+// a neighbor or global entry) cost nothing.
 func NewMemberList() *MemberList {
 	return &MemberList{}
+}
+
+// minIndex is the length of a list's first index: one cache line,
+// which holds five members before it doubles.
+const minIndex = 8
+
+// hashSeed keys hashGUID. GUIDs come from clients, and an unkeyed hash
+// would let a client choose GUIDs that share one probe run in every
+// list of every entity. It is drawn once per process; the table's
+// layout never reaches an output, because the order lives in slots.
+var hashSeed = rand.Uint64()
+
+// hashGUID is the index hash of id: the 128-bit product of the keyed
+// GUID and an odd 64-bit constant, folded to 32 bits.
+func hashGUID(id GUID) uint32 {
+	hi, lo := bits.Mul64(uint64(id)^hashSeed, 0x9e3779b97f4a7c15)
+	h := hi ^ lo
+	return uint32(h>>32 ^ h)
 }
 
 // Len returns the number of members in the list.
 func (l *MemberList) Len() int { return len(l.slots) - l.ndead }
 
+// find returns the index entry holding id, or the empty entry where a
+// probe for it ends, and whether id is present. h is hashGUID(id).
+func (l *MemberList) find(id GUID, h uint32) (int, bool) {
+	if len(l.index) == 0 {
+		return 0, false
+	}
+	mask := len(l.index) - 1
+	for e := int(h) & mask; ; e = (e + 1) & mask {
+		x := l.index[e]
+		if x == 0 {
+			return e, false
+		}
+		if uint32(x>>32) == h && l.slots[uint32(x)-1].GUID == id {
+			return e, true
+		}
+	}
+}
+
+// slotOf returns the slot of id, if present.
+func (l *MemberList) slotOf(id GUID) (int, bool) {
+	e, ok := l.find(id, hashGUID(id))
+	if !ok {
+		return 0, false
+	}
+	return int(uint32(l.index[e])) - 1, true
+}
+
 // Get returns the record for id, if present.
 func (l *MemberList) Get(id GUID) (MemberInfo, bool) {
-	i, ok := l.index[id]
+	i, ok := l.slotOf(id)
 	if !ok {
 		return MemberInfo{}, false
 	}
@@ -234,31 +291,68 @@ func (l *MemberList) Get(id GUID) (MemberInfo, bool) {
 
 // Contains reports whether id is in the list.
 func (l *MemberList) Contains(id GUID) bool {
-	_, ok := l.index[id]
+	_, ok := l.slotOf(id)
 	return ok
 }
 
 // Put inserts or updates a member record. An update keeps the member's
 // place in the iteration order.
 func (l *MemberList) Put(m MemberInfo) {
-	if i, ok := l.index[m.GUID]; ok {
-		l.slots[i] = m
+	h := hashGUID(m.GUID)
+	e, ok := l.find(m.GUID, h)
+	if ok {
+		l.slots[uint32(l.index[e])-1] = m
 		return
 	}
-	l.add(m)
+	l.add(m, h, e)
 }
 
-// add appends a member the index does not hold yet.
-func (l *MemberList) add(m MemberInfo) {
-	if l.index == nil {
-		l.index = make(map[GUID]int32)
+// add appends a member the index does not hold yet. h is its hash and
+// e the empty entry where find's probe for it ended; only a grow moves
+// that entry, so only then is the probe run again.
+func (l *MemberList) add(m MemberInfo, h uint32, e int) {
+	if 4*(l.Len()+1) >= 3*len(l.index) {
+		l.grow()
+		e, _ = l.find(m.GUID, h)
 	}
 	i := len(l.slots)
 	if i>>6 == len(l.dead) {
 		l.dead = append(l.dead, 0)
 	}
 	l.slots = append(l.slots, m)
-	l.index[m.GUID] = int32(i)
+	l.index[e] = uint64(h)<<32 | uint64(i+1)
+}
+
+// grow doubles the index and re-homes every entry by its stored hash.
+func (l *MemberList) grow() {
+	old := l.index
+	l.index = make([]uint64, max(2*len(old), minIndex))
+	mask := len(l.index) - 1
+	for _, x := range old {
+		if x == 0 {
+			continue
+		}
+		e := int(x>>32) & mask
+		for l.index[e] != 0 {
+			e = (e + 1) & mask
+		}
+		l.index[e] = x
+	}
+}
+
+// unindex empties entry e and closes the hole: each later entry of the
+// probe run whose home does not lie between the hole and itself moves
+// back into the hole, which moves to where that entry was.
+func (l *MemberList) unindex(e int) {
+	mask := len(l.index) - 1
+	for j := (e + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
+		home := int(l.index[j]>>32) & mask
+		if (j-home)&mask >= (j-e)&mask {
+			l.index[e] = l.index[j]
+			e = j
+		}
+	}
+	l.index[e] = 0
 }
 
 func (l *MemberList) isDead(i int) bool { return l.dead[i>>6]&(1<<(i&63)) != 0 }
@@ -266,12 +360,13 @@ func (l *MemberList) isDead(i int) bool { return l.dead[i>>6]&(1<<(i&63)) != 0 }
 // Remove deletes the member with the given GUID and reports whether it
 // was present.
 func (l *MemberList) Remove(id GUID) bool {
-	i, ok := l.index[id]
+	e, ok := l.find(id, hashGUID(id))
 	if !ok {
 		return false
 	}
-	delete(l.index, id)
-	if n := int(i); n == len(l.slots)-1 {
+	i := int(uint32(l.index[e])) - 1
+	l.unindex(e)
+	if n := i; n == len(l.slots)-1 {
 		// The tail goes at once, with any dead run it uncovers, so a
 		// join-then-leave of a fresh GUID leaves nothing behind.
 		for n > 0 && l.isDead(n-1) {
@@ -301,13 +396,27 @@ func (l *MemberList) compact() {
 		}
 		if w != r {
 			l.slots[w] = m
-			l.index[m.GUID] = int32(w)
+			l.repoint(hashGUID(m.GUID), r, w)
 		}
 		w++
 	}
 	l.slots = l.slots[:w]
 	clear(l.dead)
 	l.ndead = 0
+}
+
+// repoint rewrites the index entry of the member that moved from slot
+// r to slot w. It matches the entry by hash and old position, not by
+// GUID, because compact is rewriting the slots under it.
+func (l *MemberList) repoint(h uint32, r, w int) {
+	mask := len(l.index) - 1
+	from, to := uint64(h)<<32|uint64(r+1), uint64(h)<<32|uint64(w+1)
+	for e := int(h) & mask; ; e = (e + 1) & mask {
+		if l.index[e] == from {
+			l.index[e] = to
+			return
+		}
+	}
 }
 
 // Each calls fn for every member in insertion order. fn must not
@@ -347,8 +456,9 @@ func (l *MemberList) MergeFrom(other *MemberList) int {
 	}
 	added := 0
 	other.Each(func(m MemberInfo) {
-		if !l.Contains(m.GUID) {
-			l.add(m)
+		h := hashGUID(m.GUID)
+		if e, ok := l.find(m.GUID, h); !ok {
+			l.add(m, h, e)
 			added++
 		}
 	})

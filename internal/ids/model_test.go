@@ -82,8 +82,10 @@ type modelPair struct {
 }
 
 // check compares everything the list can be asked with the model. g is
-// the GUID the last operation named.
-func (p *modelPair) check(g GUID) error {
+// the GUID the last operation named. String, a rendering of what Len and
+// GUIDs already compare, is compared only when render is set: formatting
+// every member after every operation would be most of the run's time.
+func (p *modelPair) check(g GUID, render bool) error {
 	if p.got.Len() != p.ref.Len() {
 		return fmt.Errorf("Len = %d, model %d", p.got.Len(), p.ref.Len())
 	}
@@ -96,6 +98,11 @@ func (p *modelPair) check(g GUID) error {
 	if snap := p.got.Snapshot(); !slices.Equal(snap, want) {
 		return fmt.Errorf("Snapshot = %v, model %v", snap, want)
 	}
+	for _, rm := range want { // every live member, so a broken index shows at once
+		if m, ok := p.got.Get(rm.GUID); m != rm || !ok {
+			return fmt.Errorf("Get(%s) = %v %v, model %v", rm.GUID, m, ok, rm)
+		}
+	}
 	walked := make([]MemberInfo, 0, len(want))
 	p.got.Each(func(m MemberInfo) { walked = append(walked, m) })
 	if !slices.Equal(walked, want) {
@@ -103,6 +110,9 @@ func (p *modelPair) check(g GUID) error {
 	}
 	if guids := p.got.GUIDs(); !slices.Equal(guids, p.ref.order) {
 		return fmt.Errorf("GUIDs = %v, model %v", guids, p.ref.order)
+	}
+	if !render {
+		return nil
 	}
 	if s := p.got.String(); s != p.ref.String() {
 		return fmt.Errorf("String = %q, model %q", s, p.ref.String())
@@ -115,11 +125,28 @@ func (p *modelPair) check(g GUID) error {
 // over and over, and above 64, so that the dead marks span words.
 const modelKeys = 72
 
+// modelGUID is the GUID model key k names. With wide keys the GUIDs
+// spread over the 64-bit space: even keys step up by 2^32 from 2^32,
+// odd keys down by 2^40 from the top. Each family agrees in its low 32
+// bits, so under a weak mix its hashes would share their low bits and
+// pile into one probe run.
+func modelGUID(k GUID, wide bool) GUID {
+	switch {
+	case !wide:
+		return k
+	case k%2 == 0:
+		return (k/2 + 1) << 32
+	default:
+		return ^GUID(0) - (k/2)<<40
+	}
+}
+
 // runModelOps decodes data into list operations, three bytes each
 // (kind, key, status), applies them to two lists and their models, and
 // compares after every one.
 //
 //	kind&0x80      which of the two lists the operation is on
+//	kind&0x40      wide keys: key k names GUID modelGUID(k, true), not k
 //	kind&0x0f      0-4   Put of the first absent GUID at or after key
 //	               5-7   Put over the (key mod Len)-th member
 //	               8-12  Remove of the (key mod Len)-th member
@@ -140,34 +167,37 @@ func runModelOps(data []byte) error {
 			AP:     MakeNodeID(TierAP, key),
 			Status: status,
 		}
-		g := GUID(key % modelKeys)
-		switch k := kind & 0x0f; {
-		case k <= 4:
+		wide := kind&0x40 != 0
+		k := GUID(key % modelKeys)
+		g := modelGUID(k, wide)
+		switch c := kind & 0x0f; {
+		case c <= 4:
 			for i := 0; i < modelKeys; i++ {
 				if _, taken := p.ref.byID[g]; !taken {
 					break
 				}
-				g = (g + 1) % modelKeys
+				k = (k + 1) % modelKeys
+				g = modelGUID(k, wide)
 			}
 			rec.GUID = g
 			p.got.Put(rec)
 			p.ref.Put(rec)
-		case k <= 7:
+		case c <= 7:
 			if n := p.ref.Len(); n > 0 {
 				g = p.ref.order[key%n]
 			}
 			rec.GUID = g
 			p.got.Put(rec)
 			p.ref.Put(rec)
-		case k <= 12:
+		case c <= 12:
 			if n := p.ref.Len(); n > 0 {
 				g = p.ref.order[key%n]
 			}
 			if got, want := p.got.Remove(g), p.ref.Remove(g); got != want {
 				return fmt.Errorf("op %d: Remove(%s) = %v, model %v", op, g, got, want)
 			}
-		case k <= 14:
-			g += modelKeys
+		case c <= 14:
+			g = modelGUID(k+modelKeys, wide)
 			if p.got.Remove(g) {
 				return fmt.Errorf("op %d: Remove(%s) of an absent member reported present", op, g)
 			}
@@ -183,7 +213,7 @@ func runModelOps(data []byte) error {
 				return fmt.Errorf("op %d: MergeFrom added %d, model %d", op, got, want)
 			}
 		}
-		if err := p.check(g); err != nil {
+		if err := p.check(g, op%16 == 0 || len(data) < 3); err != nil {
 			return fmt.Errorf("op %d (kind %#02x key %d): %w", op, kind, key, err)
 		}
 	}
@@ -204,7 +234,11 @@ func TestMemberListMatchesModel(t *testing.T) {
 
 // FuzzMemberListModel feeds arbitrary operation streams through
 // runModelOps; the committed corpus under testdata/fuzz covers tail
-// removals, a compaction and members with Status 0xFF.
+// removals, a compaction, members with Status 0xFF, an index grown
+// past ¾ load four times, a removal whose backward shift wraps past the
+// table's end, a Clear followed by regrowth, and a compaction that
+// repoints a displaced entry. The layouts those entries reach hold
+// under the seed TestMain pins.
 func FuzzMemberListModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := runModelOps(data); err != nil {
