@@ -128,7 +128,7 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 			adoptBootstrap(&c.base, boot, mux.AdoptOwners, addr.Port)
 		}
 		if o.dialClient {
-			c.base.cfg.MHBase = clientMHBase(addr.Port)
+			core.Place(&c.base.cfg, nil, clientSlot(addr.Port))
 		}
 	}
 	return c, nil

@@ -123,10 +123,11 @@ func TestClusterShardCountInvariance(t *testing.T) {
 
 // TestClusterCrossRuntimeEquivalence is the acceptance check of the
 // multi-group engine: the same 8-group scenario with the same seed,
-// run on the sharded simulator, the shared live in-process plane, and
-// a three-process loopback-UDP networked cluster (every hop between two
-// processes crossing their shared sockets with its group tag), must
-// converge to identical per-group membership digests.
+// run on the sharded simulator, the shared live in-process plane, a
+// three-process loopback-UDP networked cluster (every hop between two
+// processes crossing their shared sockets with its group tag), and
+// three Systems per group on one simulator (the processes without the
+// sockets), must converge to identical per-group membership digests.
 func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	gids := clusterGroups(8)
 	const seed = 17
@@ -158,6 +159,12 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	}
 	netDigests := runClusterScenario(t, gids, netcs...)
 
+	procsDigests := make(map[GroupID][]string, len(gids))
+	for k, gid := range gids {
+		procs := simProcs(t, 3, WithHierarchy(2, 3), WithSeed(seedForGroup(seed, gid)), WithGroup(gid))
+		procsDigests[gid] = clusterScenario(t, procs[0], k, settleOf(t, procs[0]))
+	}
+
 	for _, gid := range gids {
 		if len(simDigests[gid]) == 0 {
 			t.Fatalf("group %v: empty sim digest — not a meaningful check", gid)
@@ -167,6 +174,9 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(simDigests[gid], netDigests[gid]) {
 			t.Errorf("group %v diverged sim vs net:\nsim: %v\nnet: %v", gid, simDigests[gid], netDigests[gid])
+		}
+		if !reflect.DeepEqual(simDigests[gid], procsDigests[gid]) {
+			t.Errorf("group %v diverged sim vs sim processes:\nsim:   %v\nprocs: %v", gid, simDigests[gid], procsDigests[gid])
 		}
 	}
 

@@ -98,17 +98,16 @@ type Config struct {
 	// hop-count experiments, which need a quiet network).
 	HeartbeatInterval time.Duration
 
-	// Owns filters which network entities this System instantiates
-	// (nil = all of them, the single-process default). A networked
-	// deployment partitions the hierarchy across processes: each
-	// process builds only its owned entities, and messages for the
-	// rest travel through the runtime transport's address book.
-	Owns func(ids.NodeID) bool
-
-	// MHBase offsets the ordinals of locally created mobile-host
-	// endpoints (and query apps) so the processes of one networked
-	// deployment never mint colliding endpoint identities. Zero for
-	// single-process deployments.
+	// Owns and MHBase place this System at one slot of a deployment
+	// whose hierarchy is spread over several Systems, whether separate
+	// processes or Systems sharing one simulator. A slot is an index
+	// into an entity → slot map (normally topology.SubtreeOwners): the
+	// System builds only the entities of its slot, and messages for the
+	// rest travel through the shared transport. MHBase is where the
+	// slot's block of ids.MHBlockSize mobile-host and query-app
+	// ordinals starts, so no two slots mint the same endpoint. Set both
+	// with Place. Owns nil means one System builds every entity.
+	Owns   func(ids.NodeID) bool
 	MHBase int
 
 	// BatchWindow, when positive, defers locally-submitted membership
@@ -160,6 +159,16 @@ func DefaultConfig(h, r int) Config {
 		RetransmitTimeout: 250 * time.Millisecond,
 		Retransmit:        token.DefaultRetransmitPolicy(),
 	}
+}
+
+// Place puts cfg at one slot of a deployment spread over several
+// Systems: it owns exactly the entities owners assigns to slot, and its
+// mobile hosts and query apps take the slot's ordinal block. A slot
+// that no entity belongs to (a client) owns nothing but still gets a
+// block of its own. Place is the one place either field is set.
+func Place(cfg *Config, owners map[ids.NodeID]int, slot int) {
+	cfg.Owns = func(id ids.NodeID) bool { return owners[id] == slot }
+	cfg.MHBase = slot * ids.MHBlockSize
 }
 
 // validate panics on nonsensical configurations.

@@ -562,7 +562,8 @@ func (s *System) FailOutRemote(dead ...ids.NodeID) {
 
 // currentLeaderOf finds a locally-owned, live node of the ring whose
 // leader view is itself local and live (falling back across crashed
-// entities).
+// entities). It is nil when the leader lives in another System, which
+// beats the ring.
 func (s *System) currentLeaderOf(ringNodes []ids.NodeID) *Node {
 	var probe *Node
 	for _, m := range ringNodes {
@@ -575,13 +576,7 @@ func (s *System) currentLeaderOf(ringNodes []ids.NodeID) *Node {
 		return nil
 	}
 	if !s.tr.Crashed(probe.leader) {
-		if l := s.nodes[probe.leader]; l != nil {
-			return l
-		}
-		if s.cfg.Owns != nil {
-			// The leader lives in another process; it beats the ring.
-			return nil
-		}
+		return s.nodes[probe.leader]
 	}
 	for _, m := range probe.roster {
 		if !s.tr.Crashed(m) {

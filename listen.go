@@ -3,7 +3,7 @@ package rgb
 import (
 	"fmt"
 
-	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/topology"
 )
@@ -71,8 +71,8 @@ func Dial(addr string, opts ...Option) (*Service, error) {
 
 // buildNetConfig assembles the networked deployment configuration of a
 // cluster's net mux: cluster validation, deterministic hierarchy
-// partition and address book. It mutates o.cfg (Owns, and MHBase to the
-// process's mobile-host ordinal block) to match the computed partition.
+// partition and address book. It places o.cfg at the process's slot of
+// the computed partition.
 func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	nc := *o.netConfig
 	if o.advertise != "" {
@@ -100,16 +100,14 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 	}
 	switch {
 	case o.dialClient:
-		o.cfg.Owns = func(NodeID) bool { return false }
+		// A client's slot comes from its bound port (newCluster).
 	case nprocs > 1:
 		if nc.Owners == nil {
 			hier := topology.NewRingHierarchy(o.cfg.H, o.cfg.R)
 			nc.Owners = hier.SubtreeOwners(nprocs)
 		}
-		owners, idx := nc.Owners, nc.Index
-		o.cfg.Owns = func(id NodeID) bool { return owners[id] == idx }
-		o.cfg.MHBase = idx * ids.MHBlockSize
-		if nc.DefaultRoute == "" && idx != 0 {
+		core.Place(&o.cfg, nc.Owners, nc.Index)
+		if nc.DefaultRoute == "" && nc.Index != 0 {
 			// Frames for endpoints nobody can route statically
 			// (external dial clients) funnel through the seed
 			// process, which learns client addresses from their
@@ -124,27 +122,23 @@ func buildNetConfig(o *serviceOptions) (NetConfig, error) {
 // configuration: the joiner derives the same deterministic ownership
 // partition every static process computed from its config, installs it
 // in the runtime's address book (adopt), and takes on its claimed
-// slot's entities — or, slotless, becomes a pure observer with a
-// client's transient-endpoint block.
+// slot's entities — or, slotless, becomes a pure observer at a client
+// slot.
 func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(map[NodeID]int), port int) {
 	hier := topology.NewRingHierarchy(boot.H, boot.R)
 	owners := hier.SubtreeOwners(boot.Slots)
 	adopt(owners)
 	o.cfg.H, o.cfg.R = boot.H, boot.R
-	if boot.Slot >= 0 {
-		slot := boot.Slot
-		o.cfg.Owns = func(id NodeID) bool { return owners[id] == slot }
-		o.cfg.MHBase = slot * ids.MHBlockSize
-	} else {
-		o.cfg.Owns = func(NodeID) bool { return false }
-		o.cfg.MHBase = clientMHBase(port)
+	slot := boot.Slot
+	if slot < 0 {
+		slot = clientSlot(port)
 	}
+	core.Place(&o.cfg, owners, slot)
 }
 
-// clientMHBase is the transient-endpoint block of a process that owns
-// no cluster slot (a Dial client or slotless observer): it must collide
-// with no cluster slot and (almost always) no other client, so it is
-// derived from the bound port, past every cluster block. Transient
-// endpoints in these blocks are reached through return-address
-// learning.
-func clientMHBase(port int) int { return (1<<6 + port) * ids.MHBlockSize }
+// clientSlot is the slot of a process that owns no cluster slot (a Dial
+// client or slotless observer): past every cluster slot, so no entity
+// belongs to it, and derived from the bound port, so its mobile-host
+// block (almost always) collides with no other client's. Its transient
+// endpoints are reached through return-address learning.
+func clientSlot(port int) int { return 1<<6 + port }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/topology"
 )
 
@@ -45,6 +46,12 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
+// subtreeOwners is the slot of every entity of an (h, r) hierarchy
+// spread over n processes: the partition WithCluster computes.
+func subtreeOwners(h, r, n int) map[NodeID]int {
+	return topology.NewRingHierarchy(h, r).SubtreeOwners(n)
+}
+
 // slot0APs lists the access proxies that process 0 of an n-process
 // deployment hosts. A scenario meant to run unchanged on deployments of
 // different widths submits every change there, on process 0: changes
@@ -52,7 +59,7 @@ func reservePorts(t *testing.T, n int) []string {
 // (benchmark/README.md, trap 2).
 func slot0APs(svc *Service, n int) []NodeID {
 	top := svc.Topology()
-	owners := topology.NewRingHierarchy(top.Levels, top.RingSize).SubtreeOwners(n)
+	owners := subtreeOwners(top.Levels, top.RingSize, n)
 	var out []NodeID
 	for _, ap := range svc.APs() {
 		if owners[ap] == 0 {
@@ -75,6 +82,28 @@ func listenProcs(t *testing.T, n int, opts ...Option) []*Service {
 		}
 		t.Cleanup(func() { svc.Close() })
 		procs[i] = svc
+	}
+	return procs
+}
+
+// simProcs opens one group as n Services on one simulator, the way n
+// processes would host it: Service i is slot i of subtreeOwners, placed
+// with core.Place and opened with WithConfig and WithRuntime. They
+// share the simulator's clock and transport counters, so Settle on any
+// of them runs them all.
+func simProcs(t *testing.T, n int, opts ...Option) []*Service {
+	t.Helper()
+	o, err := parseOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
+	owners := subtreeOwners(o.cfg.H, o.cfg.R, n)
+	procs := make([]*Service, n)
+	for slot := range procs {
+		cfg := o.cfg
+		core.Place(&cfg, owners, slot)
+		procs[slot] = openTest(t, WithConfig(cfg), WithRuntime(rt))
 	}
 	return procs
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/rgbproto/rgb/internal/topology"
 )
 
 // joinSettled joins members 1..n round-robin over the access proxies
@@ -81,14 +79,15 @@ func TestConcurrentQueriesInProcess(t *testing.T) {
 func TestConcurrentQueriesBesideHandoffs(t *testing.T) {
 	ctx := context.Background()
 	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(11))
-	hier := topology.NewRingHierarchy(3, 3)
-	owners := hier.SubtreeOwners(3)
+	owners := subtreeOwners(3, 3, 3)
 	var entry []NodeID
-	for _, rg := range hier.Level(2) {
-		if owners[rg.Leader()] == 0 {
-			entry = append(entry, rg.Leader())
+	procs[0].Inspect(func(sys *System) {
+		for _, rg := range sys.Hierarchy().Level(2) {
+			if owners[rg.Leader()] == 0 {
+				entry = append(entry, rg.Leader())
+			}
 		}
-	}
+	})
 	events, err := procs[1].Watch(ctx)
 	if err != nil {
 		t.Fatal(err)
