@@ -47,47 +47,88 @@ func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 	}
 }
 
-// TestQueryAllocBudget locks what a Membership-Query may allocate: the
-// replier's snapshot of its ring list and the caller's own copy of the
-// answer, plus slack — 3 × the answer's size. The answer is assembled
-// in a collector the System keeps, so from its second query on a
-// System pays no more than it ever will. With a fresh 1000-entry map
-// per query this read about 8 ×.
-func TestQueryAllocBudget(t *testing.T) {
+// queryAllocBudget is what one Membership-Query over members members may
+// allocate once warm: the caller's own copy of the answer, plus a
+// quarter of it for everything else. The replier's list is shared
+// between changes, and a reply off the socket is decoded into a buffer
+// the socket keeps; with a fresh snapshot per reply this read about 2 ×,
+// and with a fresh 1000-entry map per query about 8 ×.
+func queryAllocBudget(members int) uint64 {
+	return uint64(members) * uint64(unsafe.Sizeof(MemberInfo{})) * 5 / 4
+}
+
+// queryPairAllocs returns a function that runs n TMS+BMS query pairs,
+// TMS on tms and BMS on bms, entry access proxies rotating, checks that
+// every answer holds all members, and returns the bytes allocated.
+func queryPairAllocs(t *testing.T, tms, bms *Service, members int) func(n int) uint64 {
 	ctx := context.Background()
-	svc := openTest(t, WithLiveRuntime(), WithHierarchy(3, 3), WithSeed(3))
-	aps := svc.APs()
-	const members = 1000
-	joinSettled(t, svc, members)
+	aps := tms.APs()
 	var ms runtime.MemStats
-	// pairs runs n TMS+BMS query pairs and returns the bytes allocated.
-	pairs := func(n int) uint64 {
+	return func(n int) uint64 {
 		t.Helper()
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		for i := 0; i < n; i++ {
-			for _, scheme := range []QueryScheme{TMS(), BMS(3)} {
-				res, err := svc.QueryWith(ctx, aps[i%len(aps)], scheme)
+			for _, q := range []struct {
+				svc    *Service
+				scheme QueryScheme
+			}{{tms, TMS()}, {bms, BMS(3)}} {
+				res, err := q.svc.QueryWith(ctx, aps[i%len(aps)], q.scheme)
 				if err != nil || len(res.Members) != members {
-					t.Fatalf("%v query: %d members, err %v", scheme, len(res.Members), err)
+					t.Fatalf("%v query: %d members, err %v", q.scheme, len(res.Members), err)
 				}
 			}
 		}
 		runtime.ReadMemStats(&ms)
 		return ms.TotalAlloc - before
 	}
-	pairs(1) // builds the collector
+}
+
+// TestQueryAllocBudget locks what a Membership-Query may allocate in one
+// process (queryAllocBudget). The answer is assembled in a collector the
+// System keeps, so from its second query on a System pays no more than
+// it ever will.
+func TestQueryAllocBudget(t *testing.T) {
+	svc := openTest(t, WithLiveRuntime(), WithHierarchy(3, 3), WithSeed(3))
+	const members = 1000
+	joinSettled(t, svc, members)
+	pairs := queryPairAllocs(t, svc, svc, members)
+	pairs(1) // builds the collector and the shared lists
 	second := pairs(1)
 	pairs(18)
 	perQuery := pairs(100) / 200
 	hundredth := pairs(1)
 
 	t.Logf("per query %d B; second pair %d B, hundredth pair %d B", perQuery, second, hundredth)
-	if budget := uint64(3 * members * unsafe.Sizeof(MemberInfo{})); perQuery > budget {
+	if budget := queryAllocBudget(members); perQuery > budget {
 		t.Errorf("a query over %d members allocates %d B, budget %d B", members, perQuery, budget)
 	}
 	// 5 % covers what the runtime's own goroutines allocate meanwhile.
 	if second > hundredth+hundredth/20 {
 		t.Errorf("second query pair allocated %d B, the hundredth %d B: the collector is not reused", second, hundredth)
+	}
+}
+
+// TestQueryAllocBudgetNetworked holds a three-process deployment to the
+// same budget, TMS queries on process 1 and BMS queries on process 2
+// as net3_query_mix runs them, so that replies cross the socket and the
+// codec. All three processes share this address space, so the figure
+// covers the repliers and the requesters alike.
+func TestQueryAllocBudgetNetworked(t *testing.T) {
+	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(3))
+	const members = 1000
+	joinOnProcessZero(t, procs, members)
+	pairs := queryPairAllocs(t, procs[1], procs[2], members)
+	pairs(20) // collectors, shared lists and the sockets' spare buffers
+	perQuery := pairs(100) / 200
+
+	t.Logf("per query %d B", perQuery)
+	if budget := queryAllocBudget(members); perQuery > budget {
+		t.Errorf("a query over %d members allocates %d B, budget %d B", members, perQuery, budget)
+	}
+	for i, svc := range procs {
+		if ns := netStatsOf(t, svc); ns.Oversize != 0 || ns.DecodeErrors != 0 {
+			t.Errorf("proc %d: %+v", i, ns)
+		}
 	}
 }

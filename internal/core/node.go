@@ -519,13 +519,15 @@ func (n *Node) passTimedOut() {
 		return
 	}
 	// Local repair (§5.2): exclude the dead successor, tell the rest
-	// of the ring via an NE-Failure operation folded into this very
+	// of the ring via an NE-Failure operation folded into the round's
 	// token, and continue the round at the next live entity. With the
 	// stability filter armed, the roster surgery waits until K distinct
 	// observers concur — but the token routes around the suspect either
-	// way, so an unconfirmed suspicion never wedges the round.
+	// way, so an unconfirmed suspicion never wedges the round. The round
+	// goes on in a copy of the token: the pass may have arrived with only
+	// its ack lost, and then the receiver holds the token that was sent.
 	dead := n.pass.to
-	tok := n.pass.body.(wire.TokenMsg).Tok
+	tok := n.pass.body.(wire.TokenMsg).Tok.Clone()
 	n.pass.stop()
 	if n.sys.confirmEviction(dead, n.id) {
 		n.repairsDone++

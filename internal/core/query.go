@@ -232,11 +232,12 @@ func (n *Node) receiveQuery(q wire.Query) {
 		// Answer from this ring's membership list. Exactly one node
 		// per target-level ring receives the query (the downward copy
 		// goes to ring leaders; a level-0 query answers at whichever
-		// top node the climb reached).
+		// top node the climb reached). The replies between two changes
+		// of the list share one read-only copy of it.
 		n.sys.send(n.id, q.ReplyTo, runtime.KindReply, wire.QueryReply{
 			ID:      q.ID,
 			From:    n.ringID,
-			Members: n.ringMems.Snapshot(),
+			Members: n.ringMems.Shared(),
 		})
 		return
 	}

@@ -3,10 +3,13 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/mq"
 	"github.com/rgbproto/rgb/internal/ring"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/simnet"
@@ -93,6 +96,32 @@ func TestResendBudget(t *testing.T) {
 	}
 	if got := len(sys.GlobalMembership()); got != 1 {
 		t.Errorf("global membership = %d, want 1", got)
+	}
+}
+
+// TestGiveUpLeavesSentTokenAlone: giving up on a pass repairs the round
+// in a copy of the token. The token that was sent may have arrived with
+// only its ack lost, and on the simulator and between co-hosted entities
+// the receiver holds that very value, so the giver must not write
+// through it: not Repaired, Ops, Holder, Hops, nor Route in place.
+func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 5))
+	p, h := ringPair(sys)
+	sys.CrashNE(h)
+
+	tok := token.Fresh(sys.cfg.GID, p.ringID, h, 1, mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1, AP: p.id}}}, token.FromLocal, ring.ID{})
+	tok.Route = p.Roster()
+	tok.Contributors = []ids.NodeID{p.id}
+	p.passToken(tok)
+	sent := *tok
+	sent.Ops, sent.Route, sent.Contributors = slices.Clone(tok.Ops), slices.Clone(tok.Route), slices.Clone(tok.Contributors)
+	sys.Run()
+
+	if p.Repairs() != 1 {
+		t.Fatalf("%d repairs at the predecessor, want the one give-up", p.Repairs())
+	}
+	if !reflect.DeepEqual(*tok, sent) {
+		t.Fatalf("giving up changed the token in flight:\n now %+v\nsent %+v", *tok, sent)
 	}
 }
 

@@ -183,11 +183,15 @@ func (s Status) Operational() bool { return s == StatusOperational }
 // MemberInfo is one entry of the membership lists kept by network
 // entities: ListOfLocalMembers, ListOfRingMembers and
 // ListOfNeighborMembers (Section 4.2).
+//
+// The fields are ordered for size, not meaning: GID and Status share the
+// word after AP, so a record is 40 bytes (a GID ahead of GUID would pad
+// it to 48). The wire layout is fixed by the codec, not by this order.
 type MemberInfo struct {
-	GID    GroupID // group this membership belongs to
 	GUID   GUID    // permanent identity
 	LUID   LUID    // current care-of identity
 	AP     NodeID  // currently serving access proxy
+	GID    GroupID // group this membership belongs to
 	Status Status  // current operational status
 }
 
@@ -217,11 +221,18 @@ func (m MemberInfo) String() string {
 // index cache line besides the record it returns. The table doubles
 // before it reaches ¾ load, and a removal shifts the entries of its
 // probe run back into the hole, so there are no tombstones.
+//
+// Shared hands out one read-only copy of the live members, built on first
+// demand after a change. The list never writes into that copy: every
+// mutation (Put, Remove, Clear, MergeFrom) only drops the list's
+// reference to it, so a holder keeps the members as they were when it
+// asked, however long it holds them.
 type MemberList struct {
-	slots []MemberInfo // insertion order, dead slots included
-	dead  []uint64     // bit i set: slots[i] was removed
-	ndead int          // set bits in dead; the last slot is never dead
-	index []uint64     // hash<<32 | slot+1 per live member; len 0 or a power of two
+	slots  []MemberInfo // insertion order, dead slots included
+	dead   []uint64     // bit i set: slots[i] was removed
+	ndead  int          // set bits in dead; the last slot is never dead
+	index  []uint64     // hash<<32 | slot+1 per live member; len 0 or a power of two
+	shared []MemberInfo // Shared's copy; nil until asked for after a change
 }
 
 // NewMemberList returns an empty list. The zero MemberList is also
@@ -302,6 +313,7 @@ func (l *MemberList) Put(m MemberInfo) {
 	e, ok := l.find(m.GUID, h)
 	if ok {
 		l.slots[uint32(l.index[e])-1] = m
+		l.shared = nil
 		return
 	}
 	l.add(m, h, e)
@@ -321,6 +333,7 @@ func (l *MemberList) add(m MemberInfo, h uint32, e int) {
 	}
 	l.slots = append(l.slots, m)
 	l.index[e] = uint64(h)<<32 | uint64(i+1)
+	l.shared = nil
 }
 
 // grow doubles the index and re-homes every entry by its stored hash.
@@ -366,6 +379,7 @@ func (l *MemberList) Remove(id GUID) bool {
 	}
 	i := int(uint32(l.index[e])) - 1
 	l.unindex(e)
+	l.shared = nil
 	if n := i; n == len(l.slots)-1 {
 		// The tail goes at once, with any dead run it uncovers, so a
 		// join-then-leave of a fresh GUID leaves nothing behind.
@@ -438,12 +452,25 @@ func (l *MemberList) Snapshot() []MemberInfo {
 	return out
 }
 
+// Shared returns the members in insertion order, like Snapshot, but as
+// one slice that every caller gets until the list next changes (nil for
+// an empty list). It is read-only for everyone: its capacity equals its
+// length, so an append copies, but a write through an index would reach
+// every other holder.
+func (l *MemberList) Shared() []MemberInfo {
+	if l.shared == nil && l.Len() > 0 {
+		l.shared = l.Snapshot()
+	}
+	return l.shared
+}
+
 // Clear removes all members.
 func (l *MemberList) Clear() {
 	l.slots = l.slots[:0]
 	clear(l.dead)
 	l.ndead = 0
 	clear(l.index)
+	l.shared = nil
 }
 
 // MergeFrom inserts every member of other that is not already present

@@ -3,6 +3,7 @@ package ids
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGroupIDClassD(t *testing.T) {
@@ -253,6 +254,45 @@ func TestMemberListSnapshotIsolated(t *testing.T) {
 	l.Remove(1)
 	if len(snap) != 1 || snap[0].GUID != 1 {
 		t.Fatal("snapshot affected by later mutation")
+	}
+}
+
+// TestMemberInfoSize pins the record's layout: every MemberList slot,
+// every mq.Change and every query answer is made of these, and the
+// field order is what keeps GID and Status in one word.
+func TestMemberInfoSize(t *testing.T) {
+	if got := unsafe.Sizeof(MemberInfo{}); got != 40 {
+		t.Fatalf("MemberInfo is %d bytes, want 40", got)
+	}
+}
+
+// TestMemberListSharedUntilChange: Shared hands every caller the same
+// slice, without allocating, until the list changes; then the next
+// caller gets a new one and the old one still reads as it did.
+func TestMemberListSharedUntilChange(t *testing.T) {
+	l := NewMemberList()
+	if l.Shared() != nil {
+		t.Fatal("Shared of an empty list is not nil")
+	}
+	l.Put(member(1))
+	l.Put(member(2))
+	first := l.Shared()
+	if len(first) != 2 || cap(first) != 2 {
+		t.Fatalf("Shared = %v (cap %d), want 2 members at capacity 2", first, cap(first))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if again := l.Shared(); &again[0] != &first[0] {
+			t.Fatal("an unchanged list built a second shared slice")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Shared of an unchanged list allocates %.1f objects", allocs)
+	}
+	l.Remove(1)
+	if next := l.Shared(); len(next) != 1 || next[0].GUID != 2 {
+		t.Fatalf("Shared after Remove = %v", next)
+	}
+	if first[0].GUID != 1 || first[1].GUID != 2 {
+		t.Fatalf("an earlier shared slice changed to %v", first)
 	}
 }
 

@@ -75,10 +75,12 @@ func (l *refList) String() string {
 	return fmt.Sprintf("%d members [%s]", len(l.order), strings.Join(names, " "))
 }
 
-// modelPair is one MemberList beside its model.
+// modelPair is one MemberList beside its model, and the model's
+// Snapshot at the last check.
 type modelPair struct {
-	got MemberList
-	ref refList
+	got  MemberList
+	ref  refList
+	want []MemberInfo
 }
 
 // check compares everything the list can be asked with the model. g is
@@ -95,8 +97,12 @@ func (p *modelPair) check(g GUID, render bool) error {
 		return fmt.Errorf("Get(%s) = %v %v, Contains %v, model %v %v", g, m, ok, p.got.Contains(g), rm, rok)
 	}
 	want := p.ref.Snapshot()
+	p.want = want
 	if snap := p.got.Snapshot(); !slices.Equal(snap, want) {
 		return fmt.Errorf("Snapshot = %v, model %v", snap, want)
+	}
+	if shared := p.got.Shared(); !slices.Equal(shared, want) || cap(shared) != len(shared) {
+		return fmt.Errorf("Shared = %v (cap %d), model %v", shared, cap(shared), want)
 	}
 	for _, rm := range want { // every live member, so a broken index shows at once
 		if m, ok := p.got.Get(rm.GUID); m != rm || !ok {
@@ -155,12 +161,18 @@ func modelGUID(k GUID, wide bool) GUID {
 //	                    otherwise MergeFrom the other list
 //
 // status goes into the record as it is: a list must hold any byte.
+//
+// A Shared slice taken before each operation equals the model's
+// Snapshot at that moment (check compared them when the list last
+// changed) and must still equal it after the operation: the list drops
+// its shared slice on a change, it never writes into it.
 func runModelOps(data []byte) error {
 	var pairs [2]modelPair
 	for op := 0; len(data) >= 3; op++ {
 		kind, key, status := data[0], int(data[1]), Status(data[2])
 		data = data[3:]
 		p, other := &pairs[kind>>7], &pairs[1-kind>>7]
+		shared, before := p.got.Shared(), p.want
 		rec := MemberInfo{
 			GID:    NewGroupID(uint32(status)),
 			LUID:   LUID{Local: uint32(op)}, // tells an overwrite from the record it replaced
@@ -212,6 +224,9 @@ func runModelOps(data []byte) error {
 			if got, want := p.got.MergeFrom(&other.got), p.ref.MergeFrom(&other.ref); got != want {
 				return fmt.Errorf("op %d: MergeFrom added %d, model %d", op, got, want)
 			}
+		}
+		if !slices.Equal(shared, before) {
+			return fmt.Errorf("op %d (kind %#02x key %d): the Shared slice taken before it changed to %v, was %v", op, kind, key, shared, before)
 		}
 		if err := p.check(g, op%16 == 0 || len(data) < 3); err != nil {
 			return fmt.Errorf("op %d (kind %#02x key %d): %w", op, kind, key, err)

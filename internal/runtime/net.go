@@ -139,14 +139,19 @@ type NetStats struct {
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
 // the one UDP connection (nil on the in-process mux, whose book routes
-// nothing to it), its socket-level counters and the free list of the
-// records the read loop hands frames to the engines in. The counters are
-// atomics because the read loop and NetStats readers run off-engine.
+// nothing to it), its socket-level counters, the free list of the
+// records the read loop hands frames to the engines in, and the spare
+// buffers QueryReply members are decoded into. The counters are atomics
+// because the read loop and NetStats readers run off-engine.
 type netSock struct {
 	conn *net.UDPConn
 
 	freeMu sync.Mutex
 	free   []*inbound
+	spare  [][]ids.MemberInfo // member buffers no frame holds, LIFO
+	// spareCap is the capacity summed over spare, kept at or below one
+	// datagram's worth of members however many replies were in flight.
+	spareCap int
 
 	received       atomic.Uint64
 	decodeErrors   atomic.Uint64
@@ -213,24 +218,27 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, neti
 			continue // partitioned peer: drop before decode, like lost bytes
 		}
 		s.received.Add(1)
-		f, derr := wire.DecodeFrame(buf[:n])
+		in := s.take(wire.FramePayloadKind(buf[:n]) == wire.KindQueryReply)
+		f, derr := wire.DecodeFrameInto(buf[:n], &in.members)
 		if derr != nil {
 			if errors.Is(derr, wire.ErrUnknownVersion) {
 				s.unknownVersion.Add(1)
 			} else {
 				s.decodeErrors.Add(1)
 			}
+			s.release(in)
 			continue
 		}
 		if int(f.Class) >= int(numKinds) {
 			s.decodeErrors.Add(1)
+			s.release(in)
 			continue
 		}
 		t := resolve(f, src)
 		if t == nil {
+			s.release(in)
 			continue
 		}
-		in := s.take()
 		in.t, in.f, in.src = t, f, src
 		t.eng.pending.Add(1)
 		t.eng.submit(in.fn)
@@ -243,42 +251,64 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, neti
 // nothing; the engine's work queue still carries one word per item. (A
 // sync.Pool would drop records at every GC, and at random under the
 // race detector.)
+//
+// A QueryReply's members are decoded into members, a spare buffer the
+// record borrows for this one frame, so the reply is valid only until
+// run returns: a handler that keeps it must copy it.
 type inbound struct {
 	sock *netSock
 	fn   func()
 
-	t   *netTransport
-	f   wire.Frame
-	src netip.AddrPort
+	t       *netTransport
+	f       wire.Frame
+	src     netip.AddrPort
+	members []ids.MemberInfo
 }
 
-// take pops a record off the free list, or makes one. Read goroutine.
-func (s *netSock) take() *inbound {
+// take pops a record off the free list, or makes one, and for a
+// QueryReply lends it the most recently returned spare member buffer, if
+// any (the decoder makes one otherwise). Read goroutine.
+func (s *netSock) take(reply bool) *inbound {
 	s.freeMu.Lock()
-	n := len(s.free)
-	if n == 0 {
-		s.freeMu.Unlock()
-		in := &inbound{sock: s}
+	defer s.freeMu.Unlock()
+	var in *inbound
+	if n := len(s.free); n > 0 {
+		in = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		in = &inbound{sock: s}
 		in.fn = in.run
-		return in
 	}
-	in := s.free[n-1]
-	s.free = s.free[:n-1]
-	s.freeMu.Unlock()
+	if n := len(s.spare); reply && n > 0 {
+		in.members = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		s.spareCap -= cap(in.members)
+	}
 	return in
 }
 
-// run is the engine's half of the hand-off: the record goes back to the
-// free list before the frame is dispatched, so it is free again however
-// long the handler runs, and the payload does not outlive it.
-func (in *inbound) run() {
-	t, f, src := in.t, in.f, in.src
-	in.t, in.f = nil, wire.Frame{}
-	s := in.sock
+// release returns a record to the free list and its member buffer to the
+// spares, unless that would keep more than one datagram's worth of spare
+// capacity; then the buffer is left to the collector. A flood of replies
+// in flight can hold many buffers, but it cannot leave them all behind.
+func (s *netSock) release(in *inbound) {
+	members := in.members
+	in.t, in.f, in.members = nil, wire.Frame{}, nil
 	s.freeMu.Lock()
 	s.free = append(s.free, in)
+	if c := cap(members); c > 0 && s.spareCap+c <= wire.MaxDatagramMembers {
+		s.spare = append(s.spare, members)
+		s.spareCap += c
+	}
 	s.freeMu.Unlock()
-	t.dispatch(f, src)
+}
+
+// run is the engine's half of the hand-off. The record and its buffer go
+// back only after the dispatch, because the frame's reply may live in
+// the buffer.
+func (in *inbound) run() {
+	in.t.dispatch(in.f, in.src)
+	in.sock.release(in)
 }
 
 // netBook is the routing state of a networked deployment: the identity

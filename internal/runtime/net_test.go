@@ -452,6 +452,208 @@ func TestInboundDatagramAllocs(t *testing.T) {
 	}
 }
 
+// replyFrame encodes QueryReply id of n members, each with GUID id, from
+// a transient sender to dst, tagged for the test group.
+func replyFrame(dst ids.NodeID, id uint64, n int) []byte {
+	members := make([]ids.MemberInfo, n)
+	for i := range members {
+		members[i] = ids.MemberInfo{GUID: ids.GUID(id), AP: dst, GID: testGroup}
+	}
+	return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: dst,
+		Class: byte(KindReply), TTL: 2, Payload: wire.QueryReply{ID: id, Members: members}})
+}
+
+// replyHolder holds each QueryReply it is handed until the read loop has
+// decoded the next one, then checks that its own members still read as
+// they were sent.
+type replyHolder struct {
+	eng       *engineCore
+	last      uint64 // the reply no other follows
+	got, torn atomic.Int64
+}
+
+func (e *replyHolder) HandleMessage(msg Message) {
+	rep := msg.Body.(wire.QueryReply)
+	// Decoding the next reply is done once its record is queued behind
+	// this one's.
+	for deadline := time.Now().Add(5 * time.Second); rep.ID < e.last && e.eng.pending.Load() < 2 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	for _, m := range rep.Members {
+		if uint64(m.GUID) != rep.ID {
+			e.torn.Add(1)
+			break
+		}
+	}
+	e.got.Add(1)
+}
+
+// TestInboundReplyValidDuringHandler: a reply's member buffer goes back
+// to the socket only after its handler returns, so the read loop cannot
+// decode the next reply into members a handler is still reading.
+func TestInboundReplyValidDuringHandler(t *testing.T) {
+	const n = 50
+	rt := newTestNet(t, NetConfig{})
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	ep := &replyHolder{eng: rt.eng, last: n}
+	rt.Do(func() { rt.Transport().Register(a, ep) })
+	conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for id := uint64(1); id <= n; id++ {
+		sendPaced(t, conn, rt, replyFrame(a, id, 100), 1)
+	}
+	waitFor(t, func() bool { return ep.got.Load() == n })
+	if torn := ep.torn.Load(); torn != 0 {
+		t.Fatalf("%d of %d replies changed under their handler", torn, n)
+	}
+}
+
+// sendPaced writes frame to conn total times, each time once the read
+// loop has read the one before, so the socket buffer never overflows
+// whatever the engine is doing. It reads the socket's own counter:
+// NetStats waits for the engine.
+func sendPaced(t *testing.T, conn *net.UDPConn, rt *testNet, frame []byte, total int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	received := &rt.mux.sock.received
+	base := received.Load()
+	for sent := uint64(1); sent <= uint64(total); sent++ {
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		for received.Load() < base+sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d datagrams read", received.Load()-base, sent)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+// TestInboundQueryReplyAllocs: a QueryReply from the socket is decoded
+// into a member buffer the socket keeps, so once warm a 1 000-member
+// reply costs at most the one small object that boxes it as a Payload,
+// not its 40 KB of members. Each reply is sent once the one before was
+// handled, as a query's replies arrive at a requester.
+func TestInboundQueryReplyAllocs(t *testing.T) {
+	const n = 400
+	rt := newTestNet(t, NetConfig{})
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	ep := &countingEndpoint{rt: rt, id: a}
+	rt.Do(func() { rt.Transport().Register(a, ep) })
+	conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := replyFrame(a, 1, 1000)
+	send := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for i := 0; i < n; i++ {
+			want := ep.got.Load() + 1
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			for ep.got.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("reply %d of %d not delivered", i+1, n)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}
+	send() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send()
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / n
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("per 1000-member reply datagram: %.2f objects, %.0f B", mallocs, bytes)
+	if mallocs > 1 || bytes >= 128 {
+		t.Fatalf("a 1000-member reply datagram allocates %.2f objects, %.0f B; want at most 1 and under 128 B", mallocs, bytes)
+	}
+}
+
+// TestInboundReplyFloodKeepsOneDatagramOfSpares: replies that pile up
+// behind a stalled engine each hold a member buffer of their own, and
+// when the engine drains them the socket keeps at most one datagram's
+// worth of them for later replies.
+func TestInboundReplyFloodKeepsOneDatagramOfSpares(t *testing.T) {
+	const flood = 256 // each holds ~79 KB of members until the engine runs
+	rt := newTestNet(t, NetConfig{})
+	gate, sink := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	blocker := &gateEndpoint{entered: make(chan struct{}), release: make(chan struct{})}
+	ep := &countingEndpoint{rt: rt, id: sink}
+	rt.Do(func() {
+		rt.Transport().Register(gate, blocker)
+		rt.Transport().Register(sink, ep)
+	})
+	conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: gate, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{}})); err != nil {
+		t.Fatal(err)
+	}
+	<-blocker.entered // the engine is stuck in a handler from here on
+
+	frame := replyFrame(sink, 1, 1983) // the most one datagram carries
+	if len(frame) > wire.MaxDatagram {
+		t.Fatalf("a 1983-member reply is %d bytes, over one datagram", len(frame))
+	}
+	sendPaced(t, conn, rt, frame, flood)
+	close(blocker.release)
+	waitFor(t, func() bool { return ep.got.Load() == flood })
+
+	s := rt.mux.sock
+	s.freeMu.Lock()
+	kept, total := s.spareCap, 0
+	for _, b := range s.spare {
+		total += cap(b)
+	}
+	s.freeMu.Unlock()
+	if kept != total || kept == 0 || kept > wire.MaxDatagramMembers {
+		t.Fatalf("after the flood the socket keeps %d spare members (counted %d), want 1..%d", total, kept, wire.MaxDatagramMembers)
+	}
+}
+
+// TestOversizeAtTheUDPLimit: a frame one byte past what IPv4 carries in
+// one UDP datagram is refused before the socket and counted as
+// Oversize; the largest reply that fits is delivered.
+func TestOversizeAtTheUDPLimit(t *testing.T) {
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	b := ids.MakeNodeID(ids.TierAP, 2)
+	rt0, rt1 := newQuietPeers(t, map[ids.NodeID]int{a: 0, b: 1}, "127.0.0.1")
+	ep := &countingEndpoint{rt: rt1, id: b}
+	rt1.Do(func() { rt1.Transport().Register(b, ep) })
+	send := func(members int) {
+		rt0.Do(func() {
+			rt0.Transport().Send(Message{From: a, To: b, Kind: KindReply,
+				Body: wire.QueryReply{Members: make([]ids.MemberInfo, members)}})
+		})
+	}
+	if n := len(replyFrame(b, 1, 1984)); n != 65519 {
+		t.Fatalf("a 1984-member reply encodes to %d bytes, want 65519", n)
+	}
+	send(1984)
+	if ns := rt0.NetStats(); ns.Oversize != 1 {
+		t.Fatalf("a 65519-byte frame: %+v, want Oversize 1", ns)
+	}
+	if n := len(replyFrame(b, 1, 1983)); n != 65486 {
+		t.Fatalf("a 1983-member reply encodes to %d bytes, want 65486", n)
+	}
+	send(1983)
+	waitFor(t, func() bool { return ep.got.Load() == 1 })
+	if ns := rt0.NetStats(); ns.Oversize != 1 {
+		t.Fatalf("the 65486-byte frame was refused: %+v", ns)
+	}
+}
+
 // TestGossipAddressesAreParsedNotResolved: an address a peer supplies is
 // parsed, never resolved — the discovery plane runs on the socket's only
 // reader, which a DNS lookup would stall for every group. A PeerList row

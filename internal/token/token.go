@@ -9,6 +9,7 @@ package token
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -91,6 +92,16 @@ func Fresh(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops
 		Dir:    dir,
 		Source: source,
 	}
+}
+
+// Clone returns a copy of t that shares no slice with it, so that either
+// can be changed in place without the other seeing it.
+func (t *Token) Clone() *Token {
+	c := *t
+	c.Ops = slices.Clone(t.Ops)
+	c.Route = slices.Clone(t.Route)
+	c.Contributors = slices.Clone(t.Contributors)
+	return &c
 }
 
 // NextOnRoute returns the itinerary entry after the given node. It

@@ -32,6 +32,26 @@ func TestFreshAndFold(t *testing.T) {
 	}
 }
 
+// TestCloneSharesNothing: writing through any slice of a clone leaves
+// the original as it was.
+func TestCloneSharesNothing(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1)
+	tok := Fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP}, a, 3, mq.Batch{{Op: mq.OpMemberJoin}}, FromLocal, ring.ID{})
+	tok.Route = []ids.NodeID{a, b}
+	tok.Contributors = []ids.NodeID{a}
+	c := tok.Clone()
+	c.Ops[0].Op = mq.OpMemberLeave
+	c.Route[0] = b
+	c.Contributors[0] = b
+	c.Hops++
+	if tok.Ops[0].Op != mq.OpMemberJoin || tok.Route[0] != a || tok.Contributors[0] != a || tok.Hops != 0 {
+		t.Fatalf("writing through the clone changed the original: %+v", tok)
+	}
+	if empty := (&Token{}).Clone(); empty.Ops != nil || empty.Route != nil || empty.Contributors != nil {
+		t.Fatalf("the clone of a token without slices has %+v", empty)
+	}
+}
+
 func TestDirectionString(t *testing.T) {
 	if FromLocal.String() != "local" || FromChild.String() != "from-child" || FromParent.String() != "from-parent" {
 		t.Error("direction names wrong")

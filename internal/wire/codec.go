@@ -45,9 +45,14 @@ const (
 	payloadHeaderSize = 1 + 4
 	envelopeSize      = 2 + 1 + 1 + 1 + 8 + 8 + 4
 
-	// MaxDatagram bounds one encoded frame; the UDP transport sizes
-	// its receive buffers with it.
-	MaxDatagram = 64 << 10
+	// MaxDatagram bounds one encoded frame: the largest UDP payload
+	// IPv4 carries (65 535 less the 20-byte IP and 8-byte UDP headers).
+	// The UDP transport sizes its receive buffers with it.
+	MaxDatagram = 65507
+
+	// MaxDatagramMembers bounds the member records one datagram can
+	// carry: each is memberInfoSize bytes, and a frame has headers too.
+	MaxDatagramMembers = MaxDatagram / memberInfoSize
 )
 
 // Codec errors. Match with errors.Is.
@@ -94,7 +99,15 @@ func AppendFrame(b []byte, f Frame) []byte {
 
 // DecodeFrame decodes one datagram. It is strict: trailing bytes,
 // truncated layouts, unknown kinds and out-of-range lengths all error.
-func DecodeFrame(b []byte) (Frame, error) {
+func DecodeFrame(b []byte) (Frame, error) { return DecodeFrameInto(b, nil) }
+
+// DecodeFrameInto is DecodeFrame with a buffer the caller keeps for a
+// QueryReply's members. When *members has room for them they are decoded
+// into its array; otherwise into a fresh one, which is left in *members.
+// The reply then aliases the buffer and is valid only until the caller
+// reuses it. Every other payload is decoded as DecodeFrame decodes it,
+// into memory its receiver may keep. A nil members is DecodeFrame.
+func DecodeFrameInto(b []byte, members *[]ids.MemberInfo) (Frame, error) {
 	if len(b) < envelopeSize {
 		return Frame{}, ErrTruncated
 	}
@@ -111,7 +124,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 		To:    ids.NodeID(binary.LittleEndian.Uint64(b[13:])),
 		Group: ids.GroupID(binary.LittleEndian.Uint32(b[21:])),
 	}
-	p, n, err := DecodePayload(b[envelopeSize:])
+	p, n, err := decodePayload(b[envelopeSize:], members)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -120,6 +133,16 @@ func DecodeFrame(b []byte) (Frame, error) {
 	}
 	f.Payload = p
 	return f, nil
+}
+
+// FramePayloadKind reads the payload kind of an encoded frame without
+// decoding it, so a receiver can choose a buffer before DecodeFrameInto.
+// It validates nothing: a frame too short to hold a kind reads KindNone.
+func FramePayloadKind(b []byte) PayloadKind {
+	if len(b) <= envelopeSize {
+		return KindNone
+	}
+	return PayloadKind(b[envelopeSize])
 }
 
 // AppendPayload appends the framed encoding of p (nil encodes as
@@ -138,7 +161,10 @@ func AppendPayload(b []byte, p Payload) []byte {
 // DecodePayload decodes one framed payload from the front of b,
 // returning the payload, the number of bytes consumed, and any error.
 // A KindNone frame yields a nil Payload.
-func DecodePayload(b []byte) (Payload, int, error) {
+func DecodePayload(b []byte) (Payload, int, error) { return decodePayload(b, nil) }
+
+// decodePayload is DecodePayload with DecodeFrameInto's member buffer.
+func decodePayload(b []byte, members *[]ids.MemberInfo) (Payload, int, error) {
 	if len(b) < payloadHeaderSize {
 		return nil, 0, ErrTruncated
 	}
@@ -157,7 +183,7 @@ func DecodePayload(b []byte) (Payload, int, error) {
 	if kind >= numPayloadKinds {
 		return nil, 0, ErrUnknownPayload
 	}
-	r := reader{b: b[payloadHeaderSize:consumed]}
+	r := reader{b: b[payloadHeaderSize:consumed], replyMembers: members}
 	p := decodeBody(kind, &r)
 	if r.bad || r.off != n {
 		return nil, 0, ErrMalformed
@@ -276,6 +302,8 @@ type reader struct {
 	b   []byte
 	off int
 	bad bool
+
+	replyMembers *[]ids.MemberInfo // DecodeFrameInto's buffer; nil allocates
 }
 
 func (r *reader) u8() uint8 {
@@ -392,12 +420,23 @@ func (r *reader) nodeIDs() []ids.NodeID {
 	return out
 }
 
-func (r *reader) members() []ids.MemberInfo {
+// members reads a member list into buf's array when it has room, or
+// else into a fresh one, which it leaves in buf; a nil buf allocates.
+func (r *reader) members(buf *[]ids.MemberInfo) []ids.MemberInfo {
 	n := r.count(memberInfoSize)
 	if r.bad || n == 0 {
 		return nil
 	}
-	out := make([]ids.MemberInfo, n)
+	var out []ids.MemberInfo
+	switch {
+	case buf == nil:
+		out = make([]ids.MemberInfo, n)
+	case cap(*buf) >= n:
+		out = (*buf)[:n]
+	default:
+		out = make([]ids.MemberInfo, n)
+		*buf = out
+	}
 	for i := range out {
 		out[i] = r.memberInfo()
 	}
@@ -543,7 +582,7 @@ func decodeSnapshot(r *reader) Payload {
 	return Snapshot{
 		Roster:     r.nodeIDs(),
 		Leader:     r.nodeID(),
-		Members:    r.members(),
+		Members:    r.members(nil),
 		Tombstones: r.tombstones(),
 	}
 }
@@ -558,7 +597,7 @@ func (m MergeRequest) AppendTo(b []byte) []byte {
 func decodeMergeRequest(r *reader) Payload {
 	return MergeRequest{
 		Roster:     r.nodeIDs(),
-		Members:    r.members(),
+		Members:    r.members(nil),
 		Tombstones: r.tombstones(),
 	}
 }
@@ -591,8 +630,11 @@ func (m QueryReply) AppendTo(b []byte) []byte {
 	return appendMembers(b, m.Members)
 }
 
+// decodeQueryReply is the one decode that reuses a caller's buffer: a
+// reply's members are the largest payload on the wire, and only the
+// requester's handler reads them, once.
 func decodeQueryReply(r *reader) Payload {
-	return QueryReply{ID: r.u64(), From: r.ringID(), Members: r.members()}
+	return QueryReply{ID: r.u64(), From: r.ringID(), Members: r.members(r.replyMembers)}
 }
 
 // AppendTo implements Payload.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -174,6 +175,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 		fr, err := DecodeFrame(data)
 		if err != nil {
 			return // malformed input is fine; panicking is not
+		}
+		// A reused member buffer, too small or holding stale records,
+		// changes where a reply's members land, never what they are.
+		stale := make([]ids.MemberInfo, len(data)/memberInfoSize+1)
+		for i := range stale {
+			stale[i] = sampleMember(i)
+		}
+		for _, buf := range [][]ids.MemberInfo{nil, stale[:0:1], stale} {
+			frBuf, err := DecodeFrameInto(data, &buf)
+			if err != nil || !reflect.DeepEqual(frBuf, fr) {
+				t.Fatalf("decode into a %d-slot buffer: %+v, %v; without one: %+v", cap(buf), frBuf, err, fr)
+			}
 		}
 		enc1 := AppendFrame(nil, fr)
 		fr2, err := DecodeFrame(enc1)

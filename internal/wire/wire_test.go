@@ -159,6 +159,50 @@ func TestEncodeDoesNotAllocateWithReusedBuffer(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameIntoBuffer: a QueryReply's members land in the
+// caller's buffer when it has room and in a fresh one, handed back
+// through the pointer, when it has not; any other payload leaves the
+// buffer alone, so its receiver may keep what it decoded.
+func TestDecodeFrameIntoBuffer(t *testing.T) {
+	members := []ids.MemberInfo{sampleMember(1), sampleMember(2), sampleMember(3)}
+	reply := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, TTL: 8, Payload: QueryReply{ID: 1, Members: members}})
+	if k := FramePayloadKind(reply); k != KindQueryReply {
+		t.Fatalf("FramePayloadKind = %s, want query-reply", k)
+	}
+	if k := FramePayloadKind(reply[:envelopeSize]); k != KindNone {
+		t.Fatalf("FramePayloadKind of a bare envelope = %s, want none", k)
+	}
+	decode := func(b []byte, buf *[]ids.MemberInfo) Payload {
+		t.Helper()
+		f, err := DecodeFrameInto(b, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Payload
+	}
+
+	roomy := make([]ids.MemberInfo, 5)
+	buf := roomy
+	got := decode(reply, &buf).(QueryReply).Members
+	if !reflect.DeepEqual(got, members) || &got[0] != &roomy[0] || cap(buf) != 5 {
+		t.Fatalf("into a 5-slot buffer: %v, sharing its array %v, buffer cap %d", got, &got[0] == &roomy[0], cap(buf))
+	}
+
+	small := make([]ids.MemberInfo, 2)
+	buf = small
+	got = decode(reply, &buf).(QueryReply).Members
+	if !reflect.DeepEqual(got, members) || &got[0] != &buf[0] || &buf[0] == &small[0] {
+		t.Fatalf("into a 2-slot buffer: %v; the reply must be in a fresh array left in the buffer", got)
+	}
+
+	snap := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 8, Payload: Snapshot{Leader: ap(0), Members: members}})
+	buf = roomy
+	got = decode(snap, &buf).(Snapshot).Members
+	if !reflect.DeepEqual(got, members) || &got[0] == &roomy[0] || &buf[0] != &roomy[0] {
+		t.Fatal("a Snapshot was decoded into the reply buffer")
+	}
+}
+
 // TestDecodeErrors: the codec classifies bad input without panicking.
 func TestDecodeErrors(t *testing.T) {
 	good := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 2, Payload: Probe{Seq: 1}})

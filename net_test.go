@@ -86,6 +86,35 @@ func listenProcs(t *testing.T, n int, opts ...Option) []*Service {
 	return procs
 }
 
+// joinOnProcessZero joins members 1..n through process 0 of a networked
+// deployment, round-robin over the access proxies it hosts, one at a
+// time: each join has committed, as process 1's Watch shows, before the
+// next is submitted (benchmark/README.md "Traps").
+func joinOnProcessZero(t *testing.T, procs []*Service, n int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events, err := procs[1].Watch(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aps := slot0APs(procs[0], len(procs))
+	for g := 1; g <= n; g++ {
+		if err := procs[0].JoinAt(ctx, GUID(g), aps[g%len(aps)]); err != nil {
+			t.Fatalf("join %d: %v", g, err)
+		}
+		timeout := time.After(10 * time.Second)
+		for seen := false; !seen; {
+			select {
+			case ev := <-events:
+				seen = ev.Member.GUID == GUID(g)
+			case <-timeout:
+				t.Fatalf("join %d never reached process 1", g)
+			}
+		}
+	}
+}
+
 // simProcs opens one group as n Services on one simulator, the way n
 // processes would host it: Service i is slot i of subtreeOwners, placed
 // with core.Place and opened with WithConfig and WithRuntime. They
