@@ -10,7 +10,8 @@ import (
 // protocol engine). Match with errors.Is.
 var (
 	// ErrUnknownMember reports an operation on a GUID the service has
-	// never seen.
+	// never seen, or a handoff of a member that has left or failed
+	// and is no longer in the group.
 	ErrUnknownMember = core.ErrUnknownMember
 
 	// ErrInvalidGUID reports the zero GUID, which can never join.

@@ -13,7 +13,8 @@ import (
 // The rgb facade re-exports them.
 var (
 	// ErrUnknownMember reports an operation on a GUID the system has
-	// never seen.
+	// never seen, or a handoff of a member that has left or failed
+	// and is no longer in the group.
 	ErrUnknownMember = errors.New("unknown member")
 
 	// ErrInvalidGUID reports the zero GUID, which can never join.

@@ -75,6 +75,21 @@ func TestMemberOperationErrors(t *testing.T) {
 			want: ErrUnknownMember,
 		},
 		{
+			name: "handoff of a member that has left",
+			op: func(sys *System) error {
+				if _, err := sys.JoinMemberAt(ids.GUID(1), sys.APs()[0]); err != nil {
+					return err
+				}
+				sys.Run()
+				if err := sys.LeaveMember(ids.GUID(1)); err != nil {
+					return err
+				}
+				sys.Run()
+				return sys.HandoffMember(ids.GUID(1), sys.APs()[1])
+			},
+			want: ErrUnknownMember,
+		},
+		{
 			name: "handoff to a non-AP node",
 			op: func(sys *System) error {
 				if _, err := sys.JoinMemberAt(ids.GUID(1), sys.APs()[0]); err != nil {
@@ -161,5 +176,35 @@ func TestErrorsDoNotMutateState(t *testing.T) {
 	}
 	if got := len(sys.GlobalMembership()); got != 0 {
 		t.Errorf("membership = %d after rejected join", got)
+	}
+
+	// A handoff of a member that has left or failed is rejected the
+	// same way: its Member-Handoff would make it operational again.
+	aps := sys.APs()
+	for i, remove := range []func(ids.GUID) error{sys.LeaveMember, sys.FailMember} {
+		g := ids.GUID(10 + i)
+		if _, err := sys.JoinMemberAt(g, aps[0]); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		if err := remove(g); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		m, _ := sys.Member(g)
+		before, sent := *m, sys.Transport().Stats().Sent
+		if err := sys.HandoffMember(g, aps[1]); !errors.Is(err, ErrUnknownMember) {
+			t.Fatalf("handoff of departed %s: err = %v, want ErrUnknownMember", g, err)
+		}
+		sys.Run()
+		if *m != before {
+			t.Errorf("rejected handoff changed the record of %s: %+v, was %+v", g, *m, before)
+		}
+		if got := sys.Transport().Stats().Sent; got != sent {
+			t.Errorf("rejected handoff of %s sent %d messages", g, got-sent)
+		}
+		if got := len(sys.GlobalMembership()); got != 0 {
+			t.Errorf("membership = %v after rejected handoff of %s", sys.GlobalMembership(), g)
+		}
 	}
 }

@@ -110,7 +110,7 @@ func (s *System) SetEventSink(fn func(Event)) {
 // break a still-installed instrumentation).
 func (s *System) resetEventDedup() {
 	s.eventSeen = nil
-	s.eventSeenQ = nil
+	s.eventSeenQ = newWindow[changeKey](eventDedupWindow)
 	if s.eventSink != nil || s.instr != nil {
 		s.eventSeen = make(map[changeKey]struct{})
 	}
@@ -138,12 +138,10 @@ func (s *System) emitMemberChange(c mq.Change) {
 	if _, dup := s.eventSeen[key]; dup {
 		return
 	}
-	if len(s.eventSeenQ) >= eventDedupWindow {
-		delete(s.eventSeen, s.eventSeenQ[0])
-		s.eventSeenQ = s.eventSeenQ[1:]
+	if old, full := s.eventSeenQ.push(key); full {
+		delete(s.eventSeen, old)
 	}
 	s.eventSeen[key] = struct{}{}
-	s.eventSeenQ = append(s.eventSeenQ, key)
 	s.observeViewChange(kind, key)
 	if s.eventSink != nil {
 		s.eventSink(Event{Kind: kind, Member: c.Member, At: s.clock.Now()})

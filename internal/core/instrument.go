@@ -58,10 +58,9 @@ const instrPendingWindow = 4096
 func (s *System) SetInstrumentation(in *Instrumentation) {
 	s.instr = in
 	s.instrPending = nil
-	s.instrPendingQ = nil
+	s.instrPendingQ = newWindow[changeKey](instrPendingWindow)
 	if in != nil {
 		s.instrPending = make(map[changeKey]runtime.Time, instrPendingWindow)
-		s.instrPendingQ = make([]changeKey, 0, 64)
 	}
 	s.resetEventDedup()
 }
@@ -85,13 +84,11 @@ func (s *System) noteSubmitted(origin ids.NodeID, seq uint64) {
 	if s.instr == nil {
 		return
 	}
-	if len(s.instrPendingQ) >= instrPendingWindow {
-		delete(s.instrPending, s.instrPendingQ[0])
-		s.instrPendingQ = s.instrPendingQ[1:]
-	}
 	key := changeKey{origin: origin, seq: seq}
+	if old, full := s.instrPendingQ.push(key); full {
+		delete(s.instrPending, old)
+	}
 	s.instrPending[key] = s.clock.Now()
-	s.instrPendingQ = append(s.instrPendingQ, key)
 }
 
 // observeViewChange reports one deduplicated topmost-ring commit.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -53,11 +54,18 @@ type Node struct {
 
 	// Token engine state. pass is the outstanding token pass awaiting
 	// its wire.PassAck; notifyWait the notifications awaiting their
-	// wire.NotifyAck, by sequence number.
+	// wire.NotifyAck, found by sequence number, and notifyFree the
+	// records of finished ones, kept for the next (resend.go).
 	roundSeq   uint64
 	pass       resend
 	notifySeq  uint64
-	notifyWait map[uint64]*resend // lazily allocated on first notify
+	notifyWait []*resend
+	notifyFree []*resend
+
+	// route is the itinerary of this node's rounds as holder: its
+	// roster rotated to start here. Every round it starts shares it
+	// until the roster changes (itinerary).
+	route []ids.NodeID
 
 	// openRound retains the operations of this node's outstanding
 	// round as holder, so the token-loss watchdog can re-submit them if
@@ -91,7 +99,7 @@ type Node struct {
 	// lazily allocated on the first removal this node applies, FIFO
 	// capped by memVerQ.
 	memVer  map[ids.GUID]uint64
-	memVerQ []ids.GUID
+	memVerQ window[ids.GUID]
 }
 
 // ID returns the node's identity.
@@ -290,12 +298,23 @@ func (n *Node) nextSeq() uint64 {
 // startRound begins one execution of the one-round algorithm with this
 // node as holder. extra carries a batch delivered by a notification
 // (nil for locally-queued work); the holder's own MQ is always folded
-// in when the direction allows it.
-func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch) {
+// in when the direction allows it. forwarder is the entity that
+// notified extra, zero for a batch of this ring's own.
+func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, forwarder ids.NodeID) {
 	n.roundSeq++
 	tok := token.Fresh(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, nil, dir, source)
 	if len(extra) > 0 {
+		// The copy is the round's own: extra is the notifier's token
+		// batch, which no receiver writes.
 		tok.Ops = append(tok.Ops, extra...)
+		if !forwarder.IsZero() {
+			// Once a batch crosses a ring boundary, its
+			// Holder-Acknowledgements are owed to the entity that
+			// forwarded it, not to the original mobile host.
+			for i := range tok.Ops {
+				tok.Ops[i].ReplyTo = forwarder
+			}
+		}
 		tok.Contributors = append(tok.Contributors, n.id)
 	}
 	if dir == token.FromLocal {
@@ -315,22 +334,22 @@ func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch) {
 	// that (a convergence round must not revisit excluded entities).
 	n.execute(tok)
 	// Fix the itinerary: the holder's (now updated) view of the ring,
-	// rotated to start here, so the round's coverage does not depend
-	// on other members' possibly-divergent views. Built in place — the
-	// route slice is owned by the token for the round's lifetime.
-	route := make([]ids.NodeID, len(n.roster))
-	start := 0
-	for i, m := range n.roster {
-		if m == n.id {
-			start = i
-			break
-		}
-	}
-	for i := range n.roster {
-		route[i] = n.roster[(start+i)%len(n.roster)]
-	}
-	tok.Route = route
+	// so the round's coverage does not depend on other members'
+	// possibly-divergent views.
+	tok.Route = n.itinerary()
 	n.passToken(tok)
+}
+
+// itinerary returns the roster rotated to start at this node. The slice
+// is shared by every round this node starts and rebuilt only when the
+// roster no longer matches it, so nothing may write it in place.
+func (n *Node) itinerary() []ids.NodeID {
+	start := max(slices.Index(n.roster, n.id), 0)
+	head, tail := n.roster[start:], n.roster[:start]
+	if len(n.route) != len(n.roster) || !slices.Equal(n.route[:len(head)], head) || !slices.Equal(n.route[len(head):], tail) {
+		n.route = slices.Concat(head, tail)
+	}
+	return n.route
 }
 
 // receiveToken is the per-node body of Figure 3 for a token arriving
@@ -343,7 +362,7 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 		return
 	}
 	// Acknowledge the pass so the sender's retransmission timer stops.
-	n.sys.send(n.id, from, runtime.KindControl, wire.PassAck{Holder: tok.Holder, Round: tok.Round})
+	n.sys.send(n.id, from, runtime.KindControl, n.ring.passAckFor(tok))
 	n.sys.noteTokenSeen(n.ring)
 
 	// Retransmission can deliver the same token twice (the first copy
@@ -379,28 +398,16 @@ func (n *Node) execute(tok *token.Token) {
 		// Notification-to-Parent: only the leader, only for changes
 		// climbing the hierarchy.
 		if n.isLeader() && tok.Dir != token.FromParent && !n.parent.IsZero() && n.parentOK {
-			n.sendNotify(n.parent, wire.Notify{Batch: rewriteReplyTo(tok.Ops, n.id), From: n.ringID, Up: true})
+			n.sendNotify(n.parent, wire.Notify{Batch: tok.Ops, From: n.ringID, Up: true})
 		}
 		// Notification-to-Child: full dissemination sends every batch
 		// down every child ring except the one it came from.
 		if n.sys.cfg.Dissemination == DisseminateFull && n.hasChild && n.childOK {
 			if !(tok.Dir == token.FromChild && tok.Source == n.childRing) {
-				n.sendNotify(n.childLeader, wire.Notify{Batch: rewriteReplyTo(tok.Ops, n.id), From: n.ringID, Up: false})
+				n.sendNotify(n.childLeader, wire.Notify{Batch: tok.Ops, From: n.ringID, Up: false})
 			}
 		}
 	}
-}
-
-// rewriteReplyTo readdresses Holder-Acknowledgements hop by hop: once
-// a batch crosses a ring boundary, acknowledgements for it are owed to
-// the forwarding entity, not the original mobile host.
-func rewriteReplyTo(ops mq.Batch, forwarder ids.NodeID) mq.Batch {
-	out := make(mq.Batch, len(ops))
-	copy(out, ops)
-	for i := range out {
-		out[i].ReplyTo = forwarder
-	}
-	return out
 }
 
 // applyChange updates the membership lists for one operation.
@@ -599,23 +606,21 @@ func (n *Node) receiveNotify(m wire.Notify, from ids.NodeID) {
 			n.childLeader = m.NewLeader
 			return
 		}
-		n.sys.requestRoundWithBatch(n, token.FromChild, m.From, m.Batch)
+		n.sys.requestRoundWithBatch(n, token.FromChild, m.From, m.Batch, from)
 		return
 	}
 	// From the parent: this node is (or was) the child-ring leader.
 	n.parentOK = true
-	n.sys.requestRoundWithBatch(n, token.FromParent, m.From, m.Batch)
+	n.sys.requestRoundWithBatch(n, token.FromParent, m.From, m.Batch, from)
 }
 
-// sendNotify sends a notification with retransmission protection.
+// sendNotify sends a notification with retransmission protection. The
+// batch is the sender's token Ops, shared and read-only at both ends.
 func (n *Node) sendNotify(to ids.NodeID, m wire.Notify) {
 	n.notifySeq++
 	m.Seq = n.notifySeq
-	if n.notifyWait == nil {
-		n.notifyWait = make(map[uint64]*resend)
-	}
-	r := notifyResend(n)
-	n.notifyWait[m.Seq] = r
+	r := n.takeNotify()
+	n.notifyWait = append(n.notifyWait, r)
 	r.start(to, m)
 }
 
@@ -625,19 +630,21 @@ func (n *Node) notifyTimedOut(r *resend) {
 	if r.retry() {
 		return
 	}
-	m := r.body.(wire.Notify)
-	delete(n.notifyWait, m.Seq)
-	if m.Up {
+	up, to := r.body.(wire.Notify).Up, r.to
+	n.releaseNotify(r)
+	if up {
 		n.parentOK = false
-	} else if r.to == n.childLeader {
+	} else if to == n.childLeader {
 		n.childOK = false
 	}
 }
 
 func (n *Node) receiveNotifyAck(a wire.NotifyAck) {
-	if r, ok := n.notifyWait[a.Seq]; ok {
-		r.stop()
-		delete(n.notifyWait, a.Seq)
+	for _, r := range n.notifyWait {
+		if r.body.(wire.Notify).Seq == a.Seq {
+			n.releaseNotify(r)
+			return
+		}
 	}
 }
 
@@ -683,7 +690,7 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		// round now.
 		n.sys.deferJoin(n, req, left)
 		if exclusion != nil {
-			n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion)
+			n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion, ids.NoNode)
 		}
 		return
 	}
@@ -694,7 +701,7 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		Members:    n.ringMems.Snapshot(),
 		Tombstones: n.tombstoneList(),
 	})
-	n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion)
+	n.sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, exclusion, ids.NoNode)
 }
 
 // receiveSnapshot initializes this node from a leader's state after

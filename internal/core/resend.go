@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/wire"
@@ -16,7 +18,9 @@ import (
 // — stays with the owner, which learns of it from retry.
 //
 // A Node embeds one by value for its token pass, so arming a pass
-// allocates nothing; every notification in flight has its own.
+// allocates nothing. Every notification in flight has its own, and a
+// finished one is kept for the next (takeNotify), so a steady stream
+// of notifications allocates no records either.
 type resend struct {
 	n    *Node
 	kind runtime.Kind
@@ -38,9 +42,32 @@ func passResend(n *Node) resend {
 	return resend{n: n, kind: runtime.KindToken, cb: passTimeoutCB}
 }
 
-// notifyResend is the resend of one notification from n.
-func notifyResend(n *Node) *resend {
+// notifyFreeMax bounds the finished notification records a node keeps.
+// A node has at most two notifications of a round in flight, to its
+// parent and to its child ring's leader, plus those of rounds that
+// overlap while acknowledgements are late.
+const notifyFreeMax = 8
+
+// takeNotify returns an idle resend for one notification from n.
+func (n *Node) takeNotify() *resend {
+	if k := len(n.notifyFree); k > 0 {
+		r := n.notifyFree[k-1]
+		n.notifyFree = n.notifyFree[:k-1]
+		return r
+	}
 	return &resend{n: n, kind: runtime.KindNotify, cb: notifyTimeoutCB}
+}
+
+// releaseNotify ends a notification's retransmission (acknowledged or
+// given up), takes it off notifyWait and keeps the record for reuse.
+func (n *Node) releaseNotify(r *resend) {
+	if i := slices.Index(n.notifyWait, r); i >= 0 {
+		n.notifyWait = slices.Delete(n.notifyWait, i, i+1)
+	}
+	r.stop()
+	if len(n.notifyFree) < notifyFreeMax {
+		n.notifyFree = append(n.notifyFree, r)
+	}
 }
 
 // start sends body to `to` and awaits its acknowledgement, replacing

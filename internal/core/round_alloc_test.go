@@ -1,0 +1,275 @@
+package core
+
+import (
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/mq"
+	"github.com/rgbproto/rgb/internal/ring"
+	"github.com/rgbproto/rgb/internal/runtime"
+	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/token"
+	"github.com/rgbproto/rgb/internal/wire"
+)
+
+// traceSends calls fn with every message the simulator carries.
+func traceSends(sys *System, fn func(runtime.Message)) {
+	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m simnet.Message, _ string) { fn(m) })
+}
+
+// joinAllocBudget is what one Member-Join may allocate at h=3 r=5 under
+// DisseminateFull, warm: 31 rounds, each with its token and its copy of
+// the batch, and the boxes of the notifications and acknowledgements
+// that carry the change between rings. A copy of the batch per
+// notification, a record per notification, an itinerary per round or a
+// pass acknowledgement per hop each cost tens of allocations here.
+const joinAllocBudget = 204
+
+// TestJoinAllocBudget locks the per-join allocation of a three-level
+// hierarchy, where every ring runs a round for every change.
+func TestJoinAllocBudget(t *testing.T) {
+	sys := NewSystem(quietConfig(3, 5))
+	aps := sys.APs()
+	next := ids.GUID(1)
+	join := func() {
+		if _, err := sys.JoinMemberAt(next, aps[int(next)%len(aps)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+		sys.Run()
+	}
+	for i := 0; i < 64; i++ {
+		join()
+	}
+	if allocs := testing.AllocsPerRun(200, join); allocs > joinAllocBudget {
+		t.Errorf("a join at h=3 r=5 allocates %.1f times, budget %d", allocs, joinAllocBudget)
+	}
+	if got := len(sys.GlobalMembership()); got != int(next)-1 {
+		t.Fatalf("membership = %d, want %d", got, next-1)
+	}
+}
+
+// TestNotifiedBatchSharesTokenOps: a notification carries the sender's
+// token Ops themselves, the receiving ring's round works on its own
+// copy, and neither round writes the shared batch. The copy readdresses
+// the Holder-Acknowledgements to the forwarder: at h=2 r=3 the top-ring
+// holder acknowledges the bottom-ring leader that notified it, not the
+// mobile host.
+func TestNotifiedBatchSharesTokenOps(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 3))
+	ap := sys.Node(sys.APs()[1])
+	leader := sys.Node(ap.Leader())
+	parent := leader.Parent()
+
+	var up wire.Notify
+	var sent mq.Batch // the notified batch as it was sent
+	var passed []*token.Token
+	var acks []runtime.Message
+	traceSends(sys, func(m runtime.Message) {
+		switch b := m.Body.(type) {
+		case wire.Notify:
+			if m.From == leader.ID() && m.To == parent && sent == nil {
+				up, sent = b, slices.Clone(b.Batch)
+			}
+		case wire.TokenMsg:
+			passed = append(passed, b.Tok)
+		case wire.HolderAck:
+			acks = append(acks, m)
+		}
+	})
+	mh, err := sys.JoinMemberAt(1, ap.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+
+	if len(sent) != 1 || sent[0].ReplyTo != mh.Node() {
+		t.Fatalf("the notification to %s carried %+v, want the join with the mobile host's reply address", parent, sent)
+	}
+	var bottom, top *token.Token
+	for _, tok := range passed {
+		switch {
+		case tok.Ring == ap.Ring() && bottom == nil:
+			bottom = tok
+		case tok.Holder == parent && top == nil:
+			top = tok
+		}
+	}
+	if bottom == nil || top == nil {
+		t.Fatalf("no bottom-ring (%v) or top-ring round held by %s (%v)", bottom, parent, top)
+	}
+	if unsafe.SliceData(up.Batch) != unsafe.SliceData(bottom.Ops) {
+		t.Error("the notification does not carry the bottom-ring token's Ops")
+	}
+	if unsafe.SliceData(top.Ops) == unsafe.SliceData(up.Batch) {
+		t.Error("the top-ring round works on the notified batch instead of a copy")
+	}
+	if !slices.Equal(up.Batch, sent) {
+		t.Errorf("the notified batch changed after it was sent:\n now %+v\nsent %+v", up.Batch, sent)
+	}
+	if len(top.Ops) != 1 || top.Ops[0].ReplyTo != leader.ID() {
+		t.Errorf("the top-ring round's batch %+v does not reply to the forwarder %s", top.Ops, leader.ID())
+	}
+	var fromTop []ids.NodeID
+	for _, m := range acks {
+		if m.From == parent {
+			fromTop = append(fromTop, m.To)
+		}
+	}
+	if !slices.Equal(fromTop, []ids.NodeID{leader.ID()}) {
+		t.Errorf("the top-ring holder %s acknowledged %v, want only the bottom-ring leader %s", parent, fromTop, leader.ID())
+	}
+}
+
+// TestItinerarySharedBetweenRounds: the rounds one holder starts share
+// one Route until its roster changes. A pass given up repairs the round
+// in a copy with a route of its own, and the next round gets a new
+// itinerary; neither writes the route earlier tokens carry.
+func TestItinerarySharedBetweenRounds(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 5))
+	p, h := ringPair(sys)
+	var held []*token.Token
+	traceSends(sys, func(m runtime.Message) {
+		if b, ok := m.Body.(wire.TokenMsg); ok && m.From == p.ID() && b.Tok.Holder == p.ID() && !slices.Contains(held, b.Tok) {
+			held = append(held, b.Tok)
+		}
+	})
+	join := func(g ids.GUID) *token.Token {
+		t.Helper()
+		from := len(held)
+		if _, err := sys.JoinMemberAt(g, p.ID()); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		if len(held) == from {
+			t.Fatalf("the join of %s started no round at %s", g, p.ID())
+		}
+		return held[from]
+	}
+
+	first, second := join(1), join(2)
+	if unsafe.SliceData(first.Route) != unsafe.SliceData(second.Route) {
+		t.Fatal("two rounds of one holder built two itineraries")
+	}
+	itinerary := slices.Clone(second.Route)
+
+	sys.CrashNE(h)
+	repaired := join(3)
+	if p.Repairs() != 1 {
+		t.Fatalf("%d repairs at %s, want the give-up on %s", p.Repairs(), p.ID(), h)
+	}
+	if unsafe.SliceData(repaired.Route) != unsafe.SliceData(second.Route) || !slices.Equal(second.Route, itinerary) {
+		t.Fatalf("the repair changed the shared itinerary: %v, was %v", second.Route, itinerary)
+	}
+
+	after := join(4)
+	if unsafe.SliceData(after.Route) == unsafe.SliceData(second.Route) || slices.Contains(after.Route, h) || len(after.Route) != len(itinerary)-1 {
+		t.Errorf("the round after the repair follows %v, want a new itinerary without %s", after.Route, h)
+	}
+	if !slices.Equal(second.Route, itinerary) {
+		t.Errorf("a roster change wrote the earlier round's route: %v, was %v", second.Route, itinerary)
+	}
+}
+
+// TestNotifyRecordsReused: a node keeps the records of acknowledged
+// notifications for the next ones, so after a thousand notifications
+// none is in flight and each node keeps at most notifyFreeMax.
+func TestNotifyRecordsReused(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 3))
+	notified := 0
+	traceSends(sys, func(m runtime.Message) {
+		if m.Kind == runtime.KindNotify {
+			notified++
+		}
+	})
+	aps := sys.APs()
+	for g := ids.GUID(1); notified < 1000; g++ {
+		if _, err := sys.JoinMemberAt(g, aps[int(g)%len(aps)]); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+	}
+	kept := 0
+	for _, n := range sys.nodes {
+		if len(n.notifyWait) != 0 {
+			t.Errorf("%s: %d notifications still in flight", n.ID(), len(n.notifyWait))
+		}
+		if len(n.notifyFree) > notifyFreeMax {
+			t.Errorf("%s keeps %d records, bound %d", n.ID(), len(n.notifyFree), notifyFreeMax)
+		}
+		kept += len(n.notifyFree)
+	}
+	if kept == 0 || kept > 2*len(sys.nodes) {
+		t.Errorf("%d records kept for %d notifications across %d nodes", kept, notified, len(sys.nodes))
+	}
+}
+
+// TestNotifyGiveUpLeavesNoRecord: a notification to a crashed parent is
+// sent 1 + MaxRetries times and then given up. The record is released
+// with its timer, so nothing stays in flight and the kernel holds no
+// event more than before the join.
+func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
+	cfg := quietConfig(2, 3)
+	cfg.Retransmit.MaxRetries = 3
+	sys := NewSystem(cfg)
+	kernel := sys.Runtime().(*simnet.SimRuntime).Kernel()
+	ap := sys.Node(sys.APs()[0])
+	leader := sys.Node(ap.Leader())
+	sys.CrashNE(leader.Parent())
+	sends := 0
+	traceSends(sys, func(m runtime.Message) {
+		if m.Kind == runtime.KindNotify && m.From == leader.ID() && m.To == leader.Parent() {
+			sends++
+		}
+	})
+	baseline := kernel.Pending()
+	if _, err := sys.JoinMemberAt(1, ap.ID()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+
+	if want := 1 + cfg.Retransmit.MaxRetries; sends != want {
+		t.Errorf("the notification went to the crashed parent %d times, want %d", sends, want)
+	}
+	if leader.ParentOK() {
+		t.Error("the leader still trusts its crashed parent")
+	}
+	if len(leader.notifyWait) != 0 || len(leader.notifyFree) != 1 {
+		t.Errorf("after the give-up: %d notifications in flight, %d records kept; want 0 and 1", len(leader.notifyWait), len(leader.notifyFree))
+	}
+	if got := kernel.Pending(); got != baseline {
+		t.Errorf("%d kernel events pending after the run, %d before the join", got, baseline)
+	}
+}
+
+// TestPassAckNamesAdopter: a ring reuses its boxed pass acknowledgement
+// while the round is the same, and a round adopted after its holder
+// died is a new round: the next acknowledgement names the adopter.
+func TestPassAckNamesAdopter(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 5))
+	p, h := ringPair(sys)
+	sys.CrashNE(h)
+
+	tok := token.Fresh(sys.cfg.GID, p.ringID, h, 1, nil, token.FromLocal, ring.ID{})
+	tok.Route = p.Roster()
+	if p.ring.passAckFor(tok) != (wire.PassAck{Holder: h, Round: 1}) {
+		t.Fatal("the ring's acknowledgement does not name the dead holder's round")
+	}
+	var acks []wire.PassAck
+	traceSends(sys, func(m runtime.Message) {
+		if a, ok := m.Body.(wire.PassAck); ok {
+			acks = append(acks, a)
+		}
+	})
+	p.passToken(tok)
+	sys.Run()
+
+	if p.Repairs() != 1 {
+		t.Fatalf("%d repairs at %s, want the give-up on %s", p.Repairs(), p.ID(), h)
+	}
+	if len(acks) == 0 || acks[0] != (wire.PassAck{Holder: p.ID(), Round: 1}) {
+		t.Fatalf("acknowledgements after the adoption: %v, want the first to name the adopter %s", acks, p.ID())
+	}
+}

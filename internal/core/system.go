@@ -49,10 +49,11 @@ func (m *Member) HandleMessage(msg runtime.Message) {
 
 // pendingRound is a deferred round start for a busy ring.
 type pendingRound struct {
-	at     ids.NodeID
-	dir    token.Direction
-	source ring.ID
-	batch  mq.Batch
+	at        ids.NodeID
+	dir       token.Direction
+	source    ring.ID
+	batch     mq.Batch
+	forwarder ids.NodeID // the entity that notified batch (startRound)
 }
 
 // ringState is the round state of one logical ring as this process
@@ -83,6 +84,20 @@ type ringState struct {
 	// process's own round died with its carrier. The timing observer
 	// reports the round's duration from the same stamp.
 	roundStart runtime.Time
+
+	// passAck is the acknowledgement a local node last sent for a pass
+	// of this ring's token. Every member acknowledges the same (Holder,
+	// Round), so a round boxes one acknowledgement for all its hops here.
+	passAck wire.Payload
+}
+
+// passAckFor returns the acknowledgement of a pass of tok, reusing the
+// one last sent when it names the same round.
+func (rs *ringState) passAckFor(tok *token.Token) wire.Payload {
+	if a, ok := rs.passAck.(wire.PassAck); !ok || a.Holder != tok.Holder || a.Round != tok.Round {
+		rs.passAck = wire.PassAck{Holder: tok.Holder, Round: tok.Round}
+	}
+	return rs.passAck
 }
 
 // RepairEvent records one local ring repair for observability.
@@ -148,14 +163,14 @@ type System struct {
 
 	eventSink  func(Event)
 	eventSeen  map[changeKey]struct{}
-	eventSeenQ []changeKey
+	eventSeenQ window[changeKey]
 
 	// Timing observer (instrument.go). instrPending maps a
 	// locally-submitted change to its submit time until the
 	// topmost-ring commit.
 	instr         *Instrumentation
 	instrPending  map[changeKey]runtime.Time
-	instrPendingQ []changeKey
+	instrPendingQ window[changeKey]
 
 	// K-observer stability filter state (stability.go); the maps are
 	// allocated only when Config.StabilityK arms the filter.
@@ -252,6 +267,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 					parentOK: !parent.IsZero(),
 					queue:    mq.New(cfg.Aggregate),
 					pass:     passResend(n),
+					memVerQ:  newWindow[ids.GUID](tombstoneWindow),
 				}
 				if child, ok := s.hier.ChildRingOf(id); ok {
 					n.hasChild = true
@@ -325,25 +341,27 @@ func (s *System) sameRing(a, b ids.NodeID) bool {
 
 // requestRound asks to start a round at node n fed from its own MQ.
 func (s *System) requestRound(n *Node, dir token.Direction, source ring.ID) {
-	s.requestRoundWithBatch(n, dir, source, nil)
+	s.requestRoundWithBatch(n, dir, source, nil, ids.NoNode)
 }
 
 // requestRoundWithBatch schedules a round at node n. If the ring is
 // busy the request queues until the current round completes — the
 // System brokers token ownership so that "at any time there is at most
 // one membership change message propagated along a ring" (§4.3).
-func (s *System) requestRoundWithBatch(n *Node, dir token.Direction, source ring.ID, batch mq.Batch) {
+// forwarder is the entity that notified batch, zero for a batch of the
+// ring's own.
+func (s *System) requestRoundWithBatch(n *Node, dir token.Direction, source ring.ID, batch mq.Batch, forwarder ids.NodeID) {
 	if s.tr.Crashed(n.id) || n.ring.busy {
 		// Park the request: a busy ring runs it when the current round
 		// completes, a crashed entity if it is restored.
-		n.ring.pending = append(n.ring.pending, pendingRound{at: n.id, dir: dir, source: source, batch: batch})
+		n.ring.pending = append(n.ring.pending, pendingRound{at: n.id, dir: dir, source: source, batch: batch, forwarder: forwarder})
 		return
 	}
 	if dir == token.FromLocal && batch == nil && n.queue.Len() == 0 {
 		return // nothing to do
 	}
 	s.markRingBusy(n.ring)
-	n.startRound(dir, source, batch)
+	n.startRound(dir, source, batch, forwarder)
 }
 
 // roundDone is called by the holder when a round completes. It
@@ -362,7 +380,7 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 		// whole batch once: membership operations are idempotent, the
 		// NE-Failure reaches every survivor, and the (new) leader
 		// forwards the batch up the hierarchy.
-		s.requestRoundWithBatch(holder, token.FromLocal, ring.ID{}, tok.Ops)
+		s.requestRoundWithBatch(holder, token.FromLocal, ring.ID{}, tok.Ops, ids.NoNode)
 		return
 	}
 	s.dispatchPending(holder.ring)
@@ -385,7 +403,7 @@ func (s *System) dispatchPending(rs *ringState) {
 		}
 		rs.pending = queue
 		s.markRingBusy(rs)
-		n.startRound(next.dir, next.source, next.batch)
+		n.startRound(next.dir, next.source, next.batch, next.forwarder)
 		return
 	}
 	rs.pending = queue
@@ -448,7 +466,7 @@ func (s *System) startHeartbeats() {
 			}
 			s.probeExcluded(leaderNode, ringNodes)
 			s.markRingBusy(rs)
-			leaderNode.startRound(token.FromLocal, ring.ID{}, nil)
+			leaderNode.startRound(token.FromLocal, ring.ID{}, nil, ids.NoNode)
 		})
 		s.heartbeats = append(s.heartbeats, t)
 	}
@@ -688,7 +706,9 @@ func (s *System) FailMember(guid ids.GUID) error {
 // HandoffMember moves the MH to a new AP: the MH registers at the new
 // AP (Member-Handoff) and deregisters at the old one, which updates
 // only its local list — the location change itself propagates from
-// the new AP.
+// the new AP. Only an operational member can move: a handoff of one
+// that left or failed returns ErrUnknownMember and sends nothing, since
+// its Member-Handoff would make it operational again.
 func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	if err := s.requireAP(newAP); err != nil {
 		return err
@@ -696,6 +716,9 @@ func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	m, err := s.memberOf(guid)
 	if err != nil {
 		return err
+	}
+	if !m.Status.Operational() {
+		return fmt.Errorf("core: %s is %s: %w", guid, m.Status, ErrUnknownMember)
 	}
 	oldAP := m.AP
 	if oldAP == newAP {

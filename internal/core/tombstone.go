@@ -74,11 +74,9 @@ func (n *Node) adoptVersion(g ids.GUID, v uint64) {
 // trackVersioned appends g to the FIFO cap queue, evicting the oldest
 // counter past the window.
 func (n *Node) trackVersioned(g ids.GUID) {
-	if len(n.memVerQ) >= tombstoneWindow {
-		delete(n.memVer, n.memVerQ[0])
-		n.memVerQ = n.memVerQ[1:]
+	if old, full := n.memVerQ.push(g); full {
+		delete(n.memVer, old)
 	}
-	n.memVerQ = append(n.memVerQ, g)
 }
 
 // versionOf returns the removal counter for g (0 when never removed).

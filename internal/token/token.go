@@ -44,36 +44,47 @@ func (d Direction) String() string {
 }
 
 // Token is the circulating object of the one-round algorithm.
+//
+// The two one-byte fields sit beside GID, in the word GID leaves
+// half empty, so a token is 136 bytes and not 152. The codec writes
+// each field by name, so the order here is not the wire order.
 type Token struct {
-	GID    ids.GroupID // group the token serves
-	Ring   ring.ID     // ring the token circulates in
-	Holder ids.NodeID  // node that started this round and will close it
-	Round  uint64      // per-ring round sequence number
-	Ops    mq.Batch    // aggregated operations being executed at each node
+	GID ids.GroupID // group the token serves
 
 	// Dir is how Ops entered this ring; Source identifies the child
 	// ring when Dir == FromChild, so dissemination can skip the echo.
-	Dir    Direction
-	Source ring.ID
-
-	// Route is the round's itinerary: the holder's roster in cycle
-	// order starting at the holder, fixed when the round starts.
-	// Nodes forward the token along Route (excluding entries repaired
-	// away mid-round), so a round's coverage is well defined even if
-	// individual ring views diverge while the token is in flight.
-	// The holder assigns a freshly built slice that the token owns for
-	// the round's lifetime.
-	Route []ids.NodeID
-
-	// Hops counts ring hops taken this round (diagnostics; the
-	// network layer owns authoritative accounting).
-	Hops int
+	Dir Direction
 
 	// Repaired is set when a node excluded a faulty successor during
 	// this round; the holder then schedules one convergence round so
 	// members that executed the token before the repair also learn
 	// the exclusion.
 	Repaired bool
+
+	Ring   ring.ID    // ring the token circulates in
+	Holder ids.NodeID // node that started this round and will close it
+	Round  uint64     // per-ring round sequence number
+
+	// Ops are the aggregated operations being executed at each node.
+	// They are fixed when the round starts and read-only from then on:
+	// a notification sends this very slice to the next ring, so a
+	// change to the batch (a repair's NE-Failure) goes into a Clone.
+	Ops mq.Batch
+
+	Source ring.ID // the child ring Ops came from, when Dir == FromChild
+
+	// Route is the round's itinerary: the holder's roster in cycle
+	// order starting at the holder, fixed when the round starts.
+	// Nodes forward the token along Route (excluding entries repaired
+	// away mid-round), so a round's coverage is well defined even if
+	// individual ring views diverge while the token is in flight.
+	// The holder shares one itinerary between its rounds until its
+	// roster changes, so no code writes a Route in place.
+	Route []ids.NodeID
+
+	// Hops counts ring hops taken this round (diagnostics; the
+	// network layer owns authoritative accounting).
+	Hops int
 
 	// Contributors lists the nodes whose MQ drains were folded into
 	// Ops en route; the holder uses it to address
@@ -116,9 +127,10 @@ func (t *Token) NextOnRoute(after ids.NodeID) ids.NodeID {
 	return t.Holder
 }
 
-// DropFromRoute removes a repaired-away entity from the itinerary.
+// DropFromRoute removes a repaired-away entity from the itinerary. It
+// builds a new slice: the old one may be shared with other rounds.
 func (t *Token) DropFromRoute(dead ids.NodeID) {
-	out := t.Route[:0]
+	out := make([]ids.NodeID, 0, len(t.Route))
 	for _, n := range t.Route {
 		if n != dead {
 			out = append(out, n)

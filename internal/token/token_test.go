@@ -1,7 +1,9 @@
 package token
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -49,6 +51,29 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 	if empty := (&Token{}).Clone(); empty.Ops != nil || empty.Route != nil || empty.Contributors != nil {
 		t.Fatalf("the clone of a token without slices has %+v", empty)
+	}
+}
+
+// TestTokenSize: every round allocates one token, so its size class
+// is the round's allocation.
+func TestTokenSize(t *testing.T) {
+	if got := unsafe.Sizeof(Token{}); got != 136 {
+		t.Fatalf("Token is %d bytes, want 136", got)
+	}
+}
+
+// TestDropFromRouteLeavesSharedRoute: a holder shares one itinerary
+// between its rounds, so dropping an entity builds a new route.
+func TestDropFromRouteLeavesSharedRoute(t *testing.T) {
+	a, b, c := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	shared := []ids.NodeID{a, b, c}
+	tok := &Token{Holder: a, Route: shared}
+	tok.DropFromRoute(b)
+	if !slices.Equal(tok.Route, []ids.NodeID{a, c}) {
+		t.Fatalf("route after dropping %s = %v", b, tok.Route)
+	}
+	if !slices.Equal(shared, []ids.NodeID{a, b, c}) {
+		t.Fatalf("dropping %s wrote the shared route: %v", b, shared)
 	}
 }
 
