@@ -36,7 +36,8 @@ const (
 	// DisseminateFull propagates every change through every logical
 	// ring (the worst-case model behind formulas (5)-(6): each change
 	// costs one round in all tn rings plus every inter-ring link).
-	// Every network entity ends up with the global membership.
+	// Every ring runs the change, and each keeps in its
+	// ListOfRingMembers the members its subtree covers.
 	DisseminateFull DisseminationMode = iota
 
 	// DisseminatePathOnly propagates a change only up the chain of
@@ -122,26 +123,16 @@ type Config struct {
 	// StabilityK, when >= 2, arms the K-observer stability filter: a
 	// network entity is evicted from its ring only once K distinct
 	// observers (pass-timeout detectors, the heartbeat's silent-leader
-	// suspicion, the discovery plane's FailOutRemote) concur within
-	// SuspicionWindow. Unconfirmed suspicions still route the token
-	// around the suspect, so rounds keep completing while confirmation
-	// accumulates. Values <= 1 disable the filter (every suspicion
-	// evicts immediately — the pre-filter protocol).
+	// suspicion, the discovery plane's FailOutRemote) concur within the
+	// suspicion window of five heartbeat intervals (five retransmit
+	// timeouts without heartbeats). Unconfirmed suspicions still route
+	// the token around the suspect, so rounds keep completing while
+	// confirmation accumulates. An entity evicted and readmitted
+	// repeatedly is held out of rejoin for ten heartbeat intervals (ten
+	// retransmit timeouts) doubled per repeat offense. Values <= 1
+	// disable the filter and the quarantine (every suspicion evicts
+	// immediately — the pre-filter protocol).
 	StabilityK int
-
-	// SuspicionWindow bounds how long gathered observers of one suspect
-	// stay valid before the count restarts. Zero selects a default of
-	// five heartbeat intervals (or five retransmit timeouts without
-	// heartbeats) at first use.
-	SuspicionWindow time.Duration
-
-	// QuarantineBase scales the flap quarantine: a member evicted and
-	// readmitted repeatedly (its flap score) is held out of rejoin for
-	// QuarantineBase doubled per repeat offense instead of churning the
-	// ring. Zero selects ten heartbeat intervals (or ten retransmit
-	// timeouts) at first use. The quarantine only arms together with
-	// the stability filter (StabilityK >= 2).
-	QuarantineBase time.Duration
 }
 
 // DefaultConfig returns a ready-to-run configuration for an (h, r)

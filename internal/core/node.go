@@ -13,7 +13,10 @@ import (
 )
 
 // Node is one network entity (AP, AG or BR) of the ring-based
-// hierarchy, holding exactly the per-entity state of Section 4.2.
+// hierarchy, holding exactly the per-entity state of Section 4.2: its
+// ring's roster, the Function-Well booleans, the MQ and the three
+// membership lists. No entity holds the whole group; the topmost ring's
+// ListOfRingMembers is the group's view (§4.4).
 type Node struct {
 	sys *System
 
@@ -47,7 +50,6 @@ type Node struct {
 	local     ids.MemberList // ListOfLocalMembers (bottommost tier)
 	ringMems  ids.MemberList // ListOfRingMembers (coverage of this ring)
 	neighbors ids.MemberList // ListOfNeighborMembers (fast handoff)
-	global    ids.MemberList // full membership under DisseminateFull
 
 	// queue is the MQ of Section 4.2.
 	queue *mq.Queue
@@ -87,9 +89,8 @@ type Node struct {
 	lastTokHolder ids.NodeID
 	lastTokRound  uint64
 
-	// ackSent / rounds counters for tests and metrics.
-	roundsCompleted uint64
-	repairsDone     uint64
+	// repairsDone counts the faulty successors this node excluded.
+	repairsDone uint64
 
 	// Batched view changes (batch.go): batchArmed marks an open batch
 	// window whose flush timer will circulate the queue's contents.
@@ -142,15 +143,8 @@ func (n *Node) RingMembers() *ids.MemberList { return &n.ringMems }
 // NeighborMembers returns the ListOfNeighborMembers.
 func (n *Node) NeighborMembers() *ids.MemberList { return &n.neighbors }
 
-// GlobalMembers returns the node's full-group list (maintained under
-// DisseminateFull).
-func (n *Node) GlobalMembers() *ids.MemberList { return &n.global }
-
 // Queue exposes the node's MQ (primarily for tests and metrics).
 func (n *Node) Queue() *mq.Queue { return n.queue }
-
-// RoundsCompleted returns how many rounds this node closed as holder.
-func (n *Node) RoundsCompleted() uint64 { return n.roundsCompleted }
 
 // Repairs returns how many faulty successors this node excluded.
 func (n *Node) Repairs() uint64 { return n.repairsDone }
@@ -422,7 +416,7 @@ func (n *Node) applyChange(c mq.Change, dir token.Direction) {
 	case mq.OpMemberJoin, mq.OpMemberHandoff:
 		n.applyMemberPut(c, dir)
 	case mq.OpMemberLeave, mq.OpMemberFailure:
-		n.applyMemberRemove(c, dir)
+		n.applyMemberRemove(c)
 	case mq.OpNEFailure, mq.OpNELeave:
 		// Roster surgery applies only inside the failed entity's own
 		// ring; other rings just observe (and fix Child pointers).
@@ -442,9 +436,6 @@ func (n *Node) applyChange(c mq.Change, dir token.Direction) {
 func (n *Node) applyMemberPut(c mq.Change, dir token.Direction) {
 	m := c.Member
 	m.Status = ids.StatusOperational
-	if n.sys.cfg.Dissemination == DisseminateFull {
-		n.global.Put(m)
-	}
 	// ListOfRingMembers covers this ring's subtree: batches arriving
 	// from the parent concern other subtrees unless the member's AP is
 	// covered here.
@@ -478,12 +469,9 @@ func (n *Node) trackAtBottomTier(m ids.MemberInfo) {
 	}
 }
 
-func (n *Node) applyMemberRemove(c mq.Change, dir token.Direction) {
+func (n *Node) applyMemberRemove(c mq.Change) {
 	g := c.Member.GUID
 	n.noteMemberRemoved(g)
-	if n.sys.cfg.Dissemination == DisseminateFull {
-		n.global.Remove(g)
-	}
 	n.ringMems.Remove(g)
 	if n.level == n.sys.cfg.H-1 {
 		n.local.Remove(g)
@@ -570,7 +558,6 @@ func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
 // repair happened mid-round, and release of the ring for the next
 // round.
 func (n *Node) completeRound(tok *token.Token) {
-	n.roundsCompleted++
 	n.ringOK = true
 	if tok.Round == n.openRoundSeq {
 		n.openRound = n.openRound[:0]
@@ -718,20 +705,13 @@ func (n *Node) receiveSnapshot(s wire.Snapshot) {
 	n.leader = s.Leader
 	n.insertIntoRoster(n.id)
 	// The snapshot is all this entity knows of the time it was away, so
-	// the other lists follow it: the bottom-tier ones are rebuilt from
-	// it, and what the full list holds under this ring's coverage that
-	// the snapshot no longer does has left.
+	// the bottom-tier lists are rebuilt from it too.
 	n.ringMems.Clear()
 	n.local.Clear()
 	n.neighbors.Clear()
 	for _, m := range s.Members {
 		n.ringMems.Put(m)
 		n.trackAtBottomTier(m)
-	}
-	for _, m := range n.global.Snapshot() {
-		if !n.ringMems.Contains(m.GUID) && n.sys.hier.Covers(n.ringID, m.AP) {
-			n.global.Remove(m.GUID)
-		}
 	}
 	// The member list is authoritative; the view counters ride along so
 	// a later merge at THIS node compares removal histories correctly.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	goruntime "runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -25,7 +26,7 @@ func traceSends(sys *System, fn func(runtime.Message)) {
 // that carry the change between rings. A copy of the batch per
 // notification, a record per notification, an itinerary per round or a
 // pass acknowledgement per hop each cost tens of allocations here.
-const joinAllocBudget = 204
+const joinAllocBudget = 199
 
 // TestJoinAllocBudget locks the per-join allocation of a three-level
 // hierarchy, where every ring runs a round for every change.
@@ -48,6 +49,41 @@ func TestJoinAllocBudget(t *testing.T) {
 	}
 	if got := len(sys.GlobalMembership()); got != int(next)-1 {
 		t.Fatalf("membership = %d, want %d", got, next-1)
+	}
+}
+
+// retainedHeapBudget is the live heap a System at h=4 r=5 may keep with
+// 500 members joined: 780 entities, each with its roster, queue and the
+// lists of §4.2, where a ring's list holds only the members its subtree
+// covers. A full-group list at every entity keeps ten times as much.
+const retainedHeapBudget = 4 << 20
+
+// TestRetainedHeapBudget locks what a System keeps once its members have
+// joined, measured after two collections on each side.
+func TestRetainedHeapBudget(t *testing.T) {
+	live := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	sys := NewSystem(quietConfig(4, 5))
+	aps := sys.APs()
+	for g := 1; g <= 500; g++ {
+		if _, err := sys.JoinMemberAt(ids.GUID(g), aps[g%len(aps)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	kept := int64(live()) - int64(before)
+	if got := len(sys.GlobalMembership()); got != 500 {
+		t.Fatalf("membership = %d, want 500", got)
+	}
+	if kept > retainedHeapBudget {
+		t.Errorf("a System at h=4 r=5 with 500 members keeps %.1f MB of live heap, budget %.1f MB",
+			float64(kept)/(1<<20), float64(retainedHeapBudget)/(1<<20))
 	}
 }
 

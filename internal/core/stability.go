@@ -43,30 +43,21 @@ type suspicion struct {
 // compat mode the golden digests pin.
 func (s *System) stabilityOn() bool { return s.cfg.StabilityK >= 2 }
 
-// suspicionWindow resolves the configured window, defaulting to five
-// heartbeat intervals (the silent-leader horizon) or, without
-// heartbeats, five retransmission timeouts.
-func (s *System) suspicionWindow() time.Duration {
-	if s.cfg.SuspicionWindow > 0 {
-		return s.cfg.SuspicionWindow
-	}
+// detectionPeriod is the failure-detection beat: the heartbeat
+// interval, or without heartbeats the retransmission timeout.
+func (s *System) detectionPeriod() time.Duration {
 	if s.cfg.HeartbeatInterval > 0 {
-		return 5 * s.cfg.HeartbeatInterval
+		return s.cfg.HeartbeatInterval
 	}
-	return 5 * s.cfg.RetransmitTimeout
+	return s.cfg.RetransmitTimeout
 }
 
-// quarantineBase resolves the configured quarantine unit, defaulting
-// to ten heartbeat intervals (or ten retransmission timeouts).
-func (s *System) quarantineBase() time.Duration {
-	if s.cfg.QuarantineBase > 0 {
-		return s.cfg.QuarantineBase
-	}
-	if s.cfg.HeartbeatInterval > 0 {
-		return 10 * s.cfg.HeartbeatInterval
-	}
-	return 10 * s.cfg.RetransmitTimeout
-}
+// suspicionWindow is how long gathered observers of one suspect stay
+// valid: five detection periods (the silent-leader horizon).
+func (s *System) suspicionWindow() time.Duration { return 5 * s.detectionPeriod() }
+
+// quarantineBase is the flap quarantine's unit: ten detection periods.
+func (s *System) quarantineBase() time.Duration { return 10 * s.detectionPeriod() }
 
 // confirmEviction records one observer's verdict against subject and
 // reports whether the eviction may proceed. Observers older than the

@@ -54,18 +54,17 @@ func TestStabilityKMinusOneObserversNeverEvict(t *testing.T) {
 
 // TestStabilitySuspicionWindowExpiry: a lone stale observation cannot
 // combine with a fresh one — observers older than the suspicion
-// window are discarded before counting.
+// window (five retransmit timeouts without heartbeats) are discarded
+// before counting.
 func TestStabilitySuspicionWindowExpiry(t *testing.T) {
-	cfg := stableConfig(1, 5, 2)
-	cfg.SuspicionWindow = 100 * time.Millisecond
-	sys := NewSystem(cfg)
+	sys := NewSystem(stableConfig(1, 5, 2))
 	subject := sys.APs()[0]
 	roster := sys.Node(subject).Roster()
 
 	if sys.confirmEviction(subject, roster[1]) {
 		t.Fatal("confirmed with one observer")
 	}
-	sys.RunFor(200 * time.Millisecond) // the suspicion goes stale
+	sys.RunFor(sys.suspicionWindow() + time.Millisecond) // the suspicion goes stale
 	if sys.confirmEviction(subject, roster[2]) {
 		t.Fatal("a fresh observer combined with a stale one")
 	}
@@ -77,11 +76,10 @@ func TestStabilitySuspicionWindowExpiry(t *testing.T) {
 
 // TestFlapQuarantineEscalation: the first confirmed eviction rejoins
 // freely; repeat offenses quarantine with exponentially growing holds
-// that expire on their own.
+// (from ten retransmit timeouts without heartbeats) that expire on
+// their own.
 func TestFlapQuarantineEscalation(t *testing.T) {
-	cfg := stableConfig(1, 5, 2)
-	cfg.QuarantineBase = 80 * time.Millisecond
-	sys := NewSystem(cfg)
+	sys := NewSystem(stableConfig(1, 5, 2))
 	subject := sys.APs()[0]
 	roster := sys.Node(subject).Roster()
 	evict := func() {
@@ -156,9 +154,7 @@ func TestUnconfirmedSuspicionKeepsRosterIntact(t *testing.T) {
 // duplicate request delivered during the hold is requeued too and its
 // late replay is a no-op (no double admission, no divergence).
 func TestQuarantinedRejoinDeferredNotDropped(t *testing.T) {
-	cfg := stableConfig(1, 5, 2)
-	cfg.QuarantineBase = 60 * time.Millisecond
-	sys := NewSystem(cfg)
+	sys := NewSystem(stableConfig(1, 5, 2))
 	ap := sys.APs()[0]
 	roster := sys.Node(ap).Roster()
 	flapper := roster[3]
@@ -200,7 +196,7 @@ func TestQuarantinedRejoinDeferredNotDropped(t *testing.T) {
 
 	// Past the hold both deferred requests fire; the second is a
 	// replay no-op.
-	sys.RunFor(500 * time.Millisecond)
+	sys.RunFor(sys.quarantineBase() + 500*time.Millisecond)
 	for _, id := range roster {
 		n := sys.Node(id)
 		if !n.rosterContains(flapper) {

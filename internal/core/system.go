@@ -704,11 +704,14 @@ func (s *System) FailMember(guid ids.GUID) error {
 }
 
 // HandoffMember moves the MH to a new AP: the MH registers at the new
-// AP (Member-Handoff) and deregisters at the old one, which updates
-// only its local list — the location change itself propagates from
-// the new AP. Only an operational member can move: a handoff of one
-// that left or failed returns ErrUnknownMember and sends nothing, since
-// its Member-Handoff would make it operational again.
+// AP (Member-Handoff), and the location change propagates from there.
+// Nothing is sent to the old AP. Under DisseminateFull the change
+// reaches every ring, and the old AP drops the member from its lists
+// when the round reaches it; under DisseminatePathOnly only the rings
+// above the new AP run it, and the old AP's ring keeps the member at
+// its old location. Only an operational member can move: a handoff of
+// one that left or failed returns ErrUnknownMember and sends nothing,
+// since its Member-Handoff would make it operational again.
 func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	if err := s.requireAP(newAP); err != nil {
 		return err

@@ -119,12 +119,8 @@ func TestJoinUpdatesAllListKinds(t *testing.T) {
 	if !next.NeighborMembers().Contains(9) {
 		t.Error("successor AP's neighbor list missing the member")
 	}
-	// In full dissemination every node has it in the global list.
-	for _, id := range sys.Hierarchy().AllNodes() {
-		if !sys.Node(id).GlobalMembers().Contains(9) {
-			t.Fatalf("node %s missing member in global list", id)
-		}
-	}
+	// Every ring that covers the serving AP lists it, and no other.
+	requireRingListsMatchCoverage(t, sys)
 }
 
 func TestLeaveRemovesEverywhere(t *testing.T) {
@@ -138,10 +134,11 @@ func TestLeaveRemovesEverywhere(t *testing.T) {
 	}
 	for _, id := range sys.Hierarchy().AllNodes() {
 		node := sys.Node(id)
-		if node.GlobalMembers().Contains(4) || node.RingMembers().Contains(4) || node.LocalMembers().Contains(4) {
+		if node.LocalMembers().Contains(4) || node.NeighborMembers().Contains(4) {
 			t.Fatalf("node %s still lists departed member", id)
 		}
 	}
+	requireRingListsMatchCoverage(t, sys)
 }
 
 func TestFailMemberRemoves(t *testing.T) {

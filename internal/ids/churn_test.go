@@ -45,10 +45,11 @@ func BenchmarkMemberListChurn(b *testing.B) {
 }
 
 // BenchmarkMemberListCold does one remove+put on each of 780 lists of
-// 2 000 members in turn: the shape of the full-membership lists the
-// simulator keeps at every entity of an h=4 r=5 hierarchy, where a
-// change reaches each list long after the others have pushed it out of
-// cache. An operation is one list's remove+put.
+// 2 000 members in turn: a change visiting every entity of an h=4 r=5
+// hierarchy, each list reached long after the others have pushed it out
+// of cache. Every list is as large as a top-ring entity's
+// ListOfRingMembers; a lower ring's holds only its subtree's members, so
+// this is the worst case. An operation is one list's remove+put.
 func BenchmarkMemberListCold(b *testing.B) {
 	const lists, n = 780, 2000
 	ls := make([]*MemberList, lists)
