@@ -30,7 +30,7 @@ import (
 // timers and counters on its shard's engine goroutine and hands a
 // message between two entities of the process over in memory. Networked
 // (Listen, Dial, ListenCluster), it additionally shares one UDP socket
-// and the per-shard encode buffers between all groups and demultiplexes
+// and the per-shard outgoing datagrams between all groups and demultiplexes
 // inbound frames to the owning shard by the wire envelope's group tag;
 // in-process (WithLiveRuntime), it has no socket and the process is the
 // whole deployment.

@@ -41,15 +41,26 @@ type engineCore struct {
 	// Engine-only.
 	waits []*engineWait
 
+	// batch is set while the loop runs a backlog: the items that were
+	// already queued when one was dequeued. Egress then keeps their
+	// frames, and flush writes them once the backlog is done, one
+	// datagram per peer; an idle shard's frames are written during
+	// their item. Engine-only.
+	batch bool
+	flush func()
+
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
 
-func newEngineCore() *engineCore {
+// newEngineCore starts a shard whose egress writes what a backlog's
+// items kept when flush is called (see netBufs).
+func newEngineCore(flush func()) *engineCore {
 	e := &engineCore{
 		start:  time.Now(),
 		exec:   make(chan func(), 4096),
+		flush:  flush,
 		closed: make(chan struct{}),
 	}
 	e.wg.Add(1)
@@ -57,22 +68,38 @@ func newEngineCore() *engineCore {
 	return e
 }
 
-// loop is the single goroutine that owns all protocol state.
+// loop is the single goroutine that owns all protocol state. An item
+// dequeued with others queued behind it starts a batch of exactly those
+// items, whose frames flush writes at its end, so a frame waits at most
+// for work that was queued before its own item started, and a shard with
+// nothing queued writes through.
 func (e *engineCore) loop() {
 	defer e.wg.Done()
 	for {
 		select {
 		case fn := <-e.exec:
+			n := len(e.exec)
+			e.batch = n > 0
 			e.run(fn)
 			e.wake()
+			for ; n > 0; n-- {
+				e.run(<-e.exec) // only this goroutine receives: never blocks
+				e.wake()
+			}
+			if e.batch {
+				e.batch = false
+				e.flush()
+			}
 		case <-e.closed:
 			// Drain whatever is already queued so pending work items
 			// settle their accounting, then stop.
+			e.batch = true
 			for {
 				select {
 				case fn := <-e.exec:
 					e.run(fn)
 				default:
+					e.flush()
 					return
 				}
 			}

@@ -27,8 +27,8 @@ import (
 //     not per endpoint.
 //   - NetMux: the groups of one process. With a socket (NetConfig.Bind)
 //     they share it: inbound frames are demultiplexed to the owning
-//     group's shard by the wire envelope's group tag, and the outbound
-//     encode buffer is shared per shard. Without one the process is the
+//     group's shard by the wire envelope's group tag, and the outgoing
+//     datagrams are shared per shard. Without one the process is the
 //     whole deployment: every endpoint is local and every hop is handed
 //     over in memory. Open hands out a *NetRuntime view per group.
 //   - BindShard: runs any single-threaded Runtime (in practice the
@@ -47,8 +47,8 @@ var (
 )
 
 // muxShard is one engine shard: a single goroutine owning the protocol
-// state of every group pinned to it, plus that goroutine's encode
-// buffer. It is the real-time analogue of one simulator kernel.
+// state of every group pinned to it, plus that goroutine's outgoing
+// datagrams. It is the real-time analogue of one simulator kernel.
 type muxShard struct {
 	eng  *engineCore
 	bufs *netBufs
@@ -70,7 +70,8 @@ func NewShardSet(n int) *ShardSet {
 	}
 	set := &ShardSet{shards: make([]*muxShard, n)}
 	for i := range set.shards {
-		set.shards[i] = &muxShard{eng: newEngineCore(), bufs: new(netBufs)}
+		bufs := new(netBufs)
+		set.shards[i] = &muxShard{eng: newEngineCore(bufs.flush), bufs: bufs}
 	}
 	return set
 }
@@ -137,7 +138,7 @@ func (r *shardBound) Close() error {
 // NetMux hosts the real-time groups of one process. Bound to a UDP
 // socket, the read loop demultiplexes each inbound frame to the owning
 // group's engine shard by the envelope's group tag, and all groups of a
-// shard share that shard's encode buffer and local-hop FIFO, so the
+// shard share that shard's outgoing datagrams and local-hop FIFO, so the
 // steady-state multi-group send path allocates nothing beyond the
 // one-group one. The peer address book is resolved once and shared
 // read-only by every group: all groups of a deployment see the same

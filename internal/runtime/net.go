@@ -114,10 +114,11 @@ type NetConfig struct {
 }
 
 // NetStats counts wire-level events that the substrate-agnostic Stats
-// cannot see: decode failures, version mismatches, routing misses and
-// relays. The socket-level counters (Received, DecodeErrors,
-// UnknownVersion, UnknownGroup) are maintained once per socket; the
-// routing counters are per group and aggregated by NetMux.NetStats.
+// cannot see: decode failures, version mismatches, routing misses,
+// relays and write failures. The socket-level counters (Received,
+// DecodeErrors, UnknownVersion, UnknownGroup, WriteFailed) are
+// maintained once per socket; the routing counters are per group and
+// aggregated by NetMux.NetStats.
 type NetStats struct {
 	Received       uint64 // datagrams read from the socket (co-hosted hops are not datagrams)
 	DecodeErrors   uint64 // frames rejected by the codec
@@ -127,6 +128,7 @@ type NetStats struct {
 	Relayed        uint64 // frames forwarded toward their owner
 	TTLExpired     uint64 // relay candidates dropped at TTL exhaustion
 	Oversize       uint64 // frames larger than one UDP datagram, dropped
+	WriteFailed    uint64 // frames in datagrams the socket refused to write
 
 	// Discovery-plane counters. PeerJoined/PeerEvicted/GossipFrames
 	// are table-level (maintained once per socket); DupDropped is per
@@ -158,6 +160,12 @@ type netSock struct {
 	unknownVersion atomic.Uint64
 	unknownGroup   atomic.Uint64
 
+	// writeFailed counts the frames of the datagrams the socket refused.
+	// A datagram a backlogged shard writes can hold frames of several
+	// groups, so, like cut, it is kept once here and folded into every
+	// group's Dropped.
+	writeFailed atomic.Uint64
+
 	// blocked, when non-nil, is the process-level partition cut
 	// (NetMux.Block), keyed by peer address: the ingress read
 	// loop, every group's egress and the discovery plane's egress all
@@ -186,17 +194,20 @@ func (s *netSock) stats() NetStats {
 		DecodeErrors:   s.decodeErrors.Load(),
 		UnknownVersion: s.unknownVersion.Load(),
 		UnknownGroup:   s.unknownGroup.Load(),
+		WriteFailed:    s.writeFailed.Load(),
 	}
 }
 
-// readLoop runs off-engine: it blocks on the socket, decodes each
-// datagram (decoding shares no state), resolves the owning transport by
-// the frame's group tag and hands the frame to that transport's engine
-// goroutine in a recycled inbound record. resolve runs on the read
-// goroutine with the datagram's source address (the discovery plane
-// intercepts its control frames there, before any group demux) and must
-// only touch read-safe state; returning nil drops the frame (the
-// resolver has already accounted it).
+// readLoop runs off-engine: it blocks on the socket and walks each
+// datagram's frames. Each frame is decoded on its own (decoding shares
+// no state), its owning transport resolved by the frame's group tag and
+// the frame handed to that transport's engine goroutine in a recycled
+// inbound record. A frame that fails to decode ends the walk: the frames
+// before it are delivered, and the rest counts as one decode error.
+// resolve runs on the read goroutine with the datagram's source address
+// (the discovery plane intercepts its control frames there, before any
+// group demux) and must only touch read-safe state; returning nil drops
+// the frame (the resolver has already accounted it).
 func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, netip.AddrPort) *netTransport) {
 	buf := make([]byte, wire.MaxDatagram)
 	for {
@@ -218,34 +229,49 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, neti
 			continue // partitioned peer: drop before decode, like lost bytes
 		}
 		s.received.Add(1)
-		in := s.take(wire.FramePayloadKind(buf[:n]) == wire.KindQueryReply)
-		f, derr := wire.DecodeFrameInto(buf[:n], &in.members)
-		if derr != nil {
-			if errors.Is(derr, wire.ErrUnknownVersion) {
-				s.unknownVersion.Add(1)
-			} else {
-				s.decodeErrors.Add(1)
+		for rest := buf[:n]; ; {
+			size, err := wire.FrameLen(rest)
+			if err != nil {
+				size = len(rest) // decoding says what is wrong with it
 			}
-			s.release(in)
-			continue
+			if !s.hand(rest[:size], src, resolve) || size == len(rest) {
+				break
+			}
+			rest = rest[size:]
 		}
-		if int(f.Class) >= int(numKinds) {
-			s.decodeErrors.Add(1)
-			s.release(in)
-			continue
-		}
-		t := resolve(f, src)
-		if t == nil {
-			s.release(in)
-			continue
-		}
-		in.t, in.f, in.src = t, f, src
-		t.eng.pending.Add(1)
-		t.eng.submit(in.fn)
 	}
 }
 
-// inbound is one decoded datagram on its way from the read loop to its
+// hand decodes one frame of a datagram from src and hands it to its
+// group's engine, reporting false, with the failure counted, when the
+// frame does not decode. Read goroutine.
+func (s *netSock) hand(b []byte, src netip.AddrPort, resolve func(wire.Frame, netip.AddrPort) *netTransport) bool {
+	in := s.take(wire.FramePayloadKind(b) == wire.KindQueryReply)
+	f, err := wire.DecodeFrameInto(b, &in.members)
+	if err == nil && int(f.Class) >= int(numKinds) {
+		err = wire.ErrMalformed
+	}
+	if err != nil {
+		if errors.Is(err, wire.ErrUnknownVersion) {
+			s.unknownVersion.Add(1)
+		} else {
+			s.decodeErrors.Add(1)
+		}
+		s.release(in)
+		return false
+	}
+	t := resolve(f, src)
+	if t == nil {
+		s.release(in)
+		return true
+	}
+	in.t, in.f, in.src = t, f, src
+	t.eng.pending.Add(1)
+	t.eng.submit(in.fn)
+	return true
+}
+
+// inbound is one decoded frame on its way from the read loop to its
 // group's engine. Records are recycled through the socket's free list
 // and run is bound once per record (fn), so the hand-off allocates
 // nothing; the engine's work queue still carries one word per item. (A
@@ -375,13 +401,67 @@ func (b *netBook) slotAddr(slot int) netip.AddrPort {
 	return b.table.AddrOf(slot)
 }
 
-// netBufs holds the reusable encode buffer of one engine shard, so the
-// steady-state send path allocates nothing. The socket write copies the
-// datagram before it returns, so one buffer serves every destination,
-// relay and group of the shard (their sends are serialized on its
-// engine goroutine); sharing across shards would need a lock.
+// netBufs is the egress of one engine shard: one datagram under
+// construction per (socket, peer address) the shard's groups send to.
+// Send and relay encode each frame straight into its destination's
+// datagram. An idle shard writes it there and then; a backlogged one
+// keeps it until the engine's flush at the end of the batch, so the
+// batch goes out as one datagram per peer (engineCore.loop). A slot is
+// claimed by the first frame queued for its destination and released at
+// flush, and every slot keeps its capacity, so the steady-state send
+// path allocates nothing. The slots are engine-owned: all groups of the
+// shard send on its goroutine, and sharing across shards would need a
+// lock.
 type netBufs struct {
-	frame []byte
+	out []datagram // the claimed slots; released ones past len keep their buffers
+}
+
+// datagram is the frames kept for one destination, back to back.
+type datagram struct {
+	sock   *netSock
+	addr   netip.AddrPort
+	buf    []byte
+	frames int
+}
+
+// to returns the datagram under construction for addr on sock, claiming
+// a slot for it if none is.
+func (b *netBufs) to(sock *netSock, addr netip.AddrPort) *datagram {
+	for i := range b.out {
+		if d := &b.out[i]; d.sock == sock && d.addr == addr {
+			return d
+		}
+	}
+	if len(b.out) < cap(b.out) {
+		b.out = b.out[:len(b.out)+1]
+	} else {
+		b.out = append(b.out, datagram{})
+	}
+	d := &b.out[len(b.out)-1]
+	d.sock, d.addr = sock, addr
+	return d
+}
+
+// flush writes every claimed datagram that holds a frame and releases
+// the slots. Engine context.
+func (b *netBufs) flush() {
+	for i := range b.out {
+		d := &b.out[i]
+		if d.frames > 0 {
+			d.write()
+		}
+		d.sock, d.buf, d.frames = nil, d.buf[:0], 0
+	}
+	b.out = b.out[:0]
+}
+
+// write is the single egress point of the protocol's frames: one
+// datagram to its peer, whose frames count as WriteFailed if the socket
+// refuses it.
+func (d *datagram) write() {
+	if _, err := d.sock.conn.WriteToUDPAddrPort(d.buf, d.addr); err != nil {
+		d.sock.writeFailed.Add(uint64(d.frames))
+	}
 }
 
 // resolveNetBook resolves and validates the address-book parts of a
@@ -769,26 +849,9 @@ func (t *netTransport) relay(f wire.Frame) {
 		return
 	}
 	f.TTL--
-	buf := wire.AppendFrame(t.bufs.frame[:0], f)
-	t.bufs.frame = buf
-	if len(buf) > wire.MaxDatagram {
-		t.nstats.Oversize++
-		t.stats.Dropped++
-		return
+	if t.egress(f, addr, true) {
+		t.nstats.Relayed++
 	}
-	// Dedup window: a frame replayed at us (or routed here twice by a
-	// relay loop) is forwarded once per TTL window. The hash skips the
-	// envelope's TTL byte so the same frame arriving over paths of
-	// different length still collapses to one key.
-	if !t.dedup.Add(relayKey(buf)) {
-		t.nstats.DupDropped++
-		t.stats.Dropped++
-		return
-	}
-	if !t.writeDatagram(buf, addr) {
-		return
-	}
-	t.nstats.Relayed++
 }
 
 // relayKey hashes one encoded frame (FNV-1a), skipping the TTL byte at
@@ -861,7 +924,8 @@ func (t *netTransport) close() {
 // Send implements Transport. A message for an endpoint of this process
 // is queued, payload by reference, on the engine's FIFO and delivered
 // when the current work item returns: no codec, no socket. Anything
-// else is encoded into the shard's buffer and written as a datagram.
+// else is encoded into the datagram the shard is building for its peer
+// (egress).
 func (t *netTransport) Send(msg Message) {
 	msg.Sent = t.clock.Now()
 	t.stats.Sent++
@@ -891,38 +955,42 @@ func (t *netTransport) Send(msg Message) {
 		t.stats.Dropped++
 		return
 	}
-	buf := wire.AppendFrame(t.bufs.frame[:0], wire.Frame{
+	t.egress(wire.Frame{
 		From:    msg.From,
 		To:      msg.To,
 		Group:   msg.Group,
 		Class:   uint8(msg.Kind),
 		TTL:     netTTL,
 		Payload: msg.Body,
-	})
-	t.bufs.frame = buf
-	if len(buf) > wire.MaxDatagram {
-		// An aggregated batch or snapshot past one datagram cannot be
-		// shipped; dropping it surfaces in the counters instead of
-		// stalling silently (the ring's retransmission will keep
-		// trying — an Oversize count that grows in lockstep with
-		// Dropped is the diagnostic).
-		t.nstats.Oversize++
-		t.stats.Dropped++
-		return
-	}
-	t.writeDatagram(buf, addr)
+	}, addr, false)
 }
 
-// writeDatagram is the single egress point under the Send/relay
-// accounting: it applies the blocked-peer cut (counted at the socket),
-// writes the datagram and refreshes the group's activity clock,
-// reporting whether the write happened.
-func (t *netTransport) writeDatagram(buf []byte, addr netip.AddrPort) bool {
-	if t.sock.cutAddr(addr) {
-		return false
+// egress encodes f into the datagram under construction for addr and
+// keeps it there, reporting whether it did; a frame the checks refuse
+// is taken back out. A kept frame that would push the datagram past one
+// UDP datagram first sends the frames ahead of it on their own. On an
+// idle shard (outside a batch) the datagram is written before egress
+// returns.
+func (t *netTransport) egress(f wire.Frame, addr netip.AddrPort, relay bool) bool {
+	d := t.bufs.to(t.sock, addr)
+	start := len(d.buf)
+	d.buf = wire.AppendFrame(d.buf, f)
+	kept := t.admit(d.buf[start:], addr, relay)
+	switch {
+	case !kept:
+		d.buf = d.buf[:start]
+	case len(d.buf) > wire.MaxDatagram:
+		frame := d.buf[start:]
+		d.buf = d.buf[:start]
+		d.write()
+		d.buf, d.frames = append(d.buf[:0], frame...), 1
+	default:
+		d.frames++
 	}
-	if _, err := t.sock.conn.WriteToUDPAddrPort(buf, addr); err != nil {
-		t.stats.Dropped++
+	if !t.eng.batch {
+		t.bufs.flush()
+	}
+	if !kept {
 		return false
 	}
 	t.touch()
@@ -932,6 +1000,33 @@ func (t *netTransport) writeDatagram(buf []byte, addr netip.AddrPort) bool {
 		t.disc.maybeGossip(addr, t.eng.start.Add(time.Duration(t.eng.now)))
 	}
 	return true
+}
+
+// admit runs the per-frame egress checks on one encoded frame, counting
+// what it refuses: the size, a relayed frame's dedup key and the
+// blocked-peer cut (counted at the socket).
+func (t *netTransport) admit(frame []byte, addr netip.AddrPort, relay bool) bool {
+	switch {
+	case len(frame) > wire.MaxDatagram:
+		// An aggregated batch or snapshot past one datagram cannot be
+		// shipped; dropping it surfaces in the counters instead of
+		// stalling silently (the ring's retransmission will keep
+		// trying — an Oversize count that grows in lockstep with
+		// Dropped is the diagnostic).
+		t.nstats.Oversize++
+	case relay && !t.dedup.Add(relayKey(frame)):
+		// Dedup window: a frame replayed at us (or routed here twice by
+		// a relay loop) is forwarded once per TTL window. The hash
+		// skips the envelope's TTL byte so the same frame arriving over
+		// paths of different length still collapses to one key.
+		t.nstats.DupDropped++
+	case t.sock.cutAddr(addr):
+		return false
+	default:
+		return true
+	}
+	t.stats.Dropped++
+	return false
 }
 
 // Crash implements Transport (local fault emulation, as on the other
@@ -948,10 +1043,11 @@ func (t *netTransport) Crashed(id ids.NodeID) bool { return t.crashed[id] }
 func (t *netTransport) Stats() Stats {
 	s := t.stats
 	// Datagrams cut by a partition are accounted at the socket, for
-	// both directions and before any group demux; fold them in.
+	// both directions and before any group demux, and so are the frames
+	// of datagrams the socket refused; fold them in.
 	cut := t.sock.cut.Load()
 	s.Cut += cut
-	s.Dropped += cut
+	s.Dropped += cut + t.sock.writeFailed.Load()
 	return s
 }
 

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -405,10 +407,17 @@ func testBlockCutsBothDirections(t *testing.T, bindHost string) {
 }
 
 // TestInboundDatagramAllocs: a datagram from the socket reaches its
-// endpoint without allocating — source address, hand-off to the engine,
-// liveness lookup, return-address learning and dispatch — once the
-// free list and the maps are warm.
+// endpoint without allocating — source address, the walk over its
+// frames, hand-off to the engine, liveness lookup, return-address
+// learning and dispatch — once the free list and the maps are warm. It
+// holds for a datagram of one frame and for one of four.
 func TestInboundDatagramAllocs(t *testing.T) {
+	for _, frames := range []int{1, 4} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) { testInboundDatagramAllocs(t, frames) })
+	}
+}
+
+func testInboundDatagramAllocs(t *testing.T, frames int) {
 	const n, batch = 2000, 100
 	a := ids.MakeNodeID(ids.TierAP, 1)
 	b := ids.MakeNodeID(ids.TierAP, 2)
@@ -423,32 +432,48 @@ func TestInboundDatagramAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: 7}})
+	var datagram []byte
+	for i := 0; i < frames; i++ {
+		datagram = wire.AppendFrame(datagram, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: uint64(7 + i)}})
+	}
 	// Batches paced on delivery, so the socket buffer never overflows.
 	send := func(total int) {
 		deadline := time.Now().Add(5 * time.Second)
 		for sent := 0; sent < total; sent += batch {
-			want := ep.got.Load() + batch
+			want := ep.got.Load() + int64(batch*frames)
 			for i := 0; i < batch; i++ {
-				if _, err := conn.Write(frame); err != nil {
+				if _, err := conn.Write(datagram); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for ep.got.Load() < want {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d of %d datagrams delivered", ep.got.Load(), want)
+					t.Fatalf("%d of %d frames delivered", ep.got.Load(), want)
 				}
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
 	}
-	send(n) // warm up
+	// Warm up. A batch read while the shard is held puts as many records
+	// in flight as a batch ever can, so the free list is as long as the
+	// timed sends can need however the engine keeps pace with them.
+	release := holdShard(rt0)
+	base := received(rt0)
+	for i := 0; i <= batch; i++ {
+		if _, err := conn.Write(datagram); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return received(rt0) == base+batch+1 })
+	release()
+	waitFor(t, func() bool { return ep.got.Load() == int64((batch+1)*frames) })
+	send(n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	send(n)
 	runtime.ReadMemStats(&after)
 	if perDatagram := float64(after.Mallocs-before.Mallocs) / n; perDatagram > 0.05 {
-		t.Fatalf("%.2f mallocs per inbound datagram, want 0", perDatagram)
+		t.Fatalf("%.2f mallocs per inbound %d-frame datagram, want 0", perDatagram, frames)
 	}
 }
 
@@ -550,6 +575,14 @@ func TestInboundQueryReplyAllocs(t *testing.T) {
 	}
 	defer conn.Close()
 	frame := replyFrame(a, 1, 1000)
+	// The handler counts a reply before its record goes back to the
+	// socket: wait for the buffer too, or the next reply finds no spare.
+	sock := rt.mux.sock
+	spareBack := func() bool {
+		sock.freeMu.Lock()
+		defer sock.freeMu.Unlock()
+		return len(sock.spare) > 0
+	}
 	send := func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for i := 0; i < n; i++ {
@@ -557,7 +590,7 @@ func TestInboundQueryReplyAllocs(t *testing.T) {
 			if _, err := conn.Write(frame); err != nil {
 				t.Fatal(err)
 			}
-			for ep.got.Load() < want {
+			for ep.got.Load() < want || !spareBack() {
 				if time.Now().After(deadline) {
 					t.Fatalf("reply %d of %d not delivered", i+1, n)
 				}
@@ -875,6 +908,264 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 	}
 }
 
+// warmPeers sends one frame from `from` on procs[0] to each of eps, the
+// endpoints of procs[1:], and waits until every peer has read it and the
+// one paced discovery hello that procs[0]'s first datagram carries, so
+// that from then on a peer reads exactly the datagrams a test sends it.
+// It returns each peer's datagram count at that point.
+func warmPeers(t *testing.T, procs []*testNet, from ids.NodeID, eps []*countingEndpoint) []uint64 {
+	t.Helper()
+	for _, ep := range eps {
+		procs[0].Do(func() {
+			procs[0].Transport().Send(Message{From: from, To: ep.id, Kind: KindNotify, Body: wire.Probe{}})
+		})
+	}
+	base := make([]uint64, len(eps))
+	for i, ep := range eps {
+		want := uint64(1)
+		if i == 0 {
+			want = 2 // the hello rode along the first send
+		}
+		waitFor(t, func() bool { return ep.got.Load() == 1 && received(procs[i+1]) == want })
+		base[i] = want
+	}
+	return base
+}
+
+// TestBacklogCoalescesPerPeer: sends queued behind a busy item run as
+// one batch, whose frames reach each peer in a single datagram.
+func TestBacklogCoalescesPerPeer(t *testing.T) {
+	const k = 40
+	a, b, c := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2), ids.MakeNodeID(ids.TierAP, 3)
+	procs := newQuietProcs(t, 3, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1, c: 2}}, "127.0.0.1")
+	epB := &countingEndpoint{rt: procs[1], id: b}
+	epC := &countingEndpoint{rt: procs[2], id: c}
+	procs[1].Do(func() { procs[1].Transport().Register(b, epB) })
+	procs[2].Do(func() { procs[2].Transport().Register(c, epC) })
+	base := warmPeers(t, procs, a, []*countingEndpoint{epB, epC})
+
+	rt := procs[0]
+	release := holdShard(rt)
+	for i := 0; i < k; i++ {
+		to := []ids.NodeID{b, c}[i%2]
+		rt.eng.submit(func() {
+			rt.Transport().Send(Message{From: a, To: to, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
+		})
+	}
+	release()
+	waitFor(t, func() bool { return epB.got.Load()+epC.got.Load() == 2+k })
+	if gotB, gotC := received(procs[1])-base[0], received(procs[2])-base[1]; gotB != 1 || gotC != 1 {
+		t.Fatalf("%d sends in one backlog reached the peers in %d and %d datagrams, want 1 each", k, gotB, gotC)
+	}
+	if epB.last.Load() != k-2 || epC.last.Load() != k-1 {
+		t.Fatalf("last frames read %d and %d, want %d and %d: a datagram keeps send order", epB.last.Load(), epC.last.Load(), k-2, k-1)
+	}
+}
+
+// TestIdleShardWritesThrough: on a shard with nothing queued a frame is
+// written during the item that sends it, not at the item's end.
+func TestIdleShardWritesThrough(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	rt0, rt1 := newQuietPeers(t, map[ids.NodeID]int{a: 0, b: 1}, "127.0.0.1")
+	ep := &countingEndpoint{rt: rt1, id: b}
+	rt1.Do(func() { rt1.Transport().Register(b, ep) })
+	reached := false
+	rt0.Do(func() {
+		rt0.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{}})
+		for deadline := time.Now().Add(5 * time.Second); ep.got.Load() == 0 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		reached = ep.got.Load() == 1
+	})
+	if !reached {
+		t.Fatal("an idle shard's frame did not reach its peer while the sending item ran")
+	}
+}
+
+// TestCoalescedFramesSplitAtMaxDatagram: a backlog whose frames to one
+// peer add up to more than one UDP datagram goes out in as many full
+// datagrams as it takes, none lost and none counted Oversize.
+func TestCoalescedFramesSplitAtMaxDatagram(t *testing.T) {
+	const k, members = 5, 600
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
+	ep := &countingEndpoint{rt: procs[1], id: b}
+	procs[1].Do(func() { procs[1].Transport().Register(b, ep) })
+	base := warmPeers(t, procs, a, []*countingEndpoint{ep})[0]
+
+	perDatagram := wire.MaxDatagram / len(replyFrame(b, 1, members))
+	want := uint64((k + perDatagram - 1) / perDatagram)
+	if want < 2 {
+		t.Fatalf("%d frames of %d members fit one datagram: the test needs more", k, members)
+	}
+	rt := procs[0]
+	release := holdShard(rt)
+	for i := 0; i < k; i++ {
+		rt.eng.submit(func() {
+			rt.Transport().Send(Message{From: a, To: b, Kind: KindReply,
+				Body: wire.QueryReply{ID: uint64(i), Members: make([]ids.MemberInfo, members)}})
+		})
+	}
+	release()
+	waitFor(t, func() bool { return ep.got.Load() == 1+k })
+	if got := received(procs[1]) - base; got != want {
+		t.Fatalf("%d frames of %d members arrived in %d datagrams, want %d", k, members, got, want)
+	}
+	if ns := rt.NetStats(); ns.Oversize != 0 || ns.WriteFailed != 0 {
+		t.Fatalf("splitting a backlog at the datagram limit: %+v", ns)
+	}
+}
+
+// TestInboundCoalescedMalformedFrame: a datagram whose middle frame does
+// not decode delivers the frames before it, drops the rest and counts
+// one decode error.
+func TestInboundCoalescedMalformedFrame(t *testing.T) {
+	rt := newTestNet(t, NetConfig{})
+	a := ids.MakeNodeID(ids.TierAP, 1)
+	ep := &countingEndpoint{rt: rt, id: a}
+	rt.Do(func() { rt.Transport().Register(a, ep) })
+	conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := func(seq uint64) []byte {
+		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: seq}})
+	}
+	bad := frame(2)
+	bad[0] = 'X' // its length still reads, its magic does not
+	if _, err := conn.Write(slices.Concat(frame(1), bad, frame(3))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame(4)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return ep.last.Load() == 4 })
+	if got := ep.got.Load(); got != 2 {
+		t.Fatalf("%d frames delivered, want 2: the first of the datagram and the next datagram", got)
+	}
+	if ns := rt.NetStats(); ns.DecodeErrors != 1 || ns.Received != 2 {
+		t.Fatalf("net stats = %+v, want 1 decode error in 2 datagrams", ns)
+	}
+}
+
+// TestRelayDedupPerCoalescedFrame: frames that arrive in one datagram
+// are relayed and deduplicated one by one.
+func TestRelayDedupPerCoalescedFrame(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}, DedupTTL: 10 * time.Second}, "127.0.0.1")
+	ep := &countingEndpoint{rt: procs[1], id: b}
+	procs[1].Do(func() { procs[1].Transport().Register(b, ep) })
+	conn, err := net.DialUDP("udp", nil, procs[0].LocalAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := func(seq uint64, ttl uint8) []byte {
+		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: ttl, Payload: wire.Probe{Seq: seq}})
+	}
+	// The second frame is the first over a longer path: a duplicate.
+	if _, err := conn.Write(slices.Concat(frame(11, 4), frame(11, 7), frame(12, 4))); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return ep.last.Load() == 12 })
+	if ns := procs[0].NetStats(); ns.Relayed != 2 || ns.DupDropped != 1 {
+		t.Fatalf("relay stats = %+v, want 2 relayed and 1 duplicate", ns)
+	}
+	if got := ep.got.Load(); got != 2 {
+		t.Fatalf("%d relayed frames delivered, want 2", got)
+	}
+}
+
+// TestCoalescedCutAtQueueTime: the partition cut applies when a frame is
+// queued, not when its batch is written: a frame queued while its peer
+// was blocked stays cut though the block is gone at the flush, and one
+// queued after the block lifted goes out.
+func TestCoalescedCutAtQueueTime(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
+	ep := &countingEndpoint{rt: procs[1], id: b}
+	procs[1].Do(func() { procs[1].Transport().Register(b, ep) })
+	warmPeers(t, procs, a, []*countingEndpoint{ep})
+
+	rt := procs[0]
+	send := func(seq uint64) func() {
+		return func() { rt.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: seq}}) }
+	}
+	release := holdShard(rt)
+	rt.mux.Block(1)
+	rt.eng.submit(send(1))
+	rt.eng.submit(rt.mux.Unblock)
+	rt.eng.submit(send(2))
+	release()
+	waitFor(t, func() bool { return ep.last.Load() == 2 })
+	var st Stats
+	rt.Do(func() { st = rt.Transport().Stats() })
+	if st.Cut != 1 || ep.got.Load() != 2 {
+		t.Fatalf("cut %d, delivered %d after the warm-up's 1; want the blocked frame cut and the other delivered", st.Cut, ep.got.Load())
+	}
+}
+
+// TestCoalescedDrainOnClose: the frames of the items a closing shard
+// drains still go out. (The loop may run the queued items as a batch
+// before it sees the close; either way nothing is left unsent.)
+func TestCoalescedDrainOnClose(t *testing.T) {
+	const k = 8
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
+	ep := &countingEndpoint{rt: procs[1], id: b}
+	procs[1].Do(func() { procs[1].Transport().Register(b, ep) })
+	warmPeers(t, procs, a, []*countingEndpoint{ep})
+
+	rt := procs[0]
+	release := holdShard(rt)
+	for i := 0; i < k; i++ {
+		rt.eng.submit(func() {
+			rt.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
+		})
+	}
+	stopped := make(chan struct{})
+	go func() {
+		rt.mux.set.Close()
+		close(stopped)
+	}()
+	<-rt.eng.closed
+	release()
+	<-stopped
+	waitFor(t, func() bool { return ep.got.Load() == 1+k })
+}
+
+// TestWriteFailedCounted: the frames of a datagram the socket refuses
+// are counted once each, in NetStats.WriteFailed and in the group's
+// Dropped, whether the shard wrote the frame through or as a backlog.
+// An IPv4 socket refuses an IPv6 destination before any packet leaves.
+func TestWriteFailedCounted(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	rt := newTestNet(t, NetConfig{Bind: "127.0.0.1:0", Peers: []string{"127.0.0.1:9", "[::1]:9"}, Index: 0,
+		Owners: map[ids.NodeID]int{a: 0, b: 1}, GossipInterval: time.Hour, ProbeInterval: time.Hour})
+	send := func() { rt.Transport().Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{}}) }
+	counts := func() (uint64, uint64) {
+		var st Stats
+		rt.Do(func() { st = rt.Transport().Stats() })
+		return rt.NetStats().WriteFailed, st.Dropped
+	}
+
+	rt.Do(send)
+	if failed, dropped := counts(); failed != 1 || dropped != 1 {
+		t.Fatalf("a refused write-through: WriteFailed %d, Dropped %d; want 1 and 1", failed, dropped)
+	}
+	release := holdShard(rt)
+	for i := 0; i < 3; i++ {
+		rt.eng.submit(send)
+	}
+	release()
+	// A read queued now may run inside the batch, before its flush.
+	waitFor(t, func() bool { return rt.NetStats().WriteFailed >= 4 })
+	if failed, dropped := counts(); failed != 4 || dropped != 4 {
+		t.Fatalf("a refused 3-frame datagram: WriteFailed %d, Dropped %d; want 4 and 4", failed, dropped)
+	}
+}
+
 // TestNetRuntimeTimers: a timer holds a socketed view's Run, too.
 func TestNetRuntimeTimers(t *testing.T) {
 	rt := newTestNet(t, NetConfig{})
@@ -889,23 +1180,56 @@ func TestNetRuntimeTimers(t *testing.T) {
 }
 
 // newQuietPeers opens a two-process deployment on loopback with the
-// given ownership: two peers turn the discovery plane on, and hour-long
-// intervals keep it quiet, so only a test's own frames cross (plus one
-// paced hello with each side's first datagram). Process 0 binds
-// bindHost0 ("" is the wildcard); both are configured as 127.0.0.1.
+// given ownership (newQuietProcs). Process 0 binds bindHost0 ("" is the
+// wildcard); both are configured as 127.0.0.1.
 func newQuietPeers(t *testing.T, owners map[ids.NodeID]int, bindHost0 string) (rt0, rt1 *testNet) {
 	t.Helper()
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	close0()
-	close1()
-	_, port0, _ := net.SplitHostPort(addr0)
-	quiet := NetConfig{Peers: []string{addr0, addr1}, Owners: owners, GossipInterval: time.Hour, ProbeInterval: time.Hour}
-	cfg0, cfg1 := quiet, quiet
-	cfg0.Bind, cfg0.Index = net.JoinHostPort(bindHost0, port0), 0
-	cfg1.Bind, cfg1.Index = addr1, 1
-	return newTestNet(t, cfg0), newTestNet(t, cfg1)
+	p := newQuietProcs(t, 2, NetConfig{Owners: owners}, bindHost0)
+	return p[0], p[1]
 }
+
+// newQuietProcs opens an n-process deployment on loopback from cfg,
+// whose address book it fills in: more than one peer turns the
+// discovery plane on, and hour-long intervals keep it quiet, so only a
+// test's own frames cross (plus one paced hello with each process's
+// first datagram). Process 0 binds bindHost0 ("" is the wildcard); all
+// are configured as 127.0.0.1.
+func newQuietProcs(t *testing.T, n int, cfg NetConfig, bindHost0 string) []*testNet {
+	t.Helper()
+	peers := make([]string, n)
+	for i := range peers {
+		addr, release := reserveUDP(t)
+		release()
+		peers[i] = addr
+	}
+	cfg.Peers, cfg.GossipInterval, cfg.ProbeInterval = peers, time.Hour, time.Hour
+	procs := make([]*testNet, n)
+	for i := range procs {
+		c := cfg
+		c.Bind, c.Index = peers[i], i
+		if i == 0 {
+			_, port, _ := net.SplitHostPort(peers[0])
+			c.Bind = net.JoinHostPort(bindHost0, port)
+		}
+		procs[i] = newTestNet(t, c)
+	}
+	return procs
+}
+
+// holdShard parks rt's shard in a work item until the returned release
+// is called: whatever is queued meanwhile runs as one backlog.
+func holdShard(rt *testNet) (release func()) {
+	held, done := make(chan struct{}), make(chan struct{})
+	go rt.Do(func() {
+		close(held)
+		<-done
+	})
+	<-held
+	return func() { close(done) }
+}
+
+// received reads rt's socket-level datagram count without the engine.
+func received(rt *testNet) uint64 { return rt.mux.sock.received.Load() }
 
 func waitFor(t *testing.T, pred func() bool) {
 	t.Helper()

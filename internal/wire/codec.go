@@ -18,14 +18,21 @@ import (
 //
 //	[kind u8][bodyLen u32][body bodyLen bytes]
 //
-// Datagram envelope (the unit the UDP transport exchanges):
+// Frame envelope (the unit AppendFrame/DecodeFrame handle):
 //
 //	['R']['G'][version u8][class u8][ttl u8][from u64][to u64][group u32][payload frame]
 //
+// Datagram (the unit the UDP transport exchanges): one or more frames
+// back to back. A frame is self-delimiting, its fixed envelope followed
+// by a payload frame that states its own length, so FrameLen splits a
+// datagram without decoding it; a one-frame datagram is just the frame.
+//
 // Version rules: the version byte covers the whole envelope including
 // every payload body layout. Any layout change bumps Version; a
-// receiver drops (and counts) datagrams with any other version, so all
-// processes of a deployment upgrade together. Payload kinds are
+// receiver drops (and counts) frames with any other version, so all
+// processes of a deployment upgrade together. Version 4 is version 3's
+// layout with datagrams that may carry several frames: a version-3
+// receiver would take a coalesced datagram for one malformed frame. Payload kinds are
 // append-only — never renumbered.
 //
 // Optional trailing sections: a body layout may grow by appending a
@@ -37,7 +44,7 @@ import (
 // mixed deployment must upgrade together.
 const (
 	// Version is the wire-format version emitted by this build.
-	Version = 3
+	Version = 4
 
 	magic0 = 'R'
 	magic1 = 'G'
@@ -45,9 +52,10 @@ const (
 	payloadHeaderSize = 1 + 4
 	envelopeSize      = 2 + 1 + 1 + 1 + 8 + 8 + 4
 
-	// MaxDatagram bounds one encoded frame: the largest UDP payload
-	// IPv4 carries (65 535 less the 20-byte IP and 8-byte UDP headers).
-	// The UDP transport sizes its receive buffers with it.
+	// MaxDatagram bounds one datagram, and so every frame in it: the
+	// largest UDP payload IPv4 carries (65 535 less the 20-byte IP and
+	// 8-byte UDP headers). The UDP transport sizes its receive buffers
+	// with it.
 	MaxDatagram = 65507
 
 	// MaxDatagramMembers bounds the member records one datagram can
@@ -87,8 +95,9 @@ type Frame struct {
 	Payload Payload
 }
 
-// AppendFrame appends the full datagram encoding of f to b. With a
-// reused buffer the encode path performs no allocation.
+// AppendFrame appends the encoding of f to b, a datagram's worth of
+// frames or an empty buffer. With a reused buffer the encode path
+// performs no allocation.
 func AppendFrame(b []byte, f Frame) []byte {
 	b = append(b, magic0, magic1, Version, f.Class, f.TTL)
 	b = appendU64(b, uint64(f.From))
@@ -97,8 +106,9 @@ func AppendFrame(b []byte, f Frame) []byte {
 	return AppendPayload(b, f.Payload)
 }
 
-// DecodeFrame decodes one datagram. It is strict: trailing bytes,
-// truncated layouts, unknown kinds and out-of-range lengths all error.
+// DecodeFrame decodes one frame. It is strict: trailing bytes,
+// truncated layouts, unknown kinds and out-of-range lengths all error,
+// so a datagram of several frames is split with FrameLen first.
 func DecodeFrame(b []byte) (Frame, error) { return DecodeFrameInto(b, nil) }
 
 // DecodeFrameInto is DecodeFrame with a buffer the caller keeps for a
@@ -133,6 +143,23 @@ func DecodeFrameInto(b []byte, members *[]ids.MemberInfo) (Frame, error) {
 	}
 	f.Payload = p
 	return f, nil
+}
+
+// FrameLen returns the length of the encoded frame at the front of b, a
+// datagram or what is left of one, read from its payload header alone:
+// it does not check the magic, the version or the body, which decoding
+// the frame does. It fails with ErrTruncated when b is too short to hold
+// a frame header or the body length points past the end of b, so a
+// successful length is always at least one header and never past len(b).
+func FrameLen(b []byte) (int, error) {
+	if len(b) < envelopeSize+payloadHeaderSize {
+		return 0, ErrTruncated
+	}
+	n := int(binary.LittleEndian.Uint32(b[envelopeSize+1:]))
+	if n > len(b)-envelopeSize-payloadHeaderSize {
+		return 0, ErrTruncated
+	}
+	return envelopeSize + payloadHeaderSize + n, nil
 }
 
 // FramePayloadKind reads the payload kind of an encoded frame without

@@ -199,3 +199,64 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDatagramFrames is the datagram walk's safety oracle: splitting
+// arbitrary bytes into frames with FrameLen, as the socket's read loop
+// does, never panics and always ends, and every frame split off either
+// decodes whole or errors. A frame that decodes spans exactly the bytes
+// FrameLen gave it. CI runs a short -fuzz smoke of this target beside
+// FuzzWireRoundTrip's.
+func FuzzDatagramFrames(f *testing.F) {
+	gid := ids.NewGroupID(9)
+	frame := func(p Payload) []byte {
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: p})
+	}
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	probe := frame(Probe{Seq: 3})
+	ack := frame(PassAck{Holder: ap(2), Round: 7})
+	reply := frame(QueryReply{ID: 5, Members: []ids.MemberInfo{sampleMember(0), sampleMember(1)}})
+	tok := frame(TokenMsg{Tok: sampleToken()})
+
+	f.Add(cat(probe, ack))
+	f.Add(cat(tok, reply, probe))
+	f.Add(cat(reply, ack, reply))
+	// A truncated last frame: cut inside its body, its payload header
+	// and its envelope.
+	three := cat(ack, probe, reply)
+	for _, cut := range []int{1, 4, len(reply) - envelopeSize, len(reply) - 2} {
+		f.Add(append([]byte(nil), three[:len(three)-cut]...))
+	}
+	// A zero-length tail: a last frame with an empty (KindNone) payload,
+	// and a datagram that ends in a lone zero byte.
+	f.Add(cat(probe, AppendFrame(nil, Frame{Group: gid})))
+	f.Add(cat(probe, ack, []byte{0}))
+	// A body length that points past the end, in the first frame and in
+	// the last.
+	over := cat(probe, ack)
+	over[envelopeSize+1] = 0xff
+	f.Add(over)
+	over = cat(probe, ack)
+	over[len(probe)+envelopeSize+4] = 0x7f
+	f.Add(over)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for rest := data; len(rest) > 0; {
+			n, err := FrameLen(rest)
+			if err != nil {
+				if _, derr := DecodeFrame(rest); derr == nil {
+					t.Fatalf("FrameLen refused %x (%v), which decodes", rest, err)
+				}
+				return
+			}
+			if n < envelopeSize+payloadHeaderSize || n > len(rest) {
+				t.Fatalf("FrameLen = %d of %d bytes", n, len(rest))
+			}
+			if _, err := DecodeFrame(rest[:n]); err == nil {
+				if _, err := DecodeFrame(rest[:n-1]); err == nil {
+					t.Fatalf("a frame one byte short of FrameLen %d decodes", n)
+				}
+			}
+			rest = rest[n:]
+		}
+	})
+}

@@ -237,6 +237,37 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestFrameLenSplitsADatagram: frames written back to back are split at
+// their own boundaries, a frame still decodes on its own, and a
+// datagram whose last frame is short or whose body length overruns is
+// refused at that frame and no earlier.
+func TestFrameLenSplitsADatagram(t *testing.T) {
+	var frames [][]byte
+	for i, p := range samplePayloads() {
+		frames = append(frames, AppendFrame(nil, Frame{From: ap(i), To: ap(i + 1), Class: 1, TTL: 8, Payload: p}))
+	}
+	datagram := bytes.Join(frames, nil)
+	rest := datagram
+	for i, want := range frames {
+		n, err := FrameLen(rest)
+		if err != nil || n != len(want) {
+			t.Fatalf("frame %d: FrameLen = %d, %v; want %d", i, n, err, len(want))
+		}
+		if _, err := DecodeFrame(rest[:n]); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		rest = rest[n:]
+	}
+	if _, err := DecodeFrame(datagram); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a %d-frame datagram decoded as one frame: %v", len(frames), err)
+	}
+	for _, b := range [][]byte{nil, frames[0][:envelopeSize+payloadHeaderSize-1], frames[0][:len(frames[0])-1]} {
+		if _, err := FrameLen(b); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("FrameLen of a %d-byte stub: %v, want ErrTruncated", len(b), err)
+		}
+	}
+}
+
 // TestHostileLengthDoesNotAllocate: a length field claiming millions of
 // elements over a tiny body must fail fast, not allocate.
 func TestHostileLengthDoesNotAllocate(t *testing.T) {

@@ -144,6 +144,7 @@ func (c *Cluster) registerClusterMetrics() {
 	netCounter("rgb_net_unknown_peer_total", "frames or sends with no route to the destination", func(n *NetStats) uint64 { return n.UnknownPeer })
 	netCounter("rgb_net_ttl_expired_total", "relay candidates dropped at TTL exhaustion", func(n *NetStats) uint64 { return n.TTLExpired })
 	netCounter("rgb_net_oversize_total", "frames larger than one UDP datagram, dropped", func(n *NetStats) uint64 { return n.Oversize })
+	netCounter("rgb_net_write_failed_total", "frames in datagrams the socket refused to write", func(n *NetStats) uint64 { return n.WriteFailed })
 	netCounter("rgb_net_peer_joined_total", "peers that joined, rejoined or moved address", func(n *NetStats) uint64 { return n.PeerJoined })
 	netCounter("rgb_net_peer_evicted_total", "liveness evictions issued by the probe sweep", func(n *NetStats) uint64 { return n.PeerEvicted })
 	netCounter("rgb_net_gossip_frames_total", "discovery frames sent (hello, peer list, probe)", func(n *NetStats) uint64 { return n.GossipFrames })
