@@ -17,18 +17,28 @@
 // simulation, so its layout is deliberate):
 //   - events live by value in a slot arena recycled through a free
 //     list — scheduling does not allocate once the arena is warm;
-//   - the priority queue is an indexed 4-ary min-heap of slot indices
-//     (shallower than a binary heap, no interface{} boxing);
-//   - Cancel removes the event from the heap eagerly via its tracked
-//     heap position — cancelled events never linger as tombstones;
+//   - the queue is a monotone radix queue: virtual time never goes
+//     back, so an event is filed by the highest bit in which its time
+//     differs from the last event popped. A pop takes the front of
+//     bucket 0 without sifting; only when bucket 0 is empty is the
+//     lowest other bucket split into the ones below it, each event
+//     moving down at most once per bit;
+//   - events at one instant fire in scheduling order at O(1) each:
+//     bucket 0 is kept in seq order, sorted once when it is refilled;
+//   - Cancel removes the event eagerly through its slot's bucket and
+//     index — cancelled events never linger as tombstones, and a far
+//     retransmission timer that is cancelled is never touched again;
 //   - the AtCall/AfterCall path schedules a shared func(any) callback
 //     plus an argument, so steady-state timers (retransmissions,
 //     message deliveries, tickers) need no per-event closure.
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -80,21 +90,40 @@ func HandleOfWord(w uint64) Handle {
 
 // slot is one event stored by value in the kernel's arena.
 type slot struct {
-	at   Time
 	seq  uint64
 	gen  uint32
-	pos  int32     // index into Kernel.heap while queued; -1 otherwise
+	bkt  uint8     // bucket while queued
+	pos  int32     // index in bucket bkt > 0 (bucket 0 is searched by seq); -1 when not queued
 	fn   func()    // closure path (nil when the call path is used)
 	call func(any) // closure-free path: shared callback...
 	arg  any       // ...plus its argument
 }
 
+// entry is a queued event: its time and its slot, so a bucket is
+// scanned and split without touching the arena.
+type entry struct {
+	at Time
+	i  uint32
+}
+
 // Kernel is the simulation engine. The zero value is not usable; call
 // NewKernel.
 type Kernel struct {
-	now     Time
-	slots   []slot   // event arena, indexed by Handle.id-1
-	heap    []uint32 // 4-ary min-heap of slot indices, ordered by (at, seq)
+	now   Time
+	slots []slot // event arena, indexed by Handle.id-1
+	// The queue is a monotone radix queue of entries. last is the
+	// time of the last event popped, at or before every queued event
+	// and at or before now; bucket b > 0 holds the events whose time
+	// first differs from last at bit b-1, so every event in bucket b
+	// precedes every event in bucket b+1. Bucket 0 holds the events at
+	// last, buckets[0][head:] in seq order.
+	last    Time
+	buckets [64][]entry
+	head    int
+	mask    uint64 // bit b set while bucket b is not empty
+	queued  int
+	next    Time // earliest queued time, when nextOK
+	nextOK  bool
 	free    []uint32 // stack of released slot indices
 	seq     uint64
 	stepped uint64 // events executed so far
@@ -111,7 +140,7 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Pending returns the number of events still queued. Cancelled events
 // are removed eagerly and never counted.
-func (k *Kernel) Pending() int { return len(k.heap) }
+func (k *Kernel) Pending() int { return k.queued }
 
 // Executed returns the number of events run so far.
 func (k *Kernel) Executed() uint64 { return k.stepped }
@@ -164,8 +193,8 @@ func (k *Kernel) AfterCall(d time.Duration, fn func(any), arg any) Handle {
 	return k.AtCall(k.now.Add(d), fn, arg)
 }
 
-// schedule stores the event in a recycled slot and pushes it onto the
-// heap.
+// schedule stores the event in a recycled slot and queues it. An event
+// at last goes to the end of bucket 0: its seq is the largest yet.
 func (k *Kernel) schedule(at Time, fn func(), call func(any), arg any) Handle {
 	if at < k.now {
 		panic(fmt.Sprintf("des: scheduling at %v which is before now %v", at, k.now))
@@ -179,14 +208,24 @@ func (k *Kernel) schedule(at Time, fn func(), call func(any), arg any) Handle {
 		i = uint32(len(k.slots) - 1)
 	}
 	s := &k.slots[i]
-	s.at = at
 	s.seq = k.seq
 	k.seq++
 	s.fn, s.call, s.arg = fn, call, arg
-	s.pos = int32(len(k.heap))
-	k.heap = append(k.heap, i)
-	k.siftUp(len(k.heap) - 1)
+	k.push(entry{at, i})
+	k.queued++
+	if k.queued == 1 || k.nextOK && at < k.next {
+		k.next, k.nextOK = at, true
+	}
 	return Handle{id: i + 1, gen: s.gen}
+}
+
+// push appends e to the bucket of its time and notes where in its slot.
+func (k *Kernel) push(e entry) {
+	s := &k.slots[e.i]
+	b := bits.Len64(uint64(e.at ^ k.last))
+	s.bkt, s.pos = uint8(b), int32(len(k.buckets[b]))
+	k.buckets[b] = append(k.buckets[b], e)
+	k.mask |= 1 << b
 }
 
 // release returns a slot to the free list and bumps its generation so
@@ -212,99 +251,75 @@ func (k *Kernel) Cancel(h Handle) bool {
 	if s.gen != h.gen || s.pos < 0 {
 		return false
 	}
-	k.removeHeapAt(int(s.pos))
+	q, p, at := k.buckets[s.bkt], int(s.pos), k.last
+	if s.bkt == 0 {
+		// Bucket 0 keeps seq order: find the event by its seq and
+		// close the gap.
+		p, _ = slices.BinarySearchFunc(q[k.head:], s.seq, func(e entry, seq uint64) int { return cmp.Compare(k.slots[e.i].seq, seq) })
+		p += k.head
+		copy(q[p:], q[p+1:])
+	} else {
+		at = q[p].at
+		q[p] = q[len(q)-1]
+		k.slots[q[p].i].pos = int32(p)
+	}
+	q = q[:len(q)-1]
+	k.buckets[s.bkt] = q
+	if s.bkt == 0 && len(q) == k.head || len(q) == 0 {
+		k.empty(s.bkt)
+	}
+	if at == k.next {
+		k.nextOK = false
+	}
+	k.queued--
 	k.release(i)
 	return true
 }
 
-// less orders two queued slots by (at, seq).
-func (k *Kernel) less(a, b uint32) bool {
-	sa, sb := &k.slots[a], &k.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
+// empty marks bucket b empty, keeping its capacity.
+func (k *Kernel) empty(b uint8) {
+	k.buckets[b] = k.buckets[b][:0]
+	k.mask &^= 1 << b
+	if b == 0 {
+		k.head = 0
 	}
-	return sa.seq < sb.seq
 }
 
-// siftUp restores the heap invariant upward from position i, moving
-// the hole instead of swapping. Reports whether the entry moved.
-func (k *Kernel) siftUp(i int) bool {
-	h := k.heap
-	id := h[i]
-	moved := false
-	for i > 0 {
-		p := (i - 1) / 4
-		if !k.less(id, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		k.slots[h[i]].pos = int32(i)
-		i = p
-		moved = true
+// refill moves the lowest non-empty bucket into the lower ones, with
+// last advanced to its earliest time, when bucket 0 is empty. The
+// events that land in bucket 0 are put in seq order once, here.
+func (k *Kernel) refill() {
+	b := uint8(bits.TrailingZeros64(k.mask))
+	q := k.buckets[b]
+	k.last, _ = k.NextEventTime()
+	k.empty(b)
+	for _, e := range q {
+		k.push(e)
 	}
-	h[i] = id
-	k.slots[id].pos = int32(i)
-	return moved
-}
-
-// siftDown restores the heap invariant downward from position i.
-func (k *Kernel) siftDown(i int) {
-	h := k.heap
-	n := len(h)
-	id := h[i]
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		best := c
-		for j := c + 1; j < end; j++ {
-			if k.less(h[j], h[best]) {
-				best = j
-			}
-		}
-		if !k.less(h[best], id) {
-			break
-		}
-		h[i] = h[best]
-		k.slots[h[i]].pos = int32(i)
-		i = best
-	}
-	h[i] = id
-	k.slots[id].pos = int32(i)
-}
-
-// removeHeapAt deletes the heap entry at position i, refilling the gap
-// with the last entry and restoring the invariant in both directions.
-func (k *Kernel) removeHeapAt(i int) {
-	n := len(k.heap) - 1
-	last := k.heap[n]
-	k.heap = k.heap[:n]
-	if i == n {
-		return
-	}
-	k.heap[i] = last
-	k.slots[last].pos = int32(i)
-	if !k.siftUp(i) {
-		k.siftDown(i)
+	if z := k.buckets[0]; len(z) > 1 {
+		slices.SortFunc(z, func(x, y entry) int { return cmp.Compare(k.slots[x.i].seq, k.slots[y.i].seq) })
 	}
 }
 
 // Step runs the single earliest pending event. It reports false when
 // the queue is empty.
 func (k *Kernel) Step() bool {
-	if len(k.heap) == 0 {
+	if k.queued == 0 {
 		return false
 	}
-	i := k.heap[0]
-	s := &k.slots[i]
-	k.now = s.at
+	if k.mask&1 == 0 {
+		k.refill()
+	}
+	e := k.buckets[0][k.head]
+	k.head++
+	if k.head == len(k.buckets[0]) {
+		k.empty(0)
+		k.nextOK = false
+	}
+	k.queued--
+	i, s := e.i, &k.slots[e.i]
+	k.now = e.at
 	fn, call, arg := s.fn, s.call, s.arg
-	k.removeHeapAt(0)
 	k.release(i)
 	k.stepped++
 	if fn != nil {
@@ -332,7 +347,7 @@ func (k *Kernel) RunUntil(deadline Time) uint64 {
 	k.stopped = false
 	start := k.stepped
 	for !k.stopped {
-		if len(k.heap) == 0 || k.slots[k.heap[0]].at > deadline {
+		if at, ok := k.NextEventTime(); !ok || at > deadline {
 			break
 		}
 		k.Step()
@@ -353,12 +368,26 @@ func (k *Kernel) RunFor(d time.Duration) uint64 {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // NextEventTime returns the virtual time of the next pending event,
-// and false if none is pending.
+// and false if none is pending. It leaves the queue as it is, so last
+// never passes now, and it scans a bucket only when the earliest event
+// changed since the last call.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.heap) == 0 {
+	if k.queued == 0 {
 		return 0, false
 	}
-	return k.slots[k.heap[0]].at, true
+	if !k.nextOK {
+		if k.mask&1 != 0 {
+			k.next = k.last
+		} else {
+			q := k.buckets[bits.TrailingZeros64(k.mask)]
+			k.next = q[0].at
+			for _, e := range q[1:] {
+				k.next = min(k.next, e.at)
+			}
+		}
+		k.nextOK = true
+	}
+	return k.next, true
 }
 
 // Ticker repeatedly schedules fn every interval until cancelled.

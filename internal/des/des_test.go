@@ -1,6 +1,8 @@
 package des
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -179,6 +181,165 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule+step allocates %.1f times per op, want 0", allocs)
+	}
+	// The simulator's mix: deliveries, and far timers armed and
+	// cancelled, once the buckets have grown.
+	for _, rto := range simMixRTOs {
+		m := newSimMix(rto)
+		for range 50 {
+			m.op() // until every bucket has held its most
+		}
+		if allocs := testing.AllocsPerRun(20, m.op); allocs != 0 {
+			t.Fatalf("simMix(rto=%v) allocates %.1f times per op, want 0", rto, allocs)
+		}
+	}
+}
+
+// simMixRTOs are the retransmission timeouts the mix runs at: the
+// benchmark's 1 h, and the default 250 ms, at which the timers sit
+// among the deliveries instead of beyond them.
+var simMixRTOs = []time.Duration{time.Hour, 250 * time.Millisecond}
+
+// simMix replays the kernel's per-op shape on the benchmark's
+// sim_change_settle workload (one change then Settle at h=4 r=5), as
+// recorded from a trace: 2 027 message deliveries, each 2, 10 or 50 ms
+// plus U[0, 1 ms) after the event that sends it, and 935 retransmission
+// timers armed at +rto and cancelled. About 36 deliveries and 35 timers
+// are queued at any time.
+type simMix struct {
+	k         *Kernel
+	rng       *mathx.RNG
+	rto       time.Duration
+	timers    [35]Handle // a ring; oldest is next to be cancelled
+	oldest    int
+	credit    int // a timer is re-armed each time this passes 2 027
+	delivered int
+}
+
+func newSimMix(rto time.Duration) *simMix {
+	m := &simMix{k: NewKernel(), rng: mathx.NewRNG(1), rto: rto}
+	for i := range m.timers {
+		m.timers[i] = m.k.AfterCall(rto, simMixTimeout, m)
+	}
+	for range 36 {
+		m.send()
+	}
+	return m
+}
+
+var simMixLatency = [3]time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond}
+
+func (m *simMix) send() {
+	d := simMixLatency[m.rng.Intn(3)] + time.Duration(m.rng.Intn(int(time.Millisecond)))
+	m.k.AfterCall(d, simMixDeliver, m)
+}
+
+// simMixDeliver sends the next message, and on 935 of every 2 027
+// deliveries cancels the oldest timer and arms a new one.
+func simMixDeliver(a any) {
+	m := a.(*simMix)
+	m.delivered++
+	m.send()
+	if m.credit += 935; m.credit >= 2027 {
+		m.credit -= 2027
+		m.k.Cancel(m.timers[m.oldest])
+		m.timers[m.oldest] = m.k.AfterCall(m.rto, simMixTimeout, m)
+		m.oldest = (m.oldest + 1) % len(m.timers)
+	}
+}
+
+func simMixTimeout(any) {}
+
+// op runs one change's worth of the mix: 2 027 deliveries.
+func (m *simMix) op() {
+	for end := m.delivered + 2027; m.delivered < end; {
+		m.k.Step()
+	}
+}
+
+// BenchmarkKernelSimMix times the kernel on simMix; ns/delivery covers
+// a delivery's pop and schedule and its share of the timers.
+func BenchmarkKernelSimMix(b *testing.B) {
+	for _, rto := range simMixRTOs {
+		b.Run("rto="+rto.String(), func(b *testing.B) {
+			m := newSimMix(rto)
+			for range 50 {
+				m.op()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				m.op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2027), "ns/delivery")
+		})
+	}
+}
+
+// TestSameInstantBurstIsLinear drains bursts of events at one instant,
+// both the current one and a later one: 80 000 may cost at most 4× per
+// event what 5 000 do. Bucket 0 is kept in seq order, so popping one
+// never scans the others.
+func TestSameInstantBurstIsLinear(t *testing.T) {
+	nop := func(any) {}
+	for _, delay := range []time.Duration{0, time.Millisecond} {
+		perEvent := func(n int) float64 {
+			best := time.Duration(math.MaxInt64)
+			for range 5 {
+				k := NewKernel()
+				k.After(time.Millisecond, func() {}) // last is not at the burst
+				k.Step()
+				at := k.Now().Add(delay)
+				for range n {
+					k.AtCall(at, nop, nil)
+				}
+				start := time.Now()
+				k.Run()
+				best = min(best, time.Since(start))
+			}
+			return float64(best) / float64(n)
+		}
+		small, large := perEvent(5000), perEvent(80000)
+		t.Logf("delay %v: %.1f ns per event in 5 000, %.1f in 80 000", delay, small, large)
+		if large > 4*small {
+			t.Errorf("delay %v: 80 000 events at one instant cost %.1f ns each, 5 000 cost %.1f ns", delay, large, small)
+		}
+	}
+}
+
+// TestPeekThenScheduleNowFiresFirst pins last ≤ now: looking at the
+// next event, by NextEventTime or by RunUntil stopping short of it,
+// must not move the queue's base past now, or an event then scheduled
+// at Now would be filed behind the one looked at.
+func TestPeekThenScheduleNowFiresFirst(t *testing.T) {
+	for name, peek := range map[string]func(k *Kernel){
+		"NextEventTime": func(k *Kernel) { k.NextEventTime() },
+		"RunUntil":      func(k *Kernel) { k.RunUntil(k.Now().Add(3 * time.Millisecond)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			k := NewKernel()
+			var got []string
+			prev := k.Now()
+			record := func(s string) func() {
+				return func() {
+					if k.Now() < prev {
+						t.Fatalf("%s fired at %v, after an event at %v", s, k.Now(), prev)
+					}
+					prev = k.Now()
+					got = append(got, s)
+				}
+			}
+			k.After(time.Millisecond, record("first"))
+			k.Step()
+			k.After(9*time.Millisecond, record("peeked"))
+			k.After(9*time.Millisecond, record("peeked too"))
+			peek(k)
+			k.At(k.Now(), record("now"))
+			k.Run()
+			if want := []string{"first", "now", "peeked", "peeked too"}; !slices.Equal(got, want) {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+		})
 	}
 }
 
