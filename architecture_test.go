@@ -43,6 +43,16 @@ func TestArchitectureRules(t *testing.T) {
 			allow: []string{"internal/ids"},
 			check: mathRandImports,
 		},
+		{
+			rule: `docs/ARCHITECTURE.md, Layer 3, ring views: "Node.roster and Node.leader are assigned only in internal/core/node.go, by the protocol's handlers"`,
+			pkgs: []string{"internal/core"},
+			check: func(f *ast.File) []ast.Node {
+				if filepath.Base(fset.File(f.Pos()).Name()) == "node.go" {
+					return nil
+				}
+				return fieldWrites(f, "roster", "leader")
+			},
+		},
 	}
 	for _, pkg := range simulation {
 		if len(pkgs[pkg]) == 0 {
@@ -141,5 +151,48 @@ func mathRandImports(f *ast.File) []ast.Node {
 			found = append(found, imp)
 		}
 	}
+	return found
+}
+
+// fieldWrites finds assignments to, and copies into, a field with one
+// of the given names, whatever the receiver: x.name = v, x.name[i] = v,
+// x.name++ and copy(x.name, src).
+func fieldWrites(f *ast.File, names ...string) []ast.Node {
+	named := func(e ast.Expr) bool {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SliceExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				return slices.Contains(names, x.Sel.Name)
+			default:
+				return false
+			}
+		}
+	}
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				if named(lhs) {
+					found = append(found, lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			if named(s.X) {
+				found = append(found, s.X)
+			}
+		case *ast.CallExpr:
+			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "copy" && len(s.Args) == 2 && named(s.Args[0]) {
+				found = append(found, s)
+			}
+		}
+		return true
+	})
 	return found
 }

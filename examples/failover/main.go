@@ -1,9 +1,9 @@
 // Failover: inject network-entity crashes — the "frequent failure
 // occurrence" challenge of the paper's introduction — and watch the
 // protocol detect them by token retransmission, repair rings locally,
-// elect new leaders, and finally partition and merge a ring (the §6
-// future-work extension). Repairs arrive on the Service's Watch
-// stream; deep ring-state pokes use Service.Inspect.
+// elect new leaders, and finally split and merge a ring across a
+// network cut (the §6 future-work extension). Repairs arrive on the
+// Service's Watch stream; deep ring-state pokes use Service.Inspect.
 //
 //	go run ./examples/failover
 package main
@@ -103,11 +103,15 @@ repairScan:
 	})
 
 	// Network partition and heal (the §6 future-work extension) on the
-	// supported Service surface: carve one half of the topmost subtrees
-	// away, let both sides repair into independent fragments, then heal
-	// — the fragments probe each other and merge back into one ring.
+	// supported Service surface. Partition only cuts the transport; the
+	// protocol finds the cut through its own rounds, as a deployment
+	// would. The near side holds the top ring's leader, whose heartbeat
+	// rounds fail the far side out. The far side hears no round, so it
+	// keeps its full roster until a change there starts a round of its
+	// own, whose passes to the near side time out. After the heal the
+	// leaders' merge probes reunite the fragments into one ring.
 	var frag []rgb.NodeID
-	var nearTop, farTop rgb.NodeID
+	var nearTop, farTop, farAP rgb.NodeID
 	svc.Inspect(func(sys *rgb.System) {
 		frag = sys.Hierarchy().OwnedBy(2, 1)
 		cut := make(map[rgb.NodeID]bool, len(frag))
@@ -121,21 +125,34 @@ repairScan:
 				nearTop = id
 			}
 		}
+		for _, ap := range aps {
+			if cut[ap] {
+				farAP = ap
+				break
+			}
+		}
 	})
 	fmt.Printf("partitioning %d entities away from the deployment...\n", len(frag))
 	must(svc.Partition(ctx, frag...))
 	svc.Advance(10 * time.Second)
 	svc.Inspect(func(sys *rgb.System) {
-		fmt.Printf("during cut: near fragment roster %v\n", sys.Node(nearTop).Roster())
-		fmt.Printf("during cut: far fragment roster  %v\n", sys.Node(farTop).Roster())
+		fmt.Printf("during cut: near side roster %v\n", sys.Node(nearTop).Roster())
+		fmt.Printf("during cut: far side, quiet, still %v\n", sys.Node(farTop).Roster())
+	})
+	fmt.Printf("joining a member at %s, on the far side...\n", farAP)
+	must(svc.JoinAt(ctx, rgb.GUID(13), farAP))
+	svc.Advance(10 * time.Second)
+	svc.Inspect(func(sys *rgb.System) {
+		fmt.Printf("during cut: far side roster  %v\n", sys.Node(farTop).Roster())
 	})
 
 	fmt.Println("healing the partition...")
 	must(svc.Heal(ctx))
 	svc.Advance(10 * time.Second)
+	members, _ = svc.Members(ctx)
 	svc.Inspect(func(sys *rgb.System) {
-		fmt.Printf("after merge: roster %v, agreement disagreements: %d\n",
-			sys.Node(nearTop).Roster(), sys.RosterAgreement())
+		fmt.Printf("after merge: roster %v, agreement disagreements: %d, %d members\n",
+			sys.Node(nearTop).Roster(), sys.RosterAgreement(), len(members))
 	})
 }
 

@@ -171,22 +171,19 @@ func TestCrashUpperTierNode(t *testing.T) {
 	}
 }
 
-// TestPartitionAndMerge exercises the §6 future-work extension: an
-// explicit ring partition followed by Membership-Merge.
+// TestPartitionAndMerge exercises the §6 future-work extension: a
+// transport cut that the ring's own rounds split into two fragments,
+// followed by Membership-Merge.
 func TestPartitionAndMerge(t *testing.T) {
-	sys := NewSystem(quietConfig(2, 6))
-	apNode := sys.Node(sys.APs()[0])
-	ringID := apNode.Ring()
-	roster := apNode.Roster()
+	sys := NewSystem(cutConfig(2, 6))
+	roster := sys.Node(sys.APs()[0]).Roster()
 
 	// Populate some members first.
 	sys.JoinMemberAt(ids.GUID(1), roster[0])
 	sys.JoinMemberAt(ids.GUID(2), roster[4])
 	sys.Run()
 
-	frag := map[ids.NodeID]bool{roster[3]: true, roster[4]: true, roster[5]: true}
-	keptLeader, splitLeader := sys.PartitionRing(ringID, frag)
-	sys.Run()
+	keptLeader, splitLeader := splitByCut(t, sys, roster, 3, 4)
 	if keptLeader == splitLeader {
 		t.Fatal("fragments share a leader")
 	}
@@ -202,7 +199,7 @@ func TestPartitionAndMerge(t *testing.T) {
 	}
 
 	// Merge back.
-	sys.MergeFragments(splitLeader, keptLeader)
+	sendMergeRequest(sys, splitLeader, keptLeader)
 	sys.Run()
 	for _, id := range roster {
 		n := sys.Node(id)

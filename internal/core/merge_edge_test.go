@@ -2,37 +2,80 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
+// cutConfig is quietConfig with the heartbeat PartitionNetwork needs.
+func cutConfig(h, r int) Config {
+	cfg := quietConfig(h, r)
+	cfg.HeartbeatInterval = 250 * time.Millisecond
+	return cfg
+}
+
+// splitByCut splits a six-entity ring through the protocol alone. It
+// cuts the last three entities of roster away at the transport, joins
+// member near on the first side and far on the second, so that each
+// side's round excludes the other through its pass timeouts, drains,
+// and lifts the cut. The heartbeats stop at the cut, so nothing probes
+// afterwards and the test delivers the MergeRequest itself. Returns the
+// kept (near) and the split (far) fragment's leaders.
+func splitByCut(t *testing.T, sys *System, roster []ids.NodeID, near, far ids.GUID) (kept, split ids.NodeID) {
+	t.Helper()
+	frag := roster[3:]
+	if err := sys.PartitionNetwork(frag); err != nil {
+		t.Fatal(err)
+	}
+	sys.StopHeartbeats()
+	if _, err := sys.JoinMemberAt(near, roster[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.JoinMemberAt(far, roster[4]); err != nil {
+		t.Fatal(err)
+	}
+	sys.rt.Run()
+	if err := sys.HealNetwork(); err != nil {
+		t.Fatal(err)
+	}
+	return sys.Node(roster[0]).Leader(), sys.Node(roster[4]).Leader()
+}
+
+// sendMergeRequest sends to the MergeRequest that fragment leader from
+// answers a probe with (Node.receiveProbe).
+func sendMergeRequest(sys *System, from, to ids.NodeID) {
+	fl := sys.Node(from)
+	sys.send(from, to, runtime.KindControl, wire.MergeRequest{
+		Roster:     fl.Roster(),
+		Members:    fl.ringMems.Snapshot(),
+		Tombstones: fl.tombstoneList(),
+	})
+}
+
 // TestMergeRequestToCrashedLeaderFragment: the kept fragment's leader
-// crashes while the partition holds, and the MergeRequest lands on a
+// crashes before the fragments merge, and the MergeRequest lands on a
 // surviving non-leader. The receiver must apply the deterministic
 // leader repair first (electing the successor) and still complete the
 // merge — either by becoming leader itself or forwarding to the
 // repaired one.
 func TestMergeRequestToCrashedLeaderFragment(t *testing.T) {
-	sys := NewSystem(quietConfig(2, 6))
-	apNode := sys.Node(sys.APs()[0])
-	ringID := apNode.Ring()
-	roster := apNode.Roster()
+	sys := NewSystem(cutConfig(2, 6))
+	roster := sys.Node(sys.APs()[0]).Roster()
 
 	sys.JoinMemberAt(ids.GUID(1), roster[0])
 	sys.JoinMemberAt(ids.GUID(2), roster[4])
 	sys.Run()
 
-	frag := map[ids.NodeID]bool{roster[3]: true, roster[4]: true, roster[5]: true}
-	keptLeader, splitLeader := sys.PartitionRing(ringID, frag)
-	sys.Run()
+	keptLeader, splitLeader := splitByCut(t, sys, roster, 3, 4)
 
-	// The kept leader dies mid-partition; nothing has detected it yet
-	// when the merge request arrives at a surviving kept member.
+	// The kept leader dies; with the heartbeats stopped nothing has
+	// detected it when the merge request arrives at a surviving kept
+	// member.
 	survivor := sys.Node(keptLeader).Roster()[1]
 	sys.CrashNE(keptLeader)
-	sys.MergeFragments(splitLeader, survivor)
+	sendMergeRequest(sys, splitLeader, survivor)
 	sys.Run()
 
 	// The merge completed over the repaired fragment: every survivor
@@ -64,17 +107,13 @@ func TestMergeRequestToCrashedLeaderFragment(t *testing.T) {
 // injector's replay, or a retransmitted control datagram) arriving
 // after the fragment already merged must change nothing.
 func TestMergeRequestReplayIsNoOp(t *testing.T) {
-	sys := NewSystem(quietConfig(2, 6))
-	apNode := sys.Node(sys.APs()[0])
-	ringID := apNode.Ring()
-	roster := apNode.Roster()
+	sys := NewSystem(cutConfig(2, 6))
+	roster := sys.Node(sys.APs()[0]).Roster()
 
 	sys.JoinMemberAt(ids.GUID(1), roster[0])
 	sys.Run()
 
-	frag := map[ids.NodeID]bool{roster[3]: true, roster[4]: true, roster[5]: true}
-	keptLeader, splitLeader := sys.PartitionRing(ringID, frag)
-	sys.Run()
+	keptLeader, splitLeader := splitByCut(t, sys, roster, 3, 4)
 
 	// Capture the exact request the fragment leader would send, then
 	// deliver it twice.

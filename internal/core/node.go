@@ -125,14 +125,8 @@ func (n *Node) Roster() []ids.NodeID {
 	return out
 }
 
-// RingOK reports the node's Function-Well view of its own ring.
-func (n *Node) RingOK() bool { return n.ringOK }
-
 // ParentOK reports whether the parent link is believed healthy.
 func (n *Node) ParentOK() bool { return n.parentOK }
-
-// ChildOK reports whether the child link is believed healthy.
-func (n *Node) ChildOK() bool { return n.childOK }
 
 // LocalMembers returns the ListOfLocalMembers.
 func (n *Node) LocalMembers() *ids.MemberList { return &n.local }

@@ -134,11 +134,8 @@ type System struct {
 	// serving AP is on.
 	mhOwner map[ids.NodeID]*Member
 
-	// Network-partition state (PartitionNetwork/HealNetwork): the
-	// recorded per-ring splits to merge back on heal, and the active-cut
-	// flag.
-	netSplits []netSplit
-	netCut    bool
+	// netCut is set while a PartitionNetwork cut is installed.
+	netCut bool
 
 	// probeSeq numbers the merge probes the heartbeat sends to
 	// roster-excluded ring-mates.

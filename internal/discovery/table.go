@@ -140,13 +140,6 @@ func (t *Table) Reset(selfSlot, slots int) {
 	t.rebuildLocked()
 }
 
-// SelfSlot returns the slot this process claims (-1 = none).
-func (t *Table) SelfSlot() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.selfSlot
-}
-
 // AddrOf returns the routable address of a slot, or the zero AddrPort
 // when the slot is unknown or evicted. Lock-free.
 func (t *Table) AddrOf(slot int) netip.AddrPort {

@@ -47,8 +47,9 @@ type Scenario struct {
 	Queries  int           `json:"queries"`     // membership queries measured per run
 
 	// Partition, when positive, cuts the network mid-run: one topmost
-	// subtree is split away at Duration/2 and healed Partition later,
-	// exercising the fragment/merge protocol under the cell's churn.
+	// subtree is split away at Duration/2 and healed Partition later.
+	// The protocol detects the cut and merges the fragments under the
+	// cell's churn, so such a cell runs with a heartbeat.
 	Partition time.Duration `json:"partition_ns,omitempty"`
 
 	// Churn, when positive, adds a flapping-member stream on top of
@@ -196,6 +197,12 @@ func runSeed(base uint64, cell, seedIdx int) uint64 {
 // many goroutines concurrently: runs share nothing. It panics on an
 // invalid Scenario (use Grid.Validate / Grid.Expand to build cells).
 func RunScenario(sc Scenario, seed uint64) RunResult {
+	res, _ := runScenario(sc, seed)
+	return res
+}
+
+// runScenario is RunScenario that also hands back the drained System.
+func runScenario(sc Scenario, seed uint64) (RunResult, *core.System) {
 	start := time.Now()
 
 	// Fail fast on an unrunnable scenario, before any simulation work.
@@ -212,6 +219,9 @@ func RunScenario(sc Scenario, seed uint64) RunResult {
 	cfg.Loss = sc.Loss
 	if sc.Dissemination == core.DisseminatePathOnly.String() {
 		cfg.Dissemination = core.DisseminatePathOnly
+	}
+	if sc.Partition > 0 {
+		cfg.HeartbeatInterval = partitionHeartbeat
 	}
 	sys := core.NewSystem(cfg)
 
@@ -263,7 +273,7 @@ func RunScenario(sc Scenario, seed uint64) RunResult {
 	res.Counters = c.Snapshot()
 
 	res.WallTime = time.Since(start)
-	return res
+	return res, sys
 }
 
 // scheduleCrashes arms the scenario's mid-run crash faults: a
@@ -292,23 +302,32 @@ func scheduleCrashes(sys *core.System, sc Scenario, seed uint64) {
 	}
 }
 
+// partitionHeartbeat is the heartbeat of a cell that cuts the
+// network. The cut is only a transport cut: the fragments merge through
+// the heartbeat's probes after the heal, so PartitionNetwork refuses a
+// System without one.
+const partitionHeartbeat = 250 * time.Millisecond
+
 // schedulePartition arms the scenario's mid-run network partition: the
 // second topmost subtree (slot 1 of a 2-way deterministic hierarchy
 // split) is cut away at Duration/2 and the network heals sc.Partition
-// later, leaving the drain window to complete the fragment merge. The
-// cut is a deterministic function of the hierarchy shape alone, so
-// every seed of a cell partitions the same entities.
+// later, leaving the drain window for the protocol to detect the cut
+// and merge the fragments. The cut is a deterministic function of the
+// hierarchy shape alone, so every seed of a cell partitions the same
+// entities, and an error is a bug: it panics like an invalid Scenario.
 func schedulePartition(sys *core.System, sc Scenario) {
 	if sc.Partition <= 0 {
 		return
 	}
 	frag := sys.Hierarchy().OwnedBy(2, 1)
 	clock := sys.Clock()
-	// Errors are deliberately swallowed: under heavy churn or crashes
-	// the fragment may have lost all live members by Duration/2, and a
-	// cell that cannot cut simply measures its other faults.
-	clock.After(sc.Duration/2, func() { _ = sys.PartitionNetwork(frag) })
-	clock.After(sc.Duration/2+sc.Partition, func() { _ = sys.HealNetwork() })
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	clock.After(sc.Duration/2, func() { must(sys.PartitionNetwork(frag)) })
+	clock.After(sc.Duration/2+sc.Partition, func() { must(sys.HealNetwork()) })
 }
 
 // measureQueries runs the cell's query workload after the scenario

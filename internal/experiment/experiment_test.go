@@ -124,6 +124,30 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	}
 }
 
+// TestPartitionCellCutsAndMerges: a cell with a partition really cuts
+// the network, and the protocol merges the fragments in the drain
+// window. The same cell without a partition drops nothing (it has no
+// loss) and repairs nothing, so the drops and repairs are the cut's.
+func TestPartitionCellCutsAndMerges(t *testing.T) {
+	sc := Scenario{H: 2, R: 5, Members: 20, JoinRate: 0.5, LeaveRate: 0.3, FailRate: 0.05,
+		Dissemination: "full", Scheme: "tms", Duration: 30 * time.Second}
+	quiet := RunScenario(sc, 7)
+	if d, r := quiet.Counters["messages.dropped"], quiet.Counters["repairs"]; d != 0 || r != 0 {
+		t.Fatalf("no partition: %d dropped, %d repairs, want none", d, r)
+	}
+	sc.Partition = 5 * time.Second
+	res, sys := runScenario(sc, 7)
+	if res.Counters["messages.dropped"] == 0 {
+		t.Error("partition cell dropped no message: the cut was never installed")
+	}
+	if res.Counters["repairs"] == 0 {
+		t.Error("partition cell repaired nothing: no side detected the cut")
+	}
+	if d := sys.RosterAgreement(); d != 0 {
+		t.Errorf("%d rings disagree after the drain window", d)
+	}
+}
+
 // TestSweepWorkerCountInvariance is the core contract: the JSON report
 // must be bit-identical for 1 worker and many workers.
 func TestSweepWorkerCountInvariance(t *testing.T) {

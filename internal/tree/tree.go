@@ -129,10 +129,6 @@ func (s *Service) Kernel() *des.Kernel { return s.kernel }
 // Server returns the server with the given identity.
 func (s *Service) Server(id ids.NodeID) *Server { return s.servers[id] }
 
-// LocalDeliveries returns how many messages were absorbed as
-// intra-host (representative) deliveries, in total.
-func (s *Service) LocalDeliveries() uint64 { return s.localFlood + s.localUp }
-
 // forward routes a proposal from one logical server to another:
 // co-hosted servers exchange it as a zero-hop local event, everything
 // else crosses the network. Up-phase messages are sent as KindNotify

@@ -436,13 +436,6 @@ func (s *Service) Crash(ctx context.Context, id NodeID) error {
 	return s.do(ctx, func() error { s.sys.CrashNE(id); return nil })
 }
 
-// CrashAfter schedules a crash d of protocol time from now.
-func (s *Service) CrashAfter(d time.Duration, id NodeID) {
-	s.rt.Do(func() {
-		s.rt.Clock().After(d, func() { s.sys.CrashNE(id) })
-	})
-}
-
 // Restore revives a crashed entity; it rejoins its ring through the
 // NE-Join protocol.
 func (s *Service) Restore(ctx context.Context, id NodeID) error {
@@ -451,24 +444,28 @@ func (s *Service) Restore(ctx context.Context, id NodeID) error {
 
 // Partition severs the entities in fragment (plus the mobile hosts
 // they serve) from the rest of the deployment: messages crossing the
-// cut are dropped at the transport, and every ring spanning the cut
-// splits into two independently-functioning fragments. Heal reverses
-// it. Only simulated runtimes support transport cuts — elsewhere
-// Partition returns an error wrapping ErrOptionUnsupported (a real
-// network is partitioned from outside the process; see the chaos
-// harness and docs/OPERATIONS.md).
+// cut are dropped at the transport, and nothing else changes. The
+// protocol finds the cut as a deployment would, through its rounds and
+// heartbeats, and splits each ring the cut divides into fragments.
+// Heal lifts the cut, and the heartbeat's merge probes reunite the
+// fragments. Only simulated runtimes support transport cuts, and only
+// with WithHeartbeat, since without heartbeats the fragments would
+// never merge. Otherwise Partition returns an error wrapping
+// ErrOptionUnsupported (a real network is partitioned from outside the
+// process; see Cluster.Block, the chaos harness and docs/OPERATIONS.md).
 //
 // A second Partition before Heal returns ErrPartitioned; a fragment
-// that does not split any ring returns ErrBadFragment.
+// that splits no ring of the hierarchy returns ErrBadFragment.
 func (s *Service) Partition(ctx context.Context, fragment ...NodeID) error {
 	return s.do(ctx, func() error {
 		return mapPartitionErr(s.sys.PartitionNetwork(fragment))
 	})
 }
 
-// Heal removes the cut installed by Partition and merges every split
-// ring's fragments back together (the Membership-Merge extension).
-// Without an active cut it returns ErrNotPartitioned.
+// Heal removes the cut installed by Partition. The fragments merge
+// back through the protocol (the Membership-Merge extension) within a
+// few heartbeat intervals. Without an active cut it returns
+// ErrNotPartitioned.
 func (s *Service) Heal(ctx context.Context) error {
 	return s.do(ctx, func() error {
 		return mapPartitionErr(s.sys.HealNetwork())

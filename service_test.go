@@ -308,3 +308,63 @@ func TestCallerOwnedRuntimeClosed(t *testing.T) {
 		t.Fatal("query after runtime close succeeded")
 	}
 }
+
+// TestPartitionErrorContract pins what Partition and Heal refuse. A
+// fragment is checked against the hierarchy's rings, not against who is
+// up, and a cut needs heartbeats: without them the fragments would never
+// probe each other, so they would never merge.
+func TestPartitionErrorContract(t *testing.T) {
+	ctx := context.Background()
+	const beat = 250 * time.Millisecond
+	slot1 := func(svc *Service) (frag []NodeID) {
+		svc.Inspect(func(sys *System) { frag = sys.Hierarchy().OwnedBy(2, 1) })
+		return frag
+	}
+	cases := []struct {
+		name string
+		opts []Option
+		call func(*testing.T, *Service) error
+		want error
+	}{
+		{"second cut", []Option{WithHeartbeat(beat)}, func(t *testing.T, svc *Service) error {
+			if err := svc.Partition(ctx, slot1(svc)...); err != nil {
+				t.Fatalf("first cut: %v", err)
+			}
+			return svc.Partition(ctx, slot1(svc)...)
+		}, ErrPartitioned},
+		{"heal without a cut", []Option{WithHeartbeat(beat)}, func(t *testing.T, svc *Service) error {
+			return svc.Heal(ctx)
+		}, ErrNotPartitioned},
+		{"heal twice", []Option{WithHeartbeat(beat)}, func(t *testing.T, svc *Service) error {
+			if err := svc.Partition(ctx, slot1(svc)...); err != nil {
+				t.Fatalf("cut: %v", err)
+			}
+			if err := svc.Heal(ctx); err != nil {
+				t.Fatalf("heal: %v", err)
+			}
+			return svc.Heal(ctx)
+		}, ErrNotPartitioned},
+		{"empty fragment", []Option{WithHeartbeat(beat)}, func(t *testing.T, svc *Service) error {
+			return svc.Partition(ctx)
+		}, ErrBadFragment},
+		{"whole ring splits no ring", []Option{WithHeartbeat(beat)}, func(t *testing.T, svc *Service) error {
+			var ring []NodeID
+			svc.Inspect(func(sys *System) { ring = sys.Node(svc.APs()[0]).Roster() })
+			return svc.Partition(ctx, ring...)
+		}, ErrBadFragment},
+		{"no heartbeat", nil, func(t *testing.T, svc *Service) error {
+			return svc.Partition(ctx, slot1(svc)...)
+		}, ErrOptionUnsupported},
+		{"live runtime", []Option{WithHeartbeat(beat), WithLiveRuntime()}, func(t *testing.T, svc *Service) error {
+			return svc.Partition(ctx, slot1(svc)...)
+		}, ErrOptionUnsupported},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := openTest(t, append([]Option{WithHierarchy(2, 5), WithSeed(1)}, tc.opts...)...)
+			if err := tc.call(t, svc); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}

@@ -269,8 +269,13 @@ func TestWatchOverflowEmitsDroppedEvent(t *testing.T) {
 // the number of events it lost.
 func TestWatchAcrossPartitionHeal(t *testing.T) {
 	ctx := context.Background()
-	const buf = 2
-	svc := openTest(t, WithHierarchy(2, 5), WithSeed(3), WithWatchBuffer(buf))
+	// The protocol detects the cut and merges the fragments itself, and
+	// its EventRepairs share the stream with the joins: up to three land
+	// in one instant. So the prompt subscriber has room for four and
+	// drains every millisecond.
+	const buf = 4
+	const beat = 250 * time.Millisecond
+	svc := openTest(t, WithHierarchy(2, 5), WithSeed(3), WithWatchBuffer(buf), WithHeartbeat(beat))
 	drained, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
@@ -298,12 +303,19 @@ func TestWatchAcrossPartitionHeal(t *testing.T) {
 			}
 		}
 	}
+	// settle runs Settle's ten heartbeat intervals in 1 ms steps,
+	// draining after each.
+	settle := func() {
+		for d := time.Duration(0); d < 10*beat; d += time.Millisecond {
+			svc.Advance(time.Millisecond)
+			drain()
+		}
+	}
 
 	// Two members before the cut — one per future side.
 	must(svc.JoinAt(ctx, GUID(1), aps[0]))
 	must(svc.JoinAt(ctx, GUID(2), aps[5]))
-	must(svc.Settle(ctx))
-	drain()
+	settle()
 
 	// Cut one topmost subtree away (slot 1 owns aps[5..9]) and join one
 	// member on each side while the partition holds: both fragments
@@ -315,12 +327,10 @@ func TestWatchAcrossPartitionHeal(t *testing.T) {
 	must(svc.Partition(ctx, frag...))
 	must(svc.JoinAt(ctx, GUID(3), aps[0]))
 	must(svc.JoinAt(ctx, GUID(4), aps[6]))
-	must(svc.Settle(ctx))
-	drain()
+	settle()
 
 	must(svc.Heal(ctx))
-	must(svc.Settle(ctx))
-	drain()
+	settle()
 
 	// Every join exactly once, and never a gap for the prompt reader.
 	joins := map[GUID]int{}
