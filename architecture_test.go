@@ -20,8 +20,18 @@ import (
 // reviewed diff.
 func TestArchitectureRules(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs := parseInternal(t, fset)
+	module := parseModule(t, fset)
+	pkgs := map[string][]*ast.File{}
+	for dir, files := range module {
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = files
+		}
+	}
 	simulation := []string{"internal/des", "internal/simnet", "internal/core"}
+	deterministic := slices.Concat(simulation, []string{"internal/token", "internal/ring", "internal/mq", "internal/wire", "internal/ids"})
+	path := func(n ast.Node) string { return filepath.ToSlash(fset.File(n.Pos()).Name()) }
+	wallTimers := map[string]int{"internal/runtime/live.go": 2, "internal/runtime/discover.go": 1}
+	uncalled := uncalledFuncs(fset, module)
 	rows := []struct {
 		rule  string   // where the rule is stated, and the sentence
 		pkgs  []string // the packages it covers; nil is every one under internal/
@@ -30,12 +40,12 @@ func TestArchitectureRules(t *testing.T) {
 	}{
 		{
 			rule:  `docs/ARCHITECTURE.md, determinism rule 2: "No time.Now() (except wall-clock reporting)"`,
-			pkgs:  simulation,
-			check: wallClockReads,
+			pkgs:  deterministic,
+			check: func(f *ast.File) []ast.Node { return pkgSelectors(f, "time", "Now", "Since", "Until") },
 		},
 		{
 			rule:  `docs/ARCHITECTURE.md, determinism rule 1: "All concurrency inside a run is virtual: events interleave on the DES clock, never on goroutines."`,
-			pkgs:  simulation,
+			pkgs:  deterministic,
 			check: goStatements,
 		},
 		{
@@ -47,11 +57,43 @@ func TestArchitectureRules(t *testing.T) {
 			rule: `docs/ARCHITECTURE.md, Layer 3, ring views: "Node.roster and Node.leader are assigned only in internal/core/node.go, by the protocol's handlers"`,
 			pkgs: []string{"internal/core"},
 			check: func(f *ast.File) []ast.Node {
-				if filepath.Base(fset.File(f.Pos()).Name()) == "node.go" {
+				if filepath.Base(path(f)) == "node.go" {
 					return nil
 				}
 				return fieldWrites(f, "roster", "leader")
 			},
+		},
+		{
+			rule: `docs/ARCHITECTURE.md, Layer 3, ring views: "The static ring.Ring never changes after ring.New"`,
+			pkgs: []string{"internal/ring"},
+			check: func(f *ast.File) []ast.Node {
+				return outside(fset, f, fieldWrites(f, "id", "nodes"), "internal/ring.New")
+			},
+		},
+		{
+			rule: `docs/ARCHITECTURE.md, Layer 3, processes on the simulator: "core.Place — the one function that sets Config.Owns and Config.MHBase"`,
+			check: func(f *ast.File) []ast.Node {
+				return outside(fset, f, append(fieldWrites(f, "Owns", "MHBase"), keyedFields(f, "Owns", "MHBase")...), "internal/core.Place")
+			},
+		},
+		{
+			rule: `docs/ARCHITECTURE.md, Layer 2, the socket: "Two functions write to the socket: datagram.write, for the protocol's frames, and the discoverer's sendPayload, for discovery."`,
+			check: func(f *ast.File) []ast.Node {
+				return outside(fset, f, methodRefs(f, "WriteToUDPAddrPort"), "internal/runtime.datagram.write", "internal/runtime.discoverer.sendPayload")
+			},
+		},
+		{
+			rule: `docs/ARCHITECTURE.md, determinism rule 1: "Wall-clock timers run only the live runtime's tick and alarm and the discoverer's probe"`,
+			check: func(f *ast.File) []ast.Node {
+				if found := pkgSelectors(f, "time", "AfterFunc", "NewTimer", "NewTicker"); len(found) > wallTimers[path(f)] {
+					return found
+				}
+				return nil
+			},
+		},
+		{
+			rule:  `ROADMAP.md, item 18: "production code nothing calls goes"; a function only tests call is on uncalledAllowed`,
+			check: func(f *ast.File) []ast.Node { return uncalledOutside(fset, f, uncalled) },
 		},
 	}
 	for _, pkg := range simulation {
@@ -72,16 +114,67 @@ func TestArchitectureRules(t *testing.T) {
 			}
 		}
 	}
+	for _, name := range uncalledAllowed {
+		if !uncalled[name] {
+			t.Errorf("%s is on uncalledAllowed but is gone or has a non-test caller now: take it off the list", name)
+		}
+	}
 }
 
-// parseInternal parses every non-test Go file under internal/, keyed by
-// its package directory.
-func parseInternal(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
+// uncalledAllowed lists the functions and methods under internal/ that
+// no non-test file references by name: the accessors tests read state
+// through. A new one fails TestArchitectureRules until it is deleted or
+// added here.
+var uncalledAllowed = []string{
+	"internal/analytic.HCNRatio",
+	"internal/analytic.HopCountRing",
+	"internal/chaos.Engine.Restart",
+	"internal/chaos.Proc.Resume",
+	"internal/core.Member.LastAckAt",
+	"internal/core.Node.NeighborMembers",
+	"internal/core.Node.ParentOK",
+	"internal/core.System.ExpectedQueryReplies",
+	"internal/core.System.FlapScore",
+	"internal/core.System.Quarantined",
+	"internal/des.Kernel.Executed",
+	"internal/des.Kernel.Live",
+	"internal/des.Ticker.Fires",
+	"internal/mathx.AbsDiff",
+	"internal/mathx.AlmostEqual",
+	"internal/mathx.BinomialCDF",
+	"internal/mathx.Choose",
+	"internal/mathx.RNG.Binomial",
+	"internal/mathx.RNG.Perm",
+	"internal/mq.Op.IsNEOp",
+	"internal/mq.Queue.Peek",
+	"internal/reliability.TrialOutcome.FunctionWell",
+	"internal/simnet.Network.SetTrace",
+	"internal/telemetry.Histogram.Sum",
+	"internal/topology.TreeHierarchy.MessageEdgeCount",
+	"internal/topology.TreeHierarchy.NumLeaves",
+	"internal/topology.TreeHierarchy.Root",
+	"internal/tree.Server.Applied",
+	"internal/tree.Service.ConsistentMembership",
+	"internal/wire.DecodePayload",
+}
+
+// parseModule parses every non-test Go file of the module, keyed by its
+// package directory.
+func parseModule(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
 	t.Helper()
 	pkgs := map[string][]*ast.File{}
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
@@ -95,6 +188,91 @@ func parseInternal(t *testing.T, fset *token.FileSet) map[string][]*ast.File {
 		t.Fatal(err)
 	}
 	return pkgs
+}
+
+// declName names a function declaration by its package directory,
+// receiver type and name: "internal/core.Place",
+// "internal/runtime.datagram.write".
+func declName(fset *token.FileSet, d *ast.FuncDecl) string {
+	name := d.Name.Name
+	if d.Recv != nil {
+		recv := d.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if idx, ok := recv.(*ast.IndexExpr); ok {
+			recv = idx.X
+		}
+		name = recv.(*ast.Ident).Name + "." + name
+	}
+	return filepath.ToSlash(filepath.Dir(fset.File(d.Pos()).Name())) + "." + name
+}
+
+// outside drops the found nodes that lie inside one of the named
+// function declarations of f (see declName).
+func outside(fset *token.FileSet, f *ast.File, found []ast.Node, funcs ...string) []ast.Node {
+	for _, decl := range f.Decls {
+		if d, ok := decl.(*ast.FuncDecl); ok && slices.Contains(funcs, declName(fset, d)) {
+			found = slices.DeleteFunc(found, func(n ast.Node) bool { return n.Pos() >= d.Pos() && n.End() <= d.End() })
+		}
+	}
+	return found
+}
+
+// uncalledFuncs names (see declName) every function and method under
+// internal/ whose name no non-test file of the module refers to,
+// outside its own declaration. Names are matched without types, so a
+// method shares its callers with every method of the same name.
+func uncalledFuncs(fset *token.FileSet, module map[string][]*ast.File) map[string]bool {
+	declared := map[*ast.Ident]bool{}
+	for _, files := range module {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					declared[d.Name] = true
+				}
+			}
+		}
+	}
+	referenced := map[string]bool{}
+	for _, files := range module {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !declared[id] {
+					referenced[id.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	uncalled := map[string]bool{}
+	for dir, files := range module {
+		if !strings.HasPrefix(dir, "internal/") {
+			continue
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok && !referenced[d.Name.Name] && d.Name.Name != "init" {
+					uncalled[declName(fset, d)] = true
+				}
+			}
+		}
+	}
+	return uncalled
+}
+
+// uncalledOutside finds the declarations of f that are uncalled and not
+// on uncalledAllowed.
+func uncalledOutside(fset *token.FileSet, f *ast.File, uncalled map[string]bool) []ast.Node {
+	var found []ast.Node
+	for _, decl := range f.Decls {
+		if d, ok := decl.(*ast.FuncDecl); ok {
+			if name := declName(fset, d); uncalled[name] && !slices.Contains(uncalledAllowed, name) {
+				found = append(found, d.Name)
+			}
+		}
+	}
+	return found
 }
 
 // importName is the name f refers to the package at path by, or "" if
@@ -112,19 +290,32 @@ func importName(f *ast.File, path string) string {
 	return ""
 }
 
-// wallClockReads finds time.Now, time.Since and time.Until.
-func wallClockReads(f *ast.File) []ast.Node {
-	name := importName(f, "time")
-	if name == "" {
+// pkgSelectors finds references to the named members of the package
+// at path, e.g. time.Now.
+func pkgSelectors(f *ast.File, path string, names ...string) []ast.Node {
+	pkg := importName(f, path)
+	if pkg == "" {
 		return nil
 	}
 	var found []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name &&
-				(sel.Sel.Name == "Now" || sel.Sel.Name == "Since" || sel.Sel.Name == "Until") {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name) {
 				found = append(found, sel)
 			}
+		}
+		return true
+	})
+	return found
+}
+
+// methodRefs finds selectors x.name with one of the given names,
+// whatever x is.
+func methodRefs(f *ast.File, names ...string) []ast.Node {
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+			found = append(found, sel)
 		}
 		return true
 	})
@@ -190,6 +381,25 @@ func fieldWrites(f *ast.File, names ...string) []ast.Node {
 		case *ast.CallExpr:
 			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "copy" && len(s.Args) == 2 && named(s.Args[0]) {
 				found = append(found, s)
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// keyedFields finds composite-literal elements keyed by one of the
+// given field names: T{name: v}.
+func keyedFields(f *ast.File, names ...string) []ast.Node {
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.CompositeLit); ok {
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && slices.Contains(names, id.Name) {
+						found = append(found, kv)
+					}
+				}
 			}
 		}
 		return true

@@ -203,24 +203,6 @@ func TestTmpMapExpiry(t *testing.T) {
 	}
 }
 
-func TestTmpMapResetOnTouch(t *testing.T) {
-	m, clk := newTestTmpMap(time.Second, 1024)
-	m.Touch(7)
-	// Keep touching across rotations: each hit in the old generation
-	// promotes the key into the current one, restarting its TTL.
-	for i := 0; i < 5; i++ {
-		clk.advance(1100 * time.Millisecond)
-		if m.Touch(7) {
-			t.Fatalf("touched key expired on round %d", i)
-		}
-	}
-	// Once the touching stops, two quiet rotations expire it.
-	clk.advance(2200 * time.Millisecond)
-	if !m.Touch(7) {
-		t.Fatal("key survived two quiet rotations")
-	}
-}
-
 func TestTmpMapBoundedUnderReplayFlood(t *testing.T) {
 	const cap = 512
 	m, _ := newTestTmpMap(time.Hour, cap) // TTL never elapses: only the capacity bound rotates

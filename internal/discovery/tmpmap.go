@@ -12,11 +12,10 @@ import (
 // at most 2*ttl after its last insertion, and memory is bounded by
 // 2*maxEntries no matter how fast a replay flood inserts.
 //
-// The transport uses it to drop duplicate relayed frames: Add (which
-// deliberately does NOT refresh an existing key, so a legitimately
-// retransmitted frame is delayed at most one rotation, never starved)
-// is the relay-dedup entry point; Touch is the refreshing variant for
-// caller-managed liveness windows.
+// The transport uses it to drop duplicate relayed frames through Add,
+// which deliberately does NOT refresh an existing key, so a
+// legitimately retransmitted frame is delayed at most one rotation,
+// never starved.
 type TmpMap struct {
 	mu         sync.Mutex
 	ttl        time.Duration
@@ -83,27 +82,8 @@ func (m *TmpMap) Add(key uint64) bool {
 	return true
 }
 
-// Touch records the key, refreshing it if present (a hit in the old
-// generation is promoted to the current one, restarting its TTL), and
-// reports whether it was fresh.
-func (m *TmpMap) Touch(key uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rotateLocked(m.now())
-	if _, ok := m.cur[key]; ok {
-		return false
-	}
-	if _, ok := m.prev[key]; ok {
-		m.cur[key] = struct{}{}
-		return false
-	}
-	m.cur[key] = struct{}{}
-	return true
-}
-
-// Len returns the number of live keys across both generations (an
-// upper bound: a key Touched across a rotation counts once per
-// generation it appears in).
+// Len returns the number of live keys across both generations. It is
+// exact: Add never records a key the old generation still holds.
 func (m *TmpMap) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,10 +1,11 @@
 // Package reliability validates the paper's §5.2 reliability analysis
-// empirically: it injects independent node faults into the real
-// ring-based hierarchy built by the topology package, applies the
-// protocol's local-repair rule (a single faulty node in a ring is
-// excluded; two or more faults partition the ring), counts partitioned
-// rings, and estimates the Function-Well probability of the hierarchy
-// by Monte Carlo. The estimates are compared against formula (8).
+// empirically: it injects independent node faults into the ring-based
+// hierarchy built by the topology package and classifies every ring by
+// the paper's counting rule (a single faulty node in a ring is repaired
+// locally; two or more faults partition the ring). It counts
+// partitioned rings and estimates the Function-Well probability of the
+// hierarchy by Monte Carlo. The estimates are compared against
+// formula (8).
 package reliability
 
 import (
@@ -153,40 +154,6 @@ func (e *Estimator) Estimate(f float64, ks []int, trials int) []Result {
 		})
 	}
 	return results
-}
-
-// RepairTrial applies one sampled fault set to a *fresh copy* of the
-// hierarchy's rings and performs the protocol's local repair: every
-// ring with exactly one fault excludes the faulty node (leader
-// failover included). It returns the outcome plus the number of rings
-// whose leader changed — exercising the exact repair path the protocol
-// uses, not just the counting model.
-func (e *Estimator) RepairTrial(f float64) (TrialOutcome, int) {
-	out := e.Trial(f)
-	leaderChanges := 0
-	for _, rg := range e.rings {
-		if rg.FaultyCount(e.faulty) != 1 {
-			continue
-		}
-		// Rebuild a scratch ring so the shared topology is untouched.
-		scratch := ring.New(rg.ID(), rg.Nodes())
-		oldLeader := scratch.Leader()
-		for _, n := range scratch.Nodes() {
-			if e.faulty[n] {
-				if !scratch.Exclude(n) {
-					panic("reliability: repair failed on " + n.String())
-				}
-				break
-			}
-		}
-		if err := scratch.Validate(); err != nil {
-			panic("reliability: repaired ring invalid: " + err.Error())
-		}
-		if scratch.Leader() != oldLeader {
-			leaderChanges++
-		}
-	}
-	return out, leaderChanges
 }
 
 // TableIICell runs the Monte-Carlo estimate for one Table II cell.

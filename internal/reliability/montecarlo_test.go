@@ -115,39 +115,6 @@ func TestMeanRepairedReasonable(t *testing.T) {
 	}
 }
 
-func TestRepairTrialExcludesFaultyNodes(t *testing.T) {
-	e := NewEstimator(2, 4, 13)
-	sawRepair := false
-	sawLeaderChange := false
-	for i := 0; i < 500 && !(sawRepair && sawLeaderChange); i++ {
-		out, leaderChanges := e.RepairTrial(0.08)
-		if out.RepairedRings > 0 {
-			sawRepair = true
-		}
-		if leaderChanges > 0 {
-			sawLeaderChange = true
-			if leaderChanges > out.RepairedRings {
-				t.Fatalf("leader changes %d > repaired rings %d", leaderChanges, out.RepairedRings)
-			}
-		}
-	}
-	if !sawRepair {
-		t.Fatal("no repair exercised in 500 trials at f=8%")
-	}
-	if !sawLeaderChange {
-		t.Fatal("no leader failover exercised in 500 trials")
-	}
-	// The shared topology must be untouched by repairs.
-	if err := e.Hierarchy().Validate(); err != nil {
-		t.Fatalf("topology mutated by RepairTrial: %v", err)
-	}
-	for _, rg := range e.Hierarchy().Rings() {
-		if rg.Size() != 4 {
-			t.Fatalf("ring %s shrunk to %d", rg.ID(), rg.Size())
-		}
-	}
-}
-
 func TestDeterministicEstimates(t *testing.T) {
 	a := TableIICell(2, 5, 0.02, 2, 5000, 123)
 	b := TableIICell(2, 5, 0.02, 2, 5000, 123)

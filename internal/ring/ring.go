@@ -1,18 +1,17 @@
 // Package ring implements the logical ring, the structural building
-// block of the RGB hierarchy (Section 4.1). A ring is an ordered cycle
-// of network entities with a distinguished leader. Each member's local
-// view (leader, previous, next) is derived from the ring; the paper's
-// per-node data structure stores exactly that view.
+// block of the RGB hierarchy (Section 4.1): an ordered cycle of network
+// entities whose first entity is the leader. topology.NewRingHierarchy
+// builds every ring with New, and a Ring never changes after New.
 //
-// The package provides the maintenance operations the protocol needs:
-// insertion (NE-Join), exclusion of a faulty node (the "local repair"
-// of §5.2), graceful removal (NE-Leave), leader election, and the
-// Membership-Partition/Merge operations listed as the paper's future
-// work (Split/Merge here).
+// The protocol's view of a ring — the one that local repair (§5.2),
+// NE-Join and merge change — is each entity's Node.roster and
+// Node.leader in package core; a Ring only records the ring the
+// topology was built with.
 package ring
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -31,40 +30,28 @@ func (id ID) String() string {
 	return id.Tier.String() + "R-" + fmt.Sprint(id.Index)
 }
 
-// View is one node's local picture of its ring, matching the NE data
-// structure fields Current / Leader / Previous / Next of Section 4.2.
-type View struct {
-	Current  ids.NodeID
-	Leader   ids.NodeID
-	Previous ids.NodeID
-	Next     ids.NodeID
-}
-
-// Ring is an ordered cycle of distinct nodes with a leader.
+// Ring is an ordered cycle of distinct nodes led by its first node.
 // The zero value is not usable; use New.
 type Ring struct {
-	id     ID
-	nodes  []ids.NodeID // cycle order; nodes[i].Next = nodes[(i+1)%len]
-	index  map[ids.NodeID]int
-	leader int // index into nodes
+	id    ID
+	nodes []ids.NodeID // cycle order; nodes[i].Next = nodes[(i+1)%len]
 }
 
-// New builds a ring from at least one node. The first node becomes the
+// New builds a ring from at least one node. The first node is the
 // leader. Duplicate or zero nodes panic: rings are built from
 // authoritative topology, so these are construction bugs.
 func New(id ID, nodes []ids.NodeID) *Ring {
 	if len(nodes) == 0 {
 		panic("ring: empty ring")
 	}
-	r := &Ring{id: id, nodes: make([]ids.NodeID, 0, len(nodes)), index: make(map[ids.NodeID]int, len(nodes))}
+	r := &Ring{id: id, nodes: make([]ids.NodeID, 0, len(nodes))}
 	for _, n := range nodes {
 		if n.IsZero() {
 			panic("ring: zero NodeID")
 		}
-		if _, dup := r.index[n]; dup {
+		if slices.Contains(r.nodes, n) {
 			panic("ring: duplicate node " + n.String())
 		}
-		r.index[n] = len(r.nodes)
 		r.nodes = append(r.nodes, n)
 	}
 	return r
@@ -76,172 +63,11 @@ func (r *Ring) ID() ID { return r.id }
 // Size returns the number of nodes.
 func (r *Ring) Size() int { return len(r.nodes) }
 
-// Nodes returns the cycle order as a fresh slice starting at index 0.
-func (r *Ring) Nodes() []ids.NodeID {
-	out := make([]ids.NodeID, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
+// Nodes returns the cycle order as a fresh slice starting at the leader.
+func (r *Ring) Nodes() []ids.NodeID { return slices.Clone(r.nodes) }
 
-// Leader returns the current leader.
-func (r *Ring) Leader() ids.NodeID { return r.nodes[r.leader] }
-
-// Contains reports whether n is in the ring.
-func (r *Ring) Contains(n ids.NodeID) bool {
-	_, ok := r.index[n]
-	return ok
-}
-
-// Next returns the successor of n in cycle order. It panics if n is
-// not a member.
-func (r *Ring) Next(n ids.NodeID) ids.NodeID {
-	i := r.mustIndex(n)
-	return r.nodes[(i+1)%len(r.nodes)]
-}
-
-// Prev returns the predecessor of n in cycle order. It panics if n is
-// not a member.
-func (r *Ring) Prev(n ids.NodeID) ids.NodeID {
-	i := r.mustIndex(n)
-	return r.nodes[(i-1+len(r.nodes))%len(r.nodes)]
-}
-
-// ViewOf returns n's local view (leader/previous/next). In a
-// single-node ring previous and next are n itself.
-func (r *Ring) ViewOf(n ids.NodeID) View {
-	return View{Current: n, Leader: r.Leader(), Previous: r.Prev(n), Next: r.Next(n)}
-}
-
-func (r *Ring) mustIndex(n ids.NodeID) int {
-	i, ok := r.index[n]
-	if !ok {
-		panic("ring: " + n.String() + " not in " + r.id.String())
-	}
-	return i
-}
-
-// InsertAfter adds n immediately after the given existing node
-// (NE-Join at a locality-chosen position). It panics on duplicates or
-// unknown anchor.
-func (r *Ring) InsertAfter(anchor, n ids.NodeID) {
-	if n.IsZero() {
-		panic("ring: inserting zero NodeID")
-	}
-	if r.Contains(n) {
-		panic("ring: duplicate insert of " + n.String())
-	}
-	i := r.mustIndex(anchor)
-	r.nodes = append(r.nodes, 0)
-	copy(r.nodes[i+2:], r.nodes[i+1:])
-	r.nodes[i+1] = n
-	if r.leader > i {
-		r.leader++
-	}
-	r.reindex()
-}
-
-// Insert adds n after the leader: the default join position when the
-// joining entity has no locality preference.
-func (r *Ring) Insert(n ids.NodeID) { r.InsertAfter(r.Leader(), n) }
-
-// Exclude removes a node — the local repair action for a detected
-// fault, or a graceful NE-Leave. The neighbors relink around the gap.
-// If the leader is excluded, its successor becomes the new leader
-// (deterministic rotation-based election). Excluding the last node
-// returns false: the ring would vanish, and the caller (the hierarchy
-// layer) must instead dissolve the ring. Excluding a non-member
-// returns false too.
-func (r *Ring) Exclude(n ids.NodeID) bool {
-	i, ok := r.index[n]
-	if !ok {
-		return false
-	}
-	if len(r.nodes) == 1 {
-		return false
-	}
-	r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-	switch {
-	case r.leader > i:
-		r.leader--
-	case r.leader == i:
-		// Successor takes over; after deletion the successor sits at
-		// index i (mod new length).
-		r.leader = i % len(r.nodes)
-	}
-	r.reindex()
-	return true
-}
-
-// SetLeader promotes an existing member to leader.
-func (r *Ring) SetLeader(n ids.NodeID) {
-	r.leader = r.mustIndex(n)
-}
-
-// Merge splices all nodes of other into r immediately after r's
-// leader, preserving other's cycle order starting from other's leader.
-// This is the Membership-Merge repair of two ring partitions. The two
-// rings must be disjoint. r's leader stays leader.
-func (r *Ring) Merge(other *Ring) {
-	for _, n := range other.nodes {
-		if r.Contains(n) {
-			panic("ring: merge overlap on " + n.String())
-		}
-	}
-	ordered := other.fromLeader()
-	insertAt := r.leader + 1
-	tail := make([]ids.NodeID, len(r.nodes[insertAt:]))
-	copy(tail, r.nodes[insertAt:])
-	r.nodes = append(r.nodes[:insertAt], append(ordered, tail...)...)
-	r.reindex()
-}
-
-// fromLeader returns the nodes in cycle order starting at the leader.
-func (r *Ring) fromLeader() []ids.NodeID {
-	out := make([]ids.NodeID, 0, len(r.nodes))
-	for i := 0; i < len(r.nodes); i++ {
-		out = append(out, r.nodes[(r.leader+i)%len(r.nodes)])
-	}
-	return out
-}
-
-// Split partitions the ring: the given nodes stay in r (which must
-// include the leader's replacement if the leader departs), and the
-// remainder is returned as a new ring with the given ID. Both halves
-// must be non-empty. Used to model ring partitions: when a ring breaks
-// in two, each fragment elects its first surviving node as leader.
-func (r *Ring) Split(keep map[ids.NodeID]bool, otherID ID) *Ring {
-	var kept, moved []ids.NodeID
-	for _, n := range r.fromLeader() {
-		if keep[n] {
-			kept = append(kept, n)
-		} else {
-			moved = append(moved, n)
-		}
-	}
-	if len(kept) == 0 || len(moved) == 0 {
-		panic("ring: Split must leave both halves non-empty")
-	}
-	r.nodes = kept
-	r.leader = 0
-	r.reindex()
-	return New(otherID, moved)
-}
-
-// PartitionedBy reports whether the given fault set breaks the ring:
-// per §5.2, a single faulty node is detected by token retransmission
-// and repaired locally, but two or more faults partition the ring.
-func (r *Ring) PartitionedBy(faulty map[ids.NodeID]bool) bool {
-	count := 0
-	for _, n := range r.nodes {
-		if faulty[n] {
-			count++
-			if count >= 2 {
-				return true
-			}
-		}
-	}
-	return false
-}
+// Leader returns the ring's leader, its first node.
+func (r *Ring) Leader() ids.NodeID { return r.nodes[0] }
 
 // FaultyCount returns how many ring members are in the fault set.
 func (r *Ring) FaultyCount(faulty map[ids.NodeID]bool) int {
@@ -252,30 +78,6 @@ func (r *Ring) FaultyCount(faulty map[ids.NodeID]bool) int {
 		}
 	}
 	return count
-}
-
-// Validate checks structural invariants: non-empty, unique non-zero
-// nodes, index consistency, leader in range. It returns an error
-// rather than panicking so tests and fuzzing can probe it.
-func (r *Ring) Validate() error {
-	if len(r.nodes) == 0 {
-		return fmt.Errorf("ring %s: empty", r.id)
-	}
-	if r.leader < 0 || r.leader >= len(r.nodes) {
-		return fmt.Errorf("ring %s: leader index %d out of range", r.id, r.leader)
-	}
-	if len(r.index) != len(r.nodes) {
-		return fmt.Errorf("ring %s: index size %d != nodes %d", r.id, len(r.index), len(r.nodes))
-	}
-	for i, n := range r.nodes {
-		if n.IsZero() {
-			return fmt.Errorf("ring %s: zero node at %d", r.id, i)
-		}
-		if j, ok := r.index[n]; !ok || j != i {
-			return fmt.Errorf("ring %s: index inconsistent at %s", r.id, n)
-		}
-	}
-	return nil
 }
 
 // String renders e.g. "APR-0{AP-0* AP-1 AP-2}" with * marking the
@@ -289,19 +91,10 @@ func (r *Ring) String() string {
 			b.WriteByte(' ')
 		}
 		b.WriteString(n.String())
-		if i == r.leader {
+		if i == 0 {
 			b.WriteByte('*')
 		}
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func (r *Ring) reindex() {
-	for k := range r.index {
-		delete(r.index, k)
-	}
-	for i, n := range r.nodes {
-		r.index[n] = i
-	}
 }

@@ -212,9 +212,6 @@ func (rh *RingHierarchy) Validate() error {
 	}
 	seen := make(map[ids.NodeID]bool)
 	for _, rg := range rh.rings {
-		if err := rg.Validate(); err != nil {
-			return err
-		}
 		if rg.Size() != rh.R {
 			return fmt.Errorf("topology: ring %s size %d, want %d", rg.ID(), rg.Size(), rh.R)
 		}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,7 +102,7 @@ func TestRingHierarchyLookups(t *testing.T) {
 	rh := NewRingHierarchy(3, 5)
 	ap := rh.APs()[17]
 	rg := rh.RingOf(ap)
-	if rg == nil || !rg.Contains(ap) {
+	if rg == nil || !slices.Contains(rg.Nodes(), ap) {
 		t.Fatal("RingOf broken")
 	}
 	if rh.LevelOf(ap) != 2 {

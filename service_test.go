@@ -110,6 +110,21 @@ func TestServiceLifecycle(t *testing.T) {
 			t.Errorf("post-close Settle (%s) err = %v", name, err)
 		}
 	}
+
+	pathOnly := openTest(t, WithHierarchy(2, 4), WithDissemination(DisseminatePathOnly))
+	if got := pathOnly.Config().Dissemination; got != DisseminatePathOnly {
+		t.Fatalf("WithDissemination(DisseminatePathOnly): Config().Dissemination = %v", got)
+	}
+	ap, err = pathOnly.Join(ctx, GUID(4))
+	if err != nil {
+		t.Fatalf("path-only Join: %v", err)
+	}
+	if err := pathOnly.Settle(ctx); err != nil {
+		t.Fatalf("path-only Settle: %v", err)
+	}
+	if members, err := pathOnly.Members(ctx); err != nil || len(members) != 1 || members[0].GUID != 4 || members[0].AP != ap {
+		t.Fatalf("path-only Members = %v, %v; want GUID 4 at %s", members, err, ap)
+	}
 }
 
 func TestServiceContextCancelled(t *testing.T) {
