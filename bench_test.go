@@ -34,7 +34,7 @@ import (
 	"github.com/rgbproto/rgb/internal/mq"
 	"github.com/rgbproto/rgb/internal/reliability"
 	"github.com/rgbproto/rgb/internal/ring"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/token"
 	"github.com/rgbproto/rgb/internal/wire"
 )
@@ -43,7 +43,7 @@ import (
 // counts are exact and rounds are cheap.
 func fastConfig(h, r int) Config {
 	cfg := DefaultConfig(h, r)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	return cfg
 }
 
@@ -285,7 +285,7 @@ func BenchmarkClusterTokenRound(b *testing.B) {
 	for _, groups := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
 			c, err := NewCluster(WithHierarchy(1, 5), WithSeed(1),
-				WithLatency(simnet.ConstantLatency(time.Millisecond)))
+				WithLatency(runtime.ConstantLatency(time.Millisecond)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 
 	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/core"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // TestEndToEndTableIRingColumn replays every ring-side Table I
@@ -21,7 +21,7 @@ func TestEndToEndTableIRingColumn(t *testing.T) {
 	rows := []struct{ h, r int }{{2, 5}, {3, 5}, {4, 5}, {2, 10}, {3, 10}}
 	for _, row := range rows {
 		cfg := DefaultConfig(row.h, row.r)
-		cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+		cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 		sys := core.NewSystem(cfg)
 		got, err := sys.MeasureDisseminationHops(GUID(1), sys.APs()[0])
 		if err != nil {
@@ -56,7 +56,7 @@ func TestEndToEndTableITreeColumn(t *testing.T) {
 // membership to equal the trace's expected survivors exactly.
 func TestScenarioMembershipMatchesTraceExactly(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	cfg.Seed = 7
 	sys := core.NewSystem(cfg)
 	churn := ChurnConfig{
@@ -105,7 +105,7 @@ func TestScenarioMembershipMatchesTraceExactly(t *testing.T) {
 // query scheme returns exactly the top ring's view.
 func TestQueryAgreesWithTopRingUnderChurn(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	sys := core.NewSystem(cfg)
 	tr := ChurnOver(sys.APs(), ChurnConfig{
 		InitialMembers: 20, JoinRate: 1, LeaveRate: 0.7, Duration: time.Minute, Seed: 9,
@@ -153,7 +153,7 @@ func TestMonteCarloAgreesWithFormula8AtScale(t *testing.T) {
 // not refreshed.
 func TestPathOnlyMaintainsTopAccuracy(t *testing.T) {
 	cfg := DefaultConfig(3, 4)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	cfg.Dissemination = DisseminatePathOnly
 	sys := core.NewSystem(cfg)
 	aps := sys.APs()
@@ -190,7 +190,7 @@ func TestScaleH4R5(t *testing.T) {
 		t.Skip("large hierarchy skipped in -short")
 	}
 	cfg := DefaultConfig(4, 5)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	sys := core.NewSystem(cfg)
 	aps := sys.APs()
 	for g := 1; g <= 50; g++ {

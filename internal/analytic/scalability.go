@@ -58,15 +58,6 @@ func TreeLeaves(h, r int) int { return mathx.PowInt(r, h-1) }
 // logical rings of the full ring-based hierarchy.
 func RingCount(h, r int) int { return mathx.GeometricSum(r, h-1) }
 
-// HopCountRing returns formula (5): the total hop count of the
-// ring-based hierarchy with n bottommost APs, height h and ring size
-// r:
-//
-//	HopCount = n * ((r+1) * tn − 1)
-func HopCountRing(n, h, r int) int {
-	return n * ((r+1)*RingCount(h, r) - 1)
-}
-
 // HCNRing returns formula (6): the normalized hop count of the
 // ring-based hierarchy, (r+1)·tn − 1.
 func HCNRing(h, r int) int {
@@ -107,12 +98,4 @@ func TableI() []TableIRow {
 		})
 	}
 	return rows
-}
-
-// HCNRatio returns HCN_Ring / HCN_Tree for configurations with equal
-// n, the paper's evidence that "the scalability property of the
-// ring-based hierarchy is almost the same as that of the tree-based
-// hierarchy".
-func HCNRatio(treeH, r int) float64 {
-	return float64(HCNRing(treeH-1, r)) / float64(HCNTree(treeH, r))
 }

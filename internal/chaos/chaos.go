@@ -1,9 +1,11 @@
 // Package chaos is the process-level chaos harness: it launches a real
 // multi-process rgbnode deployment on loopback UDP and subjects it to
-// the faults a production operator fears — kill -9, SIGSTOP stalls,
-// and network partitions (installed through the daemons' block/unblock
+// the faults a production operator fears — kill -9 and network
+// partitions (installed through the daemons' block/unblock
 // line-protocol commands, which cut datagrams in both directions) —
 // then asserts the surviving cluster converges back to one membership.
+// The package's tests add SIGSTOP stalls and restarts on a fresh
+// address.
 //
 // Unlike the simulator's entity-level partition (rgb.Service.Partition)
 // this harness exercises the full production path: real processes,
@@ -21,7 +23,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -234,53 +235,6 @@ func (e *Engine) launch(index int, args ...string) (*Proc, error) {
 // Procs returns the deployment's processes, slot-indexed.
 func (e *Engine) Procs() []*Proc { return e.procs }
 
-// Restart kills the process at slot and relaunches it on a fresh
-// ephemeral UDP address, rejoining its slot through the seed process's
-// address (-seeds/-seedslot) — the address-churn scenario: no surviving
-// process's configuration mentions the new address, so only the
-// discovery gossip can restore routing, and the probe/merge protocol
-// must readmit the blank-state process to its rings.
-func (e *Engine) Restart(slot, seedIndex int) error {
-	if slot == seedIndex {
-		return fmt.Errorf("chaos: restart slot %d cannot seed from itself", slot)
-	}
-	if e.procs[seedIndex].Dead() {
-		return fmt.Errorf("chaos: seed rgbnode[%d] is dead", seedIndex)
-	}
-	e.procs[slot].Kill()
-
-	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return fmt.Errorf("chaos: reserve restart port: %w", err)
-	}
-	addr := c.LocalAddr().String()
-	c.Close()
-	old := e.peers[slot]
-	e.peers[slot] = addr
-
-	args := []string{
-		"-bind", addr,
-		"-seeds", e.peers[seedIndex],
-		"-seedslot", strconv.Itoa(slot),
-		"-seed", strconv.FormatUint(e.cfg.Seed, 10),
-		"-heartbeat", e.cfg.Heartbeat.String(),
-	}
-	args = append(args, e.protocolArgs()...)
-	if e.cfg.HTTP {
-		args = append(args, "-http", "127.0.0.1:0")
-	}
-	p, err := e.launch(slot, args...)
-	if err != nil {
-		return err
-	}
-	if err := e.awaitReady(p); err != nil {
-		return fmt.Errorf("chaos: restarted rgbnode[%d]: %w", slot, err)
-	}
-	e.procs[slot] = p
-	e.logf("chaos: rgbnode[%d] restarted on %s (was %s), seeded by rgbnode[%d]", slot, addr, old, seedIndex)
-	return nil
-}
-
 // Proc returns the process at the given cluster slot.
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
@@ -359,18 +313,6 @@ func (p *Proc) Dead() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dead
-}
-
-// Pause stalls the process with SIGSTOP: it stops scheduling but keeps
-// its socket, so peers see pure silence — the classic GC-pause or
-// overcommitted-host failure mode.
-func (p *Proc) Pause() error {
-	return p.cmd.Process.Signal(syscall.SIGSTOP)
-}
-
-// Resume continues a paused process with SIGCONT.
-func (p *Proc) Resume() error {
-	return p.cmd.Process.Signal(syscall.SIGCONT)
 }
 
 // Partition cuts the deployment into two sides: every live process in
@@ -540,10 +482,4 @@ func (e *Engine) await(cmd, want string, timeout time.Duration, except ...int) e
 		}
 		time.Sleep(150 * time.Millisecond)
 	}
-}
-
-// Stats fetches one process's "stats" line (counters for delivered,
-// dropped, cut and injected-fault datagrams).
-func (p *Proc) Stats() (string, error) {
-	return p.Do("stats")
 }

@@ -2,9 +2,11 @@ package chaos
 
 import (
 	"fmt"
+	"net"
 	"regexp"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -296,4 +298,69 @@ func TestPauseResume(t *testing.T) {
 	if err := eng.AwaitConvergence("members=mh-1,mh-2,mh-3,mh-4", 90*time.Second); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Restart kills the process at slot and relaunches it on a fresh
+// ephemeral UDP address, rejoining its slot through the seed process's
+// address (-seeds/-seedslot) — the address-churn scenario: no surviving
+// process's configuration mentions the new address, so only the
+// discovery gossip can restore routing, and the probe/merge protocol
+// must readmit the blank-state process to its rings.
+func (e *Engine) Restart(slot, seedIndex int) error {
+	if slot == seedIndex {
+		return fmt.Errorf("chaos: restart slot %d cannot seed from itself", slot)
+	}
+	if e.procs[seedIndex].Dead() {
+		return fmt.Errorf("chaos: seed rgbnode[%d] is dead", seedIndex)
+	}
+	e.procs[slot].Kill()
+
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return fmt.Errorf("chaos: reserve restart port: %w", err)
+	}
+	addr := c.LocalAddr().String()
+	c.Close()
+	old := e.peers[slot]
+	e.peers[slot] = addr
+
+	args := []string{
+		"-bind", addr,
+		"-seeds", e.peers[seedIndex],
+		"-seedslot", strconv.Itoa(slot),
+		"-seed", strconv.FormatUint(e.cfg.Seed, 10),
+		"-heartbeat", e.cfg.Heartbeat.String(),
+	}
+	args = append(args, e.protocolArgs()...)
+	if e.cfg.HTTP {
+		args = append(args, "-http", "127.0.0.1:0")
+	}
+	p, err := e.launch(slot, args...)
+	if err != nil {
+		return err
+	}
+	if err := e.awaitReady(p); err != nil {
+		return fmt.Errorf("chaos: restarted rgbnode[%d]: %w", slot, err)
+	}
+	e.procs[slot] = p
+	e.logf("chaos: rgbnode[%d] restarted on %s (was %s), seeded by rgbnode[%d]", slot, addr, old, seedIndex)
+	return nil
+}
+
+// Pause stalls the process with SIGSTOP: it stops scheduling but keeps
+// its socket, so peers see pure silence — the classic GC-pause or
+// overcommitted-host failure mode.
+func (p *Proc) Pause() error {
+	return p.cmd.Process.Signal(syscall.SIGSTOP)
+}
+
+// Resume continues a paused process with SIGCONT.
+func (p *Proc) Resume() error {
+	return p.cmd.Process.Signal(syscall.SIGCONT)
+}
+
+// Stats fetches one process's "stats" line (counters for delivered,
+// dropped, cut and injected-fault datagrams).
+func (p *Proc) Stats() (string, error) {
+	return p.Do("stats")
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/simnet"
 )
 
@@ -26,13 +27,13 @@ const traceGoldenDigest = "77c8941f6020249602a15e60018f5c8873f1981ebd32b8e1a8c8c
 func goldenScenarioDigest() (string, int) {
 	cfg := DefaultConfig(3, 5)
 	cfg.Seed = 42
-	cfg.Latency = simnet.DefaultTierLatency()
+	cfg.Latency = runtime.DefaultTierLatency()
 	cfg.Loss = 0.01
 	sys := NewSystem(cfg)
 
 	h := sha256.New()
 	sim := sys.Runtime().(*simnet.SimRuntime)
-	sim.Net().SetTrace(func(msg simnet.Message, outcome string) {
+	sim.Net().SetTrace(func(msg runtime.Message, outcome string) {
 		fmt.Fprintf(h, "%d %d %s %s %s %s\n",
 			int64(sim.Kernel().Now()), sim.Kernel().Executed(),
 			msg.From, msg.To, msg.Kind, outcome)

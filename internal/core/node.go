@@ -39,8 +39,9 @@ type Node struct {
 	childRing   ring.ID
 	hasChild    bool
 
-	// Function-Well booleans of Section 4.2.
-	ringOK   bool
+	// Function-Well booleans of Section 4.2. Figure 3's RingOK is not
+	// stored: holding the token implies it, and an entity that has lost
+	// its ring no longer lists itself in roster.
 	parentOK bool
 	childOK  bool
 
@@ -378,7 +379,6 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 // maintains the Function-Well booleans, and emits the notifications of
 // Figure 3.
 func (n *Node) execute(tok *token.Token) {
-	n.ringOK = true // Figure 3 line 9
 	for _, c := range tok.Ops {
 		n.applyChange(c, tok.Dir)
 	}
@@ -552,7 +552,6 @@ func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
 // repair happened mid-round, and release of the ring for the next
 // round.
 func (n *Node) completeRound(tok *token.Token) {
-	n.ringOK = true
 	if tok.Round == n.openRoundSeq {
 		n.openRound = n.openRound[:0]
 	}
@@ -712,7 +711,6 @@ func (n *Node) receiveSnapshot(s wire.Snapshot) {
 	for _, t := range s.Tombstones {
 		n.adoptVersion(t.GUID, t.Ver)
 	}
-	n.ringOK = true
 	n.sys.clearStale(n.id)
 }
 

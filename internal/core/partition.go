@@ -102,10 +102,11 @@ func (s *System) probeExcluded(leader *Node, ringNodes []ids.NodeID) {
 	}
 }
 
-// FunctionWellRings counts rings whose every surviving node currently
-// reports RingOK — the protocol-level Function-Well census used by
-// tests and the failover example. The census covers the entities this
-// process hosts: a ring with no local member is not counted.
+// FunctionWellRings counts rings whose every surviving node still
+// lists itself in its roster (RingOK) — the protocol-level
+// Function-Well census used by tests and the failover example. The
+// census covers the entities this process hosts: a ring with no local
+// member is not counted.
 func (s *System) FunctionWellRings() (ok, total int) {
 	for _, rg := range s.hier.Rings() {
 		hosted, well := false, true
@@ -118,7 +119,7 @@ func (s *System) FunctionWellRings() (ok, total int) {
 			if s.tr.Crashed(m) {
 				continue
 			}
-			if !n.ringOK || !n.rosterContains(m) {
+			if !n.rosterContains(m) {
 				well = false
 				break
 			}

@@ -71,7 +71,7 @@ func TestResendBudget(t *testing.T) {
 	p, h := ringPair(sys)
 
 	sends := 0
-	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m simnet.Message, _ string) {
+	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) {
 		if m.Kind == runtime.KindToken && m.To == h {
 			if m.From != p.id {
 				t.Errorf("token for the dead %s from %s, not from its predecessor", h, m.From)

@@ -17,7 +17,7 @@ import (
 
 // traceSends calls fn with every message the simulator carries.
 func traceSends(sys *System, fn func(runtime.Message)) {
-	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m simnet.Message, _ string) { fn(m) })
+	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) { fn(m) })
 }
 
 // joinAllocBudget is what one Member-Join may allocate at h=3 r=5 under

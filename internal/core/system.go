@@ -260,7 +260,6 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 					roster:   rg.Nodes(),
 					leader:   rg.Leader(),
 					parent:   parent,
-					ringOK:   true,
 					parentOK: !parent.IsZero(),
 					queue:    mq.New(cfg.Aggregate),
 					pass:     passResend(n),

@@ -7,7 +7,7 @@ import (
 
 	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/ids"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // mustHops measures dissemination hops, failing the test on error.
@@ -24,7 +24,7 @@ func mustHops(t *testing.T, sys *System, guid ids.GUID, ap ids.NodeID) uint64 {
 // with constant latency, suitable for exact message accounting.
 func quietConfig(h, r int) Config {
 	cfg := DefaultConfig(h, r)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	return cfg
 }
 

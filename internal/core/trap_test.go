@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/workload"
 )
 
@@ -105,7 +105,7 @@ func procsTraceDigest(seed uint64) string {
 	p := trap2Deployment(seed)
 	h := sha256.New()
 	k := p.rt.Kernel()
-	p.rt.Net().SetTrace(func(msg simnet.Message, outcome string) {
+	p.rt.Net().SetTrace(func(msg runtime.Message, outcome string) {
 		fmt.Fprintf(h, "%d %d %s %s %s %s\n", int64(k.Now()), k.Executed(), msg.From, msg.To, msg.Kind, outcome)
 	})
 	playJoins(p, func(int) int { return 0 })

@@ -8,7 +8,7 @@ import (
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/metrics"
 	"github.com/rgbproto/rgb/internal/reliability"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/tree"
 )
 
@@ -36,7 +36,7 @@ func CompareTableI(workers int, seed uint64) []TableICell {
 
 		cfg := core.DefaultConfig(row.RingH, row.R)
 		cfg.Seed = seed
-		cfg.Latency = simnet.ConstantLatency(1_000_000)
+		cfg.Latency = runtime.ConstantLatency(1_000_000)
 		sys := core.NewSystem(cfg)
 		ring, err := sys.MeasureDisseminationHops(ids.GUID(1), sys.APs()[0])
 		if err != nil {

@@ -23,7 +23,7 @@ import (
 	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/mathx"
 	"github.com/rgbproto/rgb/internal/metrics"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/workload"
 )
 
@@ -265,8 +265,8 @@ func runScenario(sc Scenario, seed uint64) (RunResult, *core.System) {
 	c.Add("messages.sent", int64(st.Sent))
 	c.Add("messages.delivered", int64(st.Delivered))
 	c.Add("messages.dropped", int64(st.Dropped))
-	c.Add("hops.token", int64(st.DeliveredOf(simnet.KindToken)))
-	c.Add("hops.notify", int64(st.DeliveredOf(simnet.KindNotify)))
+	c.Add("hops.token", int64(st.DeliveredOf(runtime.KindToken)))
+	c.Add("hops.notify", int64(st.DeliveredOf(runtime.KindNotify)))
 	c.Add("rounds", int64(sys.Rounds()))
 	c.Add("ops.carried", int64(sys.OpsCarried()))
 	c.Add("repairs", int64(len(sys.Repairs())))

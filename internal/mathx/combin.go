@@ -39,17 +39,6 @@ func LogChoose(n, k int) float64 {
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
 }
 
-// Choose returns C(n, k) as a float64. For the hierarchy sizes used in
-// the paper (tn <= ~1111) this stays comfortably within float64 range
-// for the small k that appear in formula (8).
-func Choose(n, k int) float64 {
-	lc := LogChoose(n, k)
-	if math.IsInf(lc, -1) {
-		return 0
-	}
-	return math.Exp(lc)
-}
-
 // BinomialPMF returns P[X = k] for X ~ Binomial(n, p), computed in log
 // space so extreme tail values do not underflow prematurely.
 func BinomialPMF(n, k int, p float64) float64 {
@@ -70,25 +59,6 @@ func BinomialPMF(n, k int, p float64) float64 {
 	}
 	logp := LogChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
 	return math.Exp(logp)
-}
-
-// BinomialCDF returns P[X <= k] for X ~ Binomial(n, p) by direct
-// summation of the PMF. k is clamped to [−1, n].
-func BinomialCDF(n, k int, p float64) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= n {
-		return 1
-	}
-	sum := 0.0
-	for i := 0; i <= k; i++ {
-		sum += BinomialPMF(n, i, p)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
 }
 
 // PowInt returns base^exp for non-negative integer exponents using

@@ -58,30 +58,6 @@ func (s *Summary) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
-// Merge folds other into s, as if all of other's observations had been
-// added to s (Chan et al. parallel variance combination).
-func (s *Summary) Merge(other *Summary) {
-	if other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *other
-		return
-	}
-	n1, n2 := float64(s.n), float64(other.n)
-	delta := other.mean - s.mean
-	total := n1 + n2
-	s.mean += delta * n2 / total
-	s.m2 += other.m2 + delta*delta*n1*n2/total
-	s.n += other.n
-	if other.min < s.min {
-		s.min = other.min
-	}
-	if other.max > s.max {
-		s.max = other.max
-	}
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. xs is not modified. It
 // panics on an empty slice.
@@ -132,9 +108,6 @@ func WilsonInterval(k, n int, z float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-// AbsDiff returns |a − b|.
-func AbsDiff(a, b float64) float64 { return math.Abs(a - b) }
 
 // AlmostEqual reports whether a and b agree to within tol in absolute
 // terms or 1e-12 relative terms, whichever is looser.

@@ -45,51 +45,6 @@ func TestSummarySingle(t *testing.T) {
 	}
 }
 
-func TestSummaryMergeEquivalence(t *testing.T) {
-	r := NewRNG(101)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.Float64()*100 - 50
-	}
-	var whole, left, right Summary
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 200 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d, want %d", left.N(), whole.N())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-9 {
-		t.Errorf("merged mean %g vs %g", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Variance()-whole.Variance()) > 1e-9 {
-		t.Errorf("merged variance %g vs %g", left.Variance(), whole.Variance())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Error("merged min/max mismatch")
-	}
-}
-
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Add(2)
-	before := a
-	a.Merge(&b) // merging empty is a no-op
-	if a != before {
-		t.Error("merge with empty changed summary")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 2 || b.Mean() != 1.5 {
-		t.Error("merge into empty failed")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	cases := []struct{ q, want float64 }{

@@ -45,20 +45,6 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 	return time.Duration(mathx.Quantile(xs, q))
 }
 
-// Min returns the smallest observation, or zero when empty.
-func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	min := h.samples[0]
-	for _, s := range h.samples[1:] {
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
 // Max returns the largest observation, or zero when empty.
 func (h *Histogram) Max() time.Duration {
 	if len(h.samples) == 0 {
@@ -71,13 +57,6 @@ func (h *Histogram) Max() time.Duration {
 		}
 	}
 	return max
-}
-
-// Snapshot returns a copy of the raw observations in insertion order.
-func (h *Histogram) Snapshot() []time.Duration {
-	out := make([]time.Duration, len(h.samples))
-	copy(out, h.samples)
-	return out
 }
 
 // Merge folds every observation of other into h. The receiver then
@@ -115,9 +94,6 @@ func (c *Counters) Add(name string, delta int64) {
 	c.values[name] += delta
 }
 
-// Get reads a counter.
-func (c *Counters) Get(name string) int64 { return c.values[name] }
-
 // Names returns the counter names in sorted order.
 func (c *Counters) Names() []string {
 	out := make([]string, 0, len(c.values))
@@ -136,17 +112,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Merge adds every counter of other into c (missing names are
-// created); other is unchanged.
-func (c *Counters) Merge(other *Counters) {
-	if other == nil {
-		return
-	}
-	for k, v := range other.values {
-		c.Add(k, v)
-	}
 }
 
 // String renders "a=1 b=2" in name order.

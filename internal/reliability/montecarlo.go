@@ -26,11 +26,6 @@ type TrialOutcome struct {
 	PartitionedRings int // rings with >= 2 faults
 }
 
-// FunctionWell reports whether the hierarchy functions well under the
-// paper's definition with partition budget k: fewer than k rings
-// partitioned.
-func (o TrialOutcome) FunctionWell(k int) bool { return o.PartitionedRings < k }
-
 // Estimator runs Monte-Carlo fault injection over a fixed hierarchy.
 type Estimator struct {
 	hier  *topology.RingHierarchy
@@ -52,9 +47,6 @@ func NewEstimator(h, r int, seed uint64) *Estimator {
 		faulty: make(map[ids.NodeID]bool, len(hier.AllNodes())/8+1),
 	}
 }
-
-// Hierarchy returns the underlying topology.
-func (e *Estimator) Hierarchy() *topology.RingHierarchy { return e.hier }
 
 // Trial samples one independent fault assignment with node fault
 // probability f and classifies every ring.

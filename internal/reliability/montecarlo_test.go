@@ -13,25 +13,16 @@ func TestTrialNoFaults(t *testing.T) {
 	if out.FaultyNodes != 0 || out.RepairedRings != 0 || out.PartitionedRings != 0 {
 		t.Fatalf("outcome with f=0: %+v", out)
 	}
-	if !out.FunctionWell(1) {
-		t.Fatal("fault-free hierarchy must function well")
-	}
 }
 
 func TestTrialAllFaults(t *testing.T) {
 	e := NewEstimator(3, 5, 1)
 	out := e.Trial(1)
-	if out.FaultyNodes != e.Hierarchy().NumNodes() {
-		t.Fatalf("faulty = %d, want all %d", out.FaultyNodes, e.Hierarchy().NumNodes())
+	if out.FaultyNodes != len(e.nodes) {
+		t.Fatalf("faulty = %d, want all %d", out.FaultyNodes, len(e.nodes))
 	}
-	if out.PartitionedRings != e.Hierarchy().NumRings() {
-		t.Fatalf("partitioned = %d, want all %d rings", out.PartitionedRings, e.Hierarchy().NumRings())
-	}
-	if out.FunctionWell(3) {
-		t.Fatal("fully faulty hierarchy cannot function well")
-	}
-	if !out.FunctionWell(e.Hierarchy().NumRings() + 1) {
-		t.Fatal("FunctionWell with unbounded budget should hold")
+	if out.PartitionedRings != len(e.rings) {
+		t.Fatalf("partitioned = %d, want all %d rings", out.PartitionedRings, len(e.rings))
 	}
 }
 
@@ -39,7 +30,7 @@ func TestTrialAccountingConsistency(t *testing.T) {
 	e := NewEstimator(3, 5, 7)
 	for i := 0; i < 200; i++ {
 		out := e.Trial(0.05)
-		if out.RepairedRings+out.PartitionedRings > e.Hierarchy().NumRings() {
+		if out.RepairedRings+out.PartitionedRings > len(e.rings) {
 			t.Fatalf("ring classification overflow: %+v", out)
 		}
 		// Every partitioned ring needs >= 2 faults, every repaired ring

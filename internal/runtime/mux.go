@@ -79,10 +79,6 @@ func NewShardSet(n int) *ShardSet {
 // Len returns the number of shards.
 func (s *ShardSet) Len() int { return len(s.shards) }
 
-// Do runs fn on the given shard's engine goroutine and returns when it
-// completed (the cross-shard analogue of Runtime.Do).
-func (s *ShardSet) Do(shard int, fn func()) { s.shards[shard].eng.do(fn) }
-
 // Close stops every shard's engine goroutine. In-flight work is
 // dropped.
 func (s *ShardSet) Close() error {

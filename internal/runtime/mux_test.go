@@ -131,7 +131,7 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	target := ids.MakeNodeID(ids.TierAP, 0)
 	src := ids.MakeNodeID(ids.TierAP, 1)
 	epA, epB := newCollect(), newCollect()
-	set.Do(0, func() {
+	set.shards[0].eng.do(func() {
 		trA.Register(target, epA)
 		trB.Register(target, epB)
 		trA.Send(Message{From: src, To: target, Kind: KindControl, Body: wire.Probe{Seq: 1}})
@@ -152,7 +152,7 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 		t.Fatalf("stray deliveries: A=%d B=%d", len(epA.ch), len(epB.ch))
 	}
 	var statsA, statsB Stats
-	set.Do(0, func() { statsA, statsB = trA.Stats(), trB.Stats() })
+	set.shards[0].eng.do(func() { statsA, statsB = trA.Stats(), trB.Stats() })
 	if statsA.Delivered != 2 || statsB.Delivered != 1 {
 		t.Fatalf("stats not group-scoped: A=%+v B=%+v", statsA, statsB)
 	}

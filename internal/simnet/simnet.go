@@ -11,9 +11,9 @@
 // driven by the des kernel, so runs are deterministic for a fixed seed.
 //
 // The message-plane vocabulary (Message, Kind, Endpoint, Stats, the
-// latency models) lives in internal/runtime and is aliased here: the
-// Network is one Transport implementation of that substrate, the
-// engine-facing twin of the live in-process transport.
+// latency models) is internal/runtime's: the Network is one Transport
+// implementation of that substrate, the engine-facing twin of the live
+// in-process transport.
 package simnet
 
 import (
@@ -26,54 +26,18 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// Message-plane vocabulary, shared with every Transport implementation.
-type (
-	// Message is one protocol datagram in flight.
-	Message = runtime.Message
-	// Kind classifies messages for hop-count accounting.
-	Kind = runtime.Kind
-	// Endpoint is a network entity able to receive messages.
-	Endpoint = runtime.Endpoint
-	// EndpointFunc adapts a function to the Endpoint interface.
-	EndpointFunc = runtime.EndpointFunc
-	// Stats aggregates the network-level counters.
-	Stats = runtime.Stats
-	// LatencyModel decides the delivery delay of each message.
-	LatencyModel = runtime.LatencyModel
-	// ConstantLatency delivers every message after a fixed delay.
-	ConstantLatency = runtime.ConstantLatency
-	// UniformLatency delivers after a uniform delay in [Min, Max).
-	UniformLatency = runtime.UniformLatency
-	// TierLatency models the 4-tier architecture's per-tier delays.
-	TierLatency = runtime.TierLatency
-)
-
-// Message kinds (aliased from the runtime vocabulary).
-const (
-	KindToken     = runtime.KindToken
-	KindNotify    = runtime.KindNotify
-	KindAck       = runtime.KindAck
-	KindMemberMsg = runtime.KindMemberMsg
-	KindQuery     = runtime.KindQuery
-	KindReply     = runtime.KindReply
-	KindControl   = runtime.KindControl
-)
-
-// DefaultTierLatency is the standard mobile-Internet latency profile.
-func DefaultTierLatency() TierLatency { return runtime.DefaultTierLatency() }
-
 // Network is the simulated message plane. It implements
 // runtime.Transport.
 type Network struct {
 	kernel    *des.Kernel
 	rng       *mathx.RNG
-	latency   LatencyModel
+	latency   runtime.LatencyModel
 	loss      float64 // probability an in-flight message is lost
-	endpoints map[ids.NodeID]Endpoint
+	endpoints map[ids.NodeID]runtime.Endpoint
 	crashed   map[ids.NodeID]bool
 	cut       func(ids.NodeID) bool // active partition classifier (nil = no cut)
-	stats     Stats
-	traceFn   func(Message, string) // optional trace hook: (msg, outcome)
+	stats     runtime.Stats
+	traceFn   func(runtime.Message, string) // optional trace hook: (msg, outcome)
 
 	// pool recycles in-flight message slots so a delivery costs no
 	// allocation in steady state (see Send).
@@ -85,7 +49,7 @@ type Network struct {
 // Message plus a fresh closure per delivery.
 type inflight struct {
 	net *Network
-	msg Message
+	msg runtime.Message
 }
 
 // deliverMsg is the shared delivery callback of all networks.
@@ -95,7 +59,7 @@ func deliverMsg(a any) {
 }
 
 // New creates a network on the given kernel. latency must not be nil.
-func New(kernel *des.Kernel, latency LatencyModel, seed uint64) *Network {
+func New(kernel *des.Kernel, latency runtime.LatencyModel, seed uint64) *Network {
 	if latency == nil {
 		panic("simnet: nil latency model")
 	}
@@ -103,13 +67,10 @@ func New(kernel *des.Kernel, latency LatencyModel, seed uint64) *Network {
 		kernel:    kernel,
 		rng:       mathx.NewRNG(seed),
 		latency:   latency,
-		endpoints: make(map[ids.NodeID]Endpoint),
+		endpoints: make(map[ids.NodeID]runtime.Endpoint),
 		crashed:   make(map[ids.NodeID]bool),
 	}
 }
-
-// Kernel returns the underlying simulation kernel.
-func (n *Network) Kernel() *des.Kernel { return n.kernel }
 
 // SetLoss sets the independent per-message loss probability.
 func (n *Network) SetLoss(p float64) {
@@ -122,7 +83,7 @@ func (n *Network) SetLoss(p float64) {
 // SetTrace installs a hook called for every send with the outcome
 // ("delivered", "lost", "cut", "crashed-dest", "crashed-src",
 // "no-endpoint"). Pass nil to disable.
-func (n *Network) SetTrace(fn func(Message, string)) { n.traceFn = fn }
+func (n *Network) SetTrace(fn func(runtime.Message, string)) { n.traceFn = fn }
 
 // Partition implements runtime.Partitionable: until Heal, every
 // message whose endpoints lie on opposite sides of isFar is dropped at
@@ -141,7 +102,7 @@ func (n *Network) Heal() { n.cut = nil }
 
 // Register attaches an endpoint under the given ID, replacing any
 // previous registration.
-func (n *Network) Register(id ids.NodeID, ep Endpoint) {
+func (n *Network) Register(id ids.NodeID, ep runtime.Endpoint) {
 	if id.IsZero() {
 		panic("simnet: registering the zero NodeID")
 	}
@@ -165,10 +126,10 @@ func (n *Network) Restore(id ids.NodeID) { delete(n.crashed, id) }
 func (n *Network) Crashed(id ids.NodeID) bool { return n.crashed[id] }
 
 // Stats returns a copy of the counters.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() runtime.Stats { return n.stats }
 
 // ResetStats zeroes all counters (topology and crash state are kept).
-func (n *Network) ResetStats() { n.stats = Stats{} }
+func (n *Network) ResetStats() { n.stats = runtime.Stats{} }
 
 // Send submits a message. Delivery happens asynchronously after the
 // latency model's delay, unless the sender or destination is crashed or
@@ -178,7 +139,7 @@ func (n *Network) ResetStats() { n.stats = Stats{} }
 // The in-flight message rides in a pooled slot through the kernel's
 // closure-free scheduling path, so a delivery allocates nothing once
 // the pool is warm.
-func (n *Network) Send(msg Message) {
+func (n *Network) Send(msg runtime.Message) {
 	msg.Sent = runtime.Time(n.kernel.Now())
 	n.stats.Sent++
 	if n.crashed[msg.From] {
@@ -219,7 +180,7 @@ func (n *Network) Send(msg Message) {
 // then the destination-side checks of Send's contract run.
 func (n *Network) deliver(fl *inflight) {
 	msg := fl.msg
-	fl.msg = Message{} // drop the payload reference while pooled
+	fl.msg = runtime.Message{} // drop the payload reference while pooled
 	n.pool = append(n.pool, fl)
 	if n.crashed[msg.To] {
 		n.stats.Dropped++
@@ -239,15 +200,15 @@ func (n *Network) deliver(fl *inflight) {
 }
 
 // trace invokes the optional trace hook.
-func (n *Network) trace(msg Message, outcome string) {
+func (n *Network) trace(msg runtime.Message, outcome string) {
 	if n.traceFn != nil {
 		n.traceFn(msg, outcome)
 	}
 }
 
 // SendKind is a convenience wrapper building the Message inline.
-func (n *Network) SendKind(from, to ids.NodeID, kind Kind, body wire.Payload) {
-	n.Send(Message{From: from, To: to, Kind: kind, Body: body})
+func (n *Network) SendKind(from, to ids.NodeID, kind runtime.Kind, body wire.Payload) {
+	n.Send(runtime.Message{From: from, To: to, Kind: kind, Body: body})
 }
 
 // --- Simulated runtime ------------------------------------------------
@@ -272,9 +233,9 @@ type SimRuntime struct {
 
 // NewSimRuntime builds a fresh kernel plus network pair. latency nil
 // selects the default 4-tier profile.
-func NewSimRuntime(latency LatencyModel, seed uint64) *SimRuntime {
+func NewSimRuntime(latency runtime.LatencyModel, seed uint64) *SimRuntime {
 	if latency == nil {
-		latency = DefaultTierLatency()
+		latency = runtime.DefaultTierLatency()
 	}
 	kernel := des.NewKernel()
 	rt := &SimRuntime{kernel: kernel, net: New(kernel, latency, seed)}

@@ -7,6 +7,7 @@ import (
 	"github.com/rgbproto/rgb/internal/des"
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mathx"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
@@ -17,14 +18,14 @@ func br(i int) ids.NodeID { return ids.MakeNodeID(ids.TierBR, i) }
 func newNet(t *testing.T) (*des.Kernel, *Network) {
 	t.Helper()
 	k := des.NewKernel()
-	return k, New(k, ConstantLatency(time.Millisecond), 1)
+	return k, New(k, runtime.ConstantLatency(time.Millisecond), 1)
 }
 
 func TestDeliverBasic(t *testing.T) {
 	k, n := newNet(t)
-	var got []Message
-	n.Register(ap(1), EndpointFunc(func(m Message) { got = append(got, m) }))
-	n.SendKind(ap(0), ap(1), KindToken, wire.Probe{Seq: 99})
+	var got []runtime.Message
+	n.Register(ap(1), runtime.EndpointFunc(func(m runtime.Message) { got = append(got, m) }))
+	n.SendKind(ap(0), ap(1), runtime.KindToken, wire.Probe{Seq: 99})
 	k.Run()
 	if len(got) != 1 {
 		t.Fatalf("delivered %d messages", len(got))
@@ -44,9 +45,9 @@ func TestDeliverBasic(t *testing.T) {
 func TestDeliveryOrderPreservedForEqualLatency(t *testing.T) {
 	k, n := newNet(t)
 	var got []int
-	n.Register(ap(1), EndpointFunc(func(m Message) { got = append(got, int(m.Body.(wire.Probe).Seq)) }))
+	n.Register(ap(1), runtime.EndpointFunc(func(m runtime.Message) { got = append(got, int(m.Body.(wire.Probe).Seq)) }))
 	for i := 0; i < 10; i++ {
-		n.SendKind(ap(0), ap(1), KindToken, wire.Probe{Seq: uint64(i)})
+		n.SendKind(ap(0), ap(1), runtime.KindToken, wire.Probe{Seq: uint64(i)})
 	}
 	k.Run()
 	for i, v := range got {
@@ -58,7 +59,7 @@ func TestDeliveryOrderPreservedForEqualLatency(t *testing.T) {
 
 func TestSendToUnregisteredDropped(t *testing.T) {
 	k, n := newNet(t)
-	n.SendKind(ap(0), ap(9), KindToken, nil)
+	n.SendKind(ap(0), ap(9), runtime.KindToken, nil)
 	k.Run()
 	st := n.Stats()
 	if st.Delivered != 0 || st.Dropped != 1 {
@@ -68,7 +69,7 @@ func TestSendToUnregisteredDropped(t *testing.T) {
 
 func TestSendToZeroNodeDropped(t *testing.T) {
 	k, n := newNet(t)
-	n.SendKind(ap(0), ids.NoNode, KindNotify, nil)
+	n.SendKind(ap(0), ids.NoNode, runtime.KindNotify, nil)
 	k.Run()
 	if st := n.Stats(); st.Dropped != 1 || st.Sent != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -78,8 +79,8 @@ func TestSendToZeroNodeDropped(t *testing.T) {
 func TestCrashedDestinationDropsAtDelivery(t *testing.T) {
 	k, n := newNet(t)
 	delivered := false
-	n.Register(ap(1), EndpointFunc(func(Message) { delivered = true }))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) { delivered = true }))
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	n.Crash(ap(1)) // crash while in flight
 	k.Run()
 	if delivered {
@@ -93,9 +94,9 @@ func TestCrashedDestinationDropsAtDelivery(t *testing.T) {
 func TestCrashedSenderCannotSend(t *testing.T) {
 	k, n := newNet(t)
 	delivered := false
-	n.Register(ap(1), EndpointFunc(func(Message) { delivered = true }))
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) { delivered = true }))
 	n.Crash(ap(0))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	k.Run()
 	if delivered {
 		t.Fatal("crashed sender's message was delivered")
@@ -105,15 +106,15 @@ func TestCrashedSenderCannotSend(t *testing.T) {
 func TestRestore(t *testing.T) {
 	k, n := newNet(t)
 	count := 0
-	n.Register(ap(1), EndpointFunc(func(Message) { count++ }))
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) { count++ }))
 	n.Crash(ap(1))
 	if !n.Crashed(ap(1)) {
 		t.Fatal("Crashed not reported")
 	}
-	n.SendKind(ap(0), ap(1), KindToken, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	k.Run()
 	n.Restore(ap(1))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	k.Run()
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
@@ -122,12 +123,12 @@ func TestRestore(t *testing.T) {
 
 func TestRandomLoss(t *testing.T) {
 	k := des.NewKernel()
-	n := New(k, ConstantLatency(time.Microsecond), 7)
+	n := New(k, runtime.ConstantLatency(time.Microsecond), 7)
 	n.SetLoss(0.5)
-	n.Register(ap(1), EndpointFunc(func(Message) {}))
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) {}))
 	const total = 10000
 	for i := 0; i < total; i++ {
-		n.SendKind(ap(0), ap(1), KindToken, nil)
+		n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	}
 	k.Run()
 	st := n.Stats()
@@ -152,15 +153,15 @@ func TestSetLossValidation(t *testing.T) {
 
 func TestPerKindAccounting(t *testing.T) {
 	k, n := newNet(t)
-	n.Register(ap(1), EndpointFunc(func(Message) {}))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
-	n.SendKind(ap(0), ap(1), KindToken, nil)
-	n.SendKind(ap(0), ap(1), KindNotify, nil)
-	n.SendKind(ap(0), ap(1), KindAck, nil)
-	n.SendKind(ap(0), ap(1), KindQuery, nil)
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) {}))
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindNotify, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindAck, nil)
+	n.SendKind(ap(0), ap(1), runtime.KindQuery, nil)
 	k.Run()
 	st := n.Stats()
-	if st.DeliveredOf(KindToken) != 2 || st.DeliveredOf(KindNotify) != 1 {
+	if st.DeliveredOf(runtime.KindToken) != 2 || st.DeliveredOf(runtime.KindNotify) != 1 {
 		t.Fatalf("kind counts = %+v", st.ByKind)
 	}
 	if st.PropagationHops() != 3 {
@@ -170,8 +171,8 @@ func TestPerKindAccounting(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	k, n := newNet(t)
-	n.Register(ap(1), EndpointFunc(func(Message) {}))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) {}))
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
 	k.Run()
 	n.ResetStats()
 	if st := n.Stats(); st.Sent != 0 || st.Delivered != 0 {
@@ -180,7 +181,7 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestTierLatencyUsesHigherTier(t *testing.T) {
-	model := TierLatency{AP: 1 * time.Millisecond, AG: 10 * time.Millisecond, BR: 100 * time.Millisecond}
+	model := runtime.TierLatency{AP: 1 * time.Millisecond, AG: 10 * time.Millisecond, BR: 100 * time.Millisecond}
 	rng := mathx.NewRNG(1)
 	cases := []struct {
 		from, to ids.NodeID
@@ -200,7 +201,7 @@ func TestTierLatencyUsesHigherTier(t *testing.T) {
 }
 
 func TestTierLatencyJitterBounded(t *testing.T) {
-	model := DefaultTierLatency()
+	model := runtime.DefaultTierLatency()
 	rng := mathx.NewRNG(2)
 	for i := 0; i < 1000; i++ {
 		d := model.Latency(ap(0), ap(1), rng)
@@ -211,7 +212,7 @@ func TestTierLatencyJitterBounded(t *testing.T) {
 }
 
 func TestUniformLatencyBounds(t *testing.T) {
-	u := UniformLatency{Min: 2 * time.Millisecond, Max: 5 * time.Millisecond}
+	u := runtime.UniformLatency{Min: 2 * time.Millisecond, Max: 5 * time.Millisecond}
 	rng := mathx.NewRNG(3)
 	for i := 0; i < 1000; i++ {
 		d := u.Latency(ap(0), ap(1), rng)
@@ -219,7 +220,7 @@ func TestUniformLatencyBounds(t *testing.T) {
 			t.Fatalf("latency %v outside [%v,%v)", d, u.Min, u.Max)
 		}
 	}
-	degenerate := UniformLatency{Min: time.Millisecond, Max: time.Millisecond}
+	degenerate := runtime.UniformLatency{Min: time.Millisecond, Max: time.Millisecond}
 	if d := degenerate.Latency(ap(0), ap(1), rng); d != time.Millisecond {
 		t.Fatalf("degenerate uniform = %v", d)
 	}
@@ -228,10 +229,10 @@ func TestUniformLatencyBounds(t *testing.T) {
 func TestTraceHook(t *testing.T) {
 	k, n := newNet(t)
 	var outcomes []string
-	n.SetTrace(func(_ Message, outcome string) { outcomes = append(outcomes, outcome) })
-	n.Register(ap(1), EndpointFunc(func(Message) {}))
-	n.SendKind(ap(0), ap(1), KindToken, nil)
-	n.SendKind(ap(0), ids.NoNode, KindToken, nil)
+	n.SetTrace(func(_ runtime.Message, outcome string) { outcomes = append(outcomes, outcome) })
+	n.Register(ap(1), runtime.EndpointFunc(func(runtime.Message) {}))
+	n.SendKind(ap(0), ap(1), runtime.KindToken, nil)
+	n.SendKind(ap(0), ids.NoNode, runtime.KindToken, nil)
 	k.Run()
 	if len(outcomes) != 2 || outcomes[0] != "no-endpoint" || outcomes[1] != "delivered" {
 		t.Fatalf("outcomes = %v", outcomes)
@@ -241,7 +242,7 @@ func TestTraceHook(t *testing.T) {
 func TestRegisterValidation(t *testing.T) {
 	_, n := newNet(t)
 	for name, fn := range map[string]func(){
-		"zero id": func() { n.Register(ids.NoNode, EndpointFunc(func(Message) {})) },
+		"zero id": func() { n.Register(ids.NoNode, runtime.EndpointFunc(func(runtime.Message) {})) },
 		"nil ep":  func() { n.Register(ap(1), nil) },
 	} {
 		func() {
@@ -256,10 +257,10 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if KindToken.String() != "token" || KindControl.String() != "control" {
+	if runtime.KindToken.String() != "token" || runtime.KindControl.String() != "control" {
 		t.Error("kind names wrong")
 	}
-	if Kind(200).String() == "" {
+	if runtime.Kind(200).String() == "" {
 		t.Error("unknown kind should still render")
 	}
 }
@@ -267,11 +268,11 @@ func TestKindString(t *testing.T) {
 func TestDeterministicDelivery(t *testing.T) {
 	run := func() []int {
 		k := des.NewKernel()
-		n := New(k, UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 42)
+		n := New(k, runtime.UniformLatency{Min: time.Millisecond, Max: 10 * time.Millisecond}, 42)
 		var got []int
-		n.Register(ap(1), EndpointFunc(func(m Message) { got = append(got, int(m.Body.(wire.Probe).Seq)) }))
+		n.Register(ap(1), runtime.EndpointFunc(func(m runtime.Message) { got = append(got, int(m.Body.(wire.Probe).Seq)) }))
 		for i := 0; i < 100; i++ {
-			n.SendKind(ap(0), ap(1), KindToken, wire.Probe{Seq: uint64(i)})
+			n.SendKind(ap(0), ap(1), runtime.KindToken, wire.Probe{Seq: uint64(i)})
 		}
 		k.Run()
 		return got

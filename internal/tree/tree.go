@@ -22,6 +22,7 @@ import (
 	"github.com/rgbproto/rgb/internal/des"
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/simnet"
 	"github.com/rgbproto/rgb/internal/topology"
 	"github.com/rgbproto/rgb/internal/wire"
@@ -51,8 +52,8 @@ func (s *Server) Members() *ids.MemberList { return s.members }
 // Applied returns how many proposals this server executed.
 func (s *Server) Applied() uint64 { return s.applied }
 
-// HandleMessage implements simnet.Endpoint.
-func (s *Server) HandleMessage(msg simnet.Message) {
+// HandleMessage implements runtime.Endpoint.
+func (s *Server) HandleMessage(msg runtime.Message) {
 	p, ok := msg.Body.(proposal)
 	if !ok {
 		panic(fmt.Sprintf("tree: %s got unknown message %T", s.id, msg.Body))
@@ -106,7 +107,7 @@ func NewService(h, r int, representatives bool, seed uint64) *Service {
 	kernel := des.NewKernel()
 	svc := &Service{
 		kernel:  kernel,
-		net:     simnet.New(kernel, simnet.ConstantLatency(1_000_000), seed), // 1ms
+		net:     simnet.New(kernel, runtime.ConstantLatency(1_000_000), seed), // 1ms
 		tree:    topology.NewTreeHierarchy(h, r, representatives),
 		servers: make(map[ids.NodeID]*Server),
 	}
@@ -147,9 +148,9 @@ func (s *Service) forward(from, to ids.NodeID, p proposal) {
 		s.kernel.After(0, func() { s.servers[to].deliver(p) })
 		return
 	}
-	kind := simnet.KindToken
+	kind := runtime.KindToken
 	if p.Up {
-		kind = simnet.KindNotify
+		kind = runtime.KindNotify
 	}
 	s.net.SendKind(from, to, kind, p)
 }
@@ -192,8 +193,8 @@ func (s *Service) MeasureRound(guid ids.GUID, leaf ids.NodeID) RoundCost {
 	s.Run()
 	st := s.net.Stats()
 	return RoundCost{
-		FloodHops:  st.DeliveredOf(simnet.KindToken),
-		UpHops:     st.DeliveredOf(simnet.KindNotify),
+		FloodHops:  st.DeliveredOf(runtime.KindToken),
+		UpHops:     st.DeliveredOf(runtime.KindNotify),
 		LocalFlood: s.localFlood,
 		LocalUp:    s.localUp,
 	}

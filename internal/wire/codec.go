@@ -14,7 +14,7 @@ import (
 // decoding never panics on arbitrary input and never allocates more
 // than the input could actually hold.
 //
-// Payload frame (the unit AppendPayload/DecodePayload handle):
+// Payload frame (the unit AppendPayload writes):
 //
 //	[kind u8][bodyLen u32][body bodyLen bytes]
 //
@@ -34,14 +34,6 @@ import (
 // layout with datagrams that may carry several frames: a version-3
 // receiver would take a coalesced datagram for one malformed frame. Payload kinds are
 // append-only — never renumbered.
-//
-// Optional trailing sections: a body layout may grow by appending a
-// length-prefixed section at its end (Snapshot/MergeRequest tombstones
-// use this). Encoders always emit the section; decoders read it only
-// when bytes remain after the legacy fields, so pre-extension frames
-// decode with the section empty. The compatibility is one-directional:
-// a pre-extension receiver rejects the longer body as malformed, so a
-// mixed deployment must upgrade together.
 const (
 	// Version is the wire-format version emitted by this build.
 	Version = 4
@@ -185,12 +177,9 @@ func AppendPayload(b []byte, p Payload) []byte {
 	return b
 }
 
-// DecodePayload decodes one framed payload from the front of b,
-// returning the payload, the number of bytes consumed, and any error.
-// A KindNone frame yields a nil Payload.
-func DecodePayload(b []byte) (Payload, int, error) { return decodePayload(b, nil) }
-
-// decodePayload is DecodePayload with DecodeFrameInto's member buffer.
+// decodePayload decodes one framed payload from the front of b into
+// DecodeFrameInto's member buffer, returning the payload, the number of
+// bytes consumed, and any error. A KindNone frame yields a nil Payload.
 func decodePayload(b []byte, members *[]ids.MemberInfo) (Payload, int, error) {
 	if len(b) < payloadHeaderSize {
 		return nil, 0, ErrTruncated
@@ -482,13 +471,9 @@ func (r *reader) batch() mq.Batch {
 	return out
 }
 
-// tombstones reads the optional trailing tombstone section: absent on
-// pre-extension frames (no bytes remain after the legacy fields), in
-// which case the decode is complete and the slice stays nil.
+// tombstones reads the tombstone section that ends a Snapshot or
+// MergeRequest body.
 func (r *reader) tombstones() []Tombstone {
-	if r.bad || r.off >= len(r.b) {
-		return nil
-	}
 	n := r.count(tombstoneSize)
 	if r.bad || n == 0 {
 		return nil

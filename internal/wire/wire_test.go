@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -96,7 +97,7 @@ func samplePayloads() []Payload {
 func TestPayloadRoundTrip(t *testing.T) {
 	for _, p := range samplePayloads() {
 		b := AppendPayload(nil, p)
-		got, n, err := DecodePayload(b)
+		got, n, err := decodePayload(b, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", p.PayloadKind(), err)
 		}
@@ -118,7 +119,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 // TestNilPayloadRoundTrip: a nil payload travels as KindNone.
 func TestNilPayloadRoundTrip(t *testing.T) {
 	b := AppendPayload(nil, nil)
-	p, n, err := DecodePayload(b)
+	p, n, err := decodePayload(b, nil)
 	if err != nil || p != nil || n != len(b) {
 		t.Fatalf("nil round trip: p=%v n=%d err=%v", p, n, err)
 	}
@@ -224,6 +225,12 @@ func TestDecodeErrors(t *testing.T) {
 		{"unknown payload", func() []byte { b := append([]byte(nil), good...); b[envelopeSize] = byte(numPayloadKinds); return b }(), ErrUnknownPayload},
 		{"trailing bytes", append(append([]byte(nil), good...), 0xFF), ErrMalformed},
 		{"truncated body", good[:len(good)-2], ErrTruncated},
+		{"snapshot without its tombstone section", func() []byte {
+			b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Payload: Snapshot{Roster: []ids.NodeID{ap(0)}, Leader: ap(0)}})
+			b = b[:len(b)-4] // the empty section's count
+			binary.LittleEndian.PutUint32(b[envelopeSize+1:], uint32(len(b)-envelopeSize-payloadHeaderSize))
+			return b
+		}(), ErrMalformed},
 		{"length overrun", func() []byte {
 			b := append([]byte(nil), good...)
 			b[envelopeSize+1] = 0xFF // claim a body far larger than present
@@ -278,7 +285,7 @@ func TestHostileLengthDoesNotAllocate(t *testing.T) {
 	b = append(b, body...)
 	// Fix the length header.
 	b[1] = byte(len(body))
-	if _, _, err := DecodePayload(b); !errors.Is(err, ErrMalformed) {
+	if _, _, err := decodePayload(b, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
-	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -51,7 +51,7 @@ func TestFacadeQuery(t *testing.T) {
 
 func TestFacadeScenario(t *testing.T) {
 	cfg := DefaultConfig(2, 5)
-	cfg.Latency = simnet.ConstantLatency(time.Millisecond)
+	cfg.Latency = runtime.ConstantLatency(time.Millisecond)
 	sys := core.NewSystem(cfg)
 	churnCfg := DefaultChurnConfig()
 	churnCfg.InitialMembers = 20
