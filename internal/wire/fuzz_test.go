@@ -102,10 +102,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	}
 
-	// Tombstone-carrying snapshot/merge frames: the optional trailing
-	// section, whole and truncated inside its count word and at every
-	// entry boundary, so a pre-tombstone peer's view (no section) and a
-	// mangled section are both handled cleanly.
+	// Tombstone-carrying snapshot/merge frames: the trailing section,
+	// whole and truncated inside its count word and at every entry
+	// boundary, so a missing or mangled section is handled cleanly.
 	tombFrames := [][]byte{
 		AppendFrame(nil, Frame{From: ap(0), To: ap(3), Group: gid, Class: 1, TTL: 4, Payload: Snapshot{
 			Roster:     []ids.NodeID{ap(0), ap(1)},

@@ -191,8 +191,8 @@ type Snapshot struct {
 	Leader  ids.NodeID
 	Members []ids.MemberInfo
 
-	// Tombstones is an optional trailing section on the wire: frames
-	// from pre-tombstone senders decode with a nil slice.
+	// Tombstones ends the body on the wire; the section is always
+	// present, holding a zero count when there are none.
 	Tombstones []Tombstone
 }
 
@@ -202,8 +202,8 @@ type MergeRequest struct {
 	Roster  []ids.NodeID
 	Members []ids.MemberInfo
 
-	// Tombstones is an optional trailing section on the wire: frames
-	// from pre-tombstone senders decode with a nil slice.
+	// Tombstones ends the body on the wire; the section is always
+	// present, holding a zero count when there are none.
 	Tombstones []Tombstone
 }
 

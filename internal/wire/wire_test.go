@@ -225,12 +225,8 @@ func TestDecodeErrors(t *testing.T) {
 		{"unknown payload", func() []byte { b := append([]byte(nil), good...); b[envelopeSize] = byte(numPayloadKinds); return b }(), ErrUnknownPayload},
 		{"trailing bytes", append(append([]byte(nil), good...), 0xFF), ErrMalformed},
 		{"truncated body", good[:len(good)-2], ErrTruncated},
-		{"snapshot without its tombstone section", func() []byte {
-			b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Payload: Snapshot{Roster: []ids.NodeID{ap(0)}, Leader: ap(0)}})
-			b = b[:len(b)-4] // the empty section's count
-			binary.LittleEndian.PutUint32(b[envelopeSize+1:], uint32(len(b)-envelopeSize-payloadHeaderSize))
-			return b
-		}(), ErrMalformed},
+		{"snapshot without its tombstone section", withoutTombstoneSection(Snapshot{Roster: []ids.NodeID{ap(0)}, Leader: ap(0)}), ErrMalformed},
+		{"merge request without its tombstone section", withoutTombstoneSection(MergeRequest{Roster: []ids.NodeID{ap(3)}, Members: []ids.MemberInfo{sampleMember(3)}}), ErrMalformed},
 		{"length overrun", func() []byte {
 			b := append([]byte(nil), good...)
 			b[envelopeSize+1] = 0xFF // claim a body far larger than present
@@ -238,10 +234,22 @@ func TestDecodeErrors(t *testing.T) {
 		}(), ErrTruncated},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeFrame(tc.b); !errors.Is(err, tc.err) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeFrame(tc.b); !errors.Is(err, tc.err) {
+				t.Errorf("err = %v, want %v", err, tc.err)
+			}
+		})
 	}
+}
+
+// withoutTombstoneSection frames p, whose tombstone section must be
+// empty, the way a pre-tombstone build did: the section's count word is
+// cut and the body length header shortened to match.
+func withoutTombstoneSection(p Payload) []byte {
+	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Payload: p})
+	b = b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[envelopeSize+1:], uint32(len(b)-envelopeSize-payloadHeaderSize))
+	return b
 }
 
 // TestFrameLenSplitsADatagram: frames written back to back are split at
