@@ -107,6 +107,19 @@ func TestArchitectureRules(t *testing.T) {
 			},
 		},
 		{
+			rule: `docs/ARCHITECTURE.md, Layer 3, member versions: "Versions are compared only by ids.VerAfter"`,
+			check: func(f *ast.File) []ast.Node {
+				return outside(fset, f, verOrderings(f, info), "internal/ids.VerAfter")
+			},
+		},
+		{
+			rule: `docs/ARCHITECTURE.md, Layer 3, member versions: "Node.gone is written only by Node.bury"`,
+			pkgs: []string{"internal/core"},
+			check: func(f *ast.File) []ast.Node {
+				return outside(fset, f, fieldWrites(f, "gone"), "internal/core.Node.bury")
+			},
+		},
+		{
 			rule:  `ROADMAP.md, item 18: "production code nothing calls goes"; a function only tests reach is on uncalledAllowed`,
 			check: func(f *ast.File) []ast.Node { return uncalledOutside(fset, f, uncalled) },
 		},
@@ -503,7 +516,7 @@ func mathRandImports(f *ast.File) []ast.Node {
 
 // fieldWrites finds assignments to, and copies into, a field with one
 // of the given names, whatever the receiver: x.name = v, x.name[i] = v,
-// x.name++ and copy(x.name, src).
+// x.name++, copy(x.name, src) and delete(x.name, k).
 func fieldWrites(f *ast.File, names ...string) []ast.Node {
 	named := func(e ast.Expr) bool {
 		for {
@@ -535,7 +548,7 @@ func fieldWrites(f *ast.File, names ...string) []ast.Node {
 				found = append(found, s.X)
 			}
 		case *ast.CallExpr:
-			if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "copy" && len(s.Args) == 2 && named(s.Args[0]) {
+			if id, ok := s.Fun.(*ast.Ident); ok && (id.Name == "copy" || id.Name == "delete") && len(s.Args) == 2 && named(s.Args[0]) {
 				found = append(found, s)
 			}
 		}
@@ -555,6 +568,44 @@ func keyedFields(f *ast.File, names ...string) []ast.Node {
 					if id, ok := kv.Key.(*ast.Ident); ok && slices.Contains(names, id.Name) {
 						found = append(found, kv)
 					}
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// verOrderings finds the ordering comparisons (<, >, <=, >=) that take a
+// member version, the Ver field of ids.MemberInfo or wire.Tombstone, as
+// an operand, directly or through a conversion.
+func verOrderings(f *ast.File, info *types.Info) []ast.Node {
+	isVer := func(e ast.Expr) bool {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.CallExpr:
+				if len(x.Args) != 1 || !info.Types[x.Fun].IsType() {
+					return false
+				}
+				e = x.Args[0]
+			case *ast.SelectorExpr:
+				v, ok := info.Uses[x.Sel].(*types.Var)
+				return ok && v.IsField() && v.Name() == "Ver" && v.Pkg() != nil &&
+					(v.Pkg().Path() == modulePath+"/internal/ids" || v.Pkg().Path() == modulePath+"/internal/wire")
+			default:
+				return false
+			}
+		}
+	}
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if b, ok := n.(*ast.BinaryExpr); ok {
+			switch b.Op {
+			case token.LSS, token.GTR, token.LEQ, token.GEQ:
+				if isVer(b.X) || isVer(b.Y) {
+					found = append(found, b)
 				}
 			}
 		}

@@ -175,3 +175,45 @@ func TestMergeRequestEmptyAndForeignIgnored(t *testing.T) {
 		t.Error("rosters diverged after ignored merge requests")
 	}
 }
+
+// TestSnapshotTombstoneOutlivesStaleMerge: an entity that loads a
+// Snapshot keeps the removals the snapshot carries, not only its member
+// list. The leader of an access-proxy ring loads one saying member 2
+// left, which it had missed; a ring-mate that also missed the leave
+// then sends a MergeRequest still listing member 2 at its join. The
+// merge must not bring member 2 back.
+func TestSnapshotTombstoneOutlivesStaleMerge(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 5))
+	leader := sys.Node(sys.Node(sys.APs()[0]).Leader())
+	roster := leader.Roster()
+	for g := ids.GUID(1); g <= 2; g++ {
+		if _, err := sys.JoinMemberAt(g, roster[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	peer := sys.Node(roster[1])
+	if peer == leader {
+		peer = sys.Node(roster[2])
+	}
+	stale := wire.MergeRequest{Roster: peer.Roster(), Members: peer.ringMems.Snapshot(), Tombstones: peer.tombstoneList()}
+	if len(stale.Members) != 2 {
+		t.Fatalf("the ring-mate lists %v, want members 1 and 2", stale.Members)
+	}
+	kept, _ := leader.ringMems.Get(1)
+	sys.send(peer.ID(), leader.ID(), runtime.KindControl, wire.Snapshot{
+		Roster:     roster,
+		Leader:     leader.ID(),
+		Members:    []ids.MemberInfo{kept},
+		Tombstones: []wire.Tombstone{{GUID: 2, Ver: 2}},
+	})
+	sys.Run()
+	if leader.ringMems.Contains(2) || !leader.ringMems.Contains(1) {
+		t.Fatalf("after the snapshot the leader lists %v, want member 1 only", leader.ringMems.GUIDs())
+	}
+	sys.send(peer.ID(), leader.ID(), runtime.KindControl, stale)
+	sys.Run()
+	if leader.ringMems.Contains(2) {
+		t.Fatalf("a stale MergeRequest brought back member 2, whose removal the snapshot carried: %v", leader.ringMems.GUIDs())
+	}
+}

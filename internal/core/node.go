@@ -97,11 +97,11 @@ type Node struct {
 	// window whose flush timer will circulate the queue's contents.
 	batchArmed bool
 
-	// Merge tombstones (tombstone.go): per-member removal counters,
-	// lazily allocated on the first removal this node applies, FIFO
-	// capped by memVerQ.
-	memVer  map[ids.GUID]uint64
-	memVerQ window[ids.GUID]
+	// gone holds the version this node last removed each member at
+	// (tombstone.go), lazily allocated on the first removal, FIFO capped
+	// by goneQ.
+	gone  map[ids.GUID]uint16
+	goneQ window[ids.GUID]
 }
 
 // ID returns the node's identity.
@@ -380,7 +380,7 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 // Figure 3.
 func (n *Node) execute(tok *token.Token) {
 	for _, c := range tok.Ops {
-		n.applyChange(c, tok.Dir)
+		n.applyChange(c)
 	}
 	if tok.Carrying() {
 		// Notification-to-Parent: only the leader, only for changes
@@ -399,18 +399,15 @@ func (n *Node) execute(tok *token.Token) {
 }
 
 // applyChange updates the membership lists for one operation.
-func (n *Node) applyChange(c mq.Change, dir token.Direction) {
-	if n.level == 0 && (n.sys.eventSink != nil || n.sys.instr != nil) {
-		// Commit point for observers: the topmost ring is the
-		// authoritative view, and executing the op here is exactly
-		// when GlobalMembership starts reflecting it.
-		n.sys.emitMemberChange(c)
-	}
+func (n *Node) applyChange(c mq.Change) {
+	applied := false
 	switch c.Op {
 	case mq.OpMemberJoin, mq.OpMemberHandoff:
-		n.applyMemberPut(c, dir)
+		m := c.Member
+		m.Status = ids.StatusOperational
+		applied = n.put(m)
 	case mq.OpMemberLeave, mq.OpMemberFailure:
-		n.applyMemberRemove(c)
+		applied = n.remove(c.Member.GUID, c.Member.Ver)
 	case mq.OpNEFailure, mq.OpNELeave:
 		// Roster surgery applies only inside the failed entity's own
 		// ring; other rings just observe (and fix Child pointers).
@@ -425,51 +422,12 @@ func (n *Node) applyChange(c mq.Change, dir token.Direction) {
 			n.insertIntoRoster(c.NE)
 		}
 	}
-}
-
-func (n *Node) applyMemberPut(c mq.Change, dir token.Direction) {
-	m := c.Member
-	m.Status = ids.StatusOperational
-	// ListOfRingMembers covers this ring's subtree: batches arriving
-	// from the parent concern other subtrees unless the member's AP is
-	// covered here.
-	covered := n.sys.hier.Covers(n.ringID, m.AP)
-	if covered {
-		n.ringMems.Put(m)
-	} else if dir == token.FromParent {
-		// A handoff can move a member out of this ring's coverage.
-		n.ringMems.Remove(m.GUID)
-	}
-	n.trackAtBottomTier(m)
-}
-
-// trackAtBottomTier files a present member under ListOfLocalMembers and
-// ListOfNeighborMembers, which only access proxies keep.
-func (n *Node) trackAtBottomTier(m ids.MemberInfo) {
-	if n.level != n.sys.cfg.H-1 {
-		return
-	}
-	if m.AP == n.id {
-		n.local.Put(m)
-	} else {
-		n.local.Remove(m.GUID) // handoff away from this AP
-	}
-	if n.sys.cfg.NeighborLists {
-		if m.AP == n.nextLive(n.id) || m.AP == n.prevLive(n.id) {
-			n.neighbors.Put(m)
-		} else {
-			n.neighbors.Remove(m.GUID)
-		}
-	}
-}
-
-func (n *Node) applyMemberRemove(c mq.Change) {
-	g := c.Member.GUID
-	n.noteMemberRemoved(g)
-	n.ringMems.Remove(g)
-	if n.level == n.sys.cfg.H-1 {
-		n.local.Remove(g)
-		n.neighbors.Remove(g)
+	if applied && n.level == 0 && (n.sys.eventSink != nil || n.sys.instr != nil) {
+		// Commit point for observers: the topmost ring is the
+		// authoritative view, and applying the op here is exactly when
+		// GlobalMembership starts reflecting it. A change older than the
+		// ring's record of the member changes nothing, so nobody hears it.
+		n.sys.emitMemberChange(c)
 	}
 }
 
@@ -698,18 +656,17 @@ func (n *Node) receiveSnapshot(s wire.Snapshot) {
 	n.leader = s.Leader
 	n.insertIntoRoster(n.id)
 	// The snapshot is all this entity knows of the time it was away, so
-	// the bottom-tier lists are rebuilt from it too.
+	// the bottom-tier lists are rebuilt from it too. Its tombstones bury
+	// the members it saw removed, so a late, older change or merge does
+	// not bring them back here.
 	n.ringMems.Clear()
 	n.local.Clear()
 	n.neighbors.Clear()
-	for _, m := range s.Members {
-		n.ringMems.Put(m)
-		n.trackAtBottomTier(m)
-	}
-	// The member list is authoritative; the view counters ride along so
-	// a later merge at THIS node compares removal histories correctly.
 	for _, t := range s.Tombstones {
-		n.adoptVersion(t.GUID, t.Ver)
+		n.remove(t.GUID, t.Ver)
+	}
+	for _, m := range s.Members {
+		n.put(m)
 	}
 	n.sys.clearStale(n.id)
 }
@@ -744,34 +701,14 @@ func (n *Node) receiveMergeRequest(req wire.MergeRequest) {
 			return
 		}
 	}
-	// Tombstone-aware union (tombstone.go): compare removal histories
-	// so the merge neither resurrects a member that left while the cut
-	// held nor discards one that legitimately rejoined in the fragment.
-	inVer := make(map[ids.GUID]uint64, len(req.Tombstones))
-	for _, t := range req.Tombstones {
-		inVer[t.GUID] = t.Ver
-	}
-	incoming := ids.NewMemberList()
+	// The union keeps each member's newest record (tombstone.go): it
+	// neither resurrects a member that left while the cut held nor
+	// discards one that rejoined in the fragment.
 	for _, m := range req.Members {
-		if n.versionOf(m.GUID) > inVer[m.GUID] {
-			// The fragment's entry predates a removal this side applied
-			// during the cut: a stale record, not a rejoin. Drop it.
-			continue
-		}
-		incoming.Put(m)
+		n.put(m)
 	}
-	n.ringMems.MergeFrom(incoming)
 	for _, t := range req.Tombstones {
-		if t.Ver <= n.versionOf(t.GUID) {
-			continue // removal history already known here
-		}
-		if !incoming.Contains(t.GUID) {
-			// A tombstone proper: the fragment saw this member leave or
-			// fail after the histories diverged, so the kept side's
-			// live entry is the stale one.
-			n.ringMems.Remove(t.GUID)
-		}
-		n.adoptVersion(t.GUID, t.Ver)
+		n.remove(t.GUID, t.Ver)
 	}
 	var joiners []ids.NodeID
 	for _, joined := range req.Roster {

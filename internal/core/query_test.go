@@ -196,7 +196,7 @@ func TestQueryAnswerOrderOverlappingRings(t *testing.T) {
 	populate(t, sys, 27)
 	x, _ := sys.Member(ids.GUID(14)) // second of three in its ring
 	oldRing := sys.Node(x.AP).ringID
-	moved := sys.infoOf(x)
+	moved := x.MemberInfo
 	for _, rg := range sys.hier.Level(2) {
 		if rg.ID() != oldRing {
 			moved.AP = rg.Leader()

@@ -16,13 +16,11 @@ import (
 )
 
 // Member is the data structure an MH keeps (Section 4.2): group,
-// attached AP, global and local identities, and status.
+// attached AP, global and local identities, and status, in the record
+// it sends with every change. The MH advances the record's version on
+// every join, leave and handoff it submits (tombstone.go).
 type Member struct {
-	GID    ids.GroupID
-	AP     ids.NodeID
-	GUID   ids.GUID
-	LUID   ids.LUID
-	Status ids.Status
+	ids.MemberInfo
 
 	node    ids.NodeID // the MH's own message endpoint
 	sys     *System
@@ -263,7 +261,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 					parentOK: !parent.IsZero(),
 					queue:    mq.New(cfg.Aggregate),
 					pass:     passResend(n),
-					memVerQ:  newWindow[ids.GUID](tombstoneWindow),
+					goneQ:    newWindow[ids.GUID](tombstoneWindow),
 				}
 				if child, ok := s.hier.ChildRingOf(id); ok {
 					n.hasChild = true
@@ -607,10 +605,9 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
 	m, ok := s.members[guid]
 	if !ok {
 		m = &Member{
-			GID:  s.cfg.GID,
-			GUID: guid,
-			node: ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+s.mhOrdinal),
-			sys:  s,
+			MemberInfo: ids.MemberInfo{GID: s.cfg.GID, GUID: guid},
+			node:       ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+s.mhOrdinal),
+			sys:        s,
 		}
 		s.mhOrdinal++
 		s.members[guid] = m
@@ -628,6 +625,7 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
 	m.AP = ap
 	m.LUID = ids.LUID{AP: ap, Local: s.luidSeq[ap]}
 	m.Status = ids.StatusOperational
+	m.Ver++
 	return m
 }
 
@@ -653,7 +651,7 @@ func (s *System) JoinMemberAt(guid ids.GUID, ap ids.NodeID) (*Member, error) {
 		return nil, fmt.Errorf("core: %s at %s: %w", guid, m.AP, ErrDuplicateJoin)
 	}
 	m := s.newMemberAt(guid, ap)
-	s.send(m.node, ap, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberJoin, Member: s.infoOf(m)})
+	s.send(m.node, ap, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberJoin, Member: m.MemberInfo})
 	return m, nil
 }
 
@@ -671,12 +669,14 @@ func (s *System) LeaveMember(guid ids.GUID) error {
 		return err
 	}
 	m.Status = ids.StatusVoluntaryDisc
-	s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberLeave, Member: s.infoOf(m)})
+	m.Ver++
+	s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberLeave, Member: m.MemberInfo})
 	return nil
 }
 
 // FailMember injects a Member-Failure detected by the serving AP
-// (faulty disconnection).
+// (faulty disconnection). The AP removes the member at the version it
+// holds, which beats a put at that version.
 func (s *System) FailMember(guid ids.GUID) error {
 	m, err := s.memberOf(guid)
 	if err != nil {
@@ -689,10 +689,10 @@ func (s *System) FailMember(guid ids.GUID) error {
 		// detected failure as a message instead of direct queue
 		// surgery. (The single-process path below stays message-free
 		// so fixed-seed traces are unchanged.)
-		s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberFailure, Member: s.infoOf(m)})
+		s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberFailure, Member: m.MemberInfo})
 		return nil
 	}
-	c := mq.Change{Op: mq.OpMemberFailure, Member: s.infoOf(m), Origin: ap.id, Seq: ap.nextSeq()}
+	c := mq.Change{Op: mq.OpMemberFailure, Member: m.MemberInfo, Origin: ap.id, Seq: ap.nextSeq()}
 	ap.queue.Insert(c)
 	s.noteSubmitted(c.Origin, c.Seq)
 	s.scheduleBatchedRound(ap)
@@ -726,7 +726,8 @@ func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	m.AP = newAP
 	s.luidSeq[newAP]++
 	m.LUID = ids.LUID{AP: newAP, Local: s.luidSeq[newAP]}
-	s.send(m.node, newAP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberHandoff, Member: s.infoOf(m)})
+	m.Ver++
+	s.send(m.node, newAP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberHandoff, Member: m.MemberInfo})
 	return nil
 }
 
@@ -735,10 +736,6 @@ func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 func (s *System) FastHandoffHit(guid ids.GUID, newAP ids.NodeID) bool {
 	n := s.nodes[newAP]
 	return n != nil && s.cfg.NeighborLists && n.neighbors.Contains(guid)
-}
-
-func (s *System) infoOf(m *Member) ids.MemberInfo {
-	return ids.MemberInfo{GID: m.GID, GUID: m.GUID, LUID: m.LUID, AP: m.AP, Status: m.Status}
 }
 
 // --- Failure injection ----------------------------------------------

@@ -7,89 +7,104 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// Merge tombstones (ROADMAP item 4). MergeFrom unions two ring
-// fragments' membership lists, so a member that left (or failed out)
-// inside one fragment while the partition held used to be resurrected
-// by the merge whenever the other fragment still listed it. The fix is
-// a per-node removal counter: memVer[g] counts the Member-Leave /
-// Member-Failure operations this node has applied for GUID g. Within
-// one ring every member applies the same operations in the same
-// order, so the counters of two fragments agree up to the moment of
-// the cut and diverge only by what each side saw during it — exactly
-// the comparison a merge needs:
-//
-//   - a fragment whose entry for g has seen FEWER removals than the
-//     merging side's counter holds a stale record (the member left
-//     here during the cut): the union drops it;
-//   - a fragment whose tombstone for g carries MORE removals than the
-//     merging side has applied learned of a leave the merging side
-//     missed: the kept entry is removed and the tombstone adopted;
-//   - equal counters mean both sides share the same removal history,
-//     so a live entry (a rejoin after the shared removal) wins.
-//
-// The counters travel as wire.Tombstone entries (GUID + view counter)
-// on Snapshot and MergeRequest: an entry for a GUID absent from the
-// accompanying member list is a tombstone proper, one for a listed
-// member is rejoin protection. Counters are retained across rejoins
-// (a rejoin clears deadness by listing the member, not by resetting
-// the count) and capped FIFO-style like the event dedup window.
+// One version per member. Every write to an entity's member lists (a
+// token round's member op, a Snapshot load, a MergeRequest union) goes
+// through put or remove, which compare MemberInfo.Ver, only ever by
+// ids.VerAfter, with what the entity holds. The mobile host advances Ver
+// on every join, leave and handoff it submits; an AP-detected failure
+// removes at the member's current Ver. put files a record only if it is
+// newer than the listed entry and than gone[g], the version the entity
+// last removed g at, so a removal at v beats a put at v; remove drops g
+// unless the listed entry is newer, and buries g at v. So every ring ends
+// with each member's newest record, whatever order its changes arrive
+// in. gone travels as the Tombstones of Snapshot and MergeRequest, each
+// applied with remove. Only a leave or a failure buries: a handoff out of
+// a ring's coverage drops the record and leaves no tombstone.
 
-// tombstoneWindow bounds the per-node removal-counter map: a merge
-// reconciles recent divergence, so counters older than the last few
-// thousand removals can lapse without risk in practice.
+// tombstoneWindow bounds gone FIFO-style, like the event dedup window: a
+// late change or a merge reconciles recent divergence, so removals older
+// than the last few thousand can lapse without risk in practice.
 const tombstoneWindow = 4096
 
-// noteMemberRemoved bumps the removal counter for g at this node.
-// Called from applyMemberRemove — every Leave/Failure commit, at
-// every node that executes it.
-func (n *Node) noteMemberRemoved(g ids.GUID) {
-	if n.memVer == nil {
-		n.memVer = make(map[ids.GUID]uint64)
+// put files m unless the entity holds the member at the same or a newer
+// version, or removed it at one, and reports whether it did. A record at
+// an access proxy the ring does not cover unlists the member: it moved
+// away. gone is read only for an unlisted member the ring covers: a
+// listed entry is always newer than gone's, and elsewhere there is
+// nothing to change.
+func (n *Node) put(m ids.MemberInfo) bool {
+	e, listed := n.ringMems.Get(m.GUID)
+	covered := n.sys.hier.Covers(n.ringID, m.AP)
+	if listed && !ids.VerAfter(m.Ver, e.Ver) || !listed && !covered {
+		return false
 	}
-	before := len(n.memVer)
-	n.memVer[g]++ // one probe: the increment finds or makes the entry
-	if len(n.memVer) != before {
-		n.trackVersioned(g)
+	if !listed {
+		if v, ok := n.gone[m.GUID]; ok && !ids.VerAfter(m.Ver, v) {
+			return false
+		}
 	}
+	if covered {
+		n.ringMems.Put(m)
+	} else {
+		n.ringMems.Remove(m.GUID)
+	}
+	if n.level != n.sys.cfg.H-1 {
+		return true // only access proxies keep the local and neighbor lists
+	}
+	if m.AP == n.id {
+		n.local.Put(m)
+	} else {
+		n.local.Remove(m.GUID) // handoff away from this AP
+	}
+	if n.sys.cfg.NeighborLists {
+		if m.AP == n.nextLive(n.id) || m.AP == n.prevLive(n.id) {
+			n.neighbors.Put(m)
+		} else {
+			n.neighbors.Remove(m.GUID)
+		}
+	}
+	return true
 }
 
-// adoptVersion merges a peer's view counter for g (max-merge).
-func (n *Node) adoptVersion(g ids.GUID, v uint64) {
-	if v == 0 {
+// remove drops g from every list and buries it at v, unless the entity
+// lists g at a newer version; it reports whether it did.
+func (n *Node) remove(g ids.GUID, v uint16) bool {
+	if e, ok := n.ringMems.Get(g); ok && ids.VerAfter(e.Ver, v) {
+		return false
+	}
+	n.bury(g, v)
+	n.ringMems.Remove(g)
+	n.local.Remove(g)
+	n.neighbors.Remove(g)
+	return true
+}
+
+// bury records that the entity removed g at version v, keeping the newer
+// of two removals. It is the only writer of gone.
+func (n *Node) bury(g ids.GUID, v uint16) {
+	if old, ok := n.gone[g]; ok {
+		if ids.VerAfter(v, old) {
+			n.gone[g] = v
+		}
 		return
 	}
-	if n.memVer == nil {
-		n.memVer = make(map[ids.GUID]uint64)
+	if n.gone == nil {
+		n.gone = make(map[ids.GUID]uint16)
 	}
-	cur, known := n.memVer[g]
-	if v <= cur {
-		return
-	}
-	if !known {
-		n.trackVersioned(g)
-	}
-	n.memVer[g] = v
-}
-
-// trackVersioned appends g to the FIFO cap queue, evicting the oldest
-// counter past the window.
-func (n *Node) trackVersioned(g ids.GUID) {
-	if old, full := n.memVerQ.push(g); full {
-		delete(n.memVer, old)
+	n.gone[g] = v
+	if old, full := n.goneQ.push(g); full {
+		delete(n.gone, old)
 	}
 }
 
-// versionOf returns the removal counter for g (0 when never removed).
-func (n *Node) versionOf(g ids.GUID) uint64 { return n.memVer[g] }
-
-// tombstoneList renders the node's removal counters for the wire,
-// sorted by GUID so encodings and digests are deterministic.
+// tombstoneList renders gone for the wire, sorted by GUID so encodings
+// and digests are deterministic.
 func (n *Node) tombstoneList() []wire.Tombstone {
-	if len(n.memVer) == 0 {
+	if len(n.gone) == 0 {
 		return nil
 	}
-	out := make([]wire.Tombstone, 0, len(n.memVer))
-	for g, v := range n.memVer {
+	out := make([]wire.Tombstone, 0, len(n.gone))
+	for g, v := range n.gone {
 		out = append(out, wire.Tombstone{GUID: g, Ver: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].GUID < out[j].GUID })

@@ -184,16 +184,24 @@ func (s Status) Operational() bool { return s == StatusOperational }
 // entities: ListOfLocalMembers, ListOfRingMembers and
 // ListOfNeighborMembers (Section 4.2).
 //
-// The fields are ordered for size, not meaning: GID and Status share the
-// word after AP, so a record is 40 bytes (a GID ahead of GUID would pad
-// it to 48). The wire layout is fixed by the codec, not by this order.
+// The fields are ordered for size, not meaning: GID, Status and Ver
+// share the word after AP, so a record is 40 bytes (a GID ahead of GUID,
+// or a 32-bit Ver, would pad it to 48). The wire layout is fixed by the
+// codec, not by this order. Ver orders one member's records (core's
+// tombstone.go); compare versions only with VerAfter.
 type MemberInfo struct {
 	GUID   GUID    // permanent identity
 	LUID   LUID    // current care-of identity
 	AP     NodeID  // currently serving access proxy
 	GID    GroupID // group this membership belongs to
 	Status Status  // current operational status
+	Ver    uint16  // the member's version of this record
 }
+
+// VerAfter reports whether version a is newer than b in serial-number
+// arithmetic (RFC 1982): a is ahead of b by less than half the 16-bit
+// space, so the order survives the counter wrapping.
+func VerAfter(a, b uint16) bool { return int16(a-b) > 0 }
 
 // String renders a compact single-line description.
 func (m MemberInfo) String() string {
@@ -224,7 +232,7 @@ func (m MemberInfo) String() string {
 //
 // Shared hands out one read-only copy of the live members, built on first
 // demand after a change. The list never writes into that copy: every
-// mutation (Put, Remove, Clear, MergeFrom) only drops the list's
+// mutation (Put, Remove, Clear) only drops the list's
 // reference to it, so a holder keeps the members as they were when it
 // asked, however long it holds them.
 type MemberList struct {
@@ -471,25 +479,6 @@ func (l *MemberList) Clear() {
 	l.ndead = 0
 	clear(l.index)
 	l.shared = nil
-}
-
-// MergeFrom inserts every member of other that is not already present
-// and returns how many were added. Existing entries are not
-// overwritten: during a ring merge the receiving side keeps its more
-// recent local knowledge. Merging a list into itself adds nothing.
-func (l *MemberList) MergeFrom(other *MemberList) int {
-	if other == l {
-		return 0
-	}
-	added := 0
-	other.Each(func(m MemberInfo) {
-		h := hashGUID(m.GUID)
-		if e, ok := l.find(m.GUID, h); !ok {
-			l.add(m, h, e)
-			added++
-		}
-	})
-	return added
 }
 
 // GUIDs returns the member identities in insertion order.

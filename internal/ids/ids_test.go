@@ -212,27 +212,6 @@ func TestMemberListDeterministicOrder(t *testing.T) {
 	})
 }
 
-func TestMemberListMergeFrom(t *testing.T) {
-	a := NewMemberList()
-	b := NewMemberList()
-	a.Put(member(1))
-	mine := member(2)
-	mine.Status = StatusTempDisc
-	a.Put(mine)
-	b.Put(member(2)) // same GUID, operational — must NOT overwrite
-	b.Put(member(3))
-	added := a.MergeFrom(b)
-	if added != 1 {
-		t.Fatalf("added = %d, want 1", added)
-	}
-	if m, _ := a.Get(2); m.Status != StatusTempDisc {
-		t.Fatal("MergeFrom overwrote existing entry")
-	}
-	if !a.Contains(3) {
-		t.Fatal("MergeFrom missed new entry")
-	}
-}
-
 func TestMemberListClear(t *testing.T) {
 	l := NewMemberList()
 	l.Put(member(1))
@@ -259,10 +238,28 @@ func TestMemberListSnapshotIsolated(t *testing.T) {
 
 // TestMemberInfoSize pins the record's layout: every MemberList slot,
 // every mq.Change and every query answer is made of these, and the
-// field order is what keeps GID and Status in one word.
+// field order is what keeps GID, Status and Ver in one word.
 func TestMemberInfoSize(t *testing.T) {
 	if got := unsafe.Sizeof(MemberInfo{}); got != 40 {
 		t.Fatalf("MemberInfo is %d bytes, want 40", got)
+	}
+}
+
+// TestVerAfter: versions order by serial-number arithmetic, so a
+// member's versions stay ordered across the wrap from 65535 to 0, and
+// no version is after itself.
+func TestVerAfter(t *testing.T) {
+	for _, c := range []struct {
+		a, b  uint16
+		after bool
+	}{
+		{1, 0, true}, {0, 1, false}, {5, 5, false},
+		{0, 65535, true}, {65535, 0, false}, {3, 65530, true},
+		{32767, 0, true}, {0, 32767, false}, {40000, 10000, true},
+	} {
+		if got := VerAfter(c.a, c.b); got != c.after {
+			t.Errorf("VerAfter(%d, %d) = %v, want %v", c.a, c.b, got, c.after)
+		}
 	}
 }
 

@@ -56,17 +56,6 @@ func (l *refList) Clear() {
 	clear(l.byID)
 }
 
-func (l *refList) MergeFrom(other *refList) int {
-	added := 0
-	for _, g := range other.order {
-		if _, ok := l.byID[g]; !ok {
-			l.Put(other.byID[g])
-			added++
-		}
-	}
-	return added
-}
-
 func (l *refList) String() string {
 	names := make([]string, len(l.order))
 	for i, g := range l.order {
@@ -157,8 +146,7 @@ func modelGUID(k GUID, wide bool) GUID {
 //	               5-7   Put over the (key mod Len)-th member
 //	               8-12  Remove of the (key mod Len)-th member
 //	               13-14 Remove of a GUID outside the key space
-//	               15   key&31 == 0: Clear; == 1: MergeFrom itself;
-//	                    otherwise MergeFrom the other list
+//	               15   key&31 == 0: Clear; otherwise only the check
 //
 // status goes into the record as it is: a list must hold any byte.
 //
@@ -171,7 +159,7 @@ func runModelOps(data []byte) error {
 	for op := 0; len(data) >= 3; op++ {
 		kind, key, status := data[0], int(data[1]), Status(data[2])
 		data = data[3:]
-		p, other := &pairs[kind>>7], &pairs[1-kind>>7]
+		p := &pairs[kind>>7]
 		shared, before := p.got.Shared(), p.want
 		rec := MemberInfo{
 			GID:    NewGroupID(uint32(status)),
@@ -216,14 +204,6 @@ func runModelOps(data []byte) error {
 		case key&31 == 0:
 			p.got.Clear()
 			p.ref.Clear()
-		case key&31 == 1:
-			if added := p.got.MergeFrom(&p.got); added != 0 {
-				return fmt.Errorf("op %d: MergeFrom itself added %d", op, added)
-			}
-		default:
-			if got, want := p.got.MergeFrom(&other.got), p.ref.MergeFrom(&other.ref); got != want {
-				return fmt.Errorf("op %d: MergeFrom added %d, model %d", op, got, want)
-			}
 		}
 		if !slices.Equal(shared, before) {
 			return fmt.Errorf("op %d (kind %#02x key %d): the Shared slice taken before it changed to %v, was %v", op, kind, key, shared, before)

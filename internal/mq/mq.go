@@ -198,11 +198,12 @@ func (q *Queue) append(c Change) {
 //	Join    + Failure -> (nothing)        same, member never visible
 //	Join    + Handoff -> Join @ new AP
 //	Leave   + Join    -> Handoff/Join     member is back; upstream sees update
+//	Failure + Join    -> Handoff          same: a re-join is never swallowed
 //	Handoff + Handoff -> Handoff @ latest
 //	Handoff + Leave   -> Leave
 //	Handoff + Failure -> Failure
 //	Leave   + Failure -> Leave            already leaving; keep benign op
-//	Failure + *       -> Failure          failure dominates
+//	Failure + other   -> Failure          failure dominates
 //	NEJoin  + NELeave/NEFailure -> (nothing), and symmetrically
 func collapse(prev, next Change) (Change, bool) {
 	switch {
@@ -211,9 +212,9 @@ func collapse(prev, next Change) (Change, bool) {
 	case prev.Op == OpMemberJoin && next.Op == OpMemberHandoff:
 		next.Op = OpMemberJoin
 		return next, false
-	case prev.Op == OpMemberLeave && next.Op == OpMemberJoin:
-		// Upstream believes the member exists (leave not yet sent), so
-		// the net effect is a location update.
+	case (prev.Op == OpMemberLeave || prev.Op == OpMemberFailure) && next.Op == OpMemberJoin:
+		// Upstream believes the member exists (the removal not yet
+		// sent), so the net effect is a location update.
 		next.Op = OpMemberHandoff
 		return next, false
 	case prev.Op == OpMemberHandoff && next.Op == OpMemberHandoff:

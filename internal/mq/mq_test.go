@@ -98,14 +98,25 @@ func TestHandoffHandoffKeepsLatest(t *testing.T) {
 	}
 }
 
+// TestFailureDominates: a pending failure absorbs a later leave or
+// handoff, but not a re-join: Failure + Join is a location update, as
+// Leave + Join is, and a handoff after it moves the update on.
 func TestFailureDominates(t *testing.T) {
+	for _, next := range []Op{OpMemberLeave, OpMemberHandoff} {
+		q := New(true)
+		q.Insert(memberChange(OpMemberFailure, 1, 0))
+		q.Insert(memberChange(next, 1, 4))
+		if b := q.DrainBatch(0); len(b) != 1 || b[0].Op != OpMemberFailure {
+			t.Fatalf("failure then %s: batch = %v", next, b)
+		}
+	}
 	q := New(true)
 	q.Insert(memberChange(OpMemberFailure, 1, 0))
 	q.Insert(memberChange(OpMemberJoin, 1, 0))
 	q.Insert(memberChange(OpMemberHandoff, 1, 4))
 	b := q.DrainBatch(0)
-	if len(b) != 1 || b[0].Op != OpMemberFailure {
-		t.Fatalf("batch = %v", b)
+	if len(b) != 1 || b[0].Op != OpMemberHandoff || b[0].Member.AP != ids.MakeNodeID(ids.TierAP, 4) {
+		t.Fatalf("failure, join, handoff: batch = %v, want one handoff to AP-4", b)
 	}
 }
 

@@ -635,9 +635,9 @@ func TestInboundReplyFloodKeepsOneDatagramOfSpares(t *testing.T) {
 	}
 	<-blocker.entered // the engine is stuck in a handler from here on
 
-	frame := replyFrame(sink, 1, 1983) // the most one datagram carries
+	frame := replyFrame(sink, 1, 2424) // the most one datagram carries
 	if len(frame) > wire.MaxDatagram {
-		t.Fatalf("a 1983-member reply is %d bytes, over one datagram", len(frame))
+		t.Fatalf("a 2424-member reply is %d bytes, over one datagram", len(frame))
 	}
 	sendPaced(t, conn, rt, frame, flood)
 	close(blocker.release)
@@ -670,20 +670,20 @@ func TestOversizeAtTheUDPLimit(t *testing.T) {
 				Body: wire.QueryReply{Members: make([]ids.MemberInfo, members)}})
 		})
 	}
-	if n := len(replyFrame(b, 1, 1984)); n != 65519 {
-		t.Fatalf("a 1984-member reply encodes to %d bytes, want 65519", n)
+	if n := len(replyFrame(b, 1, 2425)); n != 65522 {
+		t.Fatalf("a 2425-member reply encodes to %d bytes, want 65522", n)
 	}
-	send(1984)
+	send(2425)
 	if ns := rt0.NetStats(); ns.Oversize != 1 {
-		t.Fatalf("a 65519-byte frame: %+v, want Oversize 1", ns)
+		t.Fatalf("a 65522-byte frame: %+v, want Oversize 1", ns)
 	}
-	if n := len(replyFrame(b, 1, 1983)); n != 65486 {
-		t.Fatalf("a 1983-member reply encodes to %d bytes, want 65486", n)
+	if n := len(replyFrame(b, 1, 2424)); n != 65495 {
+		t.Fatalf("a 2424-member reply encodes to %d bytes, want 65495", n)
 	}
-	send(1983)
+	send(2424)
 	waitFor(t, func() bool { return ep.got.Load() == 1 })
 	if ns := rt0.NetStats(); ns.Oversize != 1 {
-		t.Fatalf("the 65486-byte frame was refused: %+v", ns)
+		t.Fatalf("the 65495-byte frame was refused: %+v", ns)
 	}
 }
 

@@ -32,11 +32,14 @@ import (
 // receiver drops (and counts) frames with any other version, so all
 // processes of a deployment upgrade together. Version 4 is version 3's
 // layout with datagrams that may carry several frames: a version-3
-// receiver would take a coalesced datagram for one malformed frame. Payload kinds are
+// receiver would take a coalesced datagram for one malformed frame.
+// Version 5 gives each member record and tombstone a u16 version and
+// drops the record's copy of its AP from the care-of identity: a record
+// is 27 bytes, not 33, and a tombstone 10, not 16. Payload kinds are
 // append-only — never renumbered.
 const (
 	// Version is the wire-format version emitted by this build.
-	Version = 4
+	Version = 5
 
 	magic0 = 'R'
 	magic1 = 'G'
@@ -245,13 +248,15 @@ func appendRingID(b []byte, id ring.ID) []byte {
 	return appendU32(b, uint32(id.Index))
 }
 
+// appendMemberInfo writes a member record. The care-of identity's AP is
+// the record's AP, so only its local index goes on the wire.
 func appendMemberInfo(b []byte, m ids.MemberInfo) []byte {
 	b = appendU32(b, uint32(m.GID))
 	b = appendU64(b, uint64(m.GUID))
-	b = appendU64(b, uint64(m.LUID.AP))
 	b = appendU32(b, m.LUID.Local)
 	b = appendU64(b, uint64(m.AP))
-	return append(b, byte(m.Status))
+	b = append(b, byte(m.Status))
+	return appendU16(b, m.Ver)
 }
 
 func appendChange(b []byte, c mq.Change) []byte {
@@ -291,7 +296,7 @@ func appendTombstones(b []byte, s []Tombstone) []byte {
 	b = appendU32(b, uint32(len(s)))
 	for _, t := range s {
 		b = appendU64(b, uint64(t.GUID))
-		b = appendU64(b, t.Ver)
+		b = appendU16(b, t.Ver)
 	}
 	return b
 }
@@ -300,9 +305,9 @@ func appendTombstones(b []byte, s []Tombstone) []byte {
 // actually present (a hostile length field must not drive a huge
 // allocation).
 const (
-	memberInfoSize = 4 + 8 + 8 + 4 + 8 + 1
+	memberInfoSize = 4 + 8 + 4 + 8 + 1 + 2
 	changeSize     = 1 + memberInfoSize + 8 + 8 + 8 + 8
-	tombstoneSize  = 8 + 8
+	tombstoneSize  = 8 + 2
 
 	// peerEntrySize is the minimum encoding of one PeerEntry (its
 	// variable-length address contributes only the u16 length here).
@@ -404,13 +409,16 @@ func (r *reader) ringID() ring.ID {
 }
 
 func (r *reader) memberInfo() ids.MemberInfo {
-	return ids.MemberInfo{
+	m := ids.MemberInfo{
 		GID:    ids.GroupID(r.u32()),
 		GUID:   ids.GUID(r.u64()),
-		LUID:   ids.LUID{AP: ids.NodeID(r.u64()), Local: r.u32()},
+		LUID:   ids.LUID{Local: r.u32()},
 		AP:     ids.NodeID(r.u64()),
 		Status: ids.Status(r.u8()),
+		Ver:    r.u16(),
 	}
+	m.LUID.AP = m.AP
+	return m
 }
 
 func (r *reader) change() mq.Change {
@@ -480,7 +488,7 @@ func (r *reader) tombstones() []Tombstone {
 	}
 	out := make([]Tombstone, n)
 	for i := range out {
-		out[i] = Tombstone{GUID: ids.GUID(r.u64()), Ver: r.u64()}
+		out[i] = Tombstone{GUID: ids.GUID(r.u64()), Ver: r.u16()}
 	}
 	return out
 }

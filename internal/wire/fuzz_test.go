@@ -117,6 +117,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Members:    []ids.MemberInfo{sampleMember(2)},
 			Tombstones: []Tombstone{{GUID: 102, Ver: 2}},
 		}}),
+		// Versions on both sides of the 16-bit wrap: a record at 65535
+		// beside tombstones at 65535, 0 and 32768.
+		AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: MergeRequest{
+			Roster:     []ids.NodeID{ap(1)},
+			Members:    []ids.MemberInfo{sampleMember(1), sampleMember(3)},
+			Tombstones: []Tombstone{{GUID: 101, Ver: 65535}, {GUID: 104, Ver: 0}, {GUID: 105, Ver: 32768}},
+		}}),
 	}
 	for _, b := range tombFrames {
 		f.Add(b)

@@ -171,17 +171,15 @@ type JoinRequest struct {
 	Node ids.NodeID
 }
 
-// Tombstone is one membership view counter carried alongside a state
-// snapshot: GUID plus the number of Leave/Failure removals the sender
-// has applied for it. An entry whose GUID is absent from the
-// accompanying member list is a tombstone proper (the member is dead
-// at the sender); an entry for a listed member protects a rejoin from
-// a peer's stale tombstone. Merges compare these counters so a member
-// that departed inside one partition fragment is not resurrected by
-// the union (and one that legitimately rejoined is not dropped).
+// Tombstone is one removal carried alongside a state snapshot: the
+// GUID of a member the sender removed on a leave or a failure, and the
+// version it removed it at. A put of that member at the same or an
+// older version is stale wherever the tombstone arrives, so a member
+// that departed inside one partition fragment is not resurrected by a
+// merge; a record at a newer version (a rejoin) outlives it.
 type Tombstone struct {
 	GUID ids.GUID
-	Ver  uint64
+	Ver  uint16
 }
 
 // Snapshot initializes a rejoining node: current roster, leader, ring

@@ -22,6 +22,7 @@ func sampleMember(i int) ids.MemberInfo {
 		LUID:   ids.LUID{AP: ap(i), Local: uint32(i + 1)},
 		AP:     ap(i),
 		Status: ids.StatusOperational,
+		Ver:    uint16(65534 + i), // wraps to 0 at i = 2
 	}
 }
 
@@ -113,6 +114,26 @@ func TestPayloadRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(gotAny, want) {
 			t.Fatalf("%s: round trip mismatch:\n got %#v\nwant %#v", p.PayloadKind(), gotAny, want)
 		}
+	}
+}
+
+// TestMemberRecordBytes: a member record is 27 bytes and a tombstone
+// 10. The record carries its care-of identity's local index only: the
+// decoder takes the identity's AP from the record's AP.
+func TestMemberRecordBytes(t *testing.T) {
+	m := sampleMember(1)
+	if n := len(appendMemberInfo(nil, m)); n != 27 {
+		t.Fatalf("a member record is %d bytes, want 27", n)
+	}
+	if n := len(appendTombstones(nil, []Tombstone{{GUID: 1, Ver: 2}})) - 4; n != 10 {
+		t.Fatalf("a tombstone is %d bytes, want 10", n)
+	}
+	m.LUID.AP = ap(9)
+	r := reader{b: appendMemberInfo(nil, m)}
+	got := r.memberInfo()
+	m.LUID.AP = m.AP
+	if r.bad || got != m {
+		t.Fatalf("decoded %+v, want %+v", got, m)
 	}
 }
 

@@ -71,8 +71,8 @@ func TestConcurrentQueriesInProcess(t *testing.T) {
 
 // TestTMSQueryPastOneDatagram: a TMS answer from a top-ring entity of
 // another process must reach the requester whatever its size. At 3 000
-// members the reply is about 99 KB, and one datagram carries at most
-// 1 983 members (65 486 bytes): the replier's socket refuses it as
+// members the reply is about 81 KB, and one datagram carries at most
+// 2 424 members (65 495 bytes): the replier's socket refuses it as
 // Oversize, and the query comes back empty.
 func TestTMSQueryPastOneDatagram(t *testing.T) {
 	t.Skip("ROADMAP item 13: state larger than one datagram is dropped as Oversize; remove this skip with its fix")
