@@ -171,14 +171,7 @@ func (n *Node) prevLive(of ids.NodeID) ids.NodeID {
 }
 
 // rosterContains reports roster membership.
-func (n *Node) rosterContains(id ids.NodeID) bool {
-	for _, m := range n.roster {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
+func (n *Node) rosterContains(id ids.NodeID) bool { return slices.Contains(n.roster, id) }
 
 // excludeFromRoster removes a faulty/departed entity from the node's
 // ring view, electing the successor if the leader is excluded — the

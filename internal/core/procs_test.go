@@ -20,6 +20,7 @@ import (
 // different processes without sockets, bit-reproducibly.
 type procs struct {
 	rt     *simnet.SimRuntime
+	cfg    Config
 	owners map[ids.NodeID]int
 	sys    []*System
 }
@@ -31,13 +32,36 @@ func newProcs(cfg Config, n int) *procs {
 	if cfg.Loss > 0 {
 		rt.Net().SetLoss(cfg.Loss)
 	}
-	p := &procs{rt: rt, owners: topology.NewRingHierarchy(cfg.H, cfg.R).SubtreeOwners(n)}
+	p := &procs{rt: rt, cfg: cfg, owners: topology.NewRingHierarchy(cfg.H, cfg.R).SubtreeOwners(n)}
 	for slot := 0; slot < n; slot++ {
-		c := cfg
-		Place(&c, p.owners, slot)
-		p.sys = append(p.sys, NewSystemOn(c, rt))
+		p.sys = append(p.sys, p.build(slot))
 	}
 	return p
+}
+
+// build makes slot's System on the shared simulator; it registers the
+// slot's entities, replacing whatever endpoints held their ids.
+func (p *procs) build(slot int) *System {
+	c := p.cfg
+	Place(&c, p.owners, slot)
+	return NewSystemOn(c, p.rt)
+}
+
+// restart replaces slot's System with a freshly built one, the way a
+// restarted process comes back with none of its state, and re-admits
+// its topmost entities through the NE-Join protocol
+// (System.RestoreNE), whose Snapshot hands each the ring's members and
+// tombstones. It runs the deployment to quiescence.
+func (p *procs) restart(slot int) *System {
+	s := p.build(slot)
+	p.sys[slot] = s
+	for _, id := range s.hier.Level(0)[0].Nodes() {
+		if p.owners[id] == slot {
+			s.RestoreNE(id)
+		}
+	}
+	p.rt.Run()
+	return s
 }
 
 // slotOf is the slot hosting an endpoint: a network entity's owner, or

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -77,14 +78,7 @@ func (s *System) confirmEviction(subject, observer ids.NodeID) bool {
 		sp.firstAt = now
 		sp.observers = sp.observers[:0]
 	}
-	known := false
-	for _, o := range sp.observers {
-		if o == observer {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(sp.observers, observer) {
 		sp.observers = append(sp.observers, observer)
 	}
 	if len(sp.observers) < s.cfg.StabilityK {

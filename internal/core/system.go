@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -125,6 +126,7 @@ type System struct {
 	rng   *mathx.RNG
 
 	nodes   map[ids.NodeID]*Node
+	top     []Node // the hosted topmost-ring entities, the head of the node arena
 	members map[ids.GUID]*Member
 
 	// mhOwner resolves an MH message endpoint to its Member record, so
@@ -273,6 +275,9 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 				s.tr.Register(id, n)
 			}
 		}
+		if level == 0 {
+			s.top = arena[:next]
+		}
 	}
 	if cfg.HeartbeatInterval > 0 {
 		s.startHeartbeats()
@@ -418,14 +423,7 @@ func (s *System) noteRepair(id ring.ID, dead ids.NodeID) {
 func (s *System) startHeartbeats() {
 	for _, rg := range s.hier.Rings() {
 		ringNodes := rg.Nodes()
-		anyOwned := false
-		for _, m := range ringNodes {
-			if s.owns(m) {
-				anyOwned = true
-				break
-			}
-		}
-		if !anyOwned {
+		if !slices.ContainsFunc(ringNodes, s.owns) {
 			continue
 		}
 		rs := s.rings[rg.ID()]
@@ -625,6 +623,13 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
 	m.AP = ap
 	m.LUID = ids.LUID{AP: ap, Local: s.luidSeq[ap]}
 	m.Status = ids.StatusOperational
+	// The member may have changed through another process, or before
+	// this one restarted: go past what the topmost entity holds.
+	if top := s.topNode(); top != nil {
+		if v, ok := top.held(guid); ok && ids.VerAfter(v, m.Ver) {
+			m.Ver = v
+		}
+	}
 	m.Ver++
 	return m
 }
@@ -755,15 +760,10 @@ func (s *System) RestoreNE(id ids.NodeID) {
 		return
 	}
 	s.staleNE[id] = true
-	for _, rg := range s.hier.Rings() {
-		if rg.ID() != n.ringID {
-			continue
-		}
-		for _, peer := range rg.Nodes() {
-			if peer != id && !s.tr.Crashed(peer) && !s.staleNE[peer] {
-				s.send(id, peer, runtime.KindControl, wire.JoinRequest{Node: id})
-				return
-			}
+	for _, peer := range s.hier.RingOf(id).Nodes() {
+		if peer != id && !s.tr.Crashed(peer) && !s.staleNE[peer] {
+			s.send(id, peer, runtime.KindControl, wire.JoinRequest{Node: id})
+			return
 		}
 	}
 }
@@ -803,15 +803,23 @@ func (s *System) StopHeartbeats() {
 // by the topmost ring (its ListOfRingMembers covers the whole
 // hierarchy).
 func (s *System) GlobalMembership() []ids.MemberInfo {
-	top := s.hier.Level(0)[0]
-	for _, id := range top.Nodes() {
-		if n := s.nodes[id]; n != nil && !s.tr.Crashed(id) {
-			return n.ringMems.Snapshot()
-		}
+	if n := s.topNode(); n != nil {
+		return n.ringMems.Snapshot()
 	}
 	// No topmost node is hosted here (a partitioned process owning
 	// only lower rings, or a pure client): the authoritative view
 	// must be fetched with a Membership-Query instead.
+	return nil
+}
+
+// topNode returns the first live topmost-ring entity this System
+// hosts, or nil when it hosts none.
+func (s *System) topNode() *Node {
+	for i := range s.top {
+		if !s.tr.Crashed(s.top[i].id) {
+			return &s.top[i]
+		}
+	}
 	return nil
 }
 
@@ -824,11 +832,8 @@ func (s *System) GlobalMembership() []ids.MemberInfo {
 // processes detects split-brain that a Membership-Query — answered by
 // a single fragment's leader — cannot. Engine context required.
 func (s *System) TopmostView() (rosterSize int, leader ids.NodeID, ok bool) {
-	top := s.hier.Level(0)[0]
-	for _, id := range top.Nodes() {
-		if n := s.nodes[id]; n != nil && !s.tr.Crashed(id) {
-			return len(n.roster), n.leader, true
-		}
+	if n := s.topNode(); n != nil {
+		return len(n.roster), n.leader, true
 	}
 	return 0, ids.NoNode, false
 }

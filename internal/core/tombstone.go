@@ -11,15 +11,16 @@ import (
 // token round's member op, a Snapshot load, a MergeRequest union) goes
 // through put or remove, which compare MemberInfo.Ver, only ever by
 // ids.VerAfter, with what the entity holds. The mobile host advances Ver
-// on every join, leave and handoff it submits; an AP-detected failure
-// removes at the member's current Ver. put files a record only if it is
-// newer than the listed entry and than gone[g], the version the entity
-// last removed g at, so a removal at v beats a put at v; remove drops g
-// unless the listed entry is newer, and buries g at v. So every ring ends
-// with each member's newest record, whatever order its changes arrive
-// in. gone travels as the Tombstones of Snapshot and MergeRequest, each
-// applied with remove. Only a leave or a failure buries: a handoff out of
-// a ring's coverage drops the record and leaves no tombstone.
+// on every join, leave and handoff it submits, a join past what its
+// System's topmost entity holds too; an AP-detected failure removes at
+// the member's current Ver. put files a record only if it is newer than
+// the listed entry and than gone[g], the version the entity last
+// removed g at, so a removal at v beats a put at v; remove drops g
+// unless the listed entry is newer, and buries g at v. gone travels as
+// the Tombstones of Snapshot and MergeRequest, each applied with remove.
+// Only a leave or a failure buries, so the newest record wins whatever
+// order a member's changes arrive in except a handoff out of a ring's
+// coverage that overtakes an older join (docs/ARCHITECTURE.md).
 
 // tombstoneWindow bounds gone FIFO-style, like the event dedup window: a
 // late change or a merge reconciles recent divergence, so removals older
@@ -33,15 +34,12 @@ const tombstoneWindow = 4096
 // listed entry is always newer than gone's, and elsewhere there is
 // nothing to change.
 func (n *Node) put(m ids.MemberInfo) bool {
-	e, listed := n.ringMems.Get(m.GUID)
 	covered := n.sys.hier.Covers(n.ringID, m.AP)
-	if listed && !ids.VerAfter(m.Ver, e.Ver) || !listed && !covered {
+	if !covered && !n.ringMems.Contains(m.GUID) {
 		return false
 	}
-	if !listed {
-		if v, ok := n.gone[m.GUID]; ok && !ids.VerAfter(m.Ver, v) {
-			return false
-		}
+	if v, known := n.held(m.GUID); known && !ids.VerAfter(m.Ver, v) {
+		return false
 	}
 	if covered {
 		n.ringMems.Put(m)
@@ -77,6 +75,16 @@ func (n *Node) remove(g ids.GUID, v uint16) bool {
 	n.local.Remove(g)
 	n.neighbors.Remove(g)
 	return true
+}
+
+// held returns the version at which the entity lists g or last removed
+// it, and whether it knows g at all.
+func (n *Node) held(g ids.GUID) (uint16, bool) {
+	if e, ok := n.ringMems.Get(g); ok {
+		return e.Ver, true
+	}
+	v, ok := n.gone[g]
+	return v, ok
 }
 
 // bury records that the entity removed g at version v, keeping the newer

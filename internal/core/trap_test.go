@@ -175,3 +175,37 @@ func TestTrapPathOnlyHandoffLeavesOldRing(t *testing.T) {
 	t.Logf("BMS from %s answers %v", apAt(0), bms.Members)
 	requireRingListsMatchCoverage(t, sys)
 }
+
+// TestTrapHandoffBeforeOlderJoin is the one order the version rule does
+// not fix, because a handoff out of a ring's coverage leaves no
+// tombstone. A member joins at AP a, whose ring's round is held up by a
+// crashed entity before it reaches the leader, and 5 ms later hands off
+// to an AP in another subtree. The handoff climbs to the top ring and
+// comes down into a's parent ring first; that ring does not list the
+// member yet and does not cover the new AP, so it records nothing. The
+// join then arrives and lists the member at a, where it no longer is.
+// Delete the skip to see it.
+func TestTrapHandoffBeforeOlderJoin(t *testing.T) {
+	t.Skip("a handoff out of coverage leaves no tombstone; see ROADMAP item 3c")
+	sys := NewSystem(quietConfig(3, 3))
+	bottom := sys.hier.Level(2)[0].Nodes()
+	a, stall := bottom[1], bottom[2] // the round from a reaches the leader after stall
+	far := sys.hier.RingOf(sys.hier.ParentOf(sys.hier.RingOf(a).ID()))
+	var b ids.NodeID
+	for _, ap := range sys.APs() {
+		if !sys.hier.Covers(far.ID(), ap) {
+			b = ap
+			break
+		}
+	}
+	sys.CrashNE(stall)
+	if _, err := sys.JoinMemberAt(7, a); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(5 * time.Millisecond)
+	if err := sys.HandoffMember(7, b); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	requireRingListsMatchCoverage(t, sys)
+}
