@@ -35,9 +35,9 @@ func TestArchitectureRules(t *testing.T) {
 	simulation := []string{"internal/des", "internal/simnet", "internal/core"}
 	deterministic := slices.Concat(simulation, []string{"internal/token", "internal/ring", "internal/mq", "internal/wire", "internal/ids"})
 	path := func(n ast.Node) string { return filepath.ToSlash(fset.File(n.Pos()).Name()) }
-	wallTimers := map[string]int{"internal/runtime/live.go": 2, "internal/runtime/discover.go": 1}
+	wallTimers := map[string]int{"internal/runtime/live.go": 2}
 	wallReads := map[string]int{
-		"internal/runtime/live.go": 2, "internal/runtime/net.go": 4, "internal/runtime/discover.go": 4,
+		"internal/runtime/live.go": 2, "internal/runtime/net.go": 4,
 		"internal/discovery/table.go": 1, "internal/discovery/tmpmap.go": 2,
 		"internal/telemetry/telemetry.go": 1, "internal/chaos/chaos.go": 4, "internal/experiment/experiment.go": 2,
 	}
@@ -92,13 +92,13 @@ func TestArchitectureRules(t *testing.T) {
 			},
 		},
 		{
-			rule: `docs/ARCHITECTURE.md, Layer 2, the socket: "Two functions write to the socket: datagram.write, for the protocol's frames, and the discoverer's sendPayload, for discovery."`,
+			rule: `docs/ARCHITECTURE.md, Layer 2, the socket: "One function writes to the socket: datagram.write, for the protocol's frames and discovery's alike."`,
 			check: func(f *ast.File) []ast.Node {
-				return outside(fset, f, methodRefs(f, "WriteToUDPAddrPort"), "internal/runtime.datagram.write", "internal/runtime.discoverer.sendPayload")
+				return outside(fset, f, methodRefs(f, "WriteToUDPAddrPort"), "internal/runtime.datagram.write")
 			},
 		},
 		{
-			rule: `docs/ARCHITECTURE.md, determinism rule 1: "Wall-clock timers run only the live runtime's tick and alarm and the discoverer's probe"`,
+			rule: `docs/ARCHITECTURE.md, determinism rule 1: "Wall-clock timers run only the live runtime's tick and alarm"`,
 			check: func(f *ast.File) []ast.Node {
 				if found := pkgSelectors(f, "time", "AfterFunc", "NewTimer", "NewTicker"); len(found) > wallTimers[path(f)] {
 					return found

@@ -209,3 +209,53 @@ func TestTrapHandoffBeforeOlderJoin(t *testing.T) {
 	sys.Run()
 	requireRingListsMatchCoverage(t, sys)
 }
+
+// TestTrapNotifyGiveUpDropsBatch is B1: a notification that exhausts its
+// retries drops its batch, already acknowledged to its originators, and
+// leaves the sender's parentOK false. BR-1 is down while mh-1 joins at
+// AP-3 and comes back before mh-2 joins there. Under DisseminateFull the
+// top ring ends holding only mh-2, though AP-3's ring lists both; under
+// DisseminatePathOnly nothing reaches the top ring, because only a
+// notification from the parent sets parentOK back and none comes.
+// Delete the skip to see it.
+func TestTrapNotifyGiveUpDropsBatch(t *testing.T) {
+	t.Skip("B1: a notification that exhausts its retries drops its batch (ROADMAP item 3)")
+	for _, tc := range []struct {
+		name string
+		mode DisseminationMode
+	}{
+		{"full", DisseminateFull},
+		{"path-only", DisseminatePathOnly},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quietConfig(2, 3)
+			cfg.Dissemination = tc.mode
+			sys := NewSystem(cfg)
+			br := ids.MakeNodeID(ids.TierBR, 1)
+			sys.CrashNE(br)
+			if _, err := sys.JoinMemberAt(1, apAt(3)); err != nil {
+				t.Fatal(err)
+			}
+			sys.RunFor(10 * time.Second)
+			sys.RestoreNE(br)
+			sys.RunFor(10 * time.Second)
+			if _, err := sys.JoinMemberAt(2, apAt(3)); err != nil {
+				t.Fatal(err)
+			}
+			sys.RunFor(time.Minute)
+
+			top := map[ids.GUID]bool{}
+			for _, m := range sys.GlobalMembership() {
+				top[m.GUID] = true
+			}
+			ap := sys.Node(apAt(3))
+			leader := sys.Node(ap.Leader())
+			ap.RingMembers().Each(func(m ids.MemberInfo) {
+				if !top[m.GUID] {
+					t.Errorf("%s's ring lists %s, the top ring holds %v; the ring leader's ParentOK is %v",
+						apAt(3), m.GUID, sys.GlobalMembership(), leader.ParentOK())
+				}
+			})
+		})
+	}
+}

@@ -1,11 +1,8 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/discovery"
@@ -15,16 +12,18 @@ import (
 // This file is the runtime half of the discovery plane: the discoverer
 // owns the wire conversation (PeerHello/PeerList/liveness probes) that
 // keeps the discovery.Table fresh, while the table itself stays a pure
-// data structure. Discovery frames are socket-scoped — intercepted on
-// the read goroutine before any group demultiplexing, answered without
-// entering an engine — so one exchange serves every group of a NetMux
-// and never competes with protocol work for engine time.
+// data structure. Discovery frames are socket-scoped: the read loop
+// picks them out before any group demultiplexing and hands them to the
+// discoverer's own engine, so one exchange serves every group of a
+// NetMux and never competes with protocol work for a shard's time.
 //
-// The bootstrap exchange is a correlated RPC in the taschain
-// NetCore/peerManager style: each request carries a fresh nonzero Seq,
-// the reply echoes it, and a pending map matches the two (gossip traffic
-// reuses the same payloads with Seq 0). bootstrap removes its entry on
-// every return path, so nothing else expires one.
+// The discoverer is one more engineCore with its own liveClock: its
+// sweep is a kernel ticker, its frames are encoded into the engine's
+// own netBufs and leave through datagram.write, and all of its state
+// but the table is engine-owned. The seed bootstrap is a correlated RPC
+// in the taschain NetCore style, kept as engine state: the request
+// carries bootSeq, the reply echoes it, and a retry ticker and a
+// deadline event bound it (gossip reuses the same payloads with Seq 0).
 
 // BootstrapInfo is what a seed bootstrap learned about the deployment:
 // the hierarchy shape to build locally and the slot this process ended
@@ -35,45 +34,54 @@ type BootstrapInfo struct {
 	Slot  int
 }
 
-// bootstrapRetry is how often the bootstrap hello is re-sent to every
-// seed until a PeerList arrives (bounded by NetConfig.BootstrapTimeout).
-const bootstrapRetry = 500 * time.Millisecond
+const (
+	// bootstrapRetry is how often the bootstrap hello is re-sent to
+	// every seed until a PeerList arrives (bounded by
+	// NetConfig.BootstrapTimeout).
+	bootstrapRetry = 500 * time.Millisecond
+
+	// bootSeq is the correlation Seq of a process's one bootstrap RPC.
+	bootSeq = 1
+
+	// discoveryQueue sizes the discovery engine's work queue. It carries
+	// a few discovery frames a second and the sweep's ring; a burst past
+	// it holds the read loop only until the engine drains.
+	discoveryQueue = 32
+)
 
 // discoverer runs the peer-discovery conversation for one socket.
 type discoverer struct {
-	sock *netSock
-	book *netBook
+	eng   *engineCore
+	clock *liveClock
+	bufs  *netBufs
+	sock  *netSock
+	book  *netBook
 
-	advertise string // what we tell peers (book.self, pre-rendered)
-	selfSlot  int
-	seeds     []netip.AddrPort
+	hello wire.PeerHello // what we announce (Seq 0)
+	seeds []netip.AddrPort
 
 	bootTimeout  time.Duration
-	gossipEvery  time.Duration
-	probeEvery   time.Duration
 	suspectAfter time.Duration
 	evictAfter   time.Duration
 
-	gossipFrames atomic.Uint64 // discovery frames sent
-	lastGossip   atomic.Int64  // UnixNano of the last piggybacked hello
-	seq          atomic.Uint64 // bootstrap RPC correlation
+	// evict hands one evicted slot to the open groups (NetMux.evict).
+	evict func(slot int)
 
-	mu        sync.Mutex
-	buf       []byte // reusable encode buffer (sends serialize on mu)
-	shapeH    int    // hierarchy shape served to joiners
-	shapeR    int
-	pending   map[uint64]chan wire.PeerList // outstanding bootstrap RPCs by Seq
-	onEvict   []func(slot int)
-	gossipIdx int // round-robin cursor of the periodic gossip
+	// The rest is engine-owned.
+	shapeH, shapeR int // hierarchy shape served to joiners
+	gossipIdx      int // round-robin cursor of the periodic gossip
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	started   atomic.Bool
+	// booted, while a seed bootstrap runs, is the channel its caller
+	// waits on: the reply sends what it adopted, the deadline closes it.
+	booted   chan BootstrapInfo
+	retry    Ticker
+	deadline TimerHandle
 }
 
-// newDiscoverer resolves the seed addresses and builds the discovery
-// plane for one socket (not yet started; bootstrap may run first).
-func newDiscoverer(sock *netSock, book *netBook, cfg NetConfig) (*discoverer, error) {
+// newDiscoverer resolves the seed addresses and starts the discovery
+// engine for one socket, its sweep armed. It also gives the socket the
+// encoded hello that group egress piggybacks.
+func newDiscoverer(sock *netSock, book *netBook, cfg NetConfig, evict func(slot int)) (*discoverer, error) {
 	seeds := make([]netip.AddrPort, 0, len(cfg.Seeds))
 	for _, s := range cfg.Seeds {
 		a, err := resolveUDP(s)
@@ -82,69 +90,72 @@ func newDiscoverer(sock *netSock, book *netBook, cfg NetConfig) (*discoverer, er
 		}
 		seeds = append(seeds, a)
 	}
-	return &discoverer{
+	bufs := new(netBufs)
+	eng := newEngineCore(bufs.flush, discoveryQueue)
+	d := &discoverer{
+		eng:          eng,
+		clock:        newLiveClock(eng),
+		bufs:         bufs,
 		sock:         sock,
 		book:         book,
-		advertise:    book.self.String(),
-		selfSlot:     book.selfIndex,
+		hello:        wire.PeerHello{Slot: int32(book.selfIndex), Addr: book.self.String()},
 		seeds:        seeds,
 		bootTimeout:  cfg.BootstrapTimeout,
-		gossipEvery:  cfg.GossipInterval,
-		probeEvery:   cfg.ProbeInterval,
 		suspectAfter: cfg.SuspectAfter,
 		evictAfter:   cfg.EvictAfter,
+		evict:        evict,
 		shapeH:       cfg.H,
 		shapeR:       cfg.R,
-		pending:      make(map[uint64]chan wire.PeerList),
-		closed:       make(chan struct{}),
-	}, nil
-}
-
-// start launches the periodic sweep/gossip loop (idempotent).
-func (d *discoverer) start() {
-	if d.started.CompareAndSwap(false, true) {
-		go d.loop()
 	}
+	sock.hello = wire.AppendFrame(nil, discoveryFrame(d.hello))
+	sock.helloEvery = cfg.GossipInterval
+	eng.do(func() { d.clock.Every(cfg.ProbeInterval, d.tick) })
+	return d, nil
 }
 
-// stop halts the loop and fails any outstanding bootstrap (idempotent).
-func (d *discoverer) stop() { d.closeOnce.Do(func() { close(d.closed) }) }
-
-// addOnEvict registers an eviction sink (one per group on a NetMux).
-func (d *discoverer) addOnEvict(fn func(slot int)) {
-	d.mu.Lock()
-	d.onEvict = append(d.onEvict, fn)
-	d.mu.Unlock()
+// stop ends the discovery engine and its timers.
+func (d *discoverer) stop() {
+	d.eng.do(d.clock.close)
+	d.eng.stop()
 }
 
-// intercept examines one decoded frame on the read goroutine and
-// reports whether the discovery plane consumed it. Protocol probes
-// (real From/To, core's probeExcluded path) pass through untouched;
-// only the addressless discovery liveness probe is answered here.
+// discoveryFrame wraps a discovery payload: class control, zero
+// addressing, TTL 1 (discovery frames are never relayed).
+func discoveryFrame(p wire.Payload) wire.Frame {
+	return wire.Frame{Class: uint8(KindControl), TTL: 1, Payload: p}
+}
+
+// intercept reports whether f belongs to the discovery plane and, if it
+// does, hands it to the discovery engine. Read goroutine. Protocol
+// probes (real From/To, core's probeExcluded path) pass through; only
+// the addressless discovery liveness probe, answered with a hello, is
+// the plane's.
 func (d *discoverer) intercept(f wire.Frame, src netip.AddrPort) bool {
+	var fn func()
 	switch p := f.Payload.(type) {
 	case wire.PeerHello:
-		d.onHello(p, src)
-		return true
+		fn = func() { d.onHello(p, src) }
 	case wire.PeerList:
-		d.onPeerList(p)
-		return true
+		fn = func() { d.onPeerList(p) }
 	case wire.Probe:
-		if f.To.IsZero() {
-			d.sendPayload(src, wire.PeerHello{Slot: int32(d.selfSlot), Addr: d.advertise})
-			return true
+		if !f.To.IsZero() {
+			return false
 		}
+		fn = func() { d.send(src, d.hello) }
+	default:
+		return false
 	}
-	return false
+	d.eng.submit(fn)
+	return true
 }
 
 // onHello upserts the announcing peer and answers: a nonzero Seq gets
 // the full PeerList (the bootstrap reply), and any routing change is
 // broadcast to the other peers so an address move heals cluster-wide
 // in one gossip round instead of one edge at a time. The announced
-// address is parsed, never resolved: this runs on the socket's only
-// reader, which a DNS lookup would stall for every group, and peers
-// announce numeric addresses. Anything else falls back to the source.
+// address is parsed, never resolved: a DNS lookup would stall the
+// discovery engine, and peers announce numeric addresses. Anything else
+// falls back to the source.
 func (d *discoverer) onHello(p wire.PeerHello, src netip.AddrPort) {
 	addr := src
 	if a, err := netip.ParseAddrPort(p.Addr); err == nil {
@@ -152,34 +163,28 @@ func (d *discoverer) onHello(p wire.PeerHello, src netip.AddrPort) {
 	}
 	changed := d.book.table.Hello(int(p.Slot), addr)
 	if p.Seq != 0 {
-		d.sendPayload(src, d.makePeerList(p.Seq))
+		d.send(src, d.makePeerList(p.Seq))
 	}
 	if changed {
 		d.broadcast()
 	}
 }
 
-// onPeerList completes a pending bootstrap RPC (when the Seq matches)
-// and merges every gossiped entry into the table.
+// onPeerList completes a running bootstrap when it echoes bootSeq, and
+// otherwise merges every gossiped entry into the table.
 func (d *discoverer) onPeerList(p wire.PeerList) {
-	if p.Seq != 0 {
-		d.mu.Lock()
-		if ch, ok := d.pending[p.Seq]; ok {
-			delete(d.pending, p.Seq)
-			select {
-			case ch <- p:
-			default:
-			}
-		}
-		d.mu.Unlock()
+	if p.Seq != bootSeq || d.booted == nil {
+		d.mergePeers(p)
+		return
 	}
-	d.mergePeers(p)
+	d.booted <- d.adopt(p)
+	d.endBootstrap()
 }
 
 // mergePeers folds gossiped entries into the table (evicted-state and
 // slotless entries are skipped by Learn; own slot is never touched). A
 // row whose address is not numeric is ignored: like a hello, it is
-// parsed on the read goroutine, never resolved.
+// parsed, never resolved.
 func (d *discoverer) mergePeers(p wire.PeerList) {
 	for _, e := range p.Peers {
 		a, err := netip.ParseAddrPort(e.Addr)
@@ -192,23 +197,17 @@ func (d *discoverer) mergePeers(p wire.PeerList) {
 
 // makePeerList snapshots the table as a wire payload. The self entry
 // is rewritten to the advertised address (the table holds the loopback
-// route, which is useless to a remote peer).
+// route, which is useless to a remote peer). Ages are taken at the
+// running work item's stamp.
 func (d *discoverer) makePeerList(seq uint64) wire.PeerList {
-	d.mu.Lock()
-	pl := wire.PeerList{Seq: seq, H: uint16(d.shapeH), R: uint16(d.shapeR)}
-	d.mu.Unlock()
-	pl.Slots = uint32(d.book.table.Slots())
-	now := time.Now()
+	pl := wire.PeerList{Seq: seq, H: uint16(d.shapeH), R: uint16(d.shapeR), Slots: uint32(d.book.table.Slots())}
+	now := d.eng.start.Add(time.Duration(d.eng.now))
 	for _, p := range d.book.table.Snapshot() {
 		e := wire.PeerEntry{Slot: int32(p.Slot), State: uint8(p.State), Addr: p.Addr}
-		if p.Slot == d.selfSlot && p.Slot >= 0 {
-			e.Addr, e.AgeMillis = d.advertise, 0
+		if p.Slot == d.book.selfIndex && p.Slot >= 0 {
+			e.Addr, e.AgeMillis = d.hello.Addr, 0
 		} else if age := now.Sub(p.LastSeen); age > 0 {
-			if ms := age.Milliseconds(); ms > int64(^uint32(0)) {
-				e.AgeMillis = ^uint32(0)
-			} else {
-				e.AgeMillis = uint32(ms)
-			}
+			e.AgeMillis = uint32(min(age.Milliseconds(), int64(^uint32(0))))
 		}
 		pl.Peers = append(pl.Peers, e)
 	}
@@ -220,135 +219,95 @@ func (d *discoverer) makePeerList(seq uint64) wire.PeerList {
 func (d *discoverer) broadcast() {
 	pl := d.makePeerList(0)
 	for slot, n := 0, d.book.table.Slots(); slot < n; slot++ {
-		if slot == d.selfSlot {
+		if slot == d.book.selfIndex {
 			continue
 		}
 		if a := d.book.table.AddrOf(slot); a.IsValid() {
-			d.sendPayload(a, pl)
+			d.send(a, pl)
 		}
 	}
 }
 
-// maybeGossip piggybacks one paced hello along an active traffic edge
-// (called from the transport's egress path with its work item's time;
-// the fast path is a single atomic load).
-func (d *discoverer) maybeGossip(addr netip.AddrPort, at time.Time) {
-	if addr == d.book.loopback || addr == d.book.self {
-		return
-	}
-	now := at.UnixNano()
-	last := d.lastGossip.Load()
-	if now-last < int64(d.gossipEvery) || !d.lastGossip.CompareAndSwap(last, now) {
-		return
-	}
-	d.sendPayload(addr, wire.PeerHello{Slot: int32(d.selfSlot), Addr: d.advertise})
-}
-
-// sendPayload encodes and writes one discovery frame (class control,
-// zero addressing, TTL 1 — discovery frames are never relayed). It
-// deliberately does not touch the transport activity clocks: discovery
-// chatter must not starve Settle's quiescence detection.
-func (d *discoverer) sendPayload(addr netip.AddrPort, p wire.Payload) {
+// send queues one discovery frame in the datagram the engine is
+// building for addr, unless the partition cut holds addr: discovery is
+// as silent as the protocol. Outside a batch it is written at once. It
+// deliberately does not touch any transport's activity clock: discovery
+// chatter must not starve Settle's quiescence detection. Engine context.
+func (d *discoverer) send(addr netip.AddrPort, p wire.Payload) {
 	if d.sock.cutAddr(addr) {
-		return // partition cut: discovery is as silent as the protocol
+		return
 	}
-	d.mu.Lock()
-	d.buf = wire.AppendFrame(d.buf[:0], wire.Frame{Class: uint8(KindControl), TTL: 1, Payload: p})
-	_, err := d.sock.conn.WriteToUDPAddrPort(d.buf, addr)
-	d.mu.Unlock()
-	if err == nil {
-		d.gossipFrames.Add(1)
+	g := d.bufs.to(d.sock, addr)
+	start := len(g.buf)
+	g.buf = wire.AppendFrame(g.buf, discoveryFrame(p))
+	g.keep(start, true)
+	if !d.eng.batch {
+		d.bufs.flush()
 	}
 }
 
-// bootstrap performs the seed-join RPC: hello every seed with a fresh
-// correlation Seq, await the PeerList echo, adopt the deployment shape
-// and the peer addresses. Retries until BootstrapTimeout.
+// bootstrap performs the seed-join RPC and waits for its end: hello
+// every seed with bootSeq, again every bootstrapRetry, until a PeerList
+// echoes it (its shape and peer addresses are adopted) or
+// BootstrapTimeout passes.
 func (d *discoverer) bootstrap() (BootstrapInfo, error) {
-	deadline := time.Now().Add(d.bootTimeout)
-	for {
-		seq := d.seq.Add(1)
-		ch := make(chan wire.PeerList, 1)
-		d.mu.Lock()
-		d.pending[seq] = ch
-		d.mu.Unlock()
-		for _, s := range d.seeds {
-			d.sendPayload(s, wire.PeerHello{Seq: seq, Slot: int32(d.selfSlot), Addr: d.advertise})
-		}
-		retry := bootstrapRetry
-		if rem := time.Until(deadline); rem < retry {
-			retry = rem
-		}
-		if retry <= 0 {
-			return BootstrapInfo{}, fmt.Errorf("runtime: seed bootstrap timed out after %v", d.bootTimeout)
-		}
-		select {
-		case pl := <-ch:
-			d.dropPending(seq)
-			return d.adopt(pl), nil
-		case <-time.After(retry):
-			d.dropPending(seq)
-			if !time.Now().Before(deadline) {
-				return BootstrapInfo{}, fmt.Errorf("runtime: seed bootstrap timed out after %v", d.bootTimeout)
-			}
-		case <-d.closed:
-			d.dropPending(seq)
-			return BootstrapInfo{}, errors.New("runtime: closed during seed bootstrap")
-		}
+	booted := make(chan BootstrapInfo, 1)
+	d.eng.do(func() {
+		d.booted = booted
+		d.helloSeeds()
+		d.retry = d.clock.Every(bootstrapRetry, d.helloSeeds)
+		d.deadline = d.clock.After(d.bootTimeout, func() {
+			close(d.booted)
+			d.endBootstrap()
+		})
+	})
+	info, ok := <-booted
+	if !ok {
+		return BootstrapInfo{}, fmt.Errorf("runtime: seed bootstrap timed out after %v", d.bootTimeout)
+	}
+	return info, nil
+}
+
+// helloSeeds sends the bootstrap hello, bootSeq attached, to every seed.
+func (d *discoverer) helloSeeds() {
+	hello := d.hello
+	hello.Seq = bootSeq
+	for _, s := range d.seeds {
+		d.send(s, hello)
 	}
 }
 
-func (d *discoverer) dropPending(seq uint64) {
-	d.mu.Lock()
-	delete(d.pending, seq)
-	d.mu.Unlock()
+// endBootstrap drops the bootstrap's engine state once booted has had
+// its one send or close.
+func (d *discoverer) endBootstrap() {
+	d.retry.Stop()
+	d.clock.Cancel(d.deadline)
+	d.booted = nil
 }
 
 // adopt installs a bootstrap reply: deployment shape, table width, own
 // loopback entry, and every learned peer address.
 func (d *discoverer) adopt(pl wire.PeerList) BootstrapInfo {
 	slots := int(pl.Slots)
-	d.mu.Lock()
 	d.shapeH, d.shapeR = int(pl.H), int(pl.R)
-	d.mu.Unlock()
-	d.book.table.Reset(d.selfSlot, slots)
-	if d.selfSlot >= 0 {
-		d.book.table.Set(d.selfSlot, d.book.loopback)
+	d.book.table.Reset(d.book.selfIndex, slots)
+	if d.book.selfIndex >= 0 {
+		d.book.table.Set(d.book.selfIndex, d.book.loopback)
 	}
 	d.mergePeers(pl)
-	return BootstrapInfo{H: int(pl.H), R: int(pl.R), Slots: slots, Slot: d.selfSlot}
+	return BootstrapInfo{H: int(pl.H), R: int(pl.R), Slots: slots, Slot: d.book.selfIndex}
 }
 
-// loop is the periodic half of the plane: sweep the suspicion state
-// machine, probe the suspects, hand evictions to the registered sinks
-// and gossip the table round-robin.
-func (d *discoverer) loop() {
-	tick := time.NewTicker(d.probeEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-d.closed:
-			return
-		case <-tick.C:
-			d.tickOnce()
-		}
-	}
-}
-
-func (d *discoverer) tickOnce() {
+// tick is the periodic half of the plane: sweep the suspicion state
+// machine, probe the suspects, hand evictions to the open groups and
+// gossip the table round-robin.
+func (d *discoverer) tick() {
 	probe, evicted := d.book.table.Sweep(d.suspectAfter, d.evictAfter)
 	for _, a := range probe {
-		d.sendPayload(a, wire.Probe{})
+		d.send(a, wire.Probe{})
 	}
-	if len(evicted) > 0 {
-		d.mu.Lock()
-		sinks := append([]func(slot int){}, d.onEvict...)
-		d.mu.Unlock()
-		for _, slot := range evicted {
-			for _, fn := range sinks {
-				fn(slot)
-			}
-		}
+	for _, slot := range evicted {
+		d.evict(slot)
 	}
 	d.gossipStep()
 }
@@ -357,30 +316,22 @@ func (d *discoverer) tickOnce() {
 // robin, so even an otherwise idle cluster converges its address books.
 func (d *discoverer) gossipStep() {
 	n := d.book.table.Slots()
-	if n == 0 {
-		return
-	}
-	var pl *wire.PeerList
 	for i := 0; i < n; i++ {
 		d.gossipIdx = (d.gossipIdx + 1) % n
-		if d.gossipIdx == d.selfSlot {
+		if d.gossipIdx == d.book.selfIndex {
 			continue
 		}
 		if a := d.book.table.AddrOf(d.gossipIdx); a.IsValid() {
-			if d.selfSlot < 0 {
+			if d.book.selfIndex < 0 {
 				// A slotless process has nothing first-hand to serve,
 				// and appears in nobody's PeerList (slotless entries are
 				// never gossiped — each must be learned from its own
 				// hello); announcing itself round-robin keeps every
 				// member's peer dump complete.
-				d.sendPayload(a, wire.PeerHello{Slot: -1, Addr: d.advertise})
-				return
+				d.send(a, d.hello)
+			} else {
+				d.send(a, d.makePeerList(0))
 			}
-			if pl == nil {
-				v := d.makePeerList(0)
-				pl = &v
-			}
-			d.sendPayload(a, *pl)
 			return
 		}
 	}

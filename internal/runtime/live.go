@@ -11,7 +11,8 @@ import (
 
 // engineCore is one engine shard's single-goroutine execution
 // discipline, shared by every real-time group view (NetRuntime) pinned
-// to the shard: one engine goroutine owns all protocol state, a pending
+// to the shard; a socketed mux's discovery plane runs on one of its
+// own. One engine goroutine owns all protocol state, a pending
 // counter tracks outstanding units of work (armed timers, in-flight
 // local deliveries, decoded frames), and close semantics drain the
 // queue. It is the real-time counterpart of the simulator kernel's
@@ -54,12 +55,13 @@ type engineCore struct {
 	wg        sync.WaitGroup
 }
 
-// newEngineCore starts a shard whose egress writes what a backlog's
-// items kept when flush is called (see netBufs).
-func newEngineCore(flush func()) *engineCore {
+// newEngineCore starts an engine whose egress writes what a backlog's
+// items kept when flush is called (see netBufs), with room for queue
+// work items.
+func newEngineCore(flush func(), queue int) *engineCore {
 	e := &engineCore{
 		start:  time.Now(),
-		exec:   make(chan func(), 4096),
+		exec:   make(chan func(), queue),
 		flush:  flush,
 		closed: make(chan struct{}),
 	}

@@ -3,8 +3,10 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,6 +56,10 @@ type muxShard struct {
 	bufs *netBufs
 }
 
+// shardQueue sizes a shard's work queue: a busy shard's backlog of
+// decoded frames, service calls and alarm rings.
+const shardQueue = 4096
+
 // ShardSet is a fixed pool of engine shards. Groups are pinned to
 // shards (consistent-hashed by the cluster layer); each shard
 // serializes its groups while distinct shards run in parallel. The
@@ -71,7 +77,7 @@ func NewShardSet(n int) *ShardSet {
 	set := &ShardSet{shards: make([]*muxShard, n)}
 	for i := range set.shards {
 		bufs := new(netBufs)
-		set.shards[i] = &muxShard{eng: newEngineCore(bufs.flush), bufs: bufs}
+		set.shards[i] = &muxShard{eng: newEngineCore(bufs.flush, shardQueue), bufs: bufs}
 	}
 	return set
 }
@@ -148,8 +154,9 @@ type NetMux struct {
 	sock *netSock
 	book *netBook
 
-	// disc is the socket-scoped discovery plane, shared by every group
-	// (nil on a single-process mux with no peers and no seeds).
+	// disc is the socket-scoped discovery plane, shared by every group,
+	// on an engine of its own (nil on a single-process mux with no peers
+	// and no seeds).
 	disc *discoverer
 
 	// boot holds what a seed bootstrap learned (bootOK false on a
@@ -193,23 +200,20 @@ func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
 	}
 	m.sock, m.book = sock, book
 	if len(cfg.Peers) > 1 || len(cfg.Seeds) > 0 {
-		m.disc, err = newDiscoverer(sock, book, cfg)
+		m.disc, err = newDiscoverer(sock, book, cfg, m.evict)
 		if err != nil {
 			sock.conn.Close()
 			return nil, err
 		}
 	}
 	go sock.readLoop(m.closedCh, m.resolve)
-	if m.disc != nil {
-		if len(cfg.Seeds) > 0 && len(cfg.Peers) == 0 {
-			boot, berr := m.disc.bootstrap()
-			if berr != nil {
-				m.Close()
-				return nil, berr
-			}
-			m.boot, m.bootOK = boot, true
+	if len(cfg.Seeds) > 0 && len(cfg.Peers) == 0 {
+		boot, err := m.disc.bootstrap()
+		if err != nil {
+			m.Close()
+			return nil, err
 		}
-		m.disc.start()
+		m.boot, m.bootOK = boot, true
 	}
 	return m, nil
 }
@@ -228,8 +232,8 @@ func (m *NetMux) AdoptOwners(owners map[ids.NodeID]int) { m.book.adopt(owners) }
 func (m *NetMux) Peers() []discovery.PeerInfo { return m.book.table.Snapshot() }
 
 // resolve routes one inbound frame to the owning group's transport. It
-// runs on the read goroutine; discovery control frames are intercepted
-// (and liveness recorded) before the group table is consulted under
+// runs on the read goroutine; liveness is recorded and discovery frames
+// go to the discovery engine before the group table is consulted under
 // its read lock (writes only happen in Open/Close). A frame tagged for
 // a group this process does not host is dropped and counted instead of
 // being delivered into another group's engine.
@@ -270,6 +274,31 @@ func (m *NetMux) Open(gid ids.GroupID, shard int, seed uint64, loss float64) (*N
 	view := &NetRuntime{eng: sh.eng, clock: tr.clock, tr: tr, mux: m, gid: gid}
 	m.groups[gid] = view
 	return view, nil
+}
+
+// views snapshots the views of the open groups.
+func (m *NetMux) views() []*NetRuntime {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return slices.Collect(maps.Values(m.groups))
+}
+
+// evict hands the entities an evicted peer slot owns to the eviction
+// callback of every open group, on its group's engine. Discovery engine.
+func (m *NetMux) evict(slot int) {
+	dead := m.book.ownedBy(slot)
+	if len(dead) == 0 {
+		return
+	}
+	for _, v := range m.views() {
+		v.eng.pending.Add(1)
+		v.eng.submit(func() {
+			defer v.eng.pending.Add(-1)
+			if v.onEvict != nil {
+				v.onEvict(dead)
+			}
+		})
+	}
 }
 
 // release deregisters a group closed through its runtime view: its
@@ -321,13 +350,7 @@ func (m *NetMux) LocalAddr() *net.UDPAddr {
 // once, plus the routing counters of every group.
 func (m *NetMux) NetStats() NetStats {
 	ns := m.sock.stats()
-	m.mu.RLock()
-	views := make([]*NetRuntime, 0, len(m.groups))
-	for _, v := range m.groups {
-		views = append(views, v)
-	}
-	m.mu.RUnlock()
-	for _, v := range views {
+	for _, v := range m.views() {
 		v.eng.do(func() {
 			ns.UnknownPeer += v.tr.nstats.UnknownPeer
 			ns.Relayed += v.tr.nstats.Relayed
@@ -338,9 +361,6 @@ func (m *NetMux) NetStats() NetStats {
 	}
 	ns.PeerJoined = m.book.table.Joined()
 	ns.PeerEvicted = m.book.table.Evicted()
-	if m.disc != nil {
-		ns.GossipFrames = m.disc.gossipFrames.Load()
-	}
 	return ns
 }
 

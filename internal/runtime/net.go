@@ -163,8 +163,18 @@ type netSock struct {
 	// writeFailed counts the frames of the datagrams the socket refused.
 	// A datagram a backlogged shard writes can hold frames of several
 	// groups, so, like cut, it is kept once here and folded into every
-	// group's Dropped.
-	writeFailed atomic.Uint64
+	// group's Dropped. gossipFrames counts the discovery frames of the
+	// datagrams it wrote.
+	writeFailed  atomic.Uint64
+	gossipFrames atomic.Uint64
+
+	// hello is the encoded discovery hello that group egress piggybacks
+	// on a datagram at most once every helloEvery, socket-wide
+	// (lastHello, UnixNano); nil while the discovery plane is off. Set
+	// before the read loop starts, read-only after.
+	hello      []byte
+	helloEvery time.Duration
+	lastHello  atomic.Int64
 
 	// blocked, when non-nil, is the process-level partition cut
 	// (NetMux.Block), keyed by peer address: the ingress read
@@ -195,6 +205,7 @@ func (s *netSock) stats() NetStats {
 		UnknownVersion: s.unknownVersion.Load(),
 		UnknownGroup:   s.unknownGroup.Load(),
 		WriteFailed:    s.writeFailed.Load(),
+		GossipFrames:   s.gossipFrames.Load(),
 	}
 }
 
@@ -205,8 +216,8 @@ func (s *netSock) stats() NetStats {
 // inbound record. A frame that fails to decode ends the walk: the frames
 // before it are delivered, and the rest counts as one decode error.
 // resolve runs on the read goroutine with the datagram's source address
-// (the discovery plane intercepts its control frames there, before any
-// group demux) and must only touch read-safe state; returning nil drops
+// (discovery frames go to the discovery engine there, before any group
+// demux) and must only touch read-safe state; returning nil drops
 // the frame (the resolver has already accounted it).
 func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, netip.AddrPort) *netTransport) {
 	buf := make([]byte, wire.MaxDatagram)
@@ -416,12 +427,13 @@ type netBufs struct {
 	out []datagram // the claimed slots; released ones past len keep their buffers
 }
 
-// datagram is the frames kept for one destination, back to back.
+// datagram is the frames kept for one destination, back to back:
+// frames of the protocol and gossip of the discovery plane.
 type datagram struct {
-	sock   *netSock
-	addr   netip.AddrPort
-	buf    []byte
-	frames int
+	sock           *netSock
+	addr           netip.AddrPort
+	buf            []byte
+	frames, gossip int
 }
 
 // to returns the datagram under construction for addr on sock, claiming
@@ -447,20 +459,39 @@ func (b *netBufs) to(sock *netSock, addr netip.AddrPort) *datagram {
 func (b *netBufs) flush() {
 	for i := range b.out {
 		d := &b.out[i]
-		if d.frames > 0 {
+		if len(d.buf) > 0 {
 			d.write()
 		}
-		d.sock, d.buf, d.frames = nil, d.buf[:0], 0
+		d.sock, d.buf, d.frames, d.gossip = nil, d.buf[:0], 0, 0
 	}
 	b.out = b.out[:0]
 }
 
-// write is the single egress point of the protocol's frames: one
-// datagram to its peer, whose frames count as WriteFailed if the socket
-// refuses it.
+// keep counts the frame encoded at d.buf[start:] in, first writing the
+// frames ahead of it on their own if it pushed the datagram past one
+// UDP datagram.
+func (d *datagram) keep(start int, gossip bool) {
+	if start > 0 && len(d.buf) > wire.MaxDatagram {
+		frame := d.buf[start:]
+		d.buf = d.buf[:start]
+		d.write()
+		d.buf, d.frames, d.gossip = append(d.buf[:0], frame...), 0, 0
+	}
+	if gossip {
+		d.gossip++
+	} else {
+		d.frames++
+	}
+}
+
+// write is the socket's single egress point, for the protocol's frames
+// and discovery's alike: one datagram to its peer, whose protocol
+// frames count as WriteFailed if the socket refuses it.
 func (d *datagram) write() {
 	if _, err := d.sock.conn.WriteToUDPAddrPort(d.buf, d.addr); err != nil {
 		d.sock.writeFailed.Add(uint64(d.frames))
+	} else if d.gossip > 0 {
+		d.sock.gossipFrames.Add(uint64(d.gossip))
 	}
 }
 
@@ -602,28 +633,19 @@ type NetRuntime struct {
 
 	mux *NetMux
 	gid ids.GroupID
+
+	// onEvict is the group's eviction callback until Close.
+	// Engine-owned.
+	onEvict func(dead []ids.NodeID)
 }
 
-// OnPeerEvict registers a callback invoked in engine context with the
-// entity IDs owned by a peer the liveness sweep evicted — the glue
-// feeding discovery's process-level verdicts into the protocol's
-// entity-level fail-out path. No-op when the discovery plane is off.
+// OnPeerEvict sets the callback invoked in engine context with the
+// entity IDs owned by a peer the liveness sweep evicted, while the group
+// is open — the glue feeding discovery's process-level verdicts into the
+// protocol's entity-level fail-out path. It never runs when the
+// discovery plane is off. Call it outside engine context.
 func (rt *NetRuntime) OnPeerEvict(fn func(dead []ids.NodeID)) {
-	if rt.mux.disc == nil {
-		return
-	}
-	eng, book := rt.eng, rt.tr.book
-	rt.mux.disc.addOnEvict(func(slot int) {
-		dead := book.ownedBy(slot)
-		if len(dead) == 0 {
-			return
-		}
-		eng.pending.Add(1)
-		eng.submit(func() {
-			defer eng.pending.Add(-1)
-			fn(dead)
-		})
-	})
+	rt.eng.do(func() { rt.onEvict = fn })
 }
 
 // Clock implements Runtime.
@@ -683,6 +705,7 @@ func (rt *NetRuntime) Close() error {
 	rt.eng.do(func() {
 		rt.tr.close()
 		rt.clock.close()
+		rt.onEvict = nil
 	})
 	return nil
 }
@@ -716,10 +739,6 @@ type netTransport struct {
 	// cannot amplify through this process.
 	dedup *discovery.TmpMap
 
-	// disc, when non-nil, is the discovery plane: egress traffic
-	// piggybacks a paced endpoint-exchange hello along active routes.
-	disc *discoverer
-
 	local   map[ids.NodeID]Endpoint
 	crashed map[ids.NodeID]bool
 
@@ -741,7 +760,7 @@ func (t *netTransport) idleFor(d time.Duration) bool {
 }
 
 // newNetTransport builds one group's transport on engine shard sh over
-// the mux's socket, book and discovery plane, emulating an independent
+// the mux's socket and book, emulating an independent
 // egress loss probability drawn from a stream seeded by seed.
 func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, loss float64) *netTransport {
 	t := &netTransport{
@@ -755,7 +774,6 @@ func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, lo
 		group:   group,
 		learned: make(map[ids.NodeID]netip.AddrPort),
 		dedup:   discovery.NewTmpMap(m.cfg.DedupTTL, bookLimit),
-		disc:    m.disc,
 		local:   make(map[ids.NodeID]Endpoint),
 		crashed: make(map[ids.NodeID]bool),
 	}
@@ -976,30 +994,38 @@ func (t *netTransport) egress(f wire.Frame, addr netip.AddrPort, relay bool) boo
 	start := len(d.buf)
 	d.buf = wire.AppendFrame(d.buf, f)
 	kept := t.admit(d.buf[start:], addr, relay)
-	switch {
-	case !kept:
+	if kept {
+		d.keep(start, false)
+		t.piggyback(d)
+	} else {
 		d.buf = d.buf[:start]
-	case len(d.buf) > wire.MaxDatagram:
-		frame := d.buf[start:]
-		d.buf = d.buf[:start]
-		d.write()
-		d.buf, d.frames = append(d.buf[:0], frame...), 1
-	default:
-		d.frames++
 	}
 	if !t.eng.batch {
 		t.bufs.flush()
 	}
-	if !kept {
-		return false
+	if kept {
+		t.touch()
 	}
-	t.touch()
-	if t.disc != nil {
-		// Endpoint-exchange gossip rides the active traffic edges: at
-		// most one paced hello alongside the protocol's own frames.
-		t.disc.maybeGossip(addr, t.eng.start.Add(time.Duration(t.eng.now)))
+	return kept
+}
+
+// piggyback appends the socket's discovery hello to d, the datagram a
+// protocol frame was just kept in, when one is due and fits: endpoint
+// exchange rides the active traffic edges, at most once per
+// GossipInterval for the whole socket.
+func (t *netTransport) piggyback(d *datagram) {
+	s := t.sock
+	if s.hello == nil || d.addr == t.book.loopback || d.addr == t.book.self {
+		return
 	}
-	return true
+	now := t.eng.start.Add(time.Duration(t.eng.now)).UnixNano()
+	last := s.lastHello.Load()
+	if now-last < int64(s.helloEvery) || len(d.buf)+len(s.hello) > wire.MaxDatagram ||
+		!s.lastHello.CompareAndSwap(last, now) {
+		return
+	}
+	d.buf = append(d.buf, s.hello...)
+	d.gossip++
 }
 
 // admit runs the per-frame egress checks on one encoded frame, counting

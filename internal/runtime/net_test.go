@@ -376,14 +376,12 @@ func testBlockCutsBothDirections(t *testing.T, bindHost string) {
 	}
 
 	// One exchange before the cut (it also spends each side's one paced
-	// discovery hello, so every later send is exactly one datagram). The
-	// hello follows the frame: wait until it is read too, or the cut
-	// would count it.
+	// discovery hello, which rides in the same datagram as the frame).
 	send(rt0, a, b)
 	send(rt1, b, a)
 	waitFor(t, func() bool {
 		return epA.got.Load() == 1 && epB.got.Load() == 1 &&
-			rt0.NetStats().Received == 2 && rt1.NetStats().Received == 2
+			rt0.NetStats().Received == 1 && rt1.NetStats().Received == 1
 	})
 
 	rt0.mux.Block(1, 0) // the self slot is ignored
@@ -688,8 +686,8 @@ func TestOversizeAtTheUDPLimit(t *testing.T) {
 }
 
 // TestGossipAddressesAreParsedNotResolved: an address a peer supplies is
-// parsed, never resolved — the discovery plane runs on the socket's only
-// reader, which a DNS lookup would stall for every group. A PeerList row
+// parsed, never resolved — a DNS lookup would stall the discovery
+// engine, and the read loop behind it once its queue fills. A PeerList row
 // naming a host is ignored, and a hello naming one falls back to the
 // datagram's source; numeric addresses are adopted as before.
 func TestGossipAddressesAreParsedNotResolved(t *testing.T) {
@@ -716,7 +714,7 @@ func TestGossipAddressesAreParsedNotResolved(t *testing.T) {
 	}
 
 	src := netip.MustParseAddrPort(addr1)
-	d.onHello(wire.PeerHello{Slot: 1, Addr: named}, src)
+	d.eng.do(func() { d.onHello(wire.PeerHello{Slot: 1, Addr: named}, src) })
 	if got := table.AddrOf(1); got != src {
 		t.Fatalf("slot 1 = %v after a hello naming a host, want its source %v", got, src)
 	}
@@ -909,10 +907,10 @@ func TestNetTransportReplayFloodBounded(t *testing.T) {
 }
 
 // warmPeers sends one frame from `from` on procs[0] to each of eps, the
-// endpoints of procs[1:], and waits until every peer has read it and the
-// one paced discovery hello that procs[0]'s first datagram carries, so
-// that from then on a peer reads exactly the datagrams a test sends it.
-// It returns each peer's datagram count at that point.
+// endpoints of procs[1:], and waits until every peer has read it; the
+// first also carries procs[0]'s one paced discovery hello, so that from
+// then on a peer reads exactly the frames a test sends it. It returns
+// each peer's datagram count at that point.
 func warmPeers(t *testing.T, procs []*testNet, from ids.NodeID, eps []*countingEndpoint) []uint64 {
 	t.Helper()
 	for _, ep := range eps {
@@ -922,12 +920,8 @@ func warmPeers(t *testing.T, procs []*testNet, from ids.NodeID, eps []*countingE
 	}
 	base := make([]uint64, len(eps))
 	for i, ep := range eps {
-		want := uint64(1)
-		if i == 0 {
-			want = 2 // the hello rode along the first send
-		}
-		waitFor(t, func() bool { return ep.got.Load() == 1 && received(procs[i+1]) == want })
-		base[i] = want
+		waitFor(t, func() bool { return ep.got.Load() == 1 && received(procs[i+1]) == 1 })
+		base[i] = 1
 	}
 	return base
 }
@@ -1191,8 +1185,8 @@ func newQuietPeers(t *testing.T, owners map[ids.NodeID]int, bindHost0 string) (r
 // newQuietProcs opens an n-process deployment on loopback from cfg,
 // whose address book it fills in: more than one peer turns the
 // discovery plane on, and hour-long intervals keep it quiet, so only a
-// test's own frames cross (plus one paced hello with each process's
-// first datagram). Process 0 binds bindHost0 ("" is the wildcard); all
+// test's own frames cross (plus one paced hello in each process's first
+// datagram). Process 0 binds bindHost0 ("" is the wildcard); all
 // are configured as 127.0.0.1.
 func newQuietProcs(t *testing.T, n int, cfg NetConfig, bindHost0 string) []*testNet {
 	t.Helper()
