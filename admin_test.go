@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // scrape GETs one admin path and returns status code and body.
@@ -202,14 +204,14 @@ func TestAdminJSON(t *testing.T) {
 // suspicion window.
 func TestHealthzTransitions(t *testing.T) {
 	addrs := reservePorts(t, 2)
-	knobs := NetConfig{
+	knobs := runtime.NetConfig{
 		ProbeInterval: 50 * time.Millisecond,
 		SuspectAfter:  250 * time.Millisecond,
 		EvictAfter:    5 * time.Second,
 	}
 	open := func(index int) *Cluster {
 		c, err := ListenCluster(addrs[index],
-			WithNetRuntime(knobs),
+			withNetConfig(knobs),
 			WithCluster(index, addrs...),
 			WithHierarchy(2, 3), WithSeed(13))
 		if err != nil {

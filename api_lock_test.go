@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"sort"
 	"strings"
@@ -16,7 +17,9 @@ import (
 
 // TestAPISurfaceLock snapshots the exported surface of package rgb —
 // every exported type, function, method, constant and variable, with
-// signatures — against testdata/api_surface.golden. An API redesign
+// signatures, and the exported and embedded fields of every exported
+// struct, an alias's target included — against
+// testdata/api_surface.golden. An API redesign
 // is a deliberate act: any change to the public surface must show up
 // as an explicit diff of the golden file in the PR. Regenerate with
 //
@@ -120,8 +123,47 @@ func renderAPISurface(t *testing.T) string {
 			}
 		}
 	}
+	entries = append(entries, renderAliasFields(t)...)
 	sort.Strings(entries)
 	return strings.Join(entries, "\n") + "\n"
+}
+
+// renderAliasFields renders one entry per exported or embedded field of
+// every struct type an exported alias of rgb names, such as
+// "field Config.H int" or "field Member.MemberInfo ids.MemberInfo
+// embedded": the alias's own line would let its target's fields change
+// unseen. rgb's own structs list their fields in their declarations.
+func renderAliasFields(t *testing.T) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	_, rgb := typecheck(t, fset, parseModule(t, fset))
+	qualifier := func(p *types.Package) string { return p.Name() }
+	var out []string
+	for _, name := range rgb.Scope().Names() {
+		tn, ok := rgb.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || !tn.IsAlias() {
+			continue
+		}
+		st, ok := types.Unalias(tn.Type()).Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if !f.Exported() && !f.Embedded() {
+				continue
+			}
+			line := fmt.Sprintf("field %s.%s %s", name, f.Name(), types.TypeString(f.Type(), qualifier))
+			if f.Embedded() {
+				line += " embedded"
+			}
+			if tag := st.Tag(i); tag != "" {
+				line += " `" + tag + "`"
+			}
+			out = append(out, line)
+		}
+	}
+	return out
 }
 
 // exportedReceiver reports whether a method's receiver type is
@@ -147,7 +189,8 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 
 // renderSpec returns a printable copy of an exported const/var/type
 // spec (nil when the spec exports nothing). Struct types are reduced
-// to their exported fields so unexported internals stay unlocked.
+// to their exported and embedded fields so unexported internals stay
+// unlocked.
 func renderSpec(tok token.Token, spec ast.Spec) ast.Node {
 	switch sp := spec.(type) {
 	case *ast.ValueSpec:
@@ -174,7 +217,7 @@ func renderSpec(tok token.Token, spec ast.Spec) ast.Node {
 		if st, ok := sp.Type.(*ast.StructType); ok {
 			filtered := &ast.FieldList{}
 			for _, f := range st.Fields.List {
-				keep := false
+				keep := len(f.Names) == 0 // embedded
 				for _, n := range f.Names {
 					if n.IsExported() {
 						keep = true

@@ -285,7 +285,7 @@ func BenchmarkClusterTokenRound(b *testing.B) {
 	for _, groups := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
 			c, err := NewCluster(WithHierarchy(1, 5), WithSeed(1),
-				WithLatency(runtime.ConstantLatency(time.Millisecond)))
+				withConfigEdit(func(cfg *core.Config) { cfg.Latency = runtime.ConstantLatency(time.Millisecond) }))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -49,9 +49,9 @@ type Cluster struct {
 	// single marks the one-group cluster built by rgb.Open: one shard,
 	// the group keeps the caller's seed, and closing its Service closes
 	// the cluster. Without a real-time substrate it has no shard worker
-	// at all (set is nil): the group runs inline on the caller — a
-	// caller-supplied runtime, or the simulator with its single-threaded
-	// discipline and allocation profile intact.
+	// at all (set is nil): the group runs inline on the caller, the
+	// simulator with its single-threaded discipline and allocation
+	// profile intact.
 	single bool
 
 	// set and mux are the real-time host (both nil on the simulator
@@ -75,8 +75,7 @@ type Cluster struct {
 // sets the engine worker count (default GOMAXPROCS). Substrate
 // selection: the deterministic simulator by default, the real-time host
 // in-process with WithLiveRuntime; use ListenCluster for the networked
-// form. WithRuntime is not supported — a cluster must own
-// its substrate to shard it.
+// form.
 //
 // Groups are not declared up front: Open(gid) instantiates one on
 // demand. Close shuts down every group and the shared substrate.
@@ -84,9 +83,6 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	o, err := parseOptions(opts)
 	if err != nil {
 		return nil, err
-	}
-	if o.rt != nil {
-		return nil, fmt.Errorf("rgb: WithRuntime with NewCluster (a cluster shards its own substrate): %w", ErrOptionUnsupported)
 	}
 	return newCluster(o, false)
 }
@@ -98,7 +94,7 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 	realTime := o.netConfig != nil || o.inProcess
 	shards := o.shards
 	switch {
-	case single && (o.rt != nil || !realTime):
+	case single && !realTime:
 		return c, nil // inline: no shard worker
 	case single:
 		shards = 1
@@ -106,7 +102,7 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	// The zero NetConfig, with no Bind, is the in-process mux.
-	var nc NetConfig
+	var nc rgbruntime.NetConfig
 	if o.netConfig != nil {
 		var err error
 		if nc, err = buildNetConfig(&c.base); err != nil {
@@ -147,10 +143,7 @@ func (c *Cluster) networked() bool { return c.mux != nil && c.mux.LocalAddr() !=
 // daemon.
 func ListenCluster(addr string, opts ...Option) (*Cluster, error) {
 	opts = append(opts, func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		o.netConfig.Bind = addr
+		o.net().Bind = addr
 	})
 	return NewCluster(opts...)
 }
@@ -182,33 +175,19 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 		o.cfg.Seed = seedForGroup(o.cfg.Seed, gid)
 	}
 
-	// A runtime the cluster builds is closed with the group's Service
-	// (a mux view's Close is scoped to the group). Loss is the
-	// substrate's own: a real-time group draws it at egress from its
-	// seeded stream, the simulator on its message plane.
+	// The runtime is closed with the group's Service (a mux view's
+	// Close is scoped to the group). Loss is the substrate's own: a
+	// real-time group draws it at egress from its seeded stream, the
+	// simulator on its message plane.
 	var (
-		rt    rgbruntime.Runtime
-		nrt   *rgbruntime.NetRuntime
-		owned = true
-		err   error
+		rt  rgbruntime.Runtime
+		nrt *rgbruntime.NetRuntime
+		err error
 	)
-	switch {
-	case c.mux != nil:
+	if c.mux != nil {
 		nrt, err = c.mux.Open(gid, c.ShardOf(gid), o.cfg.Seed, o.cfg.Loss)
 		rt = nrt
-	case o.rt != nil:
-		// Caller-supplied substrate (rgb.Open only); the caller owns its
-		// lifecycle — and its message plane arrives already configured,
-		// so a loss probability requested here would be silently
-		// meaningless.
-		if o.cfg.Loss > 0 {
-			return nil, fmt.Errorf("rgb: WithLoss with a caller-supplied runtime (configure loss on the runtime itself): %w", ErrOptionUnsupported)
-		}
-		if o.faults != nil {
-			return nil, fmt.Errorf("rgb: WithFaults with a caller-supplied runtime (wrap the runtime's transport yourself): %w", ErrOptionUnsupported)
-		}
-		rt, owned = o.rt, false
-	default:
+	} else {
 		sim := simnet.NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
 		if o.cfg.Loss > 0 {
 			sim.Net().SetLoss(o.cfg.Loss)
@@ -232,7 +211,7 @@ func (c *Cluster) Open(gid GroupID) (*Service, error) {
 		// waiting out the heartbeat silence window.
 		nrt.OnPeerEvict(func(dead []NodeID) { sys.FailOutRemote(dead...) })
 	}
-	svc := newService(c, gid, rt, owned, sys, &o)
+	svc := newService(c, gid, rt, sys, &o)
 	c.groups[gid] = svc
 	if c.tel != nil {
 		c.instrumentGroup(svc)

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // clusterGroups returns n distinct group identities.
@@ -161,7 +164,8 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 
 	procsDigests := make(map[GroupID][]string, len(gids))
 	for k, gid := range gids {
-		procs := simProcs(t, 3, WithHierarchy(2, 3), WithSeed(seedForGroup(seed, gid)), WithGroup(gid))
+		procs := simProcs(t, 3, WithHierarchy(2, 3), WithSeed(seedForGroup(seed, gid)),
+			withConfigEdit(func(cfg *core.Config) { cfg.GID = gid }))
 		procsDigests[gid] = clusterScenario(t, procs[0], k, settleOf(t, procs[0]))
 	}
 
@@ -331,14 +335,6 @@ func TestClusterGroupReopenOnMux(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsCallerRuntime: a cluster must own its substrate.
-func TestClusterRejectsCallerRuntime(t *testing.T) {
-	rt := NewSimRuntime(nil, 1)
-	if _, err := NewCluster(WithRuntime(rt)); !errors.Is(err, ErrOptionUnsupported) {
-		t.Fatalf("err = %v, want ErrOptionUnsupported", err)
-	}
-}
-
 // TestClusterClosedErrors: operations on a closed cluster fail with
 // ErrClosed.
 func TestClusterClosedErrors(t *testing.T) {
@@ -365,7 +361,7 @@ func TestClusterClosedErrors(t *testing.T) {
 // per-group streams.
 func TestOpenIsOneGroupCluster(t *testing.T) {
 	addr := reservePorts(t, 1)[0]
-	opts := []Option{WithHierarchy(1, 3), WithSeed(5), WithGroup(NewGroupID(12))}
+	opts := []Option{WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.GID = NewGroupID(12) })}
 	for name, open := range map[string]func() (*Service, error){
 		"sim":  func() (*Service, error) { return Open(opts...) },
 		"live": func() (*Service, error) { return Open(append(opts[:3:3], WithLiveRuntime())...) },
@@ -467,8 +463,8 @@ func TestEmptyBindIsNotInProcess(t *testing.T) {
 	if _, err := Listen(""); !errors.Is(err, ErrBadCluster) {
 		t.Errorf(`Listen("") err = %v, want ErrBadCluster`, err)
 	}
-	if _, err := Open(WithNetRuntime(NetConfig{})); !errors.Is(err, ErrBadCluster) {
-		t.Errorf("WithNetRuntime(NetConfig{}) err = %v, want ErrBadCluster", err)
+	if _, err := Open(withNetConfig(runtime.NetConfig{})); !errors.Is(err, ErrBadCluster) {
+		t.Errorf("a NetConfig with no Bind: err = %v, want ErrBadCluster", err)
 	}
 	if _, err := ListenCluster("", WithLiveRuntime()); !errors.Is(err, ErrBadCluster) {
 		t.Errorf(`ListenCluster("", WithLiveRuntime()) err = %v, want ErrBadCluster`, err)

@@ -46,8 +46,8 @@
 // The protocol engine talks only to the runtime substrate interfaces
 // (Clock, Transport), and every payload it sends is a typed member of
 // the wire union with a versioned binary encoding. By default it runs
-// on the deterministic discrete-event simulator (NewSimRuntime), inline
-// on the caller under rgb.Open. Everything on real time is one host —
+// on the deterministic discrete-event simulator, inline on the caller
+// under rgb.Open. Everything on real time is one host —
 // engine shards, a mux over them, one runtime view per group —
 // whether it serves one group or many, with or without a socket:
 // rgb.WithLiveRuntime runs the identical engine in-process on real
@@ -56,8 +56,8 @@
 // host a slice of the hierarchy and exchange wire-encoded datagrams;
 // and rgb.ListenCluster serves many groups over the same kind of socket:
 // each datagram envelope carries its group tag, and inbound frames are
-// demultiplexed to the engine shard owning that group. rgb.WithRuntime
-// accepts a caller-supplied substrate.
+// demultiplexed to the engine shard owning that group. Every Service
+// builds its substrate itself and closes it with itself.
 //
 // # Layout
 //

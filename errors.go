@@ -46,11 +46,11 @@ var (
 	// ErrClosed reports an operation on a closed Service.
 	ErrClosed = errors.New("rgb: service closed")
 
-	// ErrOptionUnsupported reports an Open option that the selected
-	// runtime substrate cannot honor (e.g. WithLoss combined with a
-	// caller-supplied WithRuntime, whose message plane arrives already
-	// configured). Returning it instead of silently ignoring the
-	// option keeps experiment configurations honest.
+	// ErrOptionUnsupported reports an operation that the selected
+	// runtime substrate or options cannot honor: Partition on a
+	// real-time runtime or without WithHeartbeat, Block and Unblock on
+	// a cluster with no socket. Returning it instead of silently doing
+	// nothing keeps experiment configurations honest.
 	ErrOptionUnsupported = errors.New("rgb: option unsupported by the selected runtime")
 
 	// ErrBadCluster reports Listen/Dial cluster options that cannot

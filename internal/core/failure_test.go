@@ -193,11 +193,6 @@ func TestPartitionAndMerge(t *testing.T) {
 	if got := len(sys.Node(splitLeader).Roster()); got != 3 {
 		t.Fatalf("split fragment size = %d, want 3", got)
 	}
-	// The split fragment is detached from the hierarchy.
-	if sys.Node(splitLeader).ParentOK() {
-		t.Error("split fragment still believes its parent link works")
-	}
-
 	// Merge back.
 	sendMergeRequest(sys, splitLeader, keptLeader)
 	sys.Run()

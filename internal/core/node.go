@@ -39,11 +39,15 @@ type Node struct {
 	childRing   ring.ID
 	hasChild    bool
 
-	// Function-Well booleans of Section 4.2. Figure 3's RingOK is not
-	// stored: holding the token implies it, and an entity that has lost
-	// its ring no longer lists itself in roster.
-	parentOK bool
-	childOK  bool
+	// owedUp and owedDown are what the links to the parent and to the
+	// child ring's leader owe: the member changes of notifications that
+	// ran out of retries, one per member (owe). The next round through
+	// this node sends them along with its own notification (notify), so
+	// a link is never marked down: Section 4.2's ParentOK and ChildOK
+	// are not stored. Nor is Figure 3's RingOK: holding the token implies
+	// it, and an entity that has lost its ring no longer lists itself in
+	// roster.
+	owedUp, owedDown mq.Batch
 
 	// The membership lists of Section 4.2, embedded by value (the zero
 	// MemberList is ready to use) so building a node costs no per-list
@@ -125,9 +129,6 @@ func (n *Node) Roster() []ids.NodeID {
 	copy(out, n.roster)
 	return out
 }
-
-// ParentOK reports whether the parent link is believed healthy.
-func (n *Node) ParentOK() bool { return n.parentOK }
 
 // LocalMembers returns the ListOfLocalMembers.
 func (n *Node) LocalMembers() *ids.MemberList { return &n.local }
@@ -368,27 +369,69 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 	n.passToken(tok)
 }
 
-// execute applies Token.OP at this node: updates the membership lists,
-// maintains the Function-Well booleans, and emits the notifications of
-// Figure 3.
+// execute applies Token.OP at this node: updates the membership lists
+// and emits the notifications of Figure 3.
 func (n *Node) execute(tok *token.Token) {
 	for _, c := range tok.Ops {
 		n.applyChange(c)
 	}
-	if tok.Carrying() {
-		// Notification-to-Parent: only the leader, only for changes
-		// climbing the hierarchy.
-		if n.isLeader() && tok.Dir != token.FromParent && !n.parent.IsZero() && n.parentOK {
-			n.sendNotify(n.parent, wire.Notify{Batch: tok.Ops, From: n.ringID, Up: true})
+	// Notification-to-Parent: only the leader, only for changes
+	// climbing the hierarchy.
+	if n.isLeader() && !n.parent.IsZero() {
+		var up mq.Batch
+		if tok.Dir != token.FromParent {
+			up = tok.Ops
 		}
-		// Notification-to-Child: full dissemination sends every batch
-		// down every child ring except the one it came from.
-		if n.sys.cfg.Dissemination == DisseminateFull && n.hasChild && n.childOK {
-			if !(tok.Dir == token.FromChild && tok.Source == n.childRing) {
-				n.sendNotify(n.childLeader, wire.Notify{Batch: tok.Ops, From: n.ringID, Up: false})
+		n.notify(n.parent, true, up, &n.owedUp)
+	}
+	// Notification-to-Child: full dissemination sends every batch down
+	// every child ring except the one it came from.
+	if n.sys.cfg.Dissemination == DisseminateFull && n.hasChild {
+		var down mq.Batch
+		if !(tok.Dir == token.FromChild && tok.Source == n.childRing) {
+			down = tok.Ops
+		}
+		n.notify(n.childLeader, false, down, &n.owedDown)
+	}
+}
+
+// notify sends a round's batch for one link along with what the link
+// owes, and sends nothing when both are empty. The batch is the token's
+// Ops, shared; a batch with owed changes is the owed slice itself,
+// handed to the notification whole.
+func (n *Node) notify(to ids.NodeID, up bool, batch mq.Batch, owed *mq.Batch) {
+	if len(*owed) > 0 {
+		batch = append(*owed, batch...)
+		*owed = nil
+	}
+	if len(batch) > 0 {
+		n.sendNotify(to, wire.Notify{Batch: batch, From: n.ringID, Up: up})
+	}
+}
+
+// owe adds the member changes of a notification that ran out of
+// retries to what its link owes, keeping one change per member: the
+// one that wins at the receiver (tombstone.go), the newer version, or
+// the removal at equal versions. An entity operation concerns only its
+// own ring, so none is owed.
+func owe(owed, batch mq.Batch) mq.Batch {
+	removes := func(c mq.Change) bool { return c.Op == mq.OpMemberLeave || c.Op == mq.OpMemberFailure }
+next:
+	for _, c := range batch {
+		if !c.Op.IsMemberOp() {
+			continue
+		}
+		for i, o := range owed {
+			if o.Member.GUID == c.Member.GUID {
+				if ids.VerAfter(c.Member.Ver, o.Member.Ver) || c.Member.Ver == o.Member.Ver && removes(c) {
+					owed[i] = c
+				}
+				continue next
 			}
 		}
+		owed = append(owed, c)
 	}
+	return owed
 }
 
 // applyChange updates the membership lists for one operation.
@@ -406,9 +449,6 @@ func (n *Node) applyChange(c mq.Change) {
 		// ring; other rings just observe (and fix Child pointers).
 		if c.NE != n.id && n.sys.sameRing(c.NE, n.id) {
 			n.excludeFromRoster(c.NE)
-		}
-		if n.hasChild && n.childLeader == c.NE {
-			n.childOK = false
 		}
 	case mq.OpNEJoin:
 		if n.sys.sameRing(c.NE, n.id) {
@@ -528,21 +568,26 @@ ops:
 }
 
 // receiveNotify handles Notification-to-Parent / Notification-to-Child.
+// An entity awaiting its post-restore Snapshot neither acknowledges nor
+// acts on a batch, since the Snapshot will replace its lists: the batch
+// stays with the sender, which retries and then owes it. A leader
+// update touches no list, so it is taken either way.
 func (n *Node) receiveNotify(m wire.Notify, from ids.NodeID) {
-	n.sys.send(n.id, from, runtime.KindControl, wire.NotifyAck{Seq: m.Seq})
-	if m.Up {
-		// From a child ring below this node.
-		n.childOK = true
-		if m.LeaderUpdate {
-			n.childLeader = m.NewLeader
-			return
-		}
-		n.sys.requestRoundWithBatch(n, token.FromChild, m.From, m.Batch, from)
+	if n.sys.neStale(n.id) && !m.LeaderUpdate {
 		return
 	}
-	// From the parent: this node is (or was) the child-ring leader.
-	n.parentOK = true
-	n.sys.requestRoundWithBatch(n, token.FromParent, m.From, m.Batch, from)
+	n.sys.send(n.id, from, runtime.KindControl, wire.NotifyAck{Seq: m.Seq})
+	switch {
+	case m.LeaderUpdate:
+		// From the child ring's new leader.
+		n.childLeader = m.NewLeader
+	case m.Up:
+		// From a child ring below this node.
+		n.sys.requestRoundWithBatch(n, token.FromChild, m.From, m.Batch, from)
+	default:
+		// From the parent: this node is (or was) the child-ring leader.
+		n.sys.requestRoundWithBatch(n, token.FromParent, m.From, m.Batch, from)
+	}
 }
 
 // sendNotify sends a notification with retransmission protection. The
@@ -556,17 +601,17 @@ func (n *Node) sendNotify(to ids.NodeID, m wire.Notify) {
 }
 
 // notifyTimedOut is the notification retransmission timer body: resend
-// up to the policy budget, then give up and mark the failed direction.
+// up to the policy budget, then give up and owe the batch to the link.
 func (n *Node) notifyTimedOut(r *resend) {
 	if r.retry() {
 		return
 	}
-	up, to := r.body.(wire.Notify).Up, r.to
+	m := r.body.(wire.Notify)
 	n.releaseNotify(r)
-	if up {
-		n.parentOK = false
-	} else if to == n.childLeader {
-		n.childOK = false
+	if m.Up {
+		n.owedUp = owe(n.owedUp, m.Batch)
+	} else {
+		n.owedDown = owe(n.owedDown, m.Batch)
 	}
 }
 

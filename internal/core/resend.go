@@ -14,8 +14,8 @@ import (
 // that arms or cancels a retransmission timer (TestResendOwnsItsTimers
 // scans the source for it), so a timer can neither outlive the message
 // it was armed for nor fire into a later one. What exhaustion means —
-// evict and reroute for a token pass, mark the link for a notification
-// — stays with the owner, which learns of it from retry.
+// evict and reroute for a token pass, owe the batch to the link for a
+// notification — stays with the owner, which learns of it from retry.
 //
 // A Node embeds one by value for its token pass, so arming a pass
 // allocates nothing. Every notification in flight has its own, and a

@@ -245,7 +245,9 @@ func TestNotifyRecordsReused(t *testing.T) {
 // TestNotifyGiveUpLeavesNoRecord: a notification to a crashed parent is
 // sent 1 + MaxRetries times and then given up. The record is released
 // with its timer, so nothing stays in flight and the kernel holds no
-// event more than before the join.
+// event more than before the join. The batch is owed to the link
+// instead: once the parent is restored, the next round through the
+// leader delivers it with its own change.
 func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
 	cfg := quietConfig(2, 3)
 	cfg.Retransmit.MaxRetries = 3
@@ -269,14 +271,27 @@ func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
 	if want := 1 + cfg.Retransmit.MaxRetries; sends != want {
 		t.Errorf("the notification went to the crashed parent %d times, want %d", sends, want)
 	}
-	if leader.ParentOK() {
-		t.Error("the leader still trusts its crashed parent")
-	}
 	if len(leader.notifyWait) != 0 || len(leader.notifyFree) != 1 {
 		t.Errorf("after the give-up: %d notifications in flight, %d records kept; want 0 and 1", len(leader.notifyWait), len(leader.notifyFree))
 	}
 	if got := kernel.Pending(); got != baseline {
 		t.Errorf("%d kernel events pending after the run, %d before the join", got, baseline)
+	}
+	if len(leader.owedUp) != 1 || leader.owedUp[0].Member.GUID != 1 {
+		t.Fatalf("the leader owes its parent %v, want the join of mh-1", leader.owedUp)
+	}
+
+	sys.RestoreNE(leader.Parent())
+	sys.Run()
+	if _, err := sys.JoinMemberAt(2, ap.ID()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if len(leader.owedUp) != 0 {
+		t.Errorf("the leader still owes %v after the parent came back", leader.owedUp)
+	}
+	if got := len(sys.GlobalMembership()); got != 2 {
+		t.Errorf("the top ring holds %v, want mh-1 and mh-2", sys.GlobalMembership())
 	}
 }
 

@@ -252,23 +252,21 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 				n := &arena[next]
 				next++
 				*n = Node{
-					sys:      s,
-					id:       id,
-					level:    level,
-					ringID:   rg.ID(),
-					ring:     s.rings[rg.ID()],
-					roster:   rg.Nodes(),
-					leader:   rg.Leader(),
-					parent:   parent,
-					parentOK: !parent.IsZero(),
-					queue:    mq.New(cfg.Aggregate),
-					pass:     passResend(n),
-					goneQ:    newWindow[ids.GUID](tombstoneWindow),
+					sys:    s,
+					id:     id,
+					level:  level,
+					ringID: rg.ID(),
+					ring:   s.rings[rg.ID()],
+					roster: rg.Nodes(),
+					leader: rg.Leader(),
+					parent: parent,
+					queue:  mq.New(cfg.Aggregate),
+					pass:   passResend(n),
+					goneQ:  newWindow[ids.GUID](tombstoneWindow),
 				}
 				if child, ok := s.hier.ChildRingOf(id); ok {
 					n.hasChild = true
 					n.childRing = child
-					n.childOK = true
 					n.childLeader = leaderOf[child]
 				}
 				s.nodes[id] = n

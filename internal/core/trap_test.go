@@ -211,15 +211,14 @@ func TestTrapHandoffBeforeOlderJoin(t *testing.T) {
 }
 
 // TestTrapNotifyGiveUpDropsBatch is B1: a notification that exhausts its
-// retries drops its batch, already acknowledged to its originators, and
-// leaves the sender's parentOK false. BR-1 is down while mh-1 joins at
-// AP-3 and comes back before mh-2 joins there. Under DisseminateFull the
-// top ring ends holding only mh-2, though AP-3's ring lists both; under
-// DisseminatePathOnly nothing reaches the top ring, because only a
-// notification from the parent sets parentOK back and none comes.
-// Delete the skip to see it.
+// retries must not drop its batch, already acknowledged to its
+// originators. BR-1 is down while mh-1 joins at AP-3 and comes back
+// before mh-2 joins there. Before the fix the top ring ended holding
+// only mh-2 under DisseminateFull, though AP-3's ring lists both, and
+// nothing under DisseminatePathOnly, where the sender stopped notifying
+// its parent for good. Now the given-up batch is owed to the link and
+// mh-2's round carries it.
 func TestTrapNotifyGiveUpDropsBatch(t *testing.T) {
-	t.Skip("B1: a notification that exhausts its retries drops its batch (ROADMAP item 3)")
 	for _, tc := range []struct {
 		name string
 		mode DisseminationMode
@@ -252,8 +251,8 @@ func TestTrapNotifyGiveUpDropsBatch(t *testing.T) {
 			leader := sys.Node(ap.Leader())
 			ap.RingMembers().Each(func(m ids.MemberInfo) {
 				if !top[m.GUID] {
-					t.Errorf("%s's ring lists %s, the top ring holds %v; the ring leader's ParentOK is %v",
-						apAt(3), m.GUID, sys.GlobalMembership(), leader.ParentOK())
+					t.Errorf("%s's ring lists %s, the top ring holds %v; the ring leader owes %v",
+						apAt(3), m.GUID, sys.GlobalMembership(), leader.owedUp)
 				}
 			})
 		})

@@ -149,9 +149,6 @@ func (t *Token) Fold(node ids.NodeID, batch mq.Batch) {
 	t.Contributors = append(t.Contributors, node)
 }
 
-// Carrying reports whether the token carries any operations.
-func (t *Token) Carrying() bool { return !t.Ops.Empty() }
-
 // String renders a compact description for traces.
 func (t *Token) String() string {
 	return fmt.Sprintf("token{%s r%d holder=%s ops=%d %s}",

@@ -31,10 +31,7 @@ import (
 // ready-made daemon.
 func Listen(addr string, opts ...Option) (*Service, error) {
 	opts = append(opts, func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		o.netConfig.Bind = addr
+		o.net().Bind = addr
 	})
 	return Open(opts...)
 }
@@ -54,16 +51,14 @@ func Listen(addr string, opts ...Option) (*Service, error) {
 // the non-contacted processes' NetStats).
 func Dial(addr string, opts ...Option) (*Service, error) {
 	opts = append(opts, func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		if o.netConfig.Bind == "" {
+		nc := o.net()
+		if nc.Bind == "" {
 			// Unspecified host: the kernel picks a source that can
 			// reach the contact (loopback and external deployments
 			// both work).
-			o.netConfig.Bind = ":0"
+			nc.Bind = ":0"
 		}
-		o.netConfig.DefaultRoute = addr
+		nc.DefaultRoute = addr
 		o.dialClient = true
 	})
 	return Open(opts...)
@@ -73,13 +68,13 @@ func Dial(addr string, opts ...Option) (*Service, error) {
 // cluster's net mux: cluster validation, deterministic hierarchy
 // partition and address book. It places o.cfg at the process's slot of
 // the computed partition.
-func buildNetConfig(o *serviceOptions) (NetConfig, error) {
+func buildNetConfig(o *serviceOptions) (runtime.NetConfig, error) {
 	nc := *o.netConfig
 	if o.advertise != "" {
 		nc.Advertise = o.advertise
 	}
 	if nc.Bind == "" {
-		return nc, fmt.Errorf("rgb: networked runtime needs a bind address (use Listen, or set NetConfig.Bind): %w", ErrBadCluster)
+		return nc, fmt.Errorf("rgb: networked runtime needs a bind address: %w", ErrBadCluster)
 	}
 	nprocs := len(nc.Peers)
 	if nprocs > 0 && (nc.Index < 0 || nc.Index >= nprocs) {

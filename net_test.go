@@ -2,7 +2,6 @@ package rgb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"reflect"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/simnet"
 	"github.com/rgbproto/rgb/internal/topology"
 )
 
@@ -117,22 +117,29 @@ func joinOnProcessZero(t *testing.T, procs []*Service, n int) {
 
 // simProcs opens one group as n Services on one simulator, the way n
 // processes would host it: Service i is slot i of subtreeOwners, placed
-// with core.Place and opened with WithConfig and WithRuntime. They
-// share the simulator's clock and transport counters, so Settle on any
-// of them runs them all.
+// with core.Place, its System built on the shared simulator and wrapped
+// in a one-group cluster of its own. They share the simulator's clock
+// and transport counters, so Settle on any of them runs them all.
 func simProcs(t *testing.T, n int, opts ...Option) []*Service {
 	t.Helper()
 	o, err := parseOptions(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
+	rt := simnet.NewSimRuntime(o.cfg.Latency, o.cfg.Seed)
 	owners := subtreeOwners(o.cfg.H, o.cfg.R, n)
 	procs := make([]*Service, n)
 	for slot := range procs {
-		cfg := o.cfg
-		core.Place(&cfg, owners, slot)
-		procs[slot] = openTest(t, WithConfig(cfg), WithRuntime(rt))
+		po := o
+		core.Place(&po.cfg, owners, slot)
+		c, err := newCluster(po, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := newService(c, po.cfg.GID, rt, core.NewSystemOn(po.cfg, rt), &po)
+		c.groups[svc.gid] = svc
+		t.Cleanup(func() { svc.Close() })
+		procs[slot] = svc
 	}
 	return procs
 }
@@ -480,17 +487,6 @@ func TestDialClient(t *testing.T) {
 	})
 }
 
-// TestWithLossUnsupportedOnCallerRuntime: combining WithLoss with a
-// caller-supplied runtime must fail loudly instead of silently
-// dropping the option.
-func TestWithLossUnsupportedOnCallerRuntime(t *testing.T) {
-	rt := newClosableSim()
-	defer rt.Close()
-	if _, err := Open(WithRuntime(rt), WithLoss(0.1)); !errors.Is(err, ErrOptionUnsupported) {
-		t.Fatalf("err = %v, want ErrOptionUnsupported", err)
-	}
-}
-
 // TestWithLossEmulatedOnLiveRuntime: on the real-time host, in-process
 // and networked, the loss option is honored by emulation — messages
 // actually drop. Networked, loss reaches each group's transport only
@@ -505,7 +501,7 @@ func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 		{"listen", func(opts ...Option) (*Service, error) { return Listen("127.0.0.1:0", opts...) }},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			svc, err := row.open(WithHierarchy(1, 3), WithSeed(5), WithLoss(0.3))
+			svc, err := row.open(WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.Loss = 0.3 }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -517,7 +513,7 @@ func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 			}
 			svc.Settle(ctx)
 			if st := svc.Stats(); st.Dropped == 0 {
-				t.Fatalf("no losses despite WithLoss(0.3): %+v", st)
+				t.Fatalf("no losses despite Loss 0.3: %+v", st)
 			}
 		})
 	}

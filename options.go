@@ -4,20 +4,19 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // serviceOptions accumulates the functional options of Open and
 // NewCluster.
 type serviceOptions struct {
 	cfg       core.Config
-	scheme    core.QueryScheme
-	rt        Runtime
 	watchBuf  int
 	shards    int
 	inProcess bool // WithLiveRuntime
 
-	// Networked deployment (Listen/Dial/WithNetRuntime).
-	netConfig  *NetConfig
+	// Networked deployment (Listen/Dial/ListenCluster).
+	netConfig  *runtime.NetConfig
 	advertise  string
 	dialClient bool
 
@@ -30,16 +29,25 @@ type serviceOptions struct {
 	seedSlotSet bool
 }
 
+// net returns the networked deployment configuration, creating it on
+// first use: any option that sets one of its fields selects the
+// networked runtime.
+func (o *serviceOptions) net() *runtime.NetConfig {
+	if o.netConfig == nil {
+		o.netConfig = &runtime.NetConfig{}
+	}
+	return o.netConfig
+}
+
 // Option configures a Service at Open time.
 type Option func(*serviceOptions)
 
 // defaultServiceOptions is the base every Open starts from: a 3x5
-// hierarchy on the default simulated runtime with the TMS query
-// scheme.
+// hierarchy on the default simulated runtime, with a Watch buffer of
+// 1024 events per subscriber.
 func defaultServiceOptions() serviceOptions {
 	return serviceOptions{
 		cfg:      core.DefaultConfig(3, 5),
-		scheme:   core.TMS(),
 		watchBuf: 1024,
 	}
 }
@@ -57,36 +65,6 @@ func WithSeed(seed uint64) Option {
 	return func(o *serviceOptions) { o.cfg.Seed = seed }
 }
 
-// WithGroup sets the group identity served by the hierarchy.
-func WithGroup(gid GroupID) Option {
-	return func(o *serviceOptions) { o.cfg.GID = gid }
-}
-
-// WithQueryScheme sets the default Membership-Query scheme used by
-// Service.Query (TMS, BMS or IMS).
-func WithQueryScheme(scheme QueryScheme) Option {
-	return func(o *serviceOptions) { o.scheme = scheme }
-}
-
-// WithDissemination selects full vs path-only propagation.
-func WithDissemination(mode DisseminationMode) Option {
-	return func(o *serviceOptions) { o.cfg.Dissemination = mode }
-}
-
-// WithLatency sets the message-plane latency model (applies to the
-// runtime the Service builds itself; a runtime supplied through
-// WithRuntime arrives with its own message plane).
-func WithLatency(model LatencyModel) Option {
-	return func(o *serviceOptions) { o.cfg.Latency = model }
-}
-
-// WithLoss sets the independent per-message loss probability: the one
-// loss knob of every runtime the Service builds itself (simulated,
-// in-process or networked).
-func WithLoss(p float64) Option {
-	return func(o *serviceOptions) { o.cfg.Loss = p }
-}
-
 // WithFaults injects seeded, deterministic adversarial faults into the
 // message plane: each FaultPlan probability independently corrupts
 // (one byte flipped through the real wire codec), duplicates
@@ -96,8 +74,7 @@ func WithLoss(p float64) Option {
 // included — and the injected faults surface as FaultStats in
 // rgb_faults_injected_total. A corrupted message that no longer decodes
 // is dropped at the sender, so no malformed frame reaches the wire.
-// With a caller-supplied WithRuntime it returns ErrOptionUnsupported. A
-// zero plan Seed derives from the group's seed.
+// A zero plan Seed derives from the group's seed.
 func WithFaults(plan FaultPlan) Option {
 	return func(o *serviceOptions) { p := plan; o.faults = &p }
 }
@@ -130,16 +107,11 @@ func WithStabilityK(k int) Option {
 }
 
 // WithConfig replaces the whole protocol configuration at once (start
-// from DefaultConfig). Options applied after it refine it.
+// from DefaultConfig): it is how a program sets the group identity, the
+// dissemination mode, the simulated latency model and the per-message
+// loss probability. Options applied after it refine it.
 func WithConfig(cfg Config) Option {
 	return func(o *serviceOptions) { o.cfg = cfg }
-}
-
-// WithRuntime runs the service on the given substrate instead of the
-// default simulated runtime. The Service does not close a supplied
-// runtime; the caller owns its lifecycle.
-func WithRuntime(rt Runtime) Option {
-	return func(o *serviceOptions) { o.rt = rt }
 }
 
 // WithLiveRuntime runs the service on real time inside this process, on
@@ -151,20 +123,9 @@ func WithLiveRuntime() Option {
 	return func(o *serviceOptions) { o.inProcess = true }
 }
 
-// WithNetRuntime runs the service on a networked UDP runtime built
-// from the given configuration: the process binds cfg.Bind, serves the
-// hierarchy entities its Peers/Index slot owns, and exchanges every
-// protocol message as wire-encoded datagrams. Listen is the
-// convenience form (it fills Bind for you); use WithNetRuntime
-// directly for full control over the address book, discovery timing
-// and settle heuristics.
-func WithNetRuntime(cfg NetConfig) Option {
-	return func(o *serviceOptions) { c := cfg; o.netConfig = &c }
-}
-
 // WithAdvertise sets the address other processes use to reach this one
 // (useful when binding "0.0.0.0" or an ephemeral port behind a known
-// name). Only meaningful with Listen/WithNetRuntime.
+// name). Only meaningful with Listen, Dial and ListenCluster.
 func WithAdvertise(addr string) Option {
 	return func(o *serviceOptions) { o.advertise = addr }
 }
@@ -175,14 +136,11 @@ func WithAdvertise(addr string) Option {
 // hierarchy is partitioned deterministically across the slots
 // (topmost-ring node i and its whole subtree go to slot i mod
 // len(peers)), so all processes compute the identical address book.
-// Only meaningful with Listen/WithNetRuntime.
+// Only meaningful with Listen, Dial and ListenCluster.
 func WithCluster(index int, peers ...string) Option {
 	return func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		o.netConfig.Index = index
-		o.netConfig.Peers = peers
+		o.net().Index = index
+		o.net().Peers = peers
 	}
 }
 
@@ -198,12 +156,9 @@ func WithCluster(index int, peers ...string) Option {
 // WithCluster.
 func WithSeeds(addrs ...string) Option {
 	return func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		o.netConfig.Seeds = addrs
+		o.net().Seeds = addrs
 		if !o.seedSlotSet {
-			o.netConfig.SeedSlot = -1
+			o.net().SeedSlot = -1
 		}
 	}
 }
@@ -215,10 +170,7 @@ func WithSeeds(addrs ...string) Option {
 // address with no config reload anywhere.
 func WithSeedSlot(slot int) Option {
 	return func(o *serviceOptions) {
-		if o.netConfig == nil {
-			o.netConfig = &NetConfig{}
-		}
-		o.netConfig.SeedSlot = slot
+		o.net().SeedSlot = slot
 		o.seedSlotSet = true
 	}
 }
@@ -232,17 +184,6 @@ func WithShards(n int) Option {
 	return func(o *serviceOptions) {
 		if n > 0 {
 			o.shards = n
-		}
-	}
-}
-
-// WithWatchBuffer sets the per-subscriber event buffer of Watch
-// (default 1024). A subscriber that falls behind by more than the
-// buffer loses the overflow.
-func WithWatchBuffer(n int) Option {
-	return func(o *serviceOptions) {
-		if n > 0 {
-			o.watchBuf = n
 		}
 	}
 }

@@ -3,16 +3,15 @@ package rgb
 import (
 	"github.com/rgbproto/rgb/internal/discovery"
 	"github.com/rgbproto/rgb/internal/runtime"
-	"github.com/rgbproto/rgb/internal/simnet"
 )
 
-// Runtime substrate: the Service runs the protocol engine over a
-// pluggable Clock (time and timers) and Transport (message delivery),
-// bundled as a Runtime. The package builds two:
+// Runtime substrate: the Service runs the protocol engine over a clock
+// (time and timers) and a transport (message delivery) it builds and
+// closes itself. There are two:
 //
-//   - the deterministic discrete-event simulator (the default;
-//     NewSimRuntime for callers that want to hold one), where protocol
-//     time is virtual and a fixed seed makes runs bit-reproducible; and
+//   - the deterministic discrete-event simulator (the default), where
+//     protocol time is virtual and a fixed seed makes runs
+//     bit-reproducible; and
 //   - the real-time runtime, where timers run on wall time, an engine
 //     goroutine per shard serializes the protocol, and a message between
 //     two entities of the process is handed over in memory — the engine
@@ -25,21 +24,10 @@ import (
 // The real-time one exists only as a group view of one host — engine
 // shards, a mux over them, one view per group, with or without a socket
 // — whether the process serves one group (Open, Listen, Dial) or many
-// (NewCluster, ListenCluster). WithRuntime accepts any other
-// implementation.
+// (NewCluster, ListenCluster).
 type (
-	// Runtime bundles a Clock and Transport with drive operations.
-	Runtime = runtime.Runtime
-	// Clock provides protocol time and timers.
-	Clock = runtime.Clock
-	// Transport is the message plane between network entities.
-	Transport = runtime.Transport
 	// Stats aggregates transport-level delivery counters.
 	Stats = runtime.Stats
-
-	// NetConfig parameterizes the networked UDP runtime (see Listen and
-	// Dial; WithNetRuntime accepts one directly for full control).
-	NetConfig = runtime.NetConfig
 
 	// NetStats counts wire-level events of a networked runtime:
 	// decode errors, version mismatches, routing misses, relays and
@@ -78,10 +66,10 @@ type (
 )
 
 // Peer-table liveness states (PeerInfo.State): a peer is up while its
-// frames keep arriving, suspect once it has been silent past
-// NetConfig.SuspectAfter (and is being probed), and evicted once silent
-// past EvictAfter — an evicted slot stops routing and its entities are
-// failed out of their rings until the peer returns.
+// frames keep arriving, suspect once it has been silent past the
+// discovery plane's suspect window (and is being probed), and evicted
+// once silent past its eviction window — an evicted slot stops routing
+// and its entities are failed out of their rings until the peer returns.
 const (
 	PeerUp      = discovery.StateUp
 	PeerSuspect = discovery.StateSuspect
@@ -102,11 +90,3 @@ const (
 // DefaultTierLatency is the standard mobile-Internet latency profile:
 // 2ms inside an access network, 10ms across an AS, 50ms between ASs.
 func DefaultTierLatency() TierLatency { return runtime.DefaultTierLatency() }
-
-// NewSimRuntime builds a deterministic simulated runtime: a virtual
-// clock over an event kernel and a simulated message plane. latency
-// nil selects the default 4-tier profile. Runs with a fixed seed are
-// bit-reproducible.
-func NewSimRuntime(latency LatencyModel, seed uint64) Runtime {
-	return simnet.NewSimRuntime(latency, seed)
-}

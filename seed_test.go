@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // TestSeedBootstrapObserver: a process that knows nothing but one seed
@@ -176,7 +178,7 @@ func TestSeedBootstrapNoSeedListening(t *testing.T) {
 	dead := reservePorts(t, 1)[0] // reserved then released: nobody answers
 	start := time.Now()
 	_, err := Listen("127.0.0.1:0",
-		WithNetRuntime(NetConfig{BootstrapTimeout: 300 * time.Millisecond}),
+		withNetConfig(runtime.NetConfig{BootstrapTimeout: 300 * time.Millisecond}),
 		WithSeeds(dead))
 	if err == nil {
 		t.Fatal("bootstrap against a dead seed succeeded")

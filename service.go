@@ -24,11 +24,9 @@ import (
 // construction (determinism requires it) and must be driven from one
 // goroutine at a time; its Do runs work inline on the caller.
 type Service struct {
-	rt     runtime.Runtime
-	owned  bool // Close the runtime with the service
-	sys    *core.System
-	scheme core.QueryScheme
-	gid    GroupID
+	rt  runtime.Runtime // built for this group, closed with it
+	sys *core.System
+	gid GroupID
 
 	// cluster is the owning container (every Service belongs to one;
 	// rgb.Open makes a single-group cluster). Close deregisters the
@@ -55,18 +53,17 @@ type watcher struct {
 
 // Open builds and starts a standalone membership service. With no
 // options it serves a 3x5 hierarchy on a fresh deterministic simulated
-// runtime; see the With... options for hierarchy shape, seeds, query
-// scheme, dissemination mode, and runtime selection.
+// runtime; see the With... options for hierarchy shape, seeds, the
+// protocol configuration, and runtime selection.
 //
 // Open is the one-group special case of NewCluster: it builds a
 // one-group cluster, opens its group with the caller's seed untouched,
 // and returns that Service, whose Close closes the cluster with it. A
 // real-time substrate (WithLiveRuntime, Listen, Dial) is the same host
 // every cluster uses — one engine shard, a mux (with or without a
-// socket), one group view. The
-// simulator and a caller-supplied WithRuntime are the exception: they
-// run inline, with no shard worker — directly on the caller, preserving
-// the simulator's single-threaded discipline and allocation profile.
+// socket), one group view. The simulator is the exception: it runs
+// inline, with no shard worker — directly on the caller, preserving its
+// single-threaded discipline and allocation profile.
 // Use NewCluster to host many groups in one process.
 func Open(opts ...Option) (*Service, error) {
 	o, err := parseOptions(opts)
@@ -95,20 +92,15 @@ func parseOptions(opts []Option) (serviceOptions, error) {
 	if o.cfg.H < 1 || o.cfg.R < 2 {
 		return o, fmt.Errorf("%w (h=%d, r=%d)", ErrBadHierarchy, o.cfg.H, o.cfg.R)
 	}
-	if o.scheme.Level < 0 || o.scheme.Level >= o.cfg.H {
-		return o, fmt.Errorf("rgb: default scheme level %d of height-%d hierarchy: %w", o.scheme.Level, o.cfg.H, ErrQueryLevel)
-	}
 	return o, nil
 }
 
 // newService wires a Service around an already-built runtime and
 // System.
-func newService(c *Cluster, gid GroupID, rt runtime.Runtime, owned bool, sys *core.System, o *serviceOptions) *Service {
+func newService(c *Cluster, gid GroupID, rt runtime.Runtime, sys *core.System, o *serviceOptions) *Service {
 	return &Service{
 		rt:       rt,
-		owned:    owned,
 		sys:      sys,
-		scheme:   o.scheme,
 		gid:      gid,
 		cluster:  c,
 		watchBuf: o.watchBuf,
@@ -118,7 +110,7 @@ func newService(c *Cluster, gid GroupID, rt runtime.Runtime, owned bool, sys *co
 }
 
 // Close shuts the service down: subscribers' channels are closed, the
-// group is deregistered from its cluster, and a runtime the cluster
+// group is deregistered from its cluster, and the runtime the cluster
 // built for it is closed with it (a mux view, so only this group's
 // slice of the substrate). The Service of rgb.Open, Listen and Dial
 // then closes its one-group cluster too: socket, mux and shard worker
@@ -145,10 +137,7 @@ func (s *Service) Close() error {
 		close(w.ch)
 	}
 	s.cluster.forget(s.gid)
-	var err error
-	if s.owned {
-		err = s.rt.Close()
-	}
+	err := s.rt.Close()
 	if s.cluster.single {
 		if cerr := s.cluster.Close(); err == nil {
 			err = cerr
@@ -203,10 +192,9 @@ func (s *Service) isClosed() bool {
 }
 
 // do runs fn in engine context after the usual liveness checks. The
-// error starts as ErrClosed and is overwritten by fn itself: if the
-// runtime was closed underneath the service (a caller-owned runtime's
-// lifecycle is the caller's), a dropped fn reports ErrClosed instead
-// of silently succeeding.
+// error starts as ErrClosed and is overwritten by fn itself: if Close
+// closed the runtime between the check and the call, a dropped fn
+// reports ErrClosed instead of silently succeeding.
 func (s *Service) do(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -296,11 +284,10 @@ func (s *Service) RingView(ctx context.Context) (RingView, error) {
 	return v, err
 }
 
-// Query runs a Membership-Query from the given entry access proxy
-// with the service's configured scheme (WithQueryScheme; TMS by
-// default).
+// Query runs a Membership-Query from the given entry access proxy with
+// the TMS scheme; QueryWith takes any other.
 func (s *Service) Query(ctx context.Context, entry NodeID) (QueryResult, error) {
-	return s.QueryWith(ctx, entry, s.scheme)
+	return s.QueryWith(ctx, entry, core.TMS())
 }
 
 // QueryWith runs a Membership-Query with an explicit scheme. It
@@ -322,8 +309,8 @@ func (s *Service) QueryWith(ctx context.Context, entry NodeID, scheme QuerySchem
 // channel closes when ctx is cancelled or the service closes.
 //
 // Delivery contract: sends never block the protocol engine. A
-// subscriber that falls behind by more than the watch buffer
-// (WithWatchBuffer) loses the overflow — but never silently: as soon
+// subscriber that falls behind by more than the watch buffer (1024
+// events) loses the overflow — but never silently: as soon
 // as the subscriber drains enough to accept a send again, it first
 // receives a synthetic event with Kind == EventDropped whose Count
 // says exactly how many events were lost since its last delivered

@@ -27,9 +27,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 	if _, err := Open(WithHierarchy(3, 1)); !errors.Is(err, ErrBadHierarchy) {
 		t.Fatalf("r=1: err = %v, want ErrBadHierarchy", err)
 	}
-	if _, err := Open(WithHierarchy(2, 4), WithQueryScheme(IMS(5))); !errors.Is(err, ErrQueryLevel) {
-		t.Fatalf("bad scheme: err = %v, want ErrQueryLevel", err)
-	}
 }
 
 func TestServiceLifecycle(t *testing.T) {
@@ -111,9 +108,11 @@ func TestServiceLifecycle(t *testing.T) {
 		}
 	}
 
-	pathOnly := openTest(t, WithHierarchy(2, 4), WithDissemination(DisseminatePathOnly))
+	pathOnlyCfg := DefaultConfig(2, 4)
+	pathOnlyCfg.Dissemination = DisseminatePathOnly
+	pathOnly := openTest(t, WithConfig(pathOnlyCfg))
 	if got := pathOnly.Config().Dissemination; got != DisseminatePathOnly {
-		t.Fatalf("WithDissemination(DisseminatePathOnly): Config().Dissemination = %v", got)
+		t.Fatalf("WithConfig with DisseminatePathOnly: Config().Dissemination = %v", got)
 	}
 	ap, err = pathOnly.Join(ctx, GUID(4))
 	if err != nil {
@@ -273,54 +272,6 @@ func TestWatchUnsubscribe(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("channel not closed after cancel")
-	}
-}
-
-// closableSim is a caller-supplied runtime with a lifecycle of its own:
-// the simulator, whose Do drops work once the caller closed it (as any
-// real-time substrate does).
-type closableSim struct {
-	Runtime
-	closed bool
-}
-
-func newClosableSim() *closableSim {
-	return &closableSim{Runtime: NewSimRuntime(nil, 1)}
-}
-
-func (r *closableSim) Do(fn func()) {
-	if !r.closed {
-		r.Runtime.Do(fn)
-	}
-}
-
-func (r *closableSim) Close() error {
-	r.closed = true
-	return r.Runtime.Close()
-}
-
-// TestCallerOwnedRuntimeClosed: when a caller-supplied runtime is
-// closed underneath the service, operations report ErrClosed instead
-// of silently succeeding without running.
-func TestCallerOwnedRuntimeClosed(t *testing.T) {
-	ctx := context.Background()
-	rt := newClosableSim()
-	svc, err := Open(WithHierarchy(2, 4), WithRuntime(rt))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer svc.Close()
-	if err := svc.JoinAt(ctx, GUID(1), svc.APs()[0]); err != nil {
-		t.Fatalf("join before close: %v", err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("runtime close: %v", err)
-	}
-	if err := svc.JoinAt(ctx, GUID(2), svc.APs()[1]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("join after runtime close: err = %v, want ErrClosed", err)
-	}
-	if _, err := svc.Query(ctx, svc.APs()[0]); err == nil {
-		t.Fatal("query after runtime close succeeded")
 	}
 }
 

@@ -135,12 +135,12 @@ func TestWatchEventsDeduplicated(t *testing.T) {
 
 // TestWatchSlowConsumer pins the documented overflow contract: a
 // subscriber that never drains its channel keeps exactly the first
-// WithWatchBuffer events in commit order and loses the overflow —
+// buffered events in commit order and loses the overflow —
 // broadcast never blocks the engine on a lagging consumer.
 func TestWatchSlowConsumer(t *testing.T) {
 	ctx := context.Background()
 	const buf = 4
-	svc := openTest(t, WithHierarchy(2, 3), WithSeed(11), WithWatchBuffer(buf))
+	svc := openTest(t, WithHierarchy(2, 3), WithSeed(11), withWatchBuffer(buf))
 	events, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
@@ -210,7 +210,7 @@ drain:
 func TestWatchOverflowEmitsDroppedEvent(t *testing.T) {
 	ctx := context.Background()
 	const buf = 2
-	svc := openTest(t, WithHierarchy(2, 3), WithSeed(11), WithWatchBuffer(buf))
+	svc := openTest(t, WithHierarchy(2, 3), WithSeed(11), withWatchBuffer(buf))
 	events, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
@@ -275,7 +275,7 @@ func TestWatchAcrossPartitionHeal(t *testing.T) {
 	// drains every millisecond.
 	const buf = 4
 	const beat = 250 * time.Millisecond
-	svc := openTest(t, WithHierarchy(2, 5), WithSeed(3), WithWatchBuffer(buf), WithHeartbeat(beat))
+	svc := openTest(t, WithHierarchy(2, 5), WithSeed(3), withWatchBuffer(buf), WithHeartbeat(beat))
 	drained, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
