@@ -116,7 +116,7 @@ func TestArchitectureRules(t *testing.T) {
 			rule: `docs/ARCHITECTURE.md, Layer 3, member versions: "Node.gone is written only by Node.bury"`,
 			pkgs: []string{"internal/core"},
 			check: func(f *ast.File) []ast.Node {
-				return outside(fset, f, fieldWrites(f, "gone"), "internal/core.Node.bury")
+				return outside(fset, f, append(fieldWrites(f, "gone"), methodUses(f, info, "internal/ids", "Tombstones", "Bury")...), "internal/core.Node.bury")
 			},
 		},
 		{
@@ -485,6 +485,34 @@ func methodRefs(f *ast.File, names ...string) []ast.Node {
 	ast.Inspect(f, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
 			found = append(found, sel)
+		}
+		return true
+	})
+	return found
+}
+
+// methodUses finds the uses of one method of a type the module declares
+// in package pkg (a module-relative path), a call or a method value
+// alike, whether the receiver is the value or a pointer to it.
+func methodUses(f *ast.File, info *types.Info, pkg, typ, method string) []ast.Node {
+	var found []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != method {
+			return true
+		}
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != modulePath+"/"+pkg {
+			return true
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if named, ok := t.(*types.Named); ok && named.Obj().Name() == typ {
+				found = append(found, sel)
+			}
 		}
 		return true
 	})

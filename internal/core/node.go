@@ -102,10 +102,10 @@ type Node struct {
 	batchArmed bool
 
 	// gone holds the version this node last removed each member at
-	// (tombstone.go), lazily allocated on the first removal, FIFO capped
-	// by goneQ.
-	gone  map[ids.GUID]uint16
-	goneQ window[ids.GUID]
+	// (tombstone.go) for its newest tombstoneWindow removals: two dense
+	// rings in burial order, GUIDs and versions, and a 32-bit index of
+	// hash bits and ring positions, allocated on the first removal.
+	gone ids.Tombstones
 }
 
 // ID returns the node's identity.

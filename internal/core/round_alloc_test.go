@@ -87,6 +87,50 @@ func TestRetainedHeapBudget(t *testing.T) {
 	}
 }
 
+// tombstoneHeapBudget is the live heap a System at h=4 r=5 with 500
+// members may add when they all leave: each of its 780 entities then
+// holds 500 tombstones, so the budget is about 21 bytes a tombstone. A Go
+// map of versions capped by a FIFO of GUIDs added 16.8 MB.
+const tombstoneHeapBudget = 8 << 20
+
+// TestTombstoneHeapBudget locks what the removal windows cost: the live
+// heap the leaves add, measured as TestRetainedHeapBudget measures.
+func TestTombstoneHeapBudget(t *testing.T) {
+	live := func() uint64 {
+		var ms goruntime.MemStats
+		goruntime.GC()
+		goruntime.GC()
+		goruntime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	sys := NewSystem(quietConfig(4, 5))
+	aps := sys.APs()
+	for g := 1; g <= 500; g++ {
+		if _, err := sys.JoinMemberAt(ids.GUID(g), aps[g%len(aps)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	before := live()
+	for g := 1; g <= 500; g++ {
+		if err := sys.LeaveMember(ids.GUID(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	grown := int64(live()) - int64(before)
+	if got := len(sys.GlobalMembership()); got != 0 {
+		t.Fatalf("membership = %d, want 0", got)
+	}
+	if got := sys.Node(aps[0]).gone.Len(); got != 500 {
+		t.Fatalf("an access proxy holds %d tombstones, want 500", got)
+	}
+	if grown > tombstoneHeapBudget {
+		t.Errorf("500 leaves at h=4 r=5 grow the live heap by %.1f MB, budget %.1f MB",
+			float64(grown)/(1<<20), float64(tombstoneHeapBudget)/(1<<20))
+	}
+}
+
 // TestNotifiedBatchSharesTokenOps: a notification carries the sender's
 // token Ops themselves, the receiving ring's round works on its own
 // copy, and neither round writes the shared batch. The copy readdresses

@@ -262,7 +262,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 					parent: parent,
 					queue:  mq.New(cfg.Aggregate),
 					pass:   passResend(n),
-					goneQ:  newWindow[ids.GUID](tombstoneWindow),
+					gone:   ids.NewTombstones(tombstoneWindow),
 				}
 				if child, ok := s.hier.ChildRingOf(id); ok {
 					n.hasChild = true

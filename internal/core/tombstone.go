@@ -14,18 +14,35 @@ import (
 // on every join, leave and handoff it submits, a join past what its
 // System's topmost entity holds too; an AP-detected failure removes at
 // the member's current Ver. put files a record only if it is newer than
-// the listed entry and than gone[g], the version the entity last
-// removed g at, so a removal at v beats a put at v; remove drops g
-// unless the listed entry is newer, and buries g at v. gone travels as
-// the Tombstones of Snapshot and MergeRequest, each applied with remove.
-// Only a leave or a failure buries, so the newest record wins whatever
-// order a member's changes arrive in except a handoff out of a ring's
-// coverage that overtakes an older join (docs/ARCHITECTURE.md).
+// the listed entry and than the tombstone in gone, the version the
+// entity last removed g at, so a removal at v beats a put at v; remove
+// drops g unless the listed entry is newer, and buries g at v. gone
+// travels as the Tombstones of Snapshot and MergeRequest, each applied
+// with remove. Only a leave or a failure buries, so the newest record
+// wins whatever order a member's changes arrive in except a handoff out
+// of a ring's coverage that overtakes an older join
+// (docs/ARCHITECTURE.md).
+//
+// gone is an ids.Tombstones, held by value in the Node: two dense rings
+// in burial order, one of GUIDs and one of versions, and an index of
+// 32-bit entries, each the low bits of the GUID's keyed hash above its
+// ring position + 1. Under full dissemination every change reaches every
+// entity (780 at h=4 r=5), so this store is paid once per entity: a
+// tombstone costs 14 bytes, 10 in the rings and 4 in its index entry,
+// besides the index's empty entries, and a probe reads a GUID only when
+// the hash bits match. Tombstones stay out of ringMems' own index: they
+// would grow a bottom ring's small index about 30-fold and push every
+// MemberList.find out of cache (PERF.md).
 
 // tombstoneWindow bounds gone FIFO-style, like the event dedup window: a
 // late change or a merge reconciles recent divergence, so removals older
-// than the last few thousand can lapse without risk in practice.
+// than the last few thousand can lapse without risk in practice. A
+// re-burial keeps its place; the oldest distinct burial is evicted.
 const tombstoneWindow = 4096
+
+// The window must fit the position field of gone's index entries: a
+// larger tombstoneWindow does not compile.
+const _ uint = ids.MaxTombstones - tombstoneWindow
 
 // put files m unless the entity holds the member at the same or a newer
 // version, or removed it at one, and reports whether it did. A record at
@@ -83,38 +100,21 @@ func (n *Node) held(g ids.GUID) (uint16, bool) {
 	if e, ok := n.ringMems.Get(g); ok {
 		return e.Ver, true
 	}
-	v, ok := n.gone[g]
-	return v, ok
+	return n.gone.Get(g)
 }
 
 // bury records that the entity removed g at version v, keeping the newer
 // of two removals. It is the only writer of gone.
-func (n *Node) bury(g ids.GUID, v uint16) {
-	if old, ok := n.gone[g]; ok {
-		if ids.VerAfter(v, old) {
-			n.gone[g] = v
-		}
-		return
-	}
-	if n.gone == nil {
-		n.gone = make(map[ids.GUID]uint16)
-	}
-	n.gone[g] = v
-	if old, full := n.goneQ.push(g); full {
-		delete(n.gone, old)
-	}
-}
+func (n *Node) bury(g ids.GUID, v uint16) { n.gone.Bury(g, v) }
 
 // tombstoneList renders gone for the wire, sorted by GUID so encodings
 // and digests are deterministic.
 func (n *Node) tombstoneList() []wire.Tombstone {
-	if len(n.gone) == 0 {
+	if n.gone.Len() == 0 {
 		return nil
 	}
-	out := make([]wire.Tombstone, 0, len(n.gone))
-	for g, v := range n.gone {
-		out = append(out, wire.Tombstone{GUID: g, Ver: v})
-	}
+	out := make([]wire.Tombstone, 0, n.gone.Len())
+	n.gone.Each(func(g ids.GUID, v uint16) { out = append(out, wire.Tombstone{GUID: g, Ver: v}) })
 	sort.Slice(out, func(i, j int) bool { return out[i].GUID < out[j].GUID })
 	return out
 }

@@ -5,8 +5,7 @@ package core
 // push evicts the oldest. A full window overwrites in place, so a push
 // then allocates nothing. Until then it grows as append grows a slice:
 // most windows never fill, so it must not allocate its whole limit up
-// front (780 entities × tombstoneWindow keys would be 25 MB on the
-// simulator), and coarser growth leaves the many small windows of a
+// front, and coarser growth leaves the many small windows of a
 // multi-group process half empty.
 type window[K any] struct {
 	keys  []K
