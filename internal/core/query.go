@@ -56,22 +56,23 @@ func (r QueryResult) GUIDs() []ids.GUID {
 	return out
 }
 
-// queryCollector assembles one query's answer: the members in
-// first-seen order (a later reply's record replaces an earlier one in
-// place) and the rings that have answered. RunQuery takes it from and
-// returns it to System.queryFree in engine context, so a System's
-// queries reuse the same few buffers.
+// queryCollector assembles one query's answer and the rings that have
+// answered. A many-ring answer is an ids.MemberList, whose Put keeps a
+// member where it was first seen with the later reply's record; a
+// one-ring answer appends, since a single ring's list is duplicate-free.
+// RunQuery takes it from and returns it to System.queryFree in engine
+// context, so a System's queries reuse the same few buffers.
 type queryCollector struct {
-	members []ids.MemberInfo
-	index   map[ids.GUID]int32 // position in members; unused by a one-ring query
+	dedup   bool             // more than one ring answers
+	members []ids.MemberInfo // a one-ring answer
+	merged  ids.MemberList   // a many-ring answer
 	rings   []ring.ID
 }
 
 // add merges one ring's reply and reports whether that ring had not
 // answered before: a replayed Query or QueryReply frame is not another
-// ring. A single ring's list is duplicate-free, so a query expecting
-// one reply appends without hashing.
-func (c *queryCollector) add(rep wire.QueryReply, dedup bool) bool {
+// ring.
+func (c *queryCollector) add(rep wire.QueryReply) bool {
 	if slices.Contains(c.rings, rep.From) {
 		return false
 	}
@@ -80,16 +81,27 @@ func (c *queryCollector) add(rep wire.QueryReply, dedup bool) bool {
 		if !m.Status.Operational() {
 			continue
 		}
-		if !dedup {
-			c.members = append(c.members, m)
-		} else if i, ok := c.index[m.GUID]; ok {
-			c.members[i] = m
+		if c.dedup {
+			c.merged.Put(m)
 		} else {
-			c.index[m.GUID] = int32(len(c.members))
 			c.members = append(c.members, m)
 		}
 	}
 	return true
+}
+
+// answer returns a copy of the answer collected, [] when it is empty.
+func (c *queryCollector) answer() []ids.MemberInfo {
+	if c.dedup {
+		return c.merged.Snapshot()
+	}
+	return slices.Clone(c.members)
+}
+
+// reset empties the collector for the next query, keeping its buffers.
+func (c *queryCollector) reset() {
+	c.members, c.rings = c.members[:0], c.rings[:0]
+	c.merged.Clear()
 }
 
 // queryApp is the ephemeral requesting-application endpoint.
@@ -106,7 +118,7 @@ type queryApp struct {
 // HandleMessage collects replies.
 func (a *queryApp) HandleMessage(msg runtime.Message) {
 	rep, ok := msg.Body.(wire.QueryReply)
-	if !ok || rep.ID != a.id || a.done || !a.col.add(rep, a.expected > 1) {
+	if !ok || rep.ID != a.id || a.done || !a.col.add(rep) {
 		return
 	}
 	if len(a.col.rings) >= a.expected {
@@ -163,8 +175,9 @@ func (s *System) RunQuery(entry ids.NodeID, scheme QueryScheme) (QueryResult, er
 			app.col, s.queryFree = s.queryFree[n-1], s.queryFree[:n-1]
 		} else {
 			// members non-nil: an empty answer stays [], as Snapshot gave it.
-			app.col = &queryCollector{members: []ids.MemberInfo{}, index: map[ids.GUID]int32{}}
+			app.col = &queryCollector{members: []ids.MemberInfo{}}
 		}
+		app.col.dedup = app.expected > 1
 		s.tr.Register(app.node, app)
 		before = s.tr.Stats()
 		start = s.clock.Now()
@@ -192,13 +205,12 @@ func (s *System) RunQuery(entry ids.NodeID, scheme QueryScheme) (QueryResult, er
 		}
 		col := app.col
 		res = QueryResult{
-			Members:  slices.Clone(col.members),
+			Members:  col.answer(),
 			Messages: (after.DeliveredOf(runtime.KindQuery) - before.DeliveredOf(runtime.KindQuery)) + (after.DeliveredOf(runtime.KindReply) - before.DeliveredOf(runtime.KindReply)),
 			Latency:  latency,
 			Replies:  len(col.rings),
 		}
-		col.members, col.rings = col.members[:0], col.rings[:0]
-		clear(col.index)
+		col.reset()
 		s.queryFree = append(s.queryFree, col)
 	})
 	return res, nil

@@ -251,8 +251,8 @@ func TestQueryAnswerOrderOverlappingRings(t *testing.T) {
 }
 
 // TestQueryCollectorReused: consecutive queries of one System share one
-// collector, and what an earlier, wider query left in it never shows in
-// a later answer.
+// collector, and what an earlier, wider query left in it, in its
+// one-ring list or its merged MemberList, never shows in a later answer.
 func TestQueryCollectorReused(t *testing.T) {
 	sys := NewSystem(quietConfig(3, 3))
 	populate(t, sys, 27)
@@ -274,6 +274,13 @@ func TestQueryCollectorReused(t *testing.T) {
 	if len(sys.queryFree) != 1 {
 		t.Fatalf("%d collectors after sequential queries, want 1", len(sys.queryFree))
 	}
+	idle := func() {
+		t.Helper()
+		if c := sys.queryFree[0]; len(c.members) != 0 || c.merged.Len() != 0 || len(c.rings) != 0 {
+			t.Fatalf("an idle collector holds %d members, %d merged, %d rings", len(c.members), c.merged.Len(), len(c.rings))
+		}
+	}
+	idle()
 	// A crashed bottom-ring leader leaves a query one reply short; the
 	// partial answer must not leak into the next query either.
 	dead := sys.hier.Level(2)[4].Leader()
@@ -284,4 +291,5 @@ func TestQueryCollectorReused(t *testing.T) {
 	if res := mustQuery(t, sys, sys.APs()[2], TMS()); !reflect.DeepEqual(res.Members, want[1]) {
 		t.Fatalf("TMS after a partial BMS: %d members, want the settled 27", len(res.Members))
 	}
+	idle()
 }

@@ -453,8 +453,17 @@ func (l *MemberList) Each(fn func(MemberInfo)) {
 	}
 }
 
-// Snapshot returns the members as a fresh slice in insertion order.
+// Snapshot returns the members as a fresh slice in insertion order,
+// its capacity equal to its length. With no dead slot it is one copy.
 func (l *MemberList) Snapshot() []MemberInfo {
+	if l.ndead == 0 {
+		// In this form, with local names, the compiler makes the
+		// slice and copies into it without zeroing it first.
+		s := l.slots
+		out := make([]MemberInfo, len(s))
+		copy(out, s)
+		return out
+	}
 	out := make([]MemberInfo, 0, l.Len())
 	l.Each(func(m MemberInfo) { out = append(out, m) })
 	return out

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -150,11 +151,11 @@ func FrameLen(b []byte) (int, error) {
 	if len(b) < envelopeSize+payloadHeaderSize {
 		return 0, ErrTruncated
 	}
-	n := int(binary.LittleEndian.Uint32(b[envelopeSize+1:]))
-	if n > len(b)-envelopeSize-payloadHeaderSize {
+	n := binary.LittleEndian.Uint32(b[envelopeSize+1:]) // unsigned, as in decodePayload
+	if uint64(n) > uint64(len(b)-envelopeSize-payloadHeaderSize) {
 		return 0, ErrTruncated
 	}
-	return envelopeSize + payloadHeaderSize + n, nil
+	return envelopeSize + payloadHeaderSize + int(n), nil
 }
 
 // FramePayloadKind reads the payload kind of an encoded frame without
@@ -188,10 +189,13 @@ func decodePayload(b []byte, members *[]ids.MemberInfo) (Payload, int, error) {
 		return nil, 0, ErrTruncated
 	}
 	kind := PayloadKind(b[0])
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n > len(b)-payloadHeaderSize {
+	// Compared as unsigned: on a 32-bit platform a length past 2³¹
+	// converts to a negative int, which would pass.
+	n32 := binary.LittleEndian.Uint32(b[1:])
+	if uint64(n32) > uint64(len(b)-payloadHeaderSize) {
 		return nil, 0, ErrTruncated
 	}
+	n := int(n32)
 	consumed := payloadHeaderSize + n
 	if kind == KindNone {
 		if n != 0 {
@@ -248,66 +252,100 @@ func appendRingID(b []byte, id ring.ID) []byte {
 	return appendU32(b, uint32(id.Index))
 }
 
-// appendMemberInfo writes a member record. The care-of identity's AP is
-// the record's AP, so only its local index goes on the wire.
+// appendRecords extends b by n records of size bytes, growing it at
+// most once, and returns the extended buffer and the new records' bytes
+// for the caller to write in place.
+func appendRecords(b []byte, n, size int) (out, recs []byte) {
+	start := len(b)
+	b = slices.Grow(b, n*size)[:start+n*size]
+	return b, b[start:]
+}
+
+// appendSection writes a list section's u32 count and makes room for
+// its n records of size bytes.
+func appendSection(b []byte, n, size int) (out, recs []byte) {
+	return appendRecords(appendU32(b, uint32(n)), n, size)
+}
+
+// putMember writes a member record into p. The care-of identity's AP is
+// the record's AP, so only its local index goes on the wire. It takes
+// the record by pointer, as readMember does, so none is copied.
+func putMember(p []byte, m *ids.MemberInfo) {
+	_ = p[memberInfoSize-1]
+	binary.LittleEndian.PutUint32(p[0:], uint32(m.GID))
+	binary.LittleEndian.PutUint64(p[4:], uint64(m.GUID))
+	binary.LittleEndian.PutUint32(p[12:], m.LUID.Local)
+	binary.LittleEndian.PutUint64(p[16:], uint64(m.AP))
+	p[24] = byte(m.Status)
+	binary.LittleEndian.PutUint16(p[25:], m.Ver)
+}
+
+func putChange(p []byte, c *mq.Change) {
+	_ = p[changeSize-1]
+	p[0] = byte(c.Op)
+	putMember(p[1:], &c.Member)
+	q := p[1+memberInfoSize:]
+	binary.LittleEndian.PutUint64(q[0:], uint64(c.NE))
+	binary.LittleEndian.PutUint64(q[8:], uint64(c.Origin))
+	binary.LittleEndian.PutUint64(q[16:], c.Seq)
+	binary.LittleEndian.PutUint64(q[24:], uint64(c.ReplyTo))
+}
+
 func appendMemberInfo(b []byte, m ids.MemberInfo) []byte {
-	b = appendU32(b, uint32(m.GID))
-	b = appendU64(b, uint64(m.GUID))
-	b = appendU32(b, m.LUID.Local)
-	b = appendU64(b, uint64(m.AP))
-	b = append(b, byte(m.Status))
-	return appendU16(b, m.Ver)
+	b, rec := appendRecords(b, 1, memberInfoSize)
+	putMember(rec, &m)
+	return b
 }
 
 func appendChange(b []byte, c mq.Change) []byte {
-	b = append(b, byte(c.Op))
-	b = appendMemberInfo(b, c.Member)
-	b = appendU64(b, uint64(c.NE))
-	b = appendU64(b, uint64(c.Origin))
-	b = appendU64(b, c.Seq)
-	return appendU64(b, uint64(c.ReplyTo))
+	b, rec := appendRecords(b, 1, changeSize)
+	putChange(rec, &c)
+	return b
 }
 
 func appendNodeIDs(b []byte, s []ids.NodeID) []byte {
-	b = appendU32(b, uint32(len(s)))
-	for _, id := range s {
-		b = appendU64(b, uint64(id))
+	b, p := appendSection(b, len(s), nodeIDSize)
+	for i, id := range s {
+		binary.LittleEndian.PutUint64(p[i*nodeIDSize:], uint64(id))
 	}
 	return b
 }
 
 func appendMembers(b []byte, s []ids.MemberInfo) []byte {
-	b = appendU32(b, uint32(len(s)))
-	for _, m := range s {
-		b = appendMemberInfo(b, m)
+	b, p := appendSection(b, len(s), memberInfoSize)
+	for i := range s {
+		putMember(p[i*memberInfoSize:], &s[i])
 	}
 	return b
 }
 
 func appendBatch(b []byte, batch mq.Batch) []byte {
-	b = appendU32(b, uint32(len(batch)))
-	for _, c := range batch {
-		b = appendChange(b, c)
+	b, p := appendSection(b, len(batch), changeSize)
+	for i := range batch {
+		putChange(p[i*changeSize:], &batch[i])
 	}
 	return b
 }
 
 func appendTombstones(b []byte, s []Tombstone) []byte {
-	b = appendU32(b, uint32(len(s)))
-	for _, t := range s {
-		b = appendU64(b, uint64(t.GUID))
-		b = appendU16(b, t.Ver)
+	b, p := appendSection(b, len(s), tombstoneSize)
+	for i, t := range s {
+		binary.LittleEndian.PutUint64(p[i*tombstoneSize:], uint64(t.GUID))
+		binary.LittleEndian.PutUint16(p[i*tombstoneSize+8:], t.Ver)
 	}
 	return b
 }
 
-// Fixed element sizes, used to bound slice counts against the bytes
-// actually present (a hostile length field must not drive a huge
-// allocation).
+// Fixed record sizes. A list section is a u32 count and that many
+// records of one of these sizes: the reader checks the count against
+// the bytes present once (a hostile count must not drive a huge
+// allocation) and then decodes the records without further checks.
+// A new record type states its size here.
 const (
 	memberInfoSize = 4 + 8 + 4 + 8 + 1 + 2
 	changeSize     = 1 + memberInfoSize + 8 + 8 + 8 + 8
 	tombstoneSize  = 8 + 2
+	nodeIDSize     = 8
 
 	// peerEntrySize is the minimum encoding of one PeerEntry (its
 	// variable-length address contributes only the u16 length here).
@@ -318,7 +356,8 @@ const (
 
 // reader is a bounds-checked cursor over one payload body. On any
 // short read it latches bad and every further read yields zeros, so
-// decode code stays straight-line.
+// decode code stays straight-line. The per-field reads are for headers;
+// a list section is checked once by count and read as fixed records.
 type reader struct {
 	b   []byte
 	off int
@@ -391,14 +430,33 @@ func (r *reader) str() string {
 }
 
 // count reads a slice length and validates it against the bytes left
-// for elements of elemSize.
+// for elements of elemSize. The bound divides rather than multiplies,
+// so a count near 2³² cannot wrap a 32-bit int past the check.
 func (r *reader) count(elemSize int) int {
-	n := int(r.u32())
-	if r.bad || n < 0 || n*elemSize > len(r.b)-r.off {
+	n := r.u32()
+	if r.bad || uint64(n) > uint64((len(r.b)-r.off)/elemSize) {
 		r.bad = true
 		return 0
 	}
-	return n
+	return int(n)
+}
+
+// records returns the next n records of size bytes, which count has
+// checked are present, and moves past them.
+func (r *reader) records(n, size int) []byte {
+	p := r.b[r.off : r.off+n*size]
+	r.off += n * size
+	return p
+}
+
+// record returns the next size bytes, or nil and latches bad when
+// fewer are left.
+func (r *reader) record(size int) []byte {
+	if r.bad || size > len(r.b)-r.off {
+		r.bad = true
+		return nil
+	}
+	return r.records(1, size)
 }
 
 func (r *reader) nodeID() ids.NodeID { return ids.NodeID(r.u64()) }
@@ -408,38 +466,56 @@ func (r *reader) ringID() ring.ID {
 	return ring.ID{Tier: t, Index: int(r.u32())}
 }
 
-func (r *reader) memberInfo() ids.MemberInfo {
-	m := ids.MemberInfo{
-		GID:    ids.GroupID(r.u32()),
-		GUID:   ids.GUID(r.u64()),
-		LUID:   ids.LUID{Local: r.u32()},
-		AP:     ids.NodeID(r.u64()),
-		Status: ids.Status(r.u8()),
-		Ver:    r.u16(),
+// readMember decodes the member record at the front of p into m. The
+// care-of identity's AP is the record's AP. It writes through m rather
+// than returning a MemberInfo, which the compiler would build on the
+// stack and copy: that copy tripled the cost of a member list.
+func readMember(m *ids.MemberInfo, p []byte) {
+	_ = p[memberInfoSize-1]
+	ap := ids.NodeID(binary.LittleEndian.Uint64(p[16:]))
+	m.GUID = ids.GUID(binary.LittleEndian.Uint64(p[4:]))
+	m.LUID = ids.LUID{AP: ap, Local: binary.LittleEndian.Uint32(p[12:])}
+	m.AP = ap
+	m.GID = ids.GroupID(binary.LittleEndian.Uint32(p[0:]))
+	m.Status = ids.Status(p[24])
+	m.Ver = binary.LittleEndian.Uint16(p[25:])
+}
+
+// readChange decodes the change record at the front of p into c.
+func readChange(c *mq.Change, p []byte) {
+	_ = p[changeSize-1]
+	c.Op = mq.Op(p[0])
+	readMember(&c.Member, p[1:])
+	q := p[1+memberInfoSize:]
+	c.NE = ids.NodeID(binary.LittleEndian.Uint64(q[0:]))
+	c.Origin = ids.NodeID(binary.LittleEndian.Uint64(q[8:]))
+	c.Seq = binary.LittleEndian.Uint64(q[16:])
+	c.ReplyTo = ids.NodeID(binary.LittleEndian.Uint64(q[24:]))
+}
+
+func (r *reader) memberInfo() (m ids.MemberInfo) {
+	if p := r.record(memberInfoSize); p != nil {
+		readMember(&m, p)
 	}
-	m.LUID.AP = m.AP
 	return m
 }
 
-func (r *reader) change() mq.Change {
-	return mq.Change{
-		Op:      mq.Op(r.u8()),
-		Member:  r.memberInfo(),
-		NE:      r.nodeID(),
-		Origin:  r.nodeID(),
-		Seq:     r.u64(),
-		ReplyTo: r.nodeID(),
+func (r *reader) change() (c mq.Change) {
+	if p := r.record(changeSize); p != nil {
+		readChange(&c, p)
 	}
+	return c
 }
 
 func (r *reader) nodeIDs() []ids.NodeID {
-	n := r.count(8)
+	n := r.count(nodeIDSize)
 	if r.bad || n == 0 {
 		return nil
 	}
 	out := make([]ids.NodeID, n)
+	p := r.records(n, nodeIDSize)
 	for i := range out {
-		out[i] = r.nodeID()
+		out[i] = ids.NodeID(binary.LittleEndian.Uint64(p[i*nodeIDSize:]))
 	}
 	return out
 }
@@ -461,8 +537,9 @@ func (r *reader) members(buf *[]ids.MemberInfo) []ids.MemberInfo {
 		out = make([]ids.MemberInfo, n)
 		*buf = out
 	}
+	p := r.records(n, memberInfoSize)
 	for i := range out {
-		out[i] = r.memberInfo()
+		readMember(&out[i], p[i*memberInfoSize:])
 	}
 	return out
 }
@@ -473,8 +550,9 @@ func (r *reader) batch() mq.Batch {
 		return nil
 	}
 	out := make(mq.Batch, n)
+	p := r.records(n, changeSize)
 	for i := range out {
-		out[i] = r.change()
+		readChange(&out[i], p[i*changeSize:])
 	}
 	return out
 }
@@ -487,8 +565,10 @@ func (r *reader) tombstones() []Tombstone {
 		return nil
 	}
 	out := make([]Tombstone, n)
+	p := r.records(n, tombstoneSize)
 	for i := range out {
-		out[i] = Tombstone{GUID: ids.GUID(r.u64()), Ver: r.u16()}
+		q := p[i*tombstoneSize:]
+		out[i] = Tombstone{GUID: ids.GUID(binary.LittleEndian.Uint64(q)), Ver: binary.LittleEndian.Uint16(q[8:])}
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -263,6 +265,63 @@ func FuzzDatagramFrames(f *testing.F) {
 				}
 			}
 			rest = rest[n:]
+		}
+	})
+}
+
+// FuzzDecodeAgainstReference is the differential oracle of the record
+// readers: on arbitrary bytes, DecodeFrame and the per-field decoder it
+// replaced (reference_test.go) give equal frames, or fail with the same
+// error. CI runs a short -fuzz smoke of this target beside
+// FuzzWireRoundTrip's.
+func FuzzDecodeAgainstReference(f *testing.F) {
+	gid := ids.NewGroupID(9)
+	frame := func(p Payload) []byte {
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: p})
+	}
+	// bump returns b with the u32 at off one higher: a section count one
+	// past the records that follow it.
+	bump := func(b []byte, off int) []byte {
+		b = append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(b[off:], binary.LittleEndian.Uint32(b[off:])+1)
+		return b
+	}
+	body := envelopeSize + payloadHeaderSize
+
+	// Every kind, members whose versions wrap through 0 (sampleMember),
+	// and each frame cut at every length.
+	for _, p := range samplePayloads() {
+		b := frame(p)
+		for cut := 0; cut <= len(b); cut++ {
+			f.Add(append([]byte(nil), b[:cut]...))
+		}
+	}
+	// Counts one past the records present, at the front of a body and at
+	// its end.
+	members := []ids.MemberInfo{sampleMember(0), sampleMember(1), sampleMember(2)}
+	reply := frame(QueryReply{ID: 3, From: ring.ID{Tier: ids.TierAP, Index: 2}, Members: members})
+	f.Add(bump(reply, len(reply)-len(members)*memberInfoSize-4))
+	f.Add(bump(frame(Notify{Batch: mq.Batch{sampleChange(1), sampleChange(2)}, Seq: 4}), body))
+	tombs := []Tombstone{{GUID: 5, Ver: 65535}, {GUID: 6, Ver: 0}}
+	snap := frame(Snapshot{Roster: []ids.NodeID{ap(0), ap(1)}, Leader: ap(0), Members: members, Tombstones: tombs})
+	f.Add(bump(snap, body))
+	f.Add(bump(snap, len(snap)-len(tombs)*tombstoneSize-4))
+	f.Add(bump(frame(TokenMsg{Tok: sampleToken()}), body+36)) // the Ops count
+	// The largest reply one datagram carries.
+	big := make([]ids.MemberInfo, 2424)
+	for i := range big {
+		big[i] = sampleMember(i)
+	}
+	f.Add(frame(QueryReply{ID: 9, Members: big}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeFrame(data)
+		want, refErr := refDecodeFrame(data)
+		if !errors.Is(err, refErr) {
+			t.Fatalf("decode: %v; per field: %v", err, refErr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded %+v\nper field %+v", got, want)
 		}
 	})
 }

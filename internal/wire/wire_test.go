@@ -305,16 +305,87 @@ func TestFrameLenSplitsADatagram(t *testing.T) {
 }
 
 // TestHostileLengthDoesNotAllocate: a length field claiming millions of
-// elements over a tiny body must fail fast, not allocate.
+// elements over a tiny body must fail fast, not allocate. The counts
+// times their record size wrap a 32-bit int, so the bound must hold
+// without multiplying.
 func TestHostileLengthDoesNotAllocate(t *testing.T) {
-	// Snapshot body: roster count claims 0xFFFFFFFF with no bytes
-	// behind it.
-	body := appendU32(nil, 0xFFFFFFFF)
-	b := append([]byte{byte(KindSnapshot)}, 0, 0, 0, 0)
-	b = append(b, body...)
-	// Fix the length header.
-	b[1] = byte(len(body))
-	if _, _, err := decodePayload(b, nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("err = %v, want ErrMalformed", err)
+	// body frames a body the way AppendPayload does.
+	body := func(k PayloadKind, b []byte) []byte {
+		return append(appendU32([]byte{byte(k)}, uint32(len(b))), b...)
+	}
+	cases := []struct {
+		name string
+		b    []byte
+		err  error
+	}{
+		// Snapshot body: roster count claims 0xFFFFFFFF with no bytes
+		// behind it.
+		{"snapshot roster of 2^32-1", body(KindSnapshot, appendU32(nil, 0xFFFFFFFF)), ErrMalformed},
+		// A 17-byte Notify body whose batch count is 2^30: 2^30 changes
+		// of 60 bytes is 60·2^30, which is 0 modulo 2^32.
+		{"notify batch of 2^30", body(KindNotify, append(appendU32(nil, 1<<30), make([]byte, 13)...)), ErrMalformed},
+		// A reply of 2^31 members reads as a negative int on 32 bits.
+		{"reply of 2^31 members", body(KindQueryReply, append(make([]byte, 13), appendU32(nil, 1<<31)...)), ErrMalformed},
+		// A body length past 2^31 is a negative int on 32 bits too.
+		{"body length 2^32-1", append(appendU32([]byte{byte(KindProbe)}, 0xFFFFFFFF), make([]byte, 8)...), ErrTruncated},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := decodePayload(tc.b, nil); !errors.Is(err, tc.err) {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			// At most the small box of the refused payload.
+			if allocs := testing.AllocsPerRun(10, func() { decodePayload(tc.b, nil) }); allocs > 1 {
+				t.Fatalf("a refused body allocates %.0f times", allocs)
+			}
+		})
+	}
+	frame := AppendFrame(nil, Frame{Payload: Probe{Seq: 1}})
+	binary.LittleEndian.PutUint32(frame[envelopeSize+1:], 0xFFFFFFFF)
+	if n, err := FrameLen(frame); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("FrameLen of a 2^32-1 body length = %d, %v; want ErrTruncated", n, err)
+	}
+}
+
+// TestBulkEncodersMatchPerField: the list sections written as records
+// in place are the bytes the per-field encoders wrote, appended after
+// whatever the buffer held.
+func TestBulkEncodersMatchPerField(t *testing.T) {
+	members := make([]ids.MemberInfo, 300)
+	for i := range members {
+		members[i] = sampleMember(i)
+		members[i].Status = ids.Status(i % 5)
+	}
+	batch := make(mq.Batch, 40)
+	for i := range batch {
+		batch[i] = sampleChange(i)
+		batch[i].Op = mq.Op(i % 7)
+	}
+	var tombs []Tombstone
+	var roster []ids.NodeID
+	for i := 0; i < 50; i++ {
+		tombs = append(tombs, Tombstone{GUID: ids.GUID(1<<63 | uint64(i)), Ver: uint16(65530 + i)})
+		roster = append(roster, ids.MakeNodeID(ids.TierAG, i))
+	}
+	prefix := []byte{1, 2, 3}
+	for _, tc := range []struct {
+		name      string
+		bulk, ref func([]byte) []byte
+	}{
+		{"members", func(b []byte) []byte { return appendMembers(b, members) }, func(b []byte) []byte { return refAppendMembers(b, members) }},
+		{"no members", func(b []byte) []byte { return appendMembers(b, nil) }, func(b []byte) []byte { return refAppendMembers(b, nil) }},
+		{"member", func(b []byte) []byte { return appendMemberInfo(b, members[7]) }, func(b []byte) []byte { return refAppendMemberInfo(b, members[7]) }},
+		{"batch", func(b []byte) []byte { return appendBatch(b, batch) }, func(b []byte) []byte { return refAppendBatch(b, batch) }},
+		{"change", func(b []byte) []byte { return appendChange(b, batch[3]) }, func(b []byte) []byte { return refAppendChange(b, batch[3]) }},
+		{"tombstones", func(b []byte) []byte { return appendTombstones(b, tombs) }, func(b []byte) []byte { return refAppendTombstones(b, tombs) }},
+		{"node ids", func(b []byte) []byte { return appendNodeIDs(b, roster) }, func(b []byte) []byte { return refAppendNodeIDs(b, roster) }},
+	} {
+		// Into a buffer that must grow and into one with room to spare.
+		for _, room := range []int{0, 1 << 16} {
+			want := tc.ref(append(make([]byte, 0, room), prefix...))
+			if got := tc.bulk(append(make([]byte, 0, room), prefix...)); !bytes.Equal(got, want) {
+				t.Fatalf("%s into a %d-byte buffer:\n got %x\nwant %x", tc.name, room, got, want)
+			}
+		}
 	}
 }
