@@ -16,9 +16,10 @@ import (
 // allocates its token, the batch it carries and the boxes of the
 // change's own messages; its itinerary and its pass acknowledgement are
 // reused from round to round. The instrumentation contract promises the
-// observer is free on the steady-state path (pointer-gated callbacks,
-// pre-sized dedup and pending maps, bounded FIFO windows), so installing
-// real callbacks must not move the budget at all.
+// observer is free on the steady-state path: the callbacks are
+// pointer-gated, the member's version decides that a commit is new, and
+// its submit time rides on its Member record, so no per-change map or
+// window exists and installing real callbacks must not move the budget.
 func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 	sys := core.NewSystem(fastConfig(1, 50))
 	var rounds, views atomic.Uint64
@@ -28,8 +29,8 @@ func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 		Repair:     func(d time.Duration) {},
 	})
 	ap := sys.APs()[0]
-	// Warm up: lazily-grown member maps, scratch buffers and the
-	// instrumentation's pending window settle before measuring.
+	// Warm up: lazily-grown member maps and scratch buffers settle
+	// before measuring.
 	next := 1
 	for ; next <= 64; next++ {
 		sys.JoinMemberAt(GUID(next), ap)

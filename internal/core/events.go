@@ -55,7 +55,7 @@ func (k EventKind) String() string {
 // Event is one observed membership change or ring repair. Member
 // events are emitted when the change commits at the topmost ring —
 // the authoritative view that GlobalMembership reads — exactly once
-// per operation (mid-round repair re-circulation is deduplicated).
+// per member version (a re-circulated batch finds it already held).
 // Repair events are emitted when a holder excludes a dead entity.
 type Event struct {
 	Kind   EventKind
@@ -79,48 +79,18 @@ func (e Event) String() string {
 	}
 }
 
-// changeKey identifies one membership operation for event
-// deduplication: Origin+Seq is unique per submitted change.
-type changeKey struct {
-	origin ids.NodeID
-	seq    uint64
-}
-
-// eventDedupWindow bounds the committed-operation dedup state. A
-// duplicate commit can only arise from a mid-round repair
-// re-circulating a token's batch — a window of a few rounds — so the
-// memory spent on deduplication stays constant over the life of a
-// long-running service instead of growing with every operation.
-const eventDedupWindow = 8192
-
 // SetEventSink installs fn as the system's event observer (nil
 // disables observation). The sink is invoked in engine context and
 // must not block; the rgb Service fans events out to Watch
-// subscribers from here. Installing a sink resets deduplication
-// state.
-func (s *System) SetEventSink(fn func(Event)) {
-	s.eventSink = fn
-	s.resetEventDedup()
-}
+// subscribers from here.
+func (s *System) SetEventSink(fn func(Event)) { s.eventSink = fn }
 
-// resetEventDedup (re)allocates the committed-operation dedup state.
-// Both the event sink and the instrumentation ride the same dedup —
-// each commit is observed once — so the state lives while either
-// observer is installed (Service.Close removes the sink but must not
-// break a still-installed instrumentation).
-func (s *System) resetEventDedup() {
-	s.eventSeen = nil
-	s.eventSeenQ = newWindow[changeKey](eventDedupWindow)
-	if s.eventSink != nil || s.instr != nil {
-		s.eventSeen = make(map[changeKey]struct{})
-	}
-}
-
-// emitMemberChange reports one committed member operation, once.
-// Called by topmost-ring nodes as they execute a token; the first
-// execution wins, so the emission order is the top ring's commit
-// order — deterministic under the simulated runtime.
-func (s *System) emitMemberChange(c mq.Change) {
+// emitMemberChange reports a member operation that the topmost entity
+// from just applied if it would still change every other topmost entity
+// this System hosts (changedBy), so only the first to apply it reports
+// it, even one that has since crashed or been cut away. The emission
+// order is the top ring's commit order.
+func (s *System) emitMemberChange(from *Node, c mq.Change) {
 	var kind EventKind
 	switch c.Op {
 	case mq.OpMemberJoin:
@@ -134,15 +104,12 @@ func (s *System) emitMemberChange(c mq.Change) {
 	default:
 		return // NE roster surgery is reported via repair events
 	}
-	key := changeKey{origin: c.Origin, seq: c.Seq}
-	if _, dup := s.eventSeen[key]; dup {
-		return
+	for i := range s.top {
+		if n := &s.top[i]; n != from && !n.changedBy(c) {
+			return
+		}
 	}
-	if old, full := s.eventSeenQ.push(key); full {
-		delete(s.eventSeen, old)
-	}
-	s.eventSeen[key] = struct{}{}
-	s.observeViewChange(kind, key)
+	s.observeViewChange(kind, c.Member)
 	if s.eventSink != nil {
 		s.eventSink(Event{Kind: kind, Member: c.Member, At: s.clock.Now()})
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/ring"
-	"github.com/rgbproto/rgb/internal/runtime"
 )
 
 // Instrumentation is the protocol engine's timing observer — the
@@ -30,9 +29,9 @@ type Instrumentation struct {
 
 	// ViewChange observes one member operation committing at the
 	// topmost ring — the moment GlobalMembership reflects it. measured
-	// reports whether d is meaningful: the submit timestamp is only
-	// known for operations submitted through this process (a remote
-	// origin's latency is observed by the remote process).
+	// reports whether d is meaningful: the submit timestamp is known
+	// only for the current version of a member this process submitted
+	// (a remote submitter's latency is observed by the remote process).
 	ViewChange func(kind EventKind, d time.Duration, measured bool)
 
 	// Repair observes one ring repair (a dead entity excluded), with
@@ -46,24 +45,9 @@ type Instrumentation struct {
 	BatchFlushed func(size int)
 }
 
-// instrPendingWindow bounds the submit-timestamp map, mirroring the
-// event dedup window: a change commits within a few rounds of its
-// submission, so the state stays constant-size for the life of the
-// process.
-const instrPendingWindow = 4096
-
 // SetInstrumentation installs (or, with nil, removes) the system's
-// timing observer. Must run in engine context. Installing resets the
-// commit-dedup state shared with the event sink.
-func (s *System) SetInstrumentation(in *Instrumentation) {
-	s.instr = in
-	s.instrPending = nil
-	s.instrPendingQ = newWindow[changeKey](instrPendingWindow)
-	if in != nil {
-		s.instrPending = make(map[changeKey]runtime.Time, instrPendingWindow)
-	}
-	s.resetEventDedup()
-}
+// timing observer. Must run in engine context.
+func (s *System) SetInstrumentation(in *Instrumentation) { s.instr = in }
 
 // observeRoundDone reports a completed round to the instrumentation.
 // A round this process did not start (adopted from a holder in another
@@ -76,29 +60,15 @@ func (s *System) observeRoundDone(holder *Node, ops int) {
 	s.instr.RoundDone(holder.level, s.clock.Now().Sub(holder.ring.roundStart), ops)
 }
 
-// noteSubmitted stamps a membership operation's entry into the
-// protocol (its Origin+Seq identity was just minted at an access
-// proxy), so the commit at the topmost ring can report the
-// end-to-end view-change latency.
-func (s *System) noteSubmitted(origin ids.NodeID, seq uint64) {
-	if s.instr == nil {
-		return
-	}
-	key := changeKey{origin: origin, seq: seq}
-	if old, full := s.instrPendingQ.push(key); full {
-		delete(s.instrPending, old)
-	}
-	s.instrPending[key] = s.clock.Now()
-}
-
-// observeViewChange reports one deduplicated topmost-ring commit.
-func (s *System) observeViewChange(kind EventKind, key changeKey) {
+// observeViewChange reports one topmost-ring commit of m. It is
+// measured from the submission when m carries the current version of a
+// mobile host this System submitted for (Member.submitted).
+func (s *System) observeViewChange(kind EventKind, m ids.MemberInfo) {
 	if s.instr == nil || s.instr.ViewChange == nil {
 		return
 	}
-	if at, ok := s.instrPending[key]; ok {
-		delete(s.instrPending, key)
-		s.instr.ViewChange(kind, s.clock.Now().Sub(at), true)
+	if mh, ok := s.members[m.GUID]; ok && mh.Ver == m.Ver {
+		s.instr.ViewChange(kind, s.clock.Now().Sub(mh.submitted), true)
 		return
 	}
 	s.instr.ViewChange(kind, 0, false)

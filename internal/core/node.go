@@ -266,7 +266,6 @@ func (n *Node) receiveMemberMsg(m wire.MemberChange, from ids.NodeID) {
 		ReplyTo: from,
 	}
 	n.queue.Insert(c)
-	n.sys.noteSubmitted(c.Origin, c.Seq)
 	n.sys.scheduleBatchedRound(n)
 }
 
@@ -458,9 +457,9 @@ func (n *Node) applyChange(c mq.Change) {
 	if applied && n.level == 0 && (n.sys.eventSink != nil || n.sys.instr != nil) {
 		// Commit point for observers: the topmost ring is the
 		// authoritative view, and applying the op here is exactly when
-		// GlobalMembership starts reflecting it. A change older than the
-		// ring's record of the member changes nothing, so nobody hears it.
-		n.sys.emitMemberChange(c)
+		// GlobalMembership starts reflecting it. A change that changes
+		// nothing here is not applied, so nobody hears it.
+		n.sys.emitMemberChange(n, c)
 	}
 }
 

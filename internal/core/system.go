@@ -23,10 +23,11 @@ import (
 type Member struct {
 	ids.MemberInfo
 
-	node    ids.NodeID // the MH's own message endpoint
-	sys     *System
-	ackedAt runtime.Time // when the last Holder-Acknowledgement arrived
-	acks    int
+	node      ids.NodeID // the MH's own message endpoint
+	sys       *System
+	ackedAt   runtime.Time // when the last Holder-Acknowledgement arrived
+	acks      int
+	submitted runtime.Time // when the change at the current Ver was submitted (instrument.go)
 }
 
 // Node returns the MH's message endpoint identity.
@@ -158,16 +159,8 @@ type System struct {
 	queryFree  []*queryCollector // idle reply collectors (query.go)
 	seqCounter uint64
 
-	eventSink  func(Event)
-	eventSeen  map[changeKey]struct{}
-	eventSeenQ window[changeKey]
-
-	// Timing observer (instrument.go). instrPending maps a
-	// locally-submitted change to its submit time until the
-	// topmost-ring commit.
-	instr         *Instrumentation
-	instrPending  map[changeKey]runtime.Time
-	instrPendingQ window[changeKey]
+	eventSink func(Event)
+	instr     *Instrumentation // timing observer (instrument.go)
 
 	// K-observer stability filter state (stability.go); the maps are
 	// allocated only when Config.StabilityK arms the filter.
@@ -629,6 +622,7 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
 		}
 	}
 	m.Ver++
+	m.submitted = s.clock.Now()
 	return m
 }
 
@@ -673,6 +667,7 @@ func (s *System) LeaveMember(guid ids.GUID) error {
 	}
 	m.Status = ids.StatusVoluntaryDisc
 	m.Ver++
+	m.submitted = s.clock.Now()
 	s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberLeave, Member: m.MemberInfo})
 	return nil
 }
@@ -686,6 +681,7 @@ func (s *System) FailMember(guid ids.GUID) error {
 		return err
 	}
 	m.Status = ids.StatusFailed
+	m.submitted = s.clock.Now()
 	ap := s.nodes[m.AP]
 	if ap == nil {
 		// The serving AP lives in another process: deliver the
@@ -697,7 +693,6 @@ func (s *System) FailMember(guid ids.GUID) error {
 	}
 	c := mq.Change{Op: mq.OpMemberFailure, Member: m.MemberInfo, Origin: ap.id, Seq: ap.nextSeq()}
 	ap.queue.Insert(c)
-	s.noteSubmitted(c.Origin, c.Seq)
 	s.scheduleBatchedRound(ap)
 	return nil
 }
@@ -730,6 +725,7 @@ func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	s.luidSeq[newAP]++
 	m.LUID = ids.LUID{AP: newAP, Local: s.luidSeq[newAP]}
 	m.Ver++
+	m.submitted = s.clock.Now()
 	s.send(m.node, newAP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberHandoff, Member: m.MemberInfo})
 	return nil
 }

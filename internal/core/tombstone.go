@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/mq"
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
@@ -34,10 +35,10 @@ import (
 // would grow a bottom ring's small index about 30-fold and push every
 // MemberList.find out of cache (PERF.md).
 
-// tombstoneWindow bounds gone FIFO-style, like the event dedup window: a
-// late change or a merge reconciles recent divergence, so removals older
-// than the last few thousand can lapse without risk in practice. A
-// re-burial keeps its place; the oldest distinct burial is evicted.
+// tombstoneWindow bounds gone FIFO-style: a late change or a merge
+// reconciles recent divergence, so removals older than the last few
+// thousand can lapse without risk in practice. A re-burial keeps its
+// place; the oldest distinct burial is evicted.
 const tombstoneWindow = 4096
 
 // The window must fit the position field of gone's index entries: a
@@ -82,16 +83,30 @@ func (n *Node) put(m ids.MemberInfo) bool {
 }
 
 // remove drops g from every list and buries it at v, unless the entity
-// lists g at a newer version; it reports whether it did.
+// lists g at a newer version; it reports whether that changed anything.
 func (n *Node) remove(g ids.GUID, v uint16) bool {
-	if e, ok := n.ringMems.Get(g); ok && ids.VerAfter(e.Ver, v) {
+	e, listed := n.ringMems.Get(g)
+	if listed && ids.VerAfter(e.Ver, v) {
 		return false
 	}
-	n.bury(g, v)
+	buried := n.bury(g, v)
 	n.ringMems.Remove(g)
 	n.local.Remove(g)
 	n.neighbors.Remove(g)
-	return true
+	return listed || buried
+}
+
+// changedBy reports whether member change c would change a topmost
+// entity, which covers every access proxy, by put's and remove's rule:
+// a removal must be newer than the tombstone and not older than the
+// listed record, a put newer than both.
+func (n *Node) changedBy(c mq.Change) bool {
+	g, v := c.Member.GUID, c.Member.Ver
+	held, known := n.held(g)
+	if known && (c.Op == mq.OpMemberLeave || c.Op == mq.OpMemberFailure) && n.ringMems.Contains(g) {
+		return !ids.VerAfter(held, v)
+	}
+	return !known || ids.VerAfter(v, held)
 }
 
 // held returns the version at which the entity lists g or last removed
@@ -104,8 +119,9 @@ func (n *Node) held(g ids.GUID) (uint16, bool) {
 }
 
 // bury records that the entity removed g at version v, keeping the newer
-// of two removals. It is the only writer of gone.
-func (n *Node) bury(g ids.GUID, v uint16) { n.gone.Bury(g, v) }
+// of two removals, and reports whether gone changed. It is the only
+// writer of gone.
+func (n *Node) bury(g ids.GUID, v uint16) bool { return n.gone.Bury(g, v) }
 
 // tombstoneList renders gone for the wire, sorted by GUID so encodings
 // and digests are deterministic.

@@ -77,10 +77,11 @@ func (t *Tombstones) Get(g GUID) (uint16, bool) {
 	return t.vers[t.index[e]&tombPosMask-1], true
 }
 
-// Bury records that g was removed at version v. A buried g keeps its
-// place in the burial order and takes v only if v is newer (VerAfter);
-// a new burial into full rings evicts the oldest.
-func (t *Tombstones) Bury(g GUID, v uint16) {
+// Bury records that g was removed at version v and reports whether the
+// store changed. A buried g keeps its place in the burial order and
+// takes v only if v is newer (VerAfter); a new burial into full rings
+// evicts the oldest.
+func (t *Tombstones) Bury(g GUID, v uint16) bool {
 	tag := hashGUID(g) << tombPosBits
 	if len(t.index) == 0 {
 		t.grow()
@@ -89,8 +90,9 @@ func (t *Tombstones) Bury(g GUID, v uint16) {
 	if ok {
 		if i := t.index[e]&tombPosMask - 1; VerAfter(v, t.vers[i]) {
 			t.vers[i] = v
+			return true
 		}
-		return
+		return false
 	}
 	i := len(t.guids)
 	if i == t.limit {
@@ -108,6 +110,7 @@ func (t *Tombstones) Bury(g GUID, v uint16) {
 		t.vers = append(t.vers, v)
 	}
 	t.index[e] = tag | uint32(i+1)
+	return true
 }
 
 // grow doubles the index and re-homes every entry by its stored hash.

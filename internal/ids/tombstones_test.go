@@ -30,12 +30,13 @@ type refTombstones struct {
 	goneQ refWindow
 }
 
-func (n *refTombstones) bury(g GUID, v uint16) {
+func (n *refTombstones) bury(g GUID, v uint16) bool {
 	if old, ok := n.gone[g]; ok {
-		if VerAfter(v, old) {
-			n.gone[g] = v
+		if !VerAfter(v, old) {
+			return false
 		}
-		return
+		n.gone[g] = v
+		return true
 	}
 	if n.gone == nil {
 		n.gone = make(map[GUID]uint16)
@@ -44,6 +45,7 @@ func (n *refTombstones) bury(g GUID, v uint16) {
 	if old, full := n.goneQ.push(g); full {
 		delete(n.gone, old)
 	}
+	return true
 }
 
 // tombLimits are the windows an operation stream can run under, picked
@@ -62,8 +64,9 @@ var tombLimits = [...]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 4096}
 //	               6    Bury of the (key mod Len)-th GUID the model holds
 //	               7    Get only
 //
-// After every operation Get of the operation's GUID and of one outside
-// every key space, Len, and the set Each walks agree with the model. It
+// Every Bury reports the same change as the model's. After every
+// operation Get of the operation's GUID and of one outside every key
+// space, Len, and the set Each walks agree with the model. It
 // returns the number of burials that evicted an older one.
 func runTombstoneOps(data []byte) (evictions int, err error) {
 	if len(data) == 0 {
@@ -73,12 +76,14 @@ func runTombstoneOps(data []byte) (evictions int, err error) {
 	got := NewTombstones(limit)
 	ref := refTombstones{goneQ: refWindow{limit: limit}}
 	data = data[1:]
-	bury := func(g GUID, v uint16) {
+	bury := func(g GUID, v uint16) error {
 		if _, had := ref.gone[g]; !had && len(ref.goneQ.keys) == limit {
 			evictions++
 		}
-		got.Bury(g, v)
-		ref.bury(g, v)
+		if changed, want := got.Bury(g, v), ref.bury(g, v); changed != want {
+			return fmt.Errorf("Bury(%s, %#04x) = %v, model %v", g, v, changed, want)
+		}
+		return nil
 	}
 	for op := 0; len(data) >= 3; op++ {
 		kind, key, vb := data[0], data[1], data[2]
@@ -88,19 +93,23 @@ func runTombstoneOps(data []byte) (evictions int, err error) {
 			v = uint16(vb)<<8 | uint16(key)
 		}
 		g := modelGUID(GUID(key%modelKeys), kind&0x40 != 0)
+		var err error
 		switch c := kind & 0x07; {
 		case c <= 3:
-			bury(g, v)
+			err = bury(g, v)
 		case c <= 5:
 			g = GUID(0xf7)<<56 + GUID(op)
-			bury(g, v)
+			err = bury(g, v)
 		case c == 6:
 			if n := len(ref.goneQ.keys); n > 0 {
 				g = ref.goneQ.keys[int(key)%n]
 			}
-			bury(g, v)
+			err = bury(g, v)
 		}
-		if err := checkTombstones(&got, &ref, g); err != nil {
+		if err == nil {
+			err = checkTombstones(&got, &ref, g)
+		}
+		if err != nil {
 			return evictions, fmt.Errorf("op %d (kind %#02x key %d ver %#04x, limit %d): %w", op, kind, key, v, limit, err)
 		}
 	}
