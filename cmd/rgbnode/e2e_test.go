@@ -114,28 +114,24 @@ func launchNode(t *testing.T, bin string, args []string) *nodeProc {
 // the identical membership before teardown. CI runs exactly this. The
 // faulted row repeats the round with every fault flag armed: the same
 // membership must result, the stats line must show the injected faults,
-// and no process may see a frame its codec rejects. It enters every
-// change through process 0, at the access proxies it hosts: changes
-// that climb through different processes run concurrent top-ring
-// rounds, which lose changes once retransmissions stretch them
-// (benchmark/README.md, trap 2).
+// and no process may see a frame its codec rejects. Both rows enter
+// changes through every process, so their changes run concurrent
+// top-ring rounds (Trap 2, docs/ARCHITECTURE.md).
 func TestThreeProcessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping multi-process smoke")
 	}
 
 	bin := buildNode(t)
+	script := []smokeStep{
+		{0, "join 1 0"}, {0, "join 2 4"}, {1, "join 3 7"}, {1, "join 4 2"}, {2, "join 5 5"}, {1, "leave 4"},
+	}
 	for _, row := range []struct {
-		name   string
-		flags  []string
-		script []smokeStep
+		name  string
+		flags []string
 	}{
-		{"clean", nil, []smokeStep{
-			{0, "join 1 0"}, {0, "join 2 4"}, {1, "join 3 7"}, {1, "join 4 2"}, {2, "join 5 5"}, {1, "leave 4"},
-		}},
-		{"faulted", []string{"-corrupt", "0.02", "-replay", "0.02", "-misroute", "0.02", "-reorder", "0.02", "-faultseed", "3"}, []smokeStep{
-			{0, "join 1 0"}, {0, "join 2 1"}, {0, "join 3 2"}, {0, "join 4 0"}, {0, "join 5 1"}, {0, "leave 4"},
-		}},
+		{"clean", nil},
+		{"faulted", []string{"-corrupt", "0.02", "-replay", "0.02", "-misroute", "0.02", "-reorder", "0.02", "-faultseed", "3"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			peers := reservePeers(t, 3)
@@ -147,7 +143,7 @@ func TestThreeProcessSmoke(t *testing.T) {
 				p.expect("ready", 15*time.Second)
 				t.Logf("rgbnode[%d] ready", i)
 			}
-			smokeRound(t, procs, row.script)
+			smokeRound(t, procs, script)
 
 			// Wire sanity: traffic flowed, nothing failed to decode, and
 			// an armed fault plan fired.

@@ -19,6 +19,11 @@
 // hierarchy schedules no events. Every hop that the paper's hop-count
 // model counts — token passes and parent/child notifications — is a
 // real simulated message.
+//
+// The brokering is per process, so a ring spanning processes runs their
+// rounds concurrently. That is safe: list writes commute by member
+// version (tombstone.go), and a token waits its turn at each link
+// (Node.passToken) rather than cancel another round's resend.
 package core
 
 import (

@@ -19,7 +19,7 @@ import (
 // one trace entry and breaks the digest. Performance refactors must
 // keep it green; only a deliberate semantic change may re-pin it (use
 // the value printed by the failure and call the change out in the PR).
-const traceGoldenDigest = "77c8941f6020249602a15e60018f5c8873f1981ebd32b8e1a8c8c46425a5b091"
+const traceGoldenDigest = "00a4ffaaf70cc1584136d050c736c39cbd7491dbe85e8f1e9e9fcb4b8deaa738"
 
 // goldenScenario drives a deterministic churn-and-failure script on a
 // h=3, r=5 hierarchy and returns the hash of its message trace and the

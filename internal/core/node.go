@@ -65,6 +65,7 @@ type Node struct {
 	// records of finished ones, kept for the next (resend.go).
 	roundSeq   uint64
 	pass       resend
+	passWait   []*token.Token // tokens waiting their turn behind pass (passToken)
 	notifySeq  uint64
 	notifyWait []*resend
 	notifyFree []*resend
@@ -464,7 +465,10 @@ func (n *Node) applyChange(c mq.Change) {
 }
 
 // passToken forwards the token to the itinerary successor with
-// retransmission protection.
+// retransmission protection. A ring spanning processes runs concurrent
+// rounds, and a node has one pass: a token that finds it unacknowledged
+// waits in passWait, even behind a round that came full circle, since a
+// misrouted token can complete a round that skipped an entity.
 func (n *Node) passToken(tok *token.Token) {
 	if len(tok.Route) <= 1 {
 		// Single-entity round: trivially complete.
@@ -476,8 +480,22 @@ func (n *Node) passToken(tok *token.Token) {
 		n.completeRound(tok)
 		return
 	}
+	if n.pass.body != nil {
+		n.passWait = append(n.passWait, tok)
+		return
+	}
 	tok.Hops++
 	n.pass.start(next, wire.TokenMsg{Tok: tok})
+}
+
+// passWaiting passes the tokens waiting for the link, oldest first,
+// until one holds it again.
+func (n *Node) passWaiting() {
+	for n.pass.body == nil && len(n.passWait) > 0 {
+		tok := n.passWait[0]
+		n.passWait = slices.Delete(n.passWait, 0, 1)
+		n.passToken(tok)
+	}
 }
 
 // passTimedOut implements the token retransmission scheme: resend up
@@ -492,6 +510,7 @@ func (n *Node) passTimedOut() {
 		// every ring-mate, completing the round and releasing the
 		// ring), masking exactly the loss the watchdog must recover.
 		n.pass.stop()
+		n.passWait = nil // lost with the pass
 		return
 	}
 	if n.pass.retry() {
@@ -502,26 +521,32 @@ func (n *Node) passTimedOut() {
 	// token, and continue the round at the next live entity. With the
 	// stability filter armed, the roster surgery waits until K distinct
 	// observers concur — but the token routes around the suspect either
-	// way, so an unconfirmed suspicion never wedges the round. The round
-	// goes on in a copy of the token: the pass may have arrived with only
-	// its ack lost, and then the receiver holds the token that was sent.
+	// way, so an unconfirmed suspicion never wedges the round. The round,
+	// and every token waiting behind it, goes on in a copy, adopted here
+	// if its holder died: a pass may have arrived with only its ack
+	// lost, and then the receiver holds the token that was sent.
 	dead := n.pass.to
-	tok := n.pass.body.(wire.TokenMsg).Tok.Clone()
+	n.passWait = slices.Insert(n.passWait, 0, n.pass.body.(wire.TokenMsg).Tok)
 	n.pass.stop()
+	for i, tok := range n.passWait {
+		if slices.Contains(tok.Route, dead) {
+			tok = tok.Clone()
+			tok.DropFromRoute(dead)
+			if tok.Holder == dead {
+				tok.Holder = n.id
+			}
+			n.passWait[i] = tok
+		}
+	}
 	if n.sys.confirmEviction(dead, n.id) {
 		n.repairsDone++
 		n.sys.noteRepair(n.ringID, dead)
 		n.excludeFromRoster(dead)
+		tok := n.passWait[0]
 		tok.Repaired = true
 		tok.Ops = append(tok.Ops, mq.Change{Op: mq.OpNEFailure, NE: dead, Origin: n.id, Seq: n.nextSeq()})
 	}
-	tok.DropFromRoute(dead)
-	if tok.Holder == dead {
-		// The round's holder died: this node adopts the round so it
-		// still terminates.
-		tok.Holder = n.id
-	}
-	n.passToken(tok)
+	n.passWaiting()
 }
 
 // receivePassAck stops the retransmission of the pass the ack names:
@@ -534,6 +559,7 @@ func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
 	}
 	if tok := n.pass.body.(wire.TokenMsg).Tok; tok.Holder == a.Holder && tok.Round == a.Round {
 		n.pass.stop()
+		n.passWaiting()
 	}
 }
 

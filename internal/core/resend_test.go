@@ -125,6 +125,78 @@ func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
 	}
 }
 
+// TestTokenWaitsItsTurnAtLink: on a top ring spread over three
+// processes, a node holds the pass of one remote holder's round to a
+// crashed successor when the same holder's next round comes through.
+// That token waits for the pass instead of cancelling its resend. When
+// the pass is given up, it routes around the excluded successor in a
+// copy, so it does not time out on it again, and both rounds go on to
+// their holder.
+func TestTokenWaitsItsTurnAtLink(t *testing.T) {
+	p := newProcs(quietConfig(2, 3), 3)
+	top := p.sys[0].hier.Level(0)[0].Nodes()
+	n := p.sys[p.owners[top[0]]].Node(top[0])
+	dead, holder := n.nextLive(n.id), n.prevLive(n.id)
+	if p.owners[holder] == p.owners[n.id] {
+		t.Fatalf("holder %s shares a process with %s", holder, n.id)
+	}
+	toDead, toHolder := 0, map[uint64]bool{}
+	p.rt.Net().SetTrace(func(m runtime.Message, _ string) {
+		if m.Kind == runtime.KindToken && m.From == n.id {
+			switch m.To {
+			case dead:
+				toDead++
+			case holder:
+				toHolder[m.Body.(wire.TokenMsg).Tok.Round] = true
+			}
+		}
+	})
+	p.sys[0].CrashNE(dead)
+	var waited *token.Token
+	for round := uint64(101); round <= 102; round++ {
+		tok := token.Fresh(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok.Route = []ids.NodeID{holder, n.id, dead}
+		n.passToken(tok)
+		waited = tok
+	}
+	if len(n.passWait) != 1 {
+		t.Fatalf("%d tokens wait behind the pass, want the second round's", len(n.passWait))
+	}
+	p.rt.Run()
+
+	if want := 1 + n.sys.cfg.Retransmit.MaxRetries; toDead != want {
+		t.Errorf("tokens sent to the dead successor %d times, want %d: the first pass's resends alone", toDead, want)
+	}
+	if !toHolder[101] || !toHolder[102] || n.Repairs() != 1 {
+		t.Errorf("rounds passed on to the holder %v, %d repairs; want 101 and 102, and one", toHolder, n.Repairs())
+	}
+	if !slices.Contains(waited.Route, dead) {
+		t.Error("the give-up rerouted the waiting token in place, not in a copy")
+	}
+	if n.pass.body != nil || len(n.passWait) != 0 {
+		t.Error("a pass or a waiting token is left after the run drained")
+	}
+}
+
+// TestCrashedCarrierDropsWaitingTokens: a carrier that crashes with a
+// pass in flight loses the tokens waiting behind it along with the
+// pass, as a killed process would.
+func TestCrashedCarrierDropsWaitingTokens(t *testing.T) {
+	p := newProcs(quietConfig(2, 3), 3)
+	n := &p.sys[0].top[0]
+	holder := n.prevLive(n.id)
+	for round := uint64(101); round <= 102; round++ {
+		tok := token.Fresh(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok.Route = []ids.NodeID{holder, n.id, n.nextLive(n.id)}
+		n.passToken(tok)
+	}
+	n.sys.CrashNE(n.id)
+	p.rt.Run()
+	if n.pass.body != nil || len(n.passWait) != 0 {
+		t.Fatalf("a crashed carrier keeps its pass or %d waiting tokens", len(n.passWait))
+	}
+}
+
 // TestResendOwnsItsTimers pins timer ownership the way api_lock_test.go
 // pins the API: resend.go is the only non-test file of this package
 // that may cancel a timer or name a retransmission callback. A leaked

@@ -13,8 +13,9 @@ import (
 	"github.com/rgbproto/rgb/internal/workload"
 )
 
-// trap2Seeds is how many seeds the Trap 2 tests replay; at 1 % loss the
-// script through every process splits the top ring on about half.
+// trap2Seeds is how many seeds the Trap 2 tests replay: at 1 % loss, a
+// token that cancels the resend of another's pass splits the top ring on
+// about half of them.
 const trap2Seeds = 50
 
 // trap2Deployment is three Systems of an h=2 r=3 hierarchy at 1 % loss.
@@ -86,10 +87,12 @@ func logSplit(t *testing.T, seed uint64, p *procs) {
 
 // TestTrap2ChangesThroughEveryProcess is Trap 2: each process brokers
 // "one round per ring" for itself only, so changes entering through
-// different processes run concurrent rounds in the top ring, and under
-// loss the top-ring entities end with different views.
+// different processes run concurrent rounds in the top ring. A node has
+// one pass, so a token that reaches it while its pass is unacknowledged
+// must wait its turn (passToken): one that replaced the pass would cancel
+// its resend, a lost pass would take its round and batch with it, and
+// under loss the top-ring entities would end with different views.
 func TestTrap2ChangesThroughEveryProcess(t *testing.T) {
-	t.Skip("Trap 2: round admission is per process, not per ring (ROADMAP item 3b)")
 	trap2(t, func(i int) int { return i % 3 })
 }
 

@@ -14,7 +14,7 @@ import (
 // seeds => same numbers), or they changed observable behaviour. If a
 // deliberate semantic change invalidates it, re-pin with the value
 // printed by the failure and call the change out in the PR.
-const sweepGoldenDigest = "57e21b6772124684b55625a03b5d91d953dff6134e0e663f6dd5773372ea5986"
+const sweepGoldenDigest = "04452c12a350d224116ae7b600926390d0a1ffe8b1beaccac424fd504dac5521"
 
 // goldenReportJSON runs the canonical golden sweep with the given
 // worker count and returns its marshalled report.
