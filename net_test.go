@@ -54,9 +54,10 @@ func subtreeOwners(h, r, n int) map[NodeID]int {
 
 // slot0APs lists the access proxies that process 0 of an n-process
 // deployment hosts. A scenario meant to run unchanged on deployments of
-// different widths submits every change there, on process 0: changes
-// that climb through different processes run concurrent top-ring rounds
-// (benchmark/README.md, trap 2).
+// different widths submits every change there, on process 0, so its
+// changes enter through the same process at every width. Changes that
+// enter through every process are Trap 2's script
+// (internal/core/trap_test.go).
 func slot0APs(svc *Service, n int) []NodeID {
 	top := svc.Topology()
 	owners := subtreeOwners(top.Levels, top.RingSize, n)
