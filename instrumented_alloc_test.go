@@ -51,10 +51,13 @@ func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 
 // queryAllocBudget is what one Membership-Query over members members may
 // allocate once warm: the caller's own copy of the answer, plus a
-// quarter of it for everything else. The replier's list is shared
-// between changes, and a reply off the socket is decoded into a buffer
-// the socket keeps; with a fresh snapshot per reply this read about 2 ×,
-// and with a fresh 1000-entry map per query about 8 ×.
+// quarter of it for everything else. A reply that leaves its process is
+// encoded from the replier's own list, one that stays shares a copy of
+// it between changes, and a reply off the socket is decoded into a
+// buffer the socket keeps. With a fresh snapshot per reply this read
+// about 2 ×, and with a fresh 1000-entry map per query about 8 ×. With
+// a shared copy for every reply, beside a handoff per query pair,
+// TestQueryAllocBudgetUnderHandoffs read 79 KB for 1 000 members.
 func queryAllocBudget(members int) uint64 {
 	return uint64(members) * uint64(unsafe.Sizeof(MemberInfo{})) * 5 / 4
 }
@@ -132,5 +135,41 @@ func TestQueryAllocBudgetNetworked(t *testing.T) {
 		if ns := netStatsOf(t, svc); ns.Oversize != 0 || ns.DecodeErrors != 0 {
 			t.Errorf("proc %d: %+v", i, ns)
 		}
+	}
+}
+
+// TestQueryAllocBudgetUnderHandoffs holds the three-process deployment
+// to the same budget while its lists change: before each query pair,
+// outside the measured window, process 0 hands one member off to the
+// next of its bottom rings (bottomWriter) and process 1's Watch sees it
+// commit. Each handoff changes the top ring's list and two bottom
+// rings', so a reply that copied its list after every change would cost
+// about as much again as the answer. Every pair enters at the first
+// access proxy (pairs(1) starts its rotation there), which process 0
+// hosts, so both queries climb to process 0's topmost entity, and
+// every member is listed on process 0: each non-empty reply leaves its
+// process. (A reply to a query of its own process still takes the copy
+// the replies between two changes share; rotating the entry over all
+// 27 proxies reads about 51 KB per query.)
+func TestQueryAllocBudgetUnderHandoffs(t *testing.T) {
+	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(3))
+	if owner := subtreeOwners(3, 3, 3)[procs[0].APs()[0]]; owner != 0 {
+		t.Fatalf("the first access proxy is on process %d, want 0", owner)
+	}
+	const members = 1000
+	w := newBottomWriter(t, procs, members)
+	pairs := queryPairAllocs(t, procs[1], procs[2], members)
+	var total uint64
+	for i := -20; i < 100; i++ { // 20 warm-up pairs
+		w.handoff()
+		if b := pairs(1); i >= 0 {
+			total += b
+		}
+	}
+	perQuery := total / 200
+
+	t.Logf("per query %d B over %d handoffs", perQuery, w.handoffs)
+	if budget := queryAllocBudget(members); perQuery > budget {
+		t.Errorf("a query over %d members beside handoffs allocates %d B, budget %d B", members, perQuery, budget)
 	}
 }

@@ -244,13 +244,17 @@ func (n *Node) receiveQuery(q wire.Query) {
 		// Answer from this ring's membership list. Exactly one node
 		// per target-level ring receives the query (the downward copy
 		// goes to ring leaders; a level-0 query answers at whichever
-		// top node the climb reached). The replies between two changes
-		// of the list share one read-only copy of it.
-		n.sys.send(n.id, q.ReplyTo, runtime.KindReply, wire.QueryReply{
-			ID:      q.ID,
-			From:    n.ringID,
-			Members: n.ringMems.Shared(),
-		})
+		// top node the climb reached). A reply the transport encodes
+		// before Send returns lends the list's own slots; one it keeps
+		// (a local hop, the simulator) takes the read-only copy that the
+		// replies between two changes of the list share.
+		var members []ids.MemberInfo
+		if c, ok := n.sys.tr.(runtime.PayloadCopier); ok && c.CopiesPayload(q.ReplyTo) {
+			members = n.ringMems.Borrow()
+		} else {
+			members = n.ringMems.Shared()
+		}
+		n.sys.send(n.id, q.ReplyTo, runtime.KindReply, wire.QueryReply{ID: q.ID, From: n.ringID, Members: members})
 		return
 	}
 	// Fan out below: circulate one copy around this ring — each node

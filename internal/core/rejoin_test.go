@@ -72,7 +72,7 @@ func TestRejoinThroughAnotherProcess(t *testing.T) {
 // out at version 1 and every ring, holding the leave at version 2,
 // drops it. Delete the skip to see it.
 func TestTrapRejoinThroughClientProcess(t *testing.T) {
-	t.Skip("a pure client's join starts at its own record's version; see ROADMAP item 3c")
+	t.Skip("a pure client's join starts at its own record's version; see ROADMAP item 25")
 	const g = ids.GUID(7)
 	p := newProcs(quietConfig(3, 3), 3)
 	if _, err := p.sys[0].JoinMemberAt(g, p.apsOf(0)[0]); err != nil {

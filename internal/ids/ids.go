@@ -481,6 +481,18 @@ func (l *MemberList) Shared() []MemberInfo {
 	return l.shared
 }
 
+// Borrow returns the list's own slots in insertion order, its capacity
+// equal to its length, and allocates nothing; a dead slot is squeezed
+// out first. The slice is valid only until the list next changes, which
+// may write into it, and is read-only: a caller that keeps it longer
+// wants Shared.
+func (l *MemberList) Borrow() []MemberInfo {
+	if l.ndead > 0 {
+		l.compact()
+	}
+	return l.slots[:len(l.slots):len(l.slots)]
+}
+
 // Clear removes all members.
 func (l *MemberList) Clear() {
 	l.slots = l.slots[:0]

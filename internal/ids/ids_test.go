@@ -1,6 +1,7 @@
 package ids
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -290,6 +291,25 @@ func TestMemberListSharedUntilChange(t *testing.T) {
 	}
 	if first[0].GUID != 1 || first[1].GUID != 2 {
 		t.Fatalf("an earlier shared slice changed to %v", first)
+	}
+}
+
+// TestMemberListBorrowAllocatesNothing: with a dead slot in the middle,
+// Borrow squeezes it out in place and hands back the list's own slots,
+// live members only and no spare capacity, without allocating.
+func TestMemberListBorrowAllocatesNothing(t *testing.T) {
+	l := NewMemberList()
+	for g := uint64(1); g <= 8; g++ {
+		l.Put(member(g))
+	}
+	l.Remove(3) // one dead slot of eight: under the compaction threshold
+	want := l.Snapshot()
+	var got []MemberInfo
+	if allocs := testing.AllocsPerRun(100, func() { got = l.Borrow() }); allocs != 0 {
+		t.Fatalf("Borrow allocates %.1f objects", allocs)
+	}
+	if !slices.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("Borrow = %v (cap %d), want %v at capacity %d", got, cap(got), want, len(want))
 	}
 }
 

@@ -146,14 +146,18 @@ func modelGUID(k GUID, wide bool) GUID {
 //	               5-7   Put over the (key mod Len)-th member
 //	               8-12  Remove of the (key mod Len)-th member
 //	               13-14 Remove of a GUID outside the key space
-//	               15   key&31 == 0: Clear; otherwise only the check
+//	               15   key&31 == 0: Clear; key&31 == 31: Borrow;
+//	                    otherwise only the check
 //
 // status goes into the record as it is: a list must hold any byte.
 //
 // A Shared slice taken before each operation equals the model's
 // Snapshot at that moment (check compared them when the list last
 // changed) and must still equal it after the operation: the list drops
-// its shared slice on a change, it never writes into it.
+// its shared slice on a change, it never writes into it, and Borrow's
+// compaction moves only the list's own slots. Borrow is an operation of
+// its own rather than part of check, so the dead slots it squeezes out
+// stay in place for the operations that follow the others.
 func runModelOps(data []byte) error {
 	var pairs [2]modelPair
 	for op := 0; len(data) >= 3; op++ {
@@ -204,6 +208,10 @@ func runModelOps(data []byte) error {
 		case key&31 == 0:
 			p.got.Clear()
 			p.ref.Clear()
+		case key&31 == 31:
+			if b, want := p.got.Borrow(), p.ref.Snapshot(); !slices.Equal(b, want) || cap(b) != len(b) {
+				return fmt.Errorf("op %d: Borrow = %v (cap %d), model %v", op, b, cap(b), want)
+			}
 		}
 		if !slices.Equal(shared, before) {
 			return fmt.Errorf("op %d (kind %#02x key %d): the Shared slice taken before it changed to %v, was %v", op, kind, key, shared, before)
@@ -231,8 +239,9 @@ func TestMemberListMatchesModel(t *testing.T) {
 // runModelOps; the committed corpus under testdata/fuzz covers tail
 // removals, a compaction, members with Status 0xFF, an index grown
 // past ¾ load four times, a removal whose backward shift wraps past the
-// table's end, a Clear followed by regrowth, and a compaction that
-// repoints a displaced entry. The layouts those entries reach hold
+// table's end, a Clear followed by regrowth, a compaction that
+// repoints a displaced entry, and Borrows that squeeze a dead slot out
+// of the middle of the list. The layouts those entries reach hold
 // under the seed TestMain pins.
 func FuzzMemberListModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -983,6 +983,13 @@ func (t *netTransport) Send(msg Message) {
 	}, addr, false)
 }
 
+// CopiesPayload implements PayloadCopier: a message to an endpoint this
+// transport does not host is encoded (or dropped) before Send returns.
+func (t *netTransport) CopiesPayload(to ids.NodeID) bool {
+	_, local := t.local[to]
+	return !local
+}
+
 // egress encodes f into the datagram under construction for addr and
 // keeps it there, reporting whether it did; a frame the checks refuse
 // is taken back out. A kept frame that would push the datagram past one

@@ -341,6 +341,42 @@ func TestNetTransportCrossProcess(t *testing.T) {
 	}
 }
 
+// TestPayloadCopierOnlyOffProcess: the networked transport lends a
+// payload only to a Send it encodes before returning, so it reports the
+// capability false for an endpoint registered on it (that hop is queued
+// by reference) and true for an entity another process owns and for a
+// mobile-host endpoint in another process's block. A fault decorator
+// holds messages past Send and must not pass the capability on.
+func TestPayloadCopierOnlyOffProcess(t *testing.T) {
+	here := ids.MakeNodeID(ids.TierAP, 1)
+	there := ids.MakeNodeID(ids.TierAP, 2)
+	addr0, close0 := reserveUDP(t)
+	addr1, close1 := reserveUDP(t)
+	close0()
+	close1()
+	rt := newTestNet(t, NetConfig{Bind: addr0, Peers: []string{addr0, addr1}, Index: 0,
+		Owners: map[ids.NodeID]int{here: 0, there: 1}})
+	mhHere := ids.MakeNodeID(ids.TierMH, 7)
+	mhThere := ids.MakeNodeID(ids.TierMH, ids.MHBlockSize+7)
+	rt.Do(func() {
+		tr := rt.Transport()
+		tr.Register(here, EndpointFunc(func(Message) {}))
+		tr.Register(mhHere, EndpointFunc(func(Message) {}))
+		c, ok := tr.(PayloadCopier)
+		if !ok {
+			t.Fatal("the networked transport is not a PayloadCopier")
+		}
+		for id, want := range map[ids.NodeID]bool{here: false, mhHere: false, there: true, mhThere: true} {
+			if got := c.CopiesPayload(id); got != want {
+				t.Errorf("CopiesPayload(%v) = %v, want %v", id, got, want)
+			}
+		}
+		if _, ok := Transport(NewFaultTransport(tr, FaultPlan{Seed: 1, Reorder: 1})).(PayloadCopier); ok {
+			t.Error("FaultTransport passes PayloadCopier through")
+		}
+	})
+}
+
 // TestNetMuxBlockCutsBothDirections: a blocked peer slot is silenced at
 // the socket — egress to it and ingress from it are both dropped and
 // counted in Stats.Cut — and Unblock restores the flow. The cut holds

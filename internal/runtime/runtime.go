@@ -141,6 +141,19 @@ type Partitionable interface {
 	Heal()
 }
 
+// PayloadCopier is the optional Transport capability that lets a
+// sender lend a payload instead of giving it away: CopiesPayload
+// reports whether Send to the given ID keeps no reference to the
+// message body once it returns, because it has encoded what it needs.
+// The networked transport reports true for every ID it does not host;
+// a hop between two of its endpoints is queued by reference, and the
+// simulated network delivers after a latency. A decorating transport
+// must not pass the capability through (FaultTransport's reorder
+// holds a message past Send), so probe with a plain type assertion.
+type PayloadCopier interface {
+	CopiesPayload(to ids.NodeID) bool
+}
+
 // Unwrapper is implemented by decorating transports (fault injection)
 // so capability probes like AsPartitionable can reach the substrate
 // underneath.

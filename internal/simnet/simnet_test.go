@@ -42,6 +42,16 @@ func TestDeliverBasic(t *testing.T) {
 	}
 }
 
+// TestNetworkLendsNoPayload: the simulated network delivers after a
+// latency, holding each payload past Send, so a sender may never lend
+// it one.
+func TestNetworkLendsNoPayload(t *testing.T) {
+	_, n := newNet(t)
+	if _, ok := runtime.Transport(n).(runtime.PayloadCopier); ok {
+		t.Fatal("simnet.Network claims runtime.PayloadCopier")
+	}
+}
+
 func TestDeliveryOrderPreservedForEqualLatency(t *testing.T) {
 	k, n := newNet(t)
 	var got []int

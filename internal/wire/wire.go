@@ -221,7 +221,10 @@ type Query struct {
 	EntryRing ring.ID
 }
 
-// QueryReply returns one ring's membership to the requester.
+// QueryReply returns one ring's membership to the requester. Members is
+// read-only. It is either a copy the replier's ring shares until its list
+// changes, or, for a reply the transport encodes before Send returns,
+// the list's own slots, valid only until Send returns.
 type QueryReply struct {
 	ID      uint64
 	From    ring.ID

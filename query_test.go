@@ -96,77 +96,106 @@ func TestTMSQueryPastOneDatagram(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesBesideHandoffs storms process 1 of a
-// three-process loopback group while process 0 hands members off
-// between its bottom rings, so replies cross the socket and the codec
-// and overlapping ring lists reach the collectors. The writer keeps to
-// what benchmark/README.md "Traps" allows: every change on process 0,
-// one in flight, members moving through the bottom rings in the order
-// of their parents.
-func TestConcurrentQueriesBesideHandoffs(t *testing.T) {
-	ctx := context.Background()
-	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(11))
-	owners := subtreeOwners(3, 3, 3)
-	var entry []NodeID
-	procs[0].Inspect(func(sys *System) {
-		for _, rg := range sys.Hierarchy().Level(2) {
-			if owners[rg.Leader()] == 0 {
-				entry = append(entry, rg.Leader())
-			}
-		}
-	})
+// bottomWriter submits the changes of a three-process loopback group
+// the way benchmark/README.md "Traps" allows: every change on process
+// 0, one in flight (each awaited on process 1's Watch), members living
+// at the leaders of process 0's bottom rings and handed off through
+// them in the order of their parents.
+type bottomWriter struct {
+	t        *testing.T
+	procs    []*Service
+	events   <-chan MembershipEvent
+	entry    []NodeID // leaders of process 0's bottom rings, in the order of their parents
+	at       []int    // member g is at entry[at[g]]
+	handoffs int      // handoff k goes to entry[k mod len(entry)]
+	walk     int      // the member the next handoff looks at first
+}
+
+// newBottomWriter joins members 1..n, member g at entry[g mod 3].
+func newBottomWriter(t *testing.T, procs []*Service, n int) *bottomWriter {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
 	events, err := procs[1].Watch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// change submits one change on process 0 and waits until process 1
-	// has seen it commit.
-	change := func(guid GUID, submit func() error) {
-		t.Helper()
-		if err := submit(); err != nil {
-			t.Fatalf("change of %v: %v", guid, err)
-		}
-		timeout := time.After(10 * time.Second)
-		for {
-			select {
-			case ev := <-events:
-				if ev.Member.GUID == guid {
-					return
-				}
-			case <-timeout:
-				t.Fatalf("change of %v never reached process 1", guid)
+	w := &bottomWriter{t: t, procs: procs, events: events, at: make([]int, n+1), walk: 1}
+	top := procs[0].Topology()
+	owners := subtreeOwners(top.Levels, top.RingSize, len(procs))
+	procs[0].Inspect(func(sys *System) {
+		for _, rg := range sys.Hierarchy().Level(top.Levels - 1) {
+			if owners[rg.Leader()] == 0 {
+				w.entry = append(w.entry, rg.Leader())
 			}
 		}
+	})
+	for g := 1; g <= n; g++ {
+		w.at[g] = g % len(w.entry)
+		w.change(GUID(g), func() error { return procs[0].JoinAt(ctx, GUID(g), w.entry[w.at[g]]) })
 	}
-	const members = 30
-	at := make([]int, members+1)
-	for g := 1; g <= members; g++ {
-		at[g] = g % len(entry)
-		change(GUID(g), func() error { return procs[0].JoinAt(ctx, GUID(g), entry[at[g]]) })
-	}
+	return w
+}
 
+// change submits one change on process 0 and waits until process 1 has
+// seen it commit.
+func (w *bottomWriter) change(guid GUID, submit func() error) {
+	w.t.Helper()
+	if err := submit(); err != nil {
+		w.t.Fatalf("change of %v: %v", guid, err)
+	}
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case ev := <-w.events:
+			if ev.Member.GUID == guid {
+				return
+			}
+		case <-timeout:
+			w.t.Fatalf("change of %v never reached process 1", guid)
+		}
+	}
+}
+
+// handoff hands the next member standing at the entry before
+// entry[k mod 3] off to it and waits for the commit.
+func (w *bottomWriter) handoff() {
+	w.t.Helper()
+	n := len(w.at) - 1
+	to := w.handoffs % len(w.entry)
+	for (w.at[w.walk]+1)%len(w.entry) != to {
+		w.walk = w.walk%n + 1
+	}
+	g := w.walk
+	w.at[g] = to
+	w.handoffs++
+	w.walk = w.walk%n + 1
+	w.change(GUID(g), func() error { return w.procs[0].Handoff(context.Background(), GUID(g), w.entry[to]) })
+}
+
+// TestConcurrentQueriesBesideHandoffs storms process 1 of a
+// three-process loopback group while process 0 hands members off
+// between its bottom rings (bottomWriter), so replies cross the socket
+// and the codec and overlapping ring lists reach the collectors.
+func TestConcurrentQueriesBesideHandoffs(t *testing.T) {
+	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(11))
+	const members = 30
+	w := newBottomWriter(t, procs, members)
 	stormed := make(chan struct{})
 	go func() {
 		defer close(stormed)
 		queryStorm(t, procs[1], procs[1].APs(), members)
 	}()
-	handoffs := 0
-	for g := 1; ; g = g%members + 1 {
+	for {
 		select {
 		case <-stormed:
-			if handoffs == 0 {
+			if w.handoffs == 0 {
 				t.Fatal("no handoff ran beside the queries")
 			}
-			t.Logf("%d handoffs beside 400 queries", handoffs)
+			t.Logf("%d handoffs beside 400 queries", w.handoffs)
 			return
 		default:
 		}
-		// Handoff k goes to entry[k mod 3] and takes the next member
-		// standing at the entry before it.
-		if to := handoffs % len(entry); (at[g]+1)%len(entry) == to {
-			at[g] = to
-			handoffs++
-			change(GUID(g), func() error { return procs[0].Handoff(ctx, GUID(g), entry[to]) })
-		}
+		w.handoff()
 	}
 }
