@@ -72,8 +72,11 @@ type Node struct {
 
 	// route is the itinerary of this node's rounds as holder: its
 	// roster rotated to start here. Every round it starts shares it
-	// until the roster changes (itinerary).
-	route []ids.NodeID
+	// until the roster changes (itinerary). forwarder is the
+	// Contributors of its notified rounds, shared the same way until
+	// the forwarder changes (forwardedBy).
+	route     []ids.NodeID
+	forwarder []ids.NodeID
 
 	// openRound retains the operations of this node's outstanding
 	// round as holder, so the token-loss watchdog can re-submit them if
@@ -283,34 +286,34 @@ func (n *Node) nextSeq() uint64 {
 // (nil for locally-queued work); the holder's own MQ is always folded
 // in when the direction allows it. forwarder is the entity that
 // notified extra, zero for a batch of this ring's own.
+//
+// The round runs on extra itself, clipped so that an append never
+// writes the notifier's array, and read-only like every token's Ops.
+// A notified batch keeps its mobile hosts' ReplyTo: Figure 3
+// acknowledges hop by hop, so the token names the forwarder in
+// Contributors and completeRound acknowledges it instead.
 func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, forwarder ids.NodeID) {
 	n.roundSeq++
-	tok := token.Fresh(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, nil, dir, source)
-	if len(extra) > 0 {
-		// The copy is the round's own: extra is the notifier's token
-		// batch, which no receiver writes.
-		tok.Ops = append(tok.Ops, extra...)
-		if !forwarder.IsZero() {
-			// Once a batch crosses a ring boundary, its
-			// Holder-Acknowledgements are owed to the entity that
-			// forwarded it, not to the original mobile host.
-			for i := range tok.Ops {
-				tok.Ops[i].ReplyTo = forwarder
-			}
-		}
-		tok.Contributors = append(tok.Contributors, n.id)
+	tok := token.Fresh(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
+	if len(extra) > 0 && !forwarder.IsZero() {
+		tok.Contributors = n.forwardedBy(forwarder)
 	}
 	if dir == token.FromLocal {
-		tok.Fold(n.id, n.queue.DrainBatch(0))
+		tok.Fold(n.queue.DrainBatch(0))
 	}
 	// Retain the batch for watchdog recovery (copied, reusing the
 	// node's scratch: downstream members append repair operations to
 	// the token in place, and the rare post-requeue round starts with
 	// a fresh buffer because requeueOpenRounds hands the old one off).
+	// The requeued round is the ring's own, so the copy of a notified
+	// batch replies to its forwarder.
 	n.openRound = n.openRound[:0]
 	if len(tok.Ops) > 0 {
 		n.openRound = append(n.openRound, tok.Ops...)
 		n.openRoundSeq = tok.Round
+		if len(tok.Contributors) > 0 {
+			readdress(n.openRound, forwarder)
+		}
 	}
 	// Execute first: NE-Failure/NE-Join operations in the batch prune
 	// or extend the holder's roster, and the itinerary must reflect
@@ -321,6 +324,25 @@ func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, f
 	// possibly-divergent views.
 	tok.Route = n.itinerary()
 	n.passToken(tok)
+}
+
+// forwardedBy returns the one-entry Contributors of a round that runs
+// a batch notified by forwarder. The slice is shared by every such
+// round and rebuilt only when the forwarder changes, so nothing may
+// write it in place.
+func (n *Node) forwardedBy(forwarder ids.NodeID) []ids.NodeID {
+	if len(n.forwarder) != 1 || n.forwarder[0] != forwarder {
+		n.forwarder = []ids.NodeID{forwarder}
+	}
+	return n.forwarder
+}
+
+// readdress points the Holder-Acknowledgements of a notified batch at
+// its forwarder, for a copy that a ring resubmits as its own.
+func readdress(batch mq.Batch, forwarder ids.NodeID) {
+	for i := range batch {
+		batch[i].ReplyTo = forwarder
+	}
 }
 
 // itinerary returns the roster rotated to start at this node. The slice
@@ -571,24 +593,25 @@ func (n *Node) completeRound(tok *token.Token) {
 	if tok.Round == n.openRoundSeq {
 		n.openRound = n.openRound[:0]
 	}
-	// Acknowledge distinct originators (Figure 3 lines 17-20). The
-	// dedup scratch lives on the node: batches are small (a linear scan
-	// beats a map) and the buffer is reused across rounds.
-	acked := n.ackScratch[:0]
-ops:
-	for _, c := range tok.Ops {
-		if c.ReplyTo.IsZero() || c.ReplyTo == n.id {
-			continue
-		}
-		for _, a := range acked {
-			if a == c.ReplyTo {
-				continue ops
+	// Acknowledge the forwarder of a notified batch, or else the
+	// distinct originators (Figure 3 lines 17-20). The dedup scratch
+	// lives on the node: batches are small (a linear scan beats a map)
+	// and the buffer is reused across rounds.
+	to := tok.Contributors
+	if len(to) == 0 {
+		to = n.ackScratch[:0]
+		for _, c := range tok.Ops {
+			if !c.ReplyTo.IsZero() && !slices.Contains(to, c.ReplyTo) {
+				to = append(to, c.ReplyTo)
 			}
 		}
-		acked = append(acked, c.ReplyTo)
-		n.sys.send(n.id, c.ReplyTo, runtime.KindAck, wire.HolderAck{Ring: n.ringID, Round: tok.Round, Count: len(tok.Ops)})
+		n.ackScratch = to[:0]
 	}
-	n.ackScratch = acked[:0]
+	for _, a := range to {
+		if a != n.id {
+			n.sys.send(n.id, a, runtime.KindAck, wire.HolderAck{Ring: n.ringID, Round: tok.Round, Count: len(tok.Ops)})
+		}
+	}
 	n.sys.roundDone(n, tok, tok.Repaired)
 }
 

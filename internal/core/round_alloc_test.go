@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -21,12 +23,12 @@ func traceSends(sys *System, fn func(runtime.Message)) {
 }
 
 // joinAllocBudget is what one Member-Join may allocate at h=3 r=5 under
-// DisseminateFull, warm: 31 rounds, each with its token and its copy of
-// the batch, and the boxes of the notifications and acknowledgements
-// that carry the change between rings. A copy of the batch per
-// notification, a record per notification, an itinerary per round or a
-// pass acknowledgement per hop each cost tens of allocations here.
-const joinAllocBudget = 199
+// DisseminateFull, warm: 31 rounds, each with its token, and the boxes
+// of the notifications and acknowledgements that carry the change
+// between rings. A copy of the batch per round or per notification, a
+// record per notification, an itinerary or a contributor list per round
+// or a pass acknowledgement per hop each cost tens of allocations here.
+const joinAllocBudget = 137
 
 // TestJoinAllocBudget locks the per-join allocation of a three-level
 // hierarchy, where every ring runs a round for every change.
@@ -132,11 +134,11 @@ func TestTombstoneHeapBudget(t *testing.T) {
 }
 
 // TestNotifiedBatchSharesTokenOps: a notification carries the sender's
-// token Ops themselves, the receiving ring's round works on its own
-// copy, and neither round writes the shared batch. The copy readdresses
-// the Holder-Acknowledgements to the forwarder: at h=2 r=3 the top-ring
-// holder acknowledges the bottom-ring leader that notified it, not the
-// mobile host.
+// token Ops themselves, the receiving ring's round runs on that very
+// batch, clipped, and neither round writes it. The batch keeps the mobile
+// host's reply address; the round names its forwarder in Contributors,
+// so at h=2 r=3 the top-ring holder acknowledges the bottom-ring leader
+// that notified it, not the mobile host.
 func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 3))
 	ap := sys.Node(sys.APs()[1])
@@ -183,14 +185,17 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 	if unsafe.SliceData(up.Batch) != unsafe.SliceData(bottom.Ops) {
 		t.Error("the notification does not carry the bottom-ring token's Ops")
 	}
-	if unsafe.SliceData(top.Ops) == unsafe.SliceData(up.Batch) {
-		t.Error("the top-ring round works on the notified batch instead of a copy")
+	if unsafe.SliceData(top.Ops) != unsafe.SliceData(up.Batch) || len(top.Ops) != len(up.Batch) || cap(top.Ops) != len(top.Ops) {
+		t.Errorf("the top-ring round's Ops (len %d, cap %d) are not the notified batch (len %d), clipped", len(top.Ops), cap(top.Ops), len(up.Batch))
 	}
-	if !slices.Equal(up.Batch, sent) {
+	if !slices.Equal(top.Contributors, []ids.NodeID{leader.ID()}) {
+		t.Errorf("the top-ring round names contributors %v, want the forwarder %s", top.Contributors, leader.ID())
+	}
+	if !slices.Equal(up.Batch, sent) || up.Batch[0].ReplyTo != mh.Node() {
 		t.Errorf("the notified batch changed after it was sent:\n now %+v\nsent %+v", up.Batch, sent)
 	}
-	if len(top.Ops) != 1 || top.Ops[0].ReplyTo != leader.ID() {
-		t.Errorf("the top-ring round's batch %+v does not reply to the forwarder %s", top.Ops, leader.ID())
+	if bottom.Contributors != nil {
+		t.Errorf("the bottom ring's own round names contributors %v", bottom.Contributors)
 	}
 	var fromTop []ids.NodeID
 	for _, m := range acks {
@@ -366,5 +371,129 @@ func TestPassAckNamesAdopter(t *testing.T) {
 	}
 	if len(acks) == 0 || acks[0] != (wire.PassAck{Holder: p.ID(), Round: 1}) {
 		t.Fatalf("acknowledgements after the adoption: %v, want the first to name the adopter %s", acks, p.ID())
+	}
+}
+
+// TestNotifiedRoundAcksForwarder: a ring that runs a notified batch
+// acknowledges the entity that forwarded it, never the mobile host the
+// batch's changes reply to, also on the three rare paths where the
+// round does not simply come full circle at its holder. At h=2 r=3 the
+// join's bottom-ring leader notifies its parent, whose top-ring round
+// then loses a ring-mate, loses its token with a crashed carrier, or
+// loses its holder; in each case every Holder-Acknowledgement a top-ring
+// entity sends goes to the bottom-ring leader.
+func TestNotifiedRoundAcksForwarder(t *testing.T) {
+	cases := []struct {
+		name      string
+		heartbeat time.Duration
+		deadFirst bool // the entity two after the holder is dead before the join
+		// crash is called on every message the simulator delivers; it
+		// crashes the scenario's entity at the scenario's moment. top is
+		// the top-ring roster from the notified holder on.
+		crash func(sys *System, m runtime.Message, top []ids.NodeID)
+		// happened checks that the scenario's path ran.
+		happened func(sys *System, top []ids.NodeID, acksFrom map[ids.NodeID]int) string
+	}{
+		{
+			// A ring-mate crashes while the token is on its way to it:
+			// the round repairs around it and re-circulates its batch.
+			name: "repaired",
+			crash: func(sys *System, m runtime.Message, top []ids.NodeID) {
+				if b, ok := m.Body.(wire.TokenMsg); ok && m.To == top[1] && b.Tok.Holder == top[0] && len(b.Tok.Ops) > 0 {
+					sys.CrashNE(top[2])
+				}
+			},
+			happened: func(sys *System, top []ids.NodeID, acksFrom map[ids.NodeID]int) string {
+				if sys.Node(top[1]).Repairs() == 0 || acksFrom[top[0]] < 2 {
+					return fmt.Sprintf("%d repairs at %s and %d acknowledgements from %s, want a repair and the round and its re-circulation",
+						sys.Node(top[1]).Repairs(), top[1], acksFrom[top[0]], top[0])
+				}
+				return ""
+			},
+		},
+		{
+			// The carrier dies holding the token after it acknowledged
+			// the pass, with the entity after it already dead: the
+			// watchdog requeues the holder's open round.
+			name:      "requeued",
+			heartbeat: 200 * time.Millisecond,
+			deadFirst: true,
+			crash: func(sys *System, m runtime.Message, top []ids.NodeID) {
+				if _, ok := m.Body.(wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
+					sys.CrashNE(top[1])
+				}
+			},
+			happened: func(sys *System, top []ids.NodeID, acksFrom map[ids.NodeID]int) string {
+				if !sys.tr.Crashed(top[1]) || acksFrom[top[0]] == 0 {
+					return fmt.Sprintf("carrier %s crashed %v, %d acknowledgements from the holder %s; want the requeued round acknowledged",
+						top[1], sys.tr.Crashed(top[1]), acksFrom[top[0]], top[0])
+				}
+				return ""
+			},
+		},
+		{
+			// The holder dies after its pass was acknowledged: the last
+			// entity's pass back to it gives up, and that entity adopts
+			// and completes the round.
+			name: "adopted",
+			crash: func(sys *System, m runtime.Message, top []ids.NodeID) {
+				if _, ok := m.Body.(wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
+					sys.CrashNE(top[0])
+				}
+			},
+			happened: func(sys *System, top []ids.NodeID, acksFrom map[ids.NodeID]int) string {
+				if acksFrom[top[2]] == 0 || acksFrom[top[0]] != 0 {
+					return fmt.Sprintf("%d acknowledgements from the adopter %s and %d from the dead holder %s, want the adopter's only",
+						acksFrom[top[2]], top[2], acksFrom[top[0]], top[0])
+				}
+				return ""
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := quietConfig(2, 3)
+			cfg.HeartbeatInterval = c.heartbeat
+			sys := NewSystem(cfg)
+			ap := sys.Node(sys.APs()[1])
+			leader := sys.Node(ap.Leader())
+			holder := sys.Node(leader.Parent())
+			top := holder.itinerary()
+			if len(top) != 3 {
+				t.Fatalf("top ring from %s is %v, want three entities", holder.ID(), top)
+			}
+			if c.deadFirst {
+				sys.CrashNE(top[2])
+			}
+			acksFrom := map[ids.NodeID]int{}
+			var wrong []runtime.Message
+			sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, outcome string) {
+				if outcome == "delivered" {
+					c.crash(sys, m, top)
+				}
+				if _, ok := m.Body.(wire.HolderAck); ok && slices.Contains(top, m.From) && outcome != "crashed-src" {
+					acksFrom[m.From]++
+					if m.To != leader.ID() {
+						wrong = append(wrong, m)
+					}
+				}
+			})
+			if _, err := sys.JoinMemberAt(1, ap.ID()); err != nil {
+				t.Fatal(err)
+			}
+			sys.RunFor(10 * time.Second)
+
+			for _, m := range wrong {
+				t.Errorf("%s acknowledged %s, want only the forwarder %s", m.From, m.To, leader.ID())
+			}
+			if msg := c.happened(sys, top, acksFrom); msg != "" {
+				t.Error(msg)
+			}
+			for _, m := range top {
+				if n := sys.Node(m); !sys.tr.Crashed(m) && !n.RingMembers().Contains(1) {
+					t.Errorf("top-ring entity %s does not list the join", m)
+				}
+			}
+		})
 	}
 }

@@ -369,8 +369,15 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 		// died, nobody forwarded the batch upward. Re-circulate the
 		// whole batch once: membership operations are idempotent, the
 		// NE-Failure reaches every survivor, and the (new) leader
-		// forwards the batch up the hierarchy.
-		s.requestRoundWithBatch(holder, token.FromLocal, ring.ID{}, tok.Ops, ids.NoNode)
+		// forwards the batch up the hierarchy. The re-circulation is
+		// the ring's own round, so a notified batch goes in a copy that
+		// replies to its forwarder.
+		batch := tok.Ops
+		if len(tok.Contributors) > 0 {
+			batch = slices.Clone(batch)
+			readdress(batch, tok.Contributors[0])
+		}
+		s.requestRoundWithBatch(holder, token.FromLocal, ring.ID{}, batch, ids.NoNode)
 		return
 	}
 	s.dispatchPending(holder.ring)

@@ -87,10 +87,12 @@ type Change struct {
 	Origin ids.NodeID     // entity that first observed the change
 	Seq    uint64         // origin-local sequence number, for tracing
 
-	// ReplyTo addresses the Holder-Acknowledgement for this change:
-	// the mobile host that submitted it, or — once the change crosses
-	// into a higher ring — the child-ring leader whose notification
-	// delivered it (Figure 3 acknowledges hop by hop).
+	// ReplyTo addresses the Holder-Acknowledgement for this change in a
+	// ring's own round: the mobile host that submitted it. A round that
+	// runs a notified batch acknowledges the forwarder its token names
+	// in Contributors instead (Figure 3 acknowledges hop by hop), and
+	// leaves ReplyTo as it is; only a copy that a ring resubmits as its
+	// own round names the forwarder here.
 	ReplyTo ids.NodeID
 }
 

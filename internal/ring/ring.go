@@ -18,10 +18,12 @@ import (
 )
 
 // ID names a logical ring: the tier it lives in and its index among
-// that tier's rings (breadth-first order in the full hierarchy).
+// the hierarchy's rings (breadth-first order). The index is 32 bits, as
+// on the wire, so an ID is 8 bytes and so is every token, notification
+// and acknowledgement field that names a ring.
 type ID struct {
 	Tier  ids.Tier
-	Index int
+	Index int32
 }
 
 // String renders e.g. "APR-3" (Access Proxy Ring 3), following the

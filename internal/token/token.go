@@ -46,8 +46,9 @@ func (d Direction) String() string {
 // Token is the circulating object of the one-round algorithm.
 //
 // The two one-byte fields sit beside GID, in the word GID leaves
-// half empty, so a token is 136 bytes and not 152. The codec writes
-// each field by name, so the order here is not the wire order.
+// half empty, and a ring.ID is 8 bytes, so a token is 120 bytes and
+// takes the 128-byte size class. The codec writes each field by name,
+// so the order here is not the wire order.
 type Token struct {
 	GID ids.GroupID // group the token serves
 
@@ -67,8 +68,9 @@ type Token struct {
 
 	// Ops are the aggregated operations being executed at each node.
 	// They are fixed when the round starts and read-only from then on:
-	// a notification sends this very slice to the next ring, so a
-	// change to the batch (a repair's NE-Failure) goes into a Clone.
+	// a notification sends this very slice to the next ring, whose
+	// round takes it as its own Ops, so a change to the batch (a
+	// repair's NE-Failure) goes into a Clone.
 	Ops mq.Batch
 
 	Source ring.ID // the child ring Ops came from, when Dir == FromChild
@@ -86,9 +88,12 @@ type Token struct {
 	// network layer owns authoritative accounting).
 	Hops int
 
-	// Contributors lists the nodes whose MQ drains were folded into
-	// Ops en route; the holder uses it to address
-	// Holder-Acknowledgement messages.
+	// Contributors names the entity whose notification delivered Ops,
+	// when the round runs a notified batch, and is empty otherwise. The
+	// holder acknowledges it in place of each change's ReplyTo, which
+	// still names the mobile host. The slice is shared by the rounds
+	// of one holder with the same forwarder, so no code writes it in
+	// place.
 	Contributors []ids.NodeID
 }
 
@@ -139,14 +144,15 @@ func (t *Token) DropFromRoute(dead ids.NodeID) {
 	t.Route = out
 }
 
-// Fold merges a node's drained batch into the token and records the
-// node as a contributor.
-func (t *Token) Fold(node ids.NodeID, batch mq.Batch) {
-	if batch.Empty() {
+// Fold merges a node's drained batch into the token. A token without
+// Ops takes the batch itself, without a copy, so the caller hands it
+// over.
+func (t *Token) Fold(batch mq.Batch) {
+	if len(t.Ops) == 0 {
+		t.Ops = batch
 		return
 	}
 	t.Ops = append(t.Ops, batch...)
-	t.Contributors = append(t.Contributors, node)
 }
 
 // String renders a compact description for traces.

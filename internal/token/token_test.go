@@ -19,18 +19,29 @@ func TestFreshAndFold(t *testing.T) {
 	if tok.Holder != holder || tok.Round != 3 {
 		t.Fatal("token fields wrong")
 	}
+	// A token without ops takes the drained batch itself.
 	batch := mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1}}}
-	tok.Fold(holder, batch)
-	if len(tok.Ops) != 1 {
-		t.Fatal("fold failed")
-	}
-	if len(tok.Contributors) != 1 || tok.Contributors[0] != holder {
-		t.Fatal("contributor not recorded")
+	tok.Fold(batch)
+	if len(tok.Ops) != 1 || unsafe.SliceData(tok.Ops) != unsafe.SliceData(batch) {
+		t.Fatalf("fold copied the batch or lost it: %+v", tok.Ops)
 	}
 	// Folding an empty batch is a no-op.
-	tok.Fold(holder, nil)
-	if len(tok.Contributors) != 1 {
-		t.Fatal("empty fold should not add contributors")
+	tok.Fold(nil)
+	if len(tok.Ops) != 1 || unsafe.SliceData(tok.Ops) != unsafe.SliceData(batch) {
+		t.Fatalf("an empty fold changed the ops: %+v", tok.Ops)
+	}
+	// A token with ops appends the batch after them, and the batch it
+	// was given first stays as it was.
+	tok.Ops = slices.Clip(tok.Ops)
+	tok.Fold(mq.Batch{{Op: mq.OpMemberLeave, Member: ids.MemberInfo{GUID: 2}}})
+	if len(tok.Ops) != 2 || tok.Ops[0].Member.GUID != 1 || tok.Ops[1].Member.GUID != 2 {
+		t.Fatalf("fold onto a token with ops gave %+v", tok.Ops)
+	}
+	if len(batch) != 1 || batch[0].Member.GUID != 1 {
+		t.Fatalf("the second fold wrote the first batch: %+v", batch)
+	}
+	if tok.Contributors != nil {
+		t.Fatalf("fold recorded contributors %v", tok.Contributors)
 	}
 }
 
@@ -55,10 +66,14 @@ func TestCloneSharesNothing(t *testing.T) {
 }
 
 // TestTokenSize: every round allocates one token, so its size class
-// is the round's allocation.
+// is the round's allocation. 120 bytes is the 128-byte class; a ring.ID
+// with a 64-bit index makes it 136, in the 144-byte class.
 func TestTokenSize(t *testing.T) {
-	if got := unsafe.Sizeof(Token{}); got != 136 {
-		t.Fatalf("Token is %d bytes, want 136", got)
+	if got := unsafe.Sizeof(Token{}); got != 120 {
+		t.Fatalf("Token is %d bytes, want 120", got)
+	}
+	if got := unsafe.Sizeof(ring.ID{}); got != 8 {
+		t.Fatalf("ring.ID is %d bytes, want 8", got)
 	}
 }
 

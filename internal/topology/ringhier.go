@@ -85,7 +85,7 @@ func NewRingHierarchy(h, r int) *RingHierarchy {
 			for m := range nodes {
 				nodes[m] = nextNode(tier)
 			}
-			rg := ring.New(ring.ID{Tier: tier, Index: ringIndex}, nodes)
+			rg := ring.New(ring.ID{Tier: tier, Index: int32(ringIndex)}, nodes)
 			ringIndex++
 			rh.levels[level] = append(rh.levels[level], rg)
 			rh.rings = append(rh.rings, rg)
@@ -171,7 +171,7 @@ func (rh *RingHierarchy) ParentOf(id ring.ID) ids.NodeID { return rh.ringParent[
 func (rh *RingHierarchy) Covers(id ring.ID, n ids.NodeID) bool {
 	t, ord := rh.tiers[n.Tier()], n.Ordinal()
 	if ord < 0 || ord >= t.rings*rh.R ||
-		id.Index < 0 || id.Index >= len(rh.rings) || rh.rings[id.Index].ID() != id {
+		id.Index < 0 || int(id.Index) >= len(rh.rings) || rh.rings[id.Index].ID() != id {
 		return false
 	}
 	over, at := rh.pos[id.Index], rh.pos[t.first+ord/rh.R]

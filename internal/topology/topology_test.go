@@ -158,8 +158,8 @@ func TestCoversMatchesParentWalk(t *testing.T) {
 			for _, rg := range rh.Rings() {
 				rings = append(rings, rg.ID())
 			}
-			rings = append(rings, ring.ID{Tier: ids.TierAP, Index: -1}, ring.ID{Tier: ids.TierAP, Index: rh.NumRings()},
-				ring.ID{Tier: ids.TierMH, Index: 0}, ring.ID{Tier: ids.TierAG, Index: rh.NumRings() - 1})
+			rings = append(rings, ring.ID{Tier: ids.TierAP, Index: -1}, ring.ID{Tier: ids.TierAP, Index: int32(rh.NumRings())},
+				ring.ID{Tier: ids.TierMH, Index: 0}, ring.ID{Tier: ids.TierAG, Index: int32(rh.NumRings()) - 1})
 			covered := 0
 			for _, id := range rings {
 				for i, n := range nodes {

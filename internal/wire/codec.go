@@ -463,7 +463,7 @@ func (r *reader) nodeID() ids.NodeID { return ids.NodeID(r.u64()) }
 
 func (r *reader) ringID() ring.ID {
 	t := ids.Tier(r.u8())
-	return ring.ID{Tier: t, Index: int(r.u32())}
+	return ring.ID{Tier: t, Index: int32(r.u32())}
 }
 
 // readMember decodes the member record at the front of p into m. The

@@ -209,7 +209,7 @@ func (r *refReader) nodeID() ids.NodeID { return ids.NodeID(r.u64()) }
 
 func (r *refReader) ringID() ring.ID {
 	t := ids.Tier(r.u8())
-	return ring.ID{Tier: t, Index: int(r.u32())}
+	return ring.ID{Tier: t, Index: int32(r.u32())}
 }
 
 func (r *refReader) memberInfo() ids.MemberInfo {
