@@ -3,49 +3,59 @@ package rgb
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
-
-	"github.com/rgbproto/rgb/internal/core"
 )
 
 // TestTokenRoundInstrumentedAllocs locks the hot-path allocation
-// budget WITH the telemetry instrumentation installed. A one-ring round
-// allocates its token, the batch it carries and the boxes of the
-// change's own messages; its itinerary and its pass acknowledgement are
-// reused from round to round. The instrumentation contract promises the
-// observer is free on the steady-state path: the callbacks are
-// pointer-gated, the member's version decides that a commit is new, and
-// its submit time rides on its Member record, so no per-change map or
-// window exists and installing real callbacks must not move the budget.
+// budget with the observer the rgb layer installs: a Watch subscriber
+// drained after every join and the telemetry registry built. A
+// one-ring round allocates its token, the batch it carries and the
+// boxes of the change's own messages; its itinerary and its pass
+// acknowledgement are reused from round to round. The observer is free
+// on the steady-state path: it is nil-gated, the member's version
+// decides that a commit is new, its submit time rides on its Member
+// record, an event reaches the subscriber's channel by value and the
+// histograms are atomic, so observing must not move the budget.
 func TestTokenRoundInstrumentedAllocs(t *testing.T) {
-	sys := core.NewSystem(fastConfig(1, 50))
-	var rounds, views atomic.Uint64
-	sys.SetInstrumentation(&core.Instrumentation{
-		RoundDone:  func(level int, d time.Duration, ops int) { rounds.Add(1) },
-		ViewChange: func(kind core.EventKind, d time.Duration, measured bool) { views.Add(1) },
-		Repair:     func(d time.Duration) {},
-	})
-	ap := sys.APs()[0]
-	// Warm up: lazily-grown member maps and scratch buffers settle
-	// before measuring.
-	next := 1
-	for ; next <= 64; next++ {
-		sys.JoinMemberAt(GUID(next), ap)
-		sys.Run()
+	svc := openTest(t, WithConfig(fastConfig(1, 50)))
+	events, err := svc.Watch(context.Background())
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
 	}
-	allocs := testing.AllocsPerRun(300, func() {
+	tel := svc.Telemetry()
+	var sys *System
+	svc.Inspect(func(s *System) { sys = s }) // the simulator runs inline
+	ap := sys.APs()[0]
+	next, heard := 1, 0
+	join := func() {
 		sys.JoinMemberAt(GUID(next), ap)
 		next++
 		sys.Run()
-	})
+		for len(events) > 0 {
+			if ev := <-events; ev.Kind == EventJoin {
+				heard++
+			}
+		}
+	}
+	// Warm up: lazily-grown member maps and scratch buffers settle
+	// before measuring.
+	for next <= 64 {
+		join()
+	}
+	allocs := testing.AllocsPerRun(300, join)
+	t.Logf("instrumented TokenRound/r=50 = %.2f allocs/op", allocs)
 	if allocs > 11 {
 		t.Errorf("instrumented TokenRound/r=50 = %.1f allocs/op, budget 11", allocs)
 	}
-	if rounds.Load() == 0 || views.Load() == 0 {
-		t.Fatalf("instrumentation callbacks did not fire (rounds=%d views=%d)", rounds.Load(), views.Load())
+	joins, counted := next-1, -1.0
+	for _, s := range tel.Gather() {
+		if s.Name == "rgb_view_changes_total" && s.Label("kind") == "join" {
+			counted = s.Value
+		}
+	}
+	if heard != joins || counted != float64(joins) {
+		t.Errorf("%d joins: Watch heard %d, rgb_view_changes_total counts %v", joins, heard, counted)
 	}
 }
 

@@ -60,7 +60,9 @@ func (n *Node) flushBatch() {
 	}
 	n.sys.batchFlushes++
 	n.sys.batchedOps += uint64(size)
-	n.sys.observeBatchFlush(size)
+	if n.sys.observer != nil {
+		n.sys.observer(Observation{Event: Event{Kind: EventBatchFlushed, At: n.sys.clock.Now()}, Ops: size})
+	}
 	n.sys.requestRound(n, token.FromLocal, ring.ID{})
 }
 

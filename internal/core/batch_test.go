@@ -1,22 +1,29 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/mq"
+	"github.com/rgbproto/rgb/internal/runtime"
+	"github.com/rgbproto/rgb/internal/token"
+	"github.com/rgbproto/rgb/internal/wire"
 )
 
 // TestBatchWindowCoalescesSubmissions: changes submitted at one AP
 // within the batch window ride one token round instead of one round
-// each, and the batch counters/instrumentation see the flush.
+// each, and the batch counters and the observer see the flush.
 func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 	cfg := quietConfig(2, 5)
 	cfg.BatchWindow = 50 * time.Millisecond
 	sys := NewSystem(cfg)
 	var flushSizes []int
-	sys.SetInstrumentation(&Instrumentation{
-		BatchFlushed: func(size int) { flushSizes = append(flushSizes, size) },
+	sys.SetObserver(func(o Observation) {
+		if o.Kind == EventBatchFlushed {
+			flushSizes = append(flushSizes, o.Ops)
+		}
 	})
 	ap := sys.APs()[0]
 
@@ -38,7 +45,7 @@ func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 		t.Errorf("BatchedOps = %d, want 3", got)
 	}
 	if len(flushSizes) != 1 || flushSizes[0] != 3 {
-		t.Errorf("instrumented flush sizes = %v, want [3]", flushSizes)
+		t.Errorf("observed flush sizes = %v, want [3]", flushSizes)
 	}
 
 	// The same workload unbatched requests one AP-ring round per join.
@@ -116,5 +123,55 @@ func TestBatchWindowLeaveAndFailCoalesce(t *testing.T) {
 	}
 	if got := sys.BatchedOps(); got != 5 {
 		t.Errorf("BatchedOps = %d, want 5", got)
+	}
+}
+
+// TestBatchWindowRoundOwnsItsOps: a local round takes its holder's
+// drained batch as its token's Ops without a copy (token.Fold), so the
+// queue must never write that array again. Changes the holder's MQ
+// appends, annihilates and drains while the round circulates leave the
+// round's Ops as they were.
+func TestBatchWindowRoundOwnsItsOps(t *testing.T) {
+	cfg := quietConfig(1, 5)
+	cfg.BatchWindow = 5 * time.Millisecond
+	sys := NewSystem(cfg)
+	ap := sys.APs()[0]
+	var tok *token.Token
+	var sent mq.Batch
+	traceSends(sys, func(m runtime.Message) {
+		b, ok := m.Body.(wire.TokenMsg)
+		if !ok || tok != nil || b.Tok.Holder != ap {
+			return
+		}
+		tok, sent = b.Tok, slices.Clone(b.Tok.Ops)
+		sys.Clock().After(0, func() {
+			for _, g := range []ids.GUID{4, 5, 6} {
+				if _, err := sys.JoinMemberAt(g, ap); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := sys.LeaveMember(5); err != nil {
+				t.Error(err)
+			}
+		})
+	})
+	for g := ids.GUID(1); g <= 3; g++ {
+		if _, err := sys.JoinMemberAt(g, ap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+
+	if len(sent) != 3 {
+		t.Fatalf("the first round carried %v, want the three batched joins", sent)
+	}
+	if !slices.Equal(tok.Ops, sent) {
+		t.Errorf("the round's Ops changed after it started:\n now %v\nsent %v", tok.Ops, sent)
+	}
+	if got := sys.BatchFlushes(); got != 2 {
+		t.Errorf("BatchFlushes = %d, want 2 (the mid-round changes drained in a second round)", got)
+	}
+	if got := len(sys.GlobalMembership()); got != 5 {
+		t.Errorf("membership = %d, want 5", got)
 	}
 }

@@ -160,7 +160,7 @@ func TestRingListsMatchCoverage(t *testing.T) {
 					replays := make([]watchReplay, len(systems))
 					for i, sys := range systems {
 						replays[i] = watchReplay{}
-						sys.SetEventSink(replays[i].hear)
+						sys.SetObserver(watchOf(replays[i].hear))
 					}
 					systems[0].Run()
 					for i, sys := range systems {

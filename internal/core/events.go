@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
-	"github.com/rgbproto/rgb/internal/ring"
 	"github.com/rgbproto/rgb/internal/runtime"
 )
 
@@ -30,6 +30,11 @@ const (
 	// event. Emitted by the subscription fan-out (rgb.Service.Watch),
 	// never by the protocol engine itself.
 	EventDropped
+	// EventRoundDone (a token round this process started completed)
+	// and EventBatchFlushed (a batch window closed with work) reach
+	// only an observer, never a Watch subscriber.
+	EventRoundDone
+	EventBatchFlushed
 )
 
 // String names the kind.
@@ -47,6 +52,10 @@ func (k EventKind) String() string {
 		return "repair"
 	case EventDropped:
 		return "dropped"
+	case EventRoundDone:
+		return "round"
+	case EventBatchFlushed:
+		return "batch"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}
@@ -79,17 +88,35 @@ func (e Event) String() string {
 	}
 }
 
-// SetEventSink installs fn as the system's event observer (nil
-// disables observation). The sink is invoked in engine context and
-// must not block; the rgb Service fans events out to Watch
-// subscribers from here.
-func (s *System) SetEventSink(fn func(Event)) { s.eventSink = fn }
+// Observation is one report of the engine to its observer: an Event
+// (a commit or a repair) with what it cost, or a completed round or a
+// flushed batch.
+type Observation struct {
+	Event
+	// Took is a round's duration from its start at the holder, a
+	// repair's token silence, or a commit's time since its submission,
+	// which is Measured only for the current version of a member this
+	// System submitted (a remote submitter measures its own).
+	Took     time.Duration
+	Measured bool
+	// Level and Ops are a round's ring level and the operations it
+	// carried; Ops is also a flushed batch's size.
+	Level, Ops int
+}
+
+// SetObserver installs fn as the System's one observer (nil removes
+// it). fn runs in engine context and must not block, send messages,
+// arm timers or draw randomness, so observing never changes protocol
+// behaviour; every report is gated on fn, so an unobserved System pays
+// nothing. The rgb Service feeds Watch and telemetry from here.
+func (s *System) SetObserver(fn func(Observation)) { s.observer = fn }
 
 // emitMemberChange reports a member operation that the topmost entity
 // from just applied if it would still change every other topmost entity
 // this System hosts (changedBy), so only the first to apply it reports
 // it, even one that has since crashed or been cut away. The emission
-// order is the top ring's commit order.
+// order is the top ring's commit order. The caller has checked that an
+// observer is installed.
 func (s *System) emitMemberChange(from *Node, c mq.Change) {
 	var kind EventKind
 	switch c.Op {
@@ -109,16 +136,9 @@ func (s *System) emitMemberChange(from *Node, c mq.Change) {
 			return
 		}
 	}
-	s.observeViewChange(kind, c.Member)
-	if s.eventSink != nil {
-		s.eventSink(Event{Kind: kind, Member: c.Member, At: s.clock.Now()})
+	o := Observation{Event: Event{Kind: kind, Member: c.Member, At: s.clock.Now()}}
+	if mh, ok := s.members[c.Member.GUID]; ok && mh.Ver == c.Member.Ver {
+		o.Took, o.Measured = o.At.Sub(mh.submitted), true
 	}
-}
-
-// emitRepair reports one local ring repair.
-func (s *System) emitRepair(id ring.ID, dead ids.NodeID) {
-	if s.eventSink == nil {
-		return
-	}
-	s.eventSink(Event{Kind: EventRepair, Ring: id.String(), Dead: dead, At: s.clock.Now()})
+	s.observer(o)
 }

@@ -7,6 +7,16 @@ import (
 	"github.com/rgbproto/rgb/internal/ids"
 )
 
+// watchOf adapts fn to the observer as a Watch subscriber hears it:
+// commits and repairs, never a round or a batch.
+func watchOf(fn func(Event)) func(Observation) {
+	return func(o Observation) {
+		if o.Kind != EventRoundDone && o.Kind != EventBatchFlushed {
+			fn(o.Event)
+		}
+	}
+}
+
 // memberEvents counts the member events a sink hears, by kind and GUID.
 type memberEvents map[string]int
 
@@ -25,12 +35,12 @@ func TestReportOnceWhenReporterCrashes(t *testing.T) {
 			t.Run(fmt.Sprintf("h=%d/ap=%d", h, ap), func(t *testing.T) {
 				sys := NewSystem(quietConfig(h, 3))
 				heard := memberEvents{}
-				sys.SetEventSink(func(e Event) {
+				sys.SetObserver(watchOf(func(e Event) {
 					if len(heard) == 0 && e.Kind == EventJoin {
 						sys.Clock().After(0, func() { sys.CrashNE(sys.top[0].id) })
 					}
 					heard.hear(e)
-				})
+				}))
 				if _, err := sys.JoinMemberAt(1, sys.APs()[ap]); err != nil {
 					t.Fatal(err)
 				}
@@ -52,7 +62,7 @@ func TestReportOnceAcrossCut(t *testing.T) {
 	sys := NewSystem(cutConfig(1, 6))
 	roster := sys.Node(sys.APs()[0]).Roster()
 	heard := memberEvents{}
-	sys.SetEventSink(heard.hear)
+	sys.SetObserver(watchOf(heard.hear))
 
 	kept, split := splitByCut(t, sys, roster, 3, 4)
 	want := memberEvents{"join " + ids.GUID(3).String(): 1, "join " + ids.GUID(4).String(): 1}

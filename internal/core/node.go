@@ -477,7 +477,7 @@ func (n *Node) applyChange(c mq.Change) {
 			n.insertIntoRoster(c.NE)
 		}
 	}
-	if applied && n.level == 0 && (n.sys.eventSink != nil || n.sys.instr != nil) {
+	if applied && n.level == 0 && n.sys.observer != nil {
 		// Commit point for observers: the topmost ring is the
 		// authoritative view, and applying the op here is exactly when
 		// GlobalMembership starts reflecting it. A change that changes

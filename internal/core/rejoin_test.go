@@ -39,7 +39,7 @@ func TestRejoinThroughAnotherProcess(t *testing.T) {
 				replays := make([]watchReplay, len(p.sys))
 				for i, sys := range p.sys {
 					replays[i] = watchReplay{}
-					sys.SetEventSink(replays[i].hear)
+					sys.SetObserver(watchOf(replays[i].hear))
 				}
 				ap := p.apsOf(apSlot)[0]
 				if _, err := via.JoinMemberAt(g, ap); err != nil {

@@ -81,8 +81,8 @@ type ringState struct {
 	// from lastTok: on a ring spanning several processes, other holders'
 	// heartbeat tokens keep flowing through local members and refresh
 	// lastTok, so global token silence never occurs even when this
-	// process's own round died with its carrier. The timing observer
-	// reports the round's duration from the same stamp.
+	// process's own round died with its carrier. The observer hears
+	// the round's duration from the same stamp.
 	roundStart runtime.Time
 
 	// passAck is the acknowledgement a local node last sent for a pass
@@ -159,8 +159,7 @@ type System struct {
 	queryFree  []*queryCollector // idle reply collectors (query.go)
 	seqCounter uint64
 
-	eventSink func(Event)
-	instr     *Instrumentation // timing observer (instrument.go)
+	observer func(Observation) // nil: nobody observes (events.go)
 
 	// K-observer stability filter state (stability.go); the maps are
 	// allocated only when Config.StabilityK arms the filter.
@@ -361,7 +360,14 @@ func (s *System) requestRoundWithBatch(n *Node, dir token.Direction, source ring
 func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 	s.rounds++
 	s.opsCarried += uint64(len(tok.Ops))
-	s.observeRoundDone(holder, len(tok.Ops))
+	if s.observer != nil && holder.ring.busy {
+		// A round this process did not start (adopted from a holder in
+		// another process, or written off by the token-loss watchdog)
+		// has no start stamp here and is not reported.
+		now := s.clock.Now()
+		s.observer(Observation{Event: Event{Kind: EventRoundDone, At: now},
+			Took: now.Sub(holder.ring.roundStart), Level: holder.level, Ops: len(tok.Ops)})
+	}
 	holder.ring.busy = false
 	if repaired && len(tok.Ops) > 0 {
 		// A mid-round repair means some members executed the token
@@ -406,11 +412,15 @@ func (s *System) dispatchPending(rs *ringState) {
 	rs.pending = queue
 }
 
-// noteRepair records a repair event.
+// noteRepair records and reports one local ring repair, with the
+// token silence since the ring last saw a token.
 func (s *System) noteRepair(id ring.ID, dead ids.NodeID) {
 	s.repairs = append(s.repairs, RepairEvent{Ring: id, Dead: dead})
-	s.observeRepair(id)
-	s.emitRepair(id, dead)
+	if s.observer != nil {
+		now := s.clock.Now()
+		s.observer(Observation{Event: Event{Kind: EventRepair, Ring: id.String(), Dead: dead, At: now},
+			Took: now.Sub(s.rings[id].lastTok)})
+	}
 }
 
 // startHeartbeats arms one periodic empty round per ring for failure

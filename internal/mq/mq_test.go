@@ -1,6 +1,7 @@
 package mq
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -293,5 +294,34 @@ func TestChangeString(t *testing.T) {
 	n := neChange(OpNEFailure, 2)
 	if n.Subject() != ids.MakeNodeID(ids.TierAP, 2) {
 		t.Error("NE subject wrong")
+	}
+}
+
+// TestDrainedBatchOutlivesTheQueue: a drained batch is its caller's. A
+// round takes it as its token's Ops without a copy (token.Fold), so
+// nothing the queue does afterwards may write its array: not appends,
+// not collapses or annihilations of later changes, not the next drain.
+func TestDrainedBatchOutlivesTheQueue(t *testing.T) {
+	for _, max := range []int{0, 2} {
+		q := New(true)
+		for g := uint64(1); g <= 3; g++ {
+			q.Insert(memberChange(OpMemberJoin, g, 0))
+		}
+		b := q.DrainBatch(max)
+		want := slices.Clone(b)
+		q.Insert(memberChange(OpMemberJoin, 4, 1))
+		q.Insert(memberChange(OpMemberHandoff, 4, 2)) // collapses into the join
+		q.Insert(memberChange(OpMemberJoin, 5, 1))
+		q.Insert(memberChange(OpMemberLeave, 5, 1)) // annihilates the join
+		q.Insert(neChange(OpNEJoin, 7))
+		next := q.DrainBatch(0)
+		wantNext := slices.Clone(next)
+		q.Insert(memberChange(OpMemberJoin, 6, 3))
+		q.Insert(memberChange(OpMemberFailure, 6, 3))
+		q.Insert(memberChange(OpMemberJoin, 8, 3))
+		q.DrainBatch(0)
+		if !slices.Equal(b, want) || !slices.Equal(next, wantNext) {
+			t.Errorf("max %d: drained batches changed:\n first %v, want %v\nsecond %v, want %v", max, b, want, next, wantNext)
+		}
 	}
 }

@@ -34,13 +34,14 @@ type Service struct {
 	cluster *Cluster
 
 	watchBuf int
+	tel      *groupTelemetry // nil until the registry instruments the group; engine context only
 
-	mu            sync.Mutex
-	closed        bool
-	done          chan struct{}
-	nextWatcher   int
-	sinkInstalled bool
-	watchers      map[int]*watcher
+	mu          sync.Mutex
+	closed      bool
+	done        chan struct{}
+	nextWatcher int
+	observing   bool
+	watchers    map[int]*watcher
 }
 
 // watcher is one Watch subscription: its event channel and the count
@@ -128,7 +129,7 @@ func (s *Service) Close() error {
 	s.mu.Unlock()
 
 	s.rt.Do(func() {
-		s.sys.SetEventSink(nil)
+		s.sys.SetObserver(nil)
 		// The engine shard may outlive this group; its periodic tickers
 		// must not keep firing into a closed System.
 		s.sys.StopHeartbeats()
@@ -330,16 +331,16 @@ func (s *Service) Watch(ctx context.Context) (<-chan MembershipEvent, error) {
 	id := s.nextWatcher
 	s.nextWatcher++
 	ch := make(chan MembershipEvent, s.watchBuf)
-	// The sink is installed on the first subscription ever and stays
-	// until Close: clearing it when the watcher set happens to drain
-	// would race with a concurrent new subscriber.
-	install := !s.sinkInstalled
-	s.sinkInstalled = true
+	// The observer is installed on the first subscription ever and
+	// stays until Close: clearing it when the watcher set happens to
+	// drain would race with a concurrent new subscriber.
+	install := !s.observing
+	s.observing = true
 	s.watchers[id] = &watcher{ch: ch}
 	s.mu.Unlock()
 
 	if install {
-		s.rt.Do(func() { s.sys.SetEventSink(s.broadcast) })
+		s.rt.Do(func() { s.sys.SetObserver(s.observe) })
 	}
 	go func() {
 		select {
@@ -350,6 +351,18 @@ func (s *Service) Watch(ctx context.Context) (<-chan MembershipEvent, error) {
 		}
 	}()
 	return ch, nil
+}
+
+// observe is the group's one observer of its engine, installed by the
+// first Watch or when the registry instruments the group. Watch hears
+// commits and repairs, the telemetry everything.
+func (s *Service) observe(o core.Observation) {
+	if o.Kind != core.EventRoundDone && o.Kind != core.EventBatchFlushed {
+		s.broadcast(o.Event)
+	}
+	if s.tel != nil {
+		s.tel.observe(o)
+	}
 }
 
 // broadcast fans one event out to every subscriber. It runs in engine
@@ -379,8 +392,8 @@ func (s *Service) broadcast(ev MembershipEvent) {
 	}
 }
 
-// unwatch removes one subscriber and closes its channel. The event
-// sink stays installed (see Watch); an empty watcher set just makes
+// unwatch removes one subscriber and closes its channel. The observer
+// stays installed (see Watch); an empty watcher set just makes
 // broadcast a no-op.
 func (s *Service) unwatch(id int) {
 	s.mu.Lock()

@@ -232,58 +232,71 @@ func (c *Cluster) registerClusterMetrics() {
 	transportCounter("rgb_transport_cut_total", "messages dropped by an active partition cut or block rule", func(s *Stats) uint64 { return s.Cut })
 }
 
+// groupTelemetry is one group's stream-fed series: the group's
+// observer hands it every observation, in engine context.
+type groupTelemetry struct {
+	round, batch, repair *telemetry.Histogram
+	// latency and changes are indexed by commit kind, EventJoin
+	// through EventHandoff.
+	latency [4]*telemetry.Histogram
+	changes [4]*telemetry.Counter
+}
+
+func (g *groupTelemetry) observe(o core.Observation) {
+	switch o.Kind {
+	case core.EventRoundDone:
+		g.round.ObserveDuration(o.Took)
+	case core.EventBatchFlushed:
+		g.batch.Observe(float64(o.Ops))
+	case core.EventRepair:
+		g.repair.ObserveDuration(o.Took)
+	case core.EventJoin, core.EventLeave, core.EventFail, core.EventHandoff:
+		g.changes[o.Kind].Inc()
+		if o.Measured {
+			g.latency[o.Kind].ObserveDuration(o.Took)
+		}
+	}
+}
+
+// groupSnapshot is one scrape's reading of a group's engine-owned
+// counters.
+type groupSnapshot struct {
+	members, rounds, ops, repairs, roster         float64
+	batchFlushes, batchedOps, quarantines, defers float64
+	faults                                        FaultStats
+}
+
 // instrumentGroup wires one group's protocol engine into the
-// registry: an Instrumentation hook for the timing histograms plus a
-// scrape hook sampling the engine's own counters (membership size,
-// rounds, ops carried, repairs). Caller holds c.mu; a reopened group
-// re-registers onto the same series, so counts continue.
+// registry: a groupTelemetry the group's observer feeds for the
+// timing histograms and the view-change counters, plus a scrape hook
+// sampling the engine's own counters (membership size, rounds, ops
+// carried, repairs). Caller holds c.mu; a reopened group re-registers
+// onto the same series, so counts continue.
 func (c *Cluster) instrumentGroup(svc *Service) {
 	reg := c.tel
 	gid := svc.gid.String()
 
-	roundH := reg.Histogram("rgb_round_duration_seconds",
-		"token round duration, start at the holder to completion", nil, "group", gid)
-	batchH := reg.Histogram("rgb_viewchange_batch_size",
-		"membership operations coalesced per batched view-change flush (WithBatchWindow)",
-		[]float64{1, 2, 5, 10, 25, 50, 100}, "group", gid)
-	repairH := reg.Histogram("rgb_repair_gap_seconds",
-		"token silence a ring repair closed (how long the failure went unrepaired)", nil, "group", gid)
-	var (
-		vcH [4]*telemetry.Histogram
-		vcC [4]*telemetry.Counter
-	)
+	gt := &groupTelemetry{
+		round: reg.Histogram("rgb_round_duration_seconds",
+			"token round duration, start at the holder to completion", nil, "group", gid),
+		batch: reg.Histogram("rgb_viewchange_batch_size",
+			"membership operations coalesced per batched view-change flush (WithBatchWindow)",
+			[]float64{1, 2, 5, 10, 25, 50, 100}, "group", gid),
+		repair: reg.Histogram("rgb_repair_gap_seconds",
+			"token silence a ring repair closed (how long the failure went unrepaired)", nil, "group", gid),
+	}
 	for k := core.EventJoin; k <= core.EventHandoff; k++ {
-		vcH[k] = reg.Histogram("rgb_view_change_latency_seconds",
+		gt.latency[k] = reg.Histogram("rgb_view_change_latency_seconds",
 			"submit-to-commit latency of locally-submitted membership operations", nil,
 			"group", gid, "kind", k.String())
-		vcC[k] = reg.Counter("rgb_view_changes_total",
+		gt.changes[k] = reg.Counter("rgb_view_changes_total",
 			"membership operations committed at the topmost ring",
 			"group", gid, "kind", k.String())
 	}
-
-	instr := &core.Instrumentation{
-		RoundDone: func(level int, d time.Duration, ops int) {
-			roundH.ObserveDuration(d)
-		},
-		ViewChange: func(kind core.EventKind, d time.Duration, measured bool) {
-			if int(kind) >= len(vcC) {
-				return
-			}
-			vcC[kind].Inc()
-			if measured {
-				vcH[kind].ObserveDuration(d)
-			}
-		},
-		Repair: func(d time.Duration) {
-			repairH.ObserveDuration(d)
-		},
-		BatchFlushed: func(size int) {
-			batchH.Observe(float64(size))
-		},
-	}
 	hasFaults := false
 	svc.rt.Do(func() {
-		svc.sys.SetInstrumentation(instr)
+		svc.tel = gt
+		svc.sys.SetObserver(svc.observe)
 		_, hasFaults = svc.sys.Transport().(*rgbruntime.FaultTransport)
 	})
 
@@ -292,18 +305,10 @@ func (c *Cluster) instrumentGroup(svc *Service) {
 	// has closed (Do drops the fn), the last snapshot holds.
 	var (
 		gmu  sync.Mutex
-		snap struct {
-			members, rounds, ops, repairs, roster         float64
-			batchFlushes, batchedOps, quarantines, defers float64
-			faults                                        FaultStats
-		}
+		snap groupSnapshot
 	)
 	reg.OnScrape(func() {
-		var s struct {
-			members, rounds, ops, repairs, roster         float64
-			batchFlushes, batchedOps, quarantines, defers float64
-			faults                                        FaultStats
-		}
+		var s groupSnapshot
 		ran := false
 		svc.rt.Do(func() {
 			ran = true
