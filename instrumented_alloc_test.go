@@ -48,14 +48,22 @@ func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 	if allocs > 11 {
 		t.Errorf("instrumented TokenRound/r=50 = %.1f allocs/op, budget 11", allocs)
 	}
-	joins, counted := next-1, -1.0
+	joins, counted, rounds := next-1, -1.0, -1.0
 	for _, s := range tel.Gather() {
-		if s.Name == "rgb_view_changes_total" && s.Label("kind") == "join" {
+		switch {
+		case s.Name == "rgb_view_changes_total" && s.Label("kind") == "join":
 			counted = s.Value
+		case s.Name == "rgb_round_duration_seconds_count":
+			rounds = s.Value
 		}
 	}
 	if heard != joins || counted != float64(joins) {
 		t.Errorf("%d joins: Watch heard %d, rgb_view_changes_total counts %v", joins, heard, counted)
+	}
+	// Every join runs at least one round, and a round that reached
+	// nobody would read as a cheaper one.
+	if rounds < float64(joins) {
+		t.Errorf("%d joins: rgb_round_duration_seconds_count = %v, want at least %d", joins, rounds, joins)
 	}
 }
 

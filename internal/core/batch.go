@@ -61,7 +61,7 @@ func (n *Node) flushBatch() {
 	n.sys.batchFlushes++
 	n.sys.batchedOps += uint64(size)
 	if n.sys.observer != nil {
-		n.sys.observer(Observation{Event: Event{Kind: EventBatchFlushed, At: n.sys.clock.Now()}, Ops: size})
+		n.sys.observer(Observation{Event: Event{Kind: EventBatchFlushed, At: n.sys.clock.Now()}, Size: size})
 	}
 	n.sys.requestRound(n, token.FromLocal, ring.ID{})
 }

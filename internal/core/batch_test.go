@@ -22,7 +22,7 @@ func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 	var flushSizes []int
 	sys.SetObserver(func(o Observation) {
 		if o.Kind == EventBatchFlushed {
-			flushSizes = append(flushSizes, o.Ops)
+			flushSizes = append(flushSizes, o.Size)
 		}
 	})
 	ap := sys.APs()[0]

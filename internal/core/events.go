@@ -9,8 +9,9 @@ import (
 	"github.com/rgbproto/rgb/internal/runtime"
 )
 
-// EventKind is the type of one membership event observed by a
-// subscriber.
+// EventKind is the type of one event the engine reports. A Watch
+// subscriber hears every kind but EventRoundDone and EventBatchFlushed,
+// which reach only the System's observer (Watched).
 type EventKind uint8
 
 // Membership event kinds.
@@ -61,6 +62,9 @@ func (k EventKind) String() string {
 	}
 }
 
+// Watched reports whether a Watch subscriber hears events of kind k.
+func (k EventKind) Watched() bool { return k != EventRoundDone && k != EventBatchFlushed }
+
 // Event is one observed membership change or ring repair. Member
 // events are emitted when the change commits at the topmost ring —
 // the authoritative view that GlobalMembership reads — exactly once
@@ -99,9 +103,7 @@ type Observation struct {
 	// System submitted (a remote submitter measures its own).
 	Took     time.Duration
 	Measured bool
-	// Level and Ops are a round's ring level and the operations it
-	// carried; Ops is also a flushed batch's size.
-	Level, Ops int
+	Size     int // a flushed batch's count of operations
 }
 
 // SetObserver installs fn as the System's one observer (nil removes

@@ -11,7 +11,7 @@ import (
 // commits and repairs, never a round or a batch.
 func watchOf(fn func(Event)) func(Observation) {
 	return func(o Observation) {
-		if o.Kind != EventRoundDone && o.Kind != EventBatchFlushed {
+		if o.Kind.Watched() {
 			fn(o.Event)
 		}
 	}

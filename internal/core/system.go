@@ -366,7 +366,7 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 		// has no start stamp here and is not reported.
 		now := s.clock.Now()
 		s.observer(Observation{Event: Event{Kind: EventRoundDone, At: now},
-			Took: now.Sub(holder.ring.roundStart), Level: holder.level, Ops: len(tok.Ops)})
+			Took: now.Sub(holder.ring.roundStart)})
 	}
 	holder.ring.busy = false
 	if repaired && len(tok.Ops) > 0 {

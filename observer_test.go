@@ -13,8 +13,8 @@ import (
 // is installed first and whether the group opens before or after the
 // registry. A join through a batch window, beside a crashed ring-mate
 // of its access proxy, reaches Watch as exactly one join and one
-// repair; the registry counts the same join and repair and the one
-// flushed batch. Nothing is heard after Close.
+// repair; the registry counts the same join and repair, the one
+// flushed batch and the join's rounds. Nothing is heard after Close.
 func TestOneObserverFeedsWatchAndTelemetry(t *testing.T) {
 	ctx := context.Background()
 	type setup func(t *testing.T, opts []Option) (*Service, <-chan MembershipEvent, *Telemetry)
@@ -98,6 +98,10 @@ func TestOneObserverFeedsWatchAndTelemetry(t *testing.T) {
 					if before[name] != v {
 						t.Errorf("%s = %v, want %v", name, before[name], v)
 					}
+				}
+				// The join climbs both levels, one round at each.
+				if rounds := before["rgb_round_duration_seconds_count"]; rounds < 2 {
+					t.Errorf("rgb_round_duration_seconds_count = %v, want at least 2", rounds)
 				}
 				if after := observedSeries(tel, gid); !maps.Equal(after, before) {
 					t.Errorf("series moved after Close:\nbefore %v\n after %v", before, after)

@@ -331,17 +331,10 @@ func (s *Service) Watch(ctx context.Context) (<-chan MembershipEvent, error) {
 	id := s.nextWatcher
 	s.nextWatcher++
 	ch := make(chan MembershipEvent, s.watchBuf)
-	// The observer is installed on the first subscription ever and
-	// stays until Close: clearing it when the watcher set happens to
-	// drain would race with a concurrent new subscriber.
-	install := !s.observing
-	s.observing = true
 	s.watchers[id] = &watcher{ch: ch}
 	s.mu.Unlock()
 
-	if install {
-		s.rt.Do(func() { s.sys.SetObserver(s.observe) })
-	}
+	s.observeEngine()
 	go func() {
 		select {
 		case <-ctx.Done():
@@ -353,11 +346,28 @@ func (s *Service) Watch(ctx context.Context) (<-chan MembershipEvent, error) {
 	return ch, nil
 }
 
-// observe is the group's one observer of its engine, installed by the
-// first Watch or when the registry instruments the group. Watch hears
+// observeEngine installs the group's one observer the first time Watch
+// or the registry needs it; only Close removes it (clearing it when the
+// watcher set drains would race with a new subscriber). The install
+// re-checks closed in engine context, so it cannot land after Close.
+func (s *Service) observeEngine() {
+	s.mu.Lock()
+	install := !s.observing
+	s.observing = true
+	s.mu.Unlock()
+	if install {
+		s.rt.Do(func() {
+			if !s.isClosed() {
+				s.sys.SetObserver(s.observe)
+			}
+		})
+	}
+}
+
+// observe is the group's one observer of its engine. Watch hears
 // commits and repairs, the telemetry everything.
 func (s *Service) observe(o core.Observation) {
-	if o.Kind != core.EventRoundDone && o.Kind != core.EventBatchFlushed {
+	if o.Kind.Watched() {
 		s.broadcast(o.Event)
 	}
 	if s.tel != nil {

@@ -3,6 +3,7 @@ package rgb
 import (
 	goruntime "runtime" // the Go runtime (memstats); the substrate is rgbruntime
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
@@ -247,7 +248,7 @@ func (g *groupTelemetry) observe(o core.Observation) {
 	case core.EventRoundDone:
 		g.round.ObserveDuration(o.Took)
 	case core.EventBatchFlushed:
-		g.batch.Observe(float64(o.Ops))
+		g.batch.Observe(float64(o.Size))
 	case core.EventRepair:
 		g.repair.ObserveDuration(o.Took)
 	case core.EventJoin, core.EventLeave, core.EventFail, core.EventHandoff:
@@ -296,19 +297,17 @@ func (c *Cluster) instrumentGroup(svc *Service) {
 	hasFaults := false
 	svc.rt.Do(func() {
 		svc.tel = gt
-		svc.sys.SetObserver(svc.observe)
 		_, hasFaults = svc.sys.Transport().(*rgbruntime.FaultTransport)
 	})
+	svc.observeEngine()
 
 	// Engine-owned counters, sampled in engine context once per
 	// scrape so the snapshot is internally consistent. If the group
 	// has closed (Do drops the fn), the last snapshot holds.
-	var (
-		gmu  sync.Mutex
-		snap groupSnapshot
-	)
+	var snap atomic.Pointer[groupSnapshot]
+	snap.Store(new(groupSnapshot))
 	reg.OnScrape(func() {
-		var s groupSnapshot
+		s := new(groupSnapshot)
 		ran := false
 		svc.rt.Do(func() {
 			ran = true
@@ -331,47 +330,37 @@ func (c *Cluster) instrumentGroup(svc *Service) {
 				s.faults = ft.FaultStats()
 			}
 		})
-		if !ran {
-			return
+		if ran {
+			snap.Store(s)
 		}
-		gmu.Lock()
-		snap = s
-		gmu.Unlock()
 	})
-	sampled := func(f func() float64) func() float64 {
-		return func() float64 {
-			gmu.Lock()
-			defer gmu.Unlock()
-			return f()
-		}
-	}
 	reg.GaugeFunc("rgb_group_members", "operational members in the authoritative (topmost-ring) view",
-		sampled(func() float64 { return snap.members }), "group", gid)
+		func() float64 { return snap.Load().members }, "group", gid)
 	reg.GaugeFunc("rgb_topmost_roster_size", "live roster size of the hosted topmost-ring node; below the ring size it signals an unhealed partition fragment",
-		sampled(func() float64 { return snap.roster }), "group", gid)
+		func() float64 { return snap.Load().roster }, "group", gid)
 	reg.CounterFunc("rgb_rounds_total", "completed token rounds",
-		sampled(func() float64 { return snap.rounds }), "group", gid)
+		func() float64 { return snap.Load().rounds }, "group", gid)
 	reg.CounterFunc("rgb_round_ops_total", "membership operations carried by token rounds",
-		sampled(func() float64 { return snap.ops }), "group", gid)
+		func() float64 { return snap.Load().ops }, "group", gid)
 	reg.CounterFunc("rgb_repairs_total", "local ring repairs performed",
-		sampled(func() float64 { return snap.repairs }), "group", gid)
+		func() float64 { return snap.Load().repairs }, "group", gid)
 	reg.CounterFunc("rgb_batch_flushes_total", "batch windows closed with at least one pending operation",
-		sampled(func() float64 { return snap.batchFlushes }), "group", gid)
+		func() float64 { return snap.Load().batchFlushes }, "group", gid)
 	reg.CounterFunc("rgb_batched_ops_total", "membership operations coalesced through batched flushes",
-		sampled(func() float64 { return snap.batchedOps }), "group", gid)
+		func() float64 { return snap.Load().batchedOps }, "group", gid)
 	reg.CounterFunc("rgb_flap_quarantines_total", "flapping members quarantined by the stability filter",
-		sampled(func() float64 { return snap.quarantines }), "group", gid)
+		func() float64 { return snap.Load().quarantines }, "group", gid)
 	reg.CounterFunc("rgb_evictions_deferred_total", "suspected evictions held back awaiting K-observer confirmation",
-		sampled(func() float64 { return snap.defers }), "group", gid)
+		func() float64 { return snap.Load().defers }, "group", gid)
 	if hasFaults {
 		faultCounter := func(kind string, f func() float64) {
 			reg.CounterFunc("rgb_faults_injected_total", "faults injected by the WithFaults plan",
-				sampled(f), "group", gid, "kind", kind)
+				f, "group", gid, "kind", kind)
 		}
-		faultCounter("corrupt", func() float64 { return float64(snap.faults.Corrupted) })
-		faultCounter("replay", func() float64 { return float64(snap.faults.Duplicated) })
-		faultCounter("misroute", func() float64 { return float64(snap.faults.Misrouted) })
-		faultCounter("reorder", func() float64 { return float64(snap.faults.Reordered) })
-		faultCounter("undecodable", func() float64 { return float64(snap.faults.Undecodable) })
+		faultCounter("corrupt", func() float64 { return float64(snap.Load().faults.Corrupted) })
+		faultCounter("replay", func() float64 { return float64(snap.Load().faults.Duplicated) })
+		faultCounter("misroute", func() float64 { return float64(snap.Load().faults.Misrouted) })
+		faultCounter("reorder", func() float64 { return float64(snap.Load().faults.Reordered) })
+		faultCounter("undecodable", func() float64 { return float64(snap.Load().faults.Undecodable) })
 	}
 }
