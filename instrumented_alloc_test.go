@@ -69,41 +69,52 @@ func TestTokenRoundInstrumentedAllocs(t *testing.T) {
 
 // queryAllocBudget is what one Membership-Query over members members may
 // allocate once warm: the caller's own copy of the answer, plus a
-// quarter of it for everything else. A reply that leaves its process is
-// encoded from the replier's own list, one that stays shares a copy of
-// it between changes, and a reply off the socket is decoded into a
-// buffer the socket keeps. With a fresh snapshot per reply this read
-// about 2 ×, and with a fresh 1000-entry map per query about 8 ×. With
-// a shared copy for every reply, beside a handoff per query pair,
-// TestQueryAllocBudgetUnderHandoffs read 79 KB for 1 000 members.
+// quarter of it for everything else. A reply is encoded, or copied into
+// a buffer the engine keeps, from the replier's own list, and a reply
+// off the socket is decoded into a buffer the socket keeps. With a fresh
+// snapshot per reply this read about 2 ×, and with a fresh 1000-entry
+// map per query about 8 ×. With a shared copy for every reply, beside a
+// handoff per query pair, TestQueryAllocBudgetUnderHandoffs read 79 KB
+// for 1 000 members.
 func queryAllocBudget(members int) uint64 {
-	return uint64(members) * uint64(unsafe.Sizeof(MemberInfo{})) * 5 / 4
+	return answerBytes(members) * 5 / 4
+}
+
+// answerBytes is the size of an answer of members members: the caller's
+// own copy.
+func answerBytes(members int) uint64 {
+	return uint64(members) * uint64(unsafe.Sizeof(MemberInfo{}))
+}
+
+// queryAllocs runs one query of scheme on svc entering at ap, checks
+// that its answer holds all members, and returns the bytes allocated.
+func queryAllocs(t *testing.T, svc *Service, ap NodeID, scheme QueryScheme, members int) uint64 {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	res, err := svc.QueryWith(context.Background(), ap, scheme)
+	runtime.ReadMemStats(&ms)
+	if err != nil || len(res.Members) != members {
+		t.Fatalf("%v query: %d members, err %v", scheme, len(res.Members), err)
+	}
+	return ms.TotalAlloc - before
 }
 
 // queryPairAllocs returns a function that runs n TMS+BMS query pairs,
-// TMS on tms and BMS on bms, entry access proxies rotating, checks that
-// every answer holds all members, and returns the bytes allocated.
-func queryPairAllocs(t *testing.T, tms, bms *Service, members int) func(n int) uint64 {
-	ctx := context.Background()
+// TMS on tms and BMS on bms, pair i entering at access proxy first+i
+// (mod their number), checks that every answer holds all members, and
+// returns the bytes allocated.
+func queryPairAllocs(t *testing.T, tms, bms *Service, members int) func(first, n int) uint64 {
 	aps := tms.APs()
-	var ms runtime.MemStats
-	return func(n int) uint64 {
+	return func(first, n int) uint64 {
 		t.Helper()
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		for i := 0; i < n; i++ {
-			for _, q := range []struct {
-				svc    *Service
-				scheme QueryScheme
-			}{{tms, TMS()}, {bms, BMS(3)}} {
-				res, err := q.svc.QueryWith(ctx, aps[i%len(aps)], q.scheme)
-				if err != nil || len(res.Members) != members {
-					t.Fatalf("%v query: %d members, err %v", q.scheme, len(res.Members), err)
-				}
-			}
+		var total uint64
+		for i := first; i < first+n; i++ {
+			ap := aps[i%len(aps)]
+			total += queryAllocs(t, tms, ap, TMS(), members) + queryAllocs(t, bms, ap, BMS(3), members)
 		}
-		runtime.ReadMemStats(&ms)
-		return ms.TotalAlloc - before
+		return total
 	}
 }
 
@@ -116,11 +127,11 @@ func TestQueryAllocBudget(t *testing.T) {
 	const members = 1000
 	joinSettled(t, svc, members)
 	pairs := queryPairAllocs(t, svc, svc, members)
-	pairs(1) // builds the collector and the shared lists
-	second := pairs(1)
-	pairs(18)
-	perQuery := pairs(100) / 200
-	hundredth := pairs(1)
+	pairs(0, 1) // builds the collector and the engine's reply buffers
+	second := pairs(0, 1)
+	pairs(0, 18)
+	perQuery := pairs(0, 100) / 200
+	hundredth := pairs(0, 1)
 
 	t.Logf("per query %d B; second pair %d B, hundredth pair %d B", perQuery, second, hundredth)
 	if budget := queryAllocBudget(members); perQuery > budget {
@@ -142,8 +153,8 @@ func TestQueryAllocBudgetNetworked(t *testing.T) {
 	const members = 1000
 	joinOnProcessZero(t, procs, members)
 	pairs := queryPairAllocs(t, procs[1], procs[2], members)
-	pairs(20) // collectors, shared lists and the sockets' spare buffers
-	perQuery := pairs(100) / 200
+	pairs(0, 20) // collectors, reply buffers and the sockets' spare buffers
+	perQuery := pairs(0, 100) / 200
 
 	t.Logf("per query %d B", perQuery)
 	if budget := queryAllocBudget(members); perQuery > budget {
@@ -156,38 +167,71 @@ func TestQueryAllocBudgetNetworked(t *testing.T) {
 	}
 }
 
-// TestQueryAllocBudgetUnderHandoffs holds the three-process deployment
-// to the same budget while its lists change: before each query pair,
-// outside the measured window, process 0 hands one member off to the
-// next of its bottom rings (bottomWriter) and process 1's Watch sees it
-// commit. Each handoff changes the top ring's list and two bottom
-// rings', so a reply that copied its list after every change would cost
-// about as much again as the answer. Every pair enters at the first
-// access proxy (pairs(1) starts its rotation there), which process 0
-// hosts, so both queries climb to process 0's topmost entity, and
-// every member is listed on process 0: each non-empty reply leaves its
-// process. (A reply to a query of its own process still takes the copy
-// the replies between two changes share; rotating the entry over all
-// 27 proxies reads about 51 KB per query.)
+// TestQueryAllocBudgetUnderHandoffs holds a deployment to the same
+// budget while its lists change: before each query pair, outside the
+// measured window, process 0 hands one member off to the next of its
+// bottom rings (bottomWriter) and the watching process sees it commit.
+// Each handoff changes the top ring's list and two bottom rings', so a
+// reply that copied its list after every change would cost about as
+// much again as the answer.
+//
+// On three processes, the first row enters every pair at the first
+// access proxy, which process 0 hosts, so both queries climb to process
+// 0's topmost entity and each non-empty reply leaves its process; the
+// rotating row enters pair i at the i-th of all 27 proxies, so a third
+// of the TMS replies stay in process 1 (with a shared copy built after
+// each change, that row read 51 KB per query). The in-process row holds
+// a top ring of 5 000 members, more than a datagram carries: every
+// reply is a local hop, and from its 20th query on a query must cost no
+// more than its answer, plus 5 % for what the runtime's own goroutines
+// allocate meanwhile.
 func TestQueryAllocBudgetUnderHandoffs(t *testing.T) {
-	procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(3))
-	if owner := subtreeOwners(3, 3, 3)[procs[0].APs()[0]]; owner != 0 {
-		t.Fatalf("the first access proxy is on process %d, want 0", owner)
-	}
-	const members = 1000
-	w := newBottomWriter(t, procs, members)
-	pairs := queryPairAllocs(t, procs[1], procs[2], members)
-	var total uint64
-	for i := -20; i < 100; i++ { // 20 warm-up pairs
-		w.handoff()
-		if b := pairs(1); i >= 0 {
-			total += b
-		}
-	}
-	perQuery := total / 200
+	for _, row := range []struct {
+		name   string
+		rotate bool
+	}{{"first-proxy", false}, {"rotating", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			procs := listenProcs(t, 3, WithHierarchy(3, 3), WithSeed(3))
+			if owner := subtreeOwners(3, 3, 3)[procs[0].APs()[0]]; owner != 0 {
+				t.Fatalf("the first access proxy is on process %d, want 0", owner)
+			}
+			const members = 1000
+			w := newBottomWriter(t, procs, members)
+			pairs := queryPairAllocs(t, procs[1], procs[2], members)
+			var total uint64
+			for i := 0; i < 120; i++ { // 20 warm-up pairs
+				w.handoff()
+				first := 0
+				if row.rotate {
+					first = i
+				}
+				if b := pairs(first, 1); i >= 20 {
+					total += b
+				}
+			}
+			perQuery := total / 200
 
-	t.Logf("per query %d B over %d handoffs", perQuery, w.handoffs)
-	if budget := queryAllocBudget(members); perQuery > budget {
-		t.Errorf("a query over %d members beside handoffs allocates %d B, budget %d B", members, perQuery, budget)
+			t.Logf("per query %d B over %d handoffs", perQuery, w.handoffs)
+			if budget := queryAllocBudget(members); perQuery > budget {
+				t.Errorf("a query over %d members beside handoffs allocates %d B, budget %d B", members, perQuery, budget)
+			}
+		})
 	}
+	t.Run("in-process-5000", func(t *testing.T) {
+		procs := listenProcs(t, 1, WithHierarchy(3, 3), WithSeed(3))
+		const members = 5000
+		w := newBottomWriter(t, procs, members)
+		aps := procs[0].APs()
+		var got [2]uint64
+		for i := 0; i < 20; i++ {
+			for k, scheme := range []QueryScheme{TMS(), BMS(3)} {
+				w.handoff()
+				got[k] = queryAllocs(t, procs[0], aps[i%len(aps)], scheme, members)
+			}
+		}
+		t.Logf("20th TMS query %d B, 20th BMS query %d B; the answer is %d B", got[0], got[1], answerBytes(members))
+		if budget := answerBytes(members) * 21 / 20; got[0] > budget || got[1] > budget {
+			t.Errorf("the 20th TMS and BMS queries over %d members allocate %d B and %d B, budget %d B", members, got[0], got[1], budget)
+		}
+	})
 }

@@ -497,3 +497,45 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 		})
 	}
 }
+
+// TestParkedRoundsAllocateNothing: a ring pops its parked rounds from the
+// front of one array and zeroes each slot it vacates, so once its parked
+// rounds were dispatched it parks again into capacity, and no slot keeps
+// a dispatched batch alive.
+func TestParkedRoundsAllocateNothing(t *testing.T) {
+	sys := NewSystem(quietConfig(1, 5))
+	ap := sys.APs()[0]
+	n := sys.nodes[ap]
+	rs := n.ring
+	sys.markRingBusy(rs)
+	for g := ids.GUID(1); g <= 3; g++ {
+		batch := mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GID: sys.cfg.GID, GUID: g, AP: ap}, Origin: ap}}
+		sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, batch, ids.NoNode)
+	}
+	rs.busy = false
+	sys.dispatchPending(rs)
+	sys.Run()
+	if got := len(sys.GlobalMembership()); got != 3 {
+		t.Fatalf("membership = %d after the three parked rounds, want 3", got)
+	}
+	if len(rs.pending) != 0 || cap(rs.pending) < 3 {
+		t.Fatalf("after dispatch the ring parks in len %d, cap %d; want 0 and its array of 3 or more", len(rs.pending), cap(rs.pending))
+	}
+	for i, p := range rs.pending[:cap(rs.pending)] {
+		if p.batch != nil {
+			t.Errorf("slot %d still holds the dispatched batch %v", i, p.batch)
+		}
+	}
+	// Local requests whose queue is empty are parked, then skipped.
+	allocs := testing.AllocsPerRun(100, func() {
+		rs.busy = true
+		for range 3 {
+			sys.requestRound(n, token.FromLocal, ring.ID{})
+		}
+		rs.busy = false
+		sys.dispatchPending(rs)
+	})
+	if allocs != 0 {
+		t.Errorf("parking and dispatching three rounds allocates %.1f objects", allocs)
+	}
+}

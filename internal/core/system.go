@@ -391,12 +391,15 @@ func (s *System) roundDone(holder *Node, tok *token.Token, repaired bool) {
 
 // dispatchPending starts the next deferred round of a ring, if any.
 // Local requests whose queue was already drained by en-route folding
-// are skipped rather than run as empty rounds.
+// are skipped rather than run as empty rounds. A request is popped from
+// the front of the same array, so the ring parks its next rounds into
+// capacity; the vacated slot is zeroed, as it held a batch.
 func (s *System) dispatchPending(rs *ringState) {
-	queue := rs.pending
-	for len(queue) > 0 {
-		next := queue[0]
-		queue = queue[1:]
+	for len(rs.pending) > 0 {
+		next := rs.pending[0]
+		last := copy(rs.pending, rs.pending[1:])
+		rs.pending[last] = pendingRound{}
+		rs.pending = rs.pending[:last]
 		n := s.nodes[next.at]
 		if n == nil || s.tr.Crashed(next.at) {
 			continue
@@ -404,12 +407,10 @@ func (s *System) dispatchPending(rs *ringState) {
 		if next.dir == token.FromLocal && next.batch == nil && n.queue.Len() == 0 {
 			continue
 		}
-		rs.pending = queue
 		s.markRingBusy(rs)
 		n.startRound(next.dir, next.source, next.batch, next.forwarder)
 		return
 	}
-	rs.pending = queue
 }
 
 // noteRepair records and reports one local ring repair, with the

@@ -256,7 +256,10 @@ func (q *Queue) DrainBatch(max int) Batch {
 			break
 		}
 	}
-	q.pending = q.pending[consumed:]
+	// The survivors move to the front, so the queue keeps its array and
+	// the next Insert appends into capacity; out is a fresh array, which
+	// a round takes as its Ops.
+	q.pending = q.pending[:copy(q.pending, q.pending[consumed:])]
 	// Reindex the survivors (cheap: queues are short between rounds).
 	for k := range q.bySubject {
 		delete(q.bySubject, k)

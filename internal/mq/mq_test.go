@@ -325,3 +325,38 @@ func TestDrainedBatchOutlivesTheQueue(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainedQueueKeepsItsArray: a drain moves what it leaves to the
+// front of the queue's own array, so once warm an Insert after a full
+// or partial drain appends into capacity; only the returned batch, a
+// fresh array, is allocated. The survivors stay in order and keep
+// aggregating.
+func TestDrainedQueueKeepsItsArray(t *testing.T) {
+	q := New(true)
+	for g := uint64(1); g <= 3; g++ {
+		q.Insert(memberChange(OpMemberJoin, g, 0))
+	}
+	if b := q.DrainBatch(1); len(b) != 1 || b[0].Member.GUID != 1 {
+		t.Fatalf("DrainBatch(1) = %v, want the join of 1", b)
+	}
+	q.Insert(memberChange(OpMemberHandoff, 3, 2)) // collapses into the surviving join
+	if b := q.DrainBatch(0); len(b) != 2 || b[0].Member.GUID != 2 || b[1].Member.GUID != 3 ||
+		b[1].Op != OpMemberJoin || b[1].Member.AP != ids.MakeNodeID(ids.TierAP, 2) {
+		t.Fatalf("DrainBatch(0) = %v, want the join of 2, then 3's join at AP 2", b)
+	}
+	// GUIDs below 256 box without allocating, so a subject key costs
+	// nothing here.
+	full := testing.AllocsPerRun(100, func() {
+		q.Insert(memberChange(OpMemberJoin, 4, 0))
+		q.DrainBatch(0)
+	})
+	partial := testing.AllocsPerRun(100, func() {
+		q.Insert(memberChange(OpMemberJoin, 5, 0))
+		q.Insert(memberChange(OpMemberJoin, 6, 0))
+		q.DrainBatch(1)
+		q.DrainBatch(1)
+	})
+	if full != 1 || partial != 2 {
+		t.Errorf("insert+drain allocates %.1f objects, two inserts and two partial drains %.1f; want 1 and 2, the drained batches", full, partial)
+	}
+}

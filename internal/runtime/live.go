@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/des"
+	"github.com/rgbproto/rgb/internal/ids"
 )
 
 // engineCore is one engine shard's single-goroutine execution
@@ -38,6 +39,12 @@ type engineCore struct {
 	// capacity, bounded by what is in flight at once. Engine-only.
 	local, spare []localHop
 
+	// replyBufs are spare member buffers for local QueryReply hops,
+	// holding replySpare members: at most twice replyMax, the largest
+	// buffer returned, so two of the largest replies fit. Engine-only.
+	replyBufs            [][]ids.MemberInfo
+	replySpare, replyMax int
+
 	// waits are the RunUntil calls parked on this engine (await).
 	// Engine-only.
 	waits []*engineWait
@@ -49,6 +56,10 @@ type engineCore struct {
 	// their item. Engine-only.
 	batch bool
 	flush func()
+
+	// calls are do's idle call records, under callMu.
+	callMu sync.Mutex
+	calls  []*call
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -132,6 +143,34 @@ func (e *engineCore) drainLocal() {
 	}
 }
 
+// takeReplyBuf returns the smallest spare member buffer with room for n
+// members, or nil if none has (append then makes one).
+func (e *engineCore) takeReplyBuf(n int) []ids.MemberInfo {
+	best := -1
+	for i, b := range e.replyBufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(e.replyBufs[best])) {
+			best = i
+		}
+	}
+	if n == 0 || best < 0 {
+		return nil
+	}
+	b := e.replyBufs[best]
+	e.replyBufs = slices.Delete(e.replyBufs, best, best+1)
+	e.replySpare -= cap(b)
+	return b
+}
+
+// putReplyBuf keeps b for a later local reply, within replyBufs' bound.
+func (e *engineCore) putReplyBuf(b []ids.MemberInfo) {
+	c := cap(b)
+	e.replyMax = max(e.replyMax, c)
+	if c > 0 && e.replySpare+c <= 2*e.replyMax {
+		e.replyBufs = append(e.replyBufs, b[:0])
+		e.replySpare += c
+	}
+}
+
 // engineWait is one await parked on the engine.
 type engineWait struct {
 	pred func() bool
@@ -193,25 +232,53 @@ func (e *engineCore) submit(fn func()) {
 	}
 }
 
+// call is one do on its way to the engine, recycled through the engine's
+// free list with run bound once, so a do allocates nothing (not a
+// sync.Pool; see inbound). done has room for run's one signal.
+type call struct {
+	fn   func()
+	run  func()
+	done chan struct{}
+}
+
+func (c *call) exec() {
+	c.fn()
+	c.done <- struct{}{}
+}
+
 // do runs fn on the engine goroutine and returns once it completed.
 // After close, do returns without running fn (modulo the shutdown
 // drain).
 func (e *engineCore) do(fn func()) {
-	done := make(chan struct{})
-	e.submit(func() {
-		fn()
-		close(done)
-	})
+	e.callMu.Lock()
+	var c *call
+	if n := len(e.calls); n > 0 {
+		c = e.calls[n-1]
+		e.calls = e.calls[:n-1]
+	}
+	e.callMu.Unlock()
+	if c == nil {
+		c = &call{done: make(chan struct{}, 1)}
+		c.run = c.exec
+	}
+	c.fn = fn
+	e.submit(c.run)
 	select {
-	case <-done:
+	case <-c.done:
 	case <-e.closed:
 		// The engine may still drain the queue during shutdown; give
-		// fn a chance to have run, then give up.
+		// fn a chance to have run, then give up. fn may run yet, so
+		// the record is left to the collector.
 		select {
-		case <-done:
+		case <-c.done:
 		case <-time.After(10 * time.Millisecond):
+			return
 		}
 	}
+	c.fn = nil
+	e.callMu.Lock()
+	e.calls = append(e.calls, c)
+	e.callMu.Unlock()
 }
 
 // stop shuts the engine down. Idempotent.

@@ -346,3 +346,61 @@ func TestLiveCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEngineDoAllocatesNothing: a do takes its call record off the
+// engine's free list and puts it back once fn ran, so once the engine is
+// warm a call from outside allocates nothing.
+func TestEngineDoAllocatesNothing(t *testing.T) {
+	e := newEngineCore(func() {}, 16)
+	defer e.stop()
+	ran := 0
+	fn := func() { ran++ }
+	e.do(fn)
+	if allocs := testing.AllocsPerRun(100, func() { e.do(fn) }); allocs != 0 {
+		t.Errorf("do allocates %.1f objects", allocs)
+	}
+	if ran != 102 {
+		t.Fatalf("fn ran %d times, want 102", ran)
+	}
+}
+
+// TestEngineDoRacingStop: a do whose engine stops while its fn waits in
+// the queue returns, and its record, which the shutdown drain still
+// runs, never goes back to the free list.
+func TestEngineDoRacingStop(t *testing.T) {
+	e := newEngineCore(func() {}, 16)
+	e.do(func() {}) // leaves one record on the free list
+	held, hold := make(chan struct{}), make(chan struct{})
+	e.submit(func() { close(held); <-hold })
+	<-held
+	ran, returned := make(chan struct{}), make(chan struct{})
+	go func() {
+		e.do(func() { close(ran) })
+		close(returned)
+	}()
+	for len(e.exec) == 0 { // the do's item is queued behind the hold
+		time.Sleep(100 * time.Microsecond)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		e.stop()
+		close(stopped)
+	}()
+	wait := func(ch chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never happened", what)
+		}
+	}
+	wait(returned, "the do's return")
+	close(hold)
+	wait(ran, "the shutdown drain's run of fn")
+	wait(stopped, "the stop")
+	e.callMu.Lock()
+	defer e.callMu.Unlock()
+	if len(e.calls) != 0 {
+		t.Fatalf("%d records on the free list after a do gave up on its own, want 0", len(e.calls))
+	}
+}

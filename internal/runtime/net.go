@@ -842,11 +842,15 @@ type localHop struct {
 
 // deliverLocal is dispatch for a localHop: the destination is looked up
 // again, because the endpoint may have crashed or gone since the Send.
+// A QueryReply's members, Send's copy, go back to the engine after.
 func (t *netTransport) deliverLocal(msg Message) {
 	defer t.eng.pending.Add(-1)
 	t.touch()
 	if !t.deliver(msg) {
 		t.stats.Dropped++
+	}
+	if rep, ok := msg.Body.(wire.QueryReply); ok {
+		t.eng.putReplyBuf(rep.Members)
 	}
 }
 
@@ -941,9 +945,10 @@ func (t *netTransport) close() {
 
 // Send implements Transport. A message for an endpoint of this process
 // is queued, payload by reference, on the engine's FIFO and delivered
-// when the current work item returns: no codec, no socket. Anything
-// else is encoded into the datagram the shard is building for its peer
-// (egress).
+// when the current work item returns: no codec, no socket. Only a
+// QueryReply's members are copied, into a buffer deliverLocal takes
+// back. Anything else is encoded into the datagram the shard is
+// building for its peer (egress).
 func (t *netTransport) Send(msg Message) {
 	msg.Sent = t.clock.Now()
 	t.stats.Sent++
@@ -963,6 +968,10 @@ func (t *netTransport) Send(msg Message) {
 		msg.Group = t.group
 	}
 	if _, ok := t.local[msg.To]; ok {
+		if rep, ok := msg.Body.(wire.QueryReply); ok {
+			rep.Members = append(t.eng.takeReplyBuf(len(rep.Members)), rep.Members...)
+			msg.Body = rep
+		}
 		t.eng.pending.Add(1)
 		t.eng.local = append(t.eng.local, localHop{t: t, msg: msg})
 		return
@@ -983,12 +992,10 @@ func (t *netTransport) Send(msg Message) {
 	}, addr, false)
 }
 
-// CopiesPayload implements PayloadCopier: a message to an endpoint this
-// transport does not host is encoded (or dropped) before Send returns.
-func (t *netTransport) CopiesPayload(to ids.NodeID) bool {
-	_, local := t.local[to]
-	return !local
-}
+// CopiesPayload implements PayloadCopier: a reply to another process is
+// encoded (or dropped) before Send returns, and one to an endpoint of
+// this process is copied into a spare buffer of the engine's.
+func (t *netTransport) CopiesPayload() bool { return true }
 
 // egress encodes f into the datagram under construction for addr and
 // keeps it there, reporting whether it did; a frame the checks refuse

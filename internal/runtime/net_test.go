@@ -341,40 +341,65 @@ func TestNetTransportCrossProcess(t *testing.T) {
 	}
 }
 
-// TestPayloadCopierOnlyOffProcess: the networked transport lends a
-// payload only to a Send it encodes before returning, so it reports the
-// capability false for an endpoint registered on it (that hop is queued
-// by reference) and true for an entity another process owns and for a
-// mobile-host endpoint in another process's block. A fault decorator
-// holds messages past Send and must not pass the capability on.
-func TestPayloadCopierOnlyOffProcess(t *testing.T) {
-	here := ids.MakeNodeID(ids.TierAP, 1)
-	there := ids.MakeNodeID(ids.TierAP, 2)
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	close0()
-	close1()
-	rt := newTestNet(t, NetConfig{Bind: addr0, Peers: []string{addr0, addr1}, Index: 0,
-		Owners: map[ids.NodeID]int{here: 0, there: 1}})
-	mhHere := ids.MakeNodeID(ids.TierMH, 7)
-	mhThere := ids.MakeNodeID(ids.TierMH, ids.MHBlockSize+7)
-	rt.Do(func() {
-		tr := rt.Transport()
-		tr.Register(here, EndpointFunc(func(Message) {}))
-		tr.Register(mhHere, EndpointFunc(func(Message) {}))
-		c, ok := tr.(PayloadCopier)
-		if !ok {
-			t.Fatal("the networked transport is not a PayloadCopier")
+// replyCheck counts the QueryReplies it is handed and those whose
+// members do not read 1, 2, 3, ... in order. Engine context; it
+// allocates nothing.
+type replyCheck struct{ got, torn int }
+
+func (e *replyCheck) HandleMessage(msg Message) {
+	rep := msg.Body.(wire.QueryReply)
+	for i, m := range rep.Members {
+		if m.GUID != ids.GUID(i+1) {
+			e.torn++
+			break
 		}
-		for id, want := range map[ids.NodeID]bool{here: false, mhHere: false, there: true, mhThere: true} {
-			if got := c.CopiesPayload(id); got != want {
-				t.Errorf("CopiesPayload(%v) = %v, want %v", id, got, want)
-			}
+	}
+	e.got++
+}
+
+// TestPayloadCopierCopiesLocalReplies: a sender lends the networked
+// transport a QueryReply's members wherever it sends them, so a reply to
+// an endpoint of this process, which waits on the engine's FIFO, is
+// copied at Send: the sender's list changes before the hop is delivered
+// here, and the handler must see it as it was sent. The copy goes into a
+// spare buffer of the engine's that the next local reply reuses,
+// whatever its length (here more than one datagram holds), so a warm
+// reply allocates only its boxed body. A fault decorator holds messages
+// past Send and must not pass the capability on.
+func TestPayloadCopierCopiesLocalReplies(t *testing.T) {
+	rt := newTestLive(t)
+	tr := rt.Transport()
+	from, to := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierMH, 7)
+	members := make([]ids.MemberInfo, wire.MaxDatagramMembers+100)
+	for i := range members {
+		members[i].GUID = ids.GUID(i + 1)
+	}
+	msg := Message{From: from, To: to, Kind: KindReply, Body: wire.QueryReply{ID: 1, Members: members}}
+	send := func() {
+		members[0].GUID = 1
+		tr.Send(msg)
+		members[0].GUID = 0 // the sender's list changes before the drain
+	}
+	ep := &replyCheck{}
+	rt.Do(func() {
+		tr.Register(to, ep)
+		if c, ok := tr.(PayloadCopier); !ok || !c.CopiesPayload() {
+			t.Error("the networked transport does not copy a reply's members")
 		}
 		if _, ok := Transport(NewFaultTransport(tr, FaultPlan{Seed: 1, Reorder: 1})).(PayloadCopier); ok {
 			t.Error("FaultTransport passes PayloadCopier through")
 		}
 	})
+	rt.Do(send)
+	allocs := testing.AllocsPerRun(100, func() { rt.Do(send) })
+	var got, torn int
+	rt.Do(func() { got, torn = ep.got, ep.torn })
+	if got != 102 || torn != 0 {
+		t.Fatalf("%d of %d local replies changed under their sender, want 0 of 102", torn, got)
+	}
+	if allocs > 1 {
+		t.Errorf("a warm local reply of %d members allocates %.1f objects, want only its boxed body", len(members), allocs)
+	}
 }
 
 // TestNetMuxBlockCutsBothDirections: a blocked peer slot is silenced at

@@ -142,16 +142,16 @@ type Partitionable interface {
 }
 
 // PayloadCopier is the optional Transport capability that lets a
-// sender lend a payload instead of giving it away: CopiesPayload
-// reports whether Send to the given ID keeps no reference to the
-// message body once it returns, because it has encoded what it needs.
-// The networked transport reports true for every ID it does not host;
-// a hop between two of its endpoints is queued by reference, and the
-// simulated network delivers after a latency. A decorating transport
-// must not pass the capability through (FaultTransport's reorder
-// holds a message past Send), so probe with a plain type assertion.
+// sender lend a QueryReply's Members instead of giving them away:
+// CopiesPayload reports that Send keeps no reference to them once it
+// returns. The networked transport encodes a reply for another process
+// and copies one for its own endpoints into a buffer it reuses, so
+// there a reply is valid only until its handler returns; the simulated
+// network delivers after a latency. A decorating transport must not
+// pass the capability through (FaultTransport's reorder holds a message
+// past Send), so probe with a plain type assertion.
 type PayloadCopier interface {
-	CopiesPayload(to ids.NodeID) bool
+	CopiesPayload() bool
 }
 
 // Unwrapper is implemented by decorating transports (fault injection)

@@ -98,9 +98,10 @@ func TestTMSQueryPastOneDatagram(t *testing.T) {
 
 // bottomWriter submits the changes of a three-process loopback group
 // the way benchmark/README.md "Traps" allows: every change on process
-// 0, one in flight (each awaited on process 1's Watch), members living
-// at the leaders of process 0's bottom rings and handed off through
-// them in the order of their parents.
+// 0, one in flight (each awaited on process 1's Watch, or on process
+// 0's when it runs alone), members living at the leaders of process 0's
+// bottom rings and handed off through them in the order of their
+// parents.
 type bottomWriter struct {
 	t        *testing.T
 	procs    []*Service
@@ -116,7 +117,7 @@ func newBottomWriter(t *testing.T, procs []*Service, n int) *bottomWriter {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	events, err := procs[1].Watch(ctx)
+	events, err := procs[min(1, len(procs)-1)].Watch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +138,8 @@ func newBottomWriter(t *testing.T, procs []*Service, n int) *bottomWriter {
 	return w
 }
 
-// change submits one change on process 0 and waits until process 1 has
-// seen it commit.
+// change submits one change on process 0 and waits until the watching
+// process has seen it commit.
 func (w *bottomWriter) change(guid GUID, submit func() error) {
 	w.t.Helper()
 	if err := submit(); err != nil {
@@ -152,7 +153,7 @@ func (w *bottomWriter) change(guid GUID, submit func() error) {
 				return
 			}
 		case <-timeout:
-			w.t.Fatalf("change of %v never reached process 1", guid)
+			w.t.Fatalf("change of %v never reached the watching process", guid)
 		}
 	}
 }
