@@ -9,9 +9,9 @@ import (
 // Typed errors returned by the Service API (and by the underlying
 // protocol engine). Match with errors.Is.
 var (
-	// ErrUnknownMember reports an operation on a GUID the service has
-	// never seen, or a handoff of a member that has left or failed
-	// and is no longer in the group.
+	// ErrUnknownMember reports a leave, failure or handoff of a member
+	// that is not in the group: one the service has never seen, or one
+	// that has left or failed.
 	ErrUnknownMember = core.ErrUnknownMember
 
 	// ErrInvalidGUID reports the zero GUID, which can never join.

@@ -12,9 +12,9 @@ import (
 // non-AP node gets a matchable error instead of a crashed process.
 // The rgb facade re-exports them.
 var (
-	// ErrUnknownMember reports an operation on a GUID the system has
-	// never seen, or a handoff of a member that has left or failed
-	// and is no longer in the group.
+	// ErrUnknownMember reports a leave, failure or handoff of a member
+	// that is not in the group: one the system has never seen, or one
+	// that has left or failed.
 	ErrUnknownMember = errors.New("unknown member")
 
 	// ErrInvalidGUID reports the zero GUID, which can never join.
@@ -49,6 +49,10 @@ var (
 	ErrBadFragment = errors.New("partition fragment must cut at least one ring")
 )
 
+// errNoEndpoint reports a join that would need a new mobile-host
+// endpoint when every ordinal below the query apps' is in use.
+var errNoEndpoint = errors.New("mobile-host endpoints exhausted")
+
 // requireAP checks that ap is a bottom-tier access proxy.
 func (s *System) requireAP(ap ids.NodeID) error {
 	if s.hier.LevelOf(ap) != s.cfg.H-1 {
@@ -57,11 +61,15 @@ func (s *System) requireAP(ap ids.NodeID) error {
 	return nil
 }
 
-// memberOf resolves a GUID to its MH record.
-func (s *System) memberOf(guid ids.GUID) (*Member, error) {
+// operational resolves a GUID to the MH record of a member in the
+// group: a member that left or failed can neither leave, fail nor move.
+func (s *System) operational(guid ids.GUID) (*Member, error) {
 	m, ok := s.members[guid]
 	if !ok {
 		return nil, fmt.Errorf("core: %s: %w", guid, ErrUnknownMember)
+	}
+	if !m.Status.Operational() {
+		return nil, fmt.Errorf("core: %s is %s: %w", guid, m.Status, ErrUnknownMember)
 	}
 	return m, nil
 }

@@ -178,9 +178,15 @@ func TestErrorsDoNotMutateState(t *testing.T) {
 		t.Errorf("membership = %d after rejected join", got)
 	}
 
-	// A handoff of a member that has left or failed is rejected the
-	// same way: its Member-Handoff would make it operational again.
+	// A handoff, leave or failure of a member that has left or failed
+	// is rejected the same way: a Member-Handoff would make it
+	// operational again, and a second removal would be reported twice.
 	aps := sys.APs()
+	again := map[string]func(ids.GUID) error{
+		"handoff": func(g ids.GUID) error { return sys.HandoffMember(g, aps[1]) },
+		"leave":   sys.LeaveMember,
+		"failure": sys.FailMember,
+	}
 	for i, remove := range []func(ids.GUID) error{sys.LeaveMember, sys.FailMember} {
 		g := ids.GUID(10 + i)
 		if _, err := sys.JoinMemberAt(g, aps[0]); err != nil {
@@ -192,19 +198,21 @@ func TestErrorsDoNotMutateState(t *testing.T) {
 		}
 		sys.Run()
 		m, _ := sys.Member(g)
-		before, sent := *m, sys.Transport().Stats().Sent
-		if err := sys.HandoffMember(g, aps[1]); !errors.Is(err, ErrUnknownMember) {
-			t.Fatalf("handoff of departed %s: err = %v, want ErrUnknownMember", g, err)
-		}
-		sys.Run()
-		if *m != before {
-			t.Errorf("rejected handoff changed the record of %s: %+v, was %+v", g, *m, before)
-		}
-		if got := sys.Transport().Stats().Sent; got != sent {
-			t.Errorf("rejected handoff of %s sent %d messages", g, got-sent)
-		}
-		if got := len(sys.GlobalMembership()); got != 0 {
-			t.Errorf("membership = %v after rejected handoff of %s", sys.GlobalMembership(), g)
+		for op, fn := range again {
+			before, sent := *m, sys.Transport().Stats().Sent
+			if err := fn(g); !errors.Is(err, ErrUnknownMember) {
+				t.Fatalf("%s of departed %s: err = %v, want ErrUnknownMember", op, g, err)
+			}
+			sys.Run()
+			if *m != before {
+				t.Errorf("rejected %s changed the record of %s: %+v, was %+v", op, g, *m, before)
+			}
+			if got := sys.Transport().Stats().Sent; got != sent {
+				t.Errorf("rejected %s of %s sent %d messages", op, g, got-sent)
+			}
+			if got := len(sys.GlobalMembership()); got != 0 {
+				t.Errorf("membership = %v after rejected %s of %s", sys.GlobalMembership(), op, g)
+			}
 		}
 	}
 }

@@ -60,17 +60,19 @@ func TestJoinAllocBudget(t *testing.T) {
 // covers. A full-group list at every entity keeps ten times as much.
 const retainedHeapBudget = 4 << 20
 
+// liveHeap returns the live heap after two collections.
+func liveHeap() uint64 {
+	var ms goruntime.MemStats
+	goruntime.GC()
+	goruntime.GC()
+	goruntime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestRetainedHeapBudget locks what a System keeps once its members have
-// joined, measured after two collections on each side.
+// joined, measured after two collections on each side (liveHeap).
 func TestRetainedHeapBudget(t *testing.T) {
-	live := func() uint64 {
-		var ms goruntime.MemStats
-		goruntime.GC()
-		goruntime.GC()
-		goruntime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := live()
+	before := liveHeap()
 	sys := NewSystem(quietConfig(4, 5))
 	aps := sys.APs()
 	for g := 1; g <= 500; g++ {
@@ -79,7 +81,7 @@ func TestRetainedHeapBudget(t *testing.T) {
 		}
 	}
 	sys.Run()
-	kept := int64(live()) - int64(before)
+	kept := int64(liveHeap()) - int64(before)
 	if got := len(sys.GlobalMembership()); got != 500 {
 		t.Fatalf("membership = %d, want 500", got)
 	}
@@ -98,13 +100,6 @@ const tombstoneHeapBudget = 8 << 20
 // TestTombstoneHeapBudget locks what the removal windows cost: the live
 // heap the leaves add, measured as TestRetainedHeapBudget measures.
 func TestTombstoneHeapBudget(t *testing.T) {
-	live := func() uint64 {
-		var ms goruntime.MemStats
-		goruntime.GC()
-		goruntime.GC()
-		goruntime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	sys := NewSystem(quietConfig(4, 5))
 	aps := sys.APs()
 	for g := 1; g <= 500; g++ {
@@ -113,14 +108,14 @@ func TestTombstoneHeapBudget(t *testing.T) {
 		}
 	}
 	sys.Run()
-	before := live()
+	before := liveHeap()
 	for g := 1; g <= 500; g++ {
 		if err := sys.LeaveMember(ids.GUID(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sys.Run()
-	grown := int64(live()) - int64(before)
+	grown := int64(liveHeap()) - int64(before)
 	if got := len(sys.GlobalMembership()); got != 0 {
 		t.Fatalf("membership = %d, want 0", got)
 	}

@@ -127,13 +127,23 @@ type System struct {
 	rng   *mathx.RNG
 
 	nodes   map[ids.NodeID]*Node
-	top     []Node // the hosted topmost-ring entities, the head of the node arena
+	arena   []Node // every hosted entity, level by level
+	top     []Node // the hosted topmost-ring entities, the head of arena
 	members map[ids.GUID]*Member
 
 	// mhOwner resolves an MH message endpoint to its Member record, so
 	// a network cut can classify mobile-host traffic by the side its
 	// serving AP is on.
 	mhOwner map[ids.NodeID]*Member
+
+	// departed holds the GUIDs of departed members whose records wait
+	// for the hosted entities to forget them, oldest first, and
+	// departedWait how many hosted entities still hold the first
+	// (evicted). mhFree holds the endpoints of released records, longest
+	// released first.
+	departed     fifo[ids.GUID]
+	departedWait int
+	mhFree       fifo[ids.NodeID]
 
 	// netCut is set while a PartitionNetwork cut is installed.
 	netCut bool
@@ -232,7 +242,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 		}
 	}
 	s.nodes = make(map[ids.NodeID]*Node, owned)
-	arena := make([]Node, owned)
+	s.arena = make([]Node, owned)
 	next := 0
 	for level := 0; level < s.hier.NumLevels(); level++ {
 		for _, rg := range s.hier.Level(level) {
@@ -241,7 +251,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 				if !s.owns(id) {
 					continue
 				}
-				n := &arena[next]
+				n := &s.arena[next]
 				next++
 				*n = Node{
 					sys:    s,
@@ -266,7 +276,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 			}
 		}
 		if level == 0 {
-			s.top = arena[:next]
+			s.top = s.arena[:next]
 		}
 	}
 	if cfg.HeartbeatInterval > 0 {
@@ -608,15 +618,19 @@ func (s *System) currentLeaderOf(ringNodes []ids.NodeID) *Node {
 // --- Mobile host operations -----------------------------------------
 
 // newMemberAt registers the MH bookkeeping for a join at the given AP.
-func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
+// It fails only when a new record finds no endpoint (mhEndpoint).
+func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) (*Member, error) {
 	m, ok := s.members[guid]
 	if !ok {
+		node, err := s.mhEndpoint()
+		if err != nil {
+			return nil, err
+		}
 		m = &Member{
 			MemberInfo: ids.MemberInfo{GID: s.cfg.GID, GUID: guid},
-			node:       ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+s.mhOrdinal),
+			node:       node,
 			sys:        s,
 		}
-		s.mhOrdinal++
 		s.members[guid] = m
 		s.mhOwner[m.node] = m
 		s.tr.Register(m.node, m)
@@ -641,10 +655,97 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) *Member {
 	}
 	m.Ver++
 	m.submitted = s.clock.Now()
-	return m
+	return m, nil
 }
 
-// Member returns the MH record for a GUID, if known.
+// mhEndpoint returns the endpoint for a new MH record: the one released
+// longest ago, or else the next ordinal of this System's block. Minting
+// stops below queryOrdinalBase, where the query apps' ordinals start.
+func (s *System) mhEndpoint() (ids.NodeID, error) {
+	if s.mhFree.len() > 0 {
+		return s.mhFree.pop(), nil
+	}
+	if s.mhOrdinal == queryOrdinalBase {
+		return ids.NoNode, fmt.Errorf("core: %d mobile hosts: %w", s.mhOrdinal, errNoEndpoint)
+	}
+	s.mhOrdinal++
+	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+s.mhOrdinal-1), nil
+}
+
+// departedBacklog bounds how many departed GUIDs wait in
+// System.departed for the hosted entities to forget them; past it the
+// oldest keeps its record for good.
+const departedBacklog = 64
+
+// evicted is told every GUID a hosted entity n evicts from its removal
+// window. The first topmost entity sees every change in both
+// dissemination modes, so its eviction of a departed member's GUID,
+// tombstoneWindow distinct removals after the member's, queues the
+// member's record to go: its endpoint's last Holder-Acknowledgement is
+// long delivered. The record goes once no hosted entity lists or buries
+// the member. The lower rings that hear a change after the top ring
+// still bury the GUID then; each of their evictions of the oldest
+// waiting GUID counts down departedWait, and at zero the queue is
+// checked again.
+//
+// Under path-only dissemination a ring hears only the changes under
+// it, so a lower ring of another process may bury the GUID long after
+// every window here dropped it, and a re-join from a new record, at a
+// version that knows nothing of that tombstone, would not reach it. So
+// a System that hosts part of a path-only hierarchy keeps its records.
+func (s *System) evicted(n *Node, g ids.GUID) {
+	switch {
+	case len(s.top) > 0 && n == &s.top[0]:
+		if s.cfg.Dissemination != DisseminateFull && s.cfg.Owns != nil {
+			return
+		}
+		if m, ok := s.members[g]; ok && !m.Status.Operational() {
+			s.departed.push(g)
+		}
+	case s.departed.len() == 0 || s.departed.front() != g:
+		return
+	default:
+		if s.departedWait--; s.departedWait > 0 {
+			return
+		}
+	}
+	for s.departed.len() > 0 {
+		if m, ok := s.members[s.departed.front()]; ok && !m.Status.Operational() {
+			if k := s.holders(m.GUID); k == 0 {
+				s.release(m)
+			} else if s.departed.len() <= departedBacklog {
+				s.departedWait = k
+				return
+			}
+		}
+		s.departed.pop()
+	}
+}
+
+// holders counts the entities this System hosts that list g or bury it.
+func (s *System) holders(g ids.GUID) int {
+	k := 0
+	for i := range s.arena {
+		if _, ok := s.arena[i].held(g); ok {
+			k++
+		}
+	}
+	return k
+}
+
+// release forgets a departed member: its record, its endpoint's
+// registration, and the endpoint itself, which a later new record takes.
+func (s *System) release(m *Member) {
+	delete(s.members, m.GUID)
+	delete(s.mhOwner, m.node)
+	s.tr.Unregister(m.node)
+	s.mhFree.push(m.node)
+}
+
+// Member returns the MH record for a GUID, if known. The record of a
+// member that left or failed goes once every entity this System hosts
+// has forgotten the member, at the earliest tombstoneWindow distinct
+// removals after its own (evicted); a re-join then starts a new record.
 func (s *System) Member(guid ids.GUID) (*Member, bool) {
 	m, ok := s.members[guid]
 	return m, ok
@@ -665,7 +766,10 @@ func (s *System) JoinMemberAt(guid ids.GUID, ap ids.NodeID) (*Member, error) {
 	if m, ok := s.members[guid]; ok && m.Status.Operational() {
 		return nil, fmt.Errorf("core: %s at %s: %w", guid, m.AP, ErrDuplicateJoin)
 	}
-	m := s.newMemberAt(guid, ap)
+	m, err := s.newMemberAt(guid, ap)
+	if err != nil {
+		return nil, err
+	}
 	s.send(m.node, ap, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberJoin, Member: m.MemberInfo})
 	return m, nil
 }
@@ -679,7 +783,7 @@ func (s *System) JoinMember(guid ids.GUID) (*Member, error) {
 // LeaveMember submits a voluntary Member-Leave from the MH's current
 // AP.
 func (s *System) LeaveMember(guid ids.GUID) error {
-	m, err := s.memberOf(guid)
+	m, err := s.operational(guid)
 	if err != nil {
 		return err
 	}
@@ -694,7 +798,7 @@ func (s *System) LeaveMember(guid ids.GUID) error {
 // (faulty disconnection). The AP removes the member at the version it
 // holds, which beats a put at that version.
 func (s *System) FailMember(guid ids.GUID) error {
-	m, err := s.memberOf(guid)
+	m, err := s.operational(guid)
 	if err != nil {
 		return err
 	}
@@ -728,12 +832,9 @@ func (s *System) HandoffMember(guid ids.GUID, newAP ids.NodeID) error {
 	if err := s.requireAP(newAP); err != nil {
 		return err
 	}
-	m, err := s.memberOf(guid)
+	m, err := s.operational(guid)
 	if err != nil {
 		return err
-	}
-	if !m.Status.Operational() {
-		return fmt.Errorf("core: %s is %s: %w", guid, m.Status, ErrUnknownMember)
 	}
 	oldAP := m.AP
 	if oldAP == newAP {

@@ -120,8 +120,15 @@ func (n *Node) held(g ids.GUID) (uint16, bool) {
 
 // bury records that the entity removed g at version v, keeping the newer
 // of two removals, and reports whether gone changed. It is the only
-// writer of gone.
-func (n *Node) bury(g ids.GUID, v uint16) bool { return n.gone.Bury(g, v) }
+// writer of gone, and tells the System each GUID it evicts
+// (System.evicted).
+func (n *Node) bury(g ids.GUID, v uint16) bool {
+	changed, evicted := n.gone.Bury(g, v)
+	if evicted != 0 {
+		n.sys.evicted(n, evicted)
+	}
+	return changed
+}
 
 // tombstoneList renders gone for the wire, sorted by GUID so encodings
 // and digests are deterministic.

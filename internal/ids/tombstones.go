@@ -78,10 +78,10 @@ func (t *Tombstones) Get(g GUID) (uint16, bool) {
 }
 
 // Bury records that g was removed at version v and reports whether the
-// store changed. A buried g keeps its place in the burial order and
-// takes v only if v is newer (VerAfter); a new burial into full rings
-// evicts the oldest.
-func (t *Tombstones) Bury(g GUID, v uint16) bool {
+// store changed, and the GUID the burial evicted, zero if none. A
+// buried g keeps its place in the burial order and takes v only if v
+// is newer (VerAfter); a new burial into full rings evicts the oldest.
+func (t *Tombstones) Bury(g GUID, v uint16) (changed bool, evicted GUID) {
 	tag := hashGUID(g) << tombPosBits
 	if len(t.index) == 0 {
 		t.grow()
@@ -90,15 +90,16 @@ func (t *Tombstones) Bury(g GUID, v uint16) bool {
 	if ok {
 		if i := t.index[e]&tombPosMask - 1; VerAfter(v, t.vers[i]) {
 			t.vers[i] = v
-			return true
+			return true, 0
 		}
-		return false
+		return false, 0
 	}
 	i := len(t.guids)
 	if i == t.limit {
 		i = t.head
 		t.head = (i + 1) % t.limit
-		t.unindex(t.entryOf(hashGUID(t.guids[i])<<tombPosBits | uint32(i+1)))
+		evicted = t.guids[i]
+		t.unindex(t.entryOf(hashGUID(evicted)<<tombPosBits | uint32(i+1)))
 		t.guids[i], t.vers[i] = g, v
 		e, _ = t.find(g, tag) // the shift may have moved the probe's end
 	} else {
@@ -110,7 +111,7 @@ func (t *Tombstones) Bury(g GUID, v uint16) bool {
 		t.vers = append(t.vers, v)
 	}
 	t.index[e] = tag | uint32(i+1)
-	return true
+	return true, evicted
 }
 
 // grow doubles the index and re-homes every entry by its stored hash.

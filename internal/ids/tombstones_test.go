@@ -30,13 +30,13 @@ type refTombstones struct {
 	goneQ refWindow
 }
 
-func (n *refTombstones) bury(g GUID, v uint16) bool {
+func (n *refTombstones) bury(g GUID, v uint16) (changed bool, evicted GUID) {
 	if old, ok := n.gone[g]; ok {
 		if !VerAfter(v, old) {
-			return false
+			return false, 0
 		}
 		n.gone[g] = v
-		return true
+		return true, 0
 	}
 	if n.gone == nil {
 		n.gone = make(map[GUID]uint16)
@@ -44,8 +44,9 @@ func (n *refTombstones) bury(g GUID, v uint16) bool {
 	n.gone[g] = v
 	if old, full := n.goneQ.push(g); full {
 		delete(n.gone, old)
+		return true, old
 	}
-	return true
+	return true, 0
 }
 
 // tombLimits are the windows an operation stream can run under, picked
@@ -64,10 +65,10 @@ var tombLimits = [...]int{1, 2, 3, 4, 5, 6, 7, 8, 9, 4096}
 //	               6    Bury of the (key mod Len)-th GUID the model holds
 //	               7    Get only
 //
-// Every Bury reports the same change as the model's. After every
-// operation Get of the operation's GUID and of one outside every key
-// space, Len, and the set Each walks agree with the model. It
-// returns the number of burials that evicted an older one.
+// Every Bury reports the same change and the same evicted GUID as the
+// model's. After every operation Get of the operation's GUID and of one
+// outside every key space, Len, and the set Each walks agree with the
+// model. It returns the number of burials that evicted an older one.
 func runTombstoneOps(data []byte) (evictions int, err error) {
 	if len(data) == 0 {
 		return 0, nil
@@ -80,8 +81,9 @@ func runTombstoneOps(data []byte) (evictions int, err error) {
 		if _, had := ref.gone[g]; !had && len(ref.goneQ.keys) == limit {
 			evictions++
 		}
-		if changed, want := got.Bury(g, v), ref.bury(g, v); changed != want {
-			return fmt.Errorf("Bury(%s, %#04x) = %v, model %v", g, v, changed, want)
+		changed, evicted := got.Bury(g, v)
+		if want, wantEvicted := ref.bury(g, v); changed != want || evicted != wantEvicted {
+			return fmt.Errorf("Bury(%s, %#04x) = %v %s, model %v %s", g, v, changed, evicted, want, wantEvicted)
 		}
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
@@ -42,6 +43,7 @@ type Service struct {
 	nextWatcher int
 	observing   bool
 	watchers    map[int]*watcher
+	calls       []*doCall // do's idle call records
 }
 
 // watcher is one Watch subscription: its event channel and the count
@@ -192,19 +194,54 @@ func (s *Service) isClosed() bool {
 	return s.closed
 }
 
-// do runs fn in engine context after the usual liveness checks. The
-// error starts as ErrClosed and is overwritten by fn itself: if Close
-// closed the runtime between the check and the call, a dropped fn
-// reports ErrClosed instead of silently succeeding.
+// doCall is one do in flight: fn, the error it returned, and run, which
+// calls it and is bound once, so a recycled record costs a call nothing.
+type doCall struct {
+	fn  func() error
+	err error
+	ran atomic.Bool
+	run func()
+}
+
+func (c *doCall) exec() {
+	c.err = c.fn()
+	c.ran.Store(true)
+}
+
+// do runs fn in engine context after the usual liveness checks. If
+// Close closed the runtime between the check and the call, a dropped fn
+// reports ErrClosed instead of silently succeeding. The call record
+// comes from the Service's free list and goes back only once fn ran: a
+// Do that gave up on a closing runtime may still run it later.
 func (s *Service) do(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s.isClosed() {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return ErrClosed
 	}
-	err := ErrClosed
-	s.rt.Do(func() { err = fn() })
+	var c *doCall
+	if n := len(s.calls); n > 0 {
+		c, s.calls = s.calls[n-1], s.calls[:n-1]
+	}
+	s.mu.Unlock()
+	if c == nil {
+		c = &doCall{}
+		c.run = c.exec
+	}
+	c.fn = fn
+	s.rt.Do(c.run)
+	if !c.ran.Load() {
+		return ErrClosed
+	}
+	err := c.err
+	c.fn, c.err = nil, nil
+	c.ran.Store(false)
+	s.mu.Lock()
+	s.calls = append(s.calls, c)
+	s.mu.Unlock()
 	return err
 }
 

@@ -334,3 +334,26 @@ func TestPartitionErrorContract(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceDoAllocatesNothing: a Service call on a live runtime takes
+// a recycled call record, so do itself allocates nothing beyond what its
+// fn does; a call after Close reports ErrClosed without running fn.
+func TestServiceDoAllocatesNothing(t *testing.T) {
+	svc := openTest(t, WithLiveRuntime(), WithHierarchy(2, 3))
+	ran := 0
+	fn := func() error { ran++; return nil }
+	ctx := context.Background()
+	if err := svc.do(ctx, fn); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = svc.do(ctx, fn) }); allocs != 0 {
+		t.Errorf("do allocates %.1f objects", allocs)
+	}
+	if ran != 102 {
+		t.Fatalf("fn ran %d times, want 102", ran)
+	}
+	svc.Close()
+	if err := svc.do(ctx, fn); !errors.Is(err, ErrClosed) || ran != 102 {
+		t.Fatalf("do after Close: err = %v, fn ran %d times; want ErrClosed, 102", err, ran)
+	}
+}
