@@ -69,8 +69,10 @@ drain:
 		committed[rgb.EventJoin], committed[rgb.EventLeave],
 		committed[rgb.EventFail], committed[rgb.EventHandoff])
 
-	// Confirmation: members whose join was acknowledged by a round
-	// holder (Holder-Acknowledgement back to the MH).
+	// Confirmation: members still in the group whose join was
+	// acknowledged by a round holder (Holder-Acknowledgement back to
+	// the MH). A departed member's record goes when its departure
+	// commits, so members that left or failed are not counted.
 	acked := 0
 	svc.Inspect(func(sys *rgb.System) {
 		for g := 1; g <= counts[rgb.EvJoin]; g++ {
@@ -79,7 +81,7 @@ drain:
 			}
 		}
 	})
-	fmt.Printf("members acknowledged by holders: %d\n", acked)
+	fmt.Printf("members in the group acknowledged by holders: %d\n", acked)
 
 	want := rgb.LiveAtEnd(tr)
 	got, _ := svc.Members(ctx)

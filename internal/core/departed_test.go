@@ -7,6 +7,8 @@ import (
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/runtime"
+	"github.com/rgbproto/rgb/internal/simnet"
+	"github.com/rgbproto/rgb/internal/wire"
 )
 
 // registrations is a System's transport that keeps the set of endpoints
@@ -51,11 +53,13 @@ func joinLeave(t *testing.T, sys *System, g ids.GUID, ap ids.NodeID) {
 }
 
 // TestDepartedMembersReleased: under fresh-GUID churn a System keeps the
-// records, MH endpoints and heap of its live members and of the last
-// tombstoneWindow departures, and no more. A departed member's record
-// lasts exactly while a hosted entity's window holds its tombstone; no
-// Holder-Acknowledgement misses its endpoint; and a released GUID joins
-// again as a new member everywhere.
+// records of its live members, the endpoint and version of the last
+// tombstoneWindow departures, their endpoints' registrations and a flat
+// heap, and no more. A departed member's record goes when its departure
+// commits; its endpoint and version last exactly while a hosted entity's
+// window holds its tombstone, and no endpoint is released while a hosted
+// entity lists or buries its member. No Holder-Acknowledgement misses its
+// endpoint, and a released GUID joins again as a new member everywhere.
 func TestDepartedMembersReleased(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 3))
 	reg := countRegistrations(sys)
@@ -71,12 +75,19 @@ func TestDepartedMembersReleased(t *testing.T) {
 	var heap2 uint64
 	for i := 1; i <= 3*tombstoneWindow; i++ {
 		joinLeave(t, sys, fresh(i), aps[i%len(aps)])
+		if _, ok := sys.Member(fresh(i)); ok {
+			t.Fatalf("the record of %s outlives its committed leave", fresh(i))
+		}
 		if i > tombstoneWindow {
-			if _, ok := sys.Member(fresh(i - tombstoneWindow + 1)); !ok {
-				t.Fatalf("after %d leaves the record of %s, still in every window, is gone", i, fresh(i-tombstoneWindow+1))
+			if _, ok := sys.left[fresh(i-tombstoneWindow+1)]; !ok {
+				t.Fatalf("after %d leaves %s, still in every window, is forgotten", i, fresh(i-tombstoneWindow+1))
 			}
-			if _, ok := sys.Member(fresh(i - tombstoneWindow)); ok {
-				t.Fatalf("after %d leaves the record of %s, evicted from every window, is kept", i, fresh(i-tombstoneWindow))
+			g := fresh(i - tombstoneWindow)
+			if _, ok := sys.left[g]; ok {
+				t.Fatalf("after %d leaves %s, evicted from every window, is kept", i, g)
+			}
+			if k := sys.holders(g); k != 0 {
+				t.Fatalf("the endpoint of %s is released while %d hosted entities hold it", g, k)
 			}
 		}
 		if i == 2*tombstoneWindow {
@@ -88,8 +99,11 @@ func TestDepartedMembersReleased(t *testing.T) {
 	if grown >= 64<<10 {
 		t.Errorf("live heap grew %d B over the third %d join/leave cycles, want < 64 KiB", grown, tombstoneWindow)
 	}
-	if n := len(sys.members); n > residents+tombstoneWindow {
-		t.Errorf("%d member records, want at most %d live + %d departed", n, residents, tombstoneWindow)
+	if n := len(sys.members); n != residents {
+		t.Errorf("%d member records, want the %d live members'", n, residents)
+	}
+	if n := len(sys.members) + len(sys.left); n > residents+tombstoneWindow {
+		t.Errorf("%d members kept, want at most %d live + %d departed", n, residents, tombstoneWindow)
 	}
 	if n := len(reg.live) - len(sys.nodes); n > residents+tombstoneWindow {
 		t.Errorf("%d MH endpoints registered, want at most %d live + %d departed", n, residents, tombstoneWindow)
@@ -116,8 +130,8 @@ func TestDepartedMembersReleased(t *testing.T) {
 // TestDepartedMemberKeptWhileLowerRingBuries: under path-only
 // dissemination a bottom ring hears only its own changes, so it still
 // buries a member that left there long after the top ring evicted it;
-// the System keeps that member's record while the other departures are
-// released.
+// the System keeps that member's endpoint and version while the other
+// departures are released.
 func TestDepartedMemberKeptWhileLowerRingBuries(t *testing.T) {
 	cfg := quietConfig(2, 3)
 	cfg.Dissemination = DisseminatePathOnly
@@ -132,24 +146,25 @@ func TestDepartedMemberKeptWhileLowerRingBuries(t *testing.T) {
 	if _, ok := sys.top[0].gone.Get(kept); ok {
 		t.Fatalf("the top ring still buries %s", kept)
 	}
-	if _, ok := sys.Member(kept); !ok {
-		t.Errorf("the record of %s went while %s buries it", kept, bottom[0].ID())
+	if _, ok := sys.left[kept]; !ok {
+		t.Errorf("%s is forgotten while %s buries it", kept, bottom[0].ID())
 	}
-	if _, ok := sys.Member(ids.GUID(1001)); ok {
-		t.Errorf("the record of %s, which no entity holds, is kept", ids.GUID(1001))
+	if _, ok := sys.left[ids.GUID(1001)]; ok {
+		t.Errorf("%s, which no entity holds, is kept", ids.GUID(1001))
 	}
-	if n := len(sys.members); n > 1+tombstoneWindow+departedBacklog {
-		t.Errorf("%d member records, want at most %d", n, 1+tombstoneWindow+departedBacklog)
+	if n := len(sys.members) + len(sys.left); n > 1+tombstoneWindow+departedBacklog {
+		t.Errorf("%d members kept, want at most %d", n, 1+tombstoneWindow+departedBacklog)
 	}
 }
 
 // TestDepartedMemberAcrossProcesses: a member joins and leaves through
 // process 0 at an access proxy of process 1, and then more than
-// tombstoneWindow members join and leave at process 0's own. Under full
-// dissemination every entity buried them all, so process 0 releases the
-// record; under path-only process 1's bottom ring still buries the
-// member and process 0 keeps its record. Either way the member's
-// re-join through process 0 reaches every ring.
+// tombstoneWindow members join and leave at process 0's own. The leave's
+// commit drops the member's record either way. Under full dissemination
+// every entity buried them all, so process 0 releases the member; under
+// path-only process 1's bottom ring still buries it and process 0 keeps
+// its endpoint and version. Either way the member's re-join through
+// process 0 reaches every ring.
 func TestDepartedMemberAcrossProcesses(t *testing.T) {
 	for _, mode := range []DisseminationMode{DisseminateFull, DisseminatePathOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -173,8 +188,11 @@ func TestDepartedMemberAcrossProcesses(t *testing.T) {
 				run(err)
 				run(s0.LeaveMember(ids.GUID(1000 + i)))
 			}
-			if _, kept := s0.Member(g); kept != (mode == DisseminatePathOnly) {
-				t.Errorf("record of %s kept = %v", g, kept)
+			if _, ok := s0.Member(g); ok {
+				t.Errorf("the record of %s outlives its committed leave", g)
+			}
+			if _, kept := s0.left[g]; kept != (mode == DisseminatePathOnly) {
+				t.Errorf("endpoint and version of %s kept = %v", g, kept)
 			}
 			_, err = s0.JoinMemberAt(g, far)
 			run(err)
@@ -184,6 +202,89 @@ func TestDepartedMemberAcrossProcesses(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCollapseAtCommit: once the first topmost entity commits a leave,
+// the System holds no record of the member but its endpoint stays
+// registered; a Holder-Acknowledgement sent to it then is delivered, and
+// the re-join takes the same endpoint at the next version.
+func TestCollapseAtCommit(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 3))
+	reg := countRegistrations(sys)
+	var outcome string
+	sys.rt.(*simnet.SimRuntime).Net().SetTrace(func(_ runtime.Message, o string) { outcome = o })
+	g, ap := ids.GUID(7), sys.APs()[1]
+	m, err := sys.JoinMemberAt(g, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	node := m.Node()
+	if err := sys.LeaveMember(g); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	ver := m.Ver
+	if _, ok := sys.Member(g); ok {
+		t.Fatalf("the record of %s outlives its committed leave", g)
+	}
+	if !reg.live[node] {
+		t.Fatalf("the endpoint %s of departed %s is unregistered", node, g)
+	}
+	dropped := sys.tr.Stats().Dropped
+	sys.send(ap, node, runtime.KindAck, wire.HolderAck{Round: 1, Count: 1})
+	sys.Run()
+	if outcome != "delivered" || sys.tr.Stats().Dropped != dropped {
+		t.Fatalf("a late Holder-Acknowledgement to %s was %q", node, outcome)
+	}
+	m, err = sys.JoinMemberAt(g, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Node() != node || m.Ver != ver+1 {
+		t.Fatalf("the re-join of %s took %s at v%d, want %s at v%d", g, m.Node(), m.Ver, node, ver+1)
+	}
+	sys.Run()
+	if m.Acks() == 0 {
+		t.Fatalf("the re-joined %s heard no Holder-Acknowledgement", g)
+	}
+	requireRingListsMatchCoverage(t, sys)
+}
+
+// departedHeapBudget is the live heap a System may keep per departed
+// member while the member is still in the removal windows: its endpoint
+// and version in left and its endpoint's registration. The full record
+// it kept before cost about 180 B.
+const departedHeapBudget = 100
+
+// TestCollapsedMemberHeapBudget holds what a departure leaves behind
+// below the window to departedHeapBudget. Every window is first filled
+// with burials of GUIDs that never joined, so the departures measured
+// evict those and the windows keep their size.
+func TestCollapsedMemberHeapBudget(t *testing.T) {
+	sys := NewSystem(quietConfig(2, 3))
+	for i := range sys.arena {
+		for k := range tombstoneWindow {
+			sys.arena[i].bury(ids.GUID(1<<40+k), 1)
+		}
+	}
+	aps := sys.APs()
+	const warm, n = 100, tombstoneWindow - 100
+	for i := 1; i <= warm; i++ {
+		joinLeave(t, sys, ids.GUID(i), aps[i%len(aps)])
+	}
+	before := liveHeap()
+	for i := warm + 1; i <= warm+n; i++ {
+		joinLeave(t, sys, ids.GUID(i), aps[i%len(aps)])
+	}
+	perMember := (int64(liveHeap()) - int64(before)) / n
+	if len(sys.members) != 0 || len(sys.left) != warm+n {
+		t.Fatalf("%d records and %d departed members kept, want 0 and %d", len(sys.members), len(sys.left), warm+n)
+	}
+	t.Logf("%d B of live heap per departed member", perMember)
+	if perMember > departedHeapBudget {
+		t.Errorf("a departed member keeps %d B of live heap, budget %d B", perMember, departedHeapBudget)
 	}
 }
 

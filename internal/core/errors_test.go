@@ -197,15 +197,21 @@ func TestErrorsDoNotMutateState(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.Run()
-		m, _ := sys.Member(g)
+		if _, ok := sys.Member(g); ok {
+			t.Fatalf("the record of %s outlives its committed departure", g)
+		}
+		kept, ok := sys.left[g]
+		if !ok {
+			t.Fatalf("departed %s left no endpoint and version", g)
+		}
 		for op, fn := range again {
-			before, sent := *m, sys.Transport().Stats().Sent
+			sent := sys.Transport().Stats().Sent
 			if err := fn(g); !errors.Is(err, ErrUnknownMember) {
 				t.Fatalf("%s of departed %s: err = %v, want ErrUnknownMember", op, g, err)
 			}
 			sys.Run()
-			if *m != before {
-				t.Errorf("rejected %s changed the record of %s: %+v, was %+v", op, g, *m, before)
+			if _, ok := sys.Member(g); ok || sys.left[g] != kept {
+				t.Errorf("rejected %s changed what is kept of %s: %+v, was %+v", op, g, sys.left[g], kept)
 			}
 			if got := sys.Transport().Stats().Sent; got != sent {
 				t.Errorf("rejected %s of %s sent %d messages", op, g, got-sent)

@@ -484,6 +484,9 @@ func (n *Node) applyChange(c mq.Change) {
 		// nothing here is not applied, so nobody hears it.
 		n.sys.emitMemberChange(n, c)
 	}
+	if applied && n.level == 0 && n == &n.sys.top[0] && (c.Op == mq.OpMemberLeave || c.Op == mq.OpMemberFailure) {
+		n.sys.collapse(c.Member.GUID, c.Member.Ver)
+	}
 }
 
 // passToken forwards the token to the itinerary successor with

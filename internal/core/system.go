@@ -47,6 +47,21 @@ func (m *Member) HandleMessage(msg runtime.Message) {
 	}
 }
 
+// leftMH is what a System keeps of a member whose departure committed
+// (System.collapse): its endpoint's ordinal past Config.MHBase and the
+// version it left at, all that a re-join needs.
+type leftMH struct {
+	ord uint32
+	ver uint16
+}
+
+// departedEndpoint is the one endpoint every collapsed member's endpoint
+// is registered to: a Holder-Acknowledgement that arrives after the
+// departure committed is delivered to it and swallowed.
+type departedEndpoint struct{}
+
+func (departedEndpoint) HandleMessage(runtime.Message) {}
+
 // pendingRound is a deferred round start for a busy ring.
 type pendingRound struct {
 	at        ids.NodeID
@@ -136,11 +151,13 @@ type System struct {
 	// serving AP is on.
 	mhOwner map[ids.NodeID]*Member
 
-	// departed holds the GUIDs of departed members whose records wait
-	// for the hosted entities to forget them, oldest first, and
-	// departedWait how many hosted entities still hold the first
-	// (evicted). mhFree holds the endpoints of released records, longest
-	// released first.
+	// left holds the members whose departure committed here, each
+	// shrunk to its endpoint and version (collapse). departed holds the
+	// GUIDs of departed members that wait for the hosted entities to
+	// forget them, oldest first, and departedWait how many hosted
+	// entities still hold the first (evicted). mhFree holds the
+	// endpoints of released members, longest released first.
+	left         map[ids.GUID]leftMH
 	departed     fifo[ids.GUID]
 	departedWait int
 	mhFree       fifo[ids.NodeID]
@@ -215,6 +232,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 		rng:     mathx.NewRNG(cfg.Seed ^ 0x9b2e5f4ac3d17086),
 		members: make(map[ids.GUID]*Member),
 		mhOwner: make(map[ids.NodeID]*Member),
+		left:    make(map[ids.GUID]leftMH),
 		rings:   make(map[ring.ID]*ringState, len(allRings)),
 		luidSeq: make(map[ids.NodeID]uint32),
 		staleNE: make(map[ids.NodeID]bool),
@@ -618,16 +636,17 @@ func (s *System) currentLeaderOf(ringNodes []ids.NodeID) *Node {
 // --- Mobile host operations -----------------------------------------
 
 // newMemberAt registers the MH bookkeeping for a join at the given AP.
-// It fails only when a new record finds no endpoint (mhEndpoint).
+// A member whose departure collapsed takes its endpoint and version
+// back. It fails only when a new member finds no endpoint (mhEndpoint).
 func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) (*Member, error) {
 	m, ok := s.members[guid]
 	if !ok {
-		node, err := s.mhEndpoint()
+		node, ver, err := s.mhEndpoint(guid)
 		if err != nil {
 			return nil, err
 		}
 		m = &Member{
-			MemberInfo: ids.MemberInfo{GID: s.cfg.GID, GUID: guid},
+			MemberInfo: ids.MemberInfo{GID: s.cfg.GID, GUID: guid, Ver: ver},
 			node:       node,
 			sys:        s,
 		}
@@ -658,48 +677,90 @@ func (s *System) newMemberAt(guid ids.GUID, ap ids.NodeID) (*Member, error) {
 	return m, nil
 }
 
-// mhEndpoint returns the endpoint for a new MH record: the one released
-// longest ago, or else the next ordinal of this System's block. Minting
-// stops below queryOrdinalBase, where the query apps' ordinals start.
-func (s *System) mhEndpoint() (ids.NodeID, error) {
+// mhEndpoint returns the endpoint and version a new MH record of guid
+// starts from: a collapsed member's own (left), or else version 0 at
+// the endpoint released longest ago, or else at the next ordinal of this
+// System's block. Minting stops below queryOrdinalBase, where the query
+// apps' ordinals start.
+func (s *System) mhEndpoint(guid ids.GUID) (ids.NodeID, uint16, error) {
+	if e, ok := s.left[guid]; ok {
+		delete(s.left, guid)
+		return s.mhNode(e.ord), e.ver, nil
+	}
 	if s.mhFree.len() > 0 {
-		return s.mhFree.pop(), nil
+		return s.mhFree.pop(), 0, nil
 	}
 	if s.mhOrdinal == queryOrdinalBase {
-		return ids.NoNode, fmt.Errorf("core: %d mobile hosts: %w", s.mhOrdinal, errNoEndpoint)
+		return ids.NoNode, 0, fmt.Errorf("core: %d mobile hosts: %w", s.mhOrdinal, errNoEndpoint)
 	}
 	s.mhOrdinal++
-	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+s.mhOrdinal-1), nil
+	return s.mhNode(uint32(s.mhOrdinal - 1)), 0, nil
+}
+
+// mhNode is the endpoint at ordinal ord of this System's block.
+func (s *System) mhNode(ord uint32) ids.NodeID {
+	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+int(ord))
 }
 
 // departedBacklog bounds how many departed GUIDs wait in
 // System.departed for the hosted entities to forget them; past it the
-// oldest keeps its record for good.
+// oldest keeps its endpoint and version for good.
 const departedBacklog = 64
+
+// collapse is told each leave or failure of g at version v that the
+// first topmost entity applies. If that is the departure of this
+// System's record of g, the record shrinks to its endpoint and version
+// (shrink). The observer has heard the commit already.
+func (s *System) collapse(g ids.GUID, v uint16) {
+	if m, ok := s.members[g]; ok && !m.Status.Operational() && m.Ver == v {
+		s.shrink(m)
+	}
+}
+
+// shrink forgets a departed member's record but for what a re-join
+// needs: the Member and its mhOwner entry go, its endpoint and version
+// go into left, and the endpoint stays registered, to departedEndpoint,
+// so a Holder-Acknowledgement still in flight is delivered.
+func (s *System) shrink(m *Member) {
+	delete(s.members, m.GUID)
+	delete(s.mhOwner, m.node)
+	s.tr.Register(m.node, departedEndpoint{})
+	s.left[m.GUID] = leftMH{ord: uint32(m.node.Ordinal() - s.cfg.MHBase), ver: m.Ver}
+}
+
+// departedHere reports whether this System keeps g as a departed
+// member: shrunk, or a full record whose departure never collapsed
+// (the first topmost entity was crashed when it committed).
+func (s *System) departedHere(g ids.GUID) bool {
+	if _, ok := s.left[g]; ok {
+		return true
+	}
+	m, ok := s.members[g]
+	return ok && !m.Status.Operational()
+}
 
 // evicted is told every GUID a hosted entity n evicts from its removal
 // window. The first topmost entity sees every change in both
 // dissemination modes, so its eviction of a departed member's GUID,
 // tombstoneWindow distinct removals after the member's, queues the
-// member's record to go: its endpoint's last Holder-Acknowledgement is
-// long delivered. The record goes once no hosted entity lists or buries
-// the member. The lower rings that hear a change after the top ring
-// still bury the GUID then; each of their evictions of the oldest
-// waiting GUID counts down departedWait, and at zero the queue is
-// checked again.
+// member to be released: its endpoint's last Holder-Acknowledgement is
+// long delivered. The member goes once no hosted entity lists or buries
+// it. The lower rings that hear a change after the top ring still bury
+// the GUID then; each of their evictions of the oldest waiting GUID
+// counts down departedWait, and at zero the queue is checked again.
 //
 // Under path-only dissemination a ring hears only the changes under
 // it, so a lower ring of another process may bury the GUID long after
-// every window here dropped it, and a re-join from a new record, at a
-// version that knows nothing of that tombstone, would not reach it. So
-// a System that hosts part of a path-only hierarchy keeps its records.
+// every window here dropped it, and a re-join at a new version, one
+// that knows nothing of that tombstone, would not reach it. So a System
+// that hosts part of a path-only hierarchy releases nothing.
 func (s *System) evicted(n *Node, g ids.GUID) {
 	switch {
 	case len(s.top) > 0 && n == &s.top[0]:
 		if s.cfg.Dissemination != DisseminateFull && s.cfg.Owns != nil {
 			return
 		}
-		if m, ok := s.members[g]; ok && !m.Status.Operational() {
+		if s.departedHere(g) {
 			s.departed.push(g)
 		}
 	case s.departed.len() == 0 || s.departed.front() != g:
@@ -710,9 +771,9 @@ func (s *System) evicted(n *Node, g ids.GUID) {
 		}
 	}
 	for s.departed.len() > 0 {
-		if m, ok := s.members[s.departed.front()]; ok && !m.Status.Operational() {
-			if k := s.holders(m.GUID); k == 0 {
-				s.release(m)
+		if g := s.departed.front(); s.departedHere(g) {
+			if k := s.holders(g); k == 0 {
+				s.release(g)
 			} else if s.departed.len() <= departedBacklog {
 				s.departedWait = k
 				return
@@ -733,19 +794,25 @@ func (s *System) holders(g ids.GUID) int {
 	return k
 }
 
-// release forgets a departed member: its record, its endpoint's
-// registration, and the endpoint itself, which a later new record takes.
-func (s *System) release(m *Member) {
-	delete(s.members, m.GUID)
-	delete(s.mhOwner, m.node)
-	s.tr.Unregister(m.node)
-	s.mhFree.push(m.node)
+// release forgets departed member g: what shrink kept of it, the
+// registration of its endpoint, and the endpoint itself, which a later
+// new member takes. A full record shrinks first.
+func (s *System) release(g ids.GUID) {
+	if m, ok := s.members[g]; ok {
+		s.shrink(m)
+	}
+	node := s.mhNode(s.left[g].ord)
+	delete(s.left, g)
+	s.tr.Unregister(node)
+	s.mhFree.push(node)
 }
 
 // Member returns the MH record for a GUID, if known. The record of a
-// member that left or failed goes once every entity this System hosts
-// has forgotten the member, at the earliest tombstoneWindow distinct
-// removals after its own (evicted); a re-join then starts a new record.
+// member that left or failed goes when the first topmost entity this
+// System hosts commits the departure (if that entity missed the commit,
+// once every hosted entity has forgotten the member); a re-join then
+// starts a new record at the same endpoint, past the version the member
+// left at.
 func (s *System) Member(guid ids.GUID) (*Member, bool) {
 	m, ok := s.members[guid]
 	return m, ok

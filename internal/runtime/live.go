@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/des"
-	"github.com/rgbproto/rgb/internal/ids"
 )
 
 // engineCore is one engine shard's single-goroutine execution
@@ -38,12 +37,6 @@ type engineCore struct {
 	// item); spare is its double buffer, so the steady state appends into
 	// capacity, bounded by what is in flight at once. Engine-only.
 	local, spare []localHop
-
-	// replyBufs are spare member buffers for local QueryReply hops,
-	// holding replySpare members: at most twice replyMax, the largest
-	// buffer returned, so two of the largest replies fit. Engine-only.
-	replyBufs            [][]ids.MemberInfo
-	replySpare, replyMax int
 
 	// waits are the RunUntil calls parked on this engine (await).
 	// Engine-only.
@@ -140,34 +133,6 @@ func (e *engineCore) drainLocal() {
 			h.t.deliverLocal(h.msg)
 		}
 		e.spare = batch[:0]
-	}
-}
-
-// takeReplyBuf returns the smallest spare member buffer with room for n
-// members, or nil if none has (append then makes one).
-func (e *engineCore) takeReplyBuf(n int) []ids.MemberInfo {
-	best := -1
-	for i, b := range e.replyBufs {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(e.replyBufs[best])) {
-			best = i
-		}
-	}
-	if n == 0 || best < 0 {
-		return nil
-	}
-	b := e.replyBufs[best]
-	e.replyBufs = slices.Delete(e.replyBufs, best, best+1)
-	e.replySpare -= cap(b)
-	return b
-}
-
-// putReplyBuf keeps b for a later local reply, within replyBufs' bound.
-func (e *engineCore) putReplyBuf(b []ids.MemberInfo) {
-	c := cap(b)
-	e.replyMax = max(e.replyMax, c)
-	if c > 0 && e.replySpare+c <= 2*e.replyMax {
-		e.replyBufs = append(e.replyBufs, b[:0])
-		e.replySpare += c
 	}
 }
 

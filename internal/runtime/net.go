@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,18 +143,21 @@ type NetStats struct {
 // netSock is the socket of a NetMux, shared by every group it hosts:
 // the one UDP connection (nil on the in-process mux, whose book routes
 // nothing to it), its socket-level counters, the free list of the
-// records the read loop hands frames to the engines in, and the spare
-// buffers QueryReply members are decoded into. The counters are atomics
-// because the read loop and NetStats readers run off-engine.
+// records the read loop hands frames to the engines in, and the
+// process's one pool of spare QueryReply member buffers, which decoded
+// replies and local replies (Send's copy) both borrow. The counters are
+// atomics because the read loop and NetStats readers run off-engine.
 type netSock struct {
 	conn *net.UDPConn
 
 	freeMu sync.Mutex
 	free   []*inbound
-	spare  [][]ids.MemberInfo // member buffers no frame holds, LIFO
-	// spareCap is the capacity summed over spare, kept at or below one
-	// datagram's worth of members however many replies were in flight.
-	spareCap int
+	spare  [][]ids.MemberInfo // member buffers no reply holds, LIFO
+	// spareCap is the capacity summed over spare. However many replies
+	// were in flight, it is kept at or below one datagram's worth of
+	// members, or twice replyMax, the largest local reply's buffer
+	// returned, if that is more: two of the largest replies fit.
+	spareCap, replyMax int
 
 	received       atomic.Uint64
 	decodeErrors   atomic.Uint64
@@ -333,10 +337,48 @@ func (s *netSock) release(in *inbound) {
 	in.t, in.f, in.members = nil, wire.Frame{}, nil
 	s.freeMu.Lock()
 	s.free = append(s.free, in)
-	if c := cap(members); c > 0 && s.spareCap+c <= wire.MaxDatagramMembers {
-		s.spare = append(s.spare, members)
+	s.keep(members)
+	s.freeMu.Unlock()
+}
+
+// keep puts b back among the spares, within spareCap's bound. freeMu is
+// held.
+func (s *netSock) keep(b []ids.MemberInfo) {
+	if c := cap(b); c > 0 && s.spareCap+c <= max(wire.MaxDatagramMembers, 2*s.replyMax) {
+		s.spare = append(s.spare, b[:0])
 		s.spareCap += c
 	}
+}
+
+// takeReplyBuf returns the smallest spare member buffer with room for n
+// members, for a local reply's copy, or nil if none has (append then
+// makes one). Any engine.
+func (s *netSock) takeReplyBuf(n int) []ids.MemberInfo {
+	if n == 0 {
+		return nil
+	}
+	s.freeMu.Lock()
+	defer s.freeMu.Unlock()
+	best := -1
+	for i, b := range s.spare {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(s.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	b := s.spare[best]
+	s.spare = slices.Delete(s.spare, best, best+1)
+	s.spareCap -= cap(b)
+	return b
+}
+
+// putReplyBuf returns a local reply's buffer to the spares. Any engine.
+func (s *netSock) putReplyBuf(b []ids.MemberInfo) {
+	s.freeMu.Lock()
+	s.replyMax = max(s.replyMax, cap(b))
+	s.keep(b)
 	s.freeMu.Unlock()
 }
 
@@ -850,7 +892,7 @@ func (t *netTransport) deliverLocal(msg Message) {
 		t.stats.Dropped++
 	}
 	if rep, ok := msg.Body.(wire.QueryReply); ok {
-		t.eng.putReplyBuf(rep.Members)
+		t.sock.putReplyBuf(rep.Members)
 	}
 }
 
@@ -969,7 +1011,7 @@ func (t *netTransport) Send(msg Message) {
 	}
 	if _, ok := t.local[msg.To]; ok {
 		if rep, ok := msg.Body.(wire.QueryReply); ok {
-			rep.Members = append(t.eng.takeReplyBuf(len(rep.Members)), rep.Members...)
+			rep.Members = append(t.sock.takeReplyBuf(len(rep.Members)), rep.Members...)
 			msg.Body = rep
 		}
 		t.eng.pending.Add(1)
@@ -994,7 +1036,7 @@ func (t *netTransport) Send(msg Message) {
 
 // CopiesPayload implements PayloadCopier: a reply to another process is
 // encoded (or dropped) before Send returns, and one to an endpoint of
-// this process is copied into a spare buffer of the engine's.
+// this process is copied into a spare buffer of the socket's.
 func (t *netTransport) CopiesPayload() bool { return true }
 
 // egress encodes f into the datagram under construction for addr and

@@ -29,19 +29,32 @@ import (
 // Network is the simulated message plane. It implements
 // runtime.Transport.
 type Network struct {
-	kernel    *des.Kernel
-	rng       *mathx.RNG
-	latency   runtime.LatencyModel
-	loss      float64 // probability an in-flight message is lost
-	endpoints map[ids.NodeID]runtime.Endpoint
-	crashed   map[ids.NodeID]bool
-	cut       func(ids.NodeID) bool // active partition classifier (nil = no cut)
-	stats     runtime.Stats
-	traceFn   func(runtime.Message, string) // optional trace hook: (msg, outcome)
+	kernel  *des.Kernel
+	rng     *mathx.RNG
+	latency runtime.LatencyModel
+	loss    float64               // probability an in-flight message is lost
+	cut     func(ids.NodeID) bool // active partition classifier (nil = no cut)
+	stats   runtime.Stats
+	traceFn func(runtime.Message, string) // optional trace hook: (msg, outcome)
+
+	// entities holds the AP, AG and BR endpoints and crash flags, one
+	// slice per tier indexed by ordinal, so a message finds its ends
+	// without hashing; only the mobile hosts' endpoints, minted and
+	// released as members come and go, are kept in maps.
+	entities  [ids.TierBR][]entity
+	mhs       map[ids.NodeID]runtime.Endpoint
+	mhCrashed map[ids.NodeID]bool
 
 	// pool recycles in-flight message slots so a delivery costs no
 	// allocation in steady state (see Send).
 	pool []*inflight
+}
+
+// entity is the network's slot for one AP, AG or BR: its endpoint
+// (nil until registered) and whether it is crashed.
+type entity struct {
+	ep      runtime.Endpoint
+	crashed bool
 }
 
 // inflight is one pooled in-flight message slot: the unit handed to
@@ -67,8 +80,8 @@ func New(kernel *des.Kernel, latency runtime.LatencyModel, seed uint64) *Network
 		kernel:    kernel,
 		rng:       mathx.NewRNG(seed),
 		latency:   latency,
-		endpoints: make(map[ids.NodeID]runtime.Endpoint),
-		crashed:   make(map[ids.NodeID]bool),
+		mhs:       make(map[ids.NodeID]runtime.Endpoint),
+		mhCrashed: make(map[ids.NodeID]bool),
 	}
 }
 
@@ -109,21 +122,84 @@ func (n *Network) Register(id ids.NodeID, ep runtime.Endpoint) {
 	if ep == nil {
 		panic("simnet: registering nil endpoint")
 	}
-	n.endpoints[id] = ep
+	if e := n.grow(id); e != nil {
+		e.ep = ep
+		return
+	}
+	n.mhs[id] = ep
 }
 
 // Unregister removes the endpoint, if present.
-func (n *Network) Unregister(id ids.NodeID) { delete(n.endpoints, id) }
+func (n *Network) Unregister(id ids.NodeID) {
+	if e := n.entity(id); e != nil {
+		e.ep = nil
+		return
+	}
+	delete(n.mhs, id)
+}
 
 // Crash marks a node faulty: it stops sending and receiving. This also
 // models link faults, which the paper folds into node faults (§5.2).
-func (n *Network) Crash(id ids.NodeID) { n.crashed[id] = true }
+func (n *Network) Crash(id ids.NodeID) {
+	if e := n.grow(id); e != nil {
+		e.crashed = true
+		return
+	}
+	n.mhCrashed[id] = true
+}
 
 // Restore clears the faulty state of a node.
-func (n *Network) Restore(id ids.NodeID) { delete(n.crashed, id) }
+func (n *Network) Restore(id ids.NodeID) {
+	if e := n.entity(id); e != nil {
+		e.crashed = false
+		return
+	}
+	delete(n.mhCrashed, id)
+}
 
 // Crashed reports whether the node is currently faulty.
-func (n *Network) Crashed(id ids.NodeID) bool { return n.crashed[id] }
+func (n *Network) Crashed(id ids.NodeID) bool {
+	if id.Tier() != ids.TierMH {
+		e := n.entity(id)
+		return e != nil && e.crashed
+	}
+	return n.mhCrashed[id]
+}
+
+// endpoint returns the endpoint registered under id, if any.
+func (n *Network) endpoint(id ids.NodeID) (runtime.Endpoint, bool) {
+	if id.Tier() != ids.TierMH {
+		if e := n.entity(id); e != nil && e.ep != nil {
+			return e.ep, true
+		}
+		return nil, false
+	}
+	ep, ok := n.mhs[id]
+	return ep, ok
+}
+
+// entity returns the slot of an AP, AG or BR id, or nil for a mobile
+// host's id or an ordinal its tier's slice does not reach.
+func (n *Network) entity(id ids.NodeID) *entity {
+	if t := id.Tier(); t != ids.TierMH {
+		if es, o := n.entities[t-1], id.Ordinal(); o < len(es) {
+			return &es[o]
+		}
+	}
+	return nil
+}
+
+// grow is entity, but extends the tier's slice to reach id.
+func (n *Network) grow(id ids.NodeID) *entity {
+	t := id.Tier()
+	if t == ids.TierMH {
+		return nil
+	}
+	if es, o := n.entities[t-1], id.Ordinal(); o >= len(es) {
+		n.entities[t-1] = append(es, make([]entity, o+1-len(es))...)
+	}
+	return n.entity(id)
+}
 
 // Stats returns a copy of the counters.
 func (n *Network) Stats() runtime.Stats { return n.stats }
@@ -142,7 +218,7 @@ func (n *Network) ResetStats() { n.stats = runtime.Stats{} }
 func (n *Network) Send(msg runtime.Message) {
 	msg.Sent = runtime.Time(n.kernel.Now())
 	n.stats.Sent++
-	if n.crashed[msg.From] {
+	if n.Crashed(msg.From) {
 		n.stats.Dropped++
 		n.trace(msg, "crashed-src")
 		return
@@ -182,12 +258,12 @@ func (n *Network) deliver(fl *inflight) {
 	msg := fl.msg
 	fl.msg = runtime.Message{} // drop the payload reference while pooled
 	n.pool = append(n.pool, fl)
-	if n.crashed[msg.To] {
+	if n.Crashed(msg.To) {
 		n.stats.Dropped++
 		n.trace(msg, "crashed-dest")
 		return
 	}
-	ep, ok := n.endpoints[msg.To]
+	ep, ok := n.endpoint(msg.To)
 	if !ok {
 		n.stats.Dropped++
 		n.trace(msg, "no-endpoint")

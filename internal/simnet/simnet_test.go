@@ -297,3 +297,41 @@ func TestDeterministicDelivery(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpointsOfEveryTier: an entity's endpoint and crash flag live in
+// its tier's ordinal-indexed slots and a mobile host's in a map; on
+// either side, registration, crash, restore and unregistration give the
+// same outcomes, and an ordinal no slot reaches reads as unregistered
+// and live.
+func TestEndpointsOfEveryTier(t *testing.T) {
+	k, n := newNet(t)
+	outcomes := map[ids.NodeID]string{}
+	n.SetTrace(func(m runtime.Message, o string) { outcomes[m.To] = o })
+	mh := ids.MakeNodeID(ids.TierMH, 3)
+	for _, id := range []ids.NodeID{ap(4), ag(2), br(0), mh} {
+		outcomes = map[ids.NodeID]string{}
+		got := 0
+		n.Register(id, runtime.EndpointFunc(func(runtime.Message) { got++ }))
+		n.SendKind(ap(0), id, runtime.KindControl, wire.Probe{})
+		k.Run()
+		n.Crash(id)
+		n.SendKind(ap(0), id, runtime.KindControl, wire.Probe{})
+		k.Run()
+		if got != 1 || outcomes[id] != "crashed-dest" || !n.Crashed(id) {
+			t.Fatalf("%s: %d delivered, last %q, crashed %v", id, got, outcomes[id], n.Crashed(id))
+		}
+		n.Restore(id)
+		n.Unregister(id)
+		n.SendKind(ap(0), id, runtime.KindControl, wire.Probe{})
+		k.Run()
+		if got != 1 || outcomes[id] != "no-endpoint" || n.Crashed(id) {
+			t.Fatalf("%s after restore and unregister: %d delivered, last %q, crashed %v", id, got, outcomes[id], n.Crashed(id))
+		}
+	}
+	far := ap(1 << 20)
+	n.SendKind(ap(0), far, runtime.KindControl, wire.Probe{})
+	k.Run()
+	if outcomes[far] != "no-endpoint" || n.Crashed(far) || len(n.entities[ids.TierAP-1]) != 5 {
+		t.Fatalf("%s past every slot: %q, crashed %v, %d AP slots", far, outcomes[far], n.Crashed(far), len(n.entities[ids.TierAP-1]))
+	}
+}

@@ -62,6 +62,11 @@ type Token struct {
 	// the exclusion.
 	Repaired bool
 
+	// Hops counts ring hops taken this round (diagnostics; the
+	// network layer owns authoritative accounting). It packs beside
+	// GID, Dir and Repaired, which keeps a token at 112 bytes.
+	Hops uint16
+
 	Ring   ring.ID    // ring the token circulates in
 	Holder ids.NodeID // node that started this round and will close it
 	Round  uint64     // per-ring round sequence number
@@ -83,10 +88,6 @@ type Token struct {
 	// The holder shares one itinerary between its rounds until its
 	// roster changes, so no code writes a Route in place.
 	Route []ids.NodeID
-
-	// Hops counts ring hops taken this round (diagnostics; the
-	// network layer owns authoritative accounting).
-	Hops int
 
 	// Contributors names the entity whose notification delivered Ops,
 	// when the round runs a notified batch, and is empty otherwise. The

@@ -66,11 +66,12 @@ func TestCloneSharesNothing(t *testing.T) {
 }
 
 // TestTokenSize: every round allocates one token, so its size class
-// is the round's allocation. 120 bytes is the 128-byte class; a ring.ID
-// with a 64-bit index makes it 136, in the 144-byte class.
+// is the round's allocation. 112 bytes is the 112-byte class; an int
+// Hops makes it 120, in the 128-byte class, and a ring.ID with a 64-bit
+// index 136, in the 144-byte class.
 func TestTokenSize(t *testing.T) {
-	if got := unsafe.Sizeof(Token{}); got != 120 {
-		t.Fatalf("Token is %d bytes, want 120", got)
+	if got := unsafe.Sizeof(Token{}); got != 112 {
+		t.Fatalf("Token is %d bytes, want 112", got)
 	}
 	if got := unsafe.Sizeof(ring.ID{}); got != 8 {
 		t.Fatalf("ring.ID is %d bytes, want 8", got)

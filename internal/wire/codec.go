@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -600,7 +601,11 @@ func decodeTokenMsg(r *reader) Payload {
 		Dir:    token.Direction(r.u8()),
 	}
 	t.Source = r.ringID()
-	t.Hops = int(r.u32())
+	if h := r.u32(); h <= math.MaxUint16 {
+		t.Hops = uint16(h)
+	} else {
+		r.bad = true // more hops than a Token counts
+	}
 	t.Repaired = r.boolean()
 	t.Ops = r.batch()
 	t.Route = r.nodeIDs()

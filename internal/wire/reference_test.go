@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"math"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -12,9 +13,10 @@ import (
 // The per-field codec this package used before a list section was read
 // and written as fixed-size records, kept as the reference model of
 // FuzzDecodeAgainstReference and TestBulkEncodersMatchPerField. It is
-// the old code verbatim but for the names and two bounds: the section
+// the old code verbatim but for the names and three bounds: the section
 // count and the body length are compared in 64 bits, where the old
-// code's int arithmetic wrapped on a 32-bit platform.
+// code's int arithmetic wrapped on a 32-bit platform, and a token's hop
+// count past 65 535 is malformed, since Token.Hops is 16 bits.
 
 // --- Per-field encoders -------------------------------------------------
 
@@ -311,7 +313,11 @@ func refDecodeTokenMsg(r *refReader) Payload {
 		Dir:    token.Direction(r.u8()),
 	}
 	t.Source = r.ringID()
-	t.Hops = int(r.u32())
+	if h := r.u32(); h <= math.MaxUint16 {
+		t.Hops = uint16(h)
+	} else {
+		r.bad = true
+	}
 	t.Repaired = r.boolean()
 	t.Ops = r.batch()
 	t.Route = r.nodeIDs()

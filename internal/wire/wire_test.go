@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -301,6 +302,26 @@ func TestFrameLenSplitsADatagram(t *testing.T) {
 		if _, err := FrameLen(b); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("FrameLen of a %d-byte stub: %v, want ErrTruncated", len(b), err)
 		}
+	}
+}
+
+// TestTokenHopsPastU16Malformed: the codec carries a token's hop count
+// as a u32, but a Token counts 16 bits of hops, so the decoder takes
+// 65 535 and refuses one more rather than wrap it.
+func TestTokenHopsPastU16Malformed(t *testing.T) {
+	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 2, Payload: TokenMsg{Tok: sampleToken()}})
+	hops := envelopeSize + payloadHeaderSize + 31 // GID, Ring, Holder, Round, Dir, Source
+	if got := binary.LittleEndian.Uint32(b[hops:]); got != uint32(sampleToken().Hops) {
+		t.Fatalf("hop count at body offset 31 reads %d, want %d", got, sampleToken().Hops)
+	}
+	binary.LittleEndian.PutUint32(b[hops:], math.MaxUint16)
+	fr, err := DecodeFrame(b)
+	if err != nil || fr.Payload.(TokenMsg).Tok.Hops != math.MaxUint16 {
+		t.Fatalf("a token of 65535 hops decodes to %+v, %v", fr.Payload, err)
+	}
+	binary.LittleEndian.PutUint32(b[hops:], math.MaxUint16+1)
+	if _, err := DecodeFrame(b); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a token of 65536 hops: err = %v, want ErrMalformed", err)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/simnet"
 	"github.com/rgbproto/rgb/internal/topology"
+	"github.com/rgbproto/rgb/internal/wire"
 )
 
 // renderMembers renders a membership snapshot into a sorted,
@@ -518,4 +520,73 @@ func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollapsedEndpointSink: on a live runtime, once a member's leave
+// commits its record is gone but its endpoint stays registered, so a
+// Holder-Acknowledgement sent to it afterwards is delivered in process:
+// nothing is dropped and no frame is relayed. The re-join takes the same
+// endpoint at the next version.
+func TestCollapsedEndpointSink(t *testing.T) {
+	ctx := context.Background()
+	c, err := ListenCluster("127.0.0.1:0", WithHierarchy(2, 3), WithSeed(5))
+	if err != nil {
+		t.Fatalf("ListenCluster: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	svc, err := c.Open(NewGroupID(1))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	g, ap := GUID(9), svc.APs()[0]
+	settle := func(err error) {
+		t.Helper()
+		if err == nil {
+			err = svc.Settle(ctx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(svc.JoinAt(ctx, g, ap))
+	var node NodeID
+	var ver uint16
+	svc.Inspect(func(sys *System) {
+		m, _ := sys.Member(g)
+		node = m.Node()
+	})
+	settle(svc.Leave(ctx, g))
+	before, net0 := svc.Stats(), mustNetStats(t, c)
+	svc.Inspect(func(sys *System) {
+		if m, ok := sys.Member(g); ok {
+			t.Errorf("the record of %s outlives its committed leave: %+v", g, m.MemberInfo)
+		}
+		sys.Transport().Send(runtime.Message{From: ap, To: node, Kind: runtime.KindAck, Body: wire.HolderAck{Round: 1, Count: 1}})
+	})
+	settle(nil)
+	after, net1 := svc.Stats(), mustNetStats(t, c)
+	if after.Delivered != before.Delivered+1 || after.Dropped != before.Dropped || net1.Relayed != net0.Relayed {
+		t.Errorf("a late Holder-Acknowledgement to %s: delivered %+d, dropped %+d, relayed %+d; want 1, 0, 0",
+			node, after.Delivered-before.Delivered, after.Dropped-before.Dropped, net1.Relayed-net0.Relayed)
+	}
+	settle(svc.JoinAt(ctx, g, ap))
+	svc.Inspect(func(sys *System) {
+		m, ok := sys.Member(g)
+		if !ok || m.Node() != node {
+			t.Fatalf("the re-join of %s took %v, want endpoint %s", g, m, node)
+		}
+		ver = m.Ver
+	})
+	if ver != 3 {
+		t.Errorf("the re-join of %s is at v%d, want v3: past its join and leave", g, ver)
+	}
+}
+
+func mustNetStats(t *testing.T, c *Cluster) NetStats {
+	t.Helper()
+	ns, ok := c.NetStats()
+	if !ok {
+		t.Fatal("a listening cluster has no NetStats")
+	}
+	return ns
 }
