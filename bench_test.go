@@ -482,7 +482,10 @@ func wireBenchToken() *token.Token {
 	}
 }
 
-// wireBenchPayloads covers the protocol's hot payload kinds.
+// wireBenchPayloads covers the protocol's hot payload kinds: the five
+// bodies of a ring round (token, notification and the three
+// acknowledgements, pointer payloads but the token message) and the
+// member change and query reply.
 func wireBenchPayloads() []struct {
 	name string
 	p    wire.Payload
@@ -498,8 +501,10 @@ func wireBenchPayloads() []struct {
 	}{
 		{"token", wire.TokenMsg{Tok: wireBenchToken()}},
 		{"member-change", wire.MemberChange{Op: mq.OpMemberJoin, Member: members[0]}},
-		{"notify", wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin, Member: members[1], Origin: ap}}, From: ring.ID{Tier: ids.TierAP, Index: 1}, Up: true, Seq: 7}},
-		{"pass-ack", wire.PassAck{Holder: ap, Round: 42}},
+		{"notify", &wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin, Member: members[1], Origin: ap}}, From: ring.ID{Tier: ids.TierAP, Index: 1}, Up: true, Seq: 7}},
+		{"notify-ack", &wire.NotifyAck{Seq: 7}},
+		{"pass-ack", &wire.PassAck{Holder: ap, Round: 42}},
+		{"holder-ack", &wire.HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 42, Count: 1}},
 		{"query-reply", wire.QueryReply{ID: 9, From: ring.ID{Tier: ids.TierBR}, Members: members}},
 	}
 }

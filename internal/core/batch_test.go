@@ -8,7 +8,6 @@ import (
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
 	"github.com/rgbproto/rgb/internal/runtime"
-	"github.com/rgbproto/rgb/internal/token"
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
@@ -136,14 +135,13 @@ func TestBatchWindowRoundOwnsItsOps(t *testing.T) {
 	cfg.BatchWindow = 5 * time.Millisecond
 	sys := NewSystem(cfg)
 	ap := sys.APs()[0]
-	var tok *token.Token
-	var sent mq.Batch
+	var ops, sent mq.Batch // the first round's Ops, and a copy taken as it started
 	traceSends(sys, func(m runtime.Message) {
 		b, ok := m.Body.(wire.TokenMsg)
-		if !ok || tok != nil || b.Tok.Holder != ap {
+		if !ok || ops != nil || b.Tok.Holder != ap {
 			return
 		}
-		tok, sent = b.Tok, slices.Clone(b.Tok.Ops)
+		ops, sent = b.Tok.Ops, slices.Clone(b.Tok.Ops)
 		sys.Clock().After(0, func() {
 			for _, g := range []ids.GUID{4, 5, 6} {
 				if _, err := sys.JoinMemberAt(g, ap); err != nil {
@@ -165,8 +163,8 @@ func TestBatchWindowRoundOwnsItsOps(t *testing.T) {
 	if len(sent) != 3 {
 		t.Fatalf("the first round carried %v, want the three batched joins", sent)
 	}
-	if !slices.Equal(tok.Ops, sent) {
-		t.Errorf("the round's Ops changed after it started:\n now %v\nsent %v", tok.Ops, sent)
+	if !slices.Equal(ops, sent) {
+		t.Errorf("the round's Ops changed after it started:\n now %v\nsent %v", ops, sent)
 	}
 	if got := sys.BatchFlushes(); got != 2 {
 		t.Errorf("BatchFlushes = %d, want 2 (the mid-round changes drained in a second round)", got)

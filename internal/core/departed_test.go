@@ -233,7 +233,7 @@ func TestCollapseAtCommit(t *testing.T) {
 		t.Fatalf("the endpoint %s of departed %s is unregistered", node, g)
 	}
 	dropped := sys.tr.Stats().Dropped
-	sys.send(ap, node, runtime.KindAck, wire.HolderAck{Round: 1, Count: 1})
+	sys.send(ap, node, runtime.KindAck, &wire.HolderAck{Round: 1, Count: 1})
 	sys.Run()
 	if outcome != "delivered" || sys.tr.Stats().Dropped != dropped {
 		t.Fatalf("a late Holder-Acknowledgement to %s was %q", node, outcome)

@@ -60,15 +60,17 @@ type Node struct {
 	queue *mq.Queue
 
 	// Token engine state. pass is the outstanding token pass awaiting
-	// its wire.PassAck; notifyWait the notifications awaiting their
-	// wire.NotifyAck, found by sequence number, and notifyFree the
-	// records of finished ones, kept for the next (resend.go).
+	// its wire.PassAck, holding a copy of the token sent; notifyWait the
+	// notifications awaiting their wire.NotifyAck, found by sequence
+	// number, and notifyFree the records of finished ones, kept for the
+	// next (resend.go). A body this node sent is its receiver's: the
+	// node keeps only these copies of it.
 	roundSeq   uint64
-	pass       resend
-	passWait   []*token.Token // tokens waiting their turn behind pass (passToken)
+	pass       resend[token.Token]
+	passWait   []*token.Token // tokens waiting their turn behind pass (passToken), owned here
 	notifySeq  uint64
-	notifyWait []*resend
-	notifyFree []*resend
+	notifyWait []*resend[wire.Notify]
+	notifyFree []*resend[wire.Notify]
 
 	// route is the itinerary of this node's rounds as holder: its
 	// roster rotated to start here. Every round it starts shares it
@@ -224,18 +226,22 @@ func (n *Node) insertIntoRoster(joined ids.NodeID) {
 	n.roster = append(n.roster, joined)
 }
 
-// HandleMessage implements runtime.Endpoint.
+// HandleMessage implements runtime.Endpoint. The node is the final
+// consumer of a notification or acknowledgement delivered to it and
+// hands the body back once handled; a token is handed back by the
+// holder it comes full circle to, or where it is dropped (receiveToken).
 func (n *Node) HandleMessage(msg runtime.Message) {
 	switch body := msg.Body.(type) {
 	case wire.TokenMsg:
 		n.receiveToken(body.Tok, msg.From)
+		return
 	case wire.MemberChange:
 		n.receiveMemberMsg(body, msg.From)
-	case wire.Notify:
+	case *wire.Notify:
 		n.receiveNotify(body, msg.From)
-	case wire.NotifyAck:
+	case *wire.NotifyAck:
 		n.receiveNotifyAck(body)
-	case wire.PassAck:
+	case *wire.PassAck:
 		n.receivePassAck(body, msg.From)
 	case wire.Query:
 		n.receiveQuery(body)
@@ -245,7 +251,7 @@ func (n *Node) HandleMessage(msg runtime.Message) {
 		n.receiveSnapshot(body)
 	case wire.MergeRequest:
 		n.receiveMergeRequest(body)
-	case wire.HolderAck:
+	case *wire.HolderAck:
 		// Informational at NEs; MH endpoints consume theirs directly.
 	case wire.Probe:
 		n.receiveProbe(msg.From)
@@ -257,6 +263,7 @@ func (n *Node) HandleMessage(msg runtime.Message) {
 	default:
 		panic(fmt.Sprintf("core: %s got unknown message %T", n.id, msg.Body))
 	}
+	n.sys.free.recycle(msg.Body)
 }
 
 // receiveMemberMsg queues an MH-observed membership change
@@ -294,7 +301,8 @@ func (n *Node) nextSeq() uint64 {
 // Contributors and completeRound acknowledges it instead.
 func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, forwarder ids.NodeID) {
 	n.roundSeq++
-	tok := token.Fresh(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
+	tok := n.sys.free.tokens.take()
+	tok.Reset(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
 	if len(extra) > 0 && !forwarder.IsZero() {
 		tok.Contributors = n.forwardedBy(forwarder)
 	}
@@ -358,21 +366,29 @@ func (n *Node) itinerary() []ids.NodeID {
 }
 
 // receiveToken is the per-node body of Figure 3 for a token arriving
-// from the predecessor.
+// from the predecessor. The node owns the token from here: it passes
+// it on, closes the round, or hands back a copy it drops.
 func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
-	if tok == nil || tok.Ring != n.ringID {
+	if tok == nil {
+		return
+	}
+	if tok.Ring != n.ringID {
 		// A misrouted or corrupted token from another ring must not be
 		// acknowledged (the real successor's timer should still fire)
 		// and must never execute here.
+		n.sys.free.tokens.put(tok)
 		return
 	}
 	// Acknowledge the pass so the sender's retransmission timer stops.
-	n.sys.send(n.id, from, runtime.KindControl, n.ring.passAckFor(tok))
+	ack := n.sys.free.passAcks.take()
+	*ack = wire.PassAck{Holder: tok.Holder, Round: tok.Round}
+	n.sys.send(n.id, from, runtime.KindControl, ack)
 	n.sys.noteTokenSeen(n.ring)
 
 	// Retransmission can deliver the same token twice (the first copy
 	// arrived but its acknowledgement was lost); execute only once.
 	if tok.Holder == n.lastTokHolder && tok.Round == n.lastTokRound {
+		n.sys.free.tokens.put(tok)
 		return
 	}
 	n.lastTokHolder, n.lastTokRound = tok.Holder, tok.Round
@@ -490,9 +506,10 @@ func (n *Node) applyChange(c mq.Change) {
 }
 
 // passToken forwards the token to the itinerary successor with
-// retransmission protection. A ring spanning processes runs concurrent
-// rounds, and a node has one pass: a token that finds it unacknowledged
-// waits in passWait, even behind a round that came full circle, since a
+// retransmission protection; the pass keeps a copy and the token is the
+// successor's. A ring spanning processes runs concurrent rounds, and a
+// node has one pass: a token that finds it unacknowledged waits in
+// passWait, even behind a round that came full circle, since a
 // misrouted token can complete a round that skipped an entity.
 func (n *Node) passToken(tok *token.Token) {
 	if len(tok.Route) <= 1 {
@@ -505,18 +522,18 @@ func (n *Node) passToken(tok *token.Token) {
 		n.completeRound(tok)
 		return
 	}
-	if n.pass.body != nil {
+	if n.pass.live {
 		n.passWait = append(n.passWait, tok)
 		return
 	}
 	tok.Hops++
-	n.pass.start(next, wire.TokenMsg{Tok: tok})
+	n.pass.start(next, *tok, wire.TokenMsg{Tok: tok})
 }
 
 // passWaiting passes the tokens waiting for the link, oldest first,
 // until one holds it again.
 func (n *Node) passWaiting() {
-	for n.pass.body == nil && len(n.passWait) > 0 {
+	for !n.pass.live && len(n.passWait) > 0 {
 		tok := n.passWait[0]
 		n.passWait = slices.Delete(n.passWait, 0, 1)
 		n.passToken(tok)
@@ -546,16 +563,19 @@ func (n *Node) passTimedOut() {
 	// token, and continue the round at the next live entity. With the
 	// stability filter armed, the roster surgery waits until K distinct
 	// observers concur — but the token routes around the suspect either
-	// way, so an unconfirmed suspicion never wedges the round. The round,
-	// and every token waiting behind it, goes on in a copy, adopted here
-	// if its holder died: a pass may have arrived with only its ack
-	// lost, and then the receiver holds the token that was sent.
+	// way, so an unconfirmed suspicion never wedges the round. The round
+	// goes on in a Clone of the pass's copy, and every token waiting
+	// behind it in a Clone of its own, adopted here if its holder died:
+	// a pass may have arrived with only its ack lost, and then the
+	// receiver holds the token that was sent, sharing the copy's slices.
 	dead := n.pass.to
-	n.passWait = slices.Insert(n.passWait, 0, n.pass.body.(wire.TokenMsg).Tok)
+	n.passWait = slices.Insert(n.passWait, 0, n.pass.msg.Clone())
 	n.pass.stop()
 	for i, tok := range n.passWait {
 		if slices.Contains(tok.Route, dead) {
-			tok = tok.Clone()
+			if i > 0 {
+				tok = tok.Clone()
+			}
 			tok.DropFromRoute(dead)
 			if tok.Holder == dead {
 				tok.Holder = n.id
@@ -578,11 +598,11 @@ func (n *Node) passTimedOut() {
 // it must come from the successor the in-flight token went to and carry
 // that token's (Holder, Round). Anything else is the late ack of an
 // earlier pass (the next round already started here) and stops nothing.
-func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
+func (n *Node) receivePassAck(a *wire.PassAck, from ids.NodeID) {
 	if !n.pass.awaits(from) {
 		return
 	}
-	if tok := n.pass.body.(wire.TokenMsg).Tok; tok.Holder == a.Holder && tok.Round == a.Round {
+	if tok := &n.pass.msg; tok.Holder == a.Holder && tok.Round == a.Round {
 		n.pass.stop()
 		n.passWaiting()
 	}
@@ -591,7 +611,7 @@ func (n *Node) receivePassAck(a wire.PassAck, from ids.NodeID) {
 // completeRound closes the round at the holder: Holder-Acknowledgement
 // to every contributor of original messages, a convergence round if a
 // repair happened mid-round, and release of the ring for the next
-// round.
+// round. The holder is the token's final consumer and hands it back.
 func (n *Node) completeRound(tok *token.Token) {
 	if tok.Round == n.openRoundSeq {
 		n.openRound = n.openRound[:0]
@@ -612,10 +632,13 @@ func (n *Node) completeRound(tok *token.Token) {
 	}
 	for _, a := range to {
 		if a != n.id {
-			n.sys.send(n.id, a, runtime.KindAck, wire.HolderAck{Ring: n.ringID, Round: tok.Round, Count: len(tok.Ops)})
+			ack := n.sys.free.holderAcks.take()
+			*ack = wire.HolderAck{Ring: n.ringID, Round: tok.Round, Count: len(tok.Ops)}
+			n.sys.send(n.id, a, runtime.KindAck, ack)
 		}
 	}
 	n.sys.roundDone(n, tok, tok.Repaired)
+	n.sys.free.tokens.put(tok)
 }
 
 // receiveNotify handles Notification-to-Parent / Notification-to-Child.
@@ -623,11 +646,13 @@ func (n *Node) completeRound(tok *token.Token) {
 // acts on a batch, since the Snapshot will replace its lists: the batch
 // stays with the sender, which retries and then owes it. A leader
 // update touches no list, so it is taken either way.
-func (n *Node) receiveNotify(m wire.Notify, from ids.NodeID) {
+func (n *Node) receiveNotify(m *wire.Notify, from ids.NodeID) {
 	if n.sys.neStale(n.id) && !m.LeaderUpdate {
 		return
 	}
-	n.sys.send(n.id, from, runtime.KindControl, wire.NotifyAck{Seq: m.Seq})
+	ack := n.sys.free.notifyAcks.take()
+	*ack = wire.NotifyAck{Seq: m.Seq}
+	n.sys.send(n.id, from, runtime.KindControl, ack)
 	switch {
 	case m.LeaderUpdate:
 		// From the child ring's new leader.
@@ -642,22 +667,24 @@ func (n *Node) receiveNotify(m wire.Notify, from ids.NodeID) {
 }
 
 // sendNotify sends a notification with retransmission protection. The
-// batch is the sender's token Ops, shared and read-only at both ends.
+// record keeps m; each transmission sends a fresh body built from it.
+// The batch is the sender's token Ops, shared and read-only at both
+// ends.
 func (n *Node) sendNotify(to ids.NodeID, m wire.Notify) {
 	n.notifySeq++
 	m.Seq = n.notifySeq
 	r := n.takeNotify()
 	n.notifyWait = append(n.notifyWait, r)
-	r.start(to, m)
+	r.start(to, m, nil)
 }
 
 // notifyTimedOut is the notification retransmission timer body: resend
 // up to the policy budget, then give up and owe the batch to the link.
-func (n *Node) notifyTimedOut(r *resend) {
+func (n *Node) notifyTimedOut(r *resend[wire.Notify]) {
 	if r.retry() {
 		return
 	}
-	m := r.body.(wire.Notify)
+	m := r.msg
 	n.releaseNotify(r)
 	if m.Up {
 		n.owedUp = owe(n.owedUp, m.Batch)
@@ -666,9 +693,9 @@ func (n *Node) notifyTimedOut(r *resend) {
 	}
 }
 
-func (n *Node) receiveNotifyAck(a wire.NotifyAck) {
+func (n *Node) receiveNotifyAck(a *wire.NotifyAck) {
 	for _, r := range n.notifyWait {
-		if r.body.(wire.Notify).Seq == a.Seq {
+		if r.msg.Seq == a.Seq {
 			n.releaseNotify(r)
 			return
 		}

@@ -115,10 +115,15 @@ type queryApp struct {
 	doneAt   runtime.Time
 }
 
-// HandleMessage collects replies.
+// HandleMessage collects replies. A round body misrouted here ends
+// here, so the app hands it back.
 func (a *queryApp) HandleMessage(msg runtime.Message) {
 	rep, ok := msg.Body.(wire.QueryReply)
-	if !ok || rep.ID != a.id || a.done || !a.col.add(rep) {
+	if !ok {
+		a.sys.free.recycle(msg.Body)
+		return
+	}
+	if rep.ID != a.id || a.done || !a.col.add(rep) {
 		return
 	}
 	if len(a.col.rings) >= a.expected {

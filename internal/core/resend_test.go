@@ -36,13 +36,13 @@ func TestStaleAckLeavesPassArmed(t *testing.T) {
 	p, h := ringPair(sys)
 
 	const k = 7
-	tok := token.Fresh(sys.cfg.GID, p.ringID, p.id, k, nil, token.FromLocal, ring.ID{})
+	tok := freshToken(sys.cfg.GID, p.ringID, p.id, k, nil, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
 	p.passToken(tok)
 	armed := kernel.Pending() // the token on its way to H, and the pass timer
 
 	ack := func(holder ids.NodeID, from ids.NodeID) {
-		p.HandleMessage(runtime.Message{From: from, To: p.id, Body: wire.PassAck{Holder: holder, Round: k}})
+		p.HandleMessage(runtime.Message{From: from, To: p.id, Body: &wire.PassAck{Holder: holder, Round: k}})
 	}
 	ack(h, h)                   // H's ack for its own round k
 	ack(p.id, p.prevLive(p.id)) // the right token, acknowledged by the wrong node
@@ -91,7 +91,7 @@ func TestResendBudget(t *testing.T) {
 	if r := sys.Repairs(); len(r) != 1 || r[0].Dead != h || p.Repairs() != 1 {
 		t.Errorf("repairs = %v (%d at the predecessor), want exactly one, of %s", r, p.Repairs(), h)
 	}
-	if p.pass.body != nil {
+	if p.pass.live {
 		t.Error("pass still in flight after the run drained")
 	}
 	if got := len(sys.GlobalMembership()); got != 1 {
@@ -109,7 +109,7 @@ func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
 	p, h := ringPair(sys)
 	sys.CrashNE(h)
 
-	tok := token.Fresh(sys.cfg.GID, p.ringID, h, 1, mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1, AP: p.id}}}, token.FromLocal, ring.ID{})
+	tok := freshToken(sys.cfg.GID, p.ringID, h, 1, mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1, AP: p.id}}}, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
 	tok.Contributors = []ids.NodeID{p.id}
 	p.passToken(tok)
@@ -154,7 +154,7 @@ func TestTokenWaitsItsTurnAtLink(t *testing.T) {
 	p.sys[0].CrashNE(dead)
 	var waited *token.Token
 	for round := uint64(101); round <= 102; round++ {
-		tok := token.Fresh(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok := freshToken(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
 		tok.Route = []ids.NodeID{holder, n.id, dead}
 		n.passToken(tok)
 		waited = tok
@@ -173,7 +173,7 @@ func TestTokenWaitsItsTurnAtLink(t *testing.T) {
 	if !slices.Contains(waited.Route, dead) {
 		t.Error("the give-up rerouted the waiting token in place, not in a copy")
 	}
-	if n.pass.body != nil || len(n.passWait) != 0 {
+	if n.pass.live || len(n.passWait) != 0 {
 		t.Error("a pass or a waiting token is left after the run drained")
 	}
 }
@@ -186,13 +186,13 @@ func TestCrashedCarrierDropsWaitingTokens(t *testing.T) {
 	n := &p.sys[0].top[0]
 	holder := n.prevLive(n.id)
 	for round := uint64(101); round <= 102; round++ {
-		tok := token.Fresh(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok := freshToken(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
 		tok.Route = []ids.NodeID{holder, n.id, n.nextLive(n.id)}
 		n.passToken(tok)
 	}
 	n.sys.CrashNE(n.id)
 	p.rt.Run()
-	if n.pass.body != nil || len(n.passWait) != 0 {
+	if n.pass.live || len(n.passWait) != 0 {
 		t.Fatalf("a crashed carrier keeps its pass or %d waiting tokens", len(n.passWait))
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mathx"
-	"github.com/rgbproto/rgb/internal/wire"
 )
 
 // TestRosterRepairRules pins the rules every entity applies to its own
@@ -77,7 +76,7 @@ func TestRosterRepairRules(t *testing.T) {
 			if len(sent) != 1 {
 				t.Fatalf("sent %d notifications, want one LeaderUpdate", len(sent))
 			}
-			m, _ := sent[0].body.(wire.Notify)
+			m := sent[0].msg
 			if sent[0].to != n.parent || !m.Up || !m.LeaderUpdate || m.NewLeader != n.id {
 				t.Errorf("sent %+v to %s, want a LeaderUpdate naming %s to parent %s", m, sent[0].to, n.id, n.parent)
 			}

@@ -23,12 +23,15 @@ func traceSends(sys *System, fn func(runtime.Message)) {
 }
 
 // joinAllocBudget is what one Member-Join may allocate at h=3 r=5 under
-// DisseminateFull, warm: 31 rounds, each with its token, and the boxes
-// of the notifications and acknowledgements that carry the change
-// between rings. A copy of the batch per round or per notification, a
-// record per notification, an itinerary or a contributor list per round
-// or a pass acknowledgement per hop each cost tens of allocations here.
-const joinAllocBudget = 137
+// DisseminateFull, warm: 31 rounds whose tokens, notifications and
+// acknowledgements all come off the System's free lists (137 when each
+// was allocated per send). What is left is the join's own: its Member
+// record, its boxed submission, the access proxy's drained batch, and
+// about seven for the 31 membership lists that grow to take a new
+// member. A body, a copy of the batch, a notification record, an
+// itinerary or a contributor list per round or per hop each cost tens
+// of allocations here.
+const joinAllocBudget = 12
 
 // TestJoinAllocBudget locks the per-join allocation of a three-level
 // hierarchy, where every ring runs a round for every change.
@@ -46,7 +49,9 @@ func TestJoinAllocBudget(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		join()
 	}
-	if allocs := testing.AllocsPerRun(200, join); allocs > joinAllocBudget {
+	allocs := testing.AllocsPerRun(200, join)
+	t.Logf("a join at h=3 r=5: %.2f allocs", allocs)
+	if allocs > joinAllocBudget {
 		t.Errorf("a join at h=3 r=5 allocates %.1f times, budget %d", allocs, joinAllocBudget)
 	}
 	if got := len(sys.GlobalMembership()); got != int(next)-1 {
@@ -142,17 +147,17 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 
 	var up wire.Notify
 	var sent mq.Batch // the notified batch as it was sent
-	var passed []*token.Token
+	var passed []token.Token
 	var acks []runtime.Message
 	traceSends(sys, func(m runtime.Message) {
 		switch b := m.Body.(type) {
-		case wire.Notify:
+		case *wire.Notify:
 			if m.From == leader.ID() && m.To == parent && sent == nil {
-				up, sent = b, slices.Clone(b.Batch)
+				up, sent = *b, slices.Clone(b.Batch)
 			}
 		case wire.TokenMsg:
-			passed = append(passed, b.Tok)
-		case wire.HolderAck:
+			passed = append(passed, *b.Tok)
+		case *wire.HolderAck:
 			acks = append(acks, m)
 		}
 	})
@@ -166,8 +171,8 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 		t.Fatalf("the notification to %s carried %+v, want the join with the mobile host's reply address", parent, sent)
 	}
 	var bottom, top *token.Token
-	for _, tok := range passed {
-		switch {
+	for i := range passed {
+		switch tok := &passed[i]; {
 		case tok.Ring == ap.Ring() && bottom == nil:
 			bottom = tok
 		case tok.Holder == parent && top == nil:
@@ -210,13 +215,14 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 func TestItinerarySharedBetweenRounds(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 5))
 	p, h := ringPair(sys)
-	var held []*token.Token
+	var held []token.Token // the first pass of each of p's rounds, as sent
 	traceSends(sys, func(m runtime.Message) {
-		if b, ok := m.Body.(wire.TokenMsg); ok && m.From == p.ID() && b.Tok.Holder == p.ID() && !slices.Contains(held, b.Tok) {
-			held = append(held, b.Tok)
+		if b, ok := m.Body.(wire.TokenMsg); ok && m.From == p.ID() && b.Tok.Holder == p.ID() &&
+			!slices.ContainsFunc(held, func(h token.Token) bool { return h.Round == b.Tok.Round }) {
+			held = append(held, *b.Tok)
 		}
 	})
-	join := func(g ids.GUID) *token.Token {
+	join := func(g ids.GUID) token.Token {
 		t.Helper()
 		from := len(held)
 		if _, err := sys.JoinMemberAt(g, p.ID()); err != nil {
@@ -339,23 +345,20 @@ func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
 	}
 }
 
-// TestPassAckNamesAdopter: a ring reuses its boxed pass acknowledgement
-// while the round is the same, and a round adopted after its holder
-// died is a new round: the next acknowledgement names the adopter.
+// TestPassAckNamesAdopter: every pass is acknowledged with the round it
+// carried, and a round adopted after its holder died is a new round: the
+// next acknowledgement names the adopter.
 func TestPassAckNamesAdopter(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 5))
 	p, h := ringPair(sys)
 	sys.CrashNE(h)
 
-	tok := token.Fresh(sys.cfg.GID, p.ringID, h, 1, nil, token.FromLocal, ring.ID{})
+	tok := freshToken(sys.cfg.GID, p.ringID, h, 1, nil, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
-	if p.ring.passAckFor(tok) != (wire.PassAck{Holder: h, Round: 1}) {
-		t.Fatal("the ring's acknowledgement does not name the dead holder's round")
-	}
 	var acks []wire.PassAck
 	traceSends(sys, func(m runtime.Message) {
-		if a, ok := m.Body.(wire.PassAck); ok {
-			acks = append(acks, a)
+		if a, ok := m.Body.(*wire.PassAck); ok {
+			acks = append(acks, *a)
 		}
 	})
 	p.passToken(tok)
@@ -414,7 +417,7 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 			heartbeat: 200 * time.Millisecond,
 			deadFirst: true,
 			crash: func(sys *System, m runtime.Message, top []ids.NodeID) {
-				if _, ok := m.Body.(wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
+				if _, ok := m.Body.(*wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
 					sys.CrashNE(top[1])
 				}
 			},
@@ -432,7 +435,7 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 			// and completes the round.
 			name: "adopted",
 			crash: func(sys *System, m runtime.Message, top []ids.NodeID) {
-				if _, ok := m.Body.(wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
+				if _, ok := m.Body.(*wire.PassAck); ok && m.From == top[1] && m.To == top[0] && len(sys.Node(top[0]).openRound) > 0 {
 					sys.CrashNE(top[0])
 				}
 			},
@@ -466,7 +469,7 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 				if outcome == "delivered" {
 					c.crash(sys, m, top)
 				}
-				if _, ok := m.Body.(wire.HolderAck); ok && slices.Contains(top, m.From) && outcome != "crashed-src" {
+				if _, ok := m.Body.(*wire.HolderAck); ok && slices.Contains(top, m.From) && outcome != "crashed-src" {
 					acksFrom[m.From]++
 					if m.To != leader.ID() {
 						wrong = append(wrong, m)

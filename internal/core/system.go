@@ -39,12 +39,15 @@ func (m *Member) Acks() int { return m.acks }
 // LastAckAt returns the protocol time of the latest acknowledgement.
 func (m *Member) LastAckAt() runtime.Time { return m.ackedAt }
 
-// HandleMessage lets the MH consume Holder-Acknowledgements.
+// HandleMessage lets the MH consume Holder-Acknowledgements. The MH is
+// the final consumer of whatever is delivered to it and hands the body
+// back.
 func (m *Member) HandleMessage(msg runtime.Message) {
-	if _, ok := msg.Body.(wire.HolderAck); ok {
+	if _, ok := msg.Body.(*wire.HolderAck); ok {
 		m.acks++
 		m.ackedAt = m.sys.clock.Now()
 	}
+	m.sys.free.recycle(msg.Body)
 }
 
 // leftMH is what a System keeps of a member whose departure committed
@@ -99,20 +102,6 @@ type ringState struct {
 	// process's own round died with its carrier. The observer hears
 	// the round's duration from the same stamp.
 	roundStart runtime.Time
-
-	// passAck is the acknowledgement a local node last sent for a pass
-	// of this ring's token. Every member acknowledges the same (Holder,
-	// Round), so a round boxes one acknowledgement for all its hops here.
-	passAck wire.Payload
-}
-
-// passAckFor returns the acknowledgement of a pass of tok, reusing the
-// one last sent when it names the same round.
-func (rs *ringState) passAckFor(tok *token.Token) wire.Payload {
-	if a, ok := rs.passAck.(wire.PassAck); !ok || a.Holder != tok.Holder || a.Round != tok.Round {
-		rs.passAck = wire.PassAck{Holder: tok.Holder, Round: tok.Round}
-	}
-	return rs.passAck
 }
 
 // RepairEvent records one local ring repair for observability.
@@ -170,6 +159,10 @@ type System struct {
 	probeSeq uint64
 
 	rings map[ring.ID]*ringState
+
+	// free holds the round bodies handed back by their receivers here,
+	// for the next sends (free.go).
+	free bodies
 
 	mhOrdinal int
 	luidSeq   map[ids.NodeID]uint32
@@ -236,6 +229,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 		rings:   make(map[ring.ID]*ringState, len(allRings)),
 		luidSeq: make(map[ids.NodeID]uint32),
 		staleNE: make(map[ids.NodeID]bool),
+		free:    newBodies(len(allRings)),
 	}
 	if s.stabilityOn() {
 		s.suspects = make(map[ids.NodeID]*suspicion)

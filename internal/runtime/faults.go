@@ -136,14 +136,41 @@ func (t *FaultTransport) deliver(msg Message) {
 		msg.To = t.ids[t.rng.Intn(len(t.ids))]
 		t.fstats.Misrouted++
 	}
-	n := 1
-	if t.plan.Duplicate > 0 && t.rng.Bernoulli(t.plan.Duplicate) {
-		n = 2
+	dup := t.plan.Duplicate > 0 && t.rng.Bernoulli(t.plan.Duplicate)
+	t.inner.Send(msg)
+	if dup {
 		t.fstats.Duplicated++
-	}
-	for ; n > 0; n-- {
+		msg.Body = replica(msg.Body)
 		t.inner.Send(msg)
 	}
+}
+
+// replica returns a body for a duplicate of a message carrying p. A
+// pointer body belongs to the endpoint it is delivered to, which may
+// recycle it, so the duplicate gets its own copy; a token's copy
+// shares its slices, which no endpoint writes in place. Value payloads
+// are copies already.
+func replica(p wire.Payload) wire.Payload {
+	switch b := p.(type) {
+	case wire.TokenMsg:
+		if b.Tok != nil {
+			return wire.TokenMsg{Tok: copyOf(b.Tok)}
+		}
+	case *wire.Notify:
+		return copyOf(b)
+	case *wire.NotifyAck:
+		return copyOf(b)
+	case *wire.PassAck:
+		return copyOf(b)
+	case *wire.HolderAck:
+		return copyOf(b)
+	}
+	return p
+}
+
+func copyOf[T any](b *T) *T {
+	c := *b
+	return &c
 }
 
 // corrupt round-trips msg through the wire codec with one byte

@@ -86,6 +86,9 @@ func TestLiveClockStaleHandle(t *testing.T) {
 	}
 }
 
+// TestLiveTicker: a ticker fires again and again until stopped, and
+// never after Stop. It waits for the second fire rather than sleeping a
+// fixed time, which a loaded machine can outlast with one fire.
 func TestLiveTicker(t *testing.T) {
 	rt := newTestLive(t)
 	var fires atomic.Int64
@@ -93,7 +96,13 @@ func TestLiveTicker(t *testing.T) {
 	rt.Do(func() {
 		tick = rt.Clock().Every(500*time.Microsecond, func() { fires.Add(1) })
 	})
-	time.Sleep(10 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for fires.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ticker fired %d times in 10 s, want >= 2", fires.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	rt.Do(func() { tick.Stop() })
 	rt.Run()
 	got := fires.Load()

@@ -179,10 +179,11 @@ func (n *Network) endpoint(id ids.NodeID) (runtime.Endpoint, bool) {
 }
 
 // entity returns the slot of an AP, AG or BR id, or nil for a mobile
-// host's id or an ordinal its tier's slice does not reach.
+// host's id or an ordinal its tier's slice does not reach (a corrupted
+// frame can name ordinal -1).
 func (n *Network) entity(id ids.NodeID) *entity {
 	if t := id.Tier(); t != ids.TierMH {
-		if es, o := n.entities[t-1], id.Ordinal(); o < len(es) {
+		if es, o := n.entities[t-1], id.Ordinal(); o >= 0 && o < len(es) {
 			return &es[o]
 		}
 	}

@@ -45,10 +45,18 @@ func (d Direction) String() string {
 
 // Token is the circulating object of the one-round algorithm.
 //
-// The two one-byte fields sit beside GID, in the word GID leaves
-// half empty, and a ring.ID is 8 bytes, so a token is 120 bytes and
-// takes the 128-byte size class. The codec writes each field by name,
-// so the order here is not the wire order.
+// A token has one owner at a time: the entity executing it, then the
+// pass carrying it, then the successor it is delivered to, until it
+// comes full circle and its holder, the final consumer, lets it go. An
+// entity that passes a token keeps a value copy for retransmission and
+// never touches the token it sent again; a copy shares its slices with
+// the token, which is why no code writes Ops, Route or Contributors in
+// place.
+//
+// The two one-byte fields and Hops sit beside GID, in the word GID
+// leaves half empty, and a ring.ID is 8 bytes, so a token is 112 bytes
+// and takes the 112-byte size class. The codec writes each field by
+// name, so the order here is not the wire order.
 type Token struct {
 	GID ids.GroupID // group the token serves
 
@@ -98,9 +106,10 @@ type Token struct {
 	Contributors []ids.NodeID
 }
 
-// Fresh creates the round's token at the given holder.
-func Fresh(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) *Token {
-	return &Token{
+// Reset makes t the token of a new round at the given holder, clearing
+// whatever a previous round left in it.
+func (t *Token) Reset(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) {
+	*t = Token{
 		GID:    gid,
 		Ring:   ringID,
 		Holder: holder,

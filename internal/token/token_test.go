@@ -10,11 +10,20 @@ import (
 	"github.com/rgbproto/rgb/internal/ring"
 )
 
+// fresh returns a new token of the given round.
+func fresh(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) *Token {
+	t := new(Token)
+	t.Reset(gid, ringID, holder, round, ops, dir, source)
+	return t
+}
+
 func TestFreshAndFold(t *testing.T) {
 	holder := ids.MakeNodeID(ids.TierAP, 0)
-	tok := Fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP, Index: 0}, holder, 3, nil, FromLocal, ring.ID{})
-	if len(tok.Ops) != 0 {
-		t.Fatal("fresh empty token should not carry ops")
+	// A reused token starts the new round with nothing of the old one.
+	tok := &Token{Hops: 4, Repaired: true, Ops: mq.Batch{{Op: mq.OpMemberJoin}}, Route: []ids.NodeID{holder}, Contributors: []ids.NodeID{holder}}
+	tok.Reset(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP, Index: 0}, holder, 3, nil, FromLocal, ring.ID{})
+	if len(tok.Ops) != 0 || tok.Route != nil || tok.Contributors != nil || tok.Hops != 0 || tok.Repaired {
+		t.Fatalf("a reset token keeps its last round: %+v", tok)
 	}
 	if tok.Holder != holder || tok.Round != 3 {
 		t.Fatal("token fields wrong")
@@ -49,7 +58,7 @@ func TestFreshAndFold(t *testing.T) {
 // the original as it was.
 func TestCloneSharesNothing(t *testing.T) {
 	a, b := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1)
-	tok := Fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP}, a, 3, mq.Batch{{Op: mq.OpMemberJoin}}, FromLocal, ring.ID{})
+	tok := fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP}, a, 3, mq.Batch{{Op: mq.OpMemberJoin}}, FromLocal, ring.ID{})
 	tok.Route = []ids.NodeID{a, b}
 	tok.Contributors = []ids.NodeID{a}
 	c := tok.Clone()
@@ -65,8 +74,8 @@ func TestCloneSharesNothing(t *testing.T) {
 	}
 }
 
-// TestTokenSize: every round allocates one token, so its size class
-// is the round's allocation. 112 bytes is the 112-byte class; an int
+// TestTokenSize: a token pass keeps a copy of the token, so its size is
+// what every pass holds. 112 bytes is the 112-byte class; an int
 // Hops makes it 120, in the 128-byte class, and a ring.ID with a 64-bit
 // index 136, in the 144-byte class.
 func TestTokenSize(t *testing.T) {
@@ -103,7 +112,7 @@ func TestDirectionString(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	tok := Fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAG, Index: 2},
+	tok := fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAG, Index: 2},
 		ids.MakeNodeID(ids.TierAG, 5), 1, nil, FromChild, ring.ID{Tier: ids.TierAP, Index: 7})
 	if tok.String() == "" {
 		t.Error("empty String")

@@ -624,7 +624,7 @@ func decodeMemberChange(r *reader) Payload {
 }
 
 // AppendTo implements Payload.
-func (m Notify) AppendTo(b []byte) []byte {
+func (m *Notify) AppendTo(b []byte) []byte {
 	b = appendBatch(b, m.Batch)
 	b = appendRingID(b, m.From)
 	b = appendBool(b, m.Up)
@@ -634,7 +634,7 @@ func (m Notify) AppendTo(b []byte) []byte {
 }
 
 func decodeNotify(r *reader) Payload {
-	return Notify{
+	return &Notify{
 		Batch:        r.batch(),
 		From:         r.ringID(),
 		Up:           r.boolean(),
@@ -645,29 +645,29 @@ func decodeNotify(r *reader) Payload {
 }
 
 // AppendTo implements Payload.
-func (m NotifyAck) AppendTo(b []byte) []byte { return appendU64(b, m.Seq) }
+func (m *NotifyAck) AppendTo(b []byte) []byte { return appendU64(b, m.Seq) }
 
-func decodeNotifyAck(r *reader) Payload { return NotifyAck{Seq: r.u64()} }
+func decodeNotifyAck(r *reader) Payload { return &NotifyAck{Seq: r.u64()} }
 
 // AppendTo implements Payload.
-func (m PassAck) AppendTo(b []byte) []byte {
+func (m *PassAck) AppendTo(b []byte) []byte {
 	b = appendU64(b, uint64(m.Holder))
 	return appendU64(b, m.Round)
 }
 
 func decodePassAck(r *reader) Payload {
-	return PassAck{Holder: r.nodeID(), Round: r.u64()}
+	return &PassAck{Holder: r.nodeID(), Round: r.u64()}
 }
 
 // AppendTo implements Payload.
-func (m HolderAck) AppendTo(b []byte) []byte {
+func (m *HolderAck) AppendTo(b []byte) []byte {
 	b = appendRingID(b, m.Ring)
 	b = appendU64(b, m.Round)
 	return appendU32(b, uint32(m.Count))
 }
 
 func decodeHolderAck(r *reader) Payload {
-	return HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
+	return &HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
 }
 
 // AppendTo implements Payload.

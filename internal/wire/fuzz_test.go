@@ -172,7 +172,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// whole, cut between the two words, and with the 13-byte body it had
 	// when it carried a ring.ID (u8+u32) instead of the holder: a
 	// straggler in that layout must read as a truncation.
-	ack := AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: PassAck{Holder: ap(4), Round: 1 << 40}})
+	ack := AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: &PassAck{Holder: ap(4), Round: 1 << 40}})
 	f.Add(ack)
 	f.Add(append([]byte(nil), ack[:len(ack)-8]...))
 	old := append([]byte(nil), ack[:len(ack)-3]...)
@@ -221,7 +221,7 @@ func FuzzDatagramFrames(f *testing.F) {
 	}
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	probe := frame(Probe{Seq: 3})
-	ack := frame(PassAck{Holder: ap(2), Round: 7})
+	ack := frame(&PassAck{Holder: ap(2), Round: 7})
 	reply := frame(QueryReply{ID: 5, Members: []ids.MemberInfo{sampleMember(0), sampleMember(1)}})
 	tok := frame(TokenMsg{Tok: sampleToken()})
 
@@ -301,7 +301,7 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 	members := []ids.MemberInfo{sampleMember(0), sampleMember(1), sampleMember(2)}
 	reply := frame(QueryReply{ID: 3, From: ring.ID{Tier: ids.TierAP, Index: 2}, Members: members})
 	f.Add(bump(reply, len(reply)-len(members)*memberInfoSize-4))
-	f.Add(bump(frame(Notify{Batch: mq.Batch{sampleChange(1), sampleChange(2)}, Seq: 4}), body))
+	f.Add(bump(frame(&Notify{Batch: mq.Batch{sampleChange(1), sampleChange(2)}, Seq: 4}), body))
 	tombs := []Tombstone{{GUID: 5, Ver: 65535}, {GUID: 6, Ver: 0}}
 	snap := frame(Snapshot{Roster: []ids.NodeID{ap(0), ap(1)}, Leader: ap(0), Members: members, Tombstones: tombs})
 	f.Add(bump(snap, body))

@@ -71,6 +71,43 @@ func refAppendTombstones(b []byte, s []Tombstone) []byte {
 	return b
 }
 
+// refAppendRoundBody is the per-field encoding of the five bodies a ring
+// round sends, written from the value payloads' AppendTo methods.
+func refAppendRoundBody(b []byte, p Payload) []byte {
+	switch m := p.(type) {
+	case TokenMsg:
+		t := m.Tok
+		b = appendU32(b, uint32(t.GID))
+		b = appendRingID(b, t.Ring)
+		b = appendU64(b, uint64(t.Holder))
+		b = appendU64(b, t.Round)
+		b = append(b, byte(t.Dir))
+		b = appendRingID(b, t.Source)
+		b = appendU32(b, uint32(t.Hops))
+		b = appendBool(b, t.Repaired)
+		b = refAppendBatch(b, t.Ops)
+		b = refAppendNodeIDs(b, t.Route)
+		return refAppendNodeIDs(b, t.Contributors)
+	case *Notify:
+		b = refAppendBatch(b, m.Batch)
+		b = appendRingID(b, m.From)
+		b = appendBool(b, m.Up)
+		b = appendBool(b, m.LeaderUpdate)
+		b = appendU64(b, uint64(m.NewLeader))
+		return appendU64(b, m.Seq)
+	case *NotifyAck:
+		return appendU64(b, m.Seq)
+	case *PassAck:
+		b = appendU64(b, uint64(m.Holder))
+		return appendU64(b, m.Round)
+	case *HolderAck:
+		b = appendRingID(b, m.Ring)
+		b = appendU64(b, m.Round)
+		return appendU32(b, uint32(m.Count))
+	}
+	panic("not a round body")
+}
+
 // --- Per-field decoder --------------------------------------------------
 
 // refDecodeFrame is DecodeFrame over the per-field reader.
@@ -330,7 +367,7 @@ func refDecodeMemberChange(r *refReader) Payload {
 }
 
 func refDecodeNotify(r *refReader) Payload {
-	return Notify{
+	return &Notify{
 		Batch:        r.batch(),
 		From:         r.ringID(),
 		Up:           r.boolean(),
@@ -340,14 +377,14 @@ func refDecodeNotify(r *refReader) Payload {
 	}
 }
 
-func refDecodeNotifyAck(r *refReader) Payload { return NotifyAck{Seq: r.u64()} }
+func refDecodeNotifyAck(r *refReader) Payload { return &NotifyAck{Seq: r.u64()} }
 
 func refDecodePassAck(r *refReader) Payload {
-	return PassAck{Holder: r.nodeID(), Round: r.u64()}
+	return &PassAck{Holder: r.nodeID(), Round: r.u64()}
 }
 
 func refDecodeHolderAck(r *refReader) Payload {
-	return HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
+	return &HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
 }
 
 func refDecodeJoinRequest(r *refReader) Payload { return JoinRequest{Node: r.nodeID()} }

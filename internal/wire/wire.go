@@ -133,6 +133,12 @@ type MemberChange struct {
 // Notification-to-Parent (Up=true, From = notifying ring) or down as
 // Notification-to-Child. LeaderUpdate announces a leader change to the
 // parent so the parent can fix its Child pointer.
+//
+// Notify and the three acknowledgements below are pointer payloads: a
+// *Notify, *NotifyAck, *PassAck or *HolderAck is the body of one
+// message, owned by its sender until Send and by its receiver after,
+// so an engine can recycle it once handled. Batch is shared, never
+// written: it outlives the struct.
 type Notify struct {
 	Batch        mq.Batch
 	From         ring.ID
@@ -280,10 +286,10 @@ type PeerList struct {
 // PayloadKind implementations.
 func (TokenMsg) PayloadKind() PayloadKind     { return KindTokenMsg }
 func (MemberChange) PayloadKind() PayloadKind { return KindMemberChange }
-func (Notify) PayloadKind() PayloadKind       { return KindNotify }
-func (NotifyAck) PayloadKind() PayloadKind    { return KindNotifyAck }
-func (PassAck) PayloadKind() PayloadKind      { return KindPassAck }
-func (HolderAck) PayloadKind() PayloadKind    { return KindHolderAck }
+func (*Notify) PayloadKind() PayloadKind      { return KindNotify }
+func (*NotifyAck) PayloadKind() PayloadKind   { return KindNotifyAck }
+func (*PassAck) PayloadKind() PayloadKind     { return KindPassAck }
+func (*HolderAck) PayloadKind() PayloadKind   { return KindHolderAck }
 func (JoinRequest) PayloadKind() PayloadKind  { return KindJoinRequest }
 func (Snapshot) PayloadKind() PayloadKind     { return KindSnapshot }
 func (MergeRequest) PayloadKind() PayloadKind { return KindMergeRequest }
@@ -296,10 +302,10 @@ func (PeerList) PayloadKind() PayloadKind     { return KindPeerList }
 
 func (TokenMsg) sealed()     {}
 func (MemberChange) sealed() {}
-func (Notify) sealed()       {}
-func (NotifyAck) sealed()    {}
-func (PassAck) sealed()      {}
-func (HolderAck) sealed()    {}
+func (*Notify) sealed()      {}
+func (*NotifyAck) sealed()   {}
+func (*PassAck) sealed()     {}
+func (*HolderAck) sealed()   {}
 func (JoinRequest) sealed()  {}
 func (Snapshot) sealed()     {}
 func (MergeRequest) sealed() {}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -59,7 +60,7 @@ func samplePayloads() []Payload {
 	return []Payload{
 		TokenMsg{Tok: sampleToken()},
 		MemberChange{Op: mq.OpMemberHandoff, Member: sampleMember(2)},
-		Notify{
+		&Notify{
 			Batch:        mq.Batch{sampleChange(2)},
 			From:         ring.ID{Tier: ids.TierAP, Index: 9},
 			Up:           true,
@@ -67,9 +68,9 @@ func samplePayloads() []Payload {
 			NewLeader:    ap(4),
 			Seq:          12,
 		},
-		NotifyAck{Seq: 12},
-		PassAck{Holder: ap(3), Round: 3},
-		HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 8, Count: 2},
+		&NotifyAck{Seq: 12},
+		&PassAck{Holder: ap(3), Round: 3},
+		&HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 8, Count: 2},
 		JoinRequest{Node: ap(5)},
 		Snapshot{
 			Roster:     []ids.NodeID{ap(0), ap(1)},
@@ -369,8 +370,9 @@ func TestHostileLengthDoesNotAllocate(t *testing.T) {
 }
 
 // TestBulkEncodersMatchPerField: the list sections written as records
-// in place are the bytes the per-field encoders wrote, appended after
-// whatever the buffer held.
+// in place, and the round bodies written through pointer payloads, are
+// the bytes the per-field encoders wrote, appended after whatever the
+// buffer held.
 func TestBulkEncodersMatchPerField(t *testing.T) {
 	members := make([]ids.MemberInfo, 300)
 	for i := range members {
@@ -389,10 +391,11 @@ func TestBulkEncodersMatchPerField(t *testing.T) {
 		roster = append(roster, ids.MakeNodeID(ids.TierAG, i))
 	}
 	prefix := []byte{1, 2, 3}
-	for _, tc := range []struct {
+	type bulkCase struct {
 		name      string
 		bulk, ref func([]byte) []byte
-	}{
+	}
+	cases := []bulkCase{
 		{"members", func(b []byte) []byte { return appendMembers(b, members) }, func(b []byte) []byte { return refAppendMembers(b, members) }},
 		{"no members", func(b []byte) []byte { return appendMembers(b, nil) }, func(b []byte) []byte { return refAppendMembers(b, nil) }},
 		{"member", func(b []byte) []byte { return appendMemberInfo(b, members[7]) }, func(b []byte) []byte { return refAppendMemberInfo(b, members[7]) }},
@@ -400,13 +403,59 @@ func TestBulkEncodersMatchPerField(t *testing.T) {
 		{"change", func(b []byte) []byte { return appendChange(b, batch[3]) }, func(b []byte) []byte { return refAppendChange(b, batch[3]) }},
 		{"tombstones", func(b []byte) []byte { return appendTombstones(b, tombs) }, func(b []byte) []byte { return refAppendTombstones(b, tombs) }},
 		{"node ids", func(b []byte) []byte { return appendNodeIDs(b, roster) }, func(b []byte) []byte { return refAppendNodeIDs(b, roster) }},
-	} {
+	}
+	for _, p := range roundBodies() {
+		cases = append(cases, bulkCase{p.PayloadKind().String(), p.AppendTo, func(b []byte) []byte { return refAppendRoundBody(b, p) }})
+	}
+	for _, tc := range cases {
 		// Into a buffer that must grow and into one with room to spare.
 		for _, room := range []int{0, 1 << 16} {
 			want := tc.ref(append(make([]byte, 0, room), prefix...))
 			if got := tc.bulk(append(make([]byte, 0, room), prefix...)); !bytes.Equal(got, want) {
 				t.Fatalf("%s into a %d-byte buffer:\n got %x\nwant %x", tc.name, room, got, want)
 			}
+		}
+	}
+}
+
+// roundBodies are the five bodies a ring round sends, each with fields
+// that no other field's bytes could stand in for.
+func roundBodies() []Payload {
+	return []Payload{
+		TokenMsg{Tok: sampleToken()},
+		&Notify{Batch: mq.Batch{sampleChange(1), sampleChange(2)}, From: ring.ID{Tier: ids.TierAG, Index: 2}, Up: true, NewLeader: ap(6), Seq: 17},
+		&PassAck{Holder: ap(4), Round: 1<<40 | 9},
+		&HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 3}, Round: 21, Count: 4},
+		&NotifyAck{Seq: 17},
+	}
+}
+
+// roundBodyFrames are the frames of roundBodies, pinned when Notify and
+// the three acknowledgements were value payloads: a pointer payload
+// encodes to the very same bytes.
+var roundBodyFrames = map[PayloadKind]string{
+	KindTokenMsg:  "524705020802000000000000400300000000000040030000e001c8000000070000e001040000000200000000000040630000000000000001020200000005000000010200000001070000e0640000000000000001000000010000000000004000feff040000000000004001000000000000408403000000000000010000000000000001070000e0650000000000000002000000020000000000004000ffff050000000000004001000000000000408503000000000000020000000000000003000000020000000000004003000000000000400400000000000040010000000300000000000040",
+	KindNotify:    "524705020802000000000000400300000000000040030000e003930000000200000001070000e0650000000000000002000000020000000000004000ffff050000000000004001000000000000408503000000000000020000000000000001070000e0660000000000000003000000030000000000004000000006000000000000400100000000000040860300000000000003000000000000000202000000010007000000000000401100000000000000",
+	KindPassAck:   "524705020802000000000000400300000000000040030000e0051000000005000000000000400900000000010000",
+	KindHolderAck: "524705020802000000000000400300000000000040030000e006110000000103000000150000000000000004000000",
+	KindNotifyAck: "524705020802000000000000400300000000000040030000e004080000001100000000000000",
+}
+
+// TestRoundBodyFramesGolden: a frame of each round body is byte for byte
+// the frame the value payloads encoded to, and decodes back to it, so
+// processes of either build read each other's rounds.
+func TestRoundBodyFramesGolden(t *testing.T) {
+	for _, p := range roundBodies() {
+		b := AppendFrame(nil, Frame{From: ap(1), To: ap(2), Group: ids.NewGroupID(3), Class: 2, TTL: 8, Payload: p})
+		if got, want := hex.EncodeToString(b), roundBodyFrames[p.PayloadKind()]; got != want {
+			t.Errorf("%s frame:\n got %s\nwant %s", p.PayloadKind(), got, want)
+		}
+		f, err := DecodeFrame(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", p.PayloadKind(), err)
+		}
+		if !reflect.DeepEqual(f.Payload, p) {
+			t.Errorf("%s: decoded %#v, want %#v", p.PayloadKind(), f.Payload, p)
 		}
 	}
 }

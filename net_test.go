@@ -561,7 +561,7 @@ func TestCollapsedEndpointSink(t *testing.T) {
 		if m, ok := sys.Member(g); ok {
 			t.Errorf("the record of %s outlives its committed leave: %+v", g, m.MemberInfo)
 		}
-		sys.Transport().Send(runtime.Message{From: ap, To: node, Kind: runtime.KindAck, Body: wire.HolderAck{Round: 1, Count: 1}})
+		sys.Transport().Send(runtime.Message{From: ap, To: node, Kind: runtime.KindAck, Body: &wire.HolderAck{Round: 1, Count: 1}})
 	})
 	settle(nil)
 	after, net1 := svc.Stats(), mustNetStats(t, c)
