@@ -63,16 +63,18 @@ func TestRecycleGuard(t *testing.T) {
 }
 
 // faultedScriptMembers is where the faulted trace-digest script ends at
-// each seed: the membership the build with value payloads reached. The
-// script's own end is GUIDs 7–20 and 100; a corrupted frame that still
-// decodes is taken as valid (a member record with a flipped GUID or
-// version, a leave that never lands), so most seeds end elsewhere.
+// each seed. The script's own end is GUIDs 7–20 and 100; a corrupted
+// frame that still decodes is taken as valid (a member record with a
+// flipped GUID or version, a leave that never lands), so most seeds end
+// elsewhere. A corrupted token whose holder is not on its route is
+// dropped unacknowledged and its pass resent intact, which moved the
+// ends of seeds 41–44 from those the build with value payloads reached.
 var faultedScriptMembers = map[uint64][]ids.GUID{
 	40: {7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 100},
-	41: {2, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 100, 61643019899633678},
-	42: {1, 2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 65},
-	43: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
-	44: {6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 100},
+	41: {7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 100, 61643019899633678},
+	42: {7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 100},
+	43: {6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 100},
+	44: {1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 100},
 }
 
 // TestFaultedTraceScriptWithGuard runs the trace-digest script
@@ -84,48 +86,86 @@ var faultedScriptMembers = map[uint64][]ids.GUID{
 func TestFaultedTraceScriptWithGuard(t *testing.T) {
 	for _, seed := range slices.Sorted(maps.Keys(faultedScriptMembers)) {
 		want := faultedScriptMembers[seed]
-		cfg := DefaultConfig(3, 5)
-		cfg.Seed = seed
-		cfg.Latency = runtime.DefaultTierLatency()
-		sim := simnet.NewSimRuntime(cfg.Latency, cfg.Seed)
-		sim.Net().SetLoss(0.01)
-		rt := runtime.WithFaultInjection(sim, runtime.FaultPlan{Seed: seed, Duplicate: 0.01, Reorder: 0.01, Corrupt: 0.01, Misroute: 0.01})
-		sys := NewSystemOn(cfg, rt)
-
-		aps := sys.APs()
-		for i := 0; i < 20; i++ {
-			sys.JoinMemberAt(ids.GUID(i+1), aps[(i*7)%len(aps)])
-		}
-		sys.Run()
-		for i := 0; i < 10; i++ {
-			sys.HandoffMember(ids.GUID(i+1), aps[(i*11+3)%len(aps)])
-		}
-		sys.Run()
-		for i := 0; i < 5; i++ {
-			sys.LeaveMember(ids.GUID(i + 1))
-		}
-		sys.FailMember(ids.GUID(6))
-		sys.Run()
-		victim := sys.Node(aps[0]).Roster()[2]
-		sys.CrashNE(victim)
-		sys.JoinMemberAt(ids.GUID(100), aps[0])
-		sys.Run()
-		sys.RestoreNE(victim)
-		sys.Run()
-		sys.RunFor(5 * time.Second)
-
-		fs := rt.Transport().(*runtime.FaultTransport).FaultStats()
+		got, fs := runFaultedScript(seed)
 		if fs.Duplicated == 0 || fs.Reordered == 0 || fs.Corrupted == 0 || fs.Misrouted == 0 {
 			t.Errorf("seed %d: a fault never fired: %+v", seed, fs)
 		}
-		var got []ids.GUID
-		for _, m := range sys.GlobalMembership() {
-			got = append(got, m.GUID)
-		}
-		if slices.Sort(got); !slices.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Errorf("seed %d: the script ended on %v, want %v", seed, got, want)
 		}
 	}
+}
+
+// TestFaultedTraceScriptSeedSweep: the faulted script finishes at every
+// seed from 40 to 60. At seed 56 a corrupted token named a holder that
+// was not on its route, so no entity ever closed its round and it went
+// round its ring for good; such a token is now dropped unacknowledged,
+// like one of another ring. The sweep takes well under a second.
+func TestFaultedTraceScriptSeedSweep(t *testing.T) {
+	const bound = time.Minute
+	done := make(chan uint64)
+	go func() {
+		for seed := uint64(40); seed <= 60; seed++ {
+			runFaultedScript(seed)
+			done <- seed
+		}
+		close(done)
+	}()
+	timeout := time.After(bound)
+	last := uint64(39)
+	for {
+		select {
+		case seed, ok := <-done:
+			if !ok {
+				return
+			}
+			last = seed
+		case <-timeout:
+			t.Fatalf("the faulted script did not finish seed %d within %v of the sweep's start", last+1, bound)
+		}
+	}
+}
+
+// runFaultedScript runs the trace-digest script under every
+// FaultTransport fault at the given seed and returns the GUIDs of its
+// end membership, sorted, and the faults that fired.
+func runFaultedScript(seed uint64) ([]ids.GUID, runtime.FaultStats) {
+	cfg := DefaultConfig(3, 5)
+	cfg.Seed = seed
+	cfg.Latency = runtime.DefaultTierLatency()
+	sim := simnet.NewSimRuntime(cfg.Latency, cfg.Seed)
+	sim.Net().SetLoss(0.01)
+	rt := runtime.WithFaultInjection(sim, runtime.FaultPlan{Seed: seed, Duplicate: 0.01, Reorder: 0.01, Corrupt: 0.01, Misroute: 0.01})
+	sys := NewSystemOn(cfg, rt)
+
+	aps := sys.APs()
+	for i := 0; i < 20; i++ {
+		sys.JoinMemberAt(ids.GUID(i+1), aps[(i*7)%len(aps)])
+	}
+	sys.Run()
+	for i := 0; i < 10; i++ {
+		sys.HandoffMember(ids.GUID(i+1), aps[(i*11+3)%len(aps)])
+	}
+	sys.Run()
+	for i := 0; i < 5; i++ {
+		sys.LeaveMember(ids.GUID(i + 1))
+	}
+	sys.FailMember(ids.GUID(6))
+	sys.Run()
+	victim := sys.Node(aps[0]).Roster()[2]
+	sys.CrashNE(victim)
+	sys.JoinMemberAt(ids.GUID(100), aps[0])
+	sys.Run()
+	sys.RestoreNE(victim)
+	sys.Run()
+	sys.RunFor(5 * time.Second)
+
+	var got []ids.GUID
+	for _, m := range sys.GlobalMembership() {
+		got = append(got, m.GUID)
+	}
+	slices.Sort(got)
+	return got, rt.Transport().(*runtime.FaultTransport).FaultStats()
 }
 
 // roundCycleAllocBudget is what a warm join, handoff and leave of one

@@ -372,10 +372,13 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 	if tok == nil {
 		return
 	}
-	if tok.Ring != n.ringID {
+	if tok.Ring != n.ringID || !slices.Contains(tok.Route, tok.Holder) {
 		// A misrouted or corrupted token from another ring must not be
 		// acknowledged (the real successor's timer should still fire)
-		// and must never execute here.
+		// and must never execute here. Nor may one whose holder is not
+		// on its route: a holder starts every round on its own
+		// itinerary, so no entity would ever close such a round, and
+		// the token would circulate for good.
 		n.sys.free.tokens.put(tok)
 		return
 	}
