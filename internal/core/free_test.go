@@ -17,49 +17,13 @@ import (
 
 // Every test of this package runs with the recycle guard on: a body
 // handed back is poisoned, and one handed back twice panics.
-func init() { recycleGuard = true }
+func init() { wire.RecycleGuard.Store(true) }
 
 // freshToken returns a new token of the given round, owned by the test.
 func freshToken(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir token.Direction, source ring.ID) *token.Token {
 	t := new(token.Token)
 	t.Reset(gid, ringID, holder, round, ops, dir, source)
 	return t
-}
-
-// TestRecycleGuard: under the guard a handed-back body reads as no
-// round of any ring, a body handed back twice panics, and take hands
-// out what put kept, newest first.
-func TestRecycleGuard(t *testing.T) {
-	free := newBodies(1)
-	tok := freshToken(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP}, ids.MakeNodeID(ids.TierAP, 0), 3,
-		mq.Batch{{Op: mq.OpMemberJoin}}, token.FromLocal, ring.ID{})
-	tok.Route = []ids.NodeID{tok.Holder}
-	free.recycle(wire.TokenMsg{Tok: tok})
-	if tok.Ring != poisonRing || tok.Holder != poisonNode || tok.Round != poisonRound || tok.Ops != nil || tok.Route != nil {
-		t.Fatalf("a handed-back token was not poisoned: %+v", tok)
-	}
-	n := &wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin}}, Up: true, Seq: 4}
-	free.recycle(n)
-	if n.Batch != nil || n.Seq != poisonRound || n.From != poisonRing {
-		t.Fatalf("a handed-back notification was not poisoned: %+v", n)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("a notification handed back twice did not panic")
-			}
-		}()
-		free.recycle(n)
-	}()
-	if free.notifies.take() != n || free.tokens.take() != tok {
-		t.Error("take did not hand out the bodies put kept")
-	}
-	for range bodyFreeMin + 3 {
-		free.passAcks.put(new(wire.PassAck))
-	}
-	if len(free.passAcks.free) != bodyFreeMin {
-		t.Errorf("a free list of a one-ring System keeps %d bodies, bound %d", len(free.passAcks.free), bodyFreeMin)
-	}
 }
 
 // faultedScriptMembers is where the faulted trace-digest script ends at

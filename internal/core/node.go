@@ -263,7 +263,7 @@ func (n *Node) HandleMessage(msg runtime.Message) {
 	default:
 		panic(fmt.Sprintf("core: %s got unknown message %T", n.id, msg.Body))
 	}
-	n.sys.free.recycle(msg.Body)
+	n.sys.free.Recycle(msg.Body)
 }
 
 // receiveMemberMsg queues an MH-observed membership change
@@ -301,7 +301,7 @@ func (n *Node) nextSeq() uint64 {
 // Contributors and completeRound acknowledges it instead.
 func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, forwarder ids.NodeID) {
 	n.roundSeq++
-	tok := n.sys.free.tokens.take()
+	tok := n.sys.free.Tokens.Take()
 	tok.Reset(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
 	if len(extra) > 0 && !forwarder.IsZero() {
 		tok.Contributors = n.forwardedBy(forwarder)
@@ -379,11 +379,11 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 		// on its route: a holder starts every round on its own
 		// itinerary, so no entity would ever close such a round, and
 		// the token would circulate for good.
-		n.sys.free.tokens.put(tok)
+		n.sys.free.Tokens.Put(tok)
 		return
 	}
 	// Acknowledge the pass so the sender's retransmission timer stops.
-	ack := n.sys.free.passAcks.take()
+	ack := n.sys.free.PassAcks.Take()
 	*ack = wire.PassAck{Holder: tok.Holder, Round: tok.Round}
 	n.sys.send(n.id, from, runtime.KindControl, ack)
 	n.sys.noteTokenSeen(n.ring)
@@ -391,7 +391,7 @@ func (n *Node) receiveToken(tok *token.Token, from ids.NodeID) {
 	// Retransmission can deliver the same token twice (the first copy
 	// arrived but its acknowledgement was lost); execute only once.
 	if tok.Holder == n.lastTokHolder && tok.Round == n.lastTokRound {
-		n.sys.free.tokens.put(tok)
+		n.sys.free.Tokens.Put(tok)
 		return
 	}
 	n.lastTokHolder, n.lastTokRound = tok.Holder, tok.Round
@@ -635,13 +635,13 @@ func (n *Node) completeRound(tok *token.Token) {
 	}
 	for _, a := range to {
 		if a != n.id {
-			ack := n.sys.free.holderAcks.take()
+			ack := n.sys.free.HolderAcks.Take()
 			*ack = wire.HolderAck{Ring: n.ringID, Round: tok.Round, Count: len(tok.Ops)}
 			n.sys.send(n.id, a, runtime.KindAck, ack)
 		}
 	}
 	n.sys.roundDone(n, tok, tok.Repaired)
-	n.sys.free.tokens.put(tok)
+	n.sys.free.Tokens.Put(tok)
 }
 
 // receiveNotify handles Notification-to-Parent / Notification-to-Child.
@@ -653,7 +653,7 @@ func (n *Node) receiveNotify(m *wire.Notify, from ids.NodeID) {
 	if n.sys.neStale(n.id) && !m.LeaderUpdate {
 		return
 	}
-	ack := n.sys.free.notifyAcks.take()
+	ack := n.sys.free.NotifyAcks.Take()
 	*ack = wire.NotifyAck{Seq: m.Seq}
 	n.sys.send(n.id, from, runtime.KindControl, ack)
 	switch {

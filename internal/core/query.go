@@ -120,7 +120,7 @@ type queryApp struct {
 func (a *queryApp) HandleMessage(msg runtime.Message) {
 	rep, ok := msg.Body.(wire.QueryReply)
 	if !ok {
-		a.sys.free.recycle(msg.Body)
+		a.sys.free.Recycle(msg.Body)
 		return
 	}
 	if rep.ID != a.id || a.done || !a.col.add(rep) {

@@ -18,10 +18,11 @@ import (
 // evict and reroute for a token pass, owe the batch to the link for a
 // notification — stays with the owner, which learns of it from retry.
 //
-// A body sent belongs to its receiver, which hands it back once handled
-// (free.go), so a resend keeps the message by value, msg: a token pass
-// its token, a notification its Notify. Every retransmission sends a
-// fresh body built from msg, and what msg's slices share with the body
+// A body sent belongs to its receiver, which hands it back once handled,
+// or to the networked transport that encodes it for another process
+// (wire.Bodies), so a resend keeps the message by value, msg: a token
+// pass its token, a notification its Notify. Every retransmission sends
+// a fresh body built from msg, and what msg's slices share with the body
 // sent is never written in place at either end.
 //
 // A Node embeds one by value for its token pass, so arming a pass
@@ -85,7 +86,7 @@ func (r *resend[T]) start(to ids.NodeID, msg T, body wire.Payload) {
 	r.stop()
 	r.to, r.msg, r.live = to, msg, true
 	if body == nil {
-		body = r.n.sys.free.copyOf(&r.msg)
+		body = r.body()
 	}
 	r.transmit(body)
 }
@@ -97,8 +98,19 @@ func (r *resend[T]) retry() bool {
 		return false
 	}
 	r.retries++
-	r.transmit(r.n.sys.free.copyOf(&r.msg))
+	r.transmit(r.body())
 	return true
+}
+
+// body returns a body off the System's free lists carrying msg.
+func (r *resend[T]) body() wire.Payload {
+	switch m := any(&r.msg).(type) {
+	case *token.Token:
+		return r.n.sys.free.Adopt(wire.TokenMsg{Tok: m})
+	case *wire.Notify:
+		return r.n.sys.free.Adopt(m)
+	}
+	panic("unreachable: a resend carries a token or a notification")
 }
 
 func (r *resend[T]) transmit(body wire.Payload) {

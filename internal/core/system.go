@@ -47,7 +47,7 @@ func (m *Member) HandleMessage(msg runtime.Message) {
 		m.acks++
 		m.ackedAt = m.sys.clock.Now()
 	}
-	m.sys.free.recycle(msg.Body)
+	m.sys.free.Recycle(msg.Body)
 }
 
 // leftMH is what a System keeps of a member whose departure committed
@@ -160,9 +160,10 @@ type System struct {
 
 	rings map[ring.ID]*ringState
 
-	// free holds the round bodies handed back by their receivers here,
-	// for the next sends (free.go).
-	free bodies
+	// free holds the round bodies handed back here by their receivers,
+	// and by a networked transport once it encoded them, for the next
+	// sends (wire.Bodies). The System lends it to such a transport.
+	free wire.Bodies
 
 	mhOrdinal int
 	luidSeq   map[ids.NodeID]uint32
@@ -229,7 +230,10 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 		rings:   make(map[ring.ID]*ringState, len(allRings)),
 		luidSeq: make(map[ids.NodeID]uint32),
 		staleNE: make(map[ids.NodeID]bool),
-		free:    newBodies(len(allRings)),
+		free:    wire.NewBodies(len(allRings)),
+	}
+	if r, ok := s.tr.(runtime.BodyRecycler); ok {
+		r.LendBodies(&s.free)
 	}
 	if s.stabilityOn() {
 		s.suspects = make(map[ids.NodeID]*suspicion)

@@ -262,7 +262,7 @@ func (s *netSock) readLoop(closed <-chan struct{}, resolve func(wire.Frame, neti
 // frame does not decode. Read goroutine.
 func (s *netSock) hand(b []byte, src netip.AddrPort, resolve func(wire.Frame, netip.AddrPort) *netTransport) bool {
 	in := s.take(wire.FramePayloadKind(b) == wire.KindQueryReply)
-	f, err := wire.DecodeFrameInto(b, &in.members)
+	f, err := wire.DecodeFrameInto(b, &in.into)
 	if err == nil && int(f.Class) >= int(numKinds) {
 		err = wire.ErrMalformed
 	}
@@ -293,17 +293,19 @@ func (s *netSock) hand(b []byte, src netip.AddrPort, resolve func(wire.Frame, ne
 // sync.Pool would drop records at every GC, and at random under the
 // race detector.)
 //
-// A QueryReply's members are decoded into members, a spare buffer the
-// record borrows for this one frame, so the reply is valid only until
-// run returns: a handler that keeps it must copy it.
+// The frame is decoded into the record's target, into: a round body
+// into its value there, and a QueryReply's members into a spare buffer
+// the record borrows for this one frame. Both are valid only until run
+// returns: deliver hands the endpoint a round body of its own
+// (wire.Bodies.Adopt), and a handler that keeps a reply must copy it.
 type inbound struct {
 	sock *netSock
 	fn   func()
 
-	t       *netTransport
-	f       wire.Frame
-	src     netip.AddrPort
-	members []ids.MemberInfo
+	t    *netTransport
+	f    wire.Frame
+	src  netip.AddrPort
+	into wire.DecodeTarget
 }
 
 // take pops a record off the free list, or makes one, and for a
@@ -321,9 +323,9 @@ func (s *netSock) take(reply bool) *inbound {
 		in.fn = in.run
 	}
 	if n := len(s.spare); reply && n > 0 {
-		in.members = s.spare[n-1]
+		in.into.Members = s.spare[n-1]
 		s.spare = s.spare[:n-1]
-		s.spareCap -= cap(in.members)
+		s.spareCap -= cap(in.into.Members)
 	}
 	return in
 }
@@ -332,9 +334,11 @@ func (s *netSock) take(reply bool) *inbound {
 // spares, unless that would keep more than one datagram's worth of spare
 // capacity; then the buffer is left to the collector. A flood of replies
 // in flight can hold many buffers, but it cannot leave them all behind.
+// The target is cleared, so an idle record keeps no decoded batch or
+// route alive.
 func (s *netSock) release(in *inbound) {
-	members := in.members
-	in.t, in.f, in.members = nil, wire.Frame{}, nil
+	members := in.into.Members
+	in.t, in.f, in.into = nil, wire.Frame{}, wire.DecodeTarget{}
 	s.freeMu.Lock()
 	s.free = append(s.free, in)
 	s.keep(members)
@@ -383,8 +387,8 @@ func (s *netSock) putReplyBuf(b []ids.MemberInfo) {
 }
 
 // run is the engine's half of the hand-off. The record and its buffer go
-// back only after the dispatch, because the frame's reply may live in
-// the buffer.
+// back only after the dispatch, because the frame's payload may live in
+// its target.
 func (in *inbound) run() {
 	in.t.dispatch(in.f, in.src)
 	in.sock.release(in)
@@ -792,6 +796,10 @@ type netTransport struct {
 	// group, so busy sibling groups on the shared socket cannot starve
 	// it.
 	lastActivity atomic.Int64
+
+	// bodies are the round bodies' free lists of the engine that lent
+	// them (LendBodies), nil until then. Engine context.
+	bodies *wire.Bodies
 }
 
 // touch marks activity at the current work item's stamp. Engine context.
@@ -853,14 +861,17 @@ func (t *netTransport) dispatch(f wire.Frame, src netip.AddrPort) {
 		Body:  f.Payload,
 		Sent:  t.clock.Now(),
 	}
-	if !t.deliver(msg) {
+	if !t.deliver(msg, true) {
 		t.relay(f)
 	}
 }
 
 // deliver runs the destination-side checks and the handler; it reports
-// false, having done nothing, when msg.To is not registered here.
-func (t *netTransport) deliver(msg Message) bool {
+// false, having done nothing, when msg.To is not registered here. A
+// decoded message's round body lives in its inbound record, which the
+// next frame overwrites, so the endpoint is handed a copy, in a body
+// off the lent lists (LendBodies), which it owns like any other.
+func (t *netTransport) deliver(msg Message, decoded bool) bool {
 	ep, ok := t.local[msg.To]
 	if !ok {
 		return false
@@ -871,6 +882,9 @@ func (t *netTransport) deliver(msg Message) bool {
 	}
 	t.stats.Delivered++
 	t.stats.ByKind[msg.Kind]++
+	if decoded {
+		msg.Body = t.bodies.Adopt(msg.Body)
+	}
 	ep.HandleMessage(msg)
 	return true
 }
@@ -888,7 +902,7 @@ type localHop struct {
 func (t *netTransport) deliverLocal(msg Message) {
 	defer t.eng.pending.Add(-1)
 	t.touch()
-	if !t.deliver(msg) {
+	if !t.deliver(msg, false) {
 		t.stats.Dropped++
 	}
 	if rep, ok := msg.Body.(wire.QueryReply); ok {
@@ -990,21 +1004,31 @@ func (t *netTransport) close() {
 // when the current work item returns: no codec, no socket. Only a
 // QueryReply's members are copied, into a buffer deliverLocal takes
 // back. Anything else is encoded into the datagram the shard is
-// building for its peer (egress).
+// building for its peer (egress). Unless it queued the message, Send is
+// the final consumer of its round body, encoded or dropped, and hands it
+// back to the lent lists, if any (LendBodies).
 func (t *netTransport) Send(msg Message) {
+	if !t.send(msg) && t.bodies != nil {
+		t.bodies.Recycle(msg.Body)
+	}
+}
+
+// send is Send up to the hand-back; it reports whether it queued msg
+// for an endpoint of this process.
+func (t *netTransport) send(msg Message) bool {
 	msg.Sent = t.clock.Now()
 	t.stats.Sent++
 	if t.crashed[msg.From] {
 		t.stats.Dropped++
-		return
+		return false
 	}
 	if msg.To.IsZero() {
 		t.stats.Dropped++
-		return
+		return false
 	}
 	if t.loss > 0 && t.rng.Bernoulli(t.loss) {
 		t.stats.Dropped++
-		return
+		return false
 	}
 	if msg.Group == 0 {
 		msg.Group = t.group
@@ -1016,13 +1040,13 @@ func (t *netTransport) Send(msg Message) {
 		}
 		t.eng.pending.Add(1)
 		t.eng.local = append(t.eng.local, localHop{t: t, msg: msg})
-		return
+		return true
 	}
 	addr := t.route(msg.To)
 	if !addr.IsValid() {
 		t.nstats.UnknownPeer++
 		t.stats.Dropped++
-		return
+		return false
 	}
 	t.egress(wire.Frame{
 		From:    msg.From,
@@ -1032,12 +1056,16 @@ func (t *netTransport) Send(msg Message) {
 		TTL:     netTTL,
 		Payload: msg.Body,
 	}, addr, false)
+	return false
 }
 
 // CopiesPayload implements PayloadCopier: a reply to another process is
 // encoded (or dropped) before Send returns, and one to an endpoint of
 // this process is copied into a spare buffer of the socket's.
 func (t *netTransport) CopiesPayload() bool { return true }
+
+// LendBodies implements BodyRecycler.
+func (t *netTransport) LendBodies(b *wire.Bodies) { t.bodies = b }
 
 // egress encodes f into the datagram under construction for addr and
 // keeps it there, reporting whether it did; a frame the checks refuse

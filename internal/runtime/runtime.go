@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
+	"github.com/rgbproto/rgb/internal/wire"
 )
 
 // TimerHandle names a timer armed through a Clock. The zero
@@ -152,6 +153,21 @@ type Partitionable interface {
 // past Send), so probe with a plain type assertion.
 type PayloadCopier interface {
 	CopiesPayload() bool
+}
+
+// BodyRecycler is the optional Transport capability that closes the
+// ownership loop of the round bodies (wire.Bodies) across processes.
+// An engine lends the transport its free lists once, at construction,
+// and from then on, in engine context, the transport hands back every
+// round body Send does not queue for one of its own endpoints, above
+// all one it encoded for another process, and delivers each round body
+// it decoded in a body taken from the lists, which the receiving
+// endpoint then owns. The networked transport implements it. A
+// decorating transport must not pass it through, so probe with a plain
+// type assertion: a transport never lent the lists hands nothing back
+// and delivers each decoded body in a new one.
+type BodyRecycler interface {
+	LendBodies(b *wire.Bodies)
 }
 
 // Unwrapper is implemented by decorating transports (fault injection)

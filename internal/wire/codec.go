@@ -108,13 +108,28 @@ func AppendFrame(b []byte, f Frame) []byte {
 // so a datagram of several frames is split with FrameLen first.
 func DecodeFrame(b []byte) (Frame, error) { return DecodeFrameInto(b, nil) }
 
-// DecodeFrameInto is DecodeFrame with a buffer the caller keeps for a
-// QueryReply's members. When *members has room for them they are decoded
-// into its array; otherwise into a fresh one, which is left in *members.
-// The reply then aliases the buffer and is valid only until the caller
-// reuses it. Every other payload is decoded as DecodeFrame decodes it,
-// into memory its receiver may keep. A nil members is DecodeFrame.
-func DecodeFrameInto(b []byte, members *[]ids.MemberInfo) (Frame, error) {
+// DecodeTarget is what DecodeFrameInto decodes into, kept by its caller
+// from one frame to the next: a buffer for a QueryReply's members and
+// one value of each round body.
+type DecodeTarget struct {
+	Members   []ids.MemberInfo
+	Token     token.Token
+	Notify    Notify
+	PassAck   PassAck
+	HolderAck HolderAck
+	NotifyAck NotifyAck
+}
+
+// DecodeFrameInto is DecodeFrame into a target the caller keeps. When
+// into.Members has room for a QueryReply's members they are decoded into
+// its array; otherwise into a fresh one, which is left in into.Members.
+// A round body is decoded into its value in into, every field written;
+// its token's Ops, Route and Contributors are fresh arrays all the same.
+// The reply or round body then aliases into and is valid only until the
+// caller reuses it: a receiver that keeps a round body keeps a copy
+// (Bodies.Adopt). Every other payload is decoded as DecodeFrame decodes
+// it, into memory its receiver may keep. A nil into is DecodeFrame.
+func DecodeFrameInto(b []byte, into *DecodeTarget) (Frame, error) {
 	if len(b) < envelopeSize {
 		return Frame{}, ErrTruncated
 	}
@@ -131,7 +146,7 @@ func DecodeFrameInto(b []byte, members *[]ids.MemberInfo) (Frame, error) {
 		To:    ids.NodeID(binary.LittleEndian.Uint64(b[13:])),
 		Group: ids.GroupID(binary.LittleEndian.Uint32(b[21:])),
 	}
-	p, n, err := decodePayload(b[envelopeSize:], members)
+	p, n, err := decodePayload(b[envelopeSize:], into)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -183,9 +198,9 @@ func AppendPayload(b []byte, p Payload) []byte {
 }
 
 // decodePayload decodes one framed payload from the front of b into
-// DecodeFrameInto's member buffer, returning the payload, the number of
+// DecodeFrameInto's target, returning the payload, the number of
 // bytes consumed, and any error. A KindNone frame yields a nil Payload.
-func decodePayload(b []byte, members *[]ids.MemberInfo) (Payload, int, error) {
+func decodePayload(b []byte, into *DecodeTarget) (Payload, int, error) {
 	if len(b) < payloadHeaderSize {
 		return nil, 0, ErrTruncated
 	}
@@ -207,8 +222,8 @@ func decodePayload(b []byte, members *[]ids.MemberInfo) (Payload, int, error) {
 	if kind >= numPayloadKinds {
 		return nil, 0, ErrUnknownPayload
 	}
-	r := reader{b: b[payloadHeaderSize:consumed], replyMembers: members}
-	p := decodeBody(kind, &r)
+	r := reader{b: b[payloadHeaderSize:consumed]}
+	p := decodeBody(kind, &r, into)
 	if r.bad || r.off != n {
 		return nil, 0, ErrMalformed
 	}
@@ -363,8 +378,6 @@ type reader struct {
 	b   []byte
 	off int
 	bad bool
-
-	replyMembers *[]ids.MemberInfo // DecodeFrameInto's buffer; nil allocates
 }
 
 func (r *reader) u8() uint8 {
@@ -592,8 +605,14 @@ func (m TokenMsg) AppendTo(b []byte) []byte {
 	return appendNodeIDs(b, t.Contributors)
 }
 
-func decodeTokenMsg(r *reader) Payload {
-	t := &token.Token{
+func decodeTokenMsg(r *reader, into *DecodeTarget) Payload {
+	var t *token.Token
+	if into != nil {
+		t = &into.Token
+	} else {
+		t = new(token.Token)
+	}
+	*t = token.Token{
 		GID:    ids.GroupID(r.u32()),
 		Ring:   r.ringID(),
 		Holder: r.nodeID(),
@@ -633,8 +652,14 @@ func (m *Notify) AppendTo(b []byte) []byte {
 	return appendU64(b, m.Seq)
 }
 
-func decodeNotify(r *reader) Payload {
-	return &Notify{
+func decodeNotify(r *reader, into *DecodeTarget) Payload {
+	var n *Notify
+	if into != nil {
+		n = &into.Notify
+	} else {
+		n = new(Notify)
+	}
+	*n = Notify{
 		Batch:        r.batch(),
 		From:         r.ringID(),
 		Up:           r.boolean(),
@@ -642,12 +667,22 @@ func decodeNotify(r *reader) Payload {
 		NewLeader:    r.nodeID(),
 		Seq:          r.u64(),
 	}
+	return n
 }
 
 // AppendTo implements Payload.
 func (m *NotifyAck) AppendTo(b []byte) []byte { return appendU64(b, m.Seq) }
 
-func decodeNotifyAck(r *reader) Payload { return &NotifyAck{Seq: r.u64()} }
+func decodeNotifyAck(r *reader, into *DecodeTarget) Payload {
+	var a *NotifyAck
+	if into != nil {
+		a = &into.NotifyAck
+	} else {
+		a = new(NotifyAck)
+	}
+	*a = NotifyAck{Seq: r.u64()}
+	return a
+}
 
 // AppendTo implements Payload.
 func (m *PassAck) AppendTo(b []byte) []byte {
@@ -655,8 +690,15 @@ func (m *PassAck) AppendTo(b []byte) []byte {
 	return appendU64(b, m.Round)
 }
 
-func decodePassAck(r *reader) Payload {
-	return &PassAck{Holder: r.nodeID(), Round: r.u64()}
+func decodePassAck(r *reader, into *DecodeTarget) Payload {
+	var a *PassAck
+	if into != nil {
+		a = &into.PassAck
+	} else {
+		a = new(PassAck)
+	}
+	*a = PassAck{Holder: r.nodeID(), Round: r.u64()}
+	return a
 }
 
 // AppendTo implements Payload.
@@ -666,8 +708,15 @@ func (m *HolderAck) AppendTo(b []byte) []byte {
 	return appendU32(b, uint32(m.Count))
 }
 
-func decodeHolderAck(r *reader) Payload {
-	return &HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
+func decodeHolderAck(r *reader, into *DecodeTarget) Payload {
+	var a *HolderAck
+	if into != nil {
+		a = &into.HolderAck
+	} else {
+		a = new(HolderAck)
+	}
+	*a = HolderAck{Ring: r.ringID(), Round: r.u64(), Count: int(r.u32())}
+	return a
 }
 
 // AppendTo implements Payload.
@@ -738,8 +787,12 @@ func (m QueryReply) AppendTo(b []byte) []byte {
 // decodeQueryReply is the one decode that reuses a caller's buffer: a
 // reply's members are the largest payload on the wire, and only the
 // requester's handler reads them, once.
-func decodeQueryReply(r *reader) Payload {
-	return QueryReply{ID: r.u64(), From: r.ringID(), Members: r.members(r.replyMembers)}
+func decodeQueryReply(r *reader, into *DecodeTarget) Payload {
+	var buf *[]ids.MemberInfo
+	if into != nil {
+		buf = &into.Members
+	}
+	return QueryReply{ID: r.u64(), From: r.ringID(), Members: r.members(buf)}
 }
 
 // AppendTo implements Payload.
@@ -811,20 +864,24 @@ func decodePeerList(r *reader) Payload {
 }
 
 // decodeBody dispatches on the payload kind.
-func decodeBody(k PayloadKind, r *reader) Payload {
+// decodeBody decodes one payload body of kind k. A round body or a
+// reply's members go into into, unless it is nil. It is not a field of
+// the reader, whose bytes would then seem to flow into the payload, so
+// that a caller's datagram buffer would escape.
+func decodeBody(k PayloadKind, r *reader, into *DecodeTarget) Payload {
 	switch k {
 	case KindTokenMsg:
-		return decodeTokenMsg(r)
+		return decodeTokenMsg(r, into)
 	case KindMemberChange:
 		return decodeMemberChange(r)
 	case KindNotify:
-		return decodeNotify(r)
+		return decodeNotify(r, into)
 	case KindNotifyAck:
-		return decodeNotifyAck(r)
+		return decodeNotifyAck(r, into)
 	case KindPassAck:
-		return decodePassAck(r)
+		return decodePassAck(r, into)
 	case KindHolderAck:
-		return decodeHolderAck(r)
+		return decodeHolderAck(r, into)
 	case KindJoinRequest:
 		return decodeJoinRequest(r)
 	case KindSnapshot:
@@ -834,7 +891,7 @@ func decodeBody(k PayloadKind, r *reader) Payload {
 	case KindQuery:
 		return decodeQuery(r)
 	case KindQueryReply:
-		return decodeQueryReply(r)
+		return decodeQueryReply(r, into)
 	case KindTreeProposal:
 		return decodeTreeProposal(r)
 	case KindProbe:

@@ -191,7 +191,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			stale[i] = sampleMember(i)
 		}
 		for _, buf := range [][]ids.MemberInfo{nil, stale[:0:1], stale} {
-			frBuf, err := DecodeFrameInto(data, &buf)
+			into := DecodeTarget{Members: buf}
+			frBuf, err := DecodeFrameInto(data, &into)
 			if err != nil || !reflect.DeepEqual(frBuf, fr) {
 				t.Fatalf("decode into a %d-slot buffer: %+v, %v; without one: %+v", cap(buf), frBuf, err, fr)
 			}
@@ -322,6 +323,66 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 		}
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded %+v\nper field %+v", got, want)
+		}
+	})
+}
+
+// FuzzDecodeIntoReusedTarget: decoding into a target that still holds
+// what earlier frames left in it, as the socket's read loop does with
+// each record's target, decodes what DecodeFrame decodes. The target
+// first holds a full token, notification and acknowledgements, then in
+// turn the decoding of each round body of samplePayloads, so a field
+// the decoder skipped (a stale Contributors, Ops, Hops or Repaired)
+// would show. The corpus is FuzzDecodeAgainstReference's frames, each
+// cut at every length, and round bodies with every optional field
+// empty. CI runs a short -fuzz smoke of this target beside
+// FuzzWireRoundTrip's.
+func FuzzDecodeIntoReusedTarget(f *testing.F) {
+	frame := func(p Payload) []byte {
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: ids.NewGroupID(9), Class: 1, TTL: 8, Payload: p})
+	}
+	var previous [][]byte
+	for _, p := range samplePayloads() {
+		b := frame(p)
+		for cut := 0; cut <= len(b); cut++ {
+			f.Add(append([]byte(nil), b[:cut]...))
+		}
+		switch p.(type) {
+		case TokenMsg, *Notify, *PassAck, *HolderAck, *NotifyAck:
+			previous = append(previous, b)
+		}
+	}
+	f.Add(frame(TokenMsg{Tok: &token.Token{Ring: ring.ID{Tier: ids.TierAP, Index: 4}, Holder: ap(3), Route: []ids.NodeID{ap(3)}}}))
+	f.Add(frame(&Notify{From: ring.ID{Tier: ids.TierAG}}))
+	f.Add(frame(&PassAck{}))
+	f.Add(frame(&HolderAck{}))
+	f.Add(frame(&NotifyAck{}))
+
+	full := DecodeTarget{
+		Token:     *sampleToken(),
+		Notify:    Notify{Batch: mq.Batch{sampleChange(3)}, From: ring.ID{Tier: ids.TierAG, Index: 1}, Up: true, LeaderUpdate: true, NewLeader: ap(5), Seq: 8},
+		PassAck:   PassAck{Holder: ap(6), Round: 12},
+		HolderAck: HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 3}, Round: 13, Count: 4},
+		NotifyAck: NotifyAck{Seq: 14},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := DecodeFrame(data)
+		check := func(into *DecodeTarget, after string) {
+			got, err := DecodeFrameInto(data, into)
+			if !errors.Is(err, wantErr) {
+				t.Fatalf("into a target holding %s: %v; fresh: %v", after, err, wantErr)
+			}
+			if err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("into a target holding %s: %+v\nfresh: %+v", after, got, want)
+			}
+		}
+		into := full
+		check(&into, "a full token, notification and acks")
+		for _, b := range previous {
+			if _, err := DecodeFrameInto(b, &into); err != nil {
+				t.Fatal(err)
+			}
+			check(&into, "the decoding of "+FramePayloadKind(b).String())
 		}
 	})
 }

@@ -198,10 +198,12 @@ func TestDecodeFrameIntoBuffer(t *testing.T) {
 	}
 	decode := func(b []byte, buf *[]ids.MemberInfo) Payload {
 		t.Helper()
-		f, err := DecodeFrameInto(b, buf)
+		into := DecodeTarget{Members: *buf}
+		f, err := DecodeFrameInto(b, &into)
 		if err != nil {
 			t.Fatal(err)
 		}
+		*buf = into.Members
 		return f.Payload
 	}
 
