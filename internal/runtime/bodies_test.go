@@ -26,7 +26,7 @@ func (e *recyclingEndpoint) HandleMessage(msg Message) {
 
 // keepingEndpoint keeps each pass acknowledgement delivered to it and,
 // at the next delivery, checks that the one it kept still reads as it
-// was sent: Round i+1 for the i-th.
+// was sent: the i-th carries Round i.
 type keepingEndpoint struct {
 	kept  *wire.PassAck
 	got   atomic.Int64

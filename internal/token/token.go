@@ -47,11 +47,14 @@ func (d Direction) String() string {
 //
 // A token has one owner at a time: the entity executing it, then the
 // pass carrying it, then the successor it is delivered to, until it
-// comes full circle and its holder, the final consumer, lets it go. An
-// entity that passes a token keeps a value copy for retransmission and
-// never touches the token it sent again; a copy shares its slices with
-// the token, which is why no code writes Ops, Route or Contributors in
-// place.
+// comes full circle and its holder, the final consumer, lets it go. A
+// pass to another process ends at the networked transport, which lets
+// the token go once encoded; the successor's process delivers a copy of
+// the decoded one, which the successor owns from there (wire.Bodies).
+// An entity that passes a token keeps a value copy for retransmission
+// and never touches the token it sent again; a copy shares its slices
+// with the token, which is why no code writes Ops, Route or
+// Contributors in place.
 //
 // The two one-byte fields and Hops sit beside GID, in the word GID
 // leaves half empty, and a ring.ID is 8 bytes, so a token is 112 bytes

@@ -863,11 +863,11 @@ func decodePeerList(r *reader) Payload {
 	return m
 }
 
-// decodeBody dispatches on the payload kind.
-// decodeBody decodes one payload body of kind k. A round body or a
-// reply's members go into into, unless it is nil. It is not a field of
-// the reader, whose bytes would then seem to flow into the payload, so
-// that a caller's datagram buffer would escape.
+// decodeBody dispatches on the payload kind. A round body or a reply's
+// members are decoded into into, unless it is nil. The target is passed
+// apart from the reader: as one of its fields, escape analysis would
+// see the reader's bytes flow into the payload and move the caller's
+// datagram buffer to the heap.
 func decodeBody(k PayloadKind, r *reader, into *DecodeTarget) Payload {
 	switch k {
 	case KindTokenMsg:

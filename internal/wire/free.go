@@ -25,9 +25,10 @@ import (
 // for another process, it is that body's final consumer and hands it
 // back; decoding one, it delivers a copy taken from the lists (Adopt),
 // which the receiving endpoint then owns and hands back like any other.
-// So one process's lists refill from its own sends, not from what it
-// receives. The lists are plain slices touched only in engine context,
-// not a sync.Pool, which a collection empties at will.
+// So once both processes' lists are warm, a body that crosses a socket
+// costs neither an allocation. The lists are plain slices touched only
+// in engine context, not a sync.Pool, which a collection empties at
+// will.
 
 // A free list keeps at most one body per ring of the hierarchy, or
 // bodyFreeMin on a smaller one. An engine runs one round per ring at a
@@ -132,9 +133,8 @@ func (b *Bodies) Recycle(p Payload) {
 // in a DecodeTarget, or a resend's value copy. Any other payload is
 // returned as it is. On nil lists the body is a new one.
 func (b *Bodies) Adopt(p Payload) Payload {
-	var none Bodies
 	if b == nil {
-		b = &none
+		b = new(Bodies)
 	}
 	switch m := p.(type) {
 	case TokenMsg:

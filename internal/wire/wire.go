@@ -136,9 +136,10 @@ type MemberChange struct {
 //
 // Notify and the three acknowledgements below are pointer payloads: a
 // *Notify, *NotifyAck, *PassAck or *HolderAck is the body of one
-// message, owned by its sender until Send and by its receiver after,
-// so an engine can recycle it once handled. Batch is shared, never
-// written: it outlives the struct.
+// message, owned by its sender until Send and by its receiver after, or
+// by the transport that encodes it for another process, so an engine
+// can recycle it once handled (Bodies). Batch is shared, never written:
+// it outlives the struct.
 type Notify struct {
 	Batch        mq.Batch
 	From         ring.ID
