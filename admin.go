@@ -34,8 +34,9 @@ func (h Health) OK() bool { return h.Status == HealthOK }
 
 // Health summarizes the cluster's current state: bootstrapping while
 // no group is open, degraded while any slotted peer process is
-// suspect or evicted (slotless observers and clients don't count —
-// losing one degrades nothing), ok otherwise. A non-networked cluster
+// suspect or evicted (slotless observers, the clients, don't count:
+// their rows are always up, and a silent one is dropped, which
+// degrades nothing), ok otherwise. A non-networked cluster
 // has no peers and is ok as soon as a group is open.
 func (c *Cluster) Health() Health {
 	c.mu.Lock()
@@ -56,7 +57,7 @@ func (c *Cluster) Health() Health {
 			case PeerEvicted:
 				h.PeersEvicted++
 			}
-			if p.Slot >= 0 && p.State != PeerUp {
+			if p.State != PeerUp {
 				h.Status = HealthDegraded
 			}
 		}

@@ -154,7 +154,6 @@ func TestArchitectureRules(t *testing.T) {
 // of another package that need it. A new one fails TestArchitectureRules
 // until it is deleted, moved into its package's tests, or added here.
 var uncalledAllowed = map[string]string{
-	"internal/discovery.TmpMap.Len":     "runtime's dedup tests bound the duplicate filter's size",
 	"internal/mathx.AlmostEqual":        "analytic's formula tests compare floats with it",
 	"internal/simnet.Network.SetTrace":  "core's digest and round tests trace every message",
 	"internal/simnet.SimRuntime.Kernel": "core's digest and resend tests read the simulated clock and event count",

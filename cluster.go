@@ -29,7 +29,7 @@ import (
 // with or without a socket: the mux gives each group its own endpoints,
 // timers and counters on its shard's engine goroutine and hands a
 // message between two entities of the process over in memory. Networked
-// (Listen, Dial, ListenCluster), it additionally shares one UDP socket
+// (Listen, ListenCluster), it additionally shares one UDP socket
 // and the per-shard outgoing datagrams between all groups and demultiplexes
 // inbound frames to the owning shard by the wire envelope's group tag;
 // in-process (WithLiveRuntime), it has no socket and the process is the
@@ -41,7 +41,7 @@ import (
 //
 // Open returns each group as an ordinary *Service — the entire Service
 // API (Join/Leave/Handoff/Query/Watch/Settle/...) works per group,
-// concurrently across groups. rgb.Open, rgb.Listen and rgb.Dial are the
+// concurrently across groups. rgb.Open and rgb.Listen are the
 // one-group special case: the same host with one shard and one group.
 type Cluster struct {
 	base serviceOptions
@@ -119,13 +119,8 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 		return nil, err
 	}
 	c.mux = mux
-	if addr := mux.LocalAddr(); addr != nil {
-		if boot, ok := mux.BootstrapInfo(); ok {
-			adoptBootstrap(&c.base, boot, mux.AdoptOwners, addr.Port)
-		}
-		if o.dialClient {
-			core.Place(&c.base.cfg, nil, clientSlot(addr.Port))
-		}
+	if boot, ok := mux.BootstrapInfo(); ok {
+		adoptBootstrap(&c.base, boot, mux.AdoptOwners)
 	}
 	return c, nil
 }

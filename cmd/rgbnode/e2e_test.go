@@ -256,8 +256,18 @@ func TestSeedJoinNode(t *testing.T) {
 
 	// The joiner knows one address and nothing else about the cluster.
 	joiner := launchNode(t, bin, []string{"-bind", "127.0.0.1:0", "-seeds", peers[1]})
+	listening := strings.Fields(joiner.expect("rgbnode: listening on", 15*time.Second))
 	joiner.expect("ready", 15*time.Second)
 	t.Log("seed joiner ready")
+	// Its peers row is its client slot, past every cluster slot and
+	// derived from the port it bound, at the address it sends from.
+	joinerAddr := listening[3]
+	_, port, err := net.SplitHostPort(joinerAddr)
+	if err != nil {
+		t.Fatalf("joiner address %q: %v", joinerAddr, err)
+	}
+	portN, _ := strconv.Atoi(port)
+	joinerRow := fmt.Sprintf(" %d:%s:up:", 1<<6+portN, joinerAddr)
 
 	// Membership driven from a static member and from the joiner.
 	procs[0].do("join 1 0")
@@ -306,7 +316,7 @@ func TestSeedJoinNode(t *testing.T) {
 	for {
 		allKnow := true
 		for _, p := range procs {
-			if !strings.Contains(p.do("peers"), " -1:") {
+			if !strings.Contains(p.do("peers"), joinerRow) {
 				allKnow = false
 			}
 		}

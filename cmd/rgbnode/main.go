@@ -37,15 +37,16 @@
 // the current group, selected with "use"; every peer process must run
 // with the same -groups value.
 //
-// A single process (no -peers) serves the whole hierarchy; rgb.Dial
-// clients can point at any process, preferably slot 0.
+// A single process (no -peers) serves the whole hierarchy.
 //
 // Instead of a static -peers list, a process can join a running
 // deployment knowing only one member's address: -seeds bootstraps the
 // topology and the peer table from that seed and keeps the address
-// book fresh by gossip. By default it joins as a slotless observer;
-// -seedslot claims a cluster slot — the way to restart a member on a
-// new address with no config reload anywhere:
+// book fresh by gossip. By default it joins as a slotless observer, a
+// client of the deployment: it hosts no entity, and every member routes
+// replies to its mobile hosts and queries through the client slot its
+// hellos announce. -seedslot claims a cluster slot instead — the way to
+// restart a member on a new address with no config reload anywhere:
 //
 //	rgbnode -bind 127.0.0.1:0 -seeds 127.0.0.1:7000 -seedslot 2
 //
@@ -415,15 +416,15 @@ func statsLine(reg *rgb.Telemetry) string {
 		totals[name] += s.Value
 	}
 	u := func(name string) uint64 { return uint64(totals[name]) }
-	return fmt.Sprintf("ok stats sent=%d delivered=%d dropped=%d received=%d relayed=%d decode_errors=%d unknown_version=%d unknown_group=%d cut=%d faults=%d/%d/%d/%d joined=%d evicted=%d gossip=%d dup=%d",
+	return fmt.Sprintf("ok stats sent=%d delivered=%d dropped=%d received=%d decode_errors=%d unknown_version=%d unknown_group=%d cut=%d faults=%d/%d/%d/%d joined=%d evicted=%d gossip=%d",
 		u("rgb_transport_sent_total"), u("rgb_transport_delivered_total"), u("rgb_transport_dropped_total"),
-		u("rgb_net_received_total"), u("rgb_net_relayed_total"), u("rgb_net_decode_errors_total"),
+		u("rgb_net_received_total"), u("rgb_net_decode_errors_total"),
 		u("rgb_net_unknown_version_total"), u("rgb_net_unknown_group_total"),
 		u("rgb_transport_cut_total"),
 		u("rgb_faults_injected_total/corrupt"), u("rgb_faults_injected_total/replay"),
 		u("rgb_faults_injected_total/misroute"), u("rgb_faults_injected_total/reorder"),
 		u("rgb_net_peer_joined_total"), u("rgb_net_peer_evicted_total"),
-		u("rgb_net_gossip_frames_total"), u("rgb_net_dup_dropped_total"))
+		u("rgb_net_gossip_frames_total"))
 }
 
 // renderGUIDs renders member GUIDs sorted and comma-separated.

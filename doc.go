@@ -38,7 +38,7 @@
 //	conference, _ := c.Open(rgb.NewGroupID(1)) // an ordinary *Service
 //	session, _ := c.Open(rgb.NewGroupID(2))    // runs concurrently
 //
-// rgb.Open (like rgb.Listen and rgb.Dial) is the one-group special case
+// rgb.Open (like rgb.Listen) is the one-group special case
 // of a cluster. See Example_cluster for a complete program.
 //
 // # Substrates
@@ -51,9 +51,11 @@
 // engine shards, a mux over them, one runtime view per group —
 // whether it serves one group or many, with or without a socket:
 // rgb.WithLiveRuntime runs the identical engine in-process on real
-// timers, every hop handed over in memory; rgb.Listen / rgb.Dial add
-// real UDP sockets, so that multiple processes (see cmd/rgbnode) each
-// host a slice of the hierarchy and exchange wire-encoded datagrams;
+// timers, every hop handed over in memory; rgb.Listen adds real UDP
+// sockets, so that multiple processes (see cmd/rgbnode) each host a
+// slice of the hierarchy and exchange wire-encoded datagrams, and a
+// client of such a deployment is rgb.Listen(":0",
+// rgb.WithSeeds(member)), a slotless observer that hosts no entity;
 // and rgb.ListenCluster serves many groups over the same kind of socket:
 // each datagram envelope carries its group tag, and inbound frames are
 // demultiplexed to the engine shard owning that group. Every Service

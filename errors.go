@@ -53,7 +53,7 @@ var (
 	// nothing keeps experiment configurations honest.
 	ErrOptionUnsupported = errors.New("rgb: option unsupported by the selected runtime")
 
-	// ErrBadCluster reports Listen/Dial cluster options that cannot
+	// ErrBadCluster reports Listen cluster options that cannot
 	// describe a deployment (index out of range, missing peers).
 	ErrBadCluster = errors.New("rgb: invalid cluster configuration")
 )

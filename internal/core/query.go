@@ -249,12 +249,13 @@ func (n *Node) receiveQuery(q wire.Query) {
 		// Answer from this ring's membership list. Exactly one node
 		// per target-level ring receives the query (the downward copy
 		// goes to ring leaders; a level-0 query answers at whichever
-		// top node the climb reached). A reply the transport copies or
-		// encodes before Send returns lends the list's own slots; one it
-		// keeps (the simulator, a fault decorator) takes the read-only
-		// copy that the replies between two changes of the list share.
+		// top node the climb reached). A reply to a transport the System
+		// lent its lists, which copies or encodes it before Send returns,
+		// lends the list's own slots; one the transport keeps (the
+		// simulator, a fault decorator) takes the read-only copy that the
+		// replies between two changes of the list share.
 		var members []ids.MemberInfo
-		if c, ok := n.sys.tr.(runtime.PayloadCopier); ok && c.CopiesPayload() {
+		if n.sys.lent {
 			members = n.ringMems.Borrow()
 		} else {
 			members = n.ringMems.Shared()

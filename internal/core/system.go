@@ -162,8 +162,12 @@ type System struct {
 
 	// free holds the round bodies handed back here by their receivers,
 	// and by a networked transport once it encoded them, for the next
-	// sends (wire.Bodies). The System lends it to such a transport.
+	// sends (wire.Bodies). The System lends it to such a transport
+	// (runtime.BodyRecycler), and lent records that it did: that
+	// transport also copies or encodes a query reply before Send
+	// returns, so the reply may lend its ring's own list.
 	free wire.Bodies
+	lent bool
 
 	mhOrdinal int
 	luidSeq   map[ids.NodeID]uint32
@@ -234,6 +238,7 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 	}
 	if r, ok := s.tr.(runtime.BodyRecycler); ok {
 		r.LendBodies(&s.free)
+		s.lent = true
 	}
 	if s.stabilityOn() {
 		s.suspects = make(map[ids.NodeID]*suspicion)

@@ -162,59 +162,99 @@ func TestTableResolvedAddressIsSeen(t *testing.T) {
 	}
 }
 
+// clientSlot is the first client slot past the test tables' cluster
+// slots (the runtime derives a real one from the bound port).
+const clientSlot = 64
+
 func TestTableSlotlessExtrasAreBounded(t *testing.T) {
 	tbl, _ := newTestTable(0, 1)
 	for i := 0; i < 3*extrasLimit; i++ {
-		tbl.Hello(-1, addr(10000+i))
+		tbl.Hello(clientSlot+i, addr(10000+i))
 	}
 	if n := len(tbl.Snapshot()); n > extrasLimit+2 {
 		t.Fatalf("extras grew to %d entries under a hello flood", n)
 	}
 }
 
-func newTestTmpMap(ttl time.Duration, maxEntries int) (*TmpMap, *fakeClock) {
-	clk := newFakeClock()
-	m := NewTmpMap(ttl, maxEntries)
-	m.now = clk.now
-	m.lastRotate = clk.t
-	return m, clk
-}
+// TestTableClientSlots: a slotless process's hello enters its client
+// slot in the routing view, which drops it at evictAfter and bounds it
+// by extrasLimit. Gossip cannot teach a client slot, and a client hello
+// takes neither a cluster slot nor a cluster member's address.
+func TestTableClientSlots(t *testing.T) {
+	tbl, clk := newTestTable(0, 3)
+	tbl.Set(1, addr(7001))
+	c := clientSlot + 7100
+	if tbl.Hello(c, addr(7100)) {
+		t.Fatal("a client hello reported a cluster routing change")
+	}
+	if got := tbl.AddrOf(c); got != addr(7100) {
+		t.Fatalf("AddrOf(client) = %v, want 127.0.0.1:7100", got)
+	}
+	if tbl.Slots() != 3 {
+		t.Fatalf("a client hello widened the table to %d slots", tbl.Slots())
+	}
+	snap := tbl.Snapshot()
+	if last := snap[len(snap)-1]; last.Slot != c || last.Addr != "127.0.0.1:7100" {
+		t.Fatalf("snapshot's client row = %+v, want slot %d", last, c)
+	}
 
-func TestTmpMapExpiry(t *testing.T) {
-	m, clk := newTestTmpMap(time.Second, 1024)
-	if !m.Add(42) {
-		t.Fatal("first Add not fresh")
+	// A client that rebinds moves its entry; the old address is forgotten.
+	tbl.Hello(c, addr(7101))
+	if got := tbl.AddrOf(c); got != addr(7101) {
+		t.Fatalf("AddrOf(client) after a move = %v, want 127.0.0.1:7101", got)
 	}
-	if m.Add(42) {
-		t.Fatal("duplicate within the TTL was fresh")
+	tbl.Seen(addr(7100))
+	if n := len(tbl.Snapshot()); n != 2 {
+		t.Fatalf("snapshot holds %d rows after a client move, want 2", n)
 	}
-	// One rotation: the key survives in the old generation.
-	clk.advance(1100 * time.Millisecond)
-	if m.Add(42) {
-		t.Fatal("key was forgotten after one rotation")
-	}
-	// A second rotation discards the old generation. Crucially the
-	// Add-hits above did NOT refresh the key, so a steady duplicate
-	// stream cannot pin it (that would starve legitimate relayed
-	// retransmissions forever).
-	clk.advance(1100 * time.Millisecond)
-	if !m.Add(42) {
-		t.Fatal("key survived past 2x TTL despite Add's no-refresh contract")
-	}
-}
 
-func TestTmpMapBoundedUnderReplayFlood(t *testing.T) {
-	const cap = 512
-	m, _ := newTestTmpMap(time.Hour, cap) // TTL never elapses: only the capacity bound rotates
-	for key := uint64(0); key < 100*cap; key++ {
-		m.Add(key)
+	// Gossip never teaches a client slot.
+	if tbl.Learn(clientSlot+7200, addr(7200), 0, StateUp) || tbl.AddrOf(clientSlot+7200).IsValid() {
+		t.Fatal("gossip taught a client slot")
 	}
-	if n := m.Len(); n > 2*cap {
-		t.Fatalf("dedup map grew to %d keys under flood, want <= %d", n, 2*cap)
+
+	// A client hello never takes a cluster member's address.
+	tbl.Hello(clientSlot+7001, addr(7001))
+	if tbl.AddrOf(clientSlot+7001).IsValid() || tbl.AddrOf(1) != addr(7001) {
+		t.Fatal("a client hello took over a cluster member's address")
 	}
-	// And it still dedups what it remembers.
-	last := uint64(100*cap - 1)
-	if m.Add(last) {
-		t.Fatal("freshly flooded key not remembered")
+
+	// Traffic keeps a client entry; silence past evictAfter drops it.
+	clk.advance(6 * time.Second)
+	tbl.Seen(addr(7101))
+	tbl.Seen(addr(7001))
+	clk.advance(6 * time.Second)
+	if _, evicted := tbl.Sweep(3*time.Second, 10*time.Second); len(evicted) != 0 || tbl.AddrOf(c) != addr(7101) {
+		t.Fatalf("a client heard from 6 s ago was dropped (evicted slots %v)", evicted)
+	}
+	clk.advance(11 * time.Second)
+	if _, evicted := tbl.Sweep(3*time.Second, 10*time.Second); len(evicted) != 1 || evicted[0] != 1 {
+		t.Fatalf("evicted = %v, want only the cluster slot 1", evicted)
+	}
+	if tbl.AddrOf(c).IsValid() {
+		t.Fatal("a client entry silent past evictAfter still routes")
+	}
+
+	// Past extrasLimit the entries are cleared, and each is back with its
+	// next hello.
+	wide := clientSlot + 7300
+	for i := 0; i <= extrasLimit; i++ {
+		tbl.Hello(wide+1+i, addr(20000+i))
+	}
+	if got := tbl.AddrOf(wide + 1 + extrasLimit); got != addr(20000+extrasLimit) {
+		t.Fatalf("the hello past the bound does not route: %v", got)
+	}
+	if tbl.AddrOf(wide + 1).IsValid() {
+		t.Fatal("client entries past extrasLimit were not cleared")
+	}
+	tbl.Hello(wide+1, addr(20000))
+	if !tbl.AddrOf(wide + 1).IsValid() {
+		t.Fatal("a cleared client is not back with its next hello")
+	}
+
+	// A wider cluster drops the client entries it now covers.
+	tbl.Reset(0, wide+2)
+	if tbl.AddrOf(wide+1).IsValid() || !tbl.AddrOf(wide+1+extrasLimit).IsValid() {
+		t.Fatal("a client entry holds a cluster slot")
 	}
 }

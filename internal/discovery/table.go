@@ -1,9 +1,10 @@
 // Package discovery is the dynamic peer-discovery plane of the
 // networked runtime: a mutable, concurrency-safe peer table (address,
-// claimed cluster slot, liveness state, last-seen) that replaces the
-// static address book frozen at startup, plus a TTL-bucketed dedup map
-// for relayed frames. The table is the authority for slot->address
-// routing: seed bootstrap fills it for a joining process, gossiped
+// claimed slot, liveness state, last-seen) that replaces the static
+// address book frozen at startup. The table is the authority for
+// slot->address routing, for the cluster's slots and for the client
+// slots of processes that own none: seed bootstrap fills it for a
+// joining process, a client's own hellos enter its slot, gossiped
 // PeerHello/PeerList exchange keeps it fresh under address churn, and
 // probe-driven suspicion evicts peers that went permanently silent.
 //
@@ -55,8 +56,8 @@ func (s State) String() string {
 
 // PeerInfo is one snapshot row of the peer table.
 type PeerInfo struct {
-	Slot     int    // cluster slot; -1 for slotless peers (observers, clients)
-	Addr     string // the peer's UDP address as last learned
+	Slot     int    // cluster slot, or a slotless process's client slot past every cluster slot
+	Addr     string // the peer's UDP address as last heard
 	State    State
 	LastSeen time.Time
 	Frames   uint64 // datagrams seen from this peer
@@ -64,33 +65,38 @@ type PeerInfo struct {
 
 // peerRec is the mutable record behind one table entry.
 type peerRec struct {
-	slot     int // -1 = slotless
+	slot     int
 	addr     netip.AddrPort
 	state    State
 	lastSeen time.Time
 	frames   uint64
 }
 
-// extrasLimit bounds the slotless-peer map (a flood of hostile hellos
-// must not grow it without limit); past it the map is cleared and
-// re-learns from live traffic, the same discipline as the transport's
-// learned-address book.
+// extrasLimit bounds the client entries (a flood of hostile hellos
+// must not grow them without limit); past it they are cleared, and each
+// live client is back with its next hello.
 const extrasLimit = 256
 
 // Table is the self-healing address book: slot-indexed peer records
-// plus a bounded set of slotless extras, with lock-free slot->address
+// plus a bounded set of client entries, with lock-free slot->address
 // reads for the routing hot path.
+//
+// A client entry is a slotless process (an observer) kept under its
+// client slot, the block it mints mobile-host and query-app endpoints
+// in, so replies to those endpoints route like any other. It is entered
+// only from the client's own hello, never from gossip, is dropped at
+// evictAfter, and never takes a cluster slot or a cluster member's
+// address.
 type Table struct {
 	mu       sync.Mutex
-	selfSlot int // never swept or overwritten by gossip; -1 = none
+	selfSlot int // never swept or overwritten by gossip
 	slots    []*peerRec
-	extras   map[netip.AddrPort]*peerRec // slotless peers, keyed by address
+	clients  map[int]*peerRec            // client entries, keyed by client slot
 	byAddr   map[netip.AddrPort]*peerRec // every record, keyed by address
 
-	// routes is the lock-free routing view: routes[slot] is the zero
-	// AddrPort for unknown or evicted slots. Rebuilt under mu on every
+	// routes is the lock-free routing view, rebuilt under mu on every
 	// mutation that changes an address or an eviction state.
-	routes atomic.Pointer[[]netip.AddrPort]
+	routes atomic.Pointer[routes]
 
 	joined  atomic.Uint64
 	evicted atomic.Uint64
@@ -99,14 +105,22 @@ type Table struct {
 	now func() time.Time
 }
 
-// NewTable builds a table of the given width. selfSlot (when >= 0) is
-// this process's own slot: it is never suspected, swept or overwritten
-// by gossip.
+// routes is one immutable routing view: slots[slot] is the zero
+// AddrPort for an unknown or evicted cluster slot, and clients holds
+// the client entries.
+type routes struct {
+	slots   []netip.AddrPort
+	clients map[int]netip.AddrPort
+}
+
+// NewTable builds a table of the given width. selfSlot is this
+// process's own slot, cluster or client: it is never suspected, swept
+// or overwritten by a hello or gossip.
 func NewTable(selfSlot, slots int) *Table {
 	t := &Table{
 		selfSlot: selfSlot,
 		slots:    make([]*peerRec, slots),
-		extras:   make(map[netip.AddrPort]*peerRec),
+		clients:  make(map[int]*peerRec),
 		byAddr:   make(map[netip.AddrPort]*peerRec),
 		now:      time.Now,
 	}
@@ -116,18 +130,25 @@ func NewTable(selfSlot, slots int) *Table {
 
 // rebuildLocked swaps in a fresh routes view. Callers hold mu.
 func (t *Table) rebuildLocked() {
-	rs := make([]netip.AddrPort, len(t.slots))
+	rs := &routes{slots: make([]netip.AddrPort, len(t.slots))}
 	for i, p := range t.slots {
 		if p != nil && p.state != StateEvicted {
-			rs[i] = p.addr
+			rs.slots[i] = p.addr
 		}
 	}
-	t.routes.Store(&rs)
+	if len(t.clients) > 0 {
+		rs.clients = make(map[int]netip.AddrPort, len(t.clients))
+		for slot, p := range t.clients {
+			rs.clients[slot] = p.addr
+		}
+	}
+	t.routes.Store(rs)
 }
 
 // Reset re-dimensions the table (a bootstrap joiner learns the cluster
 // width and its own slot from the seed's PeerList) and clears nothing
-// already learned that still fits.
+// already known that still fits. A client entry the wider table
+// covers is dropped: it never holds a cluster slot.
 func (t *Table) Reset(selfSlot, slots int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -137,22 +158,27 @@ func (t *Table) Reset(selfSlot, slots int) {
 		copy(grown, t.slots)
 		t.slots = grown
 	}
+	for slot, rec := range t.clients {
+		if slot < slots {
+			t.dropClientLocked(rec)
+		}
+	}
 	t.rebuildLocked()
 }
 
-// AddrOf returns the routable address of a slot, or the zero AddrPort
-// when the slot is unknown or evicted. Lock-free.
+// AddrOf returns the routable address of a cluster or client slot, or
+// the zero AddrPort when the slot is unknown or evicted. Lock-free.
 func (t *Table) AddrOf(slot int) netip.AddrPort {
-	rs := *t.routes.Load()
-	if slot < 0 || slot >= len(rs) {
-		return netip.AddrPort{}
+	rs := t.routes.Load()
+	if slot >= 0 && slot < len(rs.slots) {
+		return rs.slots[slot]
 	}
-	return rs[slot]
+	return rs.clients[slot]
 }
 
 // Slots returns the table width (the cluster's process-slot count).
 // Lock-free.
-func (t *Table) Slots() int { return len(*t.routes.Load()) }
+func (t *Table) Slots() int { return len(t.routes.Load().slots) }
 
 // Set installs a static slot entry (the WithCluster prefill), state
 // up. Unlike Hello it does not count a join: the deployment's initial
@@ -183,37 +209,24 @@ func (t *Table) replaceLocked(slot int, rec *peerRec) {
 }
 
 // Hello upserts a peer from a PeerHello: a new slot entry, a changed
-// address for a known slot, or a slotless extra. It reports whether
-// the routing view changed (a new peer, a moved address, or a revival
-// from eviction) — the signal the caller uses to broadcast the news.
+// address for a known slot, or a client entry for a slot past the
+// cluster's. It reports whether the cluster's routing view changed (a
+// new peer, a moved address, or a revival from eviction) — the signal
+// the caller uses to broadcast the news. A client entry is not news to
+// broadcast: gossip never carries one.
 func (t *Table) Hello(slot int, addr netip.AddrPort) bool {
 	addr = Unmapped(addr)
-	if !addr.IsValid() {
+	if !addr.IsValid() || slot < 0 {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	now := t.now()
-	if slot < 0 || slot >= len(t.slots) {
-		// Slotless peer (observer, dial-style client): track it for
-		// the operator's peer dump, bounded against hello floods.
-		if rec, ok := t.extras[addr]; ok {
-			rec.lastSeen, rec.state = now, StateUp
-			return false
-		}
-		if len(t.extras) >= extrasLimit {
-			for k := range t.extras {
-				delete(t.byAddr, k)
-				delete(t.extras, k)
-			}
-		}
-		rec := &peerRec{slot: -1, addr: addr, lastSeen: now}
-		t.extras[addr] = rec
-		t.byAddr[addr] = rec
-		t.joined.Add(1)
+	if slot == t.selfSlot {
 		return false
 	}
-	if slot == t.selfSlot {
+	now := t.now()
+	if slot >= len(t.slots) {
+		t.helloClientLocked(slot, addr, now)
 		return false
 	}
 	old := t.slots[slot]
@@ -232,10 +245,46 @@ func (t *Table) Hello(slot int, addr netip.AddrPort) bool {
 	return true
 }
 
+// helloClientLocked upserts the client entry of slot from the client's
+// own hello. An address a cluster member holds is refused: a client
+// entry never takes over a member's record. Past extrasLimit entries
+// the clients are cleared first. Callers hold mu.
+func (t *Table) helloClientLocked(slot int, addr netip.AddrPort, now time.Time) {
+	if rec, ok := t.byAddr[addr]; ok && rec.slot < len(t.slots) {
+		return
+	}
+	old, known := t.clients[slot]
+	if known && old.addr == addr {
+		old.lastSeen, old.state = now, StateUp
+		return
+	}
+	if known {
+		t.dropClientLocked(old)
+	} else if len(t.clients) >= extrasLimit {
+		for _, rec := range t.clients {
+			t.dropClientLocked(rec)
+		}
+	}
+	rec := &peerRec{slot: slot, addr: addr, lastSeen: now}
+	t.clients[slot] = rec
+	t.byAddr[addr] = rec
+	t.joined.Add(1)
+	t.rebuildLocked()
+}
+
+// dropClientLocked removes a client entry. Callers hold mu and rebuild.
+func (t *Table) dropClientLocked(rec *peerRec) {
+	delete(t.clients, rec.slot)
+	if t.byAddr[rec.addr] == rec {
+		delete(t.byAddr, rec.addr)
+	}
+}
+
 // Learn merges one gossiped PeerList entry: adopt the address when the
 // slot is unknown here, or when the sender heard from the peer more
 // recently than we did (smaller age). Evicted-state entries are never
-// adopted — evictions are local verdicts, not gossip.
+// adopted — evictions are local verdicts, not gossip — and neither are
+// client entries, which only a client's own hello enters.
 func (t *Table) Learn(slot int, addr netip.AddrPort, age time.Duration, state State) bool {
 	addr = Unmapped(addr)
 	if !addr.IsValid() || state == StateEvicted {
@@ -295,7 +344,7 @@ func (t *Table) Seen(addr netip.AddrPort) {
 // suspectAfter turn suspect (their addresses are returned for
 // probing), peers silent past evictAfter are evicted (their slots are
 // returned so the caller can feed the verdict into the protocol's
-// fail-out path). Slotless extras are simply dropped at evictAfter.
+// fail-out path). Client entries are simply dropped at evictAfter.
 func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []netip.AddrPort, evicted []int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -327,10 +376,10 @@ func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []netip.Add
 			probe = append(probe, rec.addr)
 		}
 	}
-	for key, rec := range t.extras {
+	for _, rec := range t.clients {
 		if now.Sub(rec.lastSeen) > evictAfter {
-			delete(t.byAddr, key)
-			delete(t.extras, key)
+			t.dropClientLocked(rec)
+			changed = true
 		}
 	}
 	if changed {
@@ -339,22 +388,22 @@ func (t *Table) Sweep(suspectAfter, evictAfter time.Duration) (probe []netip.Add
 	return probe, evicted
 }
 
-// Snapshot returns the table's rows, slots first (ascending), then
-// slotless extras sorted by address.
+// Snapshot returns the table's rows, cluster slots first, then client
+// entries, each in ascending slot order.
 func (t *Table) Snapshot() []PeerInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]PeerInfo, 0, len(t.slots)+len(t.extras))
+	out := make([]PeerInfo, 0, len(t.slots)+len(t.clients))
 	for _, rec := range t.slots {
 		if rec != nil {
 			out = append(out, rec.info())
 		}
 	}
 	start := len(out)
-	for _, rec := range t.extras {
+	for _, rec := range t.clients {
 		out = append(out, rec.info())
 	}
-	sort.Slice(out[start:], func(i, j int) bool { return out[start+i].Addr < out[start+j].Addr })
+	sort.Slice(out[start:], func(i, j int) bool { return out[start+i].Slot < out[start+j].Slot })
 	return out
 }
 

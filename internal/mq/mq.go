@@ -35,9 +35,6 @@ const (
 	OpNEJoin                  // a network entity joined the hierarchy
 	OpNELeave                 // a network entity left gracefully
 	OpNEFailure               // a network entity was detected faulty
-	OpNotifyParent            // Notification-to-Parent (ring leader -> parent)
-	OpNotifyChild             // Notification-to-Child (node -> child)
-	OpHolderAck               // Holder-Acknowledgement (holder -> children)
 )
 
 // String names the operation.
@@ -59,12 +56,6 @@ func (o Op) String() string {
 		return "ne-leave"
 	case OpNEFailure:
 		return "ne-failure"
-	case OpNotifyParent:
-		return "notify-parent"
-	case OpNotifyChild:
-		return "notify-child"
-	case OpHolderAck:
-		return "holder-ack"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -158,11 +149,10 @@ func (q *Queue) Len() int {
 func (q *Queue) Stats() Stats { return q.stats }
 
 // Insert queues a change, aggregating with any pending change to the
-// same subject per the collapse rules. Notification and ack ops are
-// control-plane records and are never aggregated.
+// same subject per the collapse rules.
 func (q *Queue) Insert(c Change) {
 	q.stats.Enqueued++
-	if !q.aggregate || c.Op == OpNotifyParent || c.Op == OpNotifyChild || c.Op == OpHolderAck {
+	if !q.aggregate {
 		q.append(c)
 		return
 	}

@@ -165,17 +165,6 @@ func TestMemberAndNESubjectsAreSeparate(t *testing.T) {
 	}
 }
 
-func TestControlOpsNeverAggregate(t *testing.T) {
-	q := New(true)
-	a := Change{Op: OpNotifyParent, NE: ids.MakeNodeID(ids.TierAP, 1), Origin: ids.MakeNodeID(ids.TierAP, 1)}
-	q.Insert(a)
-	q.Insert(a)
-	q.Insert(Change{Op: OpHolderAck, NE: ids.MakeNodeID(ids.TierAP, 1)})
-	if q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (control ops are plain FIFO)", q.Len())
-	}
-}
-
 func TestDrainBatchMax(t *testing.T) {
 	q := New(true)
 	for g := uint64(1); g <= 5; g++ {
@@ -234,8 +223,8 @@ func TestOpPredicates(t *testing.T) {
 			t.Errorf("%s predicates wrong", op)
 		}
 	}
-	if OpNotifyParent.IsMemberOp() || OpNotifyParent.IsNEOp() {
-		t.Error("notify ops are neither member nor NE ops")
+	if OpNone.IsMemberOp() || OpNone.IsNEOp() {
+		t.Error("OpNone is neither a member nor an NE op")
 	}
 }
 

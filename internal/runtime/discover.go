@@ -25,9 +25,10 @@ import (
 // carries bootSeq, the reply echoes it, and a retry ticker and a
 // deadline event bound it (gossip reuses the same payloads with Seq 0).
 
-// BootstrapInfo is what a seed bootstrap learned about the deployment:
+// BootstrapInfo is what a seed bootstrap found out about the deployment:
 // the hierarchy shape to build locally and the slot this process ended
-// up claiming (-1 = slotless observer).
+// up with, the one it claimed or, slotless, its client slot past every
+// cluster slot (Slot >= Slots).
 type BootstrapInfo struct {
 	H, R  int
 	Slots int
@@ -69,7 +70,7 @@ type discoverer struct {
 
 	// The rest is engine-owned.
 	shapeH, shapeR int // hierarchy shape served to joiners
-	gossipIdx      int // round-robin cursor of the periodic gossip
+	gossipIdx      int // round-robin cursor of a member's periodic gossip
 
 	// booted, while a seed bootstrap runs, is the channel its caller
 	// waits on: the reply sends what it adopted, the deadline closes it.
@@ -120,7 +121,7 @@ func (d *discoverer) stop() {
 }
 
 // discoveryFrame wraps a discovery payload: class control, zero
-// addressing, TTL 1 (discovery frames are never relayed).
+// addressing, TTL 1 (a byte nothing reads).
 func discoveryFrame(p wire.Payload) wire.Frame {
 	return wire.Frame{Class: uint8(KindControl), TTL: 1, Payload: p}
 }
@@ -129,12 +130,19 @@ func discoveryFrame(p wire.Payload) wire.Frame {
 // does, hands it to the discovery engine. Read goroutine. Protocol
 // probes (real From/To, core's probeExcluded path) pass through; only
 // the addressless discovery liveness probe, answered with a hello, is
-// the plane's.
+// the plane's. A hello enters the table here, before the read loop
+// takes the sender's next datagram, so a client's slot routes before
+// any reply that its first join or query draws; only its answer, if it
+// needs one, goes to the engine.
 func (d *discoverer) intercept(f wire.Frame, src netip.AddrPort) bool {
 	var fn func()
 	switch p := f.Payload.(type) {
 	case wire.PeerHello:
-		fn = func() { d.onHello(p, src) }
+		changed := d.enter(p, src)
+		if p.Seq == 0 && !changed {
+			return true
+		}
+		fn = func() { d.answer(p, src, changed) }
 	case wire.PeerList:
 		fn = func() { d.onPeerList(p) }
 	case wire.Probe:
@@ -149,19 +157,27 @@ func (d *discoverer) intercept(f wire.Frame, src netip.AddrPort) bool {
 	return true
 }
 
-// onHello upserts the announcing peer and answers: a nonzero Seq gets
-// the full PeerList (the bootstrap reply), and any routing change is
-// broadcast to the other peers so an address move heals cluster-wide
-// in one gossip round instead of one edge at a time. The announced
-// address is parsed, never resolved: a DNS lookup would stall the
-// discovery engine, and peers announce numeric addresses. Anything else
-// falls back to the source.
-func (d *discoverer) onHello(p wire.PeerHello, src netip.AddrPort) {
+// enter upserts the announcing peer and reports whether the cluster's
+// routing view changed. A member is entered at its announced address,
+// which is parsed, never resolved: a DNS lookup would stall the read
+// loop, and peers announce numeric addresses. Anything else falls back
+// to the source. A client slot (past every cluster slot) is entered at
+// the source: only this process routes to it, and it replies where the
+// client's datagrams come from, whatever address the client bound.
+// Any goroutine.
+func (d *discoverer) enter(p wire.PeerHello, src netip.AddrPort) bool {
 	addr := src
-	if a, err := netip.ParseAddrPort(p.Addr); err == nil {
+	if a, err := netip.ParseAddrPort(p.Addr); err == nil && int(p.Slot) < d.book.table.Slots() {
 		addr = a
 	}
-	changed := d.book.table.Hello(int(p.Slot), addr)
+	return d.book.table.Hello(int(p.Slot), addr)
+}
+
+// answer replies to an entered hello: a nonzero Seq gets the full
+// PeerList (the bootstrap reply), and a routing change is broadcast to
+// the other peers so an address move heals cluster-wide in one gossip
+// round instead of one edge at a time. Engine context.
+func (d *discoverer) answer(p wire.PeerHello, src netip.AddrPort, changed bool) {
 	if p.Seq != 0 {
 		d.send(src, d.makePeerList(p.Seq))
 	}
@@ -171,18 +187,22 @@ func (d *discoverer) onHello(p wire.PeerHello, src netip.AddrPort) {
 }
 
 // onPeerList completes a running bootstrap when it echoes bootSeq, and
-// otherwise merges every gossiped entry into the table.
+// otherwise merges every gossiped entry into the table. What adopt
+// sends is written before the bootstrap's caller goes on, so a client's
+// hellos reach each member ahead of anything the client sends next.
 func (d *discoverer) onPeerList(p wire.PeerList) {
 	if p.Seq != bootSeq || d.booted == nil {
 		d.mergePeers(p)
 		return
 	}
-	d.booted <- d.adopt(p)
+	info := d.adopt(p)
+	d.bufs.flush()
+	d.booted <- info
 	d.endBootstrap()
 }
 
 // mergePeers folds gossiped entries into the table (evicted-state and
-// slotless entries are skipped by Learn; own slot is never touched). A
+// client entries are skipped by Learn; own slot is never touched). A
 // row whose address is not numeric is ignored: like a hello, it is
 // parsed, never resolved.
 func (d *discoverer) mergePeers(p wire.PeerList) {
@@ -204,7 +224,7 @@ func (d *discoverer) makePeerList(seq uint64) wire.PeerList {
 	now := d.eng.start.Add(time.Duration(d.eng.now))
 	for _, p := range d.book.table.Snapshot() {
 		e := wire.PeerEntry{Slot: int32(p.Slot), State: uint8(p.State), Addr: p.Addr}
-		if p.Slot == d.book.selfIndex && p.Slot >= 0 {
+		if p.Slot == d.book.selfIndex {
 			e.Addr, e.AgeMillis = d.hello.Addr, 0
 		} else if age := now.Sub(p.LastSeen); age > 0 {
 			e.AgeMillis = uint32(min(age.Milliseconds(), int64(^uint32(0))))
@@ -286,21 +306,24 @@ func (d *discoverer) endBootstrap() {
 }
 
 // adopt installs a bootstrap reply: deployment shape, table width, own
-// loopback entry, and every learned peer address.
+// loopback entry (a client slot has none), and every peer address. A
+// slotless process then announces its client slot to every member, so
+// each routes replies to its endpoints before the first one.
 func (d *discoverer) adopt(pl wire.PeerList) BootstrapInfo {
 	slots := int(pl.Slots)
 	d.shapeH, d.shapeR = int(pl.H), int(pl.R)
 	d.book.table.Reset(d.book.selfIndex, slots)
-	if d.book.selfIndex >= 0 {
-		d.book.table.Set(d.book.selfIndex, d.book.loopback)
-	}
+	d.book.table.Set(d.book.selfIndex, d.book.loopback)
 	d.mergePeers(pl)
+	if d.book.client() {
+		d.helloMembers()
+	}
 	return BootstrapInfo{H: int(pl.H), R: int(pl.R), Slots: slots, Slot: d.book.selfIndex}
 }
 
 // tick is the periodic half of the plane: sweep the suspicion state
 // machine, probe the suspects, hand evictions to the open groups and
-// gossip the table round-robin.
+// gossip.
 func (d *discoverer) tick() {
 	probe, evicted := d.book.table.Sweep(d.suspectAfter, d.evictAfter)
 	for _, a := range probe {
@@ -312,9 +335,17 @@ func (d *discoverer) tick() {
 	d.gossipStep()
 }
 
-// gossipStep pushes the table at one routable peer per tick, round
-// robin, so even an otherwise idle cluster converges its address books.
+// gossipStep is one tick's gossip. A member pushes its table at one
+// routable peer, round robin, so even an otherwise idle cluster
+// converges its address books. A slotless process has nothing
+// first-hand to serve, and its client slot enters a table only from its
+// own hello, never from gossip: it hellos every member, each tick, so
+// every member routes to it and keeps its entry well inside EvictAfter.
 func (d *discoverer) gossipStep() {
+	if d.book.client() {
+		d.helloMembers()
+		return
+	}
 	n := d.book.table.Slots()
 	for i := 0; i < n; i++ {
 		d.gossipIdx = (d.gossipIdx + 1) % n
@@ -322,17 +353,17 @@ func (d *discoverer) gossipStep() {
 			continue
 		}
 		if a := d.book.table.AddrOf(d.gossipIdx); a.IsValid() {
-			if d.book.selfIndex < 0 {
-				// A slotless process has nothing first-hand to serve,
-				// and appears in nobody's PeerList (slotless entries are
-				// never gossiped — each must be learned from its own
-				// hello); announcing itself round-robin keeps every
-				// member's peer dump complete.
-				d.send(a, d.hello)
-			} else {
-				d.send(a, d.makePeerList(0))
-			}
+			d.send(a, d.makePeerList(0))
 			return
+		}
+	}
+}
+
+// helloMembers sends the hello to every routable cluster slot.
+func (d *discoverer) helloMembers() {
+	for slot, n := 0, d.book.table.Slots(); slot < n; slot++ {
+		if a := d.book.table.AddrOf(slot); a.IsValid() {
+			d.send(a, d.hello)
 		}
 	}
 }

@@ -159,7 +159,7 @@ type NetMux struct {
 	// and no seeds).
 	disc *discoverer
 
-	// boot holds what a seed bootstrap learned (bootOK false on a
+	// boot holds what a seed bootstrap found out (bootOK false on a
 	// statically configured mux).
 	boot   BootstrapInfo
 	bootOK bool
@@ -218,7 +218,7 @@ func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
 	return m, nil
 }
 
-// BootstrapInfo reports what a seed bootstrap learned about the
+// BootstrapInfo reports what a seed bootstrap found out about the
 // deployment; ok is false on a statically configured mux.
 func (m *NetMux) BootstrapInfo() (info BootstrapInfo, ok bool) {
 	return m.boot, m.bootOK
@@ -353,10 +353,7 @@ func (m *NetMux) NetStats() NetStats {
 	for _, v := range m.views() {
 		v.eng.do(func() {
 			ns.UnknownPeer += v.tr.nstats.UnknownPeer
-			ns.Relayed += v.tr.nstats.Relayed
-			ns.TTLExpired += v.tr.nstats.TTLExpired
 			ns.Oversize += v.tr.nstats.Oversize
-			ns.DupDropped += v.tr.nstats.DupDropped
 		})
 	}
 	ns.PeerJoined = m.book.table.Joined()

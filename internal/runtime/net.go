@@ -19,13 +19,10 @@ import (
 var _ Runtime = (*NetRuntime)(nil)
 
 const (
-	// bookLimit bounds the per-endpoint maps a long-running networked
-	// process accretes (learned return addresses, relay dedup keys):
-	// past it the map is simply cleared — learning re-warms on the next
-	// packet.
-	bookLimit = 4096
-
-	// netTTL is the relay hop budget stamped on egress frames.
+	// netTTL is the envelope's hop-budget byte stamped on egress frames.
+	// Every frame goes straight to the process that hosts its
+	// destination and nothing reads the byte; it is kept so frames stay
+	// byte-identical.
 	netTTL = 8
 
 	// settleTimeout bounds Run/RunUntil: a networked runtime cannot
@@ -61,13 +58,8 @@ type NetConfig struct {
 	// Owners maps each network entity to the Peers slot hosting it.
 	// Entities owned by Index are served locally; all others are
 	// routed to their owner's address. Nil means every entity is
-	// local (single-process deployment or pure client).
+	// local (single-process deployment).
 	Owners map[ids.NodeID]int
-
-	// DefaultRoute, when set, is where frames for unrouteable node IDs
-	// are sent — the client ("Dial") mode: a process that owns no
-	// entities routes everything at one cluster member, which relays.
-	DefaultRoute string
 
 	// Seeds, when non-empty (and Peers is empty), switches the process
 	// to seed bootstrap: instead of a static address book it sends a
@@ -79,7 +71,10 @@ type NetConfig struct {
 	// SeedSlot is the cluster slot a seed-bootstrapping process claims
 	// (replacing a member whose address changed, or filling a known
 	// slot). Negative joins as a slotless observer that owns no
-	// entities. Ignored when Peers is set (Index rules there).
+	// entities: it takes a client slot past every cluster slot, derived
+	// from its bound port (BootstrapInfo.Slot), and mints its mobile
+	// hosts and query apps in that slot's block. Ignored when Peers is
+	// set (Index rules there).
 	SeedSlot int
 
 	// H, R and Slots describe the deployment to bootstrapping joiners
@@ -99,14 +94,12 @@ type NetConfig struct {
 	// sweep (default 1s). A peer silent past SuspectAfter (default 3s)
 	// is probed; silent past EvictAfter (default 10s) it is evicted —
 	// its slot stops routing and the eviction feeds the protocol's
-	// fail-out path. DedupTTL is the relay dedup window (default
-	// 200ms, under the protocol's retransmit period so a legitimate
-	// retransmission is never starved).
+	// fail-out path. A slotless process's client slot is dropped at
+	// EvictAfter too; its hellos, every ProbeInterval, keep it.
 	GossipInterval time.Duration
 	ProbeInterval  time.Duration
 	SuspectAfter   time.Duration
 	EvictAfter     time.Duration
-	DedupTTL       time.Duration
 
 	// QuiesceIdle is how long the socket must stay silent (with no
 	// pending local work) before the runtime considers itself
@@ -115,8 +108,8 @@ type NetConfig struct {
 }
 
 // NetStats counts wire-level events that the substrate-agnostic Stats
-// cannot see: decode failures, version mismatches, routing misses,
-// relays and write failures. The socket-level counters (Received,
+// cannot see: decode failures, version mismatches, routing misses and
+// write failures. The socket-level counters (Received,
 // DecodeErrors, UnknownVersion, UnknownGroup, WriteFailed) are
 // maintained once per socket; the routing counters are per group and
 // aggregated by NetMux.NetStats.
@@ -125,19 +118,18 @@ type NetStats struct {
 	DecodeErrors   uint64 // frames rejected by the codec
 	UnknownVersion uint64 // frames from a different wire version
 	UnknownGroup   uint64 // frames tagged for a group not hosted here
-	UnknownPeer    uint64 // frames/sends with no route to the destination
-	Relayed        uint64 // frames forwarded toward their owner
-	TTLExpired     uint64 // relay candidates dropped at TTL exhaustion
+	UnknownPeer    uint64 // sends with no route, and frames for an endpoint not hosted here
+	Relayed        uint64 // always 0: no frame is forwarded (kept for the benchmark's build)
+	TTLExpired     uint64 // always 0: nothing reads a frame's hop budget (kept for the benchmark's build)
 	Oversize       uint64 // frames larger than one UDP datagram, dropped
 	WriteFailed    uint64 // frames in datagrams the socket refused to write
 
-	// Discovery-plane counters. PeerJoined/PeerEvicted/GossipFrames
-	// are table-level (maintained once per socket); DupDropped is per
-	// group and aggregated like the routing counters.
+	// Discovery-plane counters, table-level (maintained once per
+	// socket).
 	PeerJoined   uint64 // peers that joined, rejoined or moved address
 	PeerEvicted  uint64 // liveness evictions issued by the probe sweep
 	GossipFrames uint64 // discovery frames sent (hello/peer-list/probe)
-	DupDropped   uint64 // duplicate relayed frames dropped by the dedup map
+	DupDropped   uint64 // always 0: no frame is forwarded (kept for the benchmark's build)
 }
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
@@ -280,7 +272,7 @@ func (s *netSock) hand(b []byte, src netip.AddrPort, resolve func(wire.Frame, ne
 		s.release(in)
 		return true
 	}
-	in.t, in.f, in.src = t, f, src
+	in.t, in.f = t, f
 	t.eng.pending.Add(1)
 	t.eng.submit(in.fn)
 	return true
@@ -304,7 +296,6 @@ type inbound struct {
 
 	t    *netTransport
 	f    wire.Frame
-	src  netip.AddrPort
 	into wire.DecodeTarget
 }
 
@@ -390,7 +381,7 @@ func (s *netSock) putReplyBuf(b []ids.MemberInfo) {
 // back only after the dispatch, because the frame's payload may live in
 // its target.
 func (in *inbound) run() {
-	in.t.dispatch(in.f, in.src)
+	in.t.dispatch(in.f)
 	in.sock.release(in)
 }
 
@@ -405,7 +396,8 @@ type netBook struct {
 	self     netip.AddrPort // what peers are told (Advertise)
 	loopback netip.AddrPort // how this process reaches itself
 
-	// selfIndex is this process's slot (negative for slotless clients).
+	// selfIndex is this process's slot: a cluster slot, or the client
+	// slot of a slotless process, past every cluster slot.
 	selfIndex int
 
 	// owner maps entity IDs to their owning slot; table maps slots to
@@ -414,9 +406,11 @@ type netBook struct {
 	// (changes on every address churn).
 	owner atomic.Pointer[map[ids.NodeID]int]
 	table *discovery.Table
-
-	defaultRoute netip.AddrPort // the zero AddrPort when there is none
 }
+
+// client reports whether this process is slotless: its slot is a client
+// slot, past every cluster slot.
+func (b *netBook) client() bool { return b.selfIndex >= b.table.Slots() }
 
 // ownerOf resolves the owning slot of an entity ID.
 func (b *netBook) ownerOf(id ids.NodeID) (int, bool) {
@@ -444,15 +438,15 @@ func (b *netBook) ownedBy(slot int) []ids.NodeID {
 	return out
 }
 
-// adopt swaps in a new ownership partition (seed bootstrap learned the
+// adopt swaps in a new ownership partition (seed bootstrap found out the
 // deployment shape).
 func (b *netBook) adopt(owners map[ids.NodeID]int) { b.owner.Store(&owners) }
 
-// slotAddr resolves a slot to a routable address: self routes over the
-// loopback, everything else through the live peer table (the zero
-// AddrPort when the slot is unknown or evicted).
+// slotAddr resolves a cluster or client slot to a routable address:
+// self routes over the loopback, everything else through the live peer
+// table (the zero AddrPort when the slot is unknown or evicted).
 func (b *netBook) slotAddr(slot int) netip.AddrPort {
-	if slot == b.selfIndex && slot >= 0 {
+	if slot == b.selfIndex {
 		return b.loopback
 	}
 	return b.table.AddrOf(slot)
@@ -460,8 +454,7 @@ func (b *netBook) slotAddr(slot int) netip.AddrPort {
 
 // netBufs is the egress of one engine shard: one datagram under
 // construction per (socket, peer address) the shard's groups send to.
-// Send and relay encode each frame straight into its destination's
-// datagram. An idle shard writes it there and then; a backlogged one
+// Send encodes each frame straight into its destination's datagram. An idle shard writes it there and then; a backlogged one
 // keeps it until the engine's flush at the end of the batch, so the
 // batch goes out as one datagram per peer (engineCore.loop). A slot is
 // claimed by the first frame queued for its destination and released at
@@ -570,7 +563,10 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		// the width comes from config or the bootstrap reply.
 		selfIndex = cfg.SeedSlot
 		slots = cfg.Slots
-		if selfIndex >= slots {
+		switch {
+		case selfIndex < 0:
+			selfIndex = clientSlot(loopback.Port())
+		case selfIndex >= slots:
 			slots = selfIndex + 1
 		}
 	}
@@ -586,23 +582,15 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		}
 		table.Set(i, a)
 	}
-	if len(cfg.Peers) == 0 && selfIndex >= 0 {
-		table.Set(selfIndex, loopback)
-	}
-
-	var defaultRoute netip.AddrPort
-	if cfg.DefaultRoute != "" {
-		if defaultRoute, err = resolveUDP(cfg.DefaultRoute); err != nil {
-			return nil, fmt.Errorf("runtime: default route %q: %w", cfg.DefaultRoute, err)
-		}
+	if len(cfg.Peers) == 0 {
+		table.Set(selfIndex, loopback) // a client slot is no table slot: a no-op
 	}
 
 	b := &netBook{
-		self:         self,
-		loopback:     loopback,
-		selfIndex:    selfIndex,
-		table:        table,
-		defaultRoute: defaultRoute,
+		self:      self,
+		loopback:  loopback,
+		selfIndex: selfIndex,
+		table:     table,
 	}
 	if cfg.Owners != nil {
 		owners := make(map[ids.NodeID]int, len(cfg.Owners))
@@ -613,6 +601,14 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 	}
 	return b, nil
 }
+
+// clientSlot is the slot of a process that owns no cluster slot (a
+// slotless observer), derived from the port it is bound to: past every
+// cluster slot, so no entity belongs to it, and (almost always) unlike
+// every other client's. It is the block the process mints its mobile
+// hosts and query apps in, and other processes route replies to them
+// through its table entry, which its hellos keep.
+func clientSlot(port uint16) int { return 1<<6 + int(port) }
 
 // resolveUDP resolves a configured address, host names included, once
 // at start-up, into the unmapped form the socket reports sources in.
@@ -657,9 +653,6 @@ func netDefaults(cfg *NetConfig) {
 	if cfg.EvictAfter <= 0 {
 		cfg.EvictAfter = 10 * time.Second
 	}
-	if cfg.DedupTTL <= 0 {
-		cfg.DedupTTL = 200 * time.Millisecond
-	}
 }
 
 // NetRuntime is one group's view of a NetMux: the protocol engine on
@@ -669,9 +662,8 @@ func netDefaults(cfg *NetConfig) {
 // des.Kernel, run on real time (liveClock). Hops between the process's
 // own endpoints stay in memory; everything else goes through the wire
 // codec and the mux's datagram socket: the address book routes entity
-// IDs to their owning process, addresses of transient endpoints (mobile
-// hosts, query apps) are learned from packet sources, and frames for
-// non-local entities are relayed toward their owner with a TTL budget.
+// IDs to their owning process and transient endpoints (mobile hosts,
+// query apps) to the process whose block holds their ordinal.
 type NetRuntime struct {
 	eng   *engineCore
 	clock *liveClock
@@ -776,15 +768,6 @@ type netTransport struct {
 	loss  float64     // 1 once closed: a dead group loses everything
 	group ids.GroupID // tag stamped on egress when the message has none
 
-	// learned holds return addresses observed for transient endpoints
-	// (mobile hosts, query apps) that no ownership entry covers.
-	learned map[ids.NodeID]netip.AddrPort
-
-	// dedup drops duplicate relayed frames (replayed or routed here
-	// twice) inside a TTL window, so a relay loop or replay fault
-	// cannot amplify through this process.
-	dedup *discovery.TmpMap
-
 	local   map[ids.NodeID]Endpoint
 	crashed map[ids.NodeID]bool
 
@@ -792,7 +775,7 @@ type netTransport struct {
 	nstats NetStats // routing counters only; socket counters live on sock
 
 	// lastActivity is the shard time (engineCore.now) of this group's
-	// latest traffic (dispatches, sends, relays): quiescence is per
+	// latest traffic (dispatches and sends): quiescence is per
 	// group, so busy sibling groups on the shared socket cannot starve
 	// it.
 	lastActivity atomic.Int64
@@ -822,8 +805,6 @@ func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, lo
 		rng:     mathx.NewRNG(seed),
 		loss:    loss,
 		group:   group,
-		learned: make(map[ids.NodeID]netip.AddrPort),
-		dedup:   discovery.NewTmpMap(m.cfg.DedupTTL, bookLimit),
 		local:   make(map[ids.NodeID]Endpoint),
 		crashed: make(map[ids.NodeID]bool),
 	}
@@ -832,27 +813,14 @@ func newNetTransport(m *NetMux, sh *muxShard, group ids.GroupID, seed uint64, lo
 	return t
 }
 
-// dispatch runs on the transport's engine goroutine: return-address
-// learning, local delivery or relay.
-func (t *netTransport) dispatch(f wire.Frame, src netip.AddrPort) {
+// dispatch runs on the transport's engine goroutine: it delivers a
+// decoded frame to its endpoint. A frame for an endpoint this process
+// does not host is dropped and counted as UnknownPeer: every sender
+// routes a frame to the process that hosts its destination, so no
+// process forwards one.
+func (t *netTransport) dispatch(f wire.Frame) {
 	defer t.eng.pending.Add(-1)
 	t.touch()
-	// Return-address learning: transient endpoints (MHs, query apps)
-	// are not in the ownership partition; remember where their traffic
-	// comes from so replies route back. Owned entities are never
-	// overridden — their routing follows the peer table — and the book
-	// is bounded so a flood of spoofed sender IDs cannot grow it
-	// without limit.
-	if _, owned := t.book.ownerOf(f.From); !owned && !f.From.IsZero() {
-		if _, isLocal := t.local[f.From]; !isLocal {
-			if old, known := t.learned[f.From]; !known || old != src {
-				if !known && len(t.learned) >= bookLimit {
-					clear(t.learned)
-				}
-				t.learned[f.From] = src
-			}
-		}
-	}
 	msg := Message{
 		From:  f.From,
 		To:    f.To,
@@ -862,7 +830,8 @@ func (t *netTransport) dispatch(f wire.Frame, src netip.AddrPort) {
 		Sent:  t.clock.Now(),
 	}
 	if !t.deliver(msg, true) {
-		t.relay(f)
+		t.nstats.UnknownPeer++
+		t.stats.Dropped++
 	}
 }
 
@@ -910,70 +879,21 @@ func (t *netTransport) deliverLocal(msg Message) {
 	}
 }
 
-// relay forwards a frame addressed to an entity this process does not
-// host toward its owner (or a learned/default route), spending TTL.
-// This is what lets a single-contact client reach any entity of the
-// cluster and get replies back. The group tag rides along unchanged.
-func (t *netTransport) relay(f wire.Frame) {
-	if f.TTL <= 1 {
-		t.nstats.TTLExpired++
-		t.stats.Dropped++
-		return
-	}
-	addr := t.route(f.To)
-	if !addr.IsValid() || addr == t.book.self || addr == t.book.loopback {
-		t.nstats.UnknownPeer++
-		t.stats.Dropped++
-		return
-	}
-	f.TTL--
-	if t.egress(f, addr, true) {
-		t.nstats.Relayed++
-	}
-}
-
-// relayKey hashes one encoded frame (FNV-1a), skipping the TTL byte at
-// envelope offset 4 — the one field a relay hop legitimately rewrites.
-func relayKey(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-		ttlOff   = 4
-	)
-	h := uint64(offset64)
-	for i, c := range b {
-		if i == ttlOff {
-			continue
-		}
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-// route resolves a destination that is not a local endpoint: hierarchy
-// entities through the ownership partition and the live peer table,
-// cluster-resident mobile-host endpoints by their ordinal's block
+// route resolves a destination that is not a local endpoint, through
+// the live peer table: an entity to its owner's slot, a transient
+// endpoint (a mobile host or query app) to its ordinal's block
 // (ids.MHBlockSize; each process mints its own in the block of its
-// slot), external transient endpoints through the learned addresses,
-// everything else to the default route (if any). An owned entity whose
-// slot is evicted resolves to the zero AddrPort — the send is dropped
-// and counted as UnknownPeer until the peer is heard from again.
+// slot, cluster or client). A destination whose slot is unknown or
+// evicted resolves to the zero AddrPort — the send is dropped and
+// counted as UnknownPeer until the peer is heard from again.
 func (t *netTransport) route(id ids.NodeID) netip.AddrPort {
 	if slot, ok := t.book.ownerOf(id); ok {
 		return t.book.slotAddr(slot)
 	}
 	if id.Tier() == ids.TierMH {
-		if slot := id.Ordinal() / ids.MHBlockSize; slot >= 0 && slot < t.book.table.Slots() {
-			if a := t.book.slotAddr(slot); a.IsValid() {
-				return a
-			}
-		}
+		return t.book.slotAddr(id.Ordinal() / ids.MHBlockSize)
 	}
-	if a, ok := t.learned[id]; ok {
-		return a
-	}
-	return t.book.defaultRoute
+	return netip.AddrPort{}
 }
 
 // Register implements Transport.
@@ -1055,29 +975,25 @@ func (t *netTransport) send(msg Message) bool {
 		Class:   uint8(msg.Kind),
 		TTL:     netTTL,
 		Payload: msg.Body,
-	}, addr, false)
+	}, addr)
 	return false
 }
 
-// CopiesPayload implements PayloadCopier: a reply to another process is
+// LendBodies implements BodyRecycler. A reply to another process is
 // encoded (or dropped) before Send returns, and one to an endpoint of
 // this process is copied into a spare buffer of the socket's.
-func (t *netTransport) CopiesPayload() bool { return true }
-
-// LendBodies implements BodyRecycler.
 func (t *netTransport) LendBodies(b *wire.Bodies) { t.bodies = b }
 
 // egress encodes f into the datagram under construction for addr and
-// keeps it there, reporting whether it did; a frame the checks refuse
-// is taken back out. A kept frame that would push the datagram past one
-// UDP datagram first sends the frames ahead of it on their own. On an
-// idle shard (outside a batch) the datagram is written before egress
-// returns.
-func (t *netTransport) egress(f wire.Frame, addr netip.AddrPort, relay bool) bool {
+// keeps it there; a frame the checks refuse is taken back out. A kept
+// frame that would push the datagram past one UDP datagram first sends
+// the frames ahead of it on their own. On an idle shard (outside a
+// batch) the datagram is written before egress returns.
+func (t *netTransport) egress(f wire.Frame, addr netip.AddrPort) {
 	d := t.bufs.to(t.sock, addr)
 	start := len(d.buf)
 	d.buf = wire.AppendFrame(d.buf, f)
-	kept := t.admit(d.buf[start:], addr, relay)
+	kept := t.admit(d.buf[start:], addr)
 	if kept {
 		d.keep(start, false)
 		t.piggyback(d)
@@ -1090,7 +1006,6 @@ func (t *netTransport) egress(f wire.Frame, addr netip.AddrPort, relay bool) boo
 	if kept {
 		t.touch()
 	}
-	return kept
 }
 
 // piggyback appends the socket's discovery hello to d, the datagram a
@@ -1113,9 +1028,9 @@ func (t *netTransport) piggyback(d *datagram) {
 }
 
 // admit runs the per-frame egress checks on one encoded frame, counting
-// what it refuses: the size, a relayed frame's dedup key and the
-// blocked-peer cut (counted at the socket).
-func (t *netTransport) admit(frame []byte, addr netip.AddrPort, relay bool) bool {
+// what it refuses: the size and the blocked-peer cut (counted at the
+// socket).
+func (t *netTransport) admit(frame []byte, addr netip.AddrPort) bool {
 	switch {
 	case len(frame) > wire.MaxDatagram:
 		// An aggregated batch or snapshot past one datagram cannot be
@@ -1124,12 +1039,6 @@ func (t *netTransport) admit(frame []byte, addr netip.AddrPort, relay bool) bool
 		// trying — an Oversize count that grows in lockstep with
 		// Dropped is the diagnostic).
 		t.nstats.Oversize++
-	case relay && !t.dedup.Add(relayKey(frame)):
-		// Dedup window: a frame replayed at us (or routed here twice by
-		// a relay loop) is forwarded once per TTL window. The hash
-		// skips the envelope's TTL byte so the same frame arriving over
-		// paths of different length still collapses to one key.
-		t.nstats.DupDropped++
 	case t.sock.cutAddr(addr):
 		return false
 	default:

@@ -357,7 +357,7 @@ func (e *replyCheck) HandleMessage(msg Message) {
 	e.got++
 }
 
-// TestPayloadCopierCopiesLocalReplies: a sender lends the networked
+// TestBodyRecyclerCopiesLocalReplies: a sender lends the networked
 // transport a QueryReply's members wherever it sends them, so a reply to
 // an endpoint of this process, which waits on the engine's FIFO, is
 // copied at Send: the sender's list changes before the hop is delivered
@@ -366,7 +366,7 @@ func (e *replyCheck) HandleMessage(msg Message) {
 // whatever its length (here more than one datagram holds), so a warm
 // reply allocates only its boxed body. A fault decorator holds messages
 // past Send and must not pass the capability on.
-func TestPayloadCopierCopiesLocalReplies(t *testing.T) {
+func TestBodyRecyclerCopiesLocalReplies(t *testing.T) {
 	rt := newTestLive(t)
 	tr := rt.Transport()
 	from, to := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierMH, 7)
@@ -383,11 +383,11 @@ func TestPayloadCopierCopiesLocalReplies(t *testing.T) {
 	ep := &replyCheck{}
 	rt.Do(func() {
 		tr.Register(to, ep)
-		if c, ok := tr.(PayloadCopier); !ok || !c.CopiesPayload() {
-			t.Error("the networked transport does not copy a reply's members")
+		if _, ok := tr.(BodyRecycler); !ok {
+			t.Error("the networked transport takes no lent lists")
 		}
-		if _, ok := Transport(NewFaultTransport(tr, FaultPlan{Seed: 1, Reorder: 1})).(PayloadCopier); ok {
-			t.Error("FaultTransport passes PayloadCopier through")
+		if _, ok := Transport(NewFaultTransport(tr, FaultPlan{Seed: 1, Reorder: 1})).(BodyRecycler); ok {
+			t.Error("FaultTransport passes BodyRecycler through")
 		}
 	})
 	rt.Do(send)
@@ -467,8 +467,8 @@ func testBlockCutsBothDirections(t *testing.T, bindHost string) {
 
 // TestInboundDatagramAllocs: a datagram from the socket reaches its
 // endpoint without allocating — source address, the walk over its
-// frames, hand-off to the engine, liveness lookup, return-address
-// learning and dispatch — once the free list and the maps are warm. It
+// frames, hand-off to the engine, liveness lookup and dispatch — once
+// the free list and the maps are warm. It
 // holds for a datagram of one frame and for one of four.
 func TestInboundDatagramAllocs(t *testing.T) {
 	for _, frames := range []int{1, 4} {
@@ -493,8 +493,7 @@ func testInboundDatagramAllocs(t *testing.T, frames int) {
 
 // inboundMallocs writes datagram, whose frames are each delivered to an
 // endpoint that counts them in got, to rt0 from a socket in no peer
-// table (its sender is learned as a transient endpoint's return address,
-// and the liveness lookup misses), and returns the mallocs per datagram
+// table (the liveness lookup misses), and returns the mallocs per datagram
 // of 2 000 of them once the path is warm. Batches are paced on delivery,
 // so the socket buffer never overflows.
 func inboundMallocs(t *testing.T, rt0 *testNet, datagram []byte, frames int, got *atomic.Int64) float64 {
@@ -782,7 +781,7 @@ func TestGossipAddressesAreParsedNotResolved(t *testing.T) {
 	}
 
 	src := netip.MustParseAddrPort(addr1)
-	d.eng.do(func() { d.onHello(wire.PeerHello{Slot: 1, Addr: named}, src) })
+	d.enter(wire.PeerHello{Slot: 1, Addr: named}, src)
 	if got := table.AddrOf(1); got != src {
 		t.Fatalf("slot 1 = %v after a hello naming a host, want its source %v", got, src)
 	}
@@ -817,160 +816,42 @@ func TestNetTransportDecodeAccounting(t *testing.T) {
 	}
 }
 
-// TestNetTransportRelay: a frame for an entity another process owns is
-// forwarded toward its owner, and TTL exhaustion is accounted.
-func TestNetTransportRelay(t *testing.T) {
-	a := ids.MakeNodeID(ids.TierAP, 1)
-	b := ids.MakeNodeID(ids.TierAP, 2)
-	owners := map[ids.NodeID]int{a: 0, b: 1}
-
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	close0()
-	close1()
-	peers := []string{addr0, addr1}
-
-	rt0 := newTestNet(t, NetConfig{Bind: addr0, Peers: peers, Index: 0, Owners: owners})
-	rt1 := newTestNet(t, NetConfig{Bind: addr1, Peers: peers, Index: 1, Owners: owners})
-	epB := &countingEndpoint{rt: rt1, id: b}
-	rt1.Do(func() { rt1.Transport().Register(b, epB) })
-
-	// A third party sends a frame for b at rt0; rt0 relays it.
-	conn, err := net.DialUDP("udp", nil, rt0.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
+// TestNetTransportDropsUnhostedFrame: no process forwards a frame. One
+// for an endpoint this process does not host, here an entity another
+// process owns, is dropped and counted as UnknownPeer and Dropped, frame
+// by frame when it shares a datagram with one that is delivered.
+func TestNetTransportDropsUnhostedFrame(t *testing.T) {
+	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
+	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
+	epA := &countingEndpoint{rt: procs[0], id: a}
+	epB := &countingEndpoint{rt: procs[1], id: b}
+	procs[0].Do(func() { procs[0].Transport().Register(a, epA) })
+	procs[1].Do(func() { procs[1].Transport().Register(b, epB) })
+	frame := func(to ids.NodeID, seq uint64) []byte {
+		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: to, Class: 0, TTL: 4, Payload: wire.Probe{Seq: seq}})
 	}
-	defer conn.Close()
-	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}}))
-	waitFor(t, func() bool { return epB.got.Load() == 1 })
-	if ns := rt0.NetStats(); ns.Relayed != 1 {
-		t.Fatalf("relay stats = %+v", ns)
+	write := func(rt *testNet, datagram []byte) {
+		conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(datagram); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// TTL 1 dies at the first relay hop.
-	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: 1, Payload: wire.Probe{}}))
-	waitFor(t, func() bool { return rt0.NetStats().TTLExpired == 1 })
-	if epB.got.Load() != 1 {
-		t.Fatal("TTL-expired frame was delivered")
+	write(procs[0], slices.Concat(frame(b, 11), frame(a, 12), frame(b, 13)))
+	waitFor(t, func() bool { return epA.last.Load() == 12 && procs[0].NetStats().UnknownPeer == 2 })
+	var st Stats
+	procs[0].Do(func() { st = procs[0].Transport().Stats() })
+	if st.Dropped != 2 || st.Delivered != 1 {
+		t.Fatalf("stats = %+v, want 2 dropped and 1 delivered", st)
 	}
-}
-
-// TestNetTransportRelayDedup: a duplicate of a relayed frame inside the
-// dedup TTL window is dropped, not forwarded — including a copy that
-// differs only in its TTL byte, the one field a relay hop legitimately
-// rewrites.
-func TestNetTransportRelayDedup(t *testing.T) {
-	a := ids.MakeNodeID(ids.TierAP, 1)
-	b := ids.MakeNodeID(ids.TierAP, 2)
-	owners := map[ids.NodeID]int{a: 0, b: 1}
-
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	close0()
-	close1()
-	peers := []string{addr0, addr1}
-
-	rt0 := newTestNet(t, NetConfig{Bind: addr0, Peers: peers, Index: 0, Owners: owners, DedupTTL: 10 * time.Second})
-	rt1 := newTestNet(t, NetConfig{Bind: addr1, Peers: peers, Index: 1, Owners: owners})
-	epB := &countingEndpoint{rt: rt1, id: b}
-	rt1.Do(func() { rt1.Transport().Register(b, epB) })
-
-	conn, err := net.DialUDP("udp", nil, rt0.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	from := ids.MakeNodeID(ids.TierMH, 5)
-	frame := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 11}})
-	conn.Write(frame)
-	waitFor(t, func() bool { return rt0.NetStats().Relayed == 1 })
-
-	// The identical datagram again, then a copy with a different TTL:
-	// both must hash to the relayed frame and be dropped.
-	conn.Write(frame)
-	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 7, Payload: wire.Probe{Seq: 11}}))
-	waitFor(t, func() bool { return rt0.NetStats().DupDropped == 2 })
-
-	// A genuinely new frame still relays.
-	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 12}}))
-	waitFor(t, func() bool { return epB.got.Load() == 2 })
-	if ns := rt0.NetStats(); ns.Relayed != 2 || ns.DupDropped != 2 {
-		t.Fatalf("relay dedup stats = %+v", ns)
-	}
-}
-
-// TestNetTransportReplayFloodBounded: a sender whose fault plan replays
-// every message floods a relay with duplicate datagrams; the relay
-// forwards each frame once, and the dedup map's two-generation rotation
-// releases the flood's memory once the TTL window passes.
-func TestNetTransportReplayFloodBounded(t *testing.T) {
-	a := ids.MakeNodeID(ids.TierAP, 1)
-	b := ids.MakeNodeID(ids.TierAP, 2)
-
-	addr0, close0 := reserveUDP(t)
-	addr1, close1 := reserveUDP(t)
-	addr2, close2 := reserveUDP(t)
-	close0()
-	close1()
-	close2()
-	peers := []string{addr0, addr1, addr2}
-
-	// rt0's book knows b lives at slot 1; the sender's stale book says
-	// slot 0, so every frame lands on rt0 and must be relayed onward.
-	rt0 := newTestNet(t, NetConfig{Bind: addr0, Peers: peers, Index: 0,
-		Owners: map[ids.NodeID]int{a: 2, b: 1}, DedupTTL: 100 * time.Millisecond})
-	rt1 := newTestNet(t, NetConfig{Bind: addr1, Peers: peers, Index: 1,
-		Owners: map[ids.NodeID]int{a: 2, b: 1}})
-	rtS := newTestNet(t, NetConfig{Bind: addr2, Peers: peers, Index: 2,
-		Owners: map[ids.NodeID]int{a: 2, b: 0}})
-	replay := NewFaultTransport(rtS.Transport(), FaultPlan{Seed: 1, Duplicate: 1})
-
-	epA := &countingEndpoint{rt: rtS, id: a}
-	epB := &countingEndpoint{rt: rt1, id: b}
-	rtS.Do(func() { replay.Register(a, epA) })
-	rt1.Do(func() { rt1.Transport().Register(b, epB) })
-
-	// Flood in batches paced by the receiver catching up, so loopback
-	// buffers never overflow however slow the read loops are (under the
-	// race detector a fixed sleep is not enough): the replay fault sends
-	// every message twice, and the two datagrams are byte-identical.
-	const total = 1500
-	for sent := 0; sent < total; sent += 100 {
-		lo, hi := sent, sent+100
-		rtS.Do(func() {
-			for i := lo; i < hi; i++ {
-				replay.Send(Message{From: a, To: b, Kind: KindNotify, Body: wire.Probe{Seq: uint64(i)}})
-			}
-		})
-		waitFor(t, func() bool { return epB.got.Load() >= int64(hi) })
-	}
-
-	// Every frame arrives exactly once despite the 2x flood.
-	waitFor(t, func() bool { return epB.got.Load() == total })
-	ns := rt0.NetStats()
-	if ns.Relayed != total || ns.DupDropped != total {
-		t.Fatalf("flood stats = %+v, want Relayed=DupDropped=%d", ns, total)
-	}
-	if dup := replay.FaultStats().Duplicated; dup != total {
-		t.Fatalf("fault replays = %d, want %d", dup, total)
-	}
-
-	// The flood pinned at most one TTL window of keys; after two quiet
-	// windows the next relay rotates both generations away.
-	if n := rt0.tr.dedup.Len(); n == 0 || n > total+1 {
-		t.Fatalf("dedup entries after flood = %d", n)
-	}
-	time.Sleep(250 * time.Millisecond)
-	conn, err := net.DialUDP("udp", nil, rt0.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 9), To: b, Class: 0, TTL: 4, Payload: wire.Probe{Seq: 1 << 40}}))
-	waitFor(t, func() bool { return rt0.NetStats().Relayed == total+1 })
-	if n := rt0.tr.dedup.Len(); n > 2 {
-		t.Fatalf("dedup map held %d entries after two idle TTL windows", n)
+	// b hears only the frame sent to its own process.
+	write(procs[1], frame(b, 14))
+	waitFor(t, func() bool { return epB.last.Load() == 14 })
+	if got := epB.got.Load(); got != 1 {
+		t.Fatalf("b was handed %d frames, want 1", got)
 	}
 }
 
@@ -1108,34 +989,6 @@ func TestInboundCoalescedMalformedFrame(t *testing.T) {
 	}
 	if ns := rt.NetStats(); ns.DecodeErrors != 1 || ns.Received != 2 {
 		t.Fatalf("net stats = %+v, want 1 decode error in 2 datagrams", ns)
-	}
-}
-
-// TestRelayDedupPerCoalescedFrame: frames that arrive in one datagram
-// are relayed and deduplicated one by one.
-func TestRelayDedupPerCoalescedFrame(t *testing.T) {
-	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
-	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}, DedupTTL: 10 * time.Second}, "127.0.0.1")
-	ep := &countingEndpoint{rt: procs[1], id: b}
-	procs[1].Do(func() { procs[1].Transport().Register(b, ep) })
-	conn, err := net.DialUDP("udp", nil, procs[0].LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	frame := func(seq uint64, ttl uint8) []byte {
-		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: b, Class: 0, TTL: ttl, Payload: wire.Probe{Seq: seq}})
-	}
-	// The second frame is the first over a longer path: a duplicate.
-	if _, err := conn.Write(slices.Concat(frame(11, 4), frame(11, 7), frame(12, 4))); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return ep.last.Load() == 12 })
-	if ns := procs[0].NetStats(); ns.Relayed != 2 || ns.DupDropped != 1 {
-		t.Fatalf("relay stats = %+v, want 2 relayed and 1 duplicate", ns)
-	}
-	if got := ep.got.Load(); got != 2 {
-		t.Fatalf("%d relayed frames delivered, want 2", got)
 	}
 }
 

@@ -142,30 +142,24 @@ type Partitionable interface {
 	Heal()
 }
 
-// PayloadCopier is the optional Transport capability that lets a
-// sender lend a QueryReply's Members instead of giving them away:
-// CopiesPayload reports that Send keeps no reference to them once it
-// returns. The networked transport encodes a reply for another process
-// and copies one for its own endpoints into a buffer it reuses, so
-// there a reply is valid only until its handler returns; the simulated
-// network delivers after a latency. A decorating transport must not
-// pass the capability through (FaultTransport's reorder holds a message
-// past Send), so probe with a plain type assertion.
-type PayloadCopier interface {
-	CopiesPayload() bool
-}
-
 // BodyRecycler is the optional Transport capability that closes the
-// ownership loop of the round bodies (wire.Bodies) across processes.
-// An engine lends the transport its free lists once, at construction,
-// and from then on, in engine context, the transport hands back every
-// round body Send does not queue for one of its own endpoints, above
-// all one it encoded for another process, and delivers each round body
-// it decoded in a body taken from the lists, which the receiving
-// endpoint then owns. The networked transport implements it. A
-// decorating transport must not pass it through, so probe with a plain
-// type assertion: a transport never lent the lists hands nothing back
-// and delivers each decoded body in a new one.
+// ownership loop of the round bodies (wire.Bodies) across processes and
+// lets a sender lend a QueryReply's Members instead of giving them
+// away. An engine lends the transport its free lists once, at
+// construction, and from then on, in engine context, the transport
+// hands back every round body Send does not queue for one of its own
+// endpoints, above all one it encoded for another process, and delivers
+// each round body it decoded in a body taken from the lists, which the
+// receiving endpoint then owns. It also keeps no reference to a
+// QueryReply's Members once Send returns: a reply for another process
+// is encoded, and one for its own endpoints is copied into a buffer it
+// reuses, so there a reply is valid only until its handler returns. The
+// networked transport implements it; the simulated network delivers
+// after a latency. A decorating transport must not pass it through
+// (FaultTransport's reorder holds a message past Send), so probe with a
+// plain type assertion: a transport never lent the lists hands nothing
+// back, delivers each decoded body in a new one, and is sent replies
+// that share no list.
 type BodyRecycler interface {
 	LendBodies(b *wire.Bodies)
 }

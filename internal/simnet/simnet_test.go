@@ -44,11 +44,11 @@ func TestDeliverBasic(t *testing.T) {
 
 // TestNetworkLendsNoPayload: the simulated network delivers after a
 // latency, holding each payload past Send, so a sender may never lend
-// it one.
+// it one: it takes no System's lists.
 func TestNetworkLendsNoPayload(t *testing.T) {
 	_, n := newNet(t)
-	if _, ok := runtime.Transport(n).(runtime.PayloadCopier); ok {
-		t.Fatal("simnet.Network claims runtime.PayloadCopier")
+	if _, ok := runtime.Transport(n).(runtime.BodyRecycler); ok {
+		t.Fatal("simnet.Network claims runtime.BodyRecycler")
 	}
 }
 

@@ -88,7 +88,7 @@ type Frame struct {
 	To      ids.NodeID
 	Group   ids.GroupID // owning group
 	Class   uint8       // accounting class (runtime.Kind), carried opaquely
-	TTL     uint8       // relay hop budget
+	TTL     uint8       // hop budget byte; stamped, read by nothing
 	Payload Payload
 }
 

@@ -36,34 +36,6 @@ func Listen(addr string, opts ...Option) (*Service, error) {
 	return Open(opts...)
 }
 
-// Dial connects to a networked deployment as a pure client: the
-// process owns no hierarchy entities and routes every protocol message
-// at addr, which relays it toward the owning process. Join/Leave/
-// Handoff/Query work as usual (pass the deployment's hierarchy shape
-// so the client derives the same topology); Members is served by the
-// topmost ring, which a client does not host — use Query instead.
-//
-// Dial the deployment's first peer (slot 0). This is load-bearing,
-// not a preference: only the slot-0 process is every other process's
-// default route, so replies originating at processes that never saw
-// the client's traffic can funnel back through it. Dialing another
-// slot loses exactly those replies (visible as UnknownPeer drops in
-// the non-contacted processes' NetStats).
-func Dial(addr string, opts ...Option) (*Service, error) {
-	opts = append(opts, func(o *serviceOptions) {
-		nc := o.net()
-		if nc.Bind == "" {
-			// Unspecified host: the kernel picks a source that can
-			// reach the contact (loopback and external deployments
-			// both work).
-			nc.Bind = ":0"
-		}
-		nc.DefaultRoute = addr
-		o.dialClient = true
-	})
-	return Open(opts...)
-}
-
 // buildNetConfig assembles the networked deployment configuration of a
 // cluster's net mux: cluster validation, deterministic hierarchy
 // partition and address book. It places o.cfg at the process's slot of
@@ -93,47 +65,27 @@ func buildNetConfig(o *serviceOptions) (runtime.NetConfig, error) {
 			nc.Slots = max(nprocs, 1)
 		}
 	}
-	switch {
-	case o.dialClient:
-		// A client's slot comes from its bound port (newCluster).
-	case nprocs > 1:
+	if nprocs > 1 {
 		if nc.Owners == nil {
 			hier := topology.NewRingHierarchy(o.cfg.H, o.cfg.R)
 			nc.Owners = hier.SubtreeOwners(nprocs)
 		}
 		core.Place(&o.cfg, nc.Owners, nc.Index)
-		if nc.DefaultRoute == "" && nc.Index != 0 {
-			// Frames for endpoints nobody can route statically
-			// (external dial clients) funnel through the seed
-			// process, which learns client addresses from their
-			// ingress traffic and relays.
-			nc.DefaultRoute = nc.Peers[0]
-		}
 	}
 	return nc, nil
 }
 
-// adoptBootstrap folds what a seed bootstrap learned into the service
+// adoptBootstrap folds what a seed bootstrap found out into the service
 // configuration: the joiner derives the same deterministic ownership
 // partition every static process computed from its config, installs it
 // in the runtime's address book (adopt), and takes on its claimed
-// slot's entities — or, slotless, becomes a pure observer at a client
-// slot.
-func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(map[NodeID]int), port int) {
+// slot's entities — or, slotless, becomes a pure observer at its client
+// slot, which owns no entity and whose block holds its mobile hosts and
+// query apps.
+func adoptBootstrap(o *serviceOptions, boot runtime.BootstrapInfo, adopt func(map[NodeID]int)) {
 	hier := topology.NewRingHierarchy(boot.H, boot.R)
 	owners := hier.SubtreeOwners(boot.Slots)
 	adopt(owners)
 	o.cfg.H, o.cfg.R = boot.H, boot.R
-	slot := boot.Slot
-	if slot < 0 {
-		slot = clientSlot(port)
-	}
-	core.Place(&o.cfg, owners, slot)
+	core.Place(&o.cfg, owners, boot.Slot)
 }
-
-// clientSlot is the slot of a process that owns no cluster slot (a Dial
-// client or slotless observer): past every cluster slot, so no entity
-// belongs to it, and derived from the bound port, so its mobile-host
-// block (almost always) collides with no other client's. Its transient
-// endpoints are reached through return-address learning.
-func clientSlot(port int) int { return 1<<6 + port }

@@ -447,47 +447,90 @@ func TestMetricsMultiProcess(t *testing.T) {
 	}
 }
 
-// TestDialClient: a pure client joins members and queries membership
-// through a single contact address.
-func TestDialClient(t *testing.T) {
+// TestObserverClientRoutesByBlock: a slotless observer, seeded from
+// slot 1, is a client of a three-process deployment. It joins members at
+// access proxies of every process and runs TMS and BMS queries entering
+// at every process. Each reply reaches it from the process that built
+// it, through the client slot its hellos announced, including those of
+// processes its own traffic never crossed: every answer is exact and no
+// process drops a frame for want of a route.
+func TestObserverClientRoutesByBlock(t *testing.T) {
 	ctx := context.Background()
-	addrs := reservePorts(t, 2)
-
-	procs := make([]*Service, 2)
+	const n = 3
+	addrs := reservePorts(t, n)
+	procs := make([]*Service, n)
 	for i := range procs {
-		svc, err := Listen(addrs[i],
-			WithHierarchy(2, 2), WithSeed(3),
-			WithCluster(i, addrs...))
+		svc, err := Listen(addrs[i], WithHierarchy(2, 3), WithSeed(3), WithCluster(i, addrs...))
 		if err != nil {
 			t.Fatalf("Listen[%d]: %v", i, err)
 		}
 		t.Cleanup(func() { svc.Close() })
 		procs[i] = svc
 	}
-
-	client, err := Dial(addrs[0], WithHierarchy(2, 2))
+	client, err := Listen("127.0.0.1:0", WithSeeds(addrs[1]))
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("seed join: %v", err)
 	}
 	t.Cleanup(func() { client.Close() })
 
-	aps := client.APs()
-	for g := 1; g <= 3; g++ {
-		if err := client.JoinAt(ctx, GUID(g), aps[g%len(aps)]); err != nil {
-			t.Fatalf("client join %d: %v", g, err)
+	// Two access proxies of every process.
+	owners := subtreeOwners(2, 3, n)
+	var entries []NodeID
+	for slot := 0; slot < n; slot++ {
+		taken := 0
+		for _, ap := range client.APs() {
+			if owners[ap] == slot && taken < 2 {
+				entries = append(entries, ap)
+				taken++
+			}
 		}
 	}
-	clusterSettle(t, func() bool {
-		res, err := client.Query(ctx, aps[0])
+	want := map[GUID]bool{}
+	for i, ap := range entries {
+		g := GUID(i + 1)
+		if err := client.JoinAt(ctx, g, ap); err != nil {
+			t.Fatalf("join %v at %v: %v", g, ap, err)
+		}
+		want[g] = true
+	}
+	exact := func(entry NodeID, scheme QueryScheme, replies int) error {
+		res, err := client.QueryWith(ctx, entry, scheme)
 		if err != nil {
-			return false
+			return err
 		}
 		got := map[GUID]bool{}
 		for _, m := range res.Members {
 			got[m.GUID] = true
 		}
-		return len(got) == 3 && got[1] && got[2] && got[3]
+		if !reflect.DeepEqual(got, want) || len(res.Members) != len(want) || res.Replies != replies {
+			return fmt.Errorf("%v at %v: %d members %v from %d replies, want %d from %d",
+				scheme, entry, len(res.Members), got, res.Replies, len(want), replies)
+		}
+		return nil
+	}
+	clusterSettle(t, func() bool {
+		for _, entry := range entries {
+			if exact(entry, TMS(), 1) != nil || exact(entry, BMS(2), 3) != nil {
+				return false
+			}
+		}
+		return true
 	})
+	for _, entry := range entries {
+		for _, q := range []struct {
+			scheme  QueryScheme
+			replies int
+		}{{TMS(), 1}, {BMS(2), 3}} {
+			if err := exact(entry, q.scheme, q.replies); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	for i, svc := range append(procs, client) {
+		if ns := netStatsOf(t, svc); ns.UnknownPeer != 0 {
+			t.Errorf("process %d: %d frames or sends without a route", i, ns.UnknownPeer)
+		}
+	}
 }
 
 // TestWithLossEmulatedOnLiveRuntime: on the real-time host, in-process
@@ -525,8 +568,8 @@ func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 // TestCollapsedEndpointSink: on a live runtime, once a member's leave
 // commits its record is gone but its endpoint stays registered, so a
 // Holder-Acknowledgement sent to it afterwards is delivered in process:
-// nothing is dropped and no frame is relayed. The re-join takes the same
-// endpoint at the next version.
+// nothing is dropped and nothing is refused for want of a route. The
+// re-join takes the same endpoint at the next version.
 func TestCollapsedEndpointSink(t *testing.T) {
 	ctx := context.Background()
 	c, err := ListenCluster("127.0.0.1:0", WithHierarchy(2, 3), WithSeed(5))
@@ -565,9 +608,9 @@ func TestCollapsedEndpointSink(t *testing.T) {
 	})
 	settle(nil)
 	after, net1 := svc.Stats(), mustNetStats(t, c)
-	if after.Delivered != before.Delivered+1 || after.Dropped != before.Dropped || net1.Relayed != net0.Relayed {
-		t.Errorf("a late Holder-Acknowledgement to %s: delivered %+d, dropped %+d, relayed %+d; want 1, 0, 0",
-			node, after.Delivered-before.Delivered, after.Dropped-before.Dropped, net1.Relayed-net0.Relayed)
+	if after.Delivered != before.Delivered+1 || after.Dropped != before.Dropped || net1.UnknownPeer != net0.UnknownPeer {
+		t.Errorf("a late Holder-Acknowledgement to %s: delivered %+d, dropped %+d, unknown peer %+d; want 1, 0, 0",
+			node, after.Delivered-before.Delivered, after.Dropped-before.Dropped, net1.UnknownPeer-net0.UnknownPeer)
 	}
 	settle(svc.JoinAt(ctx, g, ap))
 	svc.Inspect(func(sys *System) {

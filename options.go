@@ -15,10 +15,9 @@ type serviceOptions struct {
 	shards    int
 	inProcess bool // WithLiveRuntime
 
-	// Networked deployment (Listen/Dial/ListenCluster).
-	netConfig  *runtime.NetConfig
-	advertise  string
-	dialClient bool
+	// Networked deployment (Listen/ListenCluster).
+	netConfig *runtime.NetConfig
+	advertise string
 
 	// Fault injection (WithFaults).
 	faults *FaultPlan
@@ -125,7 +124,9 @@ func WithLiveRuntime() Option {
 
 // WithAdvertise sets the address other processes use to reach this one
 // (useful when binding "0.0.0.0" or an ephemeral port behind a known
-// name). Only meaningful with Listen, Dial and ListenCluster.
+// name). A slotless observer (WithSeeds) needs none: members route to
+// it at the source address of its hellos. Only meaningful with Listen
+// and ListenCluster.
 func WithAdvertise(addr string) Option {
 	return func(o *serviceOptions) { o.advertise = addr }
 }
@@ -136,7 +137,7 @@ func WithAdvertise(addr string) Option {
 // hierarchy is partitioned deterministically across the slots
 // (topmost-ring node i and its whole subtree go to slot i mod
 // len(peers)), so all processes compute the identical address book.
-// Only meaningful with Listen, Dial and ListenCluster.
+// Only meaningful with Listen and ListenCluster.
 func WithCluster(index int, peers ...string) Option {
 	return func(o *serviceOptions) {
 		o.net().Index = index
@@ -149,9 +150,17 @@ func WithCluster(index int, peers ...string) Option {
 // peer list, the process bootstraps — it asks a seed for the deployment
 // shape and the current peer table, adopts both, and keeps its address
 // book fresh by gossip from then on. By default it joins as a slotless
-// observer (it owns no hierarchy entities but routes, relays and
-// queries like any member); combine with WithSeedSlot to claim a
-// cluster slot — e.g. to replace a member whose address changed.
+// observer, the deployment's client form: it owns no hierarchy entities
+// but joins, moves, removes and queries members like any member. It
+// takes a client slot past every cluster slot, derived from its bound
+// port, and announces it to every member, each of which then routes
+// replies to the observer's mobile hosts and queries straight to it;
+// any member can seed it:
+//
+//	client, err := rgb.Listen(":0", rgb.WithHierarchy(2, 3), rgb.WithSeeds("10.0.0.2:7000"))
+//
+// Combine with WithSeedSlot to claim a cluster slot instead — e.g. to
+// replace a member whose address changed.
 // Only meaningful with Listen/ListenCluster; mutually exclusive with
 // WithCluster.
 func WithSeeds(addrs ...string) Option {

@@ -16,22 +16,22 @@ import (
 //     goroutine per shard serializes the protocol, and a message between
 //     two entities of the process is handed over in memory — the engine
 //     demonstrably does not depend on virtual time.
-//     Networked (Listen, Dial, ListenCluster), a message for an entity
+//     Networked (Listen, ListenCluster), a message for an entity
 //     of another process is a real UDP datagram through the wire codec;
 //     in-process (WithLiveRuntime), there is no socket and no other
 //     process.
 //
 // The real-time one exists only as a group view of one host — engine
 // shards, a mux over them, one view per group, with or without a socket
-// — whether the process serves one group (Open, Listen, Dial) or many
+// — whether the process serves one group (Open, Listen) or many
 // (NewCluster, ListenCluster).
 type (
 	// Stats aggregates transport-level delivery counters.
 	Stats = runtime.Stats
 
 	// NetStats counts wire-level events of a networked runtime:
-	// decode errors, version mismatches, routing misses, relays and
-	// discovery traffic.
+	// decode errors, version mismatches, routing misses, write failures
+	// and discovery traffic.
 	NetStats = runtime.NetStats
 
 	// FaultPlan configures seeded adversarial fault injection

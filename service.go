@@ -62,7 +62,7 @@ type watcher struct {
 // Open is the one-group special case of NewCluster: it builds a
 // one-group cluster, opens its group with the caller's seed untouched,
 // and returns that Service, whose Close closes the cluster with it. A
-// real-time substrate (WithLiveRuntime, Listen, Dial) is the same host
+// real-time substrate (WithLiveRuntime, Listen) is the same host
 // every cluster uses — one engine shard, a mux (with or without a
 // socket), one group view. The simulator is the exception: it runs
 // inline, with no shard worker — directly on the caller, preserving its
@@ -115,7 +115,7 @@ func newService(c *Cluster, gid GroupID, rt runtime.Runtime, sys *core.System, o
 // Close shuts the service down: subscribers' channels are closed, the
 // group is deregistered from its cluster, and the runtime the cluster
 // built for it is closed with it (a mux view, so only this group's
-// slice of the substrate). The Service of rgb.Open, Listen and Dial
+// slice of the substrate). The Service of rgb.Open and Listen
 // then closes its one-group cluster too: socket, mux and shard worker
 // all go. Close is idempotent.
 func (s *Service) Close() error {

@@ -138,18 +138,15 @@ func (c *Cluster) registerClusterMetrics() {
 		})
 	}
 	netCounter("rgb_net_received_total", "datagrams read from the socket", func(n *NetStats) uint64 { return n.Received })
-	netCounter("rgb_net_relayed_total", "frames forwarded toward their owner", func(n *NetStats) uint64 { return n.Relayed })
 	netCounter("rgb_net_decode_errors_total", "frames rejected by the codec", func(n *NetStats) uint64 { return n.DecodeErrors })
 	netCounter("rgb_net_unknown_version_total", "frames from a different wire version", func(n *NetStats) uint64 { return n.UnknownVersion })
 	netCounter("rgb_net_unknown_group_total", "group-tagged frames for a group not hosted here", func(n *NetStats) uint64 { return n.UnknownGroup })
-	netCounter("rgb_net_unknown_peer_total", "frames or sends with no route to the destination", func(n *NetStats) uint64 { return n.UnknownPeer })
-	netCounter("rgb_net_ttl_expired_total", "relay candidates dropped at TTL exhaustion", func(n *NetStats) uint64 { return n.TTLExpired })
+	netCounter("rgb_net_unknown_peer_total", "sends with no route, and frames for an endpoint not hosted here", func(n *NetStats) uint64 { return n.UnknownPeer })
 	netCounter("rgb_net_oversize_total", "frames larger than one UDP datagram, dropped", func(n *NetStats) uint64 { return n.Oversize })
 	netCounter("rgb_net_write_failed_total", "frames in datagrams the socket refused to write", func(n *NetStats) uint64 { return n.WriteFailed })
 	netCounter("rgb_net_peer_joined_total", "peers that joined, rejoined or moved address", func(n *NetStats) uint64 { return n.PeerJoined })
 	netCounter("rgb_net_peer_evicted_total", "liveness evictions issued by the probe sweep", func(n *NetStats) uint64 { return n.PeerEvicted })
 	netCounter("rgb_net_gossip_frames_total", "discovery frames sent (hello, peer list, probe)", func(n *NetStats) uint64 { return n.GossipFrames })
-	netCounter("rgb_net_dup_dropped_total", "duplicate relayed frames dropped by the dedup map", func(n *NetStats) uint64 { return n.DupDropped })
 
 	// Discovery peer-state gauges.
 	var (
