@@ -816,21 +816,21 @@ func TestNetTransportDecodeAccounting(t *testing.T) {
 	}
 }
 
-// TestNetTransportDropsUnhostedFrame: no process forwards a frame. One
-// for an endpoint this process does not host, here an entity another
-// process owns, is dropped and counted as UnknownPeer and Dropped, frame
-// by frame when it shares a datagram with one that is delivered.
-func TestNetTransportDropsUnhostedFrame(t *testing.T) {
+// unhostedPair starts two processes, each hosting one AP endpoint, and
+// returns them with their endpoints, a frame builder and a writer that
+// sends one datagram straight to a process's socket.
+func unhostedPair(t *testing.T) (procs []*testNet, epA, epB *countingEndpoint, frame func(ids.NodeID, uint64) []byte, write func(*testNet, []byte)) {
+	t.Helper()
 	a, b := ids.MakeNodeID(ids.TierAP, 1), ids.MakeNodeID(ids.TierAP, 2)
-	procs := newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
-	epA := &countingEndpoint{rt: procs[0], id: a}
-	epB := &countingEndpoint{rt: procs[1], id: b}
+	procs = newQuietProcs(t, 2, NetConfig{Owners: map[ids.NodeID]int{a: 0, b: 1}}, "127.0.0.1")
+	epA = &countingEndpoint{rt: procs[0], id: a}
+	epB = &countingEndpoint{rt: procs[1], id: b}
 	procs[0].Do(func() { procs[0].Transport().Register(a, epA) })
 	procs[1].Do(func() { procs[1].Transport().Register(b, epB) })
-	frame := func(to ids.NodeID, seq uint64) []byte {
+	frame = func(to ids.NodeID, seq uint64) []byte {
 		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: to, Class: 0, TTL: 4, Payload: wire.Probe{Seq: seq}})
 	}
-	write := func(rt *testNet, datagram []byte) {
+	write = func(rt *testNet, datagram []byte) {
 		conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
 		if err != nil {
 			t.Fatal(err)
@@ -840,18 +840,45 @@ func TestNetTransportDropsUnhostedFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	write(procs[0], slices.Concat(frame(b, 11), frame(a, 12), frame(b, 13)))
+	return procs, epA, epB, frame, write
+}
+
+// TestNetTransportDropsUnhostedFrame: no process forwards a frame. One
+// for an endpoint this process does not host, here an entity another
+// process owns, is dropped and counted as UnknownPeer and Dropped, and
+// never reaches the process that owns it.
+func TestNetTransportDropsUnhostedFrame(t *testing.T) {
+	procs, epA, epB, frame, write := unhostedPair(t)
+	write(procs[0], frame(epB.id, 11))
+	waitFor(t, func() bool { return procs[0].NetStats().UnknownPeer == 1 })
+	var st Stats
+	procs[0].Do(func() { st = procs[0].Transport().Stats() })
+	if st.Dropped != 1 || st.Delivered != 0 || epA.got.Load() != 0 {
+		t.Fatalf("stats = %+v, a handed %d frames; want 1 dropped and nothing delivered", st, epA.got.Load())
+	}
+	// b hears only the frame sent to its own process.
+	write(procs[1], frame(epB.id, 14))
+	waitFor(t, func() bool { return epB.last.Load() == 14 })
+	if got := epB.got.Load(); got != 1 {
+		t.Fatalf("b was handed %d frames, want 1", got)
+	}
+}
+
+// TestNetTransportDropsUnhostedCoalescedFrame: a datagram is handled
+// frame by frame, so the frames in it for an endpoint not hosted here
+// are dropped and counted one each while the frame between them for a
+// local endpoint is delivered.
+func TestNetTransportDropsUnhostedCoalescedFrame(t *testing.T) {
+	procs, epA, epB, frame, write := unhostedPair(t)
+	write(procs[0], slices.Concat(frame(epB.id, 11), frame(epA.id, 12), frame(epB.id, 13)))
 	waitFor(t, func() bool { return epA.last.Load() == 12 && procs[0].NetStats().UnknownPeer == 2 })
 	var st Stats
 	procs[0].Do(func() { st = procs[0].Transport().Stats() })
 	if st.Dropped != 2 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v, want 2 dropped and 1 delivered", st)
 	}
-	// b hears only the frame sent to its own process.
-	write(procs[1], frame(b, 14))
-	waitFor(t, func() bool { return epB.last.Load() == 14 })
-	if got := epB.got.Load(); got != 1 {
-		t.Fatalf("b was handed %d frames, want 1", got)
+	if got := epA.got.Load(); got != 1 {
+		t.Fatalf("a was handed %d frames, want 1", got)
 	}
 }
 
