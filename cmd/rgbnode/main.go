@@ -37,7 +37,8 @@
 // the current group, selected with "use"; every peer process must run
 // with the same -groups value.
 //
-// A single process (no -peers) serves the whole hierarchy.
+// A single process (no -peers) serves the whole hierarchy, and can
+// seed clients like any member of a larger deployment (below).
 //
 // Instead of a static -peers list, a process can join a running
 // deployment knowing only one member's address: -seeds bootstraps the

@@ -235,26 +235,31 @@ func TestTableClientSlots(t *testing.T) {
 		t.Fatal("a client entry silent past evictAfter still routes")
 	}
 
-	// Past extrasLimit the entries are cleared, and each is back with its
-	// next hello.
+	// At extrasLimit entries a new client displaces only the one heard
+	// from longest ago: traffic keeps an entry fresh, and every other live
+	// client keeps its route.
 	wide := clientSlot + 7300
+	for i := 0; i < extrasLimit; i++ {
+		clk.advance(time.Millisecond)
+		tbl.Hello(wide+i, addr(20000+i))
+	}
+	clk.advance(time.Millisecond)
+	tbl.Seen(addr(20000)) // the first client is live; the second is now the stalest
+	tbl.Hello(wide+extrasLimit, addr(20000+extrasLimit))
+	routable := 0
 	for i := 0; i <= extrasLimit; i++ {
-		tbl.Hello(wide+1+i, addr(20000+i))
+		if tbl.AddrOf(wide + i).IsValid() {
+			routable++
+		}
 	}
-	if got := tbl.AddrOf(wide + 1 + extrasLimit); got != addr(20000+extrasLimit) {
-		t.Fatalf("the hello past the bound does not route: %v", got)
-	}
-	if tbl.AddrOf(wide + 1).IsValid() {
-		t.Fatal("client entries past extrasLimit were not cleared")
-	}
-	tbl.Hello(wide+1, addr(20000))
-	if !tbl.AddrOf(wide + 1).IsValid() {
-		t.Fatal("a cleared client is not back with its next hello")
+	if routable != extrasLimit || tbl.AddrOf(wide+1).IsValid() ||
+		!tbl.AddrOf(wide).IsValid() || !tbl.AddrOf(wide+extrasLimit).IsValid() {
+		t.Fatalf("%d of %d clients route after one hello past extrasLimit, want all but the stalest", routable, extrasLimit+1)
 	}
 
 	// A wider cluster drops the client entries it now covers.
 	tbl.Reset(0, wide+2)
-	if tbl.AddrOf(wide+1).IsValid() || !tbl.AddrOf(wide+1+extrasLimit).IsValid() {
+	if tbl.AddrOf(wide).IsValid() || !tbl.AddrOf(wide+extrasLimit).IsValid() {
 		t.Fatal("a client entry holds a cluster slot")
 	}
 }

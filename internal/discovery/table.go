@@ -73,8 +73,9 @@ type peerRec struct {
 }
 
 // extrasLimit bounds the client entries (a flood of hostile hellos
-// must not grow them without limit); past it they are cleared, and each
-// live client is back with its next hello.
+// must not grow them without limit); past it a new client displaces the
+// one heard from longest ago, so a flood costs live clients one entry
+// per hello, not all of them at once.
 const extrasLimit = 256
 
 // Table is the self-healing address book: slot-indexed peer records
@@ -247,8 +248,8 @@ func (t *Table) Hello(slot int, addr netip.AddrPort) bool {
 
 // helloClientLocked upserts the client entry of slot from the client's
 // own hello. An address a cluster member holds is refused: a client
-// entry never takes over a member's record. Past extrasLimit entries
-// the clients are cleared first. Callers hold mu.
+// entry never takes over a member's record. At extrasLimit entries the
+// stalest client makes room. Callers hold mu.
 func (t *Table) helloClientLocked(slot int, addr netip.AddrPort, now time.Time) {
 	if rec, ok := t.byAddr[addr]; ok && rec.slot < len(t.slots) {
 		return
@@ -261,9 +262,13 @@ func (t *Table) helloClientLocked(slot int, addr netip.AddrPort, now time.Time) 
 	if known {
 		t.dropClientLocked(old)
 	} else if len(t.clients) >= extrasLimit {
+		var stalest *peerRec
 		for _, rec := range t.clients {
-			t.dropClientLocked(rec)
+			if stalest == nil || rec.lastSeen.Before(stalest.lastSeen) {
+				stalest = rec
+			}
 		}
+		t.dropClientLocked(stalest)
 	}
 	rec := &peerRec{slot: slot, addr: addr, lastSeen: now}
 	t.clients[slot] = rec

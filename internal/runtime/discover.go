@@ -35,6 +35,13 @@ type BootstrapInfo struct {
 	Slot  int
 }
 
+// bootReply is how a bootstrap ended: what the seed's reply was adopted
+// as, or why it was refused.
+type bootReply struct {
+	info BootstrapInfo
+	err  error
+}
+
 const (
 	// bootstrapRetry is how often the bootstrap hello is re-sent to
 	// every seed until a PeerList arrives (bounded by
@@ -73,8 +80,9 @@ type discoverer struct {
 	gossipIdx      int // round-robin cursor of a member's periodic gossip
 
 	// booted, while a seed bootstrap runs, is the channel its caller
-	// waits on: the reply sends what it adopted, the deadline closes it.
-	booted   chan BootstrapInfo
+	// waits on: the reply sends what it adopted, or why it could not,
+	// and the deadline closes it.
+	booted   chan bootReply
 	retry    Ticker
 	deadline TimerHandle
 }
@@ -195,9 +203,9 @@ func (d *discoverer) onPeerList(p wire.PeerList) {
 		d.mergePeers(p)
 		return
 	}
-	info := d.adopt(p)
+	info, err := d.adopt(p)
 	d.bufs.flush()
-	d.booted <- info
+	d.booted <- bootReply{info, err}
 	d.endBootstrap()
 }
 
@@ -271,7 +279,7 @@ func (d *discoverer) send(addr netip.AddrPort, p wire.Payload) {
 // echoes it (its shape and peer addresses are adopted) or
 // BootstrapTimeout passes.
 func (d *discoverer) bootstrap() (BootstrapInfo, error) {
-	booted := make(chan BootstrapInfo, 1)
+	booted := make(chan bootReply, 1)
 	d.eng.do(func() {
 		d.booted = booted
 		d.helloSeeds()
@@ -281,17 +289,24 @@ func (d *discoverer) bootstrap() (BootstrapInfo, error) {
 			d.endBootstrap()
 		})
 	})
-	info, ok := <-booted
+	reply, ok := <-booted
 	if !ok {
 		return BootstrapInfo{}, fmt.Errorf("runtime: seed bootstrap timed out after %v", d.bootTimeout)
 	}
-	return info, nil
+	return reply.info, reply.err
 }
 
 // helloSeeds sends the bootstrap hello, bootSeq attached, to every seed.
+// A slotless process announces no slot in it: its client slot may lie
+// inside a cluster whose width only the reply tells, and a seed answers
+// an unslotted hello all the same. adopt announces the client slot once
+// it is known to be clear of every cluster slot.
 func (d *discoverer) helloSeeds() {
 	hello := d.hello
 	hello.Seq = bootSeq
+	if d.book.client() {
+		hello.Slot = -1
+	}
 	for _, s := range d.seeds {
 		d.send(s, hello)
 	}
@@ -308,9 +323,14 @@ func (d *discoverer) endBootstrap() {
 // adopt installs a bootstrap reply: deployment shape, table width, own
 // loopback entry (a client slot has none), and every peer address. A
 // slotless process then announces its client slot to every member, so
-// each routes replies to its endpoints before the first one.
-func (d *discoverer) adopt(pl wire.PeerList) BootstrapInfo {
+// each routes replies to its endpoints before the first one. A client
+// slot inside the cluster's width is refused, not announced: it would
+// take over a member's slot in every table.
+func (d *discoverer) adopt(pl wire.PeerList) (BootstrapInfo, error) {
 	slots := int(pl.Slots)
+	if d.book.client() && d.book.selfIndex < slots {
+		return BootstrapInfo{}, fmt.Errorf("runtime: client slot %d lies inside the cluster's %d slots", d.book.selfIndex, slots)
+	}
 	d.shapeH, d.shapeR = int(pl.H), int(pl.R)
 	d.book.table.Reset(d.book.selfIndex, slots)
 	d.book.table.Set(d.book.selfIndex, d.book.loopback)
@@ -318,7 +338,7 @@ func (d *discoverer) adopt(pl wire.PeerList) BootstrapInfo {
 	if d.book.client() {
 		d.helloMembers()
 	}
-	return BootstrapInfo{H: int(pl.H), R: int(pl.R), Slots: slots, Slot: d.book.selfIndex}
+	return BootstrapInfo{H: int(pl.H), R: int(pl.R), Slots: slots, Slot: d.book.selfIndex}, nil
 }
 
 // tick is the periodic half of the plane: sweep the suspicion state

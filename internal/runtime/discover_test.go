@@ -3,6 +3,7 @@ package runtime
 import (
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -153,4 +154,66 @@ func TestGossipHelloRidesWithFrame(t *testing.T) {
 		t.Fatalf("second frame %+v, want slot 0's hello from %s", frames[1], addr0)
 	}
 	waitFor(t, func() bool { return rt.NetStats().GossipFrames == 1 })
+}
+
+// TestClientSlotInsideClusterRefused: a slotless process's client slot
+// never claims a cluster slot. Its bootstrap hello announces no slot,
+// and a reply from a cluster wider than the client slot fails the
+// bootstrap instead of being adopted and announced; a configured width
+// fails at start-up the same way.
+func TestClientSlotInsideClusterRefused(t *testing.T) {
+	const wide = 1 << 17 // past every client slot a port can give
+	seed, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seed.Close()
+	var slotted atomic.Int64 // hellos heard with a slot
+	go func() {
+		buf := make([]byte, wire.MaxDatagram)
+		for {
+			n, src, err := seed.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			size, err := wire.FrameLen(buf[:n])
+			if err != nil {
+				continue
+			}
+			f, err := wire.DecodeFrame(buf[:size])
+			if err != nil {
+				continue
+			}
+			h, ok := f.Payload.(wire.PeerHello)
+			if !ok {
+				continue
+			}
+			if h.Slot >= 0 {
+				slotted.Add(1)
+			}
+			if h.Seq == bootSeq {
+				reply := discoveryFrame(wire.PeerList{Seq: bootSeq, H: 2, R: 2, Slots: wide})
+				seed.WriteToUDPAddrPort(wire.AppendFrame(nil, reply), src)
+			}
+		}
+	}()
+
+	set := NewShardSet(1)
+	defer set.Close()
+	for _, cfg := range []NetConfig{
+		{Bind: "127.0.0.1:0", SeedSlot: -1, Seeds: []string{seed.LocalAddr().String()}},
+		{Bind: "127.0.0.1:0", SeedSlot: -1, Slots: wide},
+	} {
+		mux, err := NewNetMux(cfg, set)
+		if err == nil {
+			mux.Close()
+			t.Fatalf("a client slot inside %d cluster slots was taken (seeds %v)", wide, cfg.Seeds)
+		}
+		if !strings.Contains(err.Error(), "inside the cluster") {
+			t.Fatalf("err = %v, want the client slot refused", err)
+		}
+	}
+	if n := slotted.Load(); n != 0 {
+		t.Fatalf("the seed heard %d hellos announcing a slot", n)
+	}
 }

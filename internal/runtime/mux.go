@@ -155,8 +155,9 @@ type NetMux struct {
 	book *netBook
 
 	// disc is the socket-scoped discovery plane, shared by every group,
-	// on an engine of its own (nil on a single-process mux with no peers
-	// and no seeds).
+	// on an engine of its own (nil on the in-process mux, which has no
+	// socket). Every bound socket runs one, a single process's too: it
+	// answers a slotless client's bootstrap and keeps its client slot.
 	disc *discoverer
 
 	// boot holds what a seed bootstrap found out (bootOK false on a
@@ -199,12 +200,10 @@ func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
 		return nil, err
 	}
 	m.sock, m.book = sock, book
-	if len(cfg.Peers) > 1 || len(cfg.Seeds) > 0 {
-		m.disc, err = newDiscoverer(sock, book, cfg, m.evict)
-		if err != nil {
-			sock.conn.Close()
-			return nil, err
-		}
+	m.disc, err = newDiscoverer(sock, book, cfg, m.evict)
+	if err != nil {
+		sock.conn.Close()
+		return nil, err
 	}
 	go sock.readLoop(m.closedCh, m.resolve)
 	if len(cfg.Seeds) > 0 && len(cfg.Peers) == 0 {
@@ -238,11 +237,9 @@ func (m *NetMux) Peers() []discovery.PeerInfo { return m.book.table.Snapshot() }
 // a group this process does not host is dropped and counted instead of
 // being delivered into another group's engine.
 func (m *NetMux) resolve(f wire.Frame, src netip.AddrPort) *netTransport {
-	if m.disc != nil {
-		m.book.table.Seen(src)
-		if m.disc.intercept(f, src) {
-			return nil
-		}
+	m.book.table.Seen(src)
+	if m.disc.intercept(f, src) {
+		return nil
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()

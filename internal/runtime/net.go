@@ -566,6 +566,9 @@ func resolveNetBook(cfg NetConfig, conn *net.UDPConn) (*netBook, error) {
 		switch {
 		case selfIndex < 0:
 			selfIndex = clientSlot(loopback.Port())
+			if selfIndex < slots {
+				return nil, fmt.Errorf("runtime: client slot %d lies inside the cluster's %d slots", selfIndex, slots)
+			}
 		case selfIndex >= slots:
 			slots = selfIndex + 1
 		}

@@ -533,6 +533,63 @@ func TestObserverClientRoutesByBlock(t *testing.T) {
 	}
 }
 
+// TestSingleProcessServesObserverClient: a process that listens with no
+// cluster, or with a cluster of one, runs the discovery plane all the
+// same, so a slotless observer seeded from it bootstraps, joins members
+// at its access proxies and queries them, and neither side drops a
+// frame for want of a route.
+func TestSingleProcessServesObserverClient(t *testing.T) {
+	ctx := context.Background()
+	for _, row := range []struct {
+		name    string
+		cluster bool
+	}{{"listen", false}, {"cluster-of-one", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			addr := reservePorts(t, 1)[0]
+			opts := []Option{WithHierarchy(2, 3), WithSeed(3)}
+			if row.cluster {
+				opts = append(opts, WithCluster(0, addr))
+			}
+			server, err := Listen(addr, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { server.Close() })
+			client, err := Listen("127.0.0.1:0", WithSeeds(addr))
+			if err != nil {
+				t.Fatalf("seed join: %v", err)
+			}
+			t.Cleanup(func() { client.Close() })
+
+			aps := client.APs()
+			want := map[GUID]bool{}
+			for g := 1; g <= 3; g++ {
+				if err := client.JoinAt(ctx, GUID(g), aps[g%len(aps)]); err != nil {
+					t.Fatalf("join %d: %v", g, err)
+				}
+				want[GUID(g)] = true
+			}
+			exact := func(entry NodeID, scheme QueryScheme) bool {
+				res, err := client.QueryWith(ctx, entry, scheme)
+				if err != nil {
+					return false
+				}
+				got := map[GUID]bool{}
+				for _, m := range res.Members {
+					got[m.GUID] = true
+				}
+				return reflect.DeepEqual(got, want) && len(res.Members) == len(want)
+			}
+			clusterSettle(t, func() bool { return exact(aps[0], TMS()) && exact(aps[len(aps)-1], BMS(2)) })
+			for i, svc := range []*Service{server, client} {
+				if ns := netStatsOf(t, svc); ns.UnknownPeer != 0 {
+					t.Errorf("process %d: %d frames or sends without a route", i, ns.UnknownPeer)
+				}
+			}
+		})
+	}
+}
+
 // TestWithLossEmulatedOnLiveRuntime: on the real-time host, in-process
 // and networked, the loss option is honored by emulation — messages
 // actually drop. Networked, loss reaches each group's transport only

@@ -154,8 +154,10 @@ func WithCluster(index int, peers ...string) Option {
 // but joins, moves, removes and queries members like any member. It
 // takes a client slot past every cluster slot, derived from its bound
 // port, and announces it to every member, each of which then routes
-// replies to the observer's mobile hosts and queries straight to it;
-// any member can seed it:
+// replies to the observer's mobile hosts and queries straight to it.
+// Any member can seed it, a single-process deployment's one process
+// too; a cluster wider than the client slot (64 + its port) refuses it
+// at bootstrap:
 //
 //	client, err := rgb.Listen(":0", rgb.WithHierarchy(2, 3), rgb.WithSeeds("10.0.0.2:7000"))
 //
