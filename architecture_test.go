@@ -86,9 +86,9 @@ func TestArchitectureRules(t *testing.T) {
 			},
 		},
 		{
-			rule: `docs/ARCHITECTURE.md, Layer 3, processes on the simulator: "core.Place — the one function that sets Config.Owns and Config.MHBase"`,
+			rule: `docs/ARCHITECTURE.md, Layer 3, processes on the simulator: "core.Place — the one function that sets Config.owns and Config.mhBase"`,
 			check: func(f *ast.File) []ast.Node {
-				return outside(fset, f, append(fieldWrites(f, "Owns", "MHBase"), keyedFields(f, "Owns", "MHBase")...), "internal/core.Place")
+				return outside(fset, f, append(fieldWrites(f, "owns", "mhBase"), keyedFields(f, "owns", "mhBase")...), "internal/core.Place")
 			},
 		},
 		{
@@ -154,6 +154,7 @@ func TestArchitectureRules(t *testing.T) {
 // of another package that need it. A new one fails TestArchitectureRules
 // until it is deleted, moved into its package's tests, or added here.
 var uncalledAllowed = map[string]string{
+	"internal/des.Kernel.Executed":      "core's TestEventTraceGoldenDigest and TestProcsTraceRepeatable hash the event count into their traces",
 	"internal/mathx.AlmostEqual":        "analytic's formula tests compare floats with it",
 	"internal/simnet.Network.SetTrace":  "core's digest and round tests trace every message",
 	"internal/simnet.SimRuntime.Kernel": "core's digest and resend tests read the simulated clock and event count",

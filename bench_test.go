@@ -1,8 +1,9 @@
 // Benchmark harness regenerating the paper's evaluation:
 //
-//	BenchmarkTableI_Ring / BenchmarkTableI_Tree   — Table I (E1): one
-//	  membership change's propagation cost in both hierarchies; the
-//	  hops/op metric is the table's HCN column.
+//	BenchmarkTableI_Ring                          — Table I (E1): one
+//	  membership change's propagation cost in the ring hierarchy; the
+//	  hops/op metric is the table's HCN_Ring column (the tree column is
+//	  internal/tree's BenchmarkTableI_Tree).
 //	BenchmarkTableII_MonteCarlo                   — Table II (E2): the
 //	  fw/op metric is the Function-Well probability estimate.
 //	BenchmarkAblationDissemination                — E4: full vs
@@ -62,28 +63,6 @@ func BenchmarkTableI_Ring(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				hops, _ = sys.MeasureDisseminationHops(GUID(i+1), ap)
-			}
-			b.ReportMetric(float64(hops), "hops/op")
-		})
-	}
-}
-
-// BenchmarkTableI_Tree measures one proposal round per iteration in
-// the tree baseline. hops/op reproduces the HCN_Tree column
-// (29, 149, 750*, 109, 1099, 11000*; the h=5 rows measure one hop
-// less — see EXPERIMENTS.md).
-func BenchmarkTableI_Tree(b *testing.B) {
-	for _, cfg := range []struct{ h, r int }{
-		{3, 5}, {4, 5}, {5, 5}, {3, 10}, {4, 10}, {5, 10},
-	} {
-		name := fmt.Sprintf("n=%d/h=%d/r=%d", pow(cfg.r, cfg.h-1), cfg.h, cfg.r)
-		b.Run(name, func(b *testing.B) {
-			svc := NewTreeService(cfg.h, cfg.r, true, 1)
-			leaf := svc.Tree().Leaves()[0]
-			var hops uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hops = svc.MeasureRound(GUID(i+1), leaf).FloodHops
 			}
 			b.ReportMetric(float64(hops), "hops/op")
 		})

@@ -73,12 +73,15 @@
 //     the TMS/BMS/IMS Membership-Query schemes (internal/core and its
 //     substrates);
 //   - the group-tagged binary wire codec (internal/wire);
-//   - the tree-based CONGRESS-style baseline (internal/tree);
-//   - the analytic models of the paper's Section 5 and the Monte-Carlo
-//     fault injector that validates them (internal/analytic,
-//     internal/reliability);
 //   - mobility and churn workload generators (internal/mobility,
 //     internal/workload).
+//
+// The paper's evaluation is not part of this package's API. The
+// analytic models of Section 5 (internal/analytic), the Monte-Carlo
+// fault injector that validates Table II (internal/reliability) and the
+// tree-based CONGRESS-style baseline of Table I (internal/tree) are
+// reached through "rgbsweep -compare table1" and "-compare table2"
+// (cmd/rgbsweep, internal/experiment).
 //
 // docs/ARCHITECTURE.md is the authoritative walkthrough of the
 // layering (wire → runtime → core → service → cluster);

@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/rgbproto/rgb/internal/experiment"
 )
 
 // mdLink matches inline markdown links/images: [text](target).
@@ -117,4 +120,86 @@ func TestDocCommands(t *testing.T) {
 			t.Errorf("README.md: command table has no row for %s", name)
 		}
 	}
+}
+
+// testRef matches a test named with its package directory in
+// backquotes: `internal/experiment.TestCompareTableIRows`.
+var testRef = regexp.MustCompile("`((?:internal|cmd)/[A-Za-z0-9_/]+)\\.(Test[A-Za-z0-9_]+)`")
+
+// TestDocClaims is the gate for EXPERIMENTS.md's claims ledger: one row
+// per Table I row and per Table II cell, each naming at least one test
+// that exists. It also checks that the Table I console block is what
+// `rgbsweep -compare table1` prints today.
+func TestDocClaims(t *testing.T) {
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+
+	rows := map[string]int{}
+	for _, line := range strings.Split(doc, "\n") {
+		var table string
+		switch {
+		case strings.HasPrefix(line, "| Table I "):
+			table = "Table I"
+		case strings.HasPrefix(line, "| Table II "):
+			table = "Table II"
+		default:
+			continue
+		}
+		rows[table]++
+		refs := testRef.FindAllStringSubmatch(line, -1)
+		if len(refs) == 0 {
+			t.Errorf("EXPERIMENTS.md: ledger row names no test: %s", line)
+		}
+		for _, m := range refs {
+			if !testExists(t, m[1], m[2]) {
+				t.Errorf("EXPERIMENTS.md: ledger names %s.%s, which does not exist", m[1], m[2])
+			}
+		}
+	}
+	if rows["Table I"] != 6 || rows["Table II"] != 18 {
+		t.Errorf("EXPERIMENTS.md: ledger has %d Table I rows and %d Table II rows, want 6 and 18", rows["Table I"], rows["Table II"])
+	}
+
+	_, block, ok := strings.Cut(doc, "$ go run ./cmd/rgbsweep -compare table1\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md: no Table I console block")
+	}
+	block, _, _ = strings.Cut(block, "```")
+	// The block opens with the command's title line and a blank line,
+	// which rgbsweep prints before the table.
+	got := strings.Split(strings.TrimRight(block, "\n"), "\n")
+	if len(got) < 2 {
+		t.Fatal("EXPERIMENTS.md: Table I console block has no table")
+	}
+	got = got[2:]
+	want := strings.Split(strings.TrimRight(experiment.TableIText(experiment.CompareTableI(0, 1)), "\n"), "\n")
+	for i := range want {
+		want[i] = strings.TrimRight(want[i], " ")
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("EXPERIMENTS.md: Table I console block\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// testExists reports whether a test file of the package in dir declares
+// the named test.
+func testExists(t *testing.T, dir, name string) bool {
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := "\nfunc " + name + "(t *testing.T) {"
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), decl) {
+			return true
+		}
+	}
+	return false
 }

@@ -104,17 +104,17 @@ type Config struct {
 	// hop-count experiments, which need a quiet network).
 	HeartbeatInterval time.Duration
 
-	// Owns and MHBase place this System at one slot of a deployment
+	// owns and mhBase place this System at one slot of a deployment
 	// whose hierarchy is spread over several Systems, whether separate
 	// processes or Systems sharing one simulator. A slot is an index
 	// into an entity → slot map (normally topology.SubtreeOwners): the
 	// System builds only the entities of its slot, and messages for the
-	// rest travel through the shared transport. MHBase is where the
+	// rest travel through the shared transport. mhBase is where the
 	// slot's block of ids.MHBlockSize mobile-host and query-app
 	// ordinals starts, so no two slots mint the same endpoint. Set both
-	// with Place. Owns nil means one System builds every entity.
-	Owns   func(ids.NodeID) bool
-	MHBase int
+	// with Place. owns nil means one System builds every entity.
+	owns   func(ids.NodeID) bool
+	mhBase int
 
 	// BatchWindow, when positive, defers locally-submitted membership
 	// changes (Member-Join/Leave/Handoff/Failure arriving at an access
@@ -163,8 +163,8 @@ func DefaultConfig(h, r int) Config {
 // that no entity belongs to (a client) owns nothing but still gets a
 // block of its own. Place is the one place either field is set.
 func Place(cfg *Config, owners map[ids.NodeID]int, slot int) {
-	cfg.Owns = func(id ids.NodeID) bool { return owners[id] == slot }
-	cfg.MHBase = slot * ids.MHBlockSize
+	cfg.owns = func(id ids.NodeID) bool { return owners[id] == slot }
+	cfg.mhBase = slot * ids.MHBlockSize
 }
 
 // validate panics on nonsensical configurations.

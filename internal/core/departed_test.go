@@ -301,7 +301,7 @@ func TestMHOrdinalsBelowQueryRange(t *testing.T) {
 		if err != nil {
 			return ids.NoNode, err
 		}
-		if m.node.Ordinal() >= sys.cfg.MHBase+queryOrdinalBase {
+		if m.node.Ordinal() >= sys.cfg.mhBase+queryOrdinalBase {
 			t.Fatalf("%s took endpoint %s, in the query apps' range", g, m.node)
 		}
 		return m.node, nil

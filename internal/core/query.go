@@ -133,13 +133,13 @@ func (a *queryApp) HandleMessage(msg runtime.Message) {
 }
 
 // Query apps take their endpoint ordinals from the top of the process's
-// mobile-host block (Config.MHBase, one ids.MHBlockSize block), above
+// mobile-host block (Config.mhBase, one ids.MHBlockSize block), above
 // queryOrdinalBase, and wrap there: an ordinal past the block would
 // route every reply to the next process.
 const queryOrdinalBase = 1 << 20
 
 func (s *System) queryAppID() ids.NodeID {
-	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+queryOrdinalBase+int(s.querySeq%(ids.MHBlockSize-queryOrdinalBase)))
+	return ids.MakeNodeID(ids.TierMH, s.cfg.mhBase+queryOrdinalBase+int(s.querySeq%(ids.MHBlockSize-queryOrdinalBase)))
 }
 
 // RunQuery executes one Membership-Query from an application attached

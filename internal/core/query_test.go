@@ -162,7 +162,7 @@ func TestQueryResultGUIDs(t *testing.T) {
 // every later query timed out.
 func TestQueryAppIDStaysInBlock(t *testing.T) {
 	cfg := quietConfig(2, 3)
-	cfg.MHBase = 2 * ids.MHBlockSize
+	cfg.mhBase = 2 * ids.MHBlockSize
 	sys := NewSystem(cfg)
 	populate(t, sys, 6)
 	first := sys.queryAppID().Ordinal()

@@ -51,7 +51,7 @@ func (m *Member) HandleMessage(msg runtime.Message) {
 }
 
 // leftMH is what a System keeps of a member whose departure committed
-// (System.collapse): its endpoint's ordinal past Config.MHBase and the
+// (System.collapse): its endpoint's ordinal past Config.mhBase and the
 // version it left at, all that a re-join needs.
 type leftMH struct {
 	ord uint32
@@ -349,7 +349,7 @@ func (s *System) send(from, to ids.NodeID, kind runtime.Kind, body wire.Payload)
 // owns reports whether this System instantiates the given entity
 // (always true for single-process deployments).
 func (s *System) owns(id ids.NodeID) bool {
-	return s.cfg.Owns == nil || s.cfg.Owns(id)
+	return s.cfg.owns == nil || s.cfg.owns(id)
 }
 
 // sameRing reports whether two entities belong to the same logical
@@ -702,7 +702,7 @@ func (s *System) mhEndpoint(guid ids.GUID) (ids.NodeID, uint16, error) {
 
 // mhNode is the endpoint at ordinal ord of this System's block.
 func (s *System) mhNode(ord uint32) ids.NodeID {
-	return ids.MakeNodeID(ids.TierMH, s.cfg.MHBase+int(ord))
+	return ids.MakeNodeID(ids.TierMH, s.cfg.mhBase+int(ord))
 }
 
 // departedBacklog bounds how many departed GUIDs wait in
@@ -728,7 +728,7 @@ func (s *System) shrink(m *Member) {
 	delete(s.members, m.GUID)
 	delete(s.mhOwner, m.node)
 	s.tr.Register(m.node, departedEndpoint{})
-	s.left[m.GUID] = leftMH{ord: uint32(m.node.Ordinal() - s.cfg.MHBase), ver: m.Ver}
+	s.left[m.GUID] = leftMH{ord: uint32(m.node.Ordinal() - s.cfg.mhBase), ver: m.Ver}
 }
 
 // departedHere reports whether this System keeps g as a departed
@@ -760,7 +760,7 @@ func (s *System) departedHere(g ids.GUID) bool {
 func (s *System) evicted(n *Node, g ids.GUID) {
 	switch {
 	case len(s.top) > 0 && n == &s.top[0]:
-		if s.cfg.Dissemination != DisseminateFull && s.cfg.Owns != nil {
+		if s.cfg.Dissemination != DisseminateFull && s.cfg.owns != nil {
 			return
 		}
 		if s.departedHere(g) {

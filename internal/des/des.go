@@ -73,11 +73,6 @@ type Handle struct {
 	gen uint32 // slot generation the handle was issued for
 }
 
-// Valid reports whether the handle was issued by a kernel (as opposed
-// to the zero Handle). It says nothing about whether the event is
-// still pending; use Kernel.Live for that.
-func (h Handle) Valid() bool { return h.id != 0 }
-
 // Word packs the handle into a single opaque word (zero for the zero
 // Handle), so substrate-agnostic timer handles can carry it without
 // referencing this package's internals.
@@ -144,15 +139,6 @@ func (k *Kernel) Pending() int { return k.queued }
 
 // Executed returns the number of events run so far.
 func (k *Kernel) Executed() uint64 { return k.stepped }
-
-// Live reports whether the event named by h is still queued (not yet
-// fired, not cancelled).
-func (k *Kernel) Live(h Handle) bool {
-	if h.id == 0 || int(h.id-1) >= len(k.slots) {
-		return false
-	}
-	return k.slots[h.id-1].gen == h.gen
-}
 
 // At schedules fn to run at the absolute virtual time at. Scheduling
 // in the past (before Now) panics: that is always a protocol bug, and
@@ -398,7 +384,6 @@ type Ticker struct {
 	fn       func()
 	event    Handle
 	stopped  bool
-	fires    int
 }
 
 // tickerFire is the shared closure-free callback of all tickers:
@@ -408,7 +393,6 @@ func tickerFire(a any) {
 	if t.stopped {
 		return
 	}
-	t.fires++
 	t.fn()
 	if !t.stopped {
 		t.arm()
@@ -439,6 +423,3 @@ func (t *Ticker) Stop() {
 	t.stopped = true
 	t.k.Cancel(t.event)
 }
-
-// Fires returns how many times the ticker has fired.
-func (t *Ticker) Fires() int { return t.fires }

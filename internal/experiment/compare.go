@@ -70,8 +70,7 @@ type TableIICell struct {
 
 // CompareTableII estimates every Table II cell by fault injection,
 // one cell per worker-pool job. Each cell owns a fresh estimator
-// seeded from (seed, cell index), so — unlike the shared-trials
-// reliability.MonteCarloTableII — cells are independent and
+// seeded from (seed, cell index), so cells are independent and
 // order-insensitive.
 func CompareTableII(trials, workers int, seed uint64) []TableIICell {
 	rows := analytic.TableII()

@@ -98,7 +98,7 @@ func MakeNodeID(t Tier, ordinal int) NodeID {
 
 // MHBlockSize carves the mobile-host ordinal space into per-process
 // blocks: cluster process i mints the ordinals of its mobile hosts and
-// query apps in block i (core.Place sets Config.MHBase = i*MHBlockSize),
+// query apps in block i (core.Place sets Config.mhBase = i*MHBlockSize),
 // so any process routes a reply to one of them by ordinal/MHBlockSize
 // alone, without learning. Processes that own no cluster slot take blocks
 // past every slot.

@@ -153,18 +153,3 @@ func TableIICell(h, r int, f float64, k, trials int, seed uint64) Result {
 	e := NewEstimator(h, r, seed)
 	return e.Estimate(f, []int{k}, trials)[0]
 }
-
-// MonteCarloTableII regenerates the full Table II grid empirically:
-// both halves (r=5 and r=10 at h=3), f ∈ {0.1%, 0.5%, 2%} and
-// k ∈ {1,2,3}, with the given number of trials per (h, r, f) cell.
-func MonteCarloTableII(trials int, seed uint64) []Result {
-	var out []Result
-	ks := []int{1, 2, 3}
-	for _, cfg := range []struct{ h, r int }{{3, 5}, {3, 10}} {
-		e := NewEstimator(cfg.h, cfg.r, seed)
-		for _, f := range []float64{0.001, 0.005, 0.02} {
-			out = append(out, e.Estimate(f, ks, trials)...)
-		}
-	}
-	return out
-}

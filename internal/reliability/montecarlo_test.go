@@ -118,28 +118,6 @@ func TestDeterministicEstimates(t *testing.T) {
 	}
 }
 
-func TestMonteCarloTableIIGrid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Table II grid skipped in -short")
-	}
-	results := MonteCarloTableII(8000, 7)
-	if len(results) != 18 {
-		t.Fatalf("%d results, want 18", len(results))
-	}
-	misses := 0
-	for _, res := range results {
-		if !res.WithinCI() {
-			misses++
-			t.Logf("outside CI: %s", res)
-		}
-	}
-	// With 18 cells at 95% intervals, allow a couple of boundary
-	// misses but not systematic failure.
-	if misses > 3 {
-		t.Errorf("%d/18 cells outside their 95%% intervals", misses)
-	}
-}
-
 func TestEstimatePanicsOnBadTrials(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -249,7 +249,7 @@ func TestTreeHierarchyShape(t *testing.T) {
 		if err := th.Validate(); err != nil {
 			t.Fatalf("h=%d r=%d: %v", c.h, c.r, err)
 		}
-		if got := th.NumLeaves(); got != c.leaves {
+		if got := len(th.Leaves()); got != c.leaves {
 			t.Errorf("h=%d r=%d: leaves = %d, want %d", c.h, c.r, got, c.leaves)
 		}
 		if got := th.NumNodes(); got != c.nodes {
@@ -286,9 +286,6 @@ func TestTreeHierarchyRepresentativeCollapsing(t *testing.T) {
 		if got := th.FreeEdgeCount(); got != c.free {
 			t.Errorf("h=%d r=%d: free = %d, want %d", c.h, c.r, got, c.free)
 		}
-		if got := th.MessageEdgeCount(); got != th.EdgeCount()-c.free {
-			t.Errorf("h=%d r=%d: message edges = %d", c.h, c.r, got)
-		}
 	}
 }
 
@@ -311,10 +308,13 @@ func TestTreeHierarchyMeasuredHopCountsVsPaperTableI(t *testing.T) {
 	}
 	for _, c := range cases {
 		th := NewTreeHierarchy(c.h, c.r, true)
-		if got := th.MessageEdgeCount(); got != c.measured {
+		// Real messages of one broadcast round: logical edges minus
+		// representative-collapsed ones.
+		got := th.EdgeCount() - th.FreeEdgeCount()
+		if got != c.measured {
 			t.Errorf("h=%d r=%d: measured = %d, want %d (paper %d)", c.h, c.r, got, c.measured, c.paper)
 		}
-		if diff := c.paper - th.MessageEdgeCount(); diff < 0 || diff > 1 {
+		if diff := c.paper - got; diff < 0 || diff > 1 {
 			t.Errorf("h=%d r=%d: measured deviates from paper by %d hops", c.h, c.r, diff)
 		}
 	}
@@ -322,7 +322,7 @@ func TestTreeHierarchyMeasuredHopCountsVsPaperTableI(t *testing.T) {
 
 func TestTreeHierarchyPhysicalHosts(t *testing.T) {
 	th := NewTreeHierarchy(4, 3, true)
-	root := th.Root()
+	root := th.Level(0)[0]
 	// Root collapses onto a level h-2 = 2 node.
 	ph := th.Physical(root)
 	if ph == root {
@@ -357,7 +357,7 @@ func TestTreeHierarchyPhysicalHosts(t *testing.T) {
 
 func TestTreeHierarchyParentChild(t *testing.T) {
 	th := NewTreeHierarchy(3, 4, false)
-	if !th.Parent(th.Root()).IsZero() {
+	if !th.Parent(th.Level(0)[0]).IsZero() {
 		t.Fatal("root should have no parent")
 	}
 	for _, leaf := range th.Leaves() {

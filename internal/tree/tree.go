@@ -43,15 +43,6 @@ type Server struct {
 	applied uint64
 }
 
-// ID returns the server's identity.
-func (s *Server) ID() ids.NodeID { return s.id }
-
-// Members returns the server's membership view.
-func (s *Server) Members() *ids.MemberList { return s.members }
-
-// Applied returns how many proposals this server executed.
-func (s *Server) Applied() uint64 { return s.applied }
-
 // HandleMessage implements runtime.Endpoint.
 func (s *Server) HandleMessage(msg runtime.Message) {
 	p, ok := msg.Body.(proposal)
@@ -124,12 +115,6 @@ func NewService(h, r int, representatives bool, seed uint64) *Service {
 // Tree returns the underlying topology.
 func (s *Service) Tree() *topology.TreeHierarchy { return s.tree }
 
-// Kernel returns the simulation kernel.
-func (s *Service) Kernel() *des.Kernel { return s.kernel }
-
-// Server returns the server with the given identity.
-func (s *Service) Server(id ids.NodeID) *Server { return s.servers[id] }
-
 // forward routes a proposal from one logical server to another:
 // co-hosted servers exchange it as a zero-hop local event, everything
 // else crosses the network. Up-phase messages are sent as KindNotify
@@ -198,41 +183,4 @@ func (s *Service) MeasureRound(guid ids.GUID, leaf ids.NodeID) RoundCost {
 		LocalFlood: s.localFlood,
 		LocalUp:    s.localUp,
 	}
-}
-
-// ConsistentMembership reports whether every server holds exactly the
-// same membership (the post-round agreement of the one-round
-// algorithm) and returns the divergent server count.
-func (s *Service) ConsistentMembership() (bool, int) {
-	var ref []ids.GUID
-	divergent := 0
-	for level := 0; level < s.tree.H; level++ {
-		for _, id := range s.tree.Level(level) {
-			got := s.servers[id].members.GUIDs()
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !sameGUIDs(ref, got) {
-				divergent++
-			}
-		}
-	}
-	return divergent == 0, divergent
-}
-
-func sameGUIDs(a, b []ids.GUID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[ids.GUID]bool, len(a))
-	for _, g := range a {
-		seen[g] = true
-	}
-	for _, g := range b {
-		if !seen[g] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,12 +1,9 @@
 package rgb
 
 import (
-	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mobility"
-	"github.com/rgbproto/rgb/internal/reliability"
-	"github.com/rgbproto/rgb/internal/tree"
 	"github.com/rgbproto/rgb/internal/workload"
 )
 
@@ -64,55 +61,6 @@ func BMS(h int) QueryScheme { return core.BMS(h) }
 
 // IMS is an Intermediate Membership Scheme at the given ring level.
 func IMS(level int) QueryScheme { return core.IMS(level) }
-
-// Analytic models (Section 5 of the paper).
-type (
-	// TableIRow is one row of the scalability comparison.
-	TableIRow = analytic.TableIRow
-	// TableIIRow is one row of the reliability table.
-	TableIIRow = analytic.TableIIRow
-)
-
-// TableI regenerates the paper's Table I from formulas (1)-(6).
-func TableI() []TableIRow { return analytic.TableI() }
-
-// TableII regenerates the paper's Table II from formulas (7)-(8),
-// including the published-variant column (see EXPERIMENTS.md).
-func TableII() []TableIIRow { return analytic.TableII() }
-
-// HCNRing is formula (6): the normalized hop count of the ring-based
-// hierarchy.
-func HCNRing(h, r int) int { return analytic.HCNRing(h, r) }
-
-// HCNTree is formula (4): the normalized hop count of the tree-based
-// hierarchy with representatives.
-func HCNTree(h, r int) int { return analytic.HCNTree(h, r) }
-
-// ProbFWRing is formula (7): one ring's Function-Well probability.
-func ProbFWRing(r int, f float64) float64 { return analytic.ProbFWRing(r, f) }
-
-// ProbFWHierarchy is formula (8): the hierarchy's Function-Well
-// probability with at most k-1 partitioned rings.
-func ProbFWHierarchy(h, r int, f float64, k int) float64 {
-	return analytic.ProbFWHierarchy(h, r, f, k)
-}
-
-// MonteCarloResult is a Monte-Carlo Function-Well estimate.
-type MonteCarloResult = reliability.Result
-
-// MonteCarloTableII estimates every Table II cell empirically by node
-// fault injection over the real hierarchy.
-func MonteCarloTableII(trials int, seed uint64) []MonteCarloResult {
-	return reliability.MonteCarloTableII(trials, seed)
-}
-
-// TreeService is the tree-based baseline membership service.
-type TreeService = tree.Service
-
-// NewTreeService builds the CONGRESS-style (h, r) baseline.
-func NewTreeService(h, r int, representatives bool, seed uint64) *TreeService {
-	return tree.NewService(h, r, representatives, seed)
-}
 
 // Workload and mobility types.
 type (

@@ -18,21 +18,6 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeTables(t *testing.T) {
-	if len(TableI()) != 6 || len(TableII()) != 18 {
-		t.Fatal("table shapes wrong")
-	}
-	if HCNRing(3, 5) != 185 || HCNTree(4, 5) != 149 {
-		t.Fatal("HCN formulas wrong through facade")
-	}
-	if ProbFWRing(5, 0) != 1 {
-		t.Fatal("ProbFWRing wrong")
-	}
-	if fw := ProbFWHierarchy(3, 10, 0.001, 1); fw < 0.99 || fw > 1 {
-		t.Fatalf("ProbFWHierarchy = %g", fw)
-	}
-}
-
 func TestFacadeQuery(t *testing.T) {
 	sys := core.NewSystem(DefaultConfig(2, 5))
 	sys.JoinMember(GUID(1))
@@ -76,23 +61,5 @@ func TestFacadeScenario(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("membership = %d, want %d", len(got), len(want))
-	}
-}
-
-func TestFacadeMonteCarlo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Monte Carlo skipped in -short")
-	}
-	results := MonteCarloTableII(2000, 3)
-	if len(results) != 18 {
-		t.Fatalf("results = %d", len(results))
-	}
-}
-
-func TestFacadeTreeBaseline(t *testing.T) {
-	svc := NewTreeService(3, 5, true, 1)
-	cost := svc.MeasureRound(GUID(1), svc.Tree().Leaves()[0])
-	if cost.FloodHops != 29 {
-		t.Fatalf("tree flood hops = %d, want 29", cost.FloodHops)
 	}
 }

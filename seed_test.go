@@ -41,9 +41,17 @@ func TestSeedBootstrapObserver(t *testing.T) {
 	if top := joiner.Topology(); top.Levels != 2 || top.RingSize != 3 {
 		t.Fatalf("adopted topology = %dx%d, want 2x3", top.Levels, top.RingSize)
 	}
-	// It claimed no slot: a pure observer owns no hierarchy entity.
-	if owns := joiner.Config().Owns; owns == nil || owns(joiner.APs()[0]) {
-		t.Fatal("slotless seed joiner owns hierarchy entities")
+	// It claimed no slot: a pure observer hosts no hierarchy entity.
+	hosted := 0
+	joiner.Inspect(func(sys *System) {
+		for _, id := range sys.Hierarchy().AllNodes() {
+			if sys.Node(id) != nil {
+				hosted++
+			}
+		}
+	})
+	if hosted != 0 {
+		t.Fatalf("slotless seed joiner hosts %d hierarchy entities", hosted)
 	}
 
 	// Its peer table knows every deployment member.
