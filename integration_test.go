@@ -1,15 +1,58 @@
 package rgb
 
-// Integration tests crossing package boundaries: scenario replay
-// against expected membership, and end-to-end consistency invariants.
+// Integration tests crossing package boundaries: the simulated
+// protocol against the analytic models, scenario replay against
+// expected membership, and end-to-end consistency invariants.
 
 import (
 	"testing"
 	"time"
 
+	"github.com/rgbproto/rgb/internal/analytic"
 	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/reliability"
 	"github.com/rgbproto/rgb/internal/runtime"
+	"github.com/rgbproto/rgb/internal/tree"
 )
+
+// TestEndToEndTableIRingColumn replays every ring-side Table I
+// configuration through the full protocol stack and checks the
+// measured propagation cost against formula (6).
+func TestEndToEndTableIRingColumn(t *testing.T) {
+	rows := []struct{ h, r int }{{2, 5}, {3, 5}, {4, 5}, {2, 10}, {3, 10}, {4, 10}}
+	for _, row := range rows {
+		cfg := DefaultConfig(row.h, row.r)
+		cfg.Latency = runtime.ConstantLatency(time.Millisecond)
+		sys := core.NewSystem(cfg)
+		got, err := sys.MeasureDisseminationHops(GUID(1), sys.APs()[0])
+		if err != nil {
+			t.Fatalf("MeasureDisseminationHops: %v", err)
+		}
+		want := uint64(analytic.HCNRing(row.h, row.r))
+		if got != want {
+			t.Errorf("h=%d r=%d: protocol measured %d hops, formula (6) says %d", row.h, row.r, got, want)
+		}
+	}
+}
+
+// TestEndToEndTableITreeColumn does the same for the tree baseline.
+// The measured count equals formula (4) for h<=4 and is one hop lower
+// at h=5 (see EXPERIMENTS.md).
+func TestEndToEndTableITreeColumn(t *testing.T) {
+	rows := []struct {
+		h, r     int
+		expected uint64
+	}{
+		{3, 5, 29}, {4, 5, 149}, {5, 5, 749}, {3, 10, 109}, {4, 10, 1099}, {5, 10, 10999},
+	}
+	for _, row := range rows {
+		svc := tree.NewService(row.h, row.r, true, 1)
+		got := svc.MeasureRound(GUID(1), svc.Tree().Leaves()[0]).FloodHops
+		if got != row.expected {
+			t.Errorf("h=%d r=%d: tree measured %d hops, want %d", row.h, row.r, got, row.expected)
+		}
+	}
+}
 
 // TestScenarioMembershipMatchesTraceExactly runs a combined
 // churn+mobility+NE-failure scenario and requires the final global
@@ -80,6 +123,29 @@ func TestQueryAgreesWithTopRingUnderChurn(t *testing.T) {
 		if missing, extra := sys.VerifyQueryAnswer(res); missing != 0 || extra != 0 {
 			t.Errorf("level %d query: missing=%d extra=%d", level, missing, extra)
 		}
+	}
+}
+
+// TestMonteCarloAgreesWithFormula8AtScale runs the protocol-free
+// fault model over the real n=125 topology and compares with the
+// analytic value at a high fault rate, where disagreement would be
+// most visible.
+func TestMonteCarloAgreesWithFormula8AtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Monte Carlo skipped in -short")
+	}
+	misses := 0
+	for _, k := range []int{1, 2, 3} {
+		cell := reliability.TableIICell(3, 5, 0.02, k, 40000, 11)
+		if !cell.WithinCI() {
+			misses++
+			t.Logf("k=%d: analytic %.5f outside CI [%.5f, %.5f]", k, cell.Analytic(), cell.Lo, cell.Hi)
+		}
+	}
+	// 95% intervals: tolerate a single boundary miss, not systematic
+	// disagreement.
+	if misses > 1 {
+		t.Errorf("%d/3 cells outside their 95%% intervals", misses)
 	}
 }
 

@@ -118,6 +118,32 @@ func TestDeterministicEstimates(t *testing.T) {
 	}
 }
 
+// TestMonteCarloTableIIGrid runs TableIICell, the estimate behind
+// `rgbsweep -compare table2`, over the full Table II grid: both halves
+// (r=5 and r=10 at h=3), f ∈ {0.1%, 0.5%, 2%} and k ∈ {1,2,3}.
+func TestMonteCarloTableIIGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table II grid skipped in -short")
+	}
+	misses := 0
+	for _, r := range []int{5, 10} {
+		for _, f := range []float64{0.001, 0.005, 0.02} {
+			for k := 1; k <= 3; k++ {
+				res := TableIICell(3, r, f, k, 8000, 7)
+				if !res.WithinCI() {
+					misses++
+					t.Logf("outside CI: %s", res)
+				}
+			}
+		}
+	}
+	// With 18 cells at 95% intervals, allow a couple of boundary
+	// misses but not systematic failure.
+	if misses > 3 {
+		t.Errorf("%d/18 cells outside their 95%% intervals", misses)
+	}
+}
+
 func TestEstimatePanicsOnBadTrials(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/core"
+	"github.com/rgbproto/rgb/internal/experiment"
 	"github.com/rgbproto/rgb/internal/runtime"
 )
 
@@ -61,5 +62,23 @@ func TestFacadeScenario(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("membership = %d, want %d", len(got), len(want))
+	}
+}
+
+// TestFacadeMonteCarlo: the Table II Monte-Carlo, reached through
+// `rgbsweep -compare table2`, yields all 18 cells at the trial count
+// asked for.
+func TestFacadeMonteCarlo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Monte Carlo skipped in -short")
+	}
+	cells := experiment.CompareTableII(2000, 0, 3)
+	if len(cells) != 18 {
+		t.Fatalf("cells = %d", len(cells))
+	}
+	for _, c := range cells {
+		if c.MC.Trials != 2000 {
+			t.Errorf("n=%d f=%g k=%d: %d trials, want 2000", c.Row.N, c.Row.F, c.Row.K, c.MC.Trials)
+		}
 	}
 }
