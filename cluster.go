@@ -25,15 +25,13 @@ import (
 // group's engine sees exactly the same events in the same order no
 // matter how many shards the cluster runs or which shard it lands on.
 //
-// Every real-time group runs on one host, shards → mux → group view,
-// with or without a socket: the mux gives each group its own endpoints,
-// timers and counters on its shard's engine goroutine and hands a
-// message between two entities of the process over in memory. Networked
-// (Listen, ListenCluster), it additionally shares one UDP socket
-// and the per-shard outgoing datagrams between all groups and demultiplexes
-// inbound frames to the owning shard by the wire envelope's group tag;
-// in-process (WithLiveRuntime), it has no socket and the process is the
-// whole deployment.
+// Every real-time group (Listen, ListenCluster) runs on one host, shards
+// → mux → group view, over one bound UDP socket: the mux gives each
+// group its own endpoints, timers and counters on its shard's engine
+// goroutine, hands a message between two entities of the process over in
+// memory, shares the socket and the per-shard outgoing datagrams between
+// all groups, and demultiplexes inbound frames to the owning shard by the
+// wire envelope's group tag.
 //
 // The deterministic simulator (the default) is the one exception: each
 // group is its own single-threaded simulator, bound to its shard's
@@ -55,7 +53,8 @@ type Cluster struct {
 	single bool
 
 	// set and mux are the real-time host (both nil on the simulator
-	// under rgb.Open, mux nil on a simulator cluster).
+	// under rgb.Open, mux nil on a simulator cluster); a mux always has
+	// a socket.
 	set *rgbruntime.ShardSet
 	mux *rgbruntime.NetMux
 
@@ -72,10 +71,9 @@ type Cluster struct {
 // NewCluster builds a multi-group membership container. The options
 // are the same as Open's and apply to every group (hierarchy shape,
 // seed, query scheme, dissemination, heartbeats, loss); WithShards
-// sets the engine worker count (default GOMAXPROCS). Substrate
-// selection: the deterministic simulator by default, the real-time host
-// in-process with WithLiveRuntime; use ListenCluster for the networked
-// form.
+// sets the engine worker count (default GOMAXPROCS). Its groups run on
+// the deterministic simulator; ListenCluster runs them in real time over
+// a socket.
 //
 // Groups are not declared up front: Open(gid) instantiates one on
 // demand. Close shuts down every group and the shared substrate.
@@ -91,28 +89,24 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 // false) and Open (single true).
 func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 	c := &Cluster{base: o, single: single, groups: make(map[GroupID]*Service)}
-	realTime := o.netConfig != nil || o.inProcess
 	shards := o.shards
 	switch {
-	case single && !realTime:
+	case single && o.netConfig == nil:
 		return c, nil // inline: no shard worker
 	case single:
 		shards = 1
 	case shards <= 0:
 		shards = runtime.GOMAXPROCS(0)
 	}
-	// The zero NetConfig, with no Bind, is the in-process mux.
-	var nc rgbruntime.NetConfig
-	if o.netConfig != nil {
-		var err error
-		if nc, err = buildNetConfig(&c.base); err != nil {
-			return nil, err
-		}
-	}
-	c.set = rgbruntime.NewShardSet(shards)
-	if !realTime {
+	if o.netConfig == nil {
+		c.set = rgbruntime.NewShardSet(shards)
 		return c, nil // simulators bound to the shards
 	}
+	nc, err := buildNetConfig(&c.base)
+	if err != nil {
+		return nil, err
+	}
+	c.set = rgbruntime.NewShardSet(shards)
 	mux, err := rgbruntime.NewNetMux(nc, c.set)
 	if err != nil {
 		c.set.Close()
@@ -125,8 +119,8 @@ func newCluster(o serviceOptions, single bool) (*Cluster, error) {
 	return c, nil
 }
 
-// networked reports whether the cluster's mux has a socket.
-func (c *Cluster) networked() bool { return c.mux != nil && c.mux.LocalAddr() != nil }
+// networked reports whether the cluster runs in real time over a socket.
+func (c *Cluster) networked() bool { return c.mux != nil }
 
 // ListenCluster starts a networked multi-group container: it binds
 // addr (UDP) once and serves every opened group over that socket, with

@@ -126,7 +126,7 @@ func TestClusterShardCountInvariance(t *testing.T) {
 
 // TestClusterCrossRuntimeEquivalence is the acceptance check of the
 // multi-group engine: the same 8-group scenario with the same seed,
-// run on the sharded simulator, the shared live in-process plane, a
+// run on the sharded simulator, one live process on a loopback socket, a
 // three-process loopback-UDP networked cluster (every hop between two
 // processes crossing their shared sockets with its group tag), and
 // three Systems per group on one simulator (the processes without the
@@ -142,8 +142,7 @@ func TestClusterCrossRuntimeEquivalence(t *testing.T) {
 	defer sim.Close()
 	simDigests := runClusterScenario(t, gids, sim)
 
-	live, err := NewCluster(WithHierarchy(2, 3), WithSeed(seed), WithShards(4),
-		WithLiveRuntime())
+	live, err := ListenCluster("127.0.0.1:0", WithHierarchy(2, 3), WithSeed(seed), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,79 +258,62 @@ func TestClusterOpenSemantics(t *testing.T) {
 	}
 }
 
-// TestClusterGroupReopenOnMux: closing one group of a shared-substrate
-// cluster (live mux, net mux) must release its identity — the same
-// GroupID reopens with fresh state and works, while sibling groups are
-// untouched.
+// TestClusterGroupReopenOnMux: closing one group of a cluster that
+// shares a mux must release its identity — the same GroupID reopens with
+// fresh state and works, while sibling groups are untouched.
 func TestClusterGroupReopenOnMux(t *testing.T) {
 	ctx := context.Background()
-	cases := []struct {
-		name string
-		mk   func() (*Cluster, error)
-	}{
-		{"live", func() (*Cluster, error) {
-			return NewCluster(WithHierarchy(1, 3), WithSeed(4), WithShards(2),
-				WithLiveRuntime())
-		}},
-		{"net", func() (*Cluster, error) {
-			return ListenCluster("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(4), WithShards(2))
-		}},
+	c, err := ListenCluster("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(4), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := tc.mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			gid, sibling := NewGroupID(1), NewGroupID(2)
-			svc, err := c.Open(gid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sib, err := c.Open(sibling)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := svc.Join(ctx, GUID(1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Settle(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if err := svc.Close(); err != nil {
-				t.Fatalf("closing group: %v", err)
-			}
+	defer c.Close()
+	gid, sibling := NewGroupID(1), NewGroupID(2)
+	svc, err := c.Open(gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := c.Open(sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Join(ctx, GUID(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("closing group: %v", err)
+	}
 
-			reopened, err := c.Open(gid)
-			if err != nil {
-				t.Fatalf("reopen after close: %v", err)
-			}
-			members, err := reopened.Members(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(members) != 0 {
-				t.Fatalf("reopened group inherited state: %v", members)
-			}
-			if _, err := reopened.Join(ctx, GUID(9)); err != nil {
-				t.Fatal(err)
-			}
-			if err := reopened.Settle(ctx); err != nil {
-				t.Fatal(err)
-			}
-			members, err = reopened.Members(ctx)
-			if err != nil || len(members) != 1 {
-				t.Fatalf("reopened group membership = %v, %v", members, err)
-			}
-			// The sibling group kept working throughout.
-			if _, err := sib.Join(ctx, GUID(5)); err != nil {
-				t.Fatal(err)
-			}
-			if err := sib.Settle(ctx); err != nil {
-				t.Fatal(err)
-			}
-		})
+	reopened, err := c.Open(gid)
+	if err != nil {
+		t.Fatalf("reopen after close: %v", err)
+	}
+	members, err := reopened.Members(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(members) != 0 {
+		t.Fatalf("reopened group inherited state: %v", members)
+	}
+	if _, err := reopened.Join(ctx, GUID(9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.Settle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	members, err = reopened.Members(ctx)
+	if err != nil || len(members) != 1 {
+		t.Fatalf("reopened group membership = %v, %v", members, err)
+	}
+	// The sibling group kept working throughout.
+	if _, err := sib.Join(ctx, GUID(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sib.Settle(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -363,9 +345,8 @@ func TestOpenIsOneGroupCluster(t *testing.T) {
 	addr := reservePorts(t, 1)[0]
 	opts := []Option{WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.GID = NewGroupID(12) })}
 	for name, open := range map[string]func() (*Service, error){
-		"sim":  func() (*Service, error) { return Open(opts...) },
-		"live": func() (*Service, error) { return Open(append(opts[:3:3], WithLiveRuntime())...) },
-		"net":  func() (*Service, error) { return Listen(addr, opts...) },
+		"sim": func() (*Service, error) { return Open(opts...) },
+		"net": func() (*Service, error) { return Listen(addr, opts...) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			before := goruntime.NumGoroutine()
@@ -414,34 +395,7 @@ func TestOpenIsOneGroupCluster(t *testing.T) {
 	if g1.Config().Seed == g2.Config().Seed {
 		t.Fatal("cluster groups share one deterministic stream")
 	}
-}
-
-// TestInProcessOpensNoSocketNoPumps: the in-process real-time host is
-// the networked one without the socket — its only goroutines are the
-// shard workers, however many endpoints a group registers (h=3 r=5 has
-// 155) — and it keeps reporting "not networked".
-func TestInProcessOpensNoSocketNoPumps(t *testing.T) {
-	before := goruntime.NumGoroutine()
-	c, err := NewCluster(WithHierarchy(3, 5), WithLiveRuntime(), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	svc, err := c.Open(NewGroupID(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Join(context.Background(), GUID(1)); err != nil {
-		t.Fatal(err)
-	}
-	// Polled: a firing timer borrows a goroutine for a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before: want only the 2 shard workers added", goruntime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// A simulator cluster has no socket.
 	if _, ok := c.LocalAddr(); ok {
 		t.Error("LocalAddr reports a socket")
 	}
@@ -456,17 +410,14 @@ func TestInProcessOpensNoSocketNoPumps(t *testing.T) {
 	}
 }
 
-// TestEmptyBindIsNotInProcess: only WithLiveRuntime selects the
-// socketless host; a networked option with no bind address stays an
-// error instead of silently becoming an in-process group.
+// TestEmptyBindIsNotInProcess: every real-time host has a socket, so a
+// networked option with no bind address is an error, not a socketless
+// group.
 func TestEmptyBindIsNotInProcess(t *testing.T) {
 	if _, err := Listen(""); !errors.Is(err, ErrBadCluster) {
 		t.Errorf(`Listen("") err = %v, want ErrBadCluster`, err)
 	}
 	if _, err := Open(withNetConfig(runtime.NetConfig{})); !errors.Is(err, ErrBadCluster) {
 		t.Errorf("a NetConfig with no Bind: err = %v, want ErrBadCluster", err)
-	}
-	if _, err := ListenCluster("", WithLiveRuntime()); !errors.Is(err, ErrBadCluster) {
-		t.Errorf(`ListenCluster("", WithLiveRuntime()) err = %v, want ErrBadCluster`, err)
 	}
 }

@@ -48,12 +48,12 @@
 // the wire union with a versioned binary encoding. By default it runs
 // on the deterministic discrete-event simulator, inline on the caller
 // under rgb.Open. Everything on real time is one host —
-// engine shards, a mux over them, one runtime view per group —
-// whether it serves one group or many, with or without a socket:
-// rgb.WithLiveRuntime runs the identical engine in-process on real
-// timers, every hop handed over in memory; rgb.Listen adds real UDP
-// sockets, so that multiple processes (see cmd/rgbnode) each host a
-// slice of the hierarchy and exchange wire-encoded datagrams, and a
+// engine shards, a mux over them with one bound UDP socket, one runtime
+// view per group — whether it serves one group or many: rgb.Listen runs
+// the identical engine on real timers, every hop between two entities of
+// the process handed over in memory and every other one a wire-encoded
+// datagram, so that one process is a whole deployment or multiple
+// processes (see cmd/rgbnode) each host a slice of the hierarchy; a
 // client of such a deployment is rgb.Listen(":0",
 // rgb.WithSeeds(member)), a slotless observer that hosts no entity;
 // and rgb.ListenCluster serves many groups over the same kind of socket:

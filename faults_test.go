@@ -172,7 +172,6 @@ func TestFaultsSimDeterminism(t *testing.T) {
 		open func(...Option) (*Service, error)
 	}{
 		{"simulator", Open},
-		{"in-process", func(opts ...Option) (*Service, error) { return Open(append(opts, WithLiveRuntime())...) }},
 		{"listen", func(opts ...Option) (*Service, error) { return Listen("127.0.0.1:0", opts...) }},
 	} {
 		t.Run(row.name, func(t *testing.T) {

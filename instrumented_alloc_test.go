@@ -125,7 +125,7 @@ func queryPairAllocs(t *testing.T, tms, bms *Service, members int) func(first, n
 // System keeps, so from its second query on a System pays no more than
 // it ever will.
 func TestQueryAllocBudget(t *testing.T) {
-	svc := openTest(t, WithLiveRuntime(), WithHierarchy(3, 3), WithSeed(3))
+	svc := openTest(t, withLoopback(), WithHierarchy(3, 3), WithSeed(3))
 	const members = 1000
 	joinSettled(t, svc, members)
 	pairs := queryPairAllocs(t, svc, svc, members)

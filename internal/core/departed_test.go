@@ -220,7 +220,7 @@ func TestCollapseAtCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run()
-	node := m.Node()
+	node := m.node
 	if err := sys.LeaveMember(g); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestCollapseAtCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Node() != node || m.Ver != ver+1 {
-		t.Fatalf("the re-join of %s took %s at v%d, want %s at v%d", g, m.Node(), m.Ver, node, ver+1)
+	if m.node != node || m.Ver != ver+1 {
+		t.Fatalf("the re-join of %s took %s at v%d, want %s at v%d", g, m.node, m.Ver, node, ver+1)
 	}
 	sys.Run()
 	if m.Acks() == 0 {

@@ -32,7 +32,7 @@ func goldenScenarioDigest() (string, int) {
 	sys := NewSystem(cfg)
 
 	h := sha256.New()
-	sim := sys.Runtime().(*simnet.SimRuntime)
+	sim := sys.rt.(*simnet.SimRuntime)
 	sim.Net().SetTrace(func(msg runtime.Message, outcome string) {
 		fmt.Fprintf(h, "%d %d %s %s %s %s\n",
 			int64(sim.Kernel().Now()), sim.Kernel().Executed(),

@@ -67,7 +67,7 @@ func TestCrashLeaderFailover(t *testing.T) {
 		}
 	}
 	// Parent's Child pointer repaired to the new leader.
-	parent := sys.Node(survivor).Parent()
+	parent := sys.Node(survivor).parent
 	if got := sys.Node(parent).childLeader; got != successorWant {
 		t.Errorf("parent child pointer = %s, want %s", got, successorWant)
 	}
@@ -150,7 +150,7 @@ func TestCrashUpperTierNode(t *testing.T) {
 	sys := NewSystem(quietConfig(3, 4))
 	ap := sys.APs()[0]
 	// The AG parent of the origin's ring.
-	agParent := sys.Node(ap).Parent()
+	agParent := sys.Node(ap).parent
 	agRing := sys.Node(agParent).Roster()
 	// Crash a different AG in the same ring (not the parent itself, so
 	// the notify still lands).

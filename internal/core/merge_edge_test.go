@@ -209,11 +209,11 @@ func TestSnapshotTombstoneOutlivesStaleMerge(t *testing.T) {
 	})
 	sys.Run()
 	if leader.ringMems.Contains(2) || !leader.ringMems.Contains(1) {
-		t.Fatalf("after the snapshot the leader lists %v, want member 1 only", leader.ringMems.GUIDs())
+		t.Fatalf("after the snapshot the leader lists %v, want member 1 only", &leader.ringMems)
 	}
 	sys.send(peer.ID(), leader.ID(), runtime.KindControl, stale)
 	sys.Run()
 	if leader.ringMems.Contains(2) {
-		t.Fatalf("a stale MergeRequest brought back member 2, whose removal the snapshot carried: %v", leader.ringMems.GUIDs())
+		t.Fatalf("a stale MergeRequest brought back member 2, whose removal the snapshot carried: %v", &leader.ringMems)
 	}
 }

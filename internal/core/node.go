@@ -100,9 +100,6 @@ type Node struct {
 	lastTokHolder ids.NodeID
 	lastTokRound  uint64
 
-	// repairsDone counts the faulty successors this node excluded.
-	repairsDone uint64
-
 	// Batched view changes (batch.go): batchArmed marks an open batch
 	// window whose flush timer will circulate the queue's contents.
 	batchArmed bool
@@ -117,17 +114,8 @@ type Node struct {
 // ID returns the node's identity.
 func (n *Node) ID() ids.NodeID { return n.id }
 
-// Level returns the node's ring level (0 = topmost).
-func (n *Node) Level() int { return n.level }
-
-// Ring returns the node's ring identity.
-func (n *Node) Ring() ring.ID { return n.ringID }
-
 // Leader returns the node's current view of its ring leader.
 func (n *Node) Leader() ids.NodeID { return n.leader }
-
-// Parent returns the parent node of this ring (zero at the top).
-func (n *Node) Parent() ids.NodeID { return n.parent }
 
 // Roster returns a copy of the node's current ring roster.
 func (n *Node) Roster() []ids.NodeID {
@@ -141,15 +129,6 @@ func (n *Node) LocalMembers() *ids.MemberList { return &n.local }
 
 // RingMembers returns the ListOfRingMembers.
 func (n *Node) RingMembers() *ids.MemberList { return &n.ringMems }
-
-// NeighborMembers returns the ListOfNeighborMembers.
-func (n *Node) NeighborMembers() *ids.MemberList { return &n.neighbors }
-
-// Queue exposes the node's MQ (primarily for tests and metrics).
-func (n *Node) Queue() *mq.Queue { return n.queue }
-
-// Repairs returns how many faulty successors this node excluded.
-func (n *Node) Repairs() uint64 { return n.repairsDone }
 
 // isLeader reports whether this node currently believes it leads its
 // ring.
@@ -255,9 +234,9 @@ func (n *Node) HandleMessage(msg runtime.Message) {
 		// Informational at NEs; MH endpoints consume theirs directly.
 	case wire.Probe:
 		n.receiveProbe(msg.From)
-	case wire.QueryReply, wire.TreeProposal:
-		// Addressed to query apps / planners; a misrouted or faulted
-		// copy arriving at a network entity is ignored.
+	case wire.QueryReply:
+		// Addressed to query apps; a misrouted or faulted copy
+		// arriving at a network entity is ignored.
 	case nil:
 		// A corrupted frame can decode to an empty payload; drop it.
 	default:
@@ -587,7 +566,6 @@ func (n *Node) passTimedOut() {
 		}
 	}
 	if n.sys.confirmEviction(dead, n.id) {
-		n.repairsDone++
 		n.sys.noteRepair(n.ringID, dead)
 		n.excludeFromRoster(dead)
 		tok := n.passWait[0]

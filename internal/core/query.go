@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/rgbproto/rgb/internal/ids"
-	"github.com/rgbproto/rgb/internal/mathx"
 	"github.com/rgbproto/rgb/internal/ring"
 	"github.com/rgbproto/rgb/internal/runtime"
 	"github.com/rgbproto/rgb/internal/wire"
@@ -45,15 +44,6 @@ type QueryResult struct {
 	Messages uint64           // query+reply messages on the wire
 	Latency  time.Duration    // virtual time from request to last reply
 	Replies  int              // ring leaders that answered
-}
-
-// GUIDs returns the member identities in the answer.
-func (r QueryResult) GUIDs() []ids.GUID {
-	out := make([]ids.GUID, 0, len(r.Members))
-	for _, m := range r.Members {
-		out = append(out, m.GUID)
-	}
-	return out
 }
 
 // queryCollector assembles one query's answer and the rings that have
@@ -286,12 +276,6 @@ func (n *Node) forwardQuery(to ids.NodeID, q wire.Query) {
 		return
 	}
 	n.sys.send(n.id, to, runtime.KindQuery, q)
-}
-
-// ExpectedQueryReplies returns how many ring leaders answer a query at
-// the given level — r^level.
-func (s *System) ExpectedQueryReplies(level int) int {
-	return mathx.PowInt(s.cfg.R, level)
 }
 
 // VerifyQueryAnswer checks a query result against the authoritative

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -94,11 +95,12 @@ func TestQueryCostOrdering(t *testing.T) {
 func TestQueryCostScalesWithLevelWidth(t *testing.T) {
 	sys := NewSystem(quietConfig(3, 5))
 	populate(t, sys, 10)
-	if got := sys.ExpectedQueryReplies(0); got != 1 {
-		t.Errorf("level 0 rings = %d", got)
+	entry := sys.APs()[0]
+	if got := mustQuery(t, sys, entry, TMS()).Replies; got != 1 {
+		t.Errorf("level 0 replies = %d, want 1", got)
 	}
-	if got := sys.ExpectedQueryReplies(2); got != 25 {
-		t.Errorf("level 2 rings = %d", got)
+	if got := mustQuery(t, sys, entry, IMS(2)).Replies; got != 25 {
+		t.Errorf("level 2 replies = %d, want 25", got)
 	}
 }
 
@@ -150,8 +152,12 @@ func TestQueryResultGUIDs(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 5))
 	populate(t, sys, 3)
 	res := mustQuery(t, sys, sys.APs()[0], TMS())
-	if len(res.GUIDs()) != 3 {
-		t.Fatalf("GUIDs = %v", res.GUIDs())
+	var guids []ids.GUID
+	for _, m := range res.Members {
+		guids = append(guids, m.GUID)
+	}
+	if slices.Sort(guids); !slices.Equal(guids, []ids.GUID{1, 2, 3}) {
+		t.Fatalf("GUIDs = %v, want 1, 2 and 3", guids)
 	}
 }
 

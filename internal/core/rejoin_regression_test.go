@@ -102,7 +102,7 @@ func TestRestoredEntityForgetsDepartedMembers(t *testing.T) {
 	sys.JoinMemberAt(3, aps[4]) // another ring's member: the snapshot says nothing about it
 	sys.Run()
 	n := sys.Node(down)
-	if !n.NeighborMembers().Contains(1) || !n.RingMembers().Contains(1) || !sys.FastHandoffHit(1, down) {
+	if !n.neighbors.Contains(1) || !n.RingMembers().Contains(1) || !sys.FastHandoffHit(1, down) {
 		t.Fatalf("before the crash %s should know member 1 of its neighbour %s", down, other)
 	}
 	sys.CrashNE(down)
@@ -115,9 +115,9 @@ func TestRestoredEntityForgetsDepartedMembers(t *testing.T) {
 	if !n.rosterContains(down) || sys.neStale(down) || n.RingMembers().Contains(1) {
 		t.Fatalf("%s did not rejoin cleanly: roster %v stale %v ring list %s", down, n.Roster(), sys.neStale(down), n.RingMembers())
 	}
-	if n.NeighborMembers().Contains(1) || sys.FastHandoffHit(1, down) {
+	if n.neighbors.Contains(1) || sys.FastHandoffHit(1, down) {
 		t.Errorf("member 1 left while %s was down, yet after the restore: neighbours %s, fast-handoff hit %v",
-			down, n.NeighborMembers(), sys.FastHandoffHit(1, down))
+			down, &n.neighbors, sys.FastHandoffHit(1, down))
 	}
 	if !n.LocalMembers().Contains(2) || !n.RingMembers().Contains(2) {
 		t.Errorf("member 2 is still attached at %s: local %s, ring %s", down, n.LocalMembers(), n.RingMembers())

@@ -17,6 +17,18 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
+// ringRepairs counts the repairs of n's ring: a repair names its ring
+// and the excluded entity, not the entity that excluded it.
+func ringRepairs(n *Node) int {
+	count := 0
+	for _, r := range n.sys.Repairs() {
+		if r.Ring == n.ringID {
+			count++
+		}
+	}
+	return count
+}
+
 // ringPair returns a bottom-ring node and its successor.
 func ringPair(sys *System) (p *Node, h ids.NodeID) {
 	p = sys.Node(sys.APs()[0])
@@ -32,7 +44,7 @@ func ringPair(sys *System) (p *Node, h ids.NodeID) {
 // the new pass armed and its timer pending.
 func TestStaleAckLeavesPassArmed(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 3))
-	kernel := sys.Runtime().(*simnet.SimRuntime).Kernel()
+	kernel := sys.rt.(*simnet.SimRuntime).Kernel()
 	p, h := ringPair(sys)
 
 	const k = 7
@@ -71,7 +83,7 @@ func TestResendBudget(t *testing.T) {
 	p, h := ringPair(sys)
 
 	sends := 0
-	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) {
+	sys.rt.(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) {
 		if m.Kind == runtime.KindToken && m.To == h {
 			if m.From != p.id {
 				t.Errorf("token for the dead %s from %s, not from its predecessor", h, m.From)
@@ -88,8 +100,8 @@ func TestResendBudget(t *testing.T) {
 	if want := 1 + cfg.Retransmit.MaxRetries; sends != want {
 		t.Errorf("token sent to the dead successor %d times, want %d", sends, want)
 	}
-	if r := sys.Repairs(); len(r) != 1 || r[0].Dead != h || p.Repairs() != 1 {
-		t.Errorf("repairs = %v (%d at the predecessor), want exactly one, of %s", r, p.Repairs(), h)
+	if r := sys.Repairs(); len(r) != 1 || r[0].Dead != h || r[0].Ring != p.ringID {
+		t.Errorf("repairs = %v, want exactly one, of %s in %s", r, h, p.ringID)
 	}
 	if p.pass.live {
 		t.Error("pass still in flight after the run drained")
@@ -117,8 +129,8 @@ func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
 	sent.Ops, sent.Route, sent.Contributors = slices.Clone(tok.Ops), slices.Clone(tok.Route), slices.Clone(tok.Contributors)
 	sys.Run()
 
-	if p.Repairs() != 1 {
-		t.Fatalf("%d repairs at the predecessor, want the one give-up", p.Repairs())
+	if ringRepairs(p) != 1 {
+		t.Fatalf("%d repairs at the predecessor, want the one give-up", ringRepairs(p))
 	}
 	if !reflect.DeepEqual(*tok, sent) {
 		t.Fatalf("giving up changed the token in flight:\n now %+v\nsent %+v", *tok, sent)
@@ -167,8 +179,8 @@ func TestTokenWaitsItsTurnAtLink(t *testing.T) {
 	if want := 1 + n.sys.cfg.Retransmit.MaxRetries; toDead != want {
 		t.Errorf("tokens sent to the dead successor %d times, want %d: the first pass's resends alone", toDead, want)
 	}
-	if !toHolder[101] || !toHolder[102] || n.Repairs() != 1 {
-		t.Errorf("rounds passed on to the holder %v, %d repairs; want 101 and 102, and one", toHolder, n.Repairs())
+	if !toHolder[101] || !toHolder[102] || ringRepairs(n) != 1 {
+		t.Errorf("rounds passed on to the holder %v, %d repairs; want 101 and 102, and one", toHolder, ringRepairs(n))
 	}
 	if !slices.Contains(waited.Route, dead) {
 		t.Error("the give-up rerouted the waiting token in place, not in a copy")

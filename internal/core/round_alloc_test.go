@@ -19,7 +19,7 @@ import (
 
 // traceSends calls fn with every message the simulator carries.
 func traceSends(sys *System, fn func(runtime.Message)) {
-	sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) { fn(m) })
+	sys.rt.(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, _ string) { fn(m) })
 }
 
 // joinAllocBudget is what one Member-Join may allocate at h=3 r=5 under
@@ -143,7 +143,7 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 3))
 	ap := sys.Node(sys.APs()[1])
 	leader := sys.Node(ap.Leader())
-	parent := leader.Parent()
+	parent := leader.parent
 
 	var up wire.Notify
 	var sent mq.Batch // the notified batch as it was sent
@@ -167,13 +167,13 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 	}
 	sys.Run()
 
-	if len(sent) != 1 || sent[0].ReplyTo != mh.Node() {
+	if len(sent) != 1 || sent[0].ReplyTo != mh.node {
 		t.Fatalf("the notification to %s carried %+v, want the join with the mobile host's reply address", parent, sent)
 	}
 	var bottom, top *token.Token
 	for i := range passed {
 		switch tok := &passed[i]; {
-		case tok.Ring == ap.Ring() && bottom == nil:
+		case tok.Ring == ap.ringID && bottom == nil:
 			bottom = tok
 		case tok.Holder == parent && top == nil:
 			top = tok
@@ -191,7 +191,7 @@ func TestNotifiedBatchSharesTokenOps(t *testing.T) {
 	if !slices.Equal(top.Contributors, []ids.NodeID{leader.ID()}) {
 		t.Errorf("the top-ring round names contributors %v, want the forwarder %s", top.Contributors, leader.ID())
 	}
-	if !slices.Equal(up.Batch, sent) || up.Batch[0].ReplyTo != mh.Node() {
+	if !slices.Equal(up.Batch, sent) || up.Batch[0].ReplyTo != mh.node {
 		t.Errorf("the notified batch changed after it was sent:\n now %+v\nsent %+v", up.Batch, sent)
 	}
 	if bottom.Contributors != nil {
@@ -243,8 +243,8 @@ func TestItinerarySharedBetweenRounds(t *testing.T) {
 
 	sys.CrashNE(h)
 	repaired := join(3)
-	if p.Repairs() != 1 {
-		t.Fatalf("%d repairs at %s, want the give-up on %s", p.Repairs(), p.ID(), h)
+	if ringRepairs(p) != 1 {
+		t.Fatalf("%d repairs at %s, want the give-up on %s", ringRepairs(p), p.ID(), h)
 	}
 	if unsafe.SliceData(repaired.Route) != unsafe.SliceData(second.Route) || !slices.Equal(second.Route, itinerary) {
 		t.Fatalf("the repair changed the shared itinerary: %v, was %v", second.Route, itinerary)
@@ -302,13 +302,13 @@ func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
 	cfg := quietConfig(2, 3)
 	cfg.Retransmit.MaxRetries = 3
 	sys := NewSystem(cfg)
-	kernel := sys.Runtime().(*simnet.SimRuntime).Kernel()
+	kernel := sys.rt.(*simnet.SimRuntime).Kernel()
 	ap := sys.Node(sys.APs()[0])
 	leader := sys.Node(ap.Leader())
-	sys.CrashNE(leader.Parent())
+	sys.CrashNE(leader.parent)
 	sends := 0
 	traceSends(sys, func(m runtime.Message) {
-		if m.Kind == runtime.KindNotify && m.From == leader.ID() && m.To == leader.Parent() {
+		if m.Kind == runtime.KindNotify && m.From == leader.ID() && m.To == leader.parent {
 			sends++
 		}
 	})
@@ -331,7 +331,7 @@ func TestNotifyGiveUpLeavesNoRecord(t *testing.T) {
 		t.Fatalf("the leader owes its parent %v, want the join of mh-1", leader.owedUp)
 	}
 
-	sys.RestoreNE(leader.Parent())
+	sys.RestoreNE(leader.parent)
 	sys.Run()
 	if _, err := sys.JoinMemberAt(2, ap.ID()); err != nil {
 		t.Fatal(err)
@@ -364,8 +364,8 @@ func TestPassAckNamesAdopter(t *testing.T) {
 	p.passToken(tok)
 	sys.Run()
 
-	if p.Repairs() != 1 {
-		t.Fatalf("%d repairs at %s, want the give-up on %s", p.Repairs(), p.ID(), h)
+	if ringRepairs(p) != 1 {
+		t.Fatalf("%d repairs at %s, want the give-up on %s", ringRepairs(p), p.ID(), h)
 	}
 	if len(acks) == 0 || acks[0] != (wire.PassAck{Holder: p.ID(), Round: 1}) {
 		t.Fatalf("acknowledgements after the adoption: %v, want the first to name the adopter %s", acks, p.ID())
@@ -402,9 +402,9 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 				}
 			},
 			happened: func(sys *System, top []ids.NodeID, acksFrom map[ids.NodeID]int) string {
-				if sys.Node(top[1]).Repairs() == 0 || acksFrom[top[0]] < 2 {
+				if ringRepairs(sys.Node(top[1])) == 0 || acksFrom[top[0]] < 2 {
 					return fmt.Sprintf("%d repairs at %s and %d acknowledgements from %s, want a repair and the round and its re-circulation",
-						sys.Node(top[1]).Repairs(), top[1], acksFrom[top[0]], top[0])
+						ringRepairs(sys.Node(top[1])), top[1], acksFrom[top[0]], top[0])
 				}
 				return ""
 			},
@@ -455,7 +455,7 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 			sys := NewSystem(cfg)
 			ap := sys.Node(sys.APs()[1])
 			leader := sys.Node(ap.Leader())
-			holder := sys.Node(leader.Parent())
+			holder := sys.Node(leader.parent)
 			top := holder.itinerary()
 			if len(top) != 3 {
 				t.Fatalf("top ring from %s is %v, want three entities", holder.ID(), top)
@@ -465,7 +465,7 @@ func TestNotifiedRoundAcksForwarder(t *testing.T) {
 			}
 			acksFrom := map[ids.NodeID]int{}
 			var wrong []runtime.Message
-			sys.Runtime().(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, outcome string) {
+			sys.rt.(*simnet.SimRuntime).Net().SetTrace(func(m runtime.Message, outcome string) {
 				if outcome == "delivered" {
 					c.crash(sys, m, top)
 				}

@@ -199,14 +199,3 @@ func (s *System) FlapQuarantines() uint64 { return s.flapQuarantines }
 // EvictionsDeferred returns how many suspicions the stability filter
 // held back awaiting more observers.
 func (s *System) EvictionsDeferred() uint64 { return s.evictionsDeferred }
-
-// FlapScore returns the accumulated flap score of an entity (0 when
-// it never flapped or the filter is off).
-func (s *System) FlapScore(id ids.NodeID) int { return s.flapScore[id] }
-
-// Quarantined reports whether the entity currently sits out a flap
-// quarantine.
-func (s *System) Quarantined(id ids.NodeID) bool {
-	_, q := s.quarantineLeft(id)
-	return q
-}

@@ -8,6 +8,13 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
+// Quarantined reports whether the entity currently sits out a flap
+// quarantine.
+func (s *System) Quarantined(id ids.NodeID) bool {
+	_, q := s.quarantineLeft(id)
+	return q
+}
+
 // stableConfig returns a quiet configuration with the K-observer
 // stability filter armed.
 func stableConfig(h, r, k int) Config {
@@ -39,7 +46,7 @@ func TestStabilityKMinusOneObserversNeverEvict(t *testing.T) {
 		if !sys.confirmEviction(subject, observer(k-1)) {
 			t.Fatalf("K=%d: Kth distinct observer did not confirm", k)
 		}
-		if got := sys.FlapScore(subject); got != 1 {
+		if got := sys.flapScore[subject]; got != 1 {
 			t.Errorf("K=%d: FlapScore after first eviction = %d, want 1", k, got)
 		}
 		if sys.Quarantined(subject) {
@@ -245,7 +252,7 @@ func TestSilentLeaderEvictionNeedsConfirmation(t *testing.T) {
 	if acting.rosterContains(leader) {
 		t.Error("confirmed dead leader was never excluded")
 	}
-	if got := sys.FlapScore(leader); got != 1 {
+	if got := sys.flapScore[leader]; got != 1 {
 		t.Errorf("FlapScore(dead leader) = %d, want 1", got)
 	}
 }

@@ -36,9 +36,6 @@ func (m *Member) Node() ids.NodeID { return m.node }
 // Acks returns how many Holder-Acknowledgements this MH received.
 func (m *Member) Acks() int { return m.acks }
 
-// LastAckAt returns the protocol time of the latest acknowledgement.
-func (m *Member) LastAckAt() runtime.Time { return m.ackedAt }
-
 // HandleMessage lets the MH consume Holder-Acknowledgements. The MH is
 // the final consumer of whatever is delivered to it and hands the body
 // back.
@@ -305,9 +302,6 @@ func NewSystemOn(cfg Config, rt runtime.Runtime) *System {
 	}
 	return s
 }
-
-// Runtime returns the substrate the deployment runs on.
-func (s *System) Runtime() runtime.Runtime { return s.rt }
 
 // Clock returns the substrate clock.
 func (s *System) Clock() runtime.Clock { return s.clock }

@@ -116,7 +116,7 @@ func TestJoinUpdatesAllListKinds(t *testing.T) {
 	}
 	// Neighbor APs track it for fast handoff.
 	next := sys.Node(apNode.Roster()[1])
-	if !next.NeighborMembers().Contains(9) {
+	if !next.neighbors.Contains(9) {
 		t.Error("successor AP's neighbor list missing the member")
 	}
 	// Every ring that covers the serving AP lists it, and no other.
@@ -134,7 +134,7 @@ func TestLeaveRemovesEverywhere(t *testing.T) {
 	}
 	for _, id := range sys.Hierarchy().AllNodes() {
 		node := sys.Node(id)
-		if node.LocalMembers().Contains(4) || node.NeighborMembers().Contains(4) {
+		if node.LocalMembers().Contains(4) || node.neighbors.Contains(4) {
 			t.Fatalf("node %s still lists departed member", id)
 		}
 	}
@@ -256,7 +256,7 @@ func TestMemberAcksArrive(t *testing.T) {
 	if m.Acks() == 0 {
 		t.Fatal("member never received a Holder-Acknowledgement")
 	}
-	if m.LastAckAt() == 0 {
+	if m.ackedAt == 0 {
 		t.Fatal("ack timestamp missing")
 	}
 }
@@ -269,9 +269,9 @@ func TestRingMembersConsistencyAcrossRing(t *testing.T) {
 	sys.Run()
 	// Every ring: all members agree on ListOfRingMembers.
 	for _, rg := range sys.Hierarchy().Rings() {
-		var ref []ids.GUID
+		var ref []ids.MemberInfo
 		for _, id := range rg.Nodes() {
-			got := sys.Node(id).RingMembers().GUIDs()
+			got := sys.Node(id).RingMembers().Snapshot()
 			if ref == nil {
 				ref = got
 				continue

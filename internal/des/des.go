@@ -54,9 +54,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration between t and earlier.
 func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier) }
 
-// Before reports whether t precedes other.
-func (t Time) Before(other Time) bool { return t < other }
-
 // String renders the time as a duration since the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
 

@@ -523,9 +523,6 @@ func TestTimeArithmetic(t *testing.T) {
 	if t1.Sub(t0) != time.Second {
 		t.Fatal("Add/Sub mismatch")
 	}
-	if !t0.Before(t1) || t1.Before(t0) {
-		t.Fatal("Before wrong")
-	}
 	if t1.String() != "1s" {
 		t.Fatalf("String = %q", t1.String())
 	}

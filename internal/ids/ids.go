@@ -33,11 +33,6 @@ func (g GroupID) String() string {
 		byte(g>>24), byte(g>>16), byte(g>>8), byte(g))
 }
 
-// Valid reports whether g lies in the IPv4 multicast range.
-func (g GroupID) Valid() bool {
-	return g>>28 == 0xE
-}
-
 // Tier enumerates the four tiers of the mobile Internet architecture
 // (Section 3 / Figure 2). Higher values are higher tiers.
 type Tier uint8
@@ -141,9 +136,6 @@ type LUID struct {
 func (l LUID) String() string {
 	return "coa(" + l.AP.String() + "/" + strconv.FormatUint(uint64(l.Local), 10) + ")"
 }
-
-// IsZero reports whether l is unassigned.
-func (l LUID) IsZero() bool { return l.AP.IsZero() && l.Local == 0 }
 
 // Status is the operational status of a mobile host as tracked by the
 // membership service (Section 4.2: "Typical status like operational,
@@ -500,13 +492,6 @@ func (l *MemberList) Clear() {
 	l.ndead = 0
 	clear(l.index)
 	l.shared = nil
-}
-
-// GUIDs returns the member identities in insertion order.
-func (l *MemberList) GUIDs() []GUID {
-	out := make([]GUID, 0, l.Len())
-	l.Each(func(m MemberInfo) { out = append(out, m.GUID) })
-	return out
 }
 
 // String renders a compact summary such as "3 members [mh-1 mh-2 mh-9]".

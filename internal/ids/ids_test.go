@@ -9,7 +9,7 @@ import (
 
 func TestGroupIDClassD(t *testing.T) {
 	g := NewGroupID(1)
-	if !g.Valid() {
+	if g>>28 != 0xE {
 		t.Fatalf("group %s not in Class D range", g)
 	}
 	if got := g.String(); got != "224.0.0.1" {
@@ -21,7 +21,7 @@ func TestGroupIDClassD(t *testing.T) {
 }
 
 func TestGroupIDMasksHighBits(t *testing.T) {
-	f := func(n uint32) bool { return NewGroupID(n).Valid() }
+	f := func(n uint32) bool { return NewGroupID(n)>>28 == 0xE }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +116,7 @@ func TestMakeNodeIDPanics(t *testing.T) {
 }
 
 func TestLUID(t *testing.T) {
-	var zero LUID
-	if !zero.IsZero() {
-		t.Error("zero LUID should report IsZero")
-	}
 	l := LUID{AP: MakeNodeID(TierAP, 4), Local: 7}
-	if l.IsZero() {
-		t.Error("assigned LUID should not be zero")
-	}
 	if got := l.String(); got != "coa(AP-4/7)" {
 		t.Errorf("String = %q", got)
 	}
@@ -190,8 +183,8 @@ func TestMemberListUpdateKeepsOrder(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("update should not grow list: %d", l.Len())
 	}
-	got := l.GUIDs()
-	if got[0] != 1 || got[1] != 2 {
+	got := l.Snapshot()
+	if got[0].GUID != 1 || got[1].GUID != 2 {
 		t.Fatalf("order changed by update: %v", got)
 	}
 	if m, _ := l.Get(1); m.Status != StatusFailed {

@@ -127,33 +127,3 @@ func (r *RNG) ExpFloat64(lambda float64) float64 {
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
-
-// Perm returns a uniformly random permutation of [0, n) using
-// Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Binomial draws from Binomial(n, p) by inversion for small n and by
-// direct Bernoulli summation otherwise. n is expected to be modest
-// (ring and hierarchy sizes), so the O(n) path is fine.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("mathx: Binomial with negative n")
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(p) {
-			k++
-		}
-	}
-	return k
-}

@@ -149,6 +149,32 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
+// Perm returns a Fisher-Yates permutation of [0, n): the Perm tests
+// check Intn's range and uniformity through it.
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// Binomial sums n Bernoulli(p) draws: the Binomial tests check
+// Bernoulli's mean through it.
+func (r *RNG) Binomial(n int, p float64) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		if r.Bernoulli(p) {
+			k++
+		}
+	}
+	return k
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(23)
 	for n := 0; n <= 20; n++ {

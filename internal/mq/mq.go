@@ -66,9 +66,6 @@ func (o Op) IsMemberOp() bool {
 	return o >= OpMemberJoin && o <= OpMemberFailure
 }
 
-// IsNEOp reports whether the operation concerns a network entity.
-func (o Op) IsNEOp() bool { return o >= OpNEJoin && o <= OpNEFailure }
-
 // Change is one membership-change record: the unit queued in MQs,
 // aggregated into token batches, and propagated up the hierarchy.
 type Change struct {
@@ -108,24 +105,12 @@ func (c Change) String() string {
 // the payload of one token round.
 type Batch []Change
 
-// Empty reports whether the batch carries no changes.
-func (b Batch) Empty() bool { return len(b) == 0 }
-
-// Stats counts queue activity for the aggregation ablation.
-type Stats struct {
-	Enqueued    uint64 // Insert calls
-	Collapsed   uint64 // changes absorbed into an existing pending change
-	Annihilated uint64 // pending changes cancelled outright (join+leave)
-	Drained     uint64 // changes handed out in batches
-}
-
 // Queue is the self-optimising message queue of one network entity.
 // The zero value is not usable; call New.
 type Queue struct {
 	aggregate bool
 	pending   []Change    // live changes in arrival order
 	bySubject map[any]int // subject -> index into pending (-1 = tombstone)
-	stats     Stats
 }
 
 // New returns an empty queue. When aggregate is false the queue is a
@@ -145,13 +130,9 @@ func (q *Queue) Len() int {
 	return n
 }
 
-// Stats returns a copy of the counters.
-func (q *Queue) Stats() Stats { return q.stats }
-
 // Insert queues a change, aggregating with any pending change to the
 // same subject per the collapse rules.
 func (q *Queue) Insert(c Change) {
-	q.stats.Enqueued++
 	if !q.aggregate {
 		q.append(c)
 		return
@@ -167,11 +148,9 @@ func (q *Queue) Insert(c Change) {
 	if annihilate {
 		q.pending[idx].Op = OpNone // tombstone; removed on drain
 		delete(q.bySubject, key)
-		q.stats.Annihilated++
 		return
 	}
 	q.pending[idx] = merged
-	q.stats.Collapsed++
 }
 
 func (q *Queue) append(c Change) {
@@ -259,25 +238,5 @@ func (q *Queue) DrainBatch(max int) Batch {
 			q.bySubject[c.Subject()] = i
 		}
 	}
-	q.stats.Drained += uint64(len(out))
 	return out
-}
-
-// Peek returns the live pending changes without removing them.
-func (q *Queue) Peek() Batch {
-	var out Batch
-	for _, c := range q.pending {
-		if c.Op != OpNone {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Clear drops everything.
-func (q *Queue) Clear() {
-	q.pending = q.pending[:0]
-	for k := range q.bySubject {
-		delete(q.bySubject, k)
-	}
 }

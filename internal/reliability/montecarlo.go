@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"github.com/rgbproto/rgb/internal/analytic"
-	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mathx"
-	"github.com/rgbproto/rgb/internal/ring"
 	"github.com/rgbproto/rgb/internal/topology"
 )
 
@@ -28,44 +26,34 @@ type TrialOutcome struct {
 
 // Estimator runs Monte-Carlo fault injection over a fixed hierarchy.
 type Estimator struct {
-	hier  *topology.RingHierarchy
-	rings []*ring.Ring
-	nodes []ids.NodeID
-	rng   *mathx.RNG
-	// faulty is reused across trials to avoid per-trial allocation.
-	faulty map[ids.NodeID]bool
+	hier *topology.RingHierarchy
+	rng  *mathx.RNG
 }
 
 // NewEstimator builds an estimator over the full (h, r) hierarchy.
 func NewEstimator(h, r int, seed uint64) *Estimator {
-	hier := topology.NewRingHierarchy(h, r)
-	return &Estimator{
-		hier:   hier,
-		rings:  hier.Rings(),
-		nodes:  hier.AllNodes(),
-		rng:    mathx.NewRNG(seed),
-		faulty: make(map[ids.NodeID]bool, len(hier.AllNodes())/8+1),
-	}
+	return &Estimator{hier: topology.NewRingHierarchy(h, r), rng: mathx.NewRNG(seed)}
 }
 
 // Trial samples one independent fault assignment with node fault
-// probability f and classifies every ring.
+// probability f and classifies every ring. It draws the nodes ring by
+// ring in the hierarchy's order, the order of AllNodes, counting each
+// ring's faults as it goes: every ring of the full hierarchy has r
+// nodes.
 func (e *Estimator) Trial(f float64) TrialOutcome {
-	for k := range e.faulty {
-		delete(e.faulty, k)
-	}
 	var out TrialOutcome
-	for _, n := range e.nodes {
-		if e.rng.Bernoulli(f) {
-			e.faulty[n] = true
-			out.FaultyNodes++
+	for range e.hier.NumRings() {
+		faults := 0
+		for range e.hier.R {
+			if e.rng.Bernoulli(f) {
+				faults++
+			}
 		}
-	}
-	for _, rg := range e.rings {
-		switch c := rg.FaultyCount(e.faulty); {
-		case c == 1:
+		out.FaultyNodes += faults
+		switch {
+		case faults == 1:
 			out.RepairedRings++
-		case c >= 2:
+		case faults >= 2:
 			out.PartitionedRings++
 		}
 	}

@@ -18,11 +18,11 @@ func TestTrialNoFaults(t *testing.T) {
 func TestTrialAllFaults(t *testing.T) {
 	e := NewEstimator(3, 5, 1)
 	out := e.Trial(1)
-	if out.FaultyNodes != len(e.nodes) {
-		t.Fatalf("faulty = %d, want all %d", out.FaultyNodes, len(e.nodes))
+	if out.FaultyNodes != e.hier.NumNodes() {
+		t.Fatalf("faulty = %d, want all %d", out.FaultyNodes, e.hier.NumNodes())
 	}
-	if out.PartitionedRings != len(e.rings) {
-		t.Fatalf("partitioned = %d, want all %d rings", out.PartitionedRings, len(e.rings))
+	if out.PartitionedRings != e.hier.NumRings() {
+		t.Fatalf("partitioned = %d, want all %d rings", out.PartitionedRings, e.hier.NumRings())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestTrialAccountingConsistency(t *testing.T) {
 	e := NewEstimator(3, 5, 7)
 	for i := 0; i < 200; i++ {
 		out := e.Trial(0.05)
-		if out.RepairedRings+out.PartitionedRings > len(e.rings) {
+		if out.RepairedRings+out.PartitionedRings > e.hier.NumRings() {
 			t.Fatalf("ring classification overflow: %+v", out)
 		}
 		// Every partitioned ring needs >= 2 faults, every repaired ring

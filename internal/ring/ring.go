@@ -62,25 +62,11 @@ func New(id ID, nodes []ids.NodeID) *Ring {
 // ID returns the ring's identity.
 func (r *Ring) ID() ID { return r.id }
 
-// Size returns the number of nodes.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // Nodes returns the cycle order as a fresh slice starting at the leader.
 func (r *Ring) Nodes() []ids.NodeID { return slices.Clone(r.nodes) }
 
 // Leader returns the ring's leader, its first node.
 func (r *Ring) Leader() ids.NodeID { return r.nodes[0] }
-
-// FaultyCount returns how many ring members are in the fault set.
-func (r *Ring) FaultyCount(faulty map[ids.NodeID]bool) int {
-	count := 0
-	for _, n := range r.nodes {
-		if faulty[n] {
-			count++
-		}
-	}
-	return count
-}
 
 // String renders e.g. "APR-0{AP-0* AP-1 AP-2}" with * marking the
 // leader.

@@ -18,8 +18,8 @@ func newRing(n int) *Ring {
 
 func TestNewBasics(t *testing.T) {
 	r := newRing(5)
-	if r.Size() != 5 {
-		t.Fatalf("Size = %d", r.Size())
+	if len(r.Nodes()) != 5 {
+		t.Fatalf("Nodes = %v", r.Nodes())
 	}
 	if r.Leader() != ap(0) {
 		t.Fatalf("Leader = %s", r.Leader())

@@ -9,24 +9,12 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// newTestLive opens one in-process group the way every caller gets one:
-// a one-shard set, a socketless mux over it, one group view.
+// newTestLive opens one real-time group the way every caller gets one:
+// a one-shard set, a mux on a loopback socket, one group view, with the
+// discovery plane's timers parked.
 func newTestLive(t *testing.T) *NetRuntime {
 	t.Helper()
-	set := NewShardSet(1)
-	mux, err := NewNetMux(NetConfig{}, set)
-	if err != nil {
-		t.Fatalf("NewNetMux: %v", err)
-	}
-	rt, err := mux.Open(ids.NewGroupID(1), 0, 1, 0)
-	if err != nil {
-		t.Fatalf("NetMux.Open: %v", err)
-	}
-	t.Cleanup(func() {
-		mux.Close()
-		set.Close()
-	})
-	return rt
+	return newTestNet(t, NetConfig{GossipInterval: time.Hour, ProbeInterval: time.Hour}).NetRuntime
 }
 
 func TestLiveClockTimerFires(t *testing.T) {

@@ -137,17 +137,14 @@ func (r *shardBound) Close() error {
 
 // --- NetMux -----------------------------------------------------------
 
-// NetMux hosts the real-time groups of one process. Bound to a UDP
-// socket, the read loop demultiplexes each inbound frame to the owning
+// NetMux hosts the real-time groups of one process over one bound UDP
+// socket. The read loop demultiplexes each inbound frame to the owning
 // group's engine shard by the envelope's group tag, and all groups of a
 // shard share that shard's outgoing datagrams and local-hop FIFO, so the
 // steady-state multi-group send path allocates nothing beyond the
 // one-group one. The peer address book is resolved once and shared
 // read-only by every group: all groups of a deployment see the same
-// hierarchy partition. Without a socket (an empty NetConfig.Bind) the
-// same mux is the in-process real-time runtime: the book knows nobody,
-// so every registered endpoint is local, and a send to anything else is
-// the counted UnknownPeer drop it is on any process with no route.
+// hierarchy partition.
 type NetMux struct {
 	cfg  NetConfig
 	set  *ShardSet
@@ -155,9 +152,9 @@ type NetMux struct {
 	book *netBook
 
 	// disc is the socket-scoped discovery plane, shared by every group,
-	// on an engine of its own (nil on the in-process mux, which has no
-	// socket). Every bound socket runs one, a single process's too: it
-	// answers a slotless client's bootstrap and keeps its client slot.
+	// on an engine of its own. Every bound socket runs one, a single
+	// process's too: it answers a slotless client's bootstrap and keeps
+	// its client slot.
 	disc *discoverer
 
 	// boot holds what a seed bootstrap found out (bootOK false on a
@@ -174,21 +171,18 @@ type NetMux struct {
 }
 
 // NewNetMux binds the shared socket and starts the demultiplexing read
-// loop — or, with an empty cfg.Bind, builds the in-process host: no
-// socket, no read loop, no discovery plane. The mux does not own the
-// set; close the mux first, then the set.
+// loop; an empty cfg.Bind is an error. The mux does not own the set;
+// close the mux first, then the set.
 func NewNetMux(cfg NetConfig, set *ShardSet) (*NetMux, error) {
+	if cfg.Bind == "" {
+		return nil, errors.New("runtime: NetMux needs a bind address")
+	}
 	netDefaults(&cfg)
 	m := &NetMux{
 		cfg:      cfg,
 		set:      set,
 		closedCh: make(chan struct{}),
 		groups:   make(map[ids.GroupID]*NetRuntime),
-	}
-	if cfg.Bind == "" {
-		m.sock = new(netSock)
-		m.book = &netBook{table: discovery.NewTable(0, 0)}
-		return m, nil
 	}
 	sock, err := bindNetSock(cfg)
 	if err != nil {
@@ -334,14 +328,8 @@ func (m *NetMux) Block(slots ...int) {
 // Unblock removes the cut installed by Block.
 func (m *NetMux) Unblock() { m.sock.blocked.Store(nil) }
 
-// LocalAddr returns the address the shared socket actually bound, nil
-// for the in-process mux (which has none).
-func (m *NetMux) LocalAddr() *net.UDPAddr {
-	if m.sock.conn == nil {
-		return nil
-	}
-	return m.sock.conn.LocalAddr().(*net.UDPAddr)
-}
+// LocalAddr returns the address the shared socket actually bound.
+func (m *NetMux) LocalAddr() *net.UDPAddr { return m.sock.conn.LocalAddr().(*net.UDPAddr) }
 
 // NetStats aggregates the wire-level counters: the socket-level counts
 // once, plus the routing counters of every group.
@@ -358,22 +346,17 @@ func (m *NetMux) NetStats() NetStats {
 	return ns
 }
 
-// Close stops the read loop and closes the shared socket, if there is
-// one. The engine shards belong to the ShardSet and keep running.
-// Idempotent.
+// Close stops the read loop and closes the shared socket. The engine
+// shards belong to the ShardSet and keep running. Idempotent.
 func (m *NetMux) Close() error {
 	var err error
 	m.closeOnce.Do(func() {
 		m.mu.Lock()
 		m.closed = true
 		m.mu.Unlock()
-		if m.disc != nil {
-			m.disc.stop()
-		}
+		m.disc.stop()
 		close(m.closedCh)
-		if m.sock.conn != nil {
-			err = m.sock.conn.Close()
-		}
+		err = m.sock.conn.Close()
 	})
 	return err
 }

@@ -161,12 +161,12 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	}
 }
 
-// TestLiveMuxGroupIsolation: groups of a socketless mux sharing a
-// shard keep separate endpoint spaces and stats.
+// TestLiveMuxGroupIsolation: groups of one mux sharing a shard keep
+// separate endpoint spaces and stats.
 func TestLiveMuxGroupIsolation(t *testing.T) {
 	set := NewShardSet(1)
 	defer set.Close()
-	mux, err := NewNetMux(NetConfig{}, set)
+	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0"}, set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +203,17 @@ func TestLiveMuxGroupIsolation(t *testing.T) {
 	rtB.Do(func() { statsB = rtB.Transport().Stats() })
 	if statsA.Delivered != 1 || statsB.Delivered != 0 {
 		t.Fatalf("stats not group-scoped: A=%+v B=%+v", statsA, statsB)
+	}
+}
+
+// TestNetMuxNeedsBind: every real-time host has a socket, so a mux
+// without a bind address is an error, not a socketless host.
+func TestNetMuxNeedsBind(t *testing.T) {
+	set := NewShardSet(1)
+	defer set.Close()
+	if mux, err := NewNetMux(NetConfig{}, set); err == nil {
+		mux.Close()
+		t.Fatal("NewNetMux with no Bind built a mux")
 	}
 }
 

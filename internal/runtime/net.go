@@ -40,8 +40,8 @@ const (
 // and FaultTransport), the same on every substrate.
 type NetConfig struct {
 	// Bind is the local UDP listen address (e.g. "127.0.0.1:7001";
-	// port 0 picks a free port). Empty builds the in-process mux: no
-	// socket, and every other address-book field is ignored.
+	// port 0 picks a free port). It is required: every real-time host
+	// has a socket.
 	Bind string
 
 	// Advertise is the address other processes use to reach this one.
@@ -133,8 +133,7 @@ type NetStats struct {
 }
 
 // netSock is the socket of a NetMux, shared by every group it hosts:
-// the one UDP connection (nil on the in-process mux, whose book routes
-// nothing to it), its socket-level counters, the free list of the
+// the one UDP connection, its socket-level counters, the free list of the
 // records the read loop hands frames to the engines in, and the
 // process's one pool of spare QueryReply member buffers, which decoded
 // replies and local replies (Send's copy) both borrow. The counters are
@@ -699,17 +698,14 @@ func (rt *NetRuntime) Transport() Transport { return rt.tr }
 func (rt *NetRuntime) Do(fn func()) { rt.eng.do(fn) }
 
 // quiescent reports local quiescence: no pending timers or queued
-// deliveries, and — with a socket — no activity for this runtime's own
+// deliveries, and no activity for this runtime's own
 // group for the idle window (the socket is shared, so socket-wide
 // idleness would let busy sibling groups starve a quiet group's
 // Settle). Remote processes may still be working — networked quiescence
 // is a heuristic, which is why Run and RunUntil are additionally bounded
-// by the settle timeout. The in-process mux has no remote work to wait
-// for: new work is registered before the work that created it retires,
-// so reading zero there is true quiescence.
+// by the settle timeout.
 func (rt *NetRuntime) quiescent() bool {
-	return rt.eng.pending.Load() == 0 &&
-		(rt.mux.sock.conn == nil || rt.tr.idleFor(rt.mux.cfg.QuiesceIdle))
+	return rt.eng.pending.Load() == 0 && rt.tr.idleFor(rt.mux.cfg.QuiesceIdle)
 }
 
 // Run implements Runtime: it blocks until local quiescence (or the
@@ -758,8 +754,7 @@ func (rt *NetRuntime) Close() error {
 // transport's engine goroutine; the socket itself and its counters are
 // shared (netSock), and the routing book is immutable. The read loop
 // decodes off-engine and re-enters through the engine's submit; hops
-// between two local endpoints never leave the engine (localHop), and on
-// a mux without a socket there are no others.
+// between two local endpoints never leave the engine (localHop).
 type netTransport struct {
 	eng   *engineCore
 	clock *liveClock

@@ -9,9 +9,8 @@
 //     which is what every experiment and golden determinism test
 //     drives, and
 //   - on real time, as a group view of this package's one host (see
-//     mux.go): a ShardSet of engine goroutines, a NetMux over it — with
-//     one UDP socket and the wire codec, or with no socket when the
-//     process is the whole deployment — and a NetRuntime per group, one
+//     mux.go): a ShardSet of engine goroutines, a NetMux over it with
+//     one UDP socket and the wire codec, and a NetRuntime per group, one
 //     group or many.
 //
 // The split mirrors the paper's own layering: the ring hierarchy and
@@ -36,11 +35,6 @@ type TimerHandle struct {
 	// marks the zero handle). Callers treat it as opaque.
 	W uint64
 }
-
-// Valid reports whether the handle names a timer (as opposed to the
-// zero TimerHandle). It says nothing about whether the timer is still
-// pending.
-func (h TimerHandle) Valid() bool { return h.W != 0 }
 
 // Ticker is a repeating timer armed through Clock.Every.
 type Ticker interface {

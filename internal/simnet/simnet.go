@@ -13,7 +13,7 @@
 // The message-plane vocabulary (Message, Kind, Endpoint, Stats, the
 // latency models) is internal/runtime's: the Network is one Transport
 // implementation of that substrate, the engine-facing twin of the live
-// in-process transport.
+// runtime's transport.
 package simnet
 
 import (

@@ -1,11 +1,11 @@
 // Package telemetry is the operability plane's metrics registry: a
 // dependency-free, allocation-conscious collection of atomic counters,
-// gauges and fixed-bucket latency histograms with a Prometheus text
-// exposition (WriteProm).
+// sampled gauges and fixed-bucket latency histograms with a Prometheus
+// text exposition (WriteProm).
 //
 // Design constraints, in order:
 //
-//   - The update hot path (Counter.Inc, Gauge.Set, Histogram.Observe)
+//   - The update hot path (Counter.Inc, Histogram.Observe)
 //     is lock-free and allocation-free: one atomic RMW per update, so
 //     the protocol engine can be instrumented without perturbing its
 //     pinned allocation budget (see PERF.md).
@@ -65,8 +65,8 @@ func (k metricKind) String() string {
 }
 
 // series is one label-set instance of a metric. Exactly one of the
-// value forms is active: the atomic bits (counter count or gauge
-// float bits), the sampling fn, or the histogram state.
+// value forms is active: the atomic count of a Counter, the sampling
+// fn, or the histogram state.
 type series struct {
 	labels string // rendered inner label pairs, `k="v",k2="v2"`; "" for none
 
@@ -200,18 +200,12 @@ func escapeLabel(sb *strings.Builder, v string) {
 	}
 }
 
-// Counter is a monotonically increasing integer metric. Inc/Add are
+// Counter is a monotonically increasing integer metric. Inc is
 // lock-free and allocation-free.
 type Counter struct{ s *series }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.s.bits.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.s.bits.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.s.bits.Load() }
 
 // Counter registers (or returns the existing) counter series. labels
 // are key, value pairs rendered into the exposition.
@@ -225,32 +219,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // reopened group rebinds its closures).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.family(name, help, counterKind, nil).seriesOf(labels).fn = fn
-}
-
-// Gauge is a float metric that can go up and down. Set/Add are
-// lock-free and allocation-free.
-type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.s.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.s.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
-
-// Gauge registers (or returns the existing) gauge series.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return &Gauge{s: r.family(name, help, gaugeKind, nil).seriesOf(labels)}
 }
 
 // GaugeFunc registers a gauge sampled at scrape time. Re-registering
@@ -286,12 +254,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records one duration, in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.h.count.Load() }
-
-// Sum returns the sum of observed values so far.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.h.sum.Load()) }
 
 // Histogram registers (or returns the existing) histogram series with
 // the given upper bucket bounds (ascending; +Inf is implicit). nil
@@ -364,7 +326,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 					buf = append(buf, '}')
 				}
 				buf = append(buf, ' ')
-				buf = appendValue(buf, s.value(m.kind))
+				buf = appendValue(buf, s.value())
 				buf = append(buf, '\n')
 			}
 		}
@@ -375,16 +337,13 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return nil
 }
 
-// value reads a scalar series: the sampler when present, the atomic
-// bits otherwise (integer for counters, float bits for gauges).
-func (s *series) value(kind metricKind) float64 {
+// value reads a scalar series: the sampler when present, a Counter's
+// count otherwise.
+func (s *series) value() float64 {
 	if s.fn != nil {
 		return s.fn()
 	}
-	if kind == counterKind {
-		return float64(s.bits.Load())
-	}
-	return math.Float64frombits(s.bits.Load())
+	return float64(s.bits.Load())
 }
 
 // render appends one histogram series' exposition lines.
@@ -486,7 +445,7 @@ func (r *Registry) Gather() []Sample {
 				out = append(out, Sample{Name: m.name + "_sum", Labels: labels, Value: math.Float64frombits(s.hist.sum.Load())})
 				out = append(out, Sample{Name: m.name + "_count", Labels: labels, Value: float64(s.hist.count.Load())})
 			default:
-				out = append(out, Sample{Name: m.name, Labels: labels, Value: s.value(m.kind)})
+				out = append(out, Sample{Name: m.name, Labels: labels, Value: s.value()})
 			}
 		}
 	}

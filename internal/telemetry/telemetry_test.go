@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"sync"
@@ -8,22 +9,28 @@ import (
 	"time"
 )
 
-// TestCounterGaugeBasics: handles update atomically and render with
-// their registered values.
+// Value returns the counter's count. Production code reads a counter
+// only through a scrape.
+func (c *Counter) Value() uint64 { return c.s.bits.Load() }
+
+// Count returns the number of observations so far.
+func (h *Histogram) Count() uint64 { return h.h.count.Load() }
+
+// Sum returns the sum of observed values so far.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.h.sum.Load()) }
+
+// TestCounterGaugeBasics: a counter handle updates atomically, and a
+// counter and a sampled gauge render with their values.
 func TestCounterGaugeBasics(t *testing.T) {
 	r := New()
 	c := r.Counter("test_ops_total", "operations")
-	c.Inc()
-	c.Add(41)
+	for range 42 {
+		c.Inc()
+	}
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	g := r.Gauge("test_depth", "queue depth")
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
-	}
+	r.GaugeFunc("test_depth", "queue depth", func() float64 { return 1.5 })
 
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
@@ -130,8 +137,8 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-
 // scraper accepts.
 func TestExpositionParses(t *testing.T) {
 	r := New()
-	r.Counter("a_total", "a").Add(7)
-	r.Gauge("b_bytes", "b", "shard", "3").Set(1.25e6)
+	r.Counter("a_total", "a").Inc()
+	r.GaugeFunc("b_bytes", "b", func() float64 { return 1.25e6 }, "shard", "3")
 	r.Histogram("c_seconds", "c", nil, "group", "g").ObserveDuration(3 * time.Millisecond)
 	r.CounterFunc("d_total", "d", func() float64 { return 9 })
 
@@ -187,7 +194,10 @@ func TestFuncMetricsAndScrapeHooks(t *testing.T) {
 // sum/count twins, matching what the exposition shows.
 func TestGather(t *testing.T) {
 	r := New()
-	r.Counter("g_total", "g", "group", "224.0.0.1").Add(3)
+	c := r.Counter("g_total", "g", "group", "224.0.0.1")
+	for range 3 {
+		c.Inc()
+	}
 	r.Histogram("g_seconds", "g", []float64{1}).Observe(0.25)
 
 	bySample := map[string]Sample{}
@@ -211,7 +221,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	c := r.Counter("conc_total", "c")
 	h := r.Histogram("conc_seconds", "c", nil)
-	g := r.Gauge("conc_gauge", "c")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -220,7 +229,6 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(0.001)
-				g.Add(1)
 			}
 		}()
 	}
@@ -238,9 +246,6 @@ func TestConcurrentUpdates(t *testing.T) {
 	if h.Count() != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", h.Count())
 	}
-	if g.Value() != 4000 {
-		t.Fatalf("gauge = %v, want 4000", g.Value())
-	}
 }
 
 // TestKindConflictPanics: one name cannot be two metric kinds.
@@ -252,24 +257,22 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("no panic on kind conflict")
 		}
 	}()
-	r.Gauge("kind_clash", "k")
+	r.GaugeFunc("kind_clash", "k", func() float64 { return 0 })
 }
 
 // BenchmarkTelemetryHotPath measures the instrumented update path the
-// protocol engine pays per event: counter increment, gauge store, and
-// a histogram observation. The assertion that matters is 0 allocs/op —
+// protocol engine pays per event: a counter increment and a histogram
+// observation. The assertion that matters is 0 allocs/op —
 // instrumentation must not move the engine's pinned allocation budget
 // (PERF.md).
 func BenchmarkTelemetryHotPath(b *testing.B) {
 	r := New()
 	c := r.Counter("bench_ops_total", "ops", "group", "224.0.0.1")
-	g := r.Gauge("bench_members", "members", "group", "224.0.0.1")
 	h := r.Histogram("bench_round_seconds", "round latency", nil, "group", "224.0.0.1")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-		g.Set(float64(i))
 		h.Observe(0.0042)
 	}
 }

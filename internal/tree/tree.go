@@ -28,12 +28,6 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
-// proposal is the membership-change message of the one-round
-// algorithm (the wire.TreeProposal payload of the closed message
-// union). Up marks the convergecast phase (LMS toward root); the
-// flood phase sets Up false.
-type proposal = wire.TreeProposal
-
 // Server is one logical membership server (LMS or GMS).
 type Server struct {
 	svc     *Service
@@ -43,34 +37,37 @@ type Server struct {
 	applied uint64
 }
 
-// HandleMessage implements runtime.Endpoint.
+// HandleMessage implements runtime.Endpoint. A proposal is a
+// wire.MemberChange; its kind names its phase: KindNotify climbs from
+// an LMS toward the root, KindToken floods from the root.
 func (s *Server) HandleMessage(msg runtime.Message) {
-	p, ok := msg.Body.(proposal)
+	c, ok := msg.Body.(wire.MemberChange)
 	if !ok {
 		panic(fmt.Sprintf("tree: %s got unknown message %T", s.id, msg.Body))
 	}
-	s.deliver(p)
+	s.deliver(msg.Kind == runtime.KindNotify, c)
 }
 
-// deliver executes a proposal at this server and forwards it.
-func (s *Server) deliver(p proposal) {
-	if p.Up {
+// deliver executes a proposal at this server and forwards it; up marks
+// the climb.
+func (s *Server) deliver(up bool, c wire.MemberChange) {
+	if up {
 		if s.level > 0 {
 			// Keep climbing; the change is applied during the flood.
-			s.svc.forward(s.id, s.svc.tree.Parent(s.id), p)
+			s.svc.forward(s.id, s.svc.tree.Parent(s.id), up, c)
 			return
 		}
 		// Root: switch to the flood phase.
-		p.Up = false
+		up = false
 	}
-	s.apply(p.Change)
+	s.apply(c)
 	for _, child := range s.svc.tree.Children(s.id) {
-		s.svc.forward(s.id, child, p)
+		s.svc.forward(s.id, child, up, c)
 	}
 }
 
 // apply updates the membership view.
-func (s *Server) apply(c mq.Change) {
+func (s *Server) apply(c wire.MemberChange) {
 	s.applied++
 	switch c.Op {
 	case mq.OpMemberJoin, mq.OpMemberHandoff:
@@ -118,26 +115,26 @@ func (s *Service) Tree() *topology.TreeHierarchy { return s.tree }
 // forward routes a proposal from one logical server to another:
 // co-hosted servers exchange it as a zero-hop local event, everything
 // else crosses the network. Up-phase messages are sent as KindNotify
-// and flood messages as KindToken so the two phases can be accounted
-// separately.
-func (s *Service) forward(from, to ids.NodeID, p proposal) {
+// and flood messages as KindToken, which tells the receiver the phase
+// and lets the two be accounted separately.
+func (s *Service) forward(from, to ids.NodeID, up bool, c wire.MemberChange) {
 	if to.IsZero() {
 		return
 	}
 	if s.tree.Physical(from) == s.tree.Physical(to) {
-		if p.Up {
+		if up {
 			s.localUp++
 		} else {
 			s.localFlood++
 		}
-		s.kernel.After(0, func() { s.servers[to].deliver(p) })
+		s.kernel.After(0, func() { s.servers[to].deliver(up, c) })
 		return
 	}
 	kind := runtime.KindToken
-	if p.Up {
+	if up {
 		kind = runtime.KindNotify
 	}
-	s.net.SendKind(from, to, kind, p)
+	s.net.SendKind(from, to, kind, c)
 }
 
 // Submit injects a membership change at a leaf LMS and returns after
@@ -147,7 +144,7 @@ func (s *Service) Submit(c mq.Change, leaf ids.NodeID) {
 	if srv == nil || srv.level != s.tree.H-1 {
 		panic("tree: Submit requires a leaf LMS")
 	}
-	s.kernel.After(0, func() { srv.deliver(proposal{Change: c, Up: true}) })
+	s.kernel.After(0, func() { srv.deliver(true, wire.MemberChange{Op: c.Op, Member: c.Member}) })
 }
 
 // Run drains the event queue.

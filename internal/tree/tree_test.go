@@ -194,11 +194,11 @@ func BenchmarkTableI_Tree(b *testing.B) {
 // the root's: zero is the post-round agreement of the one-round
 // algorithm.
 func divergentServers(s *Service) int {
-	ref := s.servers[s.tree.Level(0)[0]].members.GUIDs()
+	ref := s.servers[s.tree.Level(0)[0]].members
 	divergent := 0
 	for level := 1; level < s.tree.H; level++ {
 		for _, id := range s.tree.Level(level) {
-			if !sameGUIDs(ref, s.servers[id].members.GUIDs()) {
+			if !sameMembers(ref, s.servers[id].members) {
 				divergent++
 			}
 		}
@@ -206,18 +206,9 @@ func divergentServers(s *Service) int {
 	return divergent
 }
 
-func sameGUIDs(a, b []ids.GUID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	seen := make(map[ids.GUID]bool, len(a))
-	for _, g := range a {
-		seen[g] = true
-	}
-	for _, g := range b {
-		if !seen[g] {
-			return false
-		}
-	}
-	return true
+// sameMembers reports whether two lists hold the same GUIDs.
+func sameMembers(a, b *ids.MemberList) bool {
+	same := a.Len() == b.Len()
+	a.Each(func(m ids.MemberInfo) { same = same && b.Contains(m.GUID) })
+	return same
 }

@@ -219,7 +219,7 @@ func decodePayload(b []byte, into *DecodeTarget) (Payload, int, error) {
 		}
 		return nil, consumed, nil
 	}
-	if kind >= numPayloadKinds {
+	if kind >= numPayloadKinds || kind == kindRetired {
 		return nil, 0, ErrUnknownPayload
 	}
 	r := reader{b: b[payloadHeaderSize:consumed]}
@@ -310,12 +310,6 @@ func putChange(p []byte, c *mq.Change) {
 func appendMemberInfo(b []byte, m ids.MemberInfo) []byte {
 	b, rec := appendRecords(b, 1, memberInfoSize)
 	putMember(rec, &m)
-	return b
-}
-
-func appendChange(b []byte, c mq.Change) []byte {
-	b, rec := appendRecords(b, 1, changeSize)
-	putChange(rec, &c)
 	return b
 }
 
@@ -512,13 +506,6 @@ func (r *reader) memberInfo() (m ids.MemberInfo) {
 		readMember(&m, p)
 	}
 	return m
-}
-
-func (r *reader) change() (c mq.Change) {
-	if p := r.record(changeSize); p != nil {
-		readChange(&c, p)
-	}
-	return c
 }
 
 func (r *reader) nodeIDs() []ids.NodeID {
@@ -796,16 +783,6 @@ func decodeQueryReply(r *reader, into *DecodeTarget) Payload {
 }
 
 // AppendTo implements Payload.
-func (m TreeProposal) AppendTo(b []byte) []byte {
-	b = appendChange(b, m.Change)
-	return appendBool(b, m.Up)
-}
-
-func decodeTreeProposal(r *reader) Payload {
-	return TreeProposal{Change: r.change(), Up: r.boolean()}
-}
-
-// AppendTo implements Payload.
 func (m Probe) AppendTo(b []byte) []byte { return appendU64(b, m.Seq) }
 
 func decodeProbe(r *reader) Payload { return Probe{Seq: r.u64()} }
@@ -892,8 +869,6 @@ func decodeBody(k PayloadKind, r *reader, into *DecodeTarget) Payload {
 		return decodeQuery(r)
 	case KindQueryReply:
 		return decodeQueryReply(r, into)
-	case KindTreeProposal:
-		return decodeTreeProposal(r)
 	case KindProbe:
 		return decodeProbe(r)
 	case KindPeerHello:

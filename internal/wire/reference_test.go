@@ -155,7 +155,7 @@ func refDecodePayload(b []byte) (Payload, int, error) {
 		}
 		return nil, consumed, nil
 	}
-	if kind >= numPayloadKinds {
+	if kind >= numPayloadKinds || kind == kindRetired {
 		return nil, 0, ErrUnknownPayload
 	}
 	r := refReader{b: b[payloadHeaderSize:consumed]}
@@ -421,10 +421,6 @@ func refDecodeQueryReply(r *refReader) Payload {
 	return QueryReply{ID: r.u64(), From: r.ringID(), Members: r.members(nil)}
 }
 
-func refDecodeTreeProposal(r *refReader) Payload {
-	return TreeProposal{Change: r.change(), Up: r.boolean()}
-}
-
 func refDecodeProbe(r *refReader) Payload { return Probe{Seq: r.u64()} }
 
 func refDecodePeerHello(r *refReader) Payload {
@@ -468,8 +464,6 @@ func refDecodeBody(k PayloadKind, r *refReader) Payload {
 		return refDecodeQuery(r)
 	case KindQueryReply:
 		return refDecodeQueryReply(r)
-	case KindTreeProposal:
-		return refDecodeTreeProposal(r)
 	case KindProbe:
 		return refDecodeProbe(r)
 	case KindPeerHello:

@@ -15,11 +15,11 @@
 // and a payload that cannot be encoded must not be able to enter the
 // transport.
 //
-// The same payload values flow through all three runtime substrates:
-// the deterministic simulator and the live in-process runtime hand them
-// across as Go values (zero copies, identical to the pre-wire message
-// plane), while the networked UDP runtime encodes them through this
-// codec at every hop.
+// The same payload values flow through both runtime substrates: the
+// deterministic simulator, and the live runtime between two entities of
+// one process, hand them across as Go values (zero copies, identical to
+// the pre-wire message plane), while a hop between two processes
+// encodes them through this codec.
 //
 // The datagram envelope carries the owning GroupID, so one socket can
 // serve many concurrent groups: the receiver demultiplexes each frame
@@ -51,7 +51,7 @@ const (
 	KindMergeRequest
 	KindQuery
 	KindQueryReply
-	KindTreeProposal
+	kindRetired // 12, once the tree baseline's proposal: kinds are append-only, so it stays unused
 	KindProbe
 	KindPeerHello
 	KindPeerList
@@ -85,8 +85,6 @@ func (k PayloadKind) String() string {
 		return "query"
 	case KindQueryReply:
 		return "query-reply"
-	case KindTreeProposal:
-		return "tree-proposal"
 	case KindProbe:
 		return "probe"
 	case KindPeerHello:
@@ -115,7 +113,7 @@ type Payload interface {
 }
 
 // TokenMsg wraps the circulating token of the one-round algorithm.
-// In-process substrates pass the pointer; the networked runtime
+// A hop inside one process passes the pointer; a hop between processes
 // serializes the full token, so every process mutates its own copy —
 // exactly the hop-by-hop ownership transfer of the paper's Figure 3.
 type TokenMsg struct {
@@ -238,14 +236,6 @@ type QueryReply struct {
 	Members []ids.MemberInfo
 }
 
-// TreeProposal is the membership-change message of the tree-based
-// (CONGRESS-style) baseline's one-round algorithm. Up marks the
-// convergecast phase (LMS toward root); the flood phase sets Up false.
-type TreeProposal struct {
-	Change mq.Change
-	Up     bool
-}
-
 // Probe is a liveness/diagnostic payload (used by transport tests and
 // health checks); it carries no protocol meaning.
 type Probe struct {
@@ -296,7 +286,6 @@ func (Snapshot) PayloadKind() PayloadKind     { return KindSnapshot }
 func (MergeRequest) PayloadKind() PayloadKind { return KindMergeRequest }
 func (Query) PayloadKind() PayloadKind        { return KindQuery }
 func (QueryReply) PayloadKind() PayloadKind   { return KindQueryReply }
-func (TreeProposal) PayloadKind() PayloadKind { return KindTreeProposal }
 func (Probe) PayloadKind() PayloadKind        { return KindProbe }
 func (PeerHello) PayloadKind() PayloadKind    { return KindPeerHello }
 func (PeerList) PayloadKind() PayloadKind     { return KindPeerList }
@@ -312,7 +301,6 @@ func (Snapshot) sealed()     {}
 func (MergeRequest) sealed() {}
 func (Query) sealed()        {}
 func (QueryReply) sealed()   {}
-func (TreeProposal) sealed() {}
 func (Probe) sealed()        {}
 func (PeerHello) sealed()    {}
 func (PeerList) sealed()     {}

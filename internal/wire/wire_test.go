@@ -85,7 +85,6 @@ func samplePayloads() []Payload {
 		},
 		Query{ID: 7, Level: 2, ReplyTo: ids.MakeNodeID(ids.TierMH, 1), Down: true, Entry: ap(1), EntryRing: ring.ID{Tier: ids.TierAP, Index: 3}},
 		QueryReply{ID: 7, From: ring.ID{Tier: ids.TierAP, Index: 3}, Members: []ids.MemberInfo{sampleMember(4)}},
-		TreeProposal{Change: sampleChange(5), Up: true},
 		Probe{Seq: 42},
 		PeerHello{Seq: 9, Slot: 3, Addr: "127.0.0.1:7003"},
 		PeerList{Seq: 9, H: 2, R: 3, Slots: 4, Peers: []PeerEntry{
@@ -248,6 +247,7 @@ func TestDecodeErrors(t *testing.T) {
 			return append(b, good[envelopeSize:]...)
 		}(), ErrUnknownVersion},
 		{"unknown payload", func() []byte { b := append([]byte(nil), good...); b[envelopeSize] = byte(numPayloadKinds); return b }(), ErrUnknownPayload},
+		{"retired payload kind", func() []byte { b := append([]byte(nil), good...); b[envelopeSize] = byte(kindRetired); return b }(), ErrUnknownPayload},
 		{"trailing bytes", append(append([]byte(nil), good...), 0xFF), ErrMalformed},
 		{"truncated body", good[:len(good)-2], ErrTruncated},
 		{"snapshot without its tombstone section", withoutTombstoneSection(Snapshot{Roster: []ids.NodeID{ap(0)}, Leader: ap(0)}), ErrMalformed},
@@ -402,7 +402,6 @@ func TestBulkEncodersMatchPerField(t *testing.T) {
 		{"no members", func(b []byte) []byte { return appendMembers(b, nil) }, func(b []byte) []byte { return refAppendMembers(b, nil) }},
 		{"member", func(b []byte) []byte { return appendMemberInfo(b, members[7]) }, func(b []byte) []byte { return refAppendMemberInfo(b, members[7]) }},
 		{"batch", func(b []byte) []byte { return appendBatch(b, batch) }, func(b []byte) []byte { return refAppendBatch(b, batch) }},
-		{"change", func(b []byte) []byte { return appendChange(b, batch[3]) }, func(b []byte) []byte { return refAppendChange(b, batch[3]) }},
 		{"tombstones", func(b []byte) []byte { return appendTombstones(b, tombs) }, func(b []byte) []byte { return refAppendTombstones(b, tombs) }},
 		{"node ids", func(b []byte) []byte { return appendNodeIDs(b, roster) }, func(b []byte) []byte { return refAppendNodeIDs(b, roster) }},
 	}

@@ -280,19 +280,11 @@ func TestCrossRuntimeEquivalenceNet(t *testing.T) {
 // processes a deployment is spread over decides which hops become
 // datagrams, never how many hops there are. The same changes, one at a
 // time, on one listener and on three end with the identical membership
-// and the identical delivery counts, total and per kind. No listener at
-// all (n == 0, the in-process runtime) is one listener without the
-// socket: the same code, so every transport counter is identical.
+// and the identical delivery counts, total and per kind.
 func TestListenerCountInvariance(t *testing.T) {
 	ctx := context.Background()
 	run := func(n int) ([]string, Stats) {
-		opts := []Option{WithHierarchy(2, 3), WithSeed(5)}
-		var procs []*Service
-		if n == 0 {
-			procs = []*Service{openTest(t, append(opts, WithLiveRuntime())...)}
-		} else {
-			procs = listenProcs(t, n, opts...)
-		}
+		procs := listenProcs(t, n, WithHierarchy(2, 3), WithSeed(5))
 		svc, aps := procs[0], slot0APs(procs[0], 3)
 		step := func(what string, err error) {
 			t.Helper()
@@ -321,7 +313,6 @@ func TestListenerCountInvariance(t *testing.T) {
 		}
 		return renderMembers(members), sumStats(procs)
 	}
-	inMembers, in := run(0)
 	oneMembers, one := run(1)
 	threeMembers, three := run(3)
 	if len(oneMembers) == 0 || one.Delivered == 0 {
@@ -332,9 +323,6 @@ func TestListenerCountInvariance(t *testing.T) {
 	}
 	if one.Delivered != three.Delivered || one.ByKind != three.ByKind {
 		t.Fatalf("delivery counts differ with the listener count:\n1: %+v\n3: %+v", one, three)
-	}
-	if !reflect.DeepEqual(inMembers, oneMembers) || in != one {
-		t.Fatalf("in-process differs from one listener:\nin-process: %v %+v\n1: %v %+v", inMembers, in, oneMembers, one)
 	}
 }
 
@@ -590,35 +578,25 @@ func TestSingleProcessServesObserverClient(t *testing.T) {
 	}
 }
 
-// TestWithLossEmulatedOnLiveRuntime: on the real-time host, in-process
-// and networked, the loss option is honored by emulation — messages
-// actually drop. Networked, loss reaches each group's transport only
-// through NetMux.Open, the same way its seed does.
+// TestWithLossEmulatedOnLiveRuntime: on the real-time host the loss
+// option is honored by emulation — messages actually drop. Loss reaches
+// each group's transport only through NetMux.Open, the same way its
+// seed does.
 func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
 	ctx := context.Background()
-	for _, row := range []struct {
-		name string
-		open func(...Option) (*Service, error)
-	}{
-		{"in-process", func(opts ...Option) (*Service, error) { return Open(append(opts, WithLiveRuntime())...) }},
-		{"listen", func(opts ...Option) (*Service, error) { return Listen("127.0.0.1:0", opts...) }},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			svc, err := row.open(WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.Loss = 0.3 }))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer svc.Close()
-			for g := 1; g <= 10; g++ {
-				if _, err := svc.Join(ctx, GUID(g)); err != nil {
-					t.Fatalf("join: %v", err)
-				}
-			}
-			svc.Settle(ctx)
-			if st := svc.Stats(); st.Dropped == 0 {
-				t.Fatalf("no losses despite Loss 0.3: %+v", st)
-			}
-		})
+	svc, err := Listen("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.Loss = 0.3 }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for g := 1; g <= 10; g++ {
+		if _, err := svc.Join(ctx, GUID(g)); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	svc.Settle(ctx)
+	if st := svc.Stats(); st.Dropped == 0 {
+		t.Fatalf("no losses despite Loss 0.3: %+v", st)
 	}
 }
 

@@ -57,7 +57,7 @@ func TestOneObserverFeedsWatchAndTelemetry(t *testing.T) {
 	for _, plane := range []struct {
 		name string
 		opts []Option
-	}{{"sim", nil}, {"live", []Option{WithLiveRuntime()}}} {
+	}{{"sim", nil}, {"live", []Option{withLoopback()}}} {
 		for _, order := range orders {
 			t.Run(plane.name+"/"+order.name, func(t *testing.T) {
 				opts := append([]Option{WithHierarchy(2, 4), WithSeed(5), WithBatchWindow(10 * time.Millisecond)}, plane.opts...)

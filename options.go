@@ -10,10 +10,9 @@ import (
 // serviceOptions accumulates the functional options of Open and
 // NewCluster.
 type serviceOptions struct {
-	cfg       core.Config
-	watchBuf  int
-	shards    int
-	inProcess bool // WithLiveRuntime
+	cfg      core.Config
+	watchBuf int
+	shards   int
 
 	// Networked deployment (Listen/ListenCluster).
 	netConfig *runtime.NetConfig
@@ -68,9 +67,8 @@ func WithSeed(seed uint64) Option {
 // message plane: each FaultPlan probability independently corrupts
 // (one byte flipped through the real wire codec), duplicates
 // (replays), misroutes or reorders messages. It applies per message,
-// the same way on every runtime the service builds itself — simulated,
-// in-process or networked, hops between two entities of one process
-// included — and the injected faults surface as FaultStats in
+// the same way on every runtime the service builds itself — simulated
+// or networked, hops between two entities of one process included — and the injected faults surface as FaultStats in
 // rgb_faults_injected_total. A corrupted message that no longer decodes
 // is dropped at the sender, so no malformed frame reaches the wire.
 // A zero plan Seed derives from the group's seed.
@@ -111,15 +109,6 @@ func WithStabilityK(k int) Option {
 // loss probability. Options applied after it refine it.
 func WithConfig(cfg Config) Option {
 	return func(o *serviceOptions) { o.cfg = cfg }
-}
-
-// WithLiveRuntime runs the service on real time inside this process, on
-// a host the Service builds (and closes) itself: the one Listen builds —
-// engine shards, a mux over them, a view per group — without the socket.
-// Real timers fire and every hop between two entities is handed over in
-// memory, so the process is the whole deployment.
-func WithLiveRuntime() Option {
-	return func(o *serviceOptions) { o.inProcess = true }
 }
 
 // WithAdvertise sets the address other processes use to reach this one

@@ -1,6 +1,8 @@
 package rgb
 
 import (
+	"time"
+
 	"github.com/rgbproto/rgb/internal/core"
 	"github.com/rgbproto/rgb/internal/runtime"
 )
@@ -25,4 +27,11 @@ func withWatchBuffer(n int) Option {
 // discovery timing and bootstrap timeout that no option sets.
 func withNetConfig(nc runtime.NetConfig) Option {
 	return func(o *serviceOptions) { o.netConfig = &nc }
+}
+
+// withLoopback runs the group in real time as a lone process on a free
+// loopback port, with the discovery plane's timers parked, so no gossip
+// or probe runs beside what a test measures.
+func withLoopback() Option {
+	return withNetConfig(runtime.NetConfig{Bind: "127.0.0.1:0", GossipInterval: time.Hour, ProbeInterval: time.Hour})
 }

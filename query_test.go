@@ -63,7 +63,7 @@ func queryStorm(t *testing.T, svc *Service, aps []NodeID, n int) {
 }
 
 func TestConcurrentQueriesInProcess(t *testing.T) {
-	svc := openTest(t, WithLiveRuntime(), WithHierarchy(3, 3), WithSeed(5))
+	svc := openTest(t, withLoopback(), WithHierarchy(3, 3), WithSeed(5))
 	const members = 60
 	joinSettled(t, svc, members)
 	queryStorm(t, svc, svc.APs(), members)

@@ -15,10 +15,6 @@ type (
 	System = core.System
 	// Config parameterizes a deployment.
 	Config = core.Config
-	// Member is a mobile host's membership record.
-	Member = core.Member
-	// Node is one network entity (AP, AG or BR).
-	Node = core.Node
 	// QueryScheme selects TMS/BMS/IMS for Membership-Query.
 	QueryScheme = core.QueryScheme
 	// QueryResult reports a query's answer and cost.

@@ -12,19 +12,17 @@ import (
 //   - the deterministic discrete-event simulator (the default), where
 //     protocol time is virtual and a fixed seed makes runs
 //     bit-reproducible; and
-//   - the real-time runtime, where timers run on wall time, an engine
-//     goroutine per shard serializes the protocol, and a message between
-//     two entities of the process is handed over in memory — the engine
-//     demonstrably does not depend on virtual time.
-//     Networked (Listen, ListenCluster), a message for an entity
-//     of another process is a real UDP datagram through the wire codec;
-//     in-process (WithLiveRuntime), there is no socket and no other
-//     process.
+//   - the real-time runtime (Listen, ListenCluster), where timers run on
+//     wall time, an engine goroutine per shard serializes the protocol,
+//     a message between two entities of the process is handed over in
+//     memory, and a message for an entity of another process is a real
+//     UDP datagram through the wire codec — the engine demonstrably does
+//     not depend on virtual time.
 //
 // The real-time one exists only as a group view of one host — engine
-// shards, a mux over them, one view per group, with or without a socket
-// — whether the process serves one group (Open, Listen) or many
-// (NewCluster, ListenCluster).
+// shards, a mux over them with one bound socket, one view per group —
+// whether the process serves one group (Listen) or many
+// (ListenCluster).
 type (
 	// Stats aggregates transport-level delivery counters.
 	Stats = runtime.Stats

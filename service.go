@@ -61,10 +61,10 @@ type watcher struct {
 //
 // Open is the one-group special case of NewCluster: it builds a
 // one-group cluster, opens its group with the caller's seed untouched,
-// and returns that Service, whose Close closes the cluster with it. A
-// real-time substrate (WithLiveRuntime, Listen) is the same host
-// every cluster uses — one engine shard, a mux (with or without a
-// socket), one group view. The simulator is the exception: it runs
+// and returns that Service, whose Close closes the cluster with it. The
+// real-time substrate (Listen) is the same host every cluster uses —
+// one engine shard, a mux with its socket, one group view. The
+// simulator is the exception: it runs
 // inline, with no shard worker — directly on the caller, preserving its
 // single-threaded discipline and allocation profile.
 // Use NewCluster to host many groups in one process.

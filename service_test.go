@@ -98,7 +98,7 @@ func TestServiceLifecycle(t *testing.T) {
 	if _, err := svc.Watch(ctx); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Watch err = %v", err)
 	}
-	live := openTest(t, WithHierarchy(2, 4), WithLiveRuntime())
+	live := openTest(t, WithHierarchy(2, 4), withLoopback())
 	if err := live.Close(); err != nil {
 		t.Fatalf("live Close: %v", err)
 	}
@@ -205,8 +205,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 	sim := openTest(t, WithHierarchy(2, 4), WithSeed(9))
 	simMembers := scenarioScript(t, sim)
 
-	live := openTest(t, WithHierarchy(2, 4), WithSeed(9),
-		WithLiveRuntime())
+	live := openTest(t, WithHierarchy(2, 4), WithSeed(9), withLoopback())
 	liveMembers := scenarioScript(t, live)
 
 	if len(simMembers) == 0 {
@@ -221,8 +220,7 @@ func TestCrossRuntimeEquivalence(t *testing.T) {
 // live runtime — every committed change surfaces exactly once.
 func TestLiveRuntimeWatch(t *testing.T) {
 	ctx := context.Background()
-	svc := openTest(t, WithHierarchy(2, 4), WithSeed(2),
-		WithLiveRuntime())
+	svc := openTest(t, WithHierarchy(2, 4), WithSeed(2), withLoopback())
 	events, err := svc.Watch(ctx)
 	if err != nil {
 		t.Fatalf("Watch: %v", err)
@@ -321,7 +319,7 @@ func TestPartitionErrorContract(t *testing.T) {
 		{"no heartbeat", nil, func(t *testing.T, svc *Service) error {
 			return svc.Partition(ctx, slot1(svc)...)
 		}, ErrOptionUnsupported},
-		{"live runtime", []Option{WithHeartbeat(beat), WithLiveRuntime()}, func(t *testing.T, svc *Service) error {
+		{"live runtime", []Option{WithHeartbeat(beat), withLoopback()}, func(t *testing.T, svc *Service) error {
 			return svc.Partition(ctx, slot1(svc)...)
 		}, ErrOptionUnsupported},
 	}
@@ -339,7 +337,7 @@ func TestPartitionErrorContract(t *testing.T) {
 // a recycled call record, so do itself allocates nothing beyond what its
 // fn does; a call after Close reports ErrClosed without running fn.
 func TestServiceDoAllocatesNothing(t *testing.T) {
-	svc := openTest(t, WithLiveRuntime(), WithHierarchy(2, 3))
+	svc := openTest(t, withLoopback(), WithHierarchy(2, 3))
 	ran := 0
 	fn := func() error { ran++; return nil }
 	ctx := context.Background()
