@@ -58,7 +58,7 @@ func WithHierarchy(h, r int) Option {
 
 // WithSeed makes the deployment reproducible: it seeds the simulated
 // message plane, the AP-selection stream of Join, and the loss emulation
-// of the real-time runtimes.
+// of the real-time runtime.
 func WithSeed(seed uint64) Option {
 	return func(o *serviceOptions) { o.cfg.Seed = seed }
 }

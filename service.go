@@ -56,8 +56,8 @@ type watcher struct {
 
 // Open builds and starts a standalone membership service. With no
 // options it serves a 3x5 hierarchy on a fresh deterministic simulated
-// runtime; see the With... options for hierarchy shape, seeds, the
-// protocol configuration, and runtime selection.
+// runtime; see the With... options for hierarchy shape, seeds and the
+// protocol configuration, and Listen for the real-time runtime.
 //
 // Open is the one-group special case of NewCluster: it builds a
 // one-group cluster, opens its group with the caller's seed untouched,
