@@ -13,6 +13,28 @@ import (
 	"github.com/rgbproto/rgb/internal/token"
 )
 
+// retiredProposal is the body of payload kind 12 as the tree baseline's
+// proposal carried it before the kind was retired: one change record
+// and a climb flag. Its frames stay in the corpora, cut at every length,
+// because a decoder must now refuse every one of them, whole frames as
+// ErrUnknownPayload.
+type retiredProposal struct {
+	change mq.Change
+	up     bool
+}
+
+func (retiredProposal) PayloadKind() PayloadKind { return kindRetired }
+func (retiredProposal) sealed()                  {}
+
+func (p retiredProposal) AppendTo(b []byte) []byte {
+	b, rec := appendRecords(b, 1, changeSize)
+	putChange(rec, &p.change)
+	return appendBool(b, p.up)
+}
+
+// sampleRetired is the kind-12 frame's body the corpora keep.
+var sampleRetired = retiredProposal{change: sampleChange(5), up: true}
+
 // FuzzWireRoundTrip is the codec's safety oracle: decoding arbitrary
 // bytes must never panic, and any input that decodes successfully must
 // reach a canonical fixpoint — decode -> encode -> decode -> encode
@@ -20,7 +42,7 @@ import (
 // target next to the des differential suite; the seed corpus below
 // covers every payload kind plus every frame-level error class.
 func FuzzWireRoundTrip(f *testing.F) {
-	for _, p := range samplePayloads() {
+	for _, p := range append(samplePayloads(), sampleRetired) {
 		f.Add(AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, TTL: 8, Payload: p}))
 	}
 	f.Add(AppendFrame(nil, Frame{Payload: nil}))
@@ -289,9 +311,9 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 	}
 	body := envelopeSize + payloadHeaderSize
 
-	// Every kind, members whose versions wrap through 0 (sampleMember),
-	// and each frame cut at every length.
-	for _, p := range samplePayloads() {
+	// Every kind, the retired one included, members whose versions wrap
+	// through 0 (sampleMember), and each frame cut at every length.
+	for _, p := range append(samplePayloads(), sampleRetired) {
 		b := frame(p)
 		for cut := 0; cut <= len(b); cut++ {
 			f.Add(append([]byte(nil), b[:cut]...))
@@ -342,7 +364,7 @@ func FuzzDecodeIntoReusedTarget(f *testing.F) {
 		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: ids.NewGroupID(9), Class: 1, TTL: 8, Payload: p})
 	}
 	var previous [][]byte
-	for _, p := range samplePayloads() {
+	for _, p := range append(samplePayloads(), sampleRetired) {
 		b := frame(p)
 		for cut := 0; cut <= len(b); cut++ {
 			f.Add(append([]byte(nil), b[:cut]...))
