@@ -260,60 +260,72 @@ func TestClusterOpenSemantics(t *testing.T) {
 
 // TestClusterGroupReopenOnMux: closing one group of a cluster that
 // shares a mux must release its identity — the same GroupID reopens with
-// fresh state and works, while sibling groups are untouched.
+// fresh state and works, while sibling groups are untouched. On two
+// shards the group and its sibling run on different engines; on one
+// they share the engine, its local-hop FIFO and its datagrams.
 func TestClusterGroupReopenOnMux(t *testing.T) {
 	ctx := context.Background()
-	c, err := ListenCluster("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(4), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	gid, sibling := NewGroupID(1), NewGroupID(2)
-	svc, err := c.Open(gid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sib, err := c.Open(sibling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Join(ctx, GUID(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Settle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatalf("closing group: %v", err)
-	}
+	for _, row := range []struct {
+		name   string
+		shards int
+	}{{"net", 2}, {"one-shard", 1}} {
+		t.Run(row.name, func(t *testing.T) {
+			c, err := ListenCluster("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(4), WithShards(row.shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			gid, sibling := NewGroupID(1), NewGroupID(2)
+			if shared := c.ShardOf(gid) == c.ShardOf(sibling); shared != (row.shards == 1) {
+				t.Fatalf("on %d shards the group and its sibling share a shard: %v", row.shards, shared)
+			}
+			svc, err := c.Open(gid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sib, err := c.Open(sibling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.Join(ctx, GUID(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatalf("closing group: %v", err)
+			}
 
-	reopened, err := c.Open(gid)
-	if err != nil {
-		t.Fatalf("reopen after close: %v", err)
-	}
-	members, err := reopened.Members(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 0 {
-		t.Fatalf("reopened group inherited state: %v", members)
-	}
-	if _, err := reopened.Join(ctx, GUID(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := reopened.Settle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	members, err = reopened.Members(ctx)
-	if err != nil || len(members) != 1 {
-		t.Fatalf("reopened group membership = %v, %v", members, err)
-	}
-	// The sibling group kept working throughout.
-	if _, err := sib.Join(ctx, GUID(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sib.Settle(ctx); err != nil {
-		t.Fatal(err)
+			reopened, err := c.Open(gid)
+			if err != nil {
+				t.Fatalf("reopen after close: %v", err)
+			}
+			members, err := reopened.Members(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(members) != 0 {
+				t.Fatalf("reopened group inherited state: %v", members)
+			}
+			if _, err := reopened.Join(ctx, GUID(9)); err != nil {
+				t.Fatal(err)
+			}
+			if err := reopened.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			members, err = reopened.Members(ctx)
+			if err != nil || len(members) != 1 {
+				t.Fatalf("reopened group membership = %v, %v", members, err)
+			}
+			// The sibling group kept working throughout.
+			if _, err := sib.Join(ctx, GUID(5)); err != nil {
+				t.Fatal(err)
+			}
+			if err := sib.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
