@@ -583,21 +583,23 @@ func TestSingleProcessServesObserverClient(t *testing.T) {
 // each group's transport only through NetMux.Open, the same way its
 // seed does.
 func TestWithLossEmulatedOnLiveRuntime(t *testing.T) {
-	ctx := context.Background()
-	svc, err := Listen("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.Loss = 0.3 }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for g := 1; g <= 10; g++ {
-		if _, err := svc.Join(ctx, GUID(g)); err != nil {
-			t.Fatalf("join: %v", err)
+	t.Run("listen", func(t *testing.T) {
+		ctx := context.Background()
+		svc, err := Listen("127.0.0.1:0", WithHierarchy(1, 3), WithSeed(5), withConfigEdit(func(cfg *core.Config) { cfg.Loss = 0.3 }))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	svc.Settle(ctx)
-	if st := svc.Stats(); st.Dropped == 0 {
-		t.Fatalf("no losses despite Loss 0.3: %+v", st)
-	}
+		defer svc.Close()
+		for g := 1; g <= 10; g++ {
+			if _, err := svc.Join(ctx, GUID(g)); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+		}
+		svc.Settle(ctx)
+		if st := svc.Stats(); st.Dropped == 0 {
+			t.Fatalf("no losses despite Loss 0.3: %+v", st)
+		}
+	})
 }
 
 // TestCollapsedEndpointSink: on a live runtime, once a member's leave
