@@ -106,8 +106,8 @@ type Node struct {
 
 	// gone holds the version this node last removed each member at
 	// (tombstone.go) for its newest tombstoneWindow removals: two dense
-	// rings in burial order, GUIDs and versions, and a 32-bit index of
-	// hash bits and ring positions, allocated on the first removal.
+	// rings in burial order, GUIDs and versions, and a 16-bit index of
+	// hash tags and ring positions, allocated on the first removal.
 	gone ids.Tombstones
 }
 

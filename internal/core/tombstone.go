@@ -26,14 +26,14 @@ import (
 //
 // gone is an ids.Tombstones, held by value in the Node: two dense rings
 // in burial order, one of GUIDs and one of versions, and an index of
-// 32-bit entries, each the low bits of the GUID's keyed hash above its
+// 16-bit entries, each 3 tag bits of the GUID's keyed hash above its
 // ring position + 1. Under full dissemination every change reaches every
 // entity (780 at h=4 r=5), so this store is paid once per entity: a
-// tombstone costs 14 bytes, 10 in the rings and 4 in its index entry,
-// besides the index's empty entries, and a probe reads a GUID only when
-// the hash bits match. Tombstones stay out of ringMems' own index: they
-// would grow a bottom ring's small index about 30-fold and push every
-// MemberList.find out of cache (PERF.md).
+// tombstone costs 12 bytes, 10 in the rings and 2 in its index entry,
+// besides the index's empty entries (14 in all in a full window), and a
+// probe reads a GUID only when the tag matches. Tombstones stay out of
+// ringMems' own index: they would grow a bottom ring's small index about
+// 30-fold and push every MemberList.find out of cache (PERF.md).
 
 // tombstoneWindow bounds gone FIFO-style: a late change or a merge
 // reconciles recent divergence, so removals older than the last few

@@ -4,29 +4,31 @@ package ids
 // removed each member, for the newest limit distinct members it removed.
 //
 // The burials sit in two dense rings in burial order, GUIDs and versions
-// apart, so a record costs 10 bytes there. An index finds a GUID's ring
-// position: a power-of-two []uint32 with one entry per burial, the low
-// bits of its GUID's keyed hash (hashGUID) above the position + 1 in the
-// low tombPosBits bits; 0 is an empty entry. A probe compares hash bits
-// inside the index and reads a GUID only when they match. A removal from
-// the index shifts the later entries of its probe run back, as
-// MemberList.unindex does, so there are no deleted markers. Once the
-// rings hold limit burials, a new one overwrites the oldest slot.
+// apart, 10 bytes a record. An index finds a GUID's ring position: a
+// power-of-two []uint16 with one entry per burial, position + 1 in the
+// low tombPosBits bits and the top bits of the GUID's keyed hash
+// (hashGUID) above them as a tag; 0 is an empty entry. The hash's low
+// bits name the GUID's home entry. A probe compares tags and reads a
+// GUID only when they match; growing the index or shifting an entry
+// back, as MemberList.unindex does on a removal, hashes the GUID at the
+// entry's ring slot for its home. Once the rings hold limit burials, a
+// new one overwrites the oldest slot.
 //
-// The rings grow as append grows a slice and the index doubles before
-// ¾ load: most entities never fill their window, so neither is allocated
-// to its limit up front.
+// The rings grow as append grows a slice, up to limit, and the index
+// doubles before ¾ load: most entities never fill their window, so
+// neither is allocated up front. A full window of 4 096 costs 14 bytes
+// a burial: 10 in the rings and 4 in the index, half of it empty.
 type Tombstones struct {
 	guids []GUID   // burial order; the oldest at head once the rings are full
 	vers  []uint16 // vers[i] is the removal version of guids[i]
 	head  int
 	limit int
-	index []uint32 // hash<<tombPosBits | position+1 per burial; len 0 or a power of two
+	index []uint16 // tag | position+1 per burial; len 0 or a power of two
 }
 
-// tombPosBits is the width of an index entry's position field. The
-// 19 hash bits above it also name the entry's home, which bounds the
-// index to 2^19 entries, far above what MaxTombstones needs.
+// tombPosBits is the width of an index entry's position field. The 3 tag
+// bits above it, the hash's top bits, name no home in an index of at
+// most 2^14 entries.
 const (
 	tombPosBits = 13
 	tombPosMask = 1<<tombPosBits - 1
@@ -49,12 +51,11 @@ func NewTombstones(limit int) Tombstones {
 // Len returns the number of buried members.
 func (t *Tombstones) Len() int { return len(t.guids) }
 
-// find returns the index entry holding g, or the empty entry where a
-// probe for it ends, and whether g is buried. tag is
-// hashGUID(g)<<tombPosBits. The index must not be empty.
-func (t *Tombstones) find(g GUID, tag uint32) (int, bool) {
-	mask := len(t.index) - 1
-	for e := int(tag>>tombPosBits) & mask; ; e = (e + 1) & mask {
+// find returns the index entry holding g, or the empty entry ending its
+// probe, and whether g is buried; h is hashGUID(g). The index is not empty.
+func (t *Tombstones) find(g GUID, h uint32) (int, bool) {
+	mask, tag := len(t.index)-1, uint16(h>>29)<<tombPosBits
+	for e := int(h) & mask; ; e = (e + 1) & mask {
 		x := t.index[e]
 		if x == 0 {
 			return e, false
@@ -65,16 +66,20 @@ func (t *Tombstones) find(g GUID, tag uint32) (int, bool) {
 	}
 }
 
+// home returns the home entry of index entry x by its GUID's hash.
+func (t *Tombstones) home(x uint16) int {
+	return int(hashGUID(t.guids[x&tombPosMask-1])) & (len(t.index) - 1)
+}
+
 // Get returns the version at which g was last removed, if it is buried.
 func (t *Tombstones) Get(g GUID) (uint16, bool) {
 	if len(t.index) == 0 {
 		return 0, false
 	}
-	e, ok := t.find(g, hashGUID(g)<<tombPosBits)
-	if !ok {
-		return 0, false
+	if e, ok := t.find(g, hashGUID(g)); ok {
+		return t.vers[t.index[e]&tombPosMask-1], true
 	}
-	return t.vers[t.index[e]&tombPosMask-1], true
+	return 0, false
 }
 
 // Bury records that g was removed at version v and reports whether the
@@ -82,11 +87,11 @@ func (t *Tombstones) Get(g GUID) (uint16, bool) {
 // buried g keeps its place in the burial order and takes v only if v
 // is newer (VerAfter); a new burial into full rings evicts the oldest.
 func (t *Tombstones) Bury(g GUID, v uint16) (changed bool, evicted GUID) {
-	tag := hashGUID(g) << tombPosBits
+	h := hashGUID(g)
 	if len(t.index) == 0 {
 		t.grow()
 	}
-	e, ok := t.find(g, tag)
+	e, ok := t.find(g, h)
 	if ok {
 		if i := t.index[e]&tombPosMask - 1; VerAfter(v, t.vers[i]) {
 			t.vers[i] = v
@@ -99,31 +104,36 @@ func (t *Tombstones) Bury(g GUID, v uint16) (changed bool, evicted GUID) {
 		i = t.head
 		t.head = (i + 1) % t.limit
 		evicted = t.guids[i]
-		t.unindex(t.entryOf(hashGUID(evicted)<<tombPosBits | uint32(i+1)))
+		old, _ := t.find(evicted, hashGUID(evicted))
+		t.unindex(old)
 		t.guids[i], t.vers[i] = g, v
-		e, _ = t.find(g, tag) // the shift may have moved the probe's end
+		e, _ = t.find(g, h) // the shift may have moved the probe's end
 	} else {
 		if 4*(i+1) >= 3*len(t.index) {
 			t.grow()
-			e, _ = t.find(g, tag)
+			e, _ = t.find(g, h)
+		}
+		if i == cap(t.guids) && 2*i >= t.limit { // the last growth stops at limit
+			t.guids = append(make([]GUID, 0, t.limit), t.guids...)
+			t.vers = append(make([]uint16, 0, t.limit), t.vers...)
 		}
 		t.guids = append(t.guids, g)
 		t.vers = append(t.vers, v)
 	}
-	t.index[e] = tag | uint32(i+1)
+	t.index[e] = uint16(h>>29)<<tombPosBits | uint16(i+1)
 	return true, evicted
 }
 
-// grow doubles the index and re-homes every entry by its stored hash.
+// grow doubles the index and re-homes every entry by its GUID's hash.
 func (t *Tombstones) grow() {
 	old := t.index
-	t.index = make([]uint32, max(2*len(old), minIndex))
+	t.index = make([]uint16, max(2*len(old), minIndex))
 	mask := len(t.index) - 1
 	for _, x := range old {
 		if x == 0 {
 			continue
 		}
-		e := int(x>>tombPosBits) & mask
+		e := t.home(x)
 		for t.index[e] != 0 {
 			e = (e + 1) & mask
 		}
@@ -131,22 +141,11 @@ func (t *Tombstones) grow() {
 	}
 }
 
-// entryOf returns the index entry equal to x, which must be present.
-func (t *Tombstones) entryOf(x uint32) int {
-	mask := len(t.index) - 1
-	e := int(x>>tombPosBits) & mask
-	for t.index[e] != x {
-		e = (e + 1) & mask
-	}
-	return e
-}
-
 // unindex empties entry e and closes the hole as MemberList.unindex does.
 func (t *Tombstones) unindex(e int) {
 	mask := len(t.index) - 1
 	for j := (e + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
-		home := int(t.index[j]>>tombPosBits) & mask
-		if (j-home)&mask >= (j-e)&mask {
+		if (j-t.home(t.index[j]))&mask >= (j-e)&mask {
 			t.index[e] = t.index[j]
 			e = j
 		}

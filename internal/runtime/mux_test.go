@@ -161,51 +161,6 @@ func TestNetMuxLocalHopsStayInGroup(t *testing.T) {
 	}
 }
 
-// TestLiveMuxGroupIsolation: groups of one mux sharing a shard keep
-// separate endpoint spaces and stats.
-func TestLiveMuxGroupIsolation(t *testing.T) {
-	set := NewShardSet(1)
-	defer set.Close()
-	mux, err := NewNetMux(NetConfig{Bind: "127.0.0.1:0"}, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mux.Close()
-
-	gidA, gidB := ids.NewGroupID(1), ids.NewGroupID(2)
-	rtA, err := mux.Open(gidA, 0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rtB, err := mux.Open(gidB, 0, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	target := ids.MakeNodeID(ids.TierAP, 0)
-	epA, epB := newCollect(), newCollect()
-	rtA.Do(func() { rtA.Transport().Register(target, epA) })
-	rtB.Do(func() { rtB.Transport().Register(target, epB) })
-
-	src := ids.MakeNodeID(ids.TierAP, 1)
-	rtA.Do(func() {
-		rtA.Transport().Send(Message{From: src, To: target, Kind: KindControl, Body: wire.Probe{Seq: 1}})
-	})
-	awaitMessage(t, epA.ch)
-	select {
-	case m := <-epB.ch:
-		t.Fatalf("group B received group A's message: %+v", m)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	var statsA, statsB Stats
-	rtA.Do(func() { statsA = rtA.Transport().Stats() })
-	rtB.Do(func() { statsB = rtB.Transport().Stats() })
-	if statsA.Delivered != 1 || statsB.Delivered != 0 {
-		t.Fatalf("stats not group-scoped: A=%+v B=%+v", statsA, statsB)
-	}
-}
-
 // TestNetMuxNeedsBind: every real-time host has a socket, so a mux
 // without a bind address is an error, not a socketless host.
 func TestNetMuxNeedsBind(t *testing.T) {
