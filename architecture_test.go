@@ -42,6 +42,9 @@ func TestArchitectureRules(t *testing.T) {
 	}
 	info, _ := typecheck(t, fset, module)
 	uncalled := uncalledFuncs(fset, module, info)
+	library := slices.DeleteFunc(slices.Collect(maps.Keys(module)), func(dir string) bool {
+		return dir == "benchmark" || strings.HasPrefix(dir, "benchmark/")
+	})
 	rows := []struct {
 		rule  string   // where the rule is stated, and the sentence
 		pkgs  []string // the packages it covers; nil is every one under internal/
@@ -119,6 +122,11 @@ func TestArchitectureRules(t *testing.T) {
 			},
 		},
 		{
+			rule:  `docs/ARCHITECTURE.md, Layer 1, version rules: "The Go fields Frame.TTL, Change.Origin, Change.Seq, Token.GID and Token.Hops remain for the benchmark's build until ROADMAP item 39; the library never sets them"`,
+			pkgs:  library,
+			check: func(f *ast.File) []ast.Node { return unreadFieldWrites(f, info) },
+		},
+		{
 			rule:  `ROADMAP.md, item 18: "production code nothing calls goes"; a function only tests reach is on uncalledAllowed`,
 			check: func(f *ast.File) []ast.Node { return uncalledOutside(fset, f, uncalled) },
 		},
@@ -129,9 +137,9 @@ func TestArchitectureRules(t *testing.T) {
 		}
 	}
 	for _, row := range rows {
-		for _, pkg := range slices.Sorted(maps.Keys(pkgs)) {
-			files := pkgs[pkg]
-			if row.pkgs != nil && !slices.Contains(row.pkgs, pkg) || slices.Contains(row.allow, pkg) {
+		for _, pkg := range slices.Sorted(maps.Keys(module)) {
+			files := module[pkg]
+			if row.pkgs == nil && pkgs[pkg] == nil || row.pkgs != nil && !slices.Contains(row.pkgs, pkg) || slices.Contains(row.allow, pkg) {
 				continue
 			}
 			for _, f := range files {
@@ -559,6 +567,73 @@ func keyedFields(f *ast.File, names ...string) []ast.Node {
 		return true
 	})
 	return found
+}
+
+// unreadFields are the fields the wire no longer carries, by the
+// struct that declares them: nothing reads them, so the library must
+// not set them either.
+var unreadFields = map[string][]string{
+	"internal/mq.Change":   {"Origin", "Seq"},
+	"internal/token.Token": {"GID", "Hops"},
+	"internal/wire.Frame":  {"TTL"},
+}
+
+// unreadFieldWrites finds the writes fieldWrites and keyedFields find
+// whose field is one of unreadFields, told apart from fields of the
+// same name in other structs by its declaring struct.
+func unreadFieldWrites(f *ast.File, info *types.Info) []ast.Node {
+	var names []string
+	for _, fields := range unreadFields {
+		names = append(names, fields...)
+	}
+	unread := func(id *ast.Ident) bool {
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || !v.IsField() || v.Pkg() == nil {
+			return false
+		}
+		for decl, fields := range unreadFields {
+			dir, typ, _ := strings.Cut(decl, ".")
+			if v.Pkg().Path() != modulePath+"/"+dir || !slices.Contains(fields, v.Name()) {
+				continue
+			}
+			if st, ok := v.Pkg().Scope().Lookup(typ).Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if st.Field(i) == v {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	var found []ast.Node
+	for _, n := range append(fieldWrites(f, names...), keyedFields(f, names...)...) {
+		if id := writtenField(n); id != nil && unread(id) {
+			found = append(found, n)
+		}
+	}
+	return found
+}
+
+// writtenField is the field name in a node fieldWrites or keyedFields
+// found.
+func writtenField(n ast.Node) *ast.Ident {
+	switch x := n.(type) {
+	case *ast.KeyValueExpr:
+		id, _ := x.Key.(*ast.Ident)
+		return id
+	case *ast.CallExpr:
+		return writtenField(x.Args[0])
+	case *ast.ParenExpr:
+		return writtenField(x.X)
+	case *ast.IndexExpr:
+		return writtenField(x.X)
+	case *ast.SliceExpr:
+		return writtenField(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel
+	}
+	return nil
 }
 
 // verOrderings finds the ordering comparisons (<, >, <=, >=) that take a

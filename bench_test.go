@@ -394,7 +394,6 @@ func BenchmarkMQInsert(b *testing.B) {
 				q.Insert(mq.Change{
 					Op:     mq.OpMemberJoin,
 					Member: ids.MemberInfo{GUID: ids.GUID(i % 64), AP: ap},
-					Origin: ap,
 				})
 				if i%128 == 127 {
 					q.DrainBatch(0)
@@ -439,8 +438,6 @@ func wireBenchToken() *token.Token {
 		return mq.Change{
 			Op:      mq.OpMemberJoin,
 			Member:  ids.MemberInfo{GID: ids.NewGroupID(1), GUID: ids.GUID(100 + i), LUID: ids.LUID{AP: ap, Local: 1}, AP: ap},
-			Origin:  ap,
-			Seq:     uint64(i),
 			ReplyTo: ids.MakeNodeID(ids.TierMH, i),
 		}
 	}
@@ -449,14 +446,12 @@ func wireBenchToken() *token.Token {
 		route[i] = ids.MakeNodeID(ids.TierAP, i)
 	}
 	return &token.Token{
-		GID:          ids.NewGroupID(1),
 		Ring:         ring.ID{Tier: ids.TierAP, Index: 3},
 		Holder:       route[0],
 		Round:        42,
 		Ops:          mq.Batch{mk(0), mk(1), mk(2), mk(3)},
 		Dir:          token.FromLocal,
 		Route:        route,
-		Hops:         2,
 		Contributors: route[:2],
 	}
 }
@@ -480,7 +475,7 @@ func wireBenchPayloads() []struct {
 	}{
 		{"token", wire.TokenMsg{Tok: wireBenchToken()}},
 		{"member-change", wire.MemberChange{Op: mq.OpMemberJoin, Member: members[0]}},
-		{"notify", &wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin, Member: members[1], Origin: ap}}, From: ring.ID{Tier: ids.TierAP, Index: 1}, Up: true, Seq: 7}},
+		{"notify", &wire.Notify{Batch: mq.Batch{{Op: mq.OpMemberJoin, Member: members[1]}}, From: ring.ID{Tier: ids.TierAP, Index: 1}, Up: true, Seq: 7}},
 		{"notify-ack", &wire.NotifyAck{Seq: 7}},
 		{"pass-ack", &wire.PassAck{Holder: ap, Round: 42}},
 		{"holder-ack", &wire.HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Round: 42, Count: 1}},
@@ -499,7 +494,7 @@ func BenchmarkWireEncode(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = wire.AppendFrame(buf[:0], wire.Frame{From: from, To: to, Class: 1, TTL: 8, Payload: tc.p})
+				buf = wire.AppendFrame(buf[:0], wire.Frame{From: from, To: to, Class: 1, Payload: tc.p})
 				size = len(buf)
 			}
 			b.ReportMetric(float64(size), "frameB/op")
@@ -513,7 +508,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	from, to := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1)
 	for _, tc := range wireBenchPayloads() {
 		b.Run(tc.name, func(b *testing.B) {
-			enc := wire.AppendFrame(nil, wire.Frame{From: from, To: to, Class: 1, TTL: 8, Payload: tc.p})
+			enc := wire.AppendFrame(nil, wire.Frame{From: from, To: to, Class: 1, Payload: tc.p})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

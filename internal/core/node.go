@@ -251,20 +251,10 @@ func (n *Node) receiveMemberMsg(m wire.MemberChange, from ids.NodeID) {
 	c := mq.Change{
 		Op:      m.Op,
 		Member:  m.Member,
-		Origin:  n.id,
-		Seq:     n.nextSeq(),
 		ReplyTo: from,
 	}
 	n.queue.Insert(c)
 	n.sys.scheduleBatchedRound(n)
-}
-
-// nextSeq draws the next origin-local sequence number. The counter
-// lives on the System so that concurrent simulations (the experiment
-// sweeper runs one per worker) never share state.
-func (n *Node) nextSeq() uint64 {
-	n.sys.seqCounter++
-	return n.sys.seqCounter
 }
 
 // startRound begins one execution of the one-round algorithm with this
@@ -281,7 +271,7 @@ func (n *Node) nextSeq() uint64 {
 func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, forwarder ids.NodeID) {
 	n.roundSeq++
 	tok := n.sys.free.Tokens.Take()
-	tok.Reset(n.sys.cfg.GID, n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
+	tok.Reset(n.ringID, n.id, n.roundSeq, slices.Clip(extra), dir, source)
 	if len(extra) > 0 && !forwarder.IsZero() {
 		tok.Contributors = n.forwardedBy(forwarder)
 	}
@@ -508,7 +498,6 @@ func (n *Node) passToken(tok *token.Token) {
 		n.passWait = append(n.passWait, tok)
 		return
 	}
-	tok.Hops++
 	n.pass.start(next, *tok, wire.TokenMsg{Tok: tok})
 }
 
@@ -570,7 +559,7 @@ func (n *Node) passTimedOut() {
 		n.excludeFromRoster(dead)
 		tok := n.passWait[0]
 		tok.Repaired = true
-		tok.Ops = append(tok.Ops, mq.Change{Op: mq.OpNEFailure, NE: dead, Origin: n.id, Seq: n.nextSeq()})
+		tok.Ops = append(tok.Ops, mq.Change{Op: mq.OpNEFailure, NE: dead})
 	}
 	n.passWaiting()
 }
@@ -712,7 +701,7 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		// it would swallow the NE-Join (in mq, failure dominates).
 		n.sys.noteRepair(n.ringID, req.Node)
 		n.excludeFromRoster(req.Node)
-		exclusion = mq.Batch{{Op: mq.OpNEFailure, NE: req.Node, Origin: n.id, Seq: n.nextSeq()}}
+		exclusion = mq.Batch{{Op: mq.OpNEFailure, NE: req.Node}}
 	}
 	if !n.isLeader() {
 		n.sys.send(n.id, n.leader, runtime.KindControl, req)
@@ -729,7 +718,7 @@ func (n *Node) receiveJoinRequest(req wire.JoinRequest) {
 		}
 		return
 	}
-	n.queue.Insert(mq.Change{Op: mq.OpNEJoin, NE: req.Node, Origin: n.id, Seq: n.nextSeq()})
+	n.queue.Insert(mq.Change{Op: mq.OpNEJoin, NE: req.Node})
 	n.sys.send(n.id, req.Node, runtime.KindControl, wire.Snapshot{
 		Roster:     n.Roster(),
 		Leader:     n.leader,
@@ -828,7 +817,7 @@ func (n *Node) receiveMergeRequest(req wire.MergeRequest) {
 		}
 	}
 	for _, j := range joiners {
-		n.queue.Insert(mq.Change{Op: mq.OpNEJoin, NE: j, Origin: n.id, Seq: n.nextSeq()})
+		n.queue.Insert(mq.Change{Op: mq.OpNEJoin, NE: j})
 	}
 	n.sys.requestRound(n, token.FromLocal, ring.ID{})
 }

@@ -48,7 +48,7 @@ func TestStaleAckLeavesPassArmed(t *testing.T) {
 	p, h := ringPair(sys)
 
 	const k = 7
-	tok := freshToken(sys.cfg.GID, p.ringID, p.id, k, nil, token.FromLocal, ring.ID{})
+	tok := freshToken(p.ringID, p.id, k, nil, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
 	p.passToken(tok)
 	armed := kernel.Pending() // the token on its way to H, and the pass timer
@@ -121,7 +121,7 @@ func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
 	p, h := ringPair(sys)
 	sys.CrashNE(h)
 
-	tok := freshToken(sys.cfg.GID, p.ringID, h, 1, mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1, AP: p.id}}}, token.FromLocal, ring.ID{})
+	tok := freshToken(p.ringID, h, 1, mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GUID: 1, AP: p.id}}}, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
 	tok.Contributors = []ids.NodeID{p.id}
 	p.passToken(tok)
@@ -166,7 +166,7 @@ func TestTokenWaitsItsTurnAtLink(t *testing.T) {
 	p.sys[0].CrashNE(dead)
 	var waited *token.Token
 	for round := uint64(101); round <= 102; round++ {
-		tok := freshToken(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok := freshToken(n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
 		tok.Route = []ids.NodeID{holder, n.id, dead}
 		n.passToken(tok)
 		waited = tok
@@ -198,7 +198,7 @@ func TestCrashedCarrierDropsWaitingTokens(t *testing.T) {
 	n := &p.sys[0].top[0]
 	holder := n.prevLive(n.id)
 	for round := uint64(101); round <= 102; round++ {
-		tok := freshToken(n.sys.cfg.GID, n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
+		tok := freshToken(n.ringID, holder, round, nil, token.FromLocal, ring.ID{})
 		tok.Route = []ids.NodeID{holder, n.id, n.nextLive(n.id)}
 		n.passToken(tok)
 	}

@@ -355,7 +355,7 @@ func TestPassAckNamesAdopter(t *testing.T) {
 	p, h := ringPair(sys)
 	sys.CrashNE(h)
 
-	tok := freshToken(sys.cfg.GID, p.ringID, h, 1, nil, token.FromLocal, ring.ID{})
+	tok := freshToken(p.ringID, h, 1, nil, token.FromLocal, ring.ID{})
 	tok.Route = p.Roster()
 	var acks []wire.PassAck
 	traceSends(sys, func(m runtime.Message) {
@@ -509,7 +509,7 @@ func TestParkedRoundsAllocateNothing(t *testing.T) {
 	rs := n.ring
 	sys.markRingBusy(rs)
 	for g := ids.GUID(1); g <= 3; g++ {
-		batch := mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GID: sys.cfg.GID, GUID: g, AP: ap}, Origin: ap}}
+		batch := mq.Batch{{Op: mq.OpMemberJoin, Member: ids.MemberInfo{GID: sys.cfg.GID, GUID: g, AP: ap}}}
 		sys.requestRoundWithBatch(n, token.FromLocal, ring.ID{}, batch, ids.NoNode)
 	}
 	rs.busy = false

@@ -148,7 +148,7 @@ func (s *System) suspectCrashedLeader(acting *Node) {
 	}
 	s.noteRepair(acting.ringID, dead)
 	acting.excludeFromRoster(dead)
-	acting.queue.Insert(mq.Change{Op: mq.OpNEFailure, NE: dead, Origin: acting.id, Seq: acting.nextSeq()})
+	acting.queue.Insert(mq.Change{Op: mq.OpNEFailure, NE: dead})
 }
 
 // quarantineLeft reports how long a rejoining entity must still wait

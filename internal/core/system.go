@@ -179,7 +179,6 @@ type System struct {
 	opsCarried uint64
 	querySeq   uint64
 	queryFree  []*queryCollector // idle reply collectors (query.go)
-	seqCounter uint64
 
 	observer func(Observation) // nil: nobody observes (events.go)
 
@@ -877,7 +876,7 @@ func (s *System) FailMember(guid ids.GUID) error {
 		s.send(m.node, m.AP, runtime.KindMemberMsg, wire.MemberChange{Op: mq.OpMemberFailure, Member: m.MemberInfo})
 		return nil
 	}
-	c := mq.Change{Op: mq.OpMemberFailure, Member: m.MemberInfo, Origin: ap.id, Seq: ap.nextSeq()}
+	c := mq.Change{Op: mq.OpMemberFailure, Member: m.MemberInfo}
 	ap.queue.Insert(c)
 	s.scheduleBatchedRound(ap)
 	return nil

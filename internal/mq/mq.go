@@ -72,8 +72,11 @@ type Change struct {
 	Op     Op             // what happened
 	Member ids.MemberInfo // subject MH (member ops; Member.GUID is the key)
 	NE     ids.NodeID     // subject entity (NE ops)
-	Origin ids.NodeID     // entity that first observed the change
-	Seq    uint64         // origin-local sequence number, for tracing
+
+	// Origin and Seq are not encoded; the library never sets them;
+	// kept for the benchmark's build until ROADMAP item 39.
+	Origin ids.NodeID
+	Seq    uint64
 
 	// ReplyTo addresses the Holder-Acknowledgement for this change in a
 	// ring's own round: the mobile host that submitted it. A round that

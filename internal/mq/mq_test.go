@@ -16,12 +16,11 @@ func memberChange(op Op, guid uint64, apOrd int) Change {
 			GUID: ids.GUID(guid),
 			AP:   ids.MakeNodeID(ids.TierAP, apOrd),
 		},
-		Origin: ids.MakeNodeID(ids.TierAP, apOrd),
 	}
 }
 
 func neChange(op Op, ord int) Change {
-	return Change{Op: op, NE: ids.MakeNodeID(ids.TierAP, ord), Origin: ids.MakeNodeID(ids.TierAG, 0)}
+	return Change{Op: op, NE: ids.MakeNodeID(ids.TierAP, ord)}
 }
 
 func TestFIFOWithoutAggregation(t *testing.T) {

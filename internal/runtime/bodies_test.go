@@ -138,8 +138,8 @@ func TestInboundRoundBodyAllocs(t *testing.T) {
 				Route:        []ids.NodeID{b, a},
 				Contributors: []ids.NodeID{b},
 			}
-			datagram := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: a, Class: byte(KindToken), TTL: 2, Payload: wire.TokenMsg{Tok: tok}})
-			datagram = wire.AppendFrame(datagram, wire.Frame{Group: testGroup, From: from, To: a, Class: byte(KindControl), TTL: 2, Payload: &wire.PassAck{Holder: b, Round: 3}})
+			datagram := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: from, To: a, Class: byte(KindToken), Payload: wire.TokenMsg{Tok: tok}})
+			datagram = wire.AppendFrame(datagram, wire.Frame{Group: testGroup, From: from, To: a, Class: byte(KindControl), Payload: &wire.PassAck{Holder: b, Round: 3}})
 			perDatagram := inboundMallocs(t, rt0, datagram, 2, &ep.got)
 			t.Logf("%.2f mallocs per datagram", perDatagram)
 			if perDatagram > c.allocs+0.05 {

@@ -129,9 +129,9 @@ func (d *discoverer) stop() {
 }
 
 // discoveryFrame wraps a discovery payload: class control, zero
-// addressing, TTL 1 (a byte nothing reads).
+// addressing.
 func discoveryFrame(p wire.Payload) wire.Frame {
-	return wire.Frame{Class: uint8(KindControl), TTL: 1, Payload: p}
+	return wire.Frame{Class: uint8(KindControl), Payload: p}
 }
 
 // intercept reports whether f belongs to the discovery plane and, if it

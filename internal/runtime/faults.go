@@ -182,7 +182,6 @@ func (t *FaultTransport) corrupt(msg Message) (Message, bool) {
 		To:      msg.To,
 		Group:   msg.Group,
 		Class:   uint8(msg.Kind),
-		TTL:     8,
 		Payload: msg.Body,
 	})
 	buf := t.encBuf

@@ -92,7 +92,7 @@ func TestNetMuxGroupDemux(t *testing.T) {
 	defer conn.Close()
 	for _, stray := range []ids.GroupID{ids.NewGroupID(404), 0} {
 		if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{
-			From: src, To: target, Group: stray, Class: byte(KindControl), TTL: 4,
+			From: src, To: target, Group: stray, Class: byte(KindControl),
 			Payload: wire.Probe{Seq: 12},
 		})); err != nil {
 			t.Fatal(err)

@@ -19,12 +19,6 @@ import (
 var _ Runtime = (*NetRuntime)(nil)
 
 const (
-	// netTTL is the envelope's hop-budget byte stamped on egress frames.
-	// Every frame goes straight to the process that hosts its
-	// destination and nothing reads the byte; it is kept so frames stay
-	// byte-identical.
-	netTTL = 8
-
 	// settleTimeout bounds Run/RunUntil: a networked runtime cannot
 	// prove global quiescence, and a shard's pending counter includes
 	// its sibling groups' work, so after this long the wait gives up.
@@ -971,7 +965,6 @@ func (t *netTransport) send(msg Message) bool {
 		To:      msg.To,
 		Group:   msg.Group,
 		Class:   uint8(msg.Kind),
-		TTL:     netTTL,
 		Payload: msg.Body,
 	}, addr)
 	return false

@@ -484,7 +484,7 @@ func testInboundDatagramAllocs(t *testing.T, frames int) {
 	rt0.Do(func() { rt0.Transport().Register(a, ep) })
 	var datagram []byte
 	for i := 0; i < frames; i++ {
-		datagram = wire.AppendFrame(datagram, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: uint64(7 + i)}})
+		datagram = wire.AppendFrame(datagram, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), Payload: wire.Probe{Seq: uint64(7 + i)}})
 	}
 	if perDatagram := inboundMallocs(t, rt0, datagram, frames, &ep.got); perDatagram > 0.05 {
 		t.Fatalf("%.2f mallocs per inbound %d-frame datagram, want 0", perDatagram, frames)
@@ -550,7 +550,7 @@ func replyFrame(dst ids.NodeID, id uint64, n int) []byte {
 		members[i] = ids.MemberInfo{GUID: ids.GUID(id), AP: dst, GID: testGroup}
 	}
 	return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: dst,
-		Class: byte(KindReply), TTL: 2, Payload: wire.QueryReply{ID: id, Members: members}})
+		Class: byte(KindReply), Payload: wire.QueryReply{ID: id, Members: members}})
 }
 
 // replyHolder holds each QueryReply it is handed until the read loop has
@@ -695,7 +695,7 @@ func TestInboundReplyFloodKeepsOneDatagramOfSpares(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: gate, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{}})); err != nil {
+	if _, err := conn.Write(wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: gate, Class: byte(KindControl), Payload: wire.Probe{}})); err != nil {
 		t.Fatal(err)
 	}
 	<-blocker.entered // the engine is stuck in a handler from here on
@@ -735,20 +735,20 @@ func TestOversizeAtTheUDPLimit(t *testing.T) {
 				Body: wire.QueryReply{Members: make([]ids.MemberInfo, members)}})
 		})
 	}
-	if n := len(replyFrame(b, 1, 2425)); n != 65522 {
-		t.Fatalf("a 2425-member reply encodes to %d bytes, want 65522", n)
+	if n := len(replyFrame(b, 1, 2425)); n != 65521 {
+		t.Fatalf("a 2425-member reply encodes to %d bytes, want 65521", n)
 	}
 	send(2425)
 	if ns := rt0.NetStats(); ns.Oversize != 1 {
-		t.Fatalf("a 65522-byte frame: %+v, want Oversize 1", ns)
+		t.Fatalf("a 65521-byte frame: %+v, want Oversize 1", ns)
 	}
-	if n := len(replyFrame(b, 1, 2424)); n != 65495 {
-		t.Fatalf("a 2424-member reply encodes to %d bytes, want 65495", n)
+	if n := len(replyFrame(b, 1, 2424)); n != 65494 {
+		t.Fatalf("a 2424-member reply encodes to %d bytes, want 65494", n)
 	}
 	send(2424)
 	waitFor(t, func() bool { return ep.got.Load() == 1 })
 	if ns := rt0.NetStats(); ns.Oversize != 1 {
-		t.Fatalf("the 65495-byte frame was refused: %+v", ns)
+		t.Fatalf("the 65494-byte frame was refused: %+v", ns)
 	}
 }
 
@@ -803,10 +803,10 @@ func TestNetTransportDecodeAccounting(t *testing.T) {
 
 	// Garbage, then a frame with a hostile version byte.
 	conn.Write([]byte("not a frame at all"))
-	bad := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: a, To: a, Class: 0, TTL: 2, Payload: wire.Probe{}})
+	bad := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: a, To: a, Class: 0, Payload: wire.Probe{}})
 	bad[2] = 42 // version
 	conn.Write(bad)
-	good := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierAP, 9), To: a, Class: 0, TTL: 2, Payload: wire.Probe{Seq: 7}})
+	good := wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierAP, 9), To: a, Class: 0, Payload: wire.Probe{Seq: 7}})
 	conn.Write(good)
 
 	waitFor(t, func() bool { return ep.got.Load() == 1 })
@@ -828,7 +828,7 @@ func unhostedPair(t *testing.T) (procs []*testNet, epA, epB *countingEndpoint, f
 	procs[0].Do(func() { procs[0].Transport().Register(a, epA) })
 	procs[1].Do(func() { procs[1].Transport().Register(b, epB) })
 	frame = func(to ids.NodeID, seq uint64) []byte {
-		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: to, Class: 0, TTL: 4, Payload: wire.Probe{Seq: seq}})
+		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: to, Class: 0, Payload: wire.Probe{Seq: seq}})
 	}
 	write = func(rt *testNet, datagram []byte) {
 		conn, err := net.DialUDP("udp", nil, rt.LocalAddr())
@@ -1000,7 +1000,7 @@ func TestInboundCoalescedMalformedFrame(t *testing.T) {
 	}
 	defer conn.Close()
 	frame := func(seq uint64) []byte {
-		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), TTL: 2, Payload: wire.Probe{Seq: seq}})
+		return wire.AppendFrame(nil, wire.Frame{Group: testGroup, From: ids.MakeNodeID(ids.TierMH, 5), To: a, Class: byte(KindControl), Payload: wire.Probe{Seq: seq}})
 	}
 	bad := frame(2)
 	bad[0] = 'X' // its length still reads, its magic does not

@@ -1,7 +1,7 @@
 // Package token defines the Token of Section 4.2 — the object that
 // circulates around each logical ring carrying aggregated membership
 // operations — together with the round bookkeeping used by the
-// one-round algorithm of Figure 3: hop accounting, direction of entry
+// one-round algorithm of Figure 3: the round's itinerary, direction of entry
 // (needed to propagate changes up/down without echo), and the retry
 // budget of the paper's "Token retransmission schemes" for
 // single-fault detection.
@@ -61,7 +61,10 @@ func (d Direction) String() string {
 // and takes the 112-byte size class. The codec writes each field by
 // name, so the order here is not the wire order.
 type Token struct {
-	GID ids.GroupID // group the token serves
+	// GID is not encoded; the library never sets it; kept for the
+	// benchmark's build until ROADMAP item 39. A frame's envelope
+	// names the group the token serves.
+	GID ids.GroupID
 
 	// Dir is how Ops entered this ring; Source identifies the child
 	// ring when Dir == FromChild, so dissemination can skip the echo.
@@ -73,9 +76,9 @@ type Token struct {
 	// the exclusion.
 	Repaired bool
 
-	// Hops counts ring hops taken this round (diagnostics; the
-	// network layer owns authoritative accounting). It packs beside
-	// GID, Dir and Repaired, which keeps a token at 112 bytes.
+	// Hops is not encoded; the library never sets it; kept for the
+	// benchmark's build until ROADMAP item 39. It packs beside GID, Dir
+	// and Repaired, which keeps a token at 112 bytes.
 	Hops uint16
 
 	Ring   ring.ID    // ring the token circulates in
@@ -111,9 +114,8 @@ type Token struct {
 
 // Reset makes t the token of a new round at the given holder, clearing
 // whatever a previous round left in it.
-func (t *Token) Reset(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) {
+func (t *Token) Reset(ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) {
 	*t = Token{
-		GID:    gid,
 		Ring:   ringID,
 		Holder: holder,
 		Round:  round,

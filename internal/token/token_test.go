@@ -11,18 +11,18 @@ import (
 )
 
 // fresh returns a new token of the given round.
-func fresh(gid ids.GroupID, ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) *Token {
+func fresh(ringID ring.ID, holder ids.NodeID, round uint64, ops mq.Batch, dir Direction, source ring.ID) *Token {
 	t := new(Token)
-	t.Reset(gid, ringID, holder, round, ops, dir, source)
+	t.Reset(ringID, holder, round, ops, dir, source)
 	return t
 }
 
 func TestFreshAndFold(t *testing.T) {
 	holder := ids.MakeNodeID(ids.TierAP, 0)
 	// A reused token starts the new round with nothing of the old one.
-	tok := &Token{Hops: 4, Repaired: true, Ops: mq.Batch{{Op: mq.OpMemberJoin}}, Route: []ids.NodeID{holder}, Contributors: []ids.NodeID{holder}}
-	tok.Reset(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP, Index: 0}, holder, 3, nil, FromLocal, ring.ID{})
-	if len(tok.Ops) != 0 || tok.Route != nil || tok.Contributors != nil || tok.Hops != 0 || tok.Repaired {
+	tok := &Token{Repaired: true, Ops: mq.Batch{{Op: mq.OpMemberJoin}}, Route: []ids.NodeID{holder}, Contributors: []ids.NodeID{holder}}
+	tok.Reset(ring.ID{Tier: ids.TierAP, Index: 0}, holder, 3, nil, FromLocal, ring.ID{})
+	if len(tok.Ops) != 0 || tok.Route != nil || tok.Contributors != nil || tok.Repaired {
 		t.Fatalf("a reset token keeps its last round: %+v", tok)
 	}
 	if tok.Holder != holder || tok.Round != 3 {
@@ -58,15 +58,15 @@ func TestFreshAndFold(t *testing.T) {
 // the original as it was.
 func TestCloneSharesNothing(t *testing.T) {
 	a, b := ids.MakeNodeID(ids.TierAP, 0), ids.MakeNodeID(ids.TierAP, 1)
-	tok := fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAP}, a, 3, mq.Batch{{Op: mq.OpMemberJoin}}, FromLocal, ring.ID{})
+	tok := fresh(ring.ID{Tier: ids.TierAP}, a, 3, mq.Batch{{Op: mq.OpMemberJoin}}, FromLocal, ring.ID{})
 	tok.Route = []ids.NodeID{a, b}
 	tok.Contributors = []ids.NodeID{a}
 	c := tok.Clone()
 	c.Ops[0].Op = mq.OpMemberLeave
 	c.Route[0] = b
 	c.Contributors[0] = b
-	c.Hops++
-	if tok.Ops[0].Op != mq.OpMemberJoin || tok.Route[0] != a || tok.Contributors[0] != a || tok.Hops != 0 {
+	c.Repaired = true
+	if tok.Ops[0].Op != mq.OpMemberJoin || tok.Route[0] != a || tok.Contributors[0] != a || tok.Repaired {
 		t.Fatalf("writing through the clone changed the original: %+v", tok)
 	}
 	if empty := (&Token{}).Clone(); empty.Ops != nil || empty.Route != nil || empty.Contributors != nil {
@@ -112,7 +112,7 @@ func TestDirectionString(t *testing.T) {
 }
 
 func TestTokenString(t *testing.T) {
-	tok := fresh(ids.NewGroupID(1), ring.ID{Tier: ids.TierAG, Index: 2},
+	tok := fresh(ring.ID{Tier: ids.TierAG, Index: 2},
 		ids.MakeNodeID(ids.TierAG, 5), 1, nil, FromChild, ring.ID{Tier: ids.TierAP, Index: 7})
 	if tok.String() == "" {
 		t.Error("empty String")

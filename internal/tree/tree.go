@@ -169,7 +169,6 @@ func (s *Service) MeasureRound(guid ids.GUID, leaf ids.NodeID) RoundCost {
 	c := mq.Change{
 		Op:     mq.OpMemberJoin,
 		Member: ids.MemberInfo{GID: ids.NewGroupID(1), GUID: guid, AP: leaf},
-		Origin: leaf,
 	}
 	s.Submit(c, leaf)
 	s.Run()

@@ -110,7 +110,6 @@ func TestMultipleChangesConverge(t *testing.T) {
 		c := mq.Change{
 			Op:     mq.OpMemberJoin,
 			Member: ids.MemberInfo{GUID: ids.GUID(g), AP: leaves[g%len(leaves)]},
-			Origin: leaves[g%len(leaves)],
 		}
 		svc.Submit(c, leaves[g%len(leaves)])
 	}

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"slices"
 
 	"github.com/rgbproto/rgb/internal/ids"
@@ -22,7 +21,7 @@ import (
 //
 // Frame envelope (the unit AppendFrame/DecodeFrame handle):
 //
-//	['R']['G'][version u8][class u8][ttl u8][from u64][to u64][group u32][payload frame]
+//	['R']['G'][version u8][class u8][from u64][to u64][group u32][payload frame]
 //
 // Datagram (the unit the UDP transport exchanges): one or more frames
 // back to back. A frame is self-delimiting, its fixed envelope followed
@@ -37,17 +36,20 @@ import (
 // receiver would take a coalesced datagram for one malformed frame.
 // Version 5 gives each member record and tombstone a u16 version and
 // drops the record's copy of its AP from the care-of identity: a record
-// is 27 bytes, not 33, and a tombstone 10, not 16. Payload kinds are
-// append-only — never renumbered.
+// is 27 bytes, not 33, and a tombstone 10, not 16. Version 6 drops the
+// fields no receiver read: the envelope's hop-budget byte, a change
+// record's origin and sequence number (a record is 44 bytes, not 60),
+// and a token's group word (the envelope carries it) and hop count.
+// Payload kinds are append-only — never renumbered.
 const (
 	// Version is the wire-format version emitted by this build.
-	Version = 5
+	Version = 6
 
 	magic0 = 'R'
 	magic1 = 'G'
 
 	payloadHeaderSize = 1 + 4
-	envelopeSize      = 2 + 1 + 1 + 1 + 8 + 8 + 4
+	envelopeSize      = 2 + 1 + 1 + 8 + 8 + 4
 
 	// MaxDatagram bounds one datagram, and so every frame in it: the
 	// largest UDP payload IPv4 carries (65 535 less the 20-byte IP and
@@ -88,15 +90,18 @@ type Frame struct {
 	To      ids.NodeID
 	Group   ids.GroupID // owning group
 	Class   uint8       // accounting class (runtime.Kind), carried opaquely
-	TTL     uint8       // hop budget byte; stamped, read by nothing
 	Payload Payload
+
+	// TTL is not encoded; the library never sets it; kept for the
+	// benchmark's build until ROADMAP item 39.
+	TTL uint8
 }
 
 // AppendFrame appends the encoding of f to b, a datagram's worth of
 // frames or an empty buffer. With a reused buffer the encode path
 // performs no allocation.
 func AppendFrame(b []byte, f Frame) []byte {
-	b = append(b, magic0, magic1, Version, f.Class, f.TTL)
+	b = append(b, magic0, magic1, Version, f.Class)
 	b = appendU64(b, uint64(f.From))
 	b = appendU64(b, uint64(f.To))
 	b = appendU32(b, uint32(f.Group))
@@ -141,10 +146,9 @@ func DecodeFrameInto(b []byte, into *DecodeTarget) (Frame, error) {
 	}
 	f := Frame{
 		Class: b[3],
-		TTL:   b[4],
-		From:  ids.NodeID(binary.LittleEndian.Uint64(b[5:])),
-		To:    ids.NodeID(binary.LittleEndian.Uint64(b[13:])),
-		Group: ids.GroupID(binary.LittleEndian.Uint32(b[21:])),
+		From:  ids.NodeID(binary.LittleEndian.Uint64(b[4:])),
+		To:    ids.NodeID(binary.LittleEndian.Uint64(b[12:])),
+		Group: ids.GroupID(binary.LittleEndian.Uint32(b[20:])),
 	}
 	p, n, err := decodePayload(b[envelopeSize:], into)
 	if err != nil {
@@ -302,9 +306,7 @@ func putChange(p []byte, c *mq.Change) {
 	putMember(p[1:], &c.Member)
 	q := p[1+memberInfoSize:]
 	binary.LittleEndian.PutUint64(q[0:], uint64(c.NE))
-	binary.LittleEndian.PutUint64(q[8:], uint64(c.Origin))
-	binary.LittleEndian.PutUint64(q[16:], c.Seq)
-	binary.LittleEndian.PutUint64(q[24:], uint64(c.ReplyTo))
+	binary.LittleEndian.PutUint64(q[8:], uint64(c.ReplyTo))
 }
 
 func appendMemberInfo(b []byte, m ids.MemberInfo) []byte {
@@ -353,7 +355,7 @@ func appendTombstones(b []byte, s []Tombstone) []byte {
 // A new record type states its size here.
 const (
 	memberInfoSize = 4 + 8 + 4 + 8 + 1 + 2
-	changeSize     = 1 + memberInfoSize + 8 + 8 + 8 + 8
+	changeSize     = 1 + memberInfoSize + 8 + 8
 	tombstoneSize  = 8 + 2
 	nodeIDSize     = 8
 
@@ -496,9 +498,7 @@ func readChange(c *mq.Change, p []byte) {
 	readMember(&c.Member, p[1:])
 	q := p[1+memberInfoSize:]
 	c.NE = ids.NodeID(binary.LittleEndian.Uint64(q[0:]))
-	c.Origin = ids.NodeID(binary.LittleEndian.Uint64(q[8:]))
-	c.Seq = binary.LittleEndian.Uint64(q[16:])
-	c.ReplyTo = ids.NodeID(binary.LittleEndian.Uint64(q[24:]))
+	c.ReplyTo = ids.NodeID(binary.LittleEndian.Uint64(q[8:]))
 }
 
 func (r *reader) memberInfo() (m ids.MemberInfo) {
@@ -579,13 +579,11 @@ func (r *reader) tombstones() []Tombstone {
 // AppendTo implements Payload.
 func (m TokenMsg) AppendTo(b []byte) []byte {
 	t := m.Tok
-	b = appendU32(b, uint32(t.GID))
 	b = appendRingID(b, t.Ring)
 	b = appendU64(b, uint64(t.Holder))
 	b = appendU64(b, t.Round)
 	b = append(b, byte(t.Dir))
 	b = appendRingID(b, t.Source)
-	b = appendU32(b, uint32(t.Hops))
 	b = appendBool(b, t.Repaired)
 	b = appendBatch(b, t.Ops)
 	b = appendNodeIDs(b, t.Route)
@@ -600,18 +598,12 @@ func decodeTokenMsg(r *reader, into *DecodeTarget) Payload {
 		t = new(token.Token)
 	}
 	*t = token.Token{
-		GID:    ids.GroupID(r.u32()),
 		Ring:   r.ringID(),
 		Holder: r.nodeID(),
 		Round:  r.u64(),
 		Dir:    token.Direction(r.u8()),
 	}
 	t.Source = r.ringID()
-	if h := r.u32(); h <= math.MaxUint16 {
-		t.Hops = uint16(h)
-	} else {
-		r.bad = true // more hops than a Token counts
-	}
 	t.Repaired = r.boolean()
 	t.Ops = r.batch()
 	t.Route = r.nodeIDs()

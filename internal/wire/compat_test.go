@@ -30,7 +30,7 @@ func TestTombstoneSectionTruncation(t *testing.T) {
 // TestGroupTagRoundTrip: the envelope carries the group word.
 func TestGroupTagRoundTrip(t *testing.T) {
 	gid := ids.NewGroupID(42)
-	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: Probe{Seq: 9}})
+	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, Payload: Probe{Seq: 9}})
 	got, err := DecodeFrame(b)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -59,7 +59,7 @@ func TestDecodeFrameIntoRoundBodies(t *testing.T) {
 		&HolderAck{Ring: ring.ID{Tier: ids.TierAP, Index: 2}, Round: 6, Count: 2},
 		&NotifyAck{Seq: 7},
 	} {
-		b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 8, Payload: p})
+		b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, Payload: p})
 		f, err := DecodeFrameInto(b, &into)
 		if err != nil {
 			t.Fatal(err)

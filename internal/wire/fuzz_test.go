@@ -43,7 +43,7 @@ var sampleRetired = retiredProposal{change: sampleChange(5), up: true}
 // covers every payload kind plus every frame-level error class.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, p := range append(samplePayloads(), sampleRetired) {
-		f.Add(AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, TTL: 8, Payload: p}))
+		f.Add(AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, Payload: p}))
 	}
 	f.Add(AppendFrame(nil, Frame{Payload: nil}))
 	f.Add([]byte{})
@@ -54,20 +54,20 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// frames are the ones a mid-cut network mangles in practice: seed
 	// group-tagged MergeRequest/Snapshot/Probe frames whole, truncated
 	// at every interesting boundary, and with the group tag mutated
-	// (bytes 21..24 of the envelope) so decode either routes the frame
+	// (bytes 20..23 of the envelope) so decode either routes the frame
 	// to the wrong group cleanly or rejects it — never panics.
 	gid := ids.NewGroupID(9)
 	mergeFrames := [][]byte{
-		AppendFrame(nil, Frame{From: ap(2), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: MergeRequest{
+		AppendFrame(nil, Frame{From: ap(2), To: ap(0), Group: gid, Class: 1, Payload: MergeRequest{
 			Roster:  []ids.NodeID{ap(2), ap(3)},
 			Members: []ids.MemberInfo{sampleMember(2), sampleMember(3)},
 		}}),
-		AppendFrame(nil, Frame{From: ap(0), To: ap(3), Group: gid, Class: 1, TTL: 4, Payload: Snapshot{
+		AppendFrame(nil, Frame{From: ap(0), To: ap(3), Group: gid, Class: 1, Payload: Snapshot{
 			Roster:  []ids.NodeID{ap(0), ap(1), ap(2), ap(3)},
 			Leader:  ap(0),
 			Members: []ids.MemberInfo{sampleMember(0), sampleMember(1)},
 		}}),
-		AppendFrame(nil, Frame{From: ap(0), To: ap(4), Group: gid, Class: 1, TTL: 4, Payload: Probe{Seq: 7}}),
+		AppendFrame(nil, Frame{From: ap(0), To: ap(4), Group: gid, Class: 1, Payload: Probe{Seq: 7}}),
 	}
 	for _, b := range mergeFrames {
 		f.Add(b)
@@ -80,13 +80,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		// Group-tag mutations: flip each tag byte, and zero the whole
 		// tag (group 0, hosted by nobody unless opened).
-		for off := 21; off < 25; off++ {
+		for off := 20; off < 24; off++ {
 			mut := append([]byte(nil), b...)
 			mut[off] ^= 0xff
 			f.Add(mut)
 		}
 		zeroed := append([]byte(nil), b...)
-		for off := 21; off < 25; off++ {
+		for off := 20; off < 24; off++ {
 			zeroed[off] = 0
 		}
 		f.Add(zeroed)
@@ -102,9 +102,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for i := range bigBatch {
 		bigBatch[i] = sampleChange(i)
 	}
-	batched := AppendFrame(nil, Frame{From: ap(1), To: ap(2), Group: gid, Class: 1, TTL: 4, Payload: TokenMsg{
+	batched := AppendFrame(nil, Frame{From: ap(1), To: ap(2), Group: gid, Class: 1, Payload: TokenMsg{
 		Tok: &token.Token{
-			GID:    ids.NewGroupID(9),
 			Ring:   ring.ID{Tier: ids.TierAP, Index: 1},
 			Holder: ap(1),
 			Round:  3,
@@ -113,9 +112,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		},
 	}})
 	f.Add(batched)
-	// The Ops section starts after the token's fixed prefix: GID u32,
-	// Ring (u8+u32), Holder u64, Round u64.
-	opsStart := envelopeSize + payloadHeaderSize + 4 + 5 + 8 + 8
+	// The Ops section starts after the token's fixed prefix: Ring
+	// (u8+u32), Holder u64, Round u64, Dir u8, Source (u8+u32) and
+	// Repaired u8.
+	opsStart := envelopeSize + payloadHeaderSize + 5 + 8 + 8 + 1 + 5 + 1
 	for k := 0; k <= len(bigBatch); k++ {
 		cut := opsStart + 4 + k*changeSize
 		if cut < len(batched) {
@@ -130,20 +130,20 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// whole and truncated inside its count word and at every entry
 	// boundary, so a missing or mangled section is handled cleanly.
 	tombFrames := [][]byte{
-		AppendFrame(nil, Frame{From: ap(0), To: ap(3), Group: gid, Class: 1, TTL: 4, Payload: Snapshot{
+		AppendFrame(nil, Frame{From: ap(0), To: ap(3), Group: gid, Class: 1, Payload: Snapshot{
 			Roster:     []ids.NodeID{ap(0), ap(1)},
 			Leader:     ap(0),
 			Members:    []ids.MemberInfo{sampleMember(0)},
 			Tombstones: []Tombstone{{GUID: 100, Ver: 3}, {GUID: 200, Ver: 1}, {GUID: 300, Ver: 7}},
 		}}),
-		AppendFrame(nil, Frame{From: ap(2), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: MergeRequest{
+		AppendFrame(nil, Frame{From: ap(2), To: ap(0), Group: gid, Class: 1, Payload: MergeRequest{
 			Roster:     []ids.NodeID{ap(2), ap(3)},
 			Members:    []ids.MemberInfo{sampleMember(2)},
 			Tombstones: []Tombstone{{GUID: 102, Ver: 2}},
 		}}),
 		// Versions on both sides of the 16-bit wrap: a record at 65535
 		// beside tombstones at 65535, 0 and 32768.
-		AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: MergeRequest{
+		AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, Payload: MergeRequest{
 			Roster:     []ids.NodeID{ap(1)},
 			Members:    []ids.MemberInfo{sampleMember(1), sampleMember(3)},
 			Tombstones: []Tombstone{{GUID: 101, Ver: 65535}, {GUID: 104, Ver: 0}, {GUID: 105, Ver: 32768}},
@@ -164,17 +164,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// mid-string cuts, where the u16 length prefix must catch the short
 	// read — following the same conventions as the merge corpus above.
 	discFrames := [][]byte{
-		AppendFrame(nil, Frame{Class: 5, TTL: 1, Payload: PeerHello{
+		AppendFrame(nil, Frame{Class: 5, Payload: PeerHello{
 			Seq: 11, Slot: 2, Addr: "127.0.0.1:7002",
 		}}),
-		AppendFrame(nil, Frame{Class: 5, TTL: 1, Payload: PeerHello{Slot: -1}}),
-		AppendFrame(nil, Frame{Class: 5, TTL: 1, Payload: PeerList{
+		AppendFrame(nil, Frame{Class: 5, Payload: PeerHello{Slot: -1}}),
+		AppendFrame(nil, Frame{Class: 5, Payload: PeerList{
 			Seq: 11, H: 2, R: 3, Slots: 3, Peers: []PeerEntry{
 				{Slot: 0, State: 0, AgeMillis: 40, Addr: "127.0.0.1:7000"},
 				{Slot: 1, State: 2, AgeMillis: 12000, Addr: "127.0.0.1:7001"},
 			},
 		}}),
-		AppendFrame(nil, Frame{Class: 5, TTL: 1, Payload: PeerList{Seq: 11, H: 2, R: 3, Slots: 3}}),
+		AppendFrame(nil, Frame{Class: 5, Payload: PeerList{Seq: 11, H: 2, R: 3, Slots: 3}}),
 	}
 	for _, b := range discFrames {
 		f.Add(b)
@@ -194,7 +194,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// whole, cut between the two words, and with the 13-byte body it had
 	// when it carried a ring.ID (u8+u32) instead of the holder: a
 	// straggler in that layout must read as a truncation.
-	ack := AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, TTL: 4, Payload: &PassAck{Holder: ap(4), Round: 1 << 40}})
+	ack := AppendFrame(nil, Frame{From: ap(1), To: ap(0), Group: gid, Class: 1, Payload: &PassAck{Holder: ap(4), Round: 1 << 40}})
 	f.Add(ack)
 	f.Add(append([]byte(nil), ack[:len(ack)-8]...))
 	old := append([]byte(nil), ack[:len(ack)-3]...)
@@ -240,7 +240,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 func FuzzDatagramFrames(f *testing.F) {
 	gid := ids.NewGroupID(9)
 	frame := func(p Payload) []byte {
-		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: p})
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, Payload: p})
 	}
 	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
 	probe := frame(Probe{Seq: 3})
@@ -300,7 +300,7 @@ func FuzzDatagramFrames(f *testing.F) {
 func FuzzDecodeAgainstReference(f *testing.F) {
 	gid := ids.NewGroupID(9)
 	frame := func(p Payload) []byte {
-		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, TTL: 8, Payload: p})
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: gid, Class: 1, Payload: p})
 	}
 	// bump returns b with the u32 at off one higher: a section count one
 	// past the records that follow it.
@@ -361,7 +361,7 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 // FuzzWireRoundTrip's.
 func FuzzDecodeIntoReusedTarget(f *testing.F) {
 	frame := func(p Payload) []byte {
-		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: ids.NewGroupID(9), Class: 1, TTL: 8, Payload: p})
+		return AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: ids.NewGroupID(9), Class: 1, Payload: p})
 	}
 	var previous [][]byte
 	for _, p := range append(samplePayloads(), sampleRetired) {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math"
 
 	"github.com/rgbproto/rgb/internal/ids"
 	"github.com/rgbproto/rgb/internal/mq"
@@ -13,10 +12,11 @@ import (
 // The per-field codec this package used before a list section was read
 // and written as fixed-size records, kept as the reference model of
 // FuzzDecodeAgainstReference and TestBulkEncodersMatchPerField. It is
-// the old code verbatim but for the names and three bounds: the section
-// count and the body length are compared in 64 bits, where the old
-// code's int arithmetic wrapped on a 32-bit platform, and a token's hop
-// count past 65 535 is malformed, since Token.Hops is 16 bits.
+// the old code verbatim but for the names, two bounds and the layout:
+// the section count and the body length are compared in 64 bits, where
+// the old code's int arithmetic wrapped on a 32-bit platform, and it
+// reads and writes the version-6 layout, without the envelope's TTL
+// byte, a change's Origin and Seq, or a token's GID and Hops.
 
 // --- Per-field encoders -------------------------------------------------
 
@@ -33,8 +33,6 @@ func refAppendChange(b []byte, c mq.Change) []byte {
 	b = append(b, byte(c.Op))
 	b = refAppendMemberInfo(b, c.Member)
 	b = appendU64(b, uint64(c.NE))
-	b = appendU64(b, uint64(c.Origin))
-	b = appendU64(b, c.Seq)
 	return appendU64(b, uint64(c.ReplyTo))
 }
 
@@ -77,13 +75,11 @@ func refAppendRoundBody(b []byte, p Payload) []byte {
 	switch m := p.(type) {
 	case TokenMsg:
 		t := m.Tok
-		b = appendU32(b, uint32(t.GID))
 		b = appendRingID(b, t.Ring)
 		b = appendU64(b, uint64(t.Holder))
 		b = appendU64(b, t.Round)
 		b = append(b, byte(t.Dir))
 		b = appendRingID(b, t.Source)
-		b = appendU32(b, uint32(t.Hops))
 		b = appendBool(b, t.Repaired)
 		b = refAppendBatch(b, t.Ops)
 		b = refAppendNodeIDs(b, t.Route)
@@ -123,10 +119,9 @@ func refDecodeFrame(b []byte) (Frame, error) {
 	}
 	f := Frame{
 		Class: b[3],
-		TTL:   b[4],
-		From:  ids.NodeID(binary.LittleEndian.Uint64(b[5:])),
-		To:    ids.NodeID(binary.LittleEndian.Uint64(b[13:])),
-		Group: ids.GroupID(binary.LittleEndian.Uint32(b[21:])),
+		From:  ids.NodeID(binary.LittleEndian.Uint64(b[4:])),
+		To:    ids.NodeID(binary.LittleEndian.Uint64(b[12:])),
+		Group: ids.GroupID(binary.LittleEndian.Uint32(b[20:])),
 	}
 	p, n, err := refDecodePayload(b[envelopeSize:])
 	if err != nil {
@@ -269,8 +264,6 @@ func (r *refReader) change() mq.Change {
 		Op:      mq.Op(r.u8()),
 		Member:  r.memberInfo(),
 		NE:      r.nodeID(),
-		Origin:  r.nodeID(),
-		Seq:     r.u64(),
 		ReplyTo: r.nodeID(),
 	}
 }
@@ -343,18 +336,12 @@ func (r *refReader) peerEntry() PeerEntry {
 
 func refDecodeTokenMsg(r *refReader) Payload {
 	t := &token.Token{
-		GID:    ids.GroupID(r.u32()),
 		Ring:   r.ringID(),
 		Holder: r.nodeID(),
 		Round:  r.u64(),
 		Dir:    token.Direction(r.u8()),
 	}
 	t.Source = r.ringID()
-	if h := r.u32(); h <= math.MaxUint16 {
-		t.Hops = uint16(h)
-	} else {
-		r.bad = true
-	}
 	t.Repaired = r.boolean()
 	t.Ops = r.batch()
 	t.Route = r.nodeIDs()

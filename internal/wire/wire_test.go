@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -33,15 +32,12 @@ func sampleChange(i int) mq.Change {
 		Op:      mq.OpMemberJoin,
 		Member:  sampleMember(i),
 		NE:      ap(i + 3),
-		Origin:  ap(0),
-		Seq:     uint64(900 + i),
 		ReplyTo: ids.MakeNodeID(ids.TierMH, i),
 	}
 }
 
 func sampleToken() *token.Token {
 	return &token.Token{
-		GID:          ids.NewGroupID(7),
 		Ring:         ring.ID{Tier: ids.TierAP, Index: 4},
 		Holder:       ap(1),
 		Round:        99,
@@ -49,7 +45,6 @@ func sampleToken() *token.Token {
 		Dir:          token.FromChild,
 		Source:       ring.ID{Tier: ids.TierAG, Index: 2},
 		Route:        []ids.NodeID{ap(1), ap(2), ap(3)},
-		Hops:         5,
 		Repaired:     true,
 		Contributors: []ids.NodeID{ap(2)},
 	}
@@ -138,6 +133,27 @@ func TestMemberRecordBytes(t *testing.T) {
 	}
 }
 
+// TestFrameBytes: an envelope is 24 bytes and a change record 44, so a
+// token frame of a three-entity ring with one contributor is 145 bytes
+// carrying one change and 1 509 carrying 32. Nothing a receiver does
+// not read is encoded: the token's group is the envelope's.
+func TestFrameBytes(t *testing.T) {
+	if envelopeSize != 24 || changeSize != 44 {
+		t.Fatalf("envelope %d bytes, change record %d; want 24 and 44", envelopeSize, changeSize)
+	}
+	route := []ids.NodeID{ap(0), ap(1), ap(2)}
+	for _, tc := range []struct{ ops, bytes int }{{1, 145}, {32, 1509}} {
+		batch := make(mq.Batch, tc.ops)
+		for i := range batch {
+			batch[i] = sampleChange(i)
+		}
+		tok := &token.Token{Ring: ring.ID{Tier: ids.TierAP, Index: 1}, Holder: route[0], Round: 42, Ops: batch, Route: route, Contributors: route[:1]}
+		if n := len(AppendFrame(nil, Frame{From: ap(0), To: ap(1), Group: ids.NewGroupID(1), Class: 1, Payload: TokenMsg{Tok: tok}})); n != tc.bytes {
+			t.Errorf("a token frame of %d changes is %d bytes, want %d", tc.ops, n, tc.bytes)
+		}
+	}
+}
+
 // TestNilPayloadRoundTrip: a nil payload travels as KindNone.
 func TestNilPayloadRoundTrip(t *testing.T) {
 	b := AppendPayload(nil, nil)
@@ -148,16 +164,16 @@ func TestNilPayloadRoundTrip(t *testing.T) {
 }
 
 // TestFrameRoundTrip: the datagram envelope preserves addressing,
-// class, TTL and payload.
+// class and payload.
 func TestFrameRoundTrip(t *testing.T) {
 	for _, p := range samplePayloads() {
-		f := Frame{From: ap(1), To: ap(2), Class: 3, TTL: 8, Payload: p}
+		f := Frame{From: ap(1), To: ap(2), Class: 3, Payload: p}
 		b := AppendFrame(nil, f)
 		got, err := DecodeFrame(b)
 		if err != nil {
 			t.Fatalf("%s: decode frame: %v", p.PayloadKind(), err)
 		}
-		if got.From != f.From || got.To != f.To || got.Class != f.Class || got.TTL != f.TTL {
+		if got.From != f.From || got.To != f.To || got.Class != f.Class {
 			t.Fatalf("%s: envelope mismatch: %+v", p.PayloadKind(), got)
 		}
 		// Canonical re-encode must be byte-identical.
@@ -174,7 +190,7 @@ func TestEncodeDoesNotAllocateWithReusedBuffer(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(200, func() {
 		for _, p := range payloads {
-			buf = AppendFrame(buf[:0], Frame{From: ap(0), To: ap(1), Class: 1, TTL: 4, Payload: p})
+			buf = AppendFrame(buf[:0], Frame{From: ap(0), To: ap(1), Class: 1, Payload: p})
 		}
 	})
 	if allocs != 0 {
@@ -188,7 +204,7 @@ func TestEncodeDoesNotAllocateWithReusedBuffer(t *testing.T) {
 // buffer alone, so its receiver may keep what it decoded.
 func TestDecodeFrameIntoBuffer(t *testing.T) {
 	members := []ids.MemberInfo{sampleMember(1), sampleMember(2), sampleMember(3)}
-	reply := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, TTL: 8, Payload: QueryReply{ID: 1, Members: members}})
+	reply := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 2, Payload: QueryReply{ID: 1, Members: members}})
 	if k := FramePayloadKind(reply); k != KindQueryReply {
 		t.Fatalf("FramePayloadKind = %s, want query-reply", k)
 	}
@@ -220,7 +236,7 @@ func TestDecodeFrameIntoBuffer(t *testing.T) {
 		t.Fatalf("into a 2-slot buffer: %v; the reply must be in a fresh array left in the buffer", got)
 	}
 
-	snap := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 8, Payload: Snapshot{Leader: ap(0), Members: members}})
+	snap := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, Payload: Snapshot{Leader: ap(0), Members: members}})
 	buf = roomy
 	got = decode(snap, &buf).(Snapshot).Members
 	if !reflect.DeepEqual(got, members) || &got[0] == &roomy[0] || &buf[0] != &roomy[0] {
@@ -230,7 +246,7 @@ func TestDecodeFrameIntoBuffer(t *testing.T) {
 
 // TestDecodeErrors: the codec classifies bad input without panicking.
 func TestDecodeErrors(t *testing.T) {
-	good := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 2, Payload: Probe{Seq: 1}})
+	good := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, Payload: Probe{Seq: 1}})
 
 	cases := []struct {
 		name string
@@ -284,7 +300,7 @@ func withoutTombstoneSection(p Payload) []byte {
 func TestFrameLenSplitsADatagram(t *testing.T) {
 	var frames [][]byte
 	for i, p := range samplePayloads() {
-		frames = append(frames, AppendFrame(nil, Frame{From: ap(i), To: ap(i + 1), Class: 1, TTL: 8, Payload: p}))
+		frames = append(frames, AppendFrame(nil, Frame{From: ap(i), To: ap(i + 1), Class: 1, Payload: p}))
 	}
 	datagram := bytes.Join(frames, nil)
 	rest := datagram
@@ -308,26 +324,6 @@ func TestFrameLenSplitsADatagram(t *testing.T) {
 	}
 }
 
-// TestTokenHopsPastU16Malformed: the codec carries a token's hop count
-// as a u32, but a Token counts 16 bits of hops, so the decoder takes
-// 65 535 and refuses one more rather than wrap it.
-func TestTokenHopsPastU16Malformed(t *testing.T) {
-	b := AppendFrame(nil, Frame{From: ap(0), To: ap(1), Class: 1, TTL: 2, Payload: TokenMsg{Tok: sampleToken()}})
-	hops := envelopeSize + payloadHeaderSize + 31 // GID, Ring, Holder, Round, Dir, Source
-	if got := binary.LittleEndian.Uint32(b[hops:]); got != uint32(sampleToken().Hops) {
-		t.Fatalf("hop count at body offset 31 reads %d, want %d", got, sampleToken().Hops)
-	}
-	binary.LittleEndian.PutUint32(b[hops:], math.MaxUint16)
-	fr, err := DecodeFrame(b)
-	if err != nil || fr.Payload.(TokenMsg).Tok.Hops != math.MaxUint16 {
-		t.Fatalf("a token of 65535 hops decodes to %+v, %v", fr.Payload, err)
-	}
-	binary.LittleEndian.PutUint32(b[hops:], math.MaxUint16+1)
-	if _, err := DecodeFrame(b); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("a token of 65536 hops: err = %v, want ErrMalformed", err)
-	}
-}
-
 // TestHostileLengthDoesNotAllocate: a length field claiming millions of
 // elements over a tiny body must fail fast, not allocate. The counts
 // times their record size wrap a 32-bit int, so the bound must hold
@@ -346,7 +342,7 @@ func TestHostileLengthDoesNotAllocate(t *testing.T) {
 		// behind it.
 		{"snapshot roster of 2^32-1", body(KindSnapshot, appendU32(nil, 0xFFFFFFFF)), ErrMalformed},
 		// A 17-byte Notify body whose batch count is 2^30: 2^30 changes
-		// of 60 bytes is 60·2^30, which is 0 modulo 2^32.
+		// of 44 bytes is 44·2^30, which is 0 modulo 2^32.
 		{"notify batch of 2^30", body(KindNotify, append(appendU32(nil, 1<<30), make([]byte, 13)...)), ErrMalformed},
 		// A reply of 2^31 members reads as a negative int on 32 bits.
 		{"reply of 2^31 members", body(KindQueryReply, append(make([]byte, 13), appendU32(nil, 1<<31)...)), ErrMalformed},
@@ -431,23 +427,23 @@ func roundBodies() []Payload {
 	}
 }
 
-// roundBodyFrames are the frames of roundBodies, pinned when Notify and
-// the three acknowledgements were value payloads: a pointer payload
-// encodes to the very same bytes.
+// roundBodyFrames are the frames of roundBodies at wire version 6. The
+// acknowledgements' bodies are the bytes they were as value payloads: a
+// pointer payload encodes to the very same bytes.
 var roundBodyFrames = map[PayloadKind]string{
-	KindTokenMsg:  "524705020802000000000000400300000000000040030000e001c8000000070000e001040000000200000000000040630000000000000001020200000005000000010200000001070000e0640000000000000001000000010000000000004000feff040000000000004001000000000000408403000000000000010000000000000001070000e0650000000000000002000000020000000000004000ffff050000000000004001000000000000408503000000000000020000000000000003000000020000000000004003000000000000400400000000000040010000000300000000000040",
-	KindNotify:    "524705020802000000000000400300000000000040030000e003930000000200000001070000e0650000000000000002000000020000000000004000ffff050000000000004001000000000000408503000000000000020000000000000001070000e0660000000000000003000000030000000000004000000006000000000000400100000000000040860300000000000003000000000000000202000000010007000000000000401100000000000000",
-	KindPassAck:   "524705020802000000000000400300000000000040030000e0051000000005000000000000400900000000010000",
-	KindHolderAck: "524705020802000000000000400300000000000040030000e006110000000103000000150000000000000004000000",
-	KindNotifyAck: "524705020802000000000000400300000000000040030000e004080000001100000000000000",
+	KindTokenMsg:  "5247060202000000000000400300000000000040030000e001a0000000010400000002000000000000406300000000000000010202000000010200000001070000e0640000000000000001000000010000000000004000feff0400000000000040010000000000000001070000e0650000000000000002000000020000000000004000ffff0500000000000040020000000000000003000000020000000000004003000000000000400400000000000040010000000300000000000040",
+	KindNotify:    "5247060202000000000000400300000000000040030000e003730000000200000001070000e0650000000000000002000000020000000000004000ffff0500000000000040020000000000000001070000e06600000000000000030000000300000000000040000000060000000000004003000000000000000202000000010007000000000000401100000000000000",
+	KindPassAck:   "5247060202000000000000400300000000000040030000e0051000000005000000000000400900000000010000",
+	KindHolderAck: "5247060202000000000000400300000000000040030000e006110000000103000000150000000000000004000000",
+	KindNotifyAck: "5247060202000000000000400300000000000040030000e004080000001100000000000000",
 }
 
 // TestRoundBodyFramesGolden: a frame of each round body is byte for byte
-// the frame the value payloads encoded to, and decodes back to it, so
-// processes of either build read each other's rounds.
+// the pinned frame, and decodes back to it, so processes of one wire
+// version read each other's rounds.
 func TestRoundBodyFramesGolden(t *testing.T) {
 	for _, p := range roundBodies() {
-		b := AppendFrame(nil, Frame{From: ap(1), To: ap(2), Group: ids.NewGroupID(3), Class: 2, TTL: 8, Payload: p})
+		b := AppendFrame(nil, Frame{From: ap(1), To: ap(2), Group: ids.NewGroupID(3), Class: 2, Payload: p})
 		if got, want := hex.EncodeToString(b), roundBodyFrames[p.PayloadKind()]; got != want {
 			t.Errorf("%s frame:\n got %s\nwant %s", p.PayloadKind(), got, want)
 		}
