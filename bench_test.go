@@ -396,7 +396,7 @@ func BenchmarkMQInsert(b *testing.B) {
 					Member: ids.MemberInfo{GUID: ids.GUID(i % 64), AP: ap},
 				})
 				if i%128 == 127 {
-					q.DrainBatch(0)
+					q.DrainBatch()
 				}
 			}
 		})

@@ -203,3 +203,222 @@ func testExists(t *testing.T, dir, name string) bool {
 	}
 	return false
 }
+
+// TestCIRunPatterns is the gate for the test names CI's workflow
+// selects: every alternative of a go test command's -run pattern, and
+// its -fuzz target, must name a test, example or fuzz target that the
+// packages the command runs declare. A renamed or deleted test would
+// otherwise leave its CI step running nothing and passing.
+func TestCIRunPatterns(t *testing.T) {
+	data, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, cmd := range ciCommands(string(data)) {
+		args := shellWords(cmd)
+		i := slices.Index(args, "test")
+		if i < 1 || args[i-1] != "go" {
+			continue
+		}
+		var run, fuzz, dir string
+		var pkgs []string
+		for j := i + 1; j < len(args); j++ {
+			flag, value, hasValue := strings.Cut(args[j], "=")
+			switch flag {
+			case "-run", "-fuzz", "-C":
+				if !hasValue && j+1 < len(args) {
+					j++
+					value = args[j]
+				}
+				switch flag {
+				case "-run":
+					run = value
+				case "-fuzz":
+					fuzz = value
+				default:
+					dir = value
+				}
+			default:
+				if args[j] == "." || strings.HasPrefix(args[j], "./") {
+					pkgs = append(pkgs, filepath.Join(dir, args[j]))
+				}
+			}
+		}
+		if len(pkgs) == 0 {
+			t.Errorf("ci.yml: %q names no package", cmd)
+			continue
+		}
+		names := declaredTests(t, pkgs)
+		var alts []string
+		if first, _, _ := cutTopLevel(run, '/'); first != "" && first != "^$" {
+			alts = splitTopLevel(first, '|')
+		}
+		if fuzz != "" {
+			alts = append(alts, fuzz)
+		}
+		for _, alt := range alts {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml: %q: %v", cmd, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("ci.yml: %q: %q names no test in %v", cmd, alt, pkgs)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -run or -fuzz pattern checked — parser broken?")
+	}
+	t.Logf("checked %d -run alternatives and -fuzz targets", checked)
+}
+
+// ciCommands returns the shell commands of a workflow's run: keys: a
+// one-line value, each line of a literal (|) block, and a folded (>)
+// block joined into one line.
+func ciCommands(yml string) []string {
+	var cmds []string
+	lines := strings.Split(yml, "\n")
+	for i := 0; i < len(lines); i++ {
+		_, value, ok := strings.Cut(lines[i], "run: ")
+		if !ok || strings.TrimSpace(lines[i])[0] == '#' {
+			continue
+		}
+		value = strings.TrimSpace(value)
+		if value != "|" && value != ">" {
+			cmds = append(cmds, value)
+			continue
+		}
+		indent := len(lines[i]) - len(strings.TrimLeft(lines[i], " "))
+		var block []string
+		for i+1 < len(lines) {
+			next := lines[i+1]
+			if strings.TrimSpace(next) != "" && len(next)-len(strings.TrimLeft(next, " ")) <= indent {
+				break
+			}
+			i++
+			if line := strings.TrimSpace(next); line != "" {
+				block = append(block, line)
+			}
+		}
+		if value == ">" {
+			block = []string{strings.Join(block, " ")}
+		}
+		cmds = append(cmds, block...)
+	}
+	return cmds
+}
+
+// shellWords splits a command into words, honouring single and double
+// quotes (the workflow uses no escapes).
+func shellWords(cmd string) []string {
+	var words []string
+	var word strings.Builder
+	inWord := false
+	var quote rune
+	for _, r := range cmd {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			word.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				words = append(words, word.String())
+				word.Reset()
+				inWord = false
+			}
+		default:
+			word.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, word.String())
+	}
+	return words
+}
+
+// splitTopLevel splits a pattern at each sep outside parentheses and
+// brackets, as go test splits -run into alternatives and levels.
+func splitTopLevel(pattern string, sep byte) []string {
+	var parts []string
+	for {
+		before, after, found := cutTopLevel(pattern, sep)
+		parts = append(parts, before)
+		if !found {
+			return parts
+		}
+		pattern = after
+	}
+}
+
+// cutTopLevel cuts a pattern at its first sep outside parentheses and
+// brackets.
+func cutTopLevel(pattern string, sep byte) (before, after string, found bool) {
+	depth := 0
+	for i := 0; i < len(pattern); i++ {
+		switch c := pattern[i]; {
+		case c == '(' || c == '[':
+			depth++
+		case c == ')' || c == ']':
+			depth--
+		case c == sep && depth == 0:
+			return pattern[:i], pattern[i+1:], true
+		}
+	}
+	return pattern, "", false
+}
+
+// testDecl matches a test, fuzz target or example declaration.
+var testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)[A-Za-z0-9_]*)\(`)
+
+// declaredTests lists the tests, fuzz targets and examples declared in
+// the _test.go files of the given package patterns (a trailing /...
+// takes every package below).
+func declaredTests(t *testing.T, pkgs []string) []string {
+	t.Helper()
+	var names []string
+	add := func(dir string) {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range testDecl.FindAllStringSubmatch(string(data), -1) {
+				names = append(names, m[1])
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		root, recursive := strings.CutSuffix(pkg, "...")
+		if !recursive {
+			add(pkg)
+			continue
+		}
+		err := filepath.WalkDir(filepath.Clean(root), func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if d.IsDir() {
+				add(path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return names
+}

@@ -58,18 +58,8 @@ func (n *Node) flushBatch() {
 		// already folded the queue in.
 		return
 	}
-	n.sys.batchFlushes++
-	n.sys.batchedOps += uint64(size)
 	if n.sys.observer != nil {
 		n.sys.observer(Observation{Event: Event{Kind: EventBatchFlushed, At: n.sys.clock.Now()}, Size: size})
 	}
 	n.sys.requestRound(n, token.FromLocal, ring.ID{})
 }
-
-// BatchFlushes returns how many batch windows closed with work to
-// circulate.
-func (s *System) BatchFlushes() uint64 { return s.batchFlushes }
-
-// BatchedOps returns how many aggregated operations those flushes
-// carried.
-func (s *System) BatchedOps() uint64 { return s.batchedOps }

@@ -11,19 +11,26 @@ import (
 	"github.com/rgbproto/rgb/internal/wire"
 )
 
+// observeFlushes collects the size of every batch flush sys reports to
+// its observer.
+func observeFlushes(sys *System) *[]int {
+	var sizes []int
+	sys.SetObserver(func(o Observation) {
+		if o.Kind == EventBatchFlushed {
+			sizes = append(sizes, o.Size)
+		}
+	})
+	return &sizes
+}
+
 // TestBatchWindowCoalescesSubmissions: changes submitted at one AP
 // within the batch window ride one token round instead of one round
-// each, and the batch counters and the observer see the flush.
+// each, and the observer sees the one flush of all three.
 func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 	cfg := quietConfig(2, 5)
 	cfg.BatchWindow = 50 * time.Millisecond
 	sys := NewSystem(cfg)
-	var flushSizes []int
-	sys.SetObserver(func(o Observation) {
-		if o.Kind == EventBatchFlushed {
-			flushSizes = append(flushSizes, o.Size)
-		}
-	})
+	flushes := observeFlushes(sys)
 	ap := sys.APs()[0]
 
 	for i := 0; i < 3; i++ {
@@ -37,14 +44,8 @@ func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 	if got := len(sys.GlobalMembership()); got != 3 {
 		t.Fatalf("membership = %d, want 3", got)
 	}
-	if got := sys.BatchFlushes(); got != 1 {
-		t.Errorf("BatchFlushes = %d, want 1", got)
-	}
-	if got := sys.BatchedOps(); got != 3 {
-		t.Errorf("BatchedOps = %d, want 3", got)
-	}
-	if len(flushSizes) != 1 || flushSizes[0] != 3 {
-		t.Errorf("observed flush sizes = %v, want [3]", flushSizes)
+	if !slices.Equal(*flushes, []int{3}) {
+		t.Errorf("observed flush sizes = %v, want [3]", *flushes)
 	}
 
 	// The same workload unbatched requests one AP-ring round per join.
@@ -65,14 +66,14 @@ func TestBatchWindowCoalescesSubmissions(t *testing.T) {
 // batch machinery never engages.
 func TestBatchWindowZeroIsImmediate(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 5))
+	flushes := observeFlushes(sys)
 	sys.JoinMemberAt(ids.GUID(1), sys.APs()[0])
 	sys.Run()
 	if got := len(sys.GlobalMembership()); got != 1 {
 		t.Fatalf("membership = %d, want 1", got)
 	}
-	if sys.BatchFlushes() != 0 || sys.BatchedOps() != 0 {
-		t.Errorf("batch counters engaged at window 0: flushes=%d ops=%d",
-			sys.BatchFlushes(), sys.BatchedOps())
+	if len(*flushes) != 0 {
+		t.Errorf("batch flushes observed at window 0: %v", *flushes)
 	}
 }
 
@@ -82,14 +83,15 @@ func TestBatchFlushAfterCrashIsNoOp(t *testing.T) {
 	cfg := quietConfig(2, 5)
 	cfg.BatchWindow = 50 * time.Millisecond
 	sys := NewSystem(cfg)
+	flushes := observeFlushes(sys)
 	ap := sys.APs()[0]
 	sys.JoinMemberAt(ids.GUID(1), ap)
 	sys.RunFor(5 * time.Millisecond) // the member message arrives, window arms
 	sys.CrashNE(ap)
 	sys.Run() // the timer fires against a crashed node
 
-	if got := sys.BatchFlushes(); got != 0 {
-		t.Errorf("crashed AP flushed %d batches", got)
+	if len(*flushes) != 0 {
+		t.Errorf("crashed AP flushed batches of %v", *flushes)
 	}
 	if got := len(sys.GlobalMembership()); got != 0 {
 		t.Errorf("membership = %d, want 0 (ghost round committed a join?)", got)
@@ -102,6 +104,7 @@ func TestBatchWindowLeaveAndFailCoalesce(t *testing.T) {
 	cfg := quietConfig(2, 5)
 	cfg.BatchWindow = 50 * time.Millisecond
 	sys := NewSystem(cfg)
+	flushes := observeFlushes(sys)
 	ap := sys.APs()[0]
 	for i := 0; i < 3; i++ {
 		sys.JoinMemberAt(ids.GUID(i+1), ap)
@@ -117,11 +120,8 @@ func TestBatchWindowLeaveAndFailCoalesce(t *testing.T) {
 		t.Fatalf("membership = %d, want 1", got)
 	}
 	// One flush for the join burst, one for the leave+fail burst.
-	if got := sys.BatchFlushes(); got != 2 {
-		t.Errorf("BatchFlushes = %d, want 2", got)
-	}
-	if got := sys.BatchedOps(); got != 5 {
-		t.Errorf("BatchedOps = %d, want 5", got)
+	if !slices.Equal(*flushes, []int{3, 2}) {
+		t.Errorf("observed flush sizes = %v, want [3 2]", *flushes)
 	}
 }
 
@@ -134,6 +134,7 @@ func TestBatchWindowRoundOwnsItsOps(t *testing.T) {
 	cfg := quietConfig(1, 5)
 	cfg.BatchWindow = 5 * time.Millisecond
 	sys := NewSystem(cfg)
+	flushes := observeFlushes(sys)
 	ap := sys.APs()[0]
 	var ops, sent mq.Batch // the first round's Ops, and a copy taken as it started
 	traceSends(sys, func(m runtime.Message) {
@@ -166,8 +167,8 @@ func TestBatchWindowRoundOwnsItsOps(t *testing.T) {
 	if !slices.Equal(ops, sent) {
 		t.Errorf("the round's Ops changed after it started:\n now %v\nsent %v", ops, sent)
 	}
-	if got := sys.BatchFlushes(); got != 2 {
-		t.Errorf("BatchFlushes = %d, want 2 (the mid-round changes drained in a second round)", got)
+	if got := len(*flushes); got != 2 {
+		t.Errorf("%d batch flushes, want 2 (the mid-round changes drained in a second round)", got)
 	}
 	if got := len(sys.GlobalMembership()); got != 5 {
 		t.Errorf("membership = %d, want 5", got)

@@ -276,7 +276,7 @@ func (n *Node) startRound(dir token.Direction, source ring.ID, extra mq.Batch, f
 		tok.Contributors = n.forwardedBy(forwarder)
 	}
 	if dir == token.FromLocal {
-		tok.Fold(n.queue.DrainBatch(0))
+		tok.Fold(n.queue.DrainBatch())
 	}
 	// Retain the batch for watchdog recovery (copied, reusing the
 	// node's scratch: downstream members append repair operations to

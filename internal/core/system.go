@@ -188,9 +188,7 @@ type System struct {
 	flapScore   map[ids.NodeID]int
 	quarantined map[ids.NodeID]runtime.Time
 
-	// Batch / stability counters (batch.go, stability.go).
-	batchFlushes      uint64
-	batchedOps        uint64
+	// Stability counters (stability.go).
 	flapQuarantines   uint64
 	evictionsDeferred uint64
 

@@ -36,9 +36,11 @@ import (
 // 30-fold and push every MemberList.find out of cache (PERF.md).
 
 // tombstoneWindow bounds gone FIFO-style: a late change or a merge
-// reconciles recent divergence, so removals older than the last few
-// thousand can lapse without risk in practice. A re-burial keeps its
-// place; the oldest distinct burial is evicted.
+// reconciles only the divergence gone still remembers. A removal lapses
+// after tombstoneWindow later distinct burials, so a heal whose cut
+// spans that many removals on the kept side lists the departed member
+// again (TestTrapHealPastTombstoneWindow, ROADMAP item 38). A re-burial
+// keeps its place; the oldest distinct burial is evicted.
 const tombstoneWindow = 4096
 
 // The window must fit the position field of gone's index entries: a

@@ -261,3 +261,84 @@ func TestTrapNotifyGiveUpDropsBatch(t *testing.T) {
 		})
 	}
 }
+
+// TestTrapHealPastTombstoneWindow: a heal's MergeRequest unions the two
+// fragments' lists by newer-wins, so the kept side must still hold the
+// tombstone of every member that left during the cut. Member 7 leaves
+// on the kept side of splitByCut's h=2 r=6 cut, and then
+// tombstoneWindow other members join and leave there, which evicts 7's
+// tombstone. The split fragment's request then puts back its record of
+// 7 from before the cut: the kept ring lists 7 again, and its parent,
+// the top ring, does not. With one removal fewer the heal is right.
+// Delete the skip to see it.
+func TestTrapHealPastTombstoneWindow(t *testing.T) {
+	t.Skip("a heal that spans more removals than tombstoneWindow lists a departed member again (ROADMAP item 38)")
+	sys := NewSystem(cutConfig(2, 6))
+	roster := sys.Node(sys.APs()[0]).Roster()
+	if _, err := sys.JoinMemberAt(7, roster[0]); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	kept, split := splitByCut(t, sys, roster, 1, 2)
+	if err := sys.LeaveMember(7); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	for g := ids.GUID(100); g < 100+tombstoneWindow; g++ {
+		if _, err := sys.JoinMemberAt(g, roster[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	for g := ids.GUID(100); g < 100+tombstoneWindow; g++ {
+		if err := sys.LeaveMember(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Run()
+	if sys.Node(kept).ringMems.Contains(7) || !sys.Node(split).ringMems.Contains(7) {
+		t.Fatal("before the heal the kept ring must have dropped 7 and the split fragment still list it")
+	}
+	sendMergeRequest(sys, split, kept)
+	sys.Run()
+	top := sys.hier.Level(0)[0].Nodes()[0]
+	if m, ok := sys.Node(kept).ringMems.Get(7); ok {
+		t.Errorf("after %d removals on the kept side the heal lists departed member 7 again (%+v); the top ring lists it: %v",
+			tombstoneWindow, m, sys.Node(top).ringMems.Contains(7))
+	}
+}
+
+// TestTrapHealPastVersionWrap: a heal's union compares a member's two
+// records by ids.VerAfter, which orders 16-bit versions correctly only
+// within 32 767 changes. Member 7 joins at AP-0 at Ver 1 before
+// splitByCut's h=2 r=6 cut, and hands off 32 770 times between two
+// kept-side APs during it, ending at Ver 32 771. To VerAfter the split
+// fragment's record at Ver 1 is then the newer one, and the heal moves
+// 7 back to AP-0. Delete the skip to see it.
+func TestTrapHealPastVersionWrap(t *testing.T) {
+	t.Skip("a heal across more than 32 767 changes of one member moves it back to its pre-cut AP (ROADMAP item 38)")
+	const handoffs = 32770
+	sys := NewSystem(cutConfig(2, 6))
+	roster := sys.Node(sys.APs()[0]).Roster()
+	if _, err := sys.JoinMemberAt(7, roster[0]); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	kept, split := splitByCut(t, sys, roster, 1, 2)
+	for i := 0; i < handoffs; i++ {
+		if err := sys.HandoffMember(7, roster[1+i%2]); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+	}
+	mh, _ := sys.Member(7)
+	if m, ok := sys.Node(kept).ringMems.Get(7); !ok || m.AP != mh.AP || m.Ver != mh.Ver {
+		t.Fatalf("before the heal the kept ring lists 7 as %+v (listed %v), want it at %s, Ver %d", m, ok, mh.AP, mh.Ver)
+	}
+	sendMergeRequest(sys, split, kept)
+	sys.Run()
+	if m, ok := sys.Node(kept).ringMems.Get(7); !ok || m.AP != mh.AP || m.Ver != mh.Ver {
+		t.Errorf("after %d handoffs the heal lists member 7 as %+v (listed %v); its mobile host is at %s, Ver %d",
+			handoffs, m, ok, mh.AP, mh.Ver)
+	}
+}

@@ -211,35 +211,18 @@ func collapse(prev, next Change) (Change, bool) {
 	}
 }
 
-// DrainBatch removes and returns up to max live changes (all of them if
-// max <= 0), in arrival order. Tombstones are discarded.
-func (q *Queue) DrainBatch(max int) Batch {
+// DrainBatch removes and returns every live change, in arrival order.
+// Tombstones are discarded. The queue keeps its array, so the next
+// Insert appends into capacity; the batch is a fresh array, which a
+// round takes as its Ops.
+func (q *Queue) DrainBatch() Batch {
 	var out Batch
-	consumed := 0
-	for consumed < len(q.pending) {
-		c := q.pending[consumed]
-		consumed++
-		if c.Op == OpNone {
-			continue
-		}
-		out = append(out, c)
-		delete(q.bySubject, c.Subject())
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	// The survivors move to the front, so the queue keeps its array and
-	// the next Insert appends into capacity; out is a fresh array, which
-	// a round takes as its Ops.
-	q.pending = q.pending[:copy(q.pending, q.pending[consumed:])]
-	// Reindex the survivors (cheap: queues are short between rounds).
-	for k := range q.bySubject {
-		delete(q.bySubject, k)
-	}
-	for i, c := range q.pending {
+	for _, c := range q.pending {
 		if c.Op != OpNone {
-			q.bySubject[c.Subject()] = i
+			out = append(out, c)
 		}
 	}
+	q.pending = q.pending[:0]
+	clear(q.bySubject)
 	return out
 }

@@ -31,7 +31,7 @@ func TestFIFOWithoutAggregation(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len = %d, want 3 (no aggregation)", q.Len())
 	}
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 3 || b[0].Op != OpMemberJoin || b[1].Op != OpMemberLeave {
 		t.Fatalf("batch = %v", b)
 	}
@@ -44,7 +44,7 @@ func TestJoinLeaveAnnihilates(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", q.Len())
 	}
-	if b := q.DrainBatch(0); len(b) != 0 {
+	if b := q.DrainBatch(); len(b) != 0 {
 		t.Fatalf("batch = %v, want empty", b)
 	}
 }
@@ -62,7 +62,7 @@ func TestJoinHandoffCollapsesToJoinAtNewAP(t *testing.T) {
 	q := New(true)
 	q.Insert(memberChange(OpMemberJoin, 1, 0))
 	q.Insert(memberChange(OpMemberHandoff, 1, 5))
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Op != OpMemberJoin {
 		t.Fatalf("batch = %v", b)
 	}
@@ -75,7 +75,7 @@ func TestLeaveJoinBecomesHandoff(t *testing.T) {
 	q := New(true)
 	q.Insert(memberChange(OpMemberLeave, 1, 0))
 	q.Insert(memberChange(OpMemberJoin, 1, 3))
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Op != OpMemberHandoff {
 		t.Fatalf("batch = %v", b)
 	}
@@ -85,7 +85,7 @@ func TestHandoffHandoffKeepsLatest(t *testing.T) {
 	q := New(true)
 	q.Insert(memberChange(OpMemberHandoff, 1, 2))
 	q.Insert(memberChange(OpMemberHandoff, 1, 9))
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Member.AP.Ordinal() != 9 {
 		t.Fatalf("batch = %v", b)
 	}
@@ -99,7 +99,7 @@ func TestFailureDominates(t *testing.T) {
 		q := New(true)
 		q.Insert(memberChange(OpMemberFailure, 1, 0))
 		q.Insert(memberChange(next, 1, 4))
-		if b := q.DrainBatch(0); len(b) != 1 || b[0].Op != OpMemberFailure {
+		if b := q.DrainBatch(); len(b) != 1 || b[0].Op != OpMemberFailure {
 			t.Fatalf("failure then %s: batch = %v", next, b)
 		}
 	}
@@ -107,7 +107,7 @@ func TestFailureDominates(t *testing.T) {
 	q.Insert(memberChange(OpMemberFailure, 1, 0))
 	q.Insert(memberChange(OpMemberJoin, 1, 0))
 	q.Insert(memberChange(OpMemberHandoff, 1, 4))
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Op != OpMemberHandoff || b[0].Member.AP != ids.MakeNodeID(ids.TierAP, 4) {
 		t.Fatalf("failure, join, handoff: batch = %v, want one handoff to AP-4", b)
 	}
@@ -117,7 +117,7 @@ func TestLeaveThenFailureStaysLeave(t *testing.T) {
 	q := New(true)
 	q.Insert(memberChange(OpMemberLeave, 1, 0))
 	q.Insert(memberChange(OpMemberFailure, 1, 0))
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Op != OpMemberLeave {
 		t.Fatalf("batch = %v", b)
 	}
@@ -142,7 +142,7 @@ func TestNEJoinLeaveAnnihilates(t *testing.T) {
 	}
 	q.Insert(neChange(OpNEFailure, 5))
 	q.Insert(neChange(OpNEJoin, 5)) // failure dominates
-	b := q.DrainBatch(0)
+	b := q.DrainBatch()
 	if len(b) != 1 || b[0].Op != OpNEFailure {
 		t.Fatalf("batch = %v", b)
 	}
@@ -154,32 +154,6 @@ func TestMemberAndNESubjectsAreSeparate(t *testing.T) {
 	q.Insert(neChange(OpNEJoin, 7))
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d: member GUID 7 and NE ordinal 7 must not collide", q.Len())
-	}
-}
-
-func TestDrainBatchMax(t *testing.T) {
-	q := New(true)
-	for g := uint64(1); g <= 5; g++ {
-		q.Insert(memberChange(OpMemberJoin, g, 0))
-	}
-	b := q.DrainBatch(2)
-	if len(b) != 2 || b[0].Member.GUID != 1 || b[1].Member.GUID != 2 {
-		t.Fatalf("batch = %v", b)
-	}
-	if q.Len() != 3 {
-		t.Fatalf("remaining = %d", q.Len())
-	}
-	// Drained subjects can re-enter and the leftover queue still
-	// aggregates correctly.
-	q.Insert(memberChange(OpMemberHandoff, 3, 8))
-	b = q.DrainBatch(0)
-	if len(b) != 3 {
-		t.Fatalf("batch2 = %v", b)
-	}
-	for _, c := range b {
-		if c.Member.GUID == 3 && (c.Op != OpMemberJoin || c.Member.AP.Ordinal() != 8) {
-			t.Fatalf("post-drain aggregation broken: %v", c)
-		}
 	}
 }
 
@@ -208,7 +182,7 @@ func TestAggregationInvariantProperty(t *testing.T) {
 			guid := uint64(b>>2) % 8
 			q.Insert(memberChange(op, guid, int(b)%4))
 		}
-		batch := q.DrainBatch(0)
+		batch := q.DrainBatch()
 		seen := map[ids.GUID]bool{}
 		for _, c := range batch {
 			if seen[c.Member.GUID] {
@@ -242,7 +216,7 @@ func TestConservationProperty(t *testing.T) {
 				want[c.Subject()] = merged
 			}
 		}
-		batch := q.DrainBatch(0)
+		batch := q.DrainBatch()
 		if len(batch) != len(want) {
 			return false
 		}
@@ -274,61 +248,57 @@ func TestChangeString(t *testing.T) {
 // nothing the queue does afterwards may write its array: not appends,
 // not collapses or annihilations of later changes, not the next drain.
 func TestDrainedBatchOutlivesTheQueue(t *testing.T) {
-	for _, max := range []int{0, 2} {
-		q := New(true)
-		for g := uint64(1); g <= 3; g++ {
-			q.Insert(memberChange(OpMemberJoin, g, 0))
-		}
-		b := q.DrainBatch(max)
-		want := slices.Clone(b)
-		q.Insert(memberChange(OpMemberJoin, 4, 1))
-		q.Insert(memberChange(OpMemberHandoff, 4, 2)) // collapses into the join
-		q.Insert(memberChange(OpMemberJoin, 5, 1))
-		q.Insert(memberChange(OpMemberLeave, 5, 1)) // annihilates the join
-		q.Insert(neChange(OpNEJoin, 7))
-		next := q.DrainBatch(0)
-		wantNext := slices.Clone(next)
-		q.Insert(memberChange(OpMemberJoin, 6, 3))
-		q.Insert(memberChange(OpMemberFailure, 6, 3))
-		q.Insert(memberChange(OpMemberJoin, 8, 3))
-		q.DrainBatch(0)
-		if !slices.Equal(b, want) || !slices.Equal(next, wantNext) {
-			t.Errorf("max %d: drained batches changed:\n first %v, want %v\nsecond %v, want %v", max, b, want, next, wantNext)
-		}
+	q := New(true)
+	for g := uint64(1); g <= 3; g++ {
+		q.Insert(memberChange(OpMemberJoin, g, 0))
+	}
+	b := q.DrainBatch()
+	want := slices.Clone(b)
+	q.Insert(memberChange(OpMemberJoin, 4, 1))
+	q.Insert(memberChange(OpMemberHandoff, 4, 2)) // collapses into the join
+	q.Insert(memberChange(OpMemberJoin, 5, 1))
+	q.Insert(memberChange(OpMemberLeave, 5, 1)) // annihilates the join
+	q.Insert(neChange(OpNEJoin, 7))
+	next := q.DrainBatch()
+	wantNext := slices.Clone(next)
+	q.Insert(memberChange(OpMemberJoin, 6, 3))
+	q.Insert(memberChange(OpMemberFailure, 6, 3))
+	q.Insert(memberChange(OpMemberJoin, 8, 3))
+	q.DrainBatch()
+	if !slices.Equal(b, want) || !slices.Equal(next, wantNext) {
+		t.Errorf("drained batches changed:\n first %v, want %v\nsecond %v, want %v", b, want, next, wantNext)
 	}
 }
 
-// TestDrainedQueueKeepsItsArray: a drain moves what it leaves to the
-// front of the queue's own array, so once warm an Insert after a full
-// or partial drain appends into capacity; only the returned batch, a
-// fresh array, is allocated. The survivors stay in order and keep
-// aggregating.
+// TestDrainedQueueKeepsItsArray: a drain empties the queue but keeps
+// its array, so once warm an Insert appends into capacity; only the
+// returned batch, a fresh array, is allocated. A subject drained can
+// re-enter, and it aggregates again.
 func TestDrainedQueueKeepsItsArray(t *testing.T) {
 	q := New(true)
 	for g := uint64(1); g <= 3; g++ {
 		q.Insert(memberChange(OpMemberJoin, g, 0))
 	}
-	if b := q.DrainBatch(1); len(b) != 1 || b[0].Member.GUID != 1 {
-		t.Fatalf("DrainBatch(1) = %v, want the join of 1", b)
+	if b := q.DrainBatch(); len(b) != 3 || b[0].Member.GUID != 1 || b[2].Member.GUID != 3 || q.Len() != 0 {
+		t.Fatalf("DrainBatch() = %v leaving %d, want the joins of 1, 2 and 3 leaving none", b, q.Len())
 	}
-	q.Insert(memberChange(OpMemberHandoff, 3, 2)) // collapses into the surviving join
-	if b := q.DrainBatch(0); len(b) != 2 || b[0].Member.GUID != 2 || b[1].Member.GUID != 3 ||
-		b[1].Op != OpMemberJoin || b[1].Member.AP != ids.MakeNodeID(ids.TierAP, 2) {
-		t.Fatalf("DrainBatch(0) = %v, want the join of 2, then 3's join at AP 2", b)
+	q.Insert(memberChange(OpMemberJoin, 3, 0))
+	q.Insert(memberChange(OpMemberHandoff, 3, 2)) // collapses into the join
+	if b := q.DrainBatch(); len(b) != 1 || b[0].Op != OpMemberJoin || b[0].Member.AP != ids.MakeNodeID(ids.TierAP, 2) {
+		t.Fatalf("DrainBatch() = %v, want 3's join at AP 2", b)
 	}
 	// GUIDs below 256 box without allocating, so a subject key costs
 	// nothing here.
-	full := testing.AllocsPerRun(100, func() {
+	one := testing.AllocsPerRun(100, func() {
 		q.Insert(memberChange(OpMemberJoin, 4, 0))
-		q.DrainBatch(0)
+		q.DrainBatch()
 	})
-	partial := testing.AllocsPerRun(100, func() {
+	two := testing.AllocsPerRun(100, func() {
 		q.Insert(memberChange(OpMemberJoin, 5, 0))
 		q.Insert(memberChange(OpMemberJoin, 6, 0))
-		q.DrainBatch(1)
-		q.DrainBatch(1)
+		q.DrainBatch()
 	})
-	if full != 1 || partial != 2 {
-		t.Errorf("insert+drain allocates %.1f objects, two inserts and two partial drains %.1f; want 1 and 2, the drained batches", full, partial)
+	if one != 1 || two != 2 {
+		t.Errorf("insert+drain allocates %.1f objects, two inserts and a drain %.1f; want 1 and 2, the drained batch's growth", one, two)
 	}
 }

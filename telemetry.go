@@ -259,9 +259,9 @@ func (g *groupTelemetry) observe(o core.Observation) {
 // groupSnapshot is one scrape's reading of a group's engine-owned
 // counters.
 type groupSnapshot struct {
-	members, rounds, ops, repairs, roster         float64
-	batchFlushes, batchedOps, quarantines, defers float64
-	faults                                        FaultStats
+	members, rounds, ops, repairs, roster float64
+	quarantines, defers                   float64
+	faults                                FaultStats
 }
 
 // instrumentGroup wires one group's protocol engine into the
@@ -319,8 +319,6 @@ func (c *Cluster) instrumentGroup(svc *Service) {
 			s.rounds = float64(svc.sys.Rounds())
 			s.ops = float64(svc.sys.OpsCarried())
 			s.repairs = float64(len(svc.sys.Repairs()))
-			s.batchFlushes = float64(svc.sys.BatchFlushes())
-			s.batchedOps = float64(svc.sys.BatchedOps())
 			s.quarantines = float64(svc.sys.FlapQuarantines())
 			s.defers = float64(svc.sys.EvictionsDeferred())
 			if ft, ok := svc.sys.Transport().(*rgbruntime.FaultTransport); ok {
@@ -341,10 +339,6 @@ func (c *Cluster) instrumentGroup(svc *Service) {
 		func() float64 { return snap.Load().ops }, "group", gid)
 	reg.CounterFunc("rgb_repairs_total", "local ring repairs performed",
 		func() float64 { return snap.Load().repairs }, "group", gid)
-	reg.CounterFunc("rgb_batch_flushes_total", "batch windows closed with at least one pending operation",
-		func() float64 { return snap.Load().batchFlushes }, "group", gid)
-	reg.CounterFunc("rgb_batched_ops_total", "membership operations coalesced through batched flushes",
-		func() float64 { return snap.Load().batchedOps }, "group", gid)
 	reg.CounterFunc("rgb_flap_quarantines_total", "flapping members quarantined by the stability filter",
 		func() float64 { return snap.Load().quarantines }, "group", gid)
 	reg.CounterFunc("rgb_evictions_deferred_total", "suspected evictions held back awaiting K-observer confirmation",
