@@ -251,7 +251,7 @@ func TestCIRunPatterns(t *testing.T) {
 		}
 		names := declaredTests(t, pkgs)
 		var alts []string
-		if first, _, _ := cutTopLevel(run, '/'); first != "" && first != "^$" {
+		if first := splitTopLevel(run, '/')[0]; first != "" && first != "^$" {
 			alts = splitTopLevel(first, '|')
 		}
 		if fuzz != "" {
@@ -344,23 +344,10 @@ func shellWords(cmd string) []string {
 }
 
 // splitTopLevel splits a pattern at each sep outside parentheses and
-// brackets, as go test splits -run into alternatives and levels.
+// brackets, as go test splits -run into levels and alternatives.
 func splitTopLevel(pattern string, sep byte) []string {
 	var parts []string
-	for {
-		before, after, found := cutTopLevel(pattern, sep)
-		parts = append(parts, before)
-		if !found {
-			return parts
-		}
-		pattern = after
-	}
-}
-
-// cutTopLevel cuts a pattern at its first sep outside parentheses and
-// brackets.
-func cutTopLevel(pattern string, sep byte) (before, after string, found bool) {
-	depth := 0
+	depth, start := 0, 0
 	for i := 0; i < len(pattern); i++ {
 		switch c := pattern[i]; {
 		case c == '(' || c == '[':
@@ -368,10 +355,11 @@ func cutTopLevel(pattern string, sep byte) (before, after string, found bool) {
 		case c == ')' || c == ']':
 			depth--
 		case c == sep && depth == 0:
-			return pattern[:i], pattern[i+1:], true
+			parts = append(parts, pattern[start:i])
+			start = i + 1
 		}
 	}
-	return pattern, "", false
+	return append(parts, pattern[start:])
 }
 
 // testDecl matches a test, fuzz target or example declaration.

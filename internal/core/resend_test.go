@@ -115,7 +115,7 @@ func TestResendBudget(t *testing.T) {
 // in a copy of the token. The token that was sent may have arrived with
 // only its ack lost, and on the simulator and between co-hosted entities
 // the receiver holds that very value, so the giver must not write
-// through it: not Repaired, Ops, Holder, Hops, nor Route in place.
+// through it: not Repaired, Ops, Holder, nor Route in place.
 func TestGiveUpLeavesSentTokenAlone(t *testing.T) {
 	sys := NewSystem(quietConfig(2, 5))
 	p, h := ringPair(sys)

@@ -1,9 +1,9 @@
 // Package token defines the Token of Section 4.2 — the object that
 // circulates around each logical ring carrying aggregated membership
 // operations — together with the round bookkeeping used by the
-// one-round algorithm of Figure 3: the round's itinerary, direction of entry
-// (needed to propagate changes up/down without echo), and the retry
-// budget of the paper's "Token retransmission schemes" for
+// one-round algorithm of Figure 3: the round's itinerary, direction of
+// entry (needed to propagate changes up/down without echo), and the
+// retry budget of the paper's "Token retransmission schemes" for
 // single-fault detection.
 package token
 
