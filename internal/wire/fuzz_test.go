@@ -35,6 +35,79 @@ func (p retiredProposal) AppendTo(b []byte) []byte {
 // sampleRetired is the kind-12 frame's body the corpora keep.
 var sampleRetired = retiredProposal{change: sampleChange(5), up: true}
 
+// v5Token and v5Notify are token and notification bodies in wire
+// version 5's layout: a token opened with its group word and carried a
+// u32 hop count after its source ring, and a change record carried its
+// origin and sequence number between NE and ReplyTo (60 bytes, not 44).
+// Framed under a version-6 envelope and cut at every length, they feed
+// the record readers misaligned sections; every decoder must read them
+// alike.
+type (
+	v5Token  struct{ tok *token.Token }
+	v5Notify struct{ n *Notify }
+)
+
+func (v5Token) PayloadKind() PayloadKind  { return KindTokenMsg }
+func (v5Notify) PayloadKind() PayloadKind { return KindNotify }
+func (v5Token) sealed()                   {}
+func (v5Notify) sealed()                  {}
+
+func (p v5Token) AppendTo(b []byte) []byte {
+	t := p.tok
+	b = appendU32(b, uint32(t.GID))
+	b = appendRingID(b, t.Ring)
+	b = appendU64(b, uint64(t.Holder))
+	b = appendU64(b, t.Round)
+	b = append(b, byte(t.Dir))
+	b = appendRingID(b, t.Source)
+	b = appendU32(b, uint32(t.Hops))
+	b = appendBool(b, t.Repaired)
+	b = appendV5Batch(b, t.Ops)
+	b = appendNodeIDs(b, t.Route)
+	return appendNodeIDs(b, t.Contributors)
+}
+
+func (p v5Notify) AppendTo(b []byte) []byte {
+	m := p.n
+	b = appendV5Batch(b, m.Batch)
+	b = appendRingID(b, m.From)
+	b = appendBool(b, m.Up)
+	b = appendBool(b, m.LeaderUpdate)
+	b = appendU64(b, uint64(m.NewLeader))
+	return appendU64(b, m.Seq)
+}
+
+// appendV5Batch encodes batch as version 5 did: the u32 count, then
+// each change with its origin and sequence number.
+func appendV5Batch(b []byte, batch mq.Batch) []byte {
+	b = appendU32(b, uint32(len(batch)))
+	for i := range batch {
+		c := &batch[i]
+		b = append(b, byte(c.Op))
+		b = appendMemberInfo(b, c.Member)
+		b = appendU64(b, uint64(c.NE))
+		b = appendU64(b, uint64(c.Origin))
+		b = appendU64(b, c.Seq)
+		b = appendU64(b, uint64(c.ReplyTo))
+	}
+	return b
+}
+
+// sampleV5Bodies are the version-5 bodies the corpora keep: the sample
+// token and notification with their group, hop count, origins and
+// sequence numbers set.
+func sampleV5Bodies() []Payload {
+	tok := sampleToken()
+	tok.GID, tok.Hops = ids.NewGroupID(7), 5
+	n := *samplePayloads()[2].(*Notify)
+	for _, batch := range []mq.Batch{tok.Ops, n.Batch} {
+		for i := range batch {
+			batch[i].Origin, batch[i].Seq = ap(0), uint64(900+i)
+		}
+	}
+	return []Payload{v5Token{tok}, v5Notify{&n}}
+}
+
 // FuzzWireRoundTrip is the codec's safety oracle: decoding arbitrary
 // bytes must never panic, and any input that decodes successfully must
 // reach a canonical fixpoint — decode -> encode -> decode -> encode
@@ -336,6 +409,14 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 		big[i] = sampleMember(i)
 	}
 	f.Add(frame(QueryReply{ID: 9, Members: big}))
+	// Version-5 bodies under a version-6 envelope, cut at every length
+	// past the payload header.
+	for _, p := range sampleV5Bodies() {
+		b := frame(p)
+		for cut := body; cut <= len(b); cut++ {
+			f.Add(append([]byte(nil), b[:cut]...))
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFrame(data)
@@ -356,8 +437,8 @@ func FuzzDecodeAgainstReference(f *testing.F) {
 // turn the decoding of each round body of samplePayloads, so a field
 // the decoder skipped (a stale Contributors, Ops, Hops or Repaired)
 // would show. The corpus is FuzzDecodeAgainstReference's frames, each
-// cut at every length, and round bodies with every optional field
-// empty. CI runs a short -fuzz smoke of this target beside
+// cut at every length, round bodies with every optional field empty,
+// and the version-5 token and notification bodies. CI runs a short -fuzz smoke of this target beside
 // FuzzWireRoundTrip's.
 func FuzzDecodeIntoReusedTarget(f *testing.F) {
 	frame := func(p Payload) []byte {
@@ -379,6 +460,12 @@ func FuzzDecodeIntoReusedTarget(f *testing.F) {
 	f.Add(frame(&PassAck{}))
 	f.Add(frame(&HolderAck{}))
 	f.Add(frame(&NotifyAck{}))
+	for _, p := range sampleV5Bodies() {
+		b := frame(p)
+		for cut := envelopeSize + payloadHeaderSize; cut <= len(b); cut++ {
+			f.Add(append([]byte(nil), b[:cut]...))
+		}
+	}
 
 	full := DecodeTarget{
 		Token:     *sampleToken(),
